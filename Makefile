@@ -16,14 +16,18 @@ RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./i
 FUZZ_PKGS := ./internal/group/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/
 FUZZ_TIME ?= 2s
 
-.PHONY: check vet build test race race-full fuzz chaos chaos-byz chaos-rankd bench bench-json bench-compare trace-demo demo-distributed telemetry-demo serve-demo loadtest-smoke clean
+.PHONY: check vet build test race race-full fuzz chaos chaos-byz chaos-rankd bench bench-json bench-compare bench-smoke trace-demo demo-distributed telemetry-demo serve-demo loadtest-smoke clean
 
-check: vet build test race fuzz chaos-rankd serve-demo loadtest-smoke
+check: vet build bench-smoke test race fuzz chaos-rankd serve-demo loadtest-smoke
 
 # staticcheck is optional tooling: run it when the developer has it
 # installed, stay silent (and green) when they do not.
+# The 386 pass over internal/group type-checks the limb field where
+# big.Word is 32 bits wide, the target its big.Int conversions must not
+# make assumptions about.
 vet:
 	$(GO) vet ./...
+	GOARCH=386 $(GO) vet ./internal/group/
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:
@@ -81,9 +85,17 @@ bench-json:
 
 # Drift gate: re-run the snapshot configurations and fail if any
 # exponentiation or message count moved against the committed file.
-# Wall times are machine-dependent and deliberately not compared.
+# The per-configuration entries carry counts only; wall-clock numbers
+# come from bench/ (bash bench/run.sh).
 bench-compare:
 	BENCH_COMPARE=$(CURDIR)/BENCH_groupranking.json $(GO) test -run TestBenchSnapshot -count=1 .
+
+# bench/ is a nested module (the BENCHMARK.json yardstick) that imports
+# internal/group, elgamal, zkp and kernel directly, and a PR claiming a
+# gain may not edit it: fail the root build fast when an internal
+# signature it uses moves.
+bench-smoke:
+	cd bench && $(GO) vet . && $(GO) test .
 
 # A 10-party run with the per-phase observability table and the JSONL
 # span trace on stderr — the quickest way to see the tracer end to end.

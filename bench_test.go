@@ -42,6 +42,17 @@ func benchParams(b *testing.B, n int, g group.Group, sorter core.Sorter) core.Pa
 	}
 }
 
+// byName resolves a group the way Rank, rankparty and rankd do, so the
+// benchmarks time the path users reach.
+func byName(b *testing.B, name string) group.Group {
+	b.Helper()
+	g, err := group.ByName(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
 func benchInputs(b *testing.B, params core.Params, seed string) core.Inputs {
 	b.Helper()
 	q, err := workload.Uniform(params.M, params.T)
@@ -74,43 +85,43 @@ func runFramework(b *testing.B, params core.Params, seed string) {
 // --- Fig. 2(a): full framework vs n, all three frameworks ---
 
 func BenchmarkFig2a_ECC_n4(b *testing.B) {
-	runFramework(b, benchParams(b, 4, group.Secp160r1(), core.SorterUnlinkable), "fig2a-ecc-4")
+	runFramework(b, benchParams(b, 4, byName(b, "secp160r1"), core.SorterUnlinkable), "fig2a-ecc-4")
 }
 
 func BenchmarkFig2a_ECC_n6(b *testing.B) {
-	runFramework(b, benchParams(b, 6, group.Secp160r1(), core.SorterUnlinkable), "fig2a-ecc-6")
+	runFramework(b, benchParams(b, 6, byName(b, "secp160r1"), core.SorterUnlinkable), "fig2a-ecc-6")
 }
 
 func BenchmarkFig2a_ECC_n8(b *testing.B) {
-	runFramework(b, benchParams(b, 8, group.Secp160r1(), core.SorterUnlinkable), "fig2a-ecc-8")
+	runFramework(b, benchParams(b, 8, byName(b, "secp160r1"), core.SorterUnlinkable), "fig2a-ecc-8")
 }
 
 func BenchmarkFig2a_DL_n4(b *testing.B) {
-	runFramework(b, benchParams(b, 4, group.MODP1024(), core.SorterUnlinkable), "fig2a-dl-4")
+	runFramework(b, benchParams(b, 4, byName(b, "modp-1024"), core.SorterUnlinkable), "fig2a-dl-4")
 }
 
 func BenchmarkFig2a_DL_n6(b *testing.B) {
-	runFramework(b, benchParams(b, 6, group.MODP1024(), core.SorterUnlinkable), "fig2a-dl-6")
+	runFramework(b, benchParams(b, 6, byName(b, "modp-1024"), core.SorterUnlinkable), "fig2a-dl-6")
 }
 
 func BenchmarkFig2a_SS_n5(b *testing.B) {
-	runFramework(b, benchParams(b, 5, group.Secp160r1(), core.SorterSecretSharing), "fig2a-ss-5")
+	runFramework(b, benchParams(b, 5, byName(b, "secp160r1"), core.SorterSecretSharing), "fig2a-ss-5")
 }
 
 func BenchmarkFig2a_SS_n7(b *testing.B) {
-	runFramework(b, benchParams(b, 7, group.Secp160r1(), core.SorterSecretSharing), "fig2a-ss-7")
+	runFramework(b, benchParams(b, 7, byName(b, "secp160r1"), core.SorterSecretSharing), "fig2a-ss-7")
 }
 
 // --- Fig. 2(b): vs attribute dimension m ---
 
 func BenchmarkFig2b_ECC_m2(b *testing.B) {
-	p := benchParams(b, 4, group.Secp160r1(), core.SorterUnlinkable)
+	p := benchParams(b, 4, byName(b, "secp160r1"), core.SorterUnlinkable)
 	p.M, p.T = 2, 1
 	runFramework(b, p, "fig2b-m2")
 }
 
 func BenchmarkFig2b_ECC_m8(b *testing.B) {
-	p := benchParams(b, 4, group.Secp160r1(), core.SorterUnlinkable)
+	p := benchParams(b, 4, byName(b, "secp160r1"), core.SorterUnlinkable)
 	p.M, p.T = 8, 4
 	runFramework(b, p, "fig2b-m8")
 }
@@ -118,13 +129,13 @@ func BenchmarkFig2b_ECC_m8(b *testing.B) {
 // --- Fig. 2(c): vs attribute bit length d1 ---
 
 func BenchmarkFig2c_ECC_d1_4(b *testing.B) {
-	p := benchParams(b, 4, group.Secp160r1(), core.SorterUnlinkable)
+	p := benchParams(b, 4, byName(b, "secp160r1"), core.SorterUnlinkable)
 	p.D1 = 4
 	runFramework(b, p, "fig2c-d4")
 }
 
 func BenchmarkFig2c_ECC_d1_10(b *testing.B) {
-	p := benchParams(b, 4, group.Secp160r1(), core.SorterUnlinkable)
+	p := benchParams(b, 4, byName(b, "secp160r1"), core.SorterUnlinkable)
 	p.D1 = 10
 	runFramework(b, p, "fig2c-d10")
 }
@@ -132,13 +143,13 @@ func BenchmarkFig2c_ECC_d1_10(b *testing.B) {
 // --- Fig. 2(d): vs mask bit length h ---
 
 func BenchmarkFig2d_ECC_h4(b *testing.B) {
-	p := benchParams(b, 4, group.Secp160r1(), core.SorterUnlinkable)
+	p := benchParams(b, 4, byName(b, "secp160r1"), core.SorterUnlinkable)
 	p.H = 4
 	runFramework(b, p, "fig2d-h4")
 }
 
 func BenchmarkFig2d_ECC_h10(b *testing.B) {
-	p := benchParams(b, 4, group.Secp160r1(), core.SorterUnlinkable)
+	p := benchParams(b, 4, byName(b, "secp160r1"), core.SorterUnlinkable)
 	p.H = 10
 	runFramework(b, p, "fig2d-h10")
 }
@@ -157,12 +168,12 @@ func benchSortLevel(b *testing.B, g group.Group) {
 	}
 }
 
-func BenchmarkFig3a_Level80_ECC(b *testing.B)  { benchSortLevel(b, group.Secp160r1()) }
-func BenchmarkFig3a_Level80_DL(b *testing.B)   { benchSortLevel(b, group.MODP1024()) }
-func BenchmarkFig3a_Level112_ECC(b *testing.B) { benchSortLevel(b, group.Secp224r1()) }
-func BenchmarkFig3a_Level112_DL(b *testing.B)  { benchSortLevel(b, group.MODP2048()) }
-func BenchmarkFig3a_Level128_ECC(b *testing.B) { benchSortLevel(b, group.Secp256r1()) }
-func BenchmarkFig3a_Level128_DL(b *testing.B)  { benchSortLevel(b, group.MODP3072()) }
+func BenchmarkFig3a_Level80_ECC(b *testing.B)  { benchSortLevel(b, byName(b, "secp160r1")) }
+func BenchmarkFig3a_Level80_DL(b *testing.B)   { benchSortLevel(b, byName(b, "modp-1024")) }
+func BenchmarkFig3a_Level112_ECC(b *testing.B) { benchSortLevel(b, byName(b, "secp224r1")) }
+func BenchmarkFig3a_Level112_DL(b *testing.B)  { benchSortLevel(b, byName(b, "modp-2048")) }
+func BenchmarkFig3a_Level128_ECC(b *testing.B) { benchSortLevel(b, byName(b, "secp256r1")) }
+func BenchmarkFig3a_Level128_DL(b *testing.B)  { benchSortLevel(b, byName(b, "modp-3072")) }
 
 // --- Fig. 3(b): trace replay over the simulated network ---
 
@@ -172,7 +183,7 @@ func BenchmarkFig3b_NetworkReplay_n25(b *testing.B) {
 		b.Fatal(err)
 	}
 	s := costmodel.PaperDefaults()
-	g := group.Secp160r1()
+	g := byName(b, "secp160r1")
 	assign, err := netsim.RandomAssignment(topo, s.N+1, fixedbig.NewDRBG("bench-assign"))
 	if err != nil {
 		b.Fatal(err)
@@ -205,12 +216,12 @@ func benchExp(b *testing.B, g group.Group) {
 	}
 }
 
-func BenchmarkTableVIB_Exp_Secp160r1(b *testing.B) { benchExp(b, group.Secp160r1()) }
-func BenchmarkTableVIB_Exp_MODP1024(b *testing.B)  { benchExp(b, group.MODP1024()) }
-func BenchmarkTableVIB_Exp_Secp224r1(b *testing.B) { benchExp(b, group.Secp224r1()) }
-func BenchmarkTableVIB_Exp_MODP2048(b *testing.B)  { benchExp(b, group.MODP2048()) }
-func BenchmarkTableVIB_Exp_Secp256r1(b *testing.B) { benchExp(b, group.Secp256r1()) }
-func BenchmarkTableVIB_Exp_MODP3072(b *testing.B)  { benchExp(b, group.MODP3072()) }
+func BenchmarkTableVIB_Exp_Secp160r1(b *testing.B) { benchExp(b, byName(b, "secp160r1")) }
+func BenchmarkTableVIB_Exp_MODP1024(b *testing.B)  { benchExp(b, byName(b, "modp-1024")) }
+func BenchmarkTableVIB_Exp_Secp224r1(b *testing.B) { benchExp(b, byName(b, "secp224r1")) }
+func BenchmarkTableVIB_Exp_MODP2048(b *testing.B)  { benchExp(b, byName(b, "modp-2048")) }
+func BenchmarkTableVIB_Exp_Secp256r1(b *testing.B) { benchExp(b, byName(b, "secp256r1")) }
+func BenchmarkTableVIB_Exp_MODP3072(b *testing.B)  { benchExp(b, byName(b, "modp-3072")) }
 
 func BenchmarkTableVIB_SSFieldMul104(b *testing.B) {
 	rng := fixedbig.NewDRBG("bench-fieldmul")
@@ -275,18 +286,19 @@ func BenchmarkAblation_Proofs_Off(b *testing.B) {
 	benchSortAblation(b, func(c *unlinksort.Config) { c.SkipProofs = true })
 }
 
-// Dedicated limb field vs generic math/big arithmetic for secp160r1 —
+// The limb curve kernel vs the math/big curve arithmetic on secp160r1 —
 // the optimisation that restores the paper's ECC-beats-DL ordering.
-func BenchmarkAblation_Secp160Fast(b *testing.B)    { benchExp(b, group.Secp160r1()) }
+func BenchmarkAblation_Secp160Fast(b *testing.B)    { benchExp(b, byName(b, "secp160r1")) }
 func BenchmarkAblation_Secp160Generic(b *testing.B) { benchExp(b, group.Secp160r1Generic()) }
 
 // --- Machine-readable perf snapshot (BENCH_groupranking.json) ---
 
 // TestBenchSnapshot regenerates the committed perf snapshot in memory
 // and checks its invariants: the registry-measured exponentiation
-// counts must equal the cost model's closed forms (the wall times vary
-// by machine; the counts never do). Set BENCH_JSON=<path> to rewrite
-// the committed file — `make bench-json` does this.
+// counts must equal the cost model's closed forms (the counts never
+// vary by machine, which is why the entries carry nothing else). Set
+// BENCH_JSON=<path> to rewrite the committed file — `make bench-json`
+// does this.
 func TestBenchSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("instrumented framework runs are slow in -short mode")
@@ -307,7 +319,7 @@ func TestBenchSnapshot(t *testing.T) {
 			t.Errorf("duplicate entry name %q", e.Name)
 		}
 		names[e.Name] = true
-		if e.NsPerOp <= 0 || e.BytesOnWire <= 0 || e.MsgsOnWire <= 0 || e.Rounds <= 0 {
+		if e.BytesOnWire <= 0 || e.MsgsOnWire <= 0 || e.Rounds <= 0 {
 			t.Errorf("%s: non-positive measurement: %+v", e.Name, e)
 		}
 		if e.BytesPerOp != e.BytesOnWire/e.MsgsOnWire {
@@ -346,8 +358,8 @@ func TestBenchSnapshot(t *testing.T) {
 		t.Logf("wrote %s", path)
 	}
 	// BENCH_COMPARE=<committed snapshot> turns this test into the drift
-	// gate `make bench-compare` runs: wall times move with the machine,
-	// but the operation and message counts are deterministic, so ANY
+	// gate `make bench-compare` runs: the operation, message, byte and
+	// round counts of a seeded run are deterministic, so ANY
 	// drift against the committed file means the protocol's cost
 	// changed and the snapshot (plus the cost model) must be updated
 	// deliberately.
@@ -383,6 +395,13 @@ func TestBenchSnapshot(t *testing.T) {
 			if e.MsgsOnWire != c.MsgsOnWire {
 				t.Errorf("%s: messages on wire drifted: committed %d, now %d",
 					e.Name, c.MsgsOnWire, e.MsgsOnWire)
+			}
+			if e.BytesOnWire != c.BytesOnWire {
+				t.Errorf("%s: bytes on wire drifted: committed %d, now %d",
+					e.Name, c.BytesOnWire, e.BytesOnWire)
+			}
+			if e.Rounds != c.Rounds {
+				t.Errorf("%s: rounds drifted: committed %d, now %d", e.Name, c.Rounds, e.Rounds)
 			}
 		}
 	}

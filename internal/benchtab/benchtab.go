@@ -37,16 +37,22 @@ type Runner struct {
 
 // New measures primitive timings on this machine and returns a runner.
 func New(w io.Writer) (*Runner, error) {
+	// Every group is resolved by name, as Rank, rankparty and rankd
+	// resolve it: the tables time the path users reach.
+	names := []string{"secp160r1", "secp224r1", "secp256r1", "modp-1024", "modp-2048", "modp-3072"}
+	groups := make([]group.Group, len(names))
+	for i, name := range names {
+		g, err := group.ByName(name)
+		if err != nil {
+			return nil, err
+		}
+		groups[i] = g
+	}
 	r := &Runner{
 		w:      w,
-		ecc160: group.Secp160r1(),
-		ecc224: group.Secp224r1(),
-		ecc256: group.Secp256r1(),
-		dl1024: group.MODP1024(),
-		dl2048: group.MODP2048(),
-		dl3072: group.MODP3072(),
+		ecc160: groups[0], ecc224: groups[1], ecc256: groups[2],
+		dl1024: groups[3], dl2048: groups[4], dl3072: groups[5],
 	}
-	groups := []group.Group{r.ecc160, r.ecc224, r.ecc256, r.dl1024, r.dl2048, r.dl3072}
 	// 25 samples per group: the min-of-N estimator only needs ONE
 	// uninterrupted sample, but when the whole test suite runs in
 	// parallel on a small machine, 7 samples were occasionally all

@@ -2,11 +2,13 @@ package benchtab
 
 // The machine-readable bench snapshot (BENCH_groupranking.json): a
 // fixed set of small-n instrumented runs of the REAL protocol stack,
-// each recording wall time next to the observability registry's
-// measured exponentiation/message/byte counts and the cost model's
-// predictions. Committing the snapshot tracks the bench trajectory
-// across commits as a diffable artifact instead of results.txt prose;
-// TestBenchSnapshot regenerates it and asserts measured == model.
+// each recording the observability registry's measured
+// exponentiation/message/byte counts next to the cost model's
+// predictions. The per-configuration entries are exact counts only:
+// wall-clock numbers have one home, bench/ (BENCHMARK.json).
+// Committing the snapshot tracks the count trajectory across commits
+// as a diffable artifact; TestBenchSnapshot regenerates it and asserts
+// measured == model.
 
 import (
 	"context"
@@ -38,10 +40,6 @@ type SnapshotEntry struct {
 	M      int    `json:"m"`
 	// L is the derived comparison bit width l = BetaBits.
 	L int `json:"l"`
-	// NsPerOp is the wall time of one full framework run, in the
-	// go-bench unit so external tooling can plot it alongside
-	// `go test -bench` output.
-	NsPerOp int64 `json:"ns_per_op"`
 	// ExpsPerParticipant is the registry-measured group-exponentiation
 	// count of participant 1 (all participants perform the same count —
 	// the crossval suite asserts this); ExpsModel is the cost model's
@@ -132,10 +130,14 @@ func CollectSnapshot() (*Snapshot, error) {
 // serially and with the full worker pool, and checks the two rankings
 // agree.
 func runSpeedup() (*SpeedupEntry, error) {
+	g, err := group.ByName("secp160r1")
+	if err != nil {
+		return nil, err
+	}
 	params := core.Params{
 		// h + ⌈log₂ m⌉ + 2·d1 + d2 + 3 = 6 + 2 + 16 + 5 + 3 = 32 bits.
 		N: 8, M: 4, T: 2, D1: 8, D2: 5, H: 6, K: 2,
-		Group: group.Secp160r1(), Sorter: core.SorterUnlinkable,
+		Group: g, Sorter: core.SorterUnlinkable,
 	}
 	in, err := snapshotInputs(params, "bench-speedup")
 	if err != nil {
@@ -198,9 +200,7 @@ func runSnapshotConfig(name string, g group.Group, sorter core.Sorter, n int) (S
 	}
 	reg := obsv.NewRegistry()
 	ctx := obsv.WithRegistry(context.Background(), reg)
-	start := time.Now()
 	_, fab, err := core.RunCtx(ctx, params, in, "bench-snapshot-run-"+name, nil)
-	wall := time.Since(start)
 	if err != nil {
 		return SnapshotEntry{}, err
 	}
@@ -221,7 +221,6 @@ func runSnapshotConfig(name string, g group.Group, sorter core.Sorter, n int) (S
 		N:                  n,
 		M:                  params.M,
 		L:                  l,
-		NsPerOp:            wall.Nanoseconds(),
 		ExpsPerParticipant: reg.PartyTotal(1, obsv.OpGroupExp),
 		ExpsModel:          model,
 		BytesOnWire:        stats.TotalBytes(),

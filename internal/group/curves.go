@@ -13,15 +13,20 @@ import (
 // base point on curve, n·G = ∞) when first used.
 
 type curveDef struct {
-	name          string
-	p, a, b       string // hex; a == "" means a = p − 3
-	gx, gy, n     string
-	securityBits  int
-	fieldBitsHint int
+	name         string
+	p, b         string // hex; a = p − 3 on every named curve
+	gx, gy, n    string
+	securityBits int
 }
 
-var _curveDefs = []curveDef{
-	{
+// lazyCurve builds and validates a curve on first use, on its own:
+// naming one curve does not pay for the other two.
+func lazyCurve(d curveDef) func() *ECGroup {
+	return sync.OnceValue(func() *ECGroup { return mustCurve(d) })
+}
+
+var (
+	_secp160r1 = lazyCurve(curveDef{
 		name:         "secp160r1",
 		p:            "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF7FFFFFFF",
 		b:            "1C97BEFC54BD7A8B65ACF89F81D4D4ADC565FA45",
@@ -29,8 +34,8 @@ var _curveDefs = []curveDef{
 		gy:           "23A628553168947D59DCC912042351377AC5FB32",
 		n:            "0100000000000000000001F4C8F927AED3CA752257",
 		securityBits: 80,
-	},
-	{
+	})
+	_secp224r1 = lazyCurve(curveDef{
 		name:         "secp224r1",
 		p:            "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF000000000000000000000001",
 		b:            "B4050A850C04B3ABF54132565044B0B7D7BFD8BA270B39432355FFB4",
@@ -38,8 +43,8 @@ var _curveDefs = []curveDef{
 		gy:           "BD376388B5F723FB4C22DFE6CD4375A05A07476444D5819985007E34",
 		n:            "FFFFFFFFFFFFFFFFFFFFFFFFFFFF16A2E0B8F03E13DD29455C5C2A3D",
 		securityBits: 112,
-	},
-	{
+	})
+	_secp256r1 = lazyCurve(curveDef{
 		name:         "secp256r1",
 		p:            "FFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF",
 		b:            "5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B",
@@ -47,12 +52,12 @@ var _curveDefs = []curveDef{
 		gy:           "4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5",
 		n:            "FFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551",
 		securityBits: 128,
-	},
-}
-
-var (
-	_curveOnce   sync.Once
-	_curveGroups map[string]*ECGroup
+	})
+	_secp160r1Generic = sync.OnceValue(func() *ECGroup {
+		g := *Secp160r1()
+		g.kern = nil
+		return &g
+	})
 )
 
 func mustHex(name, field, s string) *big.Int {
@@ -63,48 +68,38 @@ func mustHex(name, field, s string) *big.Int {
 	return v
 }
 
-func curveGroups() map[string]*ECGroup {
-	_curveOnce.Do(func() {
-		_curveGroups = make(map[string]*ECGroup, len(_curveDefs))
-		for _, d := range _curveDefs {
-			p := mustHex(d.name, "p", d.p)
-			a := new(big.Int).Sub(p, big.NewInt(3))
-			if d.a != "" {
-				a = mustHex(d.name, "a", d.a)
-			}
-			g, err := NewECGroup(CurveSpec{
-				Name:         d.name,
-				P:            p,
-				A:            a,
-				B:            mustHex(d.name, "b", d.b),
-				Gx:           mustHex(d.name, "gx", d.gx),
-				Gy:           mustHex(d.name, "gy", d.gy),
-				N:            mustHex(d.name, "n", d.n),
-				SecurityBits: d.securityBits,
-			})
-			if err != nil {
-				panic(fmt.Sprintf("group: invalid curve %s: %v", d.name, err))
-			}
-			_curveGroups[d.name] = g
-		}
+func mustCurve(d curveDef) *ECGroup {
+	p := mustHex(d.name, "p", d.p)
+	g, err := NewECGroup(CurveSpec{
+		Name:         d.name,
+		P:            p,
+		A:            new(big.Int).Sub(p, big.NewInt(3)),
+		B:            mustHex(d.name, "b", d.b),
+		Gx:           mustHex(d.name, "gx", d.gx),
+		Gy:           mustHex(d.name, "gy", d.gy),
+		N:            mustHex(d.name, "n", d.n),
+		SecurityBits: d.securityBits,
 	})
-	return _curveGroups
+	if err != nil {
+		panic(fmt.Sprintf("group: invalid curve %s: %v", d.name, err))
+	}
+	return g
 }
 
 // Secp160r1 returns the 160-bit SEC2 curve used by the paper's ECC
-// framework (80-bit security), with the fast limb-arithmetic scalar
-// multiplication of secp160fast.go.
-func Secp160r1() Group { return fastSecp160{ECGroup: curveGroups()["secp160r1"]} }
+// framework (80-bit security).
+func Secp160r1() *ECGroup { return _secp160r1() }
 
-// Secp160r1Generic returns the same curve with the generic math/big
-// arithmetic; tests and the ablation benchmark compare the two.
-func Secp160r1Generic() *ECGroup { return curveGroups()["secp160r1"] }
+// Secp160r1Generic returns the same curve without the limb kernel, on
+// the math/big arithmetic of ec.go: the oracle that tests and the
+// ablation benchmark compare the kernel against.
+func Secp160r1Generic() *ECGroup { return _secp160r1Generic() }
 
 // Secp224r1 returns NIST P-224 (112-bit security).
-func Secp224r1() *ECGroup { return curveGroups()["secp224r1"] }
+func Secp224r1() *ECGroup { return _secp224r1() }
 
 // Secp256r1 returns NIST P-256 (128-bit security).
-func Secp256r1() *ECGroup { return curveGroups()["secp256r1"] }
+func Secp256r1() *ECGroup { return _secp256r1() }
 
 // ByName resolves a group by its canonical name. Recognised names:
 // modp-1024, modp-2048, modp-3072, secp160r1, secp224r1, secp256r1, and
@@ -117,8 +112,12 @@ func ByName(name string) (Group, error) {
 		return MODP2048(), nil
 	case "modp-3072":
 		return MODP3072(), nil
-	case "secp160r1", "secp224r1", "secp256r1":
-		return curveGroups()[name], nil
+	case "secp160r1":
+		return Secp160r1(), nil
+	case "secp224r1":
+		return Secp224r1(), nil
+	case "secp256r1":
+		return Secp256r1(), nil
 	case "toy-dl-256":
 		return ToyDL256()
 	default:

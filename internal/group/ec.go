@@ -9,7 +9,11 @@ import (
 // ECGroup is a prime-order group of points on a short-Weierstrass curve
 // y² = x³ + ax + b over F_p ("ECC" in the paper's terminology). The curve
 // arithmetic is implemented from scratch with Jacobian projective
-// coordinates; no crypto/elliptic machinery is used.
+// coordinates; no crypto/elliptic machinery is used. Curves the limb
+// kernel can take (kernel.go: a = −3, p of at most 256 bits — every
+// named curve) run Exp, Op and the fixed-base comb on it; the math/big
+// Jacobian code in this file serves any other CurveSpec and is the
+// oracle the kernel is tested against.
 type ECGroup struct {
 	name     string
 	p        *big.Int // field prime
@@ -18,6 +22,7 @@ type ECGroup struct {
 	n        *big.Int // (prime) order of the base point
 	elemLen  int      // compressed point encoding length
 	secLevel int
+	kern     *curveKernel // nil: math/big arithmetic
 }
 
 // ecPoint is an affine point; inf marks the point at infinity.
@@ -65,10 +70,14 @@ func NewECGroup(spec CurveSpec) (*ECGroup, error) {
 		elemLen:  1 + (spec.P.BitLen()+7)/8,
 		secLevel: spec.SecurityBits,
 	}
+	g.kern = newCurveKernel(g.p, g.a, g.n)
 	if !g.onCurve(spec.Gx, spec.Gy) {
 		return nil, fmt.Errorf("group: %s base point is not on the curve", spec.Name)
 	}
-	if !g.IsIdentity(g.Exp(g.Generator(), spec.N)) {
+	// n·G = ∞, tested as (n−1)·G = −G because Exp reduces its exponent
+	// modulo n and would answer n·G = ∞ for any n.
+	nMinus1 := new(big.Int).Sub(spec.N, big.NewInt(1))
+	if !g.Equal(g.Exp(g.Generator(), nMinus1), g.Inv(g.Generator())) {
 		return nil, fmt.Errorf("group: %s base point order is not n", spec.Name)
 	}
 	return g, nil
@@ -225,7 +234,14 @@ func (g *ECGroup) jacAdd(p1, p2 jacPoint) jacPoint {
 
 // Op implements Group (point addition).
 func (g *ECGroup) Op(a, b Element) Element {
-	return g.toAffine(g.jacAdd(g.toJac(g.unwrap(a)), g.toJac(g.unwrap(b))))
+	pa, pb := g.unwrap(a), g.unwrap(b)
+	if k := g.kern; k != nil {
+		la, lb := k.lift(pa), k.lift(pb)
+		r := k.toJac(&la)
+		k.addAffine(&r, &r, &lb)
+		return k.lower(&r)
+	}
+	return g.toAffine(g.jacAdd(g.toJac(pa), g.toJac(pb)))
 }
 
 // Inv implements Group (point negation).
@@ -245,10 +261,11 @@ func (g *ECGroup) jacNeg(p jacPoint) jacPoint {
 	return jacPoint{x: p.x, y: new(big.Int).Sub(g.p, p.y), z: p.z}
 }
 
-// Exp implements Group (scalar multiplication). It uses a width-4
+// Exp implements Group (scalar multiplication). Both paths use a
 // signed-digit (wNAF) ladder: eight precomputed odd multiples cut the
-// expected additions from l/2 to about l/5, which matters because the
-// unlinkable comparison phase performs O(l·n²) of these.
+// expected additions from l/2 to about l/5 (width 4, math/big) or l/6
+// (width 5, kernel), which matters because the unlinkable comparison
+// phase performs O(l·n²) of these.
 func (g *ECGroup) Exp(a Element, k *big.Int) Element {
 	pt := g.unwrap(a)
 	if !pt.inf && pt.x.Cmp(g.gx) == 0 && pt.y.Cmp(g.gy) == 0 {
@@ -257,9 +274,18 @@ func (g *ECGroup) Exp(a Element, k *big.Int) Element {
 		// counting layer so exp counts are unchanged.
 		return generatorTable(g).Exp(k)
 	}
-	e := new(big.Int).Mod(k, g.n)
+	e := k
+	if k.Sign() < 0 || k.Cmp(g.n) >= 0 {
+		e = new(big.Int).Mod(k, g.n)
+	}
 	if e.Sign() == 0 || pt.inf {
 		return ecPoint{inf: true}
+	}
+	if kern := g.kern; kern != nil {
+		base, el := kern.lift(pt), limbsFromBig(e)
+		var r jacPt
+		kern.scalarMul(&r, &base, &el)
+		return kern.lower(&r)
 	}
 	base := g.toJac(pt)
 	// Odd multiples 1P, 3P, …, 15P.

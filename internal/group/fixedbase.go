@@ -72,10 +72,12 @@ func NewFixedBaseTable(g Group, base Element) *FixedBaseTable {
 	switch cg := raw.(type) {
 	case *DLGroup:
 		t.eval = newDLComb(cg, base, dlCombWindow)
-	case fastSecp160:
-		t.eval = newFe160Comb(cg.ECGroup, base, ecCombWindow)
 	case *ECGroup:
-		t.eval = newECComb(cg, base, ecCombWindow)
+		if cg.kern != nil {
+			t.eval = newKernelComb(cg, base, ecCombWindow)
+		} else {
+			t.eval = newECComb(cg, base, ecCombWindow)
+		}
 	default:
 		t.eval = newOpComb(raw, base, ecCombWindow)
 	}
@@ -140,7 +142,8 @@ func newDLComb(g *DLGroup, base Element, w uint) func(*big.Int) Element {
 	}
 }
 
-// newECComb builds Jacobian windows for the generic curve group. Table
+// newECComb builds Jacobian windows for a curve group on the math/big
+// path (newKernelComb in kernel.go is the limb counterpart). Table
 // entries stay in Jacobian coordinates (jacAdd handles arbitrary Z), so
 // neither construction nor evaluation needs a field inversion until the
 // single final affine projection.
@@ -165,44 +168,6 @@ func newECComb(g *ECGroup, base Element, w uint) func(*big.Int) Element {
 			}
 		}
 		return g.toAffine(acc)
-	}
-}
-
-// newFe160Comb is the comb over the dedicated secp160r1 limb field.
-func newFe160Comb(g *ECGroup, base Element, w uint) func(*big.Int) Element {
-	pt := g.unwrap(base)
-	if pt.inf {
-		// A table for the identity is degenerate; fall back to the
-		// generic path (identity^k is the identity anyway).
-		return func(*big.Int) Element { return ecPoint{inf: true} }
-	}
-	b := jac160{x: fe160FromBig(pt.x), y: fe160FromBig(pt.y), z: fe160{1, 0, 0}}
-	nWin := (g.n.BitLen() + int(w) - 1) / int(w)
-	size := (1 << w) - 1
-	windows := make([][]jac160, nWin)
-	for i := 0; i < nWin; i++ {
-		windows[i] = make([]jac160, size)
-		windows[i][0] = b
-		for d := 1; d < size; d++ {
-			windows[i][d] = add160(windows[i][d-1], b)
-		}
-		b = add160(windows[i][size-1], b)
-	}
-	return func(e *big.Int) Element {
-		var acc jac160
-		for i, d := range combDigits(e, w) {
-			if d != 0 {
-				acc = add160(acc, windows[i][d-1])
-			}
-		}
-		if acc.z.isZero() {
-			return ecPoint{inf: true}
-		}
-		zInv := fe160Inv(acc.z)
-		zInv2 := fe160Sqr(zInv)
-		x := fe160Mul(acc.x, zInv2)
-		y := fe160Mul(acc.y, fe160Mul(zInv2, zInv))
-		return ecPoint{x: x.big(), y: y.big()}
 	}
 }
 
@@ -235,14 +200,14 @@ func newOpComb(g Group, base Element, w uint) func(*big.Int) Element {
 // genTables caches one generator table per concrete group value, so
 // every ExpGen — and any Exp whose base turns out to be the generator —
 // hits the comb. The named groups are process-wide singletons
-// (curveGroups, the MODP vars, ToyDL256), so each table is built exactly
-// once per process. The fast secp160r1 wrapper keys separately from the
-// generic group it embeds: same curve, different comb backend.
+// (the curves of curves.go, the MODP vars, ToyDL256), so each table is built exactly
+// once per process. Secp160r1Generic is its own group value, so the
+// math/big oracle keeps a math/big comb.
 var genTables sync.Map // map[Group]*FixedBaseTable
 
 // generatorTable returns the cached fixed-base table for g's generator,
-// building it on first use. Concrete groups (pointer or small struct)
-// are comparable, which is all sync.Map needs.
+// building it on first use. Concrete groups are pointers, hence
+// comparable, which is all sync.Map needs.
 func generatorTable(g Group) *FixedBaseTable {
 	raw := Raw(g)
 	if t, ok := genTables.Load(raw); ok {

@@ -33,6 +33,7 @@ func fixedBaseGroups(t *testing.T) map[string]Group {
 		"secp160r1-fast":    Secp160r1(),
 		"secp160r1-generic": Secp160r1Generic(),
 		"secp224r1":         mustByName(t, "secp224r1"),
+		"secp256r1":         mustByName(t, "secp256r1"),
 	}
 }
 
@@ -54,7 +55,7 @@ func TestFixedBaseTableMatchesReference(t *testing.T) {
 				big.NewInt(0),
 				big.NewInt(1),
 				big.NewInt(2),
-				new(big.Int).Set(g.Order()),                       // ≡ 0
+				new(big.Int).Set(g.Order()), // ≡ 0
 				new(big.Int).Sub(g.Order(), big.NewInt(1)),        // inverse of base
 				new(big.Int).Neg(big.NewInt(3)),                   // negative reduces mod q
 				new(big.Int).Add(g.Order(), big.NewInt(12345678)), // over-order

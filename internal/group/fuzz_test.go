@@ -43,31 +43,78 @@ func FuzzECDecode(f *testing.F) {
 	})
 }
 
-func FuzzFe160MulAgainstBig(f *testing.F) {
-	p := fe160P.big()
-	f.Add(uint64(1), uint64(2), uint64(3), uint64(4), uint64(5), uint64(6))
-	f.Add(^uint64(0), ^uint64(0), uint64(0xFFFFFFFF), ^uint64(0), ^uint64(0), uint64(0xFFFFFFFF))
-	f.Fuzz(func(t *testing.T, a0, a1, a2, b0, b1, b2 uint64) {
-		a := fe160{a0, a1, a2 & 0xFFFFFFFF}
-		b := fe160{b0, b1, b2 & 0xFFFFFFFF}
-		ab, bb := a.big(), b.big()
-		if ab.Cmp(p) >= 0 || bb.Cmp(p) >= 0 {
-			return // inputs must be reduced field elements
+// FuzzFieldAgainstBig holds every limb-field operation to math/big on
+// each of the three curve moduli. The operands arrive as raw limbs;
+// values at or above p are not field elements and must be refused at
+// the conversion boundary.
+func FuzzFieldAgainstBig(f *testing.F) {
+	curves := kernelCurves()
+	max := ^uint64(0)
+	for which, g := range curves {
+		w := uint8(which)
+		pm1 := limbsFromBig(new(big.Int).Sub(g.p, big.NewInt(1)))
+		f.Add(w, uint64(0), uint64(0), uint64(0), uint64(0), uint64(1), uint64(0), uint64(0), uint64(0))
+		f.Add(w, pm1[0], pm1[1], pm1[2], pm1[3], pm1[0], pm1[1], pm1[2], pm1[3])
+		f.Add(w, max, uint64(0), uint64(0), uint64(0), uint64(0), max, uint64(0), uint64(0))
+		f.Add(w, uint64(0), uint64(0), max, uint64(0), uint64(0), uint64(0), uint64(0), max)
+		pl := g.kern.p
+		f.Add(w, pl[0], pl[1], pl[2], pl[3], uint64(1), uint64(0), uint64(0), uint64(0)) // p itself
+	}
+	f.Fuzz(func(t *testing.T, which uint8, a0, a1, a2, a3, b0, b1, b2, b3 uint64) {
+		g := curves[int(which)%len(curves)]
+		field := &g.kern.montField
+		a, b := bigFromLimbs([4]uint64{a0, a1, a2, a3}), bigFromLimbs([4]uint64{b0, b1, b2, b3})
+		reduced := true
+		for _, v := range []*big.Int{a, b} {
+			var x fe
+			if ok := field.fromBig(&x, v); ok != (v.Cmp(g.p) < 0) {
+				t.Fatalf("%s: fromBig(%x) = %v", g.name, v, ok)
+			}
+			reduced = reduced && v.Cmp(g.p) < 0
 		}
-		want := new(big.Int).Mul(ab, bb)
-		want.Mod(want, p)
-		if got := fe160Mul(a, b).big(); got.Cmp(want) != 0 {
-			t.Fatalf("mul(%x, %x): got %x want %x", ab, bb, got, want)
+		if reduced {
+			checkFieldOps(t, field, g.p, a, b)
 		}
-		wantAdd := new(big.Int).Add(ab, bb)
-		wantAdd.Mod(wantAdd, p)
-		if got := fe160Add(a, b).big(); got.Cmp(wantAdd) != 0 {
-			t.Fatalf("add(%x, %x): got %x want %x", ab, bb, got, wantAdd)
+	})
+}
+
+// FuzzExpAgainstGeneric holds the kernel's Exp and Op to the math/big
+// curve code on each named curve, over arbitrary (signed, over-order)
+// exponents and a base chosen among the identity, ±G and a random point.
+func FuzzExpAgainstGeneric(f *testing.F) {
+	curves := kernelCurves()
+	// One oracle per curve for the whole run: each oracle value builds
+	// and caches its own math/big generator table.
+	oracles := make([]*ECGroup, len(curves))
+	for which, g := range curves {
+		oracles[which] = genericOf(g)
+		w := uint8(which)
+		for _, k := range edgeScalars(g.n) {
+			for sel := uint8(0); sel < 4; sel++ {
+				f.Add(w, sel, k.Sign() < 0, new(big.Int).Abs(k).Bytes())
+			}
 		}
-		wantSub := new(big.Int).Sub(ab, bb)
-		wantSub.Mod(wantSub, p)
-		if got := fe160Sub(a, b).big(); got.Cmp(wantSub) != 0 {
-			t.Fatalf("sub(%x, %x): got %x want %x", ab, bb, got, wantSub)
+	}
+	f.Fuzz(func(t *testing.T, which, baseSel uint8, negative bool, kBytes []byte) {
+		if len(kBytes) > 48 {
+			return
 		}
+		g, oracle := curves[int(which)%len(curves)], oracles[int(which)%len(curves)]
+		k := new(big.Int).SetBytes(kBytes)
+		if negative {
+			k.Neg(k)
+		}
+		var base Element
+		switch baseSel % 4 {
+		case 0:
+			base = g.Identity()
+		case 1:
+			base = g.Generator()
+		case 2:
+			base = g.Inv(g.Generator())
+		default:
+			base = oracle.Exp(g.Generator(), new(big.Int).Xor(k, big.NewInt(int64(baseSel)<<8|0x5A)))
+		}
+		checkExpAgainstGeneric(t, g, oracle, base, k)
 	})
 }

@@ -1,13 +1,14 @@
 // Package group provides the prime-order cyclic groups underlying the
 // framework's cryptography: quadratic-residue subgroups of safe primes
 // ("DL" groups, Section IV-B of the paper) and short-Weierstrass elliptic
-// curves ("ECC" groups). Both families are implemented from scratch over
-// math/big.
+// curves ("ECC" groups). Both families are implemented from scratch: the DL
+// groups and the curves' boundary (encodings, validation) over math/big, the
+// named curves' arithmetic on a fixed-width limb kernel (field.go, kernel.go).
 //
 // The decisional Diffie-Hellman problem is believed hard in every group
 // constructed here, which is the assumption the framework's security proofs
 // rest on. The implementations favour clarity over side-channel resistance:
-// scalar arithmetic is not constant time. That is adequate for the
+// neither the math/big nor the limb arithmetic is constant time. That is adequate for the
 // honest-but-curious simulations in this repository and is called out in
 // the README.
 package group

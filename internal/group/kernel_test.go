@@ -1,0 +1,312 @@
+package group
+
+import (
+	"math/big"
+	"testing"
+
+	"groupranking/internal/fixedbig"
+)
+
+// genericOf returns g's curve on the math/big arithmetic: the oracle
+// the kernel is compared against.
+func genericOf(g *ECGroup) *ECGroup {
+	c := *g
+	c.kern = nil
+	return &c
+}
+
+// checkExpAgainstGeneric holds the kernel to the oracle on base^k and on
+// the Op cases that hit addition's special branches.
+func checkExpAgainstGeneric(t testing.TB, g, oracle *ECGroup, base Element, k *big.Int) {
+	t.Helper()
+	got, want := g.Exp(base, k), oracle.Exp(base, k)
+	if !oracle.Equal(got, want) {
+		t.Fatalf("%s: Exp(%v, %s): kernel %v, math/big %v", g.name, base, k, got, want)
+	}
+	for _, pair := range [][2]Element{
+		{base, got},         // generic addition
+		{got, got},          // P + P takes the doubling branch
+		{got, g.Inv(got)},   // P + (−P) = ∞
+		{got, g.Identity()}, // neutral element on either side
+		{g.Identity(), got},
+	} {
+		if a, b := g.Op(pair[0], pair[1]), oracle.Op(pair[0], pair[1]); !oracle.Equal(a, b) {
+			t.Fatalf("%s: Op(%v, %v): kernel %v, math/big %v", g.name, pair[0], pair[1], a, b)
+		}
+	}
+	if !g.IsIdentity(g.Op(got, g.Inv(got))) {
+		t.Fatalf("%s: P + (−P) is not the identity", g.name)
+	}
+	if !oracle.Equal(g.Op(got, got), g.Exp(got, big.NewInt(2))) {
+		t.Fatalf("%s: P + P ≠ 2·P", g.name)
+	}
+}
+
+// edgeScalars are the exponents where reduction, recoding and the comb
+// change behaviour.
+func edgeScalars(n *big.Int) []*big.Int {
+	out := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(-1), big.NewInt(-3)}
+	for _, d := range []int64{-1, 0, 1} {
+		out = append(out, new(big.Int).Add(n, big.NewInt(d)))
+	}
+	return append(out,
+		new(big.Int).Neg(n),
+		new(big.Int).Lsh(n, 70), // far over the order, wider than four limbs
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(n.BitLen()-1)), big.NewInt(1)), // all ones
+	)
+}
+
+func TestFastExpMatchesGeneric(t *testing.T) {
+	for _, g := range kernelCurves() {
+		oracle := genericOf(g)
+		gen := g.Generator()
+		bases := []Element{gen, g.Inv(gen), g.Identity()}
+		rng := fixedbig.NewDRBG("kernel-vs-generic-" + g.name)
+		base := gen
+		for i := 0; i < 12; i++ {
+			k, err := g.RandomScalar(rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExpAgainstGeneric(t, g, oracle, base, k)
+			base = g.Exp(base, k) // walk through varied points
+		}
+		bases = append(bases, base)
+		for _, b := range bases {
+			for _, k := range edgeScalars(g.n) {
+				checkExpAgainstGeneric(t, g, oracle, b, k)
+			}
+		}
+		for k := int64(0); k < 70; k++ {
+			checkExpAgainstGeneric(t, g, oracle, base, big.NewInt(k))
+		}
+	}
+}
+
+// TestNamedCurvesUseKernel pins the property the performance rests on:
+// whichever way a named curve is reached, it is the one kernel-backed
+// group value, and only the explicit oracle is not.
+func TestNamedCurvesUseKernel(t *testing.T) {
+	typed := map[string]*ECGroup{
+		"secp160r1": Secp160r1(),
+		"secp224r1": Secp224r1(),
+		"secp256r1": Secp256r1(),
+	}
+	for name, want := range typed {
+		if want.kern == nil {
+			t.Errorf("%s: typed constructor returned a group without the kernel", name)
+		}
+		if got := mustByName(t, name); got != Group(want) {
+			t.Errorf("%s: ByName and the typed constructor return different groups", name)
+		}
+	}
+	if Secp160r1Generic().kern != nil {
+		t.Error("Secp160r1Generic must stay on math/big")
+	}
+	if Secp160r1Generic() == Secp160r1() {
+		t.Error("the oracle must be its own group value (it keys its own generator table)")
+	}
+}
+
+func TestExpAllocs(t *testing.T) {
+	for _, g := range kernelCurves() {
+		rng := fixedbig.NewDRBG("exp-allocs-" + g.name)
+		base := g.Exp(g.Generator(), mustScalar(t, g, rng))
+		k := mustScalar(t, g, rng)
+		if allocs := testing.AllocsPerRun(20, func() { g.Exp(base, k) }); allocs >= 20 {
+			t.Errorf("%s: variable-base Exp makes %.0f allocations, want < 20", g.name, allocs)
+		}
+	}
+}
+
+// secp256k1 has a = 0, which the kernel does not take.
+func secp256k1Spec() CurveSpec {
+	return CurveSpec{
+		Name: "secp256k1",
+		P:    mustHex("secp256k1", "p", "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F"),
+		A:    big.NewInt(0),
+		B:    big.NewInt(7),
+		Gx:   mustHex("secp256k1", "gx", "79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798"),
+		Gy:   mustHex("secp256k1", "gy", "483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8"),
+		N:    mustHex("secp256k1", "n", "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141"),
+	}
+}
+
+func TestKernellessFallback(t *testing.T) {
+	g, err := NewECGroup(secp256k1Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.kern != nil {
+		t.Fatal("a curve with a ≠ −3 must not get the a = −3 kernel")
+	}
+	rng := fixedbig.NewDRBG("fallback")
+	a, b := mustScalar(t, g, rng), mustScalar(t, g, rng)
+	sum := new(big.Int).Add(a, b)
+	if !g.Equal(g.Op(ExpGen(g, a), ExpGen(g, b)), ExpGen(g, sum)) {
+		t.Fatal("g^a·g^b ≠ g^(a+b) on the math/big fallback")
+	}
+	h := ExpGen(g, a)
+	if !g.Equal(g.Exp(h, b), ExpGen(g, new(big.Int).Mul(a, b))) {
+		t.Fatal("(g^a)^b ≠ g^(ab) on the math/big fallback")
+	}
+}
+
+func TestNewECGroupRejectsBadSpecs(t *testing.T) {
+	good := func() CurveSpec {
+		g := Secp224r1()
+		return CurveSpec{Name: "bad", P: g.p, A: g.a, B: g.b, Gx: g.gx, Gy: g.gy, N: g.n}
+	}
+	cases := map[string]func(*CurveSpec){
+		"composite field": func(s *CurveSpec) { s.P = new(big.Int).Add(s.P, big.NewInt(2)) },
+		"composite order": func(s *CurveSpec) { s.N = new(big.Int).Add(s.N, big.NewInt(2)) },
+		"off-curve base":  func(s *CurveSpec) { s.Gy = new(big.Int).Add(s.Gy, big.NewInt(1)) },
+	}
+	for name, mutate := range cases {
+		spec := good()
+		mutate(&spec)
+		if _, err := NewECGroup(spec); err == nil {
+			t.Errorf("%s: NewECGroup accepted the spec", name)
+		}
+	}
+	// A prime that is not the base point's order, on the kernel and on
+	// the fallback. Exp reduces modulo the claimed order, so a check of
+	// n·G = ∞ through Exp alone would accept it.
+	for _, spec := range []CurveSpec{good(), secp256k1Spec()} {
+		spec.N = Secp160r1().n
+		if _, err := NewECGroup(spec); err == nil {
+			t.Errorf("%s with a wrong order: NewECGroup accepted the spec", spec.Name)
+		}
+	}
+}
+
+func TestWnafRecode(t *testing.T) {
+	// Reconstruction: Σ d_i·2^i = e; digits odd or zero, |d| < 16; no two
+	// non-zero digits within wnafWidth positions. The all-ones values
+	// drive the carry through every window, 2^256−1 into digit 256.
+	ones := func(bits uint) *big.Int {
+		return new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), bits), big.NewInt(1))
+	}
+	cases := []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(15), big.NewInt(16), big.NewInt(17),
+		ones(64), ones(65), ones(251), ones(252), ones(255), ones(256)}
+	rng := fixedbig.NewDRBG("wnaf-recode")
+	for i := 0; i < 200; i++ {
+		e, err := fixedbig.RandBits(rng, 256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, e)
+	}
+	for _, e := range cases {
+		limbs := limbsFromBig(e)
+		var digits [257]int8
+		n := wnafRecode(&digits, &limbs)
+		sum := new(big.Int)
+		lastNonZero := -wnafWidth
+		for i, d := range digits {
+			if d == 0 {
+				continue
+			}
+			if i >= n {
+				t.Fatalf("e=%x: non-zero digit at %d beyond the reported length %d", e, i, n)
+			}
+			if d%2 == 0 || d > 15 || d < -15 {
+				t.Fatalf("e=%x: digit %d at %d out of wNAF range", e, d, i)
+			}
+			if i-lastNonZero < wnafWidth {
+				t.Fatalf("e=%x: non-zero digits at %d and %d violate the NAF property", e, lastNonZero, i)
+			}
+			lastNonZero = i
+			term := new(big.Int).Lsh(big.NewInt(int64(d)), uint(i))
+			sum.Add(sum, term)
+		}
+		if n != lastNonZero+1 && !(n == 0 && e.Sign() == 0) {
+			t.Fatalf("e=%x: length %d, last non-zero digit at %d", e, n, lastNonZero)
+		}
+		if sum.Cmp(e) != 0 {
+			t.Fatalf("wNAF reconstruction: got %x, want %x", sum, e)
+		}
+	}
+}
+
+func TestKernelHandlesUnreducedCoordinates(t *testing.T) {
+	// A point as a hostile peer could send it before Validate rejects
+	// it: coordinates shifted by multiples of p. The kernel must reduce
+	// them as the math/big path does, never panic.
+	g := Secp160r1()
+	oracle := genericOf(g)
+	h := g.Exp(g.Generator(), big.NewInt(12345)).(ecPoint)
+	wide := new(big.Int).Lsh(g.p, 300)
+	bad := ecPoint{x: new(big.Int).Add(h.x, g.p), y: new(big.Int).Add(h.y, wide)}
+	k := big.NewInt(99)
+	if !oracle.Equal(g.Exp(bad, k), oracle.Exp(h, k)) {
+		t.Fatal("Exp on unreduced coordinates disagrees with the reduced point")
+	}
+	if !oracle.Equal(g.Op(bad, h), oracle.Op(h, h)) {
+		t.Fatal("Op on unreduced coordinates disagrees with the reduced point")
+	}
+}
+
+func BenchmarkFieldMul(b *testing.B) {
+	for _, g := range kernelCurves() {
+		f := &g.kern.montField
+		b.Run(g.name, func(b *testing.B) {
+			x, y := f.r2, f.one
+			for i := 0; i < b.N; i++ {
+				f.mul(&x, &x, &y)
+			}
+			benchSink = x
+		})
+	}
+}
+
+func BenchmarkFieldInv(b *testing.B) {
+	for _, g := range kernelCurves() {
+		f := &g.kern.montField
+		b.Run(g.name, func(b *testing.B) {
+			x := f.r2
+			for i := 0; i < b.N; i++ {
+				f.inv(&x, &x)
+			}
+			benchSink = x
+		})
+	}
+}
+
+var benchSink fe
+
+func BenchmarkExp(b *testing.B) {
+	toy, err := ToyDL256()
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups := map[string]Group{
+		"secp160r1": Secp160r1(), "secp160r1-generic": Secp160r1Generic(),
+		"secp224r1": Secp224r1(), "secp256r1": Secp256r1(),
+		"modp-1024": MODP1024(), "toy-dl-256": toy,
+	}
+	for name, g := range groups {
+		g := g
+		rng := fixedbig.NewDRBG("bench-exp")
+		k, _ := g.RandomScalar(rng)
+		h := ExpGen(g, k)
+		b.Run(name+"/var", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.Exp(h, k)
+			}
+		})
+		b.Run(name+"/gen", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ExpGen(g, k)
+			}
+		})
+		b.Run(name+"/op", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g.Op(h, h)
+			}
+		})
+	}
+}

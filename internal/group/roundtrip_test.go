@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// allNamedGroups returns every registered group plus the generic
-// (non-assembly-path) secp160r1 implementation.
+// allNamedGroups returns every registered group plus the math/big
+// (kernel-less) secp160r1 oracle.
 func allNamedGroups(t *testing.T) []Group {
 	t.Helper()
 	names := []string{"modp-1024", "modp-2048", "modp-3072", "toy-dl-256",

@@ -19,8 +19,6 @@ func Validate(g Group, e Element) error {
 	switch cg := Raw(g).(type) {
 	case *DLGroup:
 		return cg.validateElement(e)
-	case fastSecp160:
-		return cg.ECGroup.validateElement(e)
 	case *ECGroup:
 		return cg.validateElement(e)
 	default:
@@ -41,12 +39,10 @@ func Validate(g Group, e Element) error {
 // attack against Validate's call sites; protocol code must never use
 // it.
 func UnsafeElementFromCoords(g Group, x, y *big.Int) (Element, error) {
-	switch Raw(g).(type) {
-	case fastSecp160, *ECGroup:
-		return ecPoint{x: new(big.Int).Set(x), y: new(big.Int).Set(y)}, nil
-	default:
+	if _, ok := Raw(g).(*ECGroup); !ok {
 		return nil, fmt.Errorf("group: %s is not an elliptic-curve group", g.Name())
 	}
+	return ecPoint{x: new(big.Int).Set(x), y: new(big.Int).Set(y)}, nil
 }
 
 // validateElement checks residue range and quadratic residuosity, the
