@@ -10,10 +10,11 @@ GO ?= go
 RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./internal/obsv/ ./internal/kernel/ ./internal/journal/ ./internal/blame/ ./internal/telemetry/ ./internal/tracemerge/ ./internal/service/ ./cmd/rankparty/ ./cmd/rankd/
 
 # Packages with fuzz targets guarding the untrusted decode boundaries
-# (group element parsing, wirecodec frames, transport pumps). `make
+# (group element parsing, wirecodec frames, transport pumps, the rankd
+# control codecs). `make
 # fuzz` runs each target briefly — a smoke pass over the corpora plus a
 # little fresh exploration, fast enough for check.
-FUZZ_PKGS := ./internal/group/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/
+FUZZ_PKGS := ./internal/group/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/ ./internal/service/
 FUZZ_TIME ?= 2s
 
 .PHONY: check vet build test race race-full fuzz chaos chaos-byz chaos-rankd bench bench-json bench-compare bench-smoke trace-demo demo-distributed telemetry-demo serve-demo loadtest-smoke clean
@@ -25,9 +26,14 @@ check: vet build bench-smoke test race fuzz chaos-rankd serve-demo loadtest-smok
 # The 386 pass over internal/group type-checks the limb field where
 # big.Word is 32 bits wide, the target its big.Int conversions must not
 # make assumptions about.
+# The dependency check keeps wirecodec the only serializer: nothing the
+# module builds (tests aside) may pull encoding/gob back in, directly or
+# through a dependency.
 vet:
 	$(GO) vet ./...
 	GOARCH=386 $(GO) vet ./internal/group/
+	@if $(GO) list -deps ./... | grep -x encoding/gob; then \
+		echo "encoding/gob is back in the dependency graph (see line above); every wire type needs a wirecodec codec"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:

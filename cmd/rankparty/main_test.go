@@ -184,7 +184,6 @@ func TestSurvivorsAbortWhenParticipantKilled(t *testing.T) {
 	// The victim joins the mesh, then dies without announcing a session
 	// — exactly how a participant killed right after connecting appears
 	// to its peers.
-	core.RegisterWire()
 	vic, err := transport.NewTCPFabric(addrs, victim, 10*time.Second)
 	if err != nil {
 		t.Fatalf("victim could not join the mesh: %v", err)

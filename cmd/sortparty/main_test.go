@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"groupranking/internal/transport"
-	"groupranking/internal/unlinksort"
 )
 
 // buildBinary compiles the sortparty command once per test run.
@@ -117,7 +116,6 @@ func TestSurvivorsAbortWhenPeerKilled(t *testing.T) {
 	// The victim joins the mesh, then dies without sending a single
 	// protocol message — exactly how a party killed right after
 	// connecting appears to its peers.
-	unlinksort.RegisterWire()
 	vic, err := transport.NewTCPFabric(addrs, victim, 10*time.Second)
 	if err != nil {
 		t.Fatalf("victim could not join the mesh: %v", err)

@@ -267,13 +267,6 @@ func Rank(ctx context.Context, q *Questionnaire, criterion Criterion, profiles [
 	}, nil
 }
 
-// RankCtx is a thin wrapper kept for callers of the old split API.
-//
-// Deprecated: Rank is context-first now; call Rank directly.
-func RankCtx(ctx context.Context, q *Questionnaire, criterion Criterion, profiles []Profile, opts Options) (*Result, error) {
-	return Rank(ctx, q, criterion, profiles, opts)
-}
-
 // ExpectedRanks computes the ground-truth ranking from plaintext gains.
 // It exists for tests and examples; no party of a real deployment can
 // evaluate it.

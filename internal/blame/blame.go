@@ -16,12 +16,12 @@ package blame
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 	"math/big"
 
 	"groupranking/internal/group"
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 	"groupranking/internal/zkp"
 )
 
@@ -217,8 +217,9 @@ func verifyKeyProof(cert *transport.BlameCert) error {
 	if err != nil {
 		return err
 	}
-	var challenges []*big.Int
-	if err := gob.NewDecoder(bytes.NewReader(chalBytes)).Decode(&challenges); err != nil {
+	r := wirecodec.NewReader(chalBytes)
+	challenges := r.BigInts()
+	if err := r.Finish(); err != nil {
 		return fmt.Errorf("blame: undecodable challenge evidence: %w", err)
 	}
 	z, err := scalar(cert, "z")

@@ -1,9 +1,7 @@
 package blame
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/gob"
 	"math/big"
 	"strings"
 	"testing"
@@ -12,6 +10,7 @@ import (
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 	"groupranking/internal/zkp"
 )
 
@@ -261,11 +260,11 @@ func TestVerifySetAnchorAndOwnSet(t *testing.T) {
 // encodeChallenges mirrors the protocol's challenge-evidence encoding.
 func encodeChallenges(t *testing.T, list []*big.Int) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(list); err != nil {
+	out, err := wirecodec.AppendBigInts(nil, list)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return out
 }
 
 func TestVerifyJSONRoundTrip(t *testing.T) {

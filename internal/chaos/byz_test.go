@@ -53,7 +53,6 @@ func runByz(t *testing.T, cfg unlinksort.Config, seed string, plan *transport.Fa
 	t.Helper()
 	// The echo sub-round digests payloads through gob even in-process
 	// once a FaultNet injects Byzantine behaviour.
-	unlinksort.RegisterWire()
 	n := len(byzVals)
 	fab, err := transport.New(n, transport.WithRecvTimeout(byzRecvWindow))
 	if err != nil {

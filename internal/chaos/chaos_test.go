@@ -312,7 +312,6 @@ func TestCrashPropagationTCP(t *testing.T) {
 	const n, victim = 3, 1
 	g := chaosGroup(t)
 	cfg := unlinksort.Config{Group: g, L: 5, SkipProofs: true}
-	unlinksort.RegisterWire()
 	addrs, err := transport.FreeLoopbackAddrs(n)
 	if err != nil {
 		t.Fatal(err)

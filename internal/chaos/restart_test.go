@@ -87,7 +87,6 @@ type killSpec struct {
 func runRestartSession(t *testing.T, params core.Params, q *workload.Questionnaire,
 	crit workload.Criterion, profiles []workload.Profile, seed, sid string, kill *killSpec) *restartResult {
 	t.Helper()
-	core.RegisterWire()
 	nParties := params.N + 1
 	addrs, err := transport.FreeLoopbackAddrs(nParties)
 	if err != nil {

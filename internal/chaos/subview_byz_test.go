@@ -69,7 +69,6 @@ func assertSubViewBlame(t *testing.T, errs []error, cheater int) {
 // index, and carry a verifiable certificate.
 func TestSubViewOverFaultNetTamper(t *testing.T) {
 	leakcheck.Check(t)
-	unlinksort.RegisterWire()
 	g := chaosGroup(t)
 	const offset = 20
 	members := []int{1, 2, 3} // parent indices; cheater is parent 2 = sub-view 1
@@ -124,7 +123,6 @@ func TestSubViewOverRecoveringMeshTamper(t *testing.T) {
 		t.Skip("real TCP mesh")
 	}
 	leakcheck.Check(t)
-	unlinksort.RegisterWire()
 	g := chaosGroup(t)
 	const offset = byzSubOffset
 	const n = 3

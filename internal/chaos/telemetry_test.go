@@ -50,7 +50,6 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 		t.Skip("TCP mesh test skipped in short mode")
 	}
 	leakcheck.Check(t)
-	core.RegisterWire()
 	g := chaosGroup(t)
 	params := core.Params{
 		N: 3, M: 2, T: 1, D1: 4, D2: 3, H: 4, K: 2,

@@ -22,16 +22,11 @@
 package core
 
 import (
-	"encoding/gob"
 	"fmt"
 	"math/big"
-	"sync"
 
-	"groupranking/internal/dotprod"
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
-	"groupranking/internal/ssmpc"
-	"groupranking/internal/unlinksort"
 	"groupranking/internal/workload"
 )
 
@@ -204,8 +199,8 @@ type Result struct {
 	Betas []*big.Int
 }
 
-// submissionMsg is the phase-3 wire format (fields exported for the
-// TCP transport's gob encoding; the type stays package-private).
+// submissionMsg is the phase-3 wire format (the type stays
+// package-private; wire.go registers its codec).
 type submissionMsg struct {
 	Declined bool
 	Rank     int
@@ -234,21 +229,6 @@ func (m submissionMsg) validate(p Params) error {
 		}
 	}
 	return nil
-}
-
-var _wireOnce sync.Once
-
-// RegisterWire registers every type the framework sends over a
-// serialising transport (transport.TCPFabric), including all phase
-// subprotocol types. Safe to call repeatedly.
-func RegisterWire() {
-	_wireOnce.Do(func() {
-		unlinksort.RegisterWire()
-		dotprod.RegisterWire()
-		ssmpc.RegisterWire()
-		gob.Register(sessionMsg{})
-		gob.Register(submissionMsg{})
-	})
 }
 
 // ExpectedRanks computes the ground-truth descending ranks from the

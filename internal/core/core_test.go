@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"sync"
@@ -361,7 +362,7 @@ func TestOverClaimDetection(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			payload, err := fab.Recv(j, 0)
+			payload, err := fab.RecvCtx(context.Background(), j, 0, -1)
 			if err != nil {
 				t.Error(err)
 				return
@@ -433,7 +434,6 @@ func TestTraceCoversAllPhases(t *testing.T) {
 // gob-serialised messages, the deployment shape of the paper's fully
 // distributed setting.
 func TestFrameworkOverRealTCP(t *testing.T) {
-	RegisterWire()
 	params := smallParams(t, 3)
 	in := testInputs(t, params, "tcp-framework")
 	addrs, err := transport.FreeLoopbackAddrs(params.N + 1)

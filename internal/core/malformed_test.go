@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"testing"
@@ -57,7 +58,7 @@ func TestParticipantRejectsMalformedGainReply(t *testing.T) {
 		done <- err
 	}()
 	// Play a fake initiator: absorb the flow, answer with garbage.
-	if _, err := fab.Recv(0, 1); err != nil {
+	if _, err := fab.RecvCtx(context.Background(), 0, 1, -1); err != nil {
 		t.Fatal(err)
 	}
 	if err := fab.Send(roundGainReply, 0, 1, 4, "not a reply"); err != nil {
@@ -106,7 +107,7 @@ func TestInitiatorRejectsMalformedSubmission(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			payload, err := fab.Recv(j, 0)
+			payload, err := fab.RecvCtx(context.Background(), j, 0, -1)
 			if err != nil {
 				t.Error(err)
 				return
@@ -161,7 +162,7 @@ func TestInitiatorRejectsSubmissionWithWrongDimensions(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			payload, err := fab.Recv(j, 0)
+			payload, err := fab.RecvCtx(context.Background(), j, 0, -1)
 			if err != nil {
 				t.Error(err)
 				return

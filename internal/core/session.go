@@ -21,7 +21,7 @@ var ErrSessionMismatch = errors.New("core: session parameters disagree")
 
 // sessionVersion guards the wire format itself: parties running
 // incompatible builds abort in the handshake instead of failing with
-// a gob decode error deep inside a crypto phase. Version 2 added the
+// a decode error deep inside a crypto phase. Version 2 added the
 // TraceID field to the announcement; version 3 added the pinned codec
 // version when the binary wire codecs replaced gob.
 const sessionVersion = 3

@@ -16,28 +16,14 @@ package dotprod
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/kernel"
 	"groupranking/internal/obsv"
 )
-
-var _wireOnce sync.Once
-
-// RegisterWire registers both protocol flows with gob for serialising
-// transports (transport.TCPFabric). Safe to call repeatedly; in-memory
-// fabrics do not need it.
-func RegisterWire() {
-	_wireOnce.Do(func() {
-		gob.Register(&BobMessage{})
-		gob.Register(&AliceReply{})
-	})
-}
 
 // Params fixes the field and the random matrix size range.
 type Params struct {

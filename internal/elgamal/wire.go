@@ -10,10 +10,9 @@ import (
 
 // Binary wire form of a ciphertext: the two structural element
 // encodings C ‖ C1 (group.AppendElementWire), no framing of its own.
-// Like the gob form it replaces, decoding needs no group context and
-// checks structure only; the protocol layer validates membership of
-// both components via group.Validate before using a foreign
-// ciphertext.
+// Decoding needs no group context and checks structure only; the
+// protocol layer validates membership of both components via
+// group.Validate before using a foreign ciphertext.
 
 // AppendBinary appends the wire form to dst, implementing the
 // append-style serialisation convention alongside MarshalBinary.
@@ -29,9 +28,7 @@ func (ct Ciphertext) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler. Gob also picks
-// this up, so nested ciphertext fields inside gob-encoded structures
-// ship the compact binary form instead of a reflected struct walk.
+// MarshalBinary implements encoding.BinaryMarshaler.
 func (ct Ciphertext) MarshalBinary() ([]byte, error) {
 	return ct.AppendBinary(make([]byte, 0, 2*48))
 }

@@ -6,12 +6,12 @@ import (
 	"math/big"
 )
 
-// Hand-rolled binary wire form for group elements, the wirecodec
-// replacement for the gob coordinate encoding in wire.go. Like gob
-// decoding it runs with no group context, so it enforces structural
-// sanity only (bounded, non-negative coordinates); full membership —
-// curve equation, residue class — remains the protocol layer's job via
-// group.Validate on every element received from a peer.
+// Hand-rolled binary wire form for group elements, the only form in
+// which they cross a process boundary. Decoding runs with no group
+// context, so it enforces structural sanity only (bounded, non-negative
+// coordinates); full membership — curve equation, residue class — is
+// the protocol layer's job via group.Validate on every element received
+// from a peer.
 //
 // Layout (all lengths big-endian):
 //
@@ -28,8 +28,8 @@ const (
 	elemWireECInf = 0x03
 )
 
-// maxElemWireCoord bounds one coordinate's byte length, mirroring the
-// 8192-bit cap the gob path enforces against memory-pressure payloads.
+// maxElemWireCoord bounds one coordinate's byte length (8192 bits), so
+// a hostile length prefix cannot become a memory-pressure payload.
 const maxElemWireCoord = 8192 / 8
 
 // AppendElementWire appends e's structural wire form to dst. It fails

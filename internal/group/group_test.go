@@ -1,8 +1,6 @@
 package group
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -330,40 +328,33 @@ func TestToyDL256(t *testing.T) {
 	}
 }
 
-func TestGobRoundTripElements(t *testing.T) {
-	RegisterGob()
+func TestWireRoundTripElements(t *testing.T) {
+	roundTrip := func(e Element) Element {
+		t.Helper()
+		enc, err := AppendElementWire(nil, e)
+		if err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+		back, n, err := DecodeElementWire(enc)
+		if err != nil || n != len(enc) {
+			t.Fatalf("decode consumed %d of %d bytes: %v", n, len(enc), err)
+		}
+		return back
+	}
 	for _, g := range []Group{MODP1024(), Secp160r1()} {
-		rng := fixedbig.NewDRBG("gob-" + g.Name())
-		k, err := g.RandomScalar(rng)
+		k, err := g.RandomScalar(fixedbig.NewDRBG("wire-" + g.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
 		e := ExpGen(g, k)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&e); err != nil {
-			t.Fatalf("%s: encode: %v", g.Name(), err)
-		}
-		var back Element
-		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-			t.Fatalf("%s: decode: %v", g.Name(), err)
-		}
-		if !g.Equal(e, back) {
-			t.Errorf("%s: gob round trip changed the element", g.Name())
+		if !g.Equal(e, roundTrip(e)) {
+			t.Errorf("%s: wire round trip changed the element", g.Name())
 		}
 	}
 	// The EC identity also round-trips.
 	g := Secp160r1()
-	id := g.Identity()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&id); err != nil {
-		t.Fatal(err)
-	}
-	var back Element
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatal(err)
-	}
-	if !g.IsIdentity(back) {
-		t.Error("identity did not survive gob")
+	if !g.IsIdentity(roundTrip(g.Identity())) {
+		t.Error("identity did not survive the wire form")
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // Validate checks that an element received from an untrusted peer is a
-// well-formed member of g. Gob decoding (wire.go) reconstructs elements
+// well-formed member of g. Wire decoding (binwire.go) reconstructs elements
 // from raw coordinates without knowing which group they belong to, so
 // the protocol layer MUST call Validate on every foreign element before
 // using it: an off-curve point or a non-residue silently degrades the
@@ -33,7 +33,7 @@ func Validate(g Group, e Element) error {
 }
 
 // UnsafeElementFromCoords fabricates an elliptic-curve element from raw
-// affine coordinates with NO membership check, exactly as gob decoding
+// affine coordinates with NO membership check, exactly as wire decoding
 // reconstructs a point a peer sent over the wire. It exists solely so
 // tests can impersonate a malicious peer mounting an invalid-curve
 // attack against Validate's call sites; protocol code must never use

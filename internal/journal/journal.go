@@ -518,13 +518,10 @@ func Scan(path string) ([]Record, error) {
 	return recs, nil
 }
 
-// encodePayload encodes an arbitrary payload as one self-contained
-// wirecodec frame — the same bytes the transport puts on the wire.
-// Registered types get their fixed-width codec; anything else rides
-// the codec's gob-fallback frame (and must then be gob-registered,
-// e.g. via core.RegisterWire). Earlier versions gobbed each payload
-// with a FRESH encoder, so every record paid for the payload type's
-// full descriptor set again; the wirecodec frame is descriptor-free.
+// encodePayload encodes a payload as one self-contained wirecodec
+// frame — the same bytes the transport puts on the wire. A payload
+// whose type has no codec is refused with the codec's encode error
+// (the transports report that as the sender's own fault).
 func encodePayload(p any) ([]byte, error) {
 	data, err := wirecodec.Marshal(p)
 	if err != nil {

@@ -116,41 +116,15 @@ func (c countingNet) Broadcast(round, from, bytes int, payload any) error {
 	return c.Net.Broadcast(round, from, bytes, payload)
 }
 
-// Recv times the blocking wait and charges it (in microseconds) to the
-// party's current span. Together with the span's wall time this gives
-// the wait-vs-compute split the trace analyzer uses to tell a slow
-// party from a party stuck waiting on a slow peer.
-func (c countingNet) Recv(to, from int) (any, error) {
-	start := time.Now()
-	p, err := c.Net.Recv(to, from)
-	c.party.Add(OpRecvWait, time.Since(start).Microseconds())
-	return p, err
-}
-
-// RecvCtx is the cancellable form of Recv; same wait accounting.
+// RecvCtx times the blocking wait and charges it (in microseconds) to
+// the party's current span. Together with the span's wall time this
+// gives the wait-vs-compute split the trace analyzer uses to tell a
+// slow party from a party stuck waiting on a slow peer.
 func (c countingNet) RecvCtx(ctx context.Context, to, from, round int) (any, error) {
 	start := time.Now()
 	p, err := c.Net.RecvCtx(ctx, to, from, round)
 	c.party.Add(OpRecvWait, time.Since(start).Microseconds())
 	return p, err
-}
-
-// GatherAll must be restated so gathering uses the wrapper's Recv chain
-// rather than the embedded implementation's receiver.
-func (c countingNet) GatherAll(to int) ([]any, error) {
-	n := c.Net.N()
-	out := make([]any, n)
-	for from := 0; from < n; from++ {
-		if from == to {
-			continue
-		}
-		p, err := c.Recv(to, from)
-		if err != nil {
-			return nil, err
-		}
-		out[from] = p
-	}
-	return out, nil
 }
 
 // EchoRequired forwards the consistency layer's capability probe to the

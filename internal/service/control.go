@@ -1,14 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"groupranking/internal/api"
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 )
 
 // peerRejectError carries a participant daemon's typed nack back to
@@ -59,13 +62,74 @@ type ctlAbort struct {
 	Reason string
 }
 
-// The control payloads cross the wire through the codec's gob
-// fallback, which encodes them behind an `any` slot — gob needs the
-// concrete types registered.
+// Wire codecs for the three control messages. The announced spec rides
+// as its JSON wire contract (the same one POST /v1/sessions and the
+// session table use) inside one length-prefixed field, decoded as
+// strictly as an HTTP body; admitAnnounced then validates it like any
+// other spec.
 func init() {
-	gob.Register(ctlOpen{})
-	gob.Register(ctlOpenAck{})
-	gob.Register(ctlAbort{})
+	wirecodec.Register(wirecodec.IDRangeService, "session open",
+		[]any{ctlOpen{}},
+		func(dst []byte, v any) ([]byte, error) {
+			open := v.(ctlOpen)
+			spec, err := json.Marshal(open.Spec)
+			if err != nil {
+				return nil, err
+			}
+			dst = wirecodec.AppendString(dst, open.ID)
+			return wirecodec.AppendBytes(dst, spec), nil
+		},
+		func(data []byte) (any, error) {
+			r := wirecodec.NewReader(data)
+			open := ctlOpen{ID: r.String()}
+			spec := r.Bytes()
+			if err := r.Finish(); err != nil {
+				return nil, fmt.Errorf("service: session open: %w", err)
+			}
+			dec := json.NewDecoder(bytes.NewReader(spec))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&open.Spec); err != nil {
+				return nil, fmt.Errorf("service: session open: spec: %w", err)
+			}
+			if _, err := dec.Token(); err != io.EOF {
+				return nil, fmt.Errorf("service: session open: trailing data after spec")
+			}
+			return open, nil
+		})
+
+	wirecodec.Register(wirecodec.IDRangeService+1, "session open ack",
+		[]any{ctlOpenAck{}},
+		func(dst []byte, v any) ([]byte, error) {
+			ack := v.(ctlOpenAck)
+			dst = wirecodec.AppendString(dst, ack.ID)
+			dst = wirecodec.AppendBool(dst, ack.OK)
+			dst = wirecodec.AppendString(dst, ack.Code)
+			return wirecodec.AppendString(dst, ack.Reason), nil
+		},
+		func(data []byte) (any, error) {
+			r := wirecodec.NewReader(data)
+			ack := ctlOpenAck{ID: r.String(), OK: r.Bool(), Code: r.String(), Reason: r.String()}
+			if err := r.Finish(); err != nil {
+				return nil, fmt.Errorf("service: session open ack: %w", err)
+			}
+			return ack, nil
+		})
+
+	wirecodec.Register(wirecodec.IDRangeService+2, "session abort",
+		[]any{ctlAbort{}},
+		func(dst []byte, v any) ([]byte, error) {
+			ab := v.(ctlAbort)
+			dst = wirecodec.AppendString(dst, ab.ID)
+			return wirecodec.AppendString(dst, ab.Reason), nil
+		},
+		func(data []byte) (any, error) {
+			r := wirecodec.NewReader(data)
+			ab := ctlAbort{ID: r.String(), Reason: r.String()}
+			if err := r.Finish(); err != nil {
+				return nil, fmt.Errorf("service: session abort: %w", err)
+			}
+			return ab, nil
+		})
 }
 
 // controlLoop dispatches incoming control frames until shutdown.

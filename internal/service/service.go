@@ -204,8 +204,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	core.RegisterWire()
-
 	// Durable mode boots before the mesh: validate and lock the journal
 	// dir, load the session table, and carry the boot epoch into the
 	// mux's reconnect handshake so peers can tell this life's

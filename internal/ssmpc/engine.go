@@ -13,29 +13,15 @@ package ssmpc
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 
 	"groupranking/internal/kernel"
 	"groupranking/internal/obsv"
 	"groupranking/internal/shamir"
 	"groupranking/internal/transport"
 )
-
-var _wireOnce sync.Once
-
-// RegisterWire registers the engine's wire payloads with gob for
-// serialising transports (transport.TCPFabric): every engine round
-// exchanges []*big.Int share batches. Safe to call repeatedly.
-func RegisterWire() {
-	_wireOnce.Do(func() {
-		gob.Register(new(big.Int))
-		gob.Register([]*big.Int{})
-	})
-}
 
 // Config describes one MPC session.
 type Config struct {

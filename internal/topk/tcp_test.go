@@ -13,14 +13,13 @@ import (
 )
 
 // TestTopKOverTCP runs the threshold protocol over a real loopback TCP
-// mesh: it exercises the gob wire registration (RegisterWire) and the
+// mesh: it exercises the share-batch wire codec and the
 // receive-boundary checks on the deployment transport, not just the
 // in-memory fabric.
 func TestTopKOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP test skipped in short mode")
 	}
-	RegisterWire()
 	vals := []int64{9, 3, 14}
 	const l, k, buckets = 4, 1, 4
 	cfg := testConfig(t, len(vals))

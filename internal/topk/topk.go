@@ -26,11 +26,6 @@ import (
 	"groupranking/internal/ssmpc"
 )
 
-// RegisterWire registers this protocol's wire payloads with gob for
-// serialising transports: every flow is an ssmpc share batch. Safe to
-// call repeatedly.
-func RegisterWire() { ssmpc.RegisterWire() }
-
 // Result is the public outcome every party computes.
 type Result struct {
 	// Threshold is the lower edge of the final bucket: every value

@@ -3,6 +3,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+
+	"groupranking/internal/wirecodec"
 )
 
 // Sentinel causes carried inside an AbortError. Protocol code matches
@@ -22,6 +24,24 @@ var (
 	// ErrClosed: the endpoint was shut down locally.
 	ErrClosed = errors.New("transport: endpoint closed")
 )
+
+// encodeFault picks the sender's own faults out of a send path's
+// errors. A wirecodec encode failure (unregistered type, nil scalar,
+// oversized payload) happens before a byte reaches the link, so it is
+// returned as a plain error: never an AbortError naming the peer the
+// frame was meant for, never ErrPeerDown, and the link stays up. Any
+// other error yields nil and keeps its usual attribution.
+func encodeFault(to, round int, err error) error {
+	if !isEncodeError(err) {
+		return nil
+	}
+	return fmt.Errorf("transport: message for party %d (round %d) has no wire form: %w", to, round, err)
+}
+
+func isEncodeError(err error) bool {
+	var ee *wirecodec.EncodeError
+	return errors.As(err, &ee)
+}
 
 // AbortError is the typed failure every protocol layer surfaces when a
 // run cannot complete: a peer crashed, a channel timed out, the stream

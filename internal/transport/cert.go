@@ -6,7 +6,11 @@ import (
 )
 
 // BlameCertVersion is the serialised certificate format version.
-const BlameCertVersion = 1
+// Version 2 carries challenge lists and payload digests in wirecodec
+// form (version 1 gob-encoded the former and reflection-walked the
+// latter), so a version-1 certificate is refused by version, not by a
+// failed recomputation.
+const BlameCertVersion = 2
 
 // Check names a verifiable predicate a BlameCert claims the accused
 // party violated. The constants live here (they are pure strings) so

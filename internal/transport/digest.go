@@ -2,234 +2,24 @@ package transport
 
 import (
 	"crypto/sha256"
-	"encoding"
-	"encoding/gob"
 	"fmt"
-	"io"
-	"math"
-	"reflect"
 
 	"groupranking/internal/wirecodec"
 )
 
-// Canonical broadcast-payload digests for the echo sub-round.
-//
-// The digest deliberately is NOT a hash of the payload's gob encoding.
-// Gob assigns its wire type descriptors ids from a process-global
-// counter in first-encode order, and those ids appear in the stream —
-// so two processes whose earlier traffic first-encoded different types
-// produce different bytes for the SAME value. That is not hypothetical:
-// a party whose transport happened to serialise one extra message type
-// before its first digest shifts every later type id, its digests stop
-// matching everyone else's, and the echo round's own-link attribution
-// then accuses an HONEST party of equivocation. A digest exchanged
-// between processes must therefore be computed from the value alone.
-//
-// digestValue walks the payload by reflection and writes a canonical,
-// prefix-free byte form:
-//
-//   - types with a custom gob encoding (gob.GobEncoder, or the
-//     encoding.BinaryMarshaler fallback gob itself uses) contribute
-//     their type name plus their encoded bytes — big.Int and the group
-//     elements take this path, and their encodings are canonical by
-//     construction;
-//   - structs contribute their type name and exported fields in
-//     declaration order (unexported fields are skipped, matching gob);
-//   - interface values contribute the concrete type's name plus the
-//     concrete value, so the dynamic wire type is part of the digest;
-//   - nil pointers digest as their element's zero value, because that
-//     is what a gob receiver materialises — sender and receiver agree
-//     even when one side holds nil and the other an allocated zero;
-//   - nil and empty slices digest identically, for the same reason;
-//   - maps (iteration order is not canonical) and other non-wire kinds
-//     are rejected loudly.
-//
-// Every tag is either fixed-width or length-prefixed, so distinct
-// values cannot collide by concatenation ambiguity.
-
 // PayloadDigest is the canonical broadcast-payload digest the echo
-// sub-round exchanges: SHA-256 over a canonical serialisation of the
-// payload that depends only on the value and its (registered wire)
-// type — never on gob encoder state, which is process-global and
-// order-dependent. A payload containing a map or a channel fails
-// loudly here rather than producing an unstable digest.
+// sub-round exchanges: SHA-256 of the payload's wirecodec frame. The
+// frame is canonical (fixed-width fields, one value one encoding),
+// self-describing (the type ID is in the header) and depends on the
+// value alone, never on process state — and it is the exact byte
+// string the transport puts on the wire, so "digest matches" and
+// "frame matches" are the same statement. A payload without a
+// registered codec has no frame and therefore no digest.
 func PayloadDigest(payload any) ([]byte, error) {
-	// Fast path: types with a registered wirecodec codec digest as the
-	// SHA-256 of their wire frame. The frame is canonical (fixed-width
-	// fields, deterministic encode) and self-describing (the type id is
-	// in the header), so it satisfies every property the reflection walk
-	// exists to provide — and it is the exact byte string the transport
-	// puts on the wire, so "digest matches" and "frame matches" are the
-	// same statement. Gob-fallback types keep the reflection walk.
-	if data, ok := wirecodec.MarshalRegistered(payload); ok {
-		sum := sha256.Sum256(data)
-		return sum[:], nil
-	}
-	h := sha256.New()
-	v := reflect.ValueOf(payload)
-	if v.IsValid() {
-		// The top-level dynamic type is part of the digest, exactly as
-		// it is part of the gob frame on the wire.
-		name := digestTypeName(v.Type())
-		fmt.Fprintf(h, "P%d:%s", len(name), name)
-	}
-	if err := digestValue(h, v); err != nil {
+	frame, err := wirecodec.Marshal(payload)
+	if err != nil {
 		return nil, fmt.Errorf("transport: echo digest: %w", err)
 	}
-	return h.Sum(nil), nil
-}
-
-var (
-	gobEncoderType      = reflect.TypeOf((*gob.GobEncoder)(nil)).Elem()
-	binaryMarshalerType = reflect.TypeOf((*encoding.BinaryMarshaler)(nil)).Elem()
-)
-
-// digestTypeName names a type for the digest: the full import path for
-// named types (two same-named types in different packages must not
-// collide), reflect's syntactic name otherwise.
-func digestTypeName(t reflect.Type) string {
-	if t.Kind() == reflect.Pointer {
-		return "*" + digestTypeName(t.Elem())
-	}
-	if t.Name() != "" && t.PkgPath() != "" {
-		return t.PkgPath() + "." + t.Name()
-	}
-	return t.String()
-}
-
-// customEncoding returns the type's custom encoder bytes when the type
-// (or its pointer) implements gob.GobEncoder or encoding.BinaryMarshaler
-// — the same two interfaces gob consults, in the same order.
-func customEncoding(v reflect.Value) ([]byte, bool, error) {
-	t := v.Type()
-	for _, iface := range []reflect.Type{gobEncoderType, binaryMarshalerType} {
-		var rcv reflect.Value
-		switch {
-		case t.Implements(iface):
-			rcv = v
-		case reflect.PointerTo(t).Implements(iface):
-			// The method needs a pointer receiver; v may not be
-			// addressable (an interface element), so encode a copy.
-			rcv = reflect.New(t)
-			rcv.Elem().Set(v)
-		default:
-			continue
-		}
-		var data []byte
-		var err error
-		if iface == gobEncoderType {
-			data, err = rcv.Interface().(gob.GobEncoder).GobEncode()
-		} else {
-			data, err = rcv.Interface().(encoding.BinaryMarshaler).MarshalBinary()
-		}
-		return data, true, err
-	}
-	return nil, false, nil
-}
-
-// digestValue writes the canonical form of v to w. See the package
-// comment above for the encoding rules.
-func digestValue(w io.Writer, v reflect.Value) error {
-	if !v.IsValid() {
-		_, err := io.WriteString(w, "n")
-		return err
-	}
-	t := v.Type()
-
-	if v.Kind() == reflect.Pointer && v.IsNil() {
-		// A receiver decodes a nil pointer as an allocated zero value;
-		// digest the zero so both representations agree.
-		v = reflect.New(t.Elem())
-	}
-	if t.Kind() != reflect.Interface {
-		if data, ok, err := customEncoding(v); ok {
-			if err != nil {
-				return fmt.Errorf("%s: %w", digestTypeName(t), err)
-			}
-			name := digestTypeName(t)
-			if _, err := fmt.Fprintf(w, "g%d:%s%d:", len(name), name, len(data)); err != nil {
-				return err
-			}
-			_, err = w.Write(data)
-			return err
-		}
-	}
-
-	switch v.Kind() {
-	case reflect.Pointer:
-		return digestValue(w, v.Elem())
-	case reflect.Interface:
-		if v.IsNil() {
-			_, err := io.WriteString(w, "n")
-			return err
-		}
-		elem := v.Elem()
-		name := digestTypeName(elem.Type())
-		if _, err := fmt.Fprintf(w, "I%d:%s", len(name), name); err != nil {
-			return err
-		}
-		return digestValue(w, elem)
-	case reflect.Bool:
-		s := "b0"
-		if v.Bool() {
-			s = "b1"
-		}
-		_, err := io.WriteString(w, s)
-		return err
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		_, err := fmt.Fprintf(w, "i%d;", v.Int())
-		return err
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		_, err := fmt.Fprintf(w, "u%d;", v.Uint())
-		return err
-	case reflect.Float32, reflect.Float64:
-		_, err := fmt.Fprintf(w, "f%x;", math.Float64bits(v.Float()))
-		return err
-	case reflect.String:
-		if _, err := fmt.Fprintf(w, "s%d:", v.Len()); err != nil {
-			return err
-		}
-		_, err := io.WriteString(w, v.String())
-		return err
-	case reflect.Slice, reflect.Array:
-		if t.Elem().Kind() == reflect.Uint8 && v.Kind() == reflect.Slice {
-			if _, err := fmt.Fprintf(w, "x%d:", v.Len()); err != nil {
-				return err
-			}
-			_, err := w.Write(v.Bytes())
-			return err
-		}
-		if _, err := fmt.Fprintf(w, "l%d:", v.Len()); err != nil {
-			return err
-		}
-		for i := 0; i < v.Len(); i++ {
-			if err := digestValue(w, v.Index(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	case reflect.Struct:
-		name := digestTypeName(t)
-		if _, err := fmt.Fprintf(w, "t%d:%s{", len(name), name); err != nil {
-			return err
-		}
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				continue // gob skips unexported fields; so does the digest
-			}
-			if _, err := fmt.Fprintf(w, "%d:%s", len(f.Name), f.Name); err != nil {
-				return err
-			}
-			if err := digestValue(w, v.Field(i)); err != nil {
-				return fmt.Errorf("%s.%s: %w", name, f.Name, err)
-			}
-		}
-		_, err := io.WriteString(w, "}")
-		return err
-	case reflect.Map:
-		return fmt.Errorf("map type %s has no canonical digest (iteration order); broadcast a sorted slice instead", digestTypeName(t))
-	default:
-		return fmt.Errorf("kind %s (%s) is not a wire type and cannot be digested", v.Kind(), digestTypeName(t))
-	}
+	sum := sha256.Sum256(frame)
+	return sum[:], nil
 }

@@ -2,44 +2,50 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
-	"io"
+	"crypto/sha256"
+	"errors"
 	"math/big"
 	"testing"
+
+	"groupranking/internal/group"
+	"groupranking/internal/wirecodec"
 )
 
 // The echo round compares digests computed by DIFFERENT processes: the
-// sender digests its in-memory value, receivers digest the gob-decoded
-// copy, and any representation drift between the two is reported as an
-// equivocation by an honest party. These tests pin the equivalences
-// the canonical digest must provide.
+// sender digests its in-memory value, receivers digest the copy their
+// transport decoded, and any representation drift between the two is
+// reported as an equivocation by an honest party. The digest is the
+// SHA-256 of the wire frame, so these tests pin that identity and the
+// equivalences the codecs must provide for it to be safe.
 
+// digestMsg and digestOther are scaffolding payloads of identical
+// shape, each with a codec in the test-only ID block (see tcp_test.go).
 type digestMsg struct {
 	A, B   int
 	Name   string
 	Shares []*big.Int
-	hidden int // unexported: skipped by gob and by the digest alike
 }
 
-type digestOther struct {
-	A, B   int
-	Name   string
-	Shares []*big.Int
-}
+type digestOther digestMsg
 
-// gobRoundTrip encodes v as an interface value and decodes it the way
-// a receiving fabric does.
-func gobRoundTrip(t *testing.T, v any) any {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		t.Fatalf("encode: %v", err)
+func init() {
+	enc := func(dst []byte, m digestMsg) ([]byte, error) {
+		dst = wirecodec.AppendI64(dst, int64(m.A))
+		dst = wirecodec.AppendI64(dst, int64(m.B))
+		dst = wirecodec.AppendString(dst, m.Name)
+		return wirecodec.AppendBigInts(dst, m.Shares)
 	}
-	var out any
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
+	dec := func(data []byte) (digestMsg, error) {
+		r := wirecodec.NewReader(data)
+		m := digestMsg{A: r.Int(), B: r.Int(), Name: r.String(), Shares: r.BigInts()}
+		return m, r.Finish()
 	}
-	return out
+	wirecodec.Register(wirecodec.IDRangeTest+1, "test digest message", []any{digestMsg{}},
+		func(dst []byte, v any) ([]byte, error) { return enc(dst, v.(digestMsg)) },
+		func(data []byte) (any, error) { return dec(data) })
+	wirecodec.Register(wirecodec.IDRangeTest+2, "test digest twin", []any{digestOther{}},
+		func(dst []byte, v any) ([]byte, error) { return enc(dst, digestMsg(v.(digestOther))) },
+		func(data []byte) (any, error) { m, err := dec(data); return digestOther(m), err })
 }
 
 func mustDigest(t *testing.T, v any) []byte {
@@ -51,50 +57,84 @@ func mustDigest(t *testing.T, v any) []byte {
 	return d
 }
 
-// TestPayloadDigestSurvivesGobRoundTrip: the receiver's decoded copy
-// must digest identically to the sender's original, including the two
-// representations gob does NOT round-trip byte-stably: a nil pointer
-// in a slice (decoded as an allocated zero) and a nil versus empty
-// slice.
-func TestPayloadDigestSurvivesGobRoundTrip(t *testing.T) {
-	gob.Register(digestMsg{})
-	cases := []any{
-		digestMsg{A: 1, B: -7, Name: "x", Shares: []*big.Int{big.NewInt(42), big.NewInt(0)}},
-		digestMsg{Shares: []*big.Int{nil, big.NewInt(9)}}, // nil decodes as allocated zero
-		digestMsg{},
-		digestMsg{Shares: []*big.Int{}}, // empty vs absent slice
+// wireRoundTrip returns the copy of v a receiving fabric would hold.
+func wireRoundTrip(t *testing.T, v any) any {
+	t.Helper()
+	frame, err := wirecodec.Marshal(v)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
 	}
-	for _, v := range cases {
-		want := mustDigest(t, v)
-		got := mustDigest(t, gobRoundTrip(t, v))
-		if !bytes.Equal(want, got) {
-			t.Errorf("digest of %#v changed across a gob round-trip:\n sent %x\n recv %x", v, want, got)
+	out, err := wirecodec.Unmarshal(frame)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return out
+}
+
+// TestPayloadDigestIsFrameHash: for one value of every type this test
+// binary has a codec for — the builtins, the transport's own frames and
+// the scaffolding above — the digest is exactly SHA-256 of the frame.
+func TestPayloadDigestIsFrameHash(t *testing.T) {
+	g := group.Secp160r1()
+	dl, err := group.ToyDL256()
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := []any{
+		nil, 7, "s", []byte{1, 2}, big.NewInt(-5), []*big.Int{big.NewInt(1)},
+		g.Generator(), g.Identity(), dl.Generator(),
+		echoMsg{Digests: [][]byte{{1}, nil}},
+		Corrupted{Round: 3},
+		envelope{Round: 1, Bytes: 2, Payload: "p"},
+		renv{Kind: frameData, Round: 1, Seq: 2, Payload: big.NewInt(3)},
+		rhello{SessionID: "sid", Party: 1, Epoch: 2, NextExpected: 3},
+		muxHello{Party: 1, Epoch: 2},
+		muxEnv{SID: "sid", Kind: muxKindData, Round: 1, Seq: 2, Payload: 4},
+		wirePayload{From: 1, Text: "t"},
+		digestMsg{A: 1, Shares: []*big.Int{big.NewInt(2)}},
+		digestOther{B: 1},
+	}
+	for _, v := range values {
+		frame, err := wirecodec.Marshal(v)
+		if err != nil {
+			t.Fatalf("Marshal(%#v): %v", v, err)
+		}
+		want := sha256.Sum256(frame)
+		if got := mustDigest(t, v); !bytes.Equal(got, want[:]) {
+			t.Errorf("PayloadDigest(%#v) is not the SHA-256 of its frame", v)
 		}
 	}
 }
 
-// TestPayloadDigestIndependentOfGobState: the digest must not change
-// when unrelated gob traffic happens first. Gob's wire type ids come
-// from a process-global counter, so hashing a gob stream bakes the
-// process's encode history into the digest — the regression this pins
-// was an honest party blamed for equivocation because the cheater's
-// fault injector had serialised one extra type before its first digest.
-func TestPayloadDigestIndependentOfGobState(t *testing.T) {
-	gob.Register(digestMsg{})
-	v := digestMsg{A: 3, Name: "stable", Shares: []*big.Int{big.NewInt(5)}}
-	before := mustDigest(t, v)
-
-	// Simulate a process whose transport serialised other types first.
-	type primer struct{ X, Y string }
-	gob.Register(primer{})
-	var noise any = primer{X: "shift", Y: "ids"}
-	if err := gob.NewEncoder(io.Discard).Encode(&noise); err != nil {
-		t.Fatal(err)
+// TestPayloadDigestSurvivesWireRoundTrip: the receiver's decoded copy
+// must digest identically to the sender's original, including the one
+// representation the codecs do not round-trip identically — a nil
+// slice arrives as an empty one (or the reverse). A nil scalar inside
+// a slice has no wire form at all, so it has no digest either: the
+// sender finds out before anything is broadcast.
+func TestPayloadDigestSurvivesWireRoundTrip(t *testing.T) {
+	cases := []any{
+		digestMsg{A: 1, B: -7, Name: "x", Shares: []*big.Int{big.NewInt(42), big.NewInt(0)}},
+		digestMsg{},
+		digestMsg{Shares: []*big.Int{}},
+		[]*big.Int(nil),
+		[]*big.Int{},
+		[]byte(nil),
+		echoMsg{},
 	}
-
-	after := mustDigest(t, v)
-	if !bytes.Equal(before, after) {
-		t.Fatalf("digest depends on gob encoder state: %x then %x", before, after)
+	for _, v := range cases {
+		want := mustDigest(t, v)
+		got := mustDigest(t, wireRoundTrip(t, v))
+		if !bytes.Equal(want, got) {
+			t.Errorf("digest of %#v changed across a wire round-trip:\n sent %x\n recv %x", v, want, got)
+		}
+	}
+	if !bytes.Equal(mustDigest(t, []*big.Int(nil)), mustDigest(t, []*big.Int{})) {
+		t.Error("nil and empty share vectors digest differently")
+	}
+	var ee *wirecodec.EncodeError
+	if _, err := PayloadDigest(digestMsg{Shares: []*big.Int{nil, big.NewInt(9)}}); !errors.As(err, &ee) {
+		t.Errorf("digest of a nil scalar = %v, want an encode error", err)
 	}
 }
 
@@ -108,7 +148,7 @@ func TestPayloadDigestDistinguishes(t *testing.T) {
 		digestMsg{A: 1, B: 2, Name: "m", Shares: []*big.Int{big.NewInt(3)}},
 		digestMsg{A: 1, B: 2, Name: "n", Shares: []*big.Int{big.NewInt(4)}},
 		digestMsg{A: 1, B: 2, Name: "n", Shares: []*big.Int{big.NewInt(3), big.NewInt(0)}},
-		digestOther{A: 1, B: 2, Name: "n", Shares: []*big.Int{big.NewInt(3)}}, // same shape, other type
+		digestOther(base), // same shape, other type
 		[]byte("n"),
 		"n",
 	}
@@ -122,10 +162,13 @@ func TestPayloadDigestDistinguishes(t *testing.T) {
 	}
 }
 
-// TestPayloadDigestRejectsMaps: map iteration order is not canonical,
-// so digesting one must fail loudly instead of flaking.
+// TestPayloadDigestRejectsMaps: a type without a codec — a map, whose
+// iteration order could never be canonical, or any unregistered struct
+// — has no frame and so no digest, loudly.
 func TestPayloadDigestRejectsMaps(t *testing.T) {
-	if _, err := PayloadDigest(map[string]int{"a": 1}); err == nil {
-		t.Fatal("map digested without error")
+	for _, v := range []any{map[string]int{"a": 1}, struct{ X int }{1}, &digestMsg{}} {
+		if _, err := PayloadDigest(v); !errors.Is(err, wirecodec.ErrUnregisteredType) {
+			t.Errorf("PayloadDigest(%T) = %v, want ErrUnregisteredType", v, err)
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/gob"
 	"fmt"
 )
 
@@ -70,11 +69,6 @@ func IsEchoRound(round int) bool { return round >= echoRoundBand }
 // digest of the payload it claims to have broadcast).
 type echoMsg struct {
 	Digests [][]byte
-}
-
-func init() {
-	// So echo frames survive a serialising transport.
-	gob.Register(echoMsg{})
 }
 
 // echoRequirer is the capability probe a Net implementation exposes to

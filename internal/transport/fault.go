@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -85,11 +84,6 @@ func (k FaultKind) String() string {
 type Corrupted struct {
 	// Round is the round tag of the original message.
 	Round int
-}
-
-func init() {
-	// So corrupted frames survive a serialising transport too.
-	gob.Register(Corrupted{})
 }
 
 // FaultRule targets one deterministic fault. Round, From and To may be
@@ -382,9 +376,6 @@ func (f *FaultNet) Wait() {
 // N implements Net.
 func (f *FaultNet) N() int { return f.inner.N() }
 
-// Recv implements Net.
-func (f *FaultNet) Recv(to, from int) (any, error) { return f.inner.Recv(to, from) }
-
 // RecvCtx implements Net.
 func (f *FaultNet) RecvCtx(ctx context.Context, to, from, round int) (any, error) {
 	return f.inner.RecvCtx(ctx, to, from, round)
@@ -424,11 +415,6 @@ func (f *FaultNet) Broadcast(round, from, bytes int, payload any) error {
 		first = false
 		return f.Send(round, from, to, b, p)
 	})
-}
-
-// GatherAll implements Net.
-func (f *FaultNet) GatherAll(to int) ([]any, error) {
-	return f.GatherAllCtx(context.Background(), to, -1)
 }
 
 // GatherAllCtx implements Net.

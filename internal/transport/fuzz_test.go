@@ -28,7 +28,9 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(seed(Corrupted{Round: 5}))
 	// Hostile shapes: truncated header, oversized length, garbage magic.
 	f.Add([]byte{'G', 'W'})
-	f.Add([]byte{'G', 'W', 1, 0, 82, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{'G', 'W', wirecodec.Version, 0, 82, 0xFF, 0xFF, 0xFF, 0xFF})
+	// A version-1 peer's gob-fallback payload inside a sound envelope.
+	f.Add(withLegacyPayload(f, envelope{Round: 3, Bytes: 40}))
 	f.Add(bytes.Repeat([]byte{0xA5}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd := bufio.NewReader(bytes.NewReader(data))
@@ -94,7 +96,8 @@ func FuzzMuxEnvDecode(f *testing.F) {
 	f.Add(seed(muxEnv{SID: "s2", Kind: muxKindResume, Seq: 17}))
 	f.Add(seed(muxHello{Party: 3, Epoch: 2}))
 	// Hostile shapes: truncated SID length, kind out of range, huge seq.
-	f.Add([]byte{'G', 'W', 1, 0, 86, 0xFF})
+	f.Add([]byte{'G', 'W', wirecodec.Version, 0, 86, 0xFF})
+	f.Add(withLegacyPayload(f, muxEnv{SID: "s1", Kind: muxKindControl}))
 	f.Add(bytes.Repeat([]byte{0x42}, 48))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

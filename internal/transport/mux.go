@@ -423,7 +423,7 @@ func (m *SessionMux) failLink(peer int, cause error) {
 	m.mu.Unlock()
 	m.mm.link(peer).linkUp.Set(0)
 	for _, s := range open {
-		s.failPeer(peer, fmt.Errorf("%w: party %d: %v", ErrPeerDown, peer, cause))
+		s.failPeer(peer, fmt.Errorf("%w: party %d: %w", ErrPeerDown, peer, cause))
 	}
 }
 
@@ -553,9 +553,9 @@ func (m *SessionMux) Control() <-chan ControlMsg { return m.ctrl }
 // Done is closed when the mux shuts down.
 func (m *SessionMux) Done() <-chan struct{} { return m.closeCh }
 
-// SendControl sends one control-plane frame to a peer daemon. Control
-// payloads of unregistered types must be gob-registered (they ride the
-// wirecodec gob-fallback frame).
+// SendControl sends one control-plane frame to a peer daemon. The
+// payload's type needs a registered wirecodec codec like any other
+// frame; without one the send fails locally with the encode error.
 func (m *SessionMux) SendControl(to int, payload any) error {
 	if to < 0 || to >= m.n || to == m.me {
 		return fmt.Errorf("transport: invalid control destination %d", to)
@@ -582,6 +582,9 @@ func (m *SessionMux) writeFrame(to int, timeout time.Duration, env muxEnv) error
 		defer conn.SetWriteDeadline(time.Time{})
 	}
 	if err := wirecodec.WriteValue(conn, env); err != nil {
+		if lerr := encodeFault(to, env.Round, err); lerr != nil {
+			return lerr
+		}
 		return Abort(to, env.Round, "", fmt.Errorf("%w: sending to party %d: %v", ErrPeerDown, to, err))
 	}
 	return nil
@@ -757,11 +760,6 @@ func (s *MuxSession) Send(round, from, to, bytes int, payload any) error {
 	return s.m.writeFrame(to, s.timeout, muxEnv{SID: s.sid, Kind: muxKindData, Round: round, Bytes: bytes, Payload: payload})
 }
 
-// Recv implements Net.
-func (s *MuxSession) Recv(to, from int) (any, error) {
-	return s.RecvCtx(context.Background(), to, from, -1)
-}
-
 // RecvCtx implements Net. Frames already queued are drained even after
 // the peer failed; a failed peer then surfaces as a typed AbortError
 // carrying the first failure cause.
@@ -831,11 +829,6 @@ func (s *MuxSession) Broadcast(round, from, bytes int, payload any) error {
 	return broadcastAll(s.m.n, s.m.me, func(to int) error {
 		return s.Send(round, from, to, bytes, payload)
 	})
-}
-
-// GatherAll implements Net.
-func (s *MuxSession) GatherAll(to int) ([]any, error) {
-	return s.GatherAllCtx(context.Background(), to, -1)
 }
 
 // GatherAllCtx implements Net.

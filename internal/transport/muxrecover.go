@@ -400,7 +400,7 @@ func (m *SessionMux) blamePeer(peer int, grace time.Duration, cause error) {
 		open = append(open, s)
 	}
 	m.mu.Unlock()
-	err := fmt.Errorf("%w: party %d did not reconnect within the %v grace: %v", ErrPeerDown, peer, grace, cause)
+	err := fmt.Errorf("%w: party %d did not reconnect within the %v grace: %w", ErrPeerDown, peer, grace, cause)
 	for _, s := range open {
 		s.failPeer(peer, err)
 	}
@@ -593,14 +593,21 @@ func (s *MuxSession) sendRecovering(round, to, bytes int, payload any) error {
 	seq := s.sendSeq[to] + 1
 	if err := s.j.LogSend(to, round, bytes, seq, payload); err != nil {
 		s.sendMu.Unlock()
+		if lerr := encodeFault(to, round, err); lerr != nil {
+			return lerr
+		}
 		return Abort(to, round, "", fmt.Errorf("journaling send to party %d: %w", to, err))
 	}
 	s.sendSeq[to] = seq
 	s.sendMu.Unlock()
 	// The journal is the retransmit buffer: a write onto a down or
 	// dying link is not an error — the peer recovers the frame with a
-	// resume request once the link is back.
-	s.m.writeFrame(to, s.timeout, muxEnv{SID: s.sid, Kind: muxKindData, Round: round, Bytes: bytes, Seq: seq, Payload: payload})
+	// resume request once the link is back. A frame that cannot be
+	// encoded is: no resume will ever deliver it.
+	err := s.m.writeFrame(to, s.timeout, muxEnv{SID: s.sid, Kind: muxKindData, Round: round, Bytes: bytes, Seq: seq, Payload: payload})
+	if isEncodeError(err) {
+		return err
+	}
 	return nil
 }
 

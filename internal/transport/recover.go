@@ -679,6 +679,15 @@ func (f *RecoveringTCPFabric) pump(l *rlink, conn net.Conn, rd *bufio.Reader) {
 			conn.SetReadDeadline(time.Now().Add(4*f.opts.Heartbeat + time.Second))
 		}
 		v, err := wirecodec.ReadValue(rd)
+		var unknown *wirecodec.UnknownTypeError
+		if errors.As(err, &unknown) {
+			// Not an outage: the peer's program sent a type this build
+			// has no codec for, and a redial would only fetch more.
+			l.mu.Lock()
+			f.fatalLocked(l, fmt.Errorf("%w: party %d: %w", ErrDesync, l.peer, err))
+			l.mu.Unlock()
+			return
+		}
 		if err != nil {
 			f.markDown(l, conn)
 			return
@@ -885,6 +894,15 @@ func (f *RecoveringTCPFabric) Send(round, from, to, bytes int, payload any) erro
 		return nil
 	}
 	seq := l.sendSeq
+	env := renv{Kind: frameData, Round: round, Seq: seq, Bytes: bytes, Ack: l.recvNext, Payload: payload}
+	// Encode before anything is journaled or buffered: a frame with no
+	// wire form must never enter the journal or the retransmit buffer,
+	// where every reconnect would fail on it until the healthy peer is
+	// blamed.
+	frame, err := wirecodec.Marshal(env)
+	if err != nil {
+		return encodeFault(to, round, err)
+	}
 	if f.opts.Journal != nil {
 		// Write-ahead: once journaled, the message survives a crash of
 		// this process and is retransmitted from the reloaded buffer.
@@ -893,7 +911,6 @@ func (f *RecoveringTCPFabric) Send(round, from, to, bytes int, payload any) erro
 		}
 	}
 	l.sendSeq++
-	env := renv{Kind: frameData, Round: round, Seq: seq, Bytes: bytes, Ack: l.recvNext, Payload: payload}
 	if len(l.buf) >= f.opts.RetransmitLimit {
 		return Abort(to, round, "", fmt.Errorf("%w: %d un-acked messages to party %d",
 			ErrRetransmitOverflow, len(l.buf), to))
@@ -904,7 +921,7 @@ func (f *RecoveringTCPFabric) Send(round, from, to, bytes int, payload any) erro
 		if f.timeout > 0 {
 			l.conn.SetWriteDeadline(time.Now().Add(f.timeout))
 		}
-		if err := wirecodec.WriteValue(l.conn, env); err != nil {
+		if _, err := l.conn.Write(frame); err != nil {
 			// Buffered already; the redial path retransmits it.
 			f.markDownLocked(l, l.conn)
 		} else if l.conn != nil {
@@ -912,11 +929,6 @@ func (f *RecoveringTCPFabric) Send(round, from, to, bytes int, payload any) erro
 		}
 	}
 	return nil
-}
-
-// Recv implements Net.
-func (f *RecoveringTCPFabric) Recv(to, from int) (any, error) {
-	return f.RecvCtx(context.Background(), to, from, -1)
 }
 
 // RecvCtx implements Net. Journaled receives are served first (the
@@ -1020,11 +1032,6 @@ func (f *RecoveringTCPFabric) Broadcast(round, from, bytes int, payload any) err
 	return broadcastAll(f.n, f.me, func(to int) error {
 		return f.Send(round, from, to, bytes, payload)
 	})
-}
-
-// GatherAll implements Net.
-func (f *RecoveringTCPFabric) GatherAll(to int) ([]any, error) {
-	return f.GatherAllCtx(context.Background(), to, -1)
 }
 
 // GatherAllCtx implements Net.

@@ -16,7 +16,8 @@ import (
 
 // memJournal is an in-memory Journaler for transport-level tests (the
 // real durable implementation lives in internal/journal, which imports
-// this package and so cannot be used here).
+// this package and so cannot be used here). Like the real one it
+// refuses a send whose payload has no wire form.
 type memJournal struct {
 	mu   sync.Mutex
 	sent map[int][]JournalMsg
@@ -28,6 +29,9 @@ func newMemJournal() *memJournal {
 }
 
 func (m *memJournal) LogSend(peer, round, bytes int, seq uint64, payload any) error {
+	if _, err := wirecodec.Marshal(payload); err != nil {
+		return err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.sent[peer] = append(m.sent[peer], JournalMsg{Round: round, Seq: seq, Bytes: bytes, Payload: payload})
@@ -57,7 +61,6 @@ func (m *memJournal) RecvFrom(peer int) ([]JournalMsg, error) {
 // each party's options before the fabrics dial.
 func buildRecoveryMesh(t *testing.T, n int, tweak func(me int, o *RecoverOptions)) ([]string, []*RecoveringTCPFabric) {
 	t.Helper()
-	registerWireTest()
 	addrs, err := FreeLoopbackAddrs(n)
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +318,6 @@ func TestRecoveringBlameAfterGrace(t *testing.T) {
 // the link provably alive.
 func TestRecoveringSlowIsNotDead(t *testing.T) {
 	defer leakcheck.Check(t)
-	registerWireTest()
 	addrs, err := FreeLoopbackAddrs(2)
 	if err != nil {
 		t.Fatal(err)
@@ -359,7 +361,6 @@ func TestRecoveringSlowIsNotDead(t *testing.T) {
 // logical message exactly once.
 func TestRecoveringJournalReplay(t *testing.T) {
 	defer leakcheck.Check(t)
-	registerWireTest()
 	addrs, err := FreeLoopbackAddrs(2)
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +464,6 @@ func TestRecoveringJournalReplay(t *testing.T) {
 // never mesh.
 func TestRecoveringSessionMismatch(t *testing.T) {
 	defer leakcheck.Check(t)
-	registerWireTest()
 	addrs, err := FreeLoopbackAddrs(2)
 	if err != nil {
 		t.Fatal(err)

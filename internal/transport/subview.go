@@ -16,8 +16,6 @@ type Net interface {
 	N() int
 	// Send delivers payload from one party to another.
 	Send(round, from, to, bytes int, payload any) error
-	// Recv blocks until a message from the given peer arrives.
-	Recv(to, from int) (any, error)
 	// RecvCtx blocks until a message from the given peer arrives, the
 	// context is cancelled, the implementation's timeout expires, or
 	// the peer is known down. A non-negative round is the tag the
@@ -27,10 +25,8 @@ type Net interface {
 	RecvCtx(ctx context.Context, to, from, round int) (any, error)
 	// Broadcast sends the payload to every other party.
 	Broadcast(round, from, bytes int, payload any) error
-	// GatherAll receives one message from every other party, indexed by
-	// sender (self slot nil).
-	GatherAll(to int) ([]any, error)
-	// GatherAllCtx is the cancellable, round-checked form of GatherAll.
+	// GatherAllCtx receives one message from every other party under
+	// the same rules, indexed by sender (self slot nil).
 	GatherAllCtx(ctx context.Context, to, round int) ([]any, error)
 }
 
@@ -90,17 +86,6 @@ func (s *SubView) Send(round, from, to, bytes int, payload any) error {
 	return s.parent.Send(round+s.roundOffset, s.members[from], s.members[to], bytes, payload)
 }
 
-// Recv implements Net.
-func (s *SubView) Recv(to, from int) (any, error) {
-	if err := s.check(to); err != nil {
-		return nil, err
-	}
-	if err := s.check(from); err != nil {
-		return nil, err
-	}
-	return s.parent.Recv(s.members[to], s.members[from])
-}
-
 // RecvCtx implements Net. The expected round is shifted by the view's
 // offset; AbortErrors come back naming the parent (global) party index
 // and absolute round, which is what failure reports should show.
@@ -123,11 +108,6 @@ func (s *SubView) Broadcast(round, from, bytes int, payload any) error {
 	return broadcastAll(len(s.members), from, func(to int) error {
 		return s.Send(round, from, to, bytes, payload)
 	})
-}
-
-// GatherAll implements Net.
-func (s *SubView) GatherAll(to int) ([]any, error) {
-	return s.GatherAllCtx(context.Background(), to, -1)
 }
 
 // GatherAllCtx implements Net.

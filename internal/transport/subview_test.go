@@ -1,6 +1,9 @@
 package transport
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestSubViewMapsIndicesAndRounds(t *testing.T) {
 	f, err := New(5)
@@ -18,7 +21,7 @@ func TestSubViewMapsIndicesAndRounds(t *testing.T) {
 	if err := sv.Send(2, 0, 2, 9, "x"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := sv.Recv(2, 0)
+	got, err := sv.RecvCtx(context.Background(), 2, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +52,7 @@ func TestSubViewBroadcastGather(t *testing.T) {
 	}
 	// Member 1 (= parent party 2) sent to members 0 and 2 only.
 	for _, to := range []int{0, 2} {
-		got, err := sv.Recv(to, 1)
+		got, err := sv.RecvCtx(context.Background(), to, 1, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +67,7 @@ func TestSubViewBroadcastGather(t *testing.T) {
 	if err := sv.Send(2, 1, 2, 1, 20); err != nil {
 		t.Fatal(err)
 	}
-	all, err := sv.GatherAll(2)
+	all, err := sv.GatherAllCtx(context.Background(), 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +97,7 @@ func TestSubViewValidation(t *testing.T) {
 	if err := sv.Send(0, 0, 5, 0, nil); err == nil {
 		t.Error("out-of-range view index accepted by Send")
 	}
-	if _, err := sv.Recv(5, 0); err == nil {
+	if _, err := sv.RecvCtx(context.Background(), 5, 0, -1); err == nil {
 		t.Error("out-of-range view index accepted by Recv")
 	}
 }

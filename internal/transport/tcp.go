@@ -28,9 +28,9 @@ import (
 // block a sender forever. Close drains and tears down every connection
 // gracefully.
 //
-// Payload types that cross a TCPFabric use their registered wirecodec
-// codecs; unregistered types ride the gob-fallback frame and must be
-// gob-registered first (each protocol package exposes RegisterWire).
+// Payload types that cross a TCPFabric use the wirecodec codecs their
+// packages register from init. A payload without one does not cross:
+// Send returns the codec's encode error, blaming nobody.
 type TCPFabric struct {
 	n  int
 	me int
@@ -299,14 +299,12 @@ func (f *TCPFabric) Send(round, from, to, bytes int, payload any) error {
 		defer conn.SetWriteDeadline(time.Time{})
 	}
 	if err := wirecodec.WriteValue(conn, envelope{Round: round, Bytes: bytes, Payload: payload}); err != nil {
+		if lerr := encodeFault(to, round, err); lerr != nil {
+			return lerr
+		}
 		return Abort(to, round, "", fmt.Errorf("%w: sending to party %d: %v", ErrPeerDown, to, err))
 	}
 	return nil
-}
-
-// Recv implements Net.
-func (f *TCPFabric) Recv(to, from int) (any, error) {
-	return f.RecvCtx(context.Background(), to, from, -1)
 }
 
 // RecvCtx implements Net. Only this party's own index is a valid
@@ -359,7 +357,7 @@ func (f *TCPFabric) peerDown(from, round int) error {
 	if cause == nil {
 		cause = fmt.Errorf("connection closed")
 	}
-	return Abort(from, round, "", fmt.Errorf("%w: party %d: %v", ErrPeerDown, from, cause))
+	return Abort(from, round, "", fmt.Errorf("%w: party %d: %w", ErrPeerDown, from, cause))
 }
 
 // Broadcast implements Net, best-effort: every leg is attempted even
@@ -370,11 +368,6 @@ func (f *TCPFabric) Broadcast(round, from, bytes int, payload any) error {
 	return broadcastAll(f.n, f.me, func(to int) error {
 		return f.Send(round, from, to, bytes, payload)
 	})
-}
-
-// GatherAll implements Net.
-func (f *TCPFabric) GatherAll(to int) ([]any, error) {
-	return f.GatherAllCtx(context.Background(), to, -1)
 }
 
 // GatherAllCtx implements Net.

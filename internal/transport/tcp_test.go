@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -10,24 +9,35 @@ import (
 	"time"
 
 	"groupranking/internal/leakcheck"
+	"groupranking/internal/wirecodec"
 )
 
+// wirePayload is the scaffolding payload the TCP-stack tests send. It
+// has no reflection fallback to ride: like any type that crosses a
+// process boundary it registers a codec, from the test-only ID block
+// (wirecodec.IDRangeTest; +0 wirePayload, +1 digestMsg, +2 digestOther).
 type wirePayload struct {
 	From int
 	Text string
 }
 
-var _wireTestOnce sync.Once
-
-func registerWireTest() {
-	_wireTestOnce.Do(func() { gob.Register(wirePayload{}) })
+func init() {
+	wirecodec.Register(wirecodec.IDRangeTest, "test payload", []any{wirePayload{}},
+		func(dst []byte, v any) ([]byte, error) {
+			p := v.(wirePayload)
+			return wirecodec.AppendString(wirecodec.AppendI64(dst, int64(p.From)), p.Text), nil
+		},
+		func(data []byte) (any, error) {
+			r := wirecodec.NewReader(data)
+			p := wirePayload{From: r.Int(), Text: r.String()}
+			return p, r.Finish()
+		})
 }
 
 // buildMesh starts an n-party TCP mesh on loopback and returns the
 // endpoints.
 func buildMesh(t *testing.T, n int) []*TCPFabric {
 	t.Helper()
-	registerWireTest()
 	addrs, err := FreeLoopbackAddrs(n)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +72,7 @@ func TestTCPMeshSendRecv(t *testing.T) {
 	if err := fabrics[0].Send(1, 0, 2, 16, wirePayload{From: 0, Text: "hello"}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fabrics[2].Recv(2, 0)
+	got, err := fabrics[2].RecvCtx(context.Background(), 2, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +90,7 @@ func TestTCPOrderingPerSender(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		got, err := fabrics[1].Recv(1, 0)
+		got, err := fabrics[1].RecvCtx(context.Background(), 1, 0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +113,7 @@ func TestTCPBroadcastGather(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			all, err := fabrics[me].GatherAll(me)
+			all, err := fabrics[me].GatherAllCtx(context.Background(), me, -1)
 			if err != nil {
 				t.Error(err)
 				return
@@ -126,7 +136,7 @@ func TestTCPEndpointRestrictions(t *testing.T) {
 	if err := fabrics[0].Send(0, 1, 0, 0, wirePayload{}); err == nil {
 		t.Error("sending as another party accepted")
 	}
-	if _, err := fabrics[0].Recv(1, 0); err == nil {
+	if _, err := fabrics[0].RecvCtx(context.Background(), 1, 0, -1); err == nil {
 		t.Error("receiving as another party accepted")
 	}
 	if err := fabrics[0].Send(0, 0, 0, 0, wirePayload{}); err == nil {
@@ -138,7 +148,7 @@ func TestTCPTimeout(t *testing.T) {
 	fabrics := buildMesh(t, 2)
 	short := fabrics[0]
 	short.timeout = 30 * time.Millisecond
-	if _, err := short.Recv(0, 1); err == nil {
+	if _, err := short.RecvCtx(context.Background(), 0, 1, -1); err == nil {
 		t.Error("expected timeout")
 	}
 }
@@ -173,7 +183,7 @@ func TestTCPClosedPeerSurfacesError(t *testing.T) {
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		fabrics[0].timeout = 50 * time.Millisecond
-		if _, err := fabrics[0].Recv(0, 1); err != nil {
+		if _, err := fabrics[0].RecvCtx(context.Background(), 0, 1, -1); err != nil {
 			return
 		}
 		if time.Now().After(deadline) {

@@ -69,7 +69,7 @@ func WithQueueCapacity(c int) Option {
 	return func(f *Fabric) { f.capacity = c }
 }
 
-// WithRecvTimeout makes Recv fail after d instead of blocking forever.
+// WithRecvTimeout makes RecvCtx fail after d instead of blocking forever.
 // Failure-injection tests use it to turn dropped messages into clean
 // errors.
 func WithRecvTimeout(d time.Duration) Option {
@@ -205,13 +205,6 @@ func (f *Fabric) Send(round, from, to, bytes int, payload any) error {
 	}
 }
 
-// Recv blocks until a message from the given peer arrives (or the
-// configured timeout expires). It accepts any round tag; new code
-// should prefer RecvCtx, which is cancellable and validates the tag.
-func (f *Fabric) Recv(to, from int) (any, error) {
-	return f.RecvCtx(context.Background(), to, from, -1)
-}
-
 // RecvCtx blocks until a message from the given peer arrives, the
 // context is cancelled, the configured timeout expires, or the peer is
 // marked down. If round is non-negative the received message's round
@@ -297,13 +290,8 @@ func (f *Fabric) Broadcast(round, from, bytes int, payload any) error {
 	})
 }
 
-// GatherAll receives one message from every other party, returned as a
-// slice indexed by sender (the self slot is nil).
-func (f *Fabric) GatherAll(to int) ([]any, error) {
-	return f.GatherAllCtx(context.Background(), to, -1)
-}
-
-// GatherAllCtx is the cancellable, round-checked form of GatherAll.
+// GatherAllCtx receives one message from every other party, returned
+// as a slice indexed by sender (the self slot is nil).
 func (f *Fabric) GatherAllCtx(ctx context.Context, to, round int) ([]any, error) {
 	return gatherAll(ctx, f, to, round)
 }

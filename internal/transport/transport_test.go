@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -15,7 +16,7 @@ func TestSendRecv(t *testing.T) {
 	if err := f.Send(1, 0, 2, 10, "hello"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.Recv(2, 0)
+	got, err := f.RecvCtx(context.Background(), 2, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestFIFOOrdering(t *testing.T) {
 		}
 	}
 	for i := 0; i < 100; i++ {
-		got, err := f.Recv(1, 0)
+		got, err := f.RecvCtx(context.Background(), 1, 0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +59,7 @@ func TestBroadcastAndGather(t *testing.T) {
 		if to == 1 {
 			continue
 		}
-		got, err := f.Recv(to, 1)
+		got, err := f.RecvCtx(context.Background(), to, 1, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func TestBroadcastAndGather(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	all, err := f.GatherAll(0)
+	all, err := f.GatherAllCtx(context.Background(), 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestRecvTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if _, err := f.Recv(1, 0); err == nil {
+	if _, err := f.RecvCtx(context.Background(), 1, 0, -1); err == nil {
 		t.Error("expected timeout error")
 	}
 	if time.Since(start) < 10*time.Millisecond {
@@ -171,7 +172,7 @@ func TestDropFilter(t *testing.T) {
 	if err := f.Send(0, 0, 1, 1, "dropped"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Recv(1, 0); err == nil {
+	if _, err := f.RecvCtx(context.Background(), 1, 0, -1); err == nil {
 		t.Error("dropped message was delivered")
 	}
 	// Stats still count the send attempt.
@@ -190,7 +191,7 @@ func TestInvalidEndpoints(t *testing.T) {
 		if err := f.Send(0, c.from, c.to, 0, nil); err == nil {
 			t.Errorf("Send(%d→%d) accepted", c.from, c.to)
 		}
-		if _, err := f.Recv(c.to, c.from); err == nil {
+		if _, err := f.RecvCtx(context.Background(), c.to, c.from, -1); err == nil {
 			t.Errorf("Recv(%d←%d) accepted", c.to, c.from)
 		}
 	}
@@ -237,7 +238,7 @@ func TestConcurrentAllToAll(t *testing.T) {
 					return
 				}
 			}
-			all, err := f.GatherAll(p)
+			all, err := f.GatherAllCtx(context.Background(), p, -1)
 			if err != nil {
 				errs <- err
 				return

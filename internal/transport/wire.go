@@ -6,11 +6,10 @@ import (
 	"groupranking/internal/wirecodec"
 )
 
-// Wire codecs for the transport's own frames. The TCP fabrics used to
-// run one gob encoder/decoder pair per connection; every stream now
-// carries self-contained wirecodec frames, so a reconnecting link has
-// no encoder state to resynchronise and a frame captured in the
-// journal is byte-identical to the frame on the wire.
+// Wire codecs for the transport's own frames. Every stream carries
+// self-contained wirecodec frames, so a reconnecting link has no
+// encoder state to resynchronise and a frame captured in the journal
+// is byte-identical to the frame on the wire.
 
 func init() {
 	wirecodec.Register(wirecodec.IDRangeTransport, "echo digest vector",

@@ -11,14 +11,13 @@ package unlinksort
 // certificate the offline verifier (internal/blame) confirms.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math/big"
 
 	"groupranking/internal/elgamal"
 	"groupranking/internal/group"
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 	"groupranking/internal/zkp"
 )
 
@@ -197,15 +196,14 @@ func certOwnSetTampered(accused, reporter, round int, inputSet, passedSet []byte
 	}
 }
 
-// encodeScalars serialises a challenge list for certificate evidence.
+// encodeScalars serialises a challenge list for certificate evidence
+// in the wire form internal/blame reads back. The caller has checked
+// every scalar non-nil; one too wide for the wire form (only an
+// in-process peer could hand us that) leaves the item empty, which the
+// verifier reports as undecodable evidence.
 func encodeScalars(list []*big.Int) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(list); err != nil {
-		// A []*big.Int always gob-encodes; a failure here is a broken
-		// runtime, not bad peer input.
-		panic(fmt.Sprintf("unlinksort: encoding challenge evidence: %v", err))
-	}
-	return buf.Bytes()
+	out, _ := wirecodec.AppendBigInts(nil, list)
+	return out
 }
 
 // encodeSetBytes concatenates a set's fixed-length ciphertext

@@ -62,7 +62,6 @@ func TestWorkerCountInvariance(t *testing.T) {
 // reject it at the receive boundary with a typed abort naming the
 // attacker.
 func TestInvalidCurveKeyShareAbortsOverTCP(t *testing.T) {
-	RegisterWire()
 	g := group.Secp160r1()
 	evil, err := group.UnsafeElementFromCoords(g, big.NewInt(1), big.NewInt(1))
 	if err != nil {

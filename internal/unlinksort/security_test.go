@@ -194,7 +194,6 @@ func TestZeroPositionsUniformAcrossRuns(t *testing.T) {
 // shape of the paper's "fully distributed framework". Every ciphertext,
 // proof and chain vector crosses an actual socket.
 func TestProtocolOverRealTCP(t *testing.T) {
-	RegisterWire()
 	g, err := group.GenerateDLGroup(128, fixedbig.NewDRBG("tcp-group"))
 	if err != nil {
 		t.Fatal(err)

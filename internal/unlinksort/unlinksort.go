@@ -32,7 +32,6 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -141,9 +140,8 @@ const (
 	roundChainBase // chain hop j uses roundChainBase + j
 )
 
-// Payload types exchanged over the fabric. Fields are exported so the
-// TCP transport can gob-encode them; the types themselves stay
-// package-private and are registered by RegisterWire.
+// Payload types exchanged over the fabric. The types stay
+// package-private; wire.go registers a codec for each from init.
 type (
 	bitsMsg struct {
 		Cts []elgamal.Ciphertext
@@ -179,26 +177,6 @@ type (
 		Set []elgamal.Ciphertext
 	}
 )
-
-var _wireOnce sync.Once
-
-// RegisterWire registers every type this protocol sends over a
-// serialising transport (transport.TCPFabric). Safe to call repeatedly;
-// in-memory fabrics do not need it.
-func RegisterWire() {
-	_wireOnce.Do(func() {
-		group.RegisterGob()
-		gob.Register(zkp.EqualityTranscript{})
-		gob.Register(bitsMsg{})
-		gob.Register(tauSetMsg{})
-		gob.Register(vectorMsg{})
-		gob.Register(finalMsg{})
-		gob.Register(anchorMsg{})
-		gob.Register(commitMsg{})
-		gob.Register(new(big.Int))
-		gob.Register([]*big.Int{})
-	})
-}
 
 // Party runs one party's side of the protocol over the fabric: me is the
 // party index in [0, n), beta the party's l-bit value. Every party must
@@ -313,7 +291,7 @@ func keyPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int, f
 			return nil, nil, nil, malformedAbort(j, me, roundPublishKeys, PhaseKeygen,
 				fmt.Sprintf("a malformed key share (%T)", received[j]), "group element")
 		}
-		// Gob decoding reconstructs raw coordinates without a group
+		// Wire decoding reconstructs raw coordinates without a group
 		// context; membership MUST be checked here, or an off-curve key
 		// share mounts an invalid-curve attack through the joint key.
 		if err := group.Validate(g, y); err != nil {

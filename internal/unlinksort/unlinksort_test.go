@@ -1,6 +1,7 @@
 package unlinksort
 
 import (
+	"context"
 	"fmt"
 	"math/big"
 	"sort"
@@ -285,7 +286,7 @@ func TestCheatingProverIsRejected(t *testing.T) {
 			errCh <- err
 			return
 		}
-		if _, err := fab.GatherAll(2); err != nil {
+		if _, err := fab.GatherAllCtx(context.Background(), 2, -1); err != nil {
 			errCh <- err
 			return
 		}
@@ -296,7 +297,7 @@ func TestCheatingProverIsRejected(t *testing.T) {
 			errCh <- err
 			return
 		}
-		if _, err := fab.GatherAll(2); err != nil {
+		if _, err := fab.GatherAllCtx(context.Background(), 2, -1); err != nil {
 			errCh <- err
 			return
 		}
@@ -311,7 +312,7 @@ func TestCheatingProverIsRejected(t *testing.T) {
 			errCh <- err
 			return
 		}
-		msgs, err := fab.GatherAll(2)
+		msgs, err := fab.GatherAllCtx(context.Background(), 2, -1)
 		if err != nil {
 			errCh <- err
 			return

@@ -8,9 +8,8 @@ import (
 	"groupranking/internal/zkp"
 )
 
-// Hand-rolled wire codecs for every round payload, replacing the gob
-// forms (which remain registered by RegisterWire as the fallback for
-// auxiliary traffic). All layouts are count-prefixed concatenations of
+// Hand-rolled wire codecs for every round payload, registered from
+// init. All layouts are count-prefixed concatenations of
 // the elgamal/zkp wire forms; decoding is structural, with membership
 // of every ciphertext component still validated by the receive paths
 // via group.Validate.

@@ -29,6 +29,20 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{'G', 'W', Version, 0, 3, 0, 0, 0, 0})
 	f.Add([]byte{'G', 'W', Version + 1, 0, 6, 0, 0, 0, 8})
+	f.Add(legacyGobFrame(f, "version-1 fallback"))
+}
+
+// reencode holds every accepted value to a round trip: whatever a
+// decoder returns has a codec of its own.
+func reencode(t *testing.T, v any) {
+	t.Helper()
+	enc, err := Marshal(v)
+	if err != nil {
+		t.Fatalf("accepted value %T does not re-encode: %v", v, err)
+	}
+	if _, err := Unmarshal(enc); err != nil {
+		t.Fatalf("re-encoded value failed to decode: %v", err)
+	}
 }
 
 func FuzzConsumeValue(f *testing.F) {
@@ -41,14 +55,7 @@ func FuzzConsumeValue(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		// Accepted values must survive a re-encode; gob-fallback values
-		// may legitimately lack a concrete re-encoding (nil interfaces
-		// inside), so only registered codecs are held to it.
-		if enc, ok := MarshalRegistered(v); ok {
-			if _, err := Unmarshal(enc); err != nil {
-				t.Fatalf("re-encoded value failed to decode: %v", err)
-			}
-		}
+		reencode(t, v)
 	})
 }
 
@@ -59,11 +66,7 @@ func FuzzReadValue(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if enc, ok := MarshalRegistered(v); ok {
-			if _, err := Unmarshal(enc); err != nil {
-				t.Fatalf("re-encoded value failed to decode: %v", err)
-			}
-		}
+		reencode(t, v)
 	})
 }
 

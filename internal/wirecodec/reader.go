@@ -203,7 +203,7 @@ func (r *Reader) BigInts() []*big.Int {
 
 // Element reads one structural group-element form (group.binwire).
 // Membership is NOT checked here — the protocol layer validates every
-// foreign element via group.Validate, exactly as on the gob path.
+// foreign element via group.Validate.
 func (r *Reader) Element() group.Element {
 	if r.err != nil {
 		return nil
@@ -224,7 +224,7 @@ func (r *Reader) Value() any {
 	}
 	v, n, err := ConsumeValue(r.data[r.off:])
 	if err != nil {
-		r.fail("nested value: %v", err)
+		r.fail("nested value: %w", err) // keep UnknownTypeError et al. matchable
 		return nil
 	}
 	r.off += n

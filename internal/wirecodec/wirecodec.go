@@ -1,16 +1,14 @@
-// Package wirecodec is the framework's wire format: hand-rolled
-// fixed-width binary codecs for every message that crosses a transport
-// or journal boundary, replacing encoding/gob. Gob re-emits type
-// descriptors per encoder and its reflection walk dominates hot-path
-// encode cost; these codecs write length-prefixed versioned frames with
-// deterministic layouts, so the same value always produces the same
-// bytes — which is also what lets the transport digest layer hash
-// encodings directly instead of re-walking structures.
+// Package wirecodec is the framework's wire format, and its only one:
+// hand-rolled fixed-width binary codecs for every message that crosses
+// a transport or journal boundary. The codecs write length-prefixed
+// versioned frames with deterministic layouts, so the same value always
+// produces the same bytes — which is what lets the transport digest
+// layer hash the frame itself.
 //
 // Frame layout (all integers big-endian):
 //
 //	offset 0: magic 'G','W'         (2 bytes)
-//	offset 2: codec version         (1 byte, currently 1)
+//	offset 2: codec version         (1 byte, currently 2)
 //	offset 3: type ID               (u16, registry key)
 //	offset 5: payload length        (u32, ≤ MaxPayload)
 //	offset 9: payload               (length bytes, codec-specific)
@@ -20,17 +18,17 @@
 // establishment, which turns a mismatch into a typed session abort
 // naming the parameter instead of a mid-protocol decode error.
 //
-// Protocol packages register their message codecs from init via
-// Register; registration is not safe for concurrent use and must
-// finish before any encode/decode traffic. Types without a codec fall
-// back to a gob-encoded frame (type ID 1), so auxiliary values — test
-// scaffolding, one-off diagnostics — keep working unchanged.
+// Packages register their message codecs from init via Register;
+// registration is not safe for concurrent use and must finish before
+// any encode/decode traffic. A type without a codec does not cross a
+// process boundary: encoding it fails with ErrUnregisteredType at the
+// sender, and a frame carrying an unassigned type ID (including 1, the
+// gob-fallback frame version 1 of this format had) is refused with
+// UnknownTypeError at the receiver.
 package wirecodec
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -44,8 +42,9 @@ import (
 const (
 	// Version is the wire-format version this build speaks. Peers pin
 	// it during session establishment; frames carrying any other value
-	// are rejected at the boundary.
-	Version = 1
+	// are rejected at the boundary. Version 2 dropped the gob-fallback
+	// frame (type ID 1) and gave the service control messages codecs.
+	Version = 2
 
 	// headerLen is the fixed frame header size.
 	headerLen = 9
@@ -59,7 +58,7 @@ const (
 // Reserved type IDs. Protocol packages allocate from the documented
 // ranges below; collisions panic at init.
 const (
-	idGob     uint16 = 1 // fallback: payload is a gob stream of `any`
+	idRetired uint16 = 1 // version 1's gob-fallback frame; never reassigned
 	idNil     uint16 = 2
 	IDElement uint16 = 3
 	idBigInt  uint16 = 4
@@ -79,6 +78,13 @@ const (
 	// IDRangeTransport is the base ID for transport envelopes and
 	// control frames: 80–95.
 	IDRangeTransport uint16 = 80
+	// IDRangeService is the base ID for the rankd daemons' control-plane
+	// messages: 96–111.
+	IDRangeService uint16 = 96
+	// IDRangeTest is the base ID for codecs that _test.go files register
+	// from their own init for test scaffolding payloads: 0xFF00–0xFFFF.
+	// No non-test code may allocate here.
+	IDRangeTest uint16 = 0xFF00
 )
 
 var frameMagic = [2]byte{'G', 'W'}
@@ -89,7 +95,26 @@ var (
 	ErrBadMagic       = errors.New("wirecodec: bad frame magic")
 	ErrTruncatedFrame = errors.New("wirecodec: truncated frame")
 	ErrOversizedFrame = errors.New("wirecodec: frame exceeds size cap")
+	// ErrUnregisteredType: the value's type has no registered codec, so
+	// it has no wire form. Always carried inside an EncodeError.
+	ErrUnregisteredType = errors.New("wirecodec: no codec registered for type")
 )
+
+// EncodeError reports that a value could not be turned into frame
+// bytes. It is raised before a single byte reaches the writer, so it
+// is a fault of the sending program — an unregistered type, a nil
+// *big.Int, an oversized payload — and says nothing about the peer or
+// the link the frame was meant for.
+type EncodeError struct {
+	Type string // the codec's name, or the Go type when none is registered
+	Err  error
+}
+
+func (e *EncodeError) Error() string {
+	return fmt.Sprintf("wirecodec: encoding %s: %v", e.Type, e.Err)
+}
+
+func (e *EncodeError) Unwrap() error { return e.Err }
 
 // VersionError reports a frame speaking a different wire-format
 // version than this build.
@@ -137,7 +162,7 @@ var (
 // covers every group's element type). Call from init only; duplicate
 // IDs or types panic immediately rather than corrupting traffic later.
 func Register(id uint16, name string, prototypes []any, enc EncodeFunc, dec DecodeFunc) {
-	if id == 0 || id == idGob || id == idNil {
+	if id == 0 || id == idRetired || id == idNil {
 		panic(fmt.Sprintf("wirecodec: type ID %d is reserved", id))
 	}
 	if _, dup := decByID[id]; dup {
@@ -157,32 +182,36 @@ func Register(id uint16, name string, prototypes []any, enc EncodeFunc, dec Deco
 	}
 }
 
-// lookup resolves v's codec, falling back to gob for unregistered
-// types.
-func lookup(v any) *codec {
+// lookup resolves v's codec; a type without one is an error.
+func lookup(v any) (*codec, error) {
 	if v == nil {
-		return decByID[idNil]
+		return decByID[idNil], nil
 	}
-	if c, ok := encByType[reflect.TypeOf(v)]; ok {
-		return c
+	t := reflect.TypeOf(v)
+	if c, ok := encByType[t]; ok {
+		return c, nil
 	}
-	return decByID[idGob]
+	return nil, &EncodeError{Type: t.String(), Err: ErrUnregisteredType}
 }
 
-// AppendValue appends one complete frame encoding v to dst.
+// AppendValue appends one complete frame encoding v to dst. Every
+// failure is an *EncodeError.
 func AppendValue(dst []byte, v any) ([]byte, error) {
-	c := lookup(v)
+	c, err := lookup(v)
+	if err != nil {
+		return nil, err
+	}
 	start := len(dst)
 	dst = append(dst, frameMagic[0], frameMagic[1], Version)
 	dst = AppendU16(dst, c.id)
 	dst = AppendU32(dst, 0) // length backfilled below
 	out, err := c.enc(dst, v)
 	if err != nil {
-		return nil, fmt.Errorf("wirecodec: encoding %s: %w", c.name, err)
+		return nil, &EncodeError{Type: c.name, Err: err}
 	}
 	n := len(out) - start - headerLen
 	if n > MaxPayload {
-		return nil, fmt.Errorf("%w: %s payload is %d bytes", ErrOversizedFrame, c.name, n)
+		return nil, &EncodeError{Type: c.name, Err: fmt.Errorf("%w: payload is %d bytes", ErrOversizedFrame, n)}
 	}
 	binary.BigEndian.PutUint32(out[start+5:], uint32(n))
 	return out, nil
@@ -191,22 +220,6 @@ func AppendValue(dst []byte, v any) ([]byte, error) {
 // Marshal encodes v as one frame in a fresh buffer.
 func Marshal(v any) ([]byte, error) {
 	return AppendValue(nil, v)
-}
-
-// MarshalRegistered encodes v only if a hand-rolled codec covers its
-// type; it reports false for gob-fallback types. The transport digest
-// layer uses it to hash canonical encodings directly — all or nothing,
-// so a digest never mixes binary and gob forms for one value.
-func MarshalRegistered(v any) ([]byte, bool) {
-	c := lookup(v)
-	if c.id == idGob {
-		return nil, false
-	}
-	b, err := AppendValue(nil, v)
-	if err != nil {
-		return nil, false
-	}
-	return b, true
 }
 
 // ConsumeValue parses one frame from the front of data, returning the
@@ -273,7 +286,8 @@ func putBuf(b *[]byte) {
 
 // WriteValue encodes v into a pooled buffer and writes the frame to w
 // in a single Write call, so stream transports emit one packet per
-// message without an allocation per send.
+// message without an allocation per send. An *EncodeError means nothing
+// was written; any other error is the writer's.
 func WriteValue(w io.Writer, v any) error {
 	b := getBuf()
 	defer putBuf(b)
@@ -325,10 +339,9 @@ func ReadValue(r io.Reader) (any, error) {
 	return v, nil
 }
 
-// Builtin codecs: the gob fallback, nil, group elements, and the
-// scalar types protocol messages are built from.
+// Builtin codecs: nil, group elements, and the scalar types protocol
+// messages are built from.
 func init() {
-	decByID[idGob] = &codec{id: idGob, name: "gob", enc: encGob, dec: decGob}
 	decByID[idNil] = &codec{
 		id: idNil, name: "nil",
 		enc: func(dst []byte, v any) ([]byte, error) { return dst, nil },
@@ -419,24 +432,4 @@ func init() {
 			}
 			return v, nil
 		})
-}
-
-// encGob is the fallback encoder for unregistered types. It spends a
-// fresh gob encoder (type descriptors and all) per value — exactly the
-// cost profile the registered codecs exist to avoid — but keeps
-// auxiliary traffic working without a hand-written layout.
-func encGob(dst []byte, v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, err
-	}
-	return append(dst, buf.Bytes()...), nil
-}
-
-func decGob(data []byte) (any, error) {
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-		return nil, err
-	}
-	return v, nil
 }

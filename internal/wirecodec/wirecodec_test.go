@@ -74,31 +74,93 @@ func TestRoundtripElements(t *testing.T) {
 	}
 }
 
-func TestGobFallback(t *testing.T) {
-	type oddball struct {
-		A string
-		B int
-	}
-	// gob needs interface registration for the fallback's `any` slot
-	gob.Register(map[string]int{})
-	v := map[string]int{"x": 3}
+// testPair is scaffolding: a payload type only this test file knows,
+// given a codec in the test-only ID block the way any _test.go that
+// needs its own wire type must (there is no reflection fallback).
+type testPair struct {
+	A string
+	B int
+}
+
+func init() {
+	Register(IDRangeTest, "test pair", []any{testPair{}},
+		func(dst []byte, v any) ([]byte, error) {
+			p := v.(testPair)
+			return AppendI64(AppendString(dst, p.A), int64(p.B)), nil
+		},
+		func(data []byte) (any, error) {
+			r := NewReader(data)
+			p := testPair{A: r.String(), B: r.Int()}
+			return p, r.Finish()
+		})
+}
+
+func TestTestBlockCodec(t *testing.T) {
+	v := testPair{A: "q", B: 1}
 	b, err := Marshal(v)
 	if err != nil {
-		t.Fatalf("Marshal fallback: %v", err)
+		t.Fatal(err)
 	}
 	got, err := Unmarshal(b)
-	if err != nil {
-		t.Fatalf("Unmarshal fallback: %v", err)
+	if err != nil || got != v {
+		t.Fatalf("test-block roundtrip: got %#v, %v", got, err)
 	}
-	if !reflect.DeepEqual(got, v) {
-		t.Fatalf("fallback roundtrip: got %#v want %#v", got, v)
+}
+
+func TestUnregisteredTypeIsError(t *testing.T) {
+	for _, v := range []any{map[string]int{"x": 3}, struct{ A string }{"q"}, int32(7), &testPair{}} {
+		_, err := Marshal(v)
+		var ee *EncodeError
+		if !errors.Is(err, ErrUnregisteredType) || !errors.As(err, &ee) {
+			t.Fatalf("Marshal(%T) = %v, want an EncodeError wrapping ErrUnregisteredType", v, err)
+		}
+		var buf bytes.Buffer
+		if err := WriteValue(&buf, v); !errors.As(err, &ee) || buf.Len() != 0 {
+			t.Fatalf("WriteValue(%T) = %v after writing %d bytes, want an EncodeError and nothing written", v, err, buf.Len())
+		}
 	}
-	if _, ok := MarshalRegistered(oddball{A: "q", B: 1}); ok {
-		t.Fatal("MarshalRegistered claimed coverage for an unregistered type")
+	// A codec's own failure is an EncodeError too, but not this one.
+	_, err := Marshal([]*big.Int{nil})
+	var ee *EncodeError
+	if !errors.As(err, &ee) || errors.Is(err, ErrUnregisteredType) {
+		t.Fatalf("Marshal of a nil scalar = %v, want a plain EncodeError", err)
 	}
-	if _, ok := MarshalRegistered(big.NewInt(9)); !ok {
-		t.Fatal("MarshalRegistered refused a registered type")
+}
+
+// legacyGobFrame builds what version 1 of the format sent for a type
+// without a codec: a type-ID-1 frame whose payload is a gob stream.
+func legacyGobFrame(t testing.TB, v any) []byte {
+	t.Helper()
+	var payload bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(&v); err != nil {
+		t.Fatal(err)
 	}
+	b := []byte{'G', 'W', Version}
+	b = AppendU16(b, 1)
+	b = AppendU32(b, uint32(payload.Len()))
+	return append(b, payload.Bytes()...)
+}
+
+func TestRetiredGobFrameRefused(t *testing.T) {
+	frame := legacyGobFrame(t, "hostile")
+	var ue *UnknownTypeError
+	if _, _, err := ConsumeValue(frame); !errors.As(err, &ue) || ue.ID != 1 {
+		t.Fatalf("ConsumeValue(type-ID-1 frame) = %v, want UnknownTypeError{1}", err)
+	}
+	if _, err := ReadValue(bytes.NewReader(frame)); !errors.As(err, &ue) || ue.ID != 1 {
+		t.Fatalf("ReadValue(type-ID-1 frame) = %v, want UnknownTypeError{1}", err)
+	}
+	// Nested inside a well-formed outer payload it fails the same way.
+	r := NewReader(frame)
+	if v := r.Value(); v != nil || !errors.As(r.Err(), &ue) {
+		t.Fatalf("Reader.Value(type-ID-1 frame) = %v, %v", v, r.Err())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Register accepted the retired type ID 1")
+		}
+	}()
+	Register(1, "squatter", nil, nil, nil)
 }
 
 func TestDeterministicEncoding(t *testing.T) {

@@ -35,8 +35,7 @@ func (t EqualityTranscript) AppendBinary(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler (gob picks this up
-// for nested transcript fields as well).
+// MarshalBinary implements encoding.BinaryMarshaler.
 func (t EqualityTranscript) MarshalBinary() ([]byte, error) {
 	return t.AppendBinary(make([]byte, 0, 128))
 }

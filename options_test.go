@@ -107,7 +107,7 @@ func TestRuntimeOptionsValidation(t *testing.T) {
 }
 
 func TestUnlinkableSortStats(t *testing.T) {
-	res, err := UnlinkableSortStats([]uint64{42, 97, 13}, SortOptions{
+	res, err := UnlinkableSort(context.Background(), []uint64{42, 97, 13}, SortOptions{
 		GroupName: "toy-dl-256", Bits: 8, Seed: "sort-stats",
 	})
 	if err != nil {

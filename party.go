@@ -21,7 +21,7 @@ import (
 // complete three-phase framework over a real TCP mesh. addrs lists
 // every party's listen address with the initiator at addrs[0] and
 // participant j at addrs[j]; each process listens on its own slot and
-// dials the rest (gob-framed full mesh). Before any crypto is spent the
+// dials the rest (a full mesh of wirecodec frames). Before any crypto is spent the
 // parties run a session-establishment round confirming they agree on
 // the group, bit widths, k and sorter — a misconfigured party surfaces
 // as a typed *AbortError with cause ErrSessionMismatch, not as garbage.
@@ -102,15 +102,6 @@ func RankInitiatorParty(ctx context.Context, q *Questionnaire, criterion Criteri
 	return res2, nil
 }
 
-// RankInitiatorPartyCtx is a thin wrapper kept for callers of the old
-// split API.
-//
-// Deprecated: RankInitiatorParty is context-first now; call it
-// directly.
-func RankInitiatorPartyCtx(ctx context.Context, q *Questionnaire, criterion Criterion, addrs []string, opts Options) (*InitiatorResult, error) {
-	return RankInitiatorParty(ctx, q, criterion, addrs, opts)
-}
-
 // RankParticipantParty runs participant me's side (1 ≤ me ≤ n, with
 // n = len(addrs)−1) of the full framework over real TCP: the masked
 // dot-product gain computation with the initiator, the
@@ -143,15 +134,6 @@ func RankParticipantParty(ctx context.Context, q *Questionnaire, addrs []string,
 		return nil, err
 	}
 	return &ParticipantResult{Rank: out.Rank, BytesOnWire: res.BytesOnWire, Rounds: res.Rounds, TraceID: res.TraceID}, nil
-}
-
-// RankParticipantPartyCtx is a thin wrapper kept for callers of the old
-// split API.
-//
-// Deprecated: RankParticipantParty is context-first now; call it
-// directly.
-func RankParticipantPartyCtx(ctx context.Context, q *Questionnaire, addrs []string, me int, profile Profile, opts Options) (*ParticipantResult, error) {
-	return RankParticipantParty(ctx, q, addrs, me, profile, opts)
 }
 
 // rankPartyParams resolves the shared options into the framework
@@ -283,14 +265,13 @@ type partyFabric interface {
 	Close()
 }
 
-// runRankParty is the shared deployment harness: it registers the wire
-// types, joins the TCP mesh as endpoint me (the plain fail-fast fabric,
-// or the reconnecting journal-backed one when recovery is on), threads
-// observability and fault injection through, runs the
-// session-establishment handshake and then this party's role, and
-// reports the endpoint's transport statistics.
+// runRankParty is the shared deployment harness: it joins the TCP mesh
+// as endpoint me (the plain fail-fast fabric, or the reconnecting
+// journal-backed one when recovery is on), threads observability and
+// fault injection through, runs the session-establishment handshake and
+// then this party's role, and reports the endpoint's transport
+// statistics.
 func runRankParty(ctx context.Context, params core.Params, o Options, addrs []string, me int, rec *recoverySession, role func(context.Context, transport.Net) error) (*ParticipantResult, error) {
-	core.RegisterWire()
 	var fab partyFabric
 	if rec != nil {
 		defer rec.journal.Close()

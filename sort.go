@@ -93,23 +93,6 @@ func UnlinkableSort(ctx context.Context, values []uint64, opts SortOptions) (*So
 	}, nil
 }
 
-// UnlinkableSortCtx is a thin wrapper kept for callers of the old split
-// API.
-//
-// Deprecated: UnlinkableSort is context-first now; call it directly.
-func UnlinkableSortCtx(ctx context.Context, values []uint64, opts SortOptions) (*SortResult, error) {
-	return UnlinkableSort(ctx, values, opts)
-}
-
-// UnlinkableSortStats is a thin wrapper kept for callers of the old
-// split API, from when UnlinkableSort returned bare ranks.
-//
-// Deprecated: UnlinkableSort returns the full SortResult; call it
-// directly.
-func UnlinkableSortStats(values []uint64, opts SortOptions) (*SortResult, error) {
-	return UnlinkableSort(context.Background(), values, opts)
-}
-
 // UnlinkableSortParty runs one party of the identity-unlinkable sorting
 // protocol over real TCP: addrs lists every party's listen address
 // (this party listens on addrs[me]), value is this party's private
@@ -131,7 +114,6 @@ func UnlinkableSortParty(ctx context.Context, addrs []string, me int, value uint
 	if err != nil {
 		return 0, err
 	}
-	unlinksort.RegisterWire()
 	fab, err := transport.NewTCPFabric(addrs, me, o.Timeout)
 	if err != nil {
 		return 0, err
@@ -153,13 +135,4 @@ func UnlinkableSortParty(ctx context.Context, addrs []string, me int, value uint
 		return 0, err
 	}
 	return res.Rank, nil
-}
-
-// UnlinkableSortPartyCtx is a thin wrapper kept for callers of the old
-// split API.
-//
-// Deprecated: UnlinkableSortParty is context-first now; call it
-// directly.
-func UnlinkableSortPartyCtx(ctx context.Context, addrs []string, me int, value uint64, opts SortOptions) (int, error) {
-	return UnlinkableSortParty(ctx, addrs, me, value, opts)
 }
