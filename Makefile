@@ -29,9 +29,13 @@ check: vet build bench-smoke test race fuzz chaos-rankd serve-demo loadtest-smok
 # The dependency check keeps wirecodec the only serializer: nothing the
 # module builds (tests aside) may pull encoding/gob back in, directly or
 # through a dependency.
+# The gofmt check names the source trees, not ".", so that the build
+# cache bench/run.sh leaves under .bench_build/ is not walked.
 vet:
 	$(GO) vet ./...
 	GOARCH=386 $(GO) vet ./internal/group/
+	@unformatted=$$(gofmt -l *.go bench cmd examples internal); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists (run gofmt -w on them):"; echo "$$unformatted"; exit 1; fi
 	@if $(GO) list -deps ./... | grep -x encoding/gob; then \
 		echo "encoding/gob is back in the dependency graph (see line above); every wire type needs a wirecodec codec"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi

@@ -202,9 +202,12 @@ func (s *Scheme) ExponentBlind(a Ciphertext, rng io.Reader) (Ciphertext, error) 
 }
 
 // ExponentBlindR is ExponentBlind with a caller-supplied blinding
-// scalar.
+// scalar. The two powers are one MultiExp batch (one inversion for both
+// components); it charges the two exponentiations ScalarMul would.
 func (s *Scheme) ExponentBlindR(a Ciphertext, r *big.Int) Ciphertext {
-	return s.ScalarMul(a, r)
+	obsv.PartyOf(s.g).Add(obsv.OpGroupExp, 2)
+	out := group.MultiExp(s.g, []group.Element{a.C, a.C1}, [][]group.Term{{{Base: 0, Exp: r}}, {{Base: 1, Exp: r}}})
+	return Ciphertext{C: out[0], C1: out[1]}
 }
 
 // PartialDecrypt strips one key layer: C → C / C1^x. After every holder
@@ -215,6 +218,46 @@ func (s *Scheme) PartialDecrypt(x *big.Int, a Ciphertext) Ciphertext {
 		C:  s.g.Op(a.C, s.g.Inv(s.g.Exp(a.C1, x))),
 		C1: a.C1,
 	}
+}
+
+// StripBlind is one chain hop's arithmetic over a batch: out[i] equals
+// ExponentBlindR(PartialDecrypt(x, cts[i]), rs[i]), element for element,
+// computed as (C^r · C1^(−x·r mod q), C1^r) — (C·C1^−x)^r multiplied
+// out, so the strip and the blind of C share one doubling chain, both
+// powers of C1 share its table, and the batch shares its inversions
+// (group.MultiExp). It charges per ciphertext what the composition
+// would: one OpDecrypt, three OpGroupExp, one OpGroupOp and one
+// OpGroupInv (the expPK precedent: the arithmetic runs on the raw
+// group).
+func (s *Scheme) StripBlind(x *big.Int, cts []Ciphertext, rs []*big.Int) []Ciphertext {
+	m := len(cts)
+	party := obsv.PartyOf(s.g)
+	party.Add(obsv.OpDecrypt, int64(m))
+	party.Add(obsv.OpGroupExp, int64(3*m))
+	party.Add(obsv.OpGroupOp, int64(m))
+	party.Add(obsv.OpGroupInv, int64(m))
+
+	// Ciphertext i is bases 2i (C) and 2i+1 (C1), and products 2i
+	// (C^r·C1^(−xr)) and 2i+1 (C1^r).
+	q := s.g.Order()
+	bases := make([]group.Element, 2*m)
+	terms := make([]group.Term, 3*m)
+	products := make([][]group.Term, 2*m)
+	for i, ct := range cts {
+		xr := new(big.Int).Mul(x, rs[i])
+		xr.Neg(xr).Mod(xr, q)
+		c, c1 := 2*i, 2*i+1
+		bases[c], bases[c1] = ct.C, ct.C1
+		t := terms[3*i : 3*i+3]
+		t[0], t[1], t[2] = group.Term{Base: c, Exp: rs[i]}, group.Term{Base: c1, Exp: xr}, group.Term{Base: c1, Exp: rs[i]}
+		products[c], products[c1] = t[:2], t[2:]
+	}
+	els := group.MultiExp(s.g, bases, products)
+	out := make([]Ciphertext, m)
+	for i := range out {
+		out[i] = Ciphertext{C: els[2*i], C1: els[2*i+1]}
+	}
+	return out
 }
 
 // RecoverExp decrypts an exponent ciphertext under the (possibly joint)

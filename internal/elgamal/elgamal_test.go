@@ -393,3 +393,89 @@ func TestDecryptSmallZeroBound(t *testing.T) {
 		t.Errorf("bound 0 must still find m=0: got %d ok=%v", got, ok)
 	}
 }
+
+// hopBatch is a chunk of sixteen exponent ciphertexts under a fresh key,
+// with the blinding scalars of one chain hop.
+func hopBatch(tb testing.TB, g group.Group) (*Scheme, *KeyPair, []Ciphertext, []*big.Int) {
+	tb.Helper()
+	s := NewScheme(g)
+	rng := fixedbig.NewDRBG("hop-batch-" + g.Name())
+	key, err := s.GenerateKey(rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cts := make([]Ciphertext, 16)
+	rs := make([]*big.Int, len(cts))
+	for i := range cts {
+		if cts[i], err = s.EncryptExp(key.Y, big.NewInt(int64(i%3)), rng); err != nil {
+			tb.Fatal(err)
+		}
+		if rs[i], err = g.RandomScalar(rng); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return s, key, cts, rs
+}
+
+// composedHop is StripBlind's definition: strip, then blind, one
+// ciphertext at a time.
+func composedHop(s *Scheme, x *big.Int, cts []Ciphertext, rs []*big.Int) []Ciphertext {
+	out := make([]Ciphertext, len(cts))
+	for i, ct := range cts {
+		out[i] = s.ExponentBlindR(s.PartialDecrypt(x, ct), rs[i])
+	}
+	return out
+}
+
+func TestStripBlindMatchesComposition(t *testing.T) {
+	toy, err := group.ToyDL256()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1(), toy} {
+		s, key, cts, rs := hopBatch(t, g)
+		got, want := s.StripBlind(key.X, cts, rs), composedHop(s, key.X, cts, rs)
+		for i := range want {
+			if !g.Equal(got[i].C, want[i].C) || !g.Equal(got[i].C1, want[i].C1) {
+				t.Errorf("%s: ciphertext %d differs from ExponentBlindR(PartialDecrypt(·))", g.Name(), i)
+			}
+		}
+		if len(s.StripBlind(key.X, nil, nil)) != 0 {
+			t.Errorf("%s: an empty batch must stay empty", g.Name())
+		}
+	}
+}
+
+// TestStripBlindAllocs: the fused hop's per-call scratch (tables,
+// recodings) must not cost more allocations than the composition's
+// per-operation results did.
+func TestStripBlindAllocs(t *testing.T) {
+	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1()} {
+		s, key, cts, rs := hopBatch(t, g)
+		fused := testing.AllocsPerRun(5, func() { s.StripBlind(key.X, cts, rs) })
+		composed := testing.AllocsPerRun(5, func() { composedHop(s, key.X, cts, rs) })
+		if fused > composed {
+			t.Errorf("%s: a fused chunk makes %.0f allocations, the composition %.0f", g.Name(), fused, composed)
+		}
+	}
+}
+
+// BenchmarkStripBlind sets one chain hop over sixteen ciphertexts
+// against the strip-then-blind composition it replaces.
+func BenchmarkStripBlind(b *testing.B) {
+	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1()} {
+		s, key, cts, rs := hopBatch(b, g)
+		b.Run(g.Name()+"/fused-x16", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.StripBlind(key.X, cts, rs)
+			}
+		})
+		b.Run(g.Name()+"/composed-x16", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				composedHop(s, key.X, cts, rs)
+			}
+		})
+	}
+}

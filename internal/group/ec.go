@@ -267,6 +267,12 @@ func (g *ECGroup) jacNeg(p jacPoint) jacPoint {
 // (width 5, kernel), which matters because the unlinkable comparison
 // phase performs O(l·n²) of these.
 func (g *ECGroup) Exp(a Element, k *big.Int) Element {
+	if k.Sign() < 0 {
+		// k·P = −(|k|·P): a short negative scalar (the comparison
+		// circuit's −weight) stays short, where reducing it modulo n
+		// would make it a full-width one.
+		return g.Inv(g.Exp(a, new(big.Int).Neg(k)))
+	}
 	pt := g.unwrap(a)
 	if !pt.inf && pt.x.Cmp(g.gx) == 0 && pt.y.Cmp(g.gy) == 0 {
 		// Fixed-base fast path for the generator (see dl.go): one
@@ -275,7 +281,7 @@ func (g *ECGroup) Exp(a Element, k *big.Int) Element {
 		return generatorTable(g).Exp(k)
 	}
 	e := k
-	if k.Sign() < 0 || k.Cmp(g.n) >= 0 {
+	if k.Cmp(g.n) >= 0 {
 		e = new(big.Int).Mod(k, g.n)
 	}
 	if e.Sign() == 0 || pt.inf {

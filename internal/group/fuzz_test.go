@@ -118,3 +118,47 @@ func FuzzExpAgainstGeneric(f *testing.F) {
 		checkExpAgainstGeneric(t, g, oracle, base, k)
 	})
 }
+
+// FuzzMultiExpAgainstGeneric holds MultiExp on the kernel — the shared
+// Straus chain, the batch-normalised tables, the signed and over-order
+// scalars — to the math/big composition on each named curve. The seeds
+// are the cases the shared chain must survive: identity inputs, c = ±c1
+// (addition's doubling and infinity branches met mid-chain), x·r ≡ 0
+// (mod n), negative, zero, one-bit and over-order scalars, and
+// unreduced coordinates.
+func FuzzMultiExpAgainstGeneric(f *testing.F) {
+	curves := kernelCurves()
+	oracles := make([]*ECGroup, len(curves))
+	for which, g := range curves {
+		oracles[which] = genericOf(g)
+		w := uint8(which)
+		scalars := append(edgeScalars(g.n), big.NewInt(1<<40))
+		for sel := uint8(0); sel < 6; sel++ {
+			for i, r := range scalars {
+				x := scalars[(i+int(sel)+1)%len(scalars)]
+				f.Add(w, sel, i%2 == 1, r.Sign() < 0, new(big.Int).Abs(r).Bytes(), x.Sign() < 0, new(big.Int).Abs(x).Bytes())
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, which, sel uint8, wide, negR bool, rBytes []byte, negX bool, xBytes []byte) {
+		if len(rBytes) > 48 || len(xBytes) > 48 {
+			return
+		}
+		g, oracle := curves[int(which)%len(curves)], oracles[int(which)%len(curves)]
+		r, x := new(big.Int).SetBytes(rBytes), new(big.Int).SetBytes(xBytes)
+		if negR {
+			r.Neg(r)
+		}
+		if negX {
+			x.Neg(x)
+		}
+		a := oracle.Exp(g.Generator(), new(big.Int).Xor(r, big.NewInt(0x5A)))
+		b := oracle.Exp(g.Generator(), new(big.Int).Xor(x, big.NewInt(int64(sel)<<8|0xA5)))
+		c, c1 := hopPair(g, sel, a, b)
+		kc, kc1 := c, c1
+		if wide {
+			kc, kc1 = unreduced(g, c), unreduced(g, c1)
+		}
+		checkMultiExpAgainstGeneric(t, g, oracle, kc, kc1, c, c1, r, x)
+	})
+}

@@ -5,10 +5,11 @@ import "math/big"
 // The limb curve kernel: Jacobian point arithmetic over montField for
 // short-Weierstrass curves with a = −3, the shape of every named curve
 // in curves.go. NewECGroup attaches one to each group it can serve, and
-// Exp, Op and the fixed-base comb then run here on stack values instead
-// of on the math/big code in ec.go. Elements stay affine big.Int pairs
+// Exp, Op, MultiExp (multiexp.go) and the fixed-base comb then run here
+// on limb values instead of on the math/big code in ec.go. Elements stay affine big.Int pairs
 // outside, so encodings and protocol transcripts do not depend on which
-// path computed them; FuzzExpAgainstGeneric holds the two paths equal.
+// path computed them; FuzzExpAgainstGeneric and
+// FuzzMultiExpAgainstGeneric hold the two paths equal.
 
 // curveKernel is the arithmetic engine of one curve.
 type curveKernel struct {
@@ -72,6 +73,15 @@ func (k *curveKernel) lower(pt *jacPt) ecPoint {
 	var a affPt
 	k.inv(&zi, &pt.z)
 	k.scale(&a, pt, &zi)
+	return k.element(&a)
+}
+
+// element leaves the kernel: the affine point as the big.Int pair the
+// rest of the package holds.
+func (k *curveKernel) element(a *affPt) ecPoint {
+	if a.inf {
+		return ecPoint{inf: true}
+	}
 	return ecPoint{x: k.toBig(&a.x), y: k.toBig(&a.y)}
 }
 
@@ -85,28 +95,27 @@ func (k *curveKernel) scale(a *affPt, pt *jacPt, zi *fe) {
 }
 
 // normalise projects a batch of Jacobian points to affine with one
-// shared inversion (Montgomery's trick): prefix[i] holds the product of
-// every earlier non-zero Z, so inverting the full product and walking
-// back peels off one Z⁻¹ per point for two multiplications.
+// shared inversion (Montgomery's trick): out[i].x first holds the
+// product of every earlier non-zero Z, so inverting the full product and
+// walking back peels off one Z⁻¹ per point for two multiplications.
 func (k *curveKernel) normalise(pts []jacPt) []affPt {
-	prefix := make([]fe, len(pts))
+	out := make([]affPt, len(pts))
 	acc := k.one
 	for i := range pts {
-		prefix[i] = acc
+		out[i].x = acc
 		if !pts[i].z.isZero() {
 			k.mul(&acc, &acc, &pts[i].z)
 		}
 	}
 	k.inv(&acc, &acc)
-	out := make([]affPt, len(pts))
 	for i := len(pts) - 1; i >= 0; i-- {
 		pt := &pts[i]
 		if pt.z.isZero() {
-			out[i].inf = true
+			out[i] = affPt{inf: true}
 			continue
 		}
 		var zi fe
-		k.mul(&zi, &acc, &prefix[i])
+		k.mul(&zi, &acc, &out[i].x)
 		k.mul(&acc, &acc, &pt.z)
 		k.scale(&out[i], pt, &zi)
 	}
@@ -256,19 +265,21 @@ func wnafRecode(digits *[257]int8, e *fe) int {
 }
 
 // scalarMul sets r = e·base for a variable base: a table of the odd
-// multiples 1P, 3P, …, 15P, then one doubling per digit of e's wNAF
-// and one addition per non-zero digit.
+// multiples 1P, 3P, … up to the largest digit of e's wNAF (all of
+// 1P … 15P for a full-width scalar, one or two entries for the
+// comparison circuit's 5-bit weights), then one doubling per digit and
+// one addition per non-zero digit.
 func (k *curveKernel) scalarMul(r *jacPt, base *affPt, e *fe) {
-	var pre [1 << (wnafWidth - 2)]jacPt
-	pre[0] = k.toJac(base)
-	var twice jacPt
-	k.double(&twice, &pre[0])
-	for i := 1; i < len(pre); i++ {
-		k.addJac(&pre[i], &pre[i-1], &twice)
-	}
 	var digits [257]int8
+	n := wnafRecode(&digits, e)
+	var largest int8
+	for _, d := range digits[:n] {
+		largest = max(largest, d, -d)
+	}
+	var pre [tableSize]jacPt
+	k.oddMultiples(pre[:largest>>1+1], base)
 	*r = jacPt{}
-	for i := wnafRecode(&digits, e) - 1; i >= 0; i-- {
+	for i := n - 1; i >= 0; i-- {
 		k.double(r, r)
 		switch d := digits[i]; {
 		case d > 0:

@@ -42,6 +42,110 @@ func checkExpAgainstGeneric(t testing.TB, g, oracle *ECGroup, base Element, k *b
 	}
 }
 
+// checkMultiExpAgainstGeneric holds the kernel's MultiExp to the
+// math/big composition of Exp and Op on the two shapes the protocol
+// evaluates: the chain hop (c^r·c1^(−x·r mod n), c1^r), two products
+// sharing c1's table and r's recoding, and a bare double exponentiation
+// c^r·c1^x with both scalars taken as given (signed, over the order).
+// kc and kc1 are what the kernel is handed for c and c1: the same
+// points, possibly with unreduced coordinates.
+func checkMultiExpAgainstGeneric(t testing.TB, g, oracle *ECGroup, kc, kc1, c, c1 Element, r, x *big.Int) {
+	t.Helper()
+	s := new(big.Int).Mul(x, r)
+	s.Neg(s).Mod(s, g.n)
+	products := [][]Term{
+		{{0, r}, {1, s}},
+		{{1, r}},
+		{{0, r}, {1, x}},
+		{},
+	}
+	got := MultiExp(g, []Element{kc, kc1}, products)
+	want := MultiExp(oracle, []Element{c, c1}, products)
+	for i := range want {
+		if !oracle.Equal(got[i], want[i]) {
+			t.Fatalf("%s: MultiExp product %d of c=%v c1=%v r=%s x=%s: kernel %v, math/big %v",
+				g.name, i, c, c1, r, x, got[i], want[i])
+		}
+	}
+	// The hop identity itself: strip with x, then blind with r.
+	stripped := oracle.Op(c, oracle.Inv(oracle.Exp(c1, x)))
+	if !oracle.Equal(got[0], oracle.Exp(stripped, r)) {
+		t.Fatalf("%s: fused hop of c=%v c1=%v r=%s x=%s is not (c·c1^−x)^r", g.name, c, c1, r, x)
+	}
+}
+
+// unreduced returns pt with its coordinates shifted by multiples of p,
+// as a hostile peer could send them before Validate rejects them.
+func unreduced(g *ECGroup, e Element) Element {
+	pt := e.(ecPoint)
+	if pt.inf {
+		return pt
+	}
+	wide := new(big.Int).Lsh(g.p, 300)
+	return ecPoint{x: new(big.Int).Add(pt.x, g.p), y: new(big.Int).Add(pt.y, wide)}
+}
+
+// hopPair picks the (c, c1) of a MultiExp check: an unrelated pair, the
+// pairs whose shared chain meets addition's doubling (c = c1) and
+// infinity (c = −c1) branches, and identities on either or both sides.
+func hopPair(g *ECGroup, sel uint8, a, b Element) (c, c1 Element) {
+	switch sel % 6 {
+	case 0:
+		return a, b
+	case 1:
+		return b, b
+	case 2:
+		return g.Inv(b), b
+	case 3:
+		return g.Identity(), b
+	case 4:
+		return a, g.Identity()
+	default:
+		return g.Identity(), g.Identity()
+	}
+}
+
+func TestMultiExpMatchesGeneric(t *testing.T) {
+	for _, g := range kernelCurves() {
+		oracle := genericOf(g)
+		rng := fixedbig.NewDRBG("multiexp-vs-generic-" + g.name)
+		a := g.Exp(g.Generator(), mustScalar(t, g, rng))
+		b := g.Exp(g.Generator(), mustScalar(t, g, rng))
+		scalars := append(edgeScalars(g.n), big.NewInt(1<<40), mustScalar(t, g, rng), mustScalar(t, g, rng))
+		for sel := uint8(0); sel < 6; sel++ {
+			c, c1 := hopPair(g, sel, a, b)
+			for i, r := range scalars {
+				// Each edge scalar against a different one per pair shape.
+				x := scalars[(i+int(sel)+1)%len(scalars)]
+				checkMultiExpAgainstGeneric(t, g, oracle, c, c1, c, c1, r, x)
+			}
+			r, x := mustScalar(t, g, rng), mustScalar(t, g, rng)
+			checkMultiExpAgainstGeneric(t, g, oracle, unreduced(g, c), unreduced(g, c1), c, c1, r, x)
+		}
+	}
+}
+
+// TestMultiExpFallbackComposes pins the other side of the dispatch: a
+// group without the kernel gets exactly the Exp/Op composition.
+func TestMultiExpFallbackComposes(t *testing.T) {
+	toy, err := ToyDL256()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []Group{toy, Secp160r1Generic()} {
+		rng := fixedbig.NewDRBG("multiexp-fallback-" + g.Name())
+		a, b := ExpGen(g, mustScalar(t, g, rng)), ExpGen(g, mustScalar(t, g, rng))
+		r, s := mustScalar(t, g, rng), big.NewInt(-7)
+		got := MultiExp(g, []Element{a, b}, [][]Term{{{0, r}, {1, s}}, {{1, r}}, {}})
+		want := []Element{g.Op(g.Exp(a, r), g.Exp(b, s)), g.Exp(b, r), g.Identity()}
+		for i := range want {
+			if !g.Equal(got[i], want[i]) {
+				t.Errorf("%s: product %d differs from the composition", g.Name(), i)
+			}
+		}
+	}
+}
+
 // edgeScalars are the exponents where reduction, recoding and the comb
 // change behaviour.
 func edgeScalars(n *big.Int) []*big.Int {
@@ -235,9 +339,8 @@ func TestKernelHandlesUnreducedCoordinates(t *testing.T) {
 	// them as the math/big path does, never panic.
 	g := Secp160r1()
 	oracle := genericOf(g)
-	h := g.Exp(g.Generator(), big.NewInt(12345)).(ecPoint)
-	wide := new(big.Int).Lsh(g.p, 300)
-	bad := ecPoint{x: new(big.Int).Add(h.x, g.p), y: new(big.Int).Add(h.y, wide)}
+	h := g.Exp(g.Generator(), big.NewInt(12345))
+	bad := unreduced(g, h)
 	k := big.NewInt(99)
 	if !oracle.Equal(g.Exp(bad, k), oracle.Exp(h, k)) {
 		t.Fatal("Exp on unreduced coordinates disagrees with the reduced point")
@@ -306,6 +409,51 @@ func BenchmarkExp(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				g.Op(h, h)
+			}
+		})
+	}
+}
+
+// BenchmarkMultiExp sets the chain hop's arithmetic as one MultiExp
+// batch against the Exp/Op/Inv composition it replaces, sixteen
+// ciphertexts (c, c1) per operation on both benchmark curves:
+// (c^r·c1^s, c1^r) against ((c·(c1^x)⁻¹)^r, c1^r).
+func BenchmarkMultiExp(b *testing.B) {
+	const batch = 16
+	for _, g := range []*ECGroup{Secp160r1(), Secp256r1()} {
+		rng := fixedbig.NewDRBG("bench-multiexp")
+		scalar := func() *big.Int {
+			k, err := g.RandomScalar(rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return k
+		}
+		x := scalar()
+		bases := make([]Element, 2*batch)
+		rs := make([]*big.Int, batch)
+		var products [][]Term
+		for i := range rs {
+			bases[2*i], bases[2*i+1] = ExpGen(g, scalar()), ExpGen(g, scalar())
+			rs[i] = scalar()
+			s := new(big.Int).Mul(x, rs[i])
+			s.Neg(s).Mod(s, g.n)
+			products = append(products, []Term{{2 * i, rs[i]}, {2*i + 1, s}}, []Term{{2*i + 1, rs[i]}})
+		}
+		b.Run(g.name+"/fused-x16", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MultiExp(g, bases, products)
+			}
+		})
+		b.Run(g.name+"/composed-x16", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j, r := range rs {
+					c, c1 := bases[2*j], bases[2*j+1]
+					g.Exp(g.Op(c, g.Inv(g.Exp(c1, x))), r)
+					g.Exp(c1, r)
+				}
 			}
 		})
 	}

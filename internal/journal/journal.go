@@ -136,9 +136,9 @@ var fileMagic = []byte("GRJL2\n")
 // for concurrent use (the transport's reader pumps append receives
 // while the protocol goroutine appends sends).
 type Journal struct {
-	mu     sync.Mutex
-	f      *os.File
-	w      *bufio.Writer
+	mu      sync.Mutex
+	f       *os.File
+	w       *bufio.Writer
 	path    string
 	closed  bool
 	tm      *journalMetrics

@@ -44,22 +44,22 @@ type Op int
 // packages via PartyOf; SS ops by the ssmpc engine; field
 // multiplications by dotprod; messages/bytes by the net wrapper.
 const (
-	OpGroupExp Op = iota // group exponentiations
-	OpGroupOp            // group multiplications / point additions
-	OpGroupInv           // group inversions
-	OpEncrypt            // ElGamal encryptions (incl. re-randomisations)
-	OpDecrypt            // ElGamal (partial) decryptions
-	OpProofMade          // Schnorr / Chaum–Pedersen proofs produced
-	OpProofChecked       // proofs verified
-	OpSSMul              // SS multiplication-protocol invocations
-	OpSSOpen             // SS openings
-	OpSSRound            // SS communication rounds
-	OpFieldMul           // dot-product field multiplications
-	OpMsgSent            // messages sent
-	OpByteSent           // bytes sent
-	OpEchoMsgSent        // echo sub-round messages sent (consistency overhead)
-	OpEchoByteSent       // echo sub-round bytes sent
-	OpRecvWait           // microseconds spent blocked in receives
+	OpGroupExp     Op = iota // group exponentiations
+	OpGroupOp                // group multiplications / point additions
+	OpGroupInv               // group inversions
+	OpEncrypt                // ElGamal encryptions (incl. re-randomisations)
+	OpDecrypt                // ElGamal (partial) decryptions
+	OpProofMade              // Schnorr / Chaum–Pedersen proofs produced
+	OpProofChecked           // proofs verified
+	OpSSMul                  // SS multiplication-protocol invocations
+	OpSSOpen                 // SS openings
+	OpSSRound                // SS communication rounds
+	OpFieldMul               // dot-product field multiplications
+	OpMsgSent                // messages sent
+	OpByteSent               // bytes sent
+	OpEchoMsgSent            // echo sub-round messages sent (consistency overhead)
+	OpEchoByteSent           // echo sub-round bytes sent
+	OpRecvWait               // microseconds spent blocked in receives
 	numOps
 )
 

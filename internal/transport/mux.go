@@ -940,8 +940,8 @@ func newMuxMetrics(reg *telemetry.Registry) *muxMetrics {
 		return &muxMetrics{}
 	}
 	return &muxMetrics{
-		connects: reg.CounterVec("mux_link_connects_total", "Mux link establishments per peer — stays at 1 per peer for the daemon's lifetime when sessions truly share the connection.", "peer"),
-		linkUp:   reg.GaugeVec("mux_link_up", "Mux link state per peer: 1 connected, 0 down.", "peer"),
+		connects:     reg.CounterVec("mux_link_connects_total", "Mux link establishments per peer — stays at 1 per peer for the daemon's lifetime when sessions truly share the connection.", "peer"),
+		linkUp:       reg.GaugeVec("mux_link_up", "Mux link state per peer: 1 connected, 0 down.", "peer"),
 		dataFrames:   nilCounter{reg.Counter("mux_data_frames_total", "Session data frames received over all mux links.")},
 		ctrlFrames:   nilCounter{reg.Counter("mux_control_frames_total", "Control-plane frames received over all mux links.")},
 		sessionMsgs:  nilCounter{reg.Counter("mux_session_msgs_total", "Session protocol messages sent by this daemon across all sessions.")},

@@ -222,7 +222,7 @@ type RecoveringTCPFabric struct {
 
 	ln net.Listener
 
-	mu       sync.Mutex
+	mu        sync.Mutex
 	msgs      int64
 	bytes     int64
 	maxRound  int

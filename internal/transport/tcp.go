@@ -41,15 +41,15 @@ type TCPFabric struct {
 
 	timeout time.Duration
 
-	mu       sync.Mutex
+	mu        sync.Mutex
 	msgs      int64
 	bytes     int64
 	maxRound  int
 	rounds    map[int]RoundStats
 	echoMsgs  int64
 	echoBytes int64
-	recvErr  []error // first reader-pump error per peer
-	tm       *netMetrics
+	recvErr   []error // first reader-pump error per peer
+	tm        *netMetrics
 
 	// lastSeen[peer] is the unix-nano time of the last frame the reader
 	// pump decoded from that peer (atomic; 0 before first contact).
@@ -96,11 +96,11 @@ func NewTCPFabric(addrs []string, me int, timeout time.Duration) (*TCPFabric, er
 		return nil, err
 	}
 	f := &TCPFabric{
-		n:       n,
-		me:      me,
-		conns:   make([]net.Conn, n),
-		encMu:   make([]sync.Mutex, n),
-		inbox:   make([]chan envelope, n),
+		n:        n,
+		me:       me,
+		conns:    make([]net.Conn, n),
+		encMu:    make([]sync.Mutex, n),
+		inbox:    make([]chan envelope, n),
 		timeout:  timeout,
 		rounds:   make(map[int]RoundStats),
 		recvErr:  make([]error, n),

@@ -42,7 +42,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := Config{Group: g, L: 5, ProveDecryption: proofs, Workers: 1}
 			serial := run(t, cfg)
-			for _, w := range []int{2, 8} {
+			for _, w := range []int{2, 7} {
 				cfg.Workers = w
 				got := run(t, cfg)
 				if !reflect.DeepEqual(serial, got) {

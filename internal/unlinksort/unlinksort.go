@@ -915,21 +915,46 @@ func verifyChainHop(cfg Config, scheme *elgamal.Scheme, me, prev, round int, pre
 	return nil
 }
 
+// hopChunk caps how many ciphertexts of a set one StripBlind call
+// takes: enough that the call's two field inversions vanish in the
+// per-ciphertext average, few enough that its tables stay in tens of
+// kilobytes.
+const hopChunk = 16
+
+// hopChunkSize is how many ciphertexts of an n-ciphertext set each
+// StripBlind call of a hop takes: on a group whose MultiExp batches,
+// the set split into a whole number of near-equal chunks per worker, none
+// above hopChunk; one ciphertext a call elsewhere, where a batch shares
+// nothing and the finest fan-out balances best. Every element leaves
+// StripBlind in canonical form, so the output does not depend on the
+// split.
+func hopChunkSize(g group.Group, n, workers int) int {
+	if !group.MultiExpBatches(g) || n == 0 {
+		return 1
+	}
+	workers = min(workers, n)
+	perWorker := (n + workers*hopChunk - 1) / (workers * hopChunk)
+	chunks := workers * perWorker
+	return (n + chunks - 1) / chunks
+}
+
 // processSet strips this party's key layer from every ciphertext,
 // exponent-blinds it (zero plaintexts stay zero, everything else becomes
 // uniformly random), and applies a fresh random permutation. The strip
-// and blind — four random-base exponentiations per ciphertext, the bulk
-// of the protocol's serial chain cost — fan out across workers; the
-// blinding scalars are pre-drawn in index order and the shuffle draws
-// after them, exactly the reference sequence.
+// and blind — three random-base exponentiations per ciphertext, the bulk
+// of the protocol's serial chain cost — fan out across workers a chunk
+// at a time; the blinding scalars are pre-drawn in index order and the
+// shuffle draws after them, exactly the reference sequence.
 func processSet(ctx context.Context, cfg Config, scheme *elgamal.Scheme, x *big.Int, set []elgamal.Ciphertext, rng io.Reader) ([]elgamal.Ciphertext, error) {
 	blinds, err := drawScalars(scheme, len(set), rng)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]elgamal.Ciphertext, len(set))
-	if err := kernel.Map(ctx, cfg.Workers, len(set), func(i int) error {
-		out[i] = scheme.ExponentBlindR(scheme.PartialDecrypt(x, set[i]), blinds[i])
+	size := hopChunkSize(cfg.Group, len(set), kernel.Workers(cfg.Workers))
+	if err := kernel.Map(ctx, cfg.Workers, (len(set)+size-1)/size, func(c int) error {
+		lo, hi := c*size, min((c+1)*size, len(set))
+		copy(out[lo:hi], scheme.StripBlind(x, set[lo:hi], blinds[lo:hi]))
 		return nil
 	}); err != nil {
 		return nil, transport.AnnotatePhase(err, PhaseChain)

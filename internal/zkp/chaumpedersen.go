@@ -73,12 +73,27 @@ func ProveEqualityR(g group.Group, x *big.Int, st EqualityStatement, r, c *big.I
 // VerifyEquality checks a transcript against the statement.
 func VerifyEquality(g group.Group, st EqualityStatement, t EqualityTranscript) bool {
 	obsv.PartyOf(g).Add(obsv.OpProofChecked, 1)
-	// g^s = a · y^c
-	if !g.Equal(group.ExpGen(g, t.Response), g.Op(t.CommitG, g.Exp(st.Y, t.Challenge))) {
-		return false
+	// g^s·y^−c = a and h^s·z^−c = b, one MultiExp batch.
+	lhs := doubleExps(g, t.Response, new(big.Int).Neg(t.Challenge), [][2]group.Element{{g.Generator(), st.Y}, {st.H, st.Z}})
+	return g.Equal(lhs[0], t.CommitG) && g.Equal(lhs[1], t.CommitH)
+}
+
+// doubleExps returns a^s·b^c for every pair (a, b): the verification
+// equations' double exponentiations, each one shared doubling chain on
+// the kernel curves. It charges per pair the two exponentiations and one
+// multiplication the composition g.Op(g.Exp(a, s), g.Exp(b, c)) would
+// (MultiExp runs on the raw group).
+func doubleExps(g group.Group, s, c *big.Int, pairs [][2]group.Element) []group.Element {
+	party := obsv.PartyOf(g)
+	party.Add(obsv.OpGroupExp, int64(2*len(pairs)))
+	party.Add(obsv.OpGroupOp, int64(len(pairs)))
+	bases := make([]group.Element, 0, 2*len(pairs))
+	products := make([][]group.Term, len(pairs))
+	for i, p := range pairs {
+		bases = append(bases, p[0], p[1])
+		products[i] = []group.Term{{Base: 2 * i, Exp: s}, {Base: 2*i + 1, Exp: c}}
 	}
-	// h^s = b · z^c
-	return g.Equal(g.Exp(st.H, t.Response), g.Op(t.CommitH, g.Exp(st.Z, t.Challenge)))
+	return group.MultiExp(g, bases, products)
 }
 
 // ProvePartialDecryption proves that stripped = c / c1^x was derived

@@ -80,13 +80,13 @@ func NewChallenge(g group.Group, rng io.Reader) (*big.Int, error) {
 	return c, nil
 }
 
-// Verify checks g^z = h·y^(Σc_j) for public key y, commitment h,
-// challenge shares and response z.
+// Verify checks g^z = h·y^(Σc_j), as g^z·y^(−Σc_j) = h, for public key
+// y, commitment h, challenge shares and response z.
 func Verify(g group.Group, y, h group.Element, challenges []*big.Int, z *big.Int) bool {
 	obsv.PartyOf(g).Add(obsv.OpProofChecked, 1)
-	lhs := group.ExpGen(g, z)
-	rhs := g.Op(h, g.Exp(y, sumMod(challenges, g.Order())))
-	return g.Equal(lhs, rhs)
+	c := sumMod(challenges, g.Order())
+	lhs := doubleExps(g, z, c.Neg(c), [][2]group.Element{{g.Generator(), y}})
+	return g.Equal(lhs[0], h)
 }
 
 // VerifyTranscript checks a complete recorded interaction.
