@@ -29,6 +29,9 @@ check: vet build bench-smoke test race fuzz chaos-rankd serve-demo loadtest-smok
 # The dependency check keeps wirecodec the only serializer: nothing the
 # module builds (tests aside) may pull encoding/gob back in, directly or
 # through a dependency.
+# The socket check keeps link.go the only TCP stack: nothing else in
+# internal/transport (tests aside) may listen, dial or accept, so a
+# second copy of mesh formation cannot grow back unnoticed.
 # The gofmt check names the source trees, not ".", so that the build
 # cache bench/run.sh leaves under .bench_build/ is not walked.
 vet:
@@ -38,6 +41,9 @@ vet:
 		echo "gofmt -l lists (run gofmt -w on them):"; echo "$$unformatted"; exit 1; fi
 	@if $(GO) list -deps ./... | grep -x encoding/gob; then \
 		echo "encoding/gob is back in the dependency graph (see line above); every wire type needs a wirecodec codec"; exit 1; fi
+	@sockets=$$(grep -lE 'net\.(Listen|Dial|DialTimeout|Dialer)\b|\.Accept\(\)|\.DialContext\(' internal/transport/*.go | grep -v _test.go | tr '\n' ' '); \
+	if [ "$$sockets" != "internal/transport/link.go " ]; then \
+		echo "listen/dial/accept calls in internal/transport belong in link.go alone, found in: $$sockets"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:

@@ -22,103 +22,59 @@ import (
 // unregistered is a payload type nobody gave a codec.
 type unregistered struct{ X int }
 
-// testLink is one direction (party 0 → party 1) of a two-party stack.
-type testLink struct {
-	send func(round int, payload any) error
-	recv func(ctx context.Context, round int) (any, error)
-	// up reports whether the sender still considers the link healthy.
-	up func() bool
-}
+// linkUp reports whether party 0's endpoint still considers its link to
+// party 1 healthy.
+func linkUp(e stackEnd) bool { return e.Health()[0].State == telemetry.StateConnected }
 
-func netLink(a, b Net, up func() bool) testLink {
-	return testLink{
-		send: func(round int, p any) error { return a.Send(round, 0, 1, 8, p) },
-		recv: func(ctx context.Context, round int) (any, error) { return b.RecvCtx(ctx, 1, 0, round) },
-		up:   up,
-	}
-}
-
-// TestEncodeFaultBlamesNobody: on every stack, sending a value of an
-// unregistered type fails at the sender with the codec's typed error —
-// not an AbortError accusing the destination, not ErrPeerDown — and the
-// link it was meant for carries the next, registered, send as if
-// nothing had happened.
+// TestEncodeFaultBlamesNobody: on every stack (and on the mux control
+// lane), sending a value of an unregistered type fails at the sender
+// with the codec's typed error — not an AbortError accusing the
+// destination, not ErrPeerDown — and the link it was meant for carries
+// the next, registered, send as if nothing had happened.
 func TestEncodeFaultBlamesNobody(t *testing.T) {
-	defer leakcheck.Check(t)
-	withJournal := func(_ int, o *RecoverOptions) { o.Journal = newMemJournal() }
-	stacks := map[string]func(t *testing.T) testLink{
-		"tcp": func(t *testing.T) testLink {
-			f := buildMesh(t, 2)
-			return netLink(f[0], f[1], func() bool { return f[0].Health()[0].State == telemetry.StateConnected })
-		},
-		"mux": func(t *testing.T) testLink {
-			muxes := muxMesh(t, 2, func(int) MuxOptions { return MuxOptions{} })
-			s := openAll(t, muxes, "s")
-			return netLink(s[0], s[1], func() bool { return muxes[0].Health()[0].State == telemetry.StateConnected })
-		},
-		"mux control": func(t *testing.T) testLink {
-			muxes := muxMesh(t, 2, func(int) MuxOptions { return MuxOptions{} })
-			return testLink{
-				send: func(_ int, p any) error { return muxes[0].SendControl(1, p) },
-				recv: func(ctx context.Context, _ int) (any, error) {
-					select {
-					case msg := <-muxes[1].Control():
-						return msg.Payload, nil
-					case <-ctx.Done():
-						return nil, ctx.Err()
-					}
-				},
-				up: func() bool { return muxes[0].Health()[0].State == telemetry.StateConnected },
-			}
-		},
-		"recovering": func(t *testing.T) testLink {
-			_, f := buildRecoveryMesh(t, 2, nil)
-			return netLink(f[0], f[1], f[0].allUp)
-		},
-		"recovering journaled": func(t *testing.T) testLink {
-			_, f := buildRecoveryMesh(t, 2, withJournal)
-			return netLink(f[0], f[1], f[0].allUp)
-		},
-		"mux recovering": func(t *testing.T) testLink {
-			addrs, err := FreeLoopbackAddrs(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			muxes := recoveringMesh(t, addrs, []int{1, 1}, 10*time.Second)
-			var s [2]*MuxSession
-			for i, m := range muxes {
-				t.Cleanup(m.Close)
-				if s[i], err = m.OpenRecovering("s", 0, newMemJournal()); err != nil {
-					t.Fatal(err)
+	check := func(t *testing.T, send func(payload any) error, recv func(context.Context) (any, error), up func() bool) {
+		err := send(unregistered{X: 1})
+		if !errors.Is(err, wirecodec.ErrUnregisteredType) {
+			t.Fatalf("send of an unregistered type = %v, want ErrUnregisteredType", err)
+		}
+		if ae, accused := IsAbort(err); accused || errors.Is(err, ErrPeerDown) {
+			t.Fatalf("local encode failure blamed the peer: %v (abort %+v)", err, ae)
+		}
+		if !up() {
+			t.Fatal("local encode failure took the link down")
+		}
+		if err := send(wirePayload{Text: "after"}); err != nil {
+			t.Fatalf("registered send after the encode failure: %v", err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		got, err := recv(ctx)
+		if err != nil || got != (wirePayload{Text: "after"}) {
+			t.Fatalf("receive after the encode failure: %#v, %v", got, err)
+		}
+	}
+	eachStack(t, func(t *testing.T, s tcpStack) {
+		ends := s.build(t, 2, stackTimeout)
+		check(t,
+			func(p any) error { return ends[0].Send(1, 0, 1, 8, p) },
+			func(ctx context.Context) (any, error) { return ends[1].RecvCtx(ctx, 1, 0, 1) },
+			func() bool { return linkUp(ends[0]) })
+	})
+	t.Run("mux control", func(t *testing.T) {
+		leakcheck.Check(t)
+		muxes := muxMesh(t, 2, func(int) MuxOptions { return MuxOptions{} })
+		check(t,
+			func(p any) error { return muxes[0].SendControl(1, p) },
+			func(ctx context.Context) (any, error) {
+				select {
+				case msg := <-muxes[1].Control():
+					return msg.Payload, nil
+				case <-ctx.Done():
+					return nil, ctx.Err()
 				}
-			}
-			return netLink(s[0], s[1], func() bool { return muxes[0].Health()[0].State == telemetry.StateConnected })
-		},
-	}
-	for name, build := range stacks {
-		t.Run(name, func(t *testing.T) {
-			l := build(t)
-			err := l.send(1, unregistered{X: 1})
-			if !errors.Is(err, wirecodec.ErrUnregisteredType) {
-				t.Fatalf("send of an unregistered type = %v, want ErrUnregisteredType", err)
-			}
-			if ae, accused := IsAbort(err); accused || errors.Is(err, ErrPeerDown) {
-				t.Fatalf("local encode failure blamed the peer: %v (abort %+v)", err, ae)
-			}
-			if !l.up() {
-				t.Fatal("local encode failure took the link down")
-			}
-			if err := l.send(1, wirePayload{Text: "after"}); err != nil {
-				t.Fatalf("registered send after the encode failure: %v", err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			got, err := l.recv(ctx, 1)
-			if err != nil || got != (wirePayload{Text: "after"}) {
-				t.Fatalf("receive after the encode failure: %#v, %v", got, err)
-			}
-		})
-	}
+			},
+			func() bool { return muxes[0].Health()[0].State == telemetry.StateConnected })
+	})
 }
 
 // withLegacyPayload returns outer's frame with its (nil) nested payload
@@ -153,44 +109,18 @@ func withLegacyPayload(t testing.TB, outer any) []byte {
 // and causes no panic — the receive fails with a typed abort naming it,
 // carrying the codec's UnknownTypeError.
 func TestLegacyGobFrameAbortsNamingSender(t *testing.T) {
-	defer leakcheck.Check(t)
-	stacks := map[string]func(t *testing.T) (inject func([]byte) error, outer any, victim Net){
-		"tcp": func(t *testing.T) (func([]byte) error, any, Net) {
-			f := buildMesh(t, 2)
-			return func(b []byte) error { _, err := f[0].conns[1].Write(b); return err },
-				envelope{Round: 1, Bytes: 8}, f[1]
-		},
-		"mux": func(t *testing.T) (func([]byte) error, any, Net) {
-			muxes := muxMesh(t, 2, func(int) MuxOptions { return MuxOptions{} })
-			s := openAll(t, muxes, "s")
-			return func(b []byte) error { _, err := muxes[0].conns[1].Write(b); return err },
-				muxEnv{SID: "s", Kind: muxKindData, Round: 1, Bytes: 8}, s[1]
-		},
-		"recovering": func(t *testing.T) (func([]byte) error, any, Net) {
-			_, f := buildRecoveryMesh(t, 2, nil)
-			l := f[0].links[1]
-			return func(b []byte) error {
-				l.mu.Lock()
-				defer l.mu.Unlock()
-				_, err := l.conn.Write(b)
-				return err
-			}, renv{Kind: frameData, Round: 1, Bytes: 8}, f[1]
-		},
-	}
-	for name, build := range stacks {
-		t.Run(name, func(t *testing.T) {
-			inject, outer, victim := build(t)
-			if err := inject(withLegacyPayload(t, outer)); err != nil {
-				t.Fatal(err)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			got, err := victim.RecvCtx(ctx, 1, 0, 1)
-			ae, ok := IsAbort(err)
-			var unknown *wirecodec.UnknownTypeError
-			if !ok || ae.Party != 0 || !errors.As(err, &unknown) || unknown.ID != 1 {
-				t.Fatalf("receive of a type-ID-1 payload = %#v, %v; want an abort naming party 0 with UnknownTypeError{1}", got, err)
-			}
-		})
-	}
+	eachStack(t, func(t *testing.T, s tcpStack) {
+		ends := s.build(t, 2, stackTimeout)
+		if _, err := linkOf(ends[0]).conn(1).Write(withLegacyPayload(t, s.frame)); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		got, err := ends[1].RecvCtx(ctx, 1, 0, 1)
+		ae, ok := IsAbort(err)
+		var unknown *wirecodec.UnknownTypeError
+		if !ok || ae.Party != 0 || !errors.As(err, &unknown) || unknown.ID != 1 {
+			t.Fatalf("receive of a type-ID-1 payload = %#v, %v; want an abort naming party 0 with UnknownTypeError{1}", got, err)
+		}
+	})
 }

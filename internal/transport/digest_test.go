@@ -85,10 +85,8 @@ func TestPayloadDigestIsFrameHash(t *testing.T) {
 		g.Generator(), g.Identity(), dl.Generator(),
 		echoMsg{Digests: [][]byte{{1}, nil}},
 		Corrupted{Round: 3},
-		envelope{Round: 1, Bytes: 2, Payload: "p"},
 		renv{Kind: frameData, Round: 1, Seq: 2, Payload: big.NewInt(3)},
-		rhello{SessionID: "sid", Party: 1, Epoch: 2, NextExpected: 3},
-		muxHello{Party: 1, Epoch: 2},
+		hello{Party: 1, Epoch: 2, Mesh: "sid"},
 		muxEnv{SID: "sid", Kind: muxKindData, Round: 1, Seq: 2, Payload: 4},
 		wirePayload{From: 1, Text: "t"},
 		digestMsg{A: 1, Shares: []*big.Int{big.NewInt(2)}},

@@ -1,0 +1,231 @@
+package transport
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"time"
+
+	"groupranking/internal/telemetry"
+)
+
+// What every TCP-backed Net shares above the link layer: the send-side
+// accounting behind Stats, the per-peer failure signal, and the one
+// blocking receive wait.
+
+// sendStats is an endpoint's send-side accounting. A TCP endpoint only
+// observes its own sends, so Stats fills the slot at this party's index
+// and leaves the others zero. Echo sub-round traffic is
+// consistency-layer overhead, tallied apart from the protocol counters.
+type sendStats struct {
+	n, me int
+
+	mu        sync.Mutex
+	msgs      int64
+	bytes     int64
+	maxRound  int
+	rounds    map[int]RoundStats
+	echoMsgs  int64
+	echoBytes int64
+	tm        *netMetrics
+}
+
+func (s *sendStats) init(n, me int, reg *telemetry.Registry) {
+	s.n, s.me, s.rounds = n, me, make(map[int]RoundStats)
+	s.tm = newNetMetrics(reg)
+}
+
+// count charges one logical send. The live counters are fed inside the
+// same critical section, so the exported metrics and Stats can never
+// disagree about whether a round has started.
+func (s *sendStats) count(round, bytes int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	newRound := false
+	if IsEchoRound(round) {
+		s.echoMsgs++
+		s.echoBytes += int64(bytes)
+	} else {
+		s.msgs++
+		s.bytes += int64(bytes)
+		if round > s.maxRound {
+			s.maxRound = round
+		}
+		rs, seen := s.rounds[round]
+		newRound = !seen
+		rs.Messages++
+		rs.Bytes += int64(bytes)
+		s.rounds[round] = rs
+	}
+	s.tm.onSendLocked(round, bytes, newRound)
+}
+
+// Stats reports this endpoint's logical protocol traffic in the same
+// per-party shape as Fabric.Stats. Link-level frames (hellos, acks,
+// heartbeats, resume requests, retransmissions) are transport overhead
+// and never counted.
+func (s *sendStats) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := Stats{
+		MessagesSent:   make([]int64, s.n),
+		BytesSent:      make([]int64, s.n),
+		MaxRound:       s.maxRound,
+		DistinctRounds: len(s.rounds),
+		PerRound:       make(map[int]RoundStats, len(s.rounds)),
+		EchoMessages:   s.echoMsgs,
+		EchoBytes:      s.echoBytes,
+	}
+	out.MessagesSent[s.me] = s.msgs
+	out.BytesSent[s.me] = s.bytes
+	for r, rs := range s.rounds {
+		out.PerRound[r] = rs
+	}
+	return out
+}
+
+// checkEndpoints validates the (from, to) pair of a send or the
+// (to, from) pair of a receive on party me's endpoint: only its own
+// index is a valid local end, and only another party a valid peer.
+func checkEndpoints(n, me, local, peer int, verb string) error {
+	if local != me {
+		return fmt.Errorf("transport: tcp party %d cannot %s as %d", me, verb, local)
+	}
+	if peer < 0 || peer >= n || peer == me {
+		return fmt.Errorf("transport: invalid peer %d", peer)
+	}
+	return nil
+}
+
+// takeRound is the tail of every receive: if want is non-negative the
+// frame's round tag must match it (protocols have static round
+// structure, so a mismatch proves the stream was shifted), else the
+// payload satisfies the receive. Its results are recvWait's take
+// results.
+func takeRound(from, want, got int, payload any) (any, bool, error) {
+	if want >= 0 && got != want {
+		return nil, false, roundMismatchAbort(from, want, got)
+	}
+	return payload, true, nil
+}
+
+// downSignal is the failure state of receives from one peer: a channel
+// that is closed while the peer is failed, and the cause. A recoverable
+// failure (a blame the peer outlived by reconnecting) is cleared by
+// installing a fresh channel.
+type downSignal struct {
+	mu  sync.Mutex
+	ch  chan struct{}
+	err error
+}
+
+// fail marks the peer failed with cause; the first cause wins.
+func (d *downSignal) fail(cause error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.err != nil {
+		return
+	}
+	d.err = cause
+	if d.ch == nil {
+		d.ch = make(chan struct{})
+	}
+	close(d.ch)
+}
+
+// clear withdraws a failure.
+func (d *downSignal) clear() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.err != nil {
+		d.err, d.ch = nil, nil
+	}
+}
+
+// state returns the channel to wait on and, once it is closed, the
+// cause.
+func (d *downSignal) state() (<-chan struct{}, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.ch == nil {
+		d.ch = make(chan struct{})
+	}
+	return d.ch, d.err
+}
+
+// recvWait is the one blocking receive under every TCP-backed Net. It
+// waits for a frame on q and hands it to take, which either satisfies
+// the receive (done), absorbs the frame (a duplicate, an out-of-order
+// frame stashed for later) or fails it. The wait ends early when the
+// peer is failed, ctx is cancelled, timeout expires (<= 0: no bound) or
+// the endpoint is closed.
+//
+// Ordering contract: an endpoint closed locally (closedA or closedB, a
+// nil channel never fires) answers ErrClosed before it looks at q — its
+// queue is discarded. A peer or link failure drains q first, like
+// buffered TCP data before EOF, so a failure never eats data that
+// arrived before it.
+func recvWait[F any](ctx context.Context, from, round int, timeout time.Duration,
+	closedA, closedB <-chan struct{}, q <-chan F, down *downSignal,
+	take func(F) (payload any, done bool, err error)) (any, error) {
+	select {
+	case <-closedA:
+		return nil, Abort(from, round, "", ErrClosed)
+	case <-closedB:
+		return nil, Abort(from, round, "", ErrClosed)
+	default:
+	}
+	var timerC <-chan time.Time
+	if timeout > 0 {
+		tm := time.NewTimer(timeout)
+		defer tm.Stop()
+		timerC = tm.C
+	}
+	var cancelled <-chan struct{}
+	if ctx != nil {
+		cancelled = ctx.Done()
+	}
+	// drain takes queued frames without blocking until one satisfies the
+	// receive or the queue is empty.
+	drain := func() (any, bool, error) {
+		for {
+			select {
+			case f := <-q:
+				if payload, done, err := take(f); done || err != nil {
+					return payload, true, err
+				}
+			default:
+				return nil, false, nil
+			}
+		}
+	}
+	for {
+		if payload, done, err := drain(); done {
+			return payload, err
+		}
+		failed, _ := down.state()
+		select {
+		case f := <-q:
+			if payload, done, err := take(f); done || err != nil {
+				return payload, err
+			}
+		case <-failed:
+			// Once more: a frame may have raced the failure into the queue.
+			if payload, done, err := drain(); done {
+				return payload, err
+			}
+			if now, cause := down.state(); now == failed {
+				return nil, Abort(from, round, "", cause)
+			}
+			// The peer reconnected while we waited: keep waiting.
+		case <-cancelled:
+			return nil, Abort(from, round, "", ctx.Err())
+		case <-timerC:
+			return nil, Abort(from, round, "", ErrTimeout)
+		case <-closedA:
+			return nil, Abort(from, round, "", ErrClosed)
+		case <-closedB:
+			return nil, Abort(from, round, "", ErrClosed)
+		}
+	}
+}

@@ -21,16 +21,16 @@ func FuzzFrameReader(f *testing.F) {
 		}
 		return data
 	}
-	f.Add(seed(envelope{Round: 3, Bytes: 40, Payload: "hello"}))
+	f.Add(seed(muxEnv{SID: tcpFabricSID, Kind: muxKindData, Round: 3, Bytes: 40, Payload: "hello"}))
 	f.Add(seed(renv{Kind: 1, Round: 2, Seq: 7, Bytes: 16, Payload: 42}))
-	f.Add(seed(rhello{SessionID: "sess", Party: 1, Epoch: 2, NextExpected: 9}))
+	f.Add(seed(hello{Party: 1, Epoch: 2, Mesh: "session/sess"}))
 	f.Add(seed(echoMsg{Digests: [][]byte{{1, 2}, nil}}))
 	f.Add(seed(Corrupted{Round: 5}))
 	// Hostile shapes: truncated header, oversized length, garbage magic.
 	f.Add([]byte{'G', 'W'})
-	f.Add([]byte{'G', 'W', wirecodec.Version, 0, 82, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add([]byte{'G', 'W', wirecodec.Version, 0, 83, 0xFF, 0xFF, 0xFF, 0xFF})
 	// A version-1 peer's gob-fallback payload inside a sound envelope.
-	f.Add(withLegacyPayload(f, envelope{Round: 3, Bytes: 40}))
+	f.Add(withLegacyPayload(f, renv{Kind: 1, Round: 3, Bytes: 40}))
 	f.Add(bytes.Repeat([]byte{0xA5}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd := bufio.NewReader(bytes.NewReader(data))
@@ -57,7 +57,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		}
 		return data
 	}
-	f.Add(seed(envelope{Round: 1, Bytes: 8, Payload: []byte{1, 2, 3}}))
+	f.Add(seed(muxEnv{SID: tcpFabricSID, Kind: muxKindData, Round: 1, Bytes: 8, Payload: []byte{1, 2, 3}}))
 	f.Add(seed(renv{Kind: 2, Round: 0, Seq: 1, Payload: nil}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -94,7 +94,7 @@ func FuzzMuxEnvDecode(f *testing.F) {
 	f.Add(seed(muxEnv{SID: "s1", Kind: muxKindData, Round: 4, Bytes: 32, Seq: 9, Payload: "payload"}))
 	f.Add(seed(muxEnv{Kind: muxKindControl, Payload: []byte{1, 2, 3}}))
 	f.Add(seed(muxEnv{SID: "s2", Kind: muxKindResume, Seq: 17}))
-	f.Add(seed(muxHello{Party: 3, Epoch: 2}))
+	f.Add(seed(hello{Party: 3, Epoch: 2, Mesh: "mux"}))
 	// Hostile shapes: truncated SID length, kind out of range, huge seq.
 	f.Add([]byte{'G', 'W', wirecodec.Version, 0, 86, 0xFF})
 	f.Add(withLegacyPayload(f, muxEnv{SID: "s1", Kind: muxKindControl}))

@@ -1,0 +1,161 @@
+package transport
+
+import (
+	"bufio"
+	"context"
+	"errors"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"groupranking/internal/leakcheck"
+	"groupranking/internal/wirecodec"
+)
+
+// Regression tests for three defects the four pre-link TCP stacks each
+// had a different subset of. They are written once, against the link
+// layer, and run over the stacks built on it.
+
+// TestLinkRejectedDialerBacksOff: a dialer whose hello the acceptor
+// drops (a stale epoch after a lost store, a wrong slot) gets no reply,
+// so it must not count the link up: it redials under backoff — a
+// handful of connects in half a second, not thousands — and its
+// constructor fails instead of returning a mesh with a dead link.
+func TestLinkRejectedDialerBacksOff(t *testing.T) {
+	leakcheck.Check(t)
+	dialers := map[string]func(addrs []string) (interface{ Close() }, error){
+		"mux": func(addrs []string) (interface{ Close() }, error) {
+			return NewSessionMux(addrs, 1, time.Second, MuxOptions{})
+		},
+		"mux recovering": func(addrs []string) (interface{ Close() }, error) {
+			return NewSessionMux(addrs, 1, time.Second, MuxOptions{Recovery: &MuxRecovery{Epoch: 1}})
+		},
+		"recovering": func(addrs []string) (interface{ Close() }, error) {
+			return NewRecoveringTCPFabric(addrs, 1, time.Second, RecoverOptions{SessionID: "s"})
+		},
+	}
+	// The rows run side by side: each constructor takes the full
+	// formation deadline to give up.
+	var wg sync.WaitGroup
+	for name, dial := range dialers {
+		name, dial := name, dial
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			addrs, err := FreeLoopbackAddrs(2)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			// Party 0 reads every hello and hangs up without a reply.
+			ln, err := net.Listen("tcp", addrs[0])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer ln.Close()
+			var connects atomic.Int64
+			go func() {
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					connects.Add(1)
+					wirecodec.ReadValue(bufio.NewReader(conn))
+					conn.Close()
+				}
+			}()
+			done := make(chan error, 1)
+			go func() {
+				end, err := dial(addrs)
+				if err == nil {
+					end.Close()
+				}
+				done <- err
+			}()
+			time.Sleep(500 * time.Millisecond)
+			t.Logf("%s: %d connects in 500ms", name, connects.Load())
+			if n := connects.Load(); n < 2 || n > 10 {
+				t.Errorf("%s: %d connects in 500ms against a rejecting acceptor, want a backoff-bounded handful (2..10)", name, n)
+			}
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Errorf("%s: constructor returned success although no hello was ever answered", name)
+				}
+			case <-time.After(dialDeadline + 5*time.Second):
+				t.Errorf("%s: constructor never gave up", name)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestLinkCloseCutsSilentHandshake: a client that connects to the
+// listener and then says nothing sits in the handshake read for
+// handshakeDeadline; Close must cut it loose, not wait it out.
+func TestLinkCloseCutsSilentHandshake(t *testing.T) {
+	eachStack(t, func(t *testing.T, s tcpStack) {
+		ends := s.build(t, 2, stackTimeout)
+		link := linkOf(ends[0])
+		conn, err := net.Dial("tcp", link.ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for parked := 0; parked == 0; {
+			link.mu.Lock()
+			parked = len(link.handshakes)
+			link.mu.Unlock()
+			if time.Now().After(deadline) {
+				t.Fatal("the silent client never reached the handshake")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		start := time.Now()
+		ends[0].Close()
+		if took := time.Since(start); took > 500*time.Millisecond {
+			t.Fatalf("Close took %v behind a silent client parked in the handshake (deadline %v)", took, handshakeDeadline)
+		}
+	})
+}
+
+// flakyListener fails its first Accept with a transient error.
+type flakyListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("accept: too many open files")
+	}
+	return l.Listener.Accept()
+}
+
+// TestLinkAcceptSurvivesTransientError: one failed Accept must not end
+// accepting for good — the next connection still gets in, so the mesh
+// forms and carries traffic.
+func TestLinkAcceptSurvivesTransientError(t *testing.T) {
+	listen = func(network, addr string) (net.Listener, error) {
+		ln, err := net.Listen(network, addr)
+		return &flakyListener{Listener: ln}, err
+	}
+	t.Cleanup(func() { listen = net.Listen })
+	eachStack(t, func(t *testing.T, s tcpStack) {
+		ends := s.build(t, 2, stackTimeout)
+		if !linkOf(ends[0]).ln.(*flakyListener).failed.Load() {
+			t.Fatal("the injected accept error never fired")
+		}
+		if err := ends[1].Send(1, 1, 0, 8, wirePayload{Text: "in"}); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ends[0].RecvCtx(context.Background(), 0, 1, 1); err != nil || got != (wirePayload{Text: "in"}) {
+			t.Fatalf("receive over the link accepted after the error: %#v, %v", got, err)
+		}
+	})
+}

@@ -1,27 +1,23 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"math/rand"
-	"net"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"groupranking/internal/telemetry"
-	"groupranking/internal/wirecodec"
 )
 
-// SessionMux generalizes the RecoveringTCPFabric handshake's sessionID
-// into a frame-level route tag: N concurrent ranking sessions share ONE
-// persistent TCP connection per peer pair, each session seeing its own
-// transport.Net with per-session receive queues. This is the transport
-// layer under the rankd coordinator daemon — a long-lived process hosts
-// many sessions without paying a mesh formation (or a file descriptor
-// pair) per session.
+// SessionMux puts a session route tag on every frame: N concurrent
+// ranking sessions share ONE persistent TCP connection per peer pair
+// (link.go), each session seeing its own transport.Net with per-session
+// receive queues. This is the transport layer under the rankd
+// coordinator daemon — a long-lived process hosts many sessions without
+// paying a mesh formation (or a file descriptor pair) per session — and,
+// carrying a single session, under TCPFabric.
 //
 // Isolation contract: a session that aborts, overflows its receive
 // budget, or closes never tears down the shared link — the other
@@ -40,15 +36,19 @@ type SessionMux struct {
 	queueCap   int
 	pendingCap int
 
-	conns []net.Conn
-	encMu []sync.Mutex
+	// link is the TCP mesh under the mux (link.go): it owns every
+	// connection, and the mux sees it through onFrame, onUp and onBlame.
+	link *mesh
 
 	mu       sync.Mutex
 	sessions map[string]*MuxSession
 	pending  map[string]*pendingSession
 	closed   map[string]bool
 	closedQ  []string
-	linkErr  []error
+	// linkErr[peer] is the blame a peer's link currently stands under
+	// (nil while it is up or inside its grace); sessions opened while it
+	// is set start with receives from that peer already failed.
+	linkErr []error
 
 	ctrl chan ControlMsg
 	mm   *muxMetrics
@@ -56,14 +56,6 @@ type SessionMux struct {
 	// rec holds the recovering-mode state (nil when the mux was built
 	// without MuxOptions.Recovery; every recovery hook checks it).
 	rec *muxRecovery
-
-	// lastSeen[peer] is the unix-nano time of the last frame decoded
-	// from that peer (atomic; 0 before first contact).
-	lastSeen []int64
-
-	closeOnce sync.Once
-	closeCh   chan struct{}
-	pumps     sync.WaitGroup
 }
 
 // MuxOptions tunes a SessionMux. The zero value is a working default.
@@ -84,10 +76,10 @@ type MuxOptions struct {
 	// ControlCap bounds the control-plane delivery channel (default 256).
 	ControlCap int
 	// Recovery, when non-nil, switches the mux into recovering mode:
-	// the listener stays open for the mux's lifetime, lost links are
-	// re-dialed and re-accepted instead of failing every session, and
-	// journal-backed sessions opened with OpenRecovering survive both
-	// peer restarts and a restart of this daemon itself.
+	// lost links are re-dialed and re-accepted instead of failing every
+	// session at once, and journal-backed sessions opened with
+	// OpenRecovering survive both peer restarts and a restart of this
+	// daemon itself.
 	Recovery *MuxRecovery
 }
 
@@ -111,21 +103,13 @@ type ControlMsg struct {
 	Payload any
 }
 
-// muxHello introduces a daemon endpoint on a freshly dialed mux link.
-// Epoch is the dialing daemon's boot epoch (0 when recovery is off):
-// a recovering acceptor uses it to reject stale connections from
-// before a peer's restart.
-type muxHello struct {
-	Party int
-	Epoch int
-}
-
-// muxEnv is the mux wire frame: the TCP envelope extended with the
-// session route tag. Kind separates per-session protocol data from the
-// daemons' control plane (whose frames carry an empty SID). Seq is the
-// per-(session,peer) send sequence number recovering sessions stamp on
-// data frames (1-based; 0 marks an unsequenced frame from a session
-// running without recovery) and the resume cursor on resume frames.
+// muxEnv is the mux wire frame: a message's round tag, logical byte
+// size and payload under the session route tag. Kind separates
+// per-session protocol data from the daemons' control plane (whose
+// frames carry an empty SID). Seq is the per-(session,peer) send
+// sequence number recovering sessions stamp on data frames (1-based; 0
+// marks an unsequenced frame from a session running without recovery)
+// and the resume cursor on resume frames.
 type muxEnv struct {
 	SID     string
 	Kind    uint8
@@ -174,23 +158,17 @@ type pendingFrame struct {
 }
 
 // NewSessionMux builds daemon me's endpoint of an n-daemon mesh, one
-// persistent connection per peer pair, formed exactly like NewTCPFabric
-// (listen on addrs[me], dial lower-indexed peers with backoff, accept
-// higher-indexed ones) but with a typed hello frame so the link can
-// later evolve independently of the single-session fabric. All daemons
-// must call it concurrently. timeout bounds each write and is the
-// default per-session receive bound; <= 0 means no bound.
+// persistent connection per peer pair, and returns when every link is
+// up (see link.go for how the mesh forms). All daemons must call it
+// concurrently. timeout bounds each write and is the default
+// per-session receive bound; <= 0 means no bound.
 func NewSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOptions) (*SessionMux, error) {
-	n := len(addrs)
-	if n < 2 {
-		return nil, fmt.Errorf("transport: mux mesh needs at least two parties")
-	}
-	if me < 0 || me >= n {
-		return nil, fmt.Errorf("transport: party index %d out of range", me)
-	}
-	if err := validateMeshAddrs(addrs); err != nil {
-		return nil, err
-	}
+	return newSessionMux(addrs, me, timeout, opts, "mux")
+}
+
+// newSessionMux builds a mux whose links carry the given mesh tag, so a
+// single-session TCPFabric endpoint and a daemon's mux never link up.
+func newSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOptions, tag string) (*SessionMux, error) {
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = defaultMuxQueueCap
 	}
@@ -200,163 +178,89 @@ func NewSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOption
 	if opts.ControlCap <= 0 {
 		opts.ControlCap = defaultMuxControlCap
 	}
+	n := len(addrs)
 	m := &SessionMux{
 		n:          n,
 		me:         me,
 		timeout:    timeout,
 		queueCap:   opts.QueueCap,
 		pendingCap: opts.PendingCap,
-		conns:      make([]net.Conn, n),
-		encMu:      make([]sync.Mutex, n),
 		sessions:   make(map[string]*MuxSession),
 		pending:    make(map[string]*pendingSession),
 		closed:     make(map[string]bool),
 		linkErr:    make([]error, n),
 		ctrl:       make(chan ControlMsg, opts.ControlCap),
-		lastSeen:   make([]int64, n),
-		closeCh:    make(chan struct{}),
+		mm:         newMuxMetrics(opts.Telemetry),
 	}
-	m.mm = newMuxMetrics(opts.Telemetry)
-
-	if opts.Recovery != nil {
-		if err := m.formRecovering(addrs, *opts.Recovery); err != nil {
-			m.Close()
-			return nil, err
+	m.link = &mesh{
+		addrs: addrs, me: me, tag: tag,
+		tm:      m.mm.link,
+		onFrame: m.onFrame, onUp: m.onUp, onBlame: m.onBlame,
+	}
+	if r := opts.Recovery; r != nil {
+		m.rec = &muxRecovery{resumable: make(map[string]Journaler), serving: make(map[string]bool)}
+		m.link.epoch, m.link.grace = r.Epoch, r.Grace
+		if m.link.epoch <= 0 {
+			m.link.epoch = 1
 		}
-		return m, nil
-	}
-
-	ln, err := net.Listen("tcp", addrs[me])
-	if err != nil {
-		return nil, fmt.Errorf("transport: listening on %s: %w", addrs[me], err)
-	}
-	defer ln.Close()
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(time.Now().Add(dialDeadline))
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-
-	// Accept from higher-indexed peers; each introduces itself with a
-	// hello frame under a read deadline.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for accepted := 0; accepted < n-1-me; accepted++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				errs <- err
-				return
-			}
-			conn.SetReadDeadline(time.Now().Add(handshakeDeadline))
-			rd := bufio.NewReader(conn)
-			v, err := wirecodec.ReadValue(rd)
-			if err != nil {
-				conn.Close()
-				errs <- fmt.Errorf("transport: mux handshake: %w", err)
-				return
-			}
-			conn.SetReadDeadline(time.Time{})
-			hello, ok := v.(muxHello)
-			if !ok || hello.Party <= me || hello.Party >= n || m.conns[hello.Party] != nil {
-				conn.Close()
-				errs <- fmt.Errorf("transport: invalid mux handshake from peer %v", v)
-				return
-			}
-			m.attach(hello.Party, conn, rd)
+		if m.link.grace <= 0 {
+			m.link.grace = defaultMuxGrace
 		}
-	}()
-
-	// Dial lower-indexed peers with exponential backoff and jitter.
-	for peer := 0; peer < me; peer++ {
-		peer := peer
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			jitter := rand.New(rand.NewSource(int64(me)<<16 | int64(peer)))
-			backoff := dialBackoffBase
-			deadline := time.Now().Add(dialDeadline)
-			for {
-				conn, err := net.Dial("tcp", addrs[peer])
-				if err != nil {
-					if time.Now().After(deadline) {
-						errs <- fmt.Errorf("transport: dialing party %d: %w", peer, err)
-						return
-					}
-					d := backoff/2 + time.Duration(jitter.Int63n(int64(backoff)))
-					time.Sleep(d)
-					if backoff *= 2; backoff > dialBackoffMax {
-						backoff = dialBackoffMax
-					}
-					continue
-				}
-				conn.SetWriteDeadline(time.Now().Add(handshakeDeadline))
-				if err := wirecodec.WriteValue(conn, muxHello{Party: me}); err != nil {
-					conn.Close()
-					errs <- fmt.Errorf("transport: mux handshake: %w", err)
-					return
-				}
-				conn.SetWriteDeadline(time.Time{})
-				m.attach(peer, conn, bufio.NewReader(conn))
-				return
-			}
-		}()
 	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			m.Close()
-			return nil, err
-		}
+	if err := m.link.start(); err != nil {
+		return nil, err
+	}
+	if err := m.link.awaitUp(dialDeadline); err != nil {
+		m.Close()
+		return nil, err
 	}
 	return m, nil
 }
 
-// attach wires a handshaken link and starts its reader pump. The pump
-// is the only reader of the connection; a read or decode failure fails
-// the LINK (and with it every session's receives from that peer), which
-// is the one failure a session cannot be isolated from.
-func (m *SessionMux) attach(peer int, conn net.Conn, rd *bufio.Reader) {
-	m.mu.Lock()
-	m.conns[peer] = conn
-	m.mu.Unlock()
-	lm := m.mm.link(peer)
-	lm.connects.inc()
-	lm.linkUp.Set(1)
-	m.pumps.Add(1)
-	go func() {
-		defer m.pumps.Done()
-		for {
-			v, err := wirecodec.ReadValue(rd)
-			if err != nil {
-				m.failLink(peer, err)
-				return
-			}
-			env, ok := v.(muxEnv)
-			if !ok {
-				m.failLink(peer, fmt.Errorf("transport: party %d sent a %T frame, want mux envelope", peer, v))
-				return
-			}
-			atomic.StoreInt64(&m.lastSeen[peer], time.Now().UnixNano())
-			switch env.Kind {
-			case muxKindControl:
-				m.mm.ctrlFrames.inc()
-				select {
-				case m.ctrl <- ControlMsg{From: peer, Payload: env.Payload}:
-				case <-m.closeCh:
-					return
-				}
-			case muxKindData:
-				m.mm.dataFrames.inc()
-				m.routeData(peer, env)
-			default:
-				m.failLink(peer, fmt.Errorf("transport: party %d sent mux frame kind %d", peer, env.Kind))
-				return
-			}
+// onFrame routes one decoded frame off a link. Anything but a
+// well-formed mux envelope fails the LINK (and with it every session's
+// receives from that peer once the peer is blamed), which is the one
+// failure a session cannot be isolated from.
+func (m *SessionMux) onFrame(peer int, v any) error {
+	env, ok := v.(muxEnv)
+	if !ok {
+		return fmt.Errorf("transport: party %d sent a %T frame, want mux envelope", peer, v)
+	}
+	switch {
+	case env.Kind == muxKindControl:
+		m.mm.ctrlFrames.Inc()
+		select {
+		case m.ctrl <- ControlMsg{From: peer, Payload: env.Payload}:
+		case <-m.Done():
 		}
-	}()
+	case env.Kind == muxKindData:
+		m.mm.dataFrames.Inc()
+		m.routeData(peer, env)
+	case env.Kind == muxKindResume && m.rec != nil:
+		m.mm.resumeFrames.Inc()
+		m.routeResume(peer, env)
+	default:
+		return fmt.Errorf("transport: party %d sent mux frame kind %d", peer, env.Kind)
+	}
+	return nil
+}
+
+// onUp runs when a link (re-)attaches: the peer's blame is withdrawn
+// for sessions opened from now on, and every open journal-backed
+// session asks the peer for the frames it missed during the outage.
+func (m *SessionMux) onUp(peer, _ int) {
+	m.mu.Lock()
+	m.linkErr[peer] = nil
+	var resumes []*MuxSession
+	for _, s := range m.sessions {
+		if s.j != nil {
+			resumes = append(resumes, s)
+		}
+	}
+	m.mu.Unlock()
+	for _, s := range resumes {
+		go s.sendResume(peer)
+	}
 }
 
 // routeData delivers one data frame: to its open session, to the
@@ -371,7 +275,7 @@ func (m *SessionMux) routeData(from int, env muxEnv) {
 	}
 	if m.closed[env.SID] {
 		m.mu.Unlock()
-		m.mm.lateFrames.inc()
+		m.mm.lateFrames.Inc()
 		return
 	}
 	p := m.pending[env.SID]
@@ -381,7 +285,7 @@ func (m *SessionMux) routeData(from int, env muxEnv) {
 		}
 		if len(m.pending) >= muxPendingSessions {
 			m.mu.Unlock()
-			m.mm.pendingDrops.inc()
+			m.mm.pendingDrops.Inc()
 			return
 		}
 		p = &pendingSession{since: time.Now()}
@@ -390,7 +294,7 @@ func (m *SessionMux) routeData(from int, env muxEnv) {
 	if len(p.frames) >= m.pendingCap {
 		p.dropped = true
 		m.mu.Unlock()
-		m.mm.pendingDrops.inc()
+		m.mm.pendingDrops.Inc()
 		return
 	}
 	p.frames = append(p.frames, pendingFrame{from: from, env: env})
@@ -408,22 +312,20 @@ func (m *SessionMux) prunePendingLocked() {
 	}
 }
 
-// failLink records a dead link and fails every open session's receives
-// from that peer. Sessions are snapshotted under the lock but failed
-// outside it (failPeer takes per-session locks).
-func (m *SessionMux) failLink(peer int, cause error) {
+// onBlame runs when the link layer gives up on a peer (at once on a
+// fail-fast mux, after the grace on a recovering one): every open
+// session's receives from that peer fail with the typed ErrPeerDown
+// abort. Sessions are snapshotted under the lock but failed outside it.
+func (m *SessionMux) onBlame(peer int, err error) {
 	m.mu.Lock()
-	if m.linkErr[peer] == nil {
-		m.linkErr[peer] = cause
-	}
+	m.linkErr[peer] = err
 	open := make([]*MuxSession, 0, len(m.sessions))
 	for _, s := range m.sessions {
 		open = append(open, s)
 	}
 	m.mu.Unlock()
-	m.mm.link(peer).linkUp.Set(0)
 	for _, s := range open {
-		s.failPeer(peer, fmt.Errorf("%w: party %d: %w", ErrPeerDown, peer, cause))
+		s.down[peer].fail(err)
 	}
 }
 
@@ -452,27 +354,22 @@ func (m *SessionMux) open(sid string, timeout time.Duration, j Journaler) (*MuxS
 	if timeout <= 0 {
 		timeout = m.timeout
 	}
-	select {
-	case <-m.closeCh:
+	if m.link.closed() {
 		return nil, fmt.Errorf("transport: mux is closed")
-	default:
 	}
 	s := &MuxSession{
-		m:        m,
-		sid:      sid,
-		timeout:  timeout,
-		inbox:    make([]chan muxEnv, m.n),
-		peerErr:  make([]error, m.n),
-		peerDown: make([]chan struct{}, m.n),
-		rounds:   make(map[int]RoundStats),
-		closeCh:  make(chan struct{}),
+		m:       m,
+		sid:     sid,
+		timeout: timeout,
+		inbox:   make([]chan muxEnv, m.n),
+		down:    make([]downSignal, m.n),
+		closeCh: make(chan struct{}),
 	}
+	s.sendStats.init(m.n, m.me, nil)
 	for i := 0; i < m.n; i++ {
-		if i == m.me {
-			continue
+		if i != m.me {
+			s.inbox[i] = make(chan muxEnv, m.queueCap)
 		}
-		s.inbox[i] = make(chan muxEnv, m.queueCap)
-		s.peerDown[i] = make(chan struct{})
 	}
 	if j != nil {
 		if err := s.loadJournal(j); err != nil {
@@ -494,14 +391,11 @@ func (m *SessionMux) open(sid string, timeout time.Duration, j Journaler) (*MuxS
 		m.mu.Unlock()
 		return nil, fmt.Errorf("transport: mux session %q overflowed its pending buffer before it was opened", sid)
 	}
-	// Pre-fail peers whose link already died: the session must see the
-	// same typed abort a live session would.
-	var deadErrs []error
-	var deadPeers []int
+	// Pre-fail peers that stand blamed: the session must see the same
+	// typed abort a session open at the time of the blame did.
 	for peer, err := range m.linkErr {
-		if err != nil && peer != m.me {
-			deadPeers = append(deadPeers, peer)
-			deadErrs = append(deadErrs, fmt.Errorf("%w: party %d: %v", ErrPeerDown, peer, err))
+		if err != nil {
+			s.down[peer].fail(err)
 		}
 	}
 	m.sessions[sid] = s
@@ -509,9 +403,6 @@ func (m *SessionMux) open(sid string, timeout time.Duration, j Journaler) (*MuxS
 		m.rec.resumable[sid] = j
 	}
 	m.mu.Unlock()
-	for i, peer := range deadPeers {
-		s.failPeer(peer, deadErrs[i])
-	}
 	if p != nil {
 		// Replay in arrival order: the single pump per peer appended in
 		// order, so per-peer FIFO is preserved.
@@ -522,7 +413,11 @@ func (m *SessionMux) open(sid string, timeout time.Duration, j Journaler) (*MuxS
 	if j != nil {
 		// Ask every connected peer for anything we have not journaled
 		// yet; peers that attach later are asked on attach.
-		s.announceResume()
+		for peer := 0; peer < m.n; peer++ {
+			if peer != m.me && m.link.conn(peer) != nil {
+				go s.sendResume(peer)
+			}
+		}
 	}
 	m.mm.onSessionOpen()
 	return s, nil
@@ -551,7 +446,7 @@ func (m *SessionMux) retire(sid string) {
 func (m *SessionMux) Control() <-chan ControlMsg { return m.ctrl }
 
 // Done is closed when the mux shuts down.
-func (m *SessionMux) Done() <-chan struct{} { return m.closeCh }
+func (m *SessionMux) Done() <-chan struct{} { return m.link.done() }
 
 // SendControl sends one control-plane frame to a peer daemon. The
 // payload's type needs a registered wirecodec codec like any other
@@ -565,107 +460,34 @@ func (m *SessionMux) SendControl(to int, payload any) error {
 
 // writeFrame serializes one frame onto the shared link to a peer.
 func (m *SessionMux) writeFrame(to int, timeout time.Duration, env muxEnv) error {
-	m.mu.Lock()
-	conn := m.conns[to]
-	lerr := m.linkErr[to]
-	m.mu.Unlock()
-	if conn == nil || lerr != nil {
-		if lerr == nil {
-			lerr = fmt.Errorf("no connection")
-		}
-		return Abort(to, env.Round, "", fmt.Errorf("%w: party %d: %v", ErrPeerDown, to, lerr))
-	}
-	m.encMu[to].Lock()
-	defer m.encMu[to].Unlock()
-	if timeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(timeout))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
-	if err := wirecodec.WriteValue(conn, env); err != nil {
-		if lerr := encodeFault(to, env.Round, err); lerr != nil {
-			return lerr
-		}
-		return Abort(to, env.Round, "", fmt.Errorf("%w: sending to party %d: %v", ErrPeerDown, to, err))
-	}
-	return nil
+	return m.link.write(to, env.Round, timeout, env)
 }
 
 // Health implements telemetry.HealthSource for the daemon's admin
-// endpoint: mux links are either connected or dead.
-func (m *SessionMux) Health() []telemetry.PeerHealth {
-	closed := false
-	select {
-	case <-m.closeCh:
-		closed = true
-	default:
-	}
-	out := make([]telemetry.PeerHealth, 0, m.n-1)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for peer := 0; peer < m.n; peer++ {
-		if peer == m.me {
-			continue
-		}
-		state := telemetry.StateConnected
-		if closed || m.linkErr[peer] != nil || m.conns[peer] == nil {
-			state = telemetry.StateDead
-			// A recovering link that is down but inside its grace window
-			// is reconnecting, not dead.
-			if !closed && m.rec != nil && m.linkErr[peer] == nil && !m.rec.blamed[peer] {
-				state = telemetry.StateReconnecting
-			}
-		}
-		last := int64(-1)
-		if ns := atomic.LoadInt64(&m.lastSeen[peer]); ns != 0 {
-			last = time.Since(time.Unix(0, ns)).Milliseconds()
-		}
-		out = append(out, telemetry.PeerHealth{Peer: peer, State: state, LastContactMS: last})
-	}
-	return out
-}
+// endpoint.
+func (m *SessionMux) Health() []telemetry.PeerHealth { return m.link.Health() }
 
 // Close tears down the mesh: every open session's receives fail with
 // ErrClosed, the pumps drain, and no goroutine outlives the mux.
 // Safe to call more than once and concurrently with traffic.
-func (m *SessionMux) Close() {
-	m.closeOnce.Do(func() {
-		close(m.closeCh)
-		m.mu.Lock()
-		if m.rec != nil {
-			m.rec.closeLocked()
-		}
-		for _, c := range m.conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-		m.mu.Unlock()
-		m.pumps.Wait()
-	})
-}
+func (m *SessionMux) Close() { m.link.Close() }
 
 // MuxSession is one session's view of the shared mesh: a transport.Net
 // whose frames carry the session's route tag, with the same endpoint
-// statistics TCPFabric reports. Closing it detaches the session from
-// the mux (late frames are dropped); it never closes the shared links.
+// statistics every TCP-backed Net reports. Closing it detaches the
+// session from the mux (late frames are dropped); it never closes the
+// shared links.
 type MuxSession struct {
 	m       *SessionMux
 	sid     string
 	timeout time.Duration
 
+	sendStats
+
 	inbox []chan muxEnv
-
-	peerMu   sync.Mutex
-	peerErr  []error
-	peerDown []chan struct{}
-
-	statsMu   sync.Mutex
-	msgs      int64
-	bytes     int64
-	maxRound  int
-	rounds    map[int]RoundStats
-	echoMsgs  int64
-	echoBytes int64
+	// down[peer] fails this session's receives from one peer: the link
+	// layer blamed the peer, or the session overran a budget of its own.
+	down []downSignal
 
 	// Journal-backed recovery state (nil/unused when j is nil): see
 	// muxrecover.go. sendMu guards the send side (sequence counters and
@@ -704,55 +526,28 @@ func (s *MuxSession) deliver(from int, env muxEnv) {
 		s.serveResume(from, env.Seq)
 		return
 	}
-	s.peerMu.Lock()
-	failed := s.peerErr[from] != nil
-	s.peerMu.Unlock()
-	if failed {
+	if _, failed := s.down[from].state(); failed != nil {
 		return
 	}
 	select {
 	case s.inbox[from] <- env:
 	default:
-		s.failPeer(from, fmt.Errorf("mux session %s: receive queue from party %d overflowed its %d-frame budget", s.sid, from, cap(s.inbox[from])))
+		s.down[from].fail(fmt.Errorf("mux session %s: receive queue from party %d overflowed its %d-frame budget", s.sid, from, cap(s.inbox[from])))
 	}
-}
-
-// failPeer marks receives from one peer as failed for this session.
-func (s *MuxSession) failPeer(from int, cause error) {
-	s.peerMu.Lock()
-	defer s.peerMu.Unlock()
-	if s.peerErr[from] != nil {
-		return
-	}
-	s.peerErr[from] = cause
-	close(s.peerDown[from])
 }
 
 // Send implements Net: the frame rides the shared link tagged with this
-// session's id. Only this party's own index is a valid source.
+// session's id. When the session has a timeout, the write carries it as
+// a deadline so a stalled or dead peer surfaces as an error, not a
+// blocked sender.
 func (s *MuxSession) Send(round, from, to, bytes int, payload any) error {
-	if from != s.m.me {
-		return fmt.Errorf("transport: mux party %d cannot send as %d", s.m.me, from)
+	if err := checkEndpoints(s.m.n, s.m.me, from, to, "send"); err != nil {
+		return err
 	}
-	if to < 0 || to >= s.m.n || to == s.m.me {
-		return fmt.Errorf("transport: invalid destination %d", to)
-	}
-	s.statsMu.Lock()
-	if IsEchoRound(round) {
-		s.echoMsgs++
-		s.echoBytes += int64(bytes)
-	} else {
-		s.msgs++
-		s.bytes += int64(bytes)
-		if round > s.maxRound {
-			s.maxRound = round
-		}
-		rs := s.rounds[round]
-		rs.Messages++
-		rs.Bytes += int64(bytes)
-		s.rounds[round] = rs
-	}
-	s.statsMu.Unlock()
+	// Count every logical send — including ones a journal replay
+	// suppresses — so a restarted endpoint reports the same stats as a
+	// fault-free run.
+	s.count(round, bytes)
 	s.m.mm.onSessionSend(bytes)
 	if s.j != nil {
 		return s.sendRecovering(round, to, bytes, payload)
@@ -760,71 +555,28 @@ func (s *MuxSession) Send(round, from, to, bytes int, payload any) error {
 	return s.m.writeFrame(to, s.timeout, muxEnv{SID: s.sid, Kind: muxKindData, Round: round, Bytes: bytes, Payload: payload})
 }
 
-// RecvCtx implements Net. Frames already queued are drained even after
-// the peer failed; a failed peer then surfaces as a typed AbortError
-// carrying the first failure cause.
+// RecvCtx implements Net. If round is non-negative the frame's round
+// tag must match it. A failed peer surfaces as a typed AbortError
+// carrying the first failure cause, after the frames queued before the
+// failure; see Close for what a local close does to queued frames.
 func (s *MuxSession) RecvCtx(ctx context.Context, to, from, round int) (any, error) {
-	if to != s.m.me {
-		return nil, fmt.Errorf("transport: mux party %d cannot receive as %d", s.m.me, to)
+	if err := checkEndpoints(s.m.n, s.m.me, to, from, "receive"); err != nil {
+		return nil, err
 	}
-	if from < 0 || from >= s.m.n || from == s.m.me {
-		return nil, fmt.Errorf("transport: invalid source %d", from)
-	}
+	take := func(env muxEnv) (any, bool, error) { return takeRound(from, round, env.Round, env.Payload) }
 	if s.j != nil {
-		return s.recvRecovering(ctx, from, round)
-	}
-	take := func(env muxEnv) (any, error) {
-		if round >= 0 && env.Round != round {
-			return nil, roundMismatchAbort(from, round, env.Round)
+		if payload, done, err := s.replayRecv(from, round); done || err != nil {
+			return payload, err
 		}
-		return env.Payload, nil
+		take = func(env muxEnv) (any, bool, error) { return s.filterFrame(from, round, env) }
 	}
-	// Drain queued frames first so a failure never eats data that
-	// arrived before it.
-	select {
-	case env := <-s.inbox[from]:
-		return take(env)
-	default:
-	}
-	var timerC <-chan time.Time
-	if s.timeout > 0 {
-		tm := time.NewTimer(s.timeout)
-		defer tm.Stop()
-		timerC = tm.C
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	for {
-		select {
-		case env := <-s.inbox[from]:
-			return take(env)
-		case <-s.peerDown[from]:
-			// One more non-blocking drain: the frame may have raced the
-			// failure into the queue.
-			select {
-			case env := <-s.inbox[from]:
-				return take(env)
-			default:
-			}
-			s.peerMu.Lock()
-			cause := s.peerErr[from]
-			s.peerMu.Unlock()
-			return nil, Abort(from, round, "", cause)
-		case <-done:
-			return nil, Abort(from, round, "", ctx.Err())
-		case <-timerC:
-			return nil, Abort(from, round, "", ErrTimeout)
-		case <-s.closeCh:
-			return nil, Abort(from, round, "", ErrClosed)
-		case <-s.m.closeCh:
-			return nil, Abort(from, round, "", ErrClosed)
-		}
-	}
+	return recvWait(ctx, from, round, s.timeout, s.closeCh, s.m.Done(), s.inbox[from], &s.down[from], take)
 }
 
-// Broadcast implements Net, best-effort like TCPFabric's.
+// Broadcast implements Net, best-effort: every leg is attempted even
+// when one fails, so a single dead peer does not keep this party's
+// message from the survivors (who could otherwise mis-attribute the
+// failure to this party). The first error is returned after all legs.
 func (s *MuxSession) Broadcast(round, from, bytes int, payload any) error {
 	return broadcastAll(s.m.n, s.m.me, func(to int) error {
 		return s.Send(round, from, to, bytes, payload)
@@ -836,31 +588,13 @@ func (s *MuxSession) GatherAllCtx(ctx context.Context, to, round int) ([]any, er
 	return gatherAll(ctx, s, to, round)
 }
 
-// Stats reports this session's endpoint traffic in the same shape as
-// TCPFabric.Stats: only this party's slot is populated.
-func (s *MuxSession) Stats() Stats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	out := Stats{
-		MessagesSent:   make([]int64, s.m.n),
-		BytesSent:      make([]int64, s.m.n),
-		MaxRound:       s.maxRound,
-		DistinctRounds: len(s.rounds),
-		PerRound:       make(map[int]RoundStats, len(s.rounds)),
-		EchoMessages:   s.echoMsgs,
-		EchoBytes:      s.echoBytes,
-	}
-	out.MessagesSent[s.m.me] = s.msgs
-	out.BytesSent[s.m.me] = s.bytes
-	for r, rs := range s.rounds {
-		out.PerRound[r] = rs
-	}
-	return out
-}
-
-// Close detaches the session from the mux: its receives fail with
-// ErrClosed and late frames tagged with its id are dropped. The shared
-// links stay up for every other session. Safe to call more than once.
+// Close detaches the session from the mux. Late frames tagged with its
+// id are dropped, and so is everything still in its receive queues: a
+// session closed locally answers every receive with ErrClosed before it
+// looks at a queue. (A peer or link failure is the opposite case: it
+// drains the frames queued before it first, like buffered TCP data
+// before EOF.) The shared links stay up for every other session. Safe
+// to call more than once.
 func (s *MuxSession) Close() {
 	s.closeOnce.Do(func() {
 		close(s.closeCh)
@@ -868,109 +602,66 @@ func (s *MuxSession) Close() {
 	})
 }
 
-// muxMetrics is the mux's telemetry bundle. All handles are nil-safe so
-// a daemon without telemetry pays one nil check per event.
+// muxMetrics is the mux's telemetry bundle. Every handle is nil-safe
+// (a nil registry hands out nil handles), so a daemon without telemetry
+// pays one nil check per event.
 type muxMetrics struct {
 	connects *telemetry.CounterVec
 	linkUp   *telemetry.GaugeVec
 
-	dataFrames   nilCounter
-	ctrlFrames   nilCounter
-	sessionMsgs  nilCounter
-	sessionBytes nilCounter
-	opened       nilCounter
-	closed       nilCounter
-	pendingDrops nilCounter
-	lateFrames   nilCounter
-	resumeFrames nilCounter
-	retransmits  nilCounter
+	dataFrames   *telemetry.Counter
+	ctrlFrames   *telemetry.Counter
+	sessionMsgs  *telemetry.Counter
+	sessionBytes *telemetry.Counter
+	opened       *telemetry.Counter
+	closed       *telemetry.Counter
+	pendingDrops *telemetry.Counter
+	lateFrames   *telemetry.Counter
+	resumeFrames *telemetry.Counter
+	retransmits  *telemetry.Counter
 
 	// active mirrors the open-session count into a gauge; the count is
 	// kept here because telemetry gauges only support Set.
-	activeN int64
+	activeN atomic.Int64
 	active  *telemetry.Gauge
 }
 
-// onSessionOpen / onSessionClose keep the active-session gauge.
-func (mm *muxMetrics) onSessionOpen() {
-	mm.opened.inc()
-	if mm.active != nil {
-		mm.active.Set(float64(atomic.AddInt64(&mm.activeN, 1)))
-	}
-}
-
-func (mm *muxMetrics) onSessionClose() {
-	mm.closed.inc()
-	if mm.active != nil {
-		mm.active.Set(float64(atomic.AddInt64(&mm.activeN, -1)))
-	}
-}
-
-// nilCounter / nilGauge wrap the telemetry handles so a nil muxMetrics
-// receiver (telemetry disabled) stays inert without scattering checks.
-type nilCounter struct{ c *telemetry.Counter }
-
-func (c nilCounter) inc() {
-	if c.c != nil {
-		c.c.Inc()
-	}
-}
-
-func (c nilCounter) add(v int64) {
-	if c.c != nil {
-		c.c.Add(v)
-	}
-}
-
-type muxLinkMetrics struct {
-	connects nilCounter
-	linkUp   nilLinkGauge
-}
-
-type nilLinkGauge struct{ g *telemetry.Gauge }
-
-func (g nilLinkGauge) Set(v float64) {
-	if g.g != nil {
-		g.g.Set(v)
-	}
-}
-
 func newMuxMetrics(reg *telemetry.Registry) *muxMetrics {
-	if reg == nil {
-		return &muxMetrics{}
-	}
 	return &muxMetrics{
 		connects:     reg.CounterVec("mux_link_connects_total", "Mux link establishments per peer — stays at 1 per peer for the daemon's lifetime when sessions truly share the connection.", "peer"),
 		linkUp:       reg.GaugeVec("mux_link_up", "Mux link state per peer: 1 connected, 0 down.", "peer"),
-		dataFrames:   nilCounter{reg.Counter("mux_data_frames_total", "Session data frames received over all mux links.")},
-		ctrlFrames:   nilCounter{reg.Counter("mux_control_frames_total", "Control-plane frames received over all mux links.")},
-		sessionMsgs:  nilCounter{reg.Counter("mux_session_msgs_total", "Session protocol messages sent by this daemon across all sessions.")},
-		sessionBytes: nilCounter{reg.Counter("mux_session_bytes_total", "Session protocol bytes sent by this daemon across all sessions.")},
-		opened:       nilCounter{reg.Counter("mux_sessions_opened_total", "Sessions opened on this mux.")},
-		closed:       nilCounter{reg.Counter("mux_sessions_closed_total", "Sessions closed on this mux.")},
-		pendingDrops: nilCounter{reg.Counter("mux_pending_dropped_total", "Frames dropped because a not-yet-opened session overran its pending buffer.")},
-		lateFrames:   nilCounter{reg.Counter("mux_late_frames_total", "Frames dropped because their session was already closed.")},
-		resumeFrames: nilCounter{reg.Counter("mux_resume_frames_total", "Resume (retransmission request) frames received over all mux links.")},
-		retransmits:  nilCounter{reg.Counter("mux_retransmit_frames_total", "Session frames re-served from a journal after a resume request.")},
+		dataFrames:   reg.Counter("mux_data_frames_total", "Session data frames received over all mux links."),
+		ctrlFrames:   reg.Counter("mux_control_frames_total", "Control-plane frames received over all mux links."),
+		sessionMsgs:  reg.Counter("mux_session_msgs_total", "Session protocol messages sent by this daemon across all sessions."),
+		sessionBytes: reg.Counter("mux_session_bytes_total", "Session protocol bytes sent by this daemon across all sessions."),
+		opened:       reg.Counter("mux_sessions_opened_total", "Sessions opened on this mux."),
+		closed:       reg.Counter("mux_sessions_closed_total", "Sessions closed on this mux."),
+		pendingDrops: reg.Counter("mux_pending_dropped_total", "Frames dropped because a not-yet-opened session overran its pending buffer."),
+		lateFrames:   reg.Counter("mux_late_frames_total", "Frames dropped because their session was already closed."),
+		resumeFrames: reg.Counter("mux_resume_frames_total", "Resume (retransmission request) frames received over all mux links."),
+		retransmits:  reg.Counter("mux_retransmit_frames_total", "Session frames re-served from a journal after a resume request."),
 		active:       reg.Gauge("mux_sessions_active", "Sessions currently open on this mux."),
 	}
 }
 
-func (mm *muxMetrics) link(peer int) muxLinkMetrics {
-	if mm == nil || mm.connects == nil {
-		return muxLinkMetrics{}
-	}
+// link is the per-peer slice of the bundle the link layer feeds.
+func (mm *muxMetrics) link(peer int) linkMetrics {
 	p := strconv.Itoa(peer)
-	return muxLinkMetrics{
-		connects: nilCounter{mm.connects.With(p)},
-		linkUp:   nilLinkGauge{mm.linkUp.With(p)},
-	}
+	return linkMetrics{connects: mm.connects.With(p), linkUp: mm.linkUp.With(p)}
+}
+
+// onSessionOpen / onSessionClose keep the active-session gauge.
+func (mm *muxMetrics) onSessionOpen() {
+	mm.opened.Inc()
+	mm.active.Set(float64(mm.activeN.Add(1)))
+}
+
+func (mm *muxMetrics) onSessionClose() {
+	mm.closed.Inc()
+	mm.active.Set(float64(mm.activeN.Add(-1)))
 }
 
 func (mm *muxMetrics) onSessionSend(bytes int) {
-	if mm == nil {
-		return
-	}
-	mm.sessionMsgs.inc()
-	mm.sessionBytes.add(int64(bytes))
+	mm.sessionMsgs.Inc()
+	mm.sessionBytes.Add(int64(bytes))
 }

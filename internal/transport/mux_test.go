@@ -13,37 +13,13 @@ import (
 	"groupranking/internal/telemetry"
 )
 
-// muxMesh builds an n-daemon mux mesh over loopback and returns the
-// endpoints plus a teardown.
+// muxMesh builds an n-daemon mux mesh over loopback, closed at test
+// cleanup.
 func muxMesh(t *testing.T, n int, optsFor func(i int) MuxOptions) []*SessionMux {
 	t.Helper()
-	addrs, err := FreeLoopbackAddrs(n)
-	if err != nil {
-		t.Fatalf("reserving addrs: %v", err)
-	}
-	muxes := make([]*SessionMux, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			muxes[i], errs[i] = NewSessionMux(addrs, i, 5*time.Second, optsFor(i))
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("mux %d: %v", i, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, m := range muxes {
-			m.Close()
-		}
+	return formMesh(t, n, func(addrs []string, me int) (*SessionMux, error) {
+		return NewSessionMux(addrs, me, 5*time.Second, optsFor(me))
 	})
-	return muxes
 }
 
 // openAll opens sid on every endpoint of the mesh.
@@ -168,15 +144,34 @@ func TestMuxPendingReplay(t *testing.T) {
 	}
 }
 
+// awaitQueued blocks until s holds n frames from peer in its receive
+// queue, so a test can force "the frame was already there".
+func awaitQueued(t *testing.T, s *MuxSession, peer, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.inbox[peer]) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d frames from party %d queued", len(s.inbox[peer]), n, peer)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // Closing (or abandoning) one session must not disturb another on the
-// same link: session A closes mid-flight, B still completes.
+// same link: session A closes with a frame still queued, B completes.
+// And the closed session's queue is discarded: a session closed locally
+// answers ErrClosed before it looks at its queue.
 func TestMuxCloseIsolation(t *testing.T) {
 	defer leakcheck.Check(t)
 	muxes := muxMesh(t, 3, func(int) MuxOptions { return MuxOptions{} })
 	a := openAll(t, muxes, "doomed")
 	b := openAll(t, muxes, "survivor")
-	// A few frames in flight for A, then it dies everywhere.
-	_ = a[0].Send(1, 0, 1, 4, 1)
+	// A frame for A is delivered and sits in its queue; then A dies
+	// everywhere.
+	if err := a[0].Send(1, 0, 1, 4, 1); err != nil {
+		t.Fatal(err)
+	}
+	awaitQueued(t, a[1], 0, 1)
 	for _, s := range a {
 		s.Close()
 	}
@@ -189,6 +184,34 @@ func TestMuxCloseIsolation(t *testing.T) {
 	var abort *AbortError
 	if !errors.As(err, &abort) || !errors.Is(err, ErrClosed) {
 		t.Fatalf("closed-session recv: got %v, want AbortError/ErrClosed", err)
+	}
+}
+
+// The mirror case: a PEER (or link) failure after a frame was queued
+// still delivers the frame, like buffered TCP data before EOF; only the
+// receive after it sees the failure.
+func TestMuxPeerFailureDrainsQueue(t *testing.T) {
+	defer leakcheck.Check(t)
+	muxes := muxMesh(t, 2, func(int) MuxOptions { return MuxOptions{} })
+	s := openAll(t, muxes, "s")
+	if err := s[0].Send(1, 0, 1, 4, 41); err != nil {
+		t.Fatal(err)
+	}
+	awaitQueued(t, s[1], 0, 1)
+	muxes[0].Close() // the peer goes away: party 1's link to it dies
+	deadline := time.Now().Add(5 * time.Second)
+	for linkOf(muxEnd{s[1], muxes[1]}).conn(0) != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("party 1 never noticed the dead link")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if v, err := s[1].RecvCtx(context.Background(), 1, 0, 1); err != nil || v != 41 {
+		t.Fatalf("frame queued before the failure: got %v, %v", v, err)
+	}
+	_, err := s[1].RecvCtx(context.Background(), 1, 0, 2)
+	if ae, ok := IsAbort(err); !ok || ae.Party != 0 || !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("receive after the drained queue = %v, want an abort naming party 0 with ErrPeerDown", err)
 	}
 }
 

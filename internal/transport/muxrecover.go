@@ -1,16 +1,9 @@
 package transport
 
 import (
-	"bufio"
-	"context"
 	"fmt"
-	"math/rand"
-	"net"
 	"strconv"
-	"sync/atomic"
 	"time"
-
-	"groupranking/internal/wirecodec"
 )
 
 // Recovering mode for the SessionMux: the daemon-grade generalization of
@@ -41,28 +34,11 @@ import (
 // not choose one.
 const defaultMuxGrace = 30 * time.Second
 
-// muxRecovery is the recovering-mode state hanging off a SessionMux.
-// Mutable fields are guarded by the mux's own mu.
+// muxRecovery is the recovering-mode state hanging off a SessionMux,
+// guarded by the mux's own mu. The links themselves — redial, stale-epoch
+// fencing, the blame grace — are the link layer's (link.go); what is
+// here is the per-session resume discipline it drives through onUp.
 type muxRecovery struct {
-	epoch int
-	grace time.Duration
-
-	ln net.Listener
-
-	// peerEpoch is the highest boot epoch seen from each accepted peer;
-	// a hello announcing an older epoch is a stale connection and is
-	// rejected. (Dialed links carry our epoch outward instead.)
-	peerEpoch []int
-	// graceTimers holds the per-link blame timer armed while that link
-	// is down; re-attaching stops it.
-	graceTimers []*time.Timer
-	// blamed marks links whose grace expired (health reports them dead,
-	// not reconnecting).
-	blamed []bool
-	// upOnce closes firstUp exactly once per peer for formation.
-	firstUp []chan struct{}
-	upDone  []bool
-
 	// resumable maps session ids to their journals for serving resume
 	// requests after the session's goroutine is gone: a terminal
 	// session still owes peers retransmissions until the service layer
@@ -71,339 +47,6 @@ type muxRecovery struct {
 	// serving dedupes concurrent registry-served retransmit runs, keyed
 	// "sid|peer".
 	serving map[string]bool
-	// handshakes tracks accepted connections still inside the hello
-	// read, so Close can cut them loose without waiting the deadline.
-	handshakes map[net.Conn]bool
-}
-
-func (r *muxRecovery) closeLocked() {
-	if r.ln != nil {
-		r.ln.Close()
-	}
-	for _, t := range r.graceTimers {
-		if t != nil {
-			t.Stop()
-		}
-	}
-	for c := range r.handshakes {
-		c.Close()
-	}
-}
-
-// formRecovering builds the recovering mesh: a lifetime accept loop for
-// higher-indexed peers, a redial maintainer per lower-indexed peer, and
-// an initial formation wait so callers still get the all-links-up
-// guarantee NewSessionMux promises.
-func (m *SessionMux) formRecovering(addrs []string, opts MuxRecovery) error {
-	r := &muxRecovery{
-		epoch:       opts.Epoch,
-		grace:       opts.Grace,
-		peerEpoch:   make([]int, m.n),
-		graceTimers: make([]*time.Timer, m.n),
-		blamed:      make([]bool, m.n),
-		firstUp:     make([]chan struct{}, m.n),
-		upDone:      make([]bool, m.n),
-		resumable:   make(map[string]Journaler),
-		serving:     make(map[string]bool),
-		handshakes:  make(map[net.Conn]bool),
-	}
-	if r.epoch <= 0 {
-		r.epoch = 1
-	}
-	if r.grace <= 0 {
-		r.grace = defaultMuxGrace
-	}
-	for i := range r.firstUp {
-		r.firstUp[i] = make(chan struct{})
-	}
-	m.rec = r
-
-	ln, err := net.Listen("tcp", addrs[m.me])
-	if err != nil {
-		return fmt.Errorf("transport: listening on %s: %w", addrs[m.me], err)
-	}
-	r.ln = ln
-	m.pumps.Add(1)
-	go m.acceptLoop(ln)
-	for peer := 0; peer < m.me; peer++ {
-		m.pumps.Add(1)
-		go m.maintainLink(peer, addrs[peer])
-	}
-
-	deadline := time.NewTimer(dialDeadline)
-	defer deadline.Stop()
-	for peer := 0; peer < m.n; peer++ {
-		if peer == m.me {
-			continue
-		}
-		select {
-		case <-r.firstUp[peer]:
-		case <-deadline.C:
-			return fmt.Errorf("transport: mux link to party %d did not form within %v", peer, dialDeadline)
-		case <-m.closeCh:
-			return fmt.Errorf("transport: mux closed during formation")
-		}
-	}
-	return nil
-}
-
-// acceptLoop accepts mux links for the mux's whole lifetime — the
-// structural difference from the one-shot formation: a restarted or
-// reconnecting peer can always re-join the mesh.
-func (m *SessionMux) acceptLoop(ln net.Listener) {
-	defer m.pumps.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed (mux shutdown) or broken beyond use
-		}
-		m.pumps.Add(1)
-		go func() {
-			defer m.pumps.Done()
-			m.handleAccept(conn)
-		}()
-	}
-}
-
-// handleAccept runs one inbound handshake. A malformed or stale hello
-// just drops the connection — the mesh's health is the dialer's problem
-// to fix by redialing.
-func (m *SessionMux) handleAccept(conn net.Conn) {
-	m.mu.Lock()
-	m.rec.handshakes[conn] = true
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.rec.handshakes, conn)
-		m.mu.Unlock()
-	}()
-	conn.SetReadDeadline(time.Now().Add(handshakeDeadline))
-	rd := bufio.NewReader(conn)
-	v, err := wirecodec.ReadValue(rd)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	conn.SetReadDeadline(time.Time{})
-	hello, ok := v.(muxHello)
-	if !ok || hello.Party <= m.me || hello.Party >= m.n {
-		conn.Close()
-		return
-	}
-	m.attachRecovering(hello.Party, hello.Epoch, conn, rd)
-}
-
-// maintainLink keeps the dialed link to one lower-indexed peer alive:
-// dial, handshake, pump until the connection dies, redial with backoff.
-// The first dial is deadline-bounded so initial formation can fail the
-// constructor; after that the maintainer retries until the mux closes.
-func (m *SessionMux) maintainLink(peer int, addr string) {
-	defer m.pumps.Done()
-	jitter := rand.New(rand.NewSource(int64(m.me)<<16 | int64(peer)))
-	first := true
-	firstDeadline := time.Now().Add(dialDeadline)
-	for {
-		select {
-		case <-m.closeCh:
-			return
-		default:
-		}
-		backoff := dialBackoffBase
-		var conn net.Conn
-		for conn == nil {
-			c, err := net.Dial("tcp", addr)
-			if err == nil {
-				conn = c
-				break
-			}
-			if first && time.Now().After(firstDeadline) {
-				return // formation fails via the firstUp wait
-			}
-			d := backoff/2 + time.Duration(jitter.Int63n(int64(backoff)))
-			select {
-			case <-time.After(d):
-			case <-m.closeCh:
-				return
-			}
-			if backoff *= 2; backoff > dialBackoffMax {
-				backoff = dialBackoffMax
-			}
-		}
-		conn.SetWriteDeadline(time.Now().Add(handshakeDeadline))
-		err := wirecodec.WriteValue(conn, muxHello{Party: m.me, Epoch: m.rec.epoch})
-		conn.SetWriteDeadline(time.Time{})
-		if err != nil {
-			conn.Close()
-			continue
-		}
-		first = false
-		done := m.attachRecovering(peer, -1, conn, bufio.NewReader(conn))
-		if done == nil {
-			return // mux closed during attach
-		}
-		select {
-		case <-done:
-		case <-m.closeCh:
-			return
-		}
-	}
-}
-
-// attachRecovering wires one handshaken link, replacing any previous
-// connection to that peer, and starts its pump. epoch is the peer's
-// announced boot epoch (-1 on dialed links, where only we announce).
-// Returns a channel closed when the pump exits, or nil if the
-// connection was rejected.
-func (m *SessionMux) attachRecovering(peer, epoch int, conn net.Conn, rd *bufio.Reader) chan struct{} {
-	m.mu.Lock()
-	select {
-	case <-m.closeCh:
-		m.mu.Unlock()
-		conn.Close()
-		return nil
-	default:
-	}
-	r := m.rec
-	if epoch >= 0 {
-		if epoch < r.peerEpoch[peer] {
-			m.mu.Unlock()
-			conn.Close()
-			return nil // stale connection from before the peer's restart
-		}
-		r.peerEpoch[peer] = epoch
-	}
-	if old := m.conns[peer]; old != nil {
-		old.Close() // its pump sees the conn mismatch and exits quietly
-	}
-	m.conns[peer] = conn
-	if t := r.graceTimers[peer]; t != nil {
-		t.Stop()
-		r.graceTimers[peer] = nil
-	}
-	r.blamed[peer] = false
-	if !r.upDone[peer] {
-		r.upDone[peer] = true
-		close(r.firstUp[peer])
-	}
-	// Every open journal-backed session asks the re-attached peer for
-	// the frames it missed during the outage.
-	var resumes []*MuxSession
-	for _, s := range m.sessions {
-		if s.j != nil {
-			resumes = append(resumes, s)
-		}
-	}
-	m.mu.Unlock()
-	lm := m.mm.link(peer)
-	lm.connects.inc()
-	lm.linkUp.Set(1)
-	done := make(chan struct{})
-	m.pumps.Add(1)
-	go m.recPump(peer, conn, rd, done)
-	for _, s := range resumes {
-		go s.sendResume(peer)
-	}
-	return done
-}
-
-// recPump reads one recovering link until it dies. Unlike the one-shot
-// pump, any failure — connection loss, malformed frame — marks the link
-// down and arms the blame grace instead of permanently failing every
-// session: the maintainer (or the peer's redial) gets a chance to bring
-// the link back first.
-func (m *SessionMux) recPump(peer int, conn net.Conn, rd *bufio.Reader, done chan struct{}) {
-	defer m.pumps.Done()
-	defer close(done)
-	for {
-		v, err := wirecodec.ReadValue(rd)
-		if err != nil {
-			m.markLinkDown(peer, conn, err)
-			return
-		}
-		env, ok := v.(muxEnv)
-		if !ok {
-			m.markLinkDown(peer, conn, fmt.Errorf("transport: party %d sent a %T frame, want mux envelope", peer, v))
-			return
-		}
-		atomicStoreLastSeen(m, peer)
-		switch env.Kind {
-		case muxKindControl:
-			m.mm.ctrlFrames.inc()
-			select {
-			case m.ctrl <- ControlMsg{From: peer, Payload: env.Payload}:
-			case <-m.closeCh:
-				return
-			}
-		case muxKindData:
-			m.mm.dataFrames.inc()
-			m.routeData(peer, env)
-		case muxKindResume:
-			m.mm.resumeFrames.inc()
-			m.routeResume(peer, env)
-		default:
-			m.markLinkDown(peer, conn, fmt.Errorf("transport: party %d sent mux frame kind %d", peer, env.Kind))
-			return
-		}
-	}
-}
-
-// markLinkDown clears a dead connection and arms the blame grace. The
-// conn parameter fences stale pumps: a pump whose connection was
-// already replaced must not tear down its successor.
-func (m *SessionMux) markLinkDown(peer int, conn net.Conn, cause error) {
-	m.mu.Lock()
-	if m.conns[peer] != conn {
-		m.mu.Unlock()
-		conn.Close()
-		return
-	}
-	m.conns[peer] = nil
-	conn.Close()
-	r := m.rec
-	closed := false
-	select {
-	case <-m.closeCh:
-		closed = true
-	default:
-	}
-	if !closed {
-		if t := r.graceTimers[peer]; t != nil {
-			t.Stop()
-		}
-		grace := r.grace
-		r.graceTimers[peer] = time.AfterFunc(grace, func() {
-			m.blamePeer(peer, grace, cause)
-		})
-	}
-	m.mu.Unlock()
-	m.mm.link(peer).linkUp.Set(0)
-}
-
-// blamePeer fires when a link outage outlives the grace: every open
-// session's receives from that peer fail with the typed ErrPeerDown a
-// non-recovering mux would have surfaced immediately.
-func (m *SessionMux) blamePeer(peer int, grace time.Duration, cause error) {
-	m.mu.Lock()
-	if m.conns[peer] != nil {
-		m.mu.Unlock()
-		return // the link came back while the timer was firing
-	}
-	select {
-	case <-m.closeCh:
-		m.mu.Unlock()
-		return
-	default:
-	}
-	m.rec.blamed[peer] = true
-	open := make([]*MuxSession, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		open = append(open, s)
-	}
-	m.mu.Unlock()
-	err := fmt.Errorf("%w: party %d did not reconnect within the %v grace: %w", ErrPeerDown, peer, grace, cause)
-	for _, s := range open {
-		s.failPeer(peer, err)
-	}
 }
 
 // routeResume routes one resume frame: to its open session, to the
@@ -452,7 +95,7 @@ func (m *SessionMux) retransmitFromJournal(sid string, to int, have uint64, j Jo
 		if m.writeFrame(to, m.timeout, env) != nil {
 			return
 		}
-		m.mm.retransmits.inc()
+		m.mm.retransmits.Inc()
 	}
 }
 
@@ -527,23 +170,6 @@ func (s *MuxSession) loadJournal(j Journaler) error {
 	return nil
 }
 
-// announceResume asks every currently-connected peer to retransmit this
-// session's missing frames; peers attaching later are asked on attach.
-func (s *MuxSession) announceResume() {
-	m := s.m
-	m.mu.Lock()
-	var up []int
-	for p := 0; p < m.n; p++ {
-		if p != m.me && m.conns[p] != nil {
-			up = append(up, p)
-		}
-	}
-	m.mu.Unlock()
-	for _, p := range up {
-		go s.sendResume(p)
-	}
-}
-
 // sendResume tells one peer how much of its traffic we hold. Errors are
 // ignored: a failed resume is retried on the next link attach.
 func (s *MuxSession) sendResume(to int) {
@@ -611,83 +237,28 @@ func (s *MuxSession) sendRecovering(round, to, bytes int, payload any) error {
 	return nil
 }
 
-// recvRecovering is RecvCtx's body for journal-backed sessions:
-// journaled receives replay first, then live frames are accepted in
-// per-peer sequence order through the reorder stash.
-func (s *MuxSession) recvRecovering(ctx context.Context, from, round int) (any, error) {
+// replayRecv is the head of RecvCtx for journal-backed sessions:
+// journaled receives replay first, then a stashed frame that has become
+// next-expected. done is false when the receive has to wait for live
+// frames, which are then accepted in per-peer sequence order through
+// filterFrame.
+func (s *MuxSession) replayRecv(from, round int) (payload any, done bool, err error) {
 	s.recvMu.Lock()
+	defer s.recvMu.Unlock()
 	if q := s.replayRecvs[from]; len(q) > 0 {
 		msg := q[0]
 		s.replayRecvs[from] = q[1:]
-		s.recvMu.Unlock()
 		if round >= 0 && msg.Round != round {
-			return nil, Abort(from, round, "", fmt.Errorf("%w: journaled receive from party %d is for round %d, recomputation wants round %d",
+			return nil, false, Abort(from, round, "", fmt.Errorf("%w: journaled receive from party %d is for round %d, recomputation wants round %d",
 				ErrReplayDiverged, from, msg.Round, round))
 		}
-		return msg.Payload, nil
+		return msg.Payload, true, nil
 	}
 	if env, ok := s.stash[from][s.recvNext[from]+1]; ok {
 		delete(s.stash[from], env.Seq)
-		payload, accepted, err := s.acceptLocked(from, round, env)
-		s.recvMu.Unlock()
-		if err != nil || accepted {
-			return payload, err
-		}
-	} else {
-		s.recvMu.Unlock()
+		return s.acceptLocked(from, round, env)
 	}
-
-	var timerC <-chan time.Time
-	if s.timeout > 0 {
-		tm := time.NewTimer(s.timeout)
-		defer tm.Stop()
-		timerC = tm.C
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	for {
-		select {
-		case env := <-s.inbox[from]:
-			payload, accepted, err := s.filterFrame(from, round, env)
-			if err != nil {
-				return nil, err
-			}
-			if accepted {
-				return payload, nil
-			}
-		case <-s.peerDown[from]:
-			// Drain frames that raced the failure into the queue.
-			for {
-				select {
-				case env := <-s.inbox[from]:
-					payload, accepted, err := s.filterFrame(from, round, env)
-					if err != nil {
-						return nil, err
-					}
-					if accepted {
-						return payload, nil
-					}
-					continue
-				default:
-				}
-				break
-			}
-			s.peerMu.Lock()
-			cause := s.peerErr[from]
-			s.peerMu.Unlock()
-			return nil, Abort(from, round, "", cause)
-		case <-done:
-			return nil, Abort(from, round, "", ctx.Err())
-		case <-timerC:
-			return nil, Abort(from, round, "", ErrTimeout)
-		case <-s.closeCh:
-			return nil, Abort(from, round, "", ErrClosed)
-		case <-s.m.closeCh:
-			return nil, Abort(from, round, "", ErrClosed)
-		}
-	}
+	return nil, false, nil
 }
 
 // filterFrame classifies one dequeued frame against the sequence
@@ -704,7 +275,7 @@ func (s *MuxSession) acceptLocked(from, round int, env muxEnv) (payload any, acc
 	if env.Seq == 0 {
 		err = Abort(from, round, "", fmt.Errorf("%w: party %d sent an unsequenced frame into recovering session %s",
 			ErrDesync, from, s.sid))
-		s.failPeer(from, err)
+		s.down[from].fail(err)
 		return nil, false, err
 	}
 	next := s.recvNext[from] + 1
@@ -715,7 +286,7 @@ func (s *MuxSession) acceptLocked(from, round int, env muxEnv) (payload any, acc
 		if len(s.stash[from]) >= cap(s.inbox[from]) {
 			err = Abort(from, round, "", fmt.Errorf("mux session %s: reorder stash for party %d overflowed its %d-frame budget",
 				s.sid, from, cap(s.inbox[from])))
-			s.failPeer(from, err)
+			s.down[from].fail(err)
 			return nil, false, err
 		}
 		s.stash[from][env.Seq] = env
@@ -723,17 +294,9 @@ func (s *MuxSession) acceptLocked(from, round int, env muxEnv) (payload any, acc
 	}
 	if lerr := s.j.LogRecv(from, env.Round, env.Bytes, env.Seq, env.Payload); lerr != nil {
 		err = Abort(from, round, "", fmt.Errorf("journaling receive from party %d: %w", from, lerr))
-		s.failPeer(from, err)
+		s.down[from].fail(err)
 		return nil, false, err
 	}
 	s.recvNext[from] = env.Seq
-	if round >= 0 && env.Round != round {
-		return nil, false, roundMismatchAbort(from, round, env.Round)
-	}
-	return env.Payload, true, nil
-}
-
-// atomicStoreLastSeen mirrors the one-shot pump's last-contact stamp.
-func atomicStoreLastSeen(m *SessionMux, peer int) {
-	atomic.StoreInt64(&m.lastSeen[peer], time.Now().UnixNano())
+	return takeRound(from, round, env.Round, env.Payload)
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -13,29 +12,14 @@ import (
 	"groupranking/internal/wirecodec"
 )
 
-// recoveringMesh forms an n-daemon recovering mux mesh on fixed addrs.
+// recoveringMesh forms an n-daemon recovering mux mesh on fixed addrs,
+// closed at test cleanup.
 func recoveringMesh(t *testing.T, addrs []string, epochs []int, grace time.Duration) []*SessionMux {
 	t.Helper()
-	n := len(addrs)
-	muxes := make([]*SessionMux, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			muxes[i], errs[i] = NewSessionMux(addrs, i, 5*time.Second,
-				MuxOptions{Recovery: &MuxRecovery{Epoch: epochs[i], Grace: grace}})
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("recovering mux %d: %v", i, err)
-		}
-	}
-	return muxes
+	return formMeshOn(t, addrs, func(addrs []string, me int) (*SessionMux, error) {
+		return NewSessionMux(addrs, me, 5*time.Second,
+			MuxOptions{Recovery: &MuxRecovery{Epoch: epochs[me], Grace: grace}})
+	})
 }
 
 // A recovering mesh behaves like a plain one when nothing fails: a
@@ -255,7 +239,7 @@ func TestMuxRecoveringHostileAccept(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hostile dial 2: %v", err)
 	}
-	if err := wirecodec.WriteValue(conn2, muxHello{Party: 1, Epoch: 1}); err != nil {
+	if err := wirecodec.WriteValue(conn2, hello{Party: 1, Epoch: 1, Mesh: "mux"}); err != nil {
 		t.Fatalf("hostile hello: %v", err)
 	}
 	conn2.Write([]byte("\x00\x01\x02\x03garbage after a valid hello"))
@@ -345,7 +329,7 @@ func TestMuxRecoveringHostileControlFrames(t *testing.T) {
 		if err != nil {
 			t.Fatalf("hostile dial %d: %v", i, err)
 		}
-		if err := wirecodec.WriteValue(conn, muxHello{Party: 1, Epoch: 1}); err != nil {
+		if err := wirecodec.WriteValue(conn, hello{Party: 1, Epoch: 1, Mesh: "mux"}); err != nil {
 			t.Fatalf("hostile hello %d: %v", i, err)
 		}
 		for _, env := range volley {

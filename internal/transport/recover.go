@@ -1,11 +1,9 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -19,10 +17,12 @@ import (
 // aborting. Three mechanisms compose, all invisible to the protocol
 // layers above Net:
 //
-//   - a session handshake: every connection opens with an rhello frame
-//     pinning (sessionID, party, epoch, next-expected seq), so a
-//     replacement connection resumes the link exactly where the old one
-//     left off and stale or misconfigured connections are rejected;
+//   - a recovering link (link.go, grace > 0): the hello pins (session,
+//     party, epoch), lost links are redialed and re-accepted, and stale
+//     or misconfigured connections are rejected; the first frame each
+//     side sends on a new connection is an ack carrying its
+//     next-expected seq, so the link resumes exactly where the old
+//     connection left off;
 //   - reliable delivery: every data frame carries a per-link sequence
 //     number; senders keep a bounded retransmit buffer trimmed by
 //     cumulative acks (piggybacked on every frame and on heartbeats),
@@ -127,31 +127,12 @@ func (o RecoverOptions) withDefaults() RecoverOptions {
 	return o
 }
 
-// Redial backoff for re-establishing a lost link (distinct from the
-// initial-dial constants in tcp.go: reconnects may wait much longer,
-// so the cap is higher).
-const (
-	redialBackoffBase = 10 * time.Millisecond
-	redialBackoffMax  = time.Second
-)
-
 // Frame kinds on a recovery link.
 const (
 	frameData uint8 = iota + 1
 	frameHeartbeat
 	frameAck
 )
-
-// rhello opens every connection, in both directions: the dialer sends
-// its hello, the accepter validates it and replies with its own. Each
-// side then retransmits its buffered frames from the peer's
-// NextExpected onward.
-type rhello struct {
-	SessionID    string
-	Party        int
-	Epoch        int
-	NextExpected uint64
-}
 
 // renv is the recovery link's wire frame. Ack piggybacks the sender's
 // cumulative receive progress on every frame. T/EchoT implement the
@@ -171,16 +152,24 @@ type renv struct {
 	Payload any
 }
 
-// rlink is the per-peer state of one recovery link: the live
-// connection (if any), the retransmit buffer, sequence counters, the
-// journal replay queues, and the blame machinery.
+// rlink is the per-peer state of one recovery link: the retransmit
+// buffer, sequence counters, the journal replay queues and the failure
+// signal receives wait on. The connection itself belongs to the link
+// layer; conn is the one it last reported up.
 type rlink struct {
 	peer int
 
-	mu        sync.Mutex
-	conn      net.Conn
-	up        bool
-	peerEpoch int
+	mu sync.Mutex
+	// conn is the connection data frames are written on, and the one
+	// whose read deadline the liveness check extends. It changes only
+	// in onUp, together with live: data frames never jump from a lost
+	// connection to a replacement that has not been resynchronised.
+	conn net.Conn
+	// live is set once the peer's cursor has arrived on conn and the
+	// buffer past it has been retransmitted: only then may new sends go
+	// straight to the wire, or they would overtake the retransmission
+	// and open a sequence gap at the receiver.
+	live bool
 
 	sendSeq uint64 // seq assigned to the next new data frame
 	acked   uint64 // everything below this is delivered and trimmed
@@ -191,48 +180,30 @@ type rlink struct {
 	replaySends []JournalMsg // journaled sends not yet re-issued by the recomputation
 	replayRecvs []JournalMsg // journaled receives not yet consumed by the recomputation
 
-	// blame is closed when the peer has been down for a full grace
-	// window (a fresh channel is installed on every reconnect);
-	// blameCancel stops the pending grace timer.
-	blame       chan struct{}
-	blameCancel chan struct{}
-	fatal       error // unrecoverable link error (desync, replay divergence)
+	// down fails receives from the peer: for good on a fatal link error
+	// (desync, replay divergence), until the peer reconnects when the
+	// link layer blamed it for outstaying the grace.
+	down  downSignal
+	fatal error
 
-	// downNotify wakes the dialer-side maintainer to redial.
-	downNotify chan struct{}
-
-	// Liveness telemetry, guarded by mu like the link state it mirrors.
-	lastContact time.Time     // last frame of any kind from the peer
-	lastRTT     time.Duration // most recent heartbeat round trip
-	tm          linkMetrics
+	lastRTT time.Duration // most recent heartbeat round trip
+	tm      linkMetrics
 }
 
 // RecoveringTCPFabric implements Net over a self-healing TCP mesh with
 // optional journal-backed crash recovery. See the file comment for the
 // mechanism; see NewTCPFabric for the plain fail-fast mesh.
 type RecoveringTCPFabric struct {
-	n, me   int
-	addrs   []string
 	timeout time.Duration
 	opts    RecoverOptions
 
+	sendStats // also n, me and the live-metrics bundle tm
+
+	mesh  *mesh
 	links []*rlink
 	inbox []chan renv
-	tm    *netMetrics
 
-	ln net.Listener
-
-	mu        sync.Mutex
-	msgs      int64
-	bytes     int64
-	maxRound  int
-	rounds    map[int]RoundStats
-	echoMsgs  int64
-	echoBytes int64
-
-	closeOnce sync.Once
-	closeCh   chan struct{}
-	wg        sync.WaitGroup
+	wg sync.WaitGroup // the heartbeat loop
 }
 
 var _ Net = (*RecoveringTCPFabric)(nil)
@@ -244,16 +215,6 @@ var _ Net = (*RecoveringTCPFabric)(nil)
 // so severed links heal and restarted peers rejoin. timeout bounds each
 // receive wait and each write, exactly as on the plain fabric.
 func NewRecoveringTCPFabric(addrs []string, me int, timeout time.Duration, opts RecoverOptions) (*RecoveringTCPFabric, error) {
-	n := len(addrs)
-	if n < 2 {
-		return nil, fmt.Errorf("transport: tcp mesh needs at least two parties")
-	}
-	if me < 0 || me >= n {
-		return nil, fmt.Errorf("transport: party index %d out of range", me)
-	}
-	if err := validateMeshAddrs(addrs); err != nil {
-		return nil, err
-	}
 	if opts.SessionID == "" {
 		return nil, fmt.Errorf("transport: recovery mesh needs a session ID")
 	}
@@ -261,27 +222,24 @@ func NewRecoveringTCPFabric(addrs []string, me int, timeout time.Duration, opts 
 		opts.Epoch = 1
 	}
 	opts = opts.withDefaults()
+	n := len(addrs)
 	f := &RecoveringTCPFabric{
-		n: n, me: me,
-		addrs:   addrs,
 		timeout: timeout,
 		opts:    opts,
 		links:   make([]*rlink, n),
 		inbox:   make([]chan renv, n),
-		rounds:  make(map[int]RoundStats),
-		closeCh: make(chan struct{}),
 	}
-	f.tm = newNetMetrics(opts.Telemetry)
+	f.sendStats.init(n, me, opts.Telemetry)
+	f.mesh = &mesh{
+		addrs: addrs, me: me, tag: "session/" + opts.SessionID, epoch: opts.Epoch, grace: opts.Grace,
+		tm:      f.tm.link,
+		onFrame: f.onFrame, onUp: f.onUp, onBlame: f.onBlame,
+	}
 	for peer := 0; peer < n; peer++ {
 		if peer == me {
 			continue
 		}
-		l := &rlink{
-			peer:       peer,
-			blame:      make(chan struct{}),
-			downNotify: make(chan struct{}, 1),
-			tm:         f.tm.link(peer),
-		}
+		l := &rlink{peer: peer, tm: f.tm.link(peer)}
 		if opts.Journal != nil {
 			sent, err := opts.Journal.SentTo(peer)
 			if err != nil {
@@ -296,28 +254,18 @@ func NewRecoveringTCPFabric(addrs []string, me int, timeout time.Duration, opts 
 			l.recvNext = uint64(len(recv))
 			l.replayRecvs = recv
 			// Every journaled send goes back into the retransmit buffer;
-			// the reconnect handshake trims the prefix each peer already
-			// has, and only the remainder is retransmitted.
+			// the peer's cursor trims the prefix it already has, and only
+			// the remainder is retransmitted.
 			for _, m := range sent {
 				l.buf = append(l.buf, renv{Kind: frameData, Round: m.Round, Seq: m.Seq, Bytes: m.Bytes, Payload: m.Payload})
 			}
 			l.tm.ackLag.Set(float64(len(l.buf)))
 		}
 		f.links[peer] = l
-		f.inbox[peer] = make(chan renv, 4096)
+		f.inbox[peer] = make(chan renv, 4096) // the same receive budget as the in-memory Fabric's queues
 	}
-
-	ln, err := net.Listen("tcp", addrs[me])
-	if err != nil {
-		return nil, fmt.Errorf("transport: listening on %s: %w", addrs[me], err)
-	}
-	f.ln = ln
-
-	f.wg.Add(1)
-	go f.acceptLoop()
-	for peer := 0; peer < me; peer++ {
-		f.wg.Add(1)
-		go f.maintain(f.links[peer])
+	if err := f.mesh.start(); err != nil {
+		return nil, err
 	}
 	if opts.Heartbeat > 0 {
 		f.wg.Add(1)
@@ -329,323 +277,80 @@ func NewRecoveringTCPFabric(addrs []string, me int, timeout time.Duration, opts 
 	// that already finished their role and drained may be gone for good,
 	// and everything they ever sent is replayable from the journal — so
 	// links come up lazily as peers accept or redial, and each link
-	// still down starts its grace clock immediately (a peer that neither
-	// reconnects nor is fully journaled gets blamed, not waited on
-	// forever).
-	if opts.Epoch > 1 {
-		for _, l := range f.links {
-			if l == nil {
-				continue
-			}
-			l.mu.Lock()
-			if !l.up {
-				f.armBlameLocked(l)
-			}
-			l.mu.Unlock()
-		}
-		return f, nil
-	}
-	deadline := time.Now().Add(opts.MeshTimeout)
-	for {
-		if f.allUp() {
-			return f, nil
-		}
-		if time.Now().After(deadline) {
-			missing := f.downPeers()
+	// still down has been on its grace clock since start (a peer that
+	// neither reconnects nor is fully journaled gets blamed, not waited
+	// on forever).
+	if opts.Epoch == 1 {
+		if err := f.mesh.awaitUp(opts.MeshTimeout); err != nil {
 			f.Close()
-			return nil, fmt.Errorf("transport: recovery mesh formation timed out; peers not connected: %v", missing)
-		}
-		select {
-		case <-time.After(5 * time.Millisecond):
-		case <-f.closeCh:
-			return nil, fmt.Errorf("transport: fabric closed during mesh formation")
+			return nil, err
 		}
 	}
-}
-
-func (f *RecoveringTCPFabric) allUp() bool {
-	for _, l := range f.links {
-		if l == nil {
-			continue
-		}
-		l.mu.Lock()
-		up := l.up
-		l.mu.Unlock()
-		if !up {
-			return false
-		}
-	}
-	return true
-}
-
-func (f *RecoveringTCPFabric) downPeers() []int {
-	var out []int
-	for _, l := range f.links {
-		if l == nil {
-			continue
-		}
-		l.mu.Lock()
-		if !l.up {
-			out = append(out, l.peer)
-		}
-		l.mu.Unlock()
-	}
-	return out
+	return f, nil
 }
 
 // Health reports the live state of every peer link for the /healthz
 // endpoint: connected, reconnecting (down but within the grace
 // window), or dead (blame assigned or the link hit a fatal error).
 func (f *RecoveringTCPFabric) Health() []telemetry.PeerHealth {
-	out := make([]telemetry.PeerHealth, 0, f.n-1)
-	for _, l := range f.links {
-		if l == nil {
-			continue
-		}
+	out := f.mesh.Health()
+	for i := range out {
+		l := f.links[out[i].Peer]
 		l.mu.Lock()
-		h := telemetry.PeerHealth{Peer: l.peer, LastContactMS: -1}
-		if !l.lastContact.IsZero() {
-			h.LastContactMS = time.Since(l.lastContact).Milliseconds()
-		}
 		if l.lastRTT > 0 {
-			h.HeartbeatRTTMS = float64(l.lastRTT) / float64(time.Millisecond)
+			out[i].HeartbeatRTTMS = float64(l.lastRTT) / float64(time.Millisecond)
 		}
-		switch {
-		case l.fatal != nil:
-			h.State = telemetry.StateDead
-		case l.up:
-			h.State = telemetry.StateConnected
-		default:
-			h.State = telemetry.StateReconnecting
-			select {
-			case <-l.blame:
-				h.State = telemetry.StateDead
-			default:
-			}
+		if l.fatal != nil {
+			out[i].State = telemetry.StateDead
 		}
 		l.mu.Unlock()
-		out = append(out, h)
 	}
 	return out
 }
 
-// acceptLoop accepts connections from higher-indexed peers for the
-// fabric's lifetime, so a peer that loses its link (or restarts) can
-// always dial back in.
-func (f *RecoveringTCPFabric) acceptLoop() {
-	defer f.wg.Done()
-	for {
-		conn, err := f.ln.Accept()
-		if err != nil {
-			select {
-			case <-f.closeCh:
-				return
-			default:
-			}
-			// Transient accept failure: a malformed client must not kill
-			// the accept loop for the whole session.
-			select {
-			case <-time.After(10 * time.Millisecond):
-				continue
-			case <-f.closeCh:
-				return
-			}
-		}
-		f.wg.Add(1)
-		go f.handleAccept(conn)
-	}
-}
-
-// handleAccept runs the accept side of the session handshake: read the
-// dialer's hello, validate it, reply, then attach.
-func (f *RecoveringTCPFabric) handleAccept(conn net.Conn) {
-	defer f.wg.Done()
-	conn.SetDeadline(time.Now().Add(handshakeDeadline))
-	rd := bufio.NewReader(conn)
-	v, err := wirecodec.ReadValue(rd)
-	if err != nil {
-		conn.Close()
-		return
-	}
-	hello, ok := v.(rhello)
-	if !ok || hello.SessionID != f.opts.SessionID || hello.Party <= f.me || hello.Party >= f.n {
-		conn.Close()
-		return
-	}
-	l := f.links[hello.Party]
+// onUp runs when the link layer installs a connection. New sends stay
+// buffered until the peer's cursor arrives (handleFrame resynchronises
+// on the first frame), and our own cursor goes out as the first frame,
+// an ack, so the peer can do the same.
+func (f *RecoveringTCPFabric) onUp(peer, _ int) {
+	l := f.links[peer]
 	l.mu.Lock()
-	mine := rhello{SessionID: f.opts.SessionID, Party: f.me, Epoch: f.opts.Epoch, NextExpected: l.recvNext}
+	l.conn = f.mesh.conn(peer)
+	l.live = false
+	if l.fatal == nil {
+		l.down.clear() // a reconnect withdraws the blame for the outage
+	}
+	f.extendLivenessLocked(l)
+	ack := l.recvNext
 	l.mu.Unlock()
-	if err := wirecodec.WriteValue(conn, mine); err != nil {
-		conn.Close()
+	f.sendControl(l, renv{Kind: frameAck, Ack: ack})
+}
+
+// extendLivenessLocked pushes the connection's read deadline out by
+// several heartbeat intervals. With heartbeats enabled the deadline
+// doubles as the liveness check: a connection that goes silent (severed
+// link, frozen peer) fails its pump's read and enters the link layer's
+// redial/grace path.
+func (f *RecoveringTCPFabric) extendLivenessLocked(l *rlink) {
+	if f.opts.Heartbeat > 0 && l.conn != nil {
+		l.conn.SetReadDeadline(time.Now().Add(4*f.opts.Heartbeat + time.Second))
+	}
+}
+
+// onBlame runs when the peer stayed away for a full grace window:
+// receives from it fail with ErrPeerDown until it reconnects. A frame
+// of a type this build has no codec for is blamed at once and for good:
+// the peer's program sent it, and a redial would only fetch more.
+func (f *RecoveringTCPFabric) onBlame(peer int, err error) {
+	l := f.links[peer]
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var unknown *wirecodec.UnknownTypeError
+	if errors.As(err, &unknown) {
+		f.fatalLocked(l, fmt.Errorf("%w: %w", ErrDesync, err))
 		return
 	}
-	conn.SetDeadline(time.Time{})
-	f.attach(l, conn, rd, hello)
-}
-
-// maintain owns the dial side of one link (to a lower-indexed peer): it
-// dials with exponential backoff and jitter, runs the handshake, and
-// redials whenever the link goes down — forever, until the fabric
-// closes (receivers decide blame; the dialer just keeps trying).
-func (f *RecoveringTCPFabric) maintain(l *rlink) {
-	defer f.wg.Done()
-	jitter := rand.New(rand.NewSource(int64(f.me)<<20 ^ int64(l.peer)<<4 ^ int64(f.opts.Epoch)))
-	backoff := redialBackoffBase
-	for {
-		select {
-		case <-f.closeCh:
-			return
-		default:
-		}
-		if f.dialPeer(l) {
-			backoff = redialBackoffBase
-			select {
-			case <-f.closeCh:
-				return
-			case <-l.downNotify:
-				continue
-			}
-		}
-		// Sleep backoff ± 50% jitter, then double up to the cap.
-		d := backoff/2 + time.Duration(jitter.Int63n(int64(backoff)))
-		select {
-		case <-time.After(d):
-		case <-f.closeCh:
-			return
-		}
-		if backoff *= 2; backoff > redialBackoffMax {
-			backoff = redialBackoffMax
-		}
-	}
-}
-
-// dialPeer attempts one connection + handshake to a lower-indexed peer.
-func (f *RecoveringTCPFabric) dialPeer(l *rlink) bool {
-	l.tm.redials.Inc()
-	conn, err := net.DialTimeout("tcp", f.addrs[l.peer], handshakeDeadline)
-	if err != nil {
-		return false
-	}
-	conn.SetDeadline(time.Now().Add(handshakeDeadline))
-	l.mu.Lock()
-	mine := rhello{SessionID: f.opts.SessionID, Party: f.me, Epoch: f.opts.Epoch, NextExpected: l.recvNext}
-	l.mu.Unlock()
-	if err := wirecodec.WriteValue(conn, mine); err != nil {
-		conn.Close()
-		return false
-	}
-	rd := bufio.NewReader(conn)
-	v, err := wirecodec.ReadValue(rd)
-	if err != nil {
-		conn.Close()
-		return false
-	}
-	hello, ok := v.(rhello)
-	if !ok || hello.SessionID != f.opts.SessionID || hello.Party != l.peer {
-		conn.Close()
-		return false
-	}
-	conn.SetDeadline(time.Time{})
-	return f.attach(l, conn, rd, hello)
-}
-
-// attach installs a handshaken connection on its link: it rejects
-// stale epochs, replaces any previous connection, trims the retransmit
-// buffer to the peer's next-expected seq, retransmits the rest in
-// order, clears pending blame, and starts the reader pump.
-func (f *RecoveringTCPFabric) attach(l *rlink, conn net.Conn, rd *bufio.Reader, hello rhello) bool {
-	l.mu.Lock()
-	if hello.Epoch < l.peerEpoch {
-		// A connection from before the peer's restart, delivered late.
-		l.mu.Unlock()
-		conn.Close()
-		return false
-	}
-	l.peerEpoch = hello.Epoch
-	if l.conn != nil {
-		l.conn.Close() // the old pump exits; markDown ignores the stale conn
-	}
-	l.conn = conn
-	// The peer holds everything below NextExpected; treat it as acked.
-	l.trimAckLocked(hello.NextExpected)
-	// Retransmit the remainder before any new traffic, preserving order.
-	for _, env := range l.buf {
-		if f.timeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(f.timeout))
-		}
-		if err := wirecodec.WriteValue(conn, env); err != nil {
-			l.conn = nil
-			l.mu.Unlock()
-			conn.Close()
-			return false
-		}
-	}
-	conn.SetWriteDeadline(time.Time{})
-	l.up = true
-	l.tm.connects.Inc()
-	l.tm.retransmits.Add(int64(len(l.buf)))
-	l.tm.linkUp.Set(1)
-	// A reconnect within the grace window cancels pending blame.
-	if l.blameCancel != nil {
-		close(l.blameCancel)
-		l.blameCancel = nil
-	}
-	l.blame = make(chan struct{})
-	l.mu.Unlock()
-
-	f.wg.Add(1)
-	go f.pump(l, conn, rd)
-	return true
-}
-
-// markDown records a lost connection and arms the blame timer: if the
-// peer does not reconnect within the grace window, receives from it
-// fail with ErrPeerDown. Stale connections (already replaced) are
-// ignored.
-func (f *RecoveringTCPFabric) markDown(l *rlink, conn net.Conn) {
-	l.mu.Lock()
-	f.markDownLocked(l, conn)
-	l.mu.Unlock()
-}
-
-func (f *RecoveringTCPFabric) markDownLocked(l *rlink, conn net.Conn) {
-	if l.conn != conn || conn == nil {
-		return
-	}
-	conn.Close()
-	l.conn = nil
-	l.up = false
-	l.tm.linkUp.Set(0)
-	f.armBlameLocked(l)
-	select {
-	case l.downNotify <- struct{}{}:
-	default:
-	}
-}
-
-// armBlameLocked starts the grace clock for a down link (idempotent per
-// outage): if the peer is still away when it expires, receives from it
-// are blamed. A reconnect cancels it (attach).
-func (f *RecoveringTCPFabric) armBlameLocked(l *rlink) {
-	if l.blameCancel != nil {
-		return
-	}
-	cancel := make(chan struct{})
-	l.blameCancel = cancel
-	blame := l.blame
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		t := time.NewTimer(f.opts.Grace)
-		defer t.Stop()
-		select {
-		case <-t.C:
-			close(blame)
-		case <-cancel:
-		case <-f.closeCh:
-		}
-	}()
+	l.down.fail(err)
 }
 
 // fatalLocked records an unrecoverable link error and releases every
@@ -655,65 +360,47 @@ func (f *RecoveringTCPFabric) fatalLocked(l *rlink, err error) {
 	if l.fatal == nil {
 		l.fatal = err
 	}
-	if conn := l.conn; conn != nil {
-		conn.Close()
-		l.conn = nil
-	}
-	l.up = false
-	l.tm.linkUp.Set(0)
-	select {
-	case <-l.blame:
-	default:
-		close(l.blame)
+	l.live = false
+	l.down.clear() // a fatal error overrides a standing grace blame
+	l.down.fail(l.fatal)
+	if l.conn != nil {
+		l.conn.Close()
 	}
 }
 
-// pump reads frames off one connection until it dies. With heartbeats
-// enabled a read deadline of several intervals doubles as the liveness
-// check: a connection that goes silent (severed link, frozen peer) is
-// torn down and enters the redial/grace path.
-func (f *RecoveringTCPFabric) pump(l *rlink, conn net.Conn, rd *bufio.Reader) {
-	defer f.wg.Done()
-	for {
-		if f.opts.Heartbeat > 0 {
-			conn.SetReadDeadline(time.Now().Add(4*f.opts.Heartbeat + time.Second))
-		}
-		v, err := wirecodec.ReadValue(rd)
-		var unknown *wirecodec.UnknownTypeError
-		if errors.As(err, &unknown) {
-			// Not an outage: the peer's program sent a type this build
-			// has no codec for, and a redial would only fetch more.
-			l.mu.Lock()
-			f.fatalLocked(l, fmt.Errorf("%w: party %d: %w", ErrDesync, l.peer, err))
-			l.mu.Unlock()
-			return
-		}
-		if err != nil {
-			f.markDown(l, conn)
-			return
-		}
-		env, ok := v.(renv)
-		if !ok {
-			// A peer speaking the right session but the wrong frame type
-			// is beyond a redial's help; the desync path names it.
-			l.mu.Lock()
-			f.fatalLocked(l, fmt.Errorf("%w: party %d sent a %T frame, want recovery envelope",
-				ErrDesync, l.peer, v))
-			l.mu.Unlock()
-			return
-		}
-		if !f.handleFrame(l, env) {
-			return
-		}
+// onFrame is the link layer's frame hook; an error takes the link down.
+func (f *RecoveringTCPFabric) onFrame(peer int, v any) error {
+	l := f.links[peer]
+	env, ok := v.(renv)
+	if !ok {
+		// A peer speaking the right session but the wrong frame type
+		// is beyond a redial's help; the desync path names it.
+		err := fmt.Errorf("%w: party %d sent a %T frame, want recovery envelope", ErrDesync, peer, v)
+		l.mu.Lock()
+		f.fatalLocked(l, err)
+		l.mu.Unlock()
+		return err
 	}
+	if !f.handleFrame(l, env) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.fatal != nil {
+			return l.fatal
+		}
+		return ErrClosed
+	}
+	return nil
 }
 
 // handleFrame processes one decoded frame; false stops the pump.
 func (f *RecoveringTCPFabric) handleFrame(l *rlink, env renv) bool {
 	now := time.Now()
 	l.mu.Lock()
-	l.lastContact = now
+	f.extendLivenessLocked(l)
 	l.trimAckLocked(env.Ack)
+	if !l.live {
+		f.resyncLocked(l)
+	}
 	if env.EchoT != 0 {
 		// Our own heartbeat stamp coming back: both clock reads are ours,
 		// so the difference is a true round trip (guarded against a wall
@@ -751,7 +438,7 @@ func (f *RecoveringTCPFabric) handleFrame(l *rlink, env renv) bool {
 		// connection) cannot reorder the inbox.
 		select {
 		case f.inbox[l.peer] <- env:
-		case <-f.closeCh:
+		case <-f.mesh.done():
 			l.mu.Unlock()
 			return false
 		}
@@ -765,7 +452,7 @@ func (f *RecoveringTCPFabric) handleFrame(l *rlink, env renv) bool {
 		f.sendControl(l, renv{Kind: frameAck, Ack: ack})
 	default:
 		// A gap is impossible for a correct peer (retransmission resumes
-		// exactly at our NextExpected): the link is beyond repair.
+		// exactly at our cursor): the link is beyond repair.
 		f.fatalLocked(l, fmt.Errorf("%w: party %d jumped to seq %d, expected %d",
 			ErrDesync, l.peer, env.Seq, l.recvNext))
 		l.mu.Unlock()
@@ -789,26 +476,26 @@ func (l *rlink) trimAckLocked(ack uint64) {
 	l.tm.ackLag.Set(float64(len(l.buf)))
 }
 
+// resyncLocked runs on the first frame after a (re)connect, whose ack
+// is the peer's cursor (already trimmed to): it retransmits the rest of
+// the buffer in order, before any new traffic, and opens the link to
+// live sends. A failed write has taken the link down; the next
+// connection starts over.
+func (f *RecoveringTCPFabric) resyncLocked(l *rlink) {
+	for _, env := range l.buf {
+		if f.mesh.writeOn(l.conn, l.peer, env.Round, f.timeout, env) != nil {
+			return
+		}
+	}
+	l.tm.retransmits.Add(int64(len(l.buf)))
+	l.live = true
+}
+
 // sendControl writes a heartbeat or ack frame, best-effort: control
 // frames carry no protocol payload, so a failed write just tears the
 // connection down into the normal redial path.
 func (f *RecoveringTCPFabric) sendControl(l *rlink, env renv) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.up || l.conn == nil {
-		return
-	}
-	if f.timeout > 0 {
-		l.conn.SetWriteDeadline(time.Now().Add(f.timeout))
-		defer func() {
-			if l.conn != nil {
-				l.conn.SetWriteDeadline(time.Time{})
-			}
-		}()
-	}
-	if err := wirecodec.WriteValue(l.conn, env); err != nil {
-		f.markDownLocked(l, l.conn)
-	}
+	_ = f.mesh.write(l.peer, 0, f.timeout, env)
 }
 
 // heartbeatLoop keeps every link warm: each interval it sends a
@@ -820,7 +507,7 @@ func (f *RecoveringTCPFabric) heartbeatLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-f.closeCh:
+		case <-f.mesh.done():
 			return
 		case <-t.C:
 			for _, l := range f.links {
@@ -846,35 +533,12 @@ func (f *RecoveringTCPFabric) N() int { return f.n }
 // process already journaled are suppressed (they are already in the
 // retransmit buffer) after a determinism check against the journal.
 func (f *RecoveringTCPFabric) Send(round, from, to, bytes int, payload any) error {
-	if from != f.me {
-		return fmt.Errorf("transport: tcp party %d cannot send as %d", f.me, from)
-	}
-	if to < 0 || to >= f.n || to == f.me {
-		return fmt.Errorf("transport: invalid destination %d", to)
+	if err := checkEndpoints(f.n, f.me, from, to, "send"); err != nil {
+		return err
 	}
 	// Count every logical send — including replayed ones — so a
 	// restarted endpoint reports the same stats as a fault-free run.
-	// Echo sub-round traffic is consistency-layer overhead, tallied
-	// apart from the protocol counters.
-	f.mu.Lock()
-	newRound := false
-	if IsEchoRound(round) {
-		f.echoMsgs++
-		f.echoBytes += int64(bytes)
-	} else {
-		f.msgs++
-		f.bytes += int64(bytes)
-		if round > f.maxRound {
-			f.maxRound = round
-		}
-		rs, seen := f.rounds[round]
-		newRound = !seen
-		rs.Messages++
-		rs.Bytes += int64(bytes)
-		f.rounds[round] = rs
-	}
-	f.tm.onSendLocked(round, bytes, newRound)
-	f.mu.Unlock()
+	f.count(round, bytes)
 
 	l := f.links[to]
 	l.mu.Lock()
@@ -917,16 +581,11 @@ func (f *RecoveringTCPFabric) Send(round, from, to, bytes int, payload any) erro
 	}
 	l.buf = append(l.buf, env)
 	l.tm.ackLag.Set(float64(len(l.buf)))
-	if l.up && l.conn != nil {
-		if f.timeout > 0 {
-			l.conn.SetWriteDeadline(time.Now().Add(f.timeout))
-		}
-		if _, err := l.conn.Write(frame); err != nil {
-			// Buffered already; the redial path retransmits it.
-			f.markDownLocked(l, l.conn)
-		} else if l.conn != nil {
-			l.conn.SetWriteDeadline(time.Time{})
-		}
+	if l.live {
+		// Written under l.mu so frames reach the wire in sequence order.
+		// Buffered already: if the write fails, the link goes down and
+		// the next connection retransmits it.
+		_ = f.mesh.writeOn(l.conn, to, round, f.timeout, frame)
 	}
 	return nil
 }
@@ -937,11 +596,8 @@ func (f *RecoveringTCPFabric) Send(round, from, to, bytes int, payload any) erro
 // blaming the peer, and are bounded by ctx and the fabric timeout as
 // on the plain fabric.
 func (f *RecoveringTCPFabric) RecvCtx(ctx context.Context, to, from, round int) (any, error) {
-	if to != f.me {
-		return nil, fmt.Errorf("transport: tcp party %d cannot receive as %d", f.me, to)
-	}
-	if from < 0 || from >= f.n || from == f.me {
-		return nil, fmt.Errorf("transport: invalid source %d", from)
+	if err := checkEndpoints(f.n, f.me, to, from, "receive"); err != nil {
+		return nil, err
 	}
 	l := f.links[from]
 	l.mu.Lock()
@@ -957,74 +613,8 @@ func (f *RecoveringTCPFabric) RecvCtx(ctx context.Context, to, from, round int) 
 		return m.Payload, nil
 	}
 	l.mu.Unlock()
-
-	var timerC <-chan time.Time
-	if f.timeout > 0 {
-		tm := time.NewTimer(f.timeout)
-		defer tm.Stop()
-		timerC = tm.C
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	q := f.inbox[from]
-	for {
-		// Drain preference: frames already delivered beat any failure
-		// signal, like buffered TCP data before EOF.
-		select {
-		case env := <-q:
-			return f.acceptData(env, from, round)
-		default:
-		}
-		l.mu.Lock()
-		blame := l.blame
-		fatal := l.fatal
-		l.mu.Unlock()
-		if fatal != nil {
-			select {
-			case env := <-q:
-				return f.acceptData(env, from, round)
-			default:
-			}
-			return nil, Abort(from, round, "", fatal)
-		}
-		select {
-		case env := <-q:
-			return f.acceptData(env, from, round)
-		case <-blame:
-			select {
-			case env := <-q:
-				return f.acceptData(env, from, round)
-			default:
-			}
-			l.mu.Lock()
-			up, cur, fatal := l.up, l.blame, l.fatal
-			l.mu.Unlock()
-			if fatal != nil {
-				return nil, Abort(from, round, "", fatal)
-			}
-			if up || cur != blame {
-				continue // the peer reconnected while we waited
-			}
-			return nil, Abort(from, round, "", fmt.Errorf(
-				"%w: party %d did not reconnect within the %v grace window",
-				ErrPeerDown, from, f.opts.Grace))
-		case <-done:
-			return nil, Abort(from, round, "", ctx.Err())
-		case <-timerC:
-			return nil, Abort(from, round, "", ErrTimeout)
-		case <-f.closeCh:
-			return nil, Abort(from, round, "", ErrClosed)
-		}
-	}
-}
-
-func (f *RecoveringTCPFabric) acceptData(env renv, from, round int) (any, error) {
-	if round >= 0 && env.Round != round {
-		return nil, roundMismatchAbort(from, round, env.Round)
-	}
-	return env.Payload, nil
+	return recvWait(ctx, from, round, f.timeout, f.mesh.done(), nil, f.inbox[from], &l.down,
+		func(env renv) (any, bool, error) { return takeRound(from, round, env.Round, env.Payload) })
 }
 
 // Broadcast implements Net, best-effort like the other fabrics.
@@ -1037,31 +627,6 @@ func (f *RecoveringTCPFabric) Broadcast(round, from, bytes int, payload any) err
 // GatherAllCtx implements Net.
 func (f *RecoveringTCPFabric) GatherAllCtx(ctx context.Context, to, round int) ([]any, error) {
 	return gatherAll(ctx, f, to, round)
-}
-
-// Stats reports this endpoint's logical protocol traffic in the same
-// shape as TCPFabric.Stats. Control frames (heartbeats, acks, hellos)
-// and retransmissions are transport overhead and are not counted, and
-// replayed sends are counted once per logical send — so a recovered
-// run reports exactly the stats of a fault-free one.
-func (f *RecoveringTCPFabric) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := Stats{
-		MessagesSent:   make([]int64, f.n),
-		BytesSent:      make([]int64, f.n),
-		MaxRound:       f.maxRound,
-		DistinctRounds: len(f.rounds),
-		PerRound:       make(map[int]RoundStats, len(f.rounds)),
-		EchoMessages:   f.echoMsgs,
-		EchoBytes:      f.echoBytes,
-	}
-	s.MessagesSent[f.me] = f.msgs
-	s.BytesSent[f.me] = f.bytes
-	for r, rs := range f.rounds {
-		s.PerRound[r] = rs
-	}
-	return s
 }
 
 // Drain blocks until every frame this endpoint ever sent has been
@@ -1087,7 +652,7 @@ func (f *RecoveringTCPFabric) Drain(bound time.Duration) bool {
 		}
 		select {
 		case <-time.After(5 * time.Millisecond):
-		case <-f.closeCh:
+		case <-f.mesh.done():
 			return f.allAcked()
 		}
 	}
@@ -1108,26 +673,11 @@ func (f *RecoveringTCPFabric) allAcked() bool {
 	return true
 }
 
-// Close tears the endpoint down: the listener, every connection, and
-// every maintainer, pump, heartbeat and blame-timer goroutine. Safe to
+// Close tears the endpoint down: the link layer (listener, connections,
+// maintainers, pumps, grace timers) and the heartbeat loop. Safe to
 // call more than once and concurrently with protocol traffic
 // (in-flight receives fail with ErrClosed).
 func (f *RecoveringTCPFabric) Close() {
-	f.closeOnce.Do(func() {
-		close(f.closeCh)
-		f.ln.Close()
-		for _, l := range f.links {
-			if l == nil {
-				continue
-			}
-			l.mu.Lock()
-			if l.conn != nil {
-				l.conn.Close()
-				l.conn = nil
-			}
-			l.up = false
-			l.mu.Unlock()
-		}
-		f.wg.Wait()
-	})
+	f.mesh.Close()
+	f.wg.Wait()
 }

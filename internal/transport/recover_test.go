@@ -57,43 +57,22 @@ func (m *memJournal) RecvFrom(peer int) ([]JournalMsg, error) {
 	return append([]JournalMsg(nil), m.recv[peer]...), nil
 }
 
-// buildRecoveryMesh starts an n-party recovery mesh; tweak customises
-// each party's options before the fabrics dial.
+// buildRecoveryMesh starts an n-party recovery mesh, closed at test
+// cleanup; tweak customises each party's options before the fabrics
+// dial.
 func buildRecoveryMesh(t *testing.T, n int, tweak func(me int, o *RecoverOptions)) ([]string, []*RecoveringTCPFabric) {
 	t.Helper()
 	addrs, err := FreeLoopbackAddrs(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fabrics := make([]*RecoveringTCPFabric, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for me := 0; me < n; me++ {
-		me := me
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			opts := RecoverOptions{SessionID: "test-session", Epoch: 1}
-			if tweak != nil {
-				tweak(me, &opts)
-			}
-			fabrics[me], errs[me] = NewRecoveringTCPFabric(addrs, me, 5*time.Second, opts)
-		}()
-	}
-	wg.Wait()
-	for me, err := range errs {
-		if err != nil {
-			t.Fatalf("party %d: %v", me, err)
+	return addrs, formMeshOn(t, addrs, func(addrs []string, me int) (*RecoveringTCPFabric, error) {
+		opts := RecoverOptions{SessionID: "test-session", Epoch: 1}
+		if tweak != nil {
+			tweak(me, &opts)
 		}
-	}
-	t.Cleanup(func() {
-		for _, f := range fabrics {
-			if f != nil {
-				f.Close()
-			}
-		}
+		return NewRecoveringTCPFabric(addrs, me, 5*time.Second, opts)
 	})
-	return addrs, fabrics
 }
 
 func TestRecoveringMeshSendRecv(t *testing.T) {
@@ -501,33 +480,25 @@ func TestRecoveringStaleEpochRejected(t *testing.T) {
 	_, fabrics := buildRecoveryMesh(t, 2, nil)
 	// Bump the known epoch for party 1 on party 0's link, then replay a
 	// stale epoch-1 handshake by hand.
-	l := fabrics[0].links[1]
-	l.mu.Lock()
-	l.peerEpoch = 5
-	addr := fabrics[0].ln.Addr().String()
-	l.mu.Unlock()
-	conn, err := net.Dial("tcp", addr)
+	link := fabrics[0].mesh
+	link.mu.Lock()
+	link.peers[1].epoch = 5
+	link.mu.Unlock()
+	conn, err := net.Dial("tcp", link.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// The accepter replies to the hello before the epoch check, so
-	// rejection shows up as the connection being closed without ever
-	// carrying a frame (an accepted connection would carry a heartbeat
-	// within the default 250ms interval).
-	if err := wirecodec.WriteValue(conn, rhello{SessionID: "test-session", Party: 1, Epoch: 1}); err != nil {
+	// The accepter validates the hello before it replies, so rejection
+	// shows up as the connection being closed without ever carrying a
+	// frame — no hello back, and none of the traffic an accepted
+	// connection would carry (its cursor ack at once, a heartbeat within
+	// the default 250ms interval).
+	if err := wirecodec.WriteValue(conn, hello{Party: 1, Epoch: 1, Mesh: link.tag}); err != nil {
 		t.Fatal(err)
 	}
-	rd := bufio.NewReader(conn)
-	v, err := wirecodec.ReadValue(rd)
-	if err != nil {
-		t.Fatalf("handshake reply: %v", err)
-	}
-	if _, ok := v.(rhello); !ok {
-		t.Fatalf("handshake reply is a %T, want rhello", v)
-	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if env, err := wirecodec.ReadValue(rd); err == nil {
+	if env, err := wirecodec.ReadValue(bufio.NewReader(conn)); err == nil {
 		t.Fatalf("stale-epoch connection carried traffic: %+v", env)
 	}
 	// The genuine link is untouched by the stale intruder.

@@ -10,6 +10,11 @@ import (
 // self-contained wirecodec frames, so a reconnecting link has no
 // encoder state to resynchronise and a frame captured in the journal
 // is byte-identical to the frame on the wire.
+//
+// IDs +2 (tcp envelope), +4 (recovery hello) and +5 (mux hello) belonged
+// to the per-stack frames the one link layer replaced; wirecodec retires
+// them, so a peer from such a build gets a typed refusal, not a
+// misparse.
 
 func init() {
 	wirecodec.Register(wirecodec.IDRangeTransport, "echo digest vector",
@@ -49,26 +54,6 @@ func init() {
 			return c, nil
 		})
 
-	wirecodec.Register(wirecodec.IDRangeTransport+2, "tcp envelope",
-		[]any{envelope{}},
-		func(dst []byte, v any) ([]byte, error) {
-			e := v.(envelope)
-			dst = wirecodec.AppendI64(dst, int64(e.Round))
-			dst = wirecodec.AppendI64(dst, int64(e.Bytes))
-			return wirecodec.AppendValue(dst, e.Payload)
-		},
-		func(data []byte) (any, error) {
-			r := wirecodec.NewReader(data)
-			var e envelope
-			e.Round = r.Int()
-			e.Bytes = r.Int()
-			e.Payload = r.Value()
-			if err := r.Finish(); err != nil {
-				return nil, fmt.Errorf("transport: envelope: %w", err)
-			}
-			return e, nil
-		})
-
 	wirecodec.Register(wirecodec.IDRangeTransport+3, "recovery envelope",
 		[]any{renv{}},
 		func(dst []byte, v any) ([]byte, error) {
@@ -99,44 +84,6 @@ func init() {
 			return e, nil
 		})
 
-	wirecodec.Register(wirecodec.IDRangeTransport+4, "recovery hello",
-		[]any{rhello{}},
-		func(dst []byte, v any) ([]byte, error) {
-			h := v.(rhello)
-			dst = wirecodec.AppendString(dst, h.SessionID)
-			dst = wirecodec.AppendI64(dst, int64(h.Party))
-			dst = wirecodec.AppendI64(dst, int64(h.Epoch))
-			return wirecodec.AppendU64(dst, h.NextExpected), nil
-		},
-		func(data []byte) (any, error) {
-			r := wirecodec.NewReader(data)
-			var h rhello
-			h.SessionID = r.String()
-			h.Party = r.Int()
-			h.Epoch = r.Int()
-			h.NextExpected = r.U64()
-			if err := r.Finish(); err != nil {
-				return nil, fmt.Errorf("transport: hello: %w", err)
-			}
-			return h, nil
-		})
-
-	wirecodec.Register(wirecodec.IDRangeTransport+5, "mux hello",
-		[]any{muxHello{}},
-		func(dst []byte, v any) ([]byte, error) {
-			h := v.(muxHello)
-			dst = wirecodec.AppendI64(dst, int64(h.Party))
-			return wirecodec.AppendI64(dst, int64(h.Epoch)), nil
-		},
-		func(data []byte) (any, error) {
-			r := wirecodec.NewReader(data)
-			h := muxHello{Party: r.Int(), Epoch: r.Int()}
-			if err := r.Finish(); err != nil {
-				return nil, fmt.Errorf("transport: mux hello: %w", err)
-			}
-			return h, nil
-		})
-
 	wirecodec.Register(wirecodec.IDRangeTransport+6, "mux envelope",
 		[]any{muxEnv{}},
 		func(dst []byte, v any) ([]byte, error) {
@@ -161,5 +108,22 @@ func init() {
 				return nil, fmt.Errorf("transport: mux envelope: %w", err)
 			}
 			return e, nil
+		})
+
+	wirecodec.Register(wirecodec.IDRangeTransport+7, "link hello",
+		[]any{hello{}},
+		func(dst []byte, v any) ([]byte, error) {
+			h := v.(hello)
+			dst = wirecodec.AppendI64(dst, int64(h.Party))
+			dst = wirecodec.AppendI64(dst, int64(h.Epoch))
+			return wirecodec.AppendString(dst, h.Mesh), nil
+		},
+		func(data []byte) (any, error) {
+			r := wirecodec.NewReader(data)
+			h := hello{Party: r.Int(), Epoch: r.Int(), Mesh: r.String()}
+			if err := r.Finish(); err != nil {
+				return nil, fmt.Errorf("transport: hello: %w", err)
+			}
+			return h, nil
 		})
 }

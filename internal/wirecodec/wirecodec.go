@@ -58,7 +58,7 @@ const (
 // Reserved type IDs. Protocol packages allocate from the documented
 // ranges below; collisions panic at init.
 const (
-	idRetired uint16 = 1 // version 1's gob-fallback frame; never reassigned
+	idRetired uint16 = 1 // version 1's gob-fallback frame; see retired
 	idNil     uint16 = 2
 	IDElement uint16 = 3
 	idBigInt  uint16 = 4
@@ -86,6 +86,20 @@ const (
 	// No non-test code may allocate here.
 	IDRangeTest uint16 = 0xFF00
 )
+
+// retired reports type IDs that once carried a frame and never will
+// again. They are not reassigned: Register refuses them, so a peer from
+// a build that still sends one gets an UnknownTypeError, not a misparse
+// as whatever took the number over. Beside version 1's gob fallback
+// these are the per-stack transport frames the one link layer replaced:
+// the tcp envelope (82), the recovery hello (84) and the mux hello (85).
+func retired(id uint16) bool {
+	switch id {
+	case idRetired, IDRangeTransport + 2, IDRangeTransport + 4, IDRangeTransport + 5:
+		return true
+	}
+	return false
+}
 
 var frameMagic = [2]byte{'G', 'W'}
 
@@ -162,7 +176,7 @@ var (
 // covers every group's element type). Call from init only; duplicate
 // IDs or types panic immediately rather than corrupting traffic later.
 func Register(id uint16, name string, prototypes []any, enc EncodeFunc, dec DecodeFunc) {
-	if id == 0 || id == idRetired || id == idNil {
+	if id == 0 || id == idNil || retired(id) {
 		panic(fmt.Sprintf("wirecodec: type ID %d is reserved", id))
 	}
 	if _, dup := decByID[id]; dup {
