@@ -7,14 +7,14 @@ GO ?= go
 # protocol party, fault-injection delays, TCP pumps, the lock-cheap
 # observability registry): these run under the race detector in short
 # mode as part of check.
-RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./internal/obsv/ ./internal/kernel/ ./internal/journal/ ./internal/blame/ ./internal/telemetry/ ./internal/tracemerge/ ./internal/service/ ./cmd/rankparty/ ./cmd/rankd/
+RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./internal/ssmpc/ ./internal/sssort/ ./internal/obsv/ ./internal/kernel/ ./internal/journal/ ./internal/blame/ ./internal/telemetry/ ./internal/tracemerge/ ./internal/service/ ./cmd/rankparty/ ./cmd/rankd/
 
 # Packages with fuzz targets guarding the untrusted decode boundaries
 # (group element parsing, wirecodec frames, transport pumps, the rankd
-# control codecs). `make
+# control codecs) and the two limb fields against math/big. `make
 # fuzz` runs each target briefly — a smoke pass over the corpora plus a
 # little fresh exploration, fast enough for check.
-FUZZ_PKGS := ./internal/group/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/ ./internal/service/
+FUZZ_PKGS := ./internal/group/ ./internal/shamir/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/ ./internal/service/
 FUZZ_TIME ?= 2s
 
 .PHONY: check vet build test race race-full fuzz chaos chaos-byz chaos-rankd bench bench-json bench-compare bench-smoke trace-demo demo-distributed telemetry-demo serve-demo loadtest-smoke clean
@@ -23,9 +23,9 @@ check: vet build bench-smoke test race fuzz chaos-rankd serve-demo loadtest-smok
 
 # staticcheck is optional tooling: run it when the developer has it
 # installed, stay silent (and green) when they do not.
-# The 386 pass over internal/group type-checks the limb field where
-# big.Word is 32 bits wide, the target its big.Int conversions must not
-# make assumptions about.
+# The 386 passes over internal/group and internal/shamir type-check the
+# two limb fields where big.Word is 32 bits wide, the target their
+# big.Int conversions must not make assumptions about.
 # The dependency check keeps wirecodec the only serializer: nothing the
 # module builds (tests aside) may pull encoding/gob back in, directly or
 # through a dependency.
@@ -37,6 +37,7 @@ check: vet build bench-smoke test race fuzz chaos-rankd serve-demo loadtest-smok
 vet:
 	$(GO) vet ./...
 	GOARCH=386 $(GO) vet ./internal/group/
+	GOARCH=386 $(GO) vet ./internal/shamir/
 	@unformatted=$$(gofmt -l *.go bench cmd examples internal); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists (run gofmt -w on them):"; echo "$$unformatted"; exit 1; fi
 	@if $(GO) list -deps ./... | grep -x encoding/gob; then \

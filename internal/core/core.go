@@ -24,6 +24,7 @@ package core
 import (
 	"fmt"
 	"math/big"
+	"sync"
 
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
@@ -122,12 +123,7 @@ func (p Params) BetaBits() int {
 // fieldPrime derives the phase-1 dot-product field deterministically
 // from the required width, so all parties agree without negotiation.
 func (p Params) fieldPrime() (*big.Int, error) {
-	bits := p.BetaBits() + 33
-	prime, err := fixedbig.Prime(fixedbig.NewDRBG(fmt.Sprintf("groupranking-dot-field-%d", bits)), bits)
-	if err != nil {
-		return nil, fmt.Errorf("core: deriving dot-product field: %w", err)
-	}
-	return prime, nil
+	return derivedPrime("dot", p.BetaBits()+33)
 }
 
 // ssFieldPrime derives the SS baseline's field the same way.
@@ -136,11 +132,30 @@ func (p Params) ssFieldPrime() (*big.Int, error) {
 	if kappa <= 0 {
 		kappa = 40
 	}
-	bits := p.BetaBits() + kappa + 8
-	prime, err := fixedbig.Prime(fixedbig.NewDRBG(fmt.Sprintf("groupranking-ss-field-%d", bits)), bits)
-	if err != nil {
-		return nil, fmt.Errorf("core: deriving SS field: %w", err)
+	return derivedPrime("ss", p.BetaBits()+kappa+8)
+}
+
+var (
+	primesMu sync.Mutex
+	primes   = map[string]*big.Int{} // "<kind>-<bits>" → prime; read-only once stored
+)
+
+// derivedPrime returns the DRBG-drawn prime of the given kind ("dot" or
+// "ss") and width. It is a pure function of its arguments, and the draw
+// costs dozens of primality tests, so each prime is derived once per
+// process; callers share the *big.Int and must not modify it.
+func derivedPrime(kind string, bits int) (*big.Int, error) {
+	key := fmt.Sprintf("%s-field-%d", kind, bits)
+	primesMu.Lock()
+	defer primesMu.Unlock()
+	if prime, ok := primes[key]; ok {
+		return prime, nil
 	}
+	prime, err := fixedbig.Prime(fixedbig.NewDRBG("groupranking-"+key), bits)
+	if err != nil {
+		return nil, fmt.Errorf("core: deriving %s field: %w", kind, err)
+	}
+	primes[key] = prime
 	return prime, nil
 }
 

@@ -145,11 +145,10 @@ func ssBaselineRank(ctx context.Context, params Params, me int, net transport.Ne
 		return 0, err
 	}
 	cfg := ssmpc.Config{
-		N:       params.N,
-		Degree:  (params.N - 1) / 2, // the baseline's maximum resistance
-		P:       prime,
-		Kappa:   params.Kappa,
-		Workers: params.Workers,
+		N:      params.N,
+		Degree: (params.N - 1) / 2, // the baseline's maximum resistance
+		P:      prime,
+		Kappa:  params.Kappa,
 	}
 	eng, err := ssmpc.NewEngineCtx(ctx, cfg, me, net, rng)
 	if err != nil {

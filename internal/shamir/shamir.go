@@ -6,15 +6,121 @@
 //
 // Share x-coordinates are the party indices shifted by one (party i holds
 // the evaluation at x = i+1), the convention the ssmpc engine relies on.
+//
+// All arithmetic runs on the package's one limb field (field.go). The
+// ssmpc engine shares and recombines Elem values directly through a
+// Scheme; the *big.Int functions below are thin wrappers over the same
+// field for callers that hold integers.
 package shamir
 
 import (
 	"fmt"
 	"io"
 	"math/big"
-
-	"groupranking/internal/fixedbig"
 )
+
+// Scheme is a degree-d sharing among n parties at abscissae 1..n over
+// one field, with everything a dealer or a recombiner needs converted
+// once. Split reuses a scratch buffer, so a Scheme serves one goroutine
+// (one party's engine) at a time.
+type Scheme struct {
+	// Lambda holds the Lagrange coefficients at zero for abscissae
+	// 1..n: f(0) = Σ Lambda[j]·f(j+1) for any polynomial of degree < n.
+	Lambda []Elem
+
+	f      *Field
+	xs     []Elem   // abscissae 1..n in Montgomery form
+	coeffs []Elem   // the polynomial Split is evaluating, degree+1 long
+	draw   [32]byte // Rand's read buffer
+}
+
+// NewScheme prepares degree-d sharing among n parties over f.
+func NewScheme(f *Field, degree, n int) (*Scheme, error) {
+	if degree < 0 {
+		return nil, fmt.Errorf("shamir: negative degree %d", degree)
+	}
+	if n < degree+1 {
+		return nil, fmt.Errorf("shamir: %d parties cannot carry a degree-%d sharing", n, degree)
+	}
+	s := &Scheme{f: f, xs: make([]Elem, n), coeffs: make([]Elem, degree+1)}
+	xs := make([]int, n)
+	for i := range xs {
+		xs[i] = i + 1
+		s.xs[i] = f.Reduce(big.NewInt(int64(i + 1)))
+	}
+	var err error
+	if s.Lambda, err = f.lagrangeAtZero(xs); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Rand is Field.Rand — same draws, same stream position — through the
+// scheme's own read buffer, so a draw allocates nothing.
+func (s *Scheme) Rand(rng io.Reader) (Elem, error) { return s.f.rand(rng, &s.draw) }
+
+// Split shares secret with a uniformly random degree-d polynomial:
+// out[j] is party j's share, the polynomial at x = j+1. The d
+// coefficients are drawn from rng in ascending order, each with Rand;
+// evaluation is Horner's rule against the abscissa table.
+func (s *Scheme) Split(out []Elem, secret *Elem, rng io.Reader) error {
+	d := len(s.coeffs) - 1
+	s.coeffs[0] = *secret
+	for i := 1; i <= d; i++ {
+		c, err := s.Rand(rng)
+		if err != nil {
+			return fmt.Errorf("shamir: sampling coefficient: %w", err)
+		}
+		s.coeffs[i] = c
+	}
+	for j := range s.xs {
+		acc := s.coeffs[d]
+		for i := d - 1; i >= 0; i-- {
+			s.f.Mul(&acc, &acc, &s.xs[j])
+			s.f.Add(&acc, &acc, &s.coeffs[i])
+		}
+		out[j] = acc
+	}
+	return nil
+}
+
+// lagrangeAtZero returns the interpolation coefficients λ_i such that
+// f(0) = Σ λ_i·f(x_i) for any polynomial of degree < len(xs).
+func (f *Field) lagrangeAtZero(xs []int) ([]Elem, error) {
+	seen := make(map[int]bool, len(xs))
+	for _, x := range xs {
+		if x <= 0 {
+			return nil, fmt.Errorf("shamir: abscissa %d must be positive", x)
+		}
+		if seen[x] {
+			return nil, fmt.Errorf("shamir: duplicate abscissa %d", x)
+		}
+		seen[x] = true
+	}
+	lambdas := make([]Elem, len(xs))
+	dens := make([]Elem, len(xs))
+	for i, xi := range xs {
+		num, den := f.one, f.one
+		for j, xj := range xs {
+			if j == i {
+				continue
+			}
+			t := f.Reduce(big.NewInt(int64(-xj)))
+			f.Mul(&num, &num, &t)
+			t = f.Reduce(big.NewInt(int64(xi - xj)))
+			f.Mul(&den, &den, &t)
+		}
+		if den.IsZero() {
+			return nil, fmt.Errorf("shamir: abscissae collide modulo p")
+		}
+		lambdas[i], dens[i] = num, den
+	}
+	f.InvBatch(dens)
+	for i := range lambdas {
+		f.Mul(&lambdas[i], &lambdas[i], &dens[i])
+	}
+	return lambdas, nil
+}
 
 // Share is one party's evaluation point of the sharing polynomial.
 type Share struct {
@@ -26,93 +132,67 @@ type Share struct {
 // degree among n parties. Reconstruction requires degree+1 shares;
 // any `degree` shares reveal nothing.
 func Split(secret *big.Int, degree, n int, p *big.Int, rng io.Reader) ([]Share, error) {
-	if degree < 0 {
-		return nil, fmt.Errorf("shamir: negative degree %d", degree)
+	f, err := NewField(p)
+	if err != nil {
+		return nil, err
 	}
-	if n < degree+1 {
-		return nil, fmt.Errorf("shamir: %d parties cannot carry a degree-%d sharing", n, degree)
+	s, err := NewScheme(f, degree, n)
+	if err != nil {
+		return nil, err
 	}
-	coeffs := make([]*big.Int, degree+1)
-	coeffs[0] = new(big.Int).Mod(secret, p)
-	for i := 1; i <= degree; i++ {
-		c, err := fixedbig.RandInt(rng, p)
-		if err != nil {
-			return nil, fmt.Errorf("shamir: sampling coefficient: %w", err)
-		}
-		coeffs[i] = c
+	ys := make([]Elem, n)
+	sec := f.Reduce(secret)
+	if err := s.Split(ys, &sec, rng); err != nil {
+		return nil, err
 	}
 	shares := make([]Share, n)
-	for i := 0; i < n; i++ {
-		x := big.NewInt(int64(i + 1))
-		shares[i] = Share{X: i + 1, Y: evalPoly(coeffs, x, p)}
+	for i := range ys {
+		shares[i] = Share{X: i + 1, Y: f.ToBig(&ys[i])}
 	}
 	return shares, nil
-}
-
-// evalPoly evaluates the polynomial at x via Horner's rule.
-func evalPoly(coeffs []*big.Int, x, p *big.Int) *big.Int {
-	acc := new(big.Int)
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc.Mul(acc, x)
-		acc.Add(acc, coeffs[i])
-		acc.Mod(acc, p)
-	}
-	return acc
 }
 
 // Reconstruct interpolates the secret (the polynomial at 0) from the
 // given shares. The shares must have distinct positive abscissae; the
 // caller must supply at least degree+1 of them for a correct result.
 func Reconstruct(shares []Share, p *big.Int) (*big.Int, error) {
+	f, err := NewField(p)
+	if err != nil {
+		return nil, err
+	}
 	xs := make([]int, len(shares))
 	for i, s := range shares {
 		xs[i] = s.X
 	}
-	lambdas, err := LagrangeAtZero(xs, p)
+	lambdas, err := f.lagrangeAtZero(xs)
 	if err != nil {
 		return nil, err
 	}
-	secret := new(big.Int)
+	var secret Elem
 	for i, s := range shares {
-		secret.Add(secret, new(big.Int).Mul(lambdas[i], s.Y))
+		t := f.Reduce(s.Y)
+		f.Mul(&t, &t, &lambdas[i])
+		f.Add(&secret, &secret, &t)
 	}
-	return secret.Mod(secret, p), nil
+	return f.ToBig(&secret), nil
 }
 
 // LagrangeAtZero returns the interpolation coefficients λ_i such that
-// f(0) = Σ λ_i·f(x_i) for any polynomial of degree < len(xs). The ssmpc
-// degree-reduction step uses these directly.
+// f(0) = Σ λ_i·f(x_i) for any polynomial of degree < len(xs).
 func LagrangeAtZero(xs []int, p *big.Int) ([]*big.Int, error) {
-	seen := make(map[int]bool, len(xs))
-	for _, x := range xs {
-		if x <= 0 {
-			return nil, fmt.Errorf("shamir: abscissa %d must be positive", x)
-		}
-		if seen[x] {
-			return nil, fmt.Errorf("shamir: duplicate abscissa %d", x)
-		}
-		seen[x] = true
+	f, err := NewField(p)
+	if err != nil {
+		return nil, err
 	}
-	lambdas := make([]*big.Int, len(xs))
-	for i, xi := range xs {
-		num := big.NewInt(1)
-		den := big.NewInt(1)
-		for j, xj := range xs {
-			if j == i {
-				continue
-			}
-			num.Mul(num, big.NewInt(int64(-xj)))
-			num.Mod(num, p)
-			den.Mul(den, big.NewInt(int64(xi-xj)))
-			den.Mod(den, p)
-		}
-		denInv := new(big.Int).ModInverse(den, p)
-		if denInv == nil {
-			return nil, fmt.Errorf("shamir: abscissae collide modulo p")
-		}
-		lambdas[i] = num.Mul(num, denInv).Mod(num, p)
+	lambdas, err := f.lagrangeAtZero(xs)
+	if err != nil {
+		return nil, err
 	}
-	return lambdas, nil
+	out := make([]*big.Int, len(lambdas))
+	for i := range lambdas {
+		out[i] = f.ToBig(&lambdas[i])
+	}
+	return out, nil
 }
 
 // AddShares adds two shares of the same abscissa pointwise; the result
@@ -121,21 +201,29 @@ func AddShares(a, b Share, p *big.Int) (Share, error) {
 	if a.X != b.X {
 		return Share{}, fmt.Errorf("shamir: adding shares with abscissae %d and %d", a.X, b.X)
 	}
-	y := new(big.Int).Add(a.Y, b.Y)
-	return Share{X: a.X, Y: y.Mod(y, p)}, nil
+	return combine(a, b.Y, p, (*Field).Add)
 }
 
 // ScaleShare multiplies a share by a public scalar; the result shares
 // k times the secret.
-func ScaleShare(a Share, k, p *big.Int) Share {
-	y := new(big.Int).Mul(a.Y, k)
-	return Share{X: a.X, Y: y.Mod(y, p)}
+func ScaleShare(a Share, k, p *big.Int) (Share, error) {
+	return combine(a, k, p, (*Field).Mul)
 }
 
 // AddConst adds a public constant to a share; the result shares
 // secret + k. (The constant term shifts; higher coefficients are
 // untouched, so only the secret changes.)
-func AddConst(a Share, k, p *big.Int) Share {
-	y := new(big.Int).Add(a.Y, k)
-	return Share{X: a.X, Y: y.Mod(y, p)}
+func AddConst(a Share, k, p *big.Int) (Share, error) {
+	return combine(a, k, p, (*Field).Add)
+}
+
+// combine applies one field operation to a share's value and k.
+func combine(a Share, k, p *big.Int, op func(f *Field, z, x, y *Elem)) (Share, error) {
+	f, err := NewField(p)
+	if err != nil {
+		return Share{}, err
+	}
+	x, y := f.Reduce(a.Y), f.Reduce(k)
+	op(f, &x, &x, &y)
+	return Share{X: a.X, Y: f.ToBig(&x)}, nil
 }

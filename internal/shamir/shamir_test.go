@@ -131,8 +131,12 @@ func TestLinearity(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			s = ScaleShare(s, big.NewInt(int64(k)), p)
-			sum[i] = AddConst(s, big.NewInt(3), p)
+			if s, err = ScaleShare(s, big.NewInt(int64(k)), p); err != nil {
+				return false
+			}
+			if sum[i], err = AddConst(s, big.NewInt(3), p); err != nil {
+				return false
+			}
 		}
 		got, err := Reconstruct(sum, p)
 		if err != nil {

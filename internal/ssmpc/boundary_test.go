@@ -12,10 +12,11 @@ import (
 	"groupranking/internal/transport"
 )
 
-// These tests pin the engine's receive-boundary hardening: a dealer on
-// a real network can send anything, so structurally malformed or
-// out-of-field share batches must surface as typed aborts naming the
-// sender — before any element enters a recombination.
+// These tests pin the engine's receive-boundary hardening: a peer on a
+// real network can send anything, so on every receive path a
+// structurally malformed or out-of-field batch must surface as a typed
+// abort naming the sender — never a panic, never a silent acceptance —
+// before any element enters a recombination.
 
 func boundaryEngine(t *testing.T) (*Engine, *transport.Fabric) {
 	t.Helper()
@@ -35,55 +36,85 @@ func boundaryEngine(t *testing.T) (*Engine, *transport.Fabric) {
 	return e, fab
 }
 
-func TestShareBatchRejectsOutOfFieldElements(t *testing.T) {
-	cases := []struct {
-		name    string
-		payload any
-		want    string
-	}{
-		{"not a batch", "garbage", "malformed"},
-		{"wrong count", []*big.Int{big.NewInt(1)}, "malformed"},
-		{"nil element", []*big.Int{big.NewInt(1), nil}, "out-of-field"},
-		{"negative element", []*big.Int{big.NewInt(-1), big.NewInt(1)}, "out-of-field"},
+// boundaryOps are the engine's four receive paths, each run as party 1's
+// first operation (round 1) on a batch of two.
+var boundaryOps = []struct {
+	name    string
+	gathers bool // receives from every peer, not from a dealer alone
+	run     func(e *Engine) error
+}{
+	{"ShareBatch", false, func(e *Engine) error { _, err := e.ShareBatch(0, nil, 2); return err }},
+	{"RandomElements", true, func(e *Engine) error { _, err := e.RandomElements(2); return err }},
+	{"MulBatch", true, func(e *Engine) error { _, err := e.MulBatch(make([]Share, 2), make([]Share, 2)); return err }},
+	{"OpenBatch", true, func(e *Engine) error { _, err := e.OpenBatch(make([]Share, 2)); return err }},
+}
+
+type boundaryCase struct {
+	name    string
+	payload func(p *big.Int) any
+	want    string
+}
+
+var boundaryCases = []boundaryCase{
+	{"not a batch", func(*big.Int) any { return "garbage" }, "malformed"},
+	{"wrong count", func(*big.Int) any { return []*big.Int{big.NewInt(1)} }, "malformed"},
+	{"nil element", func(*big.Int) any { return []*big.Int{big.NewInt(1), nil} }, "out-of-field"},
+	{"negative element", func(*big.Int) any { return []*big.Int{big.NewInt(-1), big.NewInt(1)} }, "out-of-field"},
+	{"equal to p", func(p *big.Int) any { return []*big.Int{big.NewInt(1), new(big.Int).Set(p)} }, "out-of-field"},
+	{"unreduced multiple", func(p *big.Int) any { return []*big.Int{new(big.Int).Lsh(p, 3), big.NewInt(1)} }, "out-of-field"},
+	{"wider than the field", func(p *big.Int) any { return []*big.Int{big.NewInt(1), new(big.Int).Lsh(p, 200)} }, "out-of-field"},
+}
+
+// checkBoundary has party 0 cheat with the case's payload (party 2, where
+// the operation hears from it, sends an honest batch) and requires the
+// typed abort that names party 0.
+func checkBoundary(t *testing.T, opIndex int, tc boundaryCase) {
+	t.Helper()
+	op := boundaryOps[opIndex]
+	e, fab := boundaryEngine(t)
+	if err := fab.Send(1, 0, 1, 4, tc.payload(e.cfg.P)); err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
+	if op.gathers {
+		if err := fab.Send(1, 2, 1, 4, []*big.Int{big.NewInt(3), big.NewInt(4)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := op.run(e)
+	if err == nil {
+		t.Fatal("cheating peer's batch accepted")
+	}
+	var abort *transport.AbortError
+	if !errors.As(err, &abort) {
+		t.Fatalf("error %v is not a typed abort", err)
+	}
+	if abort.Party != 0 {
+		t.Errorf("abort names party %d, want the cheater 0", abort.Party)
+	}
+	if !strings.Contains(err.Error(), tc.want) {
+		t.Errorf("error %q does not mention %q", err, tc.want)
+	}
+}
+
+func TestReceiveBoundary(t *testing.T) {
+	for i, op := range boundaryOps {
+		for _, tc := range boundaryCases {
+			i, tc := i, tc
+			t.Run(op.name+"/"+tc.name, func(t *testing.T) { checkBoundary(t, i, tc) })
+		}
+	}
+}
+
+// The two ShareBatch tests below predate the table and keep their names;
+// they run its ShareBatch rows.
+
+func TestShareBatchRejectsOutOfFieldElements(t *testing.T) {
+	for _, tc := range boundaryCases[:4] {
 		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			e, fab := boundaryEngine(t)
-			// Round 1 is the engine's first ShareBatch; party 0 plays a
-			// cheating dealer.
-			if err := fab.Send(1, 0, 1, 4, tc.payload); err != nil {
-				t.Fatal(err)
-			}
-			_, err := e.ShareBatch(0, nil, 2)
-			if err == nil {
-				t.Fatal("cheating dealer's batch accepted")
-			}
-			var abort *transport.AbortError
-			if !errors.As(err, &abort) {
-				t.Fatalf("error %v is not a typed abort", err)
-			}
-			if abort.Party != 0 {
-				t.Errorf("abort names party %d, want the dealer 0", abort.Party)
-			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %q does not mention %q", err, tc.want)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkBoundary(t, 0, tc) })
 	}
 }
 
 func TestShareBatchRejectsUnreducedElement(t *testing.T) {
-	e, fab := boundaryEngine(t)
-	huge := new(big.Int).Set(e.cfg.P) // == P, so not reduced mod P
-	if err := fab.Send(1, 0, 1, 4, []*big.Int{big.NewInt(1), huge}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := e.ShareBatch(0, nil, 2)
-	if err == nil {
-		t.Fatal("unreduced share accepted")
-	}
-	if !strings.Contains(err.Error(), "out-of-field") {
-		t.Errorf("error %q does not mention the field violation", err)
-	}
+	checkBoundary(t, 0, boundaryCases[4])
 }

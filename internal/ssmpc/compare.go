@@ -37,7 +37,7 @@ func (e *Engine) BitLTPublicBatch(cBitsList [][]uint8, rBitsList [][]Share) ([]S
 			if cBitsList[j][i] == 0 {
 				d[j][i] = rBitsList[j][i]
 			} else {
-				d[j][i] = e.Sub(e.ConstShare(big.NewInt(1)), rBitsList[j][i])
+				d[j][i] = e.Sub(e.one, rBitsList[j][i])
 			}
 		}
 	}
@@ -85,7 +85,7 @@ func (e *Engine) BitLTPublicBatch(cBitsList [][]uint8, rBitsList [][]Share) ([]S
 	}
 	out := make([]Share, k)
 	for j := 0; j < k; j++ {
-		acc := e.ConstShare(big.NewInt(0))
+		var acc Share
 		for i := 0; i < m; i++ {
 			acc = e.Add(acc, prods[j*m+i])
 		}
@@ -117,9 +117,8 @@ func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int) ([]Share, error) {
 	if m <= 0 || lPrime < m {
 		return nil, fmt.Errorf("ssmpc: Mod2m invalid widths l'=%d m=%d", lPrime, m)
 	}
-	if e.cfg.P.BitLen() < lPrime+e.cfg.Kappa+3 {
-		return nil, fmt.Errorf("ssmpc: field too small for Mod2m (need > %d bits, have %d)",
-			lPrime+e.cfg.Kappa+2, e.cfg.P.BitLen())
+	if err := e.checkWidth(lPrime); err != nil {
+		return nil, err
 	}
 	// Low mask r' from m shared bits and high mask r'' from
 	// kappa+lPrime−m shared bits, for every instance, in one batch.
@@ -135,23 +134,25 @@ func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int) ([]Share, error) {
 	for j := 0; j < k; j++ {
 		bits := allBits[j*per : (j+1)*per]
 		rLowBits[j] = bits[:m]
-		rl := e.ConstShare(big.NewInt(0))
+		var rl, rh Share
 		for i, b := range bits[:m] {
-			rl = e.Add(rl, e.Scale(b, pow2(i)))
+			rl = e.Add(rl, e.scale(b, &e.pow2[i]))
 		}
 		rLow[j] = rl
-		rh := e.ConstShare(big.NewInt(0))
 		for i, b := range bits[m:] {
-			rh = e.Add(rh, e.Scale(b, pow2(i)))
+			rh = e.Add(rh, e.scale(b, &e.pow2[i]))
 		}
 		// y = x + r' + 2^m·r''.
-		ySh[j] = e.Add(xs[j], e.Add(rl, e.Scale(rh, pow2(m))))
+		ySh[j] = e.Add(xs[j], e.Add(rl, e.scale(rh, &e.pow2[m])))
 	}
 	ys, err := e.OpenBatch(ySh)
 	if err != nil {
 		return nil, err
 	}
-	mask := new(big.Int).Sub(pow2(m), big.NewInt(1))
+	// The opened y values are public integers, not shares: their low
+	// bits are taken in math/big.
+	mask := new(big.Int).Lsh(big.NewInt(1), uint(m))
+	mask.Sub(mask, big.NewInt(1))
 	yLows := make([]*big.Int, k)
 	cBitsList := make([][]uint8, k)
 	for j := 0; j < k; j++ {
@@ -168,7 +169,7 @@ func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int) ([]Share, error) {
 	out := make([]Share, k)
 	for j := 0; j < k; j++ {
 		res := e.Sub(e.ConstShare(yLows[j]), rLow[j])
-		out[j] = e.Add(res, e.Scale(us[j], pow2(m)))
+		out[j] = e.Add(res, e.scale(us[j], &e.pow2[m]))
 	}
 	return out, nil
 }
@@ -198,19 +199,21 @@ func (e *Engine) GTEBatch(as, bs []Share, l int) ([]Share, error) {
 	if k == 0 {
 		return nil, nil
 	}
+	if err := e.checkWidth(l + 1); err != nil {
+		return nil, err
+	}
 	cs := make([]Share, k)
 	for j := 0; j < k; j++ {
-		cs[j] = e.AddConst(e.Sub(as[j], bs[j]), pow2(l))
+		cs[j] = e.Add(e.Sub(as[j], bs[j]), Share{y: e.pow2[l]})
 	}
 	lows, err := e.Mod2mBatch(cs, l+1, l)
 	if err != nil {
 		return nil, err
 	}
-	inv := new(big.Int).ModInverse(pow2(l), e.cfg.P)
 	out := make([]Share, k)
 	for j := 0; j < k; j++ {
 		// bit = (c − (c mod 2^l)) / 2^l.
-		out[j] = e.Scale(e.Sub(cs[j], lows[j]), inv)
+		out[j] = e.scale(e.Sub(cs[j], lows[j]), &e.invPow2[l])
 	}
 	return out, nil
 }
@@ -230,9 +233,17 @@ func (e *Engine) LT(a, b Share, l int) (Share, error) {
 	if err != nil {
 		return Share{}, err
 	}
-	return e.Sub(e.ConstShare(big.NewInt(1)), gte), nil
+	return e.Sub(e.one, gte), nil
 }
 
-func pow2(k int) *big.Int {
-	return new(big.Int).Lsh(big.NewInt(1), uint(k))
+// checkWidth reports whether the field can carry the masked opening of
+// an lPrime-bit value: the prime must exceed 2^(lPrime+Kappa+2) so the
+// opened values never wrap modulo p. It also keeps every index into the
+// pow2 tables below the field width.
+func (e *Engine) checkWidth(lPrime int) error {
+	if e.cfg.P.BitLen() < lPrime+e.cfg.Kappa+3 {
+		return fmt.Errorf("ssmpc: field too small for Mod2m (need > %d bits, have %d)",
+			lPrime+e.cfg.Kappa+2, e.cfg.P.BitLen())
+	}
+	return nil
 }

@@ -9,6 +9,12 @@
 // engines communicate over a transport.Fabric and count multiplication
 // invocations, openings and communication rounds — the quantities the
 // paper's Section VI-B efficiency analysis is stated in.
+//
+// Shares are shamir.Elem values (limbs in Montgomery form), so every
+// local operation is allocation-free. Messages stay []*big.Int: an
+// element is converted once at Send and once at the receive check
+// (Field.ToBigs, fromWire), which keeps frames, echo digests and journal
+// records what they were when the engine computed in math/big.
 package ssmpc
 
 import (
@@ -17,7 +23,6 @@ import (
 	"io"
 	"math/big"
 
-	"groupranking/internal/kernel"
 	"groupranking/internal/obsv"
 	"groupranking/internal/shamir"
 	"groupranking/internal/transport"
@@ -31,28 +36,32 @@ type Config struct {
 	N int
 	// Degree is the sharing polynomial degree d (max colluders).
 	Degree int
-	// P is the field prime. For comparisons on l-bit values it must
-	// exceed 2^(l+Kappa+3).
+	// P is the field prime, at most shamir.MaxFieldBits wide. For
+	// comparisons on l-bit values it must exceed 2^(l+Kappa+3).
 	P *big.Int
 	// Kappa is the statistical hiding parameter (default 40).
 	Kappa int
-	// Workers bounds the goroutines batched recombinations fan out on
-	// (0 = NumCPU, 1 = serial). Sharing stays serial — it consumes the
-	// party RNG — so results are identical at every worker count.
-	Workers int
 }
 
 func (c Config) validate() error {
+	_, err := c.field()
+	return err
+}
+
+// field checks the configuration and returns the field of c.P, which
+// shamir builds (and tests for primality) once per prime per process.
+func (c Config) field() (*shamir.Field, error) {
 	if c.N < 1 {
-		return fmt.Errorf("ssmpc: need at least one party")
+		return nil, fmt.Errorf("ssmpc: need at least one party")
 	}
 	if c.Degree < 0 || c.N < 2*c.Degree+1 {
-		return fmt.Errorf("ssmpc: n=%d cannot support degree %d (need n ≥ 2d+1)", c.N, c.Degree)
+		return nil, fmt.Errorf("ssmpc: n=%d cannot support degree %d (need n ≥ 2d+1)", c.N, c.Degree)
 	}
-	if c.P == nil || !c.P.ProbablyPrime(16) {
-		return fmt.Errorf("ssmpc: field modulus missing or composite")
+	f, err := shamir.NewField(c.P)
+	if err != nil {
+		return nil, fmt.Errorf("ssmpc: field modulus missing, composite or too wide: %w", err)
 	}
-	return nil
+	return f, nil
 }
 
 // Counters tallies the cost quantities of Section VI-B.
@@ -64,20 +73,26 @@ type Counters struct {
 
 // Share is this party's share of a secret (abscissa = party index + 1).
 type Share struct {
-	y *big.Int
+	y shamir.Elem
 }
 
 // Engine is one party's endpoint of the MPC session.
 type Engine struct {
-	cfg    Config
-	me     int
-	fab    transport.Net
-	rng    io.Reader
-	ctx    context.Context
-	round  int
-	ctr    Counters
-	obs    *obsv.Party
-	lambda []*big.Int // Lagrange coefficients at 0 for abscissae 1..N
+	cfg   Config
+	me    int
+	fab   transport.Net
+	rng   io.Reader
+	ctx   context.Context
+	round int
+	ctr   Counters
+	obs   *obsv.Party
+
+	f   *shamir.Field
+	sch *shamir.Scheme // degree-d sharing at abscissae 1..N, with the Lagrange coefficients at 0
+	one Share
+	// Public constants the comparison protocols scale by, converted
+	// once: pow2[i] = 2^i and invPow2[i] = 2^−i for i < bitlen(P).
+	pow2, invPow2 []shamir.Elem
 }
 
 // NewEngine creates party me's endpoint. All parties must share the same
@@ -90,7 +105,8 @@ func NewEngine(cfg Config, me int, fab transport.Net, rng io.Reader) (*Engine, e
 // performs honours ctx, so a crashed or cancelled sibling turns into a
 // prompt typed *AbortError instead of a hung protocol round.
 func NewEngineCtx(ctx context.Context, cfg Config, me int, fab transport.Net, rng io.Reader) (*Engine, error) {
-	if err := cfg.validate(); err != nil {
+	f, err := cfg.field()
+	if err != nil {
 		return nil, err
 	}
 	if cfg.Kappa <= 0 {
@@ -102,13 +118,9 @@ func NewEngineCtx(ctx context.Context, cfg Config, me int, fab transport.Net, rn
 	if fab.N() != cfg.N {
 		return nil, fmt.Errorf("ssmpc: fabric has %d endpoints, config has %d", fab.N(), cfg.N)
 	}
-	xs := make([]int, cfg.N)
-	for i := range xs {
-		xs[i] = i + 1
-	}
-	lambda, err := shamir.LagrangeAtZero(xs, cfg.P)
+	sch, err := shamir.NewScheme(f, cfg.Degree, cfg.N)
 	if err != nil {
-		return nil, fmt.Errorf("ssmpc: precomputing Lagrange coefficients: %w", err)
+		return nil, fmt.Errorf("ssmpc: preparing the sharing scheme: %w", err)
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -117,7 +129,20 @@ func NewEngineCtx(ctx context.Context, cfg Config, me int, fab transport.Net, rn
 	// wrapper charges this engine's sends to the party's current span.
 	obs := obsv.PartyFrom(ctx)
 	fab = obsv.ObservedNet(fab, obs)
-	return &Engine{cfg: cfg, me: me, fab: fab, rng: rng, ctx: ctx, obs: obs, lambda: lambda}, nil
+	e := &Engine{cfg: cfg, me: me, fab: fab, rng: rng, ctx: ctx, obs: obs, f: f, sch: sch, one: Share{y: f.One()}}
+
+	width := cfg.P.BitLen()
+	e.pow2 = make([]shamir.Elem, width)
+	e.invPow2 = make([]shamir.Elem, width)
+	var half shamir.Elem
+	f.Add(&half, &e.one.y, &e.one.y)
+	f.Inv(&half, &half)
+	e.pow2[0], e.invPow2[0] = e.one.y, e.one.y
+	for i := 1; i < width; i++ {
+		f.Add(&e.pow2[i], &e.pow2[i-1], &e.pow2[i-1])
+		f.Mul(&e.invPow2[i], &e.invPow2[i-1], &half)
+	}
+	return e, nil
 }
 
 // recv is the engine's context-aware, round-checked receive.
@@ -152,66 +177,138 @@ func (e *Engine) nextRound() int {
 	return e.round
 }
 
-// ShareBatch deals the given secrets (only the dealer's slice is read)
-// and returns each party's shares, one communication round for the whole
-// batch. count tells non-dealers how many secrets to expect.
-func (e *Engine) ShareBatch(dealer int, secrets []*big.Int, count int) ([]Share, error) {
-	round := e.nextRound()
-	if e.me == dealer {
-		if len(secrets) != count {
-			return nil, fmt.Errorf("ssmpc: dealer has %d secrets, count is %d", len(secrets), count)
-		}
-		// perParty[j][k] is party j's share of secret k.
-		perParty := make([][]*big.Int, e.cfg.N)
-		for j := range perParty {
-			perParty[j] = make([]*big.Int, count)
-		}
-		for k, s := range secrets {
-			shares, err := shamir.Split(s, e.cfg.Degree, e.cfg.N, e.cfg.P, e.rng)
-			if err != nil {
-				return nil, err
-			}
-			for j := range shares {
-				perParty[j][k] = shares[j].Y
-			}
-		}
-		for j := 0; j < e.cfg.N; j++ {
-			if j == e.me {
-				continue
-			}
-			if err := e.fab.Send(round, e.me, j, count*e.fieldBytes(), perParty[j]); err != nil {
-				return nil, err
-			}
-		}
-		return wrapAll(perParty[e.me]), nil
-	}
-	payload, err := e.recv(dealer, round)
-	if err != nil {
-		return nil, err
-	}
+// fromWire is the receive-boundary check and conversion in one: over a
+// real network a peer can send anything, so a payload must be a batch of
+// exactly len(dst) elements, each present and reduced mod P, before any
+// of it enters a recombination. There is no other way for a received
+// value to become an Elem. Failures surface as typed aborts naming the
+// sender.
+func (e *Engine) fromWire(dst []shamir.Elem, payload any, from int, kind string) error {
 	ys, ok := payload.([]*big.Int)
-	if !ok || len(ys) != count {
-		return nil, transport.EnsureAbort(
-			fmt.Errorf("ssmpc: malformed share batch from dealer %d", dealer), dealer, "ssmpc")
+	if !ok || len(ys) != len(dst) {
+		return transport.EnsureAbort(
+			fmt.Errorf("ssmpc: malformed %s batch from party %d", kind, from), from, "ssmpc")
 	}
-	if err := e.checkBatch(ys, dealer, "share"); err != nil {
-		return nil, err
-	}
-	return wrapAll(ys), nil
-}
-
-// checkBatch is the receive-boundary element check: over a real network
-// a peer can send anything, so every share must be present and reduced
-// mod P before it enters any recombination. Failures surface as typed
-// aborts naming the sender.
-func (e *Engine) checkBatch(ys []*big.Int, from int, kind string) error {
-	for _, y := range ys {
-		if y == nil || y.Sign() < 0 || y.Cmp(e.cfg.P) >= 0 {
+	for i, y := range ys {
+		if dst[i], ok = e.f.FromBig(y); !ok {
 			return transport.EnsureAbort(
 				fmt.Errorf("ssmpc: party %d sent an out-of-field %s element", from, kind), from, "ssmpc")
 		}
 	}
 	return nil
+}
+
+// deal splits k secrets and returns the pieces as one slab indexed
+// [party·k + secret]: party j's message is the contiguous run j·k..j·k+k.
+// A nil secrets deals fresh random elements instead, each drawn right
+// before its polynomial — the order RandomElements has always consumed
+// the party RNG in.
+func (e *Engine) deal(secrets []shamir.Elem, k int) ([]shamir.Elem, error) {
+	slab := make([]shamir.Elem, e.cfg.N*k)
+	pieces := make([]shamir.Elem, e.cfg.N)
+	for i := 0; i < k; i++ {
+		var secret shamir.Elem
+		if secrets != nil {
+			secret = secrets[i]
+		} else {
+			var err error
+			if secret, err = e.sch.Rand(e.rng); err != nil {
+				return nil, err
+			}
+		}
+		if err := e.sch.Split(pieces, &secret, e.rng); err != nil {
+			return nil, err
+		}
+		for j := range pieces {
+			slab[j*k+i] = pieces[j]
+		}
+	}
+	return slab, nil
+}
+
+// sendPieces sends every other party its run of a dealt slab.
+func (e *Engine) sendPieces(round int, slab []shamir.Elem, k int) error {
+	for j := 0; j < e.cfg.N; j++ {
+		if j == e.me {
+			continue
+		}
+		if err := e.fab.Send(round, e.me, j, k*e.fieldBytes(), e.f.ToBigs(slab[j*k:(j+1)*k])); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// columns validates one gathered batch per party and returns them as
+// one slab indexed [party·k + element], with this party's own batch in
+// place — the layout the Lagrange recombinations read.
+func (e *Engine) columns(all []any, mine []shamir.Elem, kind string) ([]shamir.Elem, error) {
+	k := len(mine)
+	cols := make([]shamir.Elem, e.cfg.N*k)
+	for j := 0; j < e.cfg.N; j++ {
+		col := cols[j*k : (j+1)*k]
+		if j == e.me {
+			copy(col, mine)
+			continue
+		}
+		if err := e.fromWire(col, all[j], j, kind); err != nil {
+			return nil, err
+		}
+	}
+	return cols, nil
+}
+
+// recombine returns Σ_j λ_j·cols[j·k+i] for each i: the value at zero of
+// the polynomial through every party's i-th element. A plain loop: at a
+// few tens of nanoseconds per element a goroutine fan-out costs more
+// than the work.
+func (e *Engine) recombine(cols []shamir.Elem, k int) []shamir.Elem {
+	out := make([]shamir.Elem, k)
+	var t shamir.Elem
+	for j, lambda := range e.sch.Lambda {
+		col := cols[j*k : (j+1)*k]
+		for i := range col {
+			e.f.Mul(&t, &lambda, &col[i])
+			e.f.Add(&out[i], &out[i], &t)
+		}
+	}
+	return out
+}
+
+// ShareBatch deals the given secrets (only the dealer's slice is read)
+// and returns each party's shares, one communication round for the whole
+// batch. count tells non-dealers how many secrets to expect.
+func (e *Engine) ShareBatch(dealer int, secrets []*big.Int, count int) ([]Share, error) {
+	round := e.nextRound()
+	if count < 0 {
+		return nil, fmt.Errorf("ssmpc: negative share count %d", count)
+	}
+	mine := make([]shamir.Elem, count)
+	if e.me == dealer {
+		if len(secrets) != count {
+			return nil, fmt.Errorf("ssmpc: dealer has %d secrets, count is %d", len(secrets), count)
+		}
+		for i, s := range secrets {
+			mine[i] = e.f.Reduce(s)
+		}
+		slab, err := e.deal(mine, count)
+		if err != nil {
+			return nil, err
+		}
+		if err := e.sendPieces(round, slab, count); err != nil {
+			return nil, err
+		}
+		copy(mine, slab[e.me*count:])
+		return wrapAll(mine), nil
+	}
+	payload, err := e.recv(dealer, round)
+	if err != nil {
+		return nil, err
+	}
+	if err := e.fromWire(mine, payload, dealer, "share"); err != nil {
+		return nil, err
+	}
+	return wrapAll(mine), nil
 }
 
 // Share deals a single secret.
@@ -229,10 +326,19 @@ func (e *Engine) Share(dealer int, secret *big.Int) (Share, error) {
 
 // OpenBatch reveals the given shared values to every party in one round.
 func (e *Engine) OpenBatch(shares []Share) ([]*big.Int, error) {
+	opened, err := e.open(shares)
+	if err != nil {
+		return nil, err
+	}
+	return e.f.ToBigs(opened), nil
+}
+
+// open is OpenBatch before the conversion to integers.
+func (e *Engine) open(shares []Share) ([]shamir.Elem, error) {
 	round := e.nextRound()
 	e.ctr.Opens += int64(len(shares))
 	e.obs.Add(obsv.OpSSOpen, int64(len(shares)))
-	mine := make([]*big.Int, len(shares))
+	mine := make([]shamir.Elem, len(shares))
 	for i, s := range shares {
 		mine[i] = s.y
 	}
@@ -242,49 +348,15 @@ func (e *Engine) OpenBatch(shares []Share) ([]*big.Int, error) {
 	// different peers — splitting the group over what a histogram
 	// contains — is identified instead of silently skewing the
 	// reconstruction. In-process runs skip the echo.
-	all, err := transport.EchoBroadcastCtx(e.ctx, e.fab, e.me, round, len(shares)*e.fieldBytes(), mine)
+	all, err := transport.EchoBroadcastCtx(e.ctx, e.fab, e.me, round, len(shares)*e.fieldBytes(), e.f.ToBigs(mine))
 	if err != nil {
 		return nil, transport.AnnotatePhase(err, "ssmpc")
 	}
-	cols, err := e.columns(all, mine, len(shares), "open")
+	cols, err := e.columns(all, mine, "open")
 	if err != nil {
 		return nil, err
 	}
-	out := make([]*big.Int, len(shares))
-	if err := kernel.Map(e.ctx, e.cfg.Workers, len(shares), func(k int) error {
-		acc := new(big.Int)
-		for j := 0; j < e.cfg.N; j++ {
-			acc.Add(acc, new(big.Int).Mul(e.lambda[j], cols[j][k]))
-		}
-		out[k] = acc.Mod(acc, e.cfg.P)
-		return nil
-	}); err != nil {
-		return nil, transport.AnnotatePhase(err, "ssmpc")
-	}
-	return out, nil
-}
-
-// columns validates one gathered batch per party and returns it indexed
-// by party, with this party's own slice in place — the layout the
-// parallel Lagrange recombinations read.
-func (e *Engine) columns(all []any, mine []*big.Int, k int, kind string) ([][]*big.Int, error) {
-	cols := make([][]*big.Int, e.cfg.N)
-	for j := 0; j < e.cfg.N; j++ {
-		if j == e.me {
-			cols[j] = mine
-			continue
-		}
-		ys, ok := all[j].([]*big.Int)
-		if !ok || len(ys) != k {
-			return nil, transport.EnsureAbort(
-				fmt.Errorf("ssmpc: malformed %s batch from party %d", kind, j), j, "ssmpc")
-		}
-		if err := e.checkBatch(ys, j, kind); err != nil {
-			return nil, err
-		}
-		cols[j] = ys
-	}
-	return cols, nil
+	return e.recombine(cols, len(shares)), nil
 }
 
 // Open reveals one shared value.
@@ -298,31 +370,36 @@ func (e *Engine) Open(s Share) (*big.Int, error) {
 
 // Add returns a share of a+b (local).
 func (e *Engine) Add(a, b Share) Share {
-	y := new(big.Int).Add(a.y, b.y)
-	return Share{y: y.Mod(y, e.cfg.P)}
+	e.f.Add(&a.y, &a.y, &b.y)
+	return a
 }
 
 // Sub returns a share of a−b (local).
 func (e *Engine) Sub(a, b Share) Share {
-	y := new(big.Int).Sub(a.y, b.y)
-	return Share{y: y.Mod(y, e.cfg.P)}
+	e.f.Sub(&a.y, &a.y, &b.y)
+	return a
 }
 
 // Scale returns a share of k·a (local).
 func (e *Engine) Scale(a Share, k *big.Int) Share {
-	y := new(big.Int).Mul(a.y, k)
-	return Share{y: y.Mod(y, e.cfg.P)}
+	c := e.f.Reduce(k)
+	return e.scale(a, &c)
+}
+
+// scale is Scale by a constant already in the field.
+func (e *Engine) scale(a Share, k *shamir.Elem) Share {
+	e.f.Mul(&a.y, &a.y, k)
+	return a
 }
 
 // AddConst returns a share of a+k (local).
 func (e *Engine) AddConst(a Share, k *big.Int) Share {
-	y := new(big.Int).Add(a.y, k)
-	return Share{y: y.Mod(y, e.cfg.P)}
+	return e.Add(a, e.ConstShare(k))
 }
 
 // ConstShare returns a degree-0 share of the public constant k (local).
 func (e *Engine) ConstShare(k *big.Int) Share {
-	return Share{y: new(big.Int).Mod(k, e.cfg.P)}
+	return Share{y: e.f.Reduce(k)}
 }
 
 // MulBatch multiplies element-wise with one degree-reduction round
@@ -341,50 +418,27 @@ func (e *Engine) MulBatch(as, bs []Share) ([]Share, error) {
 	e.ctr.Mults += int64(k)
 	e.obs.Add(obsv.OpSSMul, int64(k))
 
-	// perParty[j][i] is the piece for party j of my i-th product share.
-	perParty := make([][]*big.Int, e.cfg.N)
-	for j := range perParty {
-		perParty[j] = make([]*big.Int, k)
+	// My degree-2d product shares, reshared piece by piece.
+	prods := make([]shamir.Elem, k)
+	for i := range prods {
+		e.f.Mul(&prods[i], &as[i].y, &bs[i].y)
 	}
-	for i := 0; i < k; i++ {
-		h := new(big.Int).Mul(as[i].y, bs[i].y)
-		h.Mod(h, e.cfg.P)
-		pieces, err := shamir.Split(h, e.cfg.Degree, e.cfg.N, e.cfg.P, e.rng)
-		if err != nil {
-			return nil, err
-		}
-		for j := range pieces {
-			perParty[j][i] = pieces[j].Y
-		}
+	slab, err := e.deal(prods, k)
+	if err != nil {
+		return nil, err
 	}
-	for j := 0; j < e.cfg.N; j++ {
-		if j == e.me {
-			continue
-		}
-		if err := e.fab.Send(round, e.me, j, k*e.fieldBytes(), perParty[j]); err != nil {
-			return nil, err
-		}
+	if err := e.sendPieces(round, slab, k); err != nil {
+		return nil, err
 	}
 	all, err := e.gather(round)
 	if err != nil {
 		return nil, err
 	}
-	cols, err := e.columns(all, perParty[e.me], k, "mul")
+	cols, err := e.columns(all, slab[e.me*k:(e.me+1)*k], "mul")
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Share, k)
-	if err := kernel.Map(e.ctx, e.cfg.Workers, k, func(i int) error {
-		acc := new(big.Int)
-		for j := 0; j < e.cfg.N; j++ {
-			acc.Add(acc, new(big.Int).Mul(e.lambda[j], cols[j][i]))
-		}
-		out[i] = Share{y: acc.Mod(acc, e.cfg.P)}
-		return nil
-	}); err != nil {
-		return nil, transport.AnnotatePhase(err, "ssmpc")
-	}
-	return out, nil
+	return wrapAll(e.recombine(cols, k)), nil
 }
 
 // Mul multiplies two shared values (one multiplication invocation).
@@ -396,7 +450,7 @@ func (e *Engine) Mul(a, b Share) (Share, error) {
 	return out[0], nil
 }
 
-func wrapAll(ys []*big.Int) []Share {
+func wrapAll(ys []shamir.Elem) []Share {
 	out := make([]Share, len(ys))
 	for i, y := range ys {
 		out[i] = Share{y: y}

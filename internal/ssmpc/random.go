@@ -1,11 +1,6 @@
 package ssmpc
 
-import (
-	"fmt"
-	"math/big"
-
-	"groupranking/internal/fixedbig"
-)
+import "fmt"
 
 // RandomElements produces k shared field elements unknown to any
 // coalition of up to Degree parties: every party deals a random
@@ -16,50 +11,26 @@ func (e *Engine) RandomElements(k int) ([]Share, error) {
 	}
 	round := e.nextRound()
 
-	// Deal my contributions.
-	perParty := make([][]*big.Int, e.cfg.N)
-	for j := range perParty {
-		perParty[j] = make([]*big.Int, k)
+	slab, err := e.deal(nil, k)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < k; i++ {
-		r, err := fixedbig.RandInt(e.rng, e.cfg.P)
-		if err != nil {
-			return nil, err
-		}
-		pieces, err := splitSecret(e, r)
-		if err != nil {
-			return nil, err
-		}
-		for j := range pieces {
-			perParty[j][i] = pieces[j]
-		}
-	}
-	for j := 0; j < e.cfg.N; j++ {
-		if j == e.me {
-			continue
-		}
-		if err := e.fab.Send(round, e.me, j, k*e.fieldBytes(), perParty[j]); err != nil {
-			return nil, err
-		}
+	if err := e.sendPieces(round, slab, k); err != nil {
+		return nil, err
 	}
 	all, err := e.gather(round)
 	if err != nil {
 		return nil, err
 	}
+	cols, err := e.columns(all, slab[e.me*k:(e.me+1)*k], "random")
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Share, k)
-	for i := 0; i < k; i++ {
-		acc := new(big.Int).Set(perParty[e.me][i])
-		for j := 0; j < e.cfg.N; j++ {
-			if j == e.me {
-				continue
-			}
-			ys, ok := all[j].([]*big.Int)
-			if !ok || len(ys) != k {
-				return nil, fmt.Errorf("ssmpc: malformed random batch from party %d", j)
-			}
-			acc.Add(acc, ys[i])
+	for j := 0; j < e.cfg.N; j++ {
+		for i := range out {
+			e.f.Add(&out[i].y, &out[i].y, &cols[j*k+i])
 		}
-		out[i] = Share{y: acc.Mod(acc, e.cfg.P)}
 	}
 	return out, nil
 }
@@ -73,7 +44,6 @@ func (e *Engine) RandomBits(k int) ([]Share, error) {
 		return nil, fmt.Errorf("ssmpc: RandomBits needs k > 0, got %d", k)
 	}
 	out := make([]Share, 0, k)
-	inv2 := new(big.Int).ModInverse(big.NewInt(2), e.cfg.P)
 	need := k
 	for attempts := 0; need > 0; attempts++ {
 		if attempts > 64 {
@@ -87,29 +57,26 @@ func (e *Engine) RandomBits(k int) ([]Share, error) {
 		if err != nil {
 			return nil, err
 		}
-		opened, err := e.OpenBatch(sqs)
+		roots, err := e.open(sqs)
 		if err != nil {
 			return nil, err
 		}
-		for i, v := range opened {
-			if v.Sign() == 0 {
+		// The canonical root of every opened square (the smaller of the
+		// two, so every party picks the same sign); a zero stays zero
+		// through the batch inversion and marks a slot to retry.
+		for i := range roots {
+			if !e.f.Sqrt(&roots[i], &roots[i]) {
+				return nil, fmt.Errorf("ssmpc: opened square %s has no root", e.f.ToBig(&roots[i]))
+			}
+		}
+		e.f.InvBatch(roots)
+		for i := range roots {
+			if roots[i].IsZero() {
 				continue // r was zero (probability 1/p); retry that slot
 			}
-			w := new(big.Int).ModSqrt(v, e.cfg.P)
-			if w == nil {
-				return nil, fmt.Errorf("ssmpc: opened square %s has no root", v)
-			}
-			// Canonicalise the root so every party picks the same sign.
-			other := new(big.Int).Sub(e.cfg.P, w)
-			if w.Cmp(other) > 0 {
-				w = other
-			}
-			wInv := new(big.Int).ModInverse(w, e.cfg.P)
 			// b = (r·w⁻¹ + 1)/2.
-			b := e.Scale(rs[i], wInv)
-			b = e.AddConst(b, big.NewInt(1))
-			b = e.Scale(b, inv2)
-			out = append(out, b)
+			b := e.Add(e.scale(rs[i], &roots[i]), e.one)
+			out = append(out, e.scale(b, &e.invPow2[1]))
 		}
 		need = k - len(out)
 	}

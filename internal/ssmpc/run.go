@@ -5,27 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"sync"
 
 	"groupranking/internal/fixedbig"
-	"groupranking/internal/shamir"
 	"groupranking/internal/transport"
 )
-
-// splitSecret shares a value with this engine's parameters and returns
-// the per-party y-values.
-func splitSecret(e *Engine, s *big.Int) ([]*big.Int, error) {
-	shares, err := shamir.Split(s, e.cfg.Degree, e.cfg.N, e.cfg.P, e.rng)
-	if err != nil {
-		return nil, err
-	}
-	ys := make([]*big.Int, len(shares))
-	for i, sh := range shares {
-		ys[i] = sh.Y
-	}
-	return ys, nil
-}
 
 // Result carries one party's program output.
 type Result[T any] struct {

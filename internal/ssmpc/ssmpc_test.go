@@ -3,9 +3,11 @@ package ssmpc
 import (
 	"crypto/rand"
 	"math/big"
+	"sync"
 	"testing"
 
 	"groupranking/internal/fixedbig"
+	"groupranking/internal/transport"
 )
 
 func testConfig(t *testing.T, n, degree int) Config {
@@ -406,5 +408,56 @@ func TestMinimumPartyCountForDegree(t *testing.T) {
 	}
 	if results[0].Value.Int64() != 81 {
 		t.Errorf("got %s, want 81", results[0].Value)
+	}
+}
+
+// TestMulBatchAllocatesPerBatchNotPerElement guards the value-type share
+// representation: a MulBatch allocates its slabs and one converted
+// message per peer, so a batch of 64 costs the allocations of a batch
+// of 8. Any per-element allocation — a math/big temporary in a split or
+// a recombination, an integer boxed per element on the wire — shows up
+// here as 56 more per party.
+func TestMulBatchAllocatesPerBatchNotPerElement(t *testing.T) {
+	const n = 3
+	cfg := testConfig(t, n, 1)
+	fab, err := transport.New(n, transport.WithoutTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := make([]*Engine, n)
+	for me := range engines {
+		// crypto/rand: the test DRBG allocates a block per 32 bytes drawn.
+		if engines[me], err = NewEngine(cfg, me, fab, rand.Reader); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mulAll := func(k int) func() {
+		as := make([]Share, k)
+		for i := range as {
+			as[i] = engines[0].ConstShare(big.NewInt(int64(i + 2)))
+		}
+		return func() {
+			var wg sync.WaitGroup
+			for _, e := range engines {
+				e := e
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := e.MulBatch(as, as); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	}
+	small := testing.AllocsPerRun(50, mulAll(8))
+	large := testing.AllocsPerRun(50, mulAll(64))
+	t.Logf("allocations per 3-party MulBatch: %.0f at k=8, %.0f at k=64", small, large)
+	if large > small+8 {
+		t.Errorf("MulBatch allocates per element: %.0f allocations at k=64 against %.0f at k=8", large, small)
+	}
+	if large > 40*n {
+		t.Errorf("MulBatch of 64 makes %.0f allocations among %d parties; want a few per message", large, n)
 	}
 }
