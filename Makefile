@@ -17,9 +17,9 @@ RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./i
 FUZZ_PKGS := ./internal/group/ ./internal/shamir/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/ ./internal/service/
 FUZZ_TIME ?= 2s
 
-.PHONY: check vet build test race race-full fuzz chaos chaos-byz chaos-rankd bench bench-json bench-compare bench-smoke trace-demo demo-distributed telemetry-demo serve-demo loadtest-smoke clean
+.PHONY: check vet build test test-386 race race-full fuzz chaos chaos-byz chaos-rankd bench bench-json bench-compare bench-smoke trace-demo demo-distributed telemetry-demo serve-demo loadtest-smoke clean
 
-check: vet build bench-smoke test race fuzz chaos-rankd serve-demo loadtest-smoke
+check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo loadtest-smoke
 
 # staticcheck is optional tooling: run it when the developer has it
 # installed, stay silent (and green) when they do not.
@@ -52,6 +52,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The two limb fields on 32-bit words: on 386, bits.Mul64 and friends
+# are emulated and big.Word is 32 bits wide, so this is the one run that
+# executes group/field.go (both widths) and shamir/field.go, and their
+# big.Int conversions, where the native word is not 64 bits.
+test-386:
+	GOARCH=386 $(GO) test -short ./internal/group/ ./internal/shamir/
 
 # Short mode keeps the race pass fast; the full chaos sweep runs
 # race-free in `test` and under the detector via `make race-full`.

@@ -7,34 +7,51 @@ import (
 )
 
 // Prime-field arithmetic for the curve kernel (kernel.go): one
-// Montgomery field on four 64-bit limbs, parameterised only by
-// constants derived from the modulus, so secp160r1, P-224 and P-256
-// share every line. The generic ECGroup path keeps field elements in
-// math/big form and pays a division plus several allocations per
-// reduction; here a multiplication is a fixed 32-multiply CIOS pass
-// over stack values. FuzzFieldAgainstBig checks every operation
-// against math/big for each modulus.
+// Montgomery field, parameterised only by constants derived from the
+// modulus, so secp160r1, P-224 and P-256 share one element type and
+// every line outside the multiply, add and subtract. The generic
+// ECGroup path keeps field elements in math/big form and pays a
+// division plus several allocations per reduction; here a
+// multiplication is a fixed CIOS pass over stack values. A modulus
+// below 2^192 (secp160r1) takes unrolled three-limb bodies with
+// R = 2^192, 18 word products per multiply; a wider one (P-224,
+// P-256) the four-limb loop with R = 2^256, 32. FuzzFieldAgainstBig
+// checks every operation against math/big, and the two bodies against
+// each other, for each modulus.
 
 // fe is a field element in little-endian limbs, always fully reduced
-// (< p). The kernel holds every fe in Montgomery form, x·R mod p with
-// R = 2^256.
+// (< p). The kernel holds every fe in Montgomery form, x·R mod p; in a
+// narrow field the top limb is always zero.
 type fe [4]uint64
 
 // montField carries the constants of one modulus.
 type montField struct {
-	p   fe     // the modulus, odd, at most 256 bits
-	n0  uint64 // −p⁻¹ mod 2^64
-	one fe     // R mod p, the Montgomery form of 1
-	r2  fe     // R² mod p; a Montgomery product with it enters Montgomery form
+	p      fe     // the modulus, odd, at most 256 bits
+	n0     uint64 // −p⁻¹ mod 2^64
+	one    fe     // R mod p, the Montgomery form of 1
+	r2     fe     // R² mod p; a Montgomery product with it enters Montgomery form
+	narrow bool   // p < 2^192: R = 2^192 and the three-limb bodies
 }
 
+// narrowBits is the widest modulus the three-limb bodies take.
+const narrowBits = 192
+
 // newMontField derives the constants for an odd modulus of at most 256
-// bits; ok is false for any other p.
+// bits, choosing the width from the modulus; ok is false for any other
+// p.
 func newMontField(p *big.Int) (f montField, ok bool) {
 	if p.Sign() <= 0 || p.Bit(0) == 0 || p.BitLen() > 256 {
 		return f, false
 	}
-	f.p = limbsFromBig(p)
+	return deriveMontField(p, p.BitLen() <= narrowBits), true
+}
+
+// deriveMontField computes the constants of an odd modulus of at most
+// 256 bits (at most narrowBits when narrow). Tests build the wide field
+// of a narrow modulus through it to hold the two bodies against each
+// other.
+func deriveMontField(p *big.Int, narrow bool) montField {
+	f := montField{p: limbsFromBig(p), narrow: narrow}
 	// Newton iteration doubles the correct low bits of p⁻¹ each step;
 	// p itself is right to 3 bits (p·p ≡ 1 mod 8 for odd p).
 	inv := f.p[0]
@@ -42,10 +59,14 @@ func newMontField(p *big.Int) (f montField, ok bool) {
 		inv *= 2 - f.p[0]*inv
 	}
 	f.n0 = -inv
-	r := new(big.Int).Lsh(big.NewInt(1), 256)
+	rBits := uint(256)
+	if narrow {
+		rBits = narrowBits
+	}
+	r := new(big.Int).Lsh(big.NewInt(1), rBits)
 	f.one = limbsFromBig(new(big.Int).Mod(r, p))
 	f.r2 = limbsFromBig(r.Mod(r.Mul(r, r), p))
-	return f, true
+	return f
 }
 
 // limbsFromBig packs 0 ≤ x < 2^256 into limbs. It goes through
@@ -139,9 +160,13 @@ func (f *montField) reduce(z *fe, t0, t1, t2, t3, top uint64) {
 // mul sets z = x·y/R mod p: coarsely integrated operand scanning, one
 // multiply-accumulate row of x·y[i] followed by one row that cancels
 // the low limb with a multiple of p and shifts down a limb. The
-// accumulator is five scalars, not an array, so that it stays in
-// registers. z may alias x or y.
+// accumulator is scalars, not an array, so that it stays in registers.
+// z may alias x or y.
 func (f *montField) mul(z, x, y *fe) {
+	if f.narrow {
+		f.mul3(z, x, y)
+		return
+	}
 	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
 	p0, p1, p2, p3 := f.p[0], f.p[1], f.p[2], f.p[3]
 	var t0, t1, t2, t3, top uint64 // top is below 2 between rows
@@ -163,11 +188,79 @@ func (f *montField) mul(z, x, y *fe) {
 	f.reduce(z, t0, t1, t2, t3, top)
 }
 
+// mul3 is mul for p < 2^192: the three rows unrolled, the accumulator
+// in four scalars, and the final subtraction inline (the compiler does
+// not inline reduce, and a call per multiply is a measurable share of
+// it at this width).
+func (f *montField) mul3(z, x, y *fe) {
+	x0, x1, x2 := x[0], x[1], x[2]
+	p0, p1, p2 := f.p[0], f.p[1], f.p[2]
+	y0, y1, y2 := y[0], y[1], y[2]
+
+	c, t0 := bits.Mul64(x0, y0)
+	c, t1 := madd(x1, y0, c, 0)
+	t3, t2 := madd(x2, y0, c, 0)
+	m := t0 * f.n0
+	c, _ = madd(m, p0, t0, 0)
+	c, t0 = madd(m, p1, t1, c)
+	c, t1 = madd(m, p2, t2, c)
+	t2, t3 = bits.Add64(t3, c, 0) // t3 is now a carry: below 2
+
+	var c2 uint64
+	c, t0 = madd(x0, y1, t0, 0)
+	c, t1 = madd(x1, y1, t1, c)
+	c, t2 = madd(x2, y1, t2, c)
+	t3, c2 = bits.Add64(t3, c, 0)
+	m = t0 * f.n0
+	c, _ = madd(m, p0, t0, 0)
+	c, t0 = madd(m, p1, t1, c)
+	c, t1 = madd(m, p2, t2, c)
+	t2, c = bits.Add64(t3, c, 0)
+	t3 = c2 + c
+
+	c, t0 = madd(x0, y2, t0, 0)
+	c, t1 = madd(x1, y2, t1, c)
+	c, t2 = madd(x2, y2, t2, c)
+	t3, c2 = bits.Add64(t3, c, 0)
+	m = t0 * f.n0
+	c, _ = madd(m, p0, t0, 0)
+	c, t0 = madd(m, p1, t1, c)
+	c, t1 = madd(m, p2, t2, c)
+	t2, c = bits.Add64(t3, c, 0)
+	t3 = c2 + c
+
+	// (t3, t2, t1, t0) is below 2p: subtract p unless that borrows.
+	r0, b := bits.Sub64(t0, p0, 0)
+	r1, b := bits.Sub64(t1, p1, b)
+	r2, b := bits.Sub64(t2, p2, b)
+	_, b = bits.Sub64(t3, 0, b)
+	keep := -b
+	z[0] = r0 ^ (r0^t0)&keep
+	z[1] = r1 ^ (r1^t1)&keep
+	z[2] = r2 ^ (r2^t2)&keep
+	z[3] = 0
+}
+
 // sqr sets z = x²/R mod p.
 func (f *montField) sqr(z, x *fe) { f.mul(z, x, x) }
 
 // add sets z = x + y mod p.
 func (f *montField) add(z, x, y *fe) {
+	if f.narrow {
+		t0, c := bits.Add64(x[0], y[0], 0)
+		t1, c := bits.Add64(x[1], y[1], c)
+		t2, c := bits.Add64(x[2], y[2], c)
+		r0, b := bits.Sub64(t0, f.p[0], 0)
+		r1, b := bits.Sub64(t1, f.p[1], b)
+		r2, b := bits.Sub64(t2, f.p[2], b)
+		_, b = bits.Sub64(c, 0, b)
+		keep := -b
+		z[0] = r0 ^ (r0^t0)&keep
+		z[1] = r1 ^ (r1^t1)&keep
+		z[2] = r2 ^ (r2^t2)&keep
+		z[3] = 0
+		return
+	}
 	t0, c := bits.Add64(x[0], y[0], 0)
 	t1, c := bits.Add64(x[1], y[1], c)
 	t2, c := bits.Add64(x[2], y[2], c)
@@ -177,6 +270,18 @@ func (f *montField) add(z, x, y *fe) {
 
 // sub sets z = x − y mod p, adding p back (under a mask) on a borrow.
 func (f *montField) sub(z, x, y *fe) {
+	if f.narrow {
+		t0, b := bits.Sub64(x[0], y[0], 0)
+		t1, b := bits.Sub64(x[1], y[1], b)
+		t2, b := bits.Sub64(x[2], y[2], b)
+		wrap := -b
+		var c uint64
+		z[0], c = bits.Add64(t0, f.p[0]&wrap, 0)
+		z[1], c = bits.Add64(t1, f.p[1]&wrap, c)
+		z[2], _ = bits.Add64(t2, f.p[2]&wrap, c)
+		z[3] = 0
+		return
+	}
 	t0, b := bits.Sub64(x[0], y[0], 0)
 	t1, b := bits.Sub64(x[1], y[1], b)
 	t2, b := bits.Sub64(x[2], y[2], b)

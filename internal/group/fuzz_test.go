@@ -43,37 +43,38 @@ func FuzzECDecode(f *testing.F) {
 	})
 }
 
-// FuzzFieldAgainstBig holds every limb-field operation to math/big on
-// each of the three curve moduli. The operands arrive as raw limbs;
-// values at or above p are not field elements and must be refused at
-// the conversion boundary.
+// FuzzFieldAgainstBig holds every limb-field operation to math/big at
+// each fieldCases modulus — the three curve primes and the moduli around
+// the 192-bit width boundary — and, below it, the narrow bodies to the
+// wide ones. The operands arrive as raw limbs; values at or above p are
+// not field elements and must be refused at the conversion boundary.
 func FuzzFieldAgainstBig(f *testing.F) {
-	curves := kernelCurves()
+	cases := fieldCases()
 	max := ^uint64(0)
-	for which, g := range curves {
+	for which, c := range cases {
 		w := uint8(which)
-		pm1 := limbsFromBig(new(big.Int).Sub(g.p, big.NewInt(1)))
+		pm1 := limbsFromBig(new(big.Int).Sub(c.p, big.NewInt(1)))
 		f.Add(w, uint64(0), uint64(0), uint64(0), uint64(0), uint64(1), uint64(0), uint64(0), uint64(0))
 		f.Add(w, pm1[0], pm1[1], pm1[2], pm1[3], pm1[0], pm1[1], pm1[2], pm1[3])
 		f.Add(w, max, uint64(0), uint64(0), uint64(0), uint64(0), max, uint64(0), uint64(0))
 		f.Add(w, uint64(0), uint64(0), max, uint64(0), uint64(0), uint64(0), uint64(0), max)
-		pl := g.kern.p
+		f.Add(w, max, max, pm1[2], pm1[3], pm1[0], max, pm1[2], pm1[3])
+		pl := c.f.p
 		f.Add(w, pl[0], pl[1], pl[2], pl[3], uint64(1), uint64(0), uint64(0), uint64(0)) // p itself
 	}
 	f.Fuzz(func(t *testing.T, which uint8, a0, a1, a2, a3, b0, b1, b2, b3 uint64) {
-		g := curves[int(which)%len(curves)]
-		field := &g.kern.montField
+		c := &cases[int(which)%len(cases)]
 		a, b := bigFromLimbs([4]uint64{a0, a1, a2, a3}), bigFromLimbs([4]uint64{b0, b1, b2, b3})
 		reduced := true
 		for _, v := range []*big.Int{a, b} {
 			var x fe
-			if ok := field.fromBig(&x, v); ok != (v.Cmp(g.p) < 0) {
-				t.Fatalf("%s: fromBig(%x) = %v", g.name, v, ok)
+			if ok := c.f.fromBig(&x, v); ok != (v.Cmp(c.p) < 0) {
+				t.Fatalf("%s: fromBig(%x) = %v", c.name, v, ok)
 			}
-			reduced = reduced && v.Cmp(g.p) < 0
+			reduced = reduced && v.Cmp(c.p) < 0
 		}
 		if reduced {
-			checkFieldOps(t, field, g.p, a, b)
+			checkCase(t, c, a, b)
 		}
 	})
 }

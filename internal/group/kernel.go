@@ -64,15 +64,19 @@ func (k *curveKernel) toJac(a *affPt) jacPt {
 }
 
 // lower projects a Jacobian point to an affine element: the one field
-// inversion of an Exp or Op.
+// inversion of an Exp or Op. A point whose Z is already one (an Op with
+// an identity operand passes the other one through) is affine as it
+// stands.
 func (k *curveKernel) lower(pt *jacPt) ecPoint {
 	if pt.z.isZero() {
 		return ecPoint{inf: true}
 	}
-	var zi fe
-	var a affPt
-	k.inv(&zi, &pt.z)
-	k.scale(&a, pt, &zi)
+	a := affPt{x: pt.x, y: pt.y}
+	if pt.z != k.one {
+		var zi fe
+		k.inv(&zi, &pt.z)
+		k.scale(&a, pt, &zi)
+	}
 	return k.element(&a)
 }
 

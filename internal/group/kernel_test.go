@@ -27,8 +27,9 @@ func checkExpAgainstGeneric(t testing.TB, g, oracle *ECGroup, base Element, k *b
 		{base, got},         // generic addition
 		{got, got},          // P + P takes the doubling branch
 		{got, g.Inv(got)},   // P + (−P) = ∞
-		{got, g.Identity()}, // neutral element on either side
-		{g.Identity(), got},
+		{got, g.Identity()}, // neutral element on either side or both: lower
+		{g.Identity(), got}, // returns a Z = 1 sum without an inversion
+		{g.Identity(), g.Identity()},
 	} {
 		if a, b := g.Op(pair[0], pair[1]), oracle.Op(pair[0], pair[1]); !oracle.Equal(a, b) {
 			t.Fatalf("%s: Op(%v, %v): kernel %v, math/big %v", g.name, pair[0], pair[1], a, b)
@@ -189,19 +190,28 @@ func TestFastExpMatchesGeneric(t *testing.T) {
 
 // TestNamedCurvesUseKernel pins the property the performance rests on:
 // whichever way a named curve is reached, it is the one kernel-backed
-// group value, and only the explicit oracle is not.
+// group value, and only the explicit oracle is not. It also pins the
+// field width: secp160r1 on the three-limb bodies, the wider curves on
+// the four-limb loop, so that a refactor cannot silently widen secp160r1.
 func TestNamedCurvesUseKernel(t *testing.T) {
-	typed := map[string]*ECGroup{
-		"secp160r1": Secp160r1(),
-		"secp224r1": Secp224r1(),
-		"secp256r1": Secp256r1(),
+	typed := map[string]struct {
+		g      *ECGroup
+		narrow bool
+	}{
+		"secp160r1": {Secp160r1(), true},
+		"secp224r1": {Secp224r1(), false},
+		"secp256r1": {Secp256r1(), false},
 	}
 	for name, want := range typed {
-		if want.kern == nil {
+		if want.g.kern == nil {
 			t.Errorf("%s: typed constructor returned a group without the kernel", name)
+			continue
 		}
-		if got := mustByName(t, name); got != Group(want) {
+		if got := mustByName(t, name); got != Group(want.g) {
 			t.Errorf("%s: ByName and the typed constructor return different groups", name)
+		}
+		if got := want.g.kern.narrow; got != want.narrow {
+			t.Errorf("%s: kernel field narrow = %v, want %v", name, got, want.narrow)
 		}
 	}
 	if Secp160r1Generic().kern != nil {
@@ -348,30 +358,50 @@ func TestKernelHandlesUnreducedCoordinates(t *testing.T) {
 	if !oracle.Equal(g.Op(bad, h), oracle.Op(h, h)) {
 		t.Fatal("Op on unreduced coordinates disagrees with the reduced point")
 	}
+	if !oracle.Equal(g.Op(bad, g.Identity()), h) || !oracle.Equal(g.Op(g.Identity(), bad), h) {
+		t.Fatal("Op of unreduced coordinates and the identity is not the reduced point")
+	}
+}
+
+// benchOperands draws 256 non-zero elements of g's field, in Montgomery
+// form. The field benchmarks cycle through them: a benchmark that feeds
+// an operation its own output revisits a handful of values, and the
+// binary Euclid's data-dependent branches are then learned, not paid.
+func benchOperands(b *testing.B, g *ECGroup) *[256]fe {
+	rng := fixedbig.NewDRBG("bench-field-" + g.name)
+	var xs [256]fe
+	for i := range xs {
+		v, err := fixedbig.RandNonZero(rng, g.p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		g.kern.fromBig(&xs[i], v)
+	}
+	return &xs
 }
 
 func BenchmarkFieldMul(b *testing.B) {
 	for _, g := range kernelCurves() {
-		f := &g.kern.montField
+		f, xs := &g.kern.montField, benchOperands(b, g)
 		b.Run(g.name, func(b *testing.B) {
-			x, y := f.r2, f.one
+			acc := f.one
 			for i := 0; i < b.N; i++ {
-				f.mul(&x, &x, &y)
+				f.mul(&acc, &acc, &xs[i&255])
 			}
-			benchSink = x
+			benchSink = acc
 		})
 	}
 }
 
 func BenchmarkFieldInv(b *testing.B) {
 	for _, g := range kernelCurves() {
-		f := &g.kern.montField
+		f, xs := &g.kern.montField, benchOperands(b, g)
 		b.Run(g.name, func(b *testing.B) {
-			x := f.r2
+			var z fe
 			for i := 0; i < b.N; i++ {
-				f.inv(&x, &x)
+				f.inv(&z, &xs[i&255])
 			}
-			benchSink = x
+			benchSink = z
 		})
 	}
 }
