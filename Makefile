@@ -17,6 +17,13 @@ RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./i
 FUZZ_PKGS := ./internal/group/ ./internal/shamir/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/ ./internal/service/
 FUZZ_TIME ?= 2s
 
+# Internal packages that only tests import, exempt from the reachability
+# check in vet:
+#   chaos      the fault-injection and Byzantine test harness
+#   leakcheck  the goroutine-leak test harness
+#   blame      the certificate verifier the Byzantine suites use as evidence
+REACH_ALLOW := chaos leakcheck blame
+
 .PHONY: check vet build test test-386 race race-full fuzz chaos chaos-byz chaos-rankd bench bench-json bench-compare bench-smoke trace-demo demo-distributed telemetry-demo serve-demo loadtest-smoke clean
 
 check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo loadtest-smoke
@@ -34,6 +41,9 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # second copy of mesh formation cannot grow back unnoticed.
 # The gofmt check names the source trees, not ".", so that the build
 # cache bench/run.sh leaves under .bench_build/ is not walked.
+# The reachability check keeps production code to what a binary or the
+# public package uses: every internal package must be in the dependency
+# graph of . and ./cmd/..., apart from REACH_ALLOW below.
 vet:
 	$(GO) vet ./...
 	GOARCH=386 $(GO) vet ./internal/group/
@@ -42,6 +52,13 @@ vet:
 		echo "gofmt -l lists (run gofmt -w on them):"; echo "$$unformatted"; exit 1; fi
 	@if $(GO) list -deps ./... | grep -x encoding/gob; then \
 		echo "encoding/gob is back in the dependency graph (see line above); every wire type needs a wirecodec codec"; exit 1; fi
+	@reached=$$($(GO) list -deps . ./cmd/...); unreached=""; \
+	for pkg in $$($(GO) list ./internal/...); do \
+		case " $(REACH_ALLOW) " in *" $${pkg#groupranking/internal/} "*) continue;; esac; \
+		echo "$$reached" | grep -qx "$$pkg" || unreached="$$unreached $$pkg"; \
+	done; \
+	if [ -n "$$unreached" ]; then \
+		echo "no binary and not the root package reaches:$$unreached (delete it, or add it to REACH_ALLOW with a reason)"; exit 1; fi
 	@sockets=$$(grep -lE 'net\.(Listen|Dial|DialTimeout|Dialer)\b|\.Accept\(\)|\.DialContext\(' internal/transport/*.go | grep -v _test.go | tr '\n' ' '); \
 	if [ "$$sockets" != "internal/transport/link.go " ]; then \
 		echo "listen/dial/accept calls in internal/transport belong in link.go alone, found in: $$sockets"; exit 1; fi

@@ -13,6 +13,7 @@ package groupranking
 // primitive operations the complexity table counts.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/big"
@@ -25,8 +26,6 @@ import (
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
 	"groupranking/internal/netsim"
-	"groupranking/internal/ssmpc"
-	"groupranking/internal/topk"
 	"groupranking/internal/unlinksort"
 	"groupranking/internal/workload"
 )
@@ -76,7 +75,7 @@ func runFramework(b *testing.B, params core.Params, seed string) {
 	in := benchInputs(b, params, seed)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Run(params, in, fmt.Sprintf("%s-%d", seed, i)); err != nil {
+		if _, _, err := core.RunCtx(context.Background(), params, in, fmt.Sprintf("%s-%d", seed, i), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -162,7 +161,7 @@ func benchSortLevel(b *testing.B, g group.Group) {
 	betas := []*big.Int{big.NewInt(100), big.NewInt(7), big.NewInt(4000), big.NewInt(255)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := unlinksort.Run(cfg, betas, fmt.Sprintf("fig3a-%s-%d", g.Name(), i)); err != nil {
+		if _, _, err := unlinksort.RunCtx(context.Background(), cfg, betas, fmt.Sprintf("fig3a-%s-%d", g.Name(), i), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -261,7 +260,7 @@ func benchSortAblation(b *testing.B, mutate func(*unlinksort.Config)) {
 	betas := []*big.Int{big.NewInt(100), big.NewInt(7), big.NewInt(4000), big.NewInt(255), big.NewInt(90)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := unlinksort.Run(cfg, betas, fmt.Sprintf("ablate-%d", i)); err != nil {
+		if _, _, err := unlinksort.RunCtx(context.Background(), cfg, betas, fmt.Sprintf("ablate-%d", i), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -286,10 +285,10 @@ func BenchmarkAblation_Proofs_Off(b *testing.B) {
 	benchSortAblation(b, func(c *unlinksort.Config) { c.SkipProofs = true })
 }
 
-// The limb curve kernel vs the math/big curve arithmetic on secp160r1 —
-// the optimisation that restores the paper's ECC-beats-DL ordering.
-func BenchmarkAblation_Secp160Fast(b *testing.B)    { benchExp(b, byName(b, "secp160r1")) }
-func BenchmarkAblation_Secp160Generic(b *testing.B) { benchExp(b, group.Secp160r1Generic()) }
+// The limb curve kernel on secp160r1, the optimisation that restores the
+// paper's ECC-beats-DL ordering; EXPERIMENTS.md records its ratio to
+// math/big curve arithmetic.
+func BenchmarkAblation_Secp160Fast(b *testing.B) { benchExp(b, byName(b, "secp160r1")) }
 
 // --- Machine-readable perf snapshot (BENCH_groupranking.json) ---
 
@@ -403,30 +402,6 @@ func TestBenchSnapshot(t *testing.T) {
 			if e.Rounds != c.Rounds {
 				t.Errorf("%s: rounds drifted: committed %d, now %d", e.Name, c.Rounds, e.Rounds)
 			}
-		}
-	}
-}
-
-// --- Related-work baseline: probabilistic top-k (Burkhart et al.) ---
-
-// BenchmarkRelated_TopK_n5 measures the paper's other cited baseline:
-// finding the top-k by bucketised counting instead of full oblivious
-// sorting. Compare with BenchmarkFig2a_SS_n5, which sorts all values.
-func BenchmarkRelated_TopK_n5(b *testing.B) {
-	p, err := fixedbig.Prime(fixedbig.NewDRBG("bench-topk-prime"), 96)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := ssmpc.Config{N: 5, Degree: 2, P: p, Kappa: 40}
-	vals := []int64{50, 10, 90, 30, 70}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _, err := ssmpc.RunProgram(cfg, fmt.Sprintf("bench-topk-%d", i), nil,
-			func(e *ssmpc.Engine) (*topk.Result, error) {
-				return topk.Run(e, big.NewInt(vals[e.Party()]), 8, 2, 4)
-			})
-		if err != nil {
-			b.Fatal(err)
 		}
 	}
 }

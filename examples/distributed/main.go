@@ -86,5 +86,5 @@ func main() {
 	}
 	wg.Wait()
 	fmt.Println("Done — the same protocol runs across machines via cmd/rankparty")
-	fmt.Println("(and cmd/sortparty still serves the standalone sorting primitive).")
+	fmt.Println("(and groupranking.UnlinkableSortParty serves the standalone sorting primitive).")
 }

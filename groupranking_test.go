@@ -2,16 +2,11 @@ package groupranking
 
 import (
 	"context"
-	"math/big"
-	"reflect"
 	"sort"
 	"sync"
 	"testing"
 
-	"groupranking/internal/core"
-	"groupranking/internal/group"
 	"groupranking/internal/transport"
-	"groupranking/internal/unlinksort"
 )
 
 // fastOpts keeps public-API tests quick: small bit widths and a
@@ -274,65 +269,5 @@ func TestRankWithProveDecryption(t *testing.T) {
 	}
 	if res.BytesOnWire <= resPlain.BytesOnWire {
 		t.Error("integrity evidence should cost extra bytes")
-	}
-}
-
-// TestRankByNameMatchesGenericCurve pins that the limb curve kernel a
-// group name resolves to changes arithmetic speed and nothing else: a
-// seeded ranking and a seeded standalone sort reproduce, field for
-// field, the same runs on the math/big curve, serially and with the
-// full worker pool.
-func TestRankByNameMatchesGenericCurve(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the protocol on the slow math/big curve")
-	}
-	q := demoQuestionnaire(t)
-	crit, profiles := demoData(t)
-	profiles = profiles[:3]
-	const seed = "kernel-vs-generic"
-	opts := fastOpts(seed)
-	ref, fab, err := core.RunCtx(context.Background(), core.Params{
-		N: len(profiles), M: q.M(), T: q.T(),
-		D1: opts.D1, D2: opts.D2, H: opts.H, K: opts.K,
-		Group: group.Secp160r1Generic(), Workers: 1,
-	}, core.Inputs{Questionnaire: q, Criterion: crit, Profiles: profiles}, seed, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := &Result{
-		Ranks: ref.Ranks, Submissions: ref.Submissions, Suspicious: ref.Suspicious,
-		BytesOnWire: fab.Stats().TotalBytes(), Rounds: fab.Stats().DistinctRounds,
-	}
-	betas := []*big.Int{big.NewInt(100), big.NewInt(7), big.NewInt(255), big.NewInt(7)}
-	sortCfg := unlinksort.Config{Group: group.Secp160r1Generic(), L: 8, Workers: 1}
-	wantSort, sortFab, err := unlinksort.Run(sortCfg, betas, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName, err := group.ByName("secp160r1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 0} {
-		opts.GroupName, opts.Workers = "secp160r1", workers
-		got, err := Rank(context.Background(), q, crit, profiles, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: Rank by name %+v, on the math/big curve %+v", workers, got, want)
-		}
-		sortCfg.Group, sortCfg.Workers = byName, workers
-		gotSort, gotFab, err := unlinksort.Run(sortCfg, betas, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gotSort, wantSort) {
-			t.Errorf("workers=%d: sort by name %+v, on the math/big curve %+v", workers, gotSort, wantSort)
-		}
-		if a, b := gotFab.Stats(), sortFab.Stats(); a.TotalBytes() != b.TotalBytes() || a.DistinctRounds != b.DistinctRounds {
-			t.Errorf("workers=%d: sort traffic %d B / %d rounds, on the math/big curve %d B / %d rounds",
-				workers, a.TotalBytes(), a.DistinctRounds, b.TotalBytes(), b.DistinctRounds)
-		}
 	}
 }

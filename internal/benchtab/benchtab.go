@@ -9,6 +9,7 @@
 package benchtab
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -31,27 +32,34 @@ type Runner struct {
 	// unaffected.
 	Workers int
 
-	ecc160, ecc224, ecc256 group.Group
-	dl1024, dl2048, dl3072 group.Group
+	// levels are Fig. 3(a)'s matched DL/EC pairs, 80-bit first: the
+	// paper's headline pair, secp160r1 and modp-1024.
+	levels []level
+}
+
+// level is one security level's pair of groups.
+type level struct {
+	bits   int
+	ec, dl group.Group
 }
 
 // New measures primitive timings on this machine and returns a runner.
 func New(w io.Writer) (*Runner, error) {
 	// Every group is resolved by name, as Rank, rankparty and rankd
 	// resolve it: the tables time the path users reach.
-	names := []string{"secp160r1", "secp224r1", "secp256r1", "modp-1024", "modp-2048", "modp-3072"}
-	groups := make([]group.Group, len(names))
-	for i, name := range names {
-		g, err := group.ByName(name)
+	r := &Runner{w: w}
+	var groups []group.Group
+	for _, lvl := range group.SecurityLevels() {
+		ec, err := group.ByName(lvl.EC)
 		if err != nil {
 			return nil, err
 		}
-		groups[i] = g
-	}
-	r := &Runner{
-		w:      w,
-		ecc160: groups[0], ecc224: groups[1], ecc256: groups[2],
-		dl1024: groups[3], dl2048: groups[4], dl3072: groups[5],
+		dl, err := group.ByName(lvl.DL)
+		if err != nil {
+			return nil, err
+		}
+		r.levels = append(r.levels, level{bits: lvl.Bits, ec: ec, dl: dl})
+		groups = append(groups, ec, dl)
 	}
 	// 25 samples per group: the min-of-N estimator only needs ONE
 	// uninterrupted sample, but when the whole test suite runs in
@@ -110,11 +118,11 @@ func (r *Runner) fig2Sweep(title, param string, values []int, at func(int) costm
 	fmt.Fprintf(r.w, "%s\tecc_sec\tdl_sec\tss_sec\n", param)
 	for _, v := range values {
 		s := at(v)
-		ecc, err := r.tm.OursParticipantSec(r.ecc160, s)
+		ecc, err := r.tm.OursParticipantSec(r.levels[0].ec, s)
 		if err != nil {
 			return err
 		}
-		dl, err := r.tm.OursParticipantSec(r.dl1024, s)
+		dl, err := r.tm.OursParticipantSec(r.levels[0].dl, s)
 		if err != nil {
 			return err
 		}
@@ -149,23 +157,16 @@ func (r *Runner) fig3a() error {
 	fmt.Fprintln(r.w, "security_bits\tecc_group\tecc_sec\tdl_group\tdl_sec")
 	s := costmodel.PaperDefaults()
 	s.N = 70
-	for _, pair := range []struct {
-		bits   int
-		ec, dl group.Group
-	}{
-		{80, r.ecc160, r.dl1024},
-		{112, r.ecc224, r.dl2048},
-		{128, r.ecc256, r.dl3072},
-	} {
-		ecc, err := r.tm.OursParticipantSec(pair.ec, s)
+	for _, lvl := range r.levels {
+		ecc, err := r.tm.OursParticipantSec(lvl.ec, s)
 		if err != nil {
 			return err
 		}
-		dl, err := r.tm.OursParticipantSec(pair.dl, s)
+		dl, err := r.tm.OursParticipantSec(lvl.dl, s)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(r.w, "%d\t%s\t%.4f\t%s\t%.4f\n", pair.bits, pair.ec.Name(), ecc, pair.dl.Name(), dl)
+		fmt.Fprintf(r.w, "%d\t%s\t%.4f\t%s\t%.4f\n", lvl.bits, lvl.ec.Name(), ecc, lvl.dl.Name(), dl)
 	}
 	return nil
 }
@@ -185,11 +186,11 @@ func (r *Runner) fig3b(ns []int) error {
 	for _, n := range ns {
 		s := costmodel.PaperDefaults()
 		s.N = n
-		ecc, err := r.oursNetworked(topo, s, r.ecc160)
+		ecc, err := r.oursNetworked(topo, s, r.levels[0].ec)
 		if err != nil {
 			return err
 		}
-		dl, err := r.oursNetworked(topo, s, r.dl1024)
+		dl, err := r.oursNetworked(topo, s, r.levels[0].dl)
 		if err != nil {
 			return err
 		}
@@ -270,11 +271,11 @@ func (r *Runner) complexityTable() error {
 	l := s.L()
 	fmt.Fprintln(r.w, "# Section VI-B complexity comparison at n=25, m=10, d1=15, d2=10, h=15 (l=56)")
 	fmt.Fprintln(r.w, "framework\tper_party_ops\tops_kind\trounds\tbytes_per_party\tmax_colluders")
-	ctBytes := 2 * r.ecc160.ElementLen()
+	ctBytes := 2 * r.levels[0].ec.ElementLen()
 	fmt.Fprintf(r.w, "ours-ecc\t%d\texponentiations\t%d\t%d\tn-2 = %d\n",
 		costmodel.ParticipantExps(s.N, l), costmodel.OursRounds(s.N),
 		costmodel.ParticipantCiphertexts(s.N, l)*int64(ctBytes), s.N-2)
-	ctBytes = 2 * r.dl1024.ElementLen()
+	ctBytes = 2 * r.levels[0].dl.ElementLen()
 	fmt.Fprintf(r.w, "ours-dl\t%d\texponentiations\t%d\t%d\tn-2 = %d\n",
 		costmodel.ParticipantExps(s.N, l), costmodel.OursRounds(s.N),
 		costmodel.ParticipantCiphertexts(s.N, l)*int64(ctBytes), s.N-2)
@@ -289,12 +290,13 @@ func (r *Runner) complexityTable() error {
 // realCrossCheck runs the full protocol stack at small n and prints
 // wall-clock times next to the model's per-participant estimate.
 func (r *Runner) realCrossCheck() error {
-	fmt.Fprintln(r.w, "# real cross-check: full protocol runs at small n (secp160r1, laptop widths d1=8 d2=5 h=8)")
+	ecc := r.levels[0].ec
+	fmt.Fprintf(r.w, "# real cross-check: full protocol runs at small n (%s, laptop widths d1=8 d2=5 h=8)\n", ecc.Name())
 	fmt.Fprintln(r.w, "n\twall_sec\tmodel_participant_sec")
 	for _, n := range []int{3, 4, 5} {
 		params := core.Params{
 			N: n, M: 4, T: 2, D1: 8, D2: 5, H: 8, K: 2,
-			Group: r.ecc160, Workers: r.Workers,
+			Group: ecc, Workers: r.Workers,
 		}
 		q, err := workload.Uniform(params.M, params.T)
 		if err != nil {
@@ -310,14 +312,14 @@ func (r *Runner) realCrossCheck() error {
 			return err
 		}
 		start := time.Now()
-		if _, _, err := core.Run(params, core.Inputs{Questionnaire: q, Criterion: crit, Profiles: profiles},
-			fmt.Sprintf("real-%d", n)); err != nil {
+		if _, _, err := core.RunCtx(context.Background(), params,
+			core.Inputs{Questionnaire: q, Criterion: crit, Profiles: profiles}, fmt.Sprintf("real-%d", n), nil); err != nil {
 			return err
 		}
 		wall := time.Since(start).Seconds()
 		// The model uses the conservative in-protocol width for a like
 		// comparison.
-		model := float64(costmodel.ParticipantExps(n, params.BetaBits())) * r.tm.ExpSec[r.ecc160.Name()]
+		model := float64(costmodel.ParticipantExps(n, params.BetaBits())) * r.tm.ExpSec[ecc.Name()]
 		fmt.Fprintf(r.w, "%d\t%.2f\t%.2f\n", n, wall, model)
 	}
 	return nil

@@ -77,7 +77,7 @@ func checkRanksConsistent(t *testing.T, in Inputs, ranks []int) {
 func TestFrameworkEndToEnd(t *testing.T) {
 	params := smallParams(t, 4)
 	in := testInputs(t, params, "e2e")
-	res, fab, err := Run(params, in, "e2e-run")
+	res, fab, err := RunCtx(context.Background(), params, in, "e2e-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestFrameworkEndToEnd(t *testing.T) {
 func TestFrameworkBetaOrderMatchesGainOrder(t *testing.T) {
 	params := smallParams(t, 5)
 	in := testInputs(t, params, "beta-order")
-	res, _, err := Run(params, in, "beta-run")
+	res, _, err := RunCtx(context.Background(), params, in, "beta-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFrameworkSecretSharingBaseline(t *testing.T) {
 	params := smallParams(t, 5) // odd n keeps (n−1)/2 degree meaningful
 	params.Sorter = SorterSecretSharing
 	in := testInputs(t, params, "ss-base")
-	res, _, err := Run(params, in, "ss-run")
+	res, _, err := RunCtx(context.Background(), params, in, "ss-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +160,13 @@ func TestFrameworkSecretSharingBaseline(t *testing.T) {
 func TestSortersAgree(t *testing.T) {
 	paramsU := smallParams(t, 5)
 	in := testInputs(t, paramsU, "agree")
-	resU, _, err := Run(paramsU, in, "agree-run")
+	resU, _, err := RunCtx(context.Background(), paramsU, in, "agree-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	paramsS := paramsU
 	paramsS.Sorter = SorterSecretSharing
-	resS, _, err := Run(paramsS, in, "agree-run")
+	resS, _, err := RunCtx(context.Background(), paramsS, in, "agree-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestSortersAgree(t *testing.T) {
 func TestDeterministicSeedsReproduce(t *testing.T) {
 	params := smallParams(t, 3)
 	in := testInputs(t, params, "det")
-	r1, _, err := Run(params, in, "det-run")
+	r1, _, err := RunCtx(context.Background(), params, in, "det-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := Run(params, in, "det-run")
+	r2, _, err := RunCtx(context.Background(), params, in, "det-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestTiedGainsShareOrSplitConsistently(t *testing.T) {
 		Criterion:     crit,
 		Profiles:      []workload.Profile{same, same, same},
 	}
-	res, _, err := Run(params, in, "tied")
+	res, _, err := RunCtx(context.Background(), params, in, "tied", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,12 +284,12 @@ func TestRunInputValidation(t *testing.T) {
 	params := smallParams(t, 3)
 	in := testInputs(t, params, "val")
 
-	if _, _, err := Run(params, Inputs{}, "x"); err == nil {
+	if _, _, err := RunCtx(context.Background(), params, Inputs{}, "x", nil); err == nil {
 		t.Error("missing questionnaire accepted")
 	}
 	short := in
 	short.Profiles = in.Profiles[:1]
-	if _, _, err := Run(params, short, "x"); err == nil {
+	if _, _, err := RunCtx(context.Background(), params, short, "x", nil); err == nil {
 		t.Error("wrong profile count accepted")
 	}
 	mis := in
@@ -298,7 +298,7 @@ func TestRunInputValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Run(params, mis, "x"); err == nil {
+	if _, _, err := RunCtx(context.Background(), params, mis, "x", nil); err == nil {
 		t.Error("questionnaire shape mismatch accepted")
 	}
 }
@@ -338,7 +338,7 @@ func TestOverClaimDetection(t *testing.T) {
 	}, 1)
 	go func() {
 		rng := fixedbig.NewDRBG("overclaim-initiator")
-		_, flagged, err := RunInitiator(params, q, crit, fab, rng)
+		_, flagged, err := RunInitiatorCtx(context.Background(), params, q, crit, fab, rng)
 		initDone <- struct {
 			flagged []int
 			err     error
@@ -409,7 +409,7 @@ func TestSorterString(t *testing.T) {
 func TestTraceCoversAllPhases(t *testing.T) {
 	params := smallParams(t, 3)
 	in := testInputs(t, params, "trace")
-	_, fab, err := Run(params, in, "trace-run")
+	_, fab, err := RunCtx(context.Background(), params, in, "trace-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestFrameworkOverRealTCP(t *testing.T) {
 		}
 		defer fab.Close()
 		rng := fixedbig.NewDRBG("tcp-framework-initiator")
-		subs, _, err := RunInitiator(params, in.Questionnaire, in.Criterion, fab, rng)
+		subs, _, err := RunInitiatorCtx(context.Background(), params, in.Questionnaire, in.Criterion, fab, rng)
 		initCh <- initOut{subs: subs, err: err}
 	}()
 	for j := 1; j <= params.N; j++ {
@@ -475,7 +475,7 @@ func TestFrameworkOverRealTCP(t *testing.T) {
 			}
 			defer fab.Close()
 			rng := fixedbig.NewDRBG(fmt.Sprintf("tcp-framework-participant-%d", j))
-			out, err := RunParticipant(params, j, in.Questionnaire, in.Profiles[j-1], fab, rng)
+			out, err := RunParticipantCtx(context.Background(), params, j, in.Questionnaire, in.Profiles[j-1], fab, rng)
 			if err != nil {
 				errs[j-1] = err
 				return

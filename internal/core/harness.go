@@ -19,14 +19,9 @@ type Inputs struct {
 	Profiles      []workload.Profile
 }
 
-// Run executes the whole framework in-process: the initiator and all
+// RunCtx executes the whole framework in-process: the initiator and all
 // participants as goroutines over one fabric. seed derives each party's
 // deterministic randomness; pass distinct seeds for independent runs.
-func Run(params Params, in Inputs, seed string, opts ...transport.Option) (*Result, *transport.Fabric, error) {
-	return RunCtx(context.Background(), params, in, seed, nil, opts...)
-}
-
-// RunCtx is Run with cancellation and an optional transport wrapper.
 // The first party to fail cancels every sibling, so a crash or fault
 // never leaves the run hanging: the returned error is always a typed
 // *AbortError naming the first failing party, phase and round. wrap, if

@@ -20,16 +20,11 @@ type initiatorState struct {
 	rhoJ []*big.Int // per participant
 }
 
-// RunInitiator executes the initiator's side over the fabric (party
+// RunInitiatorCtx executes the initiator's side over the fabric (party
 // index 0 of n+1). It returns the received submissions and the flagged
-// participants.
-func RunInitiator(params Params, q *workload.Questionnaire, crit workload.Criterion, fab transport.Net, rng io.Reader) ([]Submission, []int, error) {
-	return RunInitiatorCtx(context.Background(), params, q, crit, fab, rng)
-}
-
-// RunInitiatorCtx is RunInitiator with cancellation: every blocking
-// receive honours ctx and failures surface as typed *AbortError values
-// naming the peer, phase and round being waited on.
+// participants. Every blocking receive honours ctx, and failures surface
+// as typed *AbortError values naming the peer, phase and round being
+// waited on.
 func RunInitiatorCtx(ctx context.Context, params Params, q *workload.Questionnaire, crit workload.Criterion, fab transport.Net, rng io.Reader) ([]Submission, []int, error) {
 	if err := params.Validate(); err != nil {
 		return nil, nil, err

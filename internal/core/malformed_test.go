@@ -28,7 +28,7 @@ func TestInitiatorRejectsMalformedGainFlow(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		rng := fixedbig.NewDRBG("mal-flow-init")
-		_, _, err := RunInitiator(params, q, crit, fab, rng)
+		_, _, err := RunInitiatorCtx(context.Background(), params, q, crit, fab, rng)
 		done <- err
 	}()
 	// Participant 1 sends garbage instead of a dot-product flow;
@@ -54,7 +54,7 @@ func TestParticipantRejectsMalformedGainReply(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		rng := fixedbig.NewDRBG("mal-reply-part")
-		_, err := RunParticipant(params, 1, in.Questionnaire, in.Profiles[0], fab, rng)
+		_, err := RunParticipantCtx(context.Background(), params, 1, in.Questionnaire, in.Profiles[0], fab, rng)
 		done <- err
 	}()
 	// Play a fake initiator: absorb the flow, answer with garbage.
@@ -84,7 +84,7 @@ func TestInitiatorRejectsMalformedSubmission(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		rng := fixedbig.NewDRBG("mal-sub-init")
-		_, _, err := RunInitiator(params, in.Questionnaire, in.Criterion, fab, rng)
+		_, _, err := RunInitiatorCtx(context.Background(), params, in.Questionnaire, in.Criterion, fab, rng)
 		done <- err
 	}()
 	// Both participants run an honest phase 1 and then submit garbage
@@ -141,7 +141,7 @@ func TestInitiatorRejectsSubmissionWithWrongDimensions(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		rng := fixedbig.NewDRBG("mal-dim-init")
-		_, _, err := RunInitiator(params, in.Questionnaire, in.Criterion, fab, rng)
+		_, _, err := RunInitiatorCtx(context.Background(), params, in.Questionnaire, in.Criterion, fab, rng)
 		done <- err
 	}()
 	for j := 1; j <= params.N; j++ {
@@ -192,10 +192,10 @@ func TestRunParticipantIndexValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := fixedbig.NewDRBG("idx")
-	if _, err := RunParticipant(params, 0, in.Questionnaire, in.Profiles[0], fab, rng); err == nil {
+	if _, err := RunParticipantCtx(context.Background(), params, 0, in.Questionnaire, in.Profiles[0], fab, rng); err == nil {
 		t.Error("participant index 0 (the initiator) accepted")
 	}
-	if _, err := RunParticipant(params, params.N+1, in.Questionnaire, in.Profiles[0], fab, rng); err == nil {
+	if _, err := RunParticipantCtx(context.Background(), params, params.N+1, in.Questionnaire, in.Profiles[0], fab, rng); err == nil {
 		t.Error("out-of-range participant index accepted")
 	}
 }

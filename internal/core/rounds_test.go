@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"groupranking/internal/transport"
@@ -23,7 +24,7 @@ func TestRoundTagBandsDisjoint(t *testing.T) {
 			params := smallParams(t, 4)
 			params.Sorter = sorter
 			in := testInputs(t, params, "round-bands")
-			_, fab, err := Run(params, in, "round-bands-run")
+			_, fab, err := RunCtx(context.Background(), params, in, "round-bands-run", nil)
 			if err != nil {
 				t.Fatal(err)
 			}

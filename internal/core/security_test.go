@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"groupranking/internal/workload"
@@ -23,11 +24,11 @@ func TestTranscriptShapeIndependentOfInputs(t *testing.T) {
 	swapped.Profiles = append([]workload.Profile(nil), in.Profiles...)
 	swapped.Profiles[1], swapped.Profiles[2] = in.Profiles[2], in.Profiles[1]
 
-	_, fabA, err := Run(params, in, "shape-run")
+	_, fabA, err := RunCtx(context.Background(), params, in, "shape-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fabB, err := Run(params, swapped, "shape-run")
+	_, fabB, err := RunCtx(context.Background(), params, swapped, "shape-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +91,11 @@ func TestTranscriptShapeIndependentOfValuesMagnitude(t *testing.T) {
 		low[i] = workload.Profile{Values: []int64{0, 0, 0, 0}}
 		high[i] = workload.Profile{Values: []int64{maxVal, maxVal, maxVal, maxVal}}
 	}
-	_, fabLow, err := Run(params, Inputs{Questionnaire: q, Criterion: crit, Profiles: low}, "mag-run")
+	_, fabLow, err := RunCtx(context.Background(), params, Inputs{Questionnaire: q, Criterion: crit, Profiles: low}, "mag-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fabHigh, err := Run(params, Inputs{Questionnaire: q, Criterion: crit, Profiles: high}, "mag-run")
+	_, fabHigh, err := RunCtx(context.Background(), params, Inputs{Questionnaire: q, Criterion: crit, Profiles: high}, "mag-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +120,11 @@ func TestTranscriptShapeIndependentOfValuesMagnitude(t *testing.T) {
 func TestBetasHideGainMagnitude(t *testing.T) {
 	params := smallParams(t, 3)
 	in := testInputs(t, params, "mask")
-	r1, _, err := Run(params, in, "mask-seed-1")
+	r1, _, err := RunCtx(context.Background(), params, in, "mask-seed-1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _, err := Run(params, in, "mask-seed-2")
+	r2, _, err := RunCtx(context.Background(), params, in, "mask-seed-2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

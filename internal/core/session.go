@@ -128,13 +128,6 @@ func DeriveTraceID(seed string) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// EstablishSession runs EstablishSessionCtx without cancellation or a
-// trace-ID proposal.
-func EstablishSession(params Params, me int, fab transport.Net) error {
-	_, err := EstablishSessionCtx(context.Background(), params, me, fab, "")
-	return err
-}
-
 // EstablishSessionCtx runs the session-establishment round: every party
 // broadcasts its view of the protocol parameters and checks everyone
 // else's against it, so a misconfigured deployment aborts with a typed

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"sync"
@@ -25,7 +26,7 @@ func establishAll(t *testing.T, params []Params) []error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = EstablishSession(params[i], i, fab)
+			_, errs[i] = EstablishSessionCtx(context.Background(), params[i], i, fab, "")
 		}()
 	}
 	wg.Wait()
@@ -126,7 +127,7 @@ func TestEstablishSessionMalformed(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = EstablishSession(params, i, fab)
+			_, errs[i] = EstablishSessionCtx(context.Background(), params, i, fab, "")
 		}()
 	}
 	wg.Wait()
@@ -152,7 +153,7 @@ func TestEstablishSessionRejectsInvalidParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := EstablishSession(Params{}, 0, fab); err == nil {
+	if _, err := EstablishSessionCtx(context.Background(), Params{}, 0, fab, ""); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 }

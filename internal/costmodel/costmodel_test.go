@@ -1,6 +1,7 @@
 package costmodel
 
 import (
+	"context"
 	"math/big"
 	"testing"
 
@@ -152,7 +153,7 @@ func TestSyntheticTraceMatchesRealProtocol(t *testing.T) {
 	for i := range betas {
 		betas[i] = big.NewInt(int64(i * 3))
 	}
-	_, fab, err := unlinksort.Run(unlinksort.Config{Group: g, L: l}, betas, "cm-trace")
+	_, fab, err := unlinksort.RunCtx(context.Background(), unlinksort.Config{Group: g, L: l}, betas, "cm-trace", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

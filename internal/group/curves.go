@@ -9,8 +9,8 @@ import (
 // SEC2 / NIST domain parameters for the curves used in the paper's
 // evaluation: secp160r1 (the "160-bit ECC group" of Section VII) plus
 // P-224 and P-256 for the 112- and 128-bit security levels of Fig. 3(a).
-// All parameters are validated by NewECGroup (prime field, prime order,
-// base point on curve, n·G = ∞) when first used.
+// All parameters are validated by newECGroup (prime field, prime order,
+// the kernel's shape, base point on curve, n·G = ∞) when first used.
 
 type curveDef struct {
 	name         string
@@ -53,11 +53,6 @@ var (
 		n:            "FFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551",
 		securityBits: 128,
 	})
-	_secp160r1Generic = sync.OnceValue(func() *ECGroup {
-		g := *Secp160r1()
-		g.kern = nil
-		return &g
-	})
 )
 
 func mustHex(name, field, s string) *big.Int {
@@ -70,15 +65,15 @@ func mustHex(name, field, s string) *big.Int {
 
 func mustCurve(d curveDef) *ECGroup {
 	p := mustHex(d.name, "p", d.p)
-	g, err := NewECGroup(CurveSpec{
-		Name:         d.name,
-		P:            p,
-		A:            new(big.Int).Sub(p, big.NewInt(3)),
-		B:            mustHex(d.name, "b", d.b),
-		Gx:           mustHex(d.name, "gx", d.gx),
-		Gy:           mustHex(d.name, "gy", d.gy),
-		N:            mustHex(d.name, "n", d.n),
-		SecurityBits: d.securityBits,
+	g, err := newECGroup(curveSpec{
+		name:         d.name,
+		p:            p,
+		a:            new(big.Int).Sub(p, big.NewInt(3)),
+		b:            mustHex(d.name, "b", d.b),
+		gx:           mustHex(d.name, "gx", d.gx),
+		gy:           mustHex(d.name, "gy", d.gy),
+		n:            mustHex(d.name, "n", d.n),
+		securityBits: d.securityBits,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("group: invalid curve %s: %v", d.name, err))
@@ -89,11 +84,6 @@ func mustCurve(d curveDef) *ECGroup {
 // Secp160r1 returns the 160-bit SEC2 curve used by the paper's ECC
 // framework (80-bit security).
 func Secp160r1() *ECGroup { return _secp160r1() }
-
-// Secp160r1Generic returns the same curve without the limb kernel, on
-// the math/big arithmetic of ec.go: the oracle that tests and the
-// ablation benchmark compare the kernel against.
-func Secp160r1Generic() *ECGroup { return _secp160r1Generic() }
 
 // Secp224r1 returns NIST P-224 (112-bit security).
 func Secp224r1() *ECGroup { return _secp224r1() }

@@ -9,10 +9,9 @@ import (
 // Prime-field arithmetic for the curve kernel (kernel.go): one
 // Montgomery field, parameterised only by constants derived from the
 // modulus, so secp160r1, P-224 and P-256 share one element type and
-// every line outside the multiply, add and subtract. The generic
-// ECGroup path keeps field elements in math/big form and pays a
-// division plus several allocations per reduction; here a
-// multiplication is a fixed CIOS pass over stack values. A modulus
+// every line outside the multiply, add and subtract. A multiplication
+// is a fixed CIOS pass over stack values, where math/big would pay a
+// division plus several allocations per reduction. A modulus
 // below 2^192 (secp160r1) takes unrolled three-limb bodies with
 // R = 2^192, 18 word products per multiply; a wider one (P-224,
 // P-256) the four-limb loop with R = 2^256, 32. FuzzFieldAgainstBig

@@ -45,11 +45,11 @@ func Raw(g Group) Group {
 	}
 }
 
-// Window widths. EC combs accumulate in Jacobian coordinates where a
-// lookup-add costs ~12 field multiplications, so a narrow window keeps
-// the table small at no real cost; DL combs pay a full big.Int modular
-// multiplication per window, so a wider window amortises better against
-// math/big's Montgomery exponentiation.
+// Window widths. EC combs pay one mixed addition (~11 limb-field
+// multiplications) per window, so a narrow window keeps the table small
+// at no real cost; DL combs pay a full big.Int modular multiplication
+// per window, so a wider window amortises better against math/big's
+// Montgomery exponentiation.
 const (
 	ecCombWindow = 5
 	dlCombWindow = 6
@@ -73,13 +73,10 @@ func NewFixedBaseTable(g Group, base Element) *FixedBaseTable {
 	case *DLGroup:
 		t.eval = newDLComb(cg, base, dlCombWindow)
 	case *ECGroup:
-		if cg.kern != nil {
-			t.eval = newKernelComb(cg, base, ecCombWindow)
-		} else {
-			t.eval = newECComb(cg, base, ecCombWindow)
-		}
+		t.eval = newKernelComb(cg, base, ecCombWindow)
 	default:
-		t.eval = newOpComb(raw, base, ecCombWindow)
+		// A group without a native comb: the table is its own Exp.
+		t.eval = func(e *big.Int) Element { return raw.Exp(base, e) }
 	}
 	return t
 }
@@ -142,67 +139,11 @@ func newDLComb(g *DLGroup, base Element, w uint) func(*big.Int) Element {
 	}
 }
 
-// newECComb builds Jacobian windows for a curve group on the math/big
-// path (newKernelComb in kernel.go is the limb counterpart). Table
-// entries stay in Jacobian coordinates (jacAdd handles arbitrary Z), so
-// neither construction nor evaluation needs a field inversion until the
-// single final affine projection.
-func newECComb(g *ECGroup, base Element, w uint) func(*big.Int) Element {
-	b := g.toJac(g.unwrap(base))
-	nWin := (g.n.BitLen() + int(w) - 1) / int(w)
-	size := (1 << w) - 1
-	windows := make([][]jacPoint, nWin)
-	for i := 0; i < nWin; i++ {
-		windows[i] = make([]jacPoint, size)
-		windows[i][0] = b
-		for d := 1; d < size; d++ {
-			windows[i][d] = g.jacAdd(windows[i][d-1], b)
-		}
-		b = g.jacAdd(windows[i][size-1], b)
-	}
-	return func(e *big.Int) Element {
-		acc := jacPoint{x: big.NewInt(1), y: big.NewInt(1), z: new(big.Int)}
-		for i, d := range combDigits(e, w) {
-			if d != 0 {
-				acc = g.jacAdd(acc, windows[i][d-1])
-			}
-		}
-		return g.toAffine(acc)
-	}
-}
-
-// newOpComb is the family-agnostic fallback over Group.Op, used only
-// for group implementations without a native comb.
-func newOpComb(g Group, base Element, w uint) func(*big.Int) Element {
-	b := base
-	nWin := (g.Order().BitLen() + int(w) - 1) / int(w)
-	size := (1 << w) - 1
-	windows := make([][]Element, nWin)
-	for i := 0; i < nWin; i++ {
-		windows[i] = make([]Element, size)
-		windows[i][0] = b
-		for d := 1; d < size; d++ {
-			windows[i][d] = g.Op(windows[i][d-1], b)
-		}
-		b = g.Op(windows[i][size-1], b)
-	}
-	return func(e *big.Int) Element {
-		acc := g.Identity()
-		for i, d := range combDigits(e, w) {
-			if d != 0 {
-				acc = g.Op(acc, windows[i][d-1])
-			}
-		}
-		return acc
-	}
-}
-
 // genTables caches one generator table per concrete group value, so
 // every ExpGen — and any Exp whose base turns out to be the generator —
 // hits the comb. The named groups are process-wide singletons
 // (the curves of curves.go, the MODP vars, ToyDL256), so each table is built exactly
-// once per process. Secp160r1Generic is its own group value, so the
-// math/big oracle keeps a math/big comb.
+// once per process.
 var genTables sync.Map // map[Group]*FixedBaseTable
 
 // generatorTable returns the cached fixed-base table for g's generator,

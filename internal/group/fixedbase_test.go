@@ -31,7 +31,7 @@ func fixedBaseGroups(t *testing.T) map[string]Group {
 	return map[string]Group{
 		"toy-dl-256":        toy,
 		"secp160r1-fast":    Secp160r1(),
-		"secp160r1-generic": Secp160r1Generic(),
+		"secp160r1-generic": oracleOf(Secp160r1()),
 		"secp224r1":         mustByName(t, "secp224r1"),
 		"secp256r1":         mustByName(t, "secp256r1"),
 	}

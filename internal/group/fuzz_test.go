@@ -28,7 +28,7 @@ func FuzzDLDecode(f *testing.F) {
 }
 
 func FuzzECDecode(f *testing.F) {
-	g := Secp160r1Generic()
+	g := oracleOf(Secp160r1())
 	f.Add(g.Encode(g.Generator()))
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x04, 1, 2, 3})
@@ -80,15 +80,13 @@ func FuzzFieldAgainstBig(f *testing.F) {
 }
 
 // FuzzExpAgainstGeneric holds the kernel's Exp and Op to the math/big
-// curve code on each named curve, over arbitrary (signed, over-order)
+// reference curve (oracle_test.go) on each named curve, over arbitrary (signed, over-order)
 // exponents and a base chosen among the identity, ±G and a random point.
 func FuzzExpAgainstGeneric(f *testing.F) {
 	curves := kernelCurves()
-	// One oracle per curve for the whole run: each oracle value builds
-	// and caches its own math/big generator table.
-	oracles := make([]*ECGroup, len(curves))
+	oracles := make([]refCurve, len(curves))
 	for which, g := range curves {
-		oracles[which] = genericOf(g)
+		oracles[which] = oracleOf(g)
 		w := uint8(which)
 		for _, k := range edgeScalars(g.n) {
 			for sel := uint8(0); sel < 4; sel++ {
@@ -122,16 +120,16 @@ func FuzzExpAgainstGeneric(f *testing.F) {
 
 // FuzzMultiExpAgainstGeneric holds MultiExp on the kernel — the shared
 // Straus chain, the batch-normalised tables, the signed and over-order
-// scalars — to the math/big composition on each named curve. The seeds
+// scalars — to the reference curve's composition on each named curve. The seeds
 // are the cases the shared chain must survive: identity inputs, c = ±c1
 // (addition's doubling and infinity branches met mid-chain), x·r ≡ 0
 // (mod n), negative, zero, one-bit and over-order scalars, and
 // unreduced coordinates.
 func FuzzMultiExpAgainstGeneric(f *testing.F) {
 	curves := kernelCurves()
-	oracles := make([]*ECGroup, len(curves))
+	oracles := make([]refCurve, len(curves))
 	for which, g := range curves {
-		oracles[which] = genericOf(g)
+		oracles[which] = oracleOf(g)
 		w := uint8(which)
 		scalars := append(edgeScalars(g.n), big.NewInt(1<<40))
 		for sel := uint8(0); sel < 6; sel++ {

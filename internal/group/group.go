@@ -2,8 +2,8 @@
 // framework's cryptography: quadratic-residue subgroups of safe primes
 // ("DL" groups, Section IV-B of the paper) and short-Weierstrass elliptic
 // curves ("ECC" groups). Both families are implemented from scratch: the DL
-// groups and the curves' boundary (encodings, validation) over math/big, the
-// named curves' arithmetic on a fixed-width limb kernel (field.go, kernel.go).
+// groups and the curves' boundary (encodings, validation) over math/big, all
+// curve arithmetic on one fixed-width limb kernel (field.go, kernel.go).
 //
 // The decisional Diffie-Hellman problem is believed hard in every group
 // constructed here, which is the assumption the framework's security proofs

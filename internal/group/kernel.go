@@ -1,15 +1,19 @@
 package group
 
-import "math/big"
+import (
+	"errors"
+	"math/big"
+)
 
 // The limb curve kernel: Jacobian point arithmetic over montField for
 // short-Weierstrass curves with a = −3, the shape of every named curve
-// in curves.go. NewECGroup attaches one to each group it can serve, and
-// Exp, Op, MultiExp (multiexp.go) and the fixed-base comb then run here
-// on limb values instead of on the math/big code in ec.go. Elements stay affine big.Int pairs
-// outside, so encodings and protocol transcripts do not depend on which
-// path computed them; FuzzExpAgainstGeneric and
-// FuzzMultiExpAgainstGeneric hold the two paths equal.
+// in curves.go. It is the one curve arithmetic: newECGroup attaches one
+// to every group, and Exp, Op, MultiExp (multiexp.go) and the fixed-base
+// comb run here on limb values. Elements stay affine big.Int pairs
+// outside, so encodings and protocol transcripts do not depend on the
+// limb representation; FuzzExpAgainstGeneric and
+// FuzzMultiExpAgainstGeneric hold the kernel to a math/big reference
+// curve that only the tests carry.
 
 // curveKernel is the arithmetic engine of one curve.
 type curveKernel struct {
@@ -27,20 +31,23 @@ type affPt struct {
 	inf  bool
 }
 
-// newCurveKernel returns the kernel for the curve, or nil when the
-// kernel cannot take it: a ≠ −3, a field wider than four limbs, or an
-// order whose scalars would not fit them.
-func newCurveKernel(p, a, n *big.Int) *curveKernel {
+// errCurveShape refuses a curve the kernel cannot take.
+var errCurveShape = errors.New("the curve kernel takes a = −3 with p and n of at most 256 bits")
+
+// newCurveKernel returns the kernel for the curve, or errCurveShape when
+// a ≠ −3, the field is wider than four limbs, or the order's scalars
+// would not fit them.
+func newCurveKernel(p, a, n *big.Int) (*curveKernel, error) {
 	f, ok := newMontField(p)
 	if !ok || n.BitLen() > 256 || new(big.Int).Add(a, big.NewInt(3)).Cmp(p) != 0 {
-		return nil
+		return nil, errCurveShape
 	}
-	return &curveKernel{montField: f, prime: p}
+	return &curveKernel{montField: f, prime: p}, nil
 }
 
 // lift converts an affine element. Coordinates a peer sent unreduced
 // (Validate rejects them, but Op and Exp must not panic on them) are
-// reduced first, matching what the math/big path computes.
+// reduced first, so the result is that of the point they stand for.
 func (k *curveKernel) lift(pt ecPoint) affPt {
 	if pt.inf {
 		return affPt{inf: true}

@@ -1,23 +1,16 @@
 package group
 
 import (
+	"errors"
 	"math/big"
 	"testing"
 
 	"groupranking/internal/fixedbig"
 )
 
-// genericOf returns g's curve on the math/big arithmetic: the oracle
-// the kernel is compared against.
-func genericOf(g *ECGroup) *ECGroup {
-	c := *g
-	c.kern = nil
-	return &c
-}
-
 // checkExpAgainstGeneric holds the kernel to the oracle on base^k and on
 // the Op cases that hit addition's special branches.
-func checkExpAgainstGeneric(t testing.TB, g, oracle *ECGroup, base Element, k *big.Int) {
+func checkExpAgainstGeneric(t testing.TB, g *ECGroup, oracle refCurve, base Element, k *big.Int) {
 	t.Helper()
 	got, want := g.Exp(base, k), oracle.Exp(base, k)
 	if !oracle.Equal(got, want) {
@@ -44,13 +37,13 @@ func checkExpAgainstGeneric(t testing.TB, g, oracle *ECGroup, base Element, k *b
 }
 
 // checkMultiExpAgainstGeneric holds the kernel's MultiExp to the
-// math/big composition of Exp and Op on the two shapes the protocol
+// reference curve's composition of Exp and Op on the two shapes the protocol
 // evaluates: the chain hop (c^r·c1^(−x·r mod n), c1^r), two products
 // sharing c1's table and r's recoding, and a bare double exponentiation
 // c^r·c1^x with both scalars taken as given (signed, over the order).
 // kc and kc1 are what the kernel is handed for c and c1: the same
 // points, possibly with unreduced coordinates.
-func checkMultiExpAgainstGeneric(t testing.TB, g, oracle *ECGroup, kc, kc1, c, c1 Element, r, x *big.Int) {
+func checkMultiExpAgainstGeneric(t testing.TB, g *ECGroup, oracle refCurve, kc, kc1, c, c1 Element, r, x *big.Int) {
 	t.Helper()
 	s := new(big.Int).Mul(x, r)
 	s.Neg(s).Mod(s, g.n)
@@ -108,7 +101,7 @@ func hopPair(g *ECGroup, sel uint8, a, b Element) (c, c1 Element) {
 
 func TestMultiExpMatchesGeneric(t *testing.T) {
 	for _, g := range kernelCurves() {
-		oracle := genericOf(g)
+		oracle := oracleOf(g)
 		rng := fixedbig.NewDRBG("multiexp-vs-generic-" + g.name)
 		a := g.Exp(g.Generator(), mustScalar(t, g, rng))
 		b := g.Exp(g.Generator(), mustScalar(t, g, rng))
@@ -127,13 +120,14 @@ func TestMultiExpMatchesGeneric(t *testing.T) {
 }
 
 // TestMultiExpFallbackComposes pins the other side of the dispatch: a
-// group without the kernel gets exactly the Exp/Op composition.
+// group other than the curves (a DL group, the reference curve) gets
+// exactly its own Exp/Op composition.
 func TestMultiExpFallbackComposes(t *testing.T) {
 	toy, err := ToyDL256()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []Group{toy, Secp160r1Generic()} {
+	for _, g := range []Group{toy, oracleOf(Secp160r1())} {
 		rng := fixedbig.NewDRBG("multiexp-fallback-" + g.Name())
 		a, b := ExpGen(g, mustScalar(t, g, rng)), ExpGen(g, mustScalar(t, g, rng))
 		r, s := mustScalar(t, g, rng), big.NewInt(-7)
@@ -163,7 +157,7 @@ func edgeScalars(n *big.Int) []*big.Int {
 
 func TestFastExpMatchesGeneric(t *testing.T) {
 	for _, g := range kernelCurves() {
-		oracle := genericOf(g)
+		oracle := oracleOf(g)
 		gen := g.Generator()
 		bases := []Element{gen, g.Inv(gen), g.Identity()}
 		rng := fixedbig.NewDRBG("kernel-vs-generic-" + g.name)
@@ -189,10 +183,10 @@ func TestFastExpMatchesGeneric(t *testing.T) {
 }
 
 // TestNamedCurvesUseKernel pins the property the performance rests on:
-// whichever way a named curve is reached, it is the one kernel-backed
-// group value, and only the explicit oracle is not. It also pins the
-// field width: secp160r1 on the three-limb bodies, the wider curves on
-// the four-limb loop, so that a refactor cannot silently widen secp160r1.
+// whichever way a named curve is reached, it is the one group value with
+// its one generator table. It also pins the field width: secp160r1 on
+// the three-limb bodies, the wider curves on the four-limb loop, so that
+// a refactor cannot silently widen secp160r1.
 func TestNamedCurvesUseKernel(t *testing.T) {
 	typed := map[string]struct {
 		g      *ECGroup
@@ -203,22 +197,12 @@ func TestNamedCurvesUseKernel(t *testing.T) {
 		"secp256r1": {Secp256r1(), false},
 	}
 	for name, want := range typed {
-		if want.g.kern == nil {
-			t.Errorf("%s: typed constructor returned a group without the kernel", name)
-			continue
-		}
 		if got := mustByName(t, name); got != Group(want.g) {
 			t.Errorf("%s: ByName and the typed constructor return different groups", name)
 		}
 		if got := want.g.kern.narrow; got != want.narrow {
 			t.Errorf("%s: kernel field narrow = %v, want %v", name, got, want.narrow)
 		}
-	}
-	if Secp160r1Generic().kern != nil {
-		t.Error("Secp160r1Generic must stay on math/big")
-	}
-	if Secp160r1Generic() == Secp160r1() {
-		t.Error("the oracle must be its own group value (it keys its own generator table)")
 	}
 }
 
@@ -233,64 +217,57 @@ func TestExpAllocs(t *testing.T) {
 	}
 }
 
-// secp256k1 has a = 0, which the kernel does not take.
-func secp256k1Spec() CurveSpec {
-	return CurveSpec{
-		Name: "secp256k1",
-		P:    mustHex("secp256k1", "p", "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F"),
-		A:    big.NewInt(0),
-		B:    big.NewInt(7),
-		Gx:   mustHex("secp256k1", "gx", "79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798"),
-		Gy:   mustHex("secp256k1", "gy", "483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8"),
-		N:    mustHex("secp256k1", "n", "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141"),
+// TestKernellessFallback pins that there is no curve arithmetic beside
+// the kernel: a spec the kernel cannot take is refused by name. secp256k1
+// has a = 0; a 1024-bit prime stands in for a field or an order wider
+// than four limbs.
+func TestKernellessFallback(t *testing.T) {
+	secp256k1 := curveSpec{
+		name: "secp256k1",
+		p:    mustHex("secp256k1", "p", "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F"),
+		a:    big.NewInt(0),
+		b:    big.NewInt(7),
+		gx:   mustHex("secp256k1", "gx", "79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798"),
+		gy:   mustHex("secp256k1", "gy", "483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8"),
+		n:    mustHex("secp256k1", "n", "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEBAAEDCE6AF48A03BBFD25E8CD0364141"),
+	}
+	wide := MODP1024().Modulus()
+	wideField, wideOrder := secp224Spec(), secp224Spec()
+	wideField.p, wideField.a = wide, new(big.Int).Sub(wide, big.NewInt(3))
+	wideOrder.n = wide
+	for _, spec := range []curveSpec{secp256k1, wideField, wideOrder} {
+		if _, err := newECGroup(spec); !errors.Is(err, errCurveShape) {
+			t.Errorf("%s (p %d bits, n %d bits): newECGroup returned %v, want errCurveShape",
+				spec.name, spec.p.BitLen(), spec.n.BitLen(), err)
+		}
 	}
 }
 
-func TestKernellessFallback(t *testing.T) {
-	g, err := NewECGroup(secp256k1Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.kern != nil {
-		t.Fatal("a curve with a ≠ −3 must not get the a = −3 kernel")
-	}
-	rng := fixedbig.NewDRBG("fallback")
-	a, b := mustScalar(t, g, rng), mustScalar(t, g, rng)
-	sum := new(big.Int).Add(a, b)
-	if !g.Equal(g.Op(ExpGen(g, a), ExpGen(g, b)), ExpGen(g, sum)) {
-		t.Fatal("g^a·g^b ≠ g^(a+b) on the math/big fallback")
-	}
-	h := ExpGen(g, a)
-	if !g.Equal(g.Exp(h, b), ExpGen(g, new(big.Int).Mul(a, b))) {
-		t.Fatal("(g^a)^b ≠ g^(ab) on the math/big fallback")
-	}
+// secp224Spec returns P-224's parameters as a spec to mutate.
+func secp224Spec() curveSpec {
+	g := Secp224r1()
+	return curveSpec{name: "bad", p: g.p, a: g.a, b: g.b, gx: g.gx, gy: g.gy, n: g.n}
 }
 
 func TestNewECGroupRejectsBadSpecs(t *testing.T) {
-	good := func() CurveSpec {
-		g := Secp224r1()
-		return CurveSpec{Name: "bad", P: g.p, A: g.a, B: g.b, Gx: g.gx, Gy: g.gy, N: g.n}
-	}
-	cases := map[string]func(*CurveSpec){
-		"composite field": func(s *CurveSpec) { s.P = new(big.Int).Add(s.P, big.NewInt(2)) },
-		"composite order": func(s *CurveSpec) { s.N = new(big.Int).Add(s.N, big.NewInt(2)) },
-		"off-curve base":  func(s *CurveSpec) { s.Gy = new(big.Int).Add(s.Gy, big.NewInt(1)) },
+	cases := map[string]func(*curveSpec){
+		"composite field": func(s *curveSpec) { s.p = new(big.Int).Add(s.p, big.NewInt(2)) },
+		"composite order": func(s *curveSpec) { s.n = new(big.Int).Add(s.n, big.NewInt(2)) },
+		"off-curve base":  func(s *curveSpec) { s.gy = new(big.Int).Add(s.gy, big.NewInt(1)) },
+		// A prime that is not the base point's order. Exp reduces modulo
+		// the claimed order, so a check of n·G = ∞ through Exp alone
+		// would accept it.
+		"wrong order": func(s *curveSpec) { s.n = Secp160r1().n },
 	}
 	for name, mutate := range cases {
-		spec := good()
+		spec := secp224Spec()
 		mutate(&spec)
-		if _, err := NewECGroup(spec); err == nil {
-			t.Errorf("%s: NewECGroup accepted the spec", name)
+		if _, err := newECGroup(spec); err == nil {
+			t.Errorf("%s: newECGroup accepted the spec", name)
 		}
 	}
-	// A prime that is not the base point's order, on the kernel and on
-	// the fallback. Exp reduces modulo the claimed order, so a check of
-	// n·G = ∞ through Exp alone would accept it.
-	for _, spec := range []CurveSpec{good(), secp256k1Spec()} {
-		spec.N = Secp160r1().n
-		if _, err := NewECGroup(spec); err == nil {
-			t.Errorf("%s with a wrong order: NewECGroup accepted the spec", spec.Name)
-		}
+	if _, err := newECGroup(secp224Spec()); err != nil {
+		t.Errorf("P-224's own parameters refused: %v", err)
 	}
 }
 
@@ -346,9 +323,9 @@ func TestWnafRecode(t *testing.T) {
 func TestKernelHandlesUnreducedCoordinates(t *testing.T) {
 	// A point as a hostile peer could send it before Validate rejects
 	// it: coordinates shifted by multiples of p. The kernel must reduce
-	// them as the math/big path does, never panic.
+	// them, never panic.
 	g := Secp160r1()
-	oracle := genericOf(g)
+	oracle := oracleOf(g)
 	h := g.Exp(g.Generator(), big.NewInt(12345))
 	bad := unreduced(g, h)
 	k := big.NewInt(99)
@@ -414,7 +391,7 @@ func BenchmarkExp(b *testing.B) {
 		b.Fatal(err)
 	}
 	groups := map[string]Group{
-		"secp160r1": Secp160r1(), "secp160r1-generic": Secp160r1Generic(),
+		"secp160r1": Secp160r1(),
 		"secp224r1": Secp224r1(), "secp256r1": Secp256r1(),
 		"modp-1024": MODP1024(), "toy-dl-256": toy,
 	}

@@ -24,11 +24,11 @@ type Term struct {
 
 // MultiExp returns, for every product of the batch, Π bases[t.Base]^t.Exp
 // over its terms (the identity for an empty product). The elements are
-// the ones Exp and Op would compose: groups without the limb kernel
+// the ones Exp and Op would compose: groups other than the curves
 // compute exactly that composition.
 func MultiExp(g Group, bases []Element, products [][]Term) []Element {
 	raw := Raw(g)
-	if ec, ok := raw.(*ECGroup); ok && ec.kern != nil {
+	if ec, ok := raw.(*ECGroup); ok {
 		return ec.kern.multiExp(ec, bases, products)
 	}
 	out := make([]Element, len(products))
@@ -46,12 +46,12 @@ func MultiExp(g Group, bases []Element, products [][]Term) []Element {
 }
 
 // MultiExpBatches reports whether MultiExp shares work across a batch on
-// g (the limb kernel: tables and inversions) or composes every product
-// on its own. A caller splitting work across workers batches only where
-// a batch buys something.
+// g (a curve: the kernel's tables and inversions) or composes every
+// product on its own. A caller splitting work across workers batches
+// only where a batch buys something.
 func MultiExpBatches(g Group) bool {
-	ec, ok := Raw(g).(*ECGroup)
-	return ok && ec.kern != nil
+	_, ok := Raw(g).(*ECGroup)
+	return ok
 }
 
 // tableSize is the number of odd multiples 1P, 3P, …, 15P a width-5 wNAF

@@ -7,7 +7,7 @@ import (
 )
 
 // allNamedGroups returns every registered group plus the math/big
-// (kernel-less) secp160r1 oracle.
+// secp160r1 reference curve.
 func allNamedGroups(t *testing.T) []Group {
 	t.Helper()
 	names := []string{"modp-1024", "modp-2048", "modp-3072", "toy-dl-256",
@@ -20,7 +20,7 @@ func allNamedGroups(t *testing.T) []Group {
 		}
 		groups = append(groups, g)
 	}
-	return append(groups, Secp160r1Generic())
+	return append(groups, oracleOf(Secp160r1()))
 }
 
 // TestEncodeDecodeRoundTrip is the satellite property test for the
@@ -66,7 +66,7 @@ func TestEncodeDecodeRoundTripAllGroups(t *testing.T) {
 // element has one fixed-width canonical form), and the legacy one-byte
 // {0x00} form must be rejected rather than silently widened.
 func TestECIdentityEncodingRegression(t *testing.T) {
-	for _, gg := range []Group{Secp160r1(), Secp160r1Generic(), Secp224r1(), Secp256r1()} {
+	for _, gg := range []Group{Secp160r1(), oracleOf(Secp160r1()), Secp224r1(), Secp256r1()} {
 		enc := gg.Encode(gg.Identity())
 		if len(enc) != gg.ElementLen() {
 			t.Errorf("%s: identity encodes to %d bytes, want ElementLen %d",
@@ -89,9 +89,9 @@ func TestECIdentityEncodingRegression(t *testing.T) {
 
 // TestValidateRejectsOffCurvePoint covers the invalid-curve satellite
 // at the group layer: a structurally well-formed point that is not on
-// the curve must fail Validate for both secp160r1 implementations.
+// the curve must fail Validate.
 func TestValidateRejectsOffCurvePoint(t *testing.T) {
-	for _, g := range []Group{Secp160r1(), Secp160r1Generic(), Secp224r1()} {
+	for _, g := range []Group{Secp160r1(), Secp224r1()} {
 		evil, err := UnsafeElementFromCoords(g, big.NewInt(1), big.NewInt(1))
 		if err != nil {
 			t.Fatal(err)

@@ -8,9 +8,7 @@
 // the evaluation at x = i+1), the convention the ssmpc engine relies on.
 //
 // All arithmetic runs on the package's one limb field (field.go). The
-// ssmpc engine shares and recombines Elem values directly through a
-// Scheme; the *big.Int functions below are thin wrappers over the same
-// field for callers that hold integers.
+// ssmpc engine shares and recombines Elem values through a Scheme.
 package shamir
 
 import (
@@ -120,110 +118,4 @@ func (f *Field) lagrangeAtZero(xs []int) ([]Elem, error) {
 		f.Mul(&lambdas[i], &lambdas[i], &dens[i])
 	}
 	return lambdas, nil
-}
-
-// Share is one party's evaluation point of the sharing polynomial.
-type Share struct {
-	X int      // evaluation abscissa (party index + 1), > 0
-	Y *big.Int // polynomial value mod p
-}
-
-// Split shares secret with a uniformly random polynomial of the given
-// degree among n parties. Reconstruction requires degree+1 shares;
-// any `degree` shares reveal nothing.
-func Split(secret *big.Int, degree, n int, p *big.Int, rng io.Reader) ([]Share, error) {
-	f, err := NewField(p)
-	if err != nil {
-		return nil, err
-	}
-	s, err := NewScheme(f, degree, n)
-	if err != nil {
-		return nil, err
-	}
-	ys := make([]Elem, n)
-	sec := f.Reduce(secret)
-	if err := s.Split(ys, &sec, rng); err != nil {
-		return nil, err
-	}
-	shares := make([]Share, n)
-	for i := range ys {
-		shares[i] = Share{X: i + 1, Y: f.ToBig(&ys[i])}
-	}
-	return shares, nil
-}
-
-// Reconstruct interpolates the secret (the polynomial at 0) from the
-// given shares. The shares must have distinct positive abscissae; the
-// caller must supply at least degree+1 of them for a correct result.
-func Reconstruct(shares []Share, p *big.Int) (*big.Int, error) {
-	f, err := NewField(p)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]int, len(shares))
-	for i, s := range shares {
-		xs[i] = s.X
-	}
-	lambdas, err := f.lagrangeAtZero(xs)
-	if err != nil {
-		return nil, err
-	}
-	var secret Elem
-	for i, s := range shares {
-		t := f.Reduce(s.Y)
-		f.Mul(&t, &t, &lambdas[i])
-		f.Add(&secret, &secret, &t)
-	}
-	return f.ToBig(&secret), nil
-}
-
-// LagrangeAtZero returns the interpolation coefficients λ_i such that
-// f(0) = Σ λ_i·f(x_i) for any polynomial of degree < len(xs).
-func LagrangeAtZero(xs []int, p *big.Int) ([]*big.Int, error) {
-	f, err := NewField(p)
-	if err != nil {
-		return nil, err
-	}
-	lambdas, err := f.lagrangeAtZero(xs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*big.Int, len(lambdas))
-	for i := range lambdas {
-		out[i] = f.ToBig(&lambdas[i])
-	}
-	return out, nil
-}
-
-// AddShares adds two shares of the same abscissa pointwise; the result
-// shares the sum of the secrets.
-func AddShares(a, b Share, p *big.Int) (Share, error) {
-	if a.X != b.X {
-		return Share{}, fmt.Errorf("shamir: adding shares with abscissae %d and %d", a.X, b.X)
-	}
-	return combine(a, b.Y, p, (*Field).Add)
-}
-
-// ScaleShare multiplies a share by a public scalar; the result shares
-// k times the secret.
-func ScaleShare(a Share, k, p *big.Int) (Share, error) {
-	return combine(a, k, p, (*Field).Mul)
-}
-
-// AddConst adds a public constant to a share; the result shares
-// secret + k. (The constant term shifts; higher coefficients are
-// untouched, so only the secret changes.)
-func AddConst(a Share, k, p *big.Int) (Share, error) {
-	return combine(a, k, p, (*Field).Add)
-}
-
-// combine applies one field operation to a share's value and k.
-func combine(a Share, k, p *big.Int, op func(f *Field, z, x, y *Elem)) (Share, error) {
-	f, err := NewField(p)
-	if err != nil {
-		return Share{}, err
-	}
-	x, y := f.Reduce(a.Y), f.Reduce(k)
-	op(f, &x, &x, &y)
-	return Share{X: a.X, Y: f.ToBig(&x)}, nil
 }

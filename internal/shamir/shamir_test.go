@@ -2,6 +2,7 @@ package shamir
 
 import (
 	"crypto/rand"
+	"io"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -9,17 +10,67 @@ import (
 	"groupranking/internal/fixedbig"
 )
 
-func testPrime(t *testing.T) *big.Int {
+func testPrimeField(t *testing.T) *Field {
 	t.Helper()
 	p, err := rand.Prime(fixedbig.NewDRBG("shamir-prime"), 96)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	f, err := NewField(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// split shares secret (reduced mod p) with a degree-d Scheme among n
+// parties.
+func split(t *testing.T, f *Field, secret *big.Int, degree, n int, rng io.Reader) []Elem {
+	t.Helper()
+	s, err := NewScheme(f, degree, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := make([]Elem, n)
+	sec := f.Reduce(secret)
+	if err := s.Split(shares, &sec, rng); err != nil {
+		t.Fatal(err)
+	}
+	return shares
+}
+
+// reconstruct interpolates the secret from the shares of the listed
+// parties (party j holds x = j+1).
+func reconstruct(t *testing.T, f *Field, shares []Elem, parties ...int) *big.Int {
+	t.Helper()
+	xs := make([]int, len(parties))
+	for i, j := range parties {
+		xs[i] = j + 1
+	}
+	lambdas, err := f.lagrangeAtZero(xs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var secret Elem
+	for i, j := range parties {
+		var term Elem
+		f.Mul(&term, &shares[j], &lambdas[i])
+		f.Add(&secret, &secret, &term)
+	}
+	return f.ToBig(&secret)
+}
+
+// upTo returns the parties 0..n-1.
+func upTo(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 func TestSplitReconstruct(t *testing.T) {
-	p := testPrime(t)
+	f := testPrimeField(t)
 	rng := fixedbig.NewDRBG("shamir-basic")
 	cases := []struct {
 		name      string
@@ -35,27 +86,23 @@ func TestSplitReconstruct(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			secret := big.NewInt(tc.secret)
-			shares, err := Split(secret, tc.degree, tc.n, p, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(shares) != tc.n {
-				t.Fatalf("got %d shares", len(shares))
-			}
+			shares := split(t, f, secret, tc.degree, tc.n, rng)
 			// Reconstruct from exactly degree+1 shares.
-			got, err := Reconstruct(shares[:tc.degree+1], p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Cmp(secret) != 0 {
+			if got := reconstruct(t, f, shares, upTo(tc.degree+1)...); got.Cmp(secret) != 0 {
 				t.Errorf("minimal set: got %s, want %s", got, secret)
 			}
-			// And from all shares.
-			got, err = Reconstruct(shares, p)
+			// And from all shares, through the Scheme's own coefficients.
+			s, err := NewScheme(f, tc.degree, tc.n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Cmp(secret) != 0 {
+			var sum Elem
+			for j := range shares {
+				var term Elem
+				f.Mul(&term, &shares[j], &s.Lambda[j])
+				f.Add(&sum, &sum, &term)
+			}
+			if got := f.ToBig(&sum); got.Cmp(secret) != 0 {
 				t.Errorf("full set: got %s, want %s", got, secret)
 			}
 		})
@@ -63,24 +110,11 @@ func TestSplitReconstruct(t *testing.T) {
 }
 
 func TestReconstructFromAnySubset(t *testing.T) {
-	p := testPrime(t)
-	rng := fixedbig.NewDRBG("shamir-subset")
+	f := testPrimeField(t)
 	secret := big.NewInt(777)
-	shares, err := Split(secret, 2, 6, p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	subsets := [][]int{{0, 1, 2}, {3, 4, 5}, {0, 2, 4}, {1, 3, 5}, {0, 1, 2, 3, 4}}
-	for _, idx := range subsets {
-		sub := make([]Share, len(idx))
-		for i, j := range idx {
-			sub[i] = shares[j]
-		}
-		got, err := Reconstruct(sub, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(secret) != 0 {
+	shares := split(t, f, secret, 2, 6, fixedbig.NewDRBG("shamir-subset"))
+	for _, idx := range [][]int{{0, 1, 2}, {3, 4, 5}, {0, 2, 4}, {1, 3, 5}, {0, 1, 2, 3, 4}} {
+		if got := reconstruct(t, f, shares, idx...); got.Cmp(secret) != 0 {
 			t.Errorf("subset %v: got %s", idx, got)
 		}
 	}
@@ -91,20 +125,13 @@ func TestTooFewSharesRevealNothing(t *testing.T) {
 	// reconstructing from d shares plus a forged share at x=n+1 can hit
 	// any value. We verify the weaker operational fact that d shares
 	// reconstruct to something different from the secret almost surely.
-	p := testPrime(t)
+	f := testPrimeField(t)
 	rng := fixedbig.NewDRBG("shamir-hiding")
 	secret := big.NewInt(1234)
 	mismatches := 0
 	for trial := 0; trial < 20; trial++ {
-		shares, err := Split(secret, 3, 7, p, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Reconstruct(shares[:3], p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Cmp(secret) != 0 {
+		shares := split(t, f, secret, 3, 7, rng)
+		if reconstruct(t, f, shares, 0, 1, 2).Cmp(secret) != 0 {
 			mismatches++
 		}
 	}
@@ -114,40 +141,27 @@ func TestTooFewSharesRevealNothing(t *testing.T) {
 }
 
 func TestLinearity(t *testing.T) {
-	p := testPrime(t)
+	// Share-wise field operations act on the secrets: (a + b)·k + 3
+	// computed on every share reconstructs to the same of the secrets.
+	f := testPrimeField(t)
 	rng := fixedbig.NewDRBG("shamir-linear")
-	f := func(a, b int32, k uint8) bool {
-		sa, err := Split(big.NewInt(int64(a)), 2, 5, p, rng)
-		if err != nil {
-			return false
-		}
-		sb, err := Split(big.NewInt(int64(b)), 2, 5, p, rng)
-		if err != nil {
-			return false
-		}
-		sum := make([]Share, 5)
+	three := f.Reduce(big.NewInt(3))
+	check := func(a, b int32, k uint8) bool {
+		sa := split(t, f, big.NewInt(int64(a)), 2, 5, rng)
+		sb := split(t, f, big.NewInt(int64(b)), 2, 5, rng)
+		scale := f.Reduce(big.NewInt(int64(k)))
+		sum := make([]Elem, 5)
 		for i := range sum {
-			s, err := AddShares(sa[i], sb[i], p)
-			if err != nil {
-				return false
-			}
-			if s, err = ScaleShare(s, big.NewInt(int64(k)), p); err != nil {
-				return false
-			}
-			if sum[i], err = AddConst(s, big.NewInt(3), p); err != nil {
-				return false
-			}
-		}
-		got, err := Reconstruct(sum, p)
-		if err != nil {
-			return false
+			f.Add(&sum[i], &sa[i], &sb[i])
+			f.Mul(&sum[i], &sum[i], &scale)
+			f.Add(&sum[i], &sum[i], &three)
 		}
 		want := new(big.Int).SetInt64((int64(a) + int64(b)) * int64(k))
 		want.Add(want, big.NewInt(3))
-		want.Mod(want, p)
-		return got.Cmp(want) == 0
+		want.Mod(want, f.P())
+		return reconstruct(t, f, sum, upTo(5)...).Cmp(want) == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
 }
@@ -156,73 +170,44 @@ func TestProductOfSharesHasDoubledDegree(t *testing.T) {
 	// Pointwise share products reconstruct the product when 2d+1 shares
 	// are used, and generally fail with only d+1 — the fact that forces
 	// the degree-reduction step of the multiplication protocol.
-	p := testPrime(t)
+	f := testPrimeField(t)
 	rng := fixedbig.NewDRBG("shamir-product")
-	a, b := big.NewInt(21), big.NewInt(2)
-	sa, err := Split(a, 1, 5, p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sb, err := Split(b, 1, 5, p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod := make([]Share, 5)
+	sa := split(t, f, big.NewInt(21), 1, 5, rng)
+	sb := split(t, f, big.NewInt(2), 1, 5, rng)
+	prod := make([]Elem, 5)
 	for i := range prod {
-		y := new(big.Int).Mul(sa[i].Y, sb[i].Y)
-		prod[i] = Share{X: sa[i].X, Y: y.Mod(y, p)}
+		f.Mul(&prod[i], &sa[i], &sb[i])
 	}
-	got, err := Reconstruct(prod[:3], p) // 2d+1 = 3 shares suffice
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(big.NewInt(42)) != 0 {
+	if got := reconstruct(t, f, prod, 0, 1, 2); got.Cmp(big.NewInt(42)) != 0 { // 2d+1 = 3 shares suffice
 		t.Errorf("2d+1 shares: got %s, want 42", got)
 	}
 }
 
 func TestSplitErrors(t *testing.T) {
-	p := testPrime(t)
-	rng := fixedbig.NewDRBG("shamir-errors")
-	if _, err := Split(big.NewInt(1), -1, 3, p, rng); err == nil {
+	f := testPrimeField(t)
+	if _, err := NewScheme(f, -1, 3); err == nil {
 		t.Error("negative degree accepted")
 	}
-	if _, err := Split(big.NewInt(1), 3, 3, p, rng); err == nil {
+	if _, err := NewScheme(f, 3, 3); err == nil {
 		t.Error("n < degree+1 accepted")
 	}
 }
 
 func TestLagrangeErrors(t *testing.T) {
-	p := testPrime(t)
-	if _, err := LagrangeAtZero([]int{1, 1}, p); err == nil {
+	f := testPrimeField(t)
+	if _, err := f.lagrangeAtZero([]int{1, 1}); err == nil {
 		t.Error("duplicate abscissae accepted")
 	}
-	if _, err := LagrangeAtZero([]int{0, 1}, p); err == nil {
+	if _, err := f.lagrangeAtZero([]int{0, 1}); err == nil {
 		t.Error("zero abscissa accepted")
 	}
 }
 
-func TestAddSharesMismatchedAbscissae(t *testing.T) {
-	p := testPrime(t)
-	_, err := AddShares(Share{X: 1, Y: big.NewInt(1)}, Share{X: 2, Y: big.NewInt(1)}, p)
-	if err == nil {
-		t.Error("mismatched abscissae accepted")
-	}
-}
-
 func TestSecretReducedModP(t *testing.T) {
-	p := testPrime(t)
-	rng := fixedbig.NewDRBG("shamir-mod")
-	over := new(big.Int).Add(p, big.NewInt(5))
-	shares, err := Split(over, 1, 3, p, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Reconstruct(shares, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cmp(big.NewInt(5)) != 0 {
+	f := testPrimeField(t)
+	over := new(big.Int).Add(f.P(), big.NewInt(5))
+	shares := split(t, f, over, 1, 3, fixedbig.NewDRBG("shamir-mod"))
+	if got := reconstruct(t, f, shares, upTo(3)...); got.Cmp(big.NewInt(5)) != 0 {
 		t.Errorf("got %s, want 5", got)
 	}
 }

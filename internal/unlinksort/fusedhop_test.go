@@ -100,7 +100,7 @@ func TestFusedHopMatchesComposition(t *testing.T) {
 			// must rank alike.
 			vals := []int64{9, 4, 13, 4}
 			for _, proofs := range []bool{false, true} {
-				res, _, err := Run(Config{Group: g, L: 4, ProveDecryption: proofs}, bigs(vals...), "fused-hop-ranks")
+				res, _, err := RunCtx(context.Background(), Config{Group: g, L: 4, ProveDecryption: proofs}, bigs(vals...), "fused-hop-ranks", nil)
 				if err != nil {
 					t.Fatalf("proofs=%v: %v", proofs, err)
 				}

@@ -139,7 +139,7 @@ func TestUnsafeAblationStillRanksCorrectly(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Group: g, L: 5, UnsafeNoReRandomize: true, SkipProofs: true}
-	results, _, err := Run(cfg, bigs(9, 22, 4), "ablation")
+	results, _, err := RunCtx(context.Background(), cfg, bigs(9, 22, 4), "ablation", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestZeroPositionsUniformAcrossRuns(t *testing.T) {
 	const runs = 48
 	counts := make(map[int]int)
 	for trial := 0; trial < runs; trial++ {
-		results, _, err := Run(cfg, vals, fmt.Sprintf("uniform-%d", trial))
+		results, _, err := RunCtx(context.Background(), cfg, vals, fmt.Sprintf("uniform-%d", trial), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestProveDecryptionHonestRun(t *testing.T) {
 	}
 	cfg := Config{Group: g, L: 5, ProveDecryption: true}
 	vals := []int64{21, 4, 30, 17}
-	results, fab, err := Run(cfg, bigs(vals...), "pd-honest")
+	results, fab, err := RunCtx(context.Background(), cfg, bigs(vals...), "pd-honest", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestProveDecryptionHonestRun(t *testing.T) {
 		}
 	}
 	// The evidence inflates traffic: compare with a plain run.
-	_, fabPlain, err := Run(Config{Group: g, L: 5}, bigs(vals...), "pd-honest")
+	_, fabPlain, err := RunCtx(context.Background(), Config{Group: g, L: 5}, bigs(vals...), "pd-honest", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestProveDecryptionTwoParties(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Group: g, L: 4, ProveDecryption: true}
-	results, _, err := Run(cfg, bigs(9, 2), "pd-two")
+	results, _, err := RunCtx(context.Background(), cfg, bigs(9, 2), "pd-two", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestRandomValuesQuick(t *testing.T) {
 	f := func(a, b, c uint8) bool {
 		trial++
 		vals := []int64{int64(a % 64), int64(b % 64), int64(c % 64)}
-		results, _, err := Run(cfg, bigs(vals...), fmt.Sprintf("quick-%d", trial))
+		results, _, err := RunCtx(context.Background(), cfg, bigs(vals...), fmt.Sprintf("quick-%d", trial), nil)
 		if err != nil {
 			return false
 		}

@@ -1040,15 +1040,10 @@ func shuffle(set []elgamal.Ciphertext, rng io.Reader) error {
 	return nil
 }
 
-// Run executes the whole protocol in-process, one goroutine per party,
-// with deterministic per-party randomness derived from seed. It returns
-// the per-party results (indexed by party) and the fabric for stats and
-// trace inspection.
-func Run(cfg Config, betas []*big.Int, seed string, opts ...transport.Option) ([]Result, *transport.Fabric, error) {
-	return RunCtx(context.Background(), cfg, betas, seed, nil, opts...)
-}
-
-// RunCtx is Run with cancellation and an optional net wrapper (fault
+// RunCtx executes the whole protocol in-process, one goroutine per
+// party, with deterministic per-party randomness derived from seed. It
+// returns the per-party results (indexed by party) and the fabric for
+// stats and trace inspection. wrap, when non-nil, decorates the net (fault
 // injection hooks in here: wrap receives the shared fabric and returns
 // the Net the parties actually use). The first party to fail cancels
 // every sibling, so no goroutine is left blocked on a receive that will

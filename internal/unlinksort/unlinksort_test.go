@@ -61,7 +61,7 @@ func TestRanksBasic(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			results, _, err := Run(cfg, bigs(tc.vals...), "basic-"+tc.name)
+			results, _, err := RunCtx(context.Background(), cfg, bigs(tc.vals...), "basic-"+tc.name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +78,7 @@ func TestRanksBasic(t *testing.T) {
 func TestRanksWithTies(t *testing.T) {
 	cfg := testConfig(t, 5)
 	vals := []int64{10, 7, 10, 3, 7}
-	results, _, err := Run(cfg, bigs(vals...), "ties")
+	results, _, err := RunCtx(context.Background(), cfg, bigs(vals...), "ties", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestRanksWithTies(t *testing.T) {
 
 func TestAllEqual(t *testing.T) {
 	cfg := testConfig(t, 4)
-	results, _, err := Run(cfg, bigs(6, 6, 6), "all-equal")
+	results, _, err := RunCtx(context.Background(), cfg, bigs(6, 6, 6), "all-equal", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestAllEqual(t *testing.T) {
 
 func TestZerosMatchRank(t *testing.T) {
 	cfg := testConfig(t, 8)
-	results, _, err := Run(cfg, bigs(200, 100, 150, 50), "zeros")
+	results, _, err := RunCtx(context.Background(), cfg, bigs(200, 100, 150, 50), "zeros", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestZerosMatchRank(t *testing.T) {
 func TestSkipProofsStillRanksCorrectly(t *testing.T) {
 	cfg := testConfig(t, 4)
 	cfg.SkipProofs = true
-	results, _, err := Run(cfg, bigs(3, 9, 6), "skip-proofs")
+	results, _, err := RunCtx(context.Background(), cfg, bigs(3, 9, 6), "skip-proofs", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestSkipProofsStillRanksCorrectly(t *testing.T) {
 
 func TestOverEllipticCurve(t *testing.T) {
 	cfg := Config{Group: group.Secp160r1(), L: 4}
-	results, _, err := Run(cfg, bigs(11, 2, 7), "ec-run")
+	results, _, err := RunCtx(context.Background(), cfg, bigs(11, 2, 7), "ec-run", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,27 +147,27 @@ func TestOverEllipticCurve(t *testing.T) {
 
 func TestValueOutOfRange(t *testing.T) {
 	cfg := testConfig(t, 4)
-	if _, _, err := Run(cfg, bigs(16, 1), "overflow"); err == nil {
+	if _, _, err := RunCtx(context.Background(), cfg, bigs(16, 1), "overflow", nil); err == nil {
 		t.Error("value exceeding L bits accepted")
 	}
-	if _, _, err := Run(cfg, bigs(-1, 1), "negative"); err == nil {
+	if _, _, err := RunCtx(context.Background(), cfg, bigs(-1, 1), "negative", nil); err == nil {
 		t.Error("negative value accepted")
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, _, err := Run(Config{L: 4}, bigs(1, 2), "no-group"); err == nil {
+	if _, _, err := RunCtx(context.Background(), Config{L: 4}, bigs(1, 2), "no-group", nil); err == nil {
 		t.Error("missing group accepted")
 	}
 	cfg := testConfig(t, 0)
-	if _, _, err := Run(cfg, bigs(1, 2), "zero-l"); err == nil {
+	if _, _, err := RunCtx(context.Background(), cfg, bigs(1, 2), "zero-l", nil); err == nil {
 		t.Error("zero bit width accepted")
 	}
 }
 
 func TestSinglePartyRejected(t *testing.T) {
 	cfg := testConfig(t, 4)
-	if _, _, err := Run(cfg, bigs(3), "single"); err == nil {
+	if _, _, err := RunCtx(context.Background(), cfg, bigs(3), "single", nil); err == nil {
 		t.Error("single party accepted")
 	}
 }
@@ -177,7 +177,7 @@ func TestCommunicationShape(t *testing.T) {
 	// rounds (Section VI-B).
 	cfg := testConfig(t, 4)
 	vals := bigs(1, 5, 9, 13, 7)
-	_, fab, err := Run(cfg, vals, "shape")
+	_, fab, err := RunCtx(context.Background(), cfg, vals, "shape", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRankUnaffectedByChainOrder(t *testing.T) {
 	vals := bigs(33, 21, 45, 8)
 	var first []int
 	for trial := 0; trial < 3; trial++ {
-		results, _, err := Run(cfg, vals, fmt.Sprintf("order-%d", trial))
+		results, _, err := RunCtx(context.Background(), cfg, vals, fmt.Sprintf("order-%d", trial), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestManyValuesRandomised(t *testing.T) {
 	}
 	cfg := testConfig(t, 10)
 	vals := []int64{513, 12, 1023, 0, 768, 256, 255, 700}
-	results, _, err := Run(cfg, bigs(vals...), "many")
+	results, _, err := RunCtx(context.Background(), cfg, bigs(vals...), "many", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestDroppedMessageFailsCleanly(t *testing.T) {
 			return e.Round >= roundChainBase // kill the whole chain
 		}),
 	}
-	_, _, err := Run(cfg, bigs(1, 2, 3), "dropped", opts...)
+	_, _, err := RunCtx(context.Background(), cfg, bigs(1, 2, 3), "dropped", nil, opts...)
 	if err == nil {
 		t.Fatal("dropped chain messages must surface as an error")
 	}
@@ -375,7 +375,7 @@ func TestUnlinkabilityShuffleUniformity(t *testing.T) {
 	vals := bigs(20, 10)
 	ranksSeen := make(map[string]bool)
 	for trial := 0; trial < 5; trial++ {
-		results, _, err := Run(cfg, vals, fmt.Sprintf("uniform-%d", trial))
+		results, _, err := RunCtx(context.Background(), cfg, vals, fmt.Sprintf("uniform-%d", trial), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

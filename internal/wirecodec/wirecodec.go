@@ -71,7 +71,7 @@ const (
 	// (elgamal, zkp): 16–31.
 	IDRangeCrypto uint16 = 16
 	// IDRangeProtocol is the base ID for protocol messages
-	// (unlinksort, dotprod, ssmpc, topk): 32–63.
+	// (unlinksort, dotprod, ssmpc): 32–63.
 	IDRangeProtocol uint16 = 32
 	// IDRangeCore is the base ID for session-layer messages: 64–79.
 	IDRangeCore uint16 = 64
