@@ -11,10 +11,11 @@ RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./i
 
 # Packages with fuzz targets guarding the untrusted decode boundaries
 # (group element parsing, wirecodec frames, transport pumps, the rankd
-# control codecs) and the two limb fields against math/big. `make
-# fuzz` runs each target briefly — a smoke pass over the corpora plus a
-# little fresh exploration, fast enough for check.
-FUZZ_PKGS := ./internal/group/ ./internal/shamir/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/ ./internal/service/
+# control codecs), and the one limb field and what the curve kernel and
+# the secret-sharing stack build on it, against math/big. `make fuzz`
+# runs each target briefly — a smoke pass over the corpora plus a little
+# fresh exploration, fast enough for check.
+FUZZ_PKGS := ./internal/field/ ./internal/group/ ./internal/shamir/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/ ./internal/service/
 FUZZ_TIME ?= 2s
 
 # Internal packages that only tests import, exempt from the reachability
@@ -30,9 +31,10 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 
 # staticcheck is optional tooling: run it when the developer has it
 # installed, stay silent (and green) when they do not.
-# The 386 passes over internal/group and internal/shamir type-check the
-# two limb fields where big.Word is 32 bits wide, the target their
-# big.Int conversions must not make assumptions about.
+# The 386 passes over internal/field, internal/group and internal/shamir
+# type-check the limb field and its two users where big.Word is 32 bits
+# wide, the target their big.Int conversions must not make assumptions
+# about.
 # The dependency check keeps wirecodec the only serializer: nothing the
 # module builds (tests aside) may pull encoding/gob back in, directly or
 # through a dependency.
@@ -46,6 +48,7 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # graph of . and ./cmd/..., apart from REACH_ALLOW below.
 vet:
 	$(GO) vet ./...
+	GOARCH=386 $(GO) vet ./internal/field/
 	GOARCH=386 $(GO) vet ./internal/group/
 	GOARCH=386 $(GO) vet ./internal/shamir/
 	@unformatted=$$(gofmt -l *.go bench cmd examples internal); if [ -n "$$unformatted" ]; then \
@@ -70,12 +73,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The two limb fields on 32-bit words: on 386, bits.Mul64 and friends
-# are emulated and big.Word is 32 bits wide, so this is the one run that
-# executes group/field.go (both widths) and shamir/field.go, and their
-# big.Int conversions, where the native word is not 64 bits.
+# The limb field on 32-bit words: on 386, bits.Mul64 and friends are
+# emulated and big.Word is 32 bits wide, so this is the one run that
+# executes internal/field (all three widths), the curve kernel and the
+# SS field on it, and their big.Int conversions, where the native word
+# is not 64 bits.
 test-386:
-	GOARCH=386 $(GO) test -short ./internal/group/ ./internal/shamir/
+	GOARCH=386 $(GO) test -short ./internal/field/ ./internal/group/ ./internal/shamir/
 
 # Short mode keeps the race pass fast; the full chaos sweep runs
 # race-free in `test` and under the detector via `make race-full`.

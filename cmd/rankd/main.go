@@ -135,7 +135,12 @@ func run() int {
 		log.Printf("durable mode: journals under %s", *journalDir)
 	}
 
-	srv := &http.Server{Handler: d.Handler()}
+	// net/http counts a connection that has not sent its first request as
+	// busy for 5 s, so one a client dialled ahead of use would hold
+	// Shutdown, and SIGTERM's exit, that long. The header deadline closes
+	// such a connection after a second instead; requests themselves are a
+	// few hundred bytes sent at once.
+	srv := &http.Server{Handler: d.Handler(), ReadHeaderTimeout: time.Second}
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.Serve(apiLn) }()
 	role := "participant"

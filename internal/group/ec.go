@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"groupranking/internal/field"
 )
 
 // ECGroup is a prime-order group of points on a short-Weierstrass curve
@@ -158,7 +160,7 @@ func (g *ECGroup) Exp(a Element, k *big.Int) Element {
 	if e.Sign() == 0 || pt.inf {
 		return ecPoint{inf: true}
 	}
-	base, el := g.kern.lift(pt), limbsFromBig(e)
+	base, el := g.kern.lift(pt), field.Limbs(e)
 	var r jacPt
 	g.kern.scalarMul(&r, &base, &el)
 	return g.kern.lower(&r)

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"math/big"
 	"testing"
+
+	"groupranking/internal/field"
+	"groupranking/internal/fixedbig"
 )
 
 func FuzzDLDecode(f *testing.F) {
@@ -43,40 +46,81 @@ func FuzzECDecode(f *testing.F) {
 	})
 }
 
-// FuzzFieldAgainstBig holds every limb-field operation to math/big at
-// each fieldCases modulus — the three curve primes and the moduli around
-// the 192-bit width boundary — and, below it, the narrow bodies to the
-// wide ones. The operands arrive as raw limbs; values at or above p are
-// not field elements and must be refused at the conversion boundary.
+// FuzzFieldAgainstBig holds the kernel's side of the field boundary to
+// math/big at each curve modulus (the field arithmetic itself is fuzzed
+// in internal/field): lift reduces raw coordinates, as a hostile peer may
+// send them, to the point they stand for, and lower and normalise
+// project a Jacobian point (X, Y, Z) to (X/Z², Y/Z³), with Z ≡ 0 the
+// identity. The operands arrive as raw limbs, at or above p as often as
+// not.
 func FuzzFieldAgainstBig(f *testing.F) {
-	cases := fieldCases()
-	max := ^uint64(0)
-	for which, c := range cases {
+	curves := kernelCurves()
+	for which, g := range curves {
 		w := uint8(which)
-		pm1 := limbsFromBig(new(big.Int).Sub(c.p, big.NewInt(1)))
-		f.Add(w, uint64(0), uint64(0), uint64(0), uint64(0), uint64(1), uint64(0), uint64(0), uint64(0))
-		f.Add(w, pm1[0], pm1[1], pm1[2], pm1[3], pm1[0], pm1[1], pm1[2], pm1[3])
-		f.Add(w, max, uint64(0), uint64(0), uint64(0), uint64(0), max, uint64(0), uint64(0))
-		f.Add(w, uint64(0), uint64(0), max, uint64(0), uint64(0), uint64(0), uint64(0), max)
-		f.Add(w, max, max, pm1[2], pm1[3], pm1[0], max, pm1[2], pm1[3])
-		pl := c.f.p
-		f.Add(w, pl[0], pl[1], pl[2], pl[3], uint64(1), uint64(0), uint64(0), uint64(0)) // p itself
-	}
-	f.Fuzz(func(t *testing.T, which uint8, a0, a1, a2, a3, b0, b1, b2, b3 uint64) {
-		c := &cases[int(which)%len(cases)]
-		a, b := bigFromLimbs([4]uint64{a0, a1, a2, a3}), bigFromLimbs([4]uint64{b0, b1, b2, b3})
-		reduced := true
-		for _, v := range []*big.Int{a, b} {
-			var x fe
-			if ok := c.f.fromBig(&x, v); ok != (v.Cmp(c.p) < 0) {
-				t.Fatalf("%s: fromBig(%x) = %v", c.name, v, ok)
-			}
-			reduced = reduced && v.Cmp(c.p) < 0
+		add := func(x, y, z *big.Int) {
+			lx, ly, lz := field.Limbs(x), field.Limbs(y), field.Limbs(z)
+			f.Add(w, lx[0], lx[1], lx[2], lx[3], ly[0], ly[1], ly[2], ly[3], lz[0], lz[1], lz[2], lz[3])
 		}
-		if reduced {
-			checkCase(t, c, a, b)
+		one, pm1, pp1 := big.NewInt(1), new(big.Int).Sub(g.p, big.NewInt(1)), new(big.Int).Add(g.p, big.NewInt(1))
+		max := new(big.Int).Sub(new(big.Int).Lsh(one, 256), one)
+		add(new(big.Int), new(big.Int), new(big.Int))
+		add(one, one, one)
+		add(pm1, pm1, pm1)
+		add(g.p, g.p, g.p) // every coordinate ≡ 0, Z among them
+		add(max, max, max)
+		add(pp1, pm1, pp1) // Z ≡ 1, unreduced
+		rng := fixedbig.NewDRBG("kernel-field-fuzz-" + g.name)
+		for i := 0; i < 10; i++ {
+			x, _ := fixedbig.RandBits(rng, 256)
+			y, _ := fixedbig.RandInt(rng, g.p)
+			z, _ := fixedbig.RandBits(rng, 256)
+			add(x, y, z)
+		}
+	}
+	f.Fuzz(func(t *testing.T, which uint8, x0, x1, x2, x3, y0, y1, y2, y3, z0, z1, z2, z3 uint64) {
+		g := curves[int(which)%len(curves)]
+		k, p := g.kern, g.p
+		x, y, z := bigFromLimbs(x0, x1, x2, x3), bigFromLimbs(y0, y1, y2, y3), bigFromLimbs(z0, z1, z2, z3)
+		mod := func(v *big.Int) *big.Int { return new(big.Int).Mod(v, p) }
+		far := new(big.Int).Lsh(p, 300)
+		for _, pt := range []ecPoint{{x: x, y: y}, {x: new(big.Int).Add(x, far), y: new(big.Int).Add(y, p)}} {
+			a := k.lift(pt)
+			if got := k.element(&a); got.x.Cmp(mod(x)) != 0 || got.y.Cmp(mod(y)) != 0 {
+				t.Fatalf("%s: lift(%x, %x) = (%x, %x)", g.name, pt.x, pt.y, got.x, got.y)
+			}
+		}
+		a := k.lift(ecPoint{x: x, y: y})
+		jac := jacPt{a.x, a.y, k.Reduce(z)}
+		want := ecPoint{inf: true}
+		if zi := new(big.Int).ModInverse(z, p); zi != nil {
+			zi2 := mod(new(big.Int).Mul(zi, zi))
+			zi3 := mod(new(big.Int).Mul(zi2, zi))
+			want = ecPoint{x: mod(zi2.Mul(zi2, x)), y: mod(zi3.Mul(zi3, y))}
+		}
+		same := func(a, b ecPoint) bool {
+			return a.inf == b.inf && (a.inf || a.x.Cmp(b.x) == 0 && a.y.Cmp(b.y) == 0)
+		}
+		if got := k.lower(&jac); !same(got, want) {
+			t.Fatalf("%s: lower(%x, %x, %x) = %v, want %v", g.name, x, y, z, got, want)
+		}
+		batch := []jacPt{jac, {}, k.toJac(&a)}
+		wants := []ecPoint{want, {inf: true}, {x: mod(x), y: mod(y)}}
+		for i, n := range k.normalise(batch) {
+			if got := k.element(&n); !same(got, wants[i]) {
+				t.Fatalf("%s: normalise entry %d of (%x, %x, %x) = %v, want %v", g.name, i, x, y, z, got, wants[i])
+			}
 		}
 	})
+}
+
+// bigFromLimbs reads little-endian limbs as an integer, without going
+// through the code under test.
+func bigFromLimbs(l ...uint64) *big.Int {
+	v := new(big.Int)
+	for i := len(l) - 1; i >= 0; i-- {
+		v.Lsh(v, 64).Or(v, new(big.Int).SetUint64(l[i]))
+	}
+	return v
 }
 
 // FuzzExpAgainstGeneric holds the kernel's Exp and Op to the math/big

@@ -3,31 +3,32 @@ package group
 import (
 	"errors"
 	"math/big"
+
+	"groupranking/internal/field"
 )
 
-// The limb curve kernel: Jacobian point arithmetic over montField for
-// short-Weierstrass curves with a = −3, the shape of every named curve
-// in curves.go. It is the one curve arithmetic: newECGroup attaches one
-// to every group, and Exp, Op, MultiExp (multiexp.go) and the fixed-base
-// comb run here on limb values. Elements stay affine big.Int pairs
-// outside, so encodings and protocol transcripts do not depend on the
-// limb representation; FuzzExpAgainstGeneric and
-// FuzzMultiExpAgainstGeneric hold the kernel to a math/big reference
-// curve that only the tests carry.
+// The limb curve kernel: Jacobian point arithmetic over the shared limb
+// field (internal/field) for short-Weierstrass curves with a = −3, the
+// shape of every named curve in curves.go. It is the one curve
+// arithmetic: newECGroup attaches one to every group, and Exp, Op,
+// MultiExp (multiexp.go) and the fixed-base comb run here on limb
+// values. Elements stay affine big.Int pairs outside, so encodings and
+// protocol transcripts do not depend on the limb representation;
+// FuzzExpAgainstGeneric and FuzzMultiExpAgainstGeneric hold the kernel
+// to a math/big reference curve that only the tests carry.
 
 // curveKernel is the arithmetic engine of one curve.
 type curveKernel struct {
-	montField
-	prime *big.Int // montField.p again, to reduce out-of-range coordinates
+	field.Field
 }
 
 // jacPt is a Jacobian point (X/Z², Y/Z³) in Montgomery form; Z = 0
 // encodes the point at infinity.
-type jacPt struct{ x, y, z fe }
+type jacPt struct{ x, y, z field.Elem }
 
 // affPt is an affine point in Montgomery form.
 type affPt struct {
-	x, y fe
+	x, y field.Elem
 	inf  bool
 }
 
@@ -38,11 +39,11 @@ var errCurveShape = errors.New("the curve kernel takes a = −3 with p and n of 
 // a ≠ −3, the field is wider than four limbs, or the order's scalars
 // would not fit them.
 func newCurveKernel(p, a, n *big.Int) (*curveKernel, error) {
-	f, ok := newMontField(p)
-	if !ok || n.BitLen() > 256 || new(big.Int).Add(a, big.NewInt(3)).Cmp(p) != 0 {
+	f, err := field.New(p)
+	if err != nil || n.BitLen() > 256 || new(big.Int).Add(a, big.NewInt(3)).Cmp(p) != 0 {
 		return nil, errCurveShape
 	}
-	return &curveKernel{montField: f, prime: p}, nil
+	return &curveKernel{f}, nil
 }
 
 // lift converts an affine element. Coordinates a peer sent unreduced
@@ -52,14 +53,7 @@ func (k *curveKernel) lift(pt ecPoint) affPt {
 	if pt.inf {
 		return affPt{inf: true}
 	}
-	var r affPt
-	if !k.fromBig(&r.x, pt.x) {
-		k.fromBig(&r.x, new(big.Int).Mod(pt.x, k.prime))
-	}
-	if !k.fromBig(&r.y, pt.y) {
-		k.fromBig(&r.y, new(big.Int).Mod(pt.y, k.prime))
-	}
-	return r
+	return affPt{x: k.Reduce(pt.x), y: k.Reduce(pt.y)}
 }
 
 // toJac lifts an affine point to Jacobian coordinates.
@@ -67,7 +61,7 @@ func (k *curveKernel) toJac(a *affPt) jacPt {
 	if a.inf {
 		return jacPt{}
 	}
-	return jacPt{a.x, a.y, k.one}
+	return jacPt{a.x, a.y, k.One()}
 }
 
 // lower projects a Jacobian point to an affine element: the one field
@@ -75,13 +69,13 @@ func (k *curveKernel) toJac(a *affPt) jacPt {
 // an identity operand passes the other one through) is affine as it
 // stands.
 func (k *curveKernel) lower(pt *jacPt) ecPoint {
-	if pt.z.isZero() {
+	if pt.z.IsZero() {
 		return ecPoint{inf: true}
 	}
 	a := affPt{x: pt.x, y: pt.y}
-	if pt.z != k.one {
-		var zi fe
-		k.inv(&zi, &pt.z)
+	if pt.z != k.One() {
+		var zi field.Elem
+		k.Inv(&zi, &pt.z)
 		k.scale(&a, pt, &zi)
 	}
 	return k.element(&a)
@@ -93,16 +87,16 @@ func (k *curveKernel) element(a *affPt) ecPoint {
 	if a.inf {
 		return ecPoint{inf: true}
 	}
-	return ecPoint{x: k.toBig(&a.x), y: k.toBig(&a.y)}
+	return ecPoint{x: k.ToBig(&a.x), y: k.ToBig(&a.y)}
 }
 
 // scale sets a = (X·zi², Y·zi³), the affine form of pt given zi = Z⁻¹.
-func (k *curveKernel) scale(a *affPt, pt *jacPt, zi *fe) {
-	var zi2 fe
-	k.sqr(&zi2, zi)
-	k.mul(&a.x, &pt.x, &zi2)
-	k.mul(&zi2, &zi2, zi)
-	k.mul(&a.y, &pt.y, &zi2)
+func (k *curveKernel) scale(a *affPt, pt *jacPt, zi *field.Elem) {
+	var zi2 field.Elem
+	k.Mul(&zi2, zi, zi)
+	k.Mul(&a.x, &pt.x, &zi2)
+	k.Mul(&zi2, &zi2, zi)
+	k.Mul(&a.y, &pt.y, &zi2)
 }
 
 // normalise projects a batch of Jacobian points to affine with one
@@ -111,23 +105,23 @@ func (k *curveKernel) scale(a *affPt, pt *jacPt, zi *fe) {
 // walking back peels off one Z⁻¹ per point for two multiplications.
 func (k *curveKernel) normalise(pts []jacPt) []affPt {
 	out := make([]affPt, len(pts))
-	acc := k.one
+	acc := k.One()
 	for i := range pts {
 		out[i].x = acc
-		if !pts[i].z.isZero() {
-			k.mul(&acc, &acc, &pts[i].z)
+		if !pts[i].z.IsZero() {
+			k.Mul(&acc, &acc, &pts[i].z)
 		}
 	}
-	k.inv(&acc, &acc)
+	k.Inv(&acc, &acc)
 	for i := len(pts) - 1; i >= 0; i-- {
 		pt := &pts[i]
-		if pt.z.isZero() {
+		if pt.z.IsZero() {
 			out[i] = affPt{inf: true}
 			continue
 		}
-		var zi fe
-		k.mul(&zi, &acc, &out[i].x)
-		k.mul(&acc, &acc, &pt.z)
+		var zi field.Elem
+		k.Mul(&zi, &acc, &out[i].x)
+		k.Mul(&acc, &acc, &pt.z)
 		k.scale(&out[i], pt, &zi)
 	}
 	return out
@@ -138,50 +132,50 @@ func (k *curveKernel) normalise(pts []jacPt) []affPt {
 // with S and 8Y⁴ both reached through T = 2Y² to save field additions.
 // Infinity and points of order two need no branch: both give Z' = 0.
 func (k *curveKernel) double(r, p *jacPt) {
-	var z2, m, t, s, x3, y3, z3 fe
-	k.sqr(&z2, &p.z)
-	k.sub(&m, &p.x, &z2)
-	k.add(&t, &p.x, &z2)
-	k.mul(&m, &m, &t)
-	k.add(&t, &m, &m)
-	k.add(&m, &t, &m)
-	k.sqr(&t, &p.y)
-	k.add(&t, &t, &t) // T = 2Y²
-	k.mul(&s, &p.x, &t)
-	k.add(&s, &s, &s) // S = 2XT
-	k.sqr(&x3, &m)
-	k.sub(&x3, &x3, &s)
-	k.sub(&x3, &x3, &s)
-	k.sqr(&t, &t)
-	k.add(&t, &t, &t) // 8Y⁴ = 2T²
-	k.sub(&y3, &s, &x3)
-	k.mul(&y3, &m, &y3)
-	k.sub(&y3, &y3, &t)
-	k.mul(&z3, &p.y, &p.z)
-	k.add(&z3, &z3, &z3)
+	var z2, m, t, s, x3, y3, z3 field.Elem
+	k.Mul(&z2, &p.z, &p.z)
+	k.Sub(&m, &p.x, &z2)
+	k.Add(&t, &p.x, &z2)
+	k.Mul(&m, &m, &t)
+	k.Add(&t, &m, &m)
+	k.Add(&m, &t, &m)
+	k.Mul(&t, &p.y, &p.y)
+	k.Add(&t, &t, &t) // T = 2Y²
+	k.Mul(&s, &p.x, &t)
+	k.Add(&s, &s, &s) // S = 2XT
+	k.Mul(&x3, &m, &m)
+	k.Sub(&x3, &x3, &s)
+	k.Sub(&x3, &x3, &s)
+	k.Mul(&t, &t, &t)
+	k.Add(&t, &t, &t) // 8Y⁴ = 2T²
+	k.Sub(&y3, &s, &x3)
+	k.Mul(&y3, &m, &y3)
+	k.Sub(&y3, &y3, &t)
+	k.Mul(&z3, &p.y, &p.z)
+	k.Add(&z3, &z3, &z3)
 	*r = jacPt{x3, y3, z3}
 }
 
 // addJac sets r = p + q for two Jacobian points (12M + 4S).
 func (k *curveKernel) addJac(r, p, q *jacPt) {
-	if p.z.isZero() {
+	if p.z.IsZero() {
 		*r = *q
 		return
 	}
-	if q.z.isZero() {
+	if q.z.IsZero() {
 		*r = *p
 		return
 	}
-	var z1z1, z2z2, u1, u2, s1, s2, zz fe
-	k.sqr(&z1z1, &p.z)
-	k.sqr(&z2z2, &q.z)
-	k.mul(&u1, &p.x, &z2z2)
-	k.mul(&u2, &q.x, &z1z1)
-	k.mul(&s1, &p.y, &q.z)
-	k.mul(&s1, &s1, &z2z2)
-	k.mul(&s2, &q.y, &p.z)
-	k.mul(&s2, &s2, &z1z1)
-	k.mul(&zz, &p.z, &q.z)
+	var z1z1, z2z2, u1, u2, s1, s2, zz field.Elem
+	k.Mul(&z1z1, &p.z, &p.z)
+	k.Mul(&z2z2, &q.z, &q.z)
+	k.Mul(&u1, &p.x, &z2z2)
+	k.Mul(&u2, &q.x, &z1z1)
+	k.Mul(&s1, &p.y, &q.z)
+	k.Mul(&s1, &s1, &z2z2)
+	k.Mul(&s2, &q.y, &p.z)
+	k.Mul(&s2, &s2, &z1z1)
+	k.Mul(&zz, &p.z, &q.z)
 	k.addTail(r, p, &u1, &s1, &u2, &s2, &zz)
 }
 
@@ -193,51 +187,51 @@ func (k *curveKernel) addAffine(r, p *jacPt, q *affPt) {
 		*r = *p
 		return
 	}
-	if p.z.isZero() {
+	if p.z.IsZero() {
 		*r = k.toJac(q)
 		return
 	}
-	var z1z1, u2, s2 fe
-	k.sqr(&z1z1, &p.z)
-	k.mul(&u2, &q.x, &z1z1)
-	k.mul(&s2, &q.y, &p.z)
-	k.mul(&s2, &s2, &z1z1)
+	var z1z1, u2, s2 field.Elem
+	k.Mul(&z1z1, &p.z, &p.z)
+	k.Mul(&u2, &q.x, &z1z1)
+	k.Mul(&s2, &q.y, &p.z)
+	k.Mul(&s2, &s2, &z1z1)
 	k.addTail(r, p, &p.x, &p.y, &u2, &s2, &p.z)
 }
 
 // addTail finishes an addition from the operands brought to a common
 // denominator: (U1, S1) is p, (U2, S2) the other point, zz = Z1·Z2.
 // Equal U means the same or opposite points.
-func (k *curveKernel) addTail(r, p *jacPt, u1, s1, u2, s2, zz *fe) {
-	var h, rr, h2, h3, v, x3, y3, z3, t fe
-	k.sub(&h, u2, u1)
-	k.sub(&rr, s2, s1)
-	if h.isZero() {
-		if rr.isZero() {
+func (k *curveKernel) addTail(r, p *jacPt, u1, s1, u2, s2, zz *field.Elem) {
+	var h, rr, h2, h3, v, x3, y3, z3, t field.Elem
+	k.Sub(&h, u2, u1)
+	k.Sub(&rr, s2, s1)
+	if h.IsZero() {
+		if rr.IsZero() {
 			k.double(r, p)
 		} else {
 			*r = jacPt{}
 		}
 		return
 	}
-	k.sqr(&h2, &h)
-	k.mul(&h3, &h2, &h)
-	k.mul(&v, u1, &h2)
-	k.sqr(&x3, &rr)
-	k.sub(&x3, &x3, &h3)
-	k.sub(&x3, &x3, &v)
-	k.sub(&x3, &x3, &v)
-	k.sub(&t, &v, &x3)
-	k.mul(&y3, &rr, &t)
-	k.mul(&t, s1, &h3)
-	k.sub(&y3, &y3, &t)
-	k.mul(&z3, &h, zz)
+	k.Mul(&h2, &h, &h)
+	k.Mul(&h3, &h2, &h)
+	k.Mul(&v, u1, &h2)
+	k.Mul(&x3, &rr, &rr)
+	k.Sub(&x3, &x3, &h3)
+	k.Sub(&x3, &x3, &v)
+	k.Sub(&x3, &x3, &v)
+	k.Sub(&t, &v, &x3)
+	k.Mul(&y3, &rr, &t)
+	k.Mul(&t, s1, &h3)
+	k.Sub(&y3, &y3, &t)
+	k.Mul(&z3, &h, zz)
 	*r = jacPt{x3, y3, z3}
 }
 
-// bitsAt returns the n ≤ 8 bits of x starting at bit i; bits beyond
-// 256 read as zero.
-func (x *fe) bitsAt(i, n int) uint {
+// bitsAt returns the n ≤ 8 bits of the scalar limbs x starting at bit
+// i; bits beyond 256 read as zero.
+func bitsAt(x *[4]uint64, i, n int) uint {
 	limb, off := i>>6, uint(i&63)
 	if limb >= len(x) {
 		return 0
@@ -258,15 +252,15 @@ const wnafWidth = 5
 // length. It scans e with a carry instead of rewriting it: an odd
 // window of 16 or more becomes the negative digit w − 32 and carries
 // into the next window.
-func wnafRecode(digits *[257]int8, e *fe) int {
+func wnafRecode(digits *[257]int8, e *[4]uint64) int {
 	n := 0
 	var carry uint
 	for i := 0; i < len(digits); {
-		if e.bitsAt(i, 1) == carry {
+		if bitsAt(e, i, 1) == carry {
 			i++ // bit plus carry is even: a zero digit
 			continue
 		}
-		w := e.bitsAt(i, wnafWidth) + carry
+		w := bitsAt(e, i, wnafWidth) + carry
 		carry = w >> (wnafWidth - 1)
 		digits[i] = int8(w) - int8(carry<<wnafWidth)
 		n = i + 1
@@ -280,7 +274,7 @@ func wnafRecode(digits *[257]int8, e *fe) int {
 // 1P … 15P for a full-width scalar, one or two entries for the
 // comparison circuit's 5-bit weights), then one doubling per digit and
 // one addition per non-zero digit.
-func (k *curveKernel) scalarMul(r *jacPt, base *affPt, e *fe) {
+func (k *curveKernel) scalarMul(r *jacPt, base *affPt, e *[4]uint64) {
 	var digits [257]int8
 	n := wnafRecode(&digits, e)
 	var largest int8
@@ -297,7 +291,7 @@ func (k *curveKernel) scalarMul(r *jacPt, base *affPt, e *fe) {
 			k.addJac(r, r, &pre[d>>1])
 		case d < 0:
 			neg := pre[(-d)>>1]
-			k.neg(&neg.y, &neg.y)
+			k.Neg(&neg.y, &neg.y)
 			k.addJac(r, r, &neg)
 		}
 	}
@@ -324,10 +318,10 @@ func newKernelComb(g *ECGroup, base Element, window uint) func(*big.Int) Element
 	}
 	table := k.normalise(jac)
 	return func(e *big.Int) Element {
-		el := limbsFromBig(e)
+		el := field.Limbs(e)
 		var acc jacPt
 		for i := 0; i < nWin; i++ {
-			if d := el.bitsAt(i*w, w); d != 0 {
+			if d := bitsAt(&el, i*w, w); d != 0 {
 				k.addAffine(&acc, &acc, &table[i*size+int(d)-1])
 			}
 		}

@@ -5,8 +5,14 @@ import (
 	"math/big"
 	"testing"
 
+	"groupranking/internal/field"
 	"groupranking/internal/fixedbig"
 )
+
+// kernelCurves returns the three named curves, all kernel-backed.
+func kernelCurves() []*ECGroup {
+	return []*ECGroup{Secp160r1(), Secp224r1(), Secp256r1()}
+}
 
 // checkExpAgainstGeneric holds the kernel to the oracle on base^k and on
 // the Op cases that hit addition's special branches.
@@ -185,23 +191,23 @@ func TestFastExpMatchesGeneric(t *testing.T) {
 // TestNamedCurvesUseKernel pins the property the performance rests on:
 // whichever way a named curve is reached, it is the one group value with
 // its one generator table. It also pins the field width: secp160r1 on
-// the three-limb bodies, the wider curves on the four-limb loop, so that
-// a refactor cannot silently widen secp160r1.
+// three limbs, the wider curves on four, so that a refactor cannot
+// silently widen secp160r1.
 func TestNamedCurvesUseKernel(t *testing.T) {
 	typed := map[string]struct {
-		g      *ECGroup
-		narrow bool
+		g     *ECGroup
+		limbs int
 	}{
-		"secp160r1": {Secp160r1(), true},
-		"secp224r1": {Secp224r1(), false},
-		"secp256r1": {Secp256r1(), false},
+		"secp160r1": {Secp160r1(), 3},
+		"secp224r1": {Secp224r1(), 4},
+		"secp256r1": {Secp256r1(), 4},
 	}
 	for name, want := range typed {
 		if got := mustByName(t, name); got != Group(want.g) {
 			t.Errorf("%s: ByName and the typed constructor return different groups", name)
 		}
-		if got := want.g.kern.narrow; got != want.narrow {
-			t.Errorf("%s: kernel field narrow = %v, want %v", name, got, want.narrow)
+		if got := want.g.kern.Width(); got != want.limbs {
+			t.Errorf("%s: kernel field on %d limbs, want %d", name, got, want.limbs)
 		}
 	}
 }
@@ -289,7 +295,7 @@ func TestWnafRecode(t *testing.T) {
 		cases = append(cases, e)
 	}
 	for _, e := range cases {
-		limbs := limbsFromBig(e)
+		limbs := field.Limbs(e)
 		var digits [257]int8
 		n := wnafRecode(&digits, &limbs)
 		sum := new(big.Int)
@@ -339,51 +345,6 @@ func TestKernelHandlesUnreducedCoordinates(t *testing.T) {
 		t.Fatal("Op of unreduced coordinates and the identity is not the reduced point")
 	}
 }
-
-// benchOperands draws 256 non-zero elements of g's field, in Montgomery
-// form. The field benchmarks cycle through them: a benchmark that feeds
-// an operation its own output revisits a handful of values, and the
-// binary Euclid's data-dependent branches are then learned, not paid.
-func benchOperands(b *testing.B, g *ECGroup) *[256]fe {
-	rng := fixedbig.NewDRBG("bench-field-" + g.name)
-	var xs [256]fe
-	for i := range xs {
-		v, err := fixedbig.RandNonZero(rng, g.p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		g.kern.fromBig(&xs[i], v)
-	}
-	return &xs
-}
-
-func BenchmarkFieldMul(b *testing.B) {
-	for _, g := range kernelCurves() {
-		f, xs := &g.kern.montField, benchOperands(b, g)
-		b.Run(g.name, func(b *testing.B) {
-			acc := f.one
-			for i := 0; i < b.N; i++ {
-				f.mul(&acc, &acc, &xs[i&255])
-			}
-			benchSink = acc
-		})
-	}
-}
-
-func BenchmarkFieldInv(b *testing.B) {
-	for _, g := range kernelCurves() {
-		f, xs := &g.kern.montField, benchOperands(b, g)
-		b.Run(g.name, func(b *testing.B) {
-			var z fe
-			for i := 0; i < b.N; i++ {
-				f.inv(&z, &xs[i&255])
-			}
-			benchSink = z
-		})
-	}
-}
-
-var benchSink fe
 
 func BenchmarkExp(b *testing.B) {
 	toy, err := ToyDL256()

@@ -1,6 +1,10 @@
 package group
 
-import "math/big"
+import (
+	"math/big"
+
+	"groupranking/internal/field"
+)
 
 // Multi-scalar exponentiation: a batch of products Π base^exp evaluated
 // together. On the limb kernel a product of several powers runs one
@@ -76,12 +80,12 @@ func (k *curveKernel) oddMultiples(tab []jacPt, base *affPt) {
 // scalarLimbs returns |e| mod n as limbs, and whether e is negative:
 // e·P = ±(|e| mod n)·P, so a short negative scalar stays short where
 // reducing e itself would stretch it to the width of n.
-func scalarLimbs(e, n *big.Int) (fe, bool) {
+func scalarLimbs(e, n *big.Int) ([4]uint64, bool) {
 	neg := e.Sign() < 0
 	if e.CmpAbs(n) >= 0 {
 		e = new(big.Int).Mod(new(big.Int).Abs(e), n)
 	}
-	return limbsFromBig(e), neg // FillBytes reads the absolute value
+	return field.Limbs(e), neg // FillBytes reads the absolute value
 }
 
 // recodedTerm is one term of a product ready for the Straus loop.
@@ -148,7 +152,7 @@ func (k *curveKernel) straus(r *jacPt, terms []recodedTerm) {
 			}
 			pt := t.tab[d>>1]
 			if minus != t.neg {
-				k.neg(&pt.y, &pt.y)
+				k.Neg(&pt.y, &pt.y)
 			}
 			k.addAffine(r, r, &pt)
 		}

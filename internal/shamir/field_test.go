@@ -7,25 +7,25 @@ import (
 	"math/big"
 	"testing"
 
+	"groupranking/internal/field"
 	"groupranking/internal/fixedbig"
 )
 
-// testField is one prime under test, with the wide (R = 2^256) twin of
-// a narrow field so the two multiply bodies can be set against each
-// other on the same prime.
+// testField is one prime under test.
 type testField struct {
 	name string
 	p    *big.Int
 	f    *Field
-	wide *Field // nil when p ≥ 2^128: only one body applies
 }
 
 // testFields covers every width class — the benchmark's 75 bits, the
-// paper's default 110, both sides of the 2^128 limb boundary, the widest
-// derivable 203 and the 256-bit ceiling — as DRBG draws like core's, plus
-// two fixed primes so all three square-root branches are always present
-// whatever residues the draws land on: Goldilocks (p − 1 = 2^32·odd, the
-// deepest Tonelli–Shanks ladder) and 2^255 − 19 (p ≡ 5 mod 8).
+// paper's default 110, both sides of the 2^128 limb boundary, the top of
+// the three-limb class, the widest derivable 203 and the 256-bit ceiling
+// — as DRBG draws like core's, plus two fixed primes so all three
+// square-root branches are always present whatever residues the draws
+// land on: Goldilocks (p − 1 = 2^32·odd, the deepest Tonelli–Shanks
+// ladder) and 2^255 − 19 (p ≡ 5 mod 8). The shared field's arithmetic is
+// tested in internal/field; these tests cover what this package adds.
 func testFields(tb testing.TB) []testField {
 	tb.Helper()
 	var out []testField
@@ -34,13 +34,9 @@ func testFields(tb testing.TB) []testField {
 		if err != nil {
 			tb.Fatalf("%s: %v", name, err)
 		}
-		tf := testField{name: name, p: p, f: f}
-		if p.BitLen() <= 128 {
-			tf.wide = deriveField(p, false)
-		}
-		out = append(out, tf)
+		out = append(out, testField{name: name, p: p, f: f})
 	}
-	for _, bits := range []int{31, 64, 75, 110, 128, 129, 203, 256} {
+	for _, bits := range []int{31, 64, 75, 110, 128, 129, 192, 203, 256} {
 		p, err := fixedbig.Prime(fixedbig.NewDRBG(fmt.Sprintf("field-test-%d", bits)), bits)
 		if err != nil {
 			tb.Fatal(err)
@@ -54,10 +50,10 @@ func testFields(tb testing.TB) []testField {
 
 	var mod4, mod8five, mod8one bool
 	for _, tf := range out {
-		switch {
-		case tf.f.pl[0]&3 == 3:
+		switch field.Limbs(tf.p)[0] & 7 {
+		case 3, 7:
 			mod4 = true
-		case tf.f.pl[0]&7 == 5:
+		case 5:
 			mod8five = true
 		default:
 			mod8one = true
@@ -90,8 +86,8 @@ func canonicalRoot(v, p *big.Int) *big.Int {
 	return w
 }
 
-// checkFieldOps holds every operation of f to math/big on the reduced
-// operands a and b.
+// checkFieldOps holds every operation this package adds to the shared
+// field to math/big on the reduced operands a and b.
 func checkFieldOps(t *testing.T, name string, f *Field, a, b *big.Int) {
 	t.Helper()
 	p := f.P()
@@ -101,57 +97,30 @@ func checkFieldOps(t *testing.T, name string, f *Field, a, b *big.Int) {
 	if !okA || !okB {
 		t.Fatalf("%s: reduced operand refused", name)
 	}
-	eq := func(op string, got *Elem, want *big.Int) {
+	eq := func(op string, got *field.Elem, want *big.Int) {
 		t.Helper()
 		if g := f.ToBig(got); g.Cmp(want) != 0 {
 			t.Fatalf("%s: %s(%x, %x) = %x, want %x", name, op, a, b, g, want)
 		}
-		if f.narrow && got[2]|got[3] != 0 {
-			t.Fatalf("%s: %s left high limbs set in a narrow field", name, op)
-		}
 	}
-	var z Elem
-	eq("roundtrip", &x, a)
-	f.Add(&z, &x, &y)
-	eq("add", &z, mod(new(big.Int).Add(a, b)))
-	f.Sub(&z, &x, &y)
-	eq("sub", &z, mod(new(big.Int).Sub(a, b)))
-	f.neg(&z, &x)
-	eq("neg", &z, mod(new(big.Int).Neg(a)))
-	f.Mul(&z, &x, &y)
-	eq("mul", &z, mod(new(big.Int).Mul(a, b)))
-	z = x
-	f.Mul(&z, &z, &z) // aliased
-	eq("sqr", &z, mod(new(big.Int).Mul(a, a)))
-
-	if xl, yl := limbsFromBig(a), limbsFromBig(b); xl.less(&yl) != (a.Cmp(b) < 0) {
-		t.Fatalf("%s: less(%x, %x) wrong", name, a, b)
-	}
-
-	wantInv := new(big.Int).ModInverse(a, p)
-	if wantInv == nil {
-		wantInv = new(big.Int) // inv(0) = 0
-	}
-	f.Inv(&z, &x)
-	eq("inv", &z, wantInv)
-
-	e := [4]uint64(limbsFromBig(b))
+	var z field.Elem
+	e := field.Limbs(b)
 	f.exp(&z, &x, &e)
 	eq("exp", &z, new(big.Int).Exp(a, b, p))
 
 	// A residue by construction, then a itself (a residue or not).
-	var sq Elem
+	var sq field.Elem
 	f.Mul(&sq, &x, &x)
 	if !f.Sqrt(&z, &sq) {
 		t.Fatalf("%s: sqrt refused the square of %x", name, a)
 	}
 	eq("sqrt(a²)", &z, canonicalRoot(mod(new(big.Int).Mul(a, a)), p))
-	z = Elem{7}
+	z = field.Elem{7}
 	if want := canonicalRoot(a, p); want == nil {
 		if f.Sqrt(&z, &x) {
 			t.Fatalf("%s: sqrt accepted the non-residue %x", name, a)
 		}
-		if z != (Elem{7}) {
+		if z != (field.Elem{7}) {
 			t.Fatalf("%s: sqrt wrote its output on a non-residue", name)
 		}
 	} else {
@@ -162,9 +131,9 @@ func checkFieldOps(t *testing.T, name string, f *Field, a, b *big.Int) {
 	}
 
 	// Batch inversion with zeros in the batch, first and in the middle.
-	var ab Elem
+	var ab field.Elem
 	f.Mul(&ab, &x, &y)
-	batch := []Elem{{}, x, y, {}, ab, x}
+	batch := []field.Elem{{}, x, y, {}, ab, x}
 	want := make([]*big.Int, len(batch))
 	for i := range batch {
 		if want[i] = new(big.Int).ModInverse(f.ToBig(&batch[i]), p); want[i] == nil {
@@ -183,27 +152,26 @@ func checkFieldOps(t *testing.T, name string, f *Field, a, b *big.Int) {
 	eq("reduce(−a)", &z, mod(new(big.Int).Neg(a)))
 
 	// The slab conversion agrees with the one-element conversion.
-	for i, v := range f.ToBigs([]Elem{x, y, {}}) {
+	for i, v := range f.ToBigs([]field.Elem{x, y, {}}) {
 		if want := []*big.Int{a, b, new(big.Int)}[i]; v.Cmp(want) != 0 {
 			t.Fatalf("%s: ToBigs[%d] = %x, want %x", name, i, v, want)
 		}
 	}
 }
 
-// FuzzFieldAgainstBig holds every limb-field operation to math/big on
-// primes of every width class. The operands arrive as raw 256-bit
-// values: anything at or above p is not a field element and must be
-// refused at the conversion boundary, after which the operands are
-// reduced and every operation checked — on the field as NewField builds
-// it and, below 2^128, on its four-limb twin, which sets the two
-// multiply bodies against each other.
+// FuzzFieldAgainstBig holds what this package adds to the shared field —
+// exp, Sqrt on all three branches, InvBatch, Reduce and ToBigs — to
+// math/big on primes of every width class. The operands arrive as raw
+// 256-bit values: anything at or above p is not a field element and must
+// be refused at the conversion boundary, after which the operands are
+// reduced and every operation checked.
 func FuzzFieldAgainstBig(f *testing.F) {
 	fields := testFields(f)
 	max := ^uint64(0)
 	for which, tf := range fields {
 		w := uint8(which)
-		pm1 := limbsFromBig(new(big.Int).Sub(tf.p, big.NewInt(1)))
-		pl := tf.f.pl
+		pm1 := field.Limbs(new(big.Int).Sub(tf.p, big.NewInt(1)))
+		pl := field.Limbs(tf.p)
 		f.Add(w, uint64(0), uint64(0), uint64(0), uint64(0), uint64(1), uint64(0), uint64(0), uint64(0))
 		f.Add(w, pm1[0], pm1[1], pm1[2], pm1[3], pm1[0], pm1[1], pm1[2], pm1[3])
 		f.Add(w, pl[0], pl[1], pl[2], pl[3], uint64(2), uint64(0), uint64(0), uint64(0)) // p itself
@@ -232,10 +200,36 @@ func FuzzFieldAgainstBig(f *testing.F) {
 		a.Mod(a, tf.p)
 		b.Mod(b, tf.p)
 		checkFieldOps(t, tf.name, tf.f, a, b)
-		if tf.wide != nil {
-			checkFieldOps(t, tf.name+"/four-limb", tf.wide, a, b)
-		}
 	})
+}
+
+// TestToBigs pins the slab carving, which follows the field's width:
+// each integer gets exactly the words its width's limbs fill, capped so
+// that growing one integer cannot run into its neighbour.
+func TestToBigs(t *testing.T) {
+	for _, tf := range testFields(t) {
+		f := tf.f
+		vals := []*big.Int{new(big.Int).Sub(tf.p, big.NewInt(1)), new(big.Int), big.NewInt(1), new(big.Int).Rsh(tf.p, 1)}
+		xs := make([]field.Elem, len(vals))
+		for i, v := range vals {
+			xs[i], _ = f.FromBig(v)
+		}
+		out := f.ToBigs(xs)
+		for i, v := range out {
+			if v.Cmp(vals[i]) != 0 {
+				t.Fatalf("%s: ToBigs[%d] = %x, want %x", tf.name, i, v, vals[i])
+			}
+			if got, want := cap(v.Bits()), f.Width()*limbWords; got != want {
+				t.Fatalf("%s: ToBigs[%d] carved %d words, want %d for %d limbs", tf.name, i, got, want, f.Width())
+			}
+		}
+		out[0].Lsh(out[0], 300)
+		for i, v := range out[1:] {
+			if v.Cmp(vals[i+1]) != 0 {
+				t.Fatalf("%s: growing ToBigs[0] changed ToBigs[%d] to %x", tf.name, i+1, v)
+			}
+		}
+	}
 }
 
 // TestRandMatchesRandInt pins the Rand stream contract: on the same
@@ -293,31 +287,5 @@ func TestNewFieldRefusals(t *testing.T) {
 	p.SetInt64(91) // the caller's integer is not the field's
 	if f1.P().Int64() != 97 {
 		t.Error("field aliases the caller's modulus")
-	}
-}
-
-func BenchmarkFieldMul(b *testing.B) {
-	for _, bits := range []int{75, 203} {
-		p, err := fixedbig.Prime(fixedbig.NewDRBG(fmt.Sprintf("field-test-%d", bits)), bits)
-		if err != nil {
-			b.Fatal(err)
-		}
-		f, err := NewField(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		x, y := f.Reduce(big.NewInt(123456789)), f.Reduce(big.NewInt(987654321))
-		b.Run(fmt.Sprintf("limb-%d", bits), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f.Mul(&x, &x, &y)
-			}
-		})
-		bx, by := f.ToBig(&x), f.ToBig(&y)
-		b.Run(fmt.Sprintf("big-%d", bits), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				bx = new(big.Int).Mul(bx, by)
-				bx.Mod(bx, p)
-			}
-		})
 	}
 }

@@ -7,14 +7,17 @@
 // Share x-coordinates are the party indices shifted by one (party i holds
 // the evaluation at x = i+1), the convention the ssmpc engine relies on.
 //
-// All arithmetic runs on the package's one limb field (field.go). The
-// ssmpc engine shares and recombines Elem values through a Scheme.
+// All arithmetic runs on the shared limb field (internal/field) through
+// this package's Field (field.go). The ssmpc engine shares and
+// recombines field.Elem values through a Scheme.
 package shamir
 
 import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"groupranking/internal/field"
 )
 
 // Scheme is a degree-d sharing among n parties at abscissae 1..n over
@@ -24,12 +27,12 @@ import (
 type Scheme struct {
 	// Lambda holds the Lagrange coefficients at zero for abscissae
 	// 1..n: f(0) = Σ Lambda[j]·f(j+1) for any polynomial of degree < n.
-	Lambda []Elem
+	Lambda []field.Elem
 
 	f      *Field
-	xs     []Elem   // abscissae 1..n in Montgomery form
-	coeffs []Elem   // the polynomial Split is evaluating, degree+1 long
-	draw   [32]byte // Rand's read buffer
+	xs     []field.Elem // abscissae 1..n in Montgomery form
+	coeffs []field.Elem // the polynomial Split is evaluating, degree+1 long
+	draw   [32]byte     // Rand's read buffer
 }
 
 // NewScheme prepares degree-d sharing among n parties over f.
@@ -40,7 +43,7 @@ func NewScheme(f *Field, degree, n int) (*Scheme, error) {
 	if n < degree+1 {
 		return nil, fmt.Errorf("shamir: %d parties cannot carry a degree-%d sharing", n, degree)
 	}
-	s := &Scheme{f: f, xs: make([]Elem, n), coeffs: make([]Elem, degree+1)}
+	s := &Scheme{f: f, xs: make([]field.Elem, n), coeffs: make([]field.Elem, degree+1)}
 	xs := make([]int, n)
 	for i := range xs {
 		xs[i] = i + 1
@@ -55,13 +58,13 @@ func NewScheme(f *Field, degree, n int) (*Scheme, error) {
 
 // Rand is Field.Rand — same draws, same stream position — through the
 // scheme's own read buffer, so a draw allocates nothing.
-func (s *Scheme) Rand(rng io.Reader) (Elem, error) { return s.f.rand(rng, &s.draw) }
+func (s *Scheme) Rand(rng io.Reader) (field.Elem, error) { return s.f.rand(rng, &s.draw) }
 
 // Split shares secret with a uniformly random degree-d polynomial:
 // out[j] is party j's share, the polynomial at x = j+1. The d
 // coefficients are drawn from rng in ascending order, each with Rand;
 // evaluation is Horner's rule against the abscissa table.
-func (s *Scheme) Split(out []Elem, secret *Elem, rng io.Reader) error {
+func (s *Scheme) Split(out []field.Elem, secret *field.Elem, rng io.Reader) error {
 	d := len(s.coeffs) - 1
 	s.coeffs[0] = *secret
 	for i := 1; i <= d; i++ {
@@ -84,7 +87,7 @@ func (s *Scheme) Split(out []Elem, secret *Elem, rng io.Reader) error {
 
 // lagrangeAtZero returns the interpolation coefficients λ_i such that
 // f(0) = Σ λ_i·f(x_i) for any polynomial of degree < len(xs).
-func (f *Field) lagrangeAtZero(xs []int) ([]Elem, error) {
+func (f *Field) lagrangeAtZero(xs []int) ([]field.Elem, error) {
 	seen := make(map[int]bool, len(xs))
 	for _, x := range xs {
 		if x <= 0 {
@@ -95,10 +98,10 @@ func (f *Field) lagrangeAtZero(xs []int) ([]Elem, error) {
 		}
 		seen[x] = true
 	}
-	lambdas := make([]Elem, len(xs))
-	dens := make([]Elem, len(xs))
+	lambdas := make([]field.Elem, len(xs))
+	dens := make([]field.Elem, len(xs))
 	for i, xi := range xs {
-		num, den := f.one, f.one
+		num, den := f.One(), f.One()
 		for j, xj := range xs {
 			if j == i {
 				continue

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"groupranking/internal/field"
 	"groupranking/internal/fixedbig"
 )
 
@@ -25,13 +26,13 @@ func testPrimeField(t *testing.T) *Field {
 
 // split shares secret (reduced mod p) with a degree-d Scheme among n
 // parties.
-func split(t *testing.T, f *Field, secret *big.Int, degree, n int, rng io.Reader) []Elem {
+func split(t *testing.T, f *Field, secret *big.Int, degree, n int, rng io.Reader) []field.Elem {
 	t.Helper()
 	s, err := NewScheme(f, degree, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares := make([]Elem, n)
+	shares := make([]field.Elem, n)
 	sec := f.Reduce(secret)
 	if err := s.Split(shares, &sec, rng); err != nil {
 		t.Fatal(err)
@@ -41,7 +42,7 @@ func split(t *testing.T, f *Field, secret *big.Int, degree, n int, rng io.Reader
 
 // reconstruct interpolates the secret from the shares of the listed
 // parties (party j holds x = j+1).
-func reconstruct(t *testing.T, f *Field, shares []Elem, parties ...int) *big.Int {
+func reconstruct(t *testing.T, f *Field, shares []field.Elem, parties ...int) *big.Int {
 	t.Helper()
 	xs := make([]int, len(parties))
 	for i, j := range parties {
@@ -51,9 +52,9 @@ func reconstruct(t *testing.T, f *Field, shares []Elem, parties ...int) *big.Int
 	if err != nil {
 		t.Fatal(err)
 	}
-	var secret Elem
+	var secret field.Elem
 	for i, j := range parties {
-		var term Elem
+		var term field.Elem
 		f.Mul(&term, &shares[j], &lambdas[i])
 		f.Add(&secret, &secret, &term)
 	}
@@ -96,9 +97,9 @@ func TestSplitReconstruct(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var sum Elem
+			var sum field.Elem
 			for j := range shares {
-				var term Elem
+				var term field.Elem
 				f.Mul(&term, &shares[j], &s.Lambda[j])
 				f.Add(&sum, &sum, &term)
 			}
@@ -150,7 +151,7 @@ func TestLinearity(t *testing.T) {
 		sa := split(t, f, big.NewInt(int64(a)), 2, 5, rng)
 		sb := split(t, f, big.NewInt(int64(b)), 2, 5, rng)
 		scale := f.Reduce(big.NewInt(int64(k)))
-		sum := make([]Elem, 5)
+		sum := make([]field.Elem, 5)
 		for i := range sum {
 			f.Add(&sum[i], &sa[i], &sb[i])
 			f.Mul(&sum[i], &sum[i], &scale)
@@ -174,7 +175,7 @@ func TestProductOfSharesHasDoubledDegree(t *testing.T) {
 	rng := fixedbig.NewDRBG("shamir-product")
 	sa := split(t, f, big.NewInt(21), 1, 5, rng)
 	sb := split(t, f, big.NewInt(2), 1, 5, rng)
-	prod := make([]Elem, 5)
+	prod := make([]field.Elem, 5)
 	for i := range prod {
 		f.Mul(&prod[i], &sa[i], &sb[i])
 	}

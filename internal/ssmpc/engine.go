@@ -10,8 +10,9 @@
 // invocations, openings and communication rounds — the quantities the
 // paper's Section VI-B efficiency analysis is stated in.
 //
-// Shares are shamir.Elem values (limbs in Montgomery form), so every
-// local operation is allocation-free. Messages stay []*big.Int: an
+// Shares are field.Elem values (limbs in Montgomery form on the shared
+// limb field, internal/field), so every local operation is
+// allocation-free. Messages stay []*big.Int: an
 // element is converted once at Send and once at the receive check
 // (Field.ToBigs, fromWire), which keeps frames, echo digests and journal
 // records what they were when the engine computed in math/big.
@@ -23,6 +24,7 @@ import (
 	"io"
 	"math/big"
 
+	"groupranking/internal/field"
 	"groupranking/internal/obsv"
 	"groupranking/internal/shamir"
 	"groupranking/internal/transport"
@@ -36,7 +38,7 @@ type Config struct {
 	N int
 	// Degree is the sharing polynomial degree d (max colluders).
 	Degree int
-	// P is the field prime, at most shamir.MaxFieldBits wide. For
+	// P is the field prime, at most field.MaxBits wide. For
 	// comparisons on l-bit values it must exceed 2^(l+Kappa+3).
 	P *big.Int
 	// Kappa is the statistical hiding parameter (default 40).
@@ -73,7 +75,7 @@ type Counters struct {
 
 // Share is this party's share of a secret (abscissa = party index + 1).
 type Share struct {
-	y shamir.Elem
+	y field.Elem
 }
 
 // Engine is one party's endpoint of the MPC session.
@@ -92,7 +94,7 @@ type Engine struct {
 	one Share
 	// Public constants the comparison protocols scale by, converted
 	// once: pow2[i] = 2^i and invPow2[i] = 2^−i for i < bitlen(P).
-	pow2, invPow2 []shamir.Elem
+	pow2, invPow2 []field.Elem
 }
 
 // NewEngine creates party me's endpoint. All parties must share the same
@@ -132,9 +134,9 @@ func NewEngineCtx(ctx context.Context, cfg Config, me int, fab transport.Net, rn
 	e := &Engine{cfg: cfg, me: me, fab: fab, rng: rng, ctx: ctx, obs: obs, f: f, sch: sch, one: Share{y: f.One()}}
 
 	width := cfg.P.BitLen()
-	e.pow2 = make([]shamir.Elem, width)
-	e.invPow2 = make([]shamir.Elem, width)
-	var half shamir.Elem
+	e.pow2 = make([]field.Elem, width)
+	e.invPow2 = make([]field.Elem, width)
+	var half field.Elem
 	f.Add(&half, &e.one.y, &e.one.y)
 	f.Inv(&half, &half)
 	e.pow2[0], e.invPow2[0] = e.one.y, e.one.y
@@ -183,7 +185,7 @@ func (e *Engine) nextRound() int {
 // of it enters a recombination. There is no other way for a received
 // value to become an Elem. Failures surface as typed aborts naming the
 // sender.
-func (e *Engine) fromWire(dst []shamir.Elem, payload any, from int, kind string) error {
+func (e *Engine) fromWire(dst []field.Elem, payload any, from int, kind string) error {
 	ys, ok := payload.([]*big.Int)
 	if !ok || len(ys) != len(dst) {
 		return transport.EnsureAbort(
@@ -203,11 +205,11 @@ func (e *Engine) fromWire(dst []shamir.Elem, payload any, from int, kind string)
 // A nil secrets deals fresh random elements instead, each drawn right
 // before its polynomial — the order RandomElements has always consumed
 // the party RNG in.
-func (e *Engine) deal(secrets []shamir.Elem, k int) ([]shamir.Elem, error) {
-	slab := make([]shamir.Elem, e.cfg.N*k)
-	pieces := make([]shamir.Elem, e.cfg.N)
+func (e *Engine) deal(secrets []field.Elem, k int) ([]field.Elem, error) {
+	slab := make([]field.Elem, e.cfg.N*k)
+	pieces := make([]field.Elem, e.cfg.N)
 	for i := 0; i < k; i++ {
-		var secret shamir.Elem
+		var secret field.Elem
 		if secrets != nil {
 			secret = secrets[i]
 		} else {
@@ -227,7 +229,7 @@ func (e *Engine) deal(secrets []shamir.Elem, k int) ([]shamir.Elem, error) {
 }
 
 // sendPieces sends every other party its run of a dealt slab.
-func (e *Engine) sendPieces(round int, slab []shamir.Elem, k int) error {
+func (e *Engine) sendPieces(round int, slab []field.Elem, k int) error {
 	for j := 0; j < e.cfg.N; j++ {
 		if j == e.me {
 			continue
@@ -242,9 +244,9 @@ func (e *Engine) sendPieces(round int, slab []shamir.Elem, k int) error {
 // columns validates one gathered batch per party and returns them as
 // one slab indexed [party·k + element], with this party's own batch in
 // place — the layout the Lagrange recombinations read.
-func (e *Engine) columns(all []any, mine []shamir.Elem, kind string) ([]shamir.Elem, error) {
+func (e *Engine) columns(all []any, mine []field.Elem, kind string) ([]field.Elem, error) {
 	k := len(mine)
-	cols := make([]shamir.Elem, e.cfg.N*k)
+	cols := make([]field.Elem, e.cfg.N*k)
 	for j := 0; j < e.cfg.N; j++ {
 		col := cols[j*k : (j+1)*k]
 		if j == e.me {
@@ -262,9 +264,9 @@ func (e *Engine) columns(all []any, mine []shamir.Elem, kind string) ([]shamir.E
 // the polynomial through every party's i-th element. A plain loop: at a
 // few tens of nanoseconds per element a goroutine fan-out costs more
 // than the work.
-func (e *Engine) recombine(cols []shamir.Elem, k int) []shamir.Elem {
-	out := make([]shamir.Elem, k)
-	var t shamir.Elem
+func (e *Engine) recombine(cols []field.Elem, k int) []field.Elem {
+	out := make([]field.Elem, k)
+	var t field.Elem
 	for j, lambda := range e.sch.Lambda {
 		col := cols[j*k : (j+1)*k]
 		for i := range col {
@@ -283,7 +285,7 @@ func (e *Engine) ShareBatch(dealer int, secrets []*big.Int, count int) ([]Share,
 	if count < 0 {
 		return nil, fmt.Errorf("ssmpc: negative share count %d", count)
 	}
-	mine := make([]shamir.Elem, count)
+	mine := make([]field.Elem, count)
 	if e.me == dealer {
 		if len(secrets) != count {
 			return nil, fmt.Errorf("ssmpc: dealer has %d secrets, count is %d", len(secrets), count)
@@ -334,11 +336,11 @@ func (e *Engine) OpenBatch(shares []Share) ([]*big.Int, error) {
 }
 
 // open is OpenBatch before the conversion to integers.
-func (e *Engine) open(shares []Share) ([]shamir.Elem, error) {
+func (e *Engine) open(shares []Share) ([]field.Elem, error) {
 	round := e.nextRound()
 	e.ctr.Opens += int64(len(shares))
 	e.obs.Add(obsv.OpSSOpen, int64(len(shares)))
-	mine := make([]shamir.Elem, len(shares))
+	mine := make([]field.Elem, len(shares))
 	for i, s := range shares {
 		mine[i] = s.y
 	}
@@ -387,7 +389,7 @@ func (e *Engine) Scale(a Share, k *big.Int) Share {
 }
 
 // scale is Scale by a constant already in the field.
-func (e *Engine) scale(a Share, k *shamir.Elem) Share {
+func (e *Engine) scale(a Share, k *field.Elem) Share {
 	e.f.Mul(&a.y, &a.y, k)
 	return a
 }
@@ -419,7 +421,7 @@ func (e *Engine) MulBatch(as, bs []Share) ([]Share, error) {
 	e.obs.Add(obsv.OpSSMul, int64(k))
 
 	// My degree-2d product shares, reshared piece by piece.
-	prods := make([]shamir.Elem, k)
+	prods := make([]field.Elem, k)
 	for i := range prods {
 		e.f.Mul(&prods[i], &as[i].y, &bs[i].y)
 	}
@@ -450,7 +452,7 @@ func (e *Engine) Mul(a, b Share) (Share, error) {
 	return out[0], nil
 }
 
-func wrapAll(ys []shamir.Elem) []Share {
+func wrapAll(ys []field.Elem) []Share {
 	out := make([]Share, len(ys))
 	for i, y := range ys {
 		out[i] = Share{y: y}

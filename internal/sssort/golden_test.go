@@ -143,7 +143,7 @@ func TestGoldenTranscript(t *testing.T) {
 	}{
 		{5, 2, 75, 27, "ac92d652dfbdf0c0c61c1a25764e2ddd5c90d200771dc95f37777351aa35f6d4"},
 		{3, 1, 110, 62, "747a76dc978baacc52db9447c5a5de0d35f0cc0aed3b788acd396e0dd5918633"},
-		{3, 1, 140, 62, "cb21be34d4770b87b7a473ec6252fd3756c2f3d3931a309855146e32e0474890"}, // past 2^128: the four-limb multiply
+		{3, 1, 140, 62, "cb21be34d4770b87b7a473ec6252fd3756c2f3d3931a309855146e32e0474890"}, // past 2^128: the three-limb multiply (recorded on the four-limb one)
 	}
 	for _, tc := range cases {
 		tc := tc
