@@ -57,14 +57,23 @@ func (s *Scheme) WithPrecomp(pk group.Element) *Scheme {
 	return &Scheme{g: s.g, pkTab: group.NewFixedBaseTable(s.g, pk)}
 }
 
+// tableFor returns the precomputed table when it was built for pk, and
+// nil otherwise.
+func (s *Scheme) tableFor(pk group.Element) *group.FixedBaseTable {
+	if s.pkTab != nil && s.g.Equal(s.pkTab.Base(), pk) {
+		return s.pkTab
+	}
+	return nil
+}
+
 // expPK computes pk^r, through the precomputed table when it was built
 // for this pk.
 func (s *Scheme) expPK(pk group.Element, r *big.Int) group.Element {
-	if s.pkTab != nil && s.g.Equal(s.pkTab.Base(), pk) {
+	if tab := s.tableFor(pk); tab != nil {
 		// The table evaluates on the raw group; charge the one
 		// exponentiation the counting wrapper would have recorded.
 		obsv.PartyOf(s.g).Add(obsv.OpGroupExp, 1)
-		return s.pkTab.Exp(r)
+		return tab.Exp(r)
 	}
 	return s.g.Exp(pk, r)
 }
@@ -260,36 +269,108 @@ func (s *Scheme) StripBlind(x *big.Int, cts []Ciphertext, rs []*big.Int) []Ciphe
 	return out
 }
 
-// RecoverExp decrypts an exponent ciphertext under the (possibly joint)
-// private key x, returning g^m.
-func (s *Scheme) RecoverExp(x *big.Int, a Ciphertext) group.Element {
-	return s.Decrypt(x, a)
+// CompareCircuit is one peer's comparison circuit, step 7 of Fig. 1, with
+// caller-supplied randomness. cts are the peer's bit ciphertexts E(β_i^t)
+// under joint, least significant bit first, and bits the caller's own
+// bits β_j^t; z is the suffix sums' zero-encryption scalar and rs[t] the
+// re-randomiser of τ_t, or rs nil for none (the UnsafeNoReRandomize
+// ablation). With weight w = l − t, out[t] is
+//
+//	τ_t = w·(1 − γ_t) + Σ_{v>t} γ_v + β_j^t,   γ_t = β_i^t ⊕ β_j^t,
+//
+// under fresh randomness z + r_t. On a kernel curve whose joint-key table
+// the scheme holds (WithPrecomp) the vector is one group.CompareCircuit
+// batch; elsewhere it is composed from Neg, AddPlain, ScalarMul, Add and
+// ReRandomizeR. The elements are the same either way, since each has one
+// canonical form. Both run on the raw group and charge what the
+// composition's calls would: per peer 1 OpEncrypt, 2 OpGroupExp and
+// 1 OpGroupOp; per bit 1 OpEncrypt, 4 OpGroupExp (+1 unless w = 1) and
+// 8 OpGroupOp, +2 OpGroupOp and 2 OpGroupInv when β_j^t = 1; without
+// re-randomisation each bit charges 1 OpEncrypt, 2 OpGroupExp and
+// 3 OpGroupOp less.
+func (s *Scheme) CompareCircuit(joint group.Element, cts []Ciphertext, bits []uint8, z *big.Int, rs []*big.Int) []Ciphertext {
+	l, ones := int64(len(cts)), int64(0)
+	for _, b := range bits {
+		ones += int64(b)
+	}
+	enc, exps, ops := 1+l, 2+5*l-min(l, 1), 1+8*l+2*ones
+	if rs == nil {
+		enc, exps, ops = enc-l, exps-2*l, ops-3*l
+	}
+	party := obsv.PartyOf(s.g)
+	party.Add(obsv.OpEncrypt, enc)
+	party.Add(obsv.OpGroupExp, exps)
+	party.Add(obsv.OpGroupOp, ops)
+	party.Add(obsv.OpGroupInv, 2*ones)
+
+	if out, ok := group.CompareCircuit(s.g, s.tableFor(joint), pairs(cts), bits, z, rs); ok {
+		taus := make([]Ciphertext, len(out))
+		for t, p := range out {
+			taus[t] = Ciphertext{C: p[0], C1: p[1]}
+		}
+		return taus
+	}
+	return s.raw().composeCircuit(joint, cts, bits, z, rs)
 }
 
-// IsZero reports whether the exponent plaintext is zero, i.e. g^m = 1.
-func (s *Scheme) IsZero(x *big.Int, a Ciphertext) bool {
-	return s.g.IsIdentity(s.RecoverExp(x, a))
+// composeCircuit is CompareCircuit as a composition of the scheme's
+// ciphertext operations: the evaluation on groups without the kernel.
+func (s *Scheme) composeCircuit(joint group.Element, cts []Ciphertext, bits []uint8, z *big.Int, rs []*big.Int) []Ciphertext {
+	taus := make([]Ciphertext, len(cts))
+	suffix := s.EncryptExpR(joint, big.NewInt(0), z) // Σ_{v>t} γ_v, on a fresh E(0)
+	for t := len(cts) - 1; t >= 0; t-- {
+		// E(γ_t): β_i^t for my bit 0, 1 − β_i^t for my bit 1.
+		gamma := cts[t]
+		if bits[t] == 1 {
+			gamma = s.AddPlain(s.Neg(gamma), big.NewInt(1))
+		}
+		weight := big.NewInt(int64(len(cts) - t))
+		tau := s.Add(s.ScalarMul(gamma, new(big.Int).Neg(weight)), suffix)
+		tau = s.AddPlain(s.AddPlain(tau, weight), big.NewInt(int64(bits[t])))
+		if rs != nil {
+			tau = s.ReRandomizeR(joint, tau, rs[t])
+		}
+		taus[t] = tau
+		suffix = s.Add(suffix, gamma)
+	}
+	return taus
 }
 
-// DecryptSmall brute-forces g^m for |m| ≤ bound. It exists for tests and
-// debugging; the protocol itself only ever tests m = 0.
-func (s *Scheme) DecryptSmall(x *big.Int, a Ciphertext, bound int64) (int64, bool) {
-	gm := s.RecoverExp(x, a)
-	acc := s.g.Identity()
-	for m := int64(0); m <= bound; m++ {
-		if s.g.Equal(acc, gm) {
-			return m, true
-		}
-		acc = s.g.Op(acc, s.g.Generator())
+// ZeroSet reports for each ciphertext whether its exponent plaintext is
+// zero under the private key x, i.e. whether C = C1^x: the last layer's
+// strip and the zero test of step 9 of Fig. 1. On a kernel curve the
+// batch is one group.ZeroSet, which compares C1^x with C projectively and
+// inverts nothing; elsewhere each test is Decrypt's composition. Both run
+// on the raw group and charge per ciphertext what Decrypt would:
+// 1 OpDecrypt, 1 OpGroupExp, 1 OpGroupInv and 1 OpGroupOp.
+func (s *Scheme) ZeroSet(x *big.Int, cts []Ciphertext) []bool {
+	m := int64(len(cts))
+	party := obsv.PartyOf(s.g)
+	party.Add(obsv.OpDecrypt, m)
+	party.Add(obsv.OpGroupExp, m)
+	party.Add(obsv.OpGroupInv, m)
+	party.Add(obsv.OpGroupOp, m)
+	if out, ok := group.ZeroSet(s.g, x, pairs(cts)); ok {
+		return out
 	}
-	acc = s.g.Inv(s.g.Generator())
-	for m := int64(-1); m >= -bound; m-- {
-		if s.g.Equal(acc, gm) {
-			return m, true
-		}
-		acc = s.g.Op(acc, s.g.Inv(s.g.Generator()))
+	raw := s.raw()
+	out := make([]bool, len(cts))
+	for i, ct := range cts {
+		out[i] = raw.g.IsIdentity(raw.Decrypt(x, ct))
 	}
-	return 0, false
+	return out
+}
+
+// raw is the scheme on the raw group, whose operations count nothing.
+func (s *Scheme) raw() *Scheme { return &Scheme{g: group.Raw(s.g), pkTab: s.pkTab} }
+
+// pairs lays ciphertexts out as the (C, C1) pairs group's batches take.
+func pairs(cts []Ciphertext) [][2]group.Element {
+	out := make([][2]group.Element, len(cts))
+	for i, ct := range cts {
+		out[i] = [2]group.Element{ct.C, ct.C1}
+	}
+	return out
 }
 
 // EncodedLen returns the serialised ciphertext size in bytes; it is the

@@ -18,6 +18,33 @@ func testScheme(t *testing.T) (*Scheme, *fixedbig.DRBG) {
 	return NewScheme(g), fixedbig.NewDRBG("elgamal-rng")
 }
 
+// isZero is the zero test of one ciphertext.
+func isZero(s *Scheme, x *big.Int, ct Ciphertext) bool {
+	return s.ZeroSet(x, []Ciphertext{ct})[0]
+}
+
+// decryptSmall brute-forces g^m for |m| ≤ bound; the protocol itself
+// only ever tests m = 0.
+func decryptSmall(s *Scheme, x *big.Int, ct Ciphertext, bound int64) (int64, bool) {
+	g := s.Group()
+	gm := s.Decrypt(x, ct)
+	acc := g.Identity()
+	for m := int64(0); m <= bound; m++ {
+		if g.Equal(acc, gm) {
+			return m, true
+		}
+		acc = g.Op(acc, g.Generator())
+	}
+	acc = g.Inv(g.Generator())
+	for m := int64(-1); m >= -bound; m-- {
+		if g.Equal(acc, gm) {
+			return m, true
+		}
+		acc = g.Op(acc, g.Inv(g.Generator()))
+	}
+	return 0, false
+}
+
 func TestStandardEncryptDecrypt(t *testing.T) {
 	s, rng := testScheme(t)
 	kp, err := s.GenerateKey(rng)
@@ -50,14 +77,14 @@ func TestExpEncryptIsZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.IsZero(kp.X, zero) {
+	if !isZero(s, kp.X, zero) {
 		t.Error("E(0) did not decrypt to zero")
 	}
 	one, err := s.EncryptExp(kp.Y, big.NewInt(1), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.IsZero(kp.X, one) {
+	if isZero(s, kp.X, one) {
 		t.Error("E(1) decrypted to zero")
 	}
 }
@@ -76,7 +103,7 @@ func TestAdditiveHomomorphism(t *testing.T) {
 		}
 		sum := s.Add(ca, cb)
 		want := group.ExpGen(s.Group(), big.NewInt(int64(a)+int64(b)))
-		return s.Group().Equal(s.RecoverExp(kp.X, sum), want)
+		return s.Group().Equal(s.Decrypt(kp.X, sum), want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -98,7 +125,7 @@ func TestSubNegScalarMul(t *testing.T) {
 	}
 	check := func(name string, ct Ciphertext, want int64) {
 		t.Helper()
-		got := s.RecoverExp(kp.X, ct)
+		got := s.Decrypt(kp.X, ct)
 		if !s.Group().Equal(got, group.ExpGen(s.Group(), big.NewInt(want))) {
 			t.Errorf("%s: plaintext is not %d", name, want)
 		}
@@ -128,7 +155,7 @@ func TestXORGadget(t *testing.T) {
 			coeff := big.NewInt(1 - 2*a)
 			eGamma := s.AddPlain(s.ScalarMul(eb, coeff), big.NewInt(a))
 			want := a ^ b
-			if got := s.IsZero(kp.X, eGamma); got != (want == 0) {
+			if got := isZero(s, kp.X, eGamma); got != (want == 0) {
 				t.Errorf("xor(%d,%d): zero-test mismatch", a, b)
 			}
 		}
@@ -163,10 +190,10 @@ func TestJointKeyLayeredDecryption(t *testing.T) {
 		nz = s.PartialDecrypt(keys[i].X, nz)
 	}
 	// The final holder decrypts with her own share.
-	if !s.IsZero(keys[3].X, ct) {
+	if !isZero(s, keys[3].X, ct) {
 		t.Error("joint-key zero ciphertext did not decrypt to zero")
 	}
-	if s.IsZero(keys[3].X, nz) {
+	if isZero(s, keys[3].X, nz) {
 		t.Error("joint-key non-zero ciphertext decrypted to zero")
 	}
 }
@@ -181,7 +208,7 @@ func TestJointKeyEqualsSumKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.DecryptSmall(xSum, ct, 10)
+	got, ok := decryptSmall(s, xSum, ct, 10)
 	if !ok || got != 5 {
 		t.Errorf("joint decryption with summed key: got %d ok=%v, want 5", got, ok)
 	}
@@ -201,7 +228,7 @@ func TestReRandomizePreservesPlaintextChangesCiphertext(t *testing.T) {
 	if s.Group().Equal(rr.C, ct.C) && s.Group().Equal(rr.C1, ct.C1) {
 		t.Error("re-randomisation left the ciphertext unchanged")
 	}
-	got, ok := s.DecryptSmall(kp.X, rr, 10)
+	got, ok := decryptSmall(s, kp.X, rr, 10)
 	if !ok || got != 7 {
 		t.Errorf("re-randomised plaintext: got %d ok=%v, want 7", got, ok)
 	}
@@ -218,7 +245,7 @@ func TestExponentBlindFixesZeroRandomisesNonZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.IsZero(kp.X, bz) {
+	if !isZero(s, kp.X, bz) {
 		t.Error("blinding broke the zero plaintext")
 	}
 	nz, err := s.EncryptExp(kp.Y, big.NewInt(3), rng)
@@ -229,11 +256,11 @@ func TestExponentBlindFixesZeroRandomisesNonZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.IsZero(kp.X, bn) {
+	if isZero(s, kp.X, bn) {
 		t.Error("blinding zeroed a non-zero plaintext")
 	}
 	// The blinded plaintext should no longer be 3 (overwhelming probability).
-	if got, ok := s.DecryptSmall(kp.X, bn, 50); ok && got == 3 {
+	if got, ok := decryptSmall(s, kp.X, bn, 50); ok && got == 3 {
 		t.Error("blinding left the plaintext exponent recognisable")
 	}
 }
@@ -263,11 +290,11 @@ func TestDecryptSmallNegative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.DecryptSmall(kp.X, ct, 10)
+	got, ok := decryptSmall(s, kp.X, ct, 10)
 	if !ok || got != -4 {
 		t.Errorf("got %d ok=%v, want -4", got, ok)
 	}
-	if _, ok := s.DecryptSmall(kp.X, ct, 2); ok {
+	if _, ok := decryptSmall(s, kp.X, ct, 2); ok {
 		t.Error("bound 2 should not reach -4")
 	}
 }
@@ -296,18 +323,18 @@ func TestSchemeOverEllipticCurve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.IsZero(kp.X, ct) {
+	if !isZero(s, kp.X, ct) {
 		t.Error("EC zero ciphertext did not decrypt to zero")
 	}
 	sum := s.Add(ct, ct)
-	if !s.IsZero(kp.X, sum) {
+	if !isZero(s, kp.X, sum) {
 		t.Error("EC homomorphic sum of zeros is not zero")
 	}
 	nz, err := s.EncryptExp(kp.Y, big.NewInt(2), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := s.DecryptSmall(kp.X, nz, 5); !ok || got != 2 {
+	if got, ok := decryptSmall(s, kp.X, nz, 5); !ok || got != 2 {
 		t.Errorf("EC DecryptSmall: got %d ok=%v, want 2", got, ok)
 	}
 }
@@ -388,7 +415,7 @@ func TestDecryptSmallZeroBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.DecryptSmall(kp.X, ct, 0)
+	got, ok := decryptSmall(s, kp.X, ct, 0)
 	if !ok || got != 0 {
 		t.Errorf("bound 0 must still find m=0: got %d ok=%v", got, ok)
 	}
@@ -475,6 +502,69 @@ func BenchmarkStripBlind(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				composedHop(s, key.X, cts, rs)
+			}
+		})
+	}
+}
+
+// BenchmarkCompareCircuit sets one peer's comparison circuit at the
+// benchmark's l = 27 against the composition it replaces, on a scheme
+// holding the joint key's table as the protocol's does.
+func BenchmarkCompareCircuit(b *testing.B) {
+	const l = 27
+	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1()} {
+		rng := fixedbig.NewDRBG("bench-circuit-" + g.Name())
+		key, err := NewScheme(g).GenerateKey(rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := NewScheme(g).WithPrecomp(key.Y)
+		cts, bits, rs := make([]Ciphertext, l), make([]uint8, l), make([]*big.Int, l)
+		for t := range cts {
+			bits[t] = uint8(t * 5 % 7 % 2)
+			if cts[t], err = s.EncryptExp(key.Y, big.NewInt(int64(t%2)), rng); err != nil {
+				b.Fatal(err)
+			}
+			if rs[t], err = g.RandomScalar(rng); err != nil {
+				b.Fatal(err)
+			}
+		}
+		z, err := g.RandomScalar(rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(g.Name()+"/fused-l27", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.CompareCircuit(key.Y, cts, bits, z, rs)
+			}
+		})
+		b.Run(g.Name()+"/composed-l27", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.composeCircuit(key.Y, cts, bits, z, rs)
+			}
+		})
+	}
+}
+
+// BenchmarkZeroSet sets the final decrypt's zero test over sixteen
+// ciphertexts against g.IsIdentity(Decrypt(·)) one at a time.
+func BenchmarkZeroSet(b *testing.B) {
+	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1()} {
+		s, key, cts, _ := hopBatch(b, g)
+		b.Run(g.Name()+"/fused-x16", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.ZeroSet(key.X, cts)
+			}
+		})
+		b.Run(g.Name()+"/composed-x16", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, ct := range cts {
+					g.IsIdentity(s.Decrypt(key.X, ct))
+				}
 			}
 		})
 	}

@@ -13,8 +13,9 @@ import (
 // arithmetic is implemented from scratch; no crypto/elliptic machinery is
 // used. Exp, Op, MultiExp and the fixed-base comb run on the limb kernel
 // (kernel.go), which takes a = −3 and p, n of at most 256 bits: the shape
-// of every named curve, and the only shape newECGroup accepts. Encoding,
-// decoding and validation stay on math/big.
+// of every named curve, and the only shape newECGroup accepts. Encoding
+// and decoding stay on math/big; validation checks the curve equation on
+// the kernel's field.
 type ECGroup struct {
 	name     string
 	p        *big.Int // field prime
@@ -67,11 +68,11 @@ func newECGroup(spec curveSpec) (*ECGroup, error) {
 		secLevel: spec.securityBits,
 	}
 	var err error
-	if g.kern, err = newCurveKernel(g.p, g.a, g.n); err != nil {
+	if g.kern, err = newCurveKernel(g.p, g.a, g.b, g.n); err != nil {
 		return nil, fmt.Errorf("group: %s: %w", spec.name, err)
 	}
-	if !g.onCurve(spec.gx, spec.gy) {
-		return nil, fmt.Errorf("group: %s base point is not on the curve", spec.name)
+	if err := g.validateElement(g.Generator()); err != nil {
+		return nil, fmt.Errorf("group: %s base point: %w", spec.name, err)
 	}
 	// n·G = ∞, tested as (n−1)·G = −G because Exp reduces its exponent
 	// modulo n and would answer n·G = ∞ for any n.
@@ -80,18 +81,6 @@ func newECGroup(spec curveSpec) (*ECGroup, error) {
 		return nil, fmt.Errorf("group: %s base point order is not n", spec.name)
 	}
 	return g, nil
-}
-
-// onCurve reports whether (x, y) satisfies the curve equation.
-func (g *ECGroup) onCurve(x, y *big.Int) bool {
-	lhs := new(big.Int).Mul(y, y)
-	lhs.Mod(lhs, g.p)
-	rhs := new(big.Int).Mul(x, x)
-	rhs.Mul(rhs, x)
-	rhs.Add(rhs, new(big.Int).Mul(g.a, x))
-	rhs.Add(rhs, g.b)
-	rhs.Mod(rhs, g.p)
-	return lhs.Cmp(rhs) == 0
 }
 
 // Name implements Group.

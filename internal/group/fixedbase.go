@@ -62,6 +62,7 @@ type FixedBaseTable struct {
 	g    Group // raw group, for Equal/Identity and order reduction
 	base Element
 	eval func(e *big.Int) Element // e already reduced mod order, e > 0
+	comb *kernelComb              // on a kernel curve: eval's comb, for the batches of circuit.go
 }
 
 // NewFixedBaseTable precomputes powers of base in g. The group may be
@@ -73,7 +74,8 @@ func NewFixedBaseTable(g Group, base Element) *FixedBaseTable {
 	case *DLGroup:
 		t.eval = newDLComb(cg, base, dlCombWindow)
 	case *ECGroup:
-		t.eval = newKernelComb(cg, base, ecCombWindow)
+		t.comb = newKernelComb(cg, base, ecCombWindow)
+		t.eval = t.comb.exp
 	default:
 		// A group without a native comb: the table is its own Exp.
 		t.eval = func(e *big.Int) Element { return raw.Exp(base, e) }

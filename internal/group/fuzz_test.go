@@ -49,9 +49,10 @@ func FuzzECDecode(f *testing.F) {
 // FuzzFieldAgainstBig holds the kernel's side of the field boundary to
 // math/big at each curve modulus (the field arithmetic itself is fuzzed
 // in internal/field): lift reduces raw coordinates, as a hostile peer may
-// send them, to the point they stand for, and lower and normalise
-// project a Jacobian point (X, Y, Z) to (X/Z², Y/Z³), with Z ≡ 0 the
-// identity. The operands arrive as raw limbs, at or above p as often as
+// send them, to the point they stand for; lower and normalise project a
+// Jacobian point (X, Y, Z) to (X/Z², Y/Z³), with Z ≡ 0 the identity; and
+// equalAffine, the zero test's comparison, agrees with lower without
+// projecting. The operands arrive as raw limbs, at or above p as often as
 // not.
 func FuzzFieldAgainstBig(f *testing.F) {
 	curves := kernelCurves()
@@ -100,8 +101,20 @@ func FuzzFieldAgainstBig(f *testing.F) {
 		same := func(a, b ecPoint) bool {
 			return a.inf == b.inf && (a.inf || a.x.Cmp(b.x) == 0 && a.y.Cmp(b.y) == 0)
 		}
-		if got := k.lower(&jac); !same(got, want) {
+		got := k.lower(&jac)
+		if !same(got, want) {
 			t.Fatalf("%s: lower(%x, %x, %x) = %v, want %v", g.name, x, y, z, got, want)
+		}
+		// The projection itself, the point (x, y) it was lifted from (equal
+		// when Z ≡ 1), and the identity (equal when Z ≡ 0).
+		for _, other := range []ecPoint{got, {x: mod(x), y: mod(y)}, {inf: true}} {
+			o := k.lift(other)
+			if eq := k.equalAffine(&jac, &o); eq != same(want, other) {
+				t.Fatalf("%s: equalAffine((%x, %x, %x), %v) = %v, lower gives %v", g.name, x, y, z, other, eq, want)
+			}
+		}
+		if id := (jacPt{}); !k.equalAffine(&id, &affPt{inf: true}) || k.equalAffine(&id, &a) {
+			t.Fatalf("%s: equalAffine misreads the Jacobian identity", g.name)
 		}
 		batch := []jacPt{jac, {}, k.toJac(&a)}
 		wants := []ecPoint{want, {inf: true}, {x: mod(x), y: mod(y)}}
@@ -109,6 +122,59 @@ func FuzzFieldAgainstBig(f *testing.F) {
 			if got := k.element(&n); !same(got, wants[i]) {
 				t.Fatalf("%s: normalise entry %d of (%x, %x, %x) = %v, want %v", g.name, i, x, y, z, got, wants[i])
 			}
+		}
+	})
+}
+
+// FuzzValidateAgainstBig holds Validate's limb check of a received point
+// to the curve equation written out in math/big: both coordinates in
+// [0, p) and y² ≡ x³ + ax + b (mod p). The seeds are the base point and
+// its negation, coordinates at p and p + 1 (in range only modulo p), an
+// on-curve x shifted by p, negative coordinates, and the off-curve
+// neighbours y ± 1.
+func FuzzValidateAgainstBig(f *testing.F) {
+	curves := kernelCurves()
+	for which, g := range curves {
+		w := uint8(which)
+		add := func(x, y *big.Int) {
+			f.Add(w, x.Sign() < 0, new(big.Int).Abs(x).Bytes(), y.Sign() < 0, new(big.Int).Abs(y).Bytes())
+		}
+		one := big.NewInt(1)
+		pp1 := new(big.Int).Add(g.p, one)
+		h := g.unwrap(g.Exp(g.Generator(), big.NewInt(0x5A5A)))
+		for _, pt := range []ecPoint{g.unwrap(g.Generator()), h} {
+			add(pt.x, pt.y)
+			add(pt.x, new(big.Int).Sub(g.p, pt.y))
+			add(g.p, pt.y)
+			add(pt.x, g.p)
+			add(pp1, pt.y)
+			add(pt.x, pp1)
+			add(new(big.Int).Add(pt.x, g.p), pt.y)
+			add(new(big.Int).Neg(pt.x), pt.y)
+			add(pt.x, new(big.Int).Add(pt.y, one))
+			add(pt.x, new(big.Int).Sub(pt.y, one))
+		}
+		add(new(big.Int), new(big.Int))
+	}
+	f.Fuzz(func(t *testing.T, which uint8, negX bool, xBytes []byte, negY bool, yBytes []byte) {
+		if len(xBytes) > 40 || len(yBytes) > 40 {
+			return
+		}
+		g := curves[int(which)%len(curves)]
+		x, y := new(big.Int).SetBytes(xBytes), new(big.Int).SetBytes(yBytes)
+		if negX {
+			x.Neg(x)
+		}
+		if negY {
+			y.Neg(y)
+		}
+		inRange := func(v *big.Int) bool { return v.Sign() >= 0 && v.Cmp(g.p) < 0 }
+		lhs := new(big.Int).Mul(y, y)
+		rhs := new(big.Int).Mul(x, x)
+		rhs.Mul(rhs, x).Add(rhs, new(big.Int).Mul(g.a, x)).Add(rhs, g.b)
+		want := inRange(x) && inRange(y) && lhs.Sub(lhs, rhs).Mod(lhs, g.p).Sign() == 0
+		if err := g.validateElement(ecPoint{x: x, y: y}); (err == nil) != want {
+			t.Fatalf("%s: Validate(%x, %x) = %v, the curve equation says valid=%v", g.name, x, y, err, want)
 		}
 	})
 }

@@ -20,6 +20,7 @@ import (
 // curveKernel is the arithmetic engine of one curve.
 type curveKernel struct {
 	field.Field
+	b field.Elem // the curve's constant term, for onCurve
 }
 
 // jacPt is a Jacobian point (X/Z², Y/Z³) in Montgomery form; Z = 0
@@ -35,15 +36,29 @@ type affPt struct {
 // errCurveShape refuses a curve the kernel cannot take.
 var errCurveShape = errors.New("the curve kernel takes a = −3 with p and n of at most 256 bits")
 
-// newCurveKernel returns the kernel for the curve, or errCurveShape when
-// a ≠ −3, the field is wider than four limbs, or the order's scalars
-// would not fit them.
-func newCurveKernel(p, a, n *big.Int) (*curveKernel, error) {
+// newCurveKernel returns the kernel for the curve y² = x³ + ax + b, or
+// errCurveShape when a ≠ −3, the field is wider than four limbs, or the
+// order's scalars would not fit them.
+func newCurveKernel(p, a, b, n *big.Int) (*curveKernel, error) {
 	f, err := field.New(p)
 	if err != nil || n.BitLen() > 256 || new(big.Int).Add(a, big.NewInt(3)).Cmp(p) != 0 {
 		return nil, errCurveShape
 	}
-	return &curveKernel{f}, nil
+	return &curveKernel{Field: f, b: f.Reduce(b)}, nil
+}
+
+// onCurve reports whether the affine point a, not the identity, satisfies
+// y² = x³ − 3x + b.
+func (k *curveKernel) onCurve(a *affPt) bool {
+	var lhs, rhs, t field.Elem
+	k.Mul(&lhs, &a.y, &a.y)
+	k.Mul(&rhs, &a.x, &a.x)
+	k.Mul(&rhs, &rhs, &a.x)
+	k.Add(&t, &a.x, &a.x)
+	k.Add(&t, &t, &a.x)
+	k.Sub(&rhs, &rhs, &t)
+	k.Add(&rhs, &rhs, &k.b)
+	return lhs == rhs
 }
 
 // lift converts an affine element. Coordinates a peer sent unreduced
@@ -125,6 +140,23 @@ func (k *curveKernel) normalise(pts []jacPt) []affPt {
 		k.scale(&out[i], pt, &zi)
 	}
 	return out
+}
+
+// equalAffine reports whether the Jacobian p and the affine a are the
+// same point without projecting p: X = x·Z² and Y = y·Z³, and the
+// identity on both sides exactly when Z = 0.
+func (k *curveKernel) equalAffine(p *jacPt, a *affPt) bool {
+	if p.z.IsZero() || a.inf {
+		return p.z.IsZero() && a.inf
+	}
+	var zz, t field.Elem
+	k.Mul(&zz, &p.z, &p.z)
+	if k.Mul(&t, &a.x, &zz); t != p.x {
+		return false
+	}
+	k.Mul(&zz, &zz, &p.z)
+	k.Mul(&t, &a.y, &zz)
+	return t == p.y
 }
 
 // double sets r = 2p with the a = −3 formula (4M + 4S):
@@ -297,11 +329,17 @@ func (k *curveKernel) scalarMul(r *jacPt, base *affPt, e *[4]uint64) {
 	}
 }
 
-// newKernelComb is the fixed-base comb on the kernel: entry
+// kernelComb is the fixed-base comb on the kernel: entry
 // [i·(2^w−1) + d−1] = d·2^(i·w)·base, built with Jacobian additions and
 // normalised to affine in one batch so that every lookup is a mixed
 // addition.
-func newKernelComb(g *ECGroup, base Element, window uint) func(*big.Int) Element {
+type kernelComb struct {
+	k       *curveKernel
+	w, nWin int
+	table   []affPt
+}
+
+func newKernelComb(g *ECGroup, base Element, window uint) *kernelComb {
 	k, w := g.kern, int(window)
 	b := k.lift(g.unwrap(base))
 	cur := k.toJac(&b)
@@ -316,15 +354,26 @@ func newKernelComb(g *ECGroup, base Element, window uint) func(*big.Int) Element
 		}
 		k.addJac(&cur, &win[size-1], &cur)
 	}
-	table := k.normalise(jac)
-	return func(e *big.Int) Element {
-		el := field.Limbs(e)
-		var acc jacPt
-		for i := 0; i < nWin; i++ {
-			if d := bitsAt(&el, i*w, w); d != 0 {
-				k.addAffine(&acc, &acc, &table[i*size+int(d)-1])
-			}
+	return &kernelComb{k: k, w: w, nWin: nWin, table: k.normalise(jac)}
+}
+
+// add sets acc = acc + e·base for e below the order: one mixed addition
+// per non-zero window digit and no doubling, in Jacobian coordinates, so
+// a caller summing several terms projects once.
+func (c *kernelComb) add(acc *jacPt, e *[4]uint64) {
+	size := 1<<c.w - 1
+	for i := 0; i < c.nWin; i++ {
+		if d := bitsAt(e, i*c.w, c.w); d != 0 {
+			c.k.addAffine(acc, acc, &c.table[i*size+int(d)-1])
 		}
-		return k.lower(&acc)
 	}
+}
+
+// exp is FixedBaseTable.Exp on the comb: the one evaluation loop, then
+// the projection.
+func (c *kernelComb) exp(e *big.Int) Element {
+	el := field.Limbs(e)
+	var acc jacPt
+	c.add(&acc, &el)
+	return c.k.lower(&acc)
 }

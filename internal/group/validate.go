@@ -62,7 +62,8 @@ func (d *DLGroup) validateElement(e Element) error {
 	return nil
 }
 
-// validateElement checks coordinate range and the curve equation. The
+// validateElement checks coordinate range and the curve equation, on the
+// kernel's field: FromBig refuses a coordinate outside [0, p). The
 // curves in this repository all have cofactor 1, so on-curve already
 // implies membership in the prime-order group.
 func (g *ECGroup) validateElement(e Element) error {
@@ -73,12 +74,12 @@ func (g *ECGroup) validateElement(e Element) error {
 	if pt.inf {
 		return nil
 	}
-	if pt.x == nil || pt.y == nil ||
-		pt.x.Sign() < 0 || pt.y.Sign() < 0 ||
-		pt.x.Cmp(g.p) >= 0 || pt.y.Cmp(g.p) >= 0 {
+	x, okX := g.kern.FromBig(pt.x)
+	y, okY := g.kern.FromBig(pt.y)
+	if !okX || !okY {
 		return fmt.Errorf("group: %s point coordinate out of range", g.name)
 	}
-	if !g.onCurve(pt.x, pt.y) {
+	if !g.kern.onCurve(&affPt{x: x, y: y}) {
 		return fmt.Errorf("group: %s point is not on the curve", g.name)
 	}
 	return nil

@@ -244,10 +244,12 @@ func PartyCtx(ctx context.Context, cfg Config, me int, fab transport.Net, beta *
 		return Result{}, err
 	}
 
-	// Step 9: strip the last layer and count zeros.
+	// Step 9: strip the last layer and count zeros, a chunk at a time.
 	isZero := make([]bool, len(finalSet))
-	if err := kernel.Map(ctx, cfg.Workers, len(finalSet), func(idx int) error {
-		isZero[idx] = scheme.IsZero(key.X, finalSet[idx])
+	size := hopChunkSize(cfg.Group, len(finalSet), kernel.Workers(cfg.Workers))
+	if err := kernel.Map(ctx, cfg.Workers, (len(finalSet)+size-1)/size, func(c int) error {
+		lo, hi := c*size, min((c+1)*size, len(finalSet))
+		copy(isZero[lo:hi], scheme.ZeroSet(key.X, finalSet[lo:hi]))
 		return nil
 	}); err != nil {
 		return Result{}, transport.AnnotatePhase(err, PhaseFinalSet)
@@ -501,6 +503,10 @@ func validateSet(g group.Group, from int, set []elgamal.Ciphertext) error {
 //
 // τ^t = 0 exactly at the most significant differing bit when that bit is
 // 1 in β_i and 0 in β_j, i.e. the set contains a zero iff β_j < β_i.
+// Every τ is re-randomised, so that it is not a deterministic function of
+// the published E(β_i) bits (which would leak β_j's bits by ciphertext
+// comparison; TestMissingReRandomizationLeaksBits carries out that attack
+// against the UnsafeNoReRandomize ablation, which leaves rr nil).
 func compareAll(ctx context.Context, cfg Config, scheme *elgamal.Scheme, joint group.Element, myBits []uint8, theirCts [][]elgamal.Ciphertext, rng io.Reader) ([]elgamal.Ciphertext, error) {
 	l := cfg.L
 	// Pre-draw each peer circuit's randomness serially in the reference
@@ -536,44 +542,7 @@ func compareAll(ctx context.Context, cfg Config, scheme *elgamal.Scheme, joint g
 	outs := make([][]elgamal.Ciphertext, len(peers))
 	if err := kernel.Map(ctx, cfg.Workers, len(peers), func(pi int) error {
 		w := peers[pi]
-		// E(γ^t): if my bit is 0, γ = β_i^t; if 1, γ = 1 − β_i^t.
-		gammas := make([]elgamal.Ciphertext, l)
-		for t := 0; t < l; t++ {
-			if myBits[t] == 0 {
-				gammas[t] = w.cts[t]
-			} else {
-				gammas[t] = scheme.AddPlain(scheme.Neg(w.cts[t]), big.NewInt(1))
-			}
-		}
-		// Suffix sums S_t = Σ_{v>t} γ^v (0-based index t ⇒ bits above t).
-		suffix := make([]elgamal.Ciphertext, l+1)
-		suffix[l] = scheme.EncryptExpR(joint, big.NewInt(0), w.zero)
-		for t := l - 1; t >= 0; t-- {
-			suffix[t] = scheme.Add(suffix[t+1], gammas[t])
-		}
-		taus := make([]elgamal.Ciphertext, l)
-		for t := 0; t < l; t++ {
-			// Positions are 1-based in the paper; weight = l − t with
-			// 0-based t counting from the LSB... the paper's (l−t+1) with
-			// t ∈ [1, l] equals our (l−t) + 1 with t ∈ [0, l−1].
-			weight := big.NewInt(int64(l - t))
-			// ω = weight·(1−γ) + S_t  =  weight − weight·γ + S_t.
-			om := scheme.ScalarMul(gammas[t], new(big.Int).Neg(weight))
-			om = scheme.Add(om, suffix[t+1])
-			om = scheme.AddPlain(om, weight)
-			// τ = ω + β_j^t.
-			tau := scheme.AddPlain(om, big.NewInt(int64(myBits[t])))
-			// Re-randomise so the published τ is not a deterministic
-			// function of the published E(β_i) bits (which would leak
-			// β_j's bits by ciphertext comparison; the regression test
-			// TestMissingReRandomizationLeaksBits carries out that
-			// attack against the UnsafeNoReRandomize ablation).
-			if !cfg.UnsafeNoReRandomize {
-				tau = scheme.ReRandomizeR(joint, tau, w.rr[t])
-			}
-			taus[t] = tau
-		}
-		outs[pi] = taus
+		outs[pi] = scheme.CompareCircuit(joint, w.cts, myBits, w.zero, w.rr)
 		return nil
 	}); err != nil {
 		return nil, transport.AnnotatePhase(err, PhaseCompare)
@@ -922,12 +891,12 @@ func verifyChainHop(cfg Config, scheme *elgamal.Scheme, me, prev, round int, pre
 const hopChunk = 16
 
 // hopChunkSize is how many ciphertexts of an n-ciphertext set each
-// StripBlind call of a hop takes: on a group whose MultiExp batches,
-// the set split into a whole number of near-equal chunks per worker, none
-// above hopChunk; one ciphertext a call elsewhere, where a batch shares
-// nothing and the finest fan-out balances best. Every element leaves
-// StripBlind in canonical form, so the output does not depend on the
-// split.
+// StripBlind call of a hop, or ZeroSet call of the final decrypt, takes:
+// on a group whose MultiExp batches, the set split into a whole number of
+// near-equal chunks per worker, none above hopChunk; one ciphertext a
+// call elsewhere, where a batch shares nothing and the finest fan-out
+// balances best. Every element leaves StripBlind in canonical form, so
+// the output does not depend on the split.
 func hopChunkSize(g group.Group, n, workers int) int {
 	if !group.MultiExpBatches(g) || n == 0 {
 		return 1
