@@ -41,6 +41,9 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # The socket check keeps link.go the only TCP stack: nothing else in
 # internal/transport (tests aside) may listen, dial or accept, so a
 # second copy of mesh formation cannot grow back unnoticed.
+# The journaling check keeps muxrecover.go the only recovery discipline:
+# nothing else in internal/transport (tests aside) may append to a
+# session journal, so a second retransmit scheme cannot grow back either.
 # The gofmt check names the source trees, not ".", so that the build
 # cache bench/run.sh leaves under .bench_build/ is not walked.
 # The reachability check keeps production code to what a binary or the
@@ -65,6 +68,9 @@ vet:
 	@sockets=$$(grep -lE 'net\.(Listen|Dial|DialTimeout|Dialer)\b|\.Accept\(\)|\.DialContext\(' internal/transport/*.go | grep -v _test.go | tr '\n' ' '); \
 	if [ "$$sockets" != "internal/transport/link.go " ]; then \
 		echo "listen/dial/accept calls in internal/transport belong in link.go alone, found in: $$sockets"; exit 1; fi
+	@journaling=$$(grep -lE 'LogSend\(|LogRecv\(' internal/transport/*.go | grep -v _test.go | tr '\n' ' '); \
+	if [ "$$journaling" != "internal/transport/muxrecover.go " ]; then \
+		echo "journal appends (LogSend/LogRecv) in internal/transport belong in muxrecover.go alone, found in: $$journaling"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:

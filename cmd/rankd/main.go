@@ -69,7 +69,7 @@ func run() int {
 		workers        = flag.Int("workers", 0, "goroutines per session's crypto hot loops (0 = all CPUs, 1 = serial)")
 		queueCap       = flag.Int("queue-cap", 0, "per-session receive budget in frames per peer link (0 = the transport default)")
 		journalDir     = flag.String("journal", "", "durable mode: journal sessions under this directory and resume them across restarts")
-		grace          = flag.Duration("grace", 0, "durable mode: how long a disconnected peer daemon may take to come back before sessions blame it (0 = the transport default)")
+		grace          = flag.Duration("grace", 0, "durable mode: how long a disconnected peer daemon may take to come back before sessions blame it (0 = 15s)")
 		drainBudget    = flag.Duration("drain", 20*time.Second, "graceful-drain budget on SIGINT/SIGTERM: how long running sessions may finish before the rest is parked (or aborted without -journal)")
 	)
 	flag.Parse()

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -37,14 +39,15 @@ func buildRankd(t *testing.T) string {
 
 // chaosMesh is one 4-process rankd deployment plus its API clients.
 type chaosMesh struct {
-	bin      string
-	meshAddr []string
-	apiAddr  []string
-	jdirs    []string
-	cmds     []*exec.Cmd
-	bufs     []*bytes.Buffer
-	clients  []*groupranking.Client
-	hc       *http.Client
+	bin       string
+	meshAddr  []string
+	apiAddr   []string
+	adminAddr []string
+	jdirs     []string
+	cmds      []*exec.Cmd
+	bufs      []*bytes.Buffer
+	clients   []*groupranking.Client
+	hc        *http.Client
 }
 
 // startDaemon (re)launches slot me with its permanent flags.
@@ -54,6 +57,7 @@ func (m *chaosMesh) startDaemon(t *testing.T, me int) {
 		"-addrs", strings.Join(m.meshAddr, ","),
 		"-me", fmt.Sprint(me),
 		"-api", m.apiAddr[me],
+		"-admin", m.adminAddr[me],
 		"-journal", m.jdirs[me],
 		"-grace", "60s",
 		"-session-timeout", "120s",
@@ -88,19 +92,20 @@ func (m *chaosMesh) awaitAPI(t *testing.T, me int) {
 
 func startChaosMesh(t *testing.T) *chaosMesh {
 	t.Helper()
-	addrs, err := transport.FreeLoopbackAddrs(8)
+	addrs, err := transport.FreeLoopbackAddrs(12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := &chaosMesh{
-		bin:      buildRankd(t),
-		meshAddr: addrs[:4],
-		apiAddr:  addrs[4:],
-		jdirs:    make([]string, 4),
-		cmds:     make([]*exec.Cmd, 4),
-		bufs:     make([]*bytes.Buffer, 4),
-		clients:  make([]*groupranking.Client, 4),
-		hc:       &http.Client{Timeout: 10 * time.Second},
+		bin:       buildRankd(t),
+		meshAddr:  addrs[:4],
+		apiAddr:   addrs[4:8],
+		adminAddr: addrs[8:],
+		jdirs:     make([]string, 4),
+		cmds:      make([]*exec.Cmd, 4),
+		bufs:      make([]*bytes.Buffer, 4),
+		clients:   make([]*groupranking.Client, 4),
+		hc:        &http.Client{Timeout: 10 * time.Second},
 	}
 	t.Cleanup(m.hc.CloseIdleConnections)
 	for me := 0; me < 4; me++ {
@@ -123,6 +128,29 @@ func startChaosMesh(t *testing.T) *chaosMesh {
 		m.awaitAPI(t, me)
 	}
 	return m
+}
+
+// linkConnects scrapes slot me's admin /metrics for
+// mux_link_connects_total, keyed by peer label.
+func (m *chaosMesh) linkConnects(t *testing.T, me int) map[string]string {
+	t.Helper()
+	resp, err := m.hc.Get("http://" + m.adminAddr[me] + "/metrics")
+	if err != nil {
+		t.Fatalf("scraping daemon %d: %v", me, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("scraping daemon %d: %v", me, err)
+	}
+	out := make(map[string]string)
+	for _, match := range regexp.MustCompile(`(?m)^mux_link_connects_total\{peer="(\d+)"\} (\S+)$`).FindAllStringSubmatch(string(body), -1) {
+		out[match[1]] = match[2]
+	}
+	if len(out) != 3 {
+		t.Fatalf("daemon %d reports mux_link_connects_total for %d peers, want 3:\n%s", me, len(out), body)
+	}
+	return out
 }
 
 // chaosSpec and chaosProfiles give every session its own distinct
@@ -223,6 +251,15 @@ func TestChaosRankdKillRestart(t *testing.T) {
 		}
 	}
 
+	// The survivors' link counters before the kill: afterwards only the
+	// victim's label may have moved. Heartbeats must never drop a
+	// healthy link, however busy the daemons are.
+	survivors := []int{0, 2, 3}
+	connectsBefore := make(map[int]map[string]string)
+	for _, me := range survivors {
+		connectsBefore[me] = m.linkConnects(t, me)
+	}
+
 	// SIGKILL the victim with the fleet in flight, then bring up its
 	// next life on the same journals. The kernel drops its flock with
 	// the process, so the restart must not see a stale lock.
@@ -263,6 +300,16 @@ func TestChaosRankdKillRestart(t *testing.T) {
 		if view.State != groupranking.SessionDone || view.Rank != want.Ranks[victim-1] {
 			t.Errorf("session %d at the restarted daemon: state %q rank %d, ground truth rank %d",
 				i, view.State, view.Rank, want.Ranks[victim-1])
+		}
+	}
+
+	for _, me := range survivors {
+		after := m.linkConnects(t, me)
+		for peer, n := range after {
+			if peer != fmt.Sprint(victim) && n != connectsBefore[me][peer] {
+				t.Errorf("daemon %d reconnected to surviving daemon %s (mux_link_connects_total %s -> %s)",
+					me, peer, connectsBefore[me][peer], n)
+			}
 		}
 	}
 

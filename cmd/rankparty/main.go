@@ -81,7 +81,6 @@ func run() int {
 
 		journalDir = flag.String("journal", "", "enable crash recovery: journal the session durably into this directory; restart with the same flags to resume")
 		grace      = flag.Duration("grace", 0, "how long a disconnected peer may take to reconnect before it is blamed (default 15s; needs -journal)")
-		heartbeat  = flag.Duration("heartbeat", 0, "link heartbeat interval distinguishing slow peers from dead ones (default 250ms; needs -journal)")
 		blameOut   = flag.String("blame-out", "", "on abort, write the blame certificate as JSON to this file (- for stderr) for offline verification")
 
 		faultSeed    = flag.Int64("fault-seed", 0, "seed for the fault-injection schedule (reproducible chaos)")
@@ -104,10 +103,6 @@ func run() int {
 	}
 	if *grace < 0 {
 		log.Printf("-grace %v is negative (0 means the 15s default)", *grace)
-		return 2
-	}
-	if *heartbeat < 0 {
-		log.Printf("-heartbeat %v is negative (0 means the 250ms default)", *heartbeat)
 		return 2
 	}
 	if *straggle < 0 {
@@ -148,9 +143,9 @@ func run() int {
 		Runtime:   groupranking.Runtime{Timeout: *timeout, Workers: *workers},
 	}
 	if *journalDir != "" {
-		opts.Recovery = &groupranking.RecoveryOptions{Dir: *journalDir, Grace: *grace, Heartbeat: *heartbeat}
-	} else if *grace != 0 || *heartbeat != 0 {
-		log.Print("-grace and -heartbeat need -journal (crash recovery is off without a journal directory)")
+		opts.Recovery = &groupranking.RecoveryOptions{Dir: *journalDir, Grace: *grace}
+	} else if *grace != 0 {
+		log.Print("-grace needs -journal (crash recovery is off without a journal directory)")
 		return 2
 	}
 	if *faultDrop > 0 || *faultDup > 0 || *faultReorder > 0 || *faultCorrupt > 0 ||

@@ -452,7 +452,6 @@ func TestUsageErrors(t *testing.T) {
 		{"-addrs", "a,b,c", "-me", "0", "-attrs", "eq", "-values", "1", "-weights", "2", "-sorter", "bogus"},
 		{"-addrs", "a,b,c", "-me", "0", "-attrs", "eq", "-values", "1", "-weights", "2", "-timeout", "-1s"},
 		{"-addrs", "a,b,c", "-me", "0", "-attrs", "eq", "-values", "1", "-weights", "2", "-grace", "-1s"},
-		{"-addrs", "a,b,c", "-me", "0", "-attrs", "eq", "-values", "1", "-weights", "2", "-heartbeat", "-5ms"},
 	}
 	for _, args := range cases {
 		cmd := exec.Command(bin, args...)

@@ -151,8 +151,9 @@ type Options struct {
 // sends or receives to an append-only checksummed journal in Dir; a
 // crashed process restarted with the same flags replays its
 // deterministic computation against that journal and rejoins the live
-// session at the first un-journaled message. Peers meanwhile buffer
-// undelivered traffic, redial with backoff, and only abort with blame
+// session at the first un-journaled message. Peers meanwhile serve
+// undelivered traffic from their journals, redial with backoff, tell
+// slow from dead by 250 ms link heartbeats, and only abort with blame
 // once a disconnected party has overstayed Grace (and always by
 // Options.Timeout).
 type RecoveryOptions struct {
@@ -164,10 +165,6 @@ type RecoveryOptions struct {
 	// before survivors blame it and abort (default 15s). Options.Timeout
 	// still bounds every receive regardless.
 	Grace time.Duration
-	// Heartbeat is the link heartbeat interval that lets survivors tell
-	// slow from dead (default 250ms). Negative values are rejected at
-	// the entry point — a deployment must not run blind.
-	Heartbeat time.Duration
 }
 
 // FaultPlan describes a deterministic fault-injection schedule; see

@@ -143,7 +143,7 @@ func runRestartParty(params core.Params, q *workload.Questionnaire, crit workloa
 		}
 		fab, err := transport.NewRecoveringTCPFabric(addrs, me, timeout, transport.RecoverOptions{
 			SessionID: sid, Epoch: epoch, Journal: jnl,
-			Grace: 20 * time.Second, Heartbeat: 25 * time.Millisecond,
+			Grace: 20 * time.Second,
 		})
 		if err != nil {
 			return fmt.Errorf("life %d: %w", life, err)

@@ -95,7 +95,7 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 			defer fwg.Done()
 			opts := transport.RecoverOptions{
 				SessionID: "telemetry-abort", Epoch: 1,
-				Grace: grace, Heartbeat: 25 * time.Millisecond,
+				Grace: grace,
 			}
 			if me == 0 {
 				opts.Telemetry = tel

@@ -1,11 +1,13 @@
 package journal
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"groupranking/internal/transport"
 )
@@ -364,5 +366,83 @@ func TestRecordSizePinned(t *testing.T) {
 	// surcharge) is the signature of stateful framing creeping back in.
 	if total, want := grown.Size()-base.Size(), int64(records*wantPerRecord); total != want {
 		t.Errorf("total growth %d bytes, want %d", total, want)
+	}
+}
+
+// TestParentBuildJournalResumes: a recovering party's journal written
+// by the build before the recovering mux resumes on this one. That
+// build numbered each peer's messages from 0 where the mux numbers from
+// 1; the mux takes sequence numbers from journal positions, never from
+// the records, so the off-by-one cannot shift a stream. Here both
+// parties of a session crashed mid-run on such journals — party 1 had
+// sent m1 and m3 and received m2, party 0 had received m1 and sent m2 —
+// and restart (epoch 2): each recomputes its script from the top, m3
+// reaches party 0 by resume, m4 flows live, and both drain.
+func TestParentBuildJournalResumes(t *testing.T) {
+	dir := t.TempDir()
+	addrs, err := transport.FreeLoopbackAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstLife := func(me int, records func(j *Journal) error) {
+		j := open(t, SessionPath(dir, "parent", me))
+		defer j.Close()
+		if _, err := j.BeginEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		if err := records(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	firstLife(0, func(j *Journal) error {
+		return errors.Join(j.LogRecv(1, 1, 8, 0, "m1"), j.LogSend(1, 2, 8, 0, "m2"))
+	})
+	firstLife(1, func(j *Journal) error {
+		return errors.Join(j.LogSend(0, 1, 8, 0, "m1"), j.LogRecv(0, 2, 8, 0, "m2"), j.LogSend(0, 3, 8, 1, "m3"))
+	})
+
+	fabrics := make([]*transport.RecoveringTCPFabric, 2)
+	for me := range fabrics {
+		j := open(t, SessionPath(dir, "parent", me))
+		defer j.Close()
+		epoch, err := j.BeginEpoch()
+		if err != nil || epoch != 2 {
+			t.Fatalf("party %d restart epoch %d, %v", me, epoch, err)
+		}
+		fabrics[me], err = transport.NewRecoveringTCPFabric(addrs, me, 5*time.Second, transport.RecoverOptions{
+			SessionID: "parent", Epoch: epoch, Journal: j,
+		})
+		if err != nil {
+			t.Fatalf("party %d on its parent-build journal: %v", me, err)
+		}
+		defer fabrics[me].Close()
+	}
+	f0, f1 := fabrics[0], fabrics[1]
+	recv := func(f *transport.RecoveringTCPFabric, to, from, round int, want string) {
+		t.Helper()
+		got, err := f.RecvCtx(context.Background(), to, from, round)
+		if err != nil || got != want {
+			t.Fatalf("party %d round %d: got %v, %v; want %q", to, round, got, err, want)
+		}
+	}
+	send := func(f *transport.RecoveringTCPFabric, from, to, round int, msg string) {
+		t.Helper()
+		if err := f.Send(round, from, to, 8, msg); err != nil {
+			t.Fatalf("party %d round %d: %v", from, round, err)
+		}
+	}
+	send(f1, 1, 0, 1, "m1")
+	recv(f1, 1, 0, 2, "m2")
+	send(f1, 1, 0, 3, "m3")
+	recv(f0, 0, 1, 1, "m1")
+	send(f0, 0, 1, 2, "m2")
+	recv(f0, 0, 1, 3, "m3")
+	send(f0, 0, 1, 4, "m4")
+	recv(f1, 1, 0, 4, "m4")
+
+	drained := make(chan bool, 1)
+	go func() { drained <- f1.Drain(5 * time.Second) }()
+	if !f0.Drain(5*time.Second) || !<-drained {
+		t.Fatal("the resumed session did not drain: some message was never delivered")
 	}
 }

@@ -71,10 +71,9 @@ type Config struct {
 	// session journals its transcript and lifecycle under Recovery.Dir,
 	// the mesh runs the reconnecting epoch'd mux, and a restarted
 	// daemon re-adopts its sessions — terminal results stay pollable,
-	// interrupted sessions resume byte-identically (Recovery.Heartbeat
-	// is unused here; the mux grace alone bounds peer outages). Faults
-	// are ignored — fault injection enters the daemon only through the
-	// FaultPlanner test hook.
+	// interrupted sessions resume byte-identically. Faults are ignored —
+	// fault injection enters the daemon only through the FaultPlanner
+	// test hook.
 	groupranking.Runtime
 }
 

@@ -19,11 +19,11 @@ type PeerHealth struct {
 	// State is one of StateConnected, StateReconnecting, StateDead.
 	State string `json:"state"`
 	// LastContactMS is how many milliseconds ago this endpoint last
-	// heard anything (data, ack or heartbeat) from the peer; -1 before
-	// first contact.
+	// heard anything (a hello, data or a heartbeat) from the peer; -1
+	// before first contact.
 	LastContactMS int64 `json:"last_contact_ms"`
 	// HeartbeatRTTMS is the most recent heartbeat round-trip time in
-	// milliseconds, 0 until one has been measured (recovering fabric
+	// milliseconds, 0 until one has been measured (recovering links
 	// only).
 	HeartbeatRTTMS float64 `json:"heartbeat_rtt_ms,omitempty"`
 }

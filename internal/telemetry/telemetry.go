@@ -14,8 +14,8 @@
 //
 // Where obsv answers "what did the protocol compute and send, per phase,
 // per party", telemetry answers "how is the runtime underneath it
-// doing": per-round wall time, redials, retransmissions, ack lag,
-// heartbeat RTT, journal append and fsync latency. obsv traces are
+// doing": per-round wall time, redials, retransmissions, heartbeat
+// RTT, journal append and fsync latency. obsv traces are
 // per-run artifacts merged offline by cmd/ranktrace; telemetry is the
 // live surface /metrics and /healthz are built on.
 //

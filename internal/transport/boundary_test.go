@@ -16,8 +16,8 @@ import (
 
 // The codec boundary, seen from both sides of every TCP-backed stack: a
 // value without a codec never leaves the sender (and the failure is the
-// sender's alone), and a frame carrying the retired gob-fallback type
-// ID never gets past the receiver.
+// sender's alone), and a frame carrying a retired type ID never gets
+// past the receiver.
 
 // unregistered is a payload type nobody gave a codec.
 type unregistered struct{ X int }
@@ -123,4 +123,39 @@ func TestLegacyGobFrameAbortsNamingSender(t *testing.T) {
 			t.Fatalf("receive of a type-ID-1 payload = %#v, %v; want an abort naming party 0 with UnknownTypeError{1}", got, err)
 		}
 	})
+}
+
+// TestRetiredRecoveryEnvelopeBlamedAtOnce is the mixed-build case: a
+// recovering endpoint from before the recovering mux speaks the
+// recovery envelope (type ID 83) on its session/<sid> link, opening
+// every connection with an ack frame. The receiver has no codec for it,
+// so the sender is blamed by name at once, not after the grace.
+func TestRetiredRecoveryEnvelopeBlamedAtOnce(t *testing.T) {
+	leakcheck.Check(t)
+	_, fabrics := buildRecoveryMesh(t, 2, func(me int, o *RecoverOptions) { o.Grace = time.Minute })
+	// The ack as that build encoded it: kind 3, round, seq, bytes, ack,
+	// heartbeat stamp and its echo, then a nil payload.
+	body := wirecodec.AppendU8(nil, 3)
+	for i := 0; i < 6; i++ {
+		body = wirecodec.AppendU64(body, 0)
+	}
+	body, err := wirecodec.AppendValue(body, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := wirecodec.AppendU16([]byte{'G', 'W', wirecodec.Version}, wirecodec.IDRangeTransport+3)
+	frame = wirecodec.AppendBytes(frame, body) // u32 length ‖ payload
+	if err := fabrics[0].mesh.write(1, 1, time.Second, frame); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_, err = fabrics[1].RecvCtx(context.Background(), 1, 0, 1)
+	ae, ok := IsAbort(err)
+	var unknown *wirecodec.UnknownTypeError
+	if !ok || ae.Party != 0 || !errors.Is(err, ErrPeerDown) || !errors.As(err, &unknown) || unknown.ID != wirecodec.IDRangeTransport+3 {
+		t.Fatalf("receive after a recovery-envelope frame = %v; want an abort naming party 0 with UnknownTypeError{83}", err)
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Fatalf("blamed after %v: the retired frame waited out a grace", waited)
+	}
 }

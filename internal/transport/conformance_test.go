@@ -103,7 +103,7 @@ var tcpStacks = []tcpStack{
 					RecoverOptions{SessionID: "s", Grace: stackGrace})
 			})
 		},
-		frame:    renv{Kind: frameData, Round: 1, Bytes: 8},
+		frame:    muxEnv{SID: "s", Kind: muxKindData, Round: 1, Bytes: 8, Seq: 1},
 		recovers: true,
 	},
 	{
@@ -114,7 +114,7 @@ var tcpStacks = []tcpStack{
 					RecoverOptions{SessionID: "s", Grace: stackGrace, Journal: newMemJournal()})
 			})
 		},
-		frame:    renv{Kind: frameData, Round: 1, Bytes: 8},
+		frame:    muxEnv{SID: "s", Kind: muxKindData, Round: 1, Bytes: 8, Seq: 1},
 		recovers: true,
 	},
 }
@@ -165,11 +165,11 @@ func formMeshOn[E interface{ Close() }](t *testing.T, addrs []string, mk func(ad
 func linkOf(e stackEnd) *mesh {
 	switch e := e.(type) {
 	case *TCPFabric:
-		return e.mux.link
-	case muxEnd:
-		return e.mux.link
+		return e.mesh
 	case *RecoveringTCPFabric:
 		return e.mesh
+	case muxEnd:
+		return e.mux.link
 	}
 	panic("unknown stack endpoint")
 }

@@ -85,7 +85,6 @@ func TestPayloadDigestIsFrameHash(t *testing.T) {
 		g.Generator(), g.Identity(), dl.Generator(),
 		echoMsg{Digests: [][]byte{{1}, nil}},
 		Corrupted{Round: 3},
-		renv{Kind: frameData, Round: 1, Seq: 2, Payload: big.NewInt(3)},
 		hello{Party: 1, Epoch: 2, Mesh: "sid"},
 		muxEnv{SID: "sid", Kind: muxKindData, Round: 1, Seq: 2, Payload: 4},
 		wirePayload{From: 1, Text: "t"},

@@ -22,7 +22,7 @@ func FuzzFrameReader(f *testing.F) {
 		return data
 	}
 	f.Add(seed(muxEnv{SID: tcpFabricSID, Kind: muxKindData, Round: 3, Bytes: 40, Payload: "hello"}))
-	f.Add(seed(renv{Kind: 1, Round: 2, Seq: 7, Bytes: 16, Payload: 42}))
+	f.Add(seed(muxEnv{SID: "sess", Kind: muxKindHeartbeat, Round: muxNoReply, Seq: 7}))
 	f.Add(seed(hello{Party: 1, Epoch: 2, Mesh: "session/sess"}))
 	f.Add(seed(echoMsg{Digests: [][]byte{{1, 2}, nil}}))
 	f.Add(seed(Corrupted{Round: 5}))
@@ -30,7 +30,7 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte{'G', 'W'})
 	f.Add([]byte{'G', 'W', wirecodec.Version, 0, 83, 0xFF, 0xFF, 0xFF, 0xFF})
 	// A version-1 peer's gob-fallback payload inside a sound envelope.
-	f.Add(withLegacyPayload(f, renv{Kind: 1, Round: 3, Bytes: 40}))
+	f.Add(withLegacyPayload(f, muxEnv{SID: "sess", Kind: muxKindData, Round: 3, Bytes: 40, Seq: 1}))
 	f.Add(bytes.Repeat([]byte{0xA5}, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd := bufio.NewReader(bytes.NewReader(data))
@@ -58,7 +58,7 @@ func FuzzEnvelopeDecode(f *testing.F) {
 		return data
 	}
 	f.Add(seed(muxEnv{SID: tcpFabricSID, Kind: muxKindData, Round: 1, Bytes: 8, Payload: []byte{1, 2, 3}}))
-	f.Add(seed(renv{Kind: 2, Round: 0, Seq: 1, Payload: nil}))
+	f.Add(seed(muxEnv{SID: "sess", Kind: muxKindResume, Round: muxNoReply, Seq: 1}))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		v, err := wirecodec.Unmarshal(data)

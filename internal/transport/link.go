@@ -409,6 +409,7 @@ func (m *mesh) attach(peer, epoch int, conn net.Conn, rd *bufio.Reader) <-chan b
 	}
 	m.wg.Add(1)
 	m.mu.Unlock()
+	m.lastSeen[peer].Store(time.Now().UnixNano()) // the hello is the connection's first frame
 	p.tm.connects.Inc()
 	p.tm.linkUp.Set(1)
 	m.onUp(peer, epoch)

@@ -17,7 +17,7 @@ import (
 // receive queues. This is the transport layer under the rankd
 // coordinator daemon — a long-lived process hosts many sessions without
 // paying a mesh formation (or a file descriptor pair) per session — and,
-// carrying a single session, under TCPFabric.
+// carrying a single session, under TCPFabric and RecoveringTCPFabric.
 //
 // Isolation contract: a session that aborts, overflows its receive
 // budget, or closes never tears down the shared link — the other
@@ -61,8 +61,9 @@ type SessionMux struct {
 // MuxOptions tunes a SessionMux. The zero value is a working default.
 type MuxOptions struct {
 	// Telemetry, when non-nil, feeds the mux_* metrics family: link
-	// connects (exactly one per peer for the mux's whole lifetime — the
-	// counter load tests assert on), per-link frame traffic, session
+	// redials and connects (exactly one connect per peer for the mux's
+	// whole lifetime — the counter load tests assert on), link state,
+	// per-link frame traffic, retransmissions, heartbeat RTT, session
 	// open/close counts and pending-buffer drops.
 	Telemetry *telemetry.Registry
 	// QueueCap bounds each session's per-peer receive queue in frames
@@ -91,7 +92,7 @@ type MuxRecovery struct {
 	Epoch int
 	// Grace bounds how long a lost link may stay down before the mux
 	// blames the peer and fails every open session's receives from it
-	// (default 30s). A link that re-attaches within the grace resumes
+	// (default 15s). A link that re-attaches within the grace resumes
 	// every session silently.
 	Grace time.Duration
 }
@@ -108,8 +109,8 @@ type ControlMsg struct {
 // per-session protocol data from the daemons' control plane (whose
 // frames carry an empty SID). Seq is the per-(session,peer) send
 // sequence number recovering sessions stamp on data frames (1-based; 0
-// marks an unsequenced frame from a session running without recovery)
-// and the resume cursor on resume frames.
+// marks an unsequenced frame from a session running without recovery),
+// the cursor on resume frames and the sender's clock on heartbeats.
 type muxEnv struct {
 	SID     string
 	Kind    uint8
@@ -127,6 +128,14 @@ const (
 	// that." Sent after a link re-attach and by restarted daemons when
 	// they re-adopt a session.
 	muxKindResume uint8 = 3
+	// muxKindHeartbeat keeps a recovering link's read deadline moving;
+	// Seq carries the prober's clock, which the echo returns.
+	muxKindHeartbeat uint8 = 4
+
+	// muxNoReply, in the Round of a resume or heartbeat frame, marks one
+	// that must not be answered: a bare cursor report (no
+	// retransmission) or a heartbeat's echo.
+	muxNoReply = 1
 
 	defaultMuxQueueCap   = 1024
 	defaultMuxPendingCap = 1024
@@ -163,12 +172,14 @@ type pendingFrame struct {
 // concurrently. timeout bounds each write and is the default
 // per-session receive bound; <= 0 means no bound.
 func NewSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOptions) (*SessionMux, error) {
-	return newSessionMux(addrs, me, timeout, opts, "mux")
+	return newSessionMux(addrs, me, timeout, opts, "mux", true)
 }
 
 // newSessionMux builds a mux whose links carry the given mesh tag, so a
-// single-session TCPFabric endpoint and a daemon's mux never link up.
-func newSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOptions, tag string) (*SessionMux, error) {
+// single-session fabric endpoint and a daemon's mux never link up. With
+// await it returns once every link has come up; without, links come up
+// as peers accept or redial.
+func newSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOptions, tag string, await bool) (*SessionMux, error) {
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = defaultMuxQueueCap
 	}
@@ -198,21 +209,24 @@ func newSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOption
 		onFrame: m.onFrame, onUp: m.onUp, onBlame: m.onBlame,
 	}
 	if r := opts.Recovery; r != nil {
-		m.rec = &muxRecovery{resumable: make(map[string]Journaler), serving: make(map[string]bool)}
-		m.link.epoch, m.link.grace = r.Epoch, r.Grace
-		if m.link.epoch <= 0 {
-			m.link.epoch = 1
-		}
+		m.rec = &muxRecovery{resumable: make(map[string]Journaler), serving: make(map[string]bool), rtt: make([]atomic.Int64, n)}
+		m.link.epoch, m.link.grace = max(r.Epoch, 1), r.Grace
 		if m.link.grace <= 0 {
-			m.link.grace = defaultMuxGrace
+			m.link.grace = defaultGrace
 		}
 	}
 	if err := m.link.start(); err != nil {
 		return nil, err
 	}
-	if err := m.link.awaitUp(dialDeadline); err != nil {
-		m.Close()
-		return nil, err
+	if m.rec != nil {
+		m.rec.wg.Add(1)
+		go m.heartbeatLoop()
+	}
+	if await {
+		if err := m.link.awaitUp(dialDeadline); err != nil {
+			m.Close()
+			return nil, err
+		}
 	}
 	return m, nil
 }
@@ -239,6 +253,8 @@ func (m *SessionMux) onFrame(peer int, v any) error {
 	case env.Kind == muxKindResume && m.rec != nil:
 		m.mm.resumeFrames.Inc()
 		m.routeResume(peer, env)
+	case env.Kind == muxKindHeartbeat && m.rec != nil:
+		m.onHeartbeat(peer, env)
 	default:
 		return fmt.Errorf("transport: party %d sent mux frame kind %d", peer, env.Kind)
 	}
@@ -259,7 +275,7 @@ func (m *SessionMux) onUp(peer, _ int) {
 	}
 	m.mu.Unlock()
 	for _, s := range resumes {
-		go s.sendResume(peer)
+		go s.sendCursor(peer, 0)
 	}
 }
 
@@ -415,7 +431,7 @@ func (m *SessionMux) open(sid string, timeout time.Duration, j Journaler) (*MuxS
 		// yet; peers that attach later are asked on attach.
 		for peer := 0; peer < m.n; peer++ {
 			if peer != m.me && m.link.conn(peer) != nil {
-				go s.sendResume(peer)
+				go s.sendCursor(peer, 0)
 			}
 		}
 	}
@@ -464,13 +480,27 @@ func (m *SessionMux) writeFrame(to int, timeout time.Duration, env muxEnv) error
 }
 
 // Health implements telemetry.HealthSource for the daemon's admin
-// endpoint.
-func (m *SessionMux) Health() []telemetry.PeerHealth { return m.link.Health() }
+// endpoint: the link layer's view plus, on a recovering mux, the latest
+// heartbeat round trip per peer.
+func (m *SessionMux) Health() []telemetry.PeerHealth {
+	out := m.link.Health()
+	if m.rec != nil {
+		for i := range out {
+			out[i].HeartbeatRTTMS = float64(m.rec.rtt[out[i].Peer].Load()) / float64(time.Millisecond)
+		}
+	}
+	return out
+}
 
 // Close tears down the mesh: every open session's receives fail with
 // ErrClosed, the pumps drain, and no goroutine outlives the mux.
 // Safe to call more than once and concurrently with traffic.
-func (m *SessionMux) Close() { m.link.Close() }
+func (m *SessionMux) Close() {
+	m.link.Close()
+	if m.rec != nil {
+		m.rec.wg.Wait()
+	}
+}
 
 // MuxSession is one session's view of the shared mesh: a transport.Net
 // whose frames carry the session's route tag, with the same endpoint
@@ -490,14 +520,16 @@ type MuxSession struct {
 	down []downSignal
 
 	// Journal-backed recovery state (nil/unused when j is nil): see
-	// muxrecover.go. sendMu guards the send side (sequence counters and
-	// replay suppression), recvMu the receive side (replay queues, the
-	// next-expected cursors and the per-peer reorder stash).
+	// muxrecover.go. sendMu guards the send side (sequence counters,
+	// replay suppression and the cursors peers reported), recvMu the
+	// receive side (replay queues, the next-expected cursors and the
+	// per-peer reorder stash).
 	j           Journaler
 	sendMu      sync.Mutex
 	sendSeq     []uint64
 	replaySends [][]JournalMsg
 	resuming    []bool
+	peerHas     []uint64
 	recvMu      sync.Mutex
 	recvNext    []uint64
 	replayRecvs [][]JournalMsg
@@ -521,9 +553,7 @@ func (s *MuxSession) N() int { return s.m.n }
 // session), leaving the link and every other session untouched.
 func (s *MuxSession) deliver(from int, env muxEnv) {
 	if env.Kind == muxKindResume {
-		// A retransmission request for this session; served off the pump
-		// goroutine so a slow link never blocks other sessions' reads.
-		s.serveResume(from, env.Seq)
+		s.resumeFrom(from, env)
 		return
 	}
 	if _, failed := s.down[from].state(); failed != nil {
@@ -606,8 +636,10 @@ func (s *MuxSession) Close() {
 // (a nil registry hands out nil handles), so a daemon without telemetry
 // pays one nil check per event.
 type muxMetrics struct {
+	redials  *telemetry.CounterVec
 	connects *telemetry.CounterVec
 	linkUp   *telemetry.GaugeVec
+	hbRTT    *telemetry.Histogram
 
 	dataFrames   *telemetry.Counter
 	ctrlFrames   *telemetry.Counter
@@ -628,8 +660,12 @@ type muxMetrics struct {
 
 func newMuxMetrics(reg *telemetry.Registry) *muxMetrics {
 	return &muxMetrics{
-		connects:     reg.CounterVec("mux_link_connects_total", "Mux link establishments per peer — stays at 1 per peer for the daemon's lifetime when sessions truly share the connection.", "peer"),
-		linkUp:       reg.GaugeVec("mux_link_up", "Mux link state per peer: 1 connected, 0 down.", "peer"),
+		redials:  reg.CounterVec("mux_link_redials_total", "Dial attempts per peer, including initial mesh formation.", "peer"),
+		connects: reg.CounterVec("mux_link_connects_total", "Mux link establishments per peer — stays at 1 per peer for the daemon's lifetime when sessions truly share the connection.", "peer"),
+		linkUp:   reg.GaugeVec("mux_link_up", "Mux link state per peer: 1 connected, 0 down.", "peer"),
+		hbRTT: reg.Histogram("transport_heartbeat_rtt_seconds",
+			"Heartbeat round-trip time per recovering link.",
+			telemetry.ExpBuckets(0.0001, 4, 10)), // 100µs .. ~26s
 		dataFrames:   reg.Counter("mux_data_frames_total", "Session data frames received over all mux links."),
 		ctrlFrames:   reg.Counter("mux_control_frames_total", "Control-plane frames received over all mux links."),
 		sessionMsgs:  reg.Counter("mux_session_msgs_total", "Session protocol messages sent by this daemon across all sessions."),
@@ -644,10 +680,17 @@ func newMuxMetrics(reg *telemetry.Registry) *muxMetrics {
 	}
 }
 
-// link is the per-peer slice of the bundle the link layer feeds.
+// linkMetrics is the per-peer slice of the bundle the link layer feeds.
+// The zero value (telemetry disabled) is fully inert.
+type linkMetrics struct {
+	redials  *telemetry.Counter
+	connects *telemetry.Counter
+	linkUp   *telemetry.Gauge
+}
+
 func (mm *muxMetrics) link(peer int) linkMetrics {
 	p := strconv.Itoa(peer)
-	return linkMetrics{connects: mm.connects.With(p), linkUp: mm.linkUp.With(p)}
+	return linkMetrics{redials: mm.redials.With(p), connects: mm.connects.With(p), linkUp: mm.linkUp.With(p)}
 }
 
 // onSessionOpen / onSessionClose keep the active-session gauge.

@@ -1,26 +1,31 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
+
+	"groupranking/internal/wirecodec"
 )
 
-// Recovering mode for the SessionMux: the daemon-grade generalization of
-// RecoveringTCPFabric's epoch/retransmit/replay semantics to N sessions
-// sharing one link per peer pair.
+// Recovering mode for the SessionMux: the one recovery discipline, under
+// rankd's many sessions and under RecoveringTCPFabric's one.
 //
-// The division of labor differs from the single-session fabric in one
-// structural way: there is no in-memory retransmit buffer or ack
+// There is no in-memory retransmit buffer and no acknowledgement
 // machinery. Each recovering session's journal IS its retransmit buffer
 // — every send is journaled (write-ahead) before its first wire write,
 // so any suffix of a session's traffic can be re-served at any time.
 // After an outage the side that is missing frames asks for them with a
 // resume frame ("I hold Seq frames of yours for SID"), and the owner
 // replays its journal from that cursor. Resume requests fire on every
-// link re-attach and when a restarted daemon re-adopts a session, so
+// link re-attach and when a restarted endpoint re-adopts a session, so
 // both directions of every interrupted conversation self-heal without
-// per-frame acknowledgements.
+// per-frame acknowledgements. A session without a durable journal runs
+// on an in-memory one (memJournal): it rides out link outages, not a
+// restart of its own process.
 //
 // Because retransmitted frames interleave with live sends on the shared
 // link, recovering receivers order frames by per-(session,peer)
@@ -28,16 +33,107 @@ import (
 // bounded reorder buffer until the missing frame arrives. A link that
 // stays down past the recovery grace blames the peer and fails every
 // open session's receives from it with the same typed ErrPeerDown a
-// single-session fabric would surface.
+// fail-fast mux would surface.
+//
+// Every recovering link also carries heartbeats, which keep a
+// connection's read deadline from firing while the peer is alive: a
+// connection that delivers nothing for livenessWindow (a severed link, a
+// frozen peer) fails its pump's read and enters the redial/grace path,
+// so a slow peer stalls a session and only a dead one is blamed.
 
-// defaultMuxGrace bounds a recovering link outage when the caller does
-// not choose one.
-const defaultMuxGrace = 30 * time.Second
+// Sentinel causes specific to recovering sessions.
+var (
+	// ErrReplayDiverged: a restarted party's recomputation produced a
+	// different message sequence than its journal — the process was
+	// restarted with a different seed, flags or binary.
+	ErrReplayDiverged = errors.New("transport: journal replay diverged from recomputation")
+	// ErrDesync: a peer sent an unsequenced frame into a recovering
+	// session, which a correct recovering peer never does.
+	ErrDesync = errors.New("transport: link sequence desynchronised")
+)
 
-// muxRecovery is the recovering-mode state hanging off a SessionMux,
-// guarded by the mux's own mu. The links themselves — redial, stale-epoch
-// fencing, the blame grace — are the link layer's (link.go); what is
-// here is the per-session resume discipline it drives through onUp.
+const (
+	// defaultGrace bounds a recovering link outage when the caller does
+	// not choose one.
+	defaultGrace = 15 * time.Second
+	// heartbeatInterval paces the heartbeat on every recovering link.
+	heartbeatInterval = 250 * time.Millisecond
+	// livenessWindow is how long a recovering connection may deliver no
+	// frame at all before its read deadline takes it down.
+	livenessWindow = 4*heartbeatInterval + time.Second
+)
+
+// JournalMsg is one journaled protocol message, as recovering sessions
+// exchange them with a Journaler.
+type JournalMsg struct {
+	Round   int
+	Seq     uint64
+	Bytes   int
+	Payload any
+}
+
+// Journaler is the write-ahead log a recovering session records protocol
+// messages into (implemented durably by internal/journal). LogSend is
+// called before a message's first wire write; LogRecv before a received
+// message is handed to the protocol, so a peer's cursor never counts a
+// message the receiver could lose. SentTo/RecvFrom replay the records
+// in order on restart, and SentTo serves retransmissions: a message's
+// sequence number is its 1-based position in SentTo. Implementations
+// must be safe for concurrent use.
+type Journaler interface {
+	LogSend(peer, round, bytes int, seq uint64, payload any) error
+	LogRecv(peer, round, bytes int, seq uint64, payload any) error
+	SentTo(peer int) ([]JournalMsg, error)
+	RecvFrom(peer int) ([]JournalMsg, error)
+}
+
+// memJournal is the in-memory Journaler of a recovering session that was
+// given none (reconnect-only recovery). Like the durable one it refuses a
+// send whose payload has no wire form.
+type memJournal struct {
+	mu   sync.Mutex
+	sent map[int][]JournalMsg
+	recv map[int][]JournalMsg
+}
+
+func newMemJournal() *memJournal {
+	return &memJournal{sent: make(map[int][]JournalMsg), recv: make(map[int][]JournalMsg)}
+}
+
+func (m *memJournal) LogSend(peer, round, bytes int, seq uint64, payload any) error {
+	if _, err := wirecodec.Marshal(payload); err != nil {
+		return err
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.sent[peer] = append(m.sent[peer], JournalMsg{Round: round, Seq: seq, Bytes: bytes, Payload: payload})
+	return nil
+}
+
+func (m *memJournal) LogRecv(peer, round, bytes int, seq uint64, payload any) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.recv[peer] = append(m.recv[peer], JournalMsg{Round: round, Seq: seq, Bytes: bytes, Payload: payload})
+	return nil
+}
+
+func (m *memJournal) SentTo(peer int) ([]JournalMsg, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]JournalMsg(nil), m.sent[peer]...), nil
+}
+
+func (m *memJournal) RecvFrom(peer int) ([]JournalMsg, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return append([]JournalMsg(nil), m.recv[peer]...), nil
+}
+
+// muxRecovery is the recovering-mode state hanging off a SessionMux;
+// the maps are guarded by the mux's own mu. The links themselves —
+// redial, stale-epoch fencing, the blame grace — are the link layer's
+// (link.go); what is here is the per-session resume discipline it
+// drives through onUp, and the heartbeats.
 type muxRecovery struct {
 	// resumable maps session ids to their journals for serving resume
 	// requests after the session's goroutine is gone: a terminal
@@ -47,11 +143,61 @@ type muxRecovery struct {
 	// serving dedupes concurrent registry-served retransmit runs, keyed
 	// "sid|peer".
 	serving map[string]bool
+	// rtt is the latest heartbeat round trip per peer, in nanoseconds.
+	rtt []atomic.Int64
+	// wg waits for the heartbeat loop.
+	wg sync.WaitGroup
+}
+
+// heartbeatLoop sends every connected peer a heartbeat each interval,
+// stamped with this endpoint's clock, and re-arms each connection's read
+// deadline at its last frame plus livenessWindow. A live peer's
+// heartbeats keep moving the deadline; a silent connection's stays put
+// and fails its pump's read.
+func (m *SessionMux) heartbeatLoop() {
+	defer m.rec.wg.Done()
+	t := time.NewTicker(heartbeatInterval)
+	defer t.Stop()
+	for {
+		select {
+		case <-m.Done():
+			return
+		case now := <-t.C:
+			for peer := 0; peer < m.n; peer++ {
+				if peer == m.me {
+					continue
+				}
+				conn := m.link.conn(peer)
+				if conn == nil {
+					continue
+				}
+				conn.SetReadDeadline(time.Unix(0, m.link.lastSeen[peer].Load()).Add(livenessWindow))
+				// Best effort: a failed write takes the link down into the
+				// redial path like any other.
+				_ = m.link.writeOn(conn, peer, 0, m.timeout, muxEnv{Kind: muxKindHeartbeat, Seq: uint64(now.UnixNano())})
+			}
+		}
+	}
+}
+
+// onHeartbeat answers a peer's heartbeat with an echo of its stamp, or
+// takes the round trip from an echo of our own: both clock reads are
+// ours, and a wall clock stepping backwards between them is ignored.
+func (m *SessionMux) onHeartbeat(peer int, env muxEnv) {
+	if env.Round != muxNoReply {
+		_ = m.writeFrame(peer, m.timeout, muxEnv{Kind: muxKindHeartbeat, Round: muxNoReply, Seq: env.Seq})
+		return
+	}
+	if rtt := time.Since(time.Unix(0, int64(env.Seq))); rtt >= 0 {
+		m.rec.rtt[peer].Store(int64(rtt))
+		m.mm.hbRTT.Observe(rtt.Seconds())
+	}
 }
 
 // routeResume routes one resume frame: to its open session, to the
 // resumable registry when the session is already terminal here, or into
 // the pending buffer so a not-yet-re-adopted session serves it at open.
+// A cursor report asks for nothing, so the registry ignores it.
 func (m *SessionMux) routeResume(from int, env muxEnv) {
 	m.mu.Lock()
 	_, open := m.sessions[env.SID]
@@ -59,6 +205,10 @@ func (m *SessionMux) routeResume(from int, env muxEnv) {
 	var key string
 	if !open {
 		if j = m.rec.resumable[env.SID]; j != nil {
+			if env.Round == muxNoReply {
+				m.mu.Unlock()
+				return
+			}
 			key = env.SID + "|" + strconv.Itoa(from)
 			if m.rec.serving[key] {
 				m.mu.Unlock()
@@ -83,15 +233,16 @@ func (m *SessionMux) routeResume(from int, env muxEnv) {
 }
 
 // retransmitFromJournal re-serves a session's journaled sends to one
-// peer starting after the peer's cursor. A write failure just stops the
+// peer starting after the peer's cursor. Sequence numbers are journal
+// positions, whatever the records carry. A write failure just stops the
 // run — the peer re-requests on the next attach.
 func (m *SessionMux) retransmitFromJournal(sid string, to int, have uint64, j Journaler) {
 	msgs, err := j.SentTo(to)
 	if err != nil || uint64(len(msgs)) <= have {
 		return
 	}
-	for _, msg := range msgs[have:] {
-		env := muxEnv{SID: sid, Kind: muxKindData, Round: msg.Round, Bytes: msg.Bytes, Seq: msg.Seq, Payload: msg.Payload}
+	for i, msg := range msgs[have:] {
+		env := muxEnv{SID: sid, Kind: muxKindData, Round: msg.Round, Bytes: msg.Bytes, Seq: have + uint64(i) + 1, Payload: msg.Payload}
 		if m.writeFrame(to, m.timeout, env) != nil {
 			return
 		}
@@ -125,10 +276,10 @@ func (m *SessionMux) DropResumable(sid string) {
 // OpenRecovering registers a journal-backed session on a recovering
 // mux. The journal must hold this session's records (freshly created on
 // a first run, reopened on a restart); its contents seed the replay
-// queues exactly like a RecoveringTCPFabric restart: journaled receives
-// are re-served to the protocol before any live traffic, journaled
-// sends suppress the recomputation's first len(sent) writes, and peers
-// are asked to retransmit anything past our receive cursors.
+// queues: journaled receives are re-served to the protocol before any
+// live traffic, journaled sends suppress the recomputation's first
+// len(sent) writes, and peers are asked to retransmit anything past our
+// receive cursors.
 func (m *SessionMux) OpenRecovering(sid string, timeout time.Duration, j Journaler) (*MuxSession, error) {
 	if m.rec == nil {
 		return nil, fmt.Errorf("transport: OpenRecovering needs a mux built with MuxOptions.Recovery")
@@ -146,6 +297,7 @@ func (s *MuxSession) loadJournal(j Journaler) error {
 	s.sendSeq = make([]uint64, n)
 	s.replaySends = make([][]JournalMsg, n)
 	s.resuming = make([]bool, n)
+	s.peerHas = make([]uint64, n)
 	s.recvNext = make([]uint64, n)
 	s.replayRecvs = make([][]JournalMsg, n)
 	s.stash = make([]map[uint64]muxEnv, n)
@@ -170,34 +322,62 @@ func (s *MuxSession) loadJournal(j Journaler) error {
 	return nil
 }
 
-// sendResume tells one peer how much of its traffic we hold. Errors are
-// ignored: a failed resume is retried on the next link attach.
-func (s *MuxSession) sendResume(to int) {
+// sendCursor tells one peer how much of its traffic we hold: a resume
+// request (round 0), or with round muxNoReply a bare report. Errors are
+// ignored: a lost cursor is re-sent as a resume on the next link attach.
+func (s *MuxSession) sendCursor(to, round int) {
 	s.recvMu.Lock()
 	have := s.recvNext[to]
 	s.recvMu.Unlock()
-	s.m.writeFrame(to, s.m.timeout, muxEnv{SID: s.sid, Kind: muxKindResume, Seq: have})
+	s.m.writeFrame(to, s.m.timeout, muxEnv{SID: s.sid, Kind: muxKindResume, Round: round, Seq: have})
 }
 
-// serveResume starts (at most one per peer) a retransmit run for this
-// open session.
-func (s *MuxSession) serveResume(from int, have uint64) {
+// resumeFrom takes a peer's resume frame for this open session: it
+// records the peer's cursor and, unless the frame is a bare report,
+// starts (at most one per peer) a retransmit run past it, off the pump
+// goroutine.
+func (s *MuxSession) resumeFrom(from int, env muxEnv) {
 	if s.j == nil {
 		return // we are not journal-backed; nothing to serve
 	}
 	s.sendMu.Lock()
-	if s.resuming[from] {
+	s.peerHas[from] = max(s.peerHas[from], env.Seq)
+	if env.Round == muxNoReply || s.resuming[from] {
 		s.sendMu.Unlock()
 		return
 	}
 	s.resuming[from] = true
 	s.sendMu.Unlock()
 	go func() {
-		s.m.retransmitFromJournal(s.sid, from, have, s.j)
+		s.m.retransmitFromJournal(s.sid, from, env.Seq, s.j)
 		s.sendMu.Lock()
 		s.resuming[from] = false
 		s.sendMu.Unlock()
 	}()
+}
+
+// drainState reports whether every peer's cursor covers this session's
+// sends to it and, if not, whether receives from an uncovered peer have
+// failed (that peer was blamed, or its stream broke): the session has
+// given up on it.
+func (s *MuxSession) drainState() (covered, failed bool) {
+	covered = true
+	for p := range s.peerHas {
+		if p == s.m.me {
+			continue
+		}
+		s.sendMu.Lock()
+		holds := s.peerHas[p] >= s.sendSeq[p]
+		s.sendMu.Unlock()
+		if holds {
+			continue
+		}
+		covered = false
+		if _, err := s.down[p].state(); err != nil {
+			failed = true
+		}
+	}
+	return covered, failed
 }
 
 // sendRecovering is Send's tail for journal-backed sessions: replay

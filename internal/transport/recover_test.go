@@ -14,49 +14,6 @@ import (
 	"groupranking/internal/wirecodec"
 )
 
-// memJournal is an in-memory Journaler for transport-level tests (the
-// real durable implementation lives in internal/journal, which imports
-// this package and so cannot be used here). Like the real one it
-// refuses a send whose payload has no wire form.
-type memJournal struct {
-	mu   sync.Mutex
-	sent map[int][]JournalMsg
-	recv map[int][]JournalMsg
-}
-
-func newMemJournal() *memJournal {
-	return &memJournal{sent: make(map[int][]JournalMsg), recv: make(map[int][]JournalMsg)}
-}
-
-func (m *memJournal) LogSend(peer, round, bytes int, seq uint64, payload any) error {
-	if _, err := wirecodec.Marshal(payload); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sent[peer] = append(m.sent[peer], JournalMsg{Round: round, Seq: seq, Bytes: bytes, Payload: payload})
-	return nil
-}
-
-func (m *memJournal) LogRecv(peer, round, bytes int, seq uint64, payload any) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recv[peer] = append(m.recv[peer], JournalMsg{Round: round, Seq: seq, Bytes: bytes, Payload: payload})
-	return nil
-}
-
-func (m *memJournal) SentTo(peer int) ([]JournalMsg, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]JournalMsg(nil), m.sent[peer]...), nil
-}
-
-func (m *memJournal) RecvFrom(peer int) ([]JournalMsg, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]JournalMsg(nil), m.recv[peer]...), nil
-}
-
 // buildRecoveryMesh starts an n-party recovery mesh, closed at test
 // cleanup; tweak customises each party's options before the fabrics
 // dial.
@@ -103,16 +60,17 @@ func TestRecoveringMeshSendRecv(t *testing.T) {
 			}
 		}
 	}
-	// Stats count logical sends only, never heartbeats or acks.
+	// Stats count logical sends only, never heartbeats or resume frames.
 	s := fabrics[0].Stats()
 	if s.MessagesSent[0] != 2 {
 		t.Fatalf("party 0 stats: %d messages, want 2", s.MessagesSent[0])
 	}
 }
 
-// TestRecoveringReconnect severs the live connection and checks the
-// link heals: messages sent while down are buffered and retransmitted,
-// and the protocol never notices.
+// TestRecoveringReconnect severs the live connection under the mux
+// and checks the link heals: messages sent while it is down wait in the
+// sender's journal, the receiver's resume request fetches them, and the
+// protocol never notices.
 func TestRecoveringReconnect(t *testing.T) {
 	defer leakcheck.Check(t)
 	_, fabrics := buildRecoveryMesh(t, 2, nil)
@@ -126,12 +84,9 @@ func TestRecoveringReconnect(t *testing.T) {
 
 	// Sever the link out from under both endpoints, repeatedly.
 	for round := 2; round < 6; round++ {
-		l := fabrics[0].links[1]
-		l.mu.Lock()
-		if l.conn != nil {
-			l.conn.Close()
+		if conn := fabrics[0].mesh.conn(1); conn != nil {
+			conn.Close()
 		}
-		l.mu.Unlock()
 		text := fmt.Sprintf("after-sever-%d", round)
 		if err := fabrics[0].Send(round, 0, 1, 16, wirePayload{Text: text}); err != nil {
 			t.Fatal(err)
@@ -146,9 +101,10 @@ func TestRecoveringReconnect(t *testing.T) {
 	}
 }
 
-// TestRecoveringDuplicateSuppression injects duplicate and in-order
-// frames directly into the receive path: a frame below the expected
-// sequence is dropped, the next expected one is delivered exactly once.
+// TestRecoveringDuplicateSuppression writes raw frames onto the link,
+// as a redial race or an over-eager retransmission would: a frame below
+// the receiver's cursor is dropped, one ahead of it waits in the reorder
+// stash until the gap fills, and an unsequenced frame is a desync.
 func TestRecoveringDuplicateSuppression(t *testing.T) {
 	defer leakcheck.Check(t)
 	_, fabrics := buildRecoveryMesh(t, 2, nil)
@@ -160,39 +116,42 @@ func TestRecoveringDuplicateSuppression(t *testing.T) {
 		t.Fatalf("first: %v, %v", got, err)
 	}
 
-	// Replay seq 0 (already consumed) straight into party 1's frame
-	// handler — the redial-race shape — then deliver seq 1 normally.
-	l := fabrics[1].links[0]
-	if !fabrics[1].handleFrame(l, renv{Kind: frameData, Round: 1, Seq: 0, Payload: wirePayload{Text: "dup"}}) {
-		t.Fatal("duplicate frame must not kill the pump")
+	inject := func(round int, seq uint64, text string) {
+		t.Helper()
+		env := muxEnv{SID: fabrics[0].SID(), Kind: muxKindData, Round: round, Bytes: 16, Seq: seq, Payload: wirePayload{Text: text}}
+		if err := fabrics[0].mesh.write(1, round, time.Second, env); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !fabrics[1].handleFrame(l, renv{Kind: frameData, Round: 2, Seq: 1, Payload: wirePayload{Text: "second"}}) {
-		t.Fatal("in-order frame must not kill the pump")
-	}
-	got, err := fabrics[1].RecvCtx(context.Background(), 1, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.(wirePayload).Text != "second" {
-		t.Fatalf("duplicate was delivered: got %#v", got)
+	inject(1, 1, "dup")    // seq 1 again: already consumed
+	inject(3, 3, "third")  // ahead of the cursor
+	inject(2, 2, "second") // fills the gap
+	for _, want := range []struct {
+		round int
+		text  string
+	}{{2, "second"}, {3, "third"}} {
+		got, err := fabrics[1].RecvCtx(context.Background(), 1, 0, want.round)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.(wirePayload).Text != want.text {
+			t.Fatalf("round %d: got %#v, want %q (a duplicate was delivered or the stash lost order)", want.round, got, want.text)
+		}
 	}
 
-	// A sequence gap, in contrast, is protocol corruption: fatal.
-	if fabrics[1].handleFrame(l, renv{Kind: frameData, Round: 3, Seq: 40, Payload: wirePayload{}}) {
-		t.Fatal("gap frame must kill the pump")
-	}
-	if _, err := fabrics[1].RecvCtx(context.Background(), 1, 0, 3); !errors.Is(err, ErrDesync) {
-		t.Fatalf("after gap: %v, want ErrDesync", err)
+	inject(4, 0, "unsequenced")
+	if _, err := fabrics[1].RecvCtx(context.Background(), 1, 0, 4); !errors.Is(err, ErrDesync) {
+		t.Fatalf("after an unsequenced frame: %v, want ErrDesync", err)
 	}
 }
 
-// TestRecoveringAckTrimming: acks (piggybacked and heartbeat-carried)
-// must drain the sender's retransmit buffer back to empty.
+// TestRecoveringAckTrimming pins Drain's contract, which the peers'
+// cursor reports drive: a party still waiting on a peer's final cursor
+// gives up at its bound, and one whose peer reports returns true as
+// soon as the report lands.
 func TestRecoveringAckTrimming(t *testing.T) {
 	defer leakcheck.Check(t)
-	_, fabrics := buildRecoveryMesh(t, 2, func(me int, o *RecoverOptions) {
-		o.Heartbeat = 20 * time.Millisecond
-	})
+	_, fabrics := buildRecoveryMesh(t, 2, nil)
 	for i := 0; i < 10; i++ {
 		if err := fabrics[0].Send(1, 0, 1, 16, wirePayload{Text: "m"}); err != nil {
 			t.Fatal(err)
@@ -203,43 +162,35 @@ func TestRecoveringAckTrimming(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l := fabrics[0].links[1]
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		l.mu.Lock()
-		n := len(l.buf)
-		l.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("retransmit buffer never drained: %d frames still held", n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
 
-// TestRecoveringRetransmitOverflow: with the peer's link forced down,
-// the bounded buffer eventually refuses new sends.
-func TestRecoveringRetransmitOverflow(t *testing.T) {
-	defer leakcheck.Check(t)
-	_, fabrics := buildRecoveryMesh(t, 2, func(me int, o *RecoverOptions) {
-		o.RetransmitLimit = 4
-		o.Heartbeat = -1 // keep control traffic out of the way
-	})
-	// Close the receiving fabric entirely so acks stop.
-	fabrics[1].Close()
-	var overflow error
-	for i := 0; i < 64 && overflow == nil; i++ {
-		overflow = fabrics[0].Send(1, 0, 1, 16, wirePayload{Text: "m"})
-		time.Sleep(time.Millisecond)
+	// Party 1 has not finished, so it has reported nothing.
+	start := time.Now()
+	if fabrics[0].Drain(200 * time.Millisecond) {
+		t.Fatal("Drain returned true although party 1 never reported its cursor")
 	}
-	if !errors.Is(overflow, ErrRetransmitOverflow) {
-		t.Fatalf("got %v, want ErrRetransmitOverflow", overflow)
+	if waited := time.Since(start); waited < 200*time.Millisecond || waited > 2*time.Second {
+		t.Fatalf("Drain gave up after %v, want its 200ms bound", waited)
 	}
-	var abort *AbortError
-	if !errors.As(overflow, &abort) || abort.Party != 1 {
-		t.Fatalf("overflow must blame party 1: %v", overflow)
+
+	drained := make(chan bool, 1)
+	go func() { drained <- fabrics[0].Drain(10 * time.Second) }()
+	time.Sleep(50 * time.Millisecond)
+	// Party 1 finishes: its Drain reports holding all ten frames (and
+	// returns at once, having sent nothing).
+	if !fabrics[1].Drain(time.Second) {
+		t.Fatal("party 1, which sent nothing, did not drain")
+	}
+	reported := time.Now()
+	select {
+	case ok := <-drained:
+		if !ok {
+			t.Fatal("Drain returned false after party 1 reported all ten frames")
+		}
+		if lag := time.Since(reported); lag > time.Second {
+			t.Fatalf("Drain returned %v after the report", lag)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Drain never saw party 1's final cursor")
 	}
 }
 
@@ -293,44 +244,50 @@ func TestRecoveringBlameAfterGrace(t *testing.T) {
 }
 
 // TestRecoveringSlowIsNotDead: a connected-but-silent peer must hit the
-// ordinary receive timeout, never the peer-down blame — heartbeats keep
-// the link provably alive.
+// ordinary receive timeout, never the peer-down blame, on the
+// recovering fabric and on a daemon's recovering mux alike. The wait
+// outlasts the liveness window, so only the heartbeats keep the read
+// deadline from taking the connection down: the link must still be the
+// one it was, with a heartbeat round trip measured.
 func TestRecoveringSlowIsNotDead(t *testing.T) {
-	defer leakcheck.Check(t)
-	addrs, err := FreeLoopbackAddrs(2)
-	if err != nil {
-		t.Fatal(err)
+	const timeout = livenessWindow + 500*time.Millisecond
+	const grace = 100 * time.Millisecond // shorter than the timeout: blame would win if mis-assigned
+	rows := map[string]func(addrs []string, me int) (stackEnd, error){
+		"recovering": func(addrs []string, me int) (stackEnd, error) {
+			return NewRecoveringTCPFabric(addrs, me, timeout, RecoverOptions{SessionID: "slow", Epoch: 1, Grace: grace})
+		},
+		"mux recovering": func(addrs []string, me int) (stackEnd, error) {
+			m, err := NewSessionMux(addrs, me, timeout, MuxOptions{Recovery: &MuxRecovery{Epoch: 1, Grace: grace}})
+			if err != nil {
+				return nil, err
+			}
+			s, err := m.OpenRecovering("slow", 0, newMemJournal())
+			return muxEnd{s, m}, err
+		},
 	}
-	fabrics := make([]*RecoveringTCPFabric, 2)
-	errs := make([]error, 2)
+	leakcheck.Check(t)
+	// The rows wait side by side: each takes the full timeout.
 	var wg sync.WaitGroup
-	for me := 0; me < 2; me++ {
-		me := me
+	for name, build := range rows {
+		name, ends := name, formMesh(t, 2, build)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fabrics[me], errs[me] = NewRecoveringTCPFabric(addrs, me, 400*time.Millisecond, RecoverOptions{
-				SessionID: "slow", Epoch: 1,
-				Heartbeat: 50 * time.Millisecond,
-				Grace:     100 * time.Millisecond, // shorter than the timeout: blame would win if mis-assigned
-			})
+			link := linkOf(ends[0])
+			conn := link.conn(1)
+			_, err := ends[0].RecvCtx(context.Background(), 0, 1, 1)
+			if !errors.Is(err, ErrTimeout) {
+				t.Errorf("%s: silent-but-alive peer: got %v, want ErrTimeout", name, err)
+			}
+			if link.conn(1) != conn {
+				t.Errorf("%s: the link to the silent peer was dropped and redialed while its heartbeats flowed", name)
+			}
+			if h := ends[0].Health()[0]; h.HeartbeatRTTMS <= 0 {
+				t.Errorf("%s: no heartbeat round trip measured: %+v", name, h)
+			}
 		}()
 	}
 	wg.Wait()
-	for me, err := range errs {
-		if err != nil {
-			t.Fatalf("party %d: %v", me, err)
-		}
-	}
-	defer func() {
-		for _, f := range fabrics {
-			f.Close()
-		}
-	}()
-	_, err = fabrics[0].RecvCtx(context.Background(), 0, 1, 1)
-	if !errors.Is(err, ErrTimeout) {
-		t.Fatalf("silent-but-alive peer: got %v, want ErrTimeout", err)
-	}
 }
 
 // TestRecoveringJournalReplay is the crash-recovery core at transport
@@ -348,7 +305,7 @@ func TestRecoveringJournalReplay(t *testing.T) {
 	mk := func(me, epoch int, j Journaler) (*RecoveringTCPFabric, error) {
 		return NewRecoveringTCPFabric(addrs, me, 5*time.Second, RecoverOptions{
 			SessionID: "replay", Epoch: epoch, Journal: j,
-			Heartbeat: 25 * time.Millisecond, Grace: 5 * time.Second,
+			Grace: 5 * time.Second,
 		})
 	}
 	var survivor, victim *RecoveringTCPFabric
@@ -439,36 +396,30 @@ func TestRecoveringJournalReplay(t *testing.T) {
 	}
 }
 
-// TestRecoveringSessionMismatch: endpoints from different sessions must
-// never mesh.
+// TestRecoveringSessionMismatch: a connection announcing another
+// session's mesh tag is closed without a reply, and the genuine link
+// carries on untouched.
 func TestRecoveringSessionMismatch(t *testing.T) {
 	defer leakcheck.Check(t)
-	addrs, err := FreeLoopbackAddrs(2)
+	_, fabrics := buildRecoveryMesh(t, 2, nil)
+	link := fabrics[0].mesh
+	conn, err := net.Dial("tcp", link.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := make([]error, 2)
-	var wg sync.WaitGroup
-	for me := 0; me < 2; me++ {
-		me := me
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			f, err := NewRecoveringTCPFabric(addrs, me, time.Second, RecoverOptions{
-				SessionID:   fmt.Sprintf("session-%d", me),
-				MeshTimeout: 500 * time.Millisecond,
-			})
-			if f != nil {
-				f.Close()
-			}
-			results[me] = err
-		}()
+	defer conn.Close()
+	if err := wirecodec.WriteValue(conn, hello{Party: 1, Epoch: 1, Mesh: "session/another-session"}); err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for me, err := range results {
-		if err == nil {
-			t.Fatalf("party %d meshed across session IDs", me)
-		}
+	conn.SetReadDeadline(time.Now().Add(time.Second))
+	if v, err := wirecodec.ReadValue(bufio.NewReader(conn)); err == nil {
+		t.Fatalf("a foreign session's hello was answered: %+v", v)
+	}
+	if err := fabrics[1].Send(1, 1, 0, 16, wirePayload{Text: "still-alive"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fabrics[0].RecvCtx(context.Background(), 0, 1, 1); err != nil || got.(wirePayload).Text != "still-alive" {
+		t.Fatalf("genuine link after the foreign hello: %v, %v", got, err)
 	}
 }
 

@@ -24,9 +24,14 @@ import (
 // Payload types that cross a TCPFabric use the wirecodec codecs their
 // packages register from init. A payload without one does not cross:
 // Send returns the codec's encode error, blaming nobody.
-type TCPFabric struct {
+type TCPFabric struct{ sessionFabric }
+
+// sessionFabric is a SessionMux carrying exactly one session, which owns
+// the mux: the shape of both TCP fabrics. Send, RecvCtx, Stats and the
+// rest of Net are the mux session's own.
+type sessionFabric struct {
 	*MuxSession
-	mux *SessionMux
+	mesh *mesh // the mux's link layer
 }
 
 var _ Net = (*TCPFabric)(nil)
@@ -42,7 +47,7 @@ const tcpFabricSID = "tcp"
 // All parties must call it concurrently. timeout bounds each receive
 // wait and each write; <= 0 means no bound.
 func NewTCPFabric(addrs []string, me int, timeout time.Duration) (*TCPFabric, error) {
-	mux, err := newSessionMux(addrs, me, timeout, MuxOptions{}, "tcp")
+	mux, err := newSessionMux(addrs, me, timeout, MuxOptions{}, "tcp", true)
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +56,7 @@ func NewTCPFabric(addrs []string, me int, timeout time.Duration) (*TCPFabric, er
 		mux.Close()
 		return nil, err
 	}
-	return &TCPFabric{MuxSession: s, mux: mux}, nil
+	return &TCPFabric{sessionFabric{MuxSession: s, mesh: mux.link}}, nil
 }
 
 // SetTelemetry attaches a live metrics registry to this endpoint. Call
@@ -63,16 +68,15 @@ func (f *TCPFabric) SetTelemetry(reg *telemetry.Registry) {
 	f.sendStats.mu.Unlock()
 }
 
-// Health implements telemetry.HealthSource: the plain fabric's links
-// are either connected or dead (a lost connection stays lost and
-// aborts the session).
-func (f *TCPFabric) Health() []telemetry.PeerHealth { return f.mux.Health() }
+// Health implements telemetry.HealthSource: connected, reconnecting
+// (recovering fabric only: down but inside the grace) or dead.
+func (f *sessionFabric) Health() []telemetry.PeerHealth { return f.m.Health() }
 
 // Close tears down the endpoint: it closes every connection and waits
-// for the link layer's goroutines, so none outlives the fabric. Safe to
-// call more than once and concurrently with protocol traffic
-// (in-flight receives fail with ErrClosed).
-func (f *TCPFabric) Close() {
+// for the mux's goroutines, so none outlives the fabric. Safe to call
+// more than once and concurrently with protocol traffic (in-flight
+// receives fail with ErrClosed).
+func (f *sessionFabric) Close() {
 	f.MuxSession.Close()
-	f.mux.Close()
+	f.m.Close()
 }

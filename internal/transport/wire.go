@@ -12,9 +12,9 @@ import (
 // is byte-identical to the frame on the wire.
 //
 // IDs +2 (tcp envelope), +4 (recovery hello) and +5 (mux hello) belonged
-// to the per-stack frames the one link layer replaced; wirecodec retires
-// them, so a peer from such a build gets a typed refusal, not a
-// misparse.
+// to the per-stack frames the one link layer replaced, and +3 to the
+// recovery envelope the recovering mux replaced; wirecodec retires them,
+// so a peer from such a build gets a typed refusal, not a misparse.
 
 func init() {
 	wirecodec.Register(wirecodec.IDRangeTransport, "echo digest vector",
@@ -52,36 +52,6 @@ func init() {
 				return nil, fmt.Errorf("transport: corruption marker: %w", err)
 			}
 			return c, nil
-		})
-
-	wirecodec.Register(wirecodec.IDRangeTransport+3, "recovery envelope",
-		[]any{renv{}},
-		func(dst []byte, v any) ([]byte, error) {
-			e := v.(renv)
-			dst = wirecodec.AppendU8(dst, e.Kind)
-			dst = wirecodec.AppendI64(dst, int64(e.Round))
-			dst = wirecodec.AppendU64(dst, e.Seq)
-			dst = wirecodec.AppendI64(dst, int64(e.Bytes))
-			dst = wirecodec.AppendU64(dst, e.Ack)
-			dst = wirecodec.AppendI64(dst, e.T)
-			dst = wirecodec.AppendI64(dst, e.EchoT)
-			return wirecodec.AppendValue(dst, e.Payload)
-		},
-		func(data []byte) (any, error) {
-			r := wirecodec.NewReader(data)
-			var e renv
-			e.Kind = r.U8()
-			e.Round = r.Int()
-			e.Seq = r.U64()
-			e.Bytes = r.Int()
-			e.Ack = r.U64()
-			e.T = r.I64()
-			e.EchoT = r.I64()
-			e.Payload = r.Value()
-			if err := r.Finish(); err != nil {
-				return nil, fmt.Errorf("transport: recovery envelope: %w", err)
-			}
-			return e, nil
 		})
 
 	wirecodec.Register(wirecodec.IDRangeTransport+6, "mux envelope",

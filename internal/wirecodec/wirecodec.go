@@ -91,11 +91,12 @@ const (
 // again. They are not reassigned: Register refuses them, so a peer from
 // a build that still sends one gets an UnknownTypeError, not a misparse
 // as whatever took the number over. Beside version 1's gob fallback
-// these are the per-stack transport frames the one link layer replaced:
-// the tcp envelope (82), the recovery hello (84) and the mux hello (85).
+// these are the per-stack transport frames the one link layer replaced
+// — the tcp envelope (82), the recovery hello (84) and the mux hello
+// (85) — and the recovery envelope (83) the recovering mux replaced.
 func retired(id uint16) bool {
 	switch id {
-	case idRetired, IDRangeTransport + 2, IDRangeTransport + 4, IDRangeTransport + 5:
+	case idRetired, IDRangeTransport + 2, IDRangeTransport + 3, IDRangeTransport + 4, IDRangeTransport + 5:
 		return true
 	}
 	return false

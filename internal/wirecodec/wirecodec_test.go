@@ -155,10 +155,10 @@ func TestRetiredGobFrameRefused(t *testing.T) {
 	if v := r.Value(); v != nil || !errors.As(r.Err(), &ue) {
 		t.Fatalf("Reader.Value(type-ID-1 frame) = %v, %v", v, r.Err())
 	}
-	// Every retired ID — the gob fallback and the three per-stack
-	// transport frames the one link layer replaced — is refused by
+	// Every retired ID — the gob fallback and the four transport frames
+	// the one link layer and the recovering mux replaced — is refused by
 	// Register and unknown to a receiver.
-	for _, id := range []uint16{1, 82, 84, 85} {
+	for _, id := range []uint16{1, 82, 83, 84, 85} {
 		hdr := AppendU32(AppendU16([]byte{'G', 'W', Version}, id), 0)
 		if _, _, err := ConsumeValue(hdr); !errors.As(err, &ue) || ue.ID != id {
 			t.Errorf("ConsumeValue(type-ID-%d frame) = %v, want UnknownTypeError{%d}", id, err, id)

@@ -83,7 +83,6 @@ func TestRuntimeOptionsValidation(t *testing.T) {
 	}{
 		{"negative timeout", Options{Runtime: Runtime{Timeout: -time.Second}}, "Timeout"},
 		{"negative grace", Options{Runtime: Runtime{Recovery: &RecoveryOptions{Dir: "d", Grace: -time.Second}}}, "Grace"},
-		{"negative heartbeat", Options{Runtime: Runtime{Recovery: &RecoveryOptions{Dir: "d", Heartbeat: -time.Millisecond}}}, "Heartbeat"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

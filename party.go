@@ -281,7 +281,6 @@ func runRankParty(ctx context.Context, params core.Params, o Options, addrs []st
 			Epoch:     rec.epoch,
 			Journal:   rec.journal,
 			Grace:     o.Recovery.Grace,
-			Heartbeat: o.Recovery.Heartbeat,
 			Telemetry: o.Telemetry,
 		})
 		if err != nil {
@@ -322,9 +321,9 @@ func runRankParty(ctx context.Context, params core.Params, o Options, addrs []st
 	}
 	if rfab, ok := fab.(*transport.RecoveringTCPFabric); ok {
 		// This party is done, but a crashed peer may still need what we
-		// sent it: keep retransmitting until every peer has acknowledged
-		// everything or the blame window closes. Instant when all peers
-		// are alive and caught up.
+		// sent it: keep serving retransmissions until every peer has
+		// reported holding everything or the blame window closes. Prompt
+		// when all peers are alive and finish too.
 		rfab.Drain(0)
 	}
 	stats := fab.Stats()

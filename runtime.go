@@ -65,13 +65,8 @@ func (r Runtime) validate() error {
 	if r.Workers < 0 {
 		return fmt.Errorf("groupranking: workers=%d negative (0 means every CPU)", r.Workers)
 	}
-	if r.Recovery != nil {
-		if r.Recovery.Grace < 0 {
-			return fmt.Errorf("groupranking: Recovery.Grace %v is negative (0 means the 15s default)", r.Recovery.Grace)
-		}
-		if r.Recovery.Heartbeat < 0 {
-			return fmt.Errorf("groupranking: Recovery.Heartbeat %v is negative (0 means the 250ms default)", r.Recovery.Heartbeat)
-		}
+	if r.Recovery != nil && r.Recovery.Grace < 0 {
+		return fmt.Errorf("groupranking: Recovery.Grace %v is negative (0 means the 15s default)", r.Recovery.Grace)
 	}
 	return nil
 }
