@@ -11,11 +11,12 @@ RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./i
 
 # Packages with fuzz targets guarding the untrusted decode boundaries
 # (group element parsing, wirecodec frames, transport pumps, the rankd
-# control codecs), and the one limb field and what the curve kernel and
-# the secret-sharing stack build on it, against math/big. `make fuzz`
-# runs each target briefly — a smoke pass over the corpora plus a little
-# fresh exploration, fast enough for check.
-FUZZ_PKGS := ./internal/field/ ./internal/group/ ./internal/shamir/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/ ./internal/service/
+# control codecs, the durable log's replay of whatever is on disk), and
+# the one limb field and what the curve kernel and the secret-sharing
+# stack build on it, against math/big. `make fuzz` runs each target
+# briefly — a smoke pass over the corpora plus a little fresh
+# exploration, fast enough for check.
+FUZZ_PKGS := ./internal/field/ ./internal/group/ ./internal/shamir/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/ ./internal/service/ ./internal/journal/
 FUZZ_TIME ?= 2s
 
 # Internal packages that only tests import, exempt from the reachability
@@ -44,6 +45,10 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # The journaling check keeps muxrecover.go the only recovery discipline:
 # nothing else in internal/transport (tests aside) may append to a
 # session journal, so a second retransmit scheme cannot grow back either.
+# The durable-file check keeps internal/journal's Log the only durable
+# log: outside internal/journal (tests aside) no code may fsync, rename,
+# open for append or truncate a file, so framing, the torn-tail rule and
+# compaction cannot drift apart in a second copy again.
 # The gofmt check names the source trees, not ".", so that the build
 # cache bench/run.sh leaves under .bench_build/ is not walked.
 # The reachability check keeps production code to what a binary or the
@@ -71,6 +76,9 @@ vet:
 	@journaling=$$(grep -lE 'LogSend\(|LogRecv\(' internal/transport/*.go | grep -v _test.go | tr '\n' ' '); \
 	if [ "$$journaling" != "internal/transport/muxrecover.go " ]; then \
 		echo "journal appends (LogSend/LogRecv) in internal/transport belong in muxrecover.go alone, found in: $$journaling"; exit 1; fi
+	@durable=$$(find *.go cmd internal -name '*.go' ! -name '*_test.go' ! -path 'internal/journal/*' | xargs grep -lE '\.Sync\(\)|os\.Rename\(|os\.O_APPEND|\.Truncate\(' | tr '\n' ' '); \
+	if [ -n "$$durable" ]; then \
+		echo "fsync/rename/append-open/truncate belong in internal/journal (use journal.Log), found in: $$durable"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:

@@ -9,30 +9,20 @@
 // serves every journaled receive without touching the network, and
 // resumes live at the first un-journaled message.
 //
-// Records are framed as length ‖ CRC32 ‖ body, where the body is a
-// fixed-width binary encoding of the Record (kind, coordinates, then
-// the payload as a self-contained wirecodec frame). Earlier versions
-// gobbed each record independently, which re-emitted the full gob type
-// descriptor set in EVERY record — for small protocol messages the
-// descriptors outweighed the payload several times over. The binary
-// form carries no per-record type tables; TestRecordSizePinned pins the
-// bytes-per-record cost so a regression cannot creep back in. A crash
-// can tear the final record mid-write; Open detects the torn tail
-// (short frame or checksum mismatch) and truncates back to the last
-// intact record, so the journal is always consistent up to the most
-// recent completed append. Appends are flushed to the OS before
-// returning — a killed process loses nothing it acted on — and Sync
-// forces them to stable storage for machine-crash durability.
+// The journal is one Log (log.go: framing, the torn-tail rule, flush and
+// fsync) whose record bodies are a fixed-width binary encoding of the
+// Record (kind, coordinates, then the payload as a self-contained
+// wirecodec frame). Earlier versions gobbed each record independently,
+// which re-emitted the full gob type descriptor set in EVERY record —
+// for small protocol messages the descriptors outweighed the payload
+// several times over. The binary form carries no per-record type
+// tables; TestRecordSizePinned pins the bytes-per-record cost so a
+// regression cannot creep back in.
 package journal
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -99,7 +89,7 @@ type Record struct {
 
 // appendRecord writes the fixed-width binary body of one record: kind,
 // coordinates, then the Data bytes. No type information — the layout IS
-// the schema, and fileMagic versions it.
+// the schema, and journalFormat's magic versions it.
 func appendRecord(dst []byte, rec Record) []byte {
 	dst = wirecodec.AppendU8(dst, uint8(rec.Kind))
 	dst = wirecodec.AppendI64(dst, int64(rec.Peer))
@@ -120,27 +110,24 @@ func decodeRecord(body []byte) (Record, error) {
 	rec.Bytes = r.Int()
 	rec.Data = r.Bytes()
 	if err := r.Finish(); err != nil {
-		return Record{}, fmt.Errorf("journal: undecodable record: %w", err)
+		return Record{}, fmt.Errorf("undecodable record: %w", err)
 	}
 	return rec, nil
 }
 
-// fileMagic guards against feeding an arbitrary file to Open, and
-// versions the record layout: GRJL1 framed gob-encoded records, GRJL2
-// frames the binary encoding above. There is no cross-version reader —
-// a journal only ever needs to outlive the build that wrote it when
-// that exact build restarts.
-var fileMagic = []byte("GRJL2\n")
+// journalFormat's magic guards against feeding an arbitrary file to
+// Open, and versions the record layout: GRJL1 framed gob-encoded
+// records, GRJL2 frames the binary encoding above. There is no
+// cross-version reader — a journal only ever needs to outlive the build
+// that wrote it when that exact build restarts.
+var journalFormat = Format{Magic: "GRJL2\n", Name: "session journal"}
 
 // Journal is an open per-party session journal. All methods are safe
 // for concurrent use (the transport's reader pumps append receives
 // while the protocol goroutine appends sends).
 type Journal struct {
 	mu      sync.Mutex
-	f       *os.File
-	w       *bufio.Writer
-	path    string
-	closed  bool
+	log     *Log
 	tm      *journalMetrics
 	scratch []byte // reused appendLocked encode buffer, guarded by mu
 
@@ -190,71 +177,26 @@ func SessionPath(dir, sessionID string, party int) string {
 }
 
 // Open creates the journal at path, or reopens an existing one and
-// replays its records into memory. A torn final record (crash mid-
-// append) is truncated away; corruption before the tail is an error.
+// replays its records into memory under the Log's tail rule: a torn
+// final record (crash mid-append) is truncated away; corruption before
+// the tail is an error.
 func Open(path string) (*Journal, error) {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return nil, fmt.Errorf("journal: creating directory: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("journal: opening %s: %w", path, err)
-	}
 	j := &Journal{
-		f:    f,
-		path: path,
 		sent: make(map[int][]Record),
 		recv: make(map[int][]Record),
 	}
-	if err := j.load(); err != nil {
-		f.Close()
+	log, err := OpenLog(path, journalFormat, func(body []byte) error {
+		rec, err := decodeRecord(body)
+		if err == nil {
+			j.apply(rec)
+		}
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	j.w = bufio.NewWriter(f)
+	j.log = log
 	return j, nil
-}
-
-// load replays the file into memory, writing the magic into an empty
-// file and truncating a torn tail.
-func (j *Journal) load() error {
-	info, err := j.f.Stat()
-	if err != nil {
-		return err
-	}
-	if info.Size() == 0 {
-		if _, err := j.f.Write(fileMagic); err != nil {
-			return fmt.Errorf("journal: writing header: %w", err)
-		}
-		return nil
-	}
-	r := bufio.NewReader(io.NewSectionReader(j.f, 0, info.Size()))
-	head := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(r, head); err != nil || !bytes.Equal(head, fileMagic) {
-		return fmt.Errorf("journal: %s is not a session journal", j.path)
-	}
-	good := int64(len(fileMagic))
-	for {
-		rec, n, err := readRecord(r)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			// A torn or checksum-failed frame at the tail is the signature
-			// of a crash mid-append: drop it and resume from the last
-			// intact record. (Anything after a torn frame is unframeable,
-			// so truncation at the first bad record is the only safe cut.)
-			if terr := j.f.Truncate(good); terr != nil {
-				return fmt.Errorf("journal: truncating torn tail: %v (after %v)", terr, err)
-			}
-			break
-		}
-		good += int64(n)
-		j.apply(rec)
-	}
-	if _, err := j.f.Seek(good, io.SeekStart); err != nil {
-		return err
-	}
-	return nil
 }
 
 // apply folds one record into the in-memory state.
@@ -273,47 +215,8 @@ func (j *Journal) apply(rec Record) {
 	}
 }
 
-// readRecord decodes one length ‖ crc ‖ body frame, returning the frame
-// size. Any short read or checksum mismatch is an error (the caller
-// decides whether it is a truncatable tail).
-func readRecord(r io.Reader) (Record, int, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
-		return Record{}, 0, io.EOF // clean end
-	}
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
-		return Record{}, 0, fmt.Errorf("journal: torn frame header")
-	}
-	size := binary.LittleEndian.Uint32(hdr[:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:])
-	if size > 1<<30 {
-		return Record{}, 0, fmt.Errorf("journal: implausible record size %d", size)
-	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Record{}, 0, fmt.Errorf("journal: torn record body")
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		return Record{}, 0, fmt.Errorf("journal: record checksum mismatch")
-	}
-	rec, err := decodeRecord(body)
-	if err != nil {
-		return Record{}, 0, err
-	}
-	return rec, 8 + int(size), nil
-}
-
-// append frames, writes and flushes one record under the lock.
-func (j *Journal) append(rec Record) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appendLocked(rec)
-}
-
+// appendLocked appends one record and folds it in; the caller holds j.mu.
 func (j *Journal) appendLocked(rec Record) error {
-	if j.closed {
-		return fmt.Errorf("journal: %s is closed", j.path)
-	}
 	var start time.Time
 	if j.tm != nil {
 		start = time.Now()
@@ -322,24 +225,12 @@ func (j *Journal) appendLocked(rec Record) error {
 	// holds j.mu), so steady-state appends allocate nothing.
 	body := appendRecord(j.scratch[:0], rec)
 	j.scratch = body[:0]
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-	if _, err := j.w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("journal: appending: %w", err)
-	}
-	if _, err := j.w.Write(body); err != nil {
-		return fmt.Errorf("journal: appending: %w", err)
-	}
-	// Flush to the OS on every append: a SIGKILL'd process then loses at
-	// most the record being written (which Open truncates away), never
-	// one it already acted on.
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: flushing: %w", err)
+	if err := j.log.Append(body); err != nil {
+		return err
 	}
 	if j.tm != nil {
 		j.tm.appends.Inc()
-		j.tm.bytes.Add(int64(len(hdr) + len(body)))
+		j.tm.bytes.Add(int64(frameHeader + len(body)))
 		j.tm.appendSeconds.Observe(time.Since(start).Seconds())
 	}
 	j.apply(rec)
@@ -356,7 +247,7 @@ func (j *Journal) PinSession(fingerprint []byte) error {
 		return j.appendLocked(Record{Kind: KindSession, Data: append([]byte(nil), fingerprint...)})
 	}
 	if !bytes.Equal(j.fingerprint, fingerprint) {
-		return fmt.Errorf("journal: %s belongs to a different session (was this party restarted with different flags?)", j.path)
+		return fmt.Errorf("journal: %s belongs to a different session (was this party restarted with different flags?)", j.log.path)
 	}
 	return nil
 }
@@ -370,7 +261,7 @@ func (j *Journal) SessionSeed(seed string) (string, error) {
 	defer j.mu.Unlock()
 	if j.seed != "" {
 		if seed != "" && seed != j.seed {
-			return "", fmt.Errorf("journal: %s was started with a different seed", j.path)
+			return "", fmt.Errorf("journal: %s was started with a different seed", j.log.path)
 		}
 		return j.seed, nil
 	}
@@ -404,22 +295,29 @@ func (j *Journal) Epoch() int {
 // message (write-ahead: the transport journals before the first wire
 // write, so a crash can never lose a message peers might be owed).
 func (j *Journal) LogSend(peer, round, bytes int, seq uint64, payload any) error {
-	data, err := encodePayload(payload)
-	if err != nil {
-		return err
-	}
-	return j.append(Record{Kind: KindSent, Peer: peer, Round: round, Seq: seq, Bytes: bytes, Data: data})
+	return j.logMsg(Record{Kind: KindSent, Peer: peer, Round: round, Seq: seq, Bytes: bytes}, payload)
 }
 
 // LogRecv implements transport.Journaler: it durably records one
 // received message before the transport acknowledges it, so every
 // acknowledged message survives a crash of the receiver.
 func (j *Journal) LogRecv(peer, round, bytes int, seq uint64, payload any) error {
-	data, err := encodePayload(payload)
+	return j.logMsg(Record{Kind: KindRecv, Peer: peer, Round: round, Seq: seq, Bytes: bytes}, payload)
+}
+
+// logMsg appends rec carrying payload as one self-contained wirecodec
+// frame — the same bytes the transport puts on the wire. A payload
+// whose type has no codec is refused with the codec's encode error (the
+// transports report that as the sender's own fault).
+func (j *Journal) logMsg(rec Record, payload any) error {
+	data, err := wirecodec.Marshal(payload)
 	if err != nil {
-		return err
+		return fmt.Errorf("journal: encoding payload: %w", err)
 	}
-	return j.append(Record{Kind: KindRecv, Peer: peer, Round: round, Seq: seq, Bytes: bytes, Data: data})
+	rec.Data = data
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.appendLocked(rec)
 }
 
 // SentTo implements transport.Journaler: the messages this party
@@ -442,7 +340,7 @@ func (j *Journal) RecvFrom(peer int) ([]transport.JournalMsg, error) {
 func decodeMsgs(recs []Record) ([]transport.JournalMsg, error) {
 	out := make([]transport.JournalMsg, len(recs))
 	for i, rec := range recs {
-		payload, err := decodePayload(rec.Data)
+		payload, err := wirecodec.Unmarshal(rec.Data)
 		if err != nil {
 			return nil, fmt.Errorf("journal: decoding journaled message (round %d, seq %d): %w", rec.Round, rec.Seq, err)
 		}
@@ -456,17 +354,11 @@ func decodeMsgs(recs []Record) ([]transport.JournalMsg, error) {
 func (j *Journal) Sync() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("journal: %s is closed", j.path)
-	}
-	if err := j.w.Flush(); err != nil {
-		return err
-	}
 	var start time.Time
 	if j.tm != nil {
 		start = time.Now()
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.log.Sync(); err != nil {
 		return err
 	}
 	if j.tm != nil {
@@ -475,61 +367,23 @@ func (j *Journal) Sync() error {
 	return nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close flushes and closes the file. Idempotent.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	j.closed = true
-	if err := j.w.Flush(); err != nil {
-		j.f.Close()
-		return err
-	}
-	return j.f.Close()
+	return j.log.Close()
 }
 
 // Scan reads every intact record from a journal file without opening it
 // for writing — the tooling and test view. A torn tail is skipped, not
-// an error, so Scan is safe on a journal another process is appending.
+// an error (corruption before it is), so Scan is safe on a journal
+// another process is appending to.
 func Scan(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	head := make([]byte, len(fileMagic))
-	if _, err := io.ReadFull(r, head); err != nil || !bytes.Equal(head, fileMagic) {
-		return nil, fmt.Errorf("journal: %s is not a session journal", path)
-	}
 	var recs []Record
-	for {
-		rec, _, err := readRecord(r)
-		if err != nil {
-			break // io.EOF, torn tail, or in-flight append: return what's intact
-		}
+	err := ScanLog(path, journalFormat, func(body []byte) error {
+		rec, err := decodeRecord(body)
 		recs = append(recs, rec)
-	}
-	return recs, nil
-}
-
-// encodePayload encodes a payload as one self-contained wirecodec
-// frame — the same bytes the transport puts on the wire. A payload
-// whose type has no codec is refused with the codec's encode error
-// (the transports report that as the sender's own fault).
-func encodePayload(p any) ([]byte, error) {
-	data, err := wirecodec.Marshal(p)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encoding payload: %w", err)
-	}
-	return data, nil
-}
-
-func decodePayload(b []byte) (any, error) {
-	return wirecodec.Unmarshal(b)
+		return err
+	})
+	return recs, err
 }

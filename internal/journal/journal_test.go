@@ -2,7 +2,9 @@ package journal
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,6 +176,68 @@ func TestCorruptTailTruncated(t *testing.T) {
 	defer j2.Close()
 	if sent, _ := j2.SentTo(1); len(sent) != 1 {
 		t.Fatalf("got %d sends after corrupt tail, want 1", len(sent))
+	}
+}
+
+// TestMidFileCorruptionRefused: a bad record with intact records after
+// it is corruption, not a torn tail. Open and Scan refuse it, naming the
+// file and offset, instead of cutting the file there and silently
+// dropping every later send and the later epochs (a restarted party
+// would then present a stale epoch to its peers). A checksum-valid
+// record that does not decode is refused the same way.
+func TestMidFileCorruptionRefused(t *testing.T) {
+	for name, corrupt := range map[string]func(raw []byte, second int64) []byte{
+		"byte flipped in the 2nd of 5 records": func(raw []byte, second int64) []byte {
+			raw[second+frameHeader+3] ^= 0xff
+			return raw
+		},
+		"undecodable record at the tail": func(raw []byte, _ int64) []byte {
+			body := []byte("not a record")
+			var hdr [frameHeader]byte
+			binary.LittleEndian.PutUint32(hdr[:4], uint32(len(body)))
+			binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
+			return append(append(raw, hdr[:]...), body...)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := SessionPath(t.TempDir(), "mid", 0)
+			j := open(t, path)
+			if _, err := j.BeginEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			second := info.Size()
+			for i := 0; i < 3; i++ {
+				if err := j.LogSend(1, i, 10, uint64(i), "msg"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := j.BeginEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			j.Close()
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw = corrupt(raw, second)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Open(path)
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "offset") {
+				t.Fatalf("Open on a corrupt journal: %v; want an error naming the file and offset", err)
+			}
+			if _, err := Scan(path); err == nil {
+				t.Fatal("Scan accepted a corrupt journal")
+			}
+			if after, _ := os.ReadFile(path); len(after) != len(raw) {
+				t.Fatalf("the refused journal was cut from %d to %d bytes", len(raw), len(after))
+			}
+		})
 	}
 }
 

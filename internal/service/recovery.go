@@ -41,14 +41,12 @@ func validateJournalDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("service: %w: creating %s: %v", ErrBadJournalDir, dir, err)
 	}
-	probe := filepath.Join(dir, ".rankd-probe")
 	f, err := os.CreateTemp(dir, ".rankd-probe-*")
 	if err != nil {
 		return fmt.Errorf("service: %w: %s is not writable: %v", ErrBadJournalDir, dir, err)
 	}
-	probe = f.Name()
 	f.Close()
-	os.Remove(probe)
+	os.Remove(f.Name())
 	return nil
 }
 

@@ -388,3 +388,34 @@ func TestServiceBadJournalDir(t *testing.T) {
 		}
 	}
 }
+
+// TestServiceParentBuildTableRefused: a session table in the JSONL form
+// of earlier builds fails the framed table's magic. The daemon refuses
+// it as ErrBadJournalDir naming the file (rankd exits 2) and leaves it
+// untouched — never boots on an empty table in its place.
+func TestServiceParentBuildTableRefused(t *testing.T) {
+	addrs, err := transport.FreeLoopbackAddrs(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	table := filepath.Join(dir, "sessions-p0.table")
+	jsonl := []byte(`{"t":"boot","epoch":1}` + "\n" + `{"t":"open","id":"s-1","spec":{"k":2},"created_ms":1}` + "\n")
+	if err := os.WriteFile(table, jsonl, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = service.NewDaemon(service.Config{
+		Addrs: addrs,
+		Me:    0,
+		Runtime: groupranking.Runtime{
+			Timeout:  5 * time.Second,
+			Recovery: &groupranking.RecoveryOptions{Dir: dir},
+		},
+	})
+	if !errors.Is(err, service.ErrBadJournalDir) || !strings.Contains(err.Error(), table) {
+		t.Fatalf("NewDaemon on a parent-build table: %v; want ErrBadJournalDir naming %s", err, table)
+	}
+	if after, _ := os.ReadFile(table); string(after) != string(jsonl) {
+		t.Fatal("the refused table was rewritten")
+	}
+}

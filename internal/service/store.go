@@ -1,38 +1,39 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
 
 	"groupranking/internal/api"
+	"groupranking/internal/journal"
 )
 
-// The durable session table: one append-only JSONL file per daemon
-// under the journal directory, recording every fact the daemon must
-// not forget across a crash — which sessions it admitted (with their
-// resolved spec, so a restart re-derives the same parameters), which
-// profiles its clients already submitted, which idempotency keys are
-// bound, and every terminal outcome (so GET /result keeps answering
-// after a restart). The per-session protocol transcripts live in the
-// per-session transport journals (internal/journal); this table is
-// only the daemon's index over them.
+// The durable session table: one append-only log per daemon under the
+// journal directory, recording every fact the daemon must not forget
+// across a crash — which sessions it admitted (with their resolved
+// spec, so a restart re-derives the same parameters), which profiles
+// its clients already submitted, which idempotency keys are bound, and
+// every terminal outcome (so GET /result keeps answering after a
+// restart). The per-session protocol transcripts live in the
+// per-session transport journals; this table is only the daemon's index
+// over them.
 //
-// Records are one JSON object per line. A crash can tear the final
-// line mid-write; the loader drops an undecodable tail but refuses
-// corruption anywhere earlier, mirroring the transport journal's
-// torn-tail rule. The table is compacted on every open — terminal
-// sessions collapse to open+done, purged ones vanish — and the boot
-// record's epoch counts this daemon's process lives, which is exactly
-// the epoch the session mux carries in its reconnect handshake.
+// The table is a journal.Log, so framing and the torn-tail rule are the
+// transport journal's own; each record body is one storeRec in JSON.
+// The table is compacted on every open — terminal sessions collapse to
+// open[+submit]+done, purged ones vanish — and the boot record's epoch
+// counts this daemon's process lives, which is exactly the epoch the
+// session mux carries in its reconnect handshake.
 
-// storeRec is one JSONL line of the session table.
+// tableFormat's magic sets the framed table apart from the JSONL table
+// of earlier builds, which it refuses rather than misreads.
+var tableFormat = journal.Format{Magic: "GRTB1\n", Name: "session table"}
+
+// storeRec is one record of the session table.
 type storeRec struct {
 	// T discriminates: "boot", "open", "submit", "done", "purge".
 	T string `json:"t"`
@@ -65,10 +66,8 @@ type storedSession struct {
 // store is the open session table. Appends are fsync'd: an outcome a
 // client may already have polled can never un-happen across a restart.
 type store struct {
-	mu     sync.Mutex
-	f      *os.File
-	path   string
-	closed bool
+	mu  sync.Mutex
+	log *journal.Log
 }
 
 // storePath names the daemon's session table inside the journal dir.
@@ -78,84 +77,64 @@ func storePath(dir string, me int) string {
 
 // openStore loads (or creates) the table at path, bumps the boot
 // epoch, compacts the file, and returns the surviving sessions. The
-// returned epoch counts this process life (1 on the first boot).
+// returned epoch counts this process life (1 on the first boot). A
+// table this build cannot replay — another build's, or a corrupt one —
+// is ErrBadJournalDir: the daemon never boots on an empty table in its
+// place.
 func openStore(path string) (*store, map[string]*storedSession, int, error) {
-	sessions, epoch, err := loadTable(path)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	epoch++
-	if err := compactTable(path, epoch, sessions); err != nil {
-		return nil, nil, 0, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, 0, fmt.Errorf("service: reopening session table: %w", err)
-	}
-	return &store{f: f, path: path}, sessions, epoch, nil
-}
-
-// loadTable folds the JSONL file into per-session state. A missing
-// file is an empty table; an undecodable FINAL line is a torn append
-// and is dropped; an undecodable earlier line is corruption and an
-// error.
-func loadTable(path string) (map[string]*storedSession, int, error) {
 	sessions := make(map[string]*storedSession)
 	epoch := 0
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return sessions, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("service: reading session table: %w", err)
-	}
-	lines := bytes.Split(raw, []byte("\n"))
-	// Trailing newline yields one empty final element; ignore it.
-	for len(lines) > 0 && len(bytes.TrimSpace(lines[len(lines)-1])) == 0 {
-		lines = lines[:len(lines)-1]
-	}
-	for i, line := range lines {
+	log, err := journal.OpenLog(path, tableFormat, func(body []byte) error {
 		var rec storeRec
-		if err := json.Unmarshal(line, &rec); err != nil {
-			if i == len(lines)-1 {
-				break // torn final append: the crash signature, drop it
-			}
-			return nil, 0, fmt.Errorf("service: session table %s corrupt at line %d: %w", path, i+1, err)
+		if err := json.Unmarshal(body, &rec); err != nil {
+			return err
 		}
-		switch rec.T {
-		case "boot":
-			if rec.Epoch > epoch {
-				epoch = rec.Epoch
-			}
-		case "open":
-			if rec.Spec == nil {
-				return nil, 0, fmt.Errorf("service: session table %s: open record for %s has no spec", path, rec.ID)
-			}
-			sessions[rec.ID] = &storedSession{
-				Spec:    *rec.Spec,
-				Created: time.UnixMilli(rec.CreatedMS),
-			}
-		case "submit":
-			if s := sessions[rec.ID]; s != nil {
-				s.HasProfile = true
-				s.Values = rec.Values
-			}
-		case "done":
-			if s := sessions[rec.ID]; s != nil {
-				s.Result = rec.Result
-			}
-		case "purge":
-			delete(sessions, rec.ID)
-		default:
-			return nil, 0, fmt.Errorf("service: session table %s: unknown record kind %q at line %d", path, rec.T, i+1)
-		}
+		return foldRec(sessions, &epoch, rec)
+	})
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("service: %w: %v", ErrBadJournalDir, err)
 	}
-	return sessions, epoch, nil
+	epoch++
+	if err := log.Rewrite(compaction(epoch, sessions)); err != nil {
+		log.Close()
+		return nil, nil, 0, fmt.Errorf("service: compacting session table: %w", err)
+	}
+	return &store{log: log}, sessions, epoch, nil
 }
 
-// compactTable rewrites the table as boot + the minimal record set per
-// surviving session, atomically (tmp, fsync, rename).
-func compactTable(path string, epoch int, sessions map[string]*storedSession) error {
+// foldRec applies one table record to the per-session state.
+func foldRec(sessions map[string]*storedSession, epoch *int, rec storeRec) error {
+	switch rec.T {
+	case "boot":
+		*epoch = max(*epoch, rec.Epoch)
+	case "open":
+		if rec.Spec == nil {
+			return fmt.Errorf("open record for %s has no spec", rec.ID)
+		}
+		sessions[rec.ID] = &storedSession{
+			Spec:    *rec.Spec,
+			Created: time.UnixMilli(rec.CreatedMS),
+		}
+	case "submit":
+		if s := sessions[rec.ID]; s != nil {
+			s.HasProfile = true
+			s.Values = rec.Values
+		}
+	case "done":
+		if s := sessions[rec.ID]; s != nil {
+			s.Result = rec.Result
+		}
+	case "purge":
+		delete(sessions, rec.ID)
+	default:
+		return fmt.Errorf("unknown record kind %q", rec.T)
+	}
+	return nil
+}
+
+// compaction is the minimal record set that rebuilds sessions: boot,
+// then per surviving session, in creation order, open[+submit][+done].
+func compaction(epoch int, sessions map[string]*storedSession) [][]byte {
 	ids := make([]string, 0, len(sessions))
 	for id := range sessions {
 		ids = append(ids, id)
@@ -167,81 +146,36 @@ func compactTable(path string, epoch int, sessions map[string]*storedSession) er
 		}
 		return ids[i] < ids[j]
 	})
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: compacting session table: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("service: compacting session table: %w", err)
-	}
-	writeRec := func(rec storeRec) error {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return err
-		}
-		return nil
-	}
-	if err := writeRec(storeRec{T: "boot", Epoch: epoch}); err != nil {
-		return fail(err)
-	}
+	bodies := [][]byte{storeRec{T: "boot", Epoch: epoch}.body()}
 	for _, id := range ids {
 		s := sessions[id]
 		spec := s.Spec
-		if err := writeRec(storeRec{T: "open", ID: id, Spec: &spec, CreatedMS: s.Created.UnixMilli()}); err != nil {
-			return fail(err)
-		}
+		bodies = append(bodies, storeRec{T: "open", ID: id, Spec: &spec, CreatedMS: s.Created.UnixMilli()}.body())
 		if s.HasProfile {
-			if err := writeRec(storeRec{T: "submit", ID: id, Values: s.Values}); err != nil {
-				return fail(err)
-			}
+			bodies = append(bodies, storeRec{T: "submit", ID: id, Values: s.Values}.body())
 		}
 		if s.Result != nil {
-			if err := writeRec(storeRec{T: "done", ID: id, Result: s.Result}); err != nil {
-				return fail(err)
-			}
+			bodies = append(bodies, storeRec{T: "done", ID: id, Result: s.Result}.body())
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		return fail(err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("service: compacting session table: %w", err)
-	}
-	return nil
+	return bodies
+}
+
+// body encodes the record. storeRec and the api types it carries hold
+// only strings, integers, bools and slices and structs of them, which
+// json.Marshal always encodes; were it ever to fail, the nil body is
+// refused by the log as an empty record, so the failure still surfaces.
+func (rec storeRec) body() []byte {
+	b, _ := json.Marshal(rec)
+	return b
 }
 
 // append writes and fsyncs one record.
 func (st *store) append(rec storeRec) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("service: encoding session table record: %w", err)
-	}
+	body := rec.body()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return fmt.Errorf("service: session table %s is closed", st.path)
-	}
-	if _, err := st.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("service: appending to session table: %w", err)
-	}
-	if err := st.f.Sync(); err != nil {
-		return fmt.Errorf("service: syncing session table: %w", err)
-	}
-	return nil
+	return st.log.AppendSync(body)
 }
 
 // logOpen durably admits a session.
@@ -268,9 +202,5 @@ func (st *store) logPurge(id string) error {
 func (st *store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.closed {
-		return nil
-	}
-	st.closed = true
-	return st.f.Close()
+	return st.log.Close()
 }
