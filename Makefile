@@ -89,9 +89,10 @@ test:
 
 # The limb field on 32-bit words: on 386, bits.Mul64 and friends are
 # emulated and big.Word is 32 bits wide, so this is the one run that
-# executes internal/field (all three widths), the curve kernel and the
-# SS field on it, and their big.Int conversions, where the native word
-# is not 64 bits.
+# executes internal/field (all three Montgomery widths and secp160r1's
+# fold body, whose shifts split words at bit 32), the curve kernel and
+# the SS field on it, and their big.Int conversions, where the native
+# word is not 64 bits.
 test-386:
 	GOARCH=386 $(GO) test -short ./internal/field/ ./internal/group/ ./internal/shamir/
 

@@ -1,20 +1,24 @@
 // Package field is the prime-field arithmetic under both halves of the
 // system: the curve kernel of internal/group (secp160r1, P-224, P-256)
 // and the secret-sharing stack (internal/shamir, ssmpc, sssort). It is
-// one Montgomery field on fixed-capacity limbs, parameterised only by
-// constants derived from the modulus, so every operation runs on stack
-// values where math/big would pay a division plus several allocations
-// per reduction.
+// one field on fixed-capacity limbs, elements held as x·R mod p,
+// parameterised only by constants derived from the modulus, so every
+// operation runs on stack values where math/big would pay a division
+// plus several allocations per reduction.
 //
 // The width table is read once, in New, from the modulus: 2 limbs with
 // R = 2^128 at or below 128 bits, 3 limbs with R = 2^192 at or below 192,
 // 4 limbs with R = 2^256 at or below 256. R follows the width because a
 // Montgomery pass costs one row per limb of R: the 75-bit SS primes pay 8
-// word products per multiply, secp160r1 18 and P-256 32, where one
-// four-limb body would charge all of them 32. Add and Sub take the
-// three-limb bodies below 2^192. FuzzFieldAgainstBig holds every
-// operation to math/big and every narrow body to the four-limb one of the
-// same modulus.
+// word products per multiply and P-256 32, where one four-limb body would
+// charge all of them 32. New reads the modulus shape once too: a
+// pseudo-Mersenne p = 2^160 − c with 0 < c < 2^32 (secp160r1) needs no
+// Montgomery reduction, since 2^160 ≡ c folds the product's top half
+// down, so it takes R = 1 and the fold body, 13 word products where the
+// three-limb Montgomery pass pays 21. Add and Sub take the three-limb
+// bodies below 2^192. FuzzFieldAgainstBig holds every operation to
+// math/big, every narrow body to the four-limb one of the same modulus
+// and the fold to the three-limb Montgomery body.
 package field
 
 import (
@@ -24,9 +28,10 @@ import (
 	"math/bits"
 )
 
-// Elem is a field element in little-endian limbs, Montgomery form
-// (x·R mod p), always fully reduced. The zero value is the field's zero.
-// Limbs above the field's width are always zero.
+// Elem is a field element in little-endian limbs, in the field's form
+// x·R mod p (R = 2^(64·width) on the Montgomery bodies, 1 on the fold),
+// always fully reduced. The zero value is the field's zero. Limbs above
+// the field's width are always zero.
 type Elem [4]uint64
 
 // MaxBits is the widest modulus a Field carries.
@@ -36,26 +41,36 @@ const MaxBits = 256
 // New and safe for concurrent use.
 type Field struct {
 	p     *big.Int
-	pl    Elem   // the modulus's limbs (plain, not Montgomery)
+	pl    Elem   // the modulus's limbs (plain, not in the field's form)
 	n0    uint64 // −p⁻¹ mod 2^64
-	one   Elem   // R mod p, the Montgomery form of 1
-	r2    Elem   // R² mod p; a Montgomery product with it enters Montgomery form
-	width int    // limbs per element, 2, 3 or 4, and R = 2^(64·width)
+	one   Elem   // R mod p, the field's form of 1
+	r2    Elem   // R² mod p; a product (x·y/R) with it enters the field's form
+	width int    // limbs per element, 2, 3 or 4
+	fold  uint64 // c if p = 2^160 − c, 0 < c < 2^32: Mul folds, R = 1; else 0, R = 2^(64·width)
 }
 
 // New returns the field of the odd modulus p, at most MaxBits wide, with
-// its width read from the width table. The field keeps its own copy of p.
+// its width read from the width table and, for p = 2^160 − c with
+// 0 < c < 2^32, the fold body. The field keeps its own copy of p.
 func New(p *big.Int) (Field, error) {
 	if p == nil || p.Sign() <= 0 || p.Bit(0) == 0 || p.BitLen() > MaxBits {
 		return Field{}, errors.New("field: the modulus must be odd, positive and at most 256 bits")
 	}
-	return withWidth(new(big.Int).Set(p), max(2, (p.BitLen()+63)/64)), nil
+	f := withWidth(new(big.Int).Set(p), max(2, (p.BitLen()+63)/64))
+	if c := new(big.Int).Lsh(big.NewInt(1), 160); c.Sub(c, p).Sign() > 0 && c.BitLen() <= 32 {
+		// The fold is a product x·y/R with R = 1, so 1 is its own form
+		// and R² mod p is 1 too.
+		f.fold = c.Uint64()
+		f.one, f.r2 = Elem{1}, Elem{1}
+	}
+	return f, nil
 }
 
-// withWidth derives the constants of an odd modulus on the given number
-// of limbs, which must hold it. Tests build the four-limb field of a
-// narrower modulus through it to hold the narrow bodies against the wide
-// one.
+// withWidth derives the Montgomery constants of an odd modulus on the
+// given number of limbs, which must hold it. Tests build through it the
+// four-limb field of a narrower modulus, to hold the narrow bodies
+// against the wide one, and the three-limb Montgomery field of a modulus
+// New folds, to hold the fold against mul3.
 func withWidth(p *big.Int, width int) Field {
 	f := Field{p: p, pl: Limbs(p), width: width}
 	// Newton iteration doubles the correct low bits of p⁻¹ each step;
@@ -74,7 +89,7 @@ func withWidth(p *big.Int, width int) Field {
 // P returns the modulus. The caller must not modify it.
 func (f *Field) P() *big.Int { return f.p }
 
-// One returns the Montgomery form of 1.
+// One returns the field's form of 1, R mod p.
 func (f *Field) One() Elem { return f.one }
 
 // Width returns the number of limbs the width table gave the modulus.
@@ -98,7 +113,7 @@ func fromBytes(buf *[32]byte) [4]uint64 {
 	}
 }
 
-// FromBytes returns the Montgomery form of the big-endian integer in buf
+// FromBytes returns the field's form of the big-endian integer in buf
 // and reports whether it was a reduced field element (below p).
 func (f *Field) FromBytes(buf *[32]byte) (Elem, bool) {
 	l := Elem(fromBytes(buf))
@@ -109,7 +124,7 @@ func (f *Field) FromBytes(buf *[32]byte) (Elem, bool) {
 	return l, true
 }
 
-// FromBig returns the Montgomery form of x and reports whether x was a
+// FromBig returns the field's form of x and reports whether x was a
 // reduced field element (0 ≤ x < p). This conversion is the receive
 // check: a peer's value that fails it never becomes an Elem.
 func (f *Field) FromBig(x *big.Int) (Elem, bool) {
@@ -121,7 +136,7 @@ func (f *Field) FromBig(x *big.Int) (Elem, bool) {
 	return f.FromBytes(&buf)
 }
 
-// Reduce returns the Montgomery form of x mod p for any integer x: the
+// Reduce returns the field's form of x mod p for any integer x: the
 // conversion for values a party supplies itself (secrets, public
 // constants) and for curve coordinates a peer sent unreduced, which the
 // callers have always reduced silently.
@@ -133,15 +148,15 @@ func (f *Field) Reduce(x *big.Int) Elem {
 	return z
 }
 
-// Plain returns x out of Montgomery form, as integer limbs: a Montgomery
-// product with the plain integer 1 divides by R.
+// Plain returns x out of the field's form, as integer limbs: a product
+// x·y/R with the plain integer 1 divides by R.
 func (f *Field) Plain(x *Elem) Elem {
 	var z Elem
 	f.Mul(&z, x, &Elem{1})
 	return z
 }
 
-// ToBig returns x out of Montgomery form as an integer.
+// ToBig returns x out of the field's form as an integer.
 func (f *Field) ToBig(x *Elem) *big.Int {
 	l := f.Plain(x)
 	var buf [32]byte
@@ -155,7 +170,7 @@ func (f *Field) ToBig(x *Elem) *big.Int {
 // IsZero reports x == 0.
 func (x *Elem) IsZero() bool { return x[0]|x[1]|x[2]|x[3] == 0 }
 
-// isOne reports x == 1 as an integer (not the Montgomery one).
+// isOne reports x == 1 as an integer (not the field's one).
 func (x *Elem) isOne() bool { return x[0] == 1 && x[1]|x[2]|x[3] == 0 }
 
 // Less reports x < y as integers.
@@ -179,17 +194,64 @@ func madd(a, b, c, d uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Mul sets z = x·y/R mod p, the Montgomery product, on the body of the
-// field's width. z may alias x or y.
+// Mul sets z = x·y/R mod p, with the R of the field's body: the fold for
+// p = 2^160 − c (R = 1), else the Montgomery body of the field's width.
+// z may alias x or y.
 func (f *Field) Mul(z, x, y *Elem) {
-	switch f.width {
-	case 2:
+	switch {
+	case f.width == 2:
 		f.mul2(z, x, y)
-	case 3:
+	case f.fold != 0:
+		f.mulFold(z, x, y)
+	case f.width == 3:
 		f.mul3(z, x, y)
 	default:
 		f.mul4(z, x, y)
 	}
+}
+
+// mulFold is Mul for p = 2^160 − c with 0 < c < 2^32 (secp160r1: c =
+// 2^31 + 1), where R = 1 and 2^160 ≡ c (mod p). The 320-bit product
+// t = H·2^160 + L folds to s = L + H·c < 2^160·(c+1) ≤ 2^192, which folds
+// once more to below 2^160 + 2^64 < 2p, and one masked subtraction
+// finishes: 9 + 3 + 1 word products where mul3 pays 21.
+func (f *Field) mulFold(z, x, y *Elem) {
+	x0, x1, x2 := x[0], x[1], x[2]
+	y0, y1, y2 := y[0], y[1], y[2]
+	c := f.fold
+	const low32 = 1<<32 - 1
+
+	// t = x·y in five limbs; x, y < 2^160, so the sixth is zero.
+	h, t0 := bits.Mul64(x0, y0)
+	h, t1 := madd(x1, y0, h, 0)
+	t3, t2 := madd(x2, y0, h, 0)
+	h, t1 = madd(x0, y1, t1, 0)
+	h, t2 = madd(x1, y1, t2, h)
+	t4, t3 := madd(x2, y1, t3, h)
+	h, t2 = madd(x0, y2, t2, 0)
+	h, t3 = madd(x1, y2, t3, h)
+	_, t4 = madd(x2, y2, t4, h)
+
+	// s = L + H·c, H = t >> 160 on three limbs, the top one below 2^32.
+	h, s0 := madd(t2>>32|t3<<32, c, t0, 0)
+	h, s1 := madd(t3>>32|t4<<32, c, t1, h)
+	s2 := (t4>>32)*c + t2&low32 + h
+
+	// Fold s >> 160 < 2^32 once more: its product with c is one word.
+	var carry uint64
+	s0, carry = bits.Add64(s0, (s2>>32)*c, 0)
+	s1, carry = bits.Add64(s1, 0, carry)
+	s2 = s2&low32 + carry
+
+	// (s2, s1, s0) is below 2p: subtract p unless that borrows.
+	r0, b := bits.Sub64(s0, f.pl[0], 0)
+	r1, b := bits.Sub64(s1, f.pl[1], b)
+	r2, b := bits.Sub64(s2, f.pl[2], b)
+	keep := -b
+	z[0] = r0 ^ (r0^s0)&keep
+	z[1] = r1 ^ (r1^s1)&keep
+	z[2] = r2 ^ (r2^s2)&keep
+	z[3] = 0
 }
 
 // mul2 is Mul for p < 2^128: coarsely integrated operand scanning, one
@@ -404,13 +466,13 @@ func (x *Elem) rawSub(y *Elem) {
 	x[3], _ = bits.Sub64(x[3], y[3], b)
 }
 
-// Inv sets z to the inverse of x, both in Montgomery form, by the binary
+// Inv sets z to the inverse of x, both in the field's form, by the binary
 // extended Euclidean algorithm: about two shift-and-subtract steps per
 // modulus bit, a small fraction of the ~1.2 multiplications per bit a
 // Fermat ladder costs. The invariants are a·x ≡ u·R² and b·x ≡ v·R²
 // (mod p), so the coefficient left beside u = 1 or v = 1 is R²/x, the
-// Montgomery form of the inverse, whichever R the width gives. The
-// inverse of zero is zero.
+// field's form of the inverse, whichever R the body gives (R = 1 on the
+// fold). The inverse of zero is zero.
 func (f *Field) Inv(z, x *Elem) {
 	if x.IsZero() {
 		*z = Elem{}

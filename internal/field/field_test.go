@@ -10,13 +10,15 @@ import (
 )
 
 // fieldCase is one modulus the tests run at: the field New builds for it
-// and, when the width table gave it fewer than four limbs, the four-limb
-// field of the same modulus to hold the narrow bodies against.
+// and the Montgomery fields of the same modulus to hold its bodies
+// against, the four-limb one when the width table gave it fewer limbs and
+// the three-limb one when New gave it the fold.
 type fieldCase struct {
 	name string
 	p    *big.Int
 	f    Field
 	wide *Field // nil when f is already four limbs
+	mont *Field // nil unless f folds
 }
 
 // fieldCases covers every modulus either stack runs on or sits next to:
@@ -24,8 +26,10 @@ type fieldCase struct {
 // the three-limb bodies take, whose carry word a curve prime never drives
 // near 2^192; Goldilocks (p − 1 = 2^32·odd, the deepest Tonelli–Shanks
 // ladder the SS field's square root meets) and 2^255 − 19 (p ≡ 5 mod 8);
-// and DRBG primes drawn like the SS stack's: the benchmark's 75 bits, the
-// paper's default 110, and both sides of each width boundary.
+// DRBG primes drawn like the SS stack's: the benchmark's 75 bits, the
+// paper's default 110, and both sides of each width boundary; and the
+// primes 2^160 − c on both sides of the fold's edge, c just below 2^32
+// (the fold's largest carries) and c just above (Montgomery).
 var fieldCases = sync.OnceValue(func() []fieldCase {
 	var cases []fieldCase
 	add := func(name string, p *big.Int) {
@@ -37,6 +41,10 @@ var fieldCases = sync.OnceValue(func() []fieldCase {
 		if f.width < 4 {
 			w := withWidth(p, 4)
 			c.wide = &w
+		}
+		if f.fold != 0 {
+			m := withWidth(p, 3)
+			c.mont = &m
 		}
 		cases = append(cases, c)
 	}
@@ -58,8 +66,21 @@ var fieldCases = sync.OnceValue(func() []fieldCase {
 		}
 		add(fmt.Sprintf("drbg-%d", bits), p)
 	}
+	add("p160-c-below-2^32", pseudoMersenne160(1<<32-1, -2))
+	add("p160-c-above-2^32", pseudoMersenne160(1<<32+1, 2))
 	return cases
 })
+
+// pseudoMersenne160 returns the first prime 2^160 − c for c = from,
+// from + step, ….
+func pseudoMersenne160(from, step int64) *big.Int {
+	top := new(big.Int).Lsh(big.NewInt(1), 160)
+	for c := from; ; c += step {
+		if p := new(big.Int).Sub(top, big.NewInt(c)); p.ProbablyPrime(20) {
+			return p
+		}
+	}
+}
 
 // caseNamed returns the field case of that name.
 func caseNamed(tb testing.TB, name string) *fieldCase {
@@ -88,7 +109,7 @@ func bigFromLimbs(l [4]uint64) *big.Int {
 var fieldOpNames = [...]string{"add", "sub", "neg", "mul", "sqr", "halve", "inv", "sqr aliased", "sub aliased"}
 
 // fieldOps applies every operation to the reduced values a and b and
-// returns the results out of Montgomery form, in fieldOpNames order.
+// returns the results out of the field's form, in fieldOpNames order.
 // Every result must be reduced, with the limbs above the field's width
 // zero.
 func fieldOps(t testing.TB, f *Field, a, b *big.Int) (out [len(fieldOpNames)]*big.Int) {
@@ -143,7 +164,7 @@ func checkFieldOps(t testing.TB, f *Field, p, a, b *big.Int) {
 	t.Helper()
 	fa, _ := f.FromBig(a)
 	if back := f.ToBig(&fa); back.Cmp(a) != 0 {
-		t.Fatalf("Montgomery round trip of %x gave %x", a, back)
+		t.Fatalf("round trip of %x gave %x", a, back)
 	}
 	mod := func(v *big.Int) *big.Int { return v.Mod(v, p) }
 	inv := new(big.Int).ModInverse(a, p)
@@ -169,18 +190,22 @@ func checkFieldOps(t testing.TB, f *Field, p, a, b *big.Int) {
 	}
 }
 
-// checkCase runs checkFieldOps at c's modulus and, below four limbs,
-// holds every result of the narrow bodies to the four-limb ones.
+// checkCase runs checkFieldOps at c's modulus and holds every result to
+// that of the Montgomery bodies of the same modulus: the four-limb one
+// below four limbs, and mul3 when the field folds.
 func checkCase(t testing.TB, c *fieldCase, a, b *big.Int) {
 	t.Helper()
 	checkFieldOps(t, &c.f, c.p, a, b)
-	if c.wide == nil {
-		return
-	}
-	narrow, wide := fieldOps(t, &c.f, a, b), fieldOps(t, c.wide, a, b)
-	for i := range narrow {
-		if narrow[i].Cmp(wide[i]) != 0 {
-			t.Fatalf("%s: %s(%x, %x): %d-limb body %x, four-limb body %x", c.name, fieldOpNames[i], a, b, c.f.width, narrow[i], wide[i])
+	got := fieldOps(t, &c.f, a, b)
+	for _, ref := range []*Field{c.wide, c.mont} {
+		if ref == nil {
+			continue
+		}
+		want := fieldOps(t, ref, a, b)
+		for i := range got {
+			if got[i].Cmp(want[i]) != 0 {
+				t.Fatalf("%s: %s(%x, %x) = %x, the %d-limb Montgomery body gives %x", c.name, fieldOpNames[i], a, b, got[i], ref.width, want[i])
+			}
 		}
 	}
 }
@@ -211,6 +236,24 @@ func TestFieldWidthTable(t *testing.T) {
 	}
 }
 
+// TestFieldBodyTable pins which multiply each modulus gets: the fold for
+// 2^160 − c with c below 2^32, that is secp160r1 and the largest such
+// prime, and Montgomery everywhere else, the prime just past the shape's
+// edge included, so that neither a curve loses the fold nor an SS prime
+// falls onto it.
+func TestFieldBodyTable(t *testing.T) {
+	top := new(big.Int).Lsh(big.NewInt(1), 160)
+	folds := map[string]uint64{
+		"secp160r1":         1<<31 + 1,
+		"p160-c-below-2^32": top.Sub(top, caseNamed(t, "p160-c-below-2^32").p).Uint64(),
+	}
+	for _, c := range fieldCases() {
+		if want := folds[c.name]; c.f.fold != want {
+			t.Errorf("%s: fold constant %#x, want %#x (0 is a Montgomery body)", c.name, c.f.fold, want)
+		}
+	}
+}
+
 func TestFieldRoundTrip(t *testing.T) {
 	for _, c := range fieldCases() {
 		f, p := &c.f, c.p
@@ -220,12 +263,18 @@ func TestFieldRoundTrip(t *testing.T) {
 		if f.n0*f.pl[0] != ^uint64(0) {
 			t.Fatalf("%s: n0 is not −p⁻¹ mod 2^64", c.name)
 		}
-		r := new(big.Int).Lsh(big.NewInt(1), uint(64*f.width))
+		// one is R mod p for the body's R: 2^(64·width) on the Montgomery
+		// bodies, 1 on the fold.
+		rBits := 64 * f.width
+		if f.fold != 0 {
+			rBits = 0
+		}
+		r := new(big.Int).Lsh(big.NewInt(1), uint(rBits))
 		if got := bigFromLimbs(f.one); got.Cmp(r.Mod(r, p)) != 0 {
-			t.Fatalf("%s: Montgomery one is %x, want 2^%d mod p", c.name, got, 64*f.width)
+			t.Fatalf("%s: the field's one is %x, want 2^%d mod p", c.name, got, rBits)
 		}
 		if one := f.ToBig(&f.one); one.Cmp(big.NewInt(1)) != 0 {
-			t.Fatalf("%s: Montgomery one decodes to %x", c.name, one)
+			t.Fatalf("%s: the field's one decodes to %x", c.name, one)
 		}
 		rng := fixedbig.NewDRBG("field-rt-" + c.name)
 		for i := 0; i < 50; i++ {
@@ -329,10 +378,11 @@ func TestFieldInv(t *testing.T) {
 }
 
 // FuzzFieldAgainstBig holds every field operation to math/big at each
-// fieldCases modulus and, below four limbs, the narrow bodies to the
-// four-limb ones. The operands arrive as raw limbs: values at or above p
-// are not field elements, so FromBig must refuse them and Reduce take
-// them to v mod p; the checks then run on the reduced operands.
+// fieldCases modulus, the narrow bodies to the four-limb ones and the fold
+// to mul3, with foldOperands seeded at each modulus that folds. The
+// operands arrive as raw limbs: values at or above p are not field
+// elements, so FromBig must refuse them and Reduce take them to v mod p;
+// the checks then run on the reduced operands.
 func FuzzFieldAgainstBig(f *testing.F) {
 	cases := fieldCases()
 	max := ^uint64(0)
@@ -347,6 +397,14 @@ func FuzzFieldAgainstBig(f *testing.F) {
 		f.Add(w, uint64(0), uint64(0), max, uint64(0), uint64(0), uint64(0), uint64(0), max)
 		f.Add(w, max, max, pm1[2], pm1[3], pm1[0], max, pm1[2], pm1[3])
 		f.Add(w, max, max, max, max, uint64(0), uint64(0), max, max)
+	}
+	for which, c := range cases {
+		if c.f.fold != 0 {
+			for _, xy := range foldOperands(c.p, c.f.fold) {
+				x, y := Limbs(xy[0]), Limbs(xy[1])
+				f.Add(uint8(which), x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3])
+			}
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, a0, a1, a2, a3, b0, b1, b2, b3 uint64) {
 		c := &cases[int(which)%len(cases)]
@@ -363,6 +421,41 @@ func FuzzFieldAgainstBig(f *testing.F) {
 		}
 		checkCase(t, c, a, b)
 	})
+}
+
+// foldOperands returns operand pairs that drive mulFold at p = 2^160 − c
+// through its rare paths, which random operands reach with odds near
+// 2^-64 or worse: squares of p − 1, p − 2, 2^160 − 1 (above p, Reduce's
+// to take), 2^159, c and 2^128 − 1; and two products x·y = a·2^160 with
+// a = ⌊top/c⌋, whose first fold is s = a·c, within c below top. With
+// top = 2^161 − 1 the second fold lands at or above p and the final
+// subtraction fires; with top = 2^160 + 2^128 − 1 the second fold's carry
+// ripples through the middle limb into the top one.
+func foldOperands(p *big.Int, c uint64) [][2]*big.Int {
+	one := big.NewInt(1)
+	pow := func(e uint) *big.Int { return new(big.Int).Lsh(one, e) }
+	var pairs [][2]*big.Int
+	for _, v := range []*big.Int{
+		new(big.Int).Sub(p, one),
+		new(big.Int).Sub(p, big.NewInt(2)),
+		new(big.Int).Sub(pow(160), one),
+		pow(159),
+		new(big.Int).SetUint64(c),
+		new(big.Int).Sub(pow(128), one),
+	} {
+		pairs = append(pairs, [2]*big.Int{v, v})
+	}
+	// x = 2^(160−j) and y = a·2^j are both below p for 2^j below c/2.
+	bc := new(big.Int).SetUint64(c)
+	j := uint(bc.BitLen() - 2)
+	for _, top := range []*big.Int{
+		new(big.Int).Sub(pow(161), one),
+		new(big.Int).Sub(new(big.Int).Add(pow(160), pow(128)), one),
+	} {
+		a := new(big.Int).Div(top, bc)
+		pairs = append(pairs, [2]*big.Int{pow(160 - j), a.Lsh(a, j)})
+	}
+	return pairs
 }
 
 // benchOperands draws 256 non-zero elements of the named case's field.
@@ -389,16 +482,29 @@ var benchFields = []struct{ bench, name string }{
 	{"ss75", "drbg-75"}, {"secp160r1", "secp160r1"}, {"secp256r1", "secp256r1"},
 }
 
+// BenchmarkFieldMul runs Mul at each benchFields modulus, and on
+// secp160r1 also the three-limb Montgomery body the fold replaced
+// (secp160r1-mont), so that both bodies show side by side.
 func BenchmarkFieldMul(b *testing.B) {
-	for _, bf := range benchFields {
-		f, xs := benchOperands(b, bf.name)
-		b.Run(bf.bench, func(b *testing.B) {
+	run := func(name string, f *Field, xs *[256]Elem) {
+		b.Run(name, func(b *testing.B) {
 			acc := f.One()
 			for i := 0; i < b.N; i++ {
 				f.Mul(&acc, &acc, &xs[i&255])
 			}
 			benchSink = acc
 		})
+	}
+	for _, bf := range benchFields {
+		f, xs := benchOperands(b, bf.name)
+		run(bf.bench, f, xs)
+		if mont := caseNamed(b, bf.name).mont; mont != nil {
+			var ys [256]Elem
+			for i := range xs {
+				ys[i], _ = mont.FromBig(f.ToBig(&xs[i]))
+			}
+			run(bf.bench+"-mont", mont, &ys)
+		}
 	}
 }
 

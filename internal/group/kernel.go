@@ -23,11 +23,11 @@ type curveKernel struct {
 	b field.Elem // the curve's constant term, for onCurve
 }
 
-// jacPt is a Jacobian point (X/Z², Y/Z³) in Montgomery form; Z = 0
+// jacPt is a Jacobian point (X/Z², Y/Z³) in the field's form; Z = 0
 // encodes the point at infinity.
 type jacPt struct{ x, y, z field.Elem }
 
-// affPt is an affine point in Montgomery form.
+// affPt is an affine point in the field's form.
 type affPt struct {
 	x, y field.Elem
 	inf  bool

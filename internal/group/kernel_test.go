@@ -190,17 +190,19 @@ func TestFastExpMatchesGeneric(t *testing.T) {
 
 // TestNamedCurvesUseKernel pins the property the performance rests on:
 // whichever way a named curve is reached, it is the one group value with
-// its one generator table. It also pins the field width: secp160r1 on
-// three limbs, the wider curves on four, so that a refactor cannot
-// silently widen secp160r1.
+// its one generator table. It also pins the field width and body:
+// secp160r1 on three limbs and the fold (R = 1, so the field's one is the
+// integer 1), the wider curves on four Montgomery limbs, so that a
+// refactor cannot silently widen secp160r1 or drop its fold.
 func TestNamedCurvesUseKernel(t *testing.T) {
 	typed := map[string]struct {
 		g     *ECGroup
 		limbs int
+		fold  bool
 	}{
-		"secp160r1": {Secp160r1(), 3},
-		"secp224r1": {Secp224r1(), 4},
-		"secp256r1": {Secp256r1(), 4},
+		"secp160r1": {Secp160r1(), 3, true},
+		"secp224r1": {Secp224r1(), 4, false},
+		"secp256r1": {Secp256r1(), 4, false},
 	}
 	for name, want := range typed {
 		if got := mustByName(t, name); got != Group(want.g) {
@@ -208,6 +210,9 @@ func TestNamedCurvesUseKernel(t *testing.T) {
 		}
 		if got := want.g.kern.Width(); got != want.limbs {
 			t.Errorf("%s: kernel field on %d limbs, want %d", name, got, want.limbs)
+		}
+		if got := want.g.kern.One() == (field.Elem{1}); got != want.fold {
+			t.Errorf("%s: kernel field folds: %v, want %v", name, got, want.fold)
 		}
 	}
 }
