@@ -45,6 +45,10 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # The journaling check keeps muxrecover.go the only recovery discipline:
 # nothing else in internal/transport (tests aside) may append to a
 # session journal, so a second retransmit scheme cannot grow back either.
+# The ledger-and-wait check keeps endpoint.go the only send ledger and
+# the only blocking receive: nothing else in internal/transport (tests
+# aside) may count a sent message or wait on a context, so the in-memory
+# fabric and the TCP stacks cannot grow second copies of either again.
 # The durable-file check keeps internal/journal's Log the only durable
 # log: outside internal/journal (tests aside) no code may fsync, rename,
 # open for append or truncate a file, so framing, the torn-tail rule and
@@ -76,6 +80,9 @@ vet:
 	@journaling=$$(grep -lE 'LogSend\(|LogRecv\(' internal/transport/*.go | grep -v _test.go | tr '\n' ' '); \
 	if [ "$$journaling" != "internal/transport/muxrecover.go " ]; then \
 		echo "journal appends (LogSend/LogRecv) in internal/transport belong in muxrecover.go alone, found in: $$journaling"; exit 1; fi
+	@ledger=$$(grep -lE 'Messages\+\+|[^.]ctx\.Done\(\)' internal/transport/*.go | grep -v _test.go | tr '\n' ' '); \
+	if [ "$$ledger" != "internal/transport/endpoint.go " ]; then \
+		echo "send counting (Messages++) and receive waits (ctx.Done()) in internal/transport belong in endpoint.go alone, found in: $$ledger"; exit 1; fi
 	@durable=$$(find *.go cmd internal -name '*.go' ! -name '*_test.go' ! -path 'internal/journal/*' | xargs grep -lE '\.Sync\(\)|os\.Rename\(|os\.O_APPEND|\.Truncate\(' | tr '\n' ' '); \
 	if [ -n "$$durable" ]; then \
 		echo "fsync/rename/append-open/truncate belong in internal/journal (use journal.Log), found in: $$durable"; exit 1; fi

@@ -369,13 +369,13 @@ func TestAdminEndpointsAndMergedTrace(t *testing.T) {
 	var first float64 = -1
 	deadline := time.Now().Add(20 * time.Second)
 	for first < 0 && time.Now().Before(deadline) {
-		first, _ = scrapeCounter(adminAddrs[0], "transport_msgs_total")
+		first, _ = scrapeCounter(adminAddrs[0], "mux_session_msgs_total")
 		if first < 0 {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
 	if first < 0 {
-		t.Fatal("initiator's /metrics never served transport_msgs_total mid-run")
+		t.Fatal("initiator's /metrics never served mux_session_msgs_total mid-run")
 	}
 	if resp, err := http.Get("http://" + adminAddrs[0] + "/healthz"); err != nil {
 		t.Errorf("mid-run /healthz: %v", err)
@@ -388,19 +388,19 @@ func TestAdminEndpointsAndMergedTrace(t *testing.T) {
 	grew := false
 	prev := first
 	for !grew && time.Now().Before(deadline) {
-		v, _ := scrapeCounter(adminAddrs[0], "transport_msgs_total")
+		v, _ := scrapeCounter(adminAddrs[0], "mux_session_msgs_total")
 		if v < 0 {
 			break // the run finished and the endpoint went away
 		}
 		if v < prev {
-			t.Fatalf("transport_msgs_total went backwards mid-run: %g then %g", prev, v)
+			t.Fatalf("mux_session_msgs_total went backwards mid-run: %g then %g", prev, v)
 		}
 		grew = v > prev
 		prev = v
 		time.Sleep(15 * time.Millisecond)
 	}
 	if !grew {
-		t.Errorf("transport_msgs_total never increased across mid-run scrapes (stuck at %g)", prev)
+		t.Errorf("mux_session_msgs_total never increased across mid-run scrapes (stuck at %g)", prev)
 	}
 
 	wg.Wait()

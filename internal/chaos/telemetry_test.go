@@ -254,7 +254,7 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 
 	// The metrics endpoint serves both registries' counters to the end.
 	code, body = httpGet(t, srv.URL+"/metrics")
-	if code != 200 || !strings.Contains(body, "transport_msgs_total") ||
+	if code != 200 || !strings.Contains(body, "mux_session_msgs_total") ||
 		!strings.Contains(body, "grouprank_ops_total") {
 		t.Errorf("metrics after the abort = %d; missing transport or protocol counters", code)
 	}

@@ -57,7 +57,7 @@ func RunInitiatorCtx(ctx context.Context, params Params, q *workload.Questionnai
 	// Steps 3-4: answer each participant's dot-product flow with her own
 	// random offset ρ_j.
 	st := initiatorState{rho: rho, rhoJ: make([]*big.Int, params.N)}
-	flows, err := fab.GatherAllCtx(ctx, 0, roundGainRequest)
+	flows, err := transport.GatherAll(ctx, fab, 0, roundGainRequest)
 	if err != nil {
 		return nil, nil, transport.AnnotatePhase(err, "gain")
 	}
@@ -87,7 +87,7 @@ func RunInitiatorCtx(ctx context.Context, params Params, q *workload.Questionnai
 
 	// Phase 3: collect one submission or decline from every participant.
 	obs.Begin(PhaseSubmission)
-	subs, err := fab.GatherAllCtx(ctx, 0, roundSubmission)
+	subs, err := transport.GatherAll(ctx, fab, 0, roundSubmission)
 	if err != nil {
 		return nil, nil, transport.AnnotatePhase(err, "submission")
 	}

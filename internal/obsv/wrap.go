@@ -133,24 +133,6 @@ func (c countingNet) RecvCtx(ctx context.Context, to, from, round int) (any, err
 // disable equivocation detection on real fabrics.
 func (c countingNet) EchoRequired() bool { return transport.NeedsEcho(c.Net) }
 
-// GatherAllCtx must be restated so gathering uses the wrapper's RecvCtx
-// chain rather than the embedded implementation's receiver.
-func (c countingNet) GatherAllCtx(ctx context.Context, to, round int) ([]any, error) {
-	n := c.Net.N()
-	out := make([]any, n)
-	for from := 0; from < n; from++ {
-		if from == to {
-			continue
-		}
-		p, err := c.RecvCtx(ctx, to, from, round)
-		if err != nil {
-			return nil, err
-		}
-		out[from] = p
-	}
-	return out, nil
-}
-
 // Do runs fn labelled with the party index in runtime/pprof profiles
 // when observability is enabled, and calls it directly (no label
 // allocation) otherwise. Orchestrators wrap each protocol goroutine's

@@ -155,7 +155,7 @@ func (e *Engine) recv(from, round int) (any, error) {
 
 // gather is the engine's context-aware, round-checked GatherAll.
 func (e *Engine) gather(round int) ([]any, error) {
-	all, err := e.fab.GatherAllCtx(e.ctx, e.me, round)
+	all, err := transport.GatherAll(e.ctx, e.fab, e.me, round)
 	return all, transport.AnnotatePhase(err, "ssmpc")
 }
 

@@ -3,6 +3,8 @@ package transport
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -45,8 +47,9 @@ const stackGrace = 300 * time.Millisecond
 type tcpStack struct {
 	name string
 	// build forms an n-party mesh whose endpoints use the given receive
-	// and write timeout, and closes it at test cleanup.
-	build func(t *testing.T, n int, timeout time.Duration) []stackEnd
+	// and write timeout, and closes it at test cleanup. With regs, party
+	// me's endpoint feeds regs[me] the way its binary wires telemetry.
+	build func(t *testing.T, n int, timeout time.Duration, regs ...*telemetry.Registry) []stackEnd
 	// frame is the stack's wire frame for a round-1, 8-byte data message
 	// with a nil payload (the raw-injection tests splice a payload in).
 	frame any
@@ -58,18 +61,22 @@ type tcpStack struct {
 var tcpStacks = []tcpStack{
 	{
 		name: "tcp",
-		build: func(t *testing.T, n int, timeout time.Duration) []stackEnd {
+		build: func(t *testing.T, n int, timeout time.Duration, regs ...*telemetry.Registry) []stackEnd {
 			return formMesh(t, n, func(addrs []string, me int) (stackEnd, error) {
-				return NewTCPFabric(addrs, me, timeout)
+				f, err := NewTCPFabric(addrs, me, timeout)
+				if err == nil {
+					f.SetTelemetry(regAt(regs, me))
+				}
+				return f, err
 			})
 		},
 		frame: muxEnv{SID: tcpFabricSID, Kind: muxKindData, Round: 1, Bytes: 8},
 	},
 	{
 		name: "mux",
-		build: func(t *testing.T, n int, timeout time.Duration) []stackEnd {
+		build: func(t *testing.T, n int, timeout time.Duration, regs ...*telemetry.Registry) []stackEnd {
 			return formMesh(t, n, func(addrs []string, me int) (stackEnd, error) {
-				m, err := NewSessionMux(addrs, me, timeout, MuxOptions{})
+				m, err := NewSessionMux(addrs, me, timeout, MuxOptions{Telemetry: regAt(regs, me)})
 				if err != nil {
 					return nil, err
 				}
@@ -81,10 +88,10 @@ var tcpStacks = []tcpStack{
 	},
 	{
 		name: "mux recovering",
-		build: func(t *testing.T, n int, timeout time.Duration) []stackEnd {
+		build: func(t *testing.T, n int, timeout time.Duration, regs ...*telemetry.Registry) []stackEnd {
 			return formMesh(t, n, func(addrs []string, me int) (stackEnd, error) {
 				m, err := NewSessionMux(addrs, me, timeout,
-					MuxOptions{Recovery: &MuxRecovery{Epoch: 1, Grace: stackGrace}})
+					MuxOptions{Telemetry: regAt(regs, me), Recovery: &MuxRecovery{Epoch: 1, Grace: stackGrace}})
 				if err != nil {
 					return nil, err
 				}
@@ -97,10 +104,10 @@ var tcpStacks = []tcpStack{
 	},
 	{
 		name: "recovering",
-		build: func(t *testing.T, n int, timeout time.Duration) []stackEnd {
+		build: func(t *testing.T, n int, timeout time.Duration, regs ...*telemetry.Registry) []stackEnd {
 			return formMesh(t, n, func(addrs []string, me int) (stackEnd, error) {
 				return NewRecoveringTCPFabric(addrs, me, timeout,
-					RecoverOptions{SessionID: "s", Grace: stackGrace})
+					RecoverOptions{SessionID: "s", Grace: stackGrace, Telemetry: regAt(regs, me)})
 			})
 		},
 		frame:    muxEnv{SID: "s", Kind: muxKindData, Round: 1, Bytes: 8, Seq: 1},
@@ -108,15 +115,23 @@ var tcpStacks = []tcpStack{
 	},
 	{
 		name: "recovering journaled",
-		build: func(t *testing.T, n int, timeout time.Duration) []stackEnd {
+		build: func(t *testing.T, n int, timeout time.Duration, regs ...*telemetry.Registry) []stackEnd {
 			return formMesh(t, n, func(addrs []string, me int) (stackEnd, error) {
 				return NewRecoveringTCPFabric(addrs, me, timeout,
-					RecoverOptions{SessionID: "s", Grace: stackGrace, Journal: newMemJournal()})
+					RecoverOptions{SessionID: "s", Grace: stackGrace, Journal: newMemJournal(), Telemetry: regAt(regs, me)})
 			})
 		},
 		frame:    muxEnv{SID: "s", Kind: muxKindData, Round: 1, Bytes: 8, Seq: 1},
 		recovers: true,
 	},
+}
+
+// regAt is party me's registry from a build's optional regs.
+func regAt(regs []*telemetry.Registry, me int) *telemetry.Registry {
+	if len(regs) == 0 {
+		return nil
+	}
+	return regs[me]
 }
 
 // formMesh builds all n endpoints of a mesh concurrently on fresh
@@ -238,7 +253,7 @@ func TestTCPBroadcastGather(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				all, err := ends[me].GatherAllCtx(context.Background(), me, -1)
+				all, err := GatherAll(context.Background(), ends[me], me, -1)
 				if err != nil {
 					t.Error(err)
 					return
@@ -312,6 +327,165 @@ func TestTCPStats(t *testing.T) {
 		}
 		if st.EchoMessages != 1 || st.EchoBytes != 32 {
 			t.Errorf("echo tally = %d msgs, %d bytes, want 1/32", st.EchoMessages, st.EchoBytes)
+		}
+	})
+}
+
+// statsScript is party me's part of one fixed exchange: unicasts at
+// sparse round tags, a broadcast and an echo sub-round, each received
+// before the next step.
+func statsScript(net Net, me int) error {
+	ctx := context.Background()
+	n := net.N()
+	next, prev := (me+1)%n, (me+n-1)%n
+	if err := net.Send(1, me, next, 10+me, wirePayload{From: me}); err != nil {
+		return err
+	}
+	if _, err := net.RecvCtx(ctx, me, prev, 1); err != nil {
+		return err
+	}
+	for _, round := range []int{4, EchoRound(4)} {
+		if err := net.Broadcast(round, me, 8*(me+1), wirePayload{From: me}); err != nil {
+			return err
+		}
+		if _, err := GatherAll(ctx, net, me, round); err != nil {
+			return err
+		}
+	}
+	if err := net.Send(9, me, prev, 100*(me+1), wirePayload{From: me, Text: "late"}); err != nil {
+		return err
+	}
+	_, err := net.RecvCtx(ctx, me, next, 9)
+	return err
+}
+
+// runStatsScript runs statsScript for every party at once, party me on
+// nets[me].
+func runStatsScript(t *testing.T, nets []Net) {
+	t.Helper()
+	errs := make([]error, len(nets))
+	var wg sync.WaitGroup
+	for me, net := range nets {
+		me, net := me, net
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[me] = statsScript(net, me)
+		}()
+	}
+	wg.Wait()
+	for me, err := range errs {
+		if err != nil {
+			t.Fatalf("party %d: %v", me, err)
+		}
+	}
+}
+
+// TestStatsAgreeAcrossStacks holds every TCP stack's send ledger to the
+// in-memory Fabric's over one fixed exchange: each endpoint's own slot
+// equals the fabric's slot for that party, the endpoints' per-round and
+// echo tallies sum to the fabric's, and the live send counters equal the
+// endpoint's Stats.
+func TestStatsAgreeAcrossStacks(t *testing.T) {
+	const n = 3
+	fab, err := New(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runStatsScript(t, []Net{fab, fab, fab})
+	want := fab.Stats()
+	eachStack(t, func(t *testing.T, s tcpStack) {
+		regs := make([]*telemetry.Registry, n)
+		for me := range regs {
+			regs[me] = telemetry.NewRegistry()
+		}
+		ends := s.build(t, n, stackTimeout, regs...)
+		nets := make([]Net, n)
+		for me, e := range ends {
+			nets[me] = e
+		}
+		runStatsScript(t, nets)
+		perRound := make(map[int]RoundStats)
+		var echoMsgs, echoBytes int64
+		for me, e := range ends {
+			st := e.Stats()
+			for p := 0; p < n; p++ {
+				var msgs, bytes int64
+				if p == me {
+					msgs, bytes = want.MessagesSent[p], want.BytesSent[p]
+				}
+				if st.MessagesSent[p] != msgs || st.BytesSent[p] != bytes {
+					t.Errorf("party %d's slot %d = %d msgs, %d bytes, want %d, %d",
+						me, p, st.MessagesSent[p], st.BytesSent[p], msgs, bytes)
+				}
+			}
+			for r, rs := range st.PerRound {
+				sum := perRound[r]
+				sum.Messages += rs.Messages
+				sum.Bytes += rs.Bytes
+				perRound[r] = sum
+			}
+			echoMsgs += st.EchoMessages
+			echoBytes += st.EchoBytes
+			for name, v := range map[string]int64{
+				"mux_session_msgs_total":     st.MessagesSent[me],
+				"mux_session_bytes_total":    st.BytesSent[me],
+				"transport_echo_msgs_total":  st.EchoMessages,
+				"transport_echo_bytes_total": st.EchoBytes,
+				"transport_rounds_total":     int64(st.DistinctRounds),
+			} {
+				if got := regs[me].Counter(name, "").Value(); got != v {
+					t.Errorf("party %d serves %s = %d, its Stats say %d", me, name, got, v)
+				}
+			}
+		}
+		if !reflect.DeepEqual(perRound, want.PerRound) {
+			t.Errorf("per-round sum = %v, fabric's = %v", perRound, want.PerRound)
+		}
+		if echoMsgs != want.EchoMessages || echoBytes != want.EchoBytes {
+			t.Errorf("echo sum = %d msgs, %d bytes, fabric's = %d, %d", echoMsgs, echoBytes, want.EchoMessages, want.EchoBytes)
+		}
+	})
+}
+
+// TestMetricFamiliesPerStack pins the metric families each stack serves
+// once it has carried traffic, so a rename, or a family gained or lost,
+// is a reviewed diff here. A TCPFabric's mux is built without a
+// registry, so SetTelemetry serves the ledger's view and no link family.
+func TestMetricFamiliesPerStack(t *testing.T) {
+	ledger := []string{
+		"mux_session_bytes_total", "mux_session_msgs_total",
+		"transport_echo_bytes_total", "transport_echo_msgs_total",
+		"transport_round_seconds", "transport_rounds_total",
+	}
+	mux := append([]string{
+		"mux_control_frames_total", "mux_data_frames_total", "mux_late_frames_total",
+		"mux_link_connects_total", "mux_link_redials_total", "mux_link_up",
+		"mux_pending_dropped_total", "mux_resume_frames_total", "mux_retransmit_frames_total",
+		"mux_sessions_active", "mux_sessions_closed_total", "mux_sessions_opened_total",
+		"transport_heartbeat_rtt_seconds",
+	}, ledger...)
+	sort.Strings(mux)
+	want := map[string][]string{
+		"tcp":                  ledger,
+		"mux":                  mux,
+		"mux recovering":       mux,
+		"recovering":           mux,
+		"recovering journaled": mux,
+	}
+	eachStack(t, func(t *testing.T, s tcpStack) {
+		regs := []*telemetry.Registry{telemetry.NewRegistry(), telemetry.NewRegistry()}
+		ends := s.build(t, 2, stackTimeout, regs...)
+		if err := ends[0].Send(1, 0, 1, 8, wirePayload{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ends[1].RecvCtx(context.Background(), 1, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		for me, reg := range regs {
+			if got := reg.Names(); !reflect.DeepEqual(got, want[s.name]) {
+				t.Errorf("party %d serves %v,\nwant %v", me, got, want[s.name])
+			}
 		}
 	})
 }

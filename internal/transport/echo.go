@@ -138,7 +138,7 @@ func (e *EquivocationError) Error() string {
 // requires echoes — runs the paired digest sub-round and cross-checks
 // every reported digest before returning. The gathered payloads come
 // back indexed by sender with the self slot nil (the caller already
-// holds its own payload), exactly like GatherAllCtx.
+// holds its own payload), exactly like GatherAll.
 //
 // On a digest mismatch every honest caller returns an *AbortError
 // naming the equivocating sender, carrying an *EquivocationError cause
@@ -147,7 +147,7 @@ func EchoBroadcastCtx(ctx context.Context, net Net, me, round, size int, payload
 	if err := net.Broadcast(round, me, size, payload); err != nil {
 		return nil, err
 	}
-	all, err := net.GatherAllCtx(ctx, me, round)
+	all, err := GatherAll(ctx, net, me, round)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +171,7 @@ func EchoBroadcastCtx(ctx context.Context, net Net, me, round, size int, payload
 	if err := net.Broadcast(echoRound, me, echoBytes, echoMsg{Digests: digests}); err != nil {
 		return nil, err
 	}
-	echoes, err := net.GatherAllCtx(ctx, me, echoRound)
+	echoes, err := GatherAll(ctx, net, me, echoRound)
 	if err != nil {
 		return nil, err
 	}

@@ -5,40 +5,44 @@ import (
 	"fmt"
 	"sync"
 	"time"
-
-	"groupranking/internal/telemetry"
 )
 
-// What every TCP-backed Net shares above the link layer: the send-side
-// accounting behind Stats, the per-peer failure signal, and the one
+// What every Net shares — the in-memory Fabric and every MuxSession,
+// and through the latter both TCP fabrics: the send ledger behind Stats
+// and the live send counters, the per-peer failure signal, and the one
 // blocking receive wait.
 
-// sendStats is an endpoint's send-side accounting. A TCP endpoint only
-// observes its own sends, so Stats fills the slot at this party's index
-// and leaves the others zero. Echo sub-round traffic is
-// consistency-layer overhead, tallied apart from the protocol counters.
+// sendStats is the send ledger: one slot per sender. The in-memory
+// Fabric observes every party and charges each sender's slot; a TCP
+// endpoint observes only its own sends, so only its own slot fills.
+// Echo sub-round traffic is consistency-layer overhead, tallied apart
+// from the protocol counters.
 type sendStats struct {
-	n, me int
-
 	mu        sync.Mutex
-	msgs      int64
-	bytes     int64
+	msgs      []int64
+	bytes     []int64
 	maxRound  int
 	rounds    map[int]RoundStats
 	echoMsgs  int64
 	echoBytes int64
+
+	// tm is the live view the ledger feeds (nil: telemetry off). Every
+	// session of one mux shares it; lastRound, the first send of this
+	// ledger's latest round, stays per ledger so the round cadence is a
+	// session's own.
 	tm        *netMetrics
+	lastRound time.Time
 }
 
-func (s *sendStats) init(n, me int, reg *telemetry.Registry) {
-	s.n, s.me, s.rounds = n, me, make(map[int]RoundStats)
-	s.tm = newNetMetrics(reg)
+func (s *sendStats) init(n int, tm *netMetrics) {
+	s.msgs, s.bytes = make([]int64, n), make([]int64, n)
+	s.rounds, s.tm = make(map[int]RoundStats), tm
 }
 
-// count charges one logical send. The live counters are fed inside the
-// same critical section, so the exported metrics and Stats can never
-// disagree about whether a round has started.
-func (s *sendStats) count(round, bytes int) {
+// count charges one logical send to from's slot. The live counters are
+// fed inside the same critical section, so the exported metrics and
+// Stats can never disagree about whether a round has started.
+func (s *sendStats) count(from, round, bytes int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	newRound := false
@@ -46,8 +50,8 @@ func (s *sendStats) count(round, bytes int) {
 		s.echoMsgs++
 		s.echoBytes += int64(bytes)
 	} else {
-		s.msgs++
-		s.bytes += int64(bytes)
+		s.msgs[from]++
+		s.bytes[from] += int64(bytes)
 		if round > s.maxRound {
 			s.maxRound = round
 		}
@@ -57,27 +61,24 @@ func (s *sendStats) count(round, bytes int) {
 		rs.Bytes += int64(bytes)
 		s.rounds[round] = rs
 	}
-	s.tm.onSendLocked(round, bytes, newRound)
+	s.tm.onSendLocked(round, bytes, newRound, &s.lastRound)
 }
 
-// Stats reports this endpoint's logical protocol traffic in the same
-// per-party shape as Fabric.Stats. Link-level frames (hellos, acks,
-// heartbeats, resume requests, retransmissions) are transport overhead
-// and never counted.
+// Stats reports the ledger's logical protocol traffic, per sender.
+// Link-level frames (hellos, acks, heartbeats, resume requests,
+// retransmissions) are transport overhead and never counted.
 func (s *sendStats) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := Stats{
-		MessagesSent:   make([]int64, s.n),
-		BytesSent:      make([]int64, s.n),
+		MessagesSent:   append([]int64(nil), s.msgs...),
+		BytesSent:      append([]int64(nil), s.bytes...),
 		MaxRound:       s.maxRound,
 		DistinctRounds: len(s.rounds),
 		PerRound:       make(map[int]RoundStats, len(s.rounds)),
 		EchoMessages:   s.echoMsgs,
 		EchoBytes:      s.echoBytes,
 	}
-	out.MessagesSent[s.me] = s.msgs
-	out.BytesSent[s.me] = s.bytes
 	for r, rs := range s.rounds {
 		out.PerRound[r] = rs
 	}
@@ -153,15 +154,16 @@ func (d *downSignal) state() (<-chan struct{}, error) {
 	return d.ch, d.err
 }
 
-// recvWait is the one blocking receive under every TCP-backed Net. It
+// recvWait is the one blocking receive under every Net. It
 // waits for a frame on q and hands it to take, which either satisfies
 // the receive (done), absorbs the frame (a duplicate, an out-of-order
 // frame stashed for later) or fails it. The wait ends early when the
 // peer is failed, ctx is cancelled, timeout expires (<= 0: no bound) or
 // the endpoint is closed.
 //
-// Ordering contract: an endpoint closed locally (closedA or closedB, a
-// nil channel never fires) answers ErrClosed before it looks at q — its
+// Ordering contract: an endpoint closed locally (closedA or closedB; a
+// nil channel never fires, so the in-memory Fabric, which never closes,
+// passes nil) answers ErrClosed before it looks at q — its
 // queue is discarded. A peer or link failure drains q first, like
 // buffered TCP data before EOF, so a failure never eats data that
 // arrived before it.

@@ -8,21 +8,6 @@ import (
 	"time"
 )
 
-// TestZeroCapacityRejected pins the constructor contract: a zero or
-// negative queue capacity is a configuration error, not a silently
-// unbuffered (and therefore deadlock-prone) fabric.
-func TestZeroCapacityRejected(t *testing.T) {
-	if _, err := New(2, WithQueueCapacity(0)); err == nil {
-		t.Error("zero capacity accepted")
-	}
-	if _, err := New(2, WithQueueCapacity(-3)); err == nil {
-		t.Error("negative capacity accepted")
-	}
-	if _, err := New(2, WithQueueCapacity(1)); err != nil {
-		t.Errorf("capacity 1 rejected: %v", err)
-	}
-}
-
 // TestRecvAfterMarkDown covers the crash-detection drain contract:
 // messages sent before the crash are still delivered, and only then do
 // receives fail with a peer-down abort naming the dead party.
@@ -167,9 +152,9 @@ func TestConcurrentSendRecvMarkDown(t *testing.T) {
 	}
 }
 
-// TestGatherAllCtxPartial verifies GatherAllCtx fails with the abort of
+// TestGatherAllPartial verifies GatherAll fails with the abort of
 // the first unreachable party rather than hanging on later ones.
-func TestGatherAllCtxPartial(t *testing.T) {
+func TestGatherAllPartial(t *testing.T) {
 	fab, err := New(3, WithRecvTimeout(time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +163,7 @@ func TestGatherAllCtxPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	fab.MarkDown(2)
-	_, err = fab.GatherAllCtx(context.Background(), 0, 4)
+	_, err = GatherAll(context.Background(), fab, 0, 4)
 	var abort *AbortError
 	if !errors.As(err, &abort) || abort.Party != 2 {
 		t.Fatalf("want abort naming party 2, got %v", err)

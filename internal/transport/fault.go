@@ -416,8 +416,3 @@ func (f *FaultNet) Broadcast(round, from, bytes int, payload any) error {
 		return f.Send(round, from, to, b, p)
 	})
 }
-
-// GatherAllCtx implements Net.
-func (f *FaultNet) GatherAllCtx(ctx context.Context, to, round int) ([]any, error) {
-	return gatherAll(ctx, f, to, round)
-}

@@ -6,15 +6,17 @@ import (
 	"groupranking/internal/telemetry"
 )
 
-// Live telemetry for the protocol traffic of one TCP-backed endpoint.
-// The obsv layer counts what the *protocol* sends per phase and party
-// after the run; these counters stream the same sends live, with the
-// round cadence, for the admin endpoint. What the links underneath do
-// — redials, connects, retransmissions, heartbeat RTT — is the mux's
-// bundle (muxMetrics). A nil *netMetrics (telemetry disabled) makes
-// every hook a single nil check.
+// The live view of the send ledger (endpoint.go's sendStats). The obsv
+// layer counts what the *protocol* sends per phase and party after the
+// run; these counters stream the same sends live, with the round
+// cadence, for the admin endpoint. A mux builds one view and every
+// session it carries feeds it, so a daemon's counters sum its sessions;
+// a TCPFabric gets its view from SetTelemetry. What the links
+// underneath do — redials, connects, retransmissions, heartbeat RTT —
+// is the mux's bundle (muxMetrics). A nil *netMetrics (telemetry
+// disabled) makes every hook a single nil check.
 
-// netMetrics bundles the handles one fabric endpoint feeds.
+// netMetrics bundles the handles the ledger feeds.
 type netMetrics struct {
 	msgs      *telemetry.Counter
 	bytes     *telemetry.Counter
@@ -23,10 +25,9 @@ type netMetrics struct {
 	rounds    *telemetry.Counter
 
 	// roundSeconds observes the wall time between the first sends of
-	// successive protocol rounds — the live per-round cadence.
+	// successive protocol rounds of one ledger — the live per-round
+	// cadence.
 	roundSeconds *telemetry.Histogram
-
-	lastRound time.Time // guarded by the owning fabric's stats mutex
 }
 
 func newNetMetrics(reg *telemetry.Registry) *netMetrics {
@@ -34,22 +35,22 @@ func newNetMetrics(reg *telemetry.Registry) *netMetrics {
 		return nil
 	}
 	return &netMetrics{
-		msgs:      reg.Counter("transport_msgs_total", "Protocol messages sent by this endpoint."),
-		bytes:     reg.Counter("transport_bytes_total", "Protocol bytes sent by this endpoint."),
+		msgs:      reg.Counter("mux_session_msgs_total", "Protocol messages sent by this endpoint, summed over its sessions."),
+		bytes:     reg.Counter("mux_session_bytes_total", "Protocol bytes sent by this endpoint, summed over its sessions."),
 		echoMsgs:  reg.Counter("transport_echo_msgs_total", "Echo-broadcast sub-round messages sent (consistency overhead, outside the protocol counters)."),
 		echoBytes: reg.Counter("transport_echo_bytes_total", "Echo-broadcast sub-round bytes sent."),
-		rounds:    reg.Counter("transport_rounds_total", "Distinct protocol rounds this endpoint has sent in."),
+		rounds:    reg.Counter("transport_rounds_total", "Distinct protocol rounds sent in, summed over this endpoint's sessions."),
 		roundSeconds: reg.Histogram("transport_round_seconds",
-			"Wall time between the first sends of successive protocol rounds.",
+			"Wall time between the first sends of successive protocol rounds of one session.",
 			telemetry.ExpBuckets(0.001, 4, 10)), // 1ms .. ~262s
 	}
 }
 
 // onSendLocked feeds the protocol-traffic counters. It must run inside
-// the same critical section as the fabric's Stats accounting (the
-// caller holds the stats mutex), so the exported counters and Stats can
-// never disagree about whether a round has started.
-func (m *netMetrics) onSendLocked(round, bytes int, newRound bool) {
+// the ledger's critical section (the caller holds its mutex and passes
+// its lastRound), so the exported counters and Stats can never disagree
+// about whether a round has started.
+func (m *netMetrics) onSendLocked(round, bytes int, newRound bool, lastRound *time.Time) {
 	if m == nil {
 		return
 	}
@@ -63,9 +64,9 @@ func (m *netMetrics) onSendLocked(round, bytes int, newRound bool) {
 	if newRound {
 		m.rounds.Inc()
 		now := time.Now()
-		if !m.lastRound.IsZero() {
-			m.roundSeconds.Observe(now.Sub(m.lastRound).Seconds())
+		if !lastRound.IsZero() {
+			m.roundSeconds.Observe(now.Sub(*lastRound).Seconds())
 		}
-		m.lastRound = now
+		*lastRound = now
 	}
 }

@@ -52,6 +52,8 @@ type SessionMux struct {
 
 	ctrl chan ControlMsg
 	mm   *muxMetrics
+	// tm is the live view of the send ledger every session shares.
+	tm *netMetrics
 
 	// rec holds the recovering-mode state (nil when the mux was built
 	// without MuxOptions.Recovery; every recovery hook checks it).
@@ -64,7 +66,8 @@ type MuxOptions struct {
 	// redials and connects (exactly one connect per peer for the mux's
 	// whole lifetime — the counter load tests assert on), link state,
 	// per-link frame traffic, retransmissions, heartbeat RTT, session
-	// open/close counts and pending-buffer drops.
+	// open/close counts and pending-buffer drops; and the send ledger's
+	// live view, shared by every session (metrics.go).
 	Telemetry *telemetry.Registry
 	// QueueCap bounds each session's per-peer receive queue in frames
 	// (default 1024). A session whose consumer falls this far behind one
@@ -202,6 +205,7 @@ func newSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOption
 		linkErr:    make([]error, n),
 		ctrl:       make(chan ControlMsg, opts.ControlCap),
 		mm:         newMuxMetrics(opts.Telemetry),
+		tm:         newNetMetrics(opts.Telemetry),
 	}
 	m.link = &mesh{
 		addrs: addrs, me: me, tag: tag,
@@ -381,7 +385,7 @@ func (m *SessionMux) open(sid string, timeout time.Duration, j Journaler) (*MuxS
 		down:    make([]downSignal, m.n),
 		closeCh: make(chan struct{}),
 	}
-	s.sendStats.init(m.n, m.me, nil)
+	s.sendStats.init(m.n, m.tm)
 	for i := 0; i < m.n; i++ {
 		if i != m.me {
 			s.inbox[i] = make(chan muxEnv, m.queueCap)
@@ -503,8 +507,8 @@ func (m *SessionMux) Close() {
 }
 
 // MuxSession is one session's view of the shared mesh: a transport.Net
-// whose frames carry the session's route tag, with the same endpoint
-// statistics every TCP-backed Net reports. Closing it detaches the
+// whose frames carry the session's route tag, with its own send ledger
+// (endpoint.go) feeding the mux's one live view. Closing it detaches the
 // session from the mux (late frames are dropped); it never closes the
 // shared links.
 type MuxSession struct {
@@ -577,8 +581,7 @@ func (s *MuxSession) Send(round, from, to, bytes int, payload any) error {
 	// Count every logical send — including ones a journal replay
 	// suppresses — so a restarted endpoint reports the same stats as a
 	// fault-free run.
-	s.count(round, bytes)
-	s.m.mm.onSessionSend(bytes)
+	s.count(from, round, bytes)
 	if s.j != nil {
 		return s.sendRecovering(round, to, bytes, payload)
 	}
@@ -613,11 +616,6 @@ func (s *MuxSession) Broadcast(round, from, bytes int, payload any) error {
 	})
 }
 
-// GatherAllCtx implements Net.
-func (s *MuxSession) GatherAllCtx(ctx context.Context, to, round int) ([]any, error) {
-	return gatherAll(ctx, s, to, round)
-}
-
 // Close detaches the session from the mux. Late frames tagged with its
 // id are dropped, and so is everything still in its receive queues: a
 // session closed locally answers every receive with ErrClosed before it
@@ -643,8 +641,6 @@ type muxMetrics struct {
 
 	dataFrames   *telemetry.Counter
 	ctrlFrames   *telemetry.Counter
-	sessionMsgs  *telemetry.Counter
-	sessionBytes *telemetry.Counter
 	opened       *telemetry.Counter
 	closed       *telemetry.Counter
 	pendingDrops *telemetry.Counter
@@ -668,8 +664,6 @@ func newMuxMetrics(reg *telemetry.Registry) *muxMetrics {
 			telemetry.ExpBuckets(0.0001, 4, 10)), // 100µs .. ~26s
 		dataFrames:   reg.Counter("mux_data_frames_total", "Session data frames received over all mux links."),
 		ctrlFrames:   reg.Counter("mux_control_frames_total", "Control-plane frames received over all mux links."),
-		sessionMsgs:  reg.Counter("mux_session_msgs_total", "Session protocol messages sent by this daemon across all sessions."),
-		sessionBytes: reg.Counter("mux_session_bytes_total", "Session protocol bytes sent by this daemon across all sessions."),
 		opened:       reg.Counter("mux_sessions_opened_total", "Sessions opened on this mux."),
 		closed:       reg.Counter("mux_sessions_closed_total", "Sessions closed on this mux."),
 		pendingDrops: reg.Counter("mux_pending_dropped_total", "Frames dropped because a not-yet-opened session overran its pending buffer."),
@@ -702,9 +696,4 @@ func (mm *muxMetrics) onSessionOpen() {
 func (mm *muxMetrics) onSessionClose() {
 	mm.closed.Inc()
 	mm.active.Set(float64(mm.activeN.Add(-1)))
-}
-
-func (mm *muxMetrics) onSessionSend(bytes int) {
-	mm.sessionMsgs.Inc()
-	mm.sessionBytes.Add(int64(bytes))
 }

@@ -41,10 +41,11 @@ type RecoverOptions struct {
 	// blame is assigned and receives from it abort with ErrPeerDown
 	// (default 15s).
 	Grace time.Duration
-	// Telemetry, when non-nil, feeds the live metrics registry: the
-	// protocol counters and round cadence, and the mux's link bundle
-	// (redials, connects, retransmissions, heartbeat RTT). Nil disables
-	// instrumentation at zero cost.
+	// Telemetry, when non-nil, feeds the live metrics registry through
+	// the mux's options: the send ledger's view (protocol counters and
+	// round cadence) and the mux's link bundle (redials, connects,
+	// retransmissions, heartbeat RTT). Nil disables instrumentation at
+	// zero cost.
 	Telemetry *telemetry.Registry
 }
 
@@ -84,7 +85,6 @@ func NewRecoveringTCPFabric(addrs []string, me int, timeout time.Duration, opts 
 		mux.Close()
 		return nil, err
 	}
-	s.sendStats.tm = newNetMetrics(opts.Telemetry)
 	return &RecoveringTCPFabric{sessionFabric{MuxSession: s, mesh: mux.link}}, nil
 }
 
@@ -101,8 +101,8 @@ func (f *RecoveringTCPFabric) Drain(bound time.Duration) bool {
 	if bound <= 0 {
 		bound = f.mesh.grace
 	}
-	for peer := 0; peer < f.n; peer++ {
-		if peer != f.me {
+	for peer := 0; peer < f.m.n; peer++ {
+		if peer != f.m.me {
 			f.sendCursor(peer, muxNoReply)
 		}
 	}

@@ -5,12 +5,15 @@ import (
 	"fmt"
 )
 
-// Net is the messaging surface protocol code programs against. *Fabric
-// implements it directly; SubView implements it over a subset of a
-// fabric's parties so multi-phase frameworks can run an n-party
-// subprotocol among a subset of n+1 parties while keeping a single
-// unified trace for network replay. TCPFabric implements it over a real
-// mesh, and FaultNet wraps any implementation with fault injection.
+// Net is the messaging surface protocol code programs against. The
+// in-memory *Fabric implements it directly, and every TCP stack through
+// a *MuxSession (TCPFabric and RecoveringTCPFabric carry one); all of
+// them share one send ledger and one receive wait (endpoint.go). SubView
+// implements it over a subset of a parent's parties so multi-phase
+// frameworks can run an n-party subprotocol among a subset of n+1
+// parties while keeping a single unified trace for network replay, and
+// FaultNet wraps any implementation with fault injection. Gathering a
+// round from every peer is one function over any Net, GatherAll.
 type Net interface {
 	// N is the number of addressable parties.
 	N() int
@@ -25,9 +28,6 @@ type Net interface {
 	RecvCtx(ctx context.Context, to, from, round int) (any, error)
 	// Broadcast sends the payload to every other party.
 	Broadcast(round, from, bytes int, payload any) error
-	// GatherAllCtx receives one message from every other party under
-	// the same rules, indexed by sender (self slot nil).
-	GatherAllCtx(ctx context.Context, to, round int) ([]any, error)
 }
 
 var (
@@ -108,9 +108,4 @@ func (s *SubView) Broadcast(round, from, bytes int, payload any) error {
 	return broadcastAll(len(s.members), from, func(to int) error {
 		return s.Send(round, from, to, bytes, payload)
 	})
-}
-
-// GatherAllCtx implements Net.
-func (s *SubView) GatherAllCtx(ctx context.Context, to, round int) ([]any, error) {
-	return gatherAll(ctx, s, to, round)
 }

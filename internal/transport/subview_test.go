@@ -67,7 +67,7 @@ func TestSubViewBroadcastGather(t *testing.T) {
 	if err := sv.Send(2, 1, 2, 1, 20); err != nil {
 		t.Fatal(err)
 	}
-	all, err := sv.GatherAllCtx(context.Background(), 2, -1)
+	all, err := GatherAll(context.Background(), sv, 2, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,9 +59,13 @@ func NewTCPFabric(addrs []string, me int, timeout time.Duration) (*TCPFabric, er
 	return &TCPFabric{sessionFabric{MuxSession: s, mesh: mux.link}}, nil
 }
 
-// SetTelemetry attaches a live metrics registry to this endpoint. Call
-// it before protocol traffic starts; a nil registry (or never calling
-// it) leaves the hot path with a single nil check per send.
+// SetTelemetry attaches a live metrics registry to this endpoint: it
+// sets the send ledger's live view (metrics.go). The mux under a
+// TCPFabric was built without a registry, so the link family
+// (mux_link_*) is not served; a stack that needs it is a SessionMux or
+// RecoveringTCPFabric built with Telemetry. Call it before protocol
+// traffic starts; a nil registry (or never calling it) leaves the hot
+// path with a single nil check per send.
 func (f *TCPFabric) SetTelemetry(reg *telemetry.Registry) {
 	f.sendStats.mu.Lock()
 	f.sendStats.tm = newNetMetrics(reg)

@@ -36,10 +36,10 @@ type RoundStats struct {
 	Bytes    int64
 }
 
-// Stats summarises per-party traffic. Both fabric implementations
-// return the same shape: the in-memory Fabric observes every party,
-// a TCP endpoint fills only its own slot (a real endpoint cannot see
-// its peers' counters).
+// Stats summarises per-party traffic. Every Net reports it from the one
+// send ledger (endpoint.go), in the same shape: the in-memory Fabric
+// observes every party, a TCP endpoint fills only its own slot (a real
+// endpoint cannot see its peers' counters).
 type Stats struct {
 	MessagesSent []int64
 	BytesSent    []int64
@@ -64,61 +64,49 @@ type Stats struct {
 // Option configures a Fabric.
 type Option func(*Fabric)
 
-// WithQueueCapacity sets the per-pair channel buffer (default 4096).
-func WithQueueCapacity(c int) Option {
-	return func(f *Fabric) { f.capacity = c }
-}
-
 // WithRecvTimeout makes RecvCtx fail after d instead of blocking forever.
-// Failure-injection tests use it to turn dropped messages into clean
-// errors.
+// The chaos and Byzantine suites need it: a receive bound turns a
+// dropped or withheld message into a clean, attributable abort, which
+// is their evidence that no fault hangs a party.
 func WithRecvTimeout(d time.Duration) Option {
 	return func(f *Fabric) { f.timeout = d }
 }
 
-// WithDropFilter installs a predicate that silently drops matching
-// messages, for failure-injection tests.
-func WithDropFilter(drop func(Event) bool) Option {
-	return func(f *Fabric) { f.drop = drop }
-}
-
-// WithoutTrace disables trace capture (benchmarks at large n avoid the
-// allocation).
+// WithoutTrace disables trace capture: an allocation-counting test
+// (TestMulBatchAllocatesPerBatchNotPerElement) must not see the trace's
+// growth.
 func WithoutTrace() Option {
 	return func(f *Fabric) { f.traceOff = true }
 }
 
+// queueCap is the per-pair channel buffer. A send never blocks — a full
+// queue fails it — so the buffer must hold a receiver's whole backlog:
+// far more frames than any protocol here sends one peer ahead of it.
+const queueCap = 4096
+
 // Fabric is a complete graph of instrumented FIFO channels among n
 // parties. All methods are safe for concurrent use by the party
-// goroutines.
+// goroutines. Its send ledger and receive wait are the ones under every
+// Net (endpoint.go); what is its own is the queues and the netsim trace.
 type Fabric struct {
 	n        int
-	capacity int
 	timeout  time.Duration
-	drop     func(Event) bool
 	traceOff bool
 
-	queues [][]chan message // queues[from][to]
-	// down[p] is closed when party p is known to have crashed
-	// (MarkDown); receives from p then fail immediately with
-	// ErrPeerDown instead of waiting out a timeout, mirroring the
-	// connection-loss detection a real TCP mesh provides.
-	down     []chan struct{}
-	downOnce []sync.Once
+	sendStats
 
-	mu        sync.Mutex
-	trace     []Event
-	msgs      []int64
-	bytes     []int64
-	maxRound  int
-	rounds    map[int]RoundStats
-	echoMsgs  int64
-	echoBytes int64
+	queues [][]chan message // queues[from][to]
+	// down[p] fails receives from p once p is known to have crashed
+	// (MarkDown), mirroring the connection-loss detection a real TCP
+	// mesh provides.
+	down []downSignal
+
+	traceMu sync.Mutex
+	trace   []Event
 }
 
 type message struct {
 	payload any
-	bytes   int
 	round   int
 }
 
@@ -127,37 +115,30 @@ func New(n int, opts ...Option) (*Fabric, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("transport: need at least one party, got %d", n)
 	}
-	f := &Fabric{n: n, capacity: 4096, msgs: make([]int64, n), bytes: make([]int64, n), rounds: make(map[int]RoundStats)}
+	f := &Fabric{n: n, down: make([]downSignal, n)}
+	f.sendStats.init(n, nil)
 	for _, opt := range opts {
 		opt(f)
-	}
-	if f.capacity < 1 {
-		return nil, fmt.Errorf("transport: queue capacity must be at least 1, got %d", f.capacity)
 	}
 	f.queues = make([][]chan message, n)
 	for i := range f.queues {
 		f.queues[i] = make([]chan message, n)
 		for j := range f.queues[i] {
-			f.queues[i][j] = make(chan message, f.capacity)
+			f.queues[i][j] = make(chan message, queueCap)
 		}
-	}
-	f.down = make([]chan struct{}, n)
-	f.downOnce = make([]sync.Once, n)
-	for i := range f.down {
-		f.down[i] = make(chan struct{})
 	}
 	return f, nil
 }
 
 // MarkDown declares party p crashed: every pending and future receive
-// from p fails immediately with an AbortError carrying ErrPeerDown
-// (after draining messages p sent before crashing). The fault-injection
-// harness calls it when a crash schedule fires; it is idempotent.
+// from p fails with an AbortError carrying ErrPeerDown (after draining
+// messages p sent before crashing). The fault-injection harness calls
+// it when a crash schedule fires; it is idempotent.
 func (f *Fabric) MarkDown(p int) {
 	if p < 0 || p >= f.n {
 		return
 	}
-	f.downOnce[p].Do(func() { close(f.down[p]) })
+	f.down[p].fail(ErrPeerDown)
 }
 
 // N returns the number of parties.
@@ -170,45 +151,27 @@ func (f *Fabric) Send(round, from, to, bytes int, payload any) error {
 	if err := f.check(from, to); err != nil {
 		return err
 	}
-	ev := Event{Round: round, From: from, To: to, Bytes: bytes}
-	f.mu.Lock()
-	if IsEchoRound(round) {
-		// Echo digests are consistency-layer overhead: tallied apart so
-		// the protocol counters (and the trace netsim replays) match a
-		// semi-honest run exactly.
-		f.echoMsgs++
-		f.echoBytes += int64(bytes)
-	} else {
-		f.msgs[from]++
-		f.bytes[from] += int64(bytes)
-		if round > f.maxRound {
-			f.maxRound = round
-		}
-		rs := f.rounds[round]
-		rs.Messages++
-		rs.Bytes += int64(bytes)
-		f.rounds[round] = rs
-		if !f.traceOff {
-			f.trace = append(f.trace, ev)
-		}
-	}
-	dropped := f.drop != nil && f.drop(ev)
-	f.mu.Unlock()
-	if dropped {
-		return nil
+	f.count(from, round, bytes)
+	// Echo digests are consistency-layer overhead: kept out of the trace
+	// netsim replays, so it matches a semi-honest run exactly.
+	if !f.traceOff && !IsEchoRound(round) {
+		f.traceMu.Lock()
+		f.trace = append(f.trace, Event{Round: round, From: from, To: to, Bytes: bytes})
+		f.traceMu.Unlock()
 	}
 	select {
-	case f.queues[from][to] <- message{payload: payload, bytes: bytes, round: round}:
+	case f.queues[from][to] <- message{payload: payload, round: round}:
 		return nil
 	default:
-		return fmt.Errorf("transport: queue %d→%d full (capacity %d)", from, to, f.capacity)
+		return fmt.Errorf("transport: queue %d→%d full (capacity %d)", from, to, queueCap)
 	}
 }
 
 // RecvCtx blocks until a message from the given peer arrives, the
 // context is cancelled, the configured timeout expires, or the peer is
-// marked down. If round is non-negative the received message's round
-// tag must match it: protocols have static round structure, so a
+// marked down; messages the peer sent before it went down are still
+// delivered, like buffered TCP data before EOF. If round is
+// non-negative the received message's round tag must match it: a
 // mismatch proves the stream was shifted by a dropped, duplicated or
 // reordered message, and the receive fails with a typed AbortError
 // instead of silently consuming a stale payload.
@@ -216,47 +179,8 @@ func (f *Fabric) RecvCtx(ctx context.Context, to, from, round int) (any, error) 
 	if err := f.check(from, to); err != nil {
 		return nil, err
 	}
-	q := f.queues[from][to]
-	// Fast path — and drain preference: messages the peer sent before
-	// crashing are still delivered, like buffered TCP data before EOF.
-	select {
-	case m := <-q:
-		return f.accept(m, from, round)
-	default:
-	}
-	var timerC <-chan time.Time
-	if f.timeout > 0 {
-		tm := time.NewTimer(f.timeout)
-		defer tm.Stop()
-		timerC = tm.C
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	select {
-	case m := <-q:
-		return f.accept(m, from, round)
-	case <-f.down[from]:
-		// Drain once more: the crash may have raced a final send.
-		select {
-		case m := <-q:
-			return f.accept(m, from, round)
-		default:
-		}
-		return nil, Abort(from, round, "", ErrPeerDown)
-	case <-done:
-		return nil, Abort(from, round, "", ctx.Err())
-	case <-timerC:
-		return nil, Abort(from, round, "", ErrTimeout)
-	}
-}
-
-func (f *Fabric) accept(m message, from, round int) (any, error) {
-	if round >= 0 && m.round != round {
-		return nil, roundMismatchAbort(from, round, m.round)
-	}
-	return m.payload, nil
+	return recvWait(ctx, from, round, f.timeout, nil, nil, f.queues[from][to], &f.down[from],
+		func(m message) (any, bool, error) { return takeRound(from, round, m.round, m.payload) })
 }
 
 // roundMismatchAbort is the shared typed abort for a message arriving
@@ -290,14 +214,11 @@ func (f *Fabric) Broadcast(round, from, bytes int, payload any) error {
 	})
 }
 
-// GatherAllCtx receives one message from every other party, returned
-// as a slice indexed by sender (the self slot is nil).
-func (f *Fabric) GatherAllCtx(ctx context.Context, to, round int) ([]any, error) {
-	return gatherAll(ctx, f, to, round)
-}
-
-// gatherAll implements GatherAllCtx over any Net's RecvCtx.
-func gatherAll(ctx context.Context, net Net, to, round int) ([]any, error) {
+// GatherAll receives one message from party to's every peer through
+// net's RecvCtx (so a wrapper's receive path sees each one), under
+// RecvCtx's rules, and returns them indexed by sender with the self slot
+// nil. It fails with the first receive's error.
+func GatherAll(ctx context.Context, net Net, to, round int) ([]any, error) {
 	n := net.N()
 	out := make([]any, n)
 	for from := 0; from < n; from++ {
@@ -313,32 +234,11 @@ func gatherAll(ctx context.Context, net Net, to, round int) ([]any, error) {
 	return out, nil
 }
 
-// Stats returns a snapshot of the per-party counters.
-func (f *Fabric) Stats() Stats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := Stats{
-		MessagesSent:   make([]int64, f.n),
-		BytesSent:      make([]int64, f.n),
-		MaxRound:       f.maxRound,
-		DistinctRounds: len(f.rounds),
-		PerRound:       make(map[int]RoundStats, len(f.rounds)),
-		EchoMessages:   f.echoMsgs,
-		EchoBytes:      f.echoBytes,
-	}
-	copy(s.MessagesSent, f.msgs)
-	copy(s.BytesSent, f.bytes)
-	for r, rs := range f.rounds {
-		s.PerRound[r] = rs
-	}
-	return s
-}
-
 // Trace returns a copy of the recorded message trace, ordered by send
 // time. Replay consumers group events by Round.
 func (f *Fabric) Trace() []Event {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.traceMu.Lock()
+	defer f.traceMu.Unlock()
 	out := make([]Event, len(f.trace))
 	copy(out, f.trace)
 	return out

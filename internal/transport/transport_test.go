@@ -81,7 +81,7 @@ func TestBroadcastAndGather(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	all, err := f.GatherAllCtx(context.Background(), 0, -1)
+	all, err := GatherAll(context.Background(), f, 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,26 +161,6 @@ func TestRecvTimeout(t *testing.T) {
 	}
 }
 
-func TestDropFilter(t *testing.T) {
-	f, err := New(2,
-		WithRecvTimeout(20*time.Millisecond),
-		WithDropFilter(func(e Event) bool { return e.To == 1 }),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send(0, 0, 1, 1, "dropped"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.RecvCtx(context.Background(), 1, 0, -1); err == nil {
-		t.Error("dropped message was delivered")
-	}
-	// Stats still count the send attempt.
-	if f.Stats().MessagesSent[0] != 1 {
-		t.Error("dropped sends must be counted as sent")
-	}
-}
-
 func TestInvalidEndpoints(t *testing.T) {
 	f, err := New(2)
 	if err != nil {
@@ -201,15 +181,14 @@ func TestInvalidEndpoints(t *testing.T) {
 }
 
 func TestQueueFull(t *testing.T) {
-	f, err := New(2, WithQueueCapacity(2))
+	f, err := New(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Send(0, 0, 1, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send(0, 0, 1, 1, nil); err != nil {
-		t.Fatal(err)
+	for i := 0; i < queueCap; i++ {
+		if err := f.Send(0, 0, 1, 1, nil); err != nil {
+			t.Fatalf("send %d of %d: %v", i+1, queueCap, err)
+		}
 	}
 	if err := f.Send(0, 0, 1, 1, nil); err == nil {
 		t.Error("expected queue-full error")
@@ -238,7 +217,7 @@ func TestConcurrentAllToAll(t *testing.T) {
 					return
 				}
 			}
-			all, err := f.GatherAllCtx(context.Background(), p, -1)
+			all, err := GatherAll(context.Background(), f, p, -1)
 			if err != nil {
 				errs <- err
 				return

@@ -94,7 +94,7 @@ func TestHonestPartiesRejectWrongLengthBitVector(t *testing.T) {
 		if err := fab.Broadcast(roundPublishKeys, 2, g.ElementLen(), key.Y); err != nil {
 			return err
 		}
-		if _, err := fab.GatherAllCtx(context.Background(), 2, -1); err != nil {
+		if _, err := transport.GatherAll(context.Background(), fab, 2, -1); err != nil {
 			return err
 		}
 		// Publish a bit vector that is one ciphertext short.
@@ -125,7 +125,7 @@ func TestCollectorRejectsWrongSizeTauSet(t *testing.T) {
 		if err := fab.Broadcast(roundPublishKeys, 2, g.ElementLen(), key.Y); err != nil {
 			return err
 		}
-		if _, err := fab.GatherAllCtx(context.Background(), 2, -1); err != nil {
+		if _, err := transport.GatherAll(context.Background(), fab, 2, -1); err != nil {
 			return err
 		}
 		// Publish a well-formed bit vector so the honest parties reach
@@ -139,7 +139,7 @@ func TestCollectorRejectsWrongSizeTauSet(t *testing.T) {
 		if err := fab.Broadcast(roundPublishBits, 2, 1, bitsMsg{Cts: bits}); err != nil {
 			return err
 		}
-		if _, err := fab.GatherAllCtx(context.Background(), 2, -1); err != nil {
+		if _, err := transport.GatherAll(context.Background(), fab, 2, -1); err != nil {
 			return err
 		}
 		// ...then hand P_0 a τ set of the wrong size.

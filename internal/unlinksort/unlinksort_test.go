@@ -286,7 +286,7 @@ func TestCheatingProverIsRejected(t *testing.T) {
 			errCh <- err
 			return
 		}
-		if _, err := fab.GatherAllCtx(context.Background(), 2, -1); err != nil {
+		if _, err := transport.GatherAll(context.Background(), fab, 2, -1); err != nil {
 			errCh <- err
 			return
 		}
@@ -297,7 +297,7 @@ func TestCheatingProverIsRejected(t *testing.T) {
 			errCh <- err
 			return
 		}
-		if _, err := fab.GatherAllCtx(context.Background(), 2, -1); err != nil {
+		if _, err := transport.GatherAll(context.Background(), fab, 2, -1); err != nil {
 			errCh <- err
 			return
 		}
@@ -312,7 +312,7 @@ func TestCheatingProverIsRejected(t *testing.T) {
 			errCh <- err
 			return
 		}
-		msgs, err := fab.GatherAllCtx(context.Background(), 2, -1)
+		msgs, err := transport.GatherAll(context.Background(), fab, 2, -1)
 		if err != nil {
 			errCh <- err
 			return
@@ -350,13 +350,13 @@ func TestDroppedMessageFailsCleanly(t *testing.T) {
 	// Failure injection: if the chain vector is dropped, parties must
 	// return timeout errors instead of wrong ranks or deadlock.
 	cfg := testConfig(t, 4)
-	opts := []transport.Option{
-		transport.WithRecvTimeout(200 * time.Millisecond),
-		transport.WithDropFilter(func(e transport.Event) bool {
-			return e.Round >= roundChainBase // kill the whole chain
-		}),
+	dropChain := func(n transport.Net) transport.Net {
+		return transport.NewFaultNet(n, transport.FaultPlan{Rules: []transport.FaultRule{
+			{Kind: transport.FaultDrop, Round: roundChainBase, From: -1, To: -1}, // the first hop
+		}})
 	}
-	_, _, err := RunCtx(context.Background(), cfg, bigs(1, 2, 3), "dropped", nil, opts...)
+	_, _, err := RunCtx(context.Background(), cfg, bigs(1, 2, 3), "dropped", dropChain,
+		transport.WithRecvTimeout(200*time.Millisecond))
 	if err == nil {
 		t.Fatal("dropped chain messages must surface as an error")
 	}
