@@ -49,6 +49,11 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # the only blocking receive: nothing else in internal/transport (tests
 # aside) may count a sent message or wait on a context, so the in-memory
 # fabric and the TCP stacks cannot grow second copies of either again.
+# The element-encoding check keeps Group.AppendElement/Decode the only
+# element encoding and internal/field's Sqrt the only square root: no
+# non-test Go may call big.Int.ModSqrt or bring back the structural
+# element form (AppendElementWire/DecodeElementWire) that the wire,
+# the journal and the echo digest once carried beside the canonical one.
 # The durable-file check keeps internal/journal's Log the only durable
 # log: outside internal/journal (tests aside) no code may fsync, rename,
 # open for append or truncate a file, so framing, the torn-tail rule and
@@ -83,6 +88,9 @@ vet:
 	@ledger=$$(grep -lE 'Messages\+\+|[^.]ctx\.Done\(\)' internal/transport/*.go | grep -v _test.go | tr '\n' ' '); \
 	if [ "$$ledger" != "internal/transport/endpoint.go " ]; then \
 		echo "send counting (Messages++) and receive waits (ctx.Done()) in internal/transport belong in endpoint.go alone, found in: $$ledger"; exit 1; fi
+	@encodings=$$(find *.go bench cmd examples internal -name '*.go' ! -name '*_test.go' | xargs grep -lE 'ModSqrt|AppendElementWire|DecodeElementWire' | tr '\n' ' '); \
+	if [ -n "$$encodings" ]; then \
+		echo "ModSqrt and the structural element form are gone (use field.Sqrt and Group.AppendElement/Decode), found in: $$encodings"; exit 1; fi
 	@durable=$$(find *.go cmd internal -name '*.go' ! -name '*_test.go' ! -path 'internal/journal/*' | xargs grep -lE '\.Sync\(\)|os\.Rename\(|os\.O_APPEND|\.Truncate\(' | tr '\n' ' '); \
 	if [ -n "$$durable" ]; then \
 		echo "fsync/rename/append-open/truncate belong in internal/journal (use journal.Log), found in: $$durable"; exit 1; fi

@@ -33,6 +33,10 @@ func sampleCiphertext(t *testing.T, s *Scheme) Ciphertext {
 	return ct
 }
 
+// TestCiphertextBinaryRoundtrip: a ciphertext frame is the 9-byte
+// header, the group byte and the two elements at ElementLen each,
+// whatever the coordinates, the identity included; it decodes to the
+// same ciphertext under the same group.
 func TestCiphertextBinaryRoundtrip(t *testing.T) {
 	for _, s := range wireSchemes(t) {
 		g := s.Group()
@@ -40,59 +44,70 @@ func TestCiphertextBinaryRoundtrip(t *testing.T) {
 			sampleCiphertext(t, s),
 			{C: g.Identity(), C1: g.Identity()},
 		} {
-			b, err := ct.MarshalBinary()
+			b, err := wirecodec.Marshal(ct)
 			if err != nil {
-				t.Fatalf("%s: MarshalBinary: %v", g.Name(), err)
+				t.Fatalf("%s: Marshal: %v", g.Name(), err)
 			}
-			var got Ciphertext
-			if err := got.UnmarshalBinary(b); err != nil {
-				t.Fatalf("%s: UnmarshalBinary: %v", g.Name(), err)
+			if want := 9 + 1 + 2*g.ElementLen(); len(b) != want || b[9] != group.WireID(g) {
+				t.Fatalf("%s: %d-byte frame, group byte %d; want %d bytes naming %d", g.Name(), len(b), b[9], want, group.WireID(g))
 			}
-			if !g.Equal(got.C, ct.C) || !g.Equal(got.C1, ct.C1) {
+			if !bytes.Equal(b[10:], s.Encode(ct)) {
+				t.Fatalf("%s: the frame's elements are not the ciphertext's canonical encoding", g.Name())
+			}
+			fv, err := wirecodec.Unmarshal(b)
+			if err != nil {
+				t.Fatalf("%s: Unmarshal: %v", g.Name(), err)
+			}
+			got := fv.(Ciphertext)
+			if !g.Equal(got.C, ct.C) || !g.Equal(got.C1, ct.C1) || group.Of(got.C) != group.Raw(g) {
 				t.Fatalf("%s: ciphertext changed across roundtrip", g.Name())
-			}
-
-			var buf bytes.Buffer
-			if n, err := ct.WriteTo(&buf); err != nil || int(n) != len(b) {
-				t.Fatalf("%s: WriteTo wrote %d (%v), want %d", g.Name(), n, err, len(b))
-			}
-
-			// The wirecodec frame path must roundtrip too.
-			fb, err := wirecodec.Marshal(ct)
-			if err != nil {
-				t.Fatalf("%s: frame marshal: %v", g.Name(), err)
-			}
-			fv, err := wirecodec.Unmarshal(fb)
-			if err != nil {
-				t.Fatalf("%s: frame unmarshal: %v", g.Name(), err)
-			}
-			fct := fv.(Ciphertext)
-			if !g.Equal(fct.C, ct.C) || !g.Equal(fct.C1, ct.C1) {
-				t.Fatalf("%s: framed ciphertext changed", g.Name())
 			}
 		}
 	}
 }
 
+// TestCiphertextUnmarshalRejectsGarbage: truncation, trailing bytes, a
+// group byte naming no group or an unknown one, an unknown point tag,
+// an abscissa with no point over it, and elements of two groups in one
+// ciphertext are all refused.
 func TestCiphertextUnmarshalRejectsGarbage(t *testing.T) {
-	s := wireSchemes(t)[0]
-	good, err := sampleCiphertext(t, s).MarshalBinary()
+	s := NewScheme(group.Secp160r1())
+	good, err := wirecodec.Marshal(sampleCiphertext(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ct Ciphertext
 	for i := 0; i < len(good); i++ {
-		if err := ct.UnmarshalBinary(good[:i]); err == nil {
+		if _, err := wirecodec.Unmarshal(good[:i]); err == nil {
 			t.Fatalf("accepted %d-byte prefix", i)
 		}
 	}
-	if err := ct.UnmarshalBinary(append(append([]byte(nil), good...), 0xEE)); err == nil {
-		t.Fatal("accepted trailing garbage")
+	grown := append(append([]byte(nil), good...), 0xEE)
+	grown[8]++ // the payload length, so the codec sees the extra byte
+	mutate := func(at int, v byte) []byte {
+		b := append([]byte(nil), good...)
+		b[at] = v
+		return b
 	}
-	bad := append([]byte(nil), good...)
-	bad[0] = 0x7F
-	if err := ct.UnmarshalBinary(bad); err == nil {
-		t.Fatal("accepted unknown element tag")
+	// x = 1 has no point over it on secp160r1: 1 − 3 + b is a non-residue.
+	offCurve := append([]byte(nil), good...)
+	copy(offCurve[10:31], append([]byte{0x02}, make([]byte, 20)...))
+	offCurve[30] = 1
+	for name, b := range map[string][]byte{
+		"trailing byte":    grown,
+		"no group":         mutate(9, 0),
+		"unknown group":    mutate(9, 0x7F),
+		"unknown tag":      mutate(10, 0x7F),
+		"off-curve x":      offCurve,
+		"secp256r1 header": mutate(9, group.WireID(group.Secp256r1())),
+	} {
+		if _, err := wirecodec.Unmarshal(b); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	p256 := NewScheme(group.Secp256r1())
+	mixed := Ciphertext{C: sampleCiphertext(t, s).C, C1: sampleCiphertext(t, p256).C1}
+	if _, err := wirecodec.Marshal(mixed); err == nil {
+		t.Error("a ciphertext of two groups encoded")
 	}
 }
 
@@ -122,32 +137,39 @@ func TestAppendEncodeZeroAllocs(t *testing.T) {
 	}
 }
 
+// FuzzCiphertextUnmarshal: any bytes decode to a ciphertext or an
+// error, never a panic, and an accepted frame re-encodes to exactly the
+// bytes it was decoded from.
 func FuzzCiphertextUnmarshal(f *testing.F) {
 	dl, err := group.ToyDL256()
 	if err != nil {
 		f.Fatal(err)
 	}
-	s := NewScheme(dl)
-	rng := fixedbig.NewDRBG("elgamal-fuzz")
-	kp, _ := s.GenerateKey(rng)
-	ct, _ := s.EncryptExp(kp.Y, big.NewInt(1), rng)
-	if seed, err := ct.MarshalBinary(); err == nil {
-		f.Add(seed)
+	for _, s := range []*Scheme{NewScheme(dl), NewScheme(group.Secp160r1())} {
+		rng := fixedbig.NewDRBG("elgamal-fuzz")
+		kp, _ := s.GenerateKey(rng)
+		ct, _ := s.EncryptExp(kp.Y, big.NewInt(1), rng)
+		if seed, err := wirecodec.Marshal(ct); err == nil {
+			f.Add(seed)
+		}
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0x02, 0x00, 0x01, 0x09, 0x03})
+	f.Add([]byte{'G', 'W', wirecodec.Version, 0, byte(wirecodec.IDRangeCrypto), 0, 0, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var out Ciphertext
-		if err := out.UnmarshalBinary(data); err != nil {
+		v, err := wirecodec.Unmarshal(data)
+		if err != nil {
 			return
 		}
-		b, err := out.MarshalBinary()
+		ct, ok := v.(Ciphertext)
+		if !ok {
+			return // another registered type's frame
+		}
+		b, err := wirecodec.Marshal(ct)
 		if err != nil {
 			t.Fatalf("accepted ciphertext failed to re-encode: %v", err)
 		}
-		var again Ciphertext
-		if err := again.UnmarshalBinary(b); err != nil {
-			t.Fatalf("re-encoded ciphertext failed to decode: %v", err)
+		if !bytes.Equal(b, data) {
+			t.Fatalf("accepted frame %x re-encodes to %x", data, b)
 		}
 	})
 }

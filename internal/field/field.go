@@ -47,11 +47,17 @@ type Field struct {
 	r2    Elem   // R² mod p; a product (x·y/R) with it enters the field's form
 	width int    // limbs per element, 2, 3 or 4
 	fold  uint64 // c if p = 2^160 − c, 0 < c < 2^32: Mul folds, R = 1; else 0, R = 2^(64·width)
+
+	// Square roots (sqrt.go), by p mod 8.
+	sqrtExp [4]uint64 // (p+1)/4, (p−5)/8, or (s−1)/2 for p − 1 = s·2^e
+	tsE     int       // e, when p ≡ 1 (mod 8); 0 otherwise
+	tsC     Elem      // n^s for a non-residue n, when p ≡ 1 (mod 8)
 }
 
 // New returns the field of the odd modulus p, at most MaxBits wide, with
 // its width read from the width table and, for p = 2^160 − c with
-// 0 < c < 2^32, the fold body. The field keeps its own copy of p.
+// 0 < c < 2^32, the fold body, and its square-root constants. The field
+// keeps its own copy of p.
 func New(p *big.Int) (Field, error) {
 	if p == nil || p.Sign() <= 0 || p.Bit(0) == 0 || p.BitLen() > MaxBits {
 		return Field{}, errors.New("field: the modulus must be odd, positive and at most 256 bits")
@@ -63,6 +69,7 @@ func New(p *big.Int) (Field, error) {
 		f.fold = c.Uint64()
 		f.one, f.r2 = Elem{1}, Elem{1}
 	}
+	f.sqrtConsts()
 	return f, nil
 }
 

@@ -159,7 +159,7 @@ func fieldOps(t testing.TB, f *Field, a, b *big.Int) (out [len(fieldOpNames)]*bi
 }
 
 // checkFieldOps holds every operation on the reduced values a and b to
-// its math/big definition modulo p.
+// its math/big definition modulo p, the square root included.
 func checkFieldOps(t testing.TB, f *Field, p, a, b *big.Int) {
 	t.Helper()
 	fa, _ := f.FromBig(a)
@@ -187,6 +187,47 @@ func checkFieldOps(t testing.TB, f *Field, p, a, b *big.Int) {
 		if have.Cmp(want[i]) != 0 {
 			t.Fatalf("%s(%x, %x) = %x, want %x", fieldOpNames[i], a, b, have, want[i])
 		}
+	}
+	checkSqrt(t, f, p, a, b)
+}
+
+// canonicalRoot is the reference for Sqrt: the smaller of the two roots
+// math/big finds, nil for a non-residue.
+func canonicalRoot(v, p *big.Int) *big.Int {
+	w := new(big.Int).ModSqrt(v, p)
+	if w == nil {
+		return nil
+	}
+	if other := new(big.Int).Sub(p, w); other.Cmp(w) < 0 {
+		return other
+	}
+	return w
+}
+
+// checkSqrt holds exp and Sqrt to math/big on the reduced values a and
+// b: a^b, the root of a² (a residue by construction) and the root of a
+// itself, a residue or not.
+func checkSqrt(t testing.TB, f *Field, p, a, b *big.Int) {
+	t.Helper()
+	x, _ := f.FromBig(a)
+	var z Elem
+	e := Limbs(b)
+	if f.exp(&z, &x, &e); f.ToBig(&z).Cmp(new(big.Int).Exp(a, b, p)) != 0 {
+		t.Fatalf("exp(%x, %x) = %x", a, b, f.ToBig(&z))
+	}
+	var sq Elem
+	f.Mul(&sq, &x, &x)
+	want := canonicalRoot(new(big.Int).Mod(new(big.Int).Mul(a, a), p), p)
+	if !f.Sqrt(&z, &sq) || f.ToBig(&z).Cmp(want) != 0 {
+		t.Fatalf("sqrt(%x²) = %x, want %x", a, f.ToBig(&z), want)
+	}
+	z = Elem{7}
+	want = canonicalRoot(a, p)
+	switch ok := f.Sqrt(&z, &x); {
+	case want == nil && (ok || z != Elem{7}):
+		t.Fatalf("sqrt accepted the non-residue %x or wrote its output", a)
+	case want != nil && (!ok || f.ToBig(&z).Cmp(want) != 0):
+		t.Fatalf("sqrt(%x) = %x (%v), want %x", a, f.ToBig(&z), ok, want)
 	}
 }
 
@@ -377,9 +418,10 @@ func TestFieldInv(t *testing.T) {
 	}
 }
 
-// FuzzFieldAgainstBig holds every field operation to math/big at each
-// fieldCases modulus, the narrow bodies to the four-limb ones and the fold
-// to mul3, with foldOperands seeded at each modulus that folds. The
+// FuzzFieldAgainstBig holds every field operation, Sqrt included, to
+// math/big at each fieldCases modulus (the three curve primes among
+// them), the narrow bodies to the four-limb ones and the fold to mul3,
+// with foldOperands seeded at each modulus that folds. The
 // operands arrive as raw limbs: values at or above p are not field
 // elements, so FromBig must refuse them and Reduce take them to v mod p;
 // the checks then run on the reduced operands.
@@ -517,6 +559,34 @@ func BenchmarkFieldInv(b *testing.B) {
 				f.Inv(&z, &xs[i&255])
 			}
 			benchSink = z
+		})
+	}
+}
+
+// BenchmarkFieldSqrt runs Sqrt at each benchFields modulus beside
+// big.Int.ModSqrt on the same operands (-big), the decompression the
+// curve decoder ran before.
+func BenchmarkFieldSqrt(b *testing.B) {
+	for _, bf := range benchFields {
+		f, xs := benchOperands(b, bf.name)
+		var sq [256]Elem
+		bigs := make([]*big.Int, len(xs))
+		for i := range xs {
+			f.Mul(&sq[i], &xs[i], &xs[i])
+			bigs[i] = f.ToBig(&sq[i])
+		}
+		b.Run(bf.bench, func(b *testing.B) {
+			var z Elem
+			for i := 0; i < b.N; i++ {
+				f.Sqrt(&z, &sq[i&255])
+			}
+			benchSink = z
+		})
+		b.Run(bf.bench+"-big", func(b *testing.B) {
+			z := new(big.Int)
+			for i := 0; i < b.N; i++ {
+				z.ModSqrt(bigs[i&255], f.p)
+			}
 		})
 	}
 }

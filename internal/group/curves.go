@@ -115,6 +115,37 @@ func ByName(name string) (Group, error) {
 	}
 }
 
+// wireNames gives every ByName group the byte that names it on the wire:
+// its index here. An ID is never reassigned (the rule wirecodec's type
+// IDs follow), so a group that leaves ByName leaves a gap; 0 names no
+// group.
+var wireNames = [...]string{1: "modp-1024", 2: "modp-2048", 3: "modp-3072",
+	4: "secp160r1", 5: "secp224r1", 6: "secp256r1", 7: "toy-dl-256"}
+
+// WireID returns the byte that names g on the wire: its wireNames index
+// when g, unwrapped, is the group ByName returns for its name, and 0 for
+// any other group (a generated or hand-built one, which no peer could
+// resolve by name).
+func WireID(g Group) byte {
+	raw := Raw(g)
+	for id, name := range wireNames {
+		if name == raw.Name() {
+			if named, err := ByName(name); err == nil && named == raw {
+				return byte(id)
+			}
+		}
+	}
+	return 0
+}
+
+// ByWireID resolves the group a wire ID names.
+func ByWireID(id byte) (Group, error) {
+	if int(id) >= len(wireNames) || wireNames[id] == "" {
+		return nil, fmt.Errorf("group: no group has wire ID %d", id)
+	}
+	return ByName(wireNames[id])
+}
+
 // SecurityLevels enumerates the matched DL/ECC pairs of Fig. 3(a):
 // the NIST-equivalent 80-, 112- and 128-bit symmetric security levels.
 func SecurityLevels() []struct {

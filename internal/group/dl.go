@@ -23,8 +23,10 @@ type DLGroup struct {
 	secLevel int
 }
 
-// dlElement wraps a residue in [1, p).
+// dlElement wraps a residue in [1, p) and records the group that made
+// it.
 type dlElement struct {
+	d *DLGroup
 	v *big.Int
 }
 
@@ -89,10 +91,10 @@ func (d *DLGroup) Order() *big.Int { return d.q }
 func (d *DLGroup) Modulus() *big.Int { return d.p }
 
 // Generator implements Group.
-func (d *DLGroup) Generator() Element { return dlElement{v: d.g} }
+func (d *DLGroup) Generator() Element { return dlElement{d, d.g} }
 
 // Identity implements Group.
-func (d *DLGroup) Identity() Element { return dlElement{v: big.NewInt(1)} }
+func (d *DLGroup) Identity() Element { return dlElement{d, big.NewInt(1)} }
 
 func (d *DLGroup) unwrap(e Element) *big.Int {
 	de, ok := e.(dlElement)
@@ -105,12 +107,12 @@ func (d *DLGroup) unwrap(e Element) *big.Int {
 // Op implements Group.
 func (d *DLGroup) Op(a, b Element) Element {
 	r := new(big.Int).Mul(d.unwrap(a), d.unwrap(b))
-	return dlElement{v: r.Mod(r, d.p)}
+	return dlElement{d, r.Mod(r, d.p)}
 }
 
 // Inv implements Group.
 func (d *DLGroup) Inv(a Element) Element {
-	return dlElement{v: new(big.Int).ModInverse(d.unwrap(a), d.p)}
+	return dlElement{d, new(big.Int).ModInverse(d.unwrap(a), d.p)}
 }
 
 // Exp implements Group.
@@ -125,7 +127,7 @@ func (d *DLGroup) Exp(a Element, k *big.Int) Element {
 		return generatorTable(d).Exp(k)
 	}
 	e := new(big.Int).Mod(k, d.q) // element order divides q
-	return dlElement{v: new(big.Int).Exp(v, e, d.p)}
+	return dlElement{d, new(big.Int).Exp(v, e, d.p)}
 }
 
 // Equal implements Group.
@@ -167,7 +169,7 @@ func (d *DLGroup) Decode(data []byte) (Element, error) {
 	if big.Jacobi(v, d.p) != 1 {
 		return nil, fmt.Errorf("group: %s element is not in the quadratic-residue subgroup", d.name)
 	}
-	return dlElement{v: v}, nil
+	return dlElement{d, v}, nil
 }
 
 // ElementLen implements Group.

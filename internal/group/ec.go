@@ -13,9 +13,9 @@ import (
 // arithmetic is implemented from scratch; no crypto/elliptic machinery is
 // used. Exp, Op, MultiExp and the fixed-base comb run on the limb kernel
 // (kernel.go), which takes a = −3 and p, n of at most 256 bits: the shape
-// of every named curve, and the only shape newECGroup accepts. Encoding
-// and decoding stay on math/big; validation checks the curve equation on
-// the kernel's field.
+// of every named curve, and the only shape newECGroup accepts. Decoding
+// (point decompression) and validation run on the kernel's field too;
+// elements stay affine big.Int pairs.
 type ECGroup struct {
 	name     string
 	p        *big.Int // field prime
@@ -27,8 +27,10 @@ type ECGroup struct {
 	kern     *curveKernel
 }
 
-// ecPoint is an affine point; inf marks the point at infinity.
+// ecPoint is an affine point of the curve g that made it; inf marks the
+// point at infinity.
 type ecPoint struct {
+	g    *ECGroup
 	x, y *big.Int
 	inf  bool
 }
@@ -71,6 +73,7 @@ func newECGroup(spec curveSpec) (*ECGroup, error) {
 	if g.kern, err = newCurveKernel(g.p, g.a, g.b, g.n); err != nil {
 		return nil, fmt.Errorf("group: %s: %w", spec.name, err)
 	}
+	g.kern.g = g
 	if err := g.validateElement(g.Generator()); err != nil {
 		return nil, fmt.Errorf("group: %s base point: %w", spec.name, err)
 	}
@@ -93,10 +96,10 @@ func (g *ECGroup) Order() *big.Int { return g.n }
 func (g *ECGroup) FieldPrime() *big.Int { return g.p }
 
 // Generator implements Group.
-func (g *ECGroup) Generator() Element { return ecPoint{x: g.gx, y: g.gy} }
+func (g *ECGroup) Generator() Element { return ecPoint{g: g, x: g.gx, y: g.gy} }
 
 // Identity implements Group.
-func (g *ECGroup) Identity() Element { return ecPoint{inf: true} }
+func (g *ECGroup) Identity() Element { return ecPoint{g: g, inf: true} }
 
 func (g *ECGroup) unwrap(e Element) ecPoint {
 	pt, ok := e.(ecPoint)
@@ -121,7 +124,7 @@ func (g *ECGroup) Inv(a Element) Element {
 	if pt.inf {
 		return pt
 	}
-	return ecPoint{x: new(big.Int).Set(pt.x), y: new(big.Int).Sub(g.p, pt.y)}
+	return ecPoint{g: g, x: new(big.Int).Set(pt.x), y: new(big.Int).Sub(g.p, pt.y)}
 }
 
 // Exp implements Group (scalar multiplication) with the kernel's
@@ -147,7 +150,7 @@ func (g *ECGroup) Exp(a Element, k *big.Int) Element {
 		e = new(big.Int).Mod(k, g.n)
 	}
 	if e.Sign() == 0 || pt.inf {
-		return ecPoint{inf: true}
+		return g.Identity()
 	}
 	base, el := g.kern.lift(pt), field.Limbs(e)
 	var r jacPt
@@ -195,14 +198,13 @@ func (g *ECGroup) AppendElement(dst []byte, a Element) []byte {
 	return dst
 }
 
-// Decode implements Group, decompressing the Y coordinate (a modular
-// square root — big.Int.ModSqrt handles both p ≡ 3 (mod 4) and the
-// Tonelli–Shanks case) and thereby verifying the point lies on the
-// curve: an X with no square root on the right-hand side is exactly an
-// off-curve point. Only fixed-width encodings are accepted, so every
-// element has exactly one valid encoding.
+// Decode implements Group, decompressing the Y coordinate on the
+// kernel's field: field.Sqrt solves y² = x³ − 3x + b, and an X with no
+// root is exactly one with no point over it, so whatever Decode returns
+// is on the curve. Only fixed-width encodings with X below p are
+// accepted, so every element has exactly one valid encoding.
 func (g *ECGroup) Decode(data []byte) (Element, error) {
-	if len(data) != g.elemLen {
+	if len(data) != g.elemLen || data[0] == 0x01 || data[0] > 0x03 {
 		return nil, fmt.Errorf("group: malformed %s point encoding", g.name)
 	}
 	if data[0] == 0x00 {
@@ -211,34 +213,27 @@ func (g *ECGroup) Decode(data []byte) (Element, error) {
 				return nil, fmt.Errorf("group: malformed %s point encoding", g.name)
 			}
 		}
-		return ecPoint{inf: true}, nil
+		return g.Identity(), nil
 	}
-	if data[0] != 0x02 && data[0] != 0x03 {
-		return nil, fmt.Errorf("group: malformed %s point encoding", g.name)
+	k := g.kern
+	var buf [32]byte
+	copy(buf[32-len(data)+1:], data[1:])
+	x, ok := k.FromBytes(&buf)
+	var y field.Elem
+	if ok {
+		k.rhs(&y, &x)
+		ok = k.Sqrt(&y, &y)
 	}
-	x := new(big.Int).SetBytes(data[1:])
-	if x.Cmp(g.p) >= 0 {
+	if ok && byte(k.Plain(&y)[0]&1) != data[0]&1 {
+		// y = 0 would be a point of order 2, impossible in a prime-order
+		// group; its only valid tag is the even one.
+		ok = !y.IsZero()
+		k.Neg(&y, &y)
+	}
+	if !ok {
 		return nil, fmt.Errorf("group: %s point is not on the curve", g.name)
 	}
-	// y² = x³ + ax + b
-	rhs := new(big.Int).Mul(x, x)
-	rhs.Mul(rhs, x)
-	rhs.Add(rhs, new(big.Int).Mul(g.a, x))
-	rhs.Add(rhs, g.b)
-	rhs.Mod(rhs, g.p)
-	y := new(big.Int).ModSqrt(rhs, g.p)
-	if y == nil {
-		return nil, fmt.Errorf("group: %s point is not on the curve", g.name)
-	}
-	if uint(data[0]&1) != y.Bit(0) {
-		if y.Sign() == 0 {
-			// y = 0 would be a point of order 2, impossible in a
-			// prime-order group; its only valid tag is the even one.
-			return nil, fmt.Errorf("group: %s point is not on the curve", g.name)
-		}
-		y.Sub(g.p, y)
-	}
-	return ecPoint{x: x, y: y}, nil
+	return k.element(&affPt{x: x, y: y}), nil
 }
 
 // ElementLen implements Group.

@@ -137,7 +137,7 @@ func newDLComb(g *DLGroup, base Element, w uint) func(*big.Int) Element {
 			acc.Mul(acc, windows[i][d-1])
 			acc.Mod(acc, g.p)
 		}
-		return dlElement{v: acc}
+		return dlElement{g, acc}
 	}
 }
 

@@ -30,20 +30,99 @@ func FuzzDLDecode(f *testing.F) {
 	})
 }
 
+// FuzzECDecode holds Decode's decompression on the limb field to a
+// math/big oracle, big.Int.ModSqrt, on each named curve: both accept or
+// both refuse, and on accepting both give the same point, which
+// re-encodes to the input. The seeds are the generator under both parity
+// tags, x = 0 under both tags, x = p and an all-ones x (at or above p),
+// the identity's zero bytes and a one-byte identity, the smallest x with
+// no point over it, and a wrong tag.
 func FuzzECDecode(f *testing.F) {
-	g := oracleOf(Secp160r1())
-	f.Add(g.Encode(g.Generator()))
-	f.Add([]byte{0x00})
-	f.Add([]byte{0x04, 1, 2, 3})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	curves := kernelCurves()
+	for which, g := range curves {
+		w := uint8(which)
+		enc := func(tag byte, x *big.Int) []byte {
+			b := make([]byte, g.elemLen)
+			b[0] = tag
+			x.FillBytes(b[1:])
+			return b
+		}
+		gen := g.Encode(g.Generator())
+		f.Add(w, gen)
+		f.Add(w, append([]byte{gen[0] ^ 1}, gen[1:]...))
+		f.Add(w, enc(0x02, new(big.Int)))
+		f.Add(w, enc(0x03, new(big.Int)))
+		f.Add(w, enc(0x02, g.p))
+		f.Add(w, append([]byte{0x03}, bytes.Repeat([]byte{0xFF}, g.elemLen-1)...))
+		f.Add(w, make([]byte, g.elemLen))
+		f.Add(w, []byte{0x00})
+		f.Add(w, enc(0x02, noRootAbscissa(g)))
+		f.Add(w, append([]byte{0x04}, gen[1:]...))
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		g := curves[int(which)%len(curves)]
 		e, err := g.Decode(data)
+		want, ok := decodeWithModSqrt(g, data)
+		if (err == nil) != ok {
+			t.Fatalf("%s: Decode(%x) = %v, the math/big oracle accepts=%v", g.name, data, err, ok)
+		}
 		if err != nil {
 			return
 		}
-		if !bytes.Equal(g.Encode(e), data) {
-			t.Fatal("decode/encode not idempotent")
+		if got := g.unwrap(e); got.inf != want.inf || !got.inf && (got.x.Cmp(want.x) != 0 || got.y.Cmp(want.y) != 0) {
+			t.Fatalf("%s: Decode(%x) = %v, math/big gives %v", g.name, data, got, want)
+		}
+		if !bytes.Equal(g.Encode(e), data) || Of(e) != Group(g) {
+			t.Fatalf("%s: decoded %x does not re-encode to itself under its group", g.name, data)
 		}
 	})
+}
+
+// decodeWithModSqrt is the math/big reference decompression: the
+// fixed-width SEC1 form, x below p, y from big.Int.ModSqrt with the
+// tag's parity.
+func decodeWithModSqrt(g *ECGroup, data []byte) (ecPoint, bool) {
+	if len(data) != g.elemLen {
+		return ecPoint{}, false
+	}
+	x := new(big.Int).SetBytes(data[1:])
+	switch data[0] {
+	case 0x00:
+		return ecPoint{inf: true}, x.Sign() == 0
+	case 0x02, 0x03:
+	default:
+		return ecPoint{}, false
+	}
+	if x.Cmp(g.p) >= 0 {
+		return ecPoint{}, false
+	}
+	y := new(big.Int).ModSqrt(curveRHS(g, x), g.p)
+	if y == nil {
+		return ecPoint{}, false
+	}
+	if y.Bit(0) != uint(data[0]&1) {
+		if y.Sign() == 0 {
+			return ecPoint{}, false
+		}
+		y.Sub(g.p, y)
+	}
+	return ecPoint{x: x, y: y}, true
+}
+
+// curveRHS is x³ + ax + b mod p in math/big.
+func curveRHS(g *ECGroup, x *big.Int) *big.Int {
+	rhs := new(big.Int).Mul(x, x)
+	rhs.Mul(rhs, x).Add(rhs, new(big.Int).Mul(g.a, x)).Add(rhs, g.b)
+	return rhs.Mod(rhs, g.p)
+}
+
+// noRootAbscissa returns the smallest x with no point over it on g.
+func noRootAbscissa(g *ECGroup) *big.Int {
+	for x := big.NewInt(0); ; x.Add(x, big.NewInt(1)) {
+		if big.Jacobi(curveRHS(g, x), g.p) == -1 {
+			return x
+		}
+	}
 }
 
 // FuzzFieldAgainstBig holds the kernel's side of the field boundary to
@@ -170,10 +249,8 @@ func FuzzValidateAgainstBig(f *testing.F) {
 		}
 		inRange := func(v *big.Int) bool { return v.Sign() >= 0 && v.Cmp(g.p) < 0 }
 		lhs := new(big.Int).Mul(y, y)
-		rhs := new(big.Int).Mul(x, x)
-		rhs.Mul(rhs, x).Add(rhs, new(big.Int).Mul(g.a, x)).Add(rhs, g.b)
-		want := inRange(x) && inRange(y) && lhs.Sub(lhs, rhs).Mod(lhs, g.p).Sign() == 0
-		if err := g.validateElement(ecPoint{x: x, y: y}); (err == nil) != want {
+		want := inRange(x) && inRange(y) && lhs.Sub(lhs, curveRHS(g, x)).Mod(lhs, g.p).Sign() == 0
+		if err := g.validateElement(ecPoint{g: g, x: x, y: y}); (err == nil) != want {
 			t.Fatalf("%s: Validate(%x, %x) = %v, the curve equation says valid=%v", g.name, x, y, err, want)
 		}
 	})

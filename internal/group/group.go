@@ -2,8 +2,11 @@
 // framework's cryptography: quadratic-residue subgroups of safe primes
 // ("DL" groups, Section IV-B of the paper) and short-Weierstrass elliptic
 // curves ("ECC" groups). Both families are implemented from scratch: the DL
-// groups and the curves' boundary (encodings, validation) over math/big, all
-// curve arithmetic on one fixed-width limb kernel (field.go, kernel.go).
+// groups over math/big, all curve arithmetic, point decompression and
+// validation included, on one fixed-width limb kernel (kernel.go on
+// internal/field). Every element records the group that made it, and its
+// one encoding is that group's fixed-width canonical form (Encode,
+// AppendElement, Decode), which is also how it crosses the wire.
 //
 // The decisional Diffie-Hellman problem is believed hard in every group
 // constructed here, which is the assumption the framework's security proofs
@@ -22,11 +25,35 @@ import (
 )
 
 // Element is an opaque element of a Group. Elements are immutable; all
-// operations allocate fresh results. An Element must only be used with the
-// Group that produced it — mixing elements across groups is a programming
-// error and panics with a descriptive message.
+// operations allocate fresh results. An Element records the Group that
+// produced it (see Of) and must only be used with that group — mixing
+// elements across groups is a programming error and panics with a
+// descriptive message.
 type Element interface {
 	groupElement()
+}
+
+// Of returns the group that produced e, or nil for nil and for an
+// element no group of this package made.
+func Of(e Element) Group {
+	switch v := e.(type) {
+	case ecPoint:
+		if v.g != nil {
+			return v.g
+		}
+	case dlElement:
+		if v.d != nil {
+			return v.d
+		}
+	}
+	return nil
+}
+
+// ElementPrototypes returns one zero value per concrete Element
+// implementation, so the wirecodec registry can key its encoder table
+// by dynamic type without this package importing it.
+func ElementPrototypes() []Element {
+	return []Element{dlElement{}, ecPoint{}}
 }
 
 // Group is a cyclic group of prime order in which DDH is assumed hard.

@@ -328,33 +328,34 @@ func TestToyDL256(t *testing.T) {
 	}
 }
 
+// TestWireRoundTripElements pins what wire decoding rests on: every
+// ByName group has a wire ID that resolves back to it, its elements
+// record it and round-trip through AppendElement and Decode, and a
+// group outside ByName, or an ID no group has, names nothing.
 func TestWireRoundTripElements(t *testing.T) {
-	roundTrip := func(e Element) Element {
-		t.Helper()
-		enc, err := AppendElementWire(nil, e)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
+	for _, g := range allNamedGroups(t)[:7] {
+		id := WireID(g)
+		if back, err := ByWireID(id); id == 0 || err != nil || back != g {
+			t.Fatalf("%s: wire ID %d resolves to %v, %v", g.Name(), id, back, err)
 		}
-		back, n, err := DecodeElementWire(enc)
-		if err != nil || n != len(enc) {
-			t.Fatalf("decode consumed %d of %d bytes: %v", n, len(enc), err)
-		}
-		return back
-	}
-	for _, g := range []Group{MODP1024(), Secp160r1()} {
-		k, err := g.RandomScalar(fixedbig.NewDRBG("wire-" + g.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := ExpGen(g, k)
-		if !g.Equal(e, roundTrip(e)) {
-			t.Errorf("%s: wire round trip changed the element", g.Name())
+		for _, e := range []Element{g.Identity(), g.Generator(), ExpGen(g, big.NewInt(0x5A5A))} {
+			back, err := g.Decode(g.AppendElement([]byte{}, e))
+			if err != nil || !g.Equal(back, e) || Of(e) != g || Of(back) != g {
+				t.Fatalf("%s: element does not round-trip under its group: %v", g.Name(), err)
+			}
 		}
 	}
-	// The EC identity also round-trips.
-	g := Secp160r1()
-	if !g.IsIdentity(roundTrip(g.Identity())) {
-		t.Error("identity did not survive the wire form")
+	dl, err := GenerateDLGroup(64, fixedbig.NewDRBG("unnamed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := WireID(dl); id != 0 {
+		t.Errorf("a generated group has wire ID %d", id)
+	}
+	for _, id := range []byte{0, 8, 0xFF} {
+		if g, err := ByWireID(id); err == nil {
+			t.Errorf("wire ID %d names %s", id, g.Name())
+		}
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 type curveKernel struct {
 	field.Field
 	b field.Elem // the curve's constant term, for onCurve
+	g *ECGroup   // the group whose elements leave the kernel
 }
 
 // jacPt is a Jacobian point (X/Z², Y/Z³) in the field's form; Z = 0
@@ -50,20 +51,27 @@ func newCurveKernel(p, a, b, n *big.Int) (*curveKernel, error) {
 // onCurve reports whether the affine point a, not the identity, satisfies
 // y² = x³ − 3x + b.
 func (k *curveKernel) onCurve(a *affPt) bool {
-	var lhs, rhs, t field.Elem
+	var lhs, rhs field.Elem
 	k.Mul(&lhs, &a.y, &a.y)
-	k.Mul(&rhs, &a.x, &a.x)
-	k.Mul(&rhs, &rhs, &a.x)
-	k.Add(&t, &a.x, &a.x)
-	k.Add(&t, &t, &a.x)
-	k.Sub(&rhs, &rhs, &t)
-	k.Add(&rhs, &rhs, &k.b)
+	k.rhs(&rhs, &a.x)
 	return lhs == rhs
 }
 
-// lift converts an affine element. Coordinates a peer sent unreduced
-// (Validate rejects them, but Op and Exp must not panic on them) are
-// reduced first, so the result is that of the point they stand for.
+// rhs sets z = x³ − 3x + b, the square the curve asks of y.
+func (k *curveKernel) rhs(z, x *field.Elem) {
+	var x3, t field.Elem
+	k.Mul(&x3, x, x)
+	k.Mul(&x3, &x3, x)
+	k.Add(&t, x, x)
+	k.Add(&t, &t, x)
+	k.Sub(&x3, &x3, &t)
+	k.Add(z, &x3, &k.b)
+}
+
+// lift converts an affine element. Coordinates forged unreduced in
+// process (Decode never returns them and Validate rejects them, but Op
+// and Exp must not panic on them) are reduced first, so the result is
+// that of the point they stand for.
 func (k *curveKernel) lift(pt ecPoint) affPt {
 	if pt.inf {
 		return affPt{inf: true}
@@ -85,7 +93,7 @@ func (k *curveKernel) toJac(a *affPt) jacPt {
 // stands.
 func (k *curveKernel) lower(pt *jacPt) ecPoint {
 	if pt.z.IsZero() {
-		return ecPoint{inf: true}
+		return ecPoint{g: k.g, inf: true}
 	}
 	a := affPt{x: pt.x, y: pt.y}
 	if pt.z != k.One() {
@@ -100,9 +108,9 @@ func (k *curveKernel) lower(pt *jacPt) ecPoint {
 // rest of the package holds.
 func (k *curveKernel) element(a *affPt) ecPoint {
 	if a.inf {
-		return ecPoint{inf: true}
+		return ecPoint{g: k.g, inf: true}
 	}
-	return ecPoint{x: k.ToBig(&a.x), y: k.ToBig(&a.y)}
+	return ecPoint{g: k.g, x: k.ToBig(&a.x), y: k.ToBig(&a.y)}
 }
 
 // scale sets a = (X·zi², Y·zi³), the affine form of pt given zi = Z⁻¹.

@@ -6,12 +6,15 @@ import (
 )
 
 // Validate checks that an element received from an untrusted peer is a
-// well-formed member of g. Wire decoding (binwire.go) reconstructs elements
-// from raw coordinates without knowing which group they belong to, so
-// the protocol layer MUST call Validate on every foreign element before
-// using it: an off-curve point or a non-residue silently degrades the
-// DDH group to one where the attacker can solve discrete logs on a
-// small-order twist (the classic invalid-curve attack).
+// well-formed member of g. Wire decoding runs each group's Decode, so a
+// decoded element is a member of the group its payload named; but a
+// payload may name any group, and an element handed over in process
+// was never decoded at all. So the protocol layer MUST call Validate on
+// every foreign element before using it: an element of another group,
+// an off-curve point or a non-residue silently degrades the DDH group
+// to one where the attacker can solve discrete logs on a small-order
+// twist (the classic invalid-curve attack). The element's recorded
+// group is compared first, before any coordinate is looked at.
 func Validate(g Group, e Element) error {
 	if e == nil {
 		return fmt.Errorf("group: %s received nil element", g.Name())
@@ -32,25 +35,33 @@ func Validate(g Group, e Element) error {
 	}
 }
 
-// UnsafeElementFromCoords fabricates an elliptic-curve element from raw
-// affine coordinates with NO membership check, exactly as wire decoding
-// reconstructs a point a peer sent over the wire. It exists solely so
+// UnsafeElementFromCoords fabricates an elliptic-curve element of g from
+// raw affine coordinates with NO membership check. It exists solely so
 // tests can impersonate a malicious peer mounting an invalid-curve
 // attack against Validate's call sites; protocol code must never use
 // it.
 func UnsafeElementFromCoords(g Group, x, y *big.Int) (Element, error) {
-	if _, ok := Raw(g).(*ECGroup); !ok {
+	cg, ok := Raw(g).(*ECGroup)
+	if !ok {
 		return nil, fmt.Errorf("group: %s is not an elliptic-curve group", g.Name())
 	}
-	return ecPoint{x: new(big.Int).Set(x), y: new(big.Int).Set(y)}, nil
+	return ecPoint{g: cg, x: new(big.Int).Set(x), y: new(big.Int).Set(y)}, nil
+}
+
+// foreign reports an element that some other group, or none, produced.
+func foreign(e Element, want string) error {
+	if of := Of(e); of != nil {
+		return fmt.Errorf("group: %s element received for %s group", of.Name(), want)
+	}
+	return fmt.Errorf("group: element of type %T received for %s group", e, want)
 }
 
 // validateElement checks residue range and quadratic residuosity, the
 // membership test for the order-q subgroup of Z_p^*.
 func (d *DLGroup) validateElement(e Element) error {
 	de, ok := e.(dlElement)
-	if !ok {
-		return fmt.Errorf("group: element of type %T received for %s group", e, d.name)
+	if !ok || de.d != d {
+		return foreign(e, d.name)
 	}
 	v := de.v
 	if v == nil || v.Sign() <= 0 || v.Cmp(d.p) >= 0 {
@@ -68,8 +79,8 @@ func (d *DLGroup) validateElement(e Element) error {
 // implies membership in the prime-order group.
 func (g *ECGroup) validateElement(e Element) error {
 	pt, ok := e.(ecPoint)
-	if !ok {
-		return fmt.Errorf("group: element of type %T received for %s group", e, g.name)
+	if !ok || pt.g != g {
+		return foreign(e, g.name)
 	}
 	if pt.inf {
 		return nil

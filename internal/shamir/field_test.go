@@ -21,11 +21,9 @@ type testField struct {
 // testFields covers every width class — the benchmark's 75 bits, the
 // paper's default 110, both sides of the 2^128 limb boundary, the top of
 // the three-limb class, the widest derivable 203 and the 256-bit ceiling
-// — as DRBG draws like core's, plus two fixed primes so all three
-// square-root branches are always present whatever residues the draws
-// land on: Goldilocks (p − 1 = 2^32·odd, the deepest Tonelli–Shanks
-// ladder) and 2^255 − 19 (p ≡ 5 mod 8). The shared field's arithmetic is
-// tested in internal/field; these tests cover what this package adds.
+// — as DRBG draws like core's, plus two fixed primes: Goldilocks and
+// 2^255 − 19. The shared field's arithmetic and square root are tested
+// in internal/field; these tests cover what this package adds.
 func testFields(tb testing.TB) []testField {
 	tb.Helper()
 	var out []testField
@@ -47,21 +45,6 @@ func testFields(tb testing.TB) []testField {
 	add("goldilocks", goldilocks)
 	c25519 := new(big.Int).Lsh(big.NewInt(1), 255)
 	add("2^255-19", c25519.Sub(c25519, big.NewInt(19)))
-
-	var mod4, mod8five, mod8one bool
-	for _, tf := range out {
-		switch field.Limbs(tf.p)[0] & 7 {
-		case 3, 7:
-			mod4 = true
-		case 5:
-			mod8five = true
-		default:
-			mod8one = true
-		}
-	}
-	if !mod4 || !mod8five || !mod8one {
-		tb.Fatalf("square-root branches not all covered: 3 mod 4 %v, 5 mod 8 %v, 1 mod 8 %v", mod4, mod8five, mod8one)
-	}
 	return out
 }
 
@@ -71,19 +54,6 @@ func bigFromLimbs(l [4]uint64) *big.Int {
 		binary.BigEndian.PutUint64(buf[24-8*i:], w)
 	}
 	return new(big.Int).SetBytes(buf[:])
-}
-
-// canonicalRoot is the reference for Sqrt: the smaller of the two roots
-// math/big finds, nil for a non-residue.
-func canonicalRoot(v, p *big.Int) *big.Int {
-	w := new(big.Int).ModSqrt(v, p)
-	if w == nil {
-		return nil
-	}
-	if other := new(big.Int).Sub(p, w); other.Cmp(w) < 0 {
-		return other
-	}
-	return w
 }
 
 // checkFieldOps holds every operation this package adds to the shared
@@ -103,33 +73,6 @@ func checkFieldOps(t *testing.T, name string, f *Field, a, b *big.Int) {
 			t.Fatalf("%s: %s(%x, %x) = %x, want %x", name, op, a, b, g, want)
 		}
 	}
-	var z field.Elem
-	e := field.Limbs(b)
-	f.exp(&z, &x, &e)
-	eq("exp", &z, new(big.Int).Exp(a, b, p))
-
-	// A residue by construction, then a itself (a residue or not).
-	var sq field.Elem
-	f.Mul(&sq, &x, &x)
-	if !f.Sqrt(&z, &sq) {
-		t.Fatalf("%s: sqrt refused the square of %x", name, a)
-	}
-	eq("sqrt(a²)", &z, canonicalRoot(mod(new(big.Int).Mul(a, a)), p))
-	z = field.Elem{7}
-	if want := canonicalRoot(a, p); want == nil {
-		if f.Sqrt(&z, &x) {
-			t.Fatalf("%s: sqrt accepted the non-residue %x", name, a)
-		}
-		if z != (field.Elem{7}) {
-			t.Fatalf("%s: sqrt wrote its output on a non-residue", name)
-		}
-	} else {
-		if !f.Sqrt(&z, &x) {
-			t.Fatalf("%s: sqrt refused the residue %x", name, a)
-		}
-		eq("sqrt", &z, want)
-	}
-
 	// Batch inversion with zeros in the batch, first and in the middle.
 	var ab field.Elem
 	f.Mul(&ab, &x, &y)
@@ -146,7 +89,7 @@ func checkFieldOps(t *testing.T, name string, f *Field, a, b *big.Int) {
 	}
 
 	// Reduce takes what FromBig refuses.
-	z = f.Reduce(new(big.Int).Add(a, new(big.Int).Mul(p, b)))
+	z := f.Reduce(new(big.Int).Add(a, new(big.Int).Mul(p, b)))
 	eq("reduce(a+p·b)", &z, a)
 	z = f.Reduce(new(big.Int).Neg(a))
 	eq("reduce(−a)", &z, mod(new(big.Int).Neg(a)))
@@ -160,7 +103,7 @@ func checkFieldOps(t *testing.T, name string, f *Field, a, b *big.Int) {
 }
 
 // FuzzFieldAgainstBig holds what this package adds to the shared field —
-// exp, Sqrt on all three branches, InvBatch, Reduce and ToBigs — to
+// InvBatch, Reduce and ToBigs — to
 // math/big on primes of every width class. The operands arrive as raw
 // 256-bit values: anything at or above p is not a field element and must
 // be refused at the conversion boundary, after which the operands are

@@ -134,16 +134,18 @@ func goldenTranscript(t *testing.T, n, degree, primeBits, l int) string {
 // TestGoldenTranscript pins "seeded runs keep their shares": the digest
 // of every frame every party sends in a seeded in-memory SortOpen must
 // equal the one recorded before the engine left math/big (commit
-// 86016ff). A change to the order or width of any RNG draw, to which
-// root RandomBits picks, or to any frame's encoding moves it.
+// 86016ff), re-recorded once when wire-format version 3 changed every
+// frame's version byte (at version 2 the old digests still come out).
+// A change to the order or width of any RNG draw, to which root
+// RandomBits picks, or to any frame's encoding moves it.
 func TestGoldenTranscript(t *testing.T) {
 	cases := []struct {
 		n, degree, primeBits, l int
 		want                    string
 	}{
-		{5, 2, 75, 27, "ac92d652dfbdf0c0c61c1a25764e2ddd5c90d200771dc95f37777351aa35f6d4"},
-		{3, 1, 110, 62, "747a76dc978baacc52db9447c5a5de0d35f0cc0aed3b788acd396e0dd5918633"},
-		{3, 1, 140, 62, "cb21be34d4770b87b7a473ec6252fd3756c2f3d3931a309855146e32e0474890"}, // past 2^128: the three-limb multiply (recorded on the four-limb one)
+		{5, 2, 75, 27, "ded8ee94b93bf1280e9b6ed38149392e87c27c8614ce6efceeb4dc4c9aca53be"},
+		{3, 1, 110, 62, "b394468817342bf230da2baf86737e54915029bb03fdb58a3e07d7ce7def448d"},
+		{3, 1, 140, 62, "d548b07764a03f0444734eea6b62a6563feda3b3e9c2d9d7fe4b341b56d12ad1"}, // past 2^128: the three-limb multiply (recorded on the four-limb one)
 	}
 	for _, tc := range cases {
 		tc := tc

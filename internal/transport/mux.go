@@ -32,9 +32,8 @@ type SessionMux struct {
 	n  int
 	me int
 
-	timeout    time.Duration
-	queueCap   int
-	pendingCap int
+	timeout  time.Duration
+	queueCap int
 
 	// link is the TCP mesh under the mux (link.go): it owns every
 	// connection, and the mux sees it through onFrame, onUp and onBlame.
@@ -74,11 +73,6 @@ type MuxOptions struct {
 	// peer is failed — that is its memory budget — without touching the
 	// link or any other session.
 	QueueCap int
-	// PendingCap bounds the frames buffered per session that a peer has
-	// started sending into before this daemon opened it (default 1024).
-	PendingCap int
-	// ControlCap bounds the control-plane delivery channel (default 256).
-	ControlCap int
 	// Recovery, when non-nil, switches the mux into recovering mode:
 	// lost links are re-dialed and re-accepted instead of failing every
 	// session at once, and journal-backed sessions opened with
@@ -140,9 +134,7 @@ const (
 	// retransmission) or a heartbeat's echo.
 	muxNoReply = 1
 
-	defaultMuxQueueCap   = 1024
-	defaultMuxPendingCap = 1024
-	defaultMuxControlCap = 256
+	defaultMuxQueueCap = 1024
 
 	// muxTombstones bounds the closed-session set that absorbs late
 	// frames; beyond it the oldest tombstones are forgotten (a frame for
@@ -154,6 +146,11 @@ const (
 	// between the peer's open and ours).
 	muxPendingSessions = 1024
 	pendingTTL         = time.Minute
+	// muxPendingCap bounds the frames buffered per session that a peer
+	// has started sending into before this daemon opened it.
+	muxPendingCap = 1024
+	// muxControlCap bounds the control-plane delivery channel.
+	muxControlCap = 256
 )
 
 // pendingSession buffers data frames for a session a peer is already
@@ -186,26 +183,19 @@ func newSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOption
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = defaultMuxQueueCap
 	}
-	if opts.PendingCap <= 0 {
-		opts.PendingCap = defaultMuxPendingCap
-	}
-	if opts.ControlCap <= 0 {
-		opts.ControlCap = defaultMuxControlCap
-	}
 	n := len(addrs)
 	m := &SessionMux{
-		n:          n,
-		me:         me,
-		timeout:    timeout,
-		queueCap:   opts.QueueCap,
-		pendingCap: opts.PendingCap,
-		sessions:   make(map[string]*MuxSession),
-		pending:    make(map[string]*pendingSession),
-		closed:     make(map[string]bool),
-		linkErr:    make([]error, n),
-		ctrl:       make(chan ControlMsg, opts.ControlCap),
-		mm:         newMuxMetrics(opts.Telemetry),
-		tm:         newNetMetrics(opts.Telemetry),
+		n:        n,
+		me:       me,
+		timeout:  timeout,
+		queueCap: opts.QueueCap,
+		sessions: make(map[string]*MuxSession),
+		pending:  make(map[string]*pendingSession),
+		closed:   make(map[string]bool),
+		linkErr:  make([]error, n),
+		ctrl:     make(chan ControlMsg, muxControlCap),
+		mm:       newMuxMetrics(opts.Telemetry),
+		tm:       newNetMetrics(opts.Telemetry),
 	}
 	m.link = &mesh{
 		addrs: addrs, me: me, tag: tag,
@@ -311,7 +301,7 @@ func (m *SessionMux) routeData(from int, env muxEnv) {
 		p = &pendingSession{since: time.Now()}
 		m.pending[env.SID] = p
 	}
-	if len(p.frames) >= m.pendingCap {
+	if len(p.frames) >= muxPendingCap {
 		p.dropped = true
 		m.mu.Unlock()
 		m.mm.pendingDrops.Inc()

@@ -94,16 +94,23 @@ func malformedAbort(accused, reporter, round int, phase, got, want string) error
 		})
 }
 
-// certInvalidElement records an off-group element (invalid-curve
-// attack attempt): the offline verifier re-runs decode+validate on the
-// recorded encoding and confirms it is rejected.
+// certInvalidElement records an element that fails membership in g (an
+// invalid-curve attack attempt) as the bytes it arrived as: the
+// canonical encoding of the group that made it, which off the wire is
+// the group its payload named. The offline verifier re-runs g's decode
+// and validation on them and confirms they are rejected. Encoding it
+// with g instead would misread, or panic on, another group's point.
 func certInvalidElement(g group.Group, accused, reporter, round int, phase string, e group.Element) *transport.BlameCert {
+	var data []byte
+	if of := group.Of(e); of != nil {
+		data = of.Encode(e)
+	}
 	return &transport.BlameCert{
 		Version: transport.BlameCertVersion, Accused: accused, Reporter: reporter,
 		Round: round, Phase: phase, Check: transport.CheckInvalidElement,
 		Detail: fmt.Sprintf("party %d sent a group element that fails membership validation", accused),
 		Group:  g.Name(),
-		Items:  []transport.BlameItem{{Name: "element", Data: g.Encode(e)}},
+		Items:  []transport.BlameItem{{Name: "element", Data: data}},
 	}
 }
 

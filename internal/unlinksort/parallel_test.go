@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"groupranking/internal/blame"
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
 	"groupranking/internal/transport"
@@ -55,12 +56,14 @@ func TestWorkerCountInvariance(t *testing.T) {
 }
 
 // TestInvalidCurveKeyShareAbortsOverTCP is the invalid-curve regression
-// over the real serialising transport: a malicious party gob-sends a
-// structurally well-formed but off-curve point as its key share. Before
-// the fix the honest parties would fold it into the joint public key
-// (gob decoding cannot check membership); now every honest party must
-// reject it at the receive boundary with a typed abort naming the
-// attacker.
+// over the real serialising transport: a malicious party publishes an
+// off-curve point as its key share, and every honest party must reject
+// it at the receive boundary with a typed abort naming the attacker,
+// not fold it into the joint public key. An off-curve point has no
+// compressed form, so what the attacker can put on the wire is an
+// abscissa with no point over it: (1, 1) encodes as x = 1, the smallest
+// such abscissa on secp160r1 (1 − 3 + b is a non-residue mod p), which
+// decompression refuses.
 func TestInvalidCurveKeyShareAbortsOverTCP(t *testing.T) {
 	g := group.Secp160r1()
 	evil, err := group.UnsafeElementFromCoords(g, big.NewInt(1), big.NewInt(1))
@@ -70,14 +73,41 @@ func TestInvalidCurveKeyShareAbortsOverTCP(t *testing.T) {
 	if group.Validate(g, evil) == nil {
 		t.Fatal("test point is unexpectedly on the curve; pick other coordinates")
 	}
+	if _, err := g.Decode(g.Encode(evil)); err == nil {
+		t.Fatal("x = 1 decompresses onto the curve; pick another abscissa")
+	}
+	keyShareAttackOverTCP(t, g, evil)
+}
 
-	const n = 3
+// TestForeignGroupKeyShareAbortsOverTCP: in a secp160r1 run, a party
+// whose key-share payload names secp256r1 and carries a valid P-256
+// point decodes cleanly — the payload names its group — and must still
+// be refused at once by group.Validate, naming the sender with a
+// certificate blame.Verify confirms.
+func TestForeignGroupKeyShareAbortsOverTCP(t *testing.T) {
+	for i, abort := range keyShareAttackOverTCP(t, group.Secp160r1(), group.ExpGen(group.Secp256r1(), big.NewInt(7))) {
+		if abort.Cert == nil || abort.Cert.Check != transport.CheckInvalidElement {
+			t.Errorf("honest party %d aborted without an invalid-element certificate: %v", i+1, abort)
+		}
+	}
+}
+
+// keyShareAttackOverTCP runs three parties over loopback TCP on g, party
+// 0 publishing evil as its key share in the protocol's consistent
+// broadcast (echo sub-round included, so only the share gives it away),
+// and requires both honest parties to abort naming party 0 well inside
+// the receive bound, not by waiting it out. Every certificate an abort
+// carries must pass blame.Verify. It returns the honest parties' aborts.
+func keyShareAttackOverTCP(t *testing.T, g group.Group, evil group.Element) []*transport.AbortError {
+	t.Helper()
+	const n, bound = 3, 20 * time.Second
 	addrs, err := transport.FreeLoopbackAddrs(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	start := time.Now()
 	honestDone := make(chan struct{})
-	errs := make([]error, n)
+	errs := make([]error, n) // the honest parties' outcomes
 	var wg, honestWG sync.WaitGroup
 	wg.Add(n)
 	honestWG.Add(n - 1)
@@ -85,7 +115,7 @@ func TestInvalidCurveKeyShareAbortsOverTCP(t *testing.T) {
 		i := i
 		go func() {
 			defer wg.Done()
-			fab, err := transport.NewTCPFabric(addrs, i, 20*time.Second)
+			fab, err := transport.NewTCPFabric(addrs, i, bound)
 			if err != nil {
 				errs[i] = err
 				if i != 0 {
@@ -95,19 +125,24 @@ func TestInvalidCurveKeyShareAbortsOverTCP(t *testing.T) {
 			}
 			defer fab.Close()
 			if i == 0 {
-				// The attacker: broadcast the off-curve share where the
-				// protocol publishes key shares, then idle until the
-				// honest parties have aborted (closing earlier could
-				// turn their failure into a peer-down abort instead).
-				errs[i] = fab.Broadcast(roundPublishKeys, 0, g.ElementLen(), evil)
+				// The attacker: publish evil, then idle until the honest
+				// parties have aborted (closing earlier could turn their
+				// failure into a peer-down abort instead). Its broadcast
+				// fails when the honest parties drop a share they cannot
+				// decode, so its error is not checked.
+				_, _ = transport.EchoBroadcastCtx(context.Background(), fab, 0, roundPublishKeys, g.ElementLen(), evil)
 				<-honestDone
 				return
 			}
-			defer honestWG.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			ctx, cancel := context.WithTimeout(context.Background(), bound)
 			defer cancel()
 			rng := fixedbig.NewDRBG(fmt.Sprintf("invalid-curve-party-%d", i))
 			_, errs[i] = PartyCtx(ctx, Config{Group: g, L: 4}, i, fab, big.NewInt(int64(i)), rng)
+			// Stay connected until the other honest party is done too, so
+			// that its abort is about the attacker, not about this party
+			// hanging up.
+			honestWG.Done()
+			<-honestDone
 		}()
 	}
 	go func() {
@@ -116,20 +151,28 @@ func TestInvalidCurveKeyShareAbortsOverTCP(t *testing.T) {
 	}()
 	wg.Wait()
 
-	if errs[0] != nil {
-		t.Fatalf("attacker failed to send: %v", errs[0])
+	if took := time.Since(start); took > bound/2 {
+		t.Errorf("the honest parties took %v to abort, against a %v receive bound", took, bound)
 	}
+	var aborts []*transport.AbortError
 	for i := 1; i < n; i++ {
 		err := errs[i]
 		if err == nil {
-			t.Fatalf("honest party %d accepted an off-curve key share", i)
+			t.Fatalf("honest party %d accepted the attacker's key share", i)
 		}
 		var abort *transport.AbortError
 		if !errors.As(err, &abort) {
 			t.Fatalf("honest party %d returned an untyped error: %v", i, err)
 		}
-		if abort.Party != 0 {
-			t.Errorf("honest party %d blamed party %d, want the attacker (0): %v", i, abort.Party, err)
+		if abort.Party != 0 || errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("honest party %d blamed party %d (want the attacker, 0, not a timeout): %v", i, abort.Party, err)
 		}
+		if abort.Cert != nil {
+			if err := blame.Verify(abort.Cert); err != nil {
+				t.Errorf("honest party %d's certificate does not verify: %v", i, err)
+			}
+		}
+		aborts = append(aborts, abort)
 	}
+	return aborts
 }

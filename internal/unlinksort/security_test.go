@@ -190,15 +190,11 @@ func TestZeroPositionsUniformAcrossRuns(t *testing.T) {
 }
 
 // TestProtocolOverRealTCP runs the complete protocol across real TCP
-// loopback connections with gob-serialised messages — the deployment
-// shape of the paper's "fully distributed framework". Every ciphertext,
-// proof and chain vector crosses an actual socket.
+// loopback connections with wirecodec frames — the deployment shape of
+// the paper's "fully distributed framework", on its ECC group. Every
+// ciphertext, proof and chain vector crosses an actual socket.
 func TestProtocolOverRealTCP(t *testing.T) {
-	g, err := group.GenerateDLGroup(128, fixedbig.NewDRBG("tcp-group"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Group: g, L: 5}
+	cfg := Config{Group: group.Secp160r1(), L: 5}
 	vals := []int64{19, 3, 27}
 	addrs, err := transport.FreeLoopbackAddrs(len(vals))
 	if err != nil {

@@ -293,9 +293,10 @@ func keyPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int, f
 			return nil, nil, nil, malformedAbort(j, me, roundPublishKeys, PhaseKeygen,
 				fmt.Sprintf("a malformed key share (%T)", received[j]), "group element")
 		}
-		// Wire decoding reconstructs raw coordinates without a group
-		// context; membership MUST be checked here, or an off-curve key
-		// share mounts an invalid-curve attack through the joint key.
+		// Wire decoding puts the share on the curve its payload named,
+		// which a hostile peer picks; membership in the session's group
+		// MUST be checked here, or a foreign or off-curve key share
+		// mounts an invalid-curve attack through the joint key.
 		if err := group.Validate(g, y); err != nil {
 			return nil, nil, nil, transport.Abort(j, roundPublishKeys, PhaseKeygen,
 				fmt.Errorf("unlinksort: party %d sent an invalid key share: %w", j, err)).

@@ -9,24 +9,38 @@ import (
 )
 
 // Hand-rolled wire codecs for every round payload, registered from
-// init. All layouts are count-prefixed concatenations of
-// the elgamal/zkp wire forms; decoding is structural, with membership
-// of every ciphertext component still validated by the receive paths
+// init. A payload that carries ciphertexts opens with the one byte
+// naming their group (wirecodec.ElementWriter), then count-prefixed
+// concatenations of the elgamal/zkp wire forms, so its length is fixed
+// by its counts and the group. Decoding runs the named group's Decode;
+// that it is the session's group is still checked by the receive paths
 // via group.Validate.
 
-func appendCts(dst []byte, cts []elgamal.Ciphertext) ([]byte, error) {
+func appendCts(dst []byte, w *wirecodec.ElementWriter, cts []elgamal.Ciphertext) ([]byte, error) {
 	dst = wirecodec.AppendU32(dst, uint32(len(cts)))
 	var err error
 	for _, ct := range cts {
-		if dst, err = elgamal.AppendCiphertextWire(dst, ct); err != nil {
+		if dst, err = elgamal.AppendCiphertext(dst, w, ct); err != nil {
 			return nil, err
 		}
 	}
 	return dst, nil
 }
 
+// appendCtSet is the payload of a message that is one ciphertext list.
+func appendCtSet(dst []byte, cts []elgamal.Ciphertext) ([]byte, error) {
+	dst, w := wirecodec.BeginElements(dst)
+	return appendCts(dst, &w, cts)
+}
+
+// readCtSet parses what appendCtSet wrote.
+func readCtSet(r *wirecodec.Reader) []elgamal.Ciphertext {
+	r.Group()
+	return readCts(r)
+}
+
 func readCts(r *wirecodec.Reader) []elgamal.Ciphertext {
-	n := r.Count(2) // smallest ciphertext: two 1-byte infinity elements
+	n := r.Count(2 * r.ElementLen())
 	out := make([]elgamal.Ciphertext, 0, n)
 	for i := 0; i < n; i++ {
 		out = append(out, elgamal.ReadCiphertext(r))
@@ -37,11 +51,11 @@ func readCts(r *wirecodec.Reader) []elgamal.Ciphertext {
 	return out
 }
 
-func appendCtMatrix(dst []byte, m [][]elgamal.Ciphertext) ([]byte, error) {
+func appendCtMatrix(dst []byte, w *wirecodec.ElementWriter, m [][]elgamal.Ciphertext) ([]byte, error) {
 	dst = wirecodec.AppendU32(dst, uint32(len(m)))
 	var err error
 	for _, row := range m {
-		if dst, err = appendCts(dst, row); err != nil {
+		if dst, err = appendCts(dst, w, row); err != nil {
 			return nil, err
 		}
 	}
@@ -60,13 +74,13 @@ func readCtMatrix(r *wirecodec.Reader) [][]elgamal.Ciphertext {
 	return out
 }
 
-func appendProofMatrix(dst []byte, m [][]zkp.EqualityTranscript) ([]byte, error) {
+func appendProofMatrix(dst []byte, w *wirecodec.ElementWriter, m [][]zkp.EqualityTranscript) ([]byte, error) {
 	dst = wirecodec.AppendU32(dst, uint32(len(m)))
 	var err error
 	for _, row := range m {
 		dst = wirecodec.AppendU32(dst, uint32(len(row)))
 		for _, t := range row {
-			if dst, err = t.AppendBinary(dst); err != nil {
+			if dst, err = zkp.AppendTranscript(dst, w, t); err != nil {
 				return nil, err
 			}
 		}
@@ -78,7 +92,7 @@ func readProofMatrix(r *wirecodec.Reader) [][]zkp.EqualityTranscript {
 	n := r.Count(4)
 	out := make([][]zkp.EqualityTranscript, 0, n)
 	for i := 0; i < n; i++ {
-		k := r.Count(12) // two elements + two scalars, each ≥1 byte framed
+		k := r.Count(2*r.ElementLen() + 10) // two elements + two framed scalars
 		row := make([]zkp.EqualityTranscript, 0, k)
 		for j := 0; j < k; j++ {
 			row = append(row, zkp.ReadTranscript(r))
@@ -122,38 +136,40 @@ func init() {
 	base := wirecodec.IDRangeProtocol + 2 // 32/33 are dotprod's
 
 	wirecodec.Register(base, "unlinksort bits", []any{bitsMsg{}},
-		func(dst []byte, v any) ([]byte, error) { return appendCts(dst, v.(bitsMsg).Cts) },
+		func(dst []byte, v any) ([]byte, error) { return appendCtSet(dst, v.(bitsMsg).Cts) },
 		func(data []byte) (any, error) {
 			r := wirecodec.NewReader(data)
-			m := bitsMsg{Cts: readCts(r)}
+			m := bitsMsg{Cts: readCtSet(r)}
 			return m, finishMsg(r, "bits message")
 		})
 
 	wirecodec.Register(base+1, "unlinksort tau set", []any{tauSetMsg{}},
-		func(dst []byte, v any) ([]byte, error) { return appendCts(dst, v.(tauSetMsg).Set) },
+		func(dst []byte, v any) ([]byte, error) { return appendCtSet(dst, v.(tauSetMsg).Set) },
 		func(data []byte) (any, error) {
 			r := wirecodec.NewReader(data)
-			m := tauSetMsg{Set: readCts(r)}
+			m := tauSetMsg{Set: readCtSet(r)}
 			return m, finishMsg(r, "tau set")
 		})
 
 	wirecodec.Register(base+2, "unlinksort vector", []any{vectorMsg{}},
 		func(dst []byte, v any) ([]byte, error) {
 			m := v.(vectorMsg)
+			dst, w := wirecodec.BeginElements(dst)
 			var err error
-			if dst, err = appendCtMatrix(dst, m.V); err != nil {
+			if dst, err = appendCtMatrix(dst, &w, m.V); err != nil {
 				return nil, err
 			}
-			if dst, err = appendCtMatrix(dst, m.Input); err != nil {
+			if dst, err = appendCtMatrix(dst, &w, m.Input); err != nil {
 				return nil, err
 			}
-			if dst, err = appendCtMatrix(dst, m.Stripped); err != nil {
+			if dst, err = appendCtMatrix(dst, &w, m.Stripped); err != nil {
 				return nil, err
 			}
-			return appendProofMatrix(dst, m.Proofs)
+			return appendProofMatrix(dst, &w, m.Proofs)
 		},
 		func(data []byte) (any, error) {
 			r := wirecodec.NewReader(data)
+			r.Group()
 			m := vectorMsg{
 				V:        readCtMatrix(r),
 				Input:    readCtMatrix(r),
@@ -184,10 +200,10 @@ func init() {
 		})
 
 	wirecodec.Register(base+5, "unlinksort final set", []any{finalMsg{}},
-		func(dst []byte, v any) ([]byte, error) { return appendCts(dst, v.(finalMsg).Set) },
+		func(dst []byte, v any) ([]byte, error) { return appendCtSet(dst, v.(finalMsg).Set) },
 		func(data []byte) (any, error) {
 			r := wirecodec.NewReader(data)
-			m := finalMsg{Set: readCts(r)}
+			m := finalMsg{Set: readCtSet(r)}
 			return m, finishMsg(r, "final set")
 		})
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math/big"
 	"testing"
+
+	"groupranking/internal/group"
 )
 
 // Receive-boundary contract: arbitrary bytes from a peer must produce
@@ -18,6 +20,9 @@ func fuzzSeeds(f *testing.F) {
 		big.NewInt(-77),
 		new(big.Int).Lsh(big.NewInt(5), 500),
 		[]*big.Int{big.NewInt(1), big.NewInt(2)},
+		group.Secp160r1().Generator(),
+		group.Secp256r1().Identity(),
+		group.MODP1024().Generator(),
 	}
 	for _, v := range seeds {
 		b, err := Marshal(v)
@@ -30,11 +35,16 @@ func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{'G', 'W', Version, 0, 3, 0, 0, 0, 0})
 	f.Add([]byte{'G', 'W', Version + 1, 0, 6, 0, 0, 0, 8})
 	f.Add(legacyGobFrame(f, "version-1 fallback"))
+	// An element frame naming no group, and one naming an unknown group.
+	f.Add([]byte{'G', 'W', Version, 0, 3, 0, 0, 0, 1, 0})
+	f.Add([]byte{'G', 'W', Version, 0, 3, 0, 0, 0, 2, 0x7F, 0})
 }
 
 // reencode holds every accepted value to a round trip: whatever a
-// decoder returns has a codec of its own.
-func reencode(t *testing.T, v any) {
+// decoder returns has a codec of its own, and an accepted group element
+// re-encodes to exactly the frame it came from (there is one encoding
+// per element).
+func reencode(t *testing.T, frame []byte, v any) {
 	t.Helper()
 	enc, err := Marshal(v)
 	if err != nil {
@@ -42,6 +52,9 @@ func reencode(t *testing.T, v any) {
 	}
 	if _, err := Unmarshal(enc); err != nil {
 		t.Fatalf("re-encoded value failed to decode: %v", err)
+	}
+	if _, ok := v.(group.Element); ok && !bytes.Equal(enc, frame) {
+		t.Fatalf("accepted element frame %x re-encodes to %x", frame, enc)
 	}
 }
 
@@ -55,18 +68,19 @@ func FuzzConsumeValue(f *testing.F) {
 		if n <= 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
-		reencode(t, v)
+		reencode(t, data[:n], v)
 	})
 }
 
 func FuzzReadValue(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, err := ReadValue(bytes.NewReader(data))
+		rd := bytes.NewReader(data)
+		v, err := ReadValue(rd)
 		if err != nil {
 			return
 		}
-		reencode(t, v)
+		reencode(t, data[:len(data)-rd.Len()], v)
 	})
 }
 
@@ -83,6 +97,7 @@ func FuzzReaderPrimitives(f *testing.F) {
 		_ = r.String()
 		_ = r.BigInt()
 		_ = r.BigInts()
+		r.Group()
 		_ = r.Element()
 		_ = r.Err()
 	})

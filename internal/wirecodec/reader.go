@@ -18,6 +18,9 @@ type Reader struct {
 	data []byte
 	off  int
 	err  error
+
+	g    group.Group // the group the payload's byte named (Group); nil for none
+	read bool        // whether an element was read under g
 }
 
 // NewReader reads from data. The Reader aliases data; accessors that
@@ -201,19 +204,52 @@ func (r *Reader) BigInts() []*big.Int {
 	return out
 }
 
-// Element reads one structural group-element form (group.binwire).
-// Membership is NOT checked here — the protocol layer validates every
-// foreign element via group.Validate.
+// Group reads a payload's group byte (see ElementWriter), naming the
+// group every later Element decodes under; 0 names none.
+func (r *Reader) Group() {
+	id := r.U8()
+	if r.err != nil || id == 0 {
+		return
+	}
+	g, err := group.ByWireID(id)
+	if err != nil {
+		r.fail("%v", err)
+		return
+	}
+	r.g = g
+}
+
+// ElementLen returns the width of one element of the payload's group,
+// or 0 before Group has named one.
+func (r *Reader) ElementLen() int {
+	if r.g == nil {
+		return 0
+	}
+	return r.g.ElementLen()
+}
+
+// Element reads one element of the payload's group: exactly ElementLen
+// bytes, which the group's Decode accepts or refuses, so a returned
+// element is a member of the group the payload named. Whether that is
+// the session's group is for the receiver to check (group.Validate).
 func (r *Reader) Element() group.Element {
 	if r.err != nil {
 		return nil
 	}
-	e, n, err := group.DecodeElementWire(r.data[r.off:])
+	if r.g == nil {
+		r.fail("element in a payload that names no group")
+		return nil
+	}
+	b := r.take(r.g.ElementLen())
+	if b == nil {
+		return nil
+	}
+	e, err := r.g.Decode(b)
 	if err != nil {
 		r.fail("%v", err)
 		return nil
 	}
-	r.off += n
+	r.read = true
 	return e
 }
 
@@ -233,7 +269,9 @@ func (r *Reader) Value() any {
 
 // Finish returns the latched error, or an error if unread bytes
 // remain. Every codec decoder ends with it so a frame whose payload
-// carries trailing garbage is rejected rather than silently accepted.
+// carries trailing garbage is rejected rather than silently accepted;
+// so is a payload that names a group and carries no element, which its
+// encoder would have written with group byte 0.
 func (r *Reader) Finish() error {
 	if r.err != nil {
 		return r.err
@@ -241,11 +279,13 @@ func (r *Reader) Finish() error {
 	if r.Len() != 0 {
 		return fmt.Errorf("wirecodec: %d trailing bytes after value", r.Len())
 	}
+	if r.g != nil && !r.read {
+		return fmt.Errorf("wirecodec: payload names group %s and carries no element", r.g.Name())
+	}
 	return nil
 }
 
-// maxBigIntBytes bounds one integer payload, mirroring the group
-// layer's 8192-bit structural cap.
+// maxBigIntBytes bounds one integer payload at 8192 bits.
 const maxBigIntBytes = 8192 / 8
 
 // Append helpers: the encode-side counterparts, all appending to dst
@@ -318,7 +358,38 @@ func AppendBigInts(dst []byte, vs []*big.Int) ([]byte, error) {
 	return dst, nil
 }
 
-// AppendElement appends one structural group-element form.
-func AppendElement(dst []byte, e group.Element) ([]byte, error) {
-	return group.AppendElementWire(dst, e)
+// ElementWriter appends the group elements of one payload. A payload
+// that carries elements names their group once, in one byte ahead of
+// them (group.WireID), and each element follows as its group's
+// fixed-width canonical bytes (Group.AppendElement), with no tag or
+// length of its own: the form Group.Encode hashes and blame
+// certificates carry. BeginElements appends that byte; the first
+// element fills it in, and every later one must belong to the same
+// group. It stays 0, naming no group, on a payload without elements and
+// on one whose group ByName does not know (a generated test group):
+// such a payload has a frame, so it can be digested, but no receiver
+// decodes an element under byte 0.
+type ElementWriter struct {
+	slot int         // offset of the group byte in the payload's buffer
+	g    group.Group // the first element's group; nil before it
+}
+
+// BeginElements appends a payload's group byte, 0 until an element
+// names its group, and returns the writer for the payload's elements.
+func BeginElements(dst []byte) ([]byte, ElementWriter) {
+	return append(dst, 0), ElementWriter{slot: len(dst)}
+}
+
+// Append appends e as its group's canonical bytes.
+func (w *ElementWriter) Append(dst []byte, e group.Element) ([]byte, error) {
+	g := group.Of(e)
+	switch {
+	case g == nil:
+		return nil, fmt.Errorf("wirecodec: element of type %T records no group", e)
+	case w.g == nil:
+		w.g, dst[w.slot] = g, group.WireID(g)
+	case g != w.g:
+		return nil, fmt.Errorf("wirecodec: %s element in a %s payload", g.Name(), w.g.Name())
+	}
+	return g.AppendElement(dst, e), nil
 }

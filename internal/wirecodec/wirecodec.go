@@ -8,7 +8,7 @@
 // Frame layout (all integers big-endian):
 //
 //	offset 0: magic 'G','W'         (2 bytes)
-//	offset 2: codec version         (1 byte, currently 2)
+//	offset 2: codec version         (1 byte, currently 3)
 //	offset 3: type ID               (u16, registry key)
 //	offset 5: payload length        (u32, ≤ MaxPayload)
 //	offset 9: payload               (length bytes, codec-specific)
@@ -43,8 +43,10 @@ const (
 	// Version is the wire-format version this build speaks. Peers pin
 	// it during session establishment; frames carrying any other value
 	// are rejected at the boundary. Version 2 dropped the gob-fallback
-	// frame (type ID 1) and gave the service control messages codecs.
-	Version = 2
+	// frame (type ID 1) and gave the service control messages codecs;
+	// version 3 carries every group element as its group's fixed-width
+	// canonical bytes under one group byte per payload (ElementWriter).
+	Version = 3
 
 	// headerLen is the fixed frame header size.
 	headerLen = 9
@@ -374,15 +376,15 @@ func init() {
 	}
 	Register(IDElement, "group element", protos,
 		func(dst []byte, v any) ([]byte, error) {
-			return group.AppendElementWire(dst, v.(group.Element))
+			dst, w := BeginElements(dst)
+			return w.Append(dst, v.(group.Element))
 		},
 		func(data []byte) (any, error) {
-			e, n, err := group.DecodeElementWire(data)
-			if err != nil {
+			r := NewReader(data)
+			r.Group()
+			e := r.Element()
+			if err := r.Finish(); err != nil {
 				return nil, err
-			}
-			if n != len(data) {
-				return nil, fmt.Errorf("%d trailing bytes after element", len(data)-n)
 			}
 			return e, nil
 		})

@@ -51,6 +51,9 @@ func TestRoundtripScalars(t *testing.T) {
 	}
 }
 
+// TestRoundtripElements: an element frame is the header, the group
+// byte and the group's canonical encoding, and decodes back under the
+// group it names.
 func TestRoundtripElements(t *testing.T) {
 	for _, g := range testGroups(t) {
 		k := big.NewInt(123456789)
@@ -58,6 +61,9 @@ func TestRoundtripElements(t *testing.T) {
 			b, err := Marshal(e)
 			if err != nil {
 				t.Fatalf("%s: Marshal: %v", g.Name(), err)
+			}
+			if want := append([]byte{group.WireID(g)}, g.Encode(e)...); !bytes.Equal(b[headerLen:], want) {
+				t.Fatalf("%s: element payload %x, want %x", g.Name(), b[headerLen:], want)
 			}
 			got, err := Unmarshal(b)
 			if err != nil {
