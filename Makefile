@@ -10,13 +10,14 @@ GO ?= go
 RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./internal/ssmpc/ ./internal/sssort/ ./internal/obsv/ ./internal/kernel/ ./internal/journal/ ./internal/blame/ ./internal/telemetry/ ./internal/tracemerge/ ./internal/service/ ./cmd/rankparty/ ./cmd/rankd/
 
 # Packages with fuzz targets guarding the untrusted decode boundaries
-# (group element parsing, wirecodec frames, transport pumps, the rankd
+# (group element parsing, wirecodec frames and integer runs, the
+# dot-product flows, transport pumps, the rankd
 # control codecs, the durable log's replay of whatever is on disk), and
 # the one limb field and what the curve kernel and the secret-sharing
 # stack build on it, against math/big. `make fuzz` runs each target
 # briefly — a smoke pass over the corpora plus a little fresh
 # exploration, fast enough for check.
-FUZZ_PKGS := ./internal/field/ ./internal/group/ ./internal/shamir/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/transport/ ./internal/service/ ./internal/journal/
+FUZZ_PKGS := ./internal/field/ ./internal/group/ ./internal/shamir/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/dotprod/ ./internal/transport/ ./internal/service/ ./internal/journal/
 FUZZ_TIME ?= 2s
 
 # Internal packages that only tests import, exempt from the reachability
@@ -54,6 +55,11 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # non-test Go may call big.Int.ModSqrt or bring back the structural
 # element form (AppendElementWire/DecodeElementWire) that the wire,
 # the journal and the echo digest once carried beside the canonical one.
+# The integer-encoding check keeps wirecodec.Uints the only integer
+# encoding: no non-test Go may bring back the sign ‖ length ‖ magnitude
+# form (AppendBigInt(s), Reader.BigInt(s)) or the []*big.Int share
+# conversion (ToBigs) that shares, field elements and scalars once
+# crossed the wire, the journal and the echo digest in.
 # The durable-file check keeps internal/journal's Log the only durable
 # log: outside internal/journal (tests aside) no code may fsync, rename,
 # open for append or truncate a file, so framing, the torn-tail rule and
@@ -91,6 +97,9 @@ vet:
 	@encodings=$$(find *.go bench cmd examples internal -name '*.go' ! -name '*_test.go' | xargs grep -lE 'ModSqrt|AppendElementWire|DecodeElementWire' | tr '\n' ' '); \
 	if [ -n "$$encodings" ]; then \
 		echo "ModSqrt and the structural element form are gone (use field.Sqrt and Group.AppendElement/Decode), found in: $$encodings"; exit 1; fi
+	@integers=$$(find *.go bench cmd examples internal -name '*.go' ! -name '*_test.go' | xargs grep -lE 'AppendBigInt|\.BigInts?\(\)|ToBigs' | tr '\n' ' '); \
+	if [ -n "$$integers" ]; then \
+		echo "the sign-length-magnitude integer form is gone (use wirecodec.Uints: AppendInts/UintsOf, Reader.Uints/Scalars), found in: $$integers"; exit 1; fi
 	@durable=$$(find *.go cmd internal -name '*.go' ! -name '*_test.go' ! -path 'internal/journal/*' | xargs grep -lE '\.Sync\(\)|os\.Rename\(|os\.O_APPEND|\.Truncate\(' | tr '\n' ' '); \
 	if [ -n "$$durable" ]; then \
 		echo "fsync/rename/append-open/truncate belong in internal/journal (use journal.Log), found in: $$durable"; exit 1; fi

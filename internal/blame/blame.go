@@ -113,13 +113,22 @@ func element(cert *transport.BlameCert, g group.Group, name string) (group.Eleme
 	return e, nil
 }
 
-// scalar decodes one named evidence entry as a big-endian scalar.
-func scalar(cert *transport.BlameCert, name string) (*big.Int, error) {
+// scalars decodes one named evidence entry as count scalars of g (at
+// least one for count < 0) in their wire form, the data of a run at the
+// order's width, each below the order.
+func scalars(cert *transport.BlameCert, g group.Group, name string, count int) ([]*big.Int, error) {
 	data, err := item(cert, name)
 	if err != nil {
 		return nil, err
 	}
-	return new(big.Int).SetBytes(data), nil
+	xs, err := wirecodec.IntsOf(wirecodec.Uints{Width: wirecodec.WidthOf(g.Order()), Data: data}, g.Order(), count)
+	if err == nil && len(xs) == 0 {
+		err = fmt.Errorf("no scalar")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("blame: undecodable scalar evidence %q: %w", name, err)
+	}
+	return xs, nil
 }
 
 // verifyEquivocation confirms the two recorded digests of the accused
@@ -213,20 +222,15 @@ func verifyKeyProof(cert *transport.BlameCert) error {
 	if err != nil {
 		return err
 	}
-	chalBytes, err := item(cert, "challenges")
+	challenges, err := scalars(cert, g, "challenges", -1)
 	if err != nil {
 		return err
 	}
-	r := wirecodec.NewReader(chalBytes)
-	challenges := r.BigInts()
-	if err := r.Finish(); err != nil {
-		return fmt.Errorf("blame: undecodable challenge evidence: %w", err)
-	}
-	z, err := scalar(cert, "z")
+	z, err := scalars(cert, g, "z", 1)
 	if err != nil {
 		return err
 	}
-	if zkp.Verify(g, y, h, challenges, z) {
+	if zkp.Verify(g, y, h, challenges, z[0]) {
 		return fmt.Errorf("blame: recorded key-knowledge proof verifies — no violation shown")
 	}
 	return nil
@@ -263,15 +267,15 @@ func verifyPartialDecryption(cert *transport.BlameCert) error {
 	if err != nil {
 		return err
 	}
-	challenge, err := scalar(cert, "challenge")
+	cs, err := scalars(cert, g, "challenge", 1)
 	if err != nil {
 		return err
 	}
-	response, err := scalar(cert, "response")
+	rs, err := scalars(cert, g, "response", 1)
 	if err != nil {
 		return err
 	}
-	t := zkp.EqualityTranscript{CommitG: commitG, CommitH: commitH, Challenge: challenge, Response: response}
+	t := zkp.EqualityTranscript{CommitG: commitG, CommitH: commitH, Challenge: cs[0], Response: rs[0]}
 	if zkp.VerifyPartialDecryption(g, y, c1, origC, strippedC, t) {
 		return fmt.Errorf("blame: recorded partial-decryption proof verifies — no violation shown")
 	}

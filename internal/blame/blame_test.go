@@ -149,8 +149,8 @@ func keyProofCert(t *testing.T, g group.Group, perturb bool) *transport.BlameCer
 	return cert(transport.CheckKeyProof, testGroup,
 		transport.BlameItem{Name: "y", Data: g.Encode(y)},
 		transport.BlameItem{Name: "h", Data: g.Encode(h)},
-		transport.BlameItem{Name: "challenges", Data: encodeChallenges(t, challenges)},
-		transport.BlameItem{Name: "z", Data: z.Bytes()})
+		transport.BlameItem{Name: "challenges", Data: encodeScalars(t, g, challenges...)},
+		transport.BlameItem{Name: "z", Data: encodeScalars(t, g, z)})
 }
 
 func TestVerifyKeyProof(t *testing.T) {
@@ -160,6 +160,19 @@ func TestVerifyKeyProof(t *testing.T) {
 	}
 	if err := Verify(keyProofCert(t, g, false)); err == nil {
 		t.Fatal("a correct key proof confirmed the accusation")
+	}
+	// Scalar evidence is fixed width: a response one byte short of the
+	// order's width, or no challenge at all, is undecodable evidence,
+	// not a failed proof.
+	short := keyProofCert(t, g, true)
+	short.Items[3].Data = short.Items[3].Data[1:]
+	if err := Verify(short); err == nil || !strings.Contains(err.Error(), "scalar") {
+		t.Fatalf("a response narrower than the order's width: %v", err)
+	}
+	none := keyProofCert(t, g, true)
+	none.Items[2].Data = nil
+	if err := Verify(none); err == nil || !strings.Contains(err.Error(), "scalar") {
+		t.Fatalf("a certificate with no challenge: %v", err)
 	}
 }
 
@@ -195,8 +208,8 @@ func TestVerifyPartialDecryption(t *testing.T) {
 			transport.BlameItem{Name: "stripped-c", Data: g.Encode(st.C)},
 			transport.BlameItem{Name: "commit-g", Data: g.Encode(tr.CommitG)},
 			transport.BlameItem{Name: "commit-h", Data: g.Encode(tr.CommitH)},
-			transport.BlameItem{Name: "challenge", Data: tr.Challenge.Bytes()},
-			transport.BlameItem{Name: "response", Data: tr.Response.Bytes()})
+			transport.BlameItem{Name: "challenge", Data: encodeScalars(t, g, tr.Challenge)},
+			transport.BlameItem{Name: "response", Data: encodeScalars(t, g, tr.Response)})
 	}
 	// A strip with the wrong key, claimed against the registered share:
 	// the proof fails, confirming the accusation.
@@ -257,14 +270,15 @@ func TestVerifySetAnchorAndOwnSet(t *testing.T) {
 	}
 }
 
-// encodeChallenges mirrors the protocol's challenge-evidence encoding.
-func encodeChallenges(t *testing.T, list []*big.Int) []byte {
+// encodeScalars mirrors the protocol's scalar evidence: each scalar at
+// the group order's width, concatenated.
+func encodeScalars(t *testing.T, g group.Group, xs ...*big.Int) []byte {
 	t.Helper()
-	out, err := wirecodec.AppendBigInts(nil, list)
+	u, err := wirecodec.UintsOf(wirecodec.WidthOf(g.Order()), xs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return u.Data
 }
 
 func TestVerifyJSONRoundTrip(t *testing.T) {

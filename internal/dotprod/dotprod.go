@@ -23,16 +23,22 @@ import (
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/kernel"
 	"groupranking/internal/obsv"
+	"groupranking/internal/wirecodec"
 )
 
-// Params fixes the field and the random matrix size range.
+// SMin and SMax bound the random matrix dimension s (inclusive): the
+// paper notes s need not be large. Bob draws s from this range and
+// Alice refuses a flow whose s is outside it (Validate).
+const (
+	SMin = 5
+	SMax = 10
+)
+
+// Params fixes the field of one protocol run.
 type Params struct {
 	// P is the field modulus; it must be prime and comfortably larger
 	// than any dot product the caller can produce.
 	P *big.Int
-	// SMin and SMax bound the random matrix dimension s (inclusive).
-	// The paper notes s need not be large; defaults are 5..10.
-	SMin, SMax int
 	// Obs, when non-nil, receives the field-multiplication counts of
 	// this party's side of the protocol.
 	Obs *obsv.Party
@@ -42,95 +48,79 @@ type Params struct {
 	Workers int
 }
 
-// DefaultSRange returns params with the default s range over field P.
-func DefaultSRange(p *big.Int) Params { return Params{P: p, SMin: 5, SMax: 10} }
+// DefaultSRange returns params over field P (s ranges over SMin..SMax).
+func DefaultSRange(p *big.Int) Params { return Params{P: p} }
 
 func (p Params) validate() error {
 	if p.P == nil || p.P.Sign() <= 0 {
 		return fmt.Errorf("dotprod: field modulus missing")
 	}
-	if p.SMin < 2 || p.SMax < p.SMin {
-		return fmt.Errorf("dotprod: invalid s range [%d, %d]", p.SMin, p.SMax)
-	}
 	return nil
 }
 
-// BobMessage is the first flow, Bob → Alice.
+// BobMessage is the first flow, Bob → Alice. Every entry is a field
+// element in an integer run at the field's width, the form it travels
+// in (wire.go); Validate is the one way back to integers.
 type BobMessage struct {
-	QX     [][]*big.Int // s×d masked matrix
-	CPrime []*big.Int   // c + R1·R2·f, d entries
-	G      []*big.Int   // R1·R3·f, d entries
+	QX     []wirecodec.Uints // s rows of the s×d masked matrix
+	CPrime wirecodec.Uints   // c + R1·R2·f, d entries
+	G      wirecodec.Uints   // R1·R3·f, d entries
 }
 
-// AliceReply is the second flow, Alice → Bob.
+// AliceReply is the second flow, Alice → Bob: a and h, one run.
 type AliceReply struct {
-	A *big.Int
-	H *big.Int
+	AH wirecodec.Uints
 }
 
-// checkElem rejects a field element a peer has no business sending:
-// absent, negative or not reduced mod P.
-func checkElem(e, p *big.Int) error {
-	if e == nil {
-		return fmt.Errorf("dotprod: missing field element")
-	}
-	if e.Sign() < 0 || e.Cmp(p) >= 0 {
-		return fmt.Errorf("dotprod: field element out of range")
-	}
-	return nil
+// runs returns m's runs in wire order: QX's rows, c', g.
+func (m *BobMessage) runs() []wirecodec.Uints {
+	return append(append(make([]wirecodec.Uints, 0, len(m.QX)+2), m.QX...), m.CPrime, m.G)
 }
 
-// Validate is the receive-boundary check for the Bob→Alice flow: over a
-// real network the message is attacker-controlled, so the matrix must be
-// rectangular with the advertised dimensions, s must be inside the
-// agreed range, and every entry must be a reduced field element.
-func (m *BobMessage) Validate(p Params) error {
+// entries is the receive-boundary check for the Bob→Alice flow: over a
+// real network the message is attacker-controlled, so s must be inside
+// [SMin, SMax] and every run must hold d ≥ 2 reduced field elements at
+// the field's width. It returns the runs' integers in wire order.
+func (m *BobMessage) entries(p Params) ([][]*big.Int, error) {
 	if m == nil {
-		return fmt.Errorf("dotprod: missing message")
+		return nil, fmt.Errorf("dotprod: missing message")
 	}
 	s := len(m.QX)
-	if s < p.SMin || s > p.SMax {
-		return fmt.Errorf("dotprod: matrix dimension s=%d outside [%d, %d]", s, p.SMin, p.SMax)
+	if s < SMin || s > SMax {
+		return nil, fmt.Errorf("dotprod: matrix dimension s=%d outside [%d, %d]", s, SMin, SMax)
 	}
-	d := len(m.QX[0])
+	d := m.QX[0].Len()
 	if d < 2 {
-		return fmt.Errorf("dotprod: vector dimension d=%d too small", d)
+		return nil, fmt.Errorf("dotprod: vector dimension d=%d too small", d)
 	}
-	if len(m.CPrime) != d || len(m.G) != d {
-		return fmt.Errorf("dotprod: dimension mismatch (d=%d, len(c')=%d, len(g)=%d)", d, len(m.CPrime), len(m.G))
-	}
-	for i, row := range m.QX {
-		if len(row) != d {
-			return fmt.Errorf("dotprod: ragged QX matrix (row %d has %d entries, want %d)", i, len(row), d)
-		}
-		for _, e := range row {
-			if err := checkElem(e, p.P); err != nil {
-				return err
-			}
+	out := make([][]*big.Int, s+2)
+	for i, u := range m.runs() {
+		var err error
+		if out[i], err = wirecodec.IntsOf(u, p.P, d); err != nil {
+			return nil, fmt.Errorf("dotprod: run %d of %d: %w", i, s+2, err)
 		}
 	}
-	for _, e := range m.CPrime {
-		if err := checkElem(e, p.P); err != nil {
-			return err
-		}
-	}
-	for _, e := range m.G {
-		if err := checkElem(e, p.P); err != nil {
-			return err
-		}
-	}
-	return nil
+	return out, nil
+}
+
+// Validate is the receive-boundary check for the Bob→Alice flow (entries).
+func (m *BobMessage) Validate(p Params) error {
+	_, err := m.entries(p)
+	return err
 }
 
 // Validate is the receive-boundary check for the Alice→Bob flow.
 func (r *AliceReply) Validate(p Params) error {
+	_, err := r.entries(p)
+	return err
+}
+
+// entries is the reply's receive check, returning a and h.
+func (r *AliceReply) entries(p Params) ([]*big.Int, error) {
 	if r == nil {
-		return fmt.Errorf("dotprod: missing reply")
+		return nil, fmt.Errorf("dotprod: missing reply")
 	}
-	if err := checkElem(r.A, p.P); err != nil {
-		return err
-	}
-	return checkElem(r.H, p.P)
+	return wirecodec.IntsOf(r.AH, p.P, 2)
 }
 
 // Bob holds Bob's secret protocol state between the two flows.
@@ -141,8 +131,9 @@ type Bob struct {
 	done   bool
 }
 
-// FieldBytes is the per-element wire size for the cost model.
-func (p Params) FieldBytes() int { return (p.P.BitLen() + 7) / 8 }
+// FieldBytes is the per-element wire size: the width of P's integer
+// runs, which the cost model charges too.
+func (p Params) FieldBytes() int { return wirecodec.WidthOf(p.P) }
 
 // WireBytes returns the byte size of the Bob→Alice flow for a message
 // with the given matrix dimensions.
@@ -150,9 +141,9 @@ func (m *BobMessage) WireBytes(p Params) int {
 	s := len(m.QX)
 	d := 0
 	if s > 0 {
-		d = len(m.QX[0])
+		d = m.QX[0].Len()
 	}
-	return (s*d + 2*len(m.CPrime)) * p.FieldBytes()
+	return (s*d + 2*m.CPrime.Len()) * p.FieldBytes()
 }
 
 // WireBytes returns the byte size of the Alice→Bob flow.
@@ -170,12 +161,11 @@ func NewBob(params Params, w []*big.Int, rng io.Reader) (*Bob, *BobMessage, erro
 	P := params.P
 	d := len(w) + 1
 
-	span := big.NewInt(int64(params.SMax - params.SMin + 1))
-	sBig, err := fixedbig.RandInt(rng, span)
+	sBig, err := fixedbig.RandInt(rng, big.NewInt(SMax-SMin+1))
 	if err != nil {
 		return nil, nil, err
 	}
-	s := params.SMin + int(sBig.Int64())
+	s := SMin + int(sBig.Int64())
 
 	rBig, err := fixedbig.RandInt(rng, big.NewInt(int64(s)))
 	if err != nil {
@@ -293,8 +283,14 @@ func NewBob(params Params, w []*big.Int, rng io.Reader) (*Bob, *BobMessage, erro
 	// QX product (s²·d).
 	params.Obs.Add(obsv.OpFieldMul, int64((s-1)*d+2+2*d+s*s*d))
 
+	runs := make([]wirecodec.Uints, s+2)
+	for i, v := range append(qx, cPrime, g) {
+		if runs[i], err = wirecodec.UintsOf(params.FieldBytes(), v); err != nil {
+			return nil, nil, err
+		}
+	}
 	return &Bob{params: params, b: b, r2: r2, r3: r3},
-		&BobMessage{QX: qx, CPrime: cPrime, G: g}, nil
+		&BobMessage{QX: runs[:s:s], CPrime: runs[s], G: runs[s+1]}, nil
 }
 
 // AliceRespond computes Alice's reply for her vector v and offset alpha.
@@ -304,12 +300,14 @@ func AliceRespond(params Params, msg *BobMessage, v []*big.Int, alpha *big.Int) 
 	if err := params.validate(); err != nil {
 		return nil, err
 	}
-	if err := msg.Validate(params); err != nil {
+	runs, err := msg.entries(params)
+	if err != nil {
 		return nil, err
 	}
 	P := params.P
 	s := len(msg.QX)
-	d := len(msg.QX[0])
+	qx, cPrime, g := runs[:s], runs[s], runs[s+1]
+	d := len(cPrime)
 	if len(v)+1 != d {
 		return nil, fmt.Errorf("dotprod: dimension mismatch (d=%d, len(v)=%d)", d, len(v))
 	}
@@ -326,7 +324,7 @@ func AliceRespond(params Params, msg *BobMessage, v []*big.Int, alpha *big.Int) 
 	_ = kernel.Map(context.Background(), params.Workers, s, func(i int) error {
 		acc := new(big.Int)
 		for j := 0; j < d; j++ {
-			acc.Add(acc, new(big.Int).Mul(msg.QX[i][j], vPrime[j]))
+			acc.Add(acc, new(big.Int).Mul(qx[i][j], vPrime[j]))
 		}
 		rows[i] = acc
 		return nil
@@ -337,12 +335,16 @@ func AliceRespond(params Params, msg *BobMessage, v []*big.Int, alpha *big.Int) 
 	}
 	z.Mod(z, P)
 
-	a := new(big.Int).Sub(z, dot(msg.CPrime, vPrime, P))
+	a := new(big.Int).Sub(z, dot(cPrime, vPrime, P))
 	a.Mod(a, P)
-	h := dot(msg.G, vPrime, P)
+	h := dot(g, vPrime, P)
 	// z is s·d multiplications, the two dot products d each.
 	params.Obs.Add(obsv.OpFieldMul, int64(s*d+2*d))
-	return &AliceReply{A: a, H: h}, nil
+	ah, err := wirecodec.UintsOf(params.FieldBytes(), []*big.Int{a, h})
+	if err != nil {
+		return nil, err
+	}
+	return &AliceReply{AH: ah}, nil
 }
 
 // Finish recovers Bob's output β = w·v + α mod P from Alice's reply.
@@ -351,7 +353,8 @@ func (bob *Bob) Finish(reply *AliceReply) (*big.Int, error) {
 	if bob.done {
 		return nil, fmt.Errorf("dotprod: Finish called twice")
 	}
-	if err := reply.Validate(bob.params); err != nil {
+	ah, err := reply.entries(bob.params)
+	if err != nil {
 		return nil, err
 	}
 	bob.done = true
@@ -366,9 +369,9 @@ func (bob *Bob) Finish(reply *AliceReply) (*big.Int, error) {
 		return nil, fmt.Errorf("dotprod: b not invertible")
 	}
 	bob.params.Obs.Add(obsv.OpFieldMul, 3)
-	beta := new(big.Int).Mul(reply.H, bob.r2)
+	beta := new(big.Int).Mul(ah[1], bob.r2)
 	beta.Mul(beta, r3inv)
-	beta.Add(beta, reply.A)
+	beta.Add(beta, ah[0])
 	beta.Mul(beta, binv)
 	return beta.Mod(beta, P), nil
 }

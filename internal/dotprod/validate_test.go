@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"groupranking/internal/fixedbig"
+	"groupranking/internal/wirecodec"
 )
 
 // These tests pin the receive-boundary validation: over a real network
@@ -46,18 +47,32 @@ func TestBobMessageValidate(t *testing.T) {
 			}
 		})
 	}
+	// The cases keep the names they had when entries were *big.Ints;
+	// each corrupts the run form the nearest way. A run has no nil entry
+	// and no sign: a nil element is an entry cut short, and −1 is its
+	// two's complement at the field's width, all ones.
+	w := params.FieldBytes()
+	set := func(u wirecodec.Uints, i int, v *big.Int) { v.FillBytes(u.At(i)) }
+	allOnes := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(8*w)), big.NewInt(1))
 	corrupt("nil message", func(m *BobMessage) { *m = BobMessage{} }, "outside")
+	corrupt("s too small", func(m *BobMessage) { m.QX = m.QX[:SMin-1] }, "outside")
 	corrupt("s too large", func(m *BobMessage) {
-		for len(m.QX) <= params.SMax {
+		for len(m.QX) <= SMax {
 			m.QX = append(m.QX, m.QX[0])
 		}
 	}, "outside")
-	corrupt("ragged matrix", func(m *BobMessage) { m.QX[1] = m.QX[1][:1] }, "ragged")
-	corrupt("cprime length", func(m *BobMessage) { m.CPrime = m.CPrime[:1] }, "mismatch")
-	corrupt("g length", func(m *BobMessage) { m.G = append(m.G, big.NewInt(1)) }, "mismatch")
-	corrupt("nil element", func(m *BobMessage) { m.QX[0][0] = nil }, "missing")
-	corrupt("negative element", func(m *BobMessage) { m.CPrime[0] = big.NewInt(-1) }, "out of range")
-	corrupt("unreduced element", func(m *BobMessage) { m.G[0] = new(big.Int).Set(params.P) }, "out of range")
+	corrupt("ragged matrix", func(m *BobMessage) { m.QX[1].Data = m.QX[1].Data[:w] }, "run 1 ")
+	corrupt("cprime length", func(m *BobMessage) { m.CPrime.Data = m.CPrime.Data[:w] }, "integers of width")
+	corrupt("g length", func(m *BobMessage) { m.G.Data = append(m.G.Data, make([]byte, w)...) }, "integers of width")
+	corrupt("nil element", func(m *BobMessage) { m.QX[0].Data = m.QX[0].Data[:len(m.QX[0].Data)-1] }, "run 0 ")
+	corrupt("negative element", func(m *BobMessage) { set(m.CPrime, 0, allOnes) }, "not below the modulus")
+	corrupt("unreduced element", func(m *BobMessage) { set(m.G, 0, params.P) }, "not below the modulus")
+	corrupt("narrow entries", func(m *BobMessage) {
+		m.CPrime = wirecodec.Uints{Width: w - 1, Data: make([]byte, (w-1)*m.CPrime.Len())}
+	}, "width")
+	corrupt("wide entries", func(m *BobMessage) {
+		m.G = wirecodec.Uints{Width: w + 1, Data: make([]byte, (w+1)*m.G.Len())}
+	}, "width")
 
 	var missing *BobMessage
 	if err := missing.Validate(params); err == nil {
@@ -75,12 +90,22 @@ func TestAliceReplyValidate(t *testing.T) {
 	if err := reply.Validate(params); err != nil {
 		t.Fatalf("honest reply rejected: %v", err)
 	}
+	w := params.FieldBytes()
+	run := func(width int, xs ...*big.Int) wirecodec.Uints {
+		u, err := wirecodec.UintsOf(width, xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return u
+	}
+	allOnes := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(8*w)), big.NewInt(1))
 	bad := []*AliceReply{
 		nil,
-		{A: nil, H: big.NewInt(1)},
-		{A: big.NewInt(1), H: nil},
-		{A: big.NewInt(-2), H: big.NewInt(1)},
-		{A: new(big.Int).Set(params.P), H: big.NewInt(1)},
+		{AH: run(w+1, big.NewInt(1), big.NewInt(1))},
+		{AH: run(w, big.NewInt(1))},
+		{AH: run(w, big.NewInt(1), big.NewInt(1), big.NewInt(1))},
+		{AH: run(w, allOnes, big.NewInt(1))},
+		{AH: run(w, new(big.Int).Set(params.P), big.NewInt(1))},
 	}
 	for i, r := range bad {
 		if err := r.Validate(params); err == nil {
@@ -89,7 +114,7 @@ func TestAliceReplyValidate(t *testing.T) {
 	}
 	// Finish must reject an out-of-range reply instead of computing with
 	// it — and must stay usable for the honest reply afterwards.
-	if _, err := bob.Finish(&AliceReply{A: new(big.Int).Set(params.P), H: big.NewInt(0)}); err == nil {
+	if _, err := bob.Finish(&AliceReply{AH: run(w, new(big.Int).Set(params.P), big.NewInt(0))}); err == nil {
 		t.Error("Finish accepted an unreduced reply")
 	}
 	if _, err := bob.Finish(reply); err != nil {

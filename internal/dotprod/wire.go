@@ -2,84 +2,65 @@ package dotprod
 
 import (
 	"fmt"
-	"math/big"
 
 	"groupranking/internal/wirecodec"
 )
 
-// Hand-rolled wire forms for both protocol flows. Layouts:
+// Hand-rolled wire forms for both protocol flows, their integer runs
+// (wirecodec.Uints) as they are:
 //
-//	BobMessage: u32 rows ‖ rows×(count-prefixed []*big.Int) ‖ CPrime ‖ G
-//	AliceReply: A ‖ H (sign ‖ u32 len ‖ magnitude each)
+//	BobMessage: u32 s ‖ s × run(QX row) ‖ run(c') ‖ run(g)
+//	AliceReply: run(a, h)
 //
-// Field-element range checks stay in Validate, which both receive
-// paths already run; decoding is structural only.
+// so a frame is its declared WireBytes plus the count and the run
+// headers. Decoding is structural only: Validate, which both receive
+// paths already run, checks every run's width, length and entries
+// against the field.
 
 // AppendBinary appends m's wire form to dst.
 func (m *BobMessage) AppendBinary(dst []byte) ([]byte, error) {
 	dst = wirecodec.AppendU32(dst, uint32(len(m.QX)))
 	var err error
-	for _, row := range m.QX {
-		if dst, err = wirecodec.AppendBigInts(dst, row); err != nil {
-			return nil, fmt.Errorf("dotprod: QX row: %w", err)
+	for _, u := range m.runs() {
+		if dst, err = wirecodec.AppendUints(dst, u); err != nil {
+			return nil, fmt.Errorf("dotprod: bob message: %w", err)
 		}
 	}
-	if dst, err = wirecodec.AppendBigInts(dst, m.CPrime); err != nil {
-		return nil, fmt.Errorf("dotprod: c': %w", err)
-	}
-	if dst, err = wirecodec.AppendBigInts(dst, m.G); err != nil {
-		return nil, fmt.Errorf("dotprod: g: %w", err)
-	}
 	return dst, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *BobMessage) MarshalBinary() ([]byte, error) {
-	return m.AppendBinary(make([]byte, 0, 256))
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *BobMessage) UnmarshalBinary(data []byte) error {
 	r := wirecodec.NewReader(data)
-	rows := r.Count(4)
-	qx := make([][]*big.Int, 0, rows)
-	for i := 0; i < rows; i++ {
-		qx = append(qx, r.BigInts())
+	rows := r.Count(6) // each row is a run of at least its 6-byte header
+	runs := make([]wirecodec.Uints, rows+2)
+	for i := range runs {
+		runs[i] = r.Uints()
 	}
-	cPrime := r.BigInts()
-	g := r.BigInts()
 	if err := r.Finish(); err != nil {
 		return fmt.Errorf("dotprod: bob message: %w", err)
 	}
-	m.QX, m.CPrime, m.G = qx, cPrime, g
+	m.QX, m.CPrime, m.G = runs[:rows:rows], runs[rows], runs[rows+1]
 	return nil
 }
 
 // AppendBinary appends a's wire form to dst.
 func (a *AliceReply) AppendBinary(dst []byte) ([]byte, error) {
-	var err error
-	if dst, err = wirecodec.AppendBigInt(dst, a.A); err != nil {
-		return nil, fmt.Errorf("dotprod: a: %w", err)
-	}
-	if dst, err = wirecodec.AppendBigInt(dst, a.H); err != nil {
-		return nil, fmt.Errorf("dotprod: h: %w", err)
+	dst, err := wirecodec.AppendUints(dst, a.AH)
+	if err != nil {
+		return nil, fmt.Errorf("dotprod: alice reply: %w", err)
 	}
 	return dst, nil
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (a *AliceReply) MarshalBinary() ([]byte, error) {
-	return a.AppendBinary(make([]byte, 0, 64))
 }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (a *AliceReply) UnmarshalBinary(data []byte) error {
 	r := wirecodec.NewReader(data)
-	av, hv := r.BigInt(), r.BigInt()
+	ah := r.Uints()
 	if err := r.Finish(); err != nil {
 		return fmt.Errorf("dotprod: alice reply: %w", err)
 	}
-	a.A, a.H = av, hv
+	a.AH = ah
 	return nil
 }
 

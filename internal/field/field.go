@@ -163,14 +163,20 @@ func (f *Field) Plain(x *Elem) Elem {
 	return z
 }
 
+// FillBytes writes x out of the field's form into buf as a big-endian
+// integer, zero-padded on the left: the inverse of FromBytes. buf must
+// hold p, at least ⌈bitlen(p)/8⌉ and at most 32 bytes.
+func (f *Field) FillBytes(buf []byte, x *Elem) {
+	l := f.Plain(x)
+	for i, k := len(buf)-1, 0; i >= 0; i, k = i-1, k+1 {
+		buf[i] = byte(l[k/8] >> (8 * (k % 8)))
+	}
+}
+
 // ToBig returns x out of the field's form as an integer.
 func (f *Field) ToBig(x *Elem) *big.Int {
-	l := f.Plain(x)
 	var buf [32]byte
-	binary.BigEndian.PutUint64(buf[24:], l[0])
-	binary.BigEndian.PutUint64(buf[16:], l[1])
-	binary.BigEndian.PutUint64(buf[8:], l[2])
-	binary.BigEndian.PutUint64(buf[0:], l[3])
+	f.FillBytes(buf[:], x)
 	return new(big.Int).SetBytes(buf[:])
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 )
 
 func open(t *testing.T, path string) *Journal {
@@ -508,5 +509,34 @@ func TestParentBuildJournalResumes(t *testing.T) {
 	go func() { drained <- f1.Drain(5 * time.Second) }()
 	if !f0.Drain(5*time.Second) || !<-drained {
 		t.Fatal("the resumed session did not drain: some message was never delivered")
+	}
+}
+
+// TestOtherWireVersionJournalRefused: a journal written by a build of
+// another wire-format version opens (its records are GRJL2), but its
+// message records are frames of that version, so replaying them is
+// refused with the frame's VersionError — never misparsed. The record
+// here is what a version-3 build journaled for an SS share batch: a
+// type-5 frame of sign ‖ u32 len ‖ magnitude integers.
+func TestOtherWireVersionJournalRefused(t *testing.T) {
+	path := SessionPath(t.TempDir(), "v3", 1)
+	j := open(t, path)
+	payload := []byte{0, 0, 0, 1, 0, 0, 0, 0, 1, 7} // one integer, 7
+	frame := wirecodec.AppendU32(wirecodec.AppendU16([]byte{'G', 'W', 3}, 5), uint32(len(payload)))
+	frame = append(frame, payload...)
+	j.mu.Lock()
+	err := j.appendLocked(Record{Kind: KindRecv, Peer: 0, Round: 1, Seq: 1, Bytes: 8, Data: frame})
+	j.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j = open(t, path)
+	defer j.Close()
+	var ve *wirecodec.VersionError
+	if _, err := j.RecvFrom(0); !errors.As(err, &ve) || ve.Got != 3 {
+		t.Fatalf("replaying a version-3 record: %v, want a VersionError for version 3", err)
 	}
 }

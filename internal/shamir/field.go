@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"math/bits"
 	"sync"
 
 	"groupranking/internal/field"
@@ -13,10 +12,9 @@ import (
 // The secret-sharing stack's prime field: the shared limb field
 // (internal/field) of a DRBG-drawn prime, plus what only this stack
 // needs — a per-prime memo with the primality test, uniform draws that
-// consume exactly crypto/rand.Int's bytes, batch inversion and the slab
-// conversion to the wire's []*big.Int. Every prime a public
-// entry point derives at the benchmarked and default parameter sets is
-// below 2^128, so shares run on the two-limb body.
+// consume exactly crypto/rand.Int's bytes, and batch inversion. Every
+// prime a public entry point derives at the benchmarked and default
+// parameter sets is below 2^128, so shares run on the two-limb body.
 
 // Field is the field of one prime. It is immutable after NewField and
 // safe for concurrent use.
@@ -69,38 +67,6 @@ func NewField(p *big.Int) (*Field, error) {
 
 	fields[key] = f
 	return f, nil
-}
-
-// limbWords is the number of big.Words one 64-bit limb fills: one on
-// 64-bit platforms, two where big.Word is 32 bits wide.
-const limbWords = 64 / bits.UintSize
-
-// ToBigs converts one message's worth of elements, with three
-// allocations for the whole batch instead of two per element: the
-// integers and their words are carved out of two slabs (big.Int.SetBits
-// adopts a word slice as is), each element's words as many as the
-// field's width has limbs. Every word slice is capped at its own length,
-// so an integer a caller later grows reallocates instead of running into
-// its neighbour.
-func (f *Field) ToBigs(xs []field.Elem) []*big.Int {
-	limbs := f.Width()
-	n := limbs * limbWords
-	out := make([]*big.Int, len(xs))
-	ints := make([]big.Int, len(xs))
-	words := make([]big.Word, len(xs)*n)
-	for i := range xs {
-		l := f.Plain(&xs[i])
-		w := words[i*n : (i+1)*n : (i+1)*n]
-		for k := 0; k < limbs; k++ {
-			if limbWords == 1 {
-				w[k] = big.Word(l[k])
-			} else {
-				w[2*k], w[2*k+1] = big.Word(uint32(l[k])), big.Word(l[k]>>32)
-			}
-		}
-		out[i] = ints[i].SetBits(w)
-	}
-	return out
 }
 
 // Rand draws a uniform element, consuming exactly the bytes

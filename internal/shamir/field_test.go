@@ -94,16 +94,25 @@ func checkFieldOps(t *testing.T, name string, f *Field, a, b *big.Int) {
 	z = f.Reduce(new(big.Int).Neg(a))
 	eq("reduce(−a)", &z, mod(new(big.Int).Neg(a)))
 
-	// The slab conversion agrees with the one-element conversion.
-	for i, v := range f.ToBigs([]field.Elem{x, y, {}}) {
-		if want := []*big.Int{a, b, new(big.Int)}[i]; v.Cmp(want) != 0 {
-			t.Fatalf("%s: ToBigs[%d] = %x, want %x", name, i, v, want)
+	// The wire conversion — FillBytes at the prime's width, FromBytes
+	// back, as ssmpc's integer runs carry shares — agrees with math/big
+	// and is its own inverse.
+	width := (p.BitLen() + 7) / 8
+	for i, v := range []field.Elem{x, y, {}} {
+		want := []*big.Int{a, b, new(big.Int)}[i]
+		var buf [32]byte
+		f.FillBytes(buf[32-width:], &v)
+		if !bytes.Equal(buf[32-width:], want.FillBytes(make([]byte, width))) {
+			t.Fatalf("%s: FillBytes(%x) = %x", name, want, buf[32-width:])
+		}
+		if back, ok := f.FromBytes(&buf); !ok || back != v {
+			t.Fatalf("%s: FromBytes(FillBytes(%x)) = %v, %v", name, want, back, ok)
 		}
 	}
 }
 
 // FuzzFieldAgainstBig holds what this package adds to the shared field —
-// InvBatch, Reduce and ToBigs — to
+// InvBatch, Reduce — and the wire conversion its engine uses to
 // math/big on primes of every width class. The operands arrive as raw
 // 256-bit values: anything at or above p is not a field element and must
 // be refused at the conversion boundary, after which the operands are
@@ -144,35 +153,6 @@ func FuzzFieldAgainstBig(f *testing.F) {
 		b.Mod(b, tf.p)
 		checkFieldOps(t, tf.name, tf.f, a, b)
 	})
-}
-
-// TestToBigs pins the slab carving, which follows the field's width:
-// each integer gets exactly the words its width's limbs fill, capped so
-// that growing one integer cannot run into its neighbour.
-func TestToBigs(t *testing.T) {
-	for _, tf := range testFields(t) {
-		f := tf.f
-		vals := []*big.Int{new(big.Int).Sub(tf.p, big.NewInt(1)), new(big.Int), big.NewInt(1), new(big.Int).Rsh(tf.p, 1)}
-		xs := make([]field.Elem, len(vals))
-		for i, v := range vals {
-			xs[i], _ = f.FromBig(v)
-		}
-		out := f.ToBigs(xs)
-		for i, v := range out {
-			if v.Cmp(vals[i]) != 0 {
-				t.Fatalf("%s: ToBigs[%d] = %x, want %x", tf.name, i, v, vals[i])
-			}
-			if got, want := cap(v.Bits()), f.Width()*limbWords; got != want {
-				t.Fatalf("%s: ToBigs[%d] carved %d words, want %d for %d limbs", tf.name, i, got, want, f.Width())
-			}
-		}
-		out[0].Lsh(out[0], 300)
-		for i, v := range out[1:] {
-			if v.Cmp(vals[i+1]) != 0 {
-				t.Fatalf("%s: growing ToBigs[0] changed ToBigs[%d] to %x", tf.name, i+1, v)
-			}
-		}
-	}
 }
 
 // TestRandMatchesRandInt pins the Rand stream contract: on the same

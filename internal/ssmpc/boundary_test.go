@@ -10,6 +10,7 @@ import (
 
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 )
 
 // These tests pin the engine's receive-boundary hardening: a peer on a
@@ -55,14 +56,42 @@ type boundaryCase struct {
 	want    string
 }
 
+// run is a batch at the given width; width 0 means the prime's.
+func run(p *big.Int, width int, xs ...*big.Int) wirecodec.Uints {
+	if width == 0 {
+		width = wirecodec.WidthOf(p)
+	}
+	u, err := wirecodec.UintsOf(width, xs)
+	if err != nil {
+		panic(err)
+	}
+	return u
+}
+
+// The cases keep the names they had when a batch was a []*big.Int; each
+// sends that hostile value's nearest run-form counterpart. A run has no
+// nil entry and no sign, so a nil element is a run without its bytes
+// and −1 is its two's complement at the prime's width, all ones; a
+// multiple or a value too wide for the prime's width can only come at a
+// width of its own, which the width check refuses.
 var boundaryCases = []boundaryCase{
 	{"not a batch", func(*big.Int) any { return "garbage" }, "malformed"},
-	{"wrong count", func(*big.Int) any { return []*big.Int{big.NewInt(1)} }, "malformed"},
-	{"nil element", func(*big.Int) any { return []*big.Int{big.NewInt(1), nil} }, "out-of-field"},
-	{"negative element", func(*big.Int) any { return []*big.Int{big.NewInt(-1), big.NewInt(1)} }, "out-of-field"},
-	{"equal to p", func(p *big.Int) any { return []*big.Int{big.NewInt(1), new(big.Int).Set(p)} }, "out-of-field"},
-	{"unreduced multiple", func(p *big.Int) any { return []*big.Int{new(big.Int).Lsh(p, 3), big.NewInt(1)} }, "out-of-field"},
-	{"wider than the field", func(p *big.Int) any { return []*big.Int{big.NewInt(1), new(big.Int).Lsh(p, 200)} }, "out-of-field"},
+	{"wrong count", func(p *big.Int) any { return run(p, 0, big.NewInt(1)) }, "malformed"},
+	{"nil element", func(p *big.Int) any { return wirecodec.Uints{Width: wirecodec.WidthOf(p)} }, "malformed"},
+	{"negative element", func(p *big.Int) any {
+		allOnes := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(8*wirecodec.WidthOf(p))), big.NewInt(1))
+		return run(p, 0, allOnes, big.NewInt(1))
+	}, "out-of-field"},
+	{"equal to p", func(p *big.Int) any { return run(p, 0, big.NewInt(1), p) }, "out-of-field"},
+	{"unreduced multiple", func(p *big.Int) any {
+		m := new(big.Int).Lsh(p, 3)
+		return run(p, wirecodec.WidthOf(m), m, big.NewInt(1))
+	}, "malformed"},
+	{"wider than the field", func(p *big.Int) any {
+		m := new(big.Int).Lsh(p, 200)
+		return run(p, wirecodec.WidthOf(m), big.NewInt(1), m)
+	}, "malformed"},
+	{"narrower than the field", func(p *big.Int) any { return run(p, wirecodec.WidthOf(p)-1, big.NewInt(1), big.NewInt(2)) }, "malformed"},
 }
 
 // checkBoundary has party 0 cheat with the case's payload (party 2, where
@@ -76,7 +105,7 @@ func checkBoundary(t *testing.T, opIndex int, tc boundaryCase) {
 		t.Fatal(err)
 	}
 	if op.gathers {
-		if err := fab.Send(1, 2, 1, 4, []*big.Int{big.NewInt(3), big.NewInt(4)}); err != nil {
+		if err := fab.Send(1, 2, 1, 4, run(e.cfg.P, 0, big.NewInt(3), big.NewInt(4))); err != nil {
 			t.Fatal(err)
 		}
 	}

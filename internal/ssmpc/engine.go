@@ -12,10 +12,10 @@
 //
 // Shares are field.Elem values (limbs in Montgomery form on the shared
 // limb field, internal/field), so every local operation is
-// allocation-free. Messages stay []*big.Int: an
-// element is converted once at Send and once at the receive check
-// (Field.ToBigs, fromWire), which keeps frames, echo digests and journal
-// records what they were when the engine computed in math/big.
+// allocation-free. A message is one integer run (wirecodec.Uints) at
+// the prime's width: an element is written straight into it at Send
+// (toWire) and read back with FromBytes at the receive check (fromWire),
+// which is also the < p check, with no *big.Int in between.
 package ssmpc
 
 import (
@@ -28,6 +28,7 @@ import (
 	"groupranking/internal/obsv"
 	"groupranking/internal/shamir"
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 )
 
 // Config describes one MPC session.
@@ -168,8 +169,8 @@ func (e *Engine) Counters() Counters { return e.ctr }
 // Config returns the session configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// fieldBytes is the wire size of one field element.
-func (e *Engine) fieldBytes() int { return (e.cfg.P.BitLen() + 7) / 8 }
+// fieldBytes is the wire size of one field element, its run's width.
+func (e *Engine) fieldBytes() int { return wirecodec.WidthOf(e.cfg.P) }
 
 // nextRound advances the synchronous round counter.
 func (e *Engine) nextRound() int {
@@ -179,20 +180,34 @@ func (e *Engine) nextRound() int {
 	return e.round
 }
 
+// toWire writes one message's elements into a run at the prime's
+// width: one allocation for the batch.
+func (e *Engine) toWire(xs []field.Elem) wirecodec.Uints {
+	w := e.fieldBytes()
+	u := wirecodec.Uints{Width: w, Data: make([]byte, w*len(xs))}
+	for i := range xs {
+		e.f.FillBytes(u.At(i), &xs[i])
+	}
+	return u
+}
+
 // fromWire is the receive-boundary check and conversion in one: over a
-// real network a peer can send anything, so a payload must be a batch of
-// exactly len(dst) elements, each present and reduced mod P, before any
-// of it enters a recombination. There is no other way for a received
-// value to become an Elem. Failures surface as typed aborts naming the
-// sender.
+// real network a peer can send anything, so a payload must be a run of
+// exactly len(dst) elements at the prime's width, each reduced mod P
+// (FromBytes refuses the rest), before any of it enters a recombination.
+// There is no other way for a received value to become an Elem.
+// Failures surface as typed aborts naming the sender.
 func (e *Engine) fromWire(dst []field.Elem, payload any, from int, kind string) error {
-	ys, ok := payload.([]*big.Int)
-	if !ok || len(ys) != len(dst) {
+	w := e.fieldBytes()
+	u, ok := payload.(wirecodec.Uints)
+	if !ok || u.Width != w || len(u.Data) != len(dst)*w {
 		return transport.EnsureAbort(
 			fmt.Errorf("ssmpc: malformed %s batch from party %d", kind, from), from, "ssmpc")
 	}
-	for i, y := range ys {
-		if dst[i], ok = e.f.FromBig(y); !ok {
+	var buf [32]byte
+	for i := range dst {
+		copy(buf[32-w:], u.At(i))
+		if dst[i], ok = e.f.FromBytes(&buf); !ok {
 			return transport.EnsureAbort(
 				fmt.Errorf("ssmpc: party %d sent an out-of-field %s element", from, kind), from, "ssmpc")
 		}
@@ -234,7 +249,7 @@ func (e *Engine) sendPieces(round int, slab []field.Elem, k int) error {
 		if j == e.me {
 			continue
 		}
-		if err := e.fab.Send(round, e.me, j, k*e.fieldBytes(), e.f.ToBigs(slab[j*k:(j+1)*k])); err != nil {
+		if err := e.fab.Send(round, e.me, j, k*e.fieldBytes(), e.toWire(slab[j*k:(j+1)*k])); err != nil {
 			return err
 		}
 	}
@@ -332,7 +347,11 @@ func (e *Engine) OpenBatch(shares []Share) ([]*big.Int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.f.ToBigs(opened), nil
+	out := make([]*big.Int, len(opened))
+	for i := range opened {
+		out[i] = e.f.ToBig(&opened[i])
+	}
+	return out, nil
 }
 
 // open is OpenBatch before the conversion to integers.
@@ -350,7 +369,7 @@ func (e *Engine) open(shares []Share) ([]field.Elem, error) {
 	// different peers — splitting the group over what a histogram
 	// contains — is identified instead of silently skewing the
 	// reconstruction. In-process runs skip the echo.
-	all, err := transport.EchoBroadcastCtx(e.ctx, e.fab, e.me, round, len(shares)*e.fieldBytes(), e.f.ToBigs(mine))
+	all, err := transport.EchoBroadcastCtx(e.ctx, e.fab, e.me, round, len(shares)*e.fieldBytes(), e.toWire(mine))
 	if err != nil {
 		return nil, transport.AnnotatePhase(err, "ssmpc")
 	}

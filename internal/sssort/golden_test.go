@@ -134,18 +134,21 @@ func goldenTranscript(t *testing.T, n, degree, primeBits, l int) string {
 // TestGoldenTranscript pins "seeded runs keep their shares": the digest
 // of every frame every party sends in a seeded in-memory SortOpen must
 // equal the one recorded before the engine left math/big (commit
-// 86016ff), re-recorded once when wire-format version 3 changed every
-// frame's version byte (at version 2 the old digests still come out).
-// A change to the order or width of any RNG draw, to which root
-// RandomBits picks, or to any frame's encoding moves it.
+// 86016ff), re-recorded when wire-format version 3 changed every
+// frame's version byte (at version 2 the old digests still come out)
+// and when version 4 sent shares as fixed-width integer runs instead of
+// sign ‖ length ‖ magnitude — both times with every frame's round,
+// endpoints, declared bytes and integers, and the opened sequence,
+// unchanged. A change to the order or width of any RNG draw, to which
+// root RandomBits picks, or to any frame's encoding moves it.
 func TestGoldenTranscript(t *testing.T) {
 	cases := []struct {
 		n, degree, primeBits, l int
 		want                    string
 	}{
-		{5, 2, 75, 27, "ded8ee94b93bf1280e9b6ed38149392e87c27c8614ce6efceeb4dc4c9aca53be"},
-		{3, 1, 110, 62, "b394468817342bf230da2baf86737e54915029bb03fdb58a3e07d7ce7def448d"},
-		{3, 1, 140, 62, "d548b07764a03f0444734eea6b62a6563feda3b3e9c2d9d7fe4b341b56d12ad1"}, // past 2^128: the three-limb multiply (recorded on the four-limb one)
+		{5, 2, 75, 27, "329778a286eb6da162501ddbde240d22edbf5247ee441ef725037675d819b2a6"},
+		{3, 1, 110, 62, "eee607797967d7f53681f03ffa052941f50514a6f2b4363e6ff167b246d139cf"},
+		{3, 1, 140, 62, "87c8a888b0538bed0e2f17f314eb11146fb79be7c400e2808568976add7d7263"}, // past 2^128: the three-limb multiply (recorded on the four-limb one)
 	}
 	for _, tc := range cases {
 		tc := tc

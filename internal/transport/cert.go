@@ -8,9 +8,11 @@ import (
 // BlameCertVersion is the serialised certificate format version.
 // Version 2 carries challenge lists and payload digests in wirecodec
 // form (version 1 gob-encoded the former and reflection-walked the
-// latter), so a version-1 certificate is refused by version, not by a
-// failed recomputation.
-const BlameCertVersion = 2
+// latter); version 3 carries every scalar (challenges, responses) as
+// the fixed-width bytes at the group order's width it crosses the wire
+// in. An older certificate is refused by version, not by a failed
+// recomputation.
+const BlameCertVersion = 3
 
 // Check names a verifiable predicate a BlameCert claims the accused
 // party violated. The constants live here (they are pure strings) so

@@ -33,11 +33,15 @@ func init() {
 		dst = wirecodec.AppendI64(dst, int64(m.A))
 		dst = wirecodec.AppendI64(dst, int64(m.B))
 		dst = wirecodec.AppendString(dst, m.Name)
-		return wirecodec.AppendBigInts(dst, m.Shares)
+		return wirecodec.AppendInts(dst, 8, m.Shares...)
 	}
 	dec := func(data []byte) (digestMsg, error) {
 		r := wirecodec.NewReader(data)
-		m := digestMsg{A: r.Int(), B: r.Int(), Name: r.String(), Shares: r.BigInts()}
+		m := digestMsg{A: r.Int(), B: r.Int(), Name: r.String()}
+		shares := r.Uints()
+		for i := 0; i < shares.Len(); i++ {
+			m.Shares = append(m.Shares, new(big.Int).SetBytes(shares.At(i)))
+		}
 		return m, r.Finish()
 	}
 	wirecodec.Register(wirecodec.IDRangeTest+1, "test digest message", []any{digestMsg{}},
@@ -81,7 +85,7 @@ func TestPayloadDigestIsFrameHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	values := []any{
-		nil, 7, "s", []byte{1, 2}, big.NewInt(-5), []*big.Int{big.NewInt(1)},
+		nil, 7, "s", []byte{1, 2}, wirecodec.Uints{Width: 2, Data: []byte{0, 1}},
 		g.Generator(), g.Identity(), dl.Generator(),
 		echoMsg{Digests: [][]byte{{1}, nil}},
 		Corrupted{Round: 3},
@@ -114,8 +118,8 @@ func TestPayloadDigestSurvivesWireRoundTrip(t *testing.T) {
 		digestMsg{A: 1, B: -7, Name: "x", Shares: []*big.Int{big.NewInt(42), big.NewInt(0)}},
 		digestMsg{},
 		digestMsg{Shares: []*big.Int{}},
-		[]*big.Int(nil),
-		[]*big.Int{},
+		wirecodec.Uints{Width: 4},
+		wirecodec.Uints{Width: 4, Data: []byte{}},
 		[]byte(nil),
 		echoMsg{},
 	}
@@ -126,8 +130,8 @@ func TestPayloadDigestSurvivesWireRoundTrip(t *testing.T) {
 			t.Errorf("digest of %#v changed across a wire round-trip:\n sent %x\n recv %x", v, want, got)
 		}
 	}
-	if !bytes.Equal(mustDigest(t, []*big.Int(nil)), mustDigest(t, []*big.Int{})) {
-		t.Error("nil and empty share vectors digest differently")
+	if !bytes.Equal(mustDigest(t, wirecodec.Uints{Width: 4}), mustDigest(t, wirecodec.Uints{Width: 4, Data: []byte{}})) {
+		t.Error("nil and empty integer runs digest differently")
 	}
 	var ee *wirecodec.EncodeError
 	if _, err := PayloadDigest(digestMsg{Shares: []*big.Int{nil, big.NewInt(9)}}); !errors.As(err, &ee) {

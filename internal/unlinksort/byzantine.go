@@ -126,8 +126,8 @@ func certKeyProof(g group.Group, accused, reporter int, y, h group.Element, chal
 		Items: []transport.BlameItem{
 			{Name: "y", Data: g.Encode(y)},
 			{Name: "h", Data: g.Encode(h)},
-			{Name: "challenges", Data: encodeScalars(challenges)},
-			{Name: "z", Data: z.Bytes()},
+			{Name: "challenges", Data: scalarEvidence(g, challenges...)},
+			{Name: "z", Data: scalarEvidence(g, z)},
 		},
 	}
 }
@@ -149,8 +149,8 @@ func certPartialDecryption(g group.Group, accused, reporter, round int, in, st e
 			{Name: "stripped-c", Data: g.Encode(st.C)},
 			{Name: "commit-g", Data: g.Encode(t.CommitG)},
 			{Name: "commit-h", Data: g.Encode(t.CommitH)},
-			{Name: "challenge", Data: t.Challenge.Bytes()},
-			{Name: "response", Data: t.Response.Bytes()},
+			{Name: "challenge", Data: scalarEvidence(g, t.Challenge)},
+			{Name: "response", Data: scalarEvidence(g, t.Response)},
 		},
 	}
 }
@@ -203,14 +203,16 @@ func certOwnSetTampered(accused, reporter, round int, inputSet, passedSet []byte
 	}
 }
 
-// encodeScalars serialises a challenge list for certificate evidence
-// in the wire form internal/blame reads back. The caller has checked
-// every scalar non-nil; one too wide for the wire form (only an
-// in-process peer could hand us that) leaves the item empty, which the
-// verifier reports as undecodable evidence.
-func encodeScalars(list []*big.Int) []byte {
-	out, _ := wirecodec.AppendBigInts(nil, list)
-	return out
+// scalarEvidence records scalars of g as certificate evidence in their
+// wire form, the data of a run at the order's width. One without that
+// form (only an in-process peer could hand one over) leaves the item
+// empty, which the verifier reports as undecodable evidence.
+func scalarEvidence(g group.Group, xs ...*big.Int) []byte {
+	u, err := wirecodec.UintsOf(wirecodec.WidthOf(g.Order()), xs)
+	if err != nil {
+		return nil
+	}
+	return u.Data
 }
 
 // encodeSetBytes concatenates a set's fixed-length ciphertext

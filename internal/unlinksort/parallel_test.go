@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 )
 
 // TestWorkerCountInvariance is the determinism contract of the parallel
@@ -92,13 +94,58 @@ func TestForeignGroupKeyShareAbortsOverTCP(t *testing.T) {
 	}
 }
 
-// keyShareAttackOverTCP runs three parties over loopback TCP on g, party
-// 0 publishing evil as its key share in the protocol's consistent
-// broadcast (echo sub-round included, so only the share gives it away),
-// and requires both honest parties to abort naming party 0 well inside
-// the receive bound, not by waiting it out. Every certificate an abort
-// carries must pass blame.Verify. It returns the honest parties' aborts.
+// TestWrongWidthChallengeAbortsOverTCP: in a secp160r1 run, a party
+// that publishes a proper key share and commitment and then a challenge
+// vector one byte wider than the group order's width is refused at
+// once by every honest verifier, naming it, with a malformed-payload
+// certificate blame.Verify confirms.
+func TestWrongWidthChallengeAbortsOverTCP(t *testing.T) {
+	g := group.Secp160r1()
+	width := wirecodec.WidthOf(g.Order()) + 1
+	aborts := attackOverTCP(t, g, func(fab transport.Net) {
+		rng := fixedbig.NewDRBG("wrong-width-challenger")
+		ctx := context.Background()
+		x, _ := g.RandomScalar(rng)
+		if _, err := transport.EchoBroadcastCtx(ctx, fab, 0, roundPublishKeys, g.ElementLen(), group.ExpGen(g, x)); err != nil {
+			return
+		}
+		r, _ := g.RandomScalar(rng)
+		if _, err := transport.EchoBroadcastCtx(ctx, fab, 0, roundProofCommit, g.ElementLen(), group.ExpGen(g, r)); err != nil {
+			return
+		}
+		chals := []*big.Int{big.NewInt(0), big.NewInt(5), big.NewInt(6)}
+		run, err := wirecodec.UintsOf(width, chals)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_, _ = transport.EchoBroadcastCtx(ctx, fab, 0, roundProofChallenge, 2*width, run)
+	})
+	for i, abort := range aborts {
+		if abort.Cert == nil || abort.Cert.Check != transport.CheckMalformed {
+			t.Errorf("honest party %d aborted without a malformed-payload certificate: %v", i+1, abort)
+		} else if got, _ := abort.Cert.Item("type-got"); !strings.Contains(string(got), "width 22") {
+			t.Errorf("honest party %d's certificate records %q, not the 22-byte run", i+1, got)
+		}
+	}
+}
+
+// keyShareAttackOverTCP runs attackOverTCP with party 0 publishing evil
+// as its key share in the protocol's consistent broadcast (echo
+// sub-round included, so only the share gives it away).
 func keyShareAttackOverTCP(t *testing.T, g group.Group, evil group.Element) []*transport.AbortError {
+	t.Helper()
+	return attackOverTCP(t, g, func(fab transport.Net) {
+		_, _ = transport.EchoBroadcastCtx(context.Background(), fab, 0, roundPublishKeys, g.ElementLen(), evil)
+	})
+}
+
+// attackOverTCP runs three parties over loopback TCP on g, party 0
+// running attack, and requires both honest parties to abort naming
+// party 0 well inside the receive bound, not by waiting it out. Every
+// certificate an abort carries must pass blame.Verify. It returns the
+// honest parties' aborts.
+func attackOverTCP(t *testing.T, g group.Group, attack func(fab transport.Net)) []*transport.AbortError {
 	t.Helper()
 	const n, bound = 3, 20 * time.Second
 	addrs, err := transport.FreeLoopbackAddrs(n)
@@ -125,12 +172,12 @@ func keyShareAttackOverTCP(t *testing.T, g group.Group, evil group.Element) []*t
 			}
 			defer fab.Close()
 			if i == 0 {
-				// The attacker: publish evil, then idle until the honest
+				// The attacker: attack, then idle until the honest
 				// parties have aborted (closing earlier could turn their
-				// failure into a peer-down abort instead). Its broadcast
-				// fails when the honest parties drop a share they cannot
-				// decode, so its error is not checked.
-				_, _ = transport.EchoBroadcastCtx(context.Background(), fab, 0, roundPublishKeys, g.ElementLen(), evil)
+				// failure into a peer-down abort instead). Its last
+				// broadcast fails when the honest parties abort, so its
+				// errors are not checked.
+				attack(fab)
 				<-honestDone
 				return
 			}
@@ -158,7 +205,7 @@ func keyShareAttackOverTCP(t *testing.T, g group.Group, evil group.Element) []*t
 	for i := 1; i < n; i++ {
 		err := errs[i]
 		if err == nil {
-			t.Fatalf("honest party %d accepted the attacker's key share", i)
+			t.Fatalf("honest party %d accepted the attack", i)
 		}
 		var abort *transport.AbortError
 		if !errors.As(err, &abort) {

@@ -44,6 +44,7 @@ import (
 	"groupranking/internal/kernel"
 	"groupranking/internal/obsv"
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 	"groupranking/internal/zkp"
 )
 
@@ -320,7 +321,8 @@ func keyPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int, f
 func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key *elgamal.KeyPair, ys []group.Element, rng io.Reader) error {
 	g := cfg.Group
 	n := fab.N()
-	scalarBytes := (g.Order().BitLen() + 7) / 8
+	q := g.Order()
+	scalarBytes := wirecodec.WidthOf(q)
 
 	// All three proof rounds are consistent broadcasts: the proof is only
 	// sound against all verifiers at once if every verifier saw the same
@@ -335,11 +337,9 @@ func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key 
 		return transport.AnnotatePhase(err, PhaseKeyProof)
 	}
 
-	// One challenge share per foreign prover, broadcast as a slice
-	// indexed by prover. The self slot is never read (no party
-	// challenges itself); an explicit zero keeps the wire value free of
-	// nil pointers (the echo digest would normalise a nil to the same
-	// zero, but a receiver decodes an allocated zero anyway).
+	// One challenge share per foreign prover, broadcast as one run of n
+	// scalars at the order's width, indexed by prover. The self slot is
+	// never read (no party challenges itself) and travels as zero.
 	myChallenges := make([]*big.Int, n)
 	for j := 0; j < n; j++ {
 		if j == me {
@@ -350,22 +350,28 @@ func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key 
 			return err
 		}
 	}
-	challengeMsgs, err := transport.EchoBroadcastCtx(ctx, fab, me, roundProofChallenge, (n-1)*scalarBytes, myChallenges)
+	myRun, err := wirecodec.UintsOf(scalarBytes, myChallenges)
+	if err != nil {
+		return err
+	}
+	challengeMsgs, err := transport.EchoBroadcastCtx(ctx, fab, me, roundProofChallenge, (n-1)*scalarBytes, myRun)
 	if err != nil {
 		return transport.AnnotatePhase(err, PhaseKeyProof)
 	}
-	// Challenges addressed to me, one from each verifier.
+	// Every verifier's vector, checked once: n scalars at the order's
+	// width, each below the order.
+	challenges := make([][]*big.Int, n)
 	toMe := make([]*big.Int, 0, n-1)
 	for j := 0; j < n; j++ {
 		if j == me {
+			challenges[j] = myChallenges
 			continue
 		}
-		cs, ok := challengeMsgs[j].([]*big.Int)
-		if !ok || len(cs) != n || cs[me] == nil {
+		if challenges[j], err = wirecodec.IntsOf(challengeMsgs[j], q, n); err != nil {
 			return malformedAbort(j, me, roundProofChallenge, PhaseKeyProof,
-				"a malformed challenge vector", fmt.Sprintf("%d challenge scalars", n-1))
+				"a challenge vector: "+err.Error(), fmt.Sprintf("%d %d-byte scalars below the group order", n, scalarBytes))
 		}
-		toMe = append(toMe, cs[me])
+		toMe = append(toMe, challenges[j][me])
 	}
 	z, err := prover.Respond(toMe)
 	if err != nil {
@@ -376,7 +382,11 @@ func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key 
 		// every honest verifier, which must pin the blame on this party.
 		z = new(big.Int).Add(z, big.NewInt(1))
 	}
-	responses, err := transport.EchoBroadcastCtx(ctx, fab, me, roundProofResponse, scalarBytes, z)
+	zRun, err := wirecodec.UintsOf(scalarBytes, []*big.Int{z})
+	if err != nil {
+		return err
+	}
+	responses, err := transport.EchoBroadcastCtx(ctx, fab, me, roundProofResponse, scalarBytes, zRun)
 	if err != nil {
 		return transport.AnnotatePhase(err, PhaseKeyProof)
 	}
@@ -397,31 +407,21 @@ func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key 
 				fmt.Errorf("unlinksort: party %d sent an invalid proof commitment: %w", j, err)).
 				WithCert(certInvalidElement(g, j, me, roundProofCommit, PhaseKeyProof, hj))
 		}
-		zj, ok := responses[j].(*big.Int)
-		if !ok {
+		zj, err := wirecodec.IntsOf(responses[j], q, 1)
+		if err != nil {
 			return malformedAbort(j, me, roundProofResponse, PhaseKeyProof,
-				fmt.Sprintf("a malformed proof response (%T)", responses[j]), "scalar")
+				"a proof response: "+err.Error(), fmt.Sprintf("1 %d-byte scalar below the group order", scalarBytes))
 		}
-		var chalForJ []*big.Int
+		chalForJ := make([]*big.Int, 0, n-1)
 		for v := 0; v < n; v++ {
-			if v == j {
-				continue
+			if v != j {
+				chalForJ = append(chalForJ, challenges[v][j])
 			}
-			if v == me {
-				chalForJ = append(chalForJ, myChallenges[j])
-				continue
-			}
-			cs, ok := challengeMsgs[v].([]*big.Int)
-			if !ok || len(cs) != n || cs[j] == nil {
-				return malformedAbort(v, me, roundProofChallenge, PhaseKeyProof,
-					"a malformed challenge vector", fmt.Sprintf("%d challenge scalars", n-1))
-			}
-			chalForJ = append(chalForJ, cs[j])
 		}
-		if !zkp.Verify(cfg.Group, ys[j], hj, chalForJ, zj) {
+		if !zkp.Verify(cfg.Group, ys[j], hj, chalForJ, zj[0]) {
 			return transport.Abort(j, roundProofResponse, PhaseKeyProof,
 				fmt.Errorf("unlinksort: party %d failed the key-knowledge proof", j)).
-				WithCert(certKeyProof(g, j, me, ys[j], hj, chalForJ, zj))
+				WithCert(certKeyProof(g, j, me, ys[j], hj, chalForJ, zj[0]))
 		}
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 )
 
 func testConfig(t *testing.T, l int) Config {
@@ -301,14 +302,20 @@ func TestCheatingProverIsRejected(t *testing.T) {
 			errCh <- err
 			return
 		}
+		width := wirecodec.WidthOf(g.Order())
 		chals := make([]*big.Int, n)
 		for j := 0; j < n; j++ {
-			if j == 2 {
-				continue
+			chals[j] = new(big.Int)
+			if j != 2 {
+				chals[j], _ = g.RandomScalar(rng)
 			}
-			chals[j], _ = g.RandomScalar(rng)
 		}
-		if err := fab.Broadcast(roundProofChallenge, 2, 64, chals); err != nil {
+		run, err := wirecodec.UintsOf(width, chals)
+		if err != nil {
+			errCh <- err
+			return
+		}
+		if err := fab.Broadcast(roundProofChallenge, 2, 64, run); err != nil {
 			errCh <- err
 			return
 		}
@@ -322,13 +329,17 @@ func TestCheatingProverIsRejected(t *testing.T) {
 			if j == 2 {
 				continue
 			}
-			cs := msgs[j].([]*big.Int)
-			sum.Add(sum, cs[2])
+			sum.Add(sum, new(big.Int).SetBytes(msgs[j].(wirecodec.Uints).At(2)))
 		}
 		z := new(big.Int).Mul(wrong, sum) // wrong secret
 		z.Add(z, r)
 		z.Mod(z, g.Order())
-		if err := fab.Broadcast(roundProofResponse, 2, 64, z); err != nil {
+		zRun, err := wirecodec.UintsOf(width, []*big.Int{z})
+		if err != nil {
+			errCh <- err
+			return
+		}
+		if err := fab.Broadcast(roundProofResponse, 2, 64, zRun); err != nil {
 			errCh <- err
 			return
 		}

@@ -12,9 +12,11 @@ import (
 // init. A payload that carries ciphertexts opens with the one byte
 // naming their group (wirecodec.ElementWriter), then count-prefixed
 // concatenations of the elgamal/zkp wire forms, so its length is fixed
-// by its counts and the group. Decoding runs the named group's Decode;
-// that it is the session's group is still checked by the receive paths
-// via group.Validate.
+// by its counts and the group. Decoding runs the named group's Decode
+// (and reads proof scalars at its order's width, below the order); that
+// it is the session's group is still checked by the receive paths via
+// group.Validate. The key proof's challenge vectors and responses are
+// bare integer runs (wirecodec.Uints), checked by proofPhase.
 
 func appendCts(dst []byte, w *wirecodec.ElementWriter, cts []elgamal.Ciphertext) ([]byte, error) {
 	dst = wirecodec.AppendU32(dst, uint32(len(cts)))
@@ -92,7 +94,7 @@ func readProofMatrix(r *wirecodec.Reader) [][]zkp.EqualityTranscript {
 	n := r.Count(4)
 	out := make([][]zkp.EqualityTranscript, 0, n)
 	for i := 0; i < n; i++ {
-		k := r.Count(2*r.ElementLen() + 10) // two elements + two framed scalars
+		k := r.Count(2*r.ElementLen() + 6) // two elements + a scalar run's header
 		row := make([]zkp.EqualityTranscript, 0, k)
 		for j := 0; j < k; j++ {
 			row = append(row, zkp.ReadTranscript(r))

@@ -2,7 +2,6 @@ package wirecodec
 
 import (
 	"bytes"
-	"math/big"
 	"testing"
 
 	"groupranking/internal/group"
@@ -17,9 +16,9 @@ func fuzzSeeds(f *testing.F) {
 		int(42),
 		"seed",
 		[]byte{1, 2, 3},
-		big.NewInt(-77),
-		new(big.Int).Lsh(big.NewInt(5), 500),
-		[]*big.Int{big.NewInt(1), big.NewInt(2)},
+		Uints{Width: 1, Data: []byte{77}},
+		Uints{Width: 32, Data: bytes.Repeat([]byte{5}, 64)},
+		Uints{Width: 20},
 		group.Secp160r1().Generator(),
 		group.Secp256r1().Identity(),
 		group.MODP1024().Generator(),
@@ -38,12 +37,25 @@ func fuzzSeeds(f *testing.F) {
 	// An element frame naming no group, and one naming an unknown group.
 	f.Add([]byte{'G', 'W', Version, 0, 3, 0, 0, 0, 1, 0})
 	f.Add([]byte{'G', 'W', Version, 0, 3, 0, 0, 0, 2, 0x7F, 0})
+	// Integer runs: width 0, a width past any field (33) and past the
+	// cap, a count that overruns the payload, and values at 0xff…, at or
+	// above any modulus of their width; and the retired big-integer IDs.
+	run := func(payload ...byte) []byte {
+		return append(AppendU32([]byte{'G', 'W', Version, 0, byte(idUints)}, uint32(len(payload))), payload...)
+	}
+	f.Add(run(0, 0, 0, 0, 0, 1, 7))
+	f.Add(run(append([]byte{0, 33, 0, 0, 0, 1}, make([]byte, 33)...)...))
+	f.Add(run(0xff, 0xff, 0, 0, 0, 1, 7))
+	f.Add(run(0, 4, 0, 0, 1, 0, 1, 2, 3, 4))
+	f.Add(run(0, 2, 0, 0, 0, 2, 0xff, 0xff, 0xff, 0xff))
+	f.Add([]byte{'G', 'W', Version, 0, 4, 0, 0, 0, 6, 0, 0, 0, 0, 1, 7})
+	f.Add([]byte{'G', 'W', Version, 0, 5, 0, 0, 0, 4, 0, 0, 0, 0})
 }
 
 // reencode holds every accepted value to a round trip: whatever a
 // decoder returns has a codec of its own, and an accepted group element
-// re-encodes to exactly the frame it came from (there is one encoding
-// per element).
+// or integer run re-encodes to exactly the frame it came from (there is
+// one encoding per element and per run).
 func reencode(t *testing.T, frame []byte, v any) {
 	t.Helper()
 	enc, err := Marshal(v)
@@ -53,8 +65,11 @@ func reencode(t *testing.T, frame []byte, v any) {
 	if _, err := Unmarshal(enc); err != nil {
 		t.Fatalf("re-encoded value failed to decode: %v", err)
 	}
-	if _, ok := v.(group.Element); ok && !bytes.Equal(enc, frame) {
-		t.Fatalf("accepted element frame %x re-encodes to %x", frame, enc)
+	switch v.(type) {
+	case group.Element, Uints:
+		if !bytes.Equal(enc, frame) {
+			t.Fatalf("accepted %T frame %x re-encodes to %x", v, frame, enc)
+		}
 	}
 }
 
@@ -95,8 +110,7 @@ func FuzzReaderPrimitives(f *testing.F) {
 		_ = r.Bool()
 		_ = r.Bytes()
 		_ = r.String()
-		_ = r.BigInt()
-		_ = r.BigInts()
+		_ = r.Uints()
 		r.Group()
 		_ = r.Element()
 		_ = r.Err()

@@ -3,7 +3,6 @@ package wirecodec
 import (
 	"encoding/binary"
 	"fmt"
-	"math/big"
 
 	"groupranking/internal/group"
 )
@@ -35,13 +34,16 @@ func (r *Reader) Err() error { return r.err }
 // Len returns the unread byte count.
 func (r *Reader) Len() int { return len(r.data) - r.off }
 
-// Consumed returns how many bytes have been read.
-func (r *Reader) Consumed() int { return r.off }
+// Fail latches err, unless it is nil or an error is latched already:
+// how a decoder built on the Reader refuses what only it can check.
+func (r *Reader) Fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
 
 func (r *Reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("wirecodec: "+format, args...)
-	}
+	r.Fail(fmt.Errorf("wirecodec: "+format, args...))
 }
 
 // take returns the next n raw bytes without copying, or nil on
@@ -161,47 +163,24 @@ func (r *Reader) Count(minBytes int) int {
 	return n
 }
 
-// BigInt reads a sign byte plus u32-length-prefixed magnitude.
-func (r *Reader) BigInt() *big.Int {
-	neg := r.U8()
-	if neg > 1 {
-		r.fail("malformed big.Int sign")
-		return nil
-	}
-	n := int(r.U32())
-	if n > maxBigIntBytes {
-		r.fail("oversized big.Int (%d bytes)", n)
-		return nil
-	}
-	b := r.take(n)
+// Uints reads one integer run (see Uints), refusing a width outside
+// [1, maxWidth] and a count the payload cannot hold before allocating.
+// Whether the width and the values fit the receiver's modulus is the
+// receiver's check (IntsOf, or a field's FromBytes).
+func (r *Reader) Uints() Uints {
+	w := int(r.U16())
 	if r.err != nil {
-		return nil
+		return Uints{}
 	}
-	v := new(big.Int).SetBytes(b)
-	if neg == 1 {
-		if v.Sign() == 0 {
-			r.fail("malformed big.Int: negative zero")
-			return nil
-		}
-		v.Neg(v)
+	if w < 1 || w > maxWidth {
+		r.fail("integer run width %d outside [1, %d]", w, maxWidth)
+		return Uints{}
 	}
-	return v
-}
-
-// BigInts reads a count-prefixed []*big.Int.
-func (r *Reader) BigInts() []*big.Int {
-	n := r.Count(5)
-	if r.err != nil {
-		return nil
+	b := r.take(r.Count(w) * w)
+	if b == nil {
+		return Uints{}
 	}
-	out := make([]*big.Int, n)
-	for i := range out {
-		out[i] = r.BigInt()
-		if r.err != nil {
-			return nil
-		}
-	}
-	return out
+	return Uints{Width: w, Data: append([]byte(nil), b...)}
 }
 
 // Group reads a payload's group byte (see ElementWriter), naming the
@@ -285,9 +264,6 @@ func (r *Reader) Finish() error {
 	return nil
 }
 
-// maxBigIntBytes bounds one integer payload at 8192 bits.
-const maxBigIntBytes = 8192 / 8
-
 // Append helpers: the encode-side counterparts, all appending to dst
 // and returning the extended slice so codecs compose without
 // intermediate allocations.
@@ -325,37 +301,6 @@ func AppendBytes(dst, b []byte) []byte {
 func AppendString(dst []byte, s string) []byte {
 	dst = AppendU32(dst, uint32(len(s)))
 	return append(dst, s...)
-}
-
-// AppendBigInt appends sign ‖ u32 len ‖ magnitude. A nil *big.Int is a
-// programming error on the send side and is reported, not encoded.
-func AppendBigInt(dst []byte, v *big.Int) ([]byte, error) {
-	if v == nil {
-		return nil, fmt.Errorf("wirecodec: nil *big.Int has no wire form")
-	}
-	if v.Sign() < 0 {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	b := v.Bytes()
-	if len(b) > maxBigIntBytes {
-		return nil, fmt.Errorf("wirecodec: oversized big.Int (%d bytes)", len(b))
-	}
-	dst = AppendU32(dst, uint32(len(b)))
-	return append(dst, b...), nil
-}
-
-// AppendBigInts appends a count-prefixed []*big.Int.
-func AppendBigInts(dst []byte, vs []*big.Int) ([]byte, error) {
-	dst = AppendU32(dst, uint32(len(vs)))
-	var err error
-	for _, v := range vs {
-		if dst, err = AppendBigInt(dst, v); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
 }
 
 // ElementWriter appends the group elements of one payload. A payload

@@ -8,7 +8,7 @@
 // Frame layout (all integers big-endian):
 //
 //	offset 0: magic 'G','W'         (2 bytes)
-//	offset 2: codec version         (1 byte, currently 3)
+//	offset 2: codec version         (1 byte, currently 4)
 //	offset 3: type ID               (u16, registry key)
 //	offset 5: payload length        (u32, ≤ MaxPayload)
 //	offset 9: payload               (length bytes, codec-specific)
@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"reflect"
 	"sync"
 
@@ -45,8 +44,10 @@ const (
 	// are rejected at the boundary. Version 2 dropped the gob-fallback
 	// frame (type ID 1) and gave the service control messages codecs;
 	// version 3 carries every group element as its group's fixed-width
-	// canonical bytes under one group byte per payload (ElementWriter).
-	Version = 3
+	// canonical bytes under one group byte per payload (ElementWriter);
+	// version 4 carries every integer as fixed-width bytes of its
+	// modulus (Uints) and retires the signed big-integer frames.
+	Version = 4
 
 	// headerLen is the fixed frame header size.
 	headerLen = 9
@@ -60,14 +61,15 @@ const (
 // Reserved type IDs. Protocol packages allocate from the documented
 // ranges below; collisions panic at init.
 const (
-	idRetired uint16 = 1 // version 1's gob-fallback frame; see retired
-	idNil     uint16 = 2
-	IDElement uint16 = 3
-	idBigInt  uint16 = 4
-	idBigInts uint16 = 5
-	idInt     uint16 = 6
-	idString  uint16 = 7
-	idBytes   uint16 = 8
+	idRetired     uint16 = 1 // version 1's gob-fallback frame; see retired
+	idNil         uint16 = 2
+	IDElement     uint16 = 3
+	idRetiredInt  uint16 = 4 // up to version 3, one signed *big.Int; see retired
+	idRetiredInts uint16 = 5 // up to version 3, a []*big.Int; see retired
+	idInt         uint16 = 6
+	idString      uint16 = 7
+	idBytes       uint16 = 8
+	idUints       uint16 = 9
 
 	// IDRangeCrypto is the base ID for crypto-layer payloads
 	// (elgamal, zkp): 16–31.
@@ -95,10 +97,14 @@ const (
 // as whatever took the number over. Beside version 1's gob fallback
 // these are the per-stack transport frames the one link layer replaced
 // — the tcp envelope (82), the recovery hello (84) and the mux hello
-// (85) — and the recovery envelope (83) the recovering mux replaced.
+// (85) —, the recovery envelope (83) the recovering mux replaced, the
+// sign ‖ u32 len ‖ magnitude integer frames (4, 5) the fixed-width run
+// (Uints, 9) replaced, and the bare equality transcript (17), which
+// nothing sent.
 func retired(id uint16) bool {
 	switch id {
-	case idRetired, IDRangeTransport + 2, IDRangeTransport + 3, IDRangeTransport + 4, IDRangeTransport + 5:
+	case idRetired, idRetiredInt, idRetiredInts, IDRangeCrypto + 1,
+		IDRangeTransport + 2, IDRangeTransport + 3, IDRangeTransport + 4, IDRangeTransport + 5:
 		return true
 	}
 	return false
@@ -119,8 +125,8 @@ var (
 
 // EncodeError reports that a value could not be turned into frame
 // bytes. It is raised before a single byte reaches the writer, so it
-// is a fault of the sending program — an unregistered type, a nil
-// *big.Int, an oversized payload — and says nothing about the peer or
+// is a fault of the sending program — an unregistered type, a malformed
+// integer run, an oversized payload — and says nothing about the peer or
 // the link the frame was meant for.
 type EncodeError struct {
 	Type string // the codec's name, or the Go type when none is registered
@@ -356,8 +362,8 @@ func ReadValue(r io.Reader) (any, error) {
 	return v, nil
 }
 
-// Builtin codecs: nil, group elements, and the scalar types protocol
-// messages are built from.
+// Builtin codecs: nil, group elements, integer runs, and the scalar
+// types protocol messages are built from.
 func init() {
 	decByID[idNil] = &codec{
 		id: idNil, name: "nil",
@@ -389,27 +395,13 @@ func init() {
 			return e, nil
 		})
 
-	Register(idBigInt, "big integer", []any{new(big.Int)},
-		func(dst []byte, v any) ([]byte, error) { return AppendBigInt(dst, v.(*big.Int)) },
+	Register(idUints, "integer run", []any{Uints{}},
+		func(dst []byte, v any) ([]byte, error) { return AppendUints(dst, v.(Uints)) },
 		func(data []byte) (any, error) {
 			r := NewReader(data)
-			v := r.BigInt()
+			v := r.Uints()
 			if err := r.Finish(); err != nil {
 				return nil, err
-			}
-			return v, nil
-		})
-
-	Register(idBigInts, "big integer slice", []any{[]*big.Int{}},
-		func(dst []byte, v any) ([]byte, error) { return AppendBigInts(dst, v.([]*big.Int)) },
-		func(data []byte) (any, error) {
-			r := NewReader(data)
-			v := r.BigInts()
-			if err := r.Finish(); err != nil {
-				return nil, err
-			}
-			if v == nil {
-				v = []*big.Int{}
 			}
 			return v, nil
 		})

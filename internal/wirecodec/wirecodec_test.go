@@ -30,11 +30,9 @@ func TestRoundtripScalars(t *testing.T) {
 		"hello wire",
 		[]byte{},
 		[]byte{0, 1, 2, 255},
-		big.NewInt(0),
-		big.NewInt(-12345),
-		new(big.Int).Lsh(big.NewInt(1), 1000),
-		[]*big.Int{},
-		[]*big.Int{big.NewInt(7), big.NewInt(-9), big.NewInt(0)},
+		Uints{Width: 3},
+		Uints{Width: 1, Data: []byte{7, 9, 0}},
+		Uints{Width: 384, Data: make([]byte, 768)},
 	}
 	for _, v := range cases {
 		b, err := Marshal(v)
@@ -114,7 +112,9 @@ func TestTestBlockCodec(t *testing.T) {
 }
 
 func TestUnregisteredTypeIsError(t *testing.T) {
-	for _, v := range []any{map[string]int{"x": 3}, struct{ A string }{"q"}, int32(7), &testPair{}} {
+	// *big.Int and []*big.Int have had no codec since version 4: an
+	// integer travels in a run (Uints) at its modulus's width.
+	for _, v := range []any{map[string]int{"x": 3}, struct{ A string }{"q"}, int32(7), &testPair{}, big.NewInt(1), []*big.Int{}} {
 		_, err := Marshal(v)
 		var ee *EncodeError
 		if !errors.Is(err, ErrUnregisteredType) || !errors.As(err, &ee) {
@@ -126,10 +126,10 @@ func TestUnregisteredTypeIsError(t *testing.T) {
 		}
 	}
 	// A codec's own failure is an EncodeError too, but not this one.
-	_, err := Marshal([]*big.Int{nil})
+	_, err := Marshal(Uints{Width: 2, Data: []byte{1, 2, 3}})
 	var ee *EncodeError
 	if !errors.As(err, &ee) || errors.Is(err, ErrUnregisteredType) {
-		t.Fatalf("Marshal of a nil scalar = %v, want a plain EncodeError", err)
+		t.Fatalf("Marshal of a ragged integer run = %v, want a plain EncodeError", err)
 	}
 }
 
@@ -161,10 +161,11 @@ func TestRetiredGobFrameRefused(t *testing.T) {
 	if v := r.Value(); v != nil || !errors.As(r.Err(), &ue) {
 		t.Fatalf("Reader.Value(type-ID-1 frame) = %v, %v", v, r.Err())
 	}
-	// Every retired ID — the gob fallback and the four transport frames
-	// the one link layer and the recovering mux replaced — is refused by
-	// Register and unknown to a receiver.
-	for _, id := range []uint16{1, 82, 83, 84, 85} {
+	// Every retired ID — the gob fallback, the two signed big-integer
+	// frames the integer run replaced, the bare equality transcript, and
+	// the four transport frames the one link layer and the recovering mux
+	// replaced — is refused by Register and unknown to a receiver.
+	for _, id := range []uint16{1, 4, 5, 17, 82, 83, 84, 85} {
 		hdr := AppendU32(AppendU16([]byte{'G', 'W', Version}, id), 0)
 		if _, _, err := ConsumeValue(hdr); !errors.As(err, &ue) || ue.ID != id {
 			t.Errorf("ConsumeValue(type-ID-%d frame) = %v, want UnknownTypeError{%d}", id, err, id)
@@ -181,7 +182,10 @@ func TestRetiredGobFrameRefused(t *testing.T) {
 }
 
 func TestDeterministicEncoding(t *testing.T) {
-	v := []*big.Int{big.NewInt(42), new(big.Int).Lsh(big.NewInt(3), 300)}
+	v, err := UintsOf(40, []*big.Int{big.NewInt(42), new(big.Int).Lsh(big.NewInt(3), 300)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	a, err := Marshal(v)
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +200,7 @@ func TestDeterministicEncoding(t *testing.T) {
 }
 
 func TestFrameErrors(t *testing.T) {
-	good, err := Marshal(big.NewInt(77))
+	good, err := Marshal(77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +265,7 @@ func TestFrameErrors(t *testing.T) {
 
 func TestStreamRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
-	vals := []any{int(5), "stream", big.NewInt(1 << 30), nil}
+	vals := []any{int(5), "stream", Uints{Width: 4, Data: []byte{0x40, 0, 0, 0}}, nil}
 	for _, v := range vals {
 		if err := WriteValue(&buf, v); err != nil {
 			t.Fatalf("WriteValue(%#v): %v", v, err)
@@ -289,14 +293,14 @@ func TestReaderHostileCounts(t *testing.T) {
 	if got := r.Count(5); got != 0 || r.Err() == nil {
 		t.Fatalf("Count accepted implausible header: n=%d err=%v", got, r.Err())
 	}
-	r2 := NewReader(AppendU32(nil, 1<<30))
-	if r2.BigInts() != nil || r2.Err() == nil {
-		t.Fatal("BigInts accepted implausible count")
+	r2 := NewReader(AppendU32(AppendU16(nil, 1), 1<<30))
+	if u := r2.Uints(); u.Data != nil || r2.Err() == nil {
+		t.Fatal("Uints accepted implausible count")
 	}
 }
 
 func TestNestedValueReader(t *testing.T) {
-	inner, err := AppendValue(nil, big.NewInt(99))
+	inner, err := AppendValue(nil, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +309,65 @@ func TestNestedValueReader(t *testing.T) {
 	if err := r.Finish(); err != nil {
 		t.Fatal(err)
 	}
-	if v.(*big.Int).Int64() != 99 {
+	if v.(int) != 99 {
 		t.Fatalf("nested value: got %v", v)
+	}
+}
+
+// TestUintsRun pins the one integer form: width ‖ count ‖ fixed-width
+// big-endian values, built only from integers that fit the width, and
+// refused by a receiver whose modulus takes another width or sits at or
+// below a value.
+func TestUintsRun(t *testing.T) {
+	m := big.NewInt(1000) // two bytes wide
+	u, err := UintsOf(WidthOf(m), []*big.Int{big.NewInt(0), big.NewInt(999), big.NewInt(256)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Marshal(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{0, 2, 0, 0, 0, 3, 0, 0, 0x03, 0xe7, 1, 0}; !bytes.Equal(b[headerLen:], want) {
+		t.Fatalf("run payload %x, want %x", b[headerLen:], want)
+	}
+	if len(b) != headerLen+6+3*2 {
+		t.Fatalf("%d-byte frame for three 2-byte integers", len(b))
+	}
+	if xs, err := IntsOf(u, m, 3); err != nil || xs[1].Int64() != 999 || xs[2].Int64() != 256 {
+		t.Fatalf("Ints = %v, %v", xs, err)
+	}
+	for _, bad := range [][]*big.Int{{nil}, {big.NewInt(-1)}, {big.NewInt(1 << 16)}} {
+		if _, err := UintsOf(2, bad); err == nil {
+			t.Errorf("UintsOf(2, %v) accepted an integer with no 2-byte form", bad)
+		}
+	}
+	if _, err := IntsOf(u, big.NewInt(999), 3); err == nil {
+		t.Error("a value equal to the modulus passed the receive check")
+	}
+	if _, err := IntsOf(u, big.NewInt(1<<20), 3); err == nil {
+		t.Error("a 2-byte run passed the receive check of a 3-byte modulus")
+	}
+	if _, err := IntsOf(u, big.NewInt(200), 3); err == nil {
+		t.Error("a 2-byte run passed the receive check of a 1-byte modulus")
+	}
+	if _, err := IntsOf(u, m, 2); err == nil {
+		t.Error("a run of three passed the receive check of a run of two")
+	}
+	if _, err := IntsOf([]*big.Int{big.NewInt(1)}, m, 1); err == nil {
+		t.Error("a payload that is no run passed the receive check")
+	}
+	for _, payload := range [][]byte{
+		{0, 0, 0, 0, 0, 0},                // width 0
+		{0x02, 0x01, 0, 0, 0, 0},          // width 513, past the cap
+		{0, 2, 0, 0, 0, 2, 1, 2, 3},       // a count the payload cannot hold
+		{0, 2, 0, 0, 0, 1, 1, 2, 3},       // a trailing byte
+		{0, 2, 0x7f, 0xff, 0xff, 0xff, 1}, // a hostile count
+	} {
+		r := NewReader(payload)
+		r.Uints()
+		if r.Finish() == nil {
+			t.Errorf("run payload %x accepted", payload)
+		}
 	}
 }

@@ -3,21 +3,25 @@ package zkp
 import (
 	"fmt"
 
+	"groupranking/internal/group"
 	"groupranking/internal/wirecodec"
 )
 
 // Wire form of an equality transcript:
 //
-//	CommitG ‖ CommitH ‖ Challenge ‖ Response
+//	CommitG ‖ CommitH ‖ run(Challenge, Response)
 //
 // with the commitments as their group's fixed-width canonical bytes,
-// appended through the payload's ElementWriter, and scalars as sign ‖
-// u32 len ‖ magnitude. VerifyEquality re-derives everything that
-// matters, so a forged transcript fails verification rather than
+// appended through the payload's ElementWriter, and the two scalars as
+// one integer run at the width of the group's order, which decoding
+// checks, with each scalar being below the order, against the group the
+// commitments decoded in. VerifyEquality re-derives everything else
+// that matters, so a forged transcript fails verification rather than
 // deserialisation.
 
-// AppendTranscript appends t to dst through w; protocol-message codecs
-// embed transcripts through it and ReadTranscript.
+// AppendTranscript appends t to dst through w: protocol-message codecs
+// embed transcripts through it and ReadTranscript. A transcript has no
+// frame of its own (its type ID, 17, is retired).
 func AppendTranscript(dst []byte, w *wirecodec.ElementWriter, t EqualityTranscript) ([]byte, error) {
 	var err error
 	if dst, err = w.Append(dst, t.CommitG); err != nil {
@@ -26,11 +30,9 @@ func AppendTranscript(dst []byte, w *wirecodec.ElementWriter, t EqualityTranscri
 	if dst, err = w.Append(dst, t.CommitH); err != nil {
 		return nil, fmt.Errorf("zkp: transcript commit b: %w", err)
 	}
-	if dst, err = wirecodec.AppendBigInt(dst, t.Challenge); err != nil {
-		return nil, fmt.Errorf("zkp: transcript challenge: %w", err)
-	}
-	if dst, err = wirecodec.AppendBigInt(dst, t.Response); err != nil {
-		return nil, fmt.Errorf("zkp: transcript response: %w", err)
+	q := group.Of(t.CommitG).Order()
+	if dst, err = wirecodec.AppendInts(dst, wirecodec.WidthOf(q), t.Challenge, t.Response); err != nil {
+		return nil, fmt.Errorf("zkp: transcript scalars: %w", err)
 	}
 	return dst, nil
 }
@@ -38,28 +40,14 @@ func AppendTranscript(dst []byte, w *wirecodec.ElementWriter, t EqualityTranscri
 // ReadTranscript parses one transcript from a wirecodec Reader; errors
 // latch on the Reader.
 func ReadTranscript(r *wirecodec.Reader) EqualityTranscript {
-	return EqualityTranscript{
-		CommitG:   r.Element(),
-		CommitH:   r.Element(),
-		Challenge: r.BigInt(),
-		Response:  r.BigInt(),
+	t := EqualityTranscript{CommitG: r.Element(), CommitH: r.Element()}
+	u := r.Uints()
+	if g := group.Of(t.CommitG); g != nil {
+		cs, err := wirecodec.IntsOf(u, g.Order(), 2)
+		r.Fail(err)
+		if err == nil {
+			t.Challenge, t.Response = cs[0], cs[1]
+		}
 	}
-}
-
-func init() {
-	wirecodec.Register(wirecodec.IDRangeCrypto+1, "zkp equality transcript",
-		[]any{EqualityTranscript{}},
-		func(dst []byte, v any) ([]byte, error) {
-			dst, w := wirecodec.BeginElements(dst)
-			return AppendTranscript(dst, &w, v.(EqualityTranscript))
-		},
-		func(data []byte) (any, error) {
-			r := wirecodec.NewReader(data)
-			r.Group()
-			t := ReadTranscript(r)
-			if err := r.Finish(); err != nil {
-				return nil, fmt.Errorf("zkp: transcript: %w", err)
-			}
-			return t, nil
-		})
+	return t
 }
