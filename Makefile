@@ -64,6 +64,13 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # log: outside internal/journal (tests aside) no code may fsync, rename,
 # open for append or truncate a file, so framing, the torn-tail rule and
 # compaction cannot drift apart in a second copy again.
+# The runner check keeps core.RunParty the only establish → role
+# sequence: outside internal/core (tests aside) no code may run the
+# session round, a role, or derive a role seed itself, so Rank,
+# rankparty and rankd cannot drift apart in how a party gets its
+# randomness again. Likewise journal.OpenSession is the only
+# session-journal opener: outside internal/journal no code may pin a
+# session, resolve its seed or begin an epoch.
 # The gofmt check names the source trees, not ".", so that the build
 # cache bench/run.sh leaves under .bench_build/ is not walked.
 # The reachability check keeps production code to what a binary or the
@@ -103,6 +110,12 @@ vet:
 	@durable=$$(find *.go cmd internal -name '*.go' ! -name '*_test.go' ! -path 'internal/journal/*' | xargs grep -lE '\.Sync\(\)|os\.Rename\(|os\.O_APPEND|\.Truncate\(' | tr '\n' ' '); \
 	if [ -n "$$durable" ]; then \
 		echo "fsync/rename/append-open/truncate belong in internal/journal (use journal.Log), found in: $$durable"; exit 1; fi
+	@runner=$$(find *.go bench cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/core/*' | xargs grep -lE 'EstablishSessionCtx\(|InitiatorSeed\(|ParticipantSeed\(|RunInitiatorCtx\(|RunParticipantCtx\(' | tr '\n' ' '); \
+	if [ -n "$$runner" ]; then \
+		echo "the session round, the roles and the role seeds run only inside internal/core (use core.RunParty), found in: $$runner"; exit 1; fi
+	@opener=$$(find *.go bench cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/journal/*' | xargs grep -lE 'PinSession\(|SessionSeed\(|BeginEpoch\(' | tr '\n' ' '); \
+	if [ -n "$$opener" ]; then \
+		echo "pinning a session journal, resolving its seed and beginning an epoch belong in internal/journal (use journal.OpenSession), found in: $$opener"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:

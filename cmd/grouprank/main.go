@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"groupranking"
+	"groupranking/internal/core"
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/workload"
 )
@@ -59,7 +60,7 @@ func main() {
 		d1        = flag.Int("d1", 8, "attribute bits")
 		d2        = flag.Int("d2", 5, "weight bits")
 		h         = flag.Int("h", 8, "mask bits")
-		groupName = flag.String("group", "secp160r1", "DDH group (modp-1024/2048/3072, secp160r1/224r1/256r1, toy-dl-256)")
+		groupName = flag.String("group", core.DefaultGroupName, "DDH group (modp-1024/2048/3072, secp160r1/224r1/256r1, toy-dl-256)")
 		sorter    = flag.String("sorter", "unlinkable", "phase-2 protocol: unlinkable or secret-sharing")
 		seed      = flag.String("seed", "", "deterministic seed (empty = random)")
 		timeout   = flag.Duration("timeout", 0, "whole-run deadline (0 = none); expiry aborts cleanly")

@@ -23,7 +23,9 @@
 // restarted daemon (same flags, same DIR) re-adopts its sessions —
 // finished results stay pollable, interrupted sessions resume
 // byte-identically. An unusable DIR (unwritable, not a directory, or
-// locked by another live daemon for the same slot) exits 2 at startup.
+// locked by another live daemon for the same slot) exits 2 at startup,
+// as does any setting the daemon refuses (a negative -workers, -grace
+// or -session-timeout, or a -me outside -addrs).
 //
 // SIGINT/SIGTERM drains the daemon gracefully: admission closes (new
 // work is rejected with the typed "draining" code and a Retry-After),
@@ -47,6 +49,7 @@ import (
 	"time"
 
 	"groupranking"
+	"groupranking/internal/core"
 	"groupranking/internal/service"
 	"groupranking/internal/telemetry"
 )
@@ -65,7 +68,7 @@ func run() int {
 		adminAddr      = flag.String("admin", "", "serve live telemetry on this address: /metrics, /healthz, /debug/pprof")
 		maxSessions    = flag.Int("max-sessions", 64, "admission cap: most concurrent non-terminal sessions this daemon hosts")
 		resultTTL      = flag.Duration("result-ttl", 5*time.Minute, "how long a finished session's result stays pollable")
-		sessionTimeout = flag.Duration("session-timeout", 2*time.Minute, "default (and ceiling) per-session budget")
+		sessionTimeout = flag.Duration("session-timeout", core.DefaultTimeout, "default (and ceiling) per-session budget")
 		workers        = flag.Int("workers", 0, "goroutines per session's crypto hot loops (0 = all CPUs, 1 = serial)")
 		queueCap       = flag.Int("queue-cap", 0, "per-session receive budget in frames per peer link (0 = the transport default)")
 		journalDir     = flag.String("journal", "", "durable mode: journal sessions under this directory and resume them across restarts")
@@ -125,7 +128,7 @@ func run() int {
 	d, err := service.NewDaemon(cfg)
 	if err != nil {
 		log.Print(err)
-		if errors.Is(err, service.ErrBadJournalDir) {
+		if errors.Is(err, service.ErrBadJournalDir) || errors.Is(err, service.ErrBadConfig) {
 			return 2 // operator mistake, not a runtime fault
 		}
 		return 1

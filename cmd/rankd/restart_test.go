@@ -337,7 +337,9 @@ func TestChaosRankdKillRestart(t *testing.T) {
 
 // TestChaosRankdBadJournalDir: an unusable -journal must be refused at
 // startup with exit 2 — the operator-mistake code — before the daemon
-// touches the mesh.
+// touches the mesh; so must runtime settings the one Runtime check
+// rejects (a negative -workers would otherwise run serial, a negative
+// -grace the 15 s default).
 func TestChaosRankdBadJournalDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process test skipped in short mode")
@@ -364,5 +366,21 @@ func TestChaosRankdBadJournalDir(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "journal directory") {
 		t.Fatalf("startup error does not explain the journal directory problem:\n%s", out)
+	}
+	for _, bad := range [][]string{
+		{"-workers", "-1"},
+		{"-journal", t.TempDir(), "-grace", "-1s"},
+		{"-session-timeout", "-1s"},
+	} {
+		// A daemon that accepts the setting goes on to wait for its mesh;
+		// the deadline turns that into a failure instead of a hang.
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		args := append([]string{"-addrs", strings.Join(addrs[:3], ","), "-me", "0", "-api", addrs[3]}, bad...)
+		cmd := exec.CommandContext(ctx, bin, args...)
+		out, _ := cmd.CombinedOutput()
+		cancel()
+		if code := cmd.ProcessState.ExitCode(); code != 2 {
+			t.Errorf("rankd %v exited %d, want 2:\n%s", bad, code, out)
+		}
 	}
 }

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"groupranking"
+	"groupranking/internal/core"
 	"groupranking/internal/telemetry"
 	"groupranking/internal/transport"
 )
@@ -65,14 +66,14 @@ func run() int {
 		attrsFlag = flag.String("attrs", "", "agreed questionnaire: comma-separated name:kind entries with kind eq or gt (eq entries first)")
 		valFlag   = flag.String("values", "", "this party's private values: the criterion (initiator) or the profile (participant)")
 		wtFlag    = flag.String("weights", "", "the initiator's private criterion weights (initiator only)")
-		k         = flag.Int("k", 3, "agreed top-k cut")
-		d1        = flag.Int("d1", 15, "agreed attribute value bits")
-		d2        = flag.Int("d2", 10, "agreed weight bits")
-		h         = flag.Int("h", 15, "agreed mask bits")
-		groupName = flag.String("group", "secp160r1", "agreed DDH group")
+		k         = flag.Int("k", core.DefaultK, "agreed top-k cut")
+		d1        = flag.Int("d1", core.DefaultD1, "agreed attribute value bits")
+		d2        = flag.Int("d2", core.DefaultD2, "agreed weight bits")
+		h         = flag.Int("h", core.DefaultH, "agreed mask bits")
+		groupName = flag.String("group", core.DefaultGroupName, "agreed DDH group")
 		sorter    = flag.String("sorter", "unlinkable", "agreed phase-2 sorter: unlinkable or secret-sharing")
-		seed      = flag.String("seed", "", "deterministic seed (testing only; empty = crypto/rand)")
-		timeout   = flag.Duration("timeout", 2*time.Minute, "protocol deadline and per-receive bound")
+		seed      = flag.String("seed", "", "deterministic seed (testing only; empty = a seed drawn by this process, or the journaled one with -journal)")
+		timeout   = flag.Duration("timeout", core.DefaultTimeout, "protocol deadline and per-receive bound")
 		workers   = flag.Int("workers", 0, "goroutines for this party's crypto hot loops (0 = all CPUs, 1 = serial)")
 		traceFile = flag.String("trace", "", "write this party's JSONL span trace to this file (- for stderr); written even on abort")
 		metrics   = flag.Bool("metrics", false, "print this party's per-phase summary table to stderr")

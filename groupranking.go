@@ -32,7 +32,7 @@ import (
 	"time"
 
 	"groupranking/internal/core"
-	"groupranking/internal/group"
+	"groupranking/internal/fixedbig"
 	"groupranking/internal/obsv"
 	"groupranking/internal/telemetry"
 	"groupranking/internal/transport"
@@ -219,29 +219,23 @@ type Result struct {
 // needs pass context.Background(). Options.Timeout, when set, composes
 // with ctx — whichever deadline expires first wins.
 func Rank(ctx context.Context, q *Questionnaire, criterion Criterion, profiles []Profile, opts Options) (*Result, error) {
-	o, err := opts.withDefaults(len(profiles))
+	params, err := opts.params(q, len(profiles))
 	if err != nil {
 		return nil, err
 	}
-	g, err := group.ByName(o.GroupName)
+	seed, err := fixedbig.DrawSeed(opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	params := core.Params{
-		N: len(profiles), M: q.M(), T: q.T(),
-		D1: o.D1, D2: o.D2, H: o.H, K: o.K,
-		Group: g, Sorter: o.Sorter, SkipProofs: o.SkipProofs,
-		ProveDecryption: o.ProveDecryption, Workers: o.Workers,
-	}
-	ctx = obsv.WithRegistry(ctx, o.Observer)
-	if o.Timeout > 0 {
+	ctx = obsv.WithRegistry(ctx, opts.Observer)
+	if opts.Timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
+		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 		defer cancel()
 	}
 	var wrap func(transport.Net) transport.Net
-	if o.Faults != nil {
-		plan := *o.Faults
+	if opts.Faults != nil {
+		plan := *opts.Faults
 		wrap = func(n transport.Net) transport.Net {
 			return transport.NewFaultNet(n, plan)
 		}
@@ -250,7 +244,7 @@ func Rank(ctx context.Context, q *Questionnaire, criterion Criterion, profiles [
 		Questionnaire: q,
 		Criterion:     criterion,
 		Profiles:      profiles,
-	}, o.Seed, wrap)
+	}, seed, wrap)
 	if err != nil {
 		return nil, err
 	}

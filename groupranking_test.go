@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"groupranking/internal/fixedbig"
 	"groupranking/internal/transport"
 )
 
@@ -125,18 +126,18 @@ func TestRankDeterministicWithSeed(t *testing.T) {
 }
 
 func TestRankDefaultsApplied(t *testing.T) {
-	o, err := Options{}.withDefaults(2)
+	o, err := Options{}.params(demoQuestionnaire(t), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.GroupName != "secp160r1" || o.D1 != 15 || o.D2 != 10 || o.H != 15 {
+	if o.Group.Name() != "secp160r1" || o.D1 != 15 || o.D2 != 10 || o.H != 15 {
 		t.Errorf("defaults wrong: %+v", o)
 	}
 	if o.K != 2 {
 		t.Errorf("k should cap at n: %d", o.K)
 	}
-	if o.Seed == "" {
-		t.Error("seed not drawn")
+	if seed, err := fixedbig.DrawSeed(""); err != nil || seed == "" {
+		t.Errorf("seed not drawn: %q, %v", seed, err)
 	}
 }
 

@@ -79,8 +79,10 @@ type SessionSpec struct {
 	// Seed makes the whole session deterministic: like the CLI party
 	// runners, every daemon derives its per-role RNG from this one
 	// value, so a seeded service run reproduces the in-process Rank
-	// byte for byte. Empty draws fresh randomness per daemon. The seed
-	// is shared with every daemon of the mesh.
+	// byte for byte — and every daemon of the mesh holds it, so a
+	// seeded session's secrets are only as private as the seed. Empty
+	// means each daemon draws its own seed, which never leaves it (a
+	// durable daemon journals it in its own session journal).
 	Seed string `json:"seed,omitempty"`
 	// SkipProofs disables the key-knowledge proofs (benchmark-only).
 	SkipProofs bool `json:"skip_proofs,omitempty"`

@@ -183,38 +183,31 @@ func runRestartParty(params core.Params, q *workload.Questionnaire, crit workloa
 	}
 }
 
-// runRestartRole is one life of one party's role, with randomness
-// re-derived from the seed exactly as a restarted process would.
+// runRestartRole is one life of one party's role through the
+// deployment runner, with randomness re-derived from the seed exactly
+// as a restarted process would.
 func runRestartRole(params core.Params, q *workload.Questionnaire, crit workload.Criterion,
 	profiles []workload.Profile, seed string, me int, net transport.Net, res *restartResult) error {
-	ctx := context.Background()
-	if _, err := core.EstablishSessionCtx(ctx, params, me, net, core.DeriveTraceID(seed)); err != nil {
-		return err
+	role := core.Role{Me: me, Questionnaire: q, Criterion: crit}
+	if me > 0 {
+		role = core.Role{Me: me, Questionnaire: q, Profile: profiles[me-1]}
 	}
-	if me == 0 {
-		rng := fixedbig.NewDRBG(core.InitiatorSeed(seed))
-		subs, flagged, err := core.RunInitiatorCtx(ctx, params, q, crit, net, rng)
-		if err != nil {
-			return err
-		}
-		rendered := ""
-		for _, s := range subs {
-			rendered += fmt.Sprintf("rank %d: participant %d profile %v gain %v; ",
-				s.ClaimedRank, s.Participant, s.Profile.Values, s.Gain)
-		}
-		res.mu.Lock()
-		res.subs, res.flagged = rendered, len(flagged)
-		res.mu.Unlock()
-		return nil
-	}
-	rng := fixedbig.NewDRBG(core.ParticipantSeed(seed, me))
-	out, err := core.RunParticipantCtx(ctx, params, me, q, profiles[me-1], net, rng)
+	out, err := core.RunParty(context.Background(), params, role, seed, net, func(string) {})
 	if err != nil {
 		return err
 	}
 	res.mu.Lock()
-	res.ranks[me] = out.Rank
-	res.mu.Unlock()
+	defer res.mu.Unlock()
+	if me > 0 {
+		res.ranks[me] = out.Participant.Rank
+		return nil
+	}
+	rendered := ""
+	for _, s := range out.Submissions {
+		rendered += fmt.Sprintf("rank %d: participant %d profile %v gain %v; ",
+			s.ClaimedRank, s.Participant, s.Profile.Values, s.Gain)
+	}
+	res.subs, res.flagged = rendered, len(out.Suspicious)
 	return nil
 }
 

@@ -13,18 +13,21 @@
 //     flags inconsistent rank claims (the paper's over-claim defence).
 //
 // Each role is a standalone state machine callable against any
-// transport.Net: RunInitiatorCtx and RunParticipantCtx run one real
-// party (the deployment entry points drive them over a TCP mesh, after
-// the EstablishSessionCtx parameter handshake), while the RunCtx
-// harness runs every party as a goroutine over one shared in-memory
-// fabric, so the recorded trace covers the whole framework and can be
-// replayed over the simulated network of Fig. 3(b).
+// transport.Net (RunInitiatorCtx, RunParticipantCtx). RunParty is the
+// one runner above them: the deployment entry points and rankd call it
+// once per party over a TCP mesh, with the EstablishSessionCtx
+// parameter handshake first, while the RunCtx harness calls it once per
+// goroutine over one shared in-memory fabric, so the recorded trace
+// covers the whole framework and can be replayed over the simulated
+// network of Fig. 3(b).
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/big"
 	"sync"
+	"time"
 
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
@@ -90,6 +93,38 @@ type Params struct {
 	// before any crypto is spent. The override exists for exactly that
 	// refusal path — deployments have no reason to set it.
 	WireCodec int
+}
+
+// The defaults every tier applies to a setting its caller leaves zero:
+// Rank, the distributed parties and rankd all resolve through
+// Params.WithDefaults, GroupByName and DefaultTimeout, so a default is
+// written here and nowhere else.
+const (
+	DefaultK         = 3 // capped at n
+	DefaultD1        = 15
+	DefaultD2        = 10
+	DefaultH         = 15
+	DefaultGroupName = "secp160r1"
+	// DefaultTimeout bounds a distributed party or a rankd session (and
+	// each blocking receive on its mesh): a dead peer must surface as a
+	// typed abort, never a hang.
+	DefaultTimeout = 2 * time.Minute
+)
+
+// WithDefaults fills every zero protocol setting with its default and
+// caps K at N.
+func (p Params) WithDefaults() Params {
+	p.K = min(cmp.Or(p.K, DefaultK), p.N)
+	p.D1 = cmp.Or(p.D1, DefaultD1)
+	p.D2 = cmp.Or(p.D2, DefaultD2)
+	p.H = cmp.Or(p.H, DefaultH)
+	return p
+}
+
+// GroupByName looks up the DDH group a caller names; the empty name
+// means DefaultGroupName.
+func GroupByName(name string) (group.Group, error) {
+	return group.ByName(cmp.Or(name, DefaultGroupName))
 }
 
 // Validate checks parameter consistency.

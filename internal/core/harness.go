@@ -19,6 +19,72 @@ type Inputs struct {
 	Profiles      []workload.Profile
 }
 
+// Role is one party's seat in a run and its private input: the
+// initiator (Me == 0) holds the criterion, participant Me (1 ≤ Me ≤ n)
+// its own profile.
+type Role struct {
+	Me            int
+	Questionnaire *workload.Questionnaire
+	Criterion     workload.Criterion
+	Profile       workload.Profile
+}
+
+// Outcome is what one party learns from a run.
+type Outcome struct {
+	// TraceID is the trace identifier the session round agreed on (empty
+	// when the round was skipped).
+	TraceID string
+	// Submissions and Suspicious are the initiator's view.
+	Submissions []Submission
+	Suspicious  []int
+	// Participant is a participant's own output.
+	Participant ParticipantOutput
+}
+
+// RunParty is the one party runner under every tier: the in-process
+// harness (RunCtx) runs it once per goroutine, a distributed party once
+// per process and rankd once per hosted session. It attaches the
+// party's handle from the context's observability registry and labels
+// its profile samples, derives the role's DRBG from seed
+// (InitiatorSeed or ParticipantSeed), runs the role over net and turns
+// a role failure into a typed *transport.AbortError.
+//
+// With established nil the session-establishment round is skipped —
+// the in-process harness's goroutines share one Params by construction,
+// which keeps in-process message and operation counts unchanged.
+// Otherwise EstablishSessionCtx runs first, proposing DeriveTraceID of
+// seed, and established receives the agreed trace ID before the role
+// starts.
+//
+// seed must already be resolved (explicit, journaled or drawn): with an
+// empty one every party's DRBG would be keyed by a public constant, so
+// it is refused.
+func RunParty(ctx context.Context, params Params, role Role, seed string, net transport.Net, established func(traceID string)) (Outcome, error) {
+	if seed == "" {
+		return Outcome{}, fmt.Errorf("core: party %d has no seed to derive its randomness from", role.Me)
+	}
+	var out Outcome
+	var err error
+	ctx = obsv.WithParty(ctx, obsv.RegistryFrom(ctx).Party(role.Me))
+	obsv.Do(ctx, role.Me, func(ctx context.Context) {
+		if established != nil {
+			if out.TraceID, err = EstablishSessionCtx(ctx, params, role.Me, net, DeriveTraceID(seed)); err != nil {
+				return
+			}
+			established(out.TraceID)
+		}
+		if role.Me == 0 {
+			rng := fixedbig.NewDRBG(InitiatorSeed(seed))
+			out.Submissions, out.Suspicious, err = RunInitiatorCtx(ctx, params, role.Questionnaire, role.Criterion, net, rng)
+		} else {
+			rng := fixedbig.NewDRBG(ParticipantSeed(seed, role.Me))
+			out.Participant, err = RunParticipantCtx(ctx, params, role.Me, role.Questionnaire, role.Profile, net, rng)
+		}
+		err = transport.EnsureAbort(err, -1, "framework")
+	})
+	return out, err
+}
+
 // RunCtx executes the whole framework in-process: the initiator and all
 // participants as goroutines over one fabric. seed derives each party's
 // deterministic randomness; pass distinct seeds for independent runs.
@@ -29,12 +95,9 @@ type Inputs struct {
 // transport.FaultNet for chaos testing); the undecorated fabric is still
 // returned for trace and stats inspection.
 //
-// RunCtx is a thin harness over the per-role runners RunInitiatorCtx
-// and RunParticipantCtx — the same state machines the distributed entry
-// points run over a TCP mesh. It skips the session-establishment round
-// (EstablishSessionCtx): all goroutines share one Params value by
-// construction, and skipping keeps in-process message and operation
-// counts identical to the pre-distributed framework.
+// RunCtx is a thin harness over RunParty — the runner the distributed
+// entry points drive over a TCP mesh — without the
+// session-establishment round.
 func RunCtx(ctx context.Context, params Params, in Inputs, seed string, wrap func(transport.Net) transport.Net, opts ...transport.Option) (*Result, *transport.Fabric, error) {
 	if err := params.Validate(); err != nil {
 		return nil, nil, err
@@ -62,44 +125,25 @@ func RunCtx(ctx context.Context, params Params, in Inputs, seed string, wrap fun
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	type initOut struct {
-		subs    []Submission
-		flagged []int
-		err     error
+	type partyOut struct {
+		me  int
+		out Outcome
+		err error
 	}
-	reg := obsv.RegistryFrom(ctx)
-
-	initCh := make(chan initOut, 1)
-	go func() {
-		pctx := obsv.WithParty(runCtx, reg.Party(0))
-		obsv.Do(pctx, 0, func(ctx context.Context) {
-			rng := fixedbig.NewDRBG(InitiatorSeed(seed))
-			subs, flagged, err := RunInitiatorCtx(ctx, params, in.Questionnaire, in.Criterion, net, rng)
+	initCh, partCh := make(chan partyOut, 1), make(chan partyOut, params.N)
+	for me := 0; me <= params.N; me++ {
+		role, ch := Role{Me: me, Questionnaire: in.Questionnaire}, partCh
+		if me == 0 {
+			role.Criterion, ch = in.Criterion, initCh
+		} else {
+			role.Profile = in.Profiles[me-1]
+		}
+		go func() {
+			out, err := RunParty(runCtx, params, role, seed, net, nil)
 			if err != nil {
 				cancel()
 			}
-			initCh <- initOut{subs: subs, flagged: flagged, err: err}
-		})
-	}()
-
-	type partOut struct {
-		j   int
-		out ParticipantOutput
-		err error
-	}
-	partCh := make(chan partOut, params.N)
-	for j := 1; j <= params.N; j++ {
-		j := j
-		go func() {
-			pctx := obsv.WithParty(runCtx, reg.Party(j))
-			obsv.Do(pctx, j, func(ctx context.Context) {
-				rng := fixedbig.NewDRBG(ParticipantSeed(seed, j))
-				out, err := RunParticipantCtx(ctx, params, j, in.Questionnaire, in.Profiles[j-1], net, rng)
-				if err != nil {
-					cancel()
-				}
-				partCh <- partOut{j: j, out: out, err: err}
-			})
+			ch <- partyOut{me: me, out: out, err: err}
 		}()
 	}
 
@@ -122,28 +166,28 @@ func RunCtx(ctx context.Context, params Params, in Inputs, seed string, wrap fun
 		po := <-partCh
 		keep(po.err)
 		if po.err == nil {
-			result.Ranks[po.j-1] = po.out.Rank
-			result.Betas[po.j-1] = po.out.Beta
+			result.Ranks[po.me-1] = po.out.Participant.Rank
+			result.Betas[po.me-1] = po.out.Participant.Beta
 		}
 	}
 	io := <-initCh
 	keep(io.err)
 	if firstErr != nil {
-		return nil, fab, transport.EnsureAbort(firstErr, -1, "framework")
+		return nil, fab, firstErr
 	}
-	result.Submissions = io.subs
-	result.Suspicious = io.flagged
+	result.Submissions = io.out.Submissions
+	result.Suspicious = io.out.Suspicious
 	return result, fab, nil
 }
 
 // InitiatorSeed derives the initiator's deterministic RNG label from a
-// run seed. The distributed entry points use the same derivation, so a
-// seed-fixed distributed run is transcript-identical to the in-process
-// harness.
+// run seed; RunParty keys the initiator's DRBG with it on every tier,
+// so a seed-fixed distributed run is transcript-identical to the
+// in-process harness.
 func InitiatorSeed(seed string) string { return seed + "-initiator" }
 
 // ParticipantSeed derives participant j's deterministic RNG label
-// (1 ≤ j ≤ n), matching the in-process harness exactly.
+// (1 ≤ j ≤ n), the same on every tier.
 func ParticipantSeed(seed string, j int) string {
 	return fmt.Sprintf("%s-participant-%d", seed, j)
 }

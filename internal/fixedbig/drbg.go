@@ -1,15 +1,22 @@
 package fixedbig
 
 import (
+	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 )
 
 // DRBG is a deterministic random byte stream derived from a seed via
-// SHA-256 in counter mode. It implements io.Reader and exists so tests and
-// reproducible simulations can drive the protocol stack with replayable
-// randomness. It is NOT a secure randomness source for production use;
-// production call sites pass crypto/rand.Reader.
+// SHA-256 in counter mode. It implements io.Reader and is every
+// protocol party's randomness on every tier: the party's role DRBG is
+// keyed by a seed that is explicit (the caller pinned it, for
+// reproducible runs), journaled (a restarted party re-derives its first
+// life's stream) or drawn locally by DrawSeed — 128 bits from
+// crypto/rand. The party's secrets are exactly as private as that seed:
+// a drawn seed never leaves the party, and an explicit one is shared
+// only as far as the caller who pinned it shares it.
 type DRBG struct {
 	seed [32]byte
 	ctr  uint64
@@ -38,4 +45,17 @@ func (d *DRBG) Read(p []byte) (int, error) {
 		p = p[k:]
 	}
 	return n, nil
+}
+
+// DrawSeed returns seed when it is non-empty, otherwise a fresh 128-bit
+// seed drawn from crypto/rand, hex-encoded.
+func DrawSeed(seed string) (string, error) {
+	if seed != "" {
+		return seed, nil
+	}
+	var raw [16]byte
+	if _, err := rand.Read(raw[:]); err != nil {
+		return "", fmt.Errorf("fixedbig: drawing seed: %w", err)
+	}
+	return hex.EncodeToString(raw[:]), nil
 }

@@ -1,6 +1,7 @@
 // Package fixedbig provides small numeric helpers shared by the protocol
 // packages: bit decomposition of big integers, signed/unsigned fixed-width
-// conversions, random sampling, and a deterministic DRBG used by tests.
+// conversions, random sampling, and the seeded DRBG every party draws
+// its randomness from.
 //
 // All protocol values in this repository are non-negative big.Ints carried
 // together with an explicit bit width; this package centralises the

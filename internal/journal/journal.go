@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"groupranking/internal/fixedbig"
 	"groupranking/internal/telemetry"
 	"groupranking/internal/transport"
 	"groupranking/internal/wirecodec"
@@ -250,6 +251,37 @@ func (j *Journal) PinSession(fingerprint []byte) error {
 		return fmt.Errorf("journal: %s belongs to a different session (was this party restarted with different flags?)", j.log.path)
 	}
 	return nil
+}
+
+// OpenSession opens (or reopens) party's journal for one session under
+// dir and readies it for a run: it pins the identity sessionID|party=N,
+// resolves the party's seed and begins a new epoch. The seed rule is
+// the one every durable tier follows: an explicit seed must match the
+// journal; otherwise the journaled seed wins (a restart re-derives its
+// first life's randomness); otherwise a seed is drawn locally and
+// journaled. It returns the journal and the resolved seed. reg, when
+// non-nil, counts these records with the rest of the journal's.
+func OpenSession(dir, sessionID string, party int, seed string, reg *telemetry.Registry) (*Journal, string, error) {
+	j, err := Open(SessionPath(dir, sessionID, party))
+	if err != nil {
+		return nil, "", err
+	}
+	j.SetTelemetry(reg)
+	err = j.PinSession([]byte(fmt.Sprintf("%s|party=%d", sessionID, party)))
+	if err == nil && seed == "" && j.seed == "" {
+		seed, err = fixedbig.DrawSeed("")
+	}
+	if err == nil {
+		seed, err = j.SessionSeed(seed)
+	}
+	if err == nil {
+		_, err = j.BeginEpoch()
+	}
+	if err != nil {
+		j.Close()
+		return nil, "", err
+	}
+	return j, seed, nil
 }
 
 // SessionSeed resolves the party's seed against the journal: the first

@@ -125,15 +125,6 @@ func (d *Daemon) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Durable sessions re-execute deterministically from their journal,
-	// which requires a seed; draw one for the client when it pinned
-	// none (shared with the mesh like any client seed).
-	if d.cfg.Recovery != nil && spec.Seed == "" {
-		if spec.Seed, err = drawSeed(); err != nil {
-			writeErr(w, http.StatusInternalServerError, api.CodeBadRequest, "%v", err)
-			return
-		}
-	}
 	id, err := newSessionID()
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, api.CodeBadRequest, "%v", err)

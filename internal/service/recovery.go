@@ -1,8 +1,6 @@
 package service
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -67,46 +65,10 @@ func lockJournalDir(dir string, me int) (*os.File, error) {
 	return f, nil
 }
 
-// drawSeed draws the random seed a recovering session runs under when
-// the client did not pin one: deterministic re-execution from the
-// journal needs SOME seed, so the initiator daemon draws it at
-// creation and shares it with the mesh like any client seed.
-func drawSeed() (string, error) {
-	var raw [16]byte
-	if _, err := rand.Read(raw[:]); err != nil {
-		return "", fmt.Errorf("service: drawing session seed: %w", err)
-	}
-	return "svc-" + hex.EncodeToString(raw[:]), nil
-}
-
 // sessionJournalPath names one session's transport journal for this
 // daemon.
 func (d *Daemon) sessionJournalPath(id string) string {
 	return journal.SessionPath(d.cfg.Recovery.Dir, id, d.cfg.Me)
-}
-
-// openSessionJournal opens (or reopens) a session's transport journal,
-// pins its identity, resolves the seed and begins a new journal epoch.
-func (d *Daemon) openSessionJournal(s *session) (*journal.Journal, error) {
-	j, err := journal.Open(d.sessionJournalPath(s.id))
-	if err != nil {
-		return nil, err
-	}
-	fail := func(err error) (*journal.Journal, error) {
-		j.Close()
-		return nil, err
-	}
-	j.SetTelemetry(d.cfg.Telemetry)
-	if err := j.PinSession([]byte(fmt.Sprintf("%s|party=%d", s.id, d.cfg.Me))); err != nil {
-		return fail(err)
-	}
-	if _, err := j.SessionSeed(s.spec.Seed); err != nil {
-		return fail(err)
-	}
-	if _, err := j.BeginEpoch(); err != nil {
-		return fail(err)
-	}
-	return j, nil
 }
 
 // readopt rebuilds the daemon's session table from the store after a

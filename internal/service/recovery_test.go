@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"groupranking"
+	"groupranking/internal/journal"
 	"groupranking/internal/leakcheck"
 	"groupranking/internal/service"
 	"groupranking/internal/telemetry"
@@ -200,15 +202,15 @@ func TestServiceRestartRecovers(t *testing.T) {
 // TestServiceRestartPendingSubmit: a session whose participant never
 // got its profile before the daemon died is re-adopted pending, and
 // the submission after the restart completes it normally. Also proves
-// the daemon-drawn seed (empty client seed in durable mode) survives
-// into the next life.
+// each daemon's own journaled seed (empty client seed in durable mode)
+// survives into the next life.
 func TestServiceRestartPendingSubmit(t *testing.T) {
 	leakcheck.Check(t)
 	m := startDurable(t, 4, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	spec := testSpec("") // durable mode draws a seed at creation
+	spec := testSpec("") // each daemon draws and journals its own seed
 	id, err := m.clients[0].CreateSession(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -230,6 +232,72 @@ func TestServiceRestartPendingSubmit(t *testing.T) {
 	}
 	if res.State != groupranking.SessionDone {
 		t.Fatalf("session ended %q: %s", res.State, res.Error)
+	}
+}
+
+// TestServiceDurableUnseededSeedsStayLocal: a durable session created
+// without a seed runs on a seed each daemon resolves for itself. No
+// daemon's session table — and so no announced spec, which the
+// participant daemons' tables hold verbatim — carries a seed, and the
+// four session journals hold pairwise distinct ones: the initiator
+// daemon cannot re-derive a participant's key share, blinding or
+// permutation.
+func TestServiceDurableUnseededSeedsStayLocal(t *testing.T) {
+	leakcheck.Check(t)
+	m := startDurable(t, 4, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+
+	id, err := m.clients[0].CreateSession(ctx, testSpec(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := 1; j < 4; j++ {
+		if err := m.clients[j].Submit(ctx, id, testProfiles[j-1].Values); err != nil {
+			t.Fatalf("submit to daemon %d: %v", j, err)
+		}
+	}
+	for i, c := range m.clients {
+		if res, err := c.WaitResult(ctx, id, 5*time.Millisecond); err != nil || res.State != groupranking.SessionDone {
+			t.Fatalf("daemon %d's view of the session: %v / %+v", i, err, res)
+		}
+	}
+	table := journal.Format{Magic: "GRTB1\n", Name: "session table"}
+	owner := make(map[string]int)
+	for i, cfg := range m.cfgs {
+		path := filepath.Join(cfg.Recovery.Dir, fmt.Sprintf("sessions-p%d.table", i))
+		err := journal.ScanLog(path, table, func(body []byte) error {
+			var rec struct {
+				Spec *groupranking.SessionSpec `json:"spec"`
+			}
+			if err := json.Unmarshal(body, &rec); err != nil {
+				return err
+			}
+			if rec.Spec != nil && rec.Spec.Seed != "" {
+				t.Errorf("daemon %d's session table holds seed %q for an unseeded session", i, rec.Spec.Seed)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("scanning daemon %d's table: %v", i, err)
+		}
+		recs, err := journal.Scan(journal.SessionPath(cfg.Recovery.Dir, id, i))
+		if err != nil {
+			t.Fatalf("scanning daemon %d's session journal: %v", i, err)
+		}
+		seed := ""
+		for _, rec := range recs {
+			if rec.Kind == journal.KindSeed {
+				seed = string(rec.Data)
+			}
+		}
+		if seed == "" {
+			t.Fatalf("daemon %d journaled no seed", i)
+		}
+		if prev, dup := owner[seed]; dup {
+			t.Errorf("daemons %d and %d run the session on the same seed %q", prev, i, seed)
+		}
+		owner[seed] = i
 	}
 }
 
@@ -359,7 +427,9 @@ func TestServiceIdempotentSubmit(t *testing.T) {
 }
 
 // TestServiceBadJournalDir: an unusable journal directory is the typed
-// ErrBadJournalDir, detected before the daemon ever touches the mesh.
+// ErrBadJournalDir, and runtime knobs Runtime.Validate rejects are the
+// typed ErrBadConfig, both detected before the daemon ever touches the
+// mesh.
 func TestServiceBadJournalDir(t *testing.T) {
 	addrs, err := transport.FreeLoopbackAddrs(3)
 	if err != nil {
@@ -385,6 +455,16 @@ func TestServiceBadJournalDir(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "journal directory") {
 			t.Fatalf("error does not explain itself: %v", err)
+		}
+	}
+	for _, rt := range []groupranking.Runtime{
+		{Workers: -1},
+		{Timeout: -time.Second},
+		{Recovery: &groupranking.RecoveryOptions{Dir: t.TempDir(), Grace: -time.Second}},
+	} {
+		_, err := service.NewDaemon(service.Config{Addrs: addrs, Me: 0, Runtime: rt})
+		if !errors.Is(err, service.ErrBadConfig) {
+			t.Fatalf("runtime %+v: NewDaemon returned %v, want ErrBadConfig", rt, err)
 		}
 	}
 }

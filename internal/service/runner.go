@@ -2,43 +2,27 @@ package service
 
 import (
 	"context"
-	"crypto/rand"
 	"errors"
-	"io"
 	"time"
 
 	"groupranking/internal/api"
 	"groupranking/internal/core"
 	"groupranking/internal/fixedbig"
+	"groupranking/internal/journal"
 	"groupranking/internal/obsv"
 	"groupranking/internal/transport"
 )
 
 // The per-session runner: one goroutine per hosted session executing
-// this daemon's role with the existing core machinery over a mux'd
-// session net. Everything here mirrors the single-session CLI party
-// harness (runRankParty) — same seed derivation, same handshake, same
-// role entry points — so a seeded service session reproduces the
-// in-process groupranking.Rank run byte for byte.
+// this daemon's role through core.RunParty — the runner under Rank and
+// rankparty — over a mux'd session net, so a seeded service session
+// reproduces the in-process groupranking.Rank run byte for byte.
 
 // spawn launches the session runner; the caller has already marked the
 // session started (and stored its role input) under the session lock.
 func (d *Daemon) spawn(s *session) {
 	d.wg.Add(1)
 	go d.runSession(s)
-}
-
-// sessionRNG picks the session's randomness source for this daemon's
-// role, exactly as the CLI party runners do: the in-process harness's
-// derivation when the spec pins a seed, crypto/rand otherwise.
-func (d *Daemon) sessionRNG(seed string) io.Reader {
-	if seed == "" {
-		return rand.Reader
-	}
-	if d.cfg.Me == 0 {
-		return fixedbig.NewDRBG(core.InitiatorSeed(seed))
-	}
-	return fixedbig.NewDRBG(core.ParticipantSeed(seed, d.cfg.Me))
 }
 
 // runSession executes one session end to end and records its terminal
@@ -52,24 +36,26 @@ func (d *Daemon) runSession(s *session) {
 	s.cancel = cancel
 	s.mu.Unlock()
 
-	// Durable mode: open (or reopen) this session's transport journal
-	// and join the mux in recovering mode — journaled receives replay
-	// without the network, journaled sends are suppressed against the
+	// Resolve this daemon's seed for the session: the spec's when the
+	// client pinned one, otherwise drawn here — never shared with the
+	// mesh. Durable mode resolves it against the session's transport
+	// journal (a restart re-derives the first life's seed) and joins
+	// the mux in recovering mode — journaled receives replay without
+	// the network, journaled sends are suppressed against the
 	// deterministic re-execution, and the journal answers peers' resume
 	// requests. The journal file handle closes with the runner, but the
 	// mux keeps serving retransmissions from its in-memory transcript
 	// until the janitor purges the session.
+	seed := s.spec.Seed
 	var snet *transport.MuxSession
 	var err error
 	if d.cfg.Recovery != nil {
-		j, jerr := d.openSessionJournal(s)
-		if jerr != nil {
-			d.finish(s, nil, jerr, start)
-			return
+		var j *journal.Journal
+		if j, seed, err = journal.OpenSession(d.cfg.Recovery.Dir, s.id, d.cfg.Me, seed, d.cfg.Telemetry); err == nil {
+			defer j.Close()
+			snet, err = d.mux.OpenRecovering(s.id, s.timeout, j)
 		}
-		defer j.Close()
-		snet, err = d.mux.OpenRecovering(s.id, s.timeout, j)
-	} else {
+	} else if seed, err = fixedbig.DrawSeed(seed); err == nil {
 		snet, err = d.mux.Open(s.id, s.timeout)
 	}
 	if err != nil {
@@ -83,52 +69,30 @@ func (d *Daemon) runSession(s *session) {
 			net = transport.NewFaultNet(net, *plan)
 		}
 	}
-	if obs := d.cfg.Observer; obs != nil {
-		ctx = obsv.WithRegistry(ctx, obs)
-		ctx = obsv.WithParty(ctx, obs.Party(d.cfg.Me))
-	}
-	traceID, err := core.EstablishSessionCtx(ctx, s.params, d.cfg.Me, net, core.DeriveTraceID(s.spec.Seed))
+	ctx = obsv.WithRegistry(ctx, d.cfg.Observer)
+	role := core.Role{Me: d.cfg.Me, Questionnaire: s.q, Criterion: s.criterion, Profile: s.profile}
+	out, err := core.RunParty(ctx, s.params, role, seed, net, func(string) {
+		s.mu.Lock()
+		if !api.Terminal(s.state) {
+			s.state = api.StateRunning
+		}
+		s.mu.Unlock()
+	})
 	if err != nil {
 		d.finish(s, nil, err, start)
 		return
 	}
-	s.mu.Lock()
-	if !api.Terminal(s.state) {
-		s.state = api.StateRunning
-	}
-	s.mu.Unlock()
-
-	res := &api.ResultResponse{ID: s.id, TraceID: traceID}
-	rng := d.sessionRNG(s.spec.Seed)
-	if d.cfg.Me == 0 {
-		subs, flagged, rerr := core.RunInitiatorCtx(ctx, s.params, s.q, s.criterion, net, rng)
-		err = rerr
-		if err == nil {
-			res.Suspicious = flagged
-			res.Submissions = make([]api.Submission, len(subs))
-			for i, sub := range subs {
-				res.Submissions[i] = api.Submission{
-					Participant: sub.Participant,
-					ClaimedRank: sub.ClaimedRank,
-					Values:      sub.Profile.Values,
-					Gain:        sub.Gain.String(),
-				}
-			}
-		}
-	} else {
-		out, rerr := core.RunParticipantCtx(ctx, s.params, d.cfg.Me, s.q, s.profile, net, rng)
-		err = rerr
-		if err == nil {
-			res.Rank = out.Rank
-		}
-	}
-	if err != nil {
-		d.finish(s, nil, transport.EnsureAbort(err, -1, "framework"), start)
-		return
-	}
 	stats := snet.Stats()
-	res.BytesOnWire = stats.TotalBytes()
-	res.Rounds = stats.DistinctRounds
+	res := &api.ResultResponse{ID: s.id, TraceID: out.TraceID, Rank: out.Participant.Rank, Suspicious: out.Suspicious,
+		BytesOnWire: stats.TotalBytes(), Rounds: stats.DistinctRounds}
+	for _, sub := range out.Submissions {
+		res.Submissions = append(res.Submissions, api.Submission{
+			Participant: sub.Participant,
+			ClaimedRank: sub.ClaimedRank,
+			Values:      sub.Profile.Values,
+			Gain:        sub.Gain.String(),
+		})
+	}
 	d.finish(s, res, nil, start)
 }
 

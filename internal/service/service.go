@@ -19,6 +19,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -32,7 +33,6 @@ import (
 	"groupranking"
 	"groupranking/internal/api"
 	"groupranking/internal/core"
-	"groupranking/internal/group"
 	"groupranking/internal/telemetry"
 	"groupranking/internal/transport"
 	"groupranking/internal/workload"
@@ -77,35 +77,35 @@ type Config struct {
 	groupranking.Runtime
 }
 
-// defaultSessionTimeout mirrors the CLI party runners' default budget.
-const defaultSessionTimeout = 2 * time.Minute
+// ErrBadConfig is the typed startup failure for a Config the daemon
+// refuses — a slot outside the mesh, a negative cap or TTL, or runtime
+// knobs Runtime.Validate rejects — before it touches the mesh. cmd/rankd
+// maps it to exit code 2, like ErrBadJournalDir.
+var ErrBadConfig = errors.New("bad daemon config")
 
 // withDefaults resolves the config and validates it.
 func (c Config) withDefaults() (Config, error) {
+	bad := func(format string, args ...any) (Config, error) {
+		return c, fmt.Errorf("service: %w: %s", ErrBadConfig, fmt.Sprintf(format, args...))
+	}
 	if c.Me < 0 || c.Me >= len(c.Addrs) {
-		return c, fmt.Errorf("service: me=%d outside the %d-address mesh", c.Me, len(c.Addrs))
+		return bad("me=%d outside the %d-address mesh", c.Me, len(c.Addrs))
 	}
 	if len(c.Addrs) < 3 {
-		return c, fmt.Errorf("service: need the initiator plus at least two participant daemons, got %d addresses", len(c.Addrs))
-	}
-	if c.MaxSessions == 0 {
-		c.MaxSessions = 64
+		return bad("need the initiator plus at least two participant daemons, got %d addresses", len(c.Addrs))
 	}
 	if c.MaxSessions < 0 {
-		return c, fmt.Errorf("service: MaxSessions=%d negative", c.MaxSessions)
-	}
-	if c.ResultTTL == 0 {
-		c.ResultTTL = 5 * time.Minute
+		return bad("MaxSessions=%d negative", c.MaxSessions)
 	}
 	if c.ResultTTL < 0 {
-		return c, fmt.Errorf("service: ResultTTL=%v negative", c.ResultTTL)
+		return bad("ResultTTL=%v negative", c.ResultTTL)
 	}
-	if c.Timeout == 0 {
-		c.Timeout = defaultSessionTimeout
+	if err := c.Runtime.Validate(); err != nil {
+		return bad("%v", err)
 	}
-	if c.Timeout < 0 {
-		return c, fmt.Errorf("service: Timeout=%v negative", c.Timeout)
-	}
+	c.MaxSessions = cmp.Or(c.MaxSessions, 64)
+	c.ResultTTL = cmp.Or(c.ResultTTL, 5*time.Minute)
+	c.Timeout = cmp.Or(c.Timeout, core.DefaultTimeout)
 	return c, nil
 }
 
@@ -385,45 +385,25 @@ func (d *Daemon) resolveSpec(spec api.SessionSpec) (core.Params, *workload.Quest
 	if err != nil {
 		return fail(err)
 	}
-	n := len(d.cfg.Addrs) - 1 // participants
-	o := spec
-	if o.K == 0 {
-		o.K = 3
-	}
-	if o.K > n {
-		o.K = n
-	}
-	if o.D1 == 0 {
-		o.D1 = 15
-	}
-	if o.D2 == 0 {
-		o.D2 = 10
-	}
-	if o.H == 0 {
-		o.H = 15
-	}
-	if o.GroupName == "" {
-		o.GroupName = "secp160r1"
-	}
-	g, err := group.ByName(o.GroupName)
+	g, err := core.GroupByName(spec.GroupName)
 	if err != nil {
 		return fail(err)
 	}
 	var sorter core.Sorter
-	switch o.Sorter {
+	switch spec.Sorter {
 	case "", api.SorterUnlinkable:
 		sorter = core.SorterUnlinkable
 	case api.SorterSecretSharing:
 		sorter = core.SorterSecretSharing
 	default:
-		return fail(fmt.Errorf("service: unknown sorter %q (want %q or %q)", o.Sorter, api.SorterUnlinkable, api.SorterSecretSharing))
+		return fail(fmt.Errorf("service: unknown sorter %q (want %q or %q)", spec.Sorter, api.SorterUnlinkable, api.SorterSecretSharing))
 	}
 	params := core.Params{
-		N: n, M: q.M(), T: q.T(),
-		D1: o.D1, D2: o.D2, H: o.H, K: o.K,
-		Group: g, Sorter: sorter, SkipProofs: o.SkipProofs,
-		ProveDecryption: o.ProveDecryption, Workers: d.cfg.Workers,
-	}
+		N: len(d.cfg.Addrs) - 1, M: q.M(), T: q.T(),
+		D1: spec.D1, D2: spec.D2, H: spec.H, K: spec.K,
+		Group: g, Sorter: sorter, SkipProofs: spec.SkipProofs,
+		ProveDecryption: spec.ProveDecryption, Workers: d.cfg.Workers,
+	}.WithDefaults()
 	if err := params.Validate(); err != nil {
 		return fail(err)
 	}

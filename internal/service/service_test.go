@@ -316,6 +316,36 @@ func TestServiceSeededSessionMatchesRank(t *testing.T) {
 	}
 }
 
+// TestServiceUnseededTraceIDsDiffer: every unseeded session runs on a
+// seed drawn for it, so two of them report distinct trace IDs — not the
+// one constant an empty seed would derive on every deployment — and
+// every daemon of a session reports the same one.
+func TestServiceUnseededTraceIDsDiffer(t *testing.T) {
+	leakcheck.Check(t)
+	m := startMesh(t, 4, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var traceIDs []string
+	for range 2 {
+		res, views, err := driveSession(ctx, m, testSpec(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.State != groupranking.SessionDone || res.TraceID == "" {
+			t.Fatalf("session ended %q with trace id %q: %s", res.State, res.TraceID, res.Error)
+		}
+		for j, view := range views {
+			if view.TraceID != res.TraceID {
+				t.Errorf("participant daemon %d reports trace id %q, the initiator daemon %q", j+1, view.TraceID, res.TraceID)
+			}
+		}
+		traceIDs = append(traceIDs, res.TraceID)
+	}
+	if traceIDs[0] == traceIDs[1] {
+		t.Fatalf("two unseeded sessions share trace id %s", traceIDs[0])
+	}
+}
+
 // TestServiceAdmissionCap checks the admission control: a daemon at
 // its cap refuses creation with the typed admission_full error, and
 // admits again once the blocking session finishes.

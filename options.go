@@ -1,44 +1,42 @@
 package groupranking
 
 import (
-	"crypto/rand"
-	"encoding/hex"
+	"cmp"
 	"fmt"
 	"math/big"
-	"time"
+
+	"groupranking/internal/core"
+	"groupranking/internal/fixedbig"
 )
 
-// The option resolver shared by every entry point — Rank, the sorting
-// layer and the distributed party runners — so GroupName/Seed/Bits
-// defaults cannot drift between layers.
+// The option resolvers shared by every entry point — Rank, the sorting
+// layer and the distributed party runners. The protocol defaults live
+// in internal/core (core.Params.WithDefaults, core.GroupByName,
+// core.DefaultTimeout), shared with rankd, so they cannot drift between
+// tiers.
 
-// defaultGroupName is the package-wide DDH group default.
-const defaultGroupName = "secp160r1"
-
-// defaultPartyTimeout bounds distributed runs (and each blocking
-// receive on the TCP mesh) when the caller sets no Timeout: a dead peer
-// must surface as a typed abort, never a hang.
-const defaultPartyTimeout = 2 * time.Minute
-
-// resolveGroupName applies the shared GroupName default.
-func resolveGroupName(name string) string {
-	if name == "" {
-		return defaultGroupName
+// params resolves the options into the protocol parameters of a run
+// with n participants over q: the runtime knobs are checked, and every
+// zero protocol setting takes core's default.
+func (o Options) params(q *Questionnaire, n int) (core.Params, error) {
+	if q == nil {
+		return core.Params{}, fmt.Errorf("groupranking: missing questionnaire")
 	}
-	return name
-}
-
-// drawSeed returns seed unchanged when non-empty, otherwise a fresh
-// random 128-bit hex seed.
-func drawSeed(seed string) (string, error) {
-	if seed != "" {
-		return seed, nil
+	if err := o.Runtime.Validate(); err != nil {
+		return core.Params{}, err
 	}
-	var raw [16]byte
-	if _, err := rand.Read(raw[:]); err != nil {
-		return "", fmt.Errorf("groupranking: drawing seed: %w", err)
+	g, err := core.GroupByName(o.GroupName)
+	if err != nil {
+		return core.Params{}, err
 	}
-	return hex.EncodeToString(raw[:]), nil
+	params := core.Params{
+		N: n, M: q.M(), T: q.T(),
+		D1: o.D1, D2: o.D2, H: o.H, K: o.K,
+		Group: g, Sorter: o.Sorter, SkipProofs: o.SkipProofs,
+		ProveDecryption: o.ProveDecryption, Workers: o.Workers,
+		WireCodec: o.WireCodec,
+	}.WithDefaults()
+	return params, params.Validate()
 }
 
 // deriveBits resolves a sorting bit width: the explicit setting when
@@ -58,55 +56,29 @@ func deriveBits(bits int, values []uint64) int {
 	return bits
 }
 
-func (o Options) withDefaults(n int) (Options, error) {
-	if err := o.Runtime.validate(); err != nil {
-		return o, err
-	}
-	o.GroupName = resolveGroupName(o.GroupName)
-	if o.K == 0 {
-		o.K = 3
-	}
-	if o.K > n {
-		o.K = n
-	}
-	if o.D1 == 0 {
-		o.D1 = 15
-	}
-	if o.D2 == 0 {
-		o.D2 = 10
-	}
-	if o.H == 0 {
-		o.H = 15
-	}
-	var err error
-	o.Seed, err = drawSeed(o.Seed)
-	return o, err
-}
-
 // validate checks the resolved sort options the same way Options is
 // checked by core.Params.Validate: out-of-range settings fail with a
 // descriptive error instead of propagating garbage into the protocol.
-// The runtime knobs share Runtime.validate with the framework options.
+// The runtime knobs share Runtime.Validate with the framework options.
 func (o SortOptions) validate() error {
 	if o.Bits < 1 || o.Bits > 64 {
 		return fmt.Errorf("groupranking: bits=%d outside [1, 64]", o.Bits)
 	}
-	return o.Runtime.validate()
+	return o.Runtime.Validate()
 }
 
-// withDefaults resolves GroupName/Bits/Seed for an in-process sort over
-// the given values and validates the result.
+// withDefaults resolves Bits/Seed for an in-process sort over the
+// given values and validates the result.
 func (o SortOptions) withDefaults(values []uint64) (SortOptions, error) {
 	if len(values) < 2 {
 		return o, fmt.Errorf("groupranking: need at least two values, got %d", len(values))
 	}
-	o.GroupName = resolveGroupName(o.GroupName)
 	o.Bits = deriveBits(o.Bits, values)
 	if err := o.validate(); err != nil {
 		return o, err
 	}
 	var err error
-	o.Seed, err = drawSeed(o.Seed)
+	o.Seed, err = fixedbig.DrawSeed(o.Seed)
 	return o, err
 }
 
@@ -119,12 +91,9 @@ func (o SortOptions) withPartyDefaults() (SortOptions, error) {
 	if o.Bits <= 0 {
 		return o, fmt.Errorf("groupranking: distributed sorting requires an agreed Bits value")
 	}
-	o.GroupName = resolveGroupName(o.GroupName)
 	if err := o.validate(); err != nil {
 		return o, err
 	}
-	if o.Timeout <= 0 {
-		o.Timeout = defaultPartyTimeout
-	}
+	o.Timeout = cmp.Or(o.Timeout, core.DefaultTimeout)
 	return o, nil
 }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"groupranking/internal/core"
 )
 
 // The shared option resolver backs every public entry point; these
@@ -38,8 +40,8 @@ func TestSortOptionsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.GroupName != defaultGroupName {
-		t.Errorf("group defaulted to %q, want %q", o.GroupName, defaultGroupName)
+	if g, err := core.GroupByName(o.GroupName); err != nil || g.Name() != core.DefaultGroupName {
+		t.Errorf("group %q resolved to %v (%v), want %q", o.GroupName, g, err, core.DefaultGroupName)
 	}
 	if o.Bits != 8 { // 200 needs 8 bits
 		t.Errorf("bits derived as %d, want 8", o.Bits)
@@ -60,8 +62,8 @@ func TestSortPartyOptionsRequireBits(t *testing.T) {
 	if o, err := (SortOptions{Bits: 8}).withPartyDefaults(); err != nil {
 		t.Fatal(err)
 	} else {
-		if o.Timeout != defaultPartyTimeout {
-			t.Errorf("timeout defaulted to %v, want %v", o.Timeout, defaultPartyTimeout)
+		if o.Timeout != core.DefaultTimeout {
+			t.Errorf("timeout defaulted to %v, want %v", o.Timeout, core.DefaultTimeout)
 		}
 		if o.Seed != "" {
 			t.Error("party defaults drew a seed (empty must mean crypto/rand)")
@@ -86,7 +88,7 @@ func TestRuntimeOptionsValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := tc.opts.withDefaults(3)
+			_, err := tc.opts.params(demoQuestionnaire(t), 3)
 			if err == nil {
 				t.Fatal("invalid runtime options accepted")
 			}

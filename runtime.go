@@ -51,14 +51,16 @@ type Runtime struct {
 	Telemetry *Telemetry
 }
 
-// validate rejects nonsense runtime settings at the public entry point
-// instead of letting them silently change meaning deeper in the stack:
-// a negative Timeout would otherwise be "defaulted" like zero, a
-// negative Workers would be treated as serial, and a negative
-// Recovery.Grace would blame a reconnecting peer instantly. The checks
-// mirror rankparty's flag validation, so the library and the CLI reject
-// the same inputs with the same meaning.
-func (r Runtime) validate() error {
+// Validate rejects nonsense runtime settings at the entry point instead
+// of letting them silently change meaning deeper in the stack: a
+// negative Timeout would otherwise be "defaulted" like zero, a negative
+// Workers would be treated as serial, and a negative Recovery.Grace
+// would blame a reconnecting peer instantly. It is the one runtime
+// check: every public entry point and the rankd daemon config
+// (internal/service.Config) run it, and rankparty's flag checks mirror
+// it, so the library and both CLIs reject the same inputs with the
+// same meaning.
+func (r Runtime) Validate() error {
 	if r.Timeout < 0 {
 		return fmt.Errorf("groupranking: Timeout %v is negative (0 means the default deadline)", r.Timeout)
 	}

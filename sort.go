@@ -7,8 +7,8 @@ import (
 	"io"
 	"math/big"
 
+	"groupranking/internal/core"
 	"groupranking/internal/fixedbig"
-	"groupranking/internal/group"
 	"groupranking/internal/obsv"
 	"groupranking/internal/transport"
 	"groupranking/internal/unlinksort"
@@ -63,7 +63,7 @@ func UnlinkableSort(ctx context.Context, values []uint64, opts SortOptions) (*So
 	if err != nil {
 		return nil, err
 	}
-	g, err := group.ByName(o.GroupName)
+	g, err := core.GroupByName(o.GroupName)
 	if err != nil {
 		return nil, err
 	}
@@ -110,7 +110,7 @@ func UnlinkableSortParty(ctx context.Context, addrs []string, me int, value uint
 	if err != nil {
 		return 0, err
 	}
-	g, err := group.ByName(o.GroupName)
+	g, err := core.GroupByName(o.GroupName)
 	if err != nil {
 		return 0, err
 	}
