@@ -71,6 +71,17 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # randomness again. Likewise journal.OpenSession is the only
 # session-journal opener: outside internal/journal no code may pin a
 # session, resolve its seed or begin an epoch.
+# The mesh check keeps transport.RunMesh the only in-process mesh:
+# outside internal/transport (tests aside) no code may build a Fabric
+# itself, so the goroutine per party, the sibling cancellation and the
+# root-cause rule under Rank, UnlinkableSort and the secret-sharing
+# engine cannot grow a second copy again. The randomness check keeps
+# every party's randomness a fixedbig.DRBG: no non-test Go may read
+# crypto/rand.Reader (an unseeded party draws its seed with
+# fixedbig.DrawSeed instead). The party-label check keeps
+# fixedbig.PartyDRBG the only per-party label of the sorting protocol
+# and the secret-sharing engine: outside internal/fixedbig no code may
+# spell "-party-%d", so the tiers cannot key a party differently.
 # The gofmt check names the source trees, not ".", so that the build
 # cache bench/run.sh leaves under .bench_build/ is not walked.
 # The reachability check keeps production code to what a binary or the
@@ -116,6 +127,15 @@ vet:
 	@opener=$$(find *.go bench cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/journal/*' | xargs grep -lE 'PinSession\(|SessionSeed\(|BeginEpoch\(' | tr '\n' ' '); \
 	if [ -n "$$opener" ]; then \
 		echo "pinning a session journal, resolving its seed and beginning an epoch belong in internal/journal (use journal.OpenSession), found in: $$opener"; exit 1; fi
+	@fabrics=$$(find *.go cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/transport/*' | xargs grep -lE 'transport\.New\(' | tr '\n' ' '); \
+	if [ -n "$$fabrics" ]; then \
+		echo "the in-process mesh is built only by transport.RunMesh (use it), found transport.New( in: $$fabrics"; exit 1; fi
+	@reader=$$(find *.go cmd examples internal -name '*.go' ! -name '*_test.go' | xargs grep -lE 'rand\.Reader' | tr '\n' ' '); \
+	if [ -n "$$reader" ]; then \
+		echo "party randomness is a fixedbig.DRBG (resolve a missing seed with fixedbig.DrawSeed), found rand.Reader in: $$reader"; exit 1; fi
+	@label=$$(find *.go cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/fixedbig/*' | xargs grep -lF -- '-party-%d' | tr '\n' ' '); \
+	if [ -n "$$label" ]; then \
+		echo "the per-party DRBG label lives in internal/fixedbig (use fixedbig.PartyDRBG), found -party-%d in: $$label"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"sync"
 	"testing"
 	"time"
 
@@ -45,46 +44,29 @@ var byzVals = []int64{20, 7, 29, 13}
 var byzRanks = []int{2, 4, 1, 3}
 
 // runByz executes one schedule: all parties run the unlinkable sort
-// over a shared in-process fabric, optionally wrapped in a FaultNet,
-// and every party's error is returned (unlike RunCtx, which collapses
-// them to one) so the suite can assert no certificate anywhere accuses
+// over a shared in-process fabric (transport.RunMesh), optionally
+// wrapped in a FaultNet, and every party's error is returned (unlike
+// RunCtx, which collapses them to the root cause) so the suite can assert no certificate anywhere accuses
 // an honest party.
 func runByz(t *testing.T, cfg unlinksort.Config, seed string, plan *transport.FaultPlan) ([]unlinksort.Result, []error) {
 	t.Helper()
-	// The echo sub-round digests payloads through gob even in-process
-	// once a FaultNet injects Byzantine behaviour.
-	n := len(byzVals)
-	fab, err := transport.New(n, transport.WithRecvTimeout(byzRecvWindow))
-	if err != nil {
+	var fn *transport.FaultNet
+	var wrap func(transport.Net) transport.Net
+	if plan != nil {
+		wrap = func(fab transport.Net) transport.Net {
+			fn = transport.NewFaultNet(fab, *plan)
+			return fn
+		}
+	}
+	results := make([]unlinksort.Result, len(byzVals))
+	fab, errs, err := transport.RunMesh(context.Background(), len(byzVals), wrap, func(ctx context.Context, p int, net transport.Net) error {
+		var err error
+		results[p], err = unlinksort.PartyCtx(ctx, cfg, p, net, big.NewInt(byzVals[p]), fixedbig.PartyDRBG(seed, p))
+		return err
+	}, transport.WithRecvTimeout(byzRecvWindow))
+	if fab == nil {
 		t.Fatal(err)
 	}
-	var net transport.Net = fab
-	var fn *transport.FaultNet
-	if plan != nil {
-		fn = transport.NewFaultNet(fab, *plan)
-		net = fn
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	results := make([]unlinksort.Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := fixedbig.NewDRBG(fmt.Sprintf("%s-party-%d", seed, p))
-			res, err := unlinksort.PartyCtx(ctx, cfg, p, net, big.NewInt(byzVals[p]), rng)
-			if err != nil {
-				errs[p] = err
-				cancel() // unblock the siblings promptly
-				return
-			}
-			results[p] = res
-		}()
-	}
-	wg.Wait()
 	if fn != nil {
 		fn.Flush()
 		fn.Wait()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/big"
 
@@ -86,11 +85,11 @@ func RunParty(ctx context.Context, params Params, role Role, seed string, net tr
 }
 
 // RunCtx executes the whole framework in-process: the initiator and all
-// participants as goroutines over one fabric. seed derives each party's
-// deterministic randomness; pass distinct seeds for independent runs.
-// The first party to fail cancels every sibling, so a crash or fault
-// never leaves the run hanging: the returned error is always a typed
-// *AbortError naming the first failing party, phase and round. wrap, if
+// participants as goroutines over one fabric (transport.RunMesh). seed
+// derives each party's deterministic randomness; pass distinct seeds for
+// independent runs. The first party to fail cancels every sibling, so a
+// crash or fault never leaves the run hanging: the returned error is
+// always a typed *AbortError, the mesh runner's root cause. wrap, if
 // non-nil, decorates the fabric every party talks through (e.g. with a
 // transport.FaultNet for chaos testing); the undecorated fabric is still
 // returned for trace and stats inspection.
@@ -112,71 +111,28 @@ func RunCtx(ctx context.Context, params Params, in Inputs, seed string, wrap fun
 		return nil, nil, fmt.Errorf("core: questionnaire shape (m=%d, t=%d) disagrees with params (m=%d, t=%d)",
 			in.Questionnaire.M(), in.Questionnaire.T(), params.M, params.T)
 	}
-	fab, err := transport.New(params.N+1, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	var net transport.Net = fab
-	if wrap != nil {
-		net = wrap(fab)
-	}
-	// One failed party cancels its siblings so nobody blocks forever on a
-	// message that will never arrive.
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type partyOut struct {
-		me  int
-		out Outcome
-		err error
-	}
-	initCh, partCh := make(chan partyOut, 1), make(chan partyOut, params.N)
-	for me := 0; me <= params.N; me++ {
-		role, ch := Role{Me: me, Questionnaire: in.Questionnaire}, partCh
-		if me == 0 {
-			role.Criterion, ch = in.Criterion, initCh
-		} else {
-			role.Profile = in.Profiles[me-1]
-		}
-		go func() {
-			out, err := RunParty(runCtx, params, role, seed, net, nil)
-			if err != nil {
-				cancel()
-			}
-			ch <- partyOut{me: me, out: out, err: err}
-		}()
-	}
-
 	result := &Result{
 		Ranks: make([]int, params.N),
 		Betas: make([]*big.Int, params.N),
 	}
-	// Prefer the root-cause error: cancellation aborts are secondary
-	// effects of the first real failure.
-	var firstErr error
-	keep := func(err error) {
-		if err == nil {
-			return
+	fab, _, err := transport.RunMesh(ctx, params.N+1, wrap, func(ctx context.Context, me int, net transport.Net) error {
+		role := Role{Me: me, Questionnaire: in.Questionnaire}
+		if me == 0 {
+			role.Criterion = in.Criterion
+		} else {
+			role.Profile = in.Profiles[me-1]
 		}
-		if firstErr == nil || (errors.Is(firstErr, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			firstErr = err
+		out, err := RunParty(ctx, params, role, seed, net, nil)
+		if me == 0 {
+			result.Submissions, result.Suspicious = out.Submissions, out.Suspicious
+		} else {
+			result.Ranks[me-1], result.Betas[me-1] = out.Participant.Rank, out.Participant.Beta
 		}
+		return err
+	}, opts...)
+	if err != nil {
+		return nil, fab, err
 	}
-	for i := 0; i < params.N; i++ {
-		po := <-partCh
-		keep(po.err)
-		if po.err == nil {
-			result.Ranks[po.me-1] = po.out.Participant.Rank
-			result.Betas[po.me-1] = po.out.Participant.Beta
-		}
-	}
-	io := <-initCh
-	keep(io.err)
-	if firstErr != nil {
-		return nil, fab, firstErr
-	}
-	result.Submissions = io.out.Submissions
-	result.Suspicious = io.out.Suspicious
 	return result, fab, nil
 }
 

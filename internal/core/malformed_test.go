@@ -72,56 +72,50 @@ func TestParticipantRejectsMalformedGainReply(t *testing.T) {
 func TestInitiatorRejectsMalformedSubmission(t *testing.T) {
 	params := smallParams(t, 2)
 	in := testInputs(t, params, "mal-sub")
-	fab, err := transport.New(params.N+1, transport.WithRecvTimeout(3*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
 	prime, err := params.fieldPrime()
 	if err != nil {
 		t.Fatal(err)
 	}
 	dp := dotprod.DefaultSRange(prime)
-	done := make(chan error, 1)
-	go func() {
-		rng := fixedbig.NewDRBG("mal-sub-init")
-		_, _, err := RunInitiatorCtx(context.Background(), params, in.Questionnaire, in.Criterion, fab, rng)
-		done <- err
-	}()
-	// Both participants run an honest phase 1 and then submit garbage
-	// instead of a submissionMsg.
-	for j := 1; j <= params.N; j++ {
-		j := j
-		go func() {
-			rng := fixedbig.NewDRBG(fmt.Sprintf("mal-sub-%d", j))
-			w, err := in.Questionnaire.ParticipantVector(in.Profiles[j-1])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			bob, flow, err := dotprod.NewBob(dp, w, rng)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := fab.Send(roundGainRequest, j, 0, 8, flow); err != nil {
-				t.Error(err)
-				return
-			}
-			payload, err := fab.RecvCtx(context.Background(), j, 0, -1)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := bob.Finish(payload.(*dotprod.AliceReply)); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := fab.Send(roundSubmission, j, 0, 4, big.NewInt(99)); err != nil {
-				t.Error(err)
-			}
-		}()
+	fab, errs, err := transport.RunMesh(context.Background(), params.N+1, nil, func(ctx context.Context, j int, fab transport.Net) error {
+		if j == 0 {
+			rng := fixedbig.NewDRBG("mal-sub-init")
+			_, _, err := RunInitiatorCtx(ctx, params, in.Questionnaire, in.Criterion, fab, rng)
+			return err
+		}
+		rng := fixedbig.NewDRBG(fmt.Sprintf("mal-sub-%d", j))
+		w, err := in.Questionnaire.ParticipantVector(in.Profiles[j-1])
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		bob, flow, err := dotprod.NewBob(dp, w, rng)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		if err := fab.Send(roundGainRequest, j, 0, 8, flow); err != nil {
+			t.Error(err)
+			return nil
+		}
+		payload, err := fab.RecvCtx(ctx, j, 0, -1)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		if _, err := bob.Finish(payload.(*dotprod.AliceReply)); err != nil {
+			t.Error(err)
+			return nil
+		}
+		if err := fab.Send(roundSubmission, j, 0, 4, big.NewInt(99)); err != nil {
+			t.Error(err)
+		}
+		return nil
+	}, transport.WithRecvTimeout(3*time.Second))
+	if fab == nil {
+		t.Fatal(err)
 	}
-	if err := <-done; err == nil {
+	if errs[0] == nil {
 		t.Fatal("initiator accepted a malformed submission")
 	}
 }
@@ -129,57 +123,53 @@ func TestInitiatorRejectsMalformedSubmission(t *testing.T) {
 func TestInitiatorRejectsSubmissionWithWrongDimensions(t *testing.T) {
 	params := smallParams(t, 2)
 	in := testInputs(t, params, "mal-dim")
-	fab, err := transport.New(params.N+1, transport.WithRecvTimeout(3*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
 	prime, err := params.fieldPrime()
 	if err != nil {
 		t.Fatal(err)
 	}
 	dp := dotprod.DefaultSRange(prime)
-	done := make(chan error, 1)
-	go func() {
-		rng := fixedbig.NewDRBG("mal-dim-init")
-		_, _, err := RunInitiatorCtx(context.Background(), params, in.Questionnaire, in.Criterion, fab, rng)
-		done <- err
-	}()
-	for j := 1; j <= params.N; j++ {
-		j := j
-		go func() {
-			rng := fixedbig.NewDRBG(fmt.Sprintf("mal-dim-%d", j))
-			w, err := in.Questionnaire.ParticipantVector(in.Profiles[j-1])
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			bob, flow, err := dotprod.NewBob(dp, w, rng)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if err := fab.Send(roundGainRequest, j, 0, 8, flow); err != nil {
-				t.Error(err)
-				return
-			}
-			payload, err := fab.RecvCtx(context.Background(), j, 0, -1)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := bob.Finish(payload.(*dotprod.AliceReply)); err != nil {
-				t.Error(err)
-				return
-			}
-			// A submission whose profile has the wrong dimension must be
-			// rejected when the initiator recomputes the gain.
-			msg := submissionMsg{Rank: 1, Values: []int64{1}}
-			if err := fab.Send(roundSubmission, j, 0, 16, msg); err != nil {
-				t.Error(err)
-			}
-		}()
+	fab, errs, err := transport.RunMesh(context.Background(), params.N+1, nil, func(ctx context.Context, j int, fab transport.Net) error {
+		if j == 0 {
+			rng := fixedbig.NewDRBG("mal-dim-init")
+			_, _, err := RunInitiatorCtx(ctx, params, in.Questionnaire, in.Criterion, fab, rng)
+			return err
+		}
+		rng := fixedbig.NewDRBG(fmt.Sprintf("mal-dim-%d", j))
+		w, err := in.Questionnaire.ParticipantVector(in.Profiles[j-1])
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		bob, flow, err := dotprod.NewBob(dp, w, rng)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		if err := fab.Send(roundGainRequest, j, 0, 8, flow); err != nil {
+			t.Error(err)
+			return nil
+		}
+		payload, err := fab.RecvCtx(ctx, j, 0, -1)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		if _, err := bob.Finish(payload.(*dotprod.AliceReply)); err != nil {
+			t.Error(err)
+			return nil
+		}
+		// A submission whose profile has the wrong dimension must be
+		// rejected when the initiator recomputes the gain.
+		msg := submissionMsg{Rank: 1, Values: []int64{1}}
+		if err := fab.Send(roundSubmission, j, 0, 16, msg); err != nil {
+			t.Error(err)
+		}
+		return nil
+	}, transport.WithRecvTimeout(3*time.Second))
+	if fab == nil {
+		t.Fatal(err)
 	}
-	if err := <-done; err == nil {
+	if errs[0] == nil {
 		t.Fatal("initiator accepted a submission with wrong dimensions")
 	}
 }

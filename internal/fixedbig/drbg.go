@@ -28,6 +28,14 @@ func NewDRBG(seed string) *DRBG {
 	return &DRBG{seed: sha256.Sum256([]byte(seed))}
 }
 
+// PartyDRBG returns party me's DRBG under a run seed, keyed by the one
+// per-party label "<seed>-party-<me>". The standalone sorting protocol
+// and the secret-sharing engine key every party with it on every tier,
+// so a seed-fixed run draws the same randomness in-process and over TCP.
+func PartyDRBG(seed string, me int) *DRBG {
+	return NewDRBG(fmt.Sprintf("%s-party-%d", seed, me))
+}
+
 // Read fills p with deterministic pseudo-random bytes. It never fails.
 func (d *DRBG) Read(p []byte) (int, error) {
 	n := len(p)

@@ -1,6 +1,7 @@
 package ssmpc
 
 import (
+	"context"
 	"crypto/rand"
 	"errors"
 	"math/big"
@@ -30,7 +31,7 @@ func boundaryEngine(t *testing.T) (*Engine, *transport.Fabric) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(cfg, 1, fab, fixedbig.NewDRBG("boundary-rng"))
+	e, err := NewEngineCtx(context.Background(), cfg, 1, fab, fixedbig.NewDRBG("boundary-rng"))
 	if err != nil {
 		t.Fatal(err)
 	}

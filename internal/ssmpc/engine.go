@@ -98,15 +98,10 @@ type Engine struct {
 	pow2, invPow2 []field.Elem
 }
 
-// NewEngine creates party me's endpoint. All parties must share the same
-// Config and Fabric.
-func NewEngine(cfg Config, me int, fab transport.Net, rng io.Reader) (*Engine, error) {
-	return NewEngineCtx(context.Background(), cfg, me, fab, rng)
-}
-
-// NewEngineCtx is NewEngine with cancellation: every receive the engine
-// performs honours ctx, so a crashed or cancelled sibling turns into a
-// prompt typed *AbortError instead of a hung protocol round.
+// NewEngineCtx creates party me's endpoint. All parties must share the
+// same Config and Fabric. Every receive the engine performs honours ctx,
+// so a crashed or cancelled sibling turns into a prompt typed
+// *AbortError instead of a hung protocol round.
 func NewEngineCtx(ctx context.Context, cfg Config, me int, fab transport.Net, rng io.Reader) (*Engine, error) {
 	f, err := cfg.field()
 	if err != nil {
@@ -124,9 +119,6 @@ func NewEngineCtx(ctx context.Context, cfg Config, me int, fab transport.Net, rn
 	sch, err := shamir.NewScheme(f, cfg.Degree, cfg.N)
 	if err != nil {
 		return nil, fmt.Errorf("ssmpc: preparing the sharing scheme: %w", err)
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	// Observability: the party handle rides in on the context; the net
 	// wrapper charges this engine's sends to the party's current span.

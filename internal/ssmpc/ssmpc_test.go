@@ -1,6 +1,7 @@
 package ssmpc
 
 import (
+	"context"
 	"crypto/rand"
 	"math/big"
 	"sync"
@@ -427,7 +428,7 @@ func TestMulBatchAllocatesPerBatchNotPerElement(t *testing.T) {
 	engines := make([]*Engine, n)
 	for me := range engines {
 		// crypto/rand: the test DRBG allocates a block per 32 bytes drawn.
-		if engines[me], err = NewEngine(cfg, me, fab, rand.Reader); err != nil {
+		if engines[me], err = NewEngineCtx(context.Background(), cfg, me, fab, rand.Reader); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -61,38 +61,32 @@ func TestFrameWidthsPinned(t *testing.T) {
 			}
 			const n = 3
 			cfg := Config{N: n, Degree: 1, P: p}
-			fab, err := transport.New(n)
-			if err != nil {
+			var tap *widthTap
+			wrap := func(fab transport.Net) transport.Net {
+				tap = &widthTap{Net: fab, t: t}
+				return tap
+			}
+			fab, errs, err := transport.RunMesh(context.Background(), n, wrap, func(ctx context.Context, me int, net transport.Net) error {
+				e, err := NewEngineCtx(ctx, cfg, me, net, fixedbig.PartyDRBG("widths", me))
+				if err != nil {
+					return err
+				}
+				secrets := []*big.Int{big.NewInt(1), new(big.Int).Sub(p, big.NewInt(1)), big.NewInt(0)}
+				shares, err := e.ShareBatch(0, secrets, len(secrets))
+				if err == nil {
+					shares, err = e.MulBatch(shares, shares)
+				}
+				if err == nil {
+					_, err = e.OpenBatch(shares)
+				}
+				if err == nil {
+					_, err = e.RandomBits(2)
+				}
+				return err
+			})
+			if fab == nil {
 				t.Fatal(err)
 			}
-			tap := &widthTap{Net: fab, t: t}
-			errs := make([]error, n)
-			var wg sync.WaitGroup
-			for me := 0; me < n; me++ {
-				me := me
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					e, err := NewEngine(cfg, me, tap, fixedbig.NewDRBG(fmt.Sprintf("widths-party-%d", me)))
-					if err != nil {
-						errs[me] = err
-						return
-					}
-					secrets := []*big.Int{big.NewInt(1), new(big.Int).Sub(p, big.NewInt(1)), big.NewInt(0)}
-					shares, err := e.ShareBatch(0, secrets, len(secrets))
-					if err == nil {
-						shares, err = e.MulBatch(shares, shares)
-					}
-					if err == nil {
-						_, err = e.OpenBatch(shares)
-					}
-					if err == nil {
-						_, err = e.RandomBits(2)
-					}
-					errs[me] = err
-				}()
-			}
-			wg.Wait()
 			for me, err := range errs {
 				if err != nil {
 					t.Fatalf("party %d: %v", me, err)

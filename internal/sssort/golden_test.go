@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"hash"
 	"math/big"
-	"sync"
 	"testing"
 
 	"groupranking/internal/fixedbig"
@@ -62,14 +61,6 @@ func goldenTranscript(t *testing.T, n, degree, primeBits, l int) string {
 		t.Fatal(err)
 	}
 	cfg := ssmpc.Config{N: n, Degree: degree, P: p, Kappa: 40}
-	fab, err := transport.New(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tap := &tapNet{Net: fab, sent: make([]hash.Hash, n)}
-	for i := range tap.sent {
-		tap.sent[i] = sha256.New()
-	}
 	values := fixedbig.NewDRBG("golden-values")
 	secrets := make([]*big.Int, n)
 	for i := range secrets {
@@ -77,42 +68,36 @@ func goldenTranscript(t *testing.T, n, degree, primeBits, l int) string {
 			t.Fatal(err)
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	opened := make([][]*big.Int, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for me := 0; me < n; me++ {
-		me := me
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if errs[me] != nil {
-					cancel()
-				}
-			}()
-			rng := fixedbig.NewDRBG(fmt.Sprintf("golden-party-%d", me))
-			e, err := ssmpc.NewEngineCtx(ctx, cfg, me, tap, rng)
-			if err != nil {
-				errs[me] = err
-				return
-			}
-			shares := make([]ssmpc.Share, n)
-			for dealer := 0; dealer < n; dealer++ {
-				var s *big.Int
-				if dealer == me {
-					s = secrets[me]
-				}
-				if shares[dealer], err = e.Share(dealer, s); err != nil {
-					errs[me] = err
-					return
-				}
-			}
-			opened[me], errs[me] = SortOpen(e, shares, l)
-		}()
+	var tap *tapNet
+	wrap := func(fab transport.Net) transport.Net {
+		tap = &tapNet{Net: fab, sent: make([]hash.Hash, n)}
+		for i := range tap.sent {
+			tap.sent[i] = sha256.New()
+		}
+		return tap
 	}
-	wg.Wait()
+	opened := make([][]*big.Int, n)
+	fab, errs, err := transport.RunMesh(context.Background(), n, wrap, func(ctx context.Context, me int, net transport.Net) error {
+		e, err := ssmpc.NewEngineCtx(ctx, cfg, me, net, fixedbig.PartyDRBG("golden", me))
+		if err != nil {
+			return err
+		}
+		shares := make([]ssmpc.Share, n)
+		for dealer := 0; dealer < n; dealer++ {
+			var s *big.Int
+			if dealer == me {
+				s = secrets[me]
+			}
+			if shares[dealer], err = e.Share(dealer, s); err != nil {
+				return err
+			}
+		}
+		opened[me], err = SortOpen(e, shares, l)
+		return err
+	})
+	if fab == nil {
+		t.Fatal(err)
+	}
 	for me, err := range errs {
 		if err != nil {
 			t.Fatalf("party %d: %v", me, err)

@@ -16,6 +16,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -232,6 +233,49 @@ func GatherAll(ctx context.Context, net Net, to, round int) ([]any, error) {
 		out[from] = p
 	}
 	return out, nil
+}
+
+// RunMesh is the one in-process mesh runner: it builds an n-party
+// Fabric from opts and runs body once per party, every party on its own
+// goroutine at once (the parties block on each other, so a bounded pool
+// would deadlock them). wrap, when non-nil, decorates the net every
+// body talks through; the undecorated fabric is returned for stats and
+// trace inspection. The first body to fail cancels the context all the
+// others run under, so none is left blocked on a message that will
+// never arrive. RunMesh returns once every goroutine has exited, with
+// each party's error and the root cause: the lowest-index error that is
+// not a context cancellation (cancellations echo a real failure), else
+// the lowest-index error.
+func RunMesh(ctx context.Context, n int, wrap func(Net) Net, body func(ctx context.Context, me int, net Net) error, opts ...Option) (*Fabric, []error, error) {
+	fab, err := New(n, opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	var net Net = fab
+	if wrap != nil {
+		net = wrap(fab)
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for me := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if errs[me] = body(ctx, me, net); errs[me] != nil {
+				cancel()
+			}
+		}()
+	}
+	wg.Wait()
+	var root error
+	for _, err := range errs {
+		if err != nil && (root == nil || errors.Is(root, context.Canceled) && !errors.Is(err, context.Canceled)) {
+			root = err
+		}
+	}
+	return fab, errs, root
 }
 
 // Trace returns a copy of the recorded message trace, ordered by send

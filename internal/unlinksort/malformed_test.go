@@ -15,7 +15,7 @@ import (
 
 // Malformed-message robustness: honest parties must reject wire garbage
 // with descriptive errors, never panic or produce wrong ranks. Each test
-// plays one cheating role against honest Party goroutines; fabric
+// plays one cheating role against honest PartyCtx goroutines; fabric
 // timeouts turn the resulting stalls into clean errors.
 
 // runWithCheater spawns n−1 honest parties (indices ≠ cheaterIdx) and
@@ -38,7 +38,7 @@ func runWithCheater(t *testing.T, cfg Config, vals []int64, cheaterIdx int, chea
 				return
 			}
 			rng := fixedbig.NewDRBG(fmt.Sprintf("mal-honest-%d", me))
-			_, errs[me] = Party(cfg, me, fab, big.NewInt(vals[me]), rng)
+			_, errs[me] = PartyCtx(context.Background(), cfg, me, fab, big.NewInt(vals[me]), rng)
 		}()
 	}
 	for i := 0; i < n; i++ {

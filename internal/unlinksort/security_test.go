@@ -215,7 +215,7 @@ func TestProtocolOverRealTCP(t *testing.T) {
 			}
 			defer fab.Close()
 			rng := fixedbig.NewDRBG(fmt.Sprintf("tcp-party-%d", me))
-			results[me], errs[me] = Party(cfg, me, fab, big.NewInt(vals[me]), rng)
+			results[me], errs[me] = PartyCtx(context.Background(), cfg, me, fab, big.NewInt(vals[me]), rng)
 		}()
 	}
 	wg.Wait()
@@ -288,54 +288,42 @@ func TestProveDecryptionCatchesWrongKeyStrip(t *testing.T) {
 	}
 	cfg := Config{Group: g, L: 4, ProveDecryption: true, SkipProofs: true}
 	vals := bigs(11, 6, 14)
-	n := len(vals)
-	fab, err := transport.New(n, transport.WithRecvTimeout(5*time.Second))
-	if err != nil {
+	scheme := elgamal.NewScheme(g)
+	fab, errs, err := transport.RunMesh(context.Background(), len(vals), nil, func(ctx context.Context, me int, fab transport.Net) error {
+		rng := fixedbig.NewDRBG(fmt.Sprintf("pd-cheat-%d", me))
+		if me != 1 {
+			_, err := PartyCtx(ctx, cfg, me, fab, vals[me], rng)
+			return err
+		}
+		// The cheater: honest key phase and comparison circuit, but
+		// the chain uses a swapped private key, so its strip proofs
+		// cannot verify against its registered share.
+		key, joint, ys, err := keyPhase(ctx, cfg, scheme, me, fab, rng)
+		if err != nil {
+			return err
+		}
+		myBits, theirCts, err := publishBits(ctx, cfg, scheme, me, fab, joint, vals[me], rng)
+		if err != nil {
+			return err
+		}
+		mySet, err := compareAll(ctx, cfg, scheme, joint, myBits, theirCts, rng)
+		if err != nil {
+			return err
+		}
+		wrongX, err := g.RandomScalar(rng)
+		if err != nil {
+			return err
+		}
+		forged := &elgamal.KeyPair{X: wrongX, Y: key.Y}
+		_, err = chainPhase(ctx, cfg, scheme, me, fab, forged, ys, mySet, rng)
+		return err
+	}, transport.WithRecvTimeout(5*time.Second))
+	if fab == nil {
 		t.Fatal(err)
 	}
-	scheme := elgamal.NewScheme(g)
-	errCh := make(chan error, n)
-	for me := 0; me < n; me++ {
-		me := me
-		go func() {
-			rng := fixedbig.NewDRBG(fmt.Sprintf("pd-cheat-%d", me))
-			if me != 1 {
-				_, err := Party(cfg, me, fab, vals[me], rng)
-				errCh <- err
-				return
-			}
-			// The cheater: honest key phase and comparison circuit, but
-			// the chain uses a swapped private key, so its strip proofs
-			// cannot verify against its registered share.
-			key, joint, ys, err := keyPhase(context.Background(), cfg, scheme, me, fab, rng)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			myBits, theirCts, err := publishBits(context.Background(), cfg, scheme, me, fab, joint, vals[me], rng)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			mySet, err := compareAll(context.Background(), cfg, scheme, joint, myBits, theirCts, rng)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			wrongX, err := g.RandomScalar(rng)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			forged := &elgamal.KeyPair{X: wrongX, Y: key.Y}
-			_, err = chainPhase(context.Background(), cfg, scheme, me, fab, forged, ys, mySet, rng)
-			errCh <- err
-			return
-		}()
-	}
 	var rejections int
-	for i := 0; i < n; i++ {
-		if err := <-errCh; err != nil {
+	for _, err := range errs {
+		if err != nil {
 			rejections++
 		}
 	}

@@ -32,11 +32,9 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 
 	"groupranking/internal/elgamal"
 	"groupranking/internal/fixedbig"
@@ -179,17 +177,12 @@ type (
 	}
 )
 
-// Party runs one party's side of the protocol over the fabric: me is the
-// party index in [0, n), beta the party's l-bit value. Every party must
-// call Party concurrently with the same Config.
-func Party(cfg Config, me int, fab transport.Net, beta *big.Int, rng io.Reader) (Result, error) {
-	return PartyCtx(context.Background(), cfg, me, fab, beta, rng)
-}
-
-// PartyCtx is Party with cancellation: every blocking receive honours
-// ctx, so when a sibling party fails and the runner cancels, this party
-// unblocks promptly with a typed *AbortError instead of hanging on a
-// channel that will never deliver.
+// PartyCtx runs one party's side of the protocol over the fabric: me is
+// the party index in [0, n), beta the party's l-bit value. Every party
+// must call it concurrently with the same Config. Every blocking receive
+// honours ctx, so when a sibling party fails and the runner cancels,
+// this party unblocks promptly with a typed *AbortError instead of
+// hanging on a channel that will never deliver.
 func PartyCtx(ctx context.Context, cfg Config, me int, fab transport.Net, beta *big.Int, rng io.Reader) (Result, error) {
 	if err := cfg.validate(); err != nil {
 		return Result{}, err
@@ -1010,14 +1003,39 @@ func shuffle(set []elgamal.Ciphertext, rng io.Reader) error {
 	return nil
 }
 
-// RunCtx executes the whole protocol in-process, one goroutine per
-// party, with deterministic per-party randomness derived from seed. It
-// returns the per-party results (indexed by party) and the fabric for
-// stats and trace inspection. wrap, when non-nil, decorates the net (fault
-// injection hooks in here: wrap receives the shared fabric and returns
-// the Net the parties actually use). The first party to fail cancels
-// every sibling, so no goroutine is left blocked on a receive that will
-// never complete; the returned error is always a typed *AbortError.
+// RunParty is the one sorting-party runner: RunCtx runs it once per
+// goroutine and UnlinkableSortParty once per process. It attaches the
+// party's handle from the context's observability registry and labels
+// its profile samples, keys the party's DRBG from seed
+// (fixedbig.PartyDRBG), runs PartyCtx over net and turns a failure into
+// a typed *transport.AbortError.
+//
+// seed must already be resolved (explicit or drawn): with an empty one
+// every party's DRBG would be keyed by a public constant, so it is
+// refused.
+func RunParty(ctx context.Context, cfg Config, me int, net transport.Net, beta *big.Int, seed string) (Result, error) {
+	if seed == "" {
+		return Result{}, fmt.Errorf("unlinksort: party %d has no seed to derive its randomness from", me)
+	}
+	var res Result
+	var err error
+	ctx = obsv.WithParty(ctx, obsv.RegistryFrom(ctx).Party(me))
+	obsv.Do(ctx, me, func(ctx context.Context) {
+		res, err = PartyCtx(ctx, cfg, me, net, beta, fixedbig.PartyDRBG(seed, me))
+	})
+	return res, transport.EnsureAbort(err, me, "unlinksort")
+}
+
+// RunCtx executes the whole protocol in-process, one RunParty goroutine
+// per party over one fabric (transport.RunMesh), with deterministic
+// per-party randomness derived from seed. It returns the per-party
+// results (indexed by party) and the fabric for stats and trace
+// inspection. wrap, when non-nil, decorates the net (fault injection
+// hooks in here: wrap receives the shared fabric and returns the Net the
+// parties actually use). The first party to fail cancels every sibling,
+// so no goroutine is left blocked on a receive that will never
+// complete; the returned error is always a typed *AbortError, the mesh
+// runner's root cause.
 func RunCtx(ctx context.Context, cfg Config, betas []*big.Int, seed string, wrap func(transport.Net) transport.Net, opts ...transport.Option) ([]Result, *transport.Fabric, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, nil, err
@@ -1026,68 +1044,21 @@ func RunCtx(ctx context.Context, cfg Config, betas []*big.Int, seed string, wrap
 	if n < 2 {
 		return nil, nil, fmt.Errorf("unlinksort: need at least two parties, got %d", n)
 	}
-	// Validate inputs before spawning: a party that fails before its
-	// first send would leave the others blocked on a receive.
+	// Validate inputs before spawning, so a bad value is reported as the
+	// caller's error naming its party, not as one party's abort.
 	for j, beta := range betas {
 		if beta.Sign() < 0 || beta.BitLen() > cfg.L {
 			return nil, nil, fmt.Errorf("unlinksort: party %d value does not fit in %d bits", j, cfg.L)
 		}
 	}
-	fab, err := transport.New(n, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	var net transport.Net = fab
-	if wrap != nil {
-		net = wrap(fab)
-	}
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	reg := obsv.RegistryFrom(ctx)
 	results := make([]Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		p := p
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pctx := obsv.WithParty(runCtx, reg.Party(p))
-			obsv.Do(pctx, p, func(ctx context.Context) {
-				rng := fixedbig.NewDRBG(fmt.Sprintf("%s-party-%d", seed, p))
-				res, err := PartyCtx(ctx, cfg, p, net, betas[p], rng)
-				if err != nil {
-					errs[p] = fmt.Errorf("party %d: %w", p, err)
-					cancel() // unblock every sibling promptly
-					return
-				}
-				results[p] = res
-			})
-		}()
-	}
-	wg.Wait()
-	if p, err := firstRealError(errs); err != nil {
-		return nil, fab, transport.EnsureAbort(err, p, "unlinksort")
+	fab, _, err := transport.RunMesh(ctx, n, wrap, func(ctx context.Context, me int, net transport.Net) error {
+		var err error
+		results[me], err = RunParty(ctx, cfg, me, net, betas[me], seed)
+		return err
+	}, opts...)
+	if err != nil {
+		return nil, fab, err
 	}
 	return results, fab, nil
-}
-
-// firstRealError picks the root-cause failure out of a per-party error
-// slice: cancellation aborts are secondary effects of the first real
-// failure (the canceller), so a non-cancel error is preferred.
-func firstRealError(errs []error) (int, error) {
-	party, pick := -1, error(nil)
-	for p, err := range errs {
-		if err == nil {
-			continue
-		}
-		if pick == nil {
-			party, pick = p, err
-			continue
-		}
-		if errors.Is(pick, context.Canceled) && !errors.Is(err, context.Canceled) {
-			party, pick = p, err
-		}
-	}
-	return party, pick
 }

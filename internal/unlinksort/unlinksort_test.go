@@ -273,7 +273,7 @@ func TestCheatingProverIsRejected(t *testing.T) {
 		p := p
 		go func() {
 			rng := fixedbig.NewDRBG(fmt.Sprintf("cheat-honest-%d", p))
-			_, err := Party(cfg, p, fab, big.NewInt(int64(p+1)), rng)
+			_, err := PartyCtx(context.Background(), cfg, p, fab, big.NewInt(int64(p+1)), rng)
 			errCh <- err
 		}()
 	}

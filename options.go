@@ -64,6 +64,17 @@ func (o SortOptions) validate() error {
 	if o.Bits < 1 || o.Bits > 64 {
 		return fmt.Errorf("groupranking: bits=%d outside [1, 64]", o.Bits)
 	}
+	// The sorting entry points have no recovery runtime, no fault
+	// injection and no runtime metrics: a knob they would ignore is
+	// refused rather than silently dropped.
+	switch {
+	case o.Recovery != nil:
+		return fmt.Errorf("groupranking: Recovery applies to the framework's party entry points only, not to sorting")
+	case o.Faults != nil:
+		return fmt.Errorf("groupranking: Faults applies to the full framework only, not to sorting")
+	case o.Telemetry != nil:
+		return fmt.Errorf("groupranking: Telemetry applies to the framework's party entry points only, not to sorting")
+	}
 	return o.Runtime.Validate()
 }
 
@@ -84,9 +95,9 @@ func (o SortOptions) withDefaults(values []uint64) (SortOptions, error) {
 
 // withPartyDefaults resolves the options for one distributed party:
 // unlike the in-process form, no single process sees all values, so
-// Bits is required rather than derived, the timeout gets the
-// distributed default, and the seed is left empty (empty means real
-// crypto/rand randomness for this party).
+// Bits is required rather than derived, and the timeout gets the
+// distributed default. The seed is left as given; UnlinkableSortParty
+// resolves an empty one with fixedbig.DrawSeed just before the run.
 func (o SortOptions) withPartyDefaults() (SortOptions, error) {
 	if o.Bits <= 0 {
 		return o, fmt.Errorf("groupranking: distributed sorting requires an agreed Bits value")

@@ -21,6 +21,9 @@ func TestSortOptionsValidation(t *testing.T) {
 		{"bits too large", SortOptions{Bits: 65}, "outside [1, 64]"},
 		{"bits negative", SortOptions{Bits: -3}, "outside [1, 64]"},
 		{"negative workers", SortOptions{Bits: 8, Runtime: Runtime{Workers: -1}}, "negative"},
+		{"recovery set", SortOptions{Bits: 8, Runtime: Runtime{Recovery: &RecoveryOptions{Dir: "d"}}}, "Recovery"},
+		{"faults set", SortOptions{Bits: 8, Runtime: Runtime{Faults: &FaultPlan{Drop: 0.1}}}, "Faults"},
+		{"telemetry set", SortOptions{Bits: 8, Runtime: Runtime{Telemetry: NewTelemetry()}}, "Telemetry"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,7 +69,7 @@ func TestSortPartyOptionsRequireBits(t *testing.T) {
 			t.Errorf("timeout defaulted to %v, want %v", o.Timeout, core.DefaultTimeout)
 		}
 		if o.Seed != "" {
-			t.Error("party defaults drew a seed (empty must mean crypto/rand)")
+			t.Error("party defaults drew a seed (UnlinkableSortParty draws it, with fixedbig.DrawSeed)")
 		}
 	}
 }

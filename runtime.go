@@ -30,13 +30,13 @@ type Runtime struct {
 	// rides out peer disconnects by reconnecting, and — restarted with
 	// the same flags and journal directory — resumes an in-flight
 	// session instead of forcing a full abort. Nil (the default) keeps
-	// the fail-fast transport; in-process runs and the sorting entry
-	// points ignore it entirely.
+	// the fail-fast transport; in-process runs ignore it and the sorting
+	// entry points refuse it.
 	Recovery *RecoveryOptions
 	// Faults, when non-nil, injects deterministic message faults (drops,
 	// duplicates, reorders, corruption, link severs, party crashes) into
 	// the run for robustness testing. See FaultPlan. The sorting entry
-	// points ignore it.
+	// points refuse it.
 	Faults *FaultPlan
 	// Observer, when non-nil, records per-party phase spans and crypto/
 	// communication counters for the run (party 0 is the initiator,
@@ -47,7 +47,8 @@ type Runtime struct {
 	// round cadence, redials, retransmissions, heartbeat RTT, journal
 	// latency) into a registry that can be scraped live while the run is
 	// in flight. Only the distributed party entry points feed it;
-	// in-process runs have no runtime underneath to measure.
+	// in-process runs have no runtime underneath to measure, and the
+	// sorting entry points refuse it.
 	Telemetry *Telemetry
 }
 

@@ -2,9 +2,6 @@ package groupranking
 
 import (
 	"context"
-	"crypto/rand"
-	"fmt"
-	"io"
 	"math/big"
 
 	"groupranking/internal/core"
@@ -29,7 +26,8 @@ type SortOptions struct {
 	// bounds each blocking receive on the TCP mesh), Workers and
 	// Observer (UnlinkableSort fills one party per value;
 	// UnlinkableSortParty only this party's slot); Recovery, Faults and
-	// Telemetry apply to the full framework only and are ignored here.
+	// Telemetry apply to the full framework only, and setting any of
+	// them here is refused.
 	Runtime
 }
 
@@ -103,8 +101,13 @@ func UnlinkableSort(ctx context.Context, values []uint64, opts SortOptions) (*So
 // standalone sorting primitive; RankParticipantParty is its counterpart
 // for the full framework.
 //
-// opts.Timeout (default 2 minutes) composes with ctx — whichever
-// deadline expires first wins.
+// The party runs through unlinksort.RunParty, the runner UnlinkableSort
+// runs once per in-process party, so failures come back as the same
+// typed *AbortError. Its randomness is a DRBG keyed by opts.Seed, or
+// without one by a seed drawn locally (fixedbig.DrawSeed) that never
+// leaves the process; a seed-fixed party draws exactly what the same
+// party of a seed-fixed UnlinkableSort draws. opts.Timeout (default 2
+// minutes) composes with ctx — whichever deadline expires first wins.
 func UnlinkableSortParty(ctx context.Context, addrs []string, me int, value uint64, opts SortOptions) (int, error) {
 	o, err := opts.withPartyDefaults()
 	if err != nil {
@@ -114,25 +117,18 @@ func UnlinkableSortParty(ctx context.Context, addrs []string, me int, value uint
 	if err != nil {
 		return 0, err
 	}
+	seed, err := fixedbig.DrawSeed(o.Seed)
+	if err != nil {
+		return 0, err
+	}
 	fab, err := transport.NewTCPFabric(addrs, me, o.Timeout)
 	if err != nil {
 		return 0, err
 	}
 	defer fab.Close()
-	ctx, cancel := context.WithTimeout(ctx, o.Timeout)
+	ctx, cancel := context.WithTimeout(obsv.WithRegistry(ctx, o.Observer), o.Timeout)
 	defer cancel()
-	if o.Observer != nil {
-		ctx = obsv.WithRegistry(ctx, o.Observer)
-		ctx = obsv.WithParty(ctx, o.Observer.Party(me))
-	}
-	var rng io.Reader = rand.Reader
-	if o.Seed != "" {
-		rng = fixedbig.NewDRBG(fmt.Sprintf("%s-party-%d", o.Seed, me))
-	}
-	res, err := unlinksort.PartyCtx(ctx, unlinksort.Config{Group: g, L: o.Bits, Workers: o.Workers}, me, fab,
-		new(big.Int).SetUint64(value), rng)
-	if err != nil {
-		return 0, err
-	}
-	return res.Rank, nil
+	res, err := unlinksort.RunParty(ctx, unlinksort.Config{Group: g, L: o.Bits, Workers: o.Workers}, me, fab,
+		new(big.Int).SetUint64(value), seed)
+	return res.Rank, err
 }
