@@ -82,6 +82,16 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # fixedbig.PartyDRBG the only per-party label of the sorting protocol
 # and the secret-sharing engine: outside internal/fixedbig no code may
 # spell "-party-%d", so the tiers cannot key a party differently.
+# The front-end check keeps internal/cli the one place grouprank,
+# rankparty and rankd register, default and validate their shared
+# settings: outside it no non-test Go may register -sorter, -journal,
+# -grace, -admin, -trace or one of the eight -fault-* flags, so a
+# binary cannot drift to its own default or exit code again. The
+# sorter-name check keeps core.ParseSorter and Sorter.String the one
+# spelling of a sorter: the old API spelling "secretsharing" is gone,
+# and outside internal/core (and the API constants in internal/api) no
+# non-test Go may spell "unlinkable" or "secret-sharing" as a literal
+# or switch on the API's sorter names.
 # The gofmt check names the source trees, not ".", so that the build
 # cache bench/run.sh leaves under .bench_build/ is not walked.
 # The reachability check keeps production code to what a binary or the
@@ -136,6 +146,15 @@ vet:
 	@label=$$(find *.go cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/fixedbig/*' | xargs grep -lF -- '-party-%d' | tr '\n' ' '); \
 	if [ -n "$$label" ]; then \
 		echo "the per-party DRBG label lives in internal/fixedbig (use fixedbig.PartyDRBG), found -party-%d in: $$label"; exit 1; fi
+	@frontend=$$(find *.go cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/cli/*' | xargs grep -lE '\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64|Var|Func|TextVar)(Var)?\(([^,]+, )?"(sorter|journal|grace|admin|trace|fault-(seed|drop|dup|reorder|corrupt|delay|crash-party|crash-round))"' | tr '\n' ' '); \
+	if [ -n "$$frontend" ]; then \
+		echo "the shared flags are registered in internal/cli alone (use cli.Flags), found a registration in: $$frontend"; exit 1; fi
+	@oldname=$$(find *.go cmd examples internal -name '*.go' ! -name '*_test.go' | xargs grep -lF '"secretsharing"' | tr '\n' ' '); \
+	if [ -n "$$oldname" ]; then \
+		echo "the secret-sharing sorter is spelled secret-sharing everywhere (core.Sorter.String), found \"secretsharing\" in: $$oldname"; exit 1; fi
+	@sorters=$$(find *.go cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/core/*' ! -path 'internal/api/api.go' | xargs grep -lE '"(unlinkable|secret-sharing)"|case .*api\.Sorter' | tr '\n' ' '); \
+	if [ -n "$$sorters" ]; then \
+		echo "sorter names are parsed by core.ParseSorter and spelled by Sorter.String alone, found a sorter name in: $$sorters"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:

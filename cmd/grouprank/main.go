@@ -29,7 +29,7 @@ import (
 	"time"
 
 	"groupranking"
-	"groupranking/internal/core"
+	"groupranking/internal/cli"
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/workload"
 )
@@ -50,132 +50,59 @@ type scenarioFile struct {
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("grouprank: ")
+	var shared cli.Flags
+	shared.Protocol(flag.CommandLine)
+	shared.Observability(flag.CommandLine)
+	shared.Faults(flag.CommandLine)
 	var (
-		scenario  = flag.String("scenario", "", "JSON scenario file (overrides -n/-m/-t)")
-		preset    = flag.String("preset", "", "named scenario: marketing, matchmaking or recruiting (overrides -m/-t/-d1/-d2)")
-		n         = flag.Int("n", 8, "participants (generated workload)")
-		m         = flag.Int("m", 4, "attribute dimension (generated workload)")
-		t         = flag.Int("t", 2, "number of equal-to attributes (generated workload)")
-		k         = flag.Int("k", 3, "top-k cut")
-		d1        = flag.Int("d1", 8, "attribute bits")
-		d2        = flag.Int("d2", 5, "weight bits")
-		h         = flag.Int("h", 8, "mask bits")
-		groupName = flag.String("group", core.DefaultGroupName, "DDH group (modp-1024/2048/3072, secp160r1/224r1/256r1, toy-dl-256)")
-		sorter    = flag.String("sorter", "unlinkable", "phase-2 protocol: unlinkable or secret-sharing")
-		seed      = flag.String("seed", "", "deterministic seed (empty = random)")
-		timeout   = flag.Duration("timeout", 0, "whole-run deadline (0 = none); expiry aborts cleanly")
-		workers   = flag.Int("workers", 0, "goroutines per party for crypto hot loops (0 = all CPUs, 1 = serial)")
-		traceFile = flag.String("trace", "", "write a JSONL span trace to this file (- for stderr); on abort the partial trace is still written")
-		metrics   = flag.Bool("metrics", false, "print the per-phase observability summary table after the run")
-
-		faultSeed    = flag.Int64("fault-seed", 0, "seed for the fault-injection schedule (reproducible chaos)")
-		faultDrop    = flag.Float64("fault-drop", 0, "per-message drop probability [0, 1]")
-		faultDup     = flag.Float64("fault-dup", 0, "per-message duplication probability [0, 1]")
-		faultReorder = flag.Float64("fault-reorder", 0, "per-message reorder probability [0, 1]")
-		faultCorrupt = flag.Float64("fault-corrupt", 0, "per-message corruption probability [0, 1]")
-		faultDelay   = flag.Float64("fault-delay", 0, "per-message delay probability [0, 1]")
-		crashParty   = flag.Int("fault-crash-party", -1, "party index to crash (-1 = none; 0 = initiator)")
-		crashRound   = flag.Int("fault-crash-round", 0, "round at which the crashed party dies")
+		scenario = flag.String("scenario", "", "JSON scenario file (overrides -n/-m/-t)")
+		preset   = flag.String("preset", "", "named scenario: marketing, matchmaking or recruiting (overrides -m/-t/-d1/-d2)")
+		n        = flag.Int("n", 8, "participants (generated workload)")
+		m        = flag.Int("m", 4, "attribute dimension (generated workload)")
+		t        = flag.Int("t", 2, "number of equal-to attributes (generated workload)")
 	)
 	flag.Parse()
+	settings, err := shared.Resolve()
+	if err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
+	opts := settings.Options
 
 	var (
 		q        *groupranking.Questionnaire
 		crit     groupranking.Criterion
 		profiles []groupranking.Profile
-		err      error
 	)
 	switch {
 	case *scenario != "":
-		q, crit, profiles, err = loadScenario(*scenario, k)
+		q, crit, profiles, err = loadScenario(*scenario, &opts.K)
 	case *preset != "":
-		q, crit, profiles, err = fromPreset(*preset, *n, *seed, d1, d2)
+		q, crit, profiles, err = fromPreset(*preset, *n, opts.Seed, &opts.D1, &opts.D2)
 	default:
-		q, crit, profiles, err = generate(*n, *m, *t, *d1, *d2, *seed)
+		q, crit, profiles, err = generate(*n, *m, *t, opts.D1, opts.D2, opts.Seed)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	opts := groupranking.Options{
-		GroupName: *groupName,
-		K:         *k,
-		D1:        *d1, D2: *d2, H: *h,
-		Seed:    *seed,
-		Runtime: groupranking.Runtime{Timeout: *timeout, Workers: *workers},
-	}
-	if *faultDrop > 0 || *faultDup > 0 || *faultReorder > 0 || *faultCorrupt > 0 ||
-		*faultDelay > 0 || *crashParty >= 0 {
-		plan := &groupranking.FaultPlan{
-			Seed:      *faultSeed,
-			Drop:      *faultDrop,
-			Duplicate: *faultDup,
-			Reorder:   *faultReorder,
-			Corrupt:   *faultCorrupt,
-			Delay:     *faultDelay,
-		}
-		if *crashParty >= 0 {
-			plan.Rules = append(plan.Rules, groupranking.CrashAt(*crashParty, *crashRound))
-		}
-		opts.Faults = plan
-		if opts.Timeout == 0 {
-			// A lossy run with no deadline could wait forever on a message
-			// that was dropped; a default deadline keeps aborts prompt.
-			opts.Timeout = 30 * time.Second
-		}
-	}
-	switch *sorter {
-	case "unlinkable":
-		opts.Sorter = groupranking.Unlinkable
-	case "secret-sharing":
-		opts.Sorter = groupranking.SecretSharing
-	default:
-		log.Fatalf("unknown sorter %q", *sorter)
-	}
-
-	var obs *groupranking.Observer
-	if *traceFile != "" || *metrics {
-		obs = groupranking.NewObserver()
-		opts.Observer = obs
-	}
-	writeTrace := func() {
-		if *traceFile == "" {
-			return
-		}
-		out := os.Stderr
-		if *traceFile != "-" {
-			f, err := os.Create(*traceFile)
-			if err != nil {
-				log.Printf("trace: %v", err)
-				return
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := obs.WriteJSONL(out); err != nil {
-			log.Printf("trace: %v", err)
-		}
+	if opts.Faults != nil && opts.Timeout == 0 {
+		// A lossy run with no deadline could wait forever on a message
+		// that was dropped; a default deadline keeps aborts prompt.
+		opts.Timeout = 30 * time.Second
 	}
 
 	res, err := groupranking.Rank(context.Background(), q, crit, profiles, opts)
 	if err != nil {
-		// The Observer outlives the failed run: dump the partial trace so
-		// the typed abort diagnostics come with the timeline that led to
-		// the failure.
-		writeTrace()
+		shared.Report(opts.Observer, os.Stderr)
 		var abort *groupranking.AbortError
 		if errors.As(err, &abort) {
-			if *metrics {
-				obs.WriteSummary(os.Stderr)
-			}
 			log.Fatalf("run aborted cleanly (party %d, phase %q, round %d): %v",
 				abort.Party, abort.Phase, abort.Round, err)
 		}
 		log.Fatal(err)
 	}
-	writeTrace()
 
-	fmt.Printf("group: %s, sorter: %s, participants: %d, k: %d\n\n", *groupName, *sorter, len(profiles), opts.K)
+	fmt.Printf("group: %s, sorter: %s, participants: %d, k: %d\n\n", opts.GroupName, opts.Sorter, len(profiles), opts.K)
 	fmt.Println("participant ranks (each participant only learns its own):")
 	for j, r := range res.Ranks {
 		fmt.Printf("  P%-3d rank %d\n", j+1, r)
@@ -189,12 +116,7 @@ func main() {
 		fmt.Printf("\nover-claim detection flagged: %v\n", res.Suspicious)
 	}
 	fmt.Printf("\ntraffic: %d bytes, %d communication rounds\n", res.BytesOnWire, res.Rounds)
-	if *metrics {
-		fmt.Println()
-		if err := obs.WriteSummary(os.Stdout); err != nil {
-			log.Fatal(err)
-		}
-	}
+	shared.Report(opts.Observer, os.Stdout)
 }
 
 func loadScenario(path string, k *int) (*groupranking.Questionnaire, groupranking.Criterion, []groupranking.Profile, error) {

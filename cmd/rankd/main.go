@@ -25,7 +25,8 @@
 // byte-identically. An unusable DIR (unwritable, not a directory, or
 // locked by another live daemon for the same slot) exits 2 at startup,
 // as does any setting the daemon refuses (a negative -workers, -grace
-// or -session-timeout, or a -me outside -addrs).
+// or -session-timeout, -grace without -journal, or a -me outside
+// -addrs).
 //
 // SIGINT/SIGTERM drains the daemon gracefully: admission closes (new
 // work is rejected with the typed "draining" code and a Retry-After),
@@ -44,14 +45,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"groupranking"
+	"groupranking/internal/cli"
 	"groupranking/internal/core"
 	"groupranking/internal/service"
-	"groupranking/internal/telemetry"
 )
 
 func main() {
@@ -61,25 +60,22 @@ func main() {
 func run() int {
 	log.SetFlags(0)
 	log.SetPrefix("rankd: ")
+	var shared cli.Flags
+	shared.Deployment(flag.CommandLine)
+	shared.Workers(flag.CommandLine)
 	var (
-		addrsFlag      = flag.String("addrs", "", "comma-separated mesh listen addresses of all daemons in index order; index 0 is the initiator daemon")
-		me             = flag.Int("me", -1, "this daemon's index into -addrs (0 = initiator daemon)")
 		apiAddr        = flag.String("api", "", "serve the session HTTP API on this address")
-		adminAddr      = flag.String("admin", "", "serve live telemetry on this address: /metrics, /healthz, /debug/pprof")
 		maxSessions    = flag.Int("max-sessions", 64, "admission cap: most concurrent non-terminal sessions this daemon hosts")
 		resultTTL      = flag.Duration("result-ttl", 5*time.Minute, "how long a finished session's result stays pollable")
 		sessionTimeout = flag.Duration("session-timeout", core.DefaultTimeout, "default (and ceiling) per-session budget")
-		workers        = flag.Int("workers", 0, "goroutines per session's crypto hot loops (0 = all CPUs, 1 = serial)")
 		queueCap       = flag.Int("queue-cap", 0, "per-session receive budget in frames per peer link (0 = the transport default)")
-		journalDir     = flag.String("journal", "", "durable mode: journal sessions under this directory and resume them across restarts")
-		grace          = flag.Duration("grace", 0, "durable mode: how long a disconnected peer daemon may take to come back before sessions blame it (0 = 15s)")
 		drainBudget    = flag.Duration("drain", 20*time.Second, "graceful-drain budget on SIGINT/SIGTERM: how long running sessions may finish before the rest is parked (or aborted without -journal)")
 	)
 	flag.Parse()
 
-	addrs := strings.Split(*addrsFlag, ",")
-	if *addrsFlag == "" || len(addrs) < 3 {
-		log.Print("need -addrs with the initiator daemon plus at least two participant daemons (three addresses)")
+	settings, err := shared.Resolve()
+	if err != nil {
+		log.Print(err)
 		return 2
 	}
 	if *apiAddr == "" {
@@ -87,33 +83,20 @@ func run() int {
 		return 2
 	}
 	cfg := service.Config{
-		Addrs:       addrs,
-		Me:          *me,
+		Addrs:       settings.Addrs,
+		Me:          settings.Me,
 		MaxSessions: *maxSessions,
 		ResultTTL:   *resultTTL,
 		QueueCap:    *queueCap,
-		Runtime: groupranking.Runtime{
-			Timeout: *sessionTimeout,
-			Workers: *workers,
-		},
+		Runtime:     settings.Options.Runtime,
 	}
-	if *journalDir != "" {
-		cfg.Recovery = &groupranking.RecoveryOptions{Dir: *journalDir, Grace: *grace}
+	cfg.Timeout = *sessionTimeout
+	stopAdmin, err := shared.ServeAdmin(cfg.Telemetry)
+	if err != nil {
+		log.Print(err)
+		return 2
 	}
-	var adminSrv *http.Server
-	if *adminAddr != "" {
-		tel := groupranking.NewTelemetry()
-		cfg.Telemetry = tel
-		ln, err := net.Listen("tcp", *adminAddr)
-		if err != nil {
-			log.Printf("-admin: %v", err)
-			return 2
-		}
-		adminSrv = &http.Server{Handler: telemetry.AdminMux(tel)}
-		go adminSrv.Serve(ln)
-		defer adminSrv.Close()
-		log.Printf("admin endpoint on http://%s (/metrics, /healthz, /debug/pprof)", ln.Addr())
-	}
+	defer stopAdmin()
 
 	// Bind the API listener before joining the mesh so a bad -api fails
 	// fast, but only serve once the daemon is up.
@@ -124,7 +107,7 @@ func run() int {
 	}
 	defer apiLn.Close()
 
-	log.Printf("daemon %d joining the %d-daemon mesh...", *me, len(addrs))
+	log.Printf("daemon %d joining the %d-daemon mesh...", cfg.Me, len(cfg.Addrs))
 	d, err := service.NewDaemon(cfg)
 	if err != nil {
 		log.Print(err)
@@ -134,8 +117,8 @@ func run() int {
 		return 1
 	}
 	defer d.Close()
-	if *journalDir != "" {
-		log.Printf("durable mode: journals under %s", *journalDir)
+	if cfg.Recovery != nil {
+		log.Printf("durable mode: journals under %s", cfg.Recovery.Dir)
 	}
 
 	// net/http counts a connection that has not sent its first request as
@@ -162,7 +145,7 @@ func run() int {
 		go func() { drained <- d.Drain(*drainBudget) }()
 		select {
 		case left := <-drained:
-			if left > 0 && *journalDir != "" {
+			if left > 0 && cfg.Recovery != nil {
 				log.Printf("parked %d unfinished sessions for the next life to resume", left)
 			} else if left > 0 {
 				log.Printf("aborting %d unfinished sessions (no -journal to park them in)", left)

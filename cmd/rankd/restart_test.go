@@ -339,7 +339,8 @@ func TestChaosRankdKillRestart(t *testing.T) {
 // startup with exit 2 — the operator-mistake code — before the daemon
 // touches the mesh; so must runtime settings the one Runtime check
 // rejects (a negative -workers would otherwise run serial, a negative
-// -grace the 15 s default).
+// -grace the 15 s default), and -grace without -journal, which would
+// otherwise be ignored.
 func TestChaosRankdBadJournalDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process test skipped in short mode")
@@ -371,6 +372,7 @@ func TestChaosRankdBadJournalDir(t *testing.T) {
 		{"-workers", "-1"},
 		{"-journal", t.TempDir(), "-grace", "-1s"},
 		{"-session-timeout", "-1s"},
+		{"-grace", "5s"},
 	} {
 		// A daemon that accepts the setting goes on to wait for its mesh;
 		// the deadline turns that into a failure instead of a hang.

@@ -40,16 +40,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
 	"groupranking"
-	"groupranking/internal/core"
-	"groupranking/internal/telemetry"
+	"groupranking/internal/cli"
 	"groupranking/internal/transport"
 )
 
@@ -60,193 +57,85 @@ func main() {
 func run() int {
 	log.SetFlags(0)
 	log.SetPrefix("rankparty: ")
+	var shared cli.Flags
+	shared.Protocol(flag.CommandLine)
+	shared.Observability(flag.CommandLine)
+	shared.Faults(flag.CommandLine)
+	shared.Deployment(flag.CommandLine)
 	var (
-		addrsFlag = flag.String("addrs", "", "comma-separated listen addresses of all parties in index order; index 0 is the initiator")
-		me        = flag.Int("me", -1, "this party's index into -addrs (0 = initiator)")
-		attrsFlag = flag.String("attrs", "", "agreed questionnaire: comma-separated name:kind entries with kind eq or gt (eq entries first)")
-		valFlag   = flag.String("values", "", "this party's private values: the criterion (initiator) or the profile (participant)")
-		wtFlag    = flag.String("weights", "", "the initiator's private criterion weights (initiator only)")
-		k         = flag.Int("k", core.DefaultK, "agreed top-k cut")
-		d1        = flag.Int("d1", core.DefaultD1, "agreed attribute value bits")
-		d2        = flag.Int("d2", core.DefaultD2, "agreed weight bits")
-		h         = flag.Int("h", core.DefaultH, "agreed mask bits")
-		groupName = flag.String("group", core.DefaultGroupName, "agreed DDH group")
-		sorter    = flag.String("sorter", "unlinkable", "agreed phase-2 sorter: unlinkable or secret-sharing")
-		seed      = flag.String("seed", "", "deterministic seed (testing only; empty = a seed drawn by this process, or the journaled one with -journal)")
-		timeout   = flag.Duration("timeout", core.DefaultTimeout, "protocol deadline and per-receive bound")
-		workers   = flag.Int("workers", 0, "goroutines for this party's crypto hot loops (0 = all CPUs, 1 = serial)")
-		traceFile = flag.String("trace", "", "write this party's JSONL span trace to this file (- for stderr); written even on abort")
-		metrics   = flag.Bool("metrics", false, "print this party's per-phase summary table to stderr")
-		admin     = flag.String("admin", "", "serve live telemetry on this address while the run is in flight: /metrics (Prometheus text), /healthz (per-peer link state), /debug/pprof")
-		straggle  = flag.Duration("straggle", 0, "testing: sleep this long at the start of every phase, making this party the run's straggler in the merged trace")
-
-		journalDir = flag.String("journal", "", "enable crash recovery: journal the session durably into this directory; restart with the same flags to resume")
-		grace      = flag.Duration("grace", 0, "how long a disconnected peer may take to reconnect before it is blamed (default 15s; needs -journal)")
+		attrsFlag  = flag.String("attrs", "", "agreed questionnaire: comma-separated name:kind entries with kind eq or gt (eq entries first)")
+		valFlag    = flag.String("values", "", "this party's private values: the criterion (initiator) or the profile (participant)")
+		wtFlag     = flag.String("weights", "", "the initiator's private criterion weights (initiator only)")
+		straggle   = flag.Duration("straggle", 0, "testing: sleep this long at the start of every phase, making this party the run's straggler in the merged trace")
 		blameOut   = flag.String("blame-out", "", "on abort, write the blame certificate as JSON to this file (- for stderr) for offline verification")
-
-		faultSeed    = flag.Int64("fault-seed", 0, "seed for the fault-injection schedule (reproducible chaos)")
-		faultDrop    = flag.Float64("fault-drop", 0, "per-message drop probability [0, 1]")
-		faultDup     = flag.Float64("fault-dup", 0, "per-message duplication probability [0, 1]")
-		faultReorder = flag.Float64("fault-reorder", 0, "per-message reorder probability [0, 1]")
-		faultCorrupt = flag.Float64("fault-corrupt", 0, "per-message corruption probability [0, 1]")
-		faultDelay   = flag.Float64("fault-delay", 0, "per-message delay probability [0, 1]")
-		crashParty   = flag.Int("fault-crash-party", -1, "party index to crash (-1 = none; 0 = initiator)")
-		crashRound   = flag.Int("fault-crash-round", 0, "round at which the crashed party dies")
-		equivocate   = flag.Bool("fault-equivocate", false, "Byzantine demo: THIS party equivocates on its broadcasts (honest peers must abort and blame it)")
-
-		wireCodec = flag.Int("wire-codec", 0, "testing: announce this wire-codec version in session establishment (0 = this build's version); mismatched parties refuse the session")
+		equivocate = flag.Bool("fault-equivocate", false, "Byzantine demo: THIS party equivocates on its broadcasts (honest peers must abort and blame it)")
+		wireCodec  = flag.Int("wire-codec", 0, "testing: announce this wire-codec version in session establishment (0 = this build's version); mismatched parties refuse the session")
 	)
 	flag.Parse()
 
-	if *timeout < 0 {
-		log.Printf("-timeout %v is negative (0 means the default deadline)", *timeout)
-		return 2
-	}
-	if *grace < 0 {
-		log.Printf("-grace %v is negative (0 means the 15s default)", *grace)
+	settings, err := shared.Resolve()
+	if err != nil {
+		log.Print(err)
 		return 2
 	}
 	if *straggle < 0 {
 		log.Printf("-straggle %v is negative", *straggle)
 		return 2
 	}
-
-	addrs := strings.Split(*addrsFlag, ",")
-	if *addrsFlag == "" || len(addrs) < 3 {
-		log.Print("need -addrs with the initiator plus at least two participants (three addresses)")
-		return 2
-	}
-	if *me < 0 || *me >= len(addrs) {
-		log.Printf("-me %d outside the address list (%d entries)", *me, len(addrs))
-		return 2
-	}
+	addrs, me, opts := settings.Addrs, settings.Me, settings.Options
 	q, err := parseAttrs(*attrsFlag)
 	if err != nil {
 		log.Print(err)
 		return 2
 	}
-	values, err := parseInts(*valFlag, "-values")
+	values, err := parseInts(*valFlag, "-values", q.M())
 	if err != nil {
 		log.Print(err)
 		return 2
 	}
-	if len(values) != q.M() {
-		log.Printf("-values has %d entries, -attrs has %d", len(values), q.M())
+	var weights []int64
+	if me == 0 {
+		weights, err = parseInts(*wtFlag, "-weights", q.M())
+	} else if *wtFlag != "" {
+		err = fmt.Errorf("-weights is initiator-only (participants hold no criterion)")
+	}
+	if err != nil {
+		log.Print(err)
 		return 2
 	}
 
-	opts := groupranking.Options{
-		GroupName: *groupName,
-		K:         *k,
-		D1:        *d1, D2: *d2, H: *h,
-		Seed:      *seed,
-		WireCodec: *wireCodec,
-		Runtime:   groupranking.Runtime{Timeout: *timeout, Workers: *workers},
-	}
-	if *journalDir != "" {
-		opts.Recovery = &groupranking.RecoveryOptions{Dir: *journalDir, Grace: *grace}
-	} else if *grace != 0 {
-		log.Print("-grace needs -journal (crash recovery is off without a journal directory)")
-		return 2
-	}
-	if *faultDrop > 0 || *faultDup > 0 || *faultReorder > 0 || *faultCorrupt > 0 ||
-		*faultDelay > 0 || *crashParty >= 0 || *equivocate {
-		plan := &groupranking.FaultPlan{
-			Seed:      *faultSeed,
-			Drop:      *faultDrop,
-			Duplicate: *faultDup,
-			Reorder:   *faultReorder,
-			Corrupt:   *faultCorrupt,
-			Delay:     *faultDelay,
-		}
-		if *crashParty >= 0 {
-			plan.Rules = append(plan.Rules, groupranking.CrashAt(*crashParty, *crashRound))
-		}
-		if *equivocate {
-			// The fault net sits at this party's own endpoint, so the
-			// equivocation is injected into this party's outgoing
-			// broadcast legs — the honest peers' echo sub-round must
-			// catch it and blame this party.
-			plan.Rules = append(plan.Rules, groupranking.FaultRule{
-				Kind: transport.FaultEquivocate, Round: -1, From: *me, To: -1,
-			})
-		}
-		opts.Faults = plan
-	}
-	switch *sorter {
-	case "unlinkable":
-		opts.Sorter = groupranking.Unlinkable
-	case "secret-sharing":
-		opts.Sorter = groupranking.SecretSharing
-	default:
-		log.Printf("unknown -sorter %q (want unlinkable or secret-sharing)", *sorter)
-		return 2
-	}
-	// The admin endpoint and the straggler hook both live on the
-	// observer, so either flag forces one on.
-	var obs *groupranking.Observer
-	if *traceFile != "" || *metrics || *admin != "" || *straggle > 0 {
-		obs = groupranking.NewObserver()
-		opts.Observer = obs
+	opts.WireCodec = *wireCodec
+	if *equivocate {
+		// The fault net sits at this party's own endpoint: its outgoing
+		// broadcast legs equivocate, and the honest peers' echo
+		// sub-round must catch it and blame this party.
+		opts.Faults = shared.FaultPlan(groupranking.FaultRule{
+			Kind: transport.FaultEquivocate, Round: -1, From: me, To: -1,
+		})
 	}
 	if *straggle > 0 {
+		// The straggler hook lives on the observer.
+		if opts.Observer == nil {
+			opts.Observer = groupranking.NewObserver()
+		}
 		delay := *straggle
-		obs.SetBeginHook(func(party int, phase string) { time.Sleep(delay) })
+		opts.Observer.SetBeginHook(func(party int, phase string) { time.Sleep(delay) })
 	}
-	if *admin != "" {
-		tel := groupranking.NewTelemetry()
-		opts.Telemetry = tel
-		ln, err := net.Listen("tcp", *admin)
-		if err != nil {
-			log.Printf("-admin: %v", err)
-			return 2
-		}
-		srv := &http.Server{Handler: telemetry.AdminMux(tel, obs.WritePrometheus)}
-		go srv.Serve(ln)
-		defer srv.Close()
-		log.Printf("admin endpoint on http://%s (/metrics, /healthz, /debug/pprof)", ln.Addr())
+	stopAdmin, err := shared.ServeAdmin(opts.Telemetry, opts.Observer.WritePrometheus)
+	if err != nil {
+		log.Print(err)
+		return 2
 	}
-	report := func() {
-		if obs == nil {
-			return
-		}
-		if *traceFile != "" {
-			out := os.Stderr
-			if *traceFile != "-" {
-				f, err := os.Create(*traceFile)
-				if err != nil {
-					log.Printf("trace: %v", err)
-				} else {
-					defer f.Close()
-					out = f
-				}
-			}
-			if err := obs.WriteJSONL(out); err != nil {
-				log.Printf("trace: %v", err)
-			}
-		}
-		if *metrics {
-			obs.WriteSummary(os.Stderr)
-		}
-	}
+	defer stopAdmin()
 
-	if *me == 0 {
-		weights, err := parseInts(*wtFlag, "-weights")
-		if err != nil {
-			log.Print(err)
-			return 2
-		}
-		if len(weights) != q.M() {
-			log.Printf("-weights has %d entries, -attrs has %d", len(weights), q.M())
-			return 2
-		}
+	if me == 0 {
 		crit := groupranking.Criterion{Values: values, Weights: weights}
 		res, err := groupranking.RankInitiatorParty(context.Background(), q, crit, addrs, opts)
-		report()
+		shared.Report(opts.Observer, os.Stderr)
 		if err != nil {
 			return fail(err, addrs, *blameOut)
 		}
-		if obs != nil {
+		if opts.Observer != nil {
 			log.Printf("trace id %s", res.TraceID)
 		}
 		fmt.Printf("initiator: received %d top-%d submissions over %d rounds (%d bytes sent)\n",
@@ -261,22 +150,18 @@ func run() int {
 		return 0
 	}
 
-	if *wtFlag != "" {
-		log.Print("-weights is initiator-only (participants hold no criterion)")
-		return 2
-	}
 	profile := groupranking.Profile{Values: values}
-	res, err := groupranking.RankParticipantParty(context.Background(), q, addrs, *me, profile, opts)
-	report()
+	res, err := groupranking.RankParticipantParty(context.Background(), q, addrs, me, profile, opts)
+	shared.Report(opts.Observer, os.Stderr)
 	if err != nil {
 		return fail(err, addrs, *blameOut)
 	}
-	if obs != nil {
+	if opts.Observer != nil {
 		log.Printf("trace id %s", res.TraceID)
 	}
-	fmt.Printf("party %d: my gain ranks #%d among %d participants (1 = best)\n", *me, res.Rank, len(addrs)-1)
+	fmt.Printf("party %d: my gain ranks #%d among %d participants (1 = best)\n", me, res.Rank, len(addrs)-1)
 	if res.Rank <= opts.K {
-		fmt.Printf("party %d: ranked in the top %d — profile submitted to the initiator\n", *me, opts.K)
+		fmt.Printf("party %d: ranked in the top %d — profile submitted to the initiator\n", me, opts.K)
 	}
 	return 0
 }
@@ -361,12 +246,16 @@ func parseAttrs(s string) (*groupranking.Questionnaire, error) {
 	return groupranking.NewQuestionnaire(attrs)
 }
 
-// parseInts parses a comma-separated int64 list.
-func parseInts(s, flagName string) ([]int64, error) {
+// parseInts parses a comma-separated list of m int64s, one per
+// attribute.
+func parseInts(s, flagName string, m int) ([]int64, error) {
 	if s == "" {
 		return nil, fmt.Errorf("need %s (comma-separated integers)", flagName)
 	}
 	parts := strings.Split(s, ",")
+	if len(parts) != m {
+		return nil, fmt.Errorf("%s has %d entries, -attrs has %d", flagName, len(parts), m)
+	}
 	out := make([]int64, len(parts))
 	for i, p := range parts {
 		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)

@@ -28,6 +28,7 @@ package groupranking
 
 import (
 	"context"
+	"fmt"
 	"math/big"
 	"time"
 
@@ -121,9 +122,6 @@ type Options struct {
 	Sorter Sorter
 	// Seed makes the run deterministic; empty draws a fresh random seed.
 	Seed string
-	// SkipProofs disables the key-knowledge proofs (benchmark-only; a
-	// real deployment must keep them).
-	SkipProofs bool
 	// ProveDecryption enables the decryption-integrity extension: every
 	// chain hop commits to its output and proves each key-layer strip
 	// with a Chaum–Pedersen transcript, verified by the next hop. It
@@ -219,6 +217,15 @@ type Result struct {
 // needs pass context.Background(). Options.Timeout, when set, composes
 // with ctx — whichever deadline expires first wins.
 func Rank(ctx context.Context, q *Questionnaire, criterion Criterion, profiles []Profile, opts Options) (*Result, error) {
+	// The in-process run has no journal and no runtime underneath to
+	// measure: a knob it would ignore is refused rather than silently
+	// dropped.
+	switch {
+	case opts.Recovery != nil:
+		return nil, fmt.Errorf("groupranking: Recovery applies to the framework's party entry points only, not to Rank")
+	case opts.Telemetry != nil:
+		return nil, fmt.Errorf("groupranking: Telemetry applies to the framework's party entry points only, not to Rank")
+	}
 	params, err := opts.params(q, len(profiles))
 	if err != nil {
 		return nil, err

@@ -46,13 +46,14 @@ type Criterion struct {
 	Weights []int64 `json:"weights"`
 }
 
-// Sorter names for SessionSpec.Sorter.
+// Sorter names for SessionSpec.Sorter: core.Sorter's String spellings,
+// the same names the command line, traces and the bench snapshot use.
 const (
 	// SorterUnlinkable is the paper's identity-unlinkable protocol
 	// (default, also selected by an empty Sorter).
 	SorterUnlinkable = "unlinkable"
 	// SorterSecretSharing is the secret-sharing baseline.
-	SorterSecretSharing = "secretsharing"
+	SorterSecretSharing = "secret-sharing"
 )
 
 // SessionSpec is the body of POST /v1/sessions: everything a ranking
@@ -74,7 +75,8 @@ type SessionSpec struct {
 	H  int `json:"h,omitempty"`
 	// GroupName picks the DDH group.
 	GroupName string `json:"group,omitempty"`
-	// Sorter picks the phase-2 protocol ("unlinkable" default).
+	// Sorter picks the phase-2 protocol: SorterUnlinkable (the
+	// default) or SorterSecretSharing.
 	Sorter string `json:"sorter,omitempty"`
 	// Seed makes the whole session deterministic: like the CLI party
 	// runners, every daemon derives its per-role RNG from this one
@@ -84,8 +86,6 @@ type SessionSpec struct {
 	// means each daemon draws its own seed, which never leaves it (a
 	// durable daemon journals it in its own session journal).
 	Seed string `json:"seed,omitempty"`
-	// SkipProofs disables the key-knowledge proofs (benchmark-only).
-	SkipProofs bool `json:"skip_proofs,omitempty"`
 	// ProveDecryption enables the decryption-integrity extension.
 	ProveDecryption bool `json:"prove_decryption,omitempty"`
 	// TimeoutMS overrides the daemon's per-session timeout budget for

@@ -217,7 +217,7 @@ func runSnapshotConfig(name string, g group.Group, sorter core.Sorter, n int) (S
 	return SnapshotEntry{
 		Name:               name,
 		Group:              g.Name(),
-		Sorter:             sorterName(sorter),
+		Sorter:             sorter.String(),
 		N:                  n,
 		M:                  params.M,
 		L:                  l,
@@ -228,13 +228,6 @@ func runSnapshotConfig(name string, g group.Group, sorter core.Sorter, n int) (S
 		Rounds:             stats.DistinctRounds,
 		BytesPerOp:         stats.TotalBytes() / msgs,
 	}, nil
-}
-
-func sorterName(s core.Sorter) string {
-	if s == core.SorterSecretSharing {
-		return "secret-sharing"
-	}
-	return "unlinkable"
 }
 
 func snapshotInputs(params core.Params, seed string) (core.Inputs, error) {

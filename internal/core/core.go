@@ -31,6 +31,7 @@ import (
 
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
+	"groupranking/internal/ssmpc"
 	"groupranking/internal/workload"
 )
 
@@ -57,6 +58,21 @@ func (s Sorter) String() string {
 	}
 }
 
+// ParseSorter is String's inverse, the one parser of a sorter name for
+// the command line and the rankd API alike; the empty name means
+// SorterUnlinkable.
+func ParseSorter(name string) (Sorter, error) {
+	if name == "" {
+		return SorterUnlinkable, nil
+	}
+	for _, s := range []Sorter{SorterUnlinkable, SorterSecretSharing} {
+		if name == s.String() {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown sorter %q (want %s or %s)", name, SorterUnlinkable, SorterSecretSharing)
+}
+
 // Params fixes a framework instance. The defaults mirror Section VII:
 // n=25, m=10, d1=15, h=15 (d2 is not stated in the paper; we use 10).
 type Params struct {
@@ -72,16 +88,14 @@ type Params struct {
 	Group group.Group
 	// Sorter selects the phase-2 protocol.
 	Sorter Sorter
-	// SkipProofs disables the key-knowledge proofs in phase 2
-	// (benchmark-only).
+	// SkipProofs disables the key-knowledge proofs in phase 2. No
+	// entry point sets it; the chaos suites (internal/chaos) do, to
+	// keep hundreds of fault schedules fast.
 	SkipProofs bool
 	// ProveDecryption enables the decryption-integrity extension of the
 	// phase-2 chain: hash commitments plus Chaum–Pedersen strip proofs,
 	// verified hop by hop (see internal/unlinksort).
 	ProveDecryption bool
-	// Kappa is the statistical parameter of the SS comparison
-	// (default 40).
-	Kappa int
 	// Workers bounds the goroutines each party's crypto hot loops fan
 	// out on (0 = NumCPU, 1 = serial). Results are bit-identical at
 	// every worker count: randomness is always drawn serially.
@@ -163,11 +177,7 @@ func (p Params) fieldPrime() (*big.Int, error) {
 
 // ssFieldPrime derives the SS baseline's field the same way.
 func (p Params) ssFieldPrime() (*big.Int, error) {
-	kappa := p.Kappa
-	if kappa <= 0 {
-		kappa = 40
-	}
-	return derivedPrime("ss", p.BetaBits()+kappa+8)
+	return derivedPrime("ss", p.BetaBits()+ssmpc.Kappa+8)
 }
 
 var (

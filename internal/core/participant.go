@@ -143,7 +143,6 @@ func ssBaselineRank(ctx context.Context, params Params, me int, net transport.Ne
 		N:      params.N,
 		Degree: (params.N - 1) / 2, // the baseline's maximum resistance
 		P:      prime,
-		Kappa:  params.Kappa,
 	}
 	eng, err := ssmpc.NewEngineCtx(ctx, cfg, me, net, rng)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 
 	"groupranking/internal/obsv"
+	"groupranking/internal/ssmpc"
 	"groupranking/internal/transport"
 	"groupranking/internal/wirecodec"
 )
@@ -44,7 +45,7 @@ type sessionMsg struct {
 	Sorter          int
 	SkipProofs      bool
 	ProveDecryption bool
-	Kappa           int
+	Kappa           int // ssmpc.Kappa: a build with another constant is refused
 	// TraceID is the run-level trace identifier proposal. Unlike every
 	// other field it is deliberately excluded from diff(): party 0's
 	// proposal wins and the others adopt it, so all parties stamp their
@@ -56,10 +57,6 @@ type sessionMsg struct {
 // normalising defaulted fields so equivalent configurations compare
 // equal.
 func sessionFromParams(p Params) sessionMsg {
-	kappa := p.Kappa
-	if kappa <= 0 {
-		kappa = 40
-	}
 	codec := p.WireCodec
 	if codec == 0 {
 		codec = wirecodec.Version
@@ -74,7 +71,7 @@ func sessionFromParams(p Params) sessionMsg {
 		Sorter:          int(p.Sorter),
 		SkipProofs:      p.SkipProofs,
 		ProveDecryption: p.ProveDecryption,
-		Kappa:           kappa,
+		Kappa:           ssmpc.Kappa,
 	}
 }
 

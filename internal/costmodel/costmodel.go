@@ -22,6 +22,7 @@ import (
 
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
+	"groupranking/internal/ssmpc"
 	"groupranking/internal/sssort"
 	"groupranking/internal/transport"
 	"groupranking/internal/workload"
@@ -29,12 +30,11 @@ import (
 
 // Setting mirrors one evaluation configuration of Section VII.
 type Setting struct {
-	N     int // participants
-	M     int // attribute dimension
-	D1    int // attribute bits
-	D2    int // weight bits
-	H     int // ρ bits
-	Kappa int // SS statistical parameter
+	N  int // participants
+	M  int // attribute dimension
+	D1 int // attribute bits
+	D2 int // weight bits
+	H  int // ρ bits
 
 	// LOverride, when positive, replaces the paper's l formula in L().
 	// The implementation derives l from t (core.Params.BetaBits), which
@@ -46,7 +46,7 @@ type Setting struct {
 // PaperDefaults returns the Section VII baseline setting
 // (n=25, m=10, d1=15, h=15; d2 is unstated in the paper, fixed at 10).
 func PaperDefaults() Setting {
-	return Setting{N: 25, M: 10, D1: 15, D2: 10, H: 15, Kappa: 40}
+	return Setting{N: 25, M: 10, D1: 15, D2: 10, H: 15}
 }
 
 // L returns the β bit width: LOverride when set, otherwise the paper's
@@ -91,13 +91,6 @@ func ParticipantCiphertexts(n, l int) int64 {
 // phase, six for keys/proofs/bits/collection, n−1 chain hops, one final
 // distribution and one submission round — O(n) as claimed.
 func OursRounds(n int) int64 { return int64(n) + 9 }
-
-// InitiatorFieldMuls approximates the initiator's integer
-// multiplications: n dot-product answers over (m+t+1)-dimensional
-// vectors against an s×d matrix (O(n·m), Section VI-B).
-func InitiatorFieldMuls(n, m int) int64 {
-	return int64(n) * int64(m) * 16 // s·d ≈ 8·2m per participant
-}
 
 // ---- Operation counts: SS baseline (per party) ----
 
@@ -262,8 +255,8 @@ func (t *Timings) SSParticipantSec(s Setting, fieldBits int) (float64, error) {
 }
 
 // SSFieldBits is the baseline's field size for l-bit comparisons with
-// statistical parameter κ.
-func (s Setting) SSFieldBits() int { return s.L() + s.Kappa + 8 }
+// the statistical parameter ssmpc.Kappa.
+func (s Setting) SSFieldBits() int { return s.L() + ssmpc.Kappa + 8 }
 
 // ---- Synthetic communication traces (Fig. 3(b)) ----
 

@@ -102,7 +102,7 @@ func TestMeasureGroupsAndEstimates(t *testing.T) {
 	if tm.ExpSec[g.Name()] <= 0 {
 		t.Fatal("measured exponentiation time not positive")
 	}
-	s := Setting{N: 10, M: 4, D1: 6, D2: 4, H: 6, Kappa: 40}
+	s := Setting{N: 10, M: 4, D1: 6, D2: 4, H: 6}
 	sec, err := tm.OursParticipantSec(g, s)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestSyntheticTraceMatchesRealProtocol(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Setting{N: 4, M: 4, D1: 4, D2: 3, H: 4, Kappa: 40}
+	s := Setting{N: 4, M: 4, D1: 4, D2: 3, H: 4}
 	l := s.L()
 	betas := make([]*big.Int, s.N)
 	for i := range betas {

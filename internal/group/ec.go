@@ -92,9 +92,6 @@ func (g *ECGroup) Name() string { return g.name }
 // Order implements Group.
 func (g *ECGroup) Order() *big.Int { return g.n }
 
-// FieldPrime returns the underlying field modulus p.
-func (g *ECGroup) FieldPrime() *big.Int { return g.p }
-
 // Generator implements Group.
 func (g *ECGroup) Generator() Element { return ecPoint{g: g, x: g.gx, y: g.gy} }
 

@@ -389,19 +389,14 @@ func (d *Daemon) resolveSpec(spec api.SessionSpec) (core.Params, *workload.Quest
 	if err != nil {
 		return fail(err)
 	}
-	var sorter core.Sorter
-	switch spec.Sorter {
-	case "", api.SorterUnlinkable:
-		sorter = core.SorterUnlinkable
-	case api.SorterSecretSharing:
-		sorter = core.SorterSecretSharing
-	default:
-		return fail(fmt.Errorf("service: unknown sorter %q (want %q or %q)", spec.Sorter, api.SorterUnlinkable, api.SorterSecretSharing))
+	sorter, err := core.ParseSorter(spec.Sorter)
+	if err != nil {
+		return fail(fmt.Errorf("service: %w", err))
 	}
 	params := core.Params{
 		N: len(d.cfg.Addrs) - 1, M: q.M(), T: q.T(),
 		D1: spec.D1, D2: spec.D2, H: spec.H, K: spec.K,
-		Group: g, Sorter: sorter, SkipProofs: spec.SkipProofs,
+		Group: g, Sorter: sorter,
 		ProveDecryption: spec.ProveDecryption, Workers: d.cfg.Workers,
 	}.WithDefaults()
 	if err := params.Validate(); err != nil {

@@ -439,6 +439,25 @@ func TestServiceWrongRoleAndValidation(t *testing.T) {
 	if _, err := m.clients[0].Result(ctx, "no-such-session"); !errors.As(err, &apiErr) || apiErr.Code != api.CodeNotFound {
 		t.Errorf("unknown session result returned %v, want %s", err, api.CodeNotFound)
 	}
+	// The strict decoder refuses any field outside the contract, so no
+	// client can switch the key-knowledge proofs off.
+	resp, err := http.Post(m.servers[0].URL+api.PathSessions, "application/json", strings.NewReader(
+		`{"attributes":[{"name":"age","kind":"eq"},{"name":"activity","kind":"gt"}],`+
+			`"criterion":{"values":[30,0],"weights":[2,1]},"group":"toy-dl-256","skip_proofs":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("spec with skip_proofs answered %d, want %d", resp.StatusCode, http.StatusBadRequest)
+	}
+	// The baseline has one spelling: a name copied from a trace, the
+	// command line or the bench snapshot is admitted.
+	ss := testSpec("secret-sharing-spelling")
+	ss.Sorter = "secret-sharing"
+	if res, _, err := driveSession(ctx, m, ss); err != nil || res.State != groupranking.SessionDone {
+		t.Errorf("secret-sharing session: %v / %+v", err, res)
+	}
 	// A sane session still works on the same mesh afterwards.
 	res, _, err := driveSession(ctx, m, testSpec("still-works"))
 	if err != nil || res.State != groupranking.SessionDone {

@@ -26,7 +26,7 @@ func boundaryEngine(t *testing.T) (*Engine, *transport.Fabric) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{N: 3, Degree: 1, P: p, Kappa: 40}
+	cfg := Config{N: 3, Degree: 1, P: p}
 	fab, err := transport.New(3, transport.WithRecvTimeout(2*time.Second))
 	if err != nil {
 		t.Fatal(err)

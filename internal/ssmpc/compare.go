@@ -122,7 +122,7 @@ func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int) ([]Share, error) {
 	}
 	// Low mask r' from m shared bits and high mask r'' from
 	// kappa+lPrime−m shared bits, for every instance, in one batch.
-	highBits := e.cfg.Kappa + lPrime - m
+	highBits := Kappa + lPrime - m
 	per := m + highBits
 	allBits, err := e.RandomBits(k * per)
 	if err != nil {
@@ -241,9 +241,9 @@ func (e *Engine) LT(a, b Share, l int) (Share, error) {
 // opened values never wrap modulo p. It also keeps every index into the
 // pow2 tables below the field width.
 func (e *Engine) checkWidth(lPrime int) error {
-	if e.cfg.P.BitLen() < lPrime+e.cfg.Kappa+3 {
+	if e.cfg.P.BitLen() < lPrime+Kappa+3 {
 		return fmt.Errorf("ssmpc: field too small for Mod2m (need > %d bits, have %d)",
-			lPrime+e.cfg.Kappa+2, e.cfg.P.BitLen())
+			lPrime+Kappa+2, e.cfg.P.BitLen())
 	}
 	return nil
 }

@@ -42,9 +42,12 @@ type Config struct {
 	// P is the field prime, at most field.MaxBits wide. For
 	// comparisons on l-bit values it must exceed 2^(l+Kappa+3).
 	P *big.Int
-	// Kappa is the statistical hiding parameter (default 40).
-	Kappa int
 }
+
+// Kappa is the statistical hiding parameter of the comparison: the
+// masks it opens hide a value statistically up to 2^−Kappa. Every
+// caller uses this one value, and the session announcement pins it.
+const Kappa = 40
 
 func (c Config) validate() error {
 	_, err := c.field()
@@ -106,9 +109,6 @@ func NewEngineCtx(ctx context.Context, cfg Config, me int, fab transport.Net, rn
 	f, err := cfg.field()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Kappa <= 0 {
-		cfg.Kappa = 40
 	}
 	if me < 0 || me >= cfg.N {
 		return nil, fmt.Errorf("ssmpc: party index %d out of range", me)

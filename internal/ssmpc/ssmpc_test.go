@@ -17,7 +17,7 @@ func testConfig(t *testing.T, n, degree int) Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Config{N: n, Degree: degree, P: p, Kappa: 40}
+	return Config{N: n, Degree: degree, P: p}
 }
 
 func TestShareOpenRoundTrip(t *testing.T) {
@@ -366,7 +366,7 @@ func TestGTEFieldTooSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{N: 3, Degree: 1, P: p, Kappa: 40}
+	cfg := Config{N: 3, Degree: 1, P: p}
 	_, _, err = RunProgram(cfg, "too-small", nil, func(e *Engine) (*big.Int, error) {
 		var v *big.Int
 		if e.Party() == 0 {

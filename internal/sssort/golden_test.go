@@ -60,7 +60,7 @@ func goldenTranscript(t *testing.T, n, degree, primeBits, l int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ssmpc.Config{N: n, Degree: degree, P: p, Kappa: 40}
+	cfg := ssmpc.Config{N: n, Degree: degree, P: p}
 	values := fixedbig.NewDRBG("golden-values")
 	secrets := make([]*big.Int, n)
 	for i := range secrets {

@@ -102,7 +102,7 @@ func testConfig(t *testing.T, n, degree int) ssmpc.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ssmpc.Config{N: n, Degree: degree, P: p, Kappa: 40}
+	return ssmpc.Config{N: n, Degree: degree, P: p}
 }
 
 // runSecureSort shares vals from party 0, sorts them with the given bit

@@ -68,8 +68,10 @@ type Config struct {
 	Group group.Group
 	// L is the bit width of the compared values.
 	L int
-	// SkipProofs disables the key-knowledge proofs (benchmarks that
-	// isolate comparison cost use it; the framework never does).
+	// SkipProofs disables the key-knowledge proofs. No entry point sets
+	// it: the security tests and the root package's ablation benchmark
+	// (BenchmarkAblation_Proofs_Off) do, and core.Params.SkipProofs passes the
+	// chaos suites' setting through.
 	SkipProofs bool
 	// UnsafeNoReRandomize skips the re-randomisation of the τ
 	// ciphertexts in step 7. It exists ONLY for the ablation benchmark

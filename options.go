@@ -32,7 +32,7 @@ func (o Options) params(q *Questionnaire, n int) (core.Params, error) {
 	params := core.Params{
 		N: n, M: q.M(), T: q.T(),
 		D1: o.D1, D2: o.D2, H: o.H, K: o.K,
-		Group: g, Sorter: o.Sorter, SkipProofs: o.SkipProofs,
+		Group: g, Sorter: o.Sorter,
 		ProveDecryption: o.ProveDecryption, Workers: o.Workers,
 		WireCodec: o.WireCodec,
 	}.WithDefaults()

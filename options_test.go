@@ -78,8 +78,8 @@ func TestSortPartyOptionsRequireBits(t *testing.T) {
 // negative runtime settings: silently defaulting them would flip their
 // meaning (a negative Timeout is not "no deadline", a negative Grace
 // would blame a reconnecting peer instantly), so every public entry
-// point fails loudly instead — with the same meaning as rankparty's
-// flag checks.
+// point fails loudly instead — with the same meaning on the command
+// line, whose flags internal/cli resolves through Runtime.Validate.
 func TestRuntimeOptionsValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -107,6 +107,34 @@ func TestRuntimeOptionsValidation(t *testing.T) {
 	}
 	if _, err := (SortOptions{Bits: 8, Runtime: Runtime{Timeout: -time.Second}}).withPartyDefaults(); err == nil || !strings.Contains(err.Error(), "Timeout") {
 		t.Errorf("party sort defaults accepted a negative timeout: %v", err)
+	}
+}
+
+// TestRankRefusesPartyKnobs: the in-process Rank has no journal and no
+// runtime to measure, so the party-only knobs are refused, not dropped.
+func TestRankRefusesPartyKnobs(t *testing.T) {
+	cases := []struct {
+		name    string
+		runtime Runtime
+		want    string
+	}{
+		{"recovery set", Runtime{Recovery: &RecoveryOptions{Dir: "d"}}, "Recovery"},
+		{"telemetry set", Runtime{Telemetry: NewTelemetry()}, "Telemetry"},
+	}
+	q := demoQuestionnaire(t)
+	crit, profiles := demoData(t)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := fastOpts("party-knobs")
+			opts.Runtime = tc.runtime
+			_, err := Rank(context.Background(), q, crit, profiles, opts)
+			if err == nil {
+				t.Fatal("party-only knob accepted by Rank")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -30,8 +30,8 @@ type Runtime struct {
 	// rides out peer disconnects by reconnecting, and — restarted with
 	// the same flags and journal directory — resumes an in-flight
 	// session instead of forcing a full abort. Nil (the default) keeps
-	// the fail-fast transport; in-process runs ignore it and the sorting
-	// entry points refuse it.
+	// the fail-fast transport; Rank and the sorting entry points refuse
+	// it.
 	Recovery *RecoveryOptions
 	// Faults, when non-nil, injects deterministic message faults (drops,
 	// duplicates, reorders, corruption, link severs, party crashes) into
@@ -47,8 +47,8 @@ type Runtime struct {
 	// round cadence, redials, retransmissions, heartbeat RTT, journal
 	// latency) into a registry that can be scraped live while the run is
 	// in flight. Only the distributed party entry points feed it;
-	// in-process runs have no runtime underneath to measure, and the
-	// sorting entry points refuse it.
+	// in-process runs have no runtime underneath to measure, so Rank
+	// and the sorting entry points refuse it.
 	Telemetry *Telemetry
 }
 
@@ -57,10 +57,11 @@ type Runtime struct {
 // negative Timeout would otherwise be "defaulted" like zero, a negative
 // Workers would be treated as serial, and a negative Recovery.Grace
 // would blame a reconnecting peer instantly. It is the one runtime
-// check: every public entry point and the rankd daemon config
-// (internal/service.Config) run it, and rankparty's flag checks mirror
-// it, so the library and both CLIs reject the same inputs with the
-// same meaning.
+// check: every public entry point, the rankd daemon config
+// (internal/service.Config) and the command-line front end
+// (internal/cli, under grouprank, rankparty and rankd) run it, so the
+// library and the binaries reject the same inputs with the same
+// meaning.
 func (r Runtime) Validate() error {
 	if r.Timeout < 0 {
 		return fmt.Errorf("groupranking: Timeout %v is negative (0 means the default deadline)", r.Timeout)
