@@ -92,6 +92,16 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # and outside internal/core (and the API constants in internal/api) no
 # non-test Go may spell "unlinkable" or "secret-sharing" as a literal
 # or switch on the API's sorter names.
+# The one-fabric check keeps transport.TCPFabric the one endpoint of a
+# party that joins a TCP mesh alone, built by OpenTCPFabric from the
+# MuxOptions a daemon gives its mux: no Go file (tests included) may
+# bring back the second fabric type or its option struct
+# (RecoveringTCPFabric, RecoverOptions), and nothing in
+# internal/transport may attach telemetry after the mesh forms
+# (SetTelemetry), so a one-shot party serves the families a daemon does.
+# The element-method check keeps Group.AppendElement the one element
+# encoder: the group package may not grow an Encode( method back beside
+# it, on the Group interface or on a group.
 # The gofmt check names the source trees, not ".", so that the build
 # cache bench/run.sh leaves under .bench_build/ is not walked.
 # The reachability check keeps production code to what a binary or the
@@ -155,6 +165,15 @@ vet:
 	@sorters=$$(find *.go cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/core/*' ! -path 'internal/api/api.go' | xargs grep -lE '"(unlinkable|secret-sharing)"|case .*api\.Sorter' | tr '\n' ' '); \
 	if [ -n "$$sorters" ]; then \
 		echo "sorter names are parsed by core.ParseSorter and spelled by Sorter.String alone, found a sorter name in: $$sorters"; exit 1; fi
+	@fabtypes=$$(find *.go bench cmd examples internal -name '*.go' | xargs grep -lE 'RecoveringTCPFabric|RecoverOptions' | tr '\n' ' '); \
+	if [ -n "$$fabtypes" ]; then \
+		echo "a party joins a TCP mesh through transport.TCPFabric alone (use OpenTCPFabric with MuxOptions.Recovery), found RecoveringTCPFabric/RecoverOptions in: $$fabtypes"; exit 1; fi
+	@setter=$$(grep -lF 'SetTelemetry' internal/transport/*.go | tr '\n' ' '); \
+	if [ -n "$$setter" ]; then \
+		echo "transport endpoints take telemetry at construction (MuxOptions.Telemetry), found SetTelemetry in: $$setter"; exit 1; fi
+	@encode=$$(grep -lE '^[[:space:]]+Encode\(|^func \([^)]*\) Encode\(' internal/group/*.go | tr '\n' ' '); \
+	if [ -n "$$encode" ]; then \
+		echo "group elements have one encoder, Group.AppendElement (use AppendElement(nil, e)), found an Encode( method in: $$encode"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:

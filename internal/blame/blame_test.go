@@ -106,7 +106,7 @@ func TestVerifyInvalidElement(t *testing.T) {
 		t.Fatalf("undecodable element evidence rejected: %v", err)
 	}
 	valid := cert(transport.CheckInvalidElement, testGroup,
-		transport.BlameItem{Name: "element", Data: g.Encode(g.Generator())})
+		transport.BlameItem{Name: "element", Data: g.AppendElement(nil, g.Generator())})
 	if err := Verify(valid); err == nil {
 		t.Fatal("a valid group element confirmed an invalid-element accusation")
 	}
@@ -147,8 +147,8 @@ func keyProofCert(t *testing.T, g group.Group, perturb bool) *transport.BlameCer
 		z = new(big.Int).Add(z, big.NewInt(1))
 	}
 	return cert(transport.CheckKeyProof, testGroup,
-		transport.BlameItem{Name: "y", Data: g.Encode(y)},
-		transport.BlameItem{Name: "h", Data: g.Encode(h)},
+		transport.BlameItem{Name: "y", Data: g.AppendElement(nil, y)},
+		transport.BlameItem{Name: "h", Data: g.AppendElement(nil, h)},
 		transport.BlameItem{Name: "challenges", Data: encodeScalars(t, g, challenges...)},
 		transport.BlameItem{Name: "z", Data: encodeScalars(t, g, z)})
 }
@@ -202,12 +202,12 @@ func TestVerifyPartialDecryption(t *testing.T) {
 		// claimed registered share yClaim.
 		tr := zkp.ProvePartialDecryptionR(g, x, group.ExpGen(g, x), ct.C1, ct.C, st.C, r, c)
 		return cert(transport.CheckPartialDecryption, testGroup,
-			transport.BlameItem{Name: "y", Data: g.Encode(yClaim)},
-			transport.BlameItem{Name: "c1", Data: g.Encode(ct.C1)},
-			transport.BlameItem{Name: "orig-c", Data: g.Encode(ct.C)},
-			transport.BlameItem{Name: "stripped-c", Data: g.Encode(st.C)},
-			transport.BlameItem{Name: "commit-g", Data: g.Encode(tr.CommitG)},
-			transport.BlameItem{Name: "commit-h", Data: g.Encode(tr.CommitH)},
+			transport.BlameItem{Name: "y", Data: g.AppendElement(nil, yClaim)},
+			transport.BlameItem{Name: "c1", Data: g.AppendElement(nil, ct.C1)},
+			transport.BlameItem{Name: "orig-c", Data: g.AppendElement(nil, ct.C)},
+			transport.BlameItem{Name: "stripped-c", Data: g.AppendElement(nil, st.C)},
+			transport.BlameItem{Name: "commit-g", Data: g.AppendElement(nil, tr.CommitG)},
+			transport.BlameItem{Name: "commit-h", Data: g.AppendElement(nil, tr.CommitH)},
 			transport.BlameItem{Name: "challenge", Data: encodeScalars(t, g, tr.Challenge)},
 			transport.BlameItem{Name: "response", Data: encodeScalars(t, g, tr.Response)})
 	}
@@ -229,14 +229,14 @@ func TestVerifyStrippedRandomness(t *testing.T) {
 	a := g.Generator()
 	b := g.Exp(a, big.NewInt(2))
 	diff := cert(transport.CheckStrippedRandomness, testGroup,
-		transport.BlameItem{Name: "orig-c1", Data: g.Encode(a)},
-		transport.BlameItem{Name: "stripped-c1", Data: g.Encode(b)})
+		transport.BlameItem{Name: "orig-c1", Data: g.AppendElement(nil, a)},
+		transport.BlameItem{Name: "stripped-c1", Data: g.AppendElement(nil, b)})
 	if err := Verify(diff); err != nil {
 		t.Fatalf("altered randomness rejected: %v", err)
 	}
 	same := cert(transport.CheckStrippedRandomness, testGroup,
-		transport.BlameItem{Name: "orig-c1", Data: g.Encode(a)},
-		transport.BlameItem{Name: "stripped-c1", Data: g.Encode(a)})
+		transport.BlameItem{Name: "orig-c1", Data: g.AppendElement(nil, a)},
+		transport.BlameItem{Name: "stripped-c1", Data: g.AppendElement(nil, a)})
 	if err := Verify(same); err == nil {
 		t.Fatal("identical randomness confirmed the accusation")
 	}

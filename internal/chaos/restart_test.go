@@ -141,10 +141,8 @@ func runRestartParty(params core.Params, q *workload.Questionnaire, crit workloa
 		if j != nil {
 			jnl = j
 		}
-		fab, err := transport.NewRecoveringTCPFabric(addrs, me, timeout, transport.RecoverOptions{
-			SessionID: sid, Epoch: epoch, Journal: jnl,
-			Grace: 20 * time.Second,
-		})
+		fab, err := transport.OpenTCPFabric(addrs, me, timeout,
+			transport.MuxOptions{Recovery: &transport.MuxRecovery{Epoch: epoch, Grace: 20 * time.Second}}, sid, jnl)
 		if err != nil {
 			return fmt.Errorf("life %d: %w", life, err)
 		}

@@ -142,8 +142,8 @@ func TestSubViewOverRecoveringMeshTamper(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fab, err := transport.NewRecoveringTCPFabric(addrs, p, byzRecvWindow,
-				transport.RecoverOptions{SessionID: "sv-byz-mesh", Grace: 2 * time.Second})
+			fab, err := transport.OpenTCPFabric(addrs, p, byzRecvWindow,
+				transport.MuxOptions{Recovery: &transport.MuxRecovery{Grace: 2 * time.Second}}, "sv-byz-mesh", nil)
 			if err != nil {
 				errs[p] = err
 				cancel()

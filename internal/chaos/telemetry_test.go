@@ -85,7 +85,7 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 	obs := obsv.NewRegistry()
 	tel := telemetry.NewRegistry()
 
-	fabrics := make([]*transport.RecoveringTCPFabric, nParties)
+	fabrics := make([]*transport.TCPFabric, nParties)
 	ferrs := make([]error, nParties)
 	var fwg sync.WaitGroup
 	for me := 0; me < nParties; me++ {
@@ -93,14 +93,11 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 		fwg.Add(1)
 		go func() {
 			defer fwg.Done()
-			opts := transport.RecoverOptions{
-				SessionID: "telemetry-abort", Epoch: 1,
-				Grace: grace,
-			}
+			opts := transport.MuxOptions{Recovery: &transport.MuxRecovery{Epoch: 1, Grace: grace}}
 			if me == 0 {
 				opts.Telemetry = tel
 			}
-			fabrics[me], ferrs[me] = transport.NewRecoveringTCPFabric(addrs, me, timeout, opts)
+			fabrics[me], ferrs[me] = transport.OpenTCPFabric(addrs, me, timeout, opts, "telemetry-abort", nil)
 		}()
 	}
 	fwg.Wait()

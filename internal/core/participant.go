@@ -154,9 +154,11 @@ func ssBaselineRank(ctx context.Context, params Params, me int, net transport.Ne
 		if dealer == me {
 			secret = betaU
 		}
-		if shares[dealer], err = eng.Share(dealer, secret); err != nil {
+		sh, err := eng.ShareBatch(dealer, []*big.Int{secret}, 1)
+		if err != nil {
 			return 0, err
 		}
+		shares[dealer] = sh[0]
 	}
 	opened, err := sssort.SortOpen(eng, shares, params.BetaBits())
 	if err != nil {

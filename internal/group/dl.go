@@ -140,13 +140,9 @@ func (d *DLGroup) IsIdentity(a Element) bool {
 	return d.unwrap(a).Cmp(big.NewInt(1)) == 0
 }
 
-// Encode implements Group. Elements are fixed-width big-endian residues.
-func (d *DLGroup) Encode(a Element) []byte {
-	return d.unwrap(a).FillBytes(make([]byte, d.elemLen))
-}
-
-// AppendElement implements Group without allocating when dst has
-// capacity: the residue is written directly into the grown tail.
+// AppendElement implements Group: elements are fixed-width big-endian
+// residues. It allocates nothing when dst has capacity: the residue is
+// written directly into the grown tail.
 func (d *DLGroup) AppendElement(dst []byte, a Element) []byte {
 	v := d.unwrap(a)
 	n := len(dst)

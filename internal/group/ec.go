@@ -167,7 +167,7 @@ func (g *ECGroup) Equal(a, b Element) bool {
 // IsIdentity implements Group.
 func (g *ECGroup) IsIdentity(a Element) bool { return g.unwrap(a).inf }
 
-// Encode implements Group using the compressed SEC1 encoding
+// AppendElement implements Group using the compressed SEC1 encoding
 // (0x02 | parity(Y)) ‖ X: one byte of Y-parity tag plus the fixed-width
 // X coordinate, 1+⌈log₂p/8⌉ bytes — roughly half the uncompressed form,
 // which is the unit every nominal byte count on the wire is charged in.
@@ -175,14 +175,9 @@ func (g *ECGroup) IsIdentity(a Element) bool { return g.unwrap(a).inf }
 // SEC1 0x00 prefix), keeping every element — identity included — at the
 // fixed width the Group contract promises; the identity arises
 // legitimately whenever an exponent hits zero (τ = 0, the comparison
-// circuit's signal value, after the last decryption layer).
-func (g *ECGroup) Encode(a Element) []byte {
-	return g.AppendElement(make([]byte, 0, g.elemLen), a)
-}
-
-// AppendElement implements Group without allocating when dst has
-// capacity: the compressed point is written directly into the grown
-// tail.
+// circuit's signal value, after the last decryption layer). It
+// allocates nothing when dst has capacity: the compressed point is
+// written directly into the grown tail.
 func (g *ECGroup) AppendElement(dst []byte, a Element) []byte {
 	pt := g.unwrap(a)
 	n := len(dst)

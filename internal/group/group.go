@@ -76,15 +76,12 @@ type Group interface {
 	Equal(a, b Element) bool
 	// IsIdentity reports whether a is the neutral element.
 	IsIdentity(a Element) bool
-	// Encode serialises an element into exactly ElementLen bytes.
-	// Every element, the identity included, has one fixed-width
-	// canonical encoding.
-	Encode(a Element) []byte
 	// AppendElement appends the canonical encoding of a to dst and
-	// returns the extended slice, exactly ElementLen bytes longer. It
-	// is the allocation-free form of Encode for hot serialisation
-	// paths: a caller that reuses dst across elements amortises every
-	// buffer to zero allocations.
+	// returns the extended slice, exactly ElementLen bytes longer.
+	// Every element, the identity included, has one fixed-width
+	// canonical encoding; AppendElement(nil, a) is it on its own. A
+	// caller that reuses dst across elements amortises every buffer to
+	// zero allocations.
 	AppendElement(dst []byte, a Element) []byte
 	// Decode parses an encoded element, verifying group membership.
 	Decode(data []byte) (Element, error)

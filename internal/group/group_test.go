@@ -121,7 +121,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			rng := fixedbig.NewDRBG("encode-" + g.Name())
 			for i := 0; i < 5; i++ {
 				e := ExpGen(g, mustScalar(t, g, rng))
-				data := g.Encode(e)
+				data := g.AppendElement(nil, e)
 				if len(data) != g.ElementLen() {
 					t.Fatalf("encoded length %d, want %d", len(data), g.ElementLen())
 				}
@@ -171,7 +171,7 @@ func TestDLDecodeRejectsNonResidue(t *testing.T) {
 func TestECDecodeRejectsOffCurve(t *testing.T) {
 	g := Secp160r1()
 	e := g.Generator()
-	data := g.Encode(e)
+	data := g.AppendElement(nil, e)
 	data[len(data)-1] ^= 1 // perturb Y
 	if _, err := g.Decode(data); err == nil {
 		t.Error("off-curve point accepted by Decode")
@@ -181,7 +181,7 @@ func TestECDecodeRejectsOffCurve(t *testing.T) {
 func TestECIdentityEncoding(t *testing.T) {
 	g := Secp160r1()
 	id := g.Identity()
-	back, err := g.Decode(g.Encode(id))
+	back, err := g.Decode(g.AppendElement(nil, id))
 	if err != nil {
 		t.Fatalf("Decode identity: %v", err)
 	}

@@ -45,7 +45,7 @@ func TestEncodeDecodeRoundTripAllGroups(t *testing.T) {
 			}
 			for _, k := range scalars {
 				e := ExpGen(g, k)
-				enc := g.Encode(e)
+				enc := g.AppendElement(nil, e)
 				if len(enc) != g.ElementLen() {
 					t.Fatalf("g^%v encodes to %d bytes, ElementLen is %d", k, len(enc), g.ElementLen())
 				}
@@ -67,7 +67,7 @@ func TestEncodeDecodeRoundTripAllGroups(t *testing.T) {
 // {0x00} form must be rejected rather than silently widened.
 func TestECIdentityEncodingRegression(t *testing.T) {
 	for _, gg := range []Group{Secp160r1(), oracleOf(Secp160r1()), Secp224r1(), Secp256r1()} {
-		enc := gg.Encode(gg.Identity())
+		enc := gg.AppendElement(nil, gg.Identity())
 		if len(enc) != gg.ElementLen() {
 			t.Errorf("%s: identity encodes to %d bytes, want ElementLen %d",
 				gg.Name(), len(enc), gg.ElementLen())

@@ -28,7 +28,7 @@ func Validate(g Group, e Element) error {
 		// Unknown group implementation: fall back to the canonical
 		// encoding round trip, which runs the group's own membership
 		// checks in Decode.
-		if _, err := g.Decode(g.Encode(e)); err != nil {
+		if _, err := g.Decode(g.AppendElement(nil, e)); err != nil {
 			return fmt.Errorf("group: %s received invalid element: %w", g.Name(), err)
 		}
 		return nil

@@ -466,7 +466,7 @@ func TestParentBuildJournalResumes(t *testing.T) {
 		return errors.Join(j.LogSend(0, 1, 8, 0, "m1"), j.LogRecv(0, 2, 8, 0, "m2"), j.LogSend(0, 3, 8, 1, "m3"))
 	})
 
-	fabrics := make([]*transport.RecoveringTCPFabric, 2)
+	fabrics := make([]*transport.TCPFabric, 2)
 	for me := range fabrics {
 		j := open(t, SessionPath(dir, "parent", me))
 		defer j.Close()
@@ -474,23 +474,22 @@ func TestParentBuildJournalResumes(t *testing.T) {
 		if err != nil || epoch != 2 {
 			t.Fatalf("party %d restart epoch %d, %v", me, epoch, err)
 		}
-		fabrics[me], err = transport.NewRecoveringTCPFabric(addrs, me, 5*time.Second, transport.RecoverOptions{
-			SessionID: "parent", Epoch: epoch, Journal: j,
-		})
+		fabrics[me], err = transport.OpenTCPFabric(addrs, me, 5*time.Second,
+			transport.MuxOptions{Recovery: &transport.MuxRecovery{Epoch: epoch}}, "parent", j)
 		if err != nil {
 			t.Fatalf("party %d on its parent-build journal: %v", me, err)
 		}
 		defer fabrics[me].Close()
 	}
 	f0, f1 := fabrics[0], fabrics[1]
-	recv := func(f *transport.RecoveringTCPFabric, to, from, round int, want string) {
+	recv := func(f *transport.TCPFabric, to, from, round int, want string) {
 		t.Helper()
 		got, err := f.RecvCtx(context.Background(), to, from, round)
 		if err != nil || got != want {
 			t.Fatalf("party %d round %d: got %v, %v; want %q", to, round, got, err, want)
 		}
 	}
-	send := func(f *transport.RecoveringTCPFabric, from, to, round int, msg string) {
+	send := func(f *transport.TCPFabric, from, to, round int, msg string) {
 		t.Helper()
 		if err := f.Send(round, from, to, 8, msg); err != nil {
 			t.Fatalf("party %d round %d: %v", from, round, err)

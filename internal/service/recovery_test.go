@@ -427,9 +427,9 @@ func TestServiceIdempotentSubmit(t *testing.T) {
 }
 
 // TestServiceBadJournalDir: an unusable journal directory is the typed
-// ErrBadJournalDir, and runtime knobs Runtime.Validate rejects are the
-// typed ErrBadConfig, both detected before the daemon ever touches the
-// mesh.
+// ErrBadJournalDir, and runtime knobs Runtime.Validate rejects, or a
+// fault plan the daemon would ignore, are the typed ErrBadConfig, both
+// detected before the daemon ever touches the mesh.
 func TestServiceBadJournalDir(t *testing.T) {
 	addrs, err := transport.FreeLoopbackAddrs(3)
 	if err != nil {
@@ -461,6 +461,7 @@ func TestServiceBadJournalDir(t *testing.T) {
 		{Workers: -1},
 		{Timeout: -time.Second},
 		{Recovery: &groupranking.RecoveryOptions{Dir: t.TempDir(), Grace: -time.Second}},
+		{Faults: &groupranking.FaultPlan{Seed: 1, Drop: 0.1}},
 	} {
 		_, err := service.NewDaemon(service.Config{Addrs: addrs, Me: 0, Runtime: rt})
 		if !errors.Is(err, service.ErrBadConfig) {

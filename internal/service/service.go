@@ -71,16 +71,16 @@ type Config struct {
 	// session journals its transcript and lifecycle under Recovery.Dir,
 	// the mesh runs the reconnecting epoch'd mux, and a restarted
 	// daemon re-adopts its sessions — terminal results stay pollable,
-	// interrupted sessions resume byte-identically. Faults are ignored —
-	// fault injection enters the daemon only through the FaultPlanner
-	// test hook.
+	// interrupted sessions resume byte-identically. Faults is refused
+	// with ErrBadConfig: fault injection enters the daemon only through
+	// the FaultPlanner test hook.
 	groupranking.Runtime
 }
 
 // ErrBadConfig is the typed startup failure for a Config the daemon
-// refuses — a slot outside the mesh, a negative cap or TTL, or runtime
-// knobs Runtime.Validate rejects — before it touches the mesh. cmd/rankd
-// maps it to exit code 2, like ErrBadJournalDir.
+// refuses — a slot outside the mesh, a negative cap or TTL, a fault
+// plan, or runtime knobs Runtime.Validate rejects — before it touches
+// the mesh. cmd/rankd maps it to exit code 2, like ErrBadJournalDir.
 var ErrBadConfig = errors.New("bad daemon config")
 
 // withDefaults resolves the config and validates it.
@@ -99,6 +99,11 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.ResultTTL < 0 {
 		return bad("ResultTTL=%v negative", c.ResultTTL)
+	}
+	if c.Faults != nil {
+		// A knob the daemon would ignore is refused rather than silently
+		// dropped; tests inject faults through Daemon.FaultPlanner.
+		return bad("Faults applies to the party entry points only, not to a daemon")
 	}
 	if err := c.Runtime.Validate(); err != nil {
 		return bad("%v", err)

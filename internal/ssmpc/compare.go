@@ -94,15 +94,6 @@ func (e *Engine) BitLTPublicBatch(cBitsList [][]uint8, rBitsList [][]Share) ([]S
 	return out, nil
 }
 
-// BitLTPublic is the single-instance form of BitLTPublicBatch.
-func (e *Engine) BitLTPublic(cBits []uint8, rBits []Share) (Share, error) {
-	out, err := e.BitLTPublicBatch([][]uint8{cBits}, [][]Share{rBits})
-	if err != nil {
-		return Share{}, err
-	}
-	return out[0], nil
-}
-
 // Mod2mBatch computes shares of x_k mod 2^m for shared values known to
 // lie in [0, 2^lPrime). It is the statistically masked truncation
 // protocol: open y = x + r' + 2^m·r” for jointly random bit-composed
@@ -174,15 +165,6 @@ func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int) ([]Share, error) {
 	return out, nil
 }
 
-// Mod2m is the single-instance form of Mod2mBatch.
-func (e *Engine) Mod2m(x Share, lPrime, m int) (Share, error) {
-	out, err := e.Mod2mBatch([]Share{x}, lPrime, m)
-	if err != nil {
-		return Share{}, err
-	}
-	return out[0], nil
-}
-
 // GTEBatch computes shares of the bits [a_k ≥ b_k] for shared l-bit
 // values: c = a − b + 2^l lies in (0, 2^(l+1)) and its l-th bit is the
 // answer, extracted with Mod2mBatch. The whole batch costs the same
@@ -216,24 +198,6 @@ func (e *Engine) GTEBatch(as, bs []Share, l int) ([]Share, error) {
 		out[j] = e.scale(e.Sub(cs[j], lows[j]), &e.invPow2[l])
 	}
 	return out, nil
-}
-
-// GTE computes a share of the bit [a ≥ b] for shared l-bit values.
-func (e *Engine) GTE(a, b Share, l int) (Share, error) {
-	out, err := e.GTEBatch([]Share{a}, []Share{b}, l)
-	if err != nil {
-		return Share{}, err
-	}
-	return out[0], nil
-}
-
-// LT computes a share of [a < b] for shared l-bit values.
-func (e *Engine) LT(a, b Share, l int) (Share, error) {
-	gte, err := e.GTE(a, b, l)
-	if err != nil {
-		return Share{}, err
-	}
-	return e.Sub(e.one, gte), nil
 }
 
 // checkWidth reports whether the field can carry the masked opening of

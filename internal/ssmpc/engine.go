@@ -320,19 +320,6 @@ func (e *Engine) ShareBatch(dealer int, secrets []*big.Int, count int) ([]Share,
 	return wrapAll(mine), nil
 }
 
-// Share deals a single secret.
-func (e *Engine) Share(dealer int, secret *big.Int) (Share, error) {
-	var secrets []*big.Int
-	if e.me == dealer {
-		secrets = []*big.Int{secret}
-	}
-	out, err := e.ShareBatch(dealer, secrets, 1)
-	if err != nil {
-		return Share{}, err
-	}
-	return out[0], nil
-}
-
 // OpenBatch reveals the given shared values to every party in one round.
 func (e *Engine) OpenBatch(shares []Share) ([]*big.Int, error) {
 	opened, err := e.open(shares)
@@ -372,15 +359,6 @@ func (e *Engine) open(shares []Share) ([]field.Elem, error) {
 	return e.recombine(cols, len(shares)), nil
 }
 
-// Open reveals one shared value.
-func (e *Engine) Open(s Share) (*big.Int, error) {
-	out, err := e.OpenBatch([]Share{s})
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
 // Add returns a share of a+b (local).
 func (e *Engine) Add(a, b Share) Share {
 	e.f.Add(&a.y, &a.y, &b.y)
@@ -393,21 +371,10 @@ func (e *Engine) Sub(a, b Share) Share {
 	return a
 }
 
-// Scale returns a share of k·a (local).
-func (e *Engine) Scale(a Share, k *big.Int) Share {
-	c := e.f.Reduce(k)
-	return e.scale(a, &c)
-}
-
-// scale is Scale by a constant already in the field.
+// scale returns a share of k·a for a constant k in the field (local).
 func (e *Engine) scale(a Share, k *field.Elem) Share {
 	e.f.Mul(&a.y, &a.y, k)
 	return a
-}
-
-// AddConst returns a share of a+k (local).
-func (e *Engine) AddConst(a Share, k *big.Int) Share {
-	return e.Add(a, e.ConstShare(k))
 }
 
 // ConstShare returns a degree-0 share of the public constant k (local).
@@ -452,15 +419,6 @@ func (e *Engine) MulBatch(as, bs []Share) ([]Share, error) {
 		return nil, err
 	}
 	return wrapAll(e.recombine(cols, k)), nil
-}
-
-// Mul multiplies two shared values (one multiplication invocation).
-func (e *Engine) Mul(a, b Share) (Share, error) {
-	out, err := e.MulBatch([]Share{a}, []Share{b})
-	if err != nil {
-		return Share{}, err
-	}
-	return out[0], nil
 }
 
 func wrapAll(ys []field.Elem) []Share {

@@ -20,6 +20,15 @@ func testConfig(t *testing.T, n, degree int) Config {
 	return Config{N: n, Degree: degree, P: p}
 }
 
+// openOne opens a one-element batch.
+func openOne(e *Engine, s []Share) (*big.Int, error) {
+	out, err := e.OpenBatch(s)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 func TestShareOpenRoundTrip(t *testing.T) {
 	cfg := testConfig(t, 5, 2)
 	secretVals := []int64{0, 1, 42, -7, 1 << 40}
@@ -30,11 +39,11 @@ func TestShareOpenRoundTrip(t *testing.T) {
 			if e.Party() == 0 {
 				secret = big.NewInt(v)
 			}
-			sh, err := e.Share(0, secret)
+			sh, err := e.ShareBatch(0, []*big.Int{secret}, 1)
 			if err != nil {
 				return nil, err
 			}
-			o, err := e.Open(sh)
+			o, err := openOne(e, sh)
 			if err != nil {
 				return nil, err
 			}
@@ -65,21 +74,22 @@ func TestLinearOpsAndMul(t *testing.T) {
 		if e.Party() == 1 {
 			sb = big.NewInt(7)
 		}
-		a, err := e.Share(0, sa)
+		a, err := e.ShareBatch(0, []*big.Int{sa}, 1)
 		if err != nil {
 			return nil, err
 		}
-		b, err := e.Share(1, sb)
+		b, err := e.ShareBatch(1, []*big.Int{sb}, 1)
 		if err != nil {
 			return nil, err
 		}
 		// (3a + b + 5)·b − a = (18+7+5)·7 − 6 = 204.
-		lin := e.AddConst(e.Add(e.Scale(a, big.NewInt(3)), b), big.NewInt(5))
-		prod, err := e.Mul(lin, b)
+		three := e.f.Reduce(big.NewInt(3))
+		lin := e.Add(e.Add(e.scale(a[0], &three), b[0]), e.ConstShare(big.NewInt(5)))
+		prod, err := e.MulBatch([]Share{lin}, b)
 		if err != nil {
 			return nil, err
 		}
-		return e.Open(e.Sub(prod, a))
+		return openOne(e, []Share{e.Sub(prod[0], a[0])})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,20 +106,19 @@ func TestMulBatch(t *testing.T) {
 	as := []int64{3, 0, 12, 1}
 	bs := []int64{9, 5, 12, 1}
 	results, _, err := RunProgram(cfg, "mul-batch", nil, func(e *Engine) ([]*big.Int, error) {
-		shAs := make([]Share, len(as))
-		shBs := make([]Share, len(bs))
-		for i := range as {
-			var va, vb *big.Int
-			if e.Party() == 0 {
-				va, vb = big.NewInt(as[i]), big.NewInt(bs[i])
+		var va, vb []*big.Int
+		if e.Party() == 0 {
+			for i := range as {
+				va, vb = append(va, big.NewInt(as[i])), append(vb, big.NewInt(bs[i]))
 			}
-			var err error
-			if shAs[i], err = e.Share(0, va); err != nil {
-				return nil, err
-			}
-			if shBs[i], err = e.Share(0, vb); err != nil {
-				return nil, err
-			}
+		}
+		shAs, err := e.ShareBatch(0, va, len(as))
+		if err != nil {
+			return nil, err
+		}
+		shBs, err := e.ShareBatch(0, vb, len(bs))
+		if err != nil {
+			return nil, err
 		}
 		prods, err := e.MulBatch(shAs, shBs)
 		if err != nil {
@@ -196,21 +205,21 @@ func TestBitLTPublic(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			rBits := make([]Share, tc.width)
-			for i := 0; i < tc.width; i++ {
-				var v *big.Int
-				if e.Party() == 0 {
-					v = big.NewInt(int64((tc.r >> i) & 1))
-				}
-				if rBits[i], err = e.Share(0, v); err != nil {
-					return nil, err
+			var rVals []*big.Int
+			if e.Party() == 0 {
+				for i := 0; i < tc.width; i++ {
+					rVals = append(rVals, big.NewInt(int64((tc.r>>i)&1)))
 				}
 			}
-			lt, err := e.BitLTPublic(cBits, rBits)
+			rBits, err := e.ShareBatch(0, rVals, tc.width)
 			if err != nil {
 				return nil, err
 			}
-			return e.Open(lt)
+			lt, err := e.BitLTPublicBatch([][]uint8{cBits}, [][]Share{rBits})
+			if err != nil {
+				return nil, err
+			}
+			return openOne(e, lt)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -241,15 +250,15 @@ func TestMod2m(t *testing.T) {
 			if e.Party() == 0 {
 				v = big.NewInt(tc.x)
 			}
-			x, err := e.Share(0, v)
+			x, err := e.ShareBatch(0, []*big.Int{v}, 1)
 			if err != nil {
 				return nil, err
 			}
-			low, err := e.Mod2m(x, tc.lPrime, tc.m)
+			low, err := e.Mod2mBatch(x, tc.lPrime, tc.m)
 			if err != nil {
 				return nil, err
 			}
-			return e.Open(low)
+			return openOne(e, low)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -273,23 +282,21 @@ func TestGTEAndLT(t *testing.T) {
 			if e.Party() == 0 {
 				va, vb = big.NewInt(tc.a), big.NewInt(tc.b)
 			}
-			a, err := e.Share(0, va)
+			a, err := e.ShareBatch(0, []*big.Int{va}, 1)
 			if err != nil {
 				return nil, err
 			}
-			b, err := e.Share(0, vb)
+			b, err := e.ShareBatch(0, []*big.Int{vb}, 1)
 			if err != nil {
 				return nil, err
 			}
-			gte, err := e.GTE(a, b, l)
+			gte, err := e.GTEBatch(a, b, l)
 			if err != nil {
 				return nil, err
 			}
-			lt, err := e.LT(a, b, l)
-			if err != nil {
-				return nil, err
-			}
-			return e.OpenBatch([]Share{gte, lt})
+			// [a < b] = 1 − [a ≥ b].
+			lt := e.Sub(e.one, gte[0])
+			return e.OpenBatch([]Share{gte[0], lt})
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -312,15 +319,15 @@ func TestCountersAdvance(t *testing.T) {
 		if e.Party() == 0 {
 			v = big.NewInt(50)
 		}
-		a, err := e.Share(0, v)
+		a, err := e.ShareBatch(0, []*big.Int{v}, 1)
 		if err != nil {
 			return nil, err
 		}
-		gte, err := e.GTE(a, a, 8)
+		gte, err := e.GTEBatch(a, a, 8)
 		if err != nil {
 			return nil, err
 		}
-		return e.Open(gte)
+		return openOne(e, gte)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -372,11 +379,11 @@ func TestGTEFieldTooSmall(t *testing.T) {
 		if e.Party() == 0 {
 			v = big.NewInt(1)
 		}
-		a, err := e.Share(0, v)
+		a, err := e.ShareBatch(0, []*big.Int{v}, 1)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := e.GTE(a, a, 16); err != nil {
+		if _, err := e.GTEBatch(a, a, 16); err != nil {
 			return nil, err
 		}
 		return big.NewInt(0), nil
@@ -394,15 +401,15 @@ func TestMinimumPartyCountForDegree(t *testing.T) {
 		if e.Party() == 0 {
 			v = big.NewInt(9)
 		}
-		a, err := e.Share(0, v)
+		a, err := e.ShareBatch(0, []*big.Int{v}, 1)
 		if err != nil {
 			return nil, err
 		}
-		sq, err := e.Mul(a, a)
+		sq, err := e.MulBatch(a, a)
 		if err != nil {
 			return nil, err
 		}
-		return e.Open(sq)
+		return openOne(e, sq)
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -88,9 +88,11 @@ func goldenTranscript(t *testing.T, n, degree, primeBits, l int) string {
 			if dealer == me {
 				s = secrets[me]
 			}
-			if shares[dealer], err = e.Share(dealer, s); err != nil {
+			sh, err := e.ShareBatch(dealer, []*big.Int{s}, 1)
+			if err != nil {
 				return err
 			}
+			shares[dealer] = sh[0]
 		}
 		opened[me], err = SortOpen(e, shares, l)
 		return err

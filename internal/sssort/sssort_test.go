@@ -116,10 +116,11 @@ func runSecureSort(t *testing.T, cfg ssmpc.Config, vals []int64, l int, seed str
 			if e.Party() == 0 {
 				s = big.NewInt(v)
 			}
-			var err error
-			if shares[i], err = e.Share(0, s); err != nil {
+			sh, err := e.ShareBatch(0, []*big.Int{s}, 1)
+			if err != nil {
 				return nil, err
 			}
+			shares[i] = sh[0]
 		}
 		return SortOpen(e, shares, l)
 	})
@@ -188,11 +189,11 @@ func TestSecureSortWiderValuesMoreParties(t *testing.T) {
 func TestSortRejectsBadWidth(t *testing.T) {
 	cfg := testConfig(t, 3, 1)
 	_, _, err := ssmpc.RunProgram(cfg, "bad-width", nil, func(e *ssmpc.Engine) (int, error) {
-		sh, err := e.Share(0, big.NewInt(1))
+		sh, err := e.ShareBatch(0, []*big.Int{big.NewInt(1)}, 1)
 		if err != nil && e.Party() != 0 {
 			return 0, err
 		}
-		if _, err := Sort(e, []ssmpc.Share{sh}, 0); err != nil {
+		if _, err := Sort(e, sh, 0); err != nil {
 			return 0, err
 		}
 		return 0, nil

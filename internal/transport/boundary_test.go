@@ -132,7 +132,7 @@ func TestLegacyGobFrameAbortsNamingSender(t *testing.T) {
 // so the sender is blamed by name at once, not after the grace.
 func TestRetiredRecoveryEnvelopeBlamedAtOnce(t *testing.T) {
 	leakcheck.Check(t)
-	_, fabrics := buildRecoveryMesh(t, 2, func(me int, o *RecoverOptions) { o.Grace = time.Minute })
+	_, fabrics := buildRecoveryMesh(t, 2, time.Minute)
 	// The ack as that build encoded it: kind 3, round, seq, bytes, ack,
 	// heartbeat stamp and its echo, then a nil payload.
 	body := wirecodec.AppendU8(nil, 3)
@@ -145,7 +145,7 @@ func TestRetiredRecoveryEnvelopeBlamedAtOnce(t *testing.T) {
 	}
 	frame := wirecodec.AppendU16([]byte{'G', 'W', wirecodec.Version}, wirecodec.IDRangeTransport+3)
 	frame = wirecodec.AppendBytes(frame, body) // u32 length ‖ payload
-	if err := fabrics[0].mesh.write(1, 1, time.Second, frame); err != nil {
+	if err := fabrics[0].m.link.write(1, 1, time.Second, frame); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()

@@ -63,11 +63,7 @@ var tcpStacks = []tcpStack{
 		name: "tcp",
 		build: func(t *testing.T, n int, timeout time.Duration, regs ...*telemetry.Registry) []stackEnd {
 			return formMesh(t, n, func(addrs []string, me int) (stackEnd, error) {
-				f, err := NewTCPFabric(addrs, me, timeout)
-				if err == nil {
-					f.SetTelemetry(regAt(regs, me))
-				}
-				return f, err
+				return OpenTCPFabric(addrs, me, timeout, MuxOptions{Telemetry: regAt(regs, me)}, "", nil)
 			})
 		},
 		frame: muxEnv{SID: tcpFabricSID, Kind: muxKindData, Round: 1, Bytes: 8},
@@ -106,8 +102,8 @@ var tcpStacks = []tcpStack{
 		name: "recovering",
 		build: func(t *testing.T, n int, timeout time.Duration, regs ...*telemetry.Registry) []stackEnd {
 			return formMesh(t, n, func(addrs []string, me int) (stackEnd, error) {
-				return NewRecoveringTCPFabric(addrs, me, timeout,
-					RecoverOptions{SessionID: "s", Grace: stackGrace, Telemetry: regAt(regs, me)})
+				return OpenTCPFabric(addrs, me, timeout,
+					MuxOptions{Telemetry: regAt(regs, me), Recovery: &MuxRecovery{Grace: stackGrace}}, "s", nil)
 			})
 		},
 		frame:    muxEnv{SID: "s", Kind: muxKindData, Round: 1, Bytes: 8, Seq: 1},
@@ -117,8 +113,8 @@ var tcpStacks = []tcpStack{
 		name: "recovering journaled",
 		build: func(t *testing.T, n int, timeout time.Duration, regs ...*telemetry.Registry) []stackEnd {
 			return formMesh(t, n, func(addrs []string, me int) (stackEnd, error) {
-				return NewRecoveringTCPFabric(addrs, me, timeout,
-					RecoverOptions{SessionID: "s", Grace: stackGrace, Journal: newMemJournal(), Telemetry: regAt(regs, me)})
+				return OpenTCPFabric(addrs, me, timeout,
+					MuxOptions{Telemetry: regAt(regs, me), Recovery: &MuxRecovery{Grace: stackGrace}}, "s", newMemJournal())
 			})
 		},
 		frame:    muxEnv{SID: "s", Kind: muxKindData, Round: 1, Bytes: 8, Seq: 1},
@@ -180,9 +176,7 @@ func formMeshOn[E interface{ Close() }](t *testing.T, addrs []string, mk func(ad
 func linkOf(e stackEnd) *mesh {
 	switch e := e.(type) {
 	case *TCPFabric:
-		return e.mesh
-	case *RecoveringTCPFabric:
-		return e.mesh
+		return e.m.link
 	case muxEnd:
 		return e.mux.link
 	}
@@ -450,8 +444,8 @@ func TestStatsAgreeAcrossStacks(t *testing.T) {
 
 // TestMetricFamiliesPerStack pins the metric families each stack serves
 // once it has carried traffic, so a rename, or a family gained or lost,
-// is a reviewed diff here. A TCPFabric's mux is built without a
-// registry, so SetTelemetry serves the ledger's view and no link family.
+// is a reviewed diff here. Every stack is a mux built with the
+// registry, so every one serves the full mux family set.
 func TestMetricFamiliesPerStack(t *testing.T) {
 	ledger := []string{
 		"mux_session_bytes_total", "mux_session_msgs_total",
@@ -467,7 +461,7 @@ func TestMetricFamiliesPerStack(t *testing.T) {
 	}, ledger...)
 	sort.Strings(mux)
 	want := map[string][]string{
-		"tcp":                  ledger,
+		"tcp":                  mux,
 		"mux":                  mux,
 		"mux recovering":       mux,
 		"recovering":           mux,

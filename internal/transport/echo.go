@@ -89,10 +89,10 @@ func NeedsEcho(net Net) bool {
 	return false
 }
 
-// EchoRequired opts both TCP fabrics into the echo sub-round: a remote
-// peer is a separate process that can send every receiver a different
+// EchoRequired opts a TCPFabric into the echo sub-round: a remote peer
+// is a separate process that can send every receiver a different
 // payload.
-func (f *sessionFabric) EchoRequired() bool { return true }
+func (f *TCPFabric) EchoRequired() bool { return true }
 
 // EchoRequired delegates to the parent: a sub-view equivocates exactly
 // when its parent fabric can.

@@ -33,7 +33,7 @@ func TestLinkRejectedDialerBacksOff(t *testing.T) {
 			return NewSessionMux(addrs, 1, time.Second, MuxOptions{Recovery: &MuxRecovery{Epoch: 1}})
 		},
 		"recovering": func(addrs []string) (interface{ Close() }, error) {
-			return NewRecoveringTCPFabric(addrs, 1, time.Second, RecoverOptions{SessionID: "s"})
+			return OpenTCPFabric(addrs, 1, time.Second, MuxOptions{Recovery: &MuxRecovery{}}, "s", nil)
 		},
 	}
 	// The rows run side by side: each constructor takes the full

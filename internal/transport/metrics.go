@@ -10,8 +10,8 @@ import (
 // layer counts what the *protocol* sends per phase and party after the
 // run; these counters stream the same sends live, with the round
 // cadence, for the admin endpoint. A mux builds one view and every
-// session it carries feeds it, so a daemon's counters sum its sessions;
-// a TCPFabric gets its view from SetTelemetry. What the links
+// session it carries feeds it, so a daemon's counters sum its sessions
+// and a TCPFabric's are its one session's. What the links
 // underneath do — redials, connects, retransmissions, heartbeat RTT —
 // is the mux's bundle (muxMetrics). A nil *netMetrics (telemetry
 // disabled) makes every hook a single nil check.

@@ -17,7 +17,7 @@ import (
 // receive queues. This is the transport layer under the rankd
 // coordinator daemon — a long-lived process hosts many sessions without
 // paying a mesh formation (or a file descriptor pair) per session — and,
-// carrying a single session, under TCPFabric and RecoveringTCPFabric.
+// carrying a single session, under TCPFabric.
 //
 // Isolation contract: a session that aborts, overflows its receive
 // budget, or closes never tears down the shared link — the other
@@ -195,7 +195,6 @@ func newSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOption
 		linkErr:  make([]error, n),
 		ctrl:     make(chan ControlMsg, muxControlCap),
 		mm:       newMuxMetrics(opts.Telemetry),
-		tm:       newNetMetrics(opts.Telemetry),
 	}
 	m.link = &mesh{
 		addrs: addrs, me: me, tag: tag,
@@ -222,6 +221,10 @@ func newSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOption
 			return nil, err
 		}
 	}
+	// The send ledger's live view is registered once the formation wait
+	// is over: no session exists to send before, and a scrape that finds
+	// the view on a mesh that waited for its links knows they are up.
+	m.tm = newNetMetrics(opts.Telemetry)
 	return m, nil
 }
 

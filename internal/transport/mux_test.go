@@ -310,8 +310,8 @@ func TestMeshAddrCollision(t *testing.T) {
 	if _, err := NewSessionMux(addrs, 1, time.Second, MuxOptions{}); !errors.As(err, &collision) {
 		t.Fatalf("NewSessionMux: got %v, want AddrCollisionError", err)
 	}
-	if _, err := NewRecoveringTCPFabric(addrs, 0, time.Second, RecoverOptions{SessionID: "x"}); !errors.As(err, &collision) {
-		t.Fatalf("NewRecoveringTCPFabric: got %v, want AddrCollisionError", err)
+	if _, err := OpenTCPFabric(addrs, 0, time.Second, MuxOptions{Recovery: &MuxRecovery{}}, "x", nil); !errors.As(err, &collision) {
+		t.Fatalf("OpenTCPFabric: got %v, want AddrCollisionError", err)
 	}
 	// Equivalent spellings collide too: wildcard vs explicit zero host,
 	// localhost vs loopback IP.

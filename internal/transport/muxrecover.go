@@ -12,7 +12,7 @@ import (
 )
 
 // Recovering mode for the SessionMux: the one recovery discipline, under
-// rankd's many sessions and under RecoveringTCPFabric's one.
+// rankd's many sessions and under a recovering TCPFabric's one.
 //
 // There is no in-memory retransmit buffer and no acknowledgement
 // machinery. Each recovering session's journal IS its retransmit buffer

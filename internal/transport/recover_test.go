@@ -14,27 +14,22 @@ import (
 	"groupranking/internal/wirecodec"
 )
 
-// buildRecoveryMesh starts an n-party recovery mesh, closed at test
-// cleanup; tweak customises each party's options before the fabrics
-// dial.
-func buildRecoveryMesh(t *testing.T, n int, tweak func(me int, o *RecoverOptions)) ([]string, []*RecoveringTCPFabric) {
+// buildRecoveryMesh starts an n-party recovery mesh with the given blame
+// grace (0 = the default), closed at test cleanup.
+func buildRecoveryMesh(t *testing.T, n int, grace time.Duration) ([]string, []*TCPFabric) {
 	t.Helper()
 	addrs, err := FreeLoopbackAddrs(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return addrs, formMeshOn(t, addrs, func(addrs []string, me int) (*RecoveringTCPFabric, error) {
-		opts := RecoverOptions{SessionID: "test-session", Epoch: 1}
-		if tweak != nil {
-			tweak(me, &opts)
-		}
-		return NewRecoveringTCPFabric(addrs, me, 5*time.Second, opts)
+	return addrs, formMeshOn(t, addrs, func(addrs []string, me int) (*TCPFabric, error) {
+		return OpenTCPFabric(addrs, me, 5*time.Second, MuxOptions{Recovery: &MuxRecovery{Epoch: 1, Grace: grace}}, "test-session", nil)
 	})
 }
 
 func TestRecoveringMeshSendRecv(t *testing.T) {
 	defer leakcheck.Check(t)
-	_, fabrics := buildRecoveryMesh(t, 3, nil)
+	_, fabrics := buildRecoveryMesh(t, 3, 0)
 	for from := 0; from < 3; from++ {
 		for to := 0; to < 3; to++ {
 			if to == from {
@@ -73,7 +68,7 @@ func TestRecoveringMeshSendRecv(t *testing.T) {
 // protocol never notices.
 func TestRecoveringReconnect(t *testing.T) {
 	defer leakcheck.Check(t)
-	_, fabrics := buildRecoveryMesh(t, 2, nil)
+	_, fabrics := buildRecoveryMesh(t, 2, 0)
 
 	if err := fabrics[0].Send(1, 0, 1, 16, wirePayload{Text: "before"}); err != nil {
 		t.Fatal(err)
@@ -84,7 +79,7 @@ func TestRecoveringReconnect(t *testing.T) {
 
 	// Sever the link out from under both endpoints, repeatedly.
 	for round := 2; round < 6; round++ {
-		if conn := fabrics[0].mesh.conn(1); conn != nil {
+		if conn := fabrics[0].m.link.conn(1); conn != nil {
 			conn.Close()
 		}
 		text := fmt.Sprintf("after-sever-%d", round)
@@ -107,7 +102,7 @@ func TestRecoveringReconnect(t *testing.T) {
 // stash until the gap fills, and an unsequenced frame is a desync.
 func TestRecoveringDuplicateSuppression(t *testing.T) {
 	defer leakcheck.Check(t)
-	_, fabrics := buildRecoveryMesh(t, 2, nil)
+	_, fabrics := buildRecoveryMesh(t, 2, 0)
 
 	if err := fabrics[0].Send(1, 0, 1, 16, wirePayload{Text: "first"}); err != nil {
 		t.Fatal(err)
@@ -119,7 +114,7 @@ func TestRecoveringDuplicateSuppression(t *testing.T) {
 	inject := func(round int, seq uint64, text string) {
 		t.Helper()
 		env := muxEnv{SID: fabrics[0].SID(), Kind: muxKindData, Round: round, Bytes: 16, Seq: seq, Payload: wirePayload{Text: text}}
-		if err := fabrics[0].mesh.write(1, round, time.Second, env); err != nil {
+		if err := fabrics[0].m.link.write(1, round, time.Second, env); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,27 +144,32 @@ func TestRecoveringDuplicateSuppression(t *testing.T) {
 // cursor reports drive: a party still waiting on a peer's final cursor
 // gives up at its bound, and one whose peer reports returns true as
 // soon as the report lands.
+//
+// Party 1 takes its ten frames only after the first Drain has given up:
+// the resume requests its session sends at open and on each link
+// attach read its cursor when their goroutine runs, so one that ran
+// after the receives would truthfully report all ten frames.
 func TestRecoveringAckTrimming(t *testing.T) {
 	defer leakcheck.Check(t)
-	_, fabrics := buildRecoveryMesh(t, 2, nil)
+	_, fabrics := buildRecoveryMesh(t, 2, 0)
 	for i := 0; i < 10; i++ {
 		if err := fabrics[0].Send(1, 0, 1, 16, wirePayload{Text: "m"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 10; i++ {
-		if _, err := fabrics[1].RecvCtx(context.Background(), 1, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
 
-	// Party 1 has not finished, so it has reported nothing.
+	// Party 1 has received nothing, so no report of its covers a frame.
 	start := time.Now()
 	if fabrics[0].Drain(200 * time.Millisecond) {
 		t.Fatal("Drain returned true although party 1 never reported its cursor")
 	}
 	if waited := time.Since(start); waited < 200*time.Millisecond || waited > 2*time.Second {
 		t.Fatalf("Drain gave up after %v, want its 200ms bound", waited)
+	}
+	for i := 0; i < 10; i++ {
+		if _, err := fabrics[1].RecvCtx(context.Background(), 1, 0, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	drained := make(chan bool, 1)
@@ -199,17 +199,14 @@ func TestRecoveringAckTrimming(t *testing.T) {
 // inside the window is not.
 func TestRecoveringBlameAfterGrace(t *testing.T) {
 	defer leakcheck.Check(t)
-	addrs, fabrics := buildRecoveryMesh(t, 2, func(me int, o *RecoverOptions) {
-		o.Grace = 300 * time.Millisecond
-	})
+	addrs, fabrics := buildRecoveryMesh(t, 2, 300*time.Millisecond)
 
 	// Reconnect inside the window: no blame. Party 1 "crashes" and a
 	// replacement endpoint (epoch 2) comes back before grace runs out.
 	fabrics[1].Close()
 	time.Sleep(50 * time.Millisecond)
-	replacement, err := NewRecoveringTCPFabric(addrs, 1, 5*time.Second, RecoverOptions{
-		SessionID: "test-session", Epoch: 2, Grace: 300 * time.Millisecond,
-	})
+	replacement, err := OpenTCPFabric(addrs, 1, 5*time.Second,
+		MuxOptions{Recovery: &MuxRecovery{Epoch: 2, Grace: 300 * time.Millisecond}}, "test-session", nil)
 	if err != nil {
 		t.Fatalf("replacement endpoint: %v", err)
 	}
@@ -254,7 +251,7 @@ func TestRecoveringSlowIsNotDead(t *testing.T) {
 	const grace = 100 * time.Millisecond // shorter than the timeout: blame would win if mis-assigned
 	rows := map[string]func(addrs []string, me int) (stackEnd, error){
 		"recovering": func(addrs []string, me int) (stackEnd, error) {
-			return NewRecoveringTCPFabric(addrs, me, timeout, RecoverOptions{SessionID: "slow", Epoch: 1, Grace: grace})
+			return OpenTCPFabric(addrs, me, timeout, MuxOptions{Recovery: &MuxRecovery{Epoch: 1, Grace: grace}}, "slow", nil)
 		},
 		"mux recovering": func(addrs []string, me int) (stackEnd, error) {
 			m, err := NewSessionMux(addrs, me, timeout, MuxOptions{Recovery: &MuxRecovery{Epoch: 1, Grace: grace}})
@@ -302,13 +299,10 @@ func TestRecoveringJournalReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	journal := newMemJournal()
-	mk := func(me, epoch int, j Journaler) (*RecoveringTCPFabric, error) {
-		return NewRecoveringTCPFabric(addrs, me, 5*time.Second, RecoverOptions{
-			SessionID: "replay", Epoch: epoch, Journal: j,
-			Grace: 5 * time.Second,
-		})
+	mk := func(me, epoch int, j Journaler) (*TCPFabric, error) {
+		return OpenTCPFabric(addrs, me, 5*time.Second, MuxOptions{Recovery: &MuxRecovery{Epoch: epoch, Grace: 5 * time.Second}}, "replay", j)
 	}
-	var survivor, victim *RecoveringTCPFabric
+	var survivor, victim *TCPFabric
 	var serr, verr error
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -384,9 +378,7 @@ func TestRecoveringJournalReplay(t *testing.T) {
 	restarted.Close()
 	journal2 := newMemJournal()
 	journal2.LogSend(0, 1, 16, 0, wirePayload{Text: "m1"})
-	bad, err := NewRecoveringTCPFabric(addrs, 1, 5*time.Second, RecoverOptions{
-		SessionID: "replay", Epoch: 3, Journal: journal2, Grace: 5 * time.Second,
-	})
+	bad, err := mk(1, 3, journal2)
 	if err != nil {
 		t.Fatalf("divergence fixture: %v", err)
 	}
@@ -401,8 +393,8 @@ func TestRecoveringJournalReplay(t *testing.T) {
 // carries on untouched.
 func TestRecoveringSessionMismatch(t *testing.T) {
 	defer leakcheck.Check(t)
-	_, fabrics := buildRecoveryMesh(t, 2, nil)
-	link := fabrics[0].mesh
+	_, fabrics := buildRecoveryMesh(t, 2, 0)
+	link := fabrics[0].m.link
 	conn, err := net.Dial("tcp", link.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -428,10 +420,10 @@ func TestRecoveringSessionMismatch(t *testing.T) {
 // and must be refused.
 func TestRecoveringStaleEpochRejected(t *testing.T) {
 	defer leakcheck.Check(t)
-	_, fabrics := buildRecoveryMesh(t, 2, nil)
+	_, fabrics := buildRecoveryMesh(t, 2, 0)
 	// Bump the known epoch for party 1 on party 0's link, then replay a
 	// stale epoch-1 handshake by hand.
-	link := fabrics[0].mesh
+	link := fabrics[0].m.link
 	link.mu.Lock()
 	link.peers[1].epoch = 5
 	link.mu.Unlock()
@@ -465,7 +457,7 @@ func TestRecoveringStaleEpochRejected(t *testing.T) {
 // must be safe, including racing in-flight receives.
 func TestRecoveringCloseIdempotent(t *testing.T) {
 	defer leakcheck.Check(t)
-	_, fabrics := buildRecoveryMesh(t, 2, nil)
+	_, fabrics := buildRecoveryMesh(t, 2, 0)
 	recvDone := make(chan error, 1)
 	go func() {
 		_, err := fabrics[0].RecvCtx(context.Background(), 0, 1, 1)

@@ -7,8 +7,8 @@ import (
 
 // Net is the messaging surface protocol code programs against. The
 // in-memory *Fabric implements it directly, and every TCP stack through
-// a *MuxSession (TCPFabric and RecoveringTCPFabric carry one); all of
-// them share one send ledger and one receive wait (endpoint.go). SubView
+// a *MuxSession (a TCPFabric carries one); all of them share one send
+// ledger and one receive wait (endpoint.go). SubView
 // implements it over a subset of a parent's parties so multi-phase
 // frameworks can run an n-party subprotocol among a subset of n+1
 // parties while keeping a single unified trace for network replay, and

@@ -37,6 +37,16 @@ func TestTCPConstructorValidation(t *testing.T) {
 	if _, err := NewTCPFabric([]string{"a", "b"}, 5, time.Second); err == nil {
 		t.Error("out-of-range index accepted")
 	}
+	addrs := []string{"127.0.0.1:1", "127.0.0.1:2"}
+	if _, err := OpenTCPFabric(addrs, 0, time.Second, MuxOptions{}, "s", nil); err == nil {
+		t.Error("session ID on a fail-fast fabric accepted")
+	}
+	if _, err := OpenTCPFabric(addrs, 0, time.Second, MuxOptions{}, "", newMemJournal()); err == nil {
+		t.Error("journal on a fail-fast fabric accepted")
+	}
+	if _, err := OpenTCPFabric(addrs, 0, time.Second, MuxOptions{Recovery: &MuxRecovery{}}, "", nil); err == nil {
+		t.Error("recovering fabric without a session ID accepted")
+	}
 }
 
 func TestFreeLoopbackAddrs(t *testing.T) {

@@ -103,7 +103,7 @@ func malformedAbort(accused, reporter, round int, phase, got, want string) error
 func certInvalidElement(g group.Group, accused, reporter, round int, phase string, e group.Element) *transport.BlameCert {
 	var data []byte
 	if of := group.Of(e); of != nil {
-		data = of.Encode(e)
+		data = of.AppendElement(nil, e)
 	}
 	return &transport.BlameCert{
 		Version: transport.BlameCertVersion, Accused: accused, Reporter: reporter,
@@ -124,8 +124,8 @@ func certKeyProof(g group.Group, accused, reporter int, y, h group.Element, chal
 		Detail: fmt.Sprintf("party %d's key-knowledge proof does not verify", accused),
 		Group:  g.Name(),
 		Items: []transport.BlameItem{
-			{Name: "y", Data: g.Encode(y)},
-			{Name: "h", Data: g.Encode(h)},
+			{Name: "y", Data: g.AppendElement(nil, y)},
+			{Name: "h", Data: g.AppendElement(nil, h)},
 			{Name: "challenges", Data: scalarEvidence(g, challenges...)},
 			{Name: "z", Data: scalarEvidence(g, z)},
 		},
@@ -143,12 +143,12 @@ func certPartialDecryption(g group.Group, accused, reporter, round int, in, st e
 		Detail: fmt.Sprintf("party %d's partial-decryption proof does not verify against its registered key share", accused),
 		Group:  g.Name(),
 		Items: []transport.BlameItem{
-			{Name: "y", Data: g.Encode(y)},
-			{Name: "c1", Data: g.Encode(in.C1)},
-			{Name: "orig-c", Data: g.Encode(in.C)},
-			{Name: "stripped-c", Data: g.Encode(st.C)},
-			{Name: "commit-g", Data: g.Encode(t.CommitG)},
-			{Name: "commit-h", Data: g.Encode(t.CommitH)},
+			{Name: "y", Data: g.AppendElement(nil, y)},
+			{Name: "c1", Data: g.AppendElement(nil, in.C1)},
+			{Name: "orig-c", Data: g.AppendElement(nil, in.C)},
+			{Name: "stripped-c", Data: g.AppendElement(nil, st.C)},
+			{Name: "commit-g", Data: g.AppendElement(nil, t.CommitG)},
+			{Name: "commit-h", Data: g.AppendElement(nil, t.CommitH)},
 			{Name: "challenge", Data: scalarEvidence(g, t.Challenge)},
 			{Name: "response", Data: scalarEvidence(g, t.Response)},
 		},
@@ -165,8 +165,8 @@ func certStrippedRandomness(g group.Group, accused, reporter, round int, in, st 
 		Detail: fmt.Sprintf("party %d altered a ciphertext's randomness component during its strip step", accused),
 		Group:  g.Name(),
 		Items: []transport.BlameItem{
-			{Name: "orig-c1", Data: g.Encode(in.C1)},
-			{Name: "stripped-c1", Data: g.Encode(st.C1)},
+			{Name: "orig-c1", Data: g.AppendElement(nil, in.C1)},
+			{Name: "stripped-c1", Data: g.AppendElement(nil, st.C1)},
 		},
 	}
 }

@@ -60,7 +60,7 @@ func TestRoundtripElements(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: Marshal: %v", g.Name(), err)
 			}
-			if want := append([]byte{group.WireID(g)}, g.Encode(e)...); !bytes.Equal(b[headerLen:], want) {
+			if want := append([]byte{group.WireID(g)}, g.AppendElement(nil, e)...); !bytes.Equal(b[headerLen:], want) {
 				t.Fatalf("%s: element payload %x, want %x", g.Name(), b[headerLen:], want)
 			}
 			got, err := Unmarshal(b)

@@ -124,23 +124,14 @@ func sessionID(params core.Params, addrs []string) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// partyFabric is what the harness needs from either transport: the Net
-// itself plus endpoint statistics and teardown.
-type partyFabric interface {
-	transport.Net
-	Stats() transport.Stats
-	Close()
-}
-
 // runRankParty is the deployment harness under both party entry
 // points: it resolves the options into the parameters a mesh of
 // len(addrs) endpoints (initiator + n participants) agrees on, joins
-// the TCP mesh as endpoint role.Me — the plain fail-fast fabric, or,
-// with Options.Recovery, the reconnecting fabric over this party's
-// session journal, which also resolves the seed — threads
-// observability and fault injection through, runs core.RunParty with
-// the session-establishment round, and reports the endpoint's transport
-// statistics.
+// the TCP mesh as endpoint role.Me — fail-fast, or, with
+// Options.Recovery, recovering over this party's session journal, which
+// also resolves the seed — threads observability and fault injection
+// through, runs core.RunParty with the session-establishment round, and
+// reports the endpoint's transport statistics.
 func runRankParty(ctx context.Context, q *Questionnaire, addrs []string, o Options, role core.Role) (core.Outcome, transport.Stats, error) {
 	fail := func(err error) (core.Outcome, transport.Stats, error) { return core.Outcome{}, transport.Stats{}, err }
 	n := len(addrs) - 1
@@ -152,42 +143,30 @@ func runRankParty(ctx context.Context, q *Questionnaire, addrs []string, o Optio
 		return fail(err)
 	}
 	o.Timeout = cmp.Or(o.Timeout, core.DefaultTimeout)
-	var fab partyFabric
+	mo := transport.MuxOptions{Telemetry: o.Telemetry}
+	var sid string
+	var j transport.Journaler
 	seed := o.Seed
 	if o.Recovery != nil {
 		if o.Recovery.Dir == "" {
 			return fail(fmt.Errorf("groupranking: Recovery.Dir must name a journal directory"))
 		}
-		sid := sessionID(params, addrs)
-		var j *journal.Journal
-		if j, seed, err = journal.OpenSession(o.Recovery.Dir, sid, role.Me, seed, o.Telemetry); err != nil {
+		sid = sessionID(params, addrs)
+		var sj *journal.Journal
+		if sj, seed, err = journal.OpenSession(o.Recovery.Dir, sid, role.Me, seed, o.Telemetry); err != nil {
 			return fail(err)
 		}
-		defer j.Close()
-		rfab, err := transport.NewRecoveringTCPFabric(addrs, role.Me, o.Timeout, transport.RecoverOptions{
-			SessionID: sid,
-			Epoch:     j.Epoch(),
-			Journal:   j,
-			Grace:     o.Recovery.Grace,
-			Telemetry: o.Telemetry,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		o.Telemetry.SetHealthSource(rfab)
-		fab = rfab
-	} else {
-		if seed, err = fixedbig.DrawSeed(seed); err != nil {
-			return fail(err)
-		}
-		tfab, err := transport.NewTCPFabric(addrs, role.Me, o.Timeout)
-		if err != nil {
-			return fail(err)
-		}
-		tfab.SetTelemetry(o.Telemetry)
-		o.Telemetry.SetHealthSource(tfab)
-		fab = tfab
+		defer sj.Close()
+		j = sj
+		mo.Recovery = &transport.MuxRecovery{Epoch: sj.Epoch(), Grace: o.Recovery.Grace}
+	} else if seed, err = fixedbig.DrawSeed(seed); err != nil {
+		return fail(err)
 	}
+	fab, err := transport.OpenTCPFabric(addrs, role.Me, o.Timeout, mo, sid, j)
+	if err != nil {
+		return fail(err)
+	}
+	o.Telemetry.SetHealthSource(fab)
 	defer fab.Close()
 	ctx, cancel := context.WithTimeout(ctx, o.Timeout)
 	defer cancel()
@@ -203,12 +182,10 @@ func runRankParty(ctx context.Context, q *Questionnaire, addrs []string, o Optio
 	if err != nil {
 		return fail(err)
 	}
-	if rfab, ok := fab.(*transport.RecoveringTCPFabric); ok {
-		// This party is done, but a crashed peer may still need what we
-		// sent it: keep serving retransmissions until every peer has
-		// reported holding everything or the blame window closes. Prompt
-		// when all peers are alive and finish too.
-		rfab.Drain(0)
-	}
+	// This party is done, but a crashed peer may still need what we sent
+	// it: a recovering fabric keeps serving retransmissions until every
+	// peer has reported holding everything or the blame window closes.
+	// Prompt when all peers are alive and finish too.
+	fab.Drain(0)
 	return out, fab.Stats(), nil
 }
