@@ -3,53 +3,16 @@ package sssort
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"math/big"
 	"testing"
 
 	"groupranking/internal/fixedbig"
+	"groupranking/internal/nettap"
 	"groupranking/internal/ssmpc"
 	"groupranking/internal/transport"
 )
-
-// tapNet hashes every frame each party sends: round, endpoints, charged
-// size and the digest of the payload's wirecodec frame — the bytes a TCP
-// mesh would put on the wire. Each party sends from its own goroutine,
-// so the per-sender hashes need no lock.
-type tapNet struct {
-	transport.Net
-	sent []hash.Hash
-}
-
-func (t *tapNet) Send(round, from, to, bytes int, payload any) error {
-	d, err := transport.PayloadDigest(payload)
-	if err != nil {
-		return err
-	}
-	var hdr [32]byte
-	binary.BigEndian.PutUint64(hdr[0:], uint64(round))
-	binary.BigEndian.PutUint64(hdr[8:], uint64(from))
-	binary.BigEndian.PutUint64(hdr[16:], uint64(to))
-	binary.BigEndian.PutUint64(hdr[24:], uint64(bytes))
-	t.sent[from].Write(hdr[:])
-	t.sent[from].Write(d)
-	return t.Net.Send(round, from, to, bytes, payload)
-}
-
-func (t *tapNet) Broadcast(round, from, bytes int, payload any) error {
-	for to := 0; to < t.N(); to++ {
-		if to == from {
-			continue
-		}
-		if err := t.Send(round, from, to, bytes, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // goldenTranscript runs one seeded SortOpen among n parties (every party
 // deals one value) and returns the hex sha256 over the per-party frame
@@ -68,12 +31,9 @@ func goldenTranscript(t *testing.T, n, degree, primeBits, l int) string {
 			t.Fatal(err)
 		}
 	}
-	var tap *tapNet
+	var tap *nettap.Tap
 	wrap := func(fab transport.Net) transport.Net {
-		tap = &tapNet{Net: fab, sent: make([]hash.Hash, n)}
-		for i := range tap.sent {
-			tap.sent[i] = sha256.New()
-		}
+		tap = nettap.New(fab)
 		return tap
 	}
 	opened := make([][]*big.Int, n)
@@ -106,9 +66,7 @@ func goldenTranscript(t *testing.T, n, degree, primeBits, l int) string {
 		}
 	}
 	total := sha256.New()
-	for _, h := range tap.sent {
-		total.Write(h.Sum(nil))
-	}
+	tap.WriteSums(total)
 	for i, v := range opened[0] {
 		if i > 0 && opened[0][i-1].Cmp(v) > 0 {
 			t.Fatalf("opened sequence not sorted at %d", i)
