@@ -12,13 +12,14 @@ import (
 // fieldCase is one modulus the tests run at: the field New builds for it
 // and the Montgomery fields of the same modulus to hold its bodies
 // against, the four-limb one when the width table gave it fewer limbs and
-// the three-limb one when New gave it the fold.
+// the plain one of its width when New gave it a shape's body (mul3 for
+// the fold, mul4 for P-256's shape).
 type fieldCase struct {
 	name string
 	p    *big.Int
 	f    Field
 	wide *Field // nil when f is already four limbs
-	mont *Field // nil unless f folds
+	mont *Field // nil unless f runs the fold or P-256's shape
 }
 
 // fieldCases covers every modulus either stack runs on or sits next to:
@@ -27,9 +28,12 @@ type fieldCase struct {
 // near 2^192; Goldilocks (p − 1 = 2^32·odd, the deepest Tonelli–Shanks
 // ladder the SS field's square root meets) and 2^255 − 19 (p ≡ 5 mod 8);
 // DRBG primes drawn like the SS stack's: the benchmark's 75 bits, the
-// paper's default 110, and both sides of each width boundary; and the
-// primes 2^160 − c on both sides of the fold's edge, c just below 2^32
-// (the fold's largest carries) and c just above (Montgomery).
+// paper's default 110, and both sides of each width boundary; the primes
+// 2^160 − c on both sides of the fold's edge, c just below 2^32 (the
+// fold's largest carries) and c just above (Montgomery); and two 256-bit
+// DRBG primes with p₀ = 2^64 − 1, one of P-256's shape (p₂ = 0) and one
+// just outside it (p₂ ≠ 0), so that the shape is tested as a shape and
+// not as P-256's constant.
 var fieldCases = sync.OnceValue(func() []fieldCase {
 	var cases []fieldCase
 	add := func(name string, p *big.Int) {
@@ -42,8 +46,7 @@ var fieldCases = sync.OnceValue(func() []fieldCase {
 			w := withWidth(p, 4)
 			c.wide = &w
 		}
-		if f.fold != 0 {
-			m := withWidth(p, 3)
+		if m := withWidth(p, f.width); m.body != f.body {
 			c.mont = &m
 		}
 		cases = append(cases, c)
@@ -68,8 +71,35 @@ var fieldCases = sync.OnceValue(func() []fieldCase {
 	}
 	add("p160-c-below-2^32", pseudoMersenne160(1<<32-1, -2))
 	add("p160-c-above-2^32", pseudoMersenne160(1<<32+1, 2))
+	add("drbg-256-p256-shape", p256Shaped("field-test-p256-shape", false))
+	add("drbg-256-p2-nonzero", p256Shaped("field-test-p2-nonzero", true))
 	return cases
 })
+
+// p256Shaped returns the first 256-bit prime with p₀ = 2^64 − 1 and
+// DRBG-drawn p₁, p₂, p₃, with p₂ = 0 (P-256's shape) or, for a near miss,
+// p₂ ≠ 0. p₃'s top two bits are set: p > 3·2^254 keeps p256Operands'
+// products reachable.
+func p256Shaped(label string, nearMiss bool) *big.Int {
+	rng := fixedbig.NewDRBG(label)
+	for {
+		var buf [32]byte
+		if _, err := rng.Read(buf[:]); err != nil {
+			panic(err)
+		}
+		l := fromBytes(&buf)
+		l[0] = ^uint64(0)
+		l[3] |= 3 << 62
+		if !nearMiss {
+			l[2] = 0
+		} else if l[2] == 0 {
+			continue
+		}
+		if p := bigFromLimbs(l); p.ProbablyPrime(20) {
+			return p
+		}
+	}
+}
 
 // pseudoMersenne160 returns the first prime 2^160 − c for c = from,
 // from + step, ….
@@ -106,7 +136,7 @@ func bigFromLimbs(l [4]uint64) *big.Int {
 }
 
 // fieldOpNames names the results of fieldOps, in order.
-var fieldOpNames = [...]string{"add", "sub", "neg", "mul", "sqr", "halve", "inv", "sqr aliased", "sub aliased"}
+var fieldOpNames = [...]string{"add", "sub", "neg", "mul", "mul a·a", "sqr", "halve", "inv", "mul aliased", "sqr aliased", "sub aliased"}
 
 // fieldOps applies every operation to the reduced values a and b and
 // returns the results out of the field's form, in fieldOpNames order.
@@ -144,6 +174,8 @@ func fieldOps(t testing.TB, f *Field, a, b *big.Int) (out [len(fieldOpNames)]*bi
 	put()
 	f.Mul(&got, &fa, &fa)
 	put()
+	f.Sqr(&got, &fa)
+	put()
 	got = fa
 	f.halve(&got)
 	put()
@@ -153,13 +185,17 @@ func fieldOps(t testing.TB, f *Field, a, b *big.Int) (out [len(fieldOpNames)]*bi
 	f.Mul(&got, &got, &got)
 	put()
 	got = fa
+	f.Sqr(&got, &got)
+	put()
+	got = fa
 	f.Sub(&got, &fb, &got)
 	put()
 	return out
 }
 
 // checkFieldOps holds every operation on the reduced values a and b to
-// its math/big definition modulo p, the square root included.
+// its math/big definition modulo p, the square root included; Sqr, plain
+// and aliased, is held to the same a² as Mul(a, a).
 func checkFieldOps(t testing.TB, f *Field, p, a, b *big.Int) {
 	t.Helper()
 	fa, _ := f.FromBig(a)
@@ -172,15 +208,18 @@ func checkFieldOps(t testing.TB, f *Field, p, a, b *big.Int) {
 		inv = new(big.Int) // a = 0
 	}
 	half := new(big.Int).ModInverse(big.NewInt(2), p)
+	sq := mod(new(big.Int).Mul(a, a))
 	want := [...]*big.Int{
 		mod(new(big.Int).Add(a, b)),
 		mod(new(big.Int).Sub(a, b)),
 		mod(new(big.Int).Neg(a)),
 		mod(new(big.Int).Mul(a, b)),
-		mod(new(big.Int).Mul(a, a)),
+		sq,
+		sq,
 		mod(half.Mul(half, a)),
 		inv,
-		mod(new(big.Int).Mul(a, a)),
+		sq,
+		sq,
 		mod(new(big.Int).Sub(b, a)),
 	}
 	for i, have := range fieldOps(t, f, a, b) {
@@ -216,7 +255,7 @@ func checkSqrt(t testing.TB, f *Field, p, a, b *big.Int) {
 		t.Fatalf("exp(%x, %x) = %x", a, b, f.ToBig(&z))
 	}
 	var sq Elem
-	f.Mul(&sq, &x, &x)
+	f.Sqr(&sq, &x)
 	want := canonicalRoot(new(big.Int).Mod(new(big.Int).Mul(a, a), p), p)
 	if !f.Sqrt(&z, &sq) || f.ToBig(&z).Cmp(want) != 0 {
 		t.Fatalf("sqrt(%x²) = %x, want %x", a, f.ToBig(&z), want)
@@ -233,7 +272,7 @@ func checkSqrt(t testing.TB, f *Field, p, a, b *big.Int) {
 
 // checkCase runs checkFieldOps at c's modulus and holds every result to
 // that of the Montgomery bodies of the same modulus: the four-limb one
-// below four limbs, and mul3 when the field folds.
+// below four limbs, mul3 when the field folds and mul4 on P-256's shape.
 func checkCase(t testing.TB, c *fieldCase, a, b *big.Int) {
 	t.Helper()
 	checkFieldOps(t, &c.f, c.p, a, b)
@@ -277,20 +316,36 @@ func TestFieldWidthTable(t *testing.T) {
 	}
 }
 
-// TestFieldBodyTable pins which multiply each modulus gets: the fold for
+// TestFieldBodyTable pins the body every modulus gets: the fold for
 // 2^160 − c with c below 2^32, that is secp160r1 and the largest such
-// prime, and Montgomery everywhere else, the prime just past the shape's
-// edge included, so that neither a curve loses the fold nor an SS prime
-// falls onto it.
+// prime; P-256's shape for P-256 and the DRBG prime of that shape; and
+// the plain Montgomery body of its width everywhere else, the primes
+// just past either shape's edge included, so that neither a curve loses
+// its body nor an SS prime or a near miss falls onto one. The fold's
+// constant is pinned too.
 func TestFieldBodyTable(t *testing.T) {
 	top := new(big.Int).Lsh(big.NewInt(1), 160)
 	folds := map[string]uint64{
 		"secp160r1":         1<<31 + 1,
 		"p160-c-below-2^32": top.Sub(top, caseNamed(t, "p160-c-below-2^32").p).Uint64(),
 	}
+	shapes := map[string]body{
+		"secp160r1":           foldBody,
+		"p160-c-below-2^32":   foldBody,
+		"secp256r1":           p256Body,
+		"drbg-256-p256-shape": p256Body,
+	}
+	names := map[body]string{mont2: "mul2", mont3: "mul3", mont4: "mul4", foldBody: "the fold", p256Body: "P-256's shape"}
 	for _, c := range fieldCases() {
+		want, ok := shapes[c.name]
+		if !ok {
+			want = mont2 + body(c.f.width-2)
+		}
+		if c.f.body != want {
+			t.Errorf("%s: body %s, want %s", c.name, names[c.f.body], names[want])
+		}
 		if want := folds[c.name]; c.f.fold != want {
-			t.Errorf("%s: fold constant %#x, want %#x (0 is a Montgomery body)", c.name, c.f.fold, want)
+			t.Errorf("%s: fold constant %#x, want %#x (0 is not the fold)", c.name, c.f.fold, want)
 		}
 	}
 }
@@ -307,7 +362,7 @@ func TestFieldRoundTrip(t *testing.T) {
 		// one is R mod p for the body's R: 2^(64·width) on the Montgomery
 		// bodies, 1 on the fold.
 		rBits := 64 * f.width
-		if f.fold != 0 {
+		if f.body == foldBody {
 			rBits = 0
 		}
 		r := new(big.Int).Lsh(big.NewInt(1), uint(rBits))
@@ -418,10 +473,11 @@ func TestFieldInv(t *testing.T) {
 	}
 }
 
-// FuzzFieldAgainstBig holds every field operation, Sqrt included, to
-// math/big at each fieldCases modulus (the three curve primes among
-// them), the narrow bodies to the four-limb ones and the fold to mul3,
-// with foldOperands seeded at each modulus that folds. The
+// FuzzFieldAgainstBig holds every field operation, Sqr and Sqrt
+// included, to math/big at each fieldCases modulus (the three curve
+// primes among them), the narrow bodies to the four-limb ones, the fold
+// to mul3 and P-256's shape to mul4, with foldOperands seeded at each
+// modulus that folds and p256Operands at each of P-256's shape. The
 // operands arrive as raw limbs: values at or above p are not field
 // elements, so FromBig must refuse them and Reduce take them to v mod p;
 // the checks then run on the reduced operands.
@@ -441,11 +497,16 @@ func FuzzFieldAgainstBig(f *testing.F) {
 		f.Add(w, max, max, max, max, uint64(0), uint64(0), max, max)
 	}
 	for which, c := range cases {
-		if c.f.fold != 0 {
-			for _, xy := range foldOperands(c.p, c.f.fold) {
-				x, y := Limbs(xy[0]), Limbs(xy[1])
-				f.Add(uint8(which), x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3])
-			}
+		var pairs [][2]*big.Int
+		switch c.f.body {
+		case foldBody:
+			pairs = foldOperands(c.p, c.f.fold)
+		case p256Body:
+			pairs = p256Operands(c.p)
+		}
+		for _, xy := range pairs {
+			x, y := Limbs(xy[0]), Limbs(xy[1])
+			f.Add(uint8(which), x[0], x[1], x[2], x[3], y[0], y[1], y[2], y[3])
 		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, a0, a1, a2, a3, b0, b1, b2, b3 uint64) {
@@ -500,6 +561,88 @@ func foldOperands(p *big.Int, c uint64) [][2]*big.Int {
 	return pairs
 }
 
+// p256Operands returns operand pairs that drive mulP256 and sqrP256 at
+// a p of P-256's shape through their rare paths: squares of p − 1,
+// p − 2 and 2^256 − 1 (above p, Reduce's to take); and a product and a
+// square whose Montgomery sum (t + M·p)/2^256 is 2^256 + δ for a small
+// δ, so that the last carry of the reduction ripples through three zero
+// limbs into the top word before the final subtraction. Random operands
+// reach that with odds near 2^-192. The pairs are the plain values
+// whose field forms are those operands (v·R⁻¹ mod p), since the fuzz
+// target enters them through FromBig.
+func p256Operands(p *big.Int) [][2]*big.Int {
+	one := big.NewInt(1)
+	r := new(big.Int).Lsh(one, 256)
+	rInv := new(big.Int).ModInverse(r, p)
+	plain := func(v *big.Int) *big.Int { return new(big.Int).Mod(new(big.Int).Mul(v, rInv), p) }
+	var pairs [][2]*big.Int
+	for _, v := range []*big.Int{
+		new(big.Int).Sub(p, one),
+		new(big.Int).Sub(p, big.NewInt(2)),
+		new(big.Int).Sub(r, one),
+	} {
+		pairs = append(pairs, [2]*big.Int{v, v})
+	}
+	// The product: x·y + M·p = R·U with U = 2^256 + 1 and M < R. For
+	// y = p − 1 − j, M = R·U·p⁻¹ mod y makes y divide x·y; the first j
+	// whose quotient x is below p gives the pair.
+	ru := new(big.Int).Mul(r, new(big.Int).Add(r, one))
+	for j := int64(1); ; j++ {
+		y := new(big.Int).Sub(p, big.NewInt(j))
+		m := new(big.Int).ModInverse(p, y)
+		m.Mod(m.Mul(m, ru), y)
+		x := new(big.Int).Sub(ru, new(big.Int).Mul(m, p))
+		if x.Sign() >= 0 && x.Div(x, y).Cmp(p) < 0 {
+			pairs = append(pairs, [2]*big.Int{plain(x), plain(y)})
+			break
+		}
+	}
+	// The square: x² + M·p = R·U for U = 2^256 + δ, x the larger root of
+	// R·U mod p, for the first δ that makes R·U a residue; then
+	// M = (R·U − x²)/p lies in [0, R).
+	for d := int64(1); ; d++ {
+		ru := new(big.Int).Mul(r, new(big.Int).Add(r, big.NewInt(d)))
+		x := new(big.Int).ModSqrt(new(big.Int).Mod(ru, p), p)
+		if x == nil {
+			continue
+		}
+		if other := new(big.Int).Sub(p, x); other.Cmp(x) > 0 {
+			x = other
+		}
+		m := ru.Sub(ru, new(big.Int).Mul(x, x))
+		if m.Sign() >= 0 && m.Div(m, p).Cmp(r) < 0 {
+			pairs = append(pairs, [2]*big.Int{plain(x), plain(x)})
+			break
+		}
+	}
+	return pairs
+}
+
+// TestP256OperandsReachTheTopWord checks that p256Operands' product and
+// square reach what they are built for at every modulus of P-256's
+// shape: a Montgomery sum (x·y + M·p)/2^256 of 2^256 + δ with δ < 2^64.
+func TestP256OperandsReachTheTopWord(t *testing.T) {
+	r := new(big.Int).Lsh(big.NewInt(1), 256)
+	for _, c := range fieldCases() {
+		if c.f.body != p256Body {
+			continue
+		}
+		nInv := new(big.Int).ModInverse(c.p, r)
+		pairs := p256Operands(c.p)
+		for _, xy := range pairs[len(pairs)-2:] {
+			x := new(big.Int).Mod(new(big.Int).Mul(xy[0], r), c.p)
+			y := new(big.Int).Mod(new(big.Int).Mul(xy[1], r), c.p)
+			prod := new(big.Int).Mul(x, y)
+			m := new(big.Int).Neg(prod)
+			m.Mod(m.Mul(m, nInv), r)
+			u := m.Add(prod, m.Mul(m, c.p))
+			if u.Div(u, r).Sub(u, r); u.Sign() < 0 || u.BitLen() > 64 {
+				t.Errorf("%s: the Montgomery sum of %x·%x is 2^256 + %x", c.name, x, y, u)
+			}
+		}
+	}
+}
+
 // benchOperands draws 256 non-zero elements of the named case's field.
 // The benchmarks cycle through them: an operation fed its own output
 // revisits a handful of values, and the binary Euclid's data-dependent
@@ -525,8 +668,10 @@ var benchFields = []struct{ bench, name string }{
 }
 
 // BenchmarkFieldMul runs Mul at each benchFields modulus, and on
-// secp160r1 also the three-limb Montgomery body the fold replaced
-// (secp160r1-mont), so that both bodies show side by side.
+// secp160r1 and P-256 also the plain Montgomery body of the same width
+// that the shape's body replaced (secp160r1-mont: mul3 for the fold;
+// secp256r1-mont: mul4 for P-256's shape), so that both bodies show side
+// by side.
 func BenchmarkFieldMul(b *testing.B) {
 	run := func(name string, f *Field, xs *[256]Elem) {
 		b.Run(name, func(b *testing.B) {
@@ -547,6 +692,21 @@ func BenchmarkFieldMul(b *testing.B) {
 			}
 			run(bf.bench+"-mont", mont, &ys)
 		}
+	}
+}
+
+// BenchmarkFieldSqr runs Sqr at each benchFields modulus, as the
+// exponentiation ladder does: each square fed the last.
+func BenchmarkFieldSqr(b *testing.B) {
+	for _, bf := range benchFields {
+		f, xs := benchOperands(b, bf.name)
+		b.Run(bf.bench, func(b *testing.B) {
+			acc := xs[0]
+			for i := 0; i < b.N; i++ {
+				f.Sqr(&acc, &acc)
+			}
+			benchSink = acc
+		})
 	}
 }
 
@@ -572,7 +732,7 @@ func BenchmarkFieldSqrt(b *testing.B) {
 		var sq [256]Elem
 		bigs := make([]*big.Int, len(xs))
 		for i := range xs {
-			f.Mul(&sq[i], &xs[i], &xs[i])
+			f.Sqr(&sq[i], &xs[i])
 			bigs[i] = f.ToBig(&sq[i])
 		}
 		b.Run(bf.bench, func(b *testing.B) {

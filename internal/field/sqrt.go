@@ -35,7 +35,7 @@ func (f *Field) sqrtConsts() {
 			f.exp(&c, &c, &sl)
 			t := c
 			for i := 1; i < f.tsE; i++ {
-				f.Mul(&t, &t, &t)
+				f.Sqr(&t, &t)
 			}
 			if t != f.one {
 				f.tsC = c
@@ -55,7 +55,7 @@ func (f *Field) exp(z, x *Elem, e *[4]uint64) {
 	for i := 3; i >= 0; i-- {
 		for bit := 63; bit >= 0; bit-- {
 			if started {
-				f.Mul(&acc, &acc, &acc)
+				f.Sqr(&acc, &acc)
 			}
 			if e[i]>>uint(bit)&1 != 0 {
 				f.Mul(&acc, &acc, &base)
@@ -79,7 +79,7 @@ func (f *Field) Sqrt(z, x *Elem) bool {
 		var x2, b, i Elem
 		f.Add(&x2, x, x)
 		f.exp(&b, &x2, &f.sqrtExp)
-		f.Mul(&i, &b, &b)
+		f.Sqr(&i, &b)
 		f.Mul(&i, &i, &x2)
 		f.Sub(&i, &i, &f.one)
 		f.Mul(&w, x, &b)
@@ -90,7 +90,7 @@ func (f *Field) Sqrt(z, x *Elem) bool {
 		}
 	}
 	var sq Elem
-	f.Mul(&sq, &w, &w)
+	f.Sqr(&sq, &w)
 	if sq != *x {
 		return false
 	}
@@ -116,16 +116,16 @@ func (f *Field) tonelliShanks(w, x *Elem) bool {
 		// The least m with b^(2^m) = 1; m = e means x is a non-residue.
 		m, sq := 0, b
 		for sq != f.one {
-			f.Mul(&sq, &sq, &sq)
+			f.Sqr(&sq, &sq)
 			if m++; m == e {
 				return false
 			}
 		}
 		gs := g
 		for i := 0; i < e-m-1; i++ {
-			f.Mul(&gs, &gs, &gs)
+			f.Sqr(&gs, &gs)
 		}
-		f.Mul(&g, &gs, &gs)
+		f.Sqr(&g, &gs)
 		f.Mul(&r, &r, &gs)
 		f.Mul(&b, &b, &g)
 		e = m

@@ -52,7 +52,7 @@ func newCurveKernel(p, a, b, n *big.Int) (*curveKernel, error) {
 // y² = x³ − 3x + b.
 func (k *curveKernel) onCurve(a *affPt) bool {
 	var lhs, rhs field.Elem
-	k.Mul(&lhs, &a.y, &a.y)
+	k.Sqr(&lhs, &a.y)
 	k.rhs(&rhs, &a.x)
 	return lhs == rhs
 }
@@ -60,7 +60,7 @@ func (k *curveKernel) onCurve(a *affPt) bool {
 // rhs sets z = x³ − 3x + b, the square the curve asks of y.
 func (k *curveKernel) rhs(z, x *field.Elem) {
 	var x3, t field.Elem
-	k.Mul(&x3, x, x)
+	k.Sqr(&x3, x)
 	k.Mul(&x3, &x3, x)
 	k.Add(&t, x, x)
 	k.Add(&t, &t, x)
@@ -116,7 +116,7 @@ func (k *curveKernel) element(a *affPt) ecPoint {
 // scale sets a = (X·zi², Y·zi³), the affine form of pt given zi = Z⁻¹.
 func (k *curveKernel) scale(a *affPt, pt *jacPt, zi *field.Elem) {
 	var zi2 field.Elem
-	k.Mul(&zi2, zi, zi)
+	k.Sqr(&zi2, zi)
 	k.Mul(&a.x, &pt.x, &zi2)
 	k.Mul(&zi2, &zi2, zi)
 	k.Mul(&a.y, &pt.y, &zi2)
@@ -158,7 +158,7 @@ func (k *curveKernel) equalAffine(p *jacPt, a *affPt) bool {
 		return p.z.IsZero() && a.inf
 	}
 	var zz, t field.Elem
-	k.Mul(&zz, &p.z, &p.z)
+	k.Sqr(&zz, &p.z)
 	if k.Mul(&t, &a.x, &zz); t != p.x {
 		return false
 	}
@@ -173,20 +173,20 @@ func (k *curveKernel) equalAffine(p *jacPt, a *affPt) bool {
 // Infinity and points of order two need no branch: both give Z' = 0.
 func (k *curveKernel) double(r, p *jacPt) {
 	var z2, m, t, s, x3, y3, z3 field.Elem
-	k.Mul(&z2, &p.z, &p.z)
+	k.Sqr(&z2, &p.z)
 	k.Sub(&m, &p.x, &z2)
 	k.Add(&t, &p.x, &z2)
 	k.Mul(&m, &m, &t)
 	k.Add(&t, &m, &m)
 	k.Add(&m, &t, &m)
-	k.Mul(&t, &p.y, &p.y)
+	k.Sqr(&t, &p.y)
 	k.Add(&t, &t, &t) // T = 2Y²
 	k.Mul(&s, &p.x, &t)
 	k.Add(&s, &s, &s) // S = 2XT
-	k.Mul(&x3, &m, &m)
+	k.Sqr(&x3, &m)
 	k.Sub(&x3, &x3, &s)
 	k.Sub(&x3, &x3, &s)
-	k.Mul(&t, &t, &t)
+	k.Sqr(&t, &t)
 	k.Add(&t, &t, &t) // 8Y⁴ = 2T²
 	k.Sub(&y3, &s, &x3)
 	k.Mul(&y3, &m, &y3)
@@ -207,8 +207,8 @@ func (k *curveKernel) addJac(r, p, q *jacPt) {
 		return
 	}
 	var z1z1, z2z2, u1, u2, s1, s2, zz field.Elem
-	k.Mul(&z1z1, &p.z, &p.z)
-	k.Mul(&z2z2, &q.z, &q.z)
+	k.Sqr(&z1z1, &p.z)
+	k.Sqr(&z2z2, &q.z)
 	k.Mul(&u1, &p.x, &z2z2)
 	k.Mul(&u2, &q.x, &z1z1)
 	k.Mul(&s1, &p.y, &q.z)
@@ -232,7 +232,7 @@ func (k *curveKernel) addAffine(r, p *jacPt, q *affPt) {
 		return
 	}
 	var z1z1, u2, s2 field.Elem
-	k.Mul(&z1z1, &p.z, &p.z)
+	k.Sqr(&z1z1, &p.z)
 	k.Mul(&u2, &q.x, &z1z1)
 	k.Mul(&s2, &q.y, &p.z)
 	k.Mul(&s2, &s2, &z1z1)
@@ -254,10 +254,10 @@ func (k *curveKernel) addTail(r, p *jacPt, u1, s1, u2, s2, zz *field.Elem) {
 		}
 		return
 	}
-	k.Mul(&h2, &h, &h)
+	k.Sqr(&h2, &h)
 	k.Mul(&h3, &h2, &h)
 	k.Mul(&v, u1, &h2)
-	k.Mul(&x3, &rr, &rr)
+	k.Sqr(&x3, &rr)
 	k.Sub(&x3, &x3, &h3)
 	k.Sub(&x3, &x3, &v)
 	k.Sub(&x3, &x3, &v)
