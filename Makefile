@@ -108,6 +108,14 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # internal/field/sqrt.go, may call Mul with the same operand twice
 # (Mul(&a, &b, &b)), so a square cannot silently pay a multiply where
 # the fold and P-256's shape square in fewer word products.
+# The cold-start checks keep every named group built alone, from its
+# constants, on first use: non-test internal/group code may not use a
+# plain sync.Once (one lazy value per group, sync.OnceValue, the way
+# lazyCurve and lazyDL build them, since a once shared by several groups
+# makes naming one of them build them all), and may call fixedbig.Prime
+# only inside GenerateDLGroup, so no named group searches for its prime
+# at run time (toy-dl-256's prime is pinned, and its derivation is a
+# test).
 # The gofmt check names the source trees, not ".", so that the build
 # cache bench/run.sh leaves under .bench_build/ is not walked.
 # The reachability check keeps production code to what a binary or the
@@ -183,6 +191,12 @@ vet:
 	@squares=$$(find internal/group internal/field/sqrt.go -name '*.go' ! -name '*_test.go' | xargs grep -nE 'Mul\(([^,()]+), ([^,()]+), \2\)' | tr '\n' ' '); \
 	if [ -n "$$squares" ]; then \
 		echo "a square is Sqr(&z, &x), not Mul(&z, &x, &x), found: $$squares"; exit 1; fi
+	@once=$$(find internal/group -name '*.go' ! -name '*_test.go' | xargs grep -nE 'sync\.Once([^A-Za-z]|$$)' | tr '\n' ' '); \
+	if [ -n "$$once" ]; then \
+		echo "a named group is one lazy value of its own (sync.OnceValue, as lazyCurve and lazyDL), not a shared sync.Once, found: $$once"; exit 1; fi
+	@search=$$(find internal/group -name '*.go' ! -name '*_test.go' | xargs awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /fixedbig\.Prime\(/ && fn !~ /^func GenerateDLGroup\(/ { print FILENAME ":" FNR }' | tr '\n' ' '); \
+	if [ -n "$$search" ]; then \
+		echo "a named group is built from pinned constants, not searched for (fixedbig.Prime belongs in GenerateDLGroup alone), found: $$search"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:

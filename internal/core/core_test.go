@@ -15,9 +15,16 @@ import (
 	"groupranking/internal/workload"
 )
 
+// coreGroup generates the tests' group once: GenerateDLGroup is a
+// function of its DRBG's stream, so every test would get this group
+// anyway, and the safe-prime search need not run per test.
+var coreGroup = sync.OnceValues(func() (*group.DLGroup, error) {
+	return group.GenerateDLGroup(128, fixedbig.NewDRBG("core-group"))
+})
+
 func testGroup(t *testing.T) group.Group {
 	t.Helper()
-	g, err := group.GenerateDLGroup(128, fixedbig.NewDRBG("core-group"))
+	g, err := coreGroup()
 	if err != nil {
 		t.Fatal(err)
 	}

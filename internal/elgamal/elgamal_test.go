@@ -455,11 +455,7 @@ func composedHop(s *Scheme, x *big.Int, cts []Ciphertext, rs []*big.Int) []Ciphe
 }
 
 func TestStripBlindMatchesComposition(t *testing.T) {
-	toy, err := group.ToyDL256()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1(), toy} {
+	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1(), group.ToyDL256()} {
 		s, key, cts, rs := hopBatch(t, g)
 		got, want := s.StripBlind(key.X, cts, rs), composedHop(s, key.X, cts, rs)
 		for i := range want {

@@ -103,10 +103,7 @@ func TestCompareCircuitMatchesReference(t *testing.T) {
 			t.Errorf("%s: the circuit ran on the reference curve", g.name)
 		}
 	}
-	toy, err := ToyDL256()
-	if err != nil {
-		t.Fatal(err)
-	}
+	toy := ToyDL256()
 	if _, ok := CompareCircuit(toy, NewFixedBaseTable(toy, toy.Generator()), nil, nil, big.NewInt(1), nil); ok {
 		t.Error("the circuit ran on a DL group")
 	}

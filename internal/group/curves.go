@@ -9,8 +9,9 @@ import (
 // SEC2 / NIST domain parameters for the curves used in the paper's
 // evaluation: secp160r1 (the "160-bit ECC group" of Section VII) plus
 // P-224 and P-256 for the 112- and 128-bit security levels of Fig. 3(a).
-// All parameters are validated by newECGroup (prime field, prime order,
-// the kernel's shape, base point on curve, n·G = ∞) when first used.
+// Each curve is built alone, from its constants, on first use, when
+// newECGroup validates it (prime field, prime order, the kernel's shape,
+// base point on curve, n·G = ∞); the test suite checks it again.
 
 type curveDef struct {
 	name         string
@@ -26,7 +27,7 @@ func lazyCurve(d curveDef) func() *ECGroup {
 }
 
 var (
-	_secp160r1 = lazyCurve(curveDef{
+	secp160r1 = curveDef{
 		name:         "secp160r1",
 		p:            "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF7FFFFFFF",
 		b:            "1C97BEFC54BD7A8B65ACF89F81D4D4ADC565FA45",
@@ -34,8 +35,8 @@ var (
 		gy:           "23A628553168947D59DCC912042351377AC5FB32",
 		n:            "0100000000000000000001F4C8F927AED3CA752257",
 		securityBits: 80,
-	})
-	_secp224r1 = lazyCurve(curveDef{
+	}
+	secp224r1 = curveDef{
 		name:         "secp224r1",
 		p:            "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF000000000000000000000001",
 		b:            "B4050A850C04B3ABF54132565044B0B7D7BFD8BA270B39432355FFB4",
@@ -43,8 +44,8 @@ var (
 		gy:           "BD376388B5F723FB4C22DFE6CD4375A05A07476444D5819985007E34",
 		n:            "FFFFFFFFFFFFFFFFFFFFFFFFFFFF16A2E0B8F03E13DD29455C5C2A3D",
 		securityBits: 112,
-	})
-	_secp256r1 = lazyCurve(curveDef{
+	}
+	secp256r1 = curveDef{
 		name:         "secp256r1",
 		p:            "FFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF",
 		b:            "5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B",
@@ -52,13 +53,17 @@ var (
 		gy:           "4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5",
 		n:            "FFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551",
 		securityBits: 128,
-	})
+	}
+
+	_secp160r1 = lazyCurve(secp160r1)
+	_secp224r1 = lazyCurve(secp224r1)
+	_secp256r1 = lazyCurve(secp256r1)
 )
 
 func mustHex(name, field, s string) *big.Int {
 	v, ok := new(big.Int).SetString(s, 16)
 	if !ok {
-		panic(fmt.Sprintf("group: malformed %s constant for curve %s", field, name))
+		panic(fmt.Sprintf("group: malformed %s constant for %s", field, name))
 	}
 	return v
 }
@@ -91,48 +96,58 @@ func Secp224r1() *ECGroup { return _secp224r1() }
 // Secp256r1 returns NIST P-256 (128-bit security).
 func Secp256r1() *ECGroup { return _secp256r1() }
 
-// ByName resolves a group by its canonical name. Recognised names:
-// modp-1024, modp-2048, modp-3072, secp160r1, secp224r1, secp256r1, and
-// the demo-only toy-dl-256.
-func ByName(name string) (Group, error) {
-	switch name {
-	case "modp-1024":
-		return MODP1024(), nil
-	case "modp-2048":
-		return MODP2048(), nil
-	case "modp-3072":
-		return MODP3072(), nil
-	case "secp160r1":
-		return Secp160r1(), nil
-	case "secp224r1":
-		return Secp224r1(), nil
-	case "secp256r1":
-		return Secp256r1(), nil
-	case "toy-dl-256":
-		return ToyDL256()
-	default:
-		return nil, fmt.Errorf("group: unknown group %q", name)
-	}
+// namedGroup is one ByName group: its name, its builder, which parses
+// and validates the group's constants afresh on every call, and get, the
+// builder run once on first use, which returns the one value every
+// caller shares.
+type namedGroup struct {
+	name  string
+	build func() Group
+	get   func() Group
 }
 
-// wireNames gives every ByName group the byte that names it on the wire:
-// its index here. An ID is never reassigned (the rule wirecodec's type
-// IDs follow), so a group that leaves ByName leaves a gap; 0 names no
-// group.
-var wireNames = [...]string{1: "modp-1024", 2: "modp-2048", 3: "modp-3072",
-	4: "secp160r1", 5: "secp224r1", 6: "secp256r1", 7: "toy-dl-256"}
+func dlEntry(d dlDef, get func() *DLGroup) namedGroup {
+	return namedGroup{d.name, func() Group { return mustDL(d) }, func() Group { return get() }}
+}
 
-// WireID returns the byte that names g on the wire: its wireNames index
+func curveEntry(d curveDef, get func() *ECGroup) namedGroup {
+	return namedGroup{d.name, func() Group { return mustCurve(d) }, func() Group { return get() }}
+}
+
+// namedGroups lists every ByName group at the byte that names it on the
+// wire. An ID is never reassigned (the rule wirecodec's type IDs follow),
+// so a group that leaves ByName leaves a gap; 0 names no group.
+var namedGroups = [...]namedGroup{
+	1: dlEntry(modp1024, MODP1024),
+	2: dlEntry(modp2048, MODP2048),
+	3: dlEntry(modp3072, MODP3072),
+	4: curveEntry(secp160r1, Secp160r1),
+	5: curveEntry(secp224r1, Secp224r1),
+	6: curveEntry(secp256r1, Secp256r1),
+	7: dlEntry(toyDL256, ToyDL256),
+}
+
+// ByName resolves a group by its canonical name. Recognised names:
+// modp-1024, modp-2048, modp-3072, secp160r1, secp224r1, secp256r1, and
+// the demo-only toy-dl-256. Only the named group is built.
+func ByName(name string) (Group, error) {
+	for _, n := range namedGroups {
+		if n.name != "" && n.name == name {
+			return n.get(), nil
+		}
+	}
+	return nil, fmt.Errorf("group: unknown group %q", name)
+}
+
+// WireID returns the byte that names g on the wire: its namedGroups index
 // when g, unwrapped, is the group ByName returns for its name, and 0 for
 // any other group (a generated or hand-built one, which no peer could
 // resolve by name).
 func WireID(g Group) byte {
 	raw := Raw(g)
-	for id, name := range wireNames {
-		if name == raw.Name() {
-			if named, err := ByName(name); err == nil && named == raw {
-				return byte(id)
-			}
+	for id, n := range namedGroups {
+		if n.name != "" && n.name == raw.Name() && n.get() == raw {
+			return byte(id)
 		}
 	}
 	return 0
@@ -140,10 +155,10 @@ func WireID(g Group) byte {
 
 // ByWireID resolves the group a wire ID names.
 func ByWireID(id byte) (Group, error) {
-	if int(id) >= len(wireNames) || wireNames[id] == "" {
+	if int(id) >= len(namedGroups) || namedGroups[id].name == "" {
 		return nil, fmt.Errorf("group: no group has wire ID %d", id)
 	}
-	return ByName(wireNames[id])
+	return namedGroups[id].get(), nil
 }
 
 // SecurityLevels enumerates the matched DL/ECC pairs of Fig. 3(a):

@@ -1,11 +1,9 @@
 package group
 
 import (
-	"crypto/rand"
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 
 	"groupranking/internal/fixedbig"
 )
@@ -63,13 +61,14 @@ func NewDLGroup(name string, p *big.Int, secLevel int) (*DLGroup, error) {
 // GenerateDLGroup creates a fresh safe-prime group of the given bit size.
 // It is intended for tests, which use small (e.g. 256-bit) groups so the
 // full protocol stack runs quickly; production configurations use the fixed
-// MODP groups.
+// MODP groups. The group is a function of rng's stream alone: one seeded
+// DRBG always yields the same group.
 func GenerateDLGroup(bits int, rng io.Reader) (*DLGroup, error) {
 	if bits < 16 {
 		return nil, fmt.Errorf("group: safe prime size %d too small", bits)
 	}
 	for {
-		q, err := rand.Prime(rng, bits-1)
+		q, err := fixedbig.Prime(rng, bits-1)
 		if err != nil {
 			return nil, fmt.Errorf("group: generating safe prime: %w", err)
 		}
@@ -179,29 +178,19 @@ func (d *DLGroup) RandomScalar(rng io.Reader) (*big.Int, error) {
 // SecurityBits implements Group.
 func (d *DLGroup) SecurityBits() int { return d.secLevel }
 
+// _toyDL256Hex is the 256-bit safe prime of toy-dl-256: the output of a
+// seeded DRBG search, pinned so that no process pays for the search.
+// TestToyDL256Derivation runs the search and must re-derive it.
+const _toyDL256Hex = "fa0f747ac883fbf17269eb7f1f3d97ac15877826d6d06028bbae891e3f8af0db"
+
 var (
-	_toyOnce sync.Once
-	_toyDL   *DLGroup
-	_toyErr  error
+	toyDL256  = dlDef{name: "toy-dl-256", hex: _toyDL256Hex, securityBits: 40}
+	_toyDL256 = lazyDL(toyDL256)
 )
 
-// ToyDL256 returns a deterministically generated 256-bit safe-prime
-// group. It is far below any real security level and exists so examples
-// and demos run in seconds; production configurations use the fixed
-// MODP or SEC2 groups.
-func ToyDL256() (*DLGroup, error) {
-	_toyOnce.Do(func() {
-		q, err := fixedbig.Prime(fixedbig.NewDRBG("groupranking-toy-dl-256"), 255)
-		for err == nil {
-			p := new(big.Int).Lsh(q, 1)
-			p.Add(p, big.NewInt(1))
-			if p.ProbablyPrime(32) {
-				_toyDL, _toyErr = NewDLGroup("toy-dl-256", p, 40)
-				return
-			}
-			q, err = fixedbig.Prime(fixedbig.NewDRBG(fmt.Sprintf("groupranking-toy-dl-256-%s", q)), 255)
-		}
-		_toyErr = err
-	})
-	return _toyDL, _toyErr
-}
+// ToyDL256 returns a 256-bit safe-prime group built alone, from its
+// constant, on first use (NewDLGroup checks that p and q are prime). It
+// is far below any real security level and exists so examples and demos
+// run in seconds; production configurations use the fixed MODP or SEC2
+// groups.
+func ToyDL256() *DLGroup { return _toyDL256() }

@@ -24,10 +24,7 @@ func refExp(g Group, base Element, k *big.Int) Element {
 
 func fixedBaseGroups(t *testing.T) map[string]Group {
 	t.Helper()
-	toy, err := ToyDL256()
-	if err != nil {
-		t.Fatal(err)
-	}
+	toy := ToyDL256()
 	return map[string]Group{
 		"toy-dl-256":        toy,
 		"secp160r1-fast":    Secp160r1(),

@@ -1,6 +1,7 @@
 package group
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -208,8 +209,11 @@ func TestRandomScalarRange(t *testing.T) {
 	}
 }
 
+// TestMODPGroupsAreSafePrimes checks every named DL group's pinned
+// constant, the toy's included, beyond what NewDLGroup checks on first
+// use: the exact bit length and a quadratic-residue generator.
 func TestMODPGroupsAreSafePrimes(t *testing.T) {
-	for _, g := range []*DLGroup{MODP1024(), MODP2048(), MODP3072()} {
+	for _, g := range []*DLGroup{MODP1024(), MODP2048(), MODP3072(), ToyDL256()} {
 		p := g.Modulus()
 		if !p.ProbablyPrime(32) {
 			t.Errorf("%s: p not prime", g.Name())
@@ -217,7 +221,7 @@ func TestMODPGroupsAreSafePrimes(t *testing.T) {
 		if !g.Order().ProbablyPrime(32) {
 			t.Errorf("%s: q not prime", g.Name())
 		}
-		wantBits := map[string]int{"modp-1024": 1024, "modp-2048": 2048, "modp-3072": 3072}[g.Name()]
+		wantBits := map[string]int{"modp-1024": 1024, "modp-2048": 2048, "modp-3072": 3072, "toy-dl-256": 256}[g.Name()]
 		if p.BitLen() != wantBits {
 			t.Errorf("%s: %d bits, want %d", g.Name(), p.BitLen(), wantBits)
 		}
@@ -230,7 +234,7 @@ func TestMODPGroupsAreSafePrimes(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"modp-1024", "modp-2048", "modp-3072", "secp160r1", "secp224r1", "secp256r1"} {
+	for _, name := range []string{"modp-1024", "modp-2048", "modp-3072", "secp160r1", "secp224r1", "secp256r1", "toy-dl-256"} {
 		g, err := ByName(name)
 		if err != nil {
 			t.Errorf("ByName(%q): %v", name, err)
@@ -278,6 +282,24 @@ func TestECAddDoubleConsistency(t *testing.T) {
 	}
 }
 
+// TestGenerateDLGroupDeterministic pins that a generated group is a
+// function of its reader's stream: the call sites that seed a DRBG and
+// generate a test group assume one group, not one of several.
+func TestGenerateDLGroupDeterministic(t *testing.T) {
+	var want *big.Int
+	for i := 0; i < 16; i++ {
+		g, err := GenerateDLGroup(128, fixedbig.NewDRBG("zkp-group"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = g.Modulus()
+		} else if g.Modulus().Cmp(want) != 0 {
+			t.Fatalf("draw %d from a fresh DRBG gave modulus %x, the first gave %x", i, g.Modulus(), want)
+		}
+	}
+}
+
 func TestGenerateDLGroupRejectsTiny(t *testing.T) {
 	if _, err := GenerateDLGroup(8, fixedbig.NewDRBG("tiny")); err == nil {
 		t.Error("expected error for tiny group size")
@@ -303,10 +325,7 @@ func mustScalar(t *testing.T, g Group, rng *fixedbig.DRBG) *big.Int {
 }
 
 func TestToyDL256(t *testing.T) {
-	g, err := ToyDL256()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := ToyDL256()
 	if g.Name() != "toy-dl-256" || g.Modulus().BitLen() != 256 {
 		t.Errorf("toy group malformed: %s, %d bits", g.Name(), g.Modulus().BitLen())
 	}
@@ -325,6 +344,44 @@ func TestToyDL256(t *testing.T) {
 	}
 	if g.IsIdentity(ExpGen(g, k)) {
 		t.Error("toy group exponentiation degenerate")
+	}
+}
+
+// TestToyDL256Derivation runs the search toy-dl-256's pinned prime comes
+// from, a DRBG search for a 255-bit prime q, reseeded with q until 2q+1
+// is prime, and checks that it re-derives the constant.
+func TestToyDL256Derivation(t *testing.T) {
+	var p *big.Int
+	q, err := fixedbig.Prime(fixedbig.NewDRBG("groupranking-toy-dl-256"), 255)
+	for err == nil {
+		p = new(big.Int).Lsh(q, 1)
+		p.Add(p, big.NewInt(1))
+		if p.ProbablyPrime(32) {
+			break
+		}
+		q, err = fixedbig.Prime(fixedbig.NewDRBG(fmt.Sprintf("groupranking-toy-dl-256-%s", q)), 255)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Cmp(ToyDL256().Modulus()) != 0 {
+		t.Fatalf("the search derives %x, toy-dl-256 pins %x", p, ToyDL256().Modulus())
+	}
+}
+
+// BenchmarkNamedGroupBuild prices each ByName group's first use: one
+// iteration runs the group's unmemoised builder, which parses its
+// constants and validates them as the first lookup does.
+func BenchmarkNamedGroupBuild(b *testing.B) {
+	for _, n := range namedGroups {
+		if n.build == nil {
+			continue
+		}
+		b.Run(n.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				n.build()
+			}
+		})
 	}
 }
 

@@ -129,11 +129,7 @@ func TestMultiExpMatchesGeneric(t *testing.T) {
 // group other than the curves (a DL group, the reference curve) gets
 // exactly its own Exp/Op composition.
 func TestMultiExpFallbackComposes(t *testing.T) {
-	toy, err := ToyDL256()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []Group{toy, oracleOf(Secp160r1())} {
+	for _, g := range []Group{ToyDL256(), oracleOf(Secp160r1())} {
 		rng := fixedbig.NewDRBG("multiexp-fallback-" + g.Name())
 		a, b := ExpGen(g, mustScalar(t, g, rng)), ExpGen(g, mustScalar(t, g, rng))
 		r, s := mustScalar(t, g, rng), big.NewInt(-7)
@@ -352,10 +348,7 @@ func TestKernelHandlesUnreducedCoordinates(t *testing.T) {
 }
 
 func BenchmarkExp(b *testing.B) {
-	toy, err := ToyDL256()
-	if err != nil {
-		b.Fatal(err)
-	}
+	toy := ToyDL256()
 	groups := map[string]Group{
 		"secp160r1": Secp160r1(),
 		"secp224r1": Secp224r1(), "secp256r1": Secp256r1(),

@@ -2,7 +2,6 @@ package group
 
 import (
 	"fmt"
-	"math/big"
 	"strings"
 	"sync"
 )
@@ -10,8 +9,10 @@ import (
 // The MODP safe primes from RFC 2409 (Oakley group 2) and RFC 3526
 // (groups 14 and 15). These are the standard 1024/2048/3072-bit DL moduli
 // corresponding to the paper's 80/112/128-bit security levels per the NIST
-// FIPS 140-2 implementation guidance. Safe-primality of each constant is
-// verified by the test suite.
+// FIPS 140-2 implementation guidance. Each group is built alone, from its
+// constant, on first use: NewDLGroup checks that p and q are prime then,
+// and the test suite checks it again, so naming one group does not pay
+// for the other two.
 const (
 	_modp1024Hex = `
 	FFFFFFFF FFFFFFFF C90FDAA2 2168C234 C4C6628B 80DC1CD1
@@ -53,43 +54,46 @@ const (
 	43DB5BFC E0FD108E 4B82D120 A93AD2CA FFFFFFFF FFFFFFFF`
 )
 
-var (
-	_modpOnce   sync.Once
-	_modpGroups map[string]*DLGroup
-)
-
-func modpGroups() map[string]*DLGroup {
-	_modpOnce.Do(func() {
-		_modpGroups = make(map[string]*DLGroup, 3)
-		for _, spec := range []struct {
-			name string
-			hex  string
-			sec  int
-		}{
-			{"modp-1024", _modp1024Hex, 80},
-			{"modp-2048", _modp2048Hex, 112},
-			{"modp-3072", _modp3072Hex, 128},
-		} {
-			clean := strings.Join(strings.Fields(spec.hex), "")
-			p, ok := new(big.Int).SetString(clean, 16)
-			if !ok {
-				panic(fmt.Sprintf("group: malformed %s constant", spec.name))
-			}
-			g, err := NewDLGroup(spec.name, p, spec.sec)
-			if err != nil {
-				panic(fmt.Sprintf("group: invalid %s constant: %v", spec.name, err))
-			}
-			_modpGroups[spec.name] = g
-		}
-	})
-	return _modpGroups
+// dlDef is the constant of one named DL group: its safe prime in hex
+// (whitespace is ignored).
+type dlDef struct {
+	name         string
+	hex          string
+	securityBits int
 }
 
+// lazyDL builds and validates a DL group on first use, on its own, the
+// way lazyCurve builds a curve.
+func lazyDL(d dlDef) func() *DLGroup {
+	return sync.OnceValue(func() *DLGroup { return mustDL(d) })
+}
+
+// mustDL parses d's prime and builds its group through NewDLGroup, which
+// tests p and q for primality.
+func mustDL(d dlDef) *DLGroup {
+	p := mustHex(d.name, "p", strings.Join(strings.Fields(d.hex), ""))
+	g, err := NewDLGroup(d.name, p, d.securityBits)
+	if err != nil {
+		panic(fmt.Sprintf("group: invalid %s constant: %v", d.name, err))
+	}
+	return g
+}
+
+var (
+	modp1024 = dlDef{name: "modp-1024", hex: _modp1024Hex, securityBits: 80}
+	modp2048 = dlDef{name: "modp-2048", hex: _modp2048Hex, securityBits: 112}
+	modp3072 = dlDef{name: "modp-3072", hex: _modp3072Hex, securityBits: 128}
+
+	_modp1024 = lazyDL(modp1024)
+	_modp2048 = lazyDL(modp2048)
+	_modp3072 = lazyDL(modp3072)
+)
+
 // MODP1024 returns the RFC 2409 1024-bit safe-prime group (80-bit security).
-func MODP1024() *DLGroup { return modpGroups()["modp-1024"] }
+func MODP1024() *DLGroup { return _modp1024() }
 
 // MODP2048 returns the RFC 3526 2048-bit safe-prime group (112-bit security).
-func MODP2048() *DLGroup { return modpGroups()["modp-2048"] }
+func MODP2048() *DLGroup { return _modp2048() }
 
 // MODP3072 returns the RFC 3526 3072-bit safe-prime group (128-bit security).
-func MODP3072() *DLGroup { return modpGroups()["modp-3072"] }
+func MODP3072() *DLGroup { return _modp3072() }

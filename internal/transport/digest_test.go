@@ -80,13 +80,9 @@ func wireRoundTrip(t *testing.T, v any) any {
 // the scaffolding above — the digest is exactly SHA-256 of the frame.
 func TestPayloadDigestIsFrameHash(t *testing.T) {
 	g := group.Secp160r1()
-	dl, err := group.ToyDL256()
-	if err != nil {
-		t.Fatal(err)
-	}
 	values := []any{
 		nil, 7, "s", []byte{1, 2}, wirecodec.Uints{Width: 2, Data: []byte{0, 1}},
-		g.Generator(), g.Identity(), dl.Generator(),
+		g.Generator(), g.Identity(), group.ToyDL256().Generator(),
 		echoMsg{Digests: [][]byte{{1}, nil}},
 		Corrupted{Round: 3},
 		hello{Party: 1, Epoch: 2, Mesh: "sid"},

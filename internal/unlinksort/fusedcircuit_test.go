@@ -98,12 +98,8 @@ func circuitPeers(t *testing.T, g group.Group, scheme *elgamal.Scheme, key *elga
 // alternating and random bits, with and without re-randomisation, and it
 // charges the same logical operations.
 func TestFusedCircuitMatchesComposition(t *testing.T) {
-	toy, err := group.ToyDL256()
-	if err != nil {
-		t.Fatal(err)
-	}
 	const l = 10
-	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1(), toy} {
+	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1(), group.ToyDL256()} {
 		g := g
 		t.Run(g.Name(), func(t *testing.T) {
 			plain := elgamal.NewScheme(g)
@@ -169,11 +165,7 @@ func TestFusedCircuitMatchesComposition(t *testing.T) {
 // C1 (zero exactly when C is the identity too), and an identity C beside a
 // C1 that is not.
 func TestZeroSetMatchesIsZero(t *testing.T) {
-	toy, err := group.ToyDL256()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1(), toy} {
+	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1(), group.ToyDL256()} {
 		plain := elgamal.NewScheme(g)
 		rng := fixedbig.NewDRBG("zero-set-" + g.Name())
 		key, err := plain.GenerateKey(rng)

@@ -37,11 +37,7 @@ func composedHop(t *testing.T, scheme *elgamal.Scheme, x *big.Int, set []elgamal
 // the same logical operations, and the protocol ranks alike with the
 // strip proofs on and off.
 func TestFusedHopMatchesComposition(t *testing.T) {
-	toy, err := group.ToyDL256()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1(), toy} {
+	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1(), group.ToyDL256()} {
 		g := g
 		t.Run(g.Name(), func(t *testing.T) {
 			reg := obsv.NewRegistry()
@@ -118,14 +114,10 @@ func TestFusedHopMatchesComposition(t *testing.T) {
 // gets the same whole number of chunks, none above hopChunk and together
 // covering the set; a DL group fans out one ciphertext at a time.
 func TestHopChunkSize(t *testing.T) {
-	toy, err := group.ToyDL256()
-	if err != nil {
-		t.Fatal(err)
-	}
 	ec := group.Secp160r1()
 	for _, n := range []int{0, 1, 5, 16, 17, 81, 400} {
 		for _, workers := range []int{1, 2, 4, 7, 8, 64} {
-			if got := hopChunkSize(toy, n, workers); got != 1 {
+			if got := hopChunkSize(group.ToyDL256(), n, workers); got != 1 {
 				t.Errorf("DL group, n=%d workers=%d: chunk size %d, want 1", n, workers, got)
 			}
 			size := hopChunkSize(ec, n, workers)

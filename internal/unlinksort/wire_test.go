@@ -102,12 +102,8 @@ func (w *widthTap) Broadcast(round, from, bytes int, payload any) error {
 // group's ElementLen bytes and each scalar its order's width, so the
 // declared cost model is the wire.
 func TestFrameWidthsPinned(t *testing.T) {
-	dl, err := group.ToyDL256()
-	if err != nil {
-		t.Fatal(err)
-	}
 	betas := []*big.Int{big.NewInt(5), big.NewInt(0), big.NewInt(7), big.NewInt(5)}
-	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1(), dl} {
+	for _, g := range []group.Group{group.Secp160r1(), group.Secp256r1(), group.ToyDL256()} {
 		for _, proofs := range []bool{false, true} {
 			name := g.Name()
 			kinds := []string{"key share", "challenge vector", "proof response", "bits", "tau set", "vector", "final set"}
