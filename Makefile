@@ -25,7 +25,8 @@ FUZZ_TIME ?= 2s
 #   chaos      the fault-injection and Byzantine test harness
 #   leakcheck  the goroutine-leak test harness
 #   blame      the certificate verifier the Byzantine suites use as evidence
-#   nettap     the frame recorder the golden-transcript tests digest
+#   nettap     the frame and message recorders the golden-transcript and
+#              trace tests read
 REACH_ALLOW := chaos leakcheck blame nettap
 
 .PHONY: check vet build test test-386 race race-full fuzz chaos chaos-byz chaos-rankd bench bench-json bench-compare bench-smoke trace-demo demo-distributed telemetry-demo serve-demo loadtest-smoke clean

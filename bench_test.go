@@ -333,15 +333,6 @@ func TestBenchSnapshot(t *testing.T) {
 			t.Errorf("%s: SS sorter performed %d group exps, want 0", e.Name, e.ExpsPerParticipant)
 		}
 	}
-	if snap.Speedup == nil {
-		t.Fatal("snapshot is missing the parallel-kernel speedup entry")
-	}
-	if !snap.Speedup.RanksEqual {
-		t.Errorf("parallel run diverged from the serial reference: %+v", snap.Speedup)
-	}
-	if snap.Speedup.NsSerial <= 0 || snap.Speedup.NsParallel <= 0 || snap.Speedup.NumCPU < 1 {
-		t.Errorf("speedup entry has non-positive measurements: %+v", snap.Speedup)
-	}
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		t.Fatal(err)

@@ -89,6 +89,8 @@ func run() int {
 		ResultTTL:   *resultTTL,
 		QueueCap:    *queueCap,
 		Runtime:     settings.Options.Runtime,
+		Recovery:    settings.Options.Recovery,
+		Telemetry:   settings.Options.Telemetry,
 	}
 	cfg.Timeout = *sessionTimeout
 	stopAdmin, err := shared.ServeAdmin(cfg.Telemetry)

@@ -337,8 +337,8 @@ func TestChaosRankdKillRestart(t *testing.T) {
 
 // TestChaosRankdBadJournalDir: an unusable -journal must be refused at
 // startup with exit 2 — the operator-mistake code — before the daemon
-// touches the mesh; so must runtime settings the one Runtime check
-// rejects (a negative -workers would otherwise run serial, a negative
+// touches the mesh; so must runtime and recovery settings their checks
+// reject (a negative -workers would otherwise run serial, a negative
 // -grace the 15 s default), and -grace without -journal, which would
 // otherwise be ignored.
 func TestChaosRankdBadJournalDir(t *testing.T) {

@@ -135,12 +135,35 @@ type Options struct {
 	// mismatch; it does not change how frames are encoded.
 	WireCodec int
 
-	// Runtime bundles the execution knobs — Timeout, Workers, Recovery,
-	// Faults, Observer, Telemetry — shared with SortOptions and the
-	// rankd service config. The fields are embedded, so they read as
-	// before: Options{Runtime: Runtime{Timeout: time.Minute}} sets what
-	// opts.Timeout reads.
+	// Runtime holds Timeout and Workers, the execution knobs shared
+	// with SortOptions and the rankd service config. The fields are
+	// embedded: Options{Runtime: Runtime{Timeout: time.Minute}} sets
+	// what opts.Timeout reads.
 	Runtime
+	// Recovery, when non-nil, enables the crash-recovery runtime for the
+	// distributed framework parties (RankInitiatorParty /
+	// RankParticipantParty): the party journals the session durably,
+	// rides out peer disconnects by reconnecting, and — restarted with
+	// the same flags and journal directory — resumes an in-flight
+	// session instead of forcing a full abort. Nil (the default) keeps
+	// the fail-fast transport; Rank refuses it.
+	Recovery *RecoveryOptions
+	// Faults, when non-nil, injects deterministic message faults (drops,
+	// duplicates, reorders, corruption, link severs, party crashes) into
+	// the run for robustness testing. See FaultPlan.
+	Faults *FaultPlan
+	// Observer, when non-nil, records per-party phase spans and crypto/
+	// communication counters for the run (party 0 is the initiator,
+	// parties 1..n the participants). On abort the partially filled
+	// Observer still holds every span up to the failure.
+	Observer *Observer
+	// Telemetry, when non-nil, streams runtime health metrics (transport
+	// round cadence, redials, retransmissions, heartbeat RTT, journal
+	// latency) into a registry that can be scraped live while the run is
+	// in flight. Only the distributed party entry points feed it; the
+	// in-process Rank has no runtime underneath to measure and refuses
+	// it.
+	Telemetry *Telemetry
 }
 
 // RecoveryOptions configures the crash-recovery runtime of a

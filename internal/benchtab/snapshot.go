@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"time"
 
 	"groupranking/internal/core"
 	"groupranking/internal/costmodel"
@@ -59,32 +58,12 @@ type SnapshotEntry struct {
 	BytesPerOp int64 `json:"bytes_per_op"`
 }
 
-// SpeedupEntry records the parallel-kernel comparison: the same
-// framework configuration run serially (Workers=1) and with the full
-// worker pool (Workers=0 → NumCPU goroutines per party). Randomness is
-// drawn serially in both, so the rankings must agree bit for bit —
-// RanksEqual is the determinism witness, and the test suite fails on
-// false. Speedup is only meaningful when NumCPU > 1; on a single-core
-// host the two paths time alike and the field documents that honestly.
-type SpeedupEntry struct {
-	Name       string  `json:"name"`
-	Group      string  `json:"group"`
-	N          int     `json:"n"`
-	L          int     `json:"l"`
-	NumCPU     int     `json:"num_cpu"`
-	NsSerial   int64   `json:"ns_serial"`
-	NsParallel int64   `json:"ns_parallel"`
-	Speedup    float64 `json:"speedup"`
-	RanksEqual bool    `json:"ranks_equal"`
-}
-
 // Snapshot is the full BENCH_*.json document.
 type Snapshot struct {
 	Schema  int             `json:"schema"`
 	GoOS    string          `json:"goos"`
 	GoArch  string          `json:"goarch"`
 	Entries []SnapshotEntry `json:"entries"`
-	Speedup *SpeedupEntry   `json:"speedup,omitempty"`
 }
 
 // snapshotConfigs mirrors the laptop-scale benchmark grid of
@@ -118,64 +97,7 @@ func CollectSnapshot() (*Snapshot, error) {
 		}
 		snap.Entries = append(snap.Entries, e)
 	}
-	sp, err := runSpeedup()
-	if err != nil {
-		return nil, fmt.Errorf("benchtab: speedup: %w", err)
-	}
-	snap.Speedup = sp
 	return snap, nil
-}
-
-// runSpeedup times the acceptance configuration (n=8, l=32, secp160r1)
-// serially and with the full worker pool, and checks the two rankings
-// agree.
-func runSpeedup() (*SpeedupEntry, error) {
-	g, err := group.ByName("secp160r1")
-	if err != nil {
-		return nil, err
-	}
-	params := core.Params{
-		// h + ⌈log₂ m⌉ + 2·d1 + d2 + 3 = 6 + 2 + 16 + 5 + 3 = 32 bits.
-		N: 8, M: 4, T: 2, D1: 8, D2: 5, H: 6, K: 2,
-		Group: g, Sorter: core.SorterUnlinkable,
-	}
-	in, err := snapshotInputs(params, "bench-speedup")
-	if err != nil {
-		return nil, err
-	}
-	run := func(workers int) ([]int, time.Duration, error) {
-		p := params
-		p.Workers = workers
-		start := time.Now()
-		res, _, err := core.RunCtx(context.Background(), p, in, "bench-speedup-run", nil)
-		if err != nil {
-			return nil, 0, err
-		}
-		return res.Ranks, time.Since(start), nil
-	}
-	serialRanks, serialWall, err := run(1)
-	if err != nil {
-		return nil, err
-	}
-	parRanks, parWall, err := run(0)
-	if err != nil {
-		return nil, err
-	}
-	equal := len(serialRanks) == len(parRanks)
-	for i := 0; equal && i < len(serialRanks); i++ {
-		equal = serialRanks[i] == parRanks[i]
-	}
-	return &SpeedupEntry{
-		Name:       "speedup-ecc-n8-l32",
-		Group:      params.Group.Name(),
-		N:          params.N,
-		L:          params.BetaBits(),
-		NumCPU:     runtime.NumCPU(),
-		NsSerial:   serialWall.Nanoseconds(),
-		NsParallel: parWall.Nanoseconds(),
-		Speedup:    float64(serialWall) / float64(parWall),
-		RanksEqual: equal,
-	}, nil
 }
 
 // WriteSnapshot collects the snapshot and writes it as indented JSON.

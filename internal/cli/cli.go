@@ -101,7 +101,8 @@ type Settings struct {
 
 // Resolve checks the registered flags and resolves them. It refuses an
 // unknown -sorter, -grace without -journal, a mesh of fewer than three
-// addresses or a -me outside it, and whatever Runtime.Validate refuses.
+// addresses or a -me outside it, and whatever Runtime.Validate or
+// RecoveryOptions.Validate refuses.
 func (f *Flags) Resolve() (Settings, error) {
 	s := Settings{Options: f.opts}
 	var err error
@@ -124,6 +125,9 @@ func (f *Flags) Resolve() (Settings, error) {
 		return Settings{}, fmt.Errorf("-grace needs -journal (crash recovery is off without a journal directory)")
 	}
 	if err := s.Options.Runtime.Validate(); err != nil {
+		return Settings{}, err
+	}
+	if err := s.Options.Recovery.Validate(); err != nil {
 		return Settings{}, err
 	}
 	if f.admin != "" {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/big"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,6 +12,8 @@ import (
 	"groupranking/internal/dotprod"
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
+	"groupranking/internal/netsim"
+	"groupranking/internal/nettap"
 	"groupranking/internal/transport"
 	"groupranking/internal/workload"
 )
@@ -413,15 +416,58 @@ func TestSorterString(t *testing.T) {
 	}
 }
 
-func TestTraceCoversAllPhases(t *testing.T) {
-	params := smallParams(t, 3)
-	in := testInputs(t, params, "trace")
-	_, fab, err := RunCtx(context.Background(), params, in, "trace-run", nil)
+// TestWorkersKeepRanks is the parallel kernel's determinism witness at
+// n = 8, l = 32 over secp160r1: randomness is drawn serially at every
+// Workers setting, so the serial reference (Workers 1) and the full
+// worker pool (Workers 0) must rank alike.
+func TestWorkersKeepRanks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two n=8 framework runs are slow in -short mode")
+	}
+	params := Params{
+		// h + ⌈log₂ m⌉ + 2·d1 + d2 + 3 = 6 + 2 + 16 + 5 + 3 = 32 bits.
+		N: 8, M: 4, T: 2, D1: 8, D2: 5, H: 6, K: 2,
+		Group: group.Secp160r1(), Sorter: SorterUnlinkable,
+	}
+	if l := params.BetaBits(); l != 32 {
+		t.Fatalf("l = %d, want 32", l)
+	}
+	in := testInputs(t, params, "workers-witness")
+	var ranks [2][]int
+	for i, workers := range []int{1, 0} {
+		p := params
+		p.Workers = workers
+		res, _, err := RunCtx(context.Background(), p, in, "workers-witness-run", nil)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		ranks[i] = res.Ranks
+	}
+	if !slices.Equal(ranks[0], ranks[1]) {
+		t.Errorf("ranks at workers=1 %v, at workers=0 %v", ranks[0], ranks[1])
+	}
+}
+
+// runRecorded runs the framework in-process with a nettap.Recorder
+// over the fabric and returns the recorded message trace.
+func runRecorded(t *testing.T, params Params, in Inputs, seed string) []netsim.Event {
+	t.Helper()
+	var rec *nettap.Recorder
+	_, _, err := RunCtx(context.Background(), params, in, seed, func(n transport.Net) transport.Net {
+		rec = nettap.NewRecorder(n)
+		return rec
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return rec.Events()
+}
+
+func TestTraceCoversAllPhases(t *testing.T) {
+	params := smallParams(t, 3)
+	in := testInputs(t, params, "trace")
 	var sawGain, sawPhase2, sawSubmission bool
-	for _, ev := range fab.Trace() {
+	for _, ev := range runRecorded(t, params, in, "trace-run") {
 		switch {
 		case ev.Round == roundGainRequest || ev.Round == roundGainReply:
 			sawGain = true

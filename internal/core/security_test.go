@@ -24,15 +24,7 @@ func TestTranscriptShapeIndependentOfInputs(t *testing.T) {
 	swapped.Profiles = append([]workload.Profile(nil), in.Profiles...)
 	swapped.Profiles[1], swapped.Profiles[2] = in.Profiles[2], in.Profiles[1]
 
-	_, fabA, err := RunCtx(context.Background(), params, in, "shape-run", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, fabB, err := RunCtx(context.Background(), params, swapped, "shape-run", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trA, trB := fabA.Trace(), fabB.Trace()
+	trA, trB := runRecorded(t, params, in, "shape-run"), runRecorded(t, params, swapped, "shape-run")
 	if len(trA) != len(trB) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(trA), len(trB))
 	}

@@ -22,9 +22,9 @@ import (
 
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
+	"groupranking/internal/netsim"
 	"groupranking/internal/ssmpc"
 	"groupranking/internal/sssort"
-	"groupranking/internal/transport"
 	"groupranking/internal/workload"
 )
 
@@ -266,19 +266,19 @@ func (s Setting) SSFieldBits() int { return s.L() + ssmpc.Kappa + 8 }
 // running the cryptography. ctBytes is the ciphertext size
 // (2·ElementLen), elemBytes the group element size, scalarBytes the
 // group scalar size, fieldBytes the dot-product field element size.
-func OursTrace(s Setting, ctBytes, elemBytes, scalarBytes, fieldBytes int) []transport.Event {
+func OursTrace(s Setting, ctBytes, elemBytes, scalarBytes, fieldBytes int) []netsim.Event {
 	n := s.N
 	l := s.L()
-	var tr []transport.Event
+	var tr []netsim.Event
 	// Phase 1: dot-product request (s×d matrix + 2 vectors, s≈8,
 	// d = m+t+1 with t = m/2) and reply.
 	d := s.M + s.M/2 + 1
 	flowBytes := (8*d + 2*d) * fieldBytes
 	for j := 1; j <= n; j++ {
-		tr = append(tr, transport.Event{Round: 1, From: j, To: 0, Bytes: flowBytes})
+		tr = append(tr, netsim.Event{Round: 1, From: j, To: 0, Bytes: flowBytes})
 	}
 	for j := 1; j <= n; j++ {
-		tr = append(tr, transport.Event{Round: 2, From: 0, To: j, Bytes: 2 * fieldBytes})
+		tr = append(tr, netsim.Event{Round: 2, From: 0, To: j, Bytes: 2 * fieldBytes})
 	}
 	// Phase 2 (offset 10), participants are parties 1..n. The helper
 	// emits each broadcast as n−1 unicasts, matching the fabric.
@@ -288,7 +288,7 @@ func OursTrace(s Setting, ctBytes, elemBytes, scalarBytes, fieldBytes int) []tra
 				if to == from {
 					continue
 				}
-				tr = append(tr, transport.Event{Round: round, From: from, To: to, Bytes: bytes})
+				tr = append(tr, netsim.Event{Round: round, From: from, To: to, Bytes: bytes})
 			}
 		}
 	}
@@ -298,14 +298,14 @@ func OursTrace(s Setting, ctBytes, elemBytes, scalarBytes, fieldBytes int) []tra
 	broadcast(14, scalarBytes)       // responses
 	broadcast(15, l*ctBytes)         // bitwise encryptions
 	for j := 2; j <= n; j++ {        // τ sets to P₁
-		tr = append(tr, transport.Event{Round: 16, From: j, To: 1, Bytes: (n - 1) * l * ctBytes})
+		tr = append(tr, netsim.Event{Round: 16, From: j, To: 1, Bytes: (n - 1) * l * ctBytes})
 	}
 	vectorBytes := n * (n - 1) * l * ctBytes
 	for hop := 1; hop < n; hop++ { // chain P₁→…→P_n
-		tr = append(tr, transport.Event{Round: 16 + hop, From: hop, To: hop + 1, Bytes: vectorBytes})
+		tr = append(tr, netsim.Event{Round: 16 + hop, From: hop, To: hop + 1, Bytes: vectorBytes})
 	}
 	for owner := 1; owner < n; owner++ { // final distribution by P_n
-		tr = append(tr, transport.Event{Round: 16 + n, From: n, To: owner, Bytes: (n - 1) * l * ctBytes})
+		tr = append(tr, netsim.Event{Round: 16 + n, From: n, To: owner, Bytes: (n - 1) * l * ctBytes})
 	}
 	// Phase 3: submissions (everyone sends; top-k bodies, others 1 byte).
 	for j := 1; j <= n; j++ {
@@ -313,7 +313,7 @@ func OursTrace(s Setting, ctBytes, elemBytes, scalarBytes, fieldBytes int) []tra
 		if j <= 3 {
 			bytes = 8 * (1 + s.M)
 		}
-		tr = append(tr, transport.Event{Round: 1 << 20, From: j, To: 0, Bytes: bytes})
+		tr = append(tr, netsim.Event{Round: 1 << 20, From: j, To: 0, Bytes: bytes})
 	}
 	return tr
 }
@@ -338,14 +338,14 @@ func OursMessageCounts(s Setting) []int64 {
 // count (SSRoundsLayered or SSRoundsSerial); all rounds are structurally
 // identical, so simulating one and scaling is exact under the
 // round-barrier model.
-func SSRoundTrace(n, fieldBytes, elemsPerMsg int) []transport.Event {
-	var tr []transport.Event
+func SSRoundTrace(n, fieldBytes, elemsPerMsg int) []netsim.Event {
+	var tr []netsim.Event
 	for from := 1; from <= n; from++ {
 		for to := 1; to <= n; to++ {
 			if to == from {
 				continue
 			}
-			tr = append(tr, transport.Event{Round: 1, From: from, To: to, Bytes: elemsPerMsg * fieldBytes})
+			tr = append(tr, netsim.Event{Round: 1, From: from, To: to, Bytes: elemsPerMsg * fieldBytes})
 		}
 	}
 	return tr

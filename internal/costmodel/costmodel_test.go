@@ -7,6 +7,8 @@ import (
 
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
+	"groupranking/internal/nettap"
+	"groupranking/internal/transport"
 	"groupranking/internal/unlinksort"
 )
 
@@ -153,11 +155,15 @@ func TestSyntheticTraceMatchesRealProtocol(t *testing.T) {
 	for i := range betas {
 		betas[i] = big.NewInt(int64(i * 3))
 	}
-	_, fab, err := unlinksort.RunCtx(context.Background(), unlinksort.Config{Group: g, L: l}, betas, "cm-trace", nil)
+	var rec *nettap.Recorder
+	_, _, err = unlinksort.RunCtx(context.Background(), unlinksort.Config{Group: g, L: l}, betas, "cm-trace", func(n transport.Net) transport.Net {
+		rec = nettap.NewRecorder(n)
+		return rec
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	real := fab.Trace()
+	real := rec.Events()
 	var realBytes int64
 	realRounds := map[int]bool{}
 	for _, ev := range real {

@@ -3,7 +3,7 @@
 // connected graph built by deleting edges from a complete graph, duplex
 // links with fixed bandwidth and propagation delay, shortest-path (hop
 // count) routing, and per-link FIFO queueing so concurrent transfers
-// congest each other. Protocol executions recorded as transport traces
+// congest each other. Protocol executions recorded as message traces
 // are replayed over the simulated network with synchronous round
 // barriers, yielding the end-to-end execution times of Fig. 3(b).
 //
@@ -20,8 +20,17 @@ import (
 	"sort"
 
 	"groupranking/internal/fixedbig"
-	"groupranking/internal/transport"
 )
+
+// Event is one message of a replayed trace: its protocol round, its
+// endpoints and its charged size. Traces come from the cost model's
+// synthetic generators or from a recorded in-process run.
+type Event struct {
+	Round int
+	From  int
+	To    int
+	Bytes int
+}
 
 // Topology is an undirected connected graph.
 type Topology struct {
@@ -228,13 +237,13 @@ type RunStats struct {
 	Messages int
 }
 
-// Run replays a transport trace over the network and returns the
+// Run replays a message trace over the network and returns the
 // simulated end-to-end time in seconds. Events are grouped by round;
 // round r+1 begins only after every round-r message has been delivered
 // (the synchronous barrier of the protocols). computeSecPerRound[p], if
 // non-nil, is added before party p's sends in every round it
 // participates in, folding computation time into the timeline.
-func (r *Replay) Run(trace []transport.Event, computeSecPerRound []float64) (float64, error) {
+func (r *Replay) Run(trace []Event, computeSecPerRound []float64) (float64, error) {
 	stats, err := r.RunStats(trace, computeSecPerRound)
 	if err != nil {
 		return 0, err
@@ -244,11 +253,11 @@ func (r *Replay) Run(trace []transport.Event, computeSecPerRound []float64) (flo
 
 // RunStats is Run with link-level accounting, used to analyse where the
 // Fig. 3(b) time goes (latency vs congestion).
-func (r *Replay) RunStats(trace []transport.Event, computeSecPerRound []float64) (RunStats, error) {
+func (r *Replay) RunStats(trace []Event, computeSecPerRound []float64) (RunStats, error) {
 	if len(trace) == 0 {
 		return RunStats{}, nil
 	}
-	rounds := make(map[int][]transport.Event)
+	rounds := make(map[int][]Event)
 	var roundIDs []int
 	for _, ev := range trace {
 		if _, ok := rounds[ev.Round]; !ok {

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"groupranking/internal/fixedbig"
-	"groupranking/internal/transport"
 )
 
 func TestRandomTopologyInvariants(t *testing.T) {
@@ -113,7 +112,7 @@ func TestReplaySingleMessage(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1 MB over a 1 Mbps direct link: 8 s serialisation + 0.1 s latency.
-	trace := []transport.Event{{Round: 1, From: 0, To: 1, Bytes: 1_000_000}}
+	trace := []Event{{Round: 1, From: 0, To: 1, Bytes: 1_000_000}}
 	got, err := rep.Run(trace, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +132,7 @@ func TestReplayCongestionSerialises(t *testing.T) {
 	}
 	// Two messages on the same directed link in the same round must
 	// queue: 2 × 1 s serialisation.
-	trace := []transport.Event{
+	trace := []Event{
 		{Round: 1, From: 0, To: 1, Bytes: 125_000},
 		{Round: 1, From: 0, To: 1, Bytes: 125_000},
 	}
@@ -145,7 +144,7 @@ func TestReplayCongestionSerialises(t *testing.T) {
 		t.Errorf("got %f s, want 2.0 s", got)
 	}
 	// Opposite directions are duplex: no queueing.
-	trace = []transport.Event{
+	trace = []Event{
 		{Round: 1, From: 0, To: 1, Bytes: 125_000},
 		{Round: 1, From: 1, To: 0, Bytes: 125_000},
 	}
@@ -166,7 +165,7 @@ func TestReplayRoundBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two rounds of one latency-only message each: barriers add up.
-	trace := []transport.Event{
+	trace := []Event{
 		{Round: 1, From: 0, To: 1, Bytes: 0},
 		{Round: 2, From: 1, To: 2, Bytes: 0},
 	}
@@ -185,7 +184,7 @@ func TestReplayComputeTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := []transport.Event{
+	trace := []Event{
 		{Round: 1, From: 0, To: 1, Bytes: 1},
 		{Round: 2, From: 0, To: 1, Bytes: 1},
 	}
@@ -217,7 +216,7 @@ func TestReplayMultiHopLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := []transport.Event{{Round: 1, From: 0, To: 1, Bytes: 0}}
+	trace := []Event{{Round: 1, From: 0, To: 1, Bytes: 0}}
 	got, err := rep.Run(trace, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +298,7 @@ func TestRunStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Two messages on one link (queueing), one on another.
-	trace := []transport.Event{
+	trace := []Event{
 		{Round: 1, From: 0, To: 1, Bytes: 125_000}, // 1 s
 		{Round: 1, From: 0, To: 1, Bytes: 125_000}, // 1 s, queued
 		{Round: 1, From: 2, To: 1, Bytes: 125_000}, // 1 s, parallel link

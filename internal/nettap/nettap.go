@@ -1,15 +1,18 @@
-// Package nettap records what every party of an in-process run sends,
-// for the golden-transcript tests: a Tap wraps the mesh's Net and hashes
-// each frame a party sends — round, endpoints, charged size and the
-// digest of the payload's wirecodec frame, the bytes a TCP mesh would
-// put on the wire. Only tests import it.
+// Package nettap records what every party of an in-process run sends.
+// A Tap, for the golden-transcript tests, wraps the mesh's Net and
+// hashes each frame a party sends — round, endpoints, charged size and
+// the digest of the payload's wirecodec frame, the bytes a TCP mesh
+// would put on the wire. A Recorder keeps the message trace netsim
+// replays. Only tests import it.
 package nettap
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash"
+	"sync"
 
+	"groupranking/internal/netsim"
 	"groupranking/internal/transport"
 )
 
@@ -65,4 +68,51 @@ func (t *Tap) WriteSums(h hash.Hash) {
 	for _, s := range t.sent {
 		h.Write(s.Sum(nil))
 	}
+}
+
+// Recorder is a transport.Net that records every message sent through
+// it as a netsim.Event, in send order. Echo digests are consistency-layer
+// overhead and are left out, so the trace of a run with echo broadcast
+// matches a semi-honest run's exactly.
+type Recorder struct {
+	transport.Net
+	mu     sync.Mutex
+	events []netsim.Event
+}
+
+// NewRecorder wraps net.
+func NewRecorder(net transport.Net) *Recorder { return &Recorder{Net: net} }
+
+// Send records the message before passing it on, so that a message's
+// event always precedes the events of the replies it causes.
+func (r *Recorder) Send(round, from, to, bytes int, payload any) error {
+	if !transport.IsEchoRound(round) {
+		r.mu.Lock()
+		r.events = append(r.events, netsim.Event{Round: round, From: from, To: to, Bytes: bytes})
+		r.mu.Unlock()
+	}
+	return r.Net.Send(round, from, to, bytes, payload)
+}
+
+// Broadcast is one Send per peer, so that each leg is recorded like the
+// point-to-point message it stands for. Every leg is attempted; the
+// first error is returned.
+func (r *Recorder) Broadcast(round, from, bytes int, payload any) error {
+	var first error
+	for to := 0; to < r.N(); to++ {
+		if to == from {
+			continue
+		}
+		if err := r.Send(round, from, to, bytes, payload); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// Events returns a copy of the recorded trace.
+func (r *Recorder) Events() []netsim.Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]netsim.Event(nil), r.events...)
 }

@@ -58,12 +58,10 @@ func startDurable(t *testing.T, size int, mutate func(i int, cfg *service.Config
 	t.Cleanup(m.hc.CloseIdleConnections)
 	for i := 0; i < size; i++ {
 		m.cfgs[i] = service.Config{
-			Addrs: addrs,
-			Me:    i,
-			Runtime: groupranking.Runtime{
-				Timeout:  30 * time.Second,
-				Recovery: &groupranking.RecoveryOptions{Dir: t.TempDir(), Grace: 15 * time.Second},
-			},
+			Addrs:    addrs,
+			Me:       i,
+			Runtime:  groupranking.Runtime{Timeout: 30 * time.Second},
+			Recovery: &groupranking.RecoveryOptions{Dir: t.TempDir(), Grace: 15 * time.Second},
 		}
 		if i == 0 {
 			m.cfgs[i].Telemetry = m.tel
@@ -428,8 +426,8 @@ func TestServiceIdempotentSubmit(t *testing.T) {
 
 // TestServiceBadJournalDir: an unusable journal directory is the typed
 // ErrBadJournalDir, and runtime knobs Runtime.Validate rejects, or a
-// fault plan the daemon would ignore, are the typed ErrBadConfig, both
-// detected before the daemon ever touches the mesh.
+// Grace RecoveryOptions.Validate rejects, are the typed ErrBadConfig,
+// both detected before the daemon ever touches the mesh.
 func TestServiceBadJournalDir(t *testing.T) {
 	addrs, err := transport.FreeLoopbackAddrs(3)
 	if err != nil {
@@ -442,12 +440,10 @@ func TestServiceBadJournalDir(t *testing.T) {
 	}
 	for _, dir := range []string{"", file} {
 		cfg := service.Config{
-			Addrs: addrs,
-			Me:    0,
-			Runtime: groupranking.Runtime{
-				Timeout:  5 * time.Second,
-				Recovery: &groupranking.RecoveryOptions{Dir: dir},
-			},
+			Addrs:    addrs,
+			Me:       0,
+			Runtime:  groupranking.Runtime{Timeout: 5 * time.Second},
+			Recovery: &groupranking.RecoveryOptions{Dir: dir},
 		}
 		_, err := service.NewDaemon(cfg)
 		if !errors.Is(err, service.ErrBadJournalDir) {
@@ -457,15 +453,15 @@ func TestServiceBadJournalDir(t *testing.T) {
 			t.Fatalf("error does not explain itself: %v", err)
 		}
 	}
-	for _, rt := range []groupranking.Runtime{
-		{Workers: -1},
-		{Timeout: -time.Second},
+	for _, cfg := range []service.Config{
+		{Runtime: groupranking.Runtime{Workers: -1}},
+		{Runtime: groupranking.Runtime{Timeout: -time.Second}},
 		{Recovery: &groupranking.RecoveryOptions{Dir: t.TempDir(), Grace: -time.Second}},
-		{Faults: &groupranking.FaultPlan{Seed: 1, Drop: 0.1}},
 	} {
-		_, err := service.NewDaemon(service.Config{Addrs: addrs, Me: 0, Runtime: rt})
+		cfg.Addrs = addrs
+		_, err := service.NewDaemon(cfg)
 		if !errors.Is(err, service.ErrBadConfig) {
-			t.Fatalf("runtime %+v: NewDaemon returned %v, want ErrBadConfig", rt, err)
+			t.Fatalf("config %+v: NewDaemon returned %v, want ErrBadConfig", cfg, err)
 		}
 	}
 }
@@ -486,12 +482,10 @@ func TestServiceParentBuildTableRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = service.NewDaemon(service.Config{
-		Addrs: addrs,
-		Me:    0,
-		Runtime: groupranking.Runtime{
-			Timeout:  5 * time.Second,
-			Recovery: &groupranking.RecoveryOptions{Dir: dir},
-		},
+		Addrs:    addrs,
+		Me:       0,
+		Runtime:  groupranking.Runtime{Timeout: 5 * time.Second},
+		Recovery: &groupranking.RecoveryOptions{Dir: dir},
 	})
 	if !errors.Is(err, service.ErrBadJournalDir) || !strings.Contains(err.Error(), table) {
 		t.Fatalf("NewDaemon on a parent-build table: %v; want ErrBadJournalDir naming %s", err, table)

@@ -9,7 +9,6 @@ import (
 	"groupranking/internal/core"
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/journal"
-	"groupranking/internal/obsv"
 	"groupranking/internal/transport"
 )
 
@@ -69,7 +68,6 @@ func (d *Daemon) runSession(s *session) {
 			net = transport.NewFaultNet(net, *plan)
 		}
 	}
-	ctx = obsv.WithRegistry(ctx, d.cfg.Observer)
 	role := core.Role{Me: d.cfg.Me, Questionnaire: s.q, Criterion: s.criterion, Profile: s.profile}
 	out, err := core.RunParty(ctx, s.params, role, seed, net, func(string) {
 		s.mu.Lock()

@@ -61,26 +61,27 @@ type Config struct {
 	// untouched (default transport's 1024).
 	QueueCap int
 
-	// Runtime is the shared execution-knob block, embedded verbatim
-	// from the public API: Timeout is the default (and ceiling) for
-	// each session's budget — a SessionSpec.TimeoutMS may shrink it,
-	// never exceed it (default 2 minutes); Workers bounds each
-	// session's crypto parallelism; Telemetry collects the mux link and
-	// service session metrics; Observer collects per-phase spans across
-	// sessions. Recovery, when set, makes the daemon durable: every
-	// session journals its transcript and lifecycle under Recovery.Dir,
-	// the mesh runs the reconnecting epoch'd mux, and a restarted
-	// daemon re-adopts its sessions — terminal results stay pollable,
-	// interrupted sessions resume byte-identically. Faults is refused
-	// with ErrBadConfig: fault injection enters the daemon only through
-	// the FaultPlanner test hook.
+	// Runtime is the public API's execution-knob block, embedded
+	// verbatim: Timeout is the default (and ceiling) for each
+	// session's budget — a SessionSpec.TimeoutMS may shrink it, never
+	// exceed it (default 2 minutes); Workers bounds each session's
+	// crypto parallelism.
 	groupranking.Runtime
+	// Recovery, when set, makes the daemon durable: every session
+	// journals its transcript and lifecycle under Recovery.Dir, the
+	// mesh runs the reconnecting epoch'd mux, and a restarted daemon
+	// re-adopts its sessions — terminal results stay pollable,
+	// interrupted sessions resume byte-identically.
+	Recovery *groupranking.RecoveryOptions
+	// Telemetry, when set, collects the mux link and service session
+	// metrics.
+	Telemetry *groupranking.Telemetry
 }
 
 // ErrBadConfig is the typed startup failure for a Config the daemon
-// refuses — a slot outside the mesh, a negative cap or TTL, a fault
-// plan, or runtime knobs Runtime.Validate rejects — before it touches
-// the mesh. cmd/rankd maps it to exit code 2, like ErrBadJournalDir.
+// refuses — a slot outside the mesh, a negative cap or TTL, or runtime
+// or recovery settings their Validate rejects — before it touches the
+// mesh. cmd/rankd maps it to exit code 2, like ErrBadJournalDir.
 var ErrBadConfig = errors.New("bad daemon config")
 
 // withDefaults resolves the config and validates it.
@@ -100,12 +101,10 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ResultTTL < 0 {
 		return bad("ResultTTL=%v negative", c.ResultTTL)
 	}
-	if c.Faults != nil {
-		// A knob the daemon would ignore is refused rather than silently
-		// dropped; tests inject faults through Daemon.FaultPlanner.
-		return bad("Faults applies to the party entry points only, not to a daemon")
-	}
 	if err := c.Runtime.Validate(); err != nil {
+		return bad("%v", err)
+	}
+	if err := c.Recovery.Validate(); err != nil {
 		return bad("%v", err)
 	}
 	c.MaxSessions = cmp.Or(c.MaxSessions, 64)

@@ -428,7 +428,7 @@ func TestMinimumPartyCountForDegree(t *testing.T) {
 func TestMulBatchAllocatesPerBatchNotPerElement(t *testing.T) {
 	const n = 3
 	cfg := testConfig(t, n, 1)
-	fab, err := transport.New(n, transport.WithoutTrace())
+	fab, err := transport.New(n)
 	if err != nil {
 		t.Fatal(err)
 	}

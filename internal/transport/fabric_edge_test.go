@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -88,67 +87,6 @@ func TestRoundMismatchAbort(t *testing.T) {
 	}
 	if _, err := fab.RecvCtx(context.Background(), 1, 0, -1); err != nil {
 		t.Fatalf("wildcard round rejected a message: %v", err)
-	}
-}
-
-// TestConcurrentSendRecvMarkDown hammers one fabric from many
-// goroutines — senders, receivers and a crash marker — to give the race
-// detector surface area over the queue, down-channel and stats paths.
-func TestConcurrentSendRecvMarkDown(t *testing.T) {
-	const n, msgs = 4, 64
-	fab, err := New(n, WithRecvTimeout(5*time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for from := 0; from < n; from++ {
-		for to := 0; to < n; to++ {
-			if to == from {
-				continue
-			}
-			from, to := from, to
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < msgs; i++ {
-					if err := fab.Send(i, from, to, 8, i); err != nil {
-						t.Errorf("send %d→%d: %v", from, to, err)
-						return
-					}
-				}
-			}()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 0; i < msgs; i++ {
-					if _, err := fab.RecvCtx(context.Background(), to, from, i); err != nil {
-						// The concurrent MarkDown below may race ahead of
-						// the last few receives; peer-down is the one
-						// acceptable failure.
-						if errors.Is(err, ErrPeerDown) {
-							return
-						}
-						t.Errorf("recv %d←%d: %v", to, from, err)
-						return
-					}
-				}
-			}()
-		}
-	}
-	// Concurrent stats readers and a late MarkDown exercise the
-	// remaining shared state.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 32; i++ {
-			fab.Stats()
-			fab.Trace()
-		}
-	}()
-	wg.Wait()
-	fab.MarkDown(2)
-	if _, err := fab.RecvCtx(context.Background(), 0, 2, 999); !errors.Is(err, ErrPeerDown) {
-		t.Errorf("post-run receive from downed party: %v", err)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // ledger and one receive wait (endpoint.go). SubView
 // implements it over a subset of a parent's parties so multi-phase
 // frameworks can run an n-party subprotocol among a subset of n+1
-// parties while keeping a single unified trace for network replay, and
+// parties while keeping one party space and one round numbering, and
 // FaultNet wraps any implementation with fault injection. Gathering a
 // round from every peer is one function over any Net, GatherAll.
 type Net interface {
@@ -37,7 +37,7 @@ var (
 
 // SubView presents members of a parent Net as a dense [0, len(members))
 // party space, with all round tags shifted by roundOffset so phases keep
-// distinct round numbers in the shared trace.
+// distinct round numbers on the parent.
 type SubView struct {
 	parent      Net
 	members     []int

@@ -5,39 +5,6 @@ import (
 	"testing"
 )
 
-func TestSubViewMapsIndicesAndRounds(t *testing.T) {
-	f, err := New(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// View of parties {1, 3, 4} as {0, 1, 2}, rounds shifted by 100.
-	sv, err := NewSubView(f, []int{1, 3, 4}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sv.N() != 3 {
-		t.Fatalf("N = %d", sv.N())
-	}
-	if err := sv.Send(2, 0, 2, 9, "x"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := sv.RecvCtx(context.Background(), 2, 0, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.(string) != "x" {
-		t.Errorf("payload %v", got)
-	}
-	// The parent trace must show the mapped endpoints and shifted round.
-	tr := f.Trace()
-	if len(tr) != 1 {
-		t.Fatalf("trace length %d", len(tr))
-	}
-	if tr[0] != (Event{Round: 102, From: 1, To: 4, Bytes: 9}) {
-		t.Errorf("trace event %+v", tr[0])
-	}
-}
-
 func TestSubViewBroadcastGather(t *testing.T) {
 	f, err := New(4)
 	if err != nil {

@@ -1,10 +1,8 @@
 // Package transport provides the in-memory secure-channel fabric the
 // protocol stack runs over. The paper assumes a secure pairwise channel
 // between every pair of parties (Section III-A); this package supplies
-// that abstraction for in-process simulation, instruments every message
-// with its logical round and byte size, and captures a trace that the
-// netsim package can replay over a simulated network to reproduce
-// Fig. 3(b).
+// that abstraction for in-process simulation and instruments every
+// message with its logical round and byte size.
 //
 // Parties are identified by dense indices 0..n-1. Per-pair channels are
 // FIFO and buffered, mimicking an asynchronous reliable network. Round
@@ -21,14 +19,6 @@ import (
 	"sync"
 	"time"
 )
-
-// Event records one message for tracing and replay.
-type Event struct {
-	Round int
-	From  int
-	To    int
-	Bytes int
-}
 
 // RoundStats aggregates the traffic of one logical round across all
 // senders.
@@ -73,13 +63,6 @@ func WithRecvTimeout(d time.Duration) Option {
 	return func(f *Fabric) { f.timeout = d }
 }
 
-// WithoutTrace disables trace capture: an allocation-counting test
-// (TestMulBatchAllocatesPerBatchNotPerElement) must not see the trace's
-// growth.
-func WithoutTrace() Option {
-	return func(f *Fabric) { f.traceOff = true }
-}
-
 // queueCap is the per-pair channel buffer. A send never blocks — a full
 // queue fails it — so the buffer must hold a receiver's whole backlog:
 // far more frames than any protocol here sends one peer ahead of it.
@@ -88,11 +71,10 @@ const queueCap = 4096
 // Fabric is a complete graph of instrumented FIFO channels among n
 // parties. All methods are safe for concurrent use by the party
 // goroutines. Its send ledger and receive wait are the ones under every
-// Net (endpoint.go); what is its own is the queues and the netsim trace.
+// Net (endpoint.go); what is its own is the queues.
 type Fabric struct {
-	n        int
-	timeout  time.Duration
-	traceOff bool
+	n       int
+	timeout time.Duration
 
 	sendStats
 
@@ -101,9 +83,6 @@ type Fabric struct {
 	// (MarkDown), mirroring the connection-loss detection a real TCP
 	// mesh provides.
 	down []downSignal
-
-	traceMu sync.Mutex
-	trace   []Event
 }
 
 type message struct {
@@ -153,13 +132,6 @@ func (f *Fabric) Send(round, from, to, bytes int, payload any) error {
 		return err
 	}
 	f.count(from, round, bytes)
-	// Echo digests are consistency-layer overhead: kept out of the trace
-	// netsim replays, so it matches a semi-honest run exactly.
-	if !f.traceOff && !IsEchoRound(round) {
-		f.traceMu.Lock()
-		f.trace = append(f.trace, Event{Round: round, From: from, To: to, Bytes: bytes})
-		f.traceMu.Unlock()
-	}
 	select {
 	case f.queues[from][to] <- message{payload: payload, round: round}:
 		return nil
@@ -239,8 +211,8 @@ func GatherAll(ctx context.Context, net Net, to, round int) ([]any, error) {
 // Fabric from opts and runs body once per party, every party on its own
 // goroutine at once (the parties block on each other, so a bounded pool
 // would deadlock them). wrap, when non-nil, decorates the net every
-// body talks through; the undecorated fabric is returned for stats and
-// trace inspection. The first body to fail cancels the context all the
+// body talks through; the undecorated fabric is returned for its
+// stats. The first body to fail cancels the context all the
 // others run under, so none is left blocked on a message that will
 // never arrive. RunMesh returns once every goroutine has exited, with
 // each party's error and the root cause: the lowest-index error that is
@@ -276,16 +248,6 @@ func RunMesh(ctx context.Context, n int, wrap func(Net) Net, body func(ctx conte
 		}
 	}
 	return fab, errs, root
-}
-
-// Trace returns a copy of the recorded message trace, ordered by send
-// time. Replay consumers group events by Round.
-func (f *Fabric) Trace() []Event {
-	f.traceMu.Lock()
-	defer f.traceMu.Unlock()
-	out := make([]Event, len(f.trace))
-	copy(out, f.trace)
-	return out
 }
 
 // TotalBytes sums bytes sent by all parties.

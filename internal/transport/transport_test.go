@@ -95,58 +95,6 @@ func TestBroadcastAndGather(t *testing.T) {
 	}
 }
 
-func TestStatsAndTrace(t *testing.T) {
-	f, err := New(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send(1, 0, 1, 100, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send(2, 0, 2, 50, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send(2, 1, 2, 25, nil); err != nil {
-		t.Fatal(err)
-	}
-	s := f.Stats()
-	if s.BytesSent[0] != 150 || s.BytesSent[1] != 25 || s.BytesSent[2] != 0 {
-		t.Errorf("bytes: %v", s.BytesSent)
-	}
-	if s.MessagesSent[0] != 2 {
-		t.Errorf("messages: %v", s.MessagesSent)
-	}
-	if s.MaxRound != 2 {
-		t.Errorf("max round %d", s.MaxRound)
-	}
-	if s.TotalBytes() != 175 {
-		t.Errorf("total bytes %d", s.TotalBytes())
-	}
-	tr := f.Trace()
-	if len(tr) != 3 {
-		t.Fatalf("trace length %d", len(tr))
-	}
-	if tr[0] != (Event{Round: 1, From: 0, To: 1, Bytes: 100}) {
-		t.Errorf("trace[0] = %+v", tr[0])
-	}
-}
-
-func TestWithoutTrace(t *testing.T) {
-	f, err := New(2, WithoutTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Send(0, 0, 1, 1, nil); err != nil {
-		t.Fatal(err)
-	}
-	if len(f.Trace()) != 0 {
-		t.Error("trace recorded despite WithoutTrace")
-	}
-	if f.Stats().BytesSent[0] != 1 {
-		t.Error("stats must still be collected")
-	}
-}
-
 func TestRecvTimeout(t *testing.T) {
 	f, err := New(2, WithRecvTimeout(20*time.Millisecond))
 	if err != nil {

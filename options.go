@@ -16,13 +16,17 @@ import (
 // tiers.
 
 // params resolves the options into the protocol parameters of a run
-// with n participants over q: the runtime knobs are checked, and every
-// zero protocol setting takes core's default.
+// with n participants over q: the runtime knobs and the recovery
+// options are checked, and every zero protocol setting takes core's
+// default.
 func (o Options) params(q *Questionnaire, n int) (core.Params, error) {
 	if q == nil {
 		return core.Params{}, fmt.Errorf("groupranking: missing questionnaire")
 	}
 	if err := o.Runtime.Validate(); err != nil {
+		return core.Params{}, err
+	}
+	if err := o.Recovery.Validate(); err != nil {
 		return core.Params{}, err
 	}
 	g, err := core.GroupByName(o.GroupName)
@@ -63,17 +67,6 @@ func deriveBits(bits int, values []uint64) int {
 func (o SortOptions) validate() error {
 	if o.Bits < 1 || o.Bits > 64 {
 		return fmt.Errorf("groupranking: bits=%d outside [1, 64]", o.Bits)
-	}
-	// The sorting entry points have no recovery runtime, no fault
-	// injection and no runtime metrics: a knob they would ignore is
-	// refused rather than silently dropped.
-	switch {
-	case o.Recovery != nil:
-		return fmt.Errorf("groupranking: Recovery applies to the framework's party entry points only, not to sorting")
-	case o.Faults != nil:
-		return fmt.Errorf("groupranking: Faults applies to the full framework only, not to sorting")
-	case o.Telemetry != nil:
-		return fmt.Errorf("groupranking: Telemetry applies to the framework's party entry points only, not to sorting")
 	}
 	return o.Runtime.Validate()
 }

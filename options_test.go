@@ -21,9 +21,6 @@ func TestSortOptionsValidation(t *testing.T) {
 		{"bits too large", SortOptions{Bits: 65}, "outside [1, 64]"},
 		{"bits negative", SortOptions{Bits: -3}, "outside [1, 64]"},
 		{"negative workers", SortOptions{Bits: 8, Runtime: Runtime{Workers: -1}}, "negative"},
-		{"recovery set", SortOptions{Bits: 8, Runtime: Runtime{Recovery: &RecoveryOptions{Dir: "d"}}}, "Recovery"},
-		{"faults set", SortOptions{Bits: 8, Runtime: Runtime{Faults: &FaultPlan{Drop: 0.1}}}, "Faults"},
-		{"telemetry set", SortOptions{Bits: 8, Runtime: Runtime{Telemetry: NewTelemetry()}}, "Telemetry"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,10 +73,10 @@ func TestSortPartyOptionsRequireBits(t *testing.T) {
 
 // TestRuntimeOptionsValidation pins the entry-point rejection of
 // negative runtime settings: silently defaulting them would flip their
-// meaning (a negative Timeout is not "no deadline", a negative Grace
-// would blame a reconnecting peer instantly), so every public entry
-// point fails loudly instead — with the same meaning on the command
-// line, whose flags internal/cli resolves through Runtime.Validate.
+// meaning (a negative Timeout is not "no deadline"), so every public
+// entry point fails loudly instead — with the same meaning on the
+// command line, whose flags internal/cli resolves through
+// Runtime.Validate.
 func TestRuntimeOptionsValidation(t *testing.T) {
 	cases := []struct {
 		name string
@@ -87,7 +84,6 @@ func TestRuntimeOptionsValidation(t *testing.T) {
 		want string
 	}{
 		{"negative timeout", Options{Runtime: Runtime{Timeout: -time.Second}}, "Timeout"},
-		{"negative grace", Options{Runtime: Runtime{Recovery: &RecoveryOptions{Dir: "d", Grace: -time.Second}}}, "Grace"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,23 +106,44 @@ func TestRuntimeOptionsValidation(t *testing.T) {
 	}
 }
 
+// TestRecoveryOptionsValidation pins the one recovery check the party
+// entry points, the rankd daemon config and internal/cli share: a
+// negative Grace would blame a reconnecting peer instantly, so it is
+// refused; nil (recovery off) and a zero Grace (the default) pass.
+func TestRecoveryOptionsValidation(t *testing.T) {
+	for _, r := range []*RecoveryOptions{nil, {Dir: "d"}, {Dir: "d", Grace: time.Second}} {
+		if err := r.Validate(); err != nil {
+			t.Errorf("%+v refused: %v", r, err)
+		}
+	}
+	t.Run("negative grace", func(t *testing.T) {
+		opts := Options{Recovery: &RecoveryOptions{Dir: "d", Grace: -time.Second}}
+		if err := opts.Recovery.Validate(); err == nil || !strings.Contains(err.Error(), "Grace") {
+			t.Errorf("Validate: %v, want an error mentioning Grace", err)
+		}
+		if _, err := opts.params(demoQuestionnaire(t), 3); err == nil || !strings.Contains(err.Error(), "Grace") {
+			t.Errorf("params: %v, want an error mentioning Grace", err)
+		}
+	})
+}
+
 // TestRankRefusesPartyKnobs: the in-process Rank has no journal and no
 // runtime to measure, so the party-only knobs are refused, not dropped.
 func TestRankRefusesPartyKnobs(t *testing.T) {
 	cases := []struct {
-		name    string
-		runtime Runtime
-		want    string
+		name string
+		set  func(*Options)
+		want string
 	}{
-		{"recovery set", Runtime{Recovery: &RecoveryOptions{Dir: "d"}}, "Recovery"},
-		{"telemetry set", Runtime{Telemetry: NewTelemetry()}, "Telemetry"},
+		{"recovery set", func(o *Options) { o.Recovery = &RecoveryOptions{Dir: "d"} }, "Recovery"},
+		{"telemetry set", func(o *Options) { o.Telemetry = NewTelemetry() }, "Telemetry"},
 	}
 	q := demoQuestionnaire(t)
 	crit, profiles := demoData(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			opts := fastOpts("party-knobs")
-			opts.Runtime = tc.runtime
+			tc.set(&opts)
 			_, err := Rank(context.Background(), q, crit, profiles, opts)
 			if err == nil {
 				t.Fatal("party-only knob accepted by Rank")

@@ -20,15 +20,15 @@ type SortOptions struct {
 	// Seed makes the run deterministic; empty draws a fresh random seed.
 	Seed string
 
-	// Runtime bundles the execution knobs shared with Options. The
-	// sorting entry points honor Timeout (0 means no deadline
-	// in-process, 2 minutes for UnlinkableSortParty, where it also
-	// bounds each blocking receive on the TCP mesh), Workers and
-	// Observer (UnlinkableSort fills one party per value;
-	// UnlinkableSortParty only this party's slot); Recovery, Faults and
-	// Telemetry apply to the full framework only, and setting any of
-	// them here is refused.
+	// Runtime holds Timeout and Workers, shared with Options. Timeout 0
+	// means no deadline in-process and 2 minutes for
+	// UnlinkableSortParty, where it also bounds each blocking receive
+	// on the TCP mesh.
 	Runtime
+	// Observer, when non-nil, records per-party phase spans and
+	// counters: UnlinkableSort fills one party per value,
+	// UnlinkableSortParty only this party's slot.
+	Observer *Observer
 }
 
 // SortResult is the outcome of an in-process sorting run with the same
