@@ -257,24 +257,13 @@ func Rank(ctx context.Context, q *Questionnaire, criterion Criterion, profiles [
 	if err != nil {
 		return nil, err
 	}
-	ctx = obsv.WithRegistry(ctx, opts.Observer)
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
-	}
-	var wrap func(transport.Net) transport.Net
-	if opts.Faults != nil {
-		plan := *opts.Faults
-		wrap = func(n transport.Net) transport.Net {
-			return transport.NewFaultNet(n, plan)
-		}
-	}
+	ctx, cancel := runContext(ctx, opts.Observer, opts.Timeout)
+	defer cancel()
 	res, fab, err := core.RunCtx(ctx, params, core.Inputs{
 		Questionnaire: q,
 		Criterion:     criterion,
 		Profiles:      profiles,
-	}, seed, wrap)
+	}, seed, opts.withFaults)
 	if err != nil {
 		return nil, err
 	}

@@ -241,12 +241,6 @@ func TestUnlinkableSortPartyOverTCP(t *testing.T) {
 	}
 }
 
-func TestUnlinkableSortPartyRequiresBits(t *testing.T) {
-	if _, err := UnlinkableSortParty(context.Background(), []string{"a", "b"}, 0, 1, SortOptions{}); err == nil {
-		t.Error("missing Bits accepted")
-	}
-}
-
 func TestRankWithProveDecryption(t *testing.T) {
 	q := demoQuestionnaire(t)
 	crit, profiles := demoData(t)

@@ -253,23 +253,26 @@ func (j *Journal) PinSession(fingerprint []byte) error {
 	return nil
 }
 
-// OpenSession opens (or reopens) party's journal for one session under
-// dir and readies it for a run: it pins the identity sessionID|party=N,
-// resolves the party's seed and begins a new epoch. The seed rule is
-// the one every durable tier follows: an explicit seed must match the
-// journal; otherwise the journaled seed wins (a restart re-derives its
-// first life's randomness); otherwise a seed is drawn locally and
-// journaled. It returns the journal and the resolved seed. reg, when
-// non-nil, counts these records with the rest of the journal's.
+// OpenSession is the one cross-process seed rule, under every party
+// entry point and rankd session: the explicit seed, else the journaled
+// one (a restart re-derives its first life's randomness), else one drawn
+// locally that never leaves the process. An empty dir (recovery off)
+// opens nothing: the journal is nil. Otherwise it opens party's journal
+// for sessionID under dir, pins sessionID|party=N, checks or journals
+// the seed and begins an epoch; reg, if set, counts these records.
 func OpenSession(dir, sessionID string, party int, seed string, reg *telemetry.Registry) (*Journal, string, error) {
+	if dir == "" {
+		seed, err := fixedbig.DrawSeed(seed)
+		return nil, seed, err
+	}
 	j, err := Open(SessionPath(dir, sessionID, party))
 	if err != nil {
 		return nil, "", err
 	}
 	j.SetTelemetry(reg)
 	err = j.PinSession([]byte(fmt.Sprintf("%s|party=%d", sessionID, party)))
-	if err == nil && seed == "" && j.seed == "" {
-		seed, err = fixedbig.DrawSeed("")
+	if err == nil && j.seed == "" {
+		seed, err = fixedbig.DrawSeed(seed)
 	}
 	if err == nil {
 		seed, err = j.SessionSeed(seed)

@@ -279,6 +279,86 @@ func TestSessionSeed(t *testing.T) {
 	j.Close()
 }
 
+// TestOpenSessionSeedRule covers every branch of the one cross-process
+// seed rule: an explicit seed wins (with or without a journal), a
+// restart without one gets the journaled seed, a first run without one
+// draws and journals a fresh seed, and with no journal directory
+// nothing is opened or written.
+func TestOpenSessionSeedRule(t *testing.T) {
+	reopen := func(t *testing.T, dir, seed string) (string, error) {
+		t.Helper()
+		j, got, err := OpenSession(dir, "rule", 1, seed, nil)
+		if err == nil {
+			j.Close()
+		}
+		return got, err
+	}
+	t.Run("explicit", func(t *testing.T) {
+		dir := t.TempDir()
+		if got, err := reopen(t, dir, "alpha"); err != nil || got != "alpha" {
+			t.Fatalf("first open: %q, %v; want alpha", got, err)
+		}
+		if got, err := reopen(t, dir, "alpha"); err != nil || got != "alpha" {
+			t.Fatalf("reopen with the same seed: %q, %v; want alpha", got, err)
+		}
+		if _, err := reopen(t, dir, "beta"); err == nil {
+			t.Fatal("reopen with a contradicting seed accepted")
+		}
+	})
+	t.Run("journaled", func(t *testing.T) {
+		dir := t.TempDir()
+		first, err := reopen(t, dir, "alpha")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := reopen(t, dir, ""); err != nil || got != first {
+			t.Fatalf("restart without a seed: %q, %v; want the journaled %q", got, err, first)
+		}
+	})
+	t.Run("drawn", func(t *testing.T) {
+		dir := t.TempDir()
+		first, err := reopen(t, dir, "")
+		if err != nil || first == "" {
+			t.Fatalf("first open without a seed: %q, %v; want a drawn seed", first, err)
+		}
+		if got, err := reopen(t, dir, ""); err != nil || got != first {
+			t.Fatalf("restart: %q, %v; want the first life's drawn %q", got, err, first)
+		}
+		if other, err := reopen(t, t.TempDir(), ""); err != nil || other == first {
+			t.Fatalf("another journal drew %q, %v; want a fresh seed", other, err)
+		}
+	})
+	t.Run("no journal directory", func(t *testing.T) {
+		before, err := os.ReadDir(".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, got, err := OpenSession("", "rule", 1, "alpha", nil)
+		if err != nil || j != nil || got != "alpha" {
+			t.Fatalf("explicit seed: journal %v, seed %q, %v; want no journal and alpha", j, got, err)
+		}
+		var drawn [2]string
+		for i := range drawn {
+			if j, drawn[i], err = OpenSession("", "rule", 1, "", nil); err != nil || j != nil || drawn[i] == "" {
+				t.Fatalf("no seed: journal %v, seed %q, %v; want no journal and a drawn seed", j, drawn[i], err)
+			}
+		}
+		if drawn[0] == drawn[1] {
+			t.Fatalf("two draws gave the same seed %q", drawn[0])
+		}
+		after, err := os.ReadDir(".")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(after) != len(before) {
+			t.Fatalf("%d entries in the working directory after, %d before: a file was created", len(after), len(before))
+		}
+		if _, err := os.Stat(SessionPath("", "rule", 1)); !os.IsNotExist(err) {
+			t.Fatalf("journal file exists: %v", err)
+		}
+	})
+}
+
 // TestOpenRejectsForeignFile: Open must not wade into a file that is
 // not a journal.
 func TestOpenRejectsForeignFile(t *testing.T) {

@@ -9,9 +9,7 @@ import (
 	"strings"
 
 	"groupranking/internal/core"
-	"groupranking/internal/fixedbig"
 	"groupranking/internal/journal"
-	"groupranking/internal/obsv"
 	"groupranking/internal/transport"
 )
 
@@ -25,12 +23,10 @@ import (
 // as a typed *AbortError with cause ErrSessionMismatch, not as garbage.
 //
 // All parties must be started with identical Options (that is what the
-// handshake verifies). A non-empty Options.Seed makes the whole run
-// deterministic — each party runs core.RunParty, the runner under the
-// in-process Rank harness, so a seed-fixed distributed run produces the
-// same Ranks and Submissions as Rank with that seed; an empty seed is
-// drawn locally per process (or, with Recovery, taken from the
-// journal) and never leaves it.
+// handshake verifies). Each runs core.RunParty, the runner under Rank,
+// so a seed-fixed distributed run produces the same Ranks and
+// Submissions as Rank with that seed; an empty seed is the journal's
+// (with Recovery) or drawn locally, and never leaves the process.
 
 // InitiatorResult is what RankInitiatorParty learns: the framework's
 // initiator-side outcome plus this endpoint's transport statistics.
@@ -124,68 +120,71 @@ func sessionID(params core.Params, addrs []string) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// runRankParty is the deployment harness under both party entry
-// points: it resolves the options into the parameters a mesh of
-// len(addrs) endpoints (initiator + n participants) agrees on, joins
-// the TCP mesh as endpoint role.Me — fail-fast, or, with
-// Options.Recovery, recovering over this party's session journal, which
-// also resolves the seed — threads observability and fault injection
-// through, runs core.RunParty with the session-establishment round, and
-// reports the endpoint's transport statistics.
-func runRankParty(ctx context.Context, q *Questionnaire, addrs []string, o Options, role core.Role) (core.Outcome, transport.Stats, error) {
-	fail := func(err error) (core.Outcome, transport.Stats, error) { return core.Outcome{}, transport.Stats{}, err }
-	n := len(addrs) - 1
-	if n < 2 {
-		return fail(fmt.Errorf("groupranking: need the initiator plus at least two participants, got %d addresses", len(addrs)))
+// runRankParty resolves the framework's side of both party entry
+// points — the parameters a mesh of len(addrs) endpoints (initiator + n
+// participants) agrees on and, with Options.Recovery, the session ID —
+// and runs core.RunParty, session round first, on the TCP-party step.
+func runRankParty(ctx context.Context, q *Questionnaire, addrs []string, o Options, role core.Role) (out core.Outcome, stats transport.Stats, err error) {
+	if len(addrs) < 3 {
+		return out, stats, fmt.Errorf("groupranking: need the initiator plus at least two participants, got %d addresses", len(addrs))
 	}
-	params, err := o.params(q, n)
+	params, err := o.params(q, len(addrs)-1)
 	if err != nil {
-		return fail(err)
+		return out, stats, err
 	}
+	var sid string
+	if o.Recovery != nil {
+		sid = sessionID(params, addrs)
+	}
+	stats, err = runTCPParty(ctx, addrs, role.Me, o, sid, func(ctx context.Context, net transport.Net, seed string) (err error) {
+		// The session round doubles as trace-ID agreement: party 0's
+		// proposal wins, and the agreed ID stamps every span this party
+		// exports.
+		out, err = core.RunParty(ctx, params, role, seed, net, o.Observer.SetTraceID)
+		return err
+	})
+	return out, stats, err
+}
+
+// runTCPParty is the one TCP-party step under RankInitiatorParty,
+// RankParticipantParty and UnlinkableSortParty: the seed by the
+// cross-process rule (journal.OpenSession, which with o.Recovery also
+// opens the journal of session sid), the mesh endpoint me, fail-fast or
+// recovering, and run under the run context (o.Timeout defaults to 2
+// minutes) over the fault-wrapped endpoint; then drain and stats.
+func runTCPParty(ctx context.Context, addrs []string, me int, o Options, sid string, run func(ctx context.Context, net transport.Net, seed string) error) (transport.Stats, error) {
 	o.Timeout = cmp.Or(o.Timeout, core.DefaultTimeout)
 	mo := transport.MuxOptions{Telemetry: o.Telemetry}
-	var sid string
-	var j transport.Journaler
-	seed := o.Seed
+	var dir string
 	if o.Recovery != nil {
-		if o.Recovery.Dir == "" {
-			return fail(fmt.Errorf("groupranking: Recovery.Dir must name a journal directory"))
+		if dir = o.Recovery.Dir; dir == "" {
+			return transport.Stats{}, fmt.Errorf("groupranking: Recovery.Dir must name a journal directory")
 		}
-		sid = sessionID(params, addrs)
-		var sj *journal.Journal
-		if sj, seed, err = journal.OpenSession(o.Recovery.Dir, sid, role.Me, seed, o.Telemetry); err != nil {
-			return fail(err)
-		}
+	}
+	sj, seed, err := journal.OpenSession(dir, sid, me, o.Seed, o.Telemetry)
+	if err != nil {
+		return transport.Stats{}, err
+	}
+	var j transport.Journaler
+	if sj != nil {
 		defer sj.Close()
 		j = sj
 		mo.Recovery = &transport.MuxRecovery{Epoch: sj.Epoch(), Grace: o.Recovery.Grace}
-	} else if seed, err = fixedbig.DrawSeed(seed); err != nil {
-		return fail(err)
 	}
-	fab, err := transport.OpenTCPFabric(addrs, role.Me, o.Timeout, mo, sid, j)
+	fab, err := transport.OpenTCPFabric(addrs, me, o.Timeout, mo, sid, j)
 	if err != nil {
-		return fail(err)
+		return transport.Stats{}, err
 	}
 	o.Telemetry.SetHealthSource(fab)
 	defer fab.Close()
-	ctx, cancel := context.WithTimeout(ctx, o.Timeout)
+	ctx, cancel := runContext(ctx, o.Observer, o.Timeout)
 	defer cancel()
-	ctx = obsv.WithRegistry(ctx, o.Observer)
-	var net transport.Net = fab
-	if o.Faults != nil {
-		net = transport.NewFaultNet(fab, *o.Faults)
+	if err := run(ctx, o.withFaults(fab), seed); err != nil {
+		return transport.Stats{}, err
 	}
-	// The session round doubles as trace-ID agreement: party 0's
-	// proposal wins, and the agreed ID stamps every span this party
-	// exports.
-	out, err := core.RunParty(ctx, params, role, seed, net, o.Observer.SetTraceID)
-	if err != nil {
-		return fail(err)
-	}
-	// This party is done, but a crashed peer may still need what we sent
-	// it: a recovering fabric keeps serving retransmissions until every
-	// peer has reported holding everything or the blame window closes.
-	// Prompt when all peers are alive and finish too.
+	// A crashed peer may still need what this party sent: a recovering
+	// fabric serves retransmissions until every peer holds everything or
+	// the blame window closes (at once when fail-fast or all finished).
 	fab.Drain(0)
-	return out, fab.Stats(), nil
+	return fab.Stats(), nil
 }
