@@ -2,8 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 )
 
@@ -144,10 +146,7 @@ func (e *EquivocationError) Error() string {
 // naming the equivocating sender, carrying an *EquivocationError cause
 // and a CheckEquivocation blame certificate.
 func EchoBroadcastCtx(ctx context.Context, net Net, me, round, size int, payload any) ([]any, error) {
-	if err := net.Broadcast(round, me, size, payload); err != nil {
-		return nil, err
-	}
-	all, err := GatherAll(ctx, net, me, round)
+	all, err := broadcastGather(ctx, net, me, round, size, payload)
 	if err != nil {
 		return nil, err
 	}
@@ -168,10 +167,7 @@ func EchoBroadcastCtx(ctx context.Context, net Net, me, round, size int, payload
 	}
 	echoRound := EchoRound(round)
 	echoBytes := n * sha256.Size
-	if err := net.Broadcast(echoRound, me, echoBytes, echoMsg{Digests: digests}); err != nil {
-		return nil, err
-	}
-	echoes, err := GatherAll(ctx, net, me, echoRound)
+	echoes, err := broadcastGather(ctx, net, me, echoRound, echoBytes, echoMsg{Digests: digests})
 	if err != nil {
 		return nil, err
 	}
@@ -228,4 +224,16 @@ func EchoBroadcastCtx(ctx context.Context, net Net, me, round, size int, payload
 		}
 	}
 	return all, nil
+}
+
+// broadcastGather broadcasts payload at round and gathers the round; a
+// leg that failed on a down peer is reported after the receives, which
+// name the party whose message is missing, not a survivor since gone.
+func broadcastGather(ctx context.Context, net Net, me, round, size int, payload any) ([]any, error) {
+	sendErr := net.Broadcast(round, me, size, payload)
+	if sendErr != nil && !errors.Is(sendErr, ErrPeerDown) {
+		return nil, sendErr
+	}
+	all, err := GatherAll(ctx, net, me, round)
+	return all, cmp.Or(err, sendErr)
 }

@@ -404,6 +404,14 @@ func (m *SessionMux) open(sid string, timeout time.Duration, j Journaler) (*MuxS
 		m.mu.Unlock()
 		return nil, fmt.Errorf("transport: mux session %q overflowed its pending buffer before it was opened", sid)
 	}
+	if p != nil {
+		// Replay in arrival order (one pump per peer appended them), under
+		// the lock so no live frame overtakes them, and before the
+		// pre-fail, which would drop what a blamed peer sent before it left.
+		for _, f := range p.frames {
+			s.deliver(f.from, f.env)
+		}
+	}
 	// Pre-fail peers that stand blamed: the session must see the same
 	// typed abort a session open at the time of the blame did.
 	for peer, err := range m.linkErr {
@@ -416,13 +424,6 @@ func (m *SessionMux) open(sid string, timeout time.Duration, j Journaler) (*MuxS
 		m.rec.resumable[sid] = j
 	}
 	m.mu.Unlock()
-	if p != nil {
-		// Replay in arrival order: the single pump per peer appended in
-		// order, so per-peer FIFO is preserved.
-		for _, f := range p.frames {
-			s.deliver(f.from, f.env)
-		}
-	}
 	if j != nil {
 		// Ask every connected peer for anything we have not journaled
 		// yet; peers that attach later are asked on attach.

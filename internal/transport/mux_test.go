@@ -215,6 +215,54 @@ func TestMuxPeerFailureDrainsQueue(t *testing.T) {
 	}
 }
 
+// A frame that reached the pending buffer before its sender was blamed
+// is still delivered when the session opens after the blame; only the
+// receive after it sees the failure.
+func TestMuxPendingReplayBeforeBlame(t *testing.T) {
+	defer leakcheck.Check(t)
+	muxes := muxMesh(t, 2, func(int) MuxOptions { return MuxOptions{} })
+	s0, err := muxes[0].Open("late", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s0.Send(1, 0, 1, 4, 41); err != nil {
+		t.Fatal(err)
+	}
+	m := muxes[1]
+	waitFor := func(what string, done func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			m.mu.Lock()
+			ok := done()
+			m.mu.Unlock()
+			if ok {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("party 1 never %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	waitFor("buffered the frame", func() bool { return m.pending["late"] != nil && len(m.pending["late"].frames) == 1 })
+	s0.Close()
+	muxes[0].Close()
+	waitFor("blamed party 0", func() bool { return m.linkErr[0] != nil })
+	s1, err := m.Open("late", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s1.Close()
+	if v, err := s1.RecvCtx(context.Background(), 1, 0, 1); err != nil || v != 41 {
+		t.Fatalf("frame buffered before the blame: got %v, %v", v, err)
+	}
+	_, err = s1.RecvCtx(context.Background(), 1, 0, 2)
+	if ae, ok := IsAbort(err); !ok || ae.Party != 0 || !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("receive after the replay = %v, want an abort naming party 0 with ErrPeerDown", err)
+	}
+}
+
 // A session whose consumer stalls overflows its receive budget and is
 // failed alone; the link and its sibling session keep working.
 func TestMuxOverflowBudgetIsolation(t *testing.T) {

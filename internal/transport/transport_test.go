@@ -2,6 +2,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -92,6 +93,57 @@ func TestBroadcastAndGather(t *testing.T) {
 	}
 	if all[0] != nil {
 		t.Error("self slot should be nil")
+	}
+}
+
+// goneNet is a Fabric whose sends to the parties in gone fail the way a
+// TCP mesh's do once the peer's link is down.
+type goneNet struct {
+	*Fabric
+	gone map[int]bool
+}
+
+func (g goneNet) Send(round, from, to, bytes int, payload any) error {
+	if g.gone[to] {
+		return Abort(to, round, "", fmt.Errorf("%w: no connection to party %d", ErrPeerDown, to))
+	}
+	return g.Fabric.Send(round, from, to, bytes, payload)
+}
+
+func (g goneNet) Broadcast(round, from, bytes int, payload any) error {
+	return broadcastAll(g.N(), from, func(to int) error { return g.Send(round, from, to, bytes, payload) })
+}
+
+// A party that reaches a broadcast round late, after the party that
+// failed and a survivor that aborted on it have both left, names the
+// failed party: a leg that failed on a down peer is reported only after
+// the round's receives, and the survivor's message is already here.
+func TestEchoBroadcastNamesMissingSender(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		senders []int
+		want    int
+	}{
+		{"one message missing", []int{1}, 2},
+		{"every message in", []int{1, 2}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f, err := New(3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, from := range tc.senders {
+				if err := f.Send(5, from, 0, 4, from); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f.MarkDown(1)
+			f.MarkDown(2)
+			_, err = EchoBroadcastCtx(context.Background(), goneNet{f, map[int]bool{1: true, 2: true}}, 0, 5, 4, 0)
+			if ae, ok := IsAbort(err); !ok || ae.Party != tc.want || !errors.Is(err, ErrPeerDown) {
+				t.Fatalf("got %v, want a peer-down abort naming party %d", err, tc.want)
+			}
+		})
 	}
 }
 
