@@ -20,6 +20,11 @@ RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./i
 FUZZ_PKGS := ./internal/field/ ./internal/group/ ./internal/shamir/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/dotprod/ ./internal/transport/ ./internal/service/ ./internal/journal/
 FUZZ_TIME ?= 2s
 
+# The demo targets build their binaries (and telemetry-demo its traces)
+# here, inside the checkout and git-ignored, so that two checkouts on one
+# host never run each other's builds.
+BUILD := $(CURDIR)/.build
+
 # Internal packages that only tests import, exempt from the reachability
 # check in vet:
 #   chaos      the fault-injection and Byzantine test harness
@@ -117,6 +122,12 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # only inside GenerateDLGroup, so no named group searches for its prime
 # at run time (toy-dl-256's prime is pinned, and its derivation is a
 # test).
+# The inlining check keeps secp160r1's point formulas on register-resident
+# arithmetic: every Fold.Add and Fold.Sub call of the fold formulas
+# (internal/group/fold.go, whose Fold values are named f) must be inlined
+# there, as the compiler's -m report of that file says, since their gain
+# over the generic formulas rests on it. Fold.Add's cost is the inlining
+# budget itself, so a change that grows it fails here first.
 # The gofmt check names the source trees, not ".", so that the build
 # cache bench/run.sh leaves under .bench_build/ is not walked.
 # The reachability check keeps production code to what a binary or the
@@ -198,6 +209,10 @@ vet:
 	@search=$$(find internal/group -name '*.go' ! -name '*_test.go' | xargs awk 'FNR == 1 { fn = "" } /^func / { fn = $$0 } /fixedbig\.Prime\(/ && fn !~ /^func GenerateDLGroup\(/ { print FILENAME ":" FNR }' | tr '\n' ' '); \
 	if [ -n "$$search" ]; then \
 		echo "a named group is built from pinned constants, not searched for (fixedbig.Prime belongs in GenerateDLGroup alone), found: $$search"; exit 1; fi
+	@calls=$$(grep -oE '\bf\.(Add|Sub)\(' internal/group/fold.go | wc -l); \
+	inlined=$$($(GO) build -gcflags=-m ./internal/group/ 2>&1 | grep -cE '^internal/group/fold\.go:[0-9]+:[0-9]+: inlining call to field\.Fold\.(Add|Sub)$$'); \
+	if [ "$$calls" -eq 0 ] || [ "$$calls" -ne "$$inlined" ]; then \
+		echo "internal/group/fold.go calls field.Fold's Add/Sub $$calls times and the compiler inlines $$inlined (go build -gcflags=-m ./internal/group/): keep both within the inlining budget"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:
@@ -285,14 +300,14 @@ trace-demo:
 # The full framework as four real OS processes over loopback TCP: one
 # initiator and three participants, each running cmd/rankparty.
 demo-distributed:
-	$(GO) build -o /tmp/rankparty ./cmd/rankparty
-	/tmp/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
+	$(GO) build -o $(BUILD)/rankparty ./cmd/rankparty
+	$(BUILD)/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
 	  -me 1 -attrs age:eq,activity:gt -values 30,50 -k 2 -d1 7 -d2 4 -h 6 -group toy-dl-256 & \
-	/tmp/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
+	$(BUILD)/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
 	  -me 2 -attrs age:eq,activity:gt -values 25,60 -k 2 -d1 7 -d2 4 -h 6 -group toy-dl-256 & \
-	/tmp/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
+	$(BUILD)/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
 	  -me 3 -attrs age:eq,activity:gt -values 45,90 -k 2 -d1 7 -d2 4 -h 6 -group toy-dl-256 & \
-	/tmp/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
+	$(BUILD)/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
 	  -me 0 -attrs age:eq,activity:gt -values 30,0 -weights 2,1 -k 2 -d1 7 -d2 4 -h 6 -group toy-dl-256 && wait
 
 # The distributed demo with the full telemetry stack: every party serves
@@ -301,21 +316,21 @@ demo-distributed:
 # an injected 300ms per-phase delay. The final step merges the four
 # traces into one timeline — ranktrace must name party 2 the straggler.
 telemetry-demo:
-	$(GO) build -o /tmp/rankparty ./cmd/rankparty
-	$(GO) build -o /tmp/ranktrace ./cmd/ranktrace
-	/tmp/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
+	$(GO) build -o $(BUILD)/rankparty ./cmd/rankparty
+	$(GO) build -o $(BUILD)/ranktrace ./cmd/ranktrace
+	$(BUILD)/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
 	  -me 1 -attrs age:eq,activity:gt -values 30,50 -k 2 -d1 7 -d2 4 -h 6 -group toy-dl-256 -seed demo \
-	  -admin 127.0.0.1:9421 -trace /tmp/rank-p1.jsonl & \
-	/tmp/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
+	  -admin 127.0.0.1:9421 -trace $(BUILD)/rank-p1.jsonl & \
+	$(BUILD)/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
 	  -me 2 -attrs age:eq,activity:gt -values 25,60 -k 2 -d1 7 -d2 4 -h 6 -group toy-dl-256 -seed demo \
-	  -admin 127.0.0.1:9422 -trace /tmp/rank-p2.jsonl -straggle 300ms & \
-	/tmp/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
+	  -admin 127.0.0.1:9422 -trace $(BUILD)/rank-p2.jsonl -straggle 300ms & \
+	$(BUILD)/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
 	  -me 3 -attrs age:eq,activity:gt -values 45,90 -k 2 -d1 7 -d2 4 -h 6 -group toy-dl-256 -seed demo \
-	  -admin 127.0.0.1:9423 -trace /tmp/rank-p3.jsonl & \
-	/tmp/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
+	  -admin 127.0.0.1:9423 -trace $(BUILD)/rank-p3.jsonl & \
+	$(BUILD)/rankparty -addrs 127.0.0.1:9411,127.0.0.1:9412,127.0.0.1:9413,127.0.0.1:9414 \
 	  -me 0 -attrs age:eq,activity:gt -values 30,0 -weights 2,1 -k 2 -d1 7 -d2 4 -h 6 -group toy-dl-256 -seed demo \
-	  -admin 127.0.0.1:9424 -trace /tmp/rank-p0.jsonl && wait
-	/tmp/ranktrace /tmp/rank-p0.jsonl /tmp/rank-p1.jsonl /tmp/rank-p2.jsonl /tmp/rank-p3.jsonl
+	  -admin 127.0.0.1:9424 -trace $(BUILD)/rank-p0.jsonl && wait
+	$(BUILD)/ranktrace $(BUILD)/rank-p0.jsonl $(BUILD)/rank-p1.jsonl $(BUILD)/rank-p2.jsonl $(BUILD)/rank-p3.jsonl
 
 # Ranking as a service, end to end: a 4-daemon rankd mesh over
 # loopback TCP plus one client round trip through the submit/poll API
@@ -323,15 +338,15 @@ telemetry-demo:
 # poll the result), with the one-connection-per-peer-pair telemetry
 # assertion. The quickest way to see the service deployment work.
 serve-demo:
-	$(GO) build -o /tmp/rankd ./cmd/rankd
-	$(GO) build -o /tmp/rankload ./cmd/rankload
+	$(GO) build -o $(BUILD)/rankd ./cmd/rankd
+	$(GO) build -o $(BUILD)/rankload ./cmd/rankload
 	@mesh=127.0.0.1:9461,127.0.0.1:9462,127.0.0.1:9463,127.0.0.1:9464; \
-	/tmp/rankd -addrs $$mesh -me 0 -api 127.0.0.1:9471 -admin 127.0.0.1:9481 & p0=$$!; \
-	/tmp/rankd -addrs $$mesh -me 1 -api 127.0.0.1:9472 & p1=$$!; \
-	/tmp/rankd -addrs $$mesh -me 2 -api 127.0.0.1:9473 & p2=$$!; \
-	/tmp/rankd -addrs $$mesh -me 3 -api 127.0.0.1:9474 & p3=$$!; \
+	$(BUILD)/rankd -addrs $$mesh -me 0 -api 127.0.0.1:9471 -admin 127.0.0.1:9481 & p0=$$!; \
+	$(BUILD)/rankd -addrs $$mesh -me 1 -api 127.0.0.1:9472 & p1=$$!; \
+	$(BUILD)/rankd -addrs $$mesh -me 2 -api 127.0.0.1:9473 & p2=$$!; \
+	$(BUILD)/rankd -addrs $$mesh -me 3 -api 127.0.0.1:9474 & p3=$$!; \
 	sleep 1; \
-	/tmp/rankload -apis http://127.0.0.1:9471,http://127.0.0.1:9472,http://127.0.0.1:9473,http://127.0.0.1:9474 \
+	$(BUILD)/rankload -apis http://127.0.0.1:9471,http://127.0.0.1:9472,http://127.0.0.1:9473,http://127.0.0.1:9474 \
 	  -sessions 1 -concurrency 1 -metrics http://127.0.0.1:9481; st=$$?; \
 	kill $$p0 $$p1 $$p2 $$p3 2>/dev/null; wait; exit $$st
 
@@ -341,17 +356,18 @@ serve-demo:
 # tentpole property asserted from the initiator daemon's metrics — the
 # whole run used exactly ONE mesh connection per peer pair.
 loadtest-smoke:
-	$(GO) build -o /tmp/rankd ./cmd/rankd
-	$(GO) build -o /tmp/rankload ./cmd/rankload
+	$(GO) build -o $(BUILD)/rankd ./cmd/rankd
+	$(GO) build -o $(BUILD)/rankload ./cmd/rankload
 	@mesh=127.0.0.1:9401,127.0.0.1:9402,127.0.0.1:9403,127.0.0.1:9404; \
-	/tmp/rankd -addrs $$mesh -me 0 -api 127.0.0.1:9441 -admin 127.0.0.1:9451 & p0=$$!; \
-	/tmp/rankd -addrs $$mesh -me 1 -api 127.0.0.1:9442 & p1=$$!; \
-	/tmp/rankd -addrs $$mesh -me 2 -api 127.0.0.1:9443 & p2=$$!; \
-	/tmp/rankd -addrs $$mesh -me 3 -api 127.0.0.1:9444 & p3=$$!; \
+	$(BUILD)/rankd -addrs $$mesh -me 0 -api 127.0.0.1:9441 -admin 127.0.0.1:9451 & p0=$$!; \
+	$(BUILD)/rankd -addrs $$mesh -me 1 -api 127.0.0.1:9442 & p1=$$!; \
+	$(BUILD)/rankd -addrs $$mesh -me 2 -api 127.0.0.1:9443 & p2=$$!; \
+	$(BUILD)/rankd -addrs $$mesh -me 3 -api 127.0.0.1:9444 & p3=$$!; \
 	sleep 1; \
-	/tmp/rankload -apis http://127.0.0.1:9441,http://127.0.0.1:9442,http://127.0.0.1:9443,http://127.0.0.1:9444 \
+	$(BUILD)/rankload -apis http://127.0.0.1:9441,http://127.0.0.1:9442,http://127.0.0.1:9443,http://127.0.0.1:9444 \
 	  -sessions 100 -concurrency 16 -metrics http://127.0.0.1:9451; st=$$?; \
 	kill $$p0 $$p1 $$p2 $$p3 2>/dev/null; wait; exit $$st
 
 clean:
 	$(GO) clean ./...
+	rm -rf $(BUILD)

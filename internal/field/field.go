@@ -15,7 +15,7 @@
 //
 //	width  shape                          body     Mul  Sqr
 //	2      any                            mul2     10   Mul
-//	3      2^160 − c, 0 < c < 2^32        mulFold  13   10
+//	3      2^160 − c, 0 < c < 2^32        the fold 13   10
 //	3      any other                      mul3     21   Mul
 //	4      p₀ = 2^64 − 1 and p₂ = 0       mulP256  24   18
 //	4      any other                      mul4     36   Mul
@@ -29,7 +29,10 @@
 // al., IEEE S&P 2019; Go's own crypto/internal/fips140/nistec/fiat): a
 // row issues its bits.Mul64s, then sums them in unbroken bits.Add64
 // carry chains, and the final subtraction is chosen by a mask, not a
-// branch. Add and Sub take the three-limb bodies below 2^192.
+// branch. Add and Sub take the fold's own on the fold and the three-limb
+// bodies elsewhere below 2^192. The fold's four bodies are written once,
+// on three-limb values (fold.go); Field.Fold hands them to the curve
+// kernel, whose secp160r1 point formulas call them without the switch.
 // FuzzFieldAgainstBig holds every operation to math/big, every narrow
 // body to the four-limb one of the same modulus, the fold to the
 // three-limb Montgomery body and P-256's shape to the four-limb one.
@@ -77,7 +80,7 @@ const (
 	mont2    body = iota // mul2; Sqr is Mul
 	mont3                // mul3; Sqr is Mul
 	mont4                // mul4; Sqr is Mul
-	foldBody             // mulFold and sqrFold, R = 1
+	foldBody             // Fold.Mul and Fold.Sqr (fold.go), R = 1
 	p256Body             // mulP256 and sqrP256
 )
 
@@ -227,7 +230,7 @@ func (x *Elem) Less(y *Elem) bool {
 }
 
 // Mul sets z = x·y/R mod p, with the body and R the body table gave the
-// modulus: mulFold (R = 1, 13 word products) for p = 2^160 − c with
+// modulus: Fold.Mul (R = 1, 13 word products) for p = 2^160 − c with
 // 0 < c < 2^32, mulP256 (24) for four limbs with p₀ = 2^64 − 1 and
 // p₂ = 0, else the Montgomery body of the width, mul2 (10), mul3 (21)
 // or mul4 (36). z may alias x or y.
@@ -236,7 +239,8 @@ func (f *Field) Mul(z, x, y *Elem) {
 	case mont2:
 		f.mul2(z, x, y)
 	case foldBody:
-		f.mulFold(z, x, y)
+		fd := Fold{f.fold}
+		*z = fd.Mul(fd.Load(x), fd.Load(y)).Elem()
 	case mont3:
 		f.mul3(z, x, y)
 	case p256Body:
@@ -246,117 +250,20 @@ func (f *Field) Mul(z, x, y *Elem) {
 	}
 }
 
-// Sqr sets z = x·x/R mod p, the result of Mul(z, x, x): sqrFold (10 word
-// products where mulFold pays 13) on the fold, sqrP256 (18 where mulP256
+// Sqr sets z = x·x/R mod p, the result of Mul(z, x, x): Fold.Sqr (10 word
+// products where Fold.Mul pays 13) on the fold, sqrP256 (18 where mulP256
 // pays 24) on P-256's shape, and Mul itself on the Montgomery bodies of
 // the plain widths. z may alias x.
 func (f *Field) Sqr(z, x *Elem) {
 	switch f.body {
 	case foldBody:
-		f.sqrFold(z, x)
+		fd := Fold{f.fold}
+		*z = fd.Sqr(fd.Load(x)).Elem()
 	case p256Body:
 		f.sqrP256(z, x)
 	default:
 		f.Mul(z, x, x)
 	}
-}
-
-// mulFold is Mul for p = 2^160 − c with 0 < c < 2^32 (secp160r1: c =
-// 2^31 + 1), where R = 1: the 3×3 schoolbook product, one row per limb
-// of y, and foldReduce. 9 + 4 word products where mul3 pays 21.
-func (f *Field) mulFold(z, x, y *Elem) {
-	x0, x1, x2 := x[0], x[1], x[2]
-	y0, y1, y2 := y[0], y[1], y[2]
-
-	// t = x·y in five limbs; x, y < 2^160, so the sixth is zero.
-	h0, t0 := bits.Mul64(x0, y0)
-	h1, l1 := bits.Mul64(x1, y0)
-	h2, l2 := bits.Mul64(x2, y0)
-	t1, c := bits.Add64(h0, l1, 0)
-	t2, c := bits.Add64(h1, l2, c)
-	t3 := h2 + c
-
-	h0, l0 := bits.Mul64(x0, y1)
-	h1, l1 = bits.Mul64(x1, y1)
-	h2, l2 = bits.Mul64(x2, y1)
-	u1, c := bits.Add64(h0, l1, 0)
-	u2, c := bits.Add64(h1, l2, c)
-	u3 := h2 + c
-	t1, c = bits.Add64(t1, l0, 0)
-	t2, c = bits.Add64(t2, u1, c)
-	t3, c = bits.Add64(t3, u2, c)
-	t4 := u3 + c
-
-	// x2, y2 < 2^32: their product is one word.
-	h0, l0 = bits.Mul64(x0, y2)
-	h1, l1 = bits.Mul64(x1, y2)
-	u1, c = bits.Add64(h0, l1, 0)
-	u2 = h1 + x2*y2 + c
-	t2, c = bits.Add64(t2, l0, 0)
-	t3, c = bits.Add64(t3, u1, c)
-	t4 += u2 + c
-
-	f.foldReduce(z, t0, t1, t2, t3, t4)
-}
-
-// sqrFold is Sqr on the fold body: the three products x_i·x_j with
-// i < j, doubled by a shift, plus the three squares x_i², then
-// foldReduce. 6 + 4 word products.
-func (f *Field) sqrFold(z, x *Elem) {
-	x0, x1, x2 := x[0], x[1], x[2]
-
-	// a = Σ x_i·x_j·2^(64(i+j)) over i < j, at limbs 1 to 4; x2 < 2^32,
-	// so a < 2^289 and 2a still fits.
-	h01, a1 := bits.Mul64(x0, x1)
-	h02, l02 := bits.Mul64(x0, x2)
-	h12, l12 := bits.Mul64(x1, x2)
-	a2, c := bits.Add64(h01, l02, 0)
-	a3, c := bits.Add64(h02, l12, c)
-	a4 := h12 + c
-
-	// t = 2a + Σ x_i²·2^(128i).
-	h0, t0 := bits.Mul64(x0, x0)
-	h1, l1 := bits.Mul64(x1, x1)
-	t1, c := bits.Add64(a1<<1, h0, 0)
-	t2, c := bits.Add64(a2<<1|a1>>63, l1, c)
-	t3, c := bits.Add64(a3<<1|a2>>63, h1, c)
-	t4 := a4<<1 | a3>>63 + x2*x2 + c
-
-	f.foldReduce(z, t0, t1, t2, t3, t4)
-}
-
-// foldReduce sets z to the 320-bit t = (t4, …, t0) mod p = 2^160 − c,
-// using 2^160 ≡ c. t = H·2^160 + L folds to s = L + H·c <
-// 2^160·(c+1) ≤ 2^192 (three word products, H's top limb below 2^32),
-// which folds once more to below 2^160 + 2^64 < 2p (one), and one masked
-// subtraction finishes.
-func (f *Field) foldReduce(z *Elem, t0, t1, t2, t3, t4 uint64) {
-	c := f.fold
-	const low32 = 1<<32 - 1
-
-	// s = L + H·c, H = t >> 160 on three limbs.
-	h0, l0 := bits.Mul64(t2>>32|t3<<32, c)
-	h1, l1 := bits.Mul64(t3>>32|t4<<32, c)
-	u1, k := bits.Add64(h0, l1, 0)
-	u2 := h1 + (t4>>32)*c + k
-	s0, k := bits.Add64(t0, l0, 0)
-	s1, k := bits.Add64(t1, u1, k)
-	s2 := t2&low32 + u2 + k
-
-	// Fold s >> 160 < 2^32 once more: its product with c is one word.
-	s0, k = bits.Add64(s0, (s2>>32)*c, 0)
-	s1, k = bits.Add64(s1, 0, k)
-	s2 = s2&low32 + k
-
-	// (s2, s1, s0) is below 2p: subtract p unless that borrows.
-	r0, b := bits.Sub64(s0, f.pl[0], 0)
-	r1, b := bits.Sub64(s1, f.pl[1], b)
-	r2, b := bits.Sub64(s2, f.pl[2], b)
-	keep := -b
-	z[0] = r0 ^ (r0^s0)&keep
-	z[1] = r1 ^ (r1^s1)&keep
-	z[2] = r2 ^ (r2^s2)&keep
-	z[3] = 0
 }
 
 // mul2 is Mul for p < 2^128: coarsely integrated operand scanning, a row
@@ -650,6 +557,11 @@ func (f *Field) reduce(z *Elem, t0, t1, t2, t3, top uint64) {
 
 // Add sets z = x + y mod p.
 func (f *Field) Add(z, x, y *Elem) {
+	if f.body == foldBody {
+		fd := Fold{f.fold}
+		*z = fd.Add(fd.Load(x), fd.Load(y)).Elem()
+		return
+	}
 	if f.width < 4 {
 		t0, c := bits.Add64(x[0], y[0], 0)
 		t1, c := bits.Add64(x[1], y[1], c)
@@ -674,6 +586,11 @@ func (f *Field) Add(z, x, y *Elem) {
 
 // Sub sets z = x − y mod p, adding p back (under a mask) on a borrow.
 func (f *Field) Sub(z, x, y *Elem) {
+	if f.body == foldBody {
+		fd := Fold{f.fold}
+		*z = fd.Sub(fd.Load(x), fd.Load(y)).Elem()
+		return
+	}
 	if f.width < 4 {
 		t0, b := bits.Sub64(x[0], y[0], 0)
 		t1, b := bits.Sub64(x[1], y[1], b)

@@ -526,7 +526,7 @@ func FuzzFieldAgainstBig(f *testing.F) {
 	})
 }
 
-// foldOperands returns operand pairs that drive mulFold at p = 2^160 − c
+// foldOperands returns operand pairs that drive Fold.Mul at p = 2^160 − c
 // through its rare paths, which random operands reach with odds near
 // 2^-64 or worse: squares of p − 1, p − 2, 2^160 − 1 (above p, Reduce's
 // to take), 2^159, c and 2^128 − 1; and two products x·y = a·2^160 with
@@ -671,7 +671,10 @@ var benchFields = []struct{ bench, name string }{
 // secp160r1 and P-256 also the plain Montgomery body of the same width
 // that the shape's body replaced (secp160r1-mont: mul3 for the fold;
 // secp256r1-mont: mul4 for P-256's shape), so that both bodies show side
-// by side.
+// by side. Each product feeds the next (a dependent chain, latency);
+// the -indep variants run four such chains interleaved, so that four
+// products are in flight at once (throughput), and still report ns per
+// product.
 func BenchmarkFieldMul(b *testing.B) {
 	run := func(name string, f *Field, xs *[256]Elem) {
 		b.Run(name, func(b *testing.B) {
@@ -682,9 +685,24 @@ func BenchmarkFieldMul(b *testing.B) {
 			benchSink = acc
 		})
 	}
+	indep := func(name string, f *Field, xs *[256]Elem) {
+		b.Run(name+"-indep", func(b *testing.B) {
+			a0, a1, a2, a3 := xs[0], xs[1], xs[2], xs[3]
+			for i := 0; i < b.N; i += 4 {
+				f.Mul(&a0, &a0, &xs[i&255])
+				f.Mul(&a1, &a1, &xs[(i+1)&255])
+				f.Mul(&a2, &a2, &xs[(i+2)&255])
+				f.Mul(&a3, &a3, &xs[(i+3)&255])
+			}
+			f.Add(&a0, &a0, &a1)
+			f.Add(&a2, &a2, &a3)
+			f.Add(&benchSink, &a0, &a2)
+		})
+	}
 	for _, bf := range benchFields {
 		f, xs := benchOperands(b, bf.name)
 		run(bf.bench, f, xs)
+		indep(bf.bench, f, xs)
 		if mont := caseNamed(b, bf.name).mont; mont != nil {
 			var ys [256]Elem
 			for i := range xs {

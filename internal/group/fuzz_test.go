@@ -348,3 +348,94 @@ func FuzzMultiExpAgainstGeneric(f *testing.F) {
 		checkMultiExpAgainstGeneric(t, g, oracle, kc, kc1, c, c1, r, x)
 	})
 }
+
+// FuzzFoldAgainstGeneric holds secp160r1's fold formulas (fold.go) to the
+// generic formulas of kernel.go on the same field, coordinate for
+// coordinate: double, addJac and addAffine of a point p and a point q
+// chosen among a second point, p itself in another Jacobian
+// representation (P + P through the addition tail), −p (P + (−P)) and the
+// identity on either side or both. Both arrive with a random Z, and the
+// tail's two special cases are also held to what they must give: 2P and
+// the identity. The kernel is built from the curve's constants, not
+// through Secp160r1, whose validation (n·G = ∞) would run the formulas
+// under test before they could be compared.
+func FuzzFoldAgainstGeneric(f *testing.F) {
+	d := secp160r1
+	prime, n := mustHex(d.name, "p", d.p), mustHex(d.name, "n", d.n)
+	fold, err := newCurveKernel(prime, new(big.Int).Sub(prime, big.NewInt(3)), mustHex(d.name, "b", d.b), n)
+	if err != nil || fold.fold == nil {
+		f.Fatalf("secp160r1's kernel does not run the fold formulas (%v)", err)
+	}
+	generic := *fold
+	generic.fold = nil
+	n1 := new(big.Int).Sub(n, big.NewInt(1)).Bytes()
+	for sel := uint8(0); sel < 6; sel++ {
+		f.Add(sel, []byte{1}, []byte{2}, uint64(1), uint64(1))
+		f.Add(sel, n1, []byte{3}, uint64(0), ^uint64(0))
+		f.Add(sel, []byte{0x5a, 0xa5, 0x0f}, n1, uint64(1)<<63|12345, uint64(7))
+	}
+	base := affPt{x: generic.Reduce(mustHex(d.name, "gx", d.gx)), y: generic.Reduce(mustHex(d.name, "gy", d.gy))}
+	point := func(e []byte, l uint64) jacPt {
+		var r jacPt
+		el := field.Limbs(new(big.Int).SetBytes(e))
+		generic.scalarMul(&r, &base, &el)
+		// (λ²X, λ³Y, λZ) is the same point; a zero λ reads as one.
+		lam := generic.Reduce(new(big.Int).SetUint64(max(l, 1)))
+		var l2 field.Elem
+		generic.Sqr(&l2, &lam)
+		generic.Mul(&r.x, &r.x, &l2)
+		generic.Mul(&l2, &l2, &lam)
+		generic.Mul(&r.y, &r.y, &l2)
+		generic.Mul(&r.z, &r.z, &lam)
+		return r
+	}
+	f.Fuzz(func(t *testing.T, sel uint8, aBytes, bBytes []byte, la, lb uint64) {
+		if len(aBytes) > 32 || len(bBytes) > 32 {
+			return
+		}
+		p, q := point(aBytes, la), point(bBytes, lb)
+		switch sel % 6 {
+		case 1:
+			q = point(aBytes, lb)
+		case 2:
+			q = point(aBytes, lb)
+			generic.Neg(&q.y, &q.y)
+		case 3:
+			q = jacPt{}
+		case 4:
+			p = jacPt{}
+		case 5:
+			p, q = jacPt{}, jacPt{}
+		}
+		qa := generic.normalise([]jacPt{q})[0]
+		var got, want jacPt
+		fold.double(&got, &p)
+		if generic.double(&want, &p); got != want {
+			t.Fatalf("sel %d: double(%v) = %v on the fold, %v generic", sel, p, got, want)
+		}
+		fold.addJac(&got, &p, &q)
+		if generic.addJac(&want, &p, &q); got != want {
+			t.Fatalf("sel %d: addJac(%v, %v) = %v on the fold, %v generic", sel, p, q, got, want)
+		}
+		var sum jacPt
+		fold.addAffine(&sum, &p, &qa)
+		if generic.addAffine(&want, &p, &qa); sum != want {
+			t.Fatalf("sel %d: addAffine(%v, %v) = %v on the fold, %v generic", sel, p, qa, sum, want)
+		}
+		if p.z.IsZero() {
+			return
+		}
+		switch sel % 6 {
+		case 1:
+			var twice jacPt
+			fold.double(&twice, &p)
+			if a, b := fold.lower(&got), fold.lower(&twice); a.x.Cmp(b.x) != 0 || a.y.Cmp(b.y) != 0 {
+				t.Fatalf("P + P = %v, 2P = %v", a, b)
+			}
+		case 2:
+			if !got.z.IsZero() || !sum.z.IsZero() {
+				t.Fatalf("P + (−P) = %v and %v, not the identity", got, sum)
+			}
+		}
+	})
+}

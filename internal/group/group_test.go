@@ -315,7 +315,7 @@ func TestMixedElementPanics(t *testing.T) {
 	MODP1024().Op(MODP1024().Generator(), Secp160r1().Generator())
 }
 
-func mustScalar(t *testing.T, g Group, rng *fixedbig.DRBG) *big.Int {
+func mustScalar(t testing.TB, g Group, rng *fixedbig.DRBG) *big.Int {
 	t.Helper()
 	k, err := g.RandomScalar(rng)
 	if err != nil {

@@ -15,13 +15,18 @@ import (
 // values. Elements stay affine big.Int pairs outside, so encodings and
 // protocol transcripts do not depend on the limb representation;
 // FuzzExpAgainstGeneric and FuzzMultiExpAgainstGeneric hold the kernel
-// to a math/big reference curve that only the tests carry.
+// to a math/big reference curve that only the tests carry. The point
+// formulas below are generic over the field's body; on secp160r1's fold
+// newCurveKernel picks their fold versions (fold.go) once, which run
+// the same operations on field.Fold's three-limb values, and
+// FuzzFoldAgainstGeneric holds the two to the same coordinates.
 
 // curveKernel is the arithmetic engine of one curve.
 type curveKernel struct {
 	field.Field
-	b field.Elem // the curve's constant term, for onCurve
-	g *ECGroup   // the group whose elements leave the kernel
+	fold *field.Fold // the field's fold arithmetic (fold.go), nil unless it folds
+	b    field.Elem  // the curve's constant term, for onCurve
+	g    *ECGroup    // the group whose elements leave the kernel
 }
 
 // jacPt is a Jacobian point (X/Z², Y/Z³) in the field's form; Z = 0
@@ -45,7 +50,11 @@ func newCurveKernel(p, a, b, n *big.Int) (*curveKernel, error) {
 	if err != nil || n.BitLen() > 256 || new(big.Int).Add(a, big.NewInt(3)).Cmp(p) != 0 {
 		return nil, errCurveShape
 	}
-	return &curveKernel{Field: f, b: f.Reduce(b)}, nil
+	k := &curveKernel{Field: f, b: f.Reduce(b)}
+	if fold, ok := f.Fold(); ok {
+		k.fold = &fold
+	}
+	return k, nil
 }
 
 // onCurve reports whether the affine point a, not the identity, satisfies
@@ -172,6 +181,10 @@ func (k *curveKernel) equalAffine(p *jacPt, a *affPt) bool {
 // with S and 8Y⁴ both reached through T = 2Y² to save field additions.
 // Infinity and points of order two need no branch: both give Z' = 0.
 func (k *curveKernel) double(r, p *jacPt) {
+	if k.fold != nil {
+		k.doubleFold(r, p)
+		return
+	}
 	var z2, m, t, s, x3, y3, z3 field.Elem
 	k.Sqr(&z2, &p.z)
 	k.Sub(&m, &p.x, &z2)
@@ -206,6 +219,10 @@ func (k *curveKernel) addJac(r, p, q *jacPt) {
 		*r = *p
 		return
 	}
+	if k.fold != nil {
+		k.addJacFold(r, p, q)
+		return
+	}
 	var z1z1, z2z2, u1, u2, s1, s2, zz field.Elem
 	k.Sqr(&z1z1, &p.z)
 	k.Sqr(&z2z2, &q.z)
@@ -229,6 +246,10 @@ func (k *curveKernel) addAffine(r, p *jacPt, q *affPt) {
 	}
 	if p.z.IsZero() {
 		*r = k.toJac(q)
+		return
+	}
+	if k.fold != nil {
+		k.addAffineFold(r, p, q)
 		return
 	}
 	var z1z1, u2, s2 field.Elem

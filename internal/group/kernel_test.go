@@ -424,3 +424,34 @@ func BenchmarkMultiExp(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPointOps prices the kernel's two hot formulas one operation
+// at a time, each result fed to the next: a doubling and a mixed
+// addition of an affine point, on secp160r1 (the fold formulas) and P-256
+// (the generic ones). The Jacobian operand starts with Z ≠ 1.
+func BenchmarkPointOps(b *testing.B) {
+	for _, g := range []*ECGroup{Secp160r1(), Secp256r1()} {
+		k := g.kern
+		rng := fixedbig.NewDRBG("bench-point-ops")
+		p := k.lift(g.unwrap(ExpGen(g, mustScalar(b, g, rng))))
+		q := k.lift(g.unwrap(ExpGen(g, mustScalar(b, g, rng))))
+		start := k.toJac(&p)
+		k.double(&start, &start)
+		b.Run(g.name+"/double", func(b *testing.B) {
+			acc := start
+			for i := 0; i < b.N; i++ {
+				k.double(&acc, &acc)
+			}
+			pointSink = acc
+		})
+		b.Run(g.name+"/add-affine", func(b *testing.B) {
+			acc := start
+			for i := 0; i < b.N; i++ {
+				k.addAffine(&acc, &acc, &q)
+			}
+			pointSink = acc
+		})
+	}
+}
+
+var pointSink jacPt

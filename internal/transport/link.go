@@ -397,6 +397,12 @@ func (m *mesh) attach(peer, epoch int, conn net.Conn, rd *bufio.Reader) <-chan b
 	if p.conn != nil {
 		p.conn.Close() // its pump's down call sees the mismatch and does nothing
 	}
+	// The hello is the connection's first frame. Its time is stored
+	// before the connection is published: the heartbeat loop arms a
+	// published connection's read deadline from lastSeen, and a stale
+	// value there (zero, or the previous connection's last frame) would
+	// time the new connection out on its first read.
+	m.lastSeen[peer].Store(time.Now().UnixNano())
 	p.conn = conn
 	if p.timer != nil {
 		p.timer.Stop()
@@ -409,7 +415,6 @@ func (m *mesh) attach(peer, epoch int, conn net.Conn, rd *bufio.Reader) <-chan b
 	}
 	m.wg.Add(1)
 	m.mu.Unlock()
-	m.lastSeen[peer].Store(time.Now().UnixNano()) // the hello is the connection's first frame
 	p.tm.connects.Inc()
 	p.tm.linkUp.Set(1)
 	m.onUp(peer, epoch)
@@ -447,10 +452,13 @@ func (m *mesh) pump(peer int, conn net.Conn, rd *bufio.Reader, lost chan<- bool)
 // not tear down its successor. The peer is blamed at once on a
 // fail-fast mesh, and on any mesh when the cause is a frame type this
 // build has no codec for (not an outage: a redial would only fetch
-// more of the same); otherwise the grace clock starts.
+// more of the same); otherwise the grace clock starts. The connection
+// is closed under the lock, so the first cause to arrive is the one
+// recorded: a writer that fails only because this close cut its write
+// short finds the link already taken down.
 func (m *mesh) down(peer int, conn net.Conn, cause error) {
-	conn.Close()
 	m.mu.Lock()
+	conn.Close()
 	p := &m.peers[peer]
 	if p.conn != conn || m.closed() {
 		m.mu.Unlock()
