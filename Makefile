@@ -128,6 +128,12 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # there, as the compiler's -m report of that file says, since their gain
 # over the generic formulas rests on it. Fold.Add's cost is the inlining
 # budget itself, so a change that grows it fails here first.
+# The exposition check keeps internal/telemetry the one metrics store
+# and its expo.go the one Prometheus writer: outside internal/telemetry
+# no non-test Go may write exposition comment lines ("# HELP " or
+# "# TYPE "), so a second registry with its own hand-written /metrics
+# text cannot grow back beside it (obsv's per-party op counts are a
+# counter family in the store, not a writer of their own).
 # The gofmt check names the source trees, not ".", so that the build
 # cache bench/run.sh leaves under .bench_build/ is not walked.
 # The reachability check keeps production code to what a binary or the
@@ -213,6 +219,9 @@ vet:
 	inlined=$$($(GO) build -gcflags=-m ./internal/group/ 2>&1 | grep -cE '^internal/group/fold\.go:[0-9]+:[0-9]+: inlining call to field\.Fold\.(Add|Sub)$$'); \
 	if [ "$$calls" -eq 0 ] || [ "$$calls" -ne "$$inlined" ]; then \
 		echo "internal/group/fold.go calls field.Fold's Add/Sub $$calls times and the compiler inlines $$inlined (go build -gcflags=-m ./internal/group/): keep both within the inlining budget"; exit 1; fi
+	@expo=$$(find *.go bench cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/telemetry/*' | xargs grep -lE '# (HELP|TYPE) ' | tr '\n' ' '); \
+	if [ -n "$$expo" ]; then \
+		echo "Prometheus exposition is written by internal/telemetry alone (register a family in the store, e.g. obsv.Registry.Metrics()), found # HELP/# TYPE in: $$expo"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping"; fi
 
 build:

@@ -90,10 +90,10 @@ func run() int {
 		QueueCap:    *queueCap,
 		Runtime:     settings.Options.Runtime,
 		Recovery:    settings.Options.Recovery,
-		Telemetry:   settings.Options.Telemetry,
+		Telemetry:   settings.Options.Observer.Metrics(),
 	}
 	cfg.Timeout = *sessionTimeout
-	stopAdmin, err := shared.ServeAdmin(cfg.Telemetry)
+	stopAdmin, err := shared.ServeAdmin(settings.Options.Observer)
 	if err != nil {
 		log.Print(err)
 		return 2

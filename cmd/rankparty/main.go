@@ -121,7 +121,7 @@ func run() int {
 		delay := *straggle
 		opts.Observer.SetBeginHook(func(party int, phase string) { time.Sleep(delay) })
 	}
-	stopAdmin, err := shared.ServeAdmin(opts.Telemetry, opts.Observer.WritePrometheus)
+	stopAdmin, err := shared.ServeAdmin(opts.Observer)
 	if err != nil {
 		log.Print(err)
 		return 2

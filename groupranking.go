@@ -35,34 +35,26 @@ import (
 	"groupranking/internal/core"
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/obsv"
-	"groupranking/internal/telemetry"
 	"groupranking/internal/transport"
 	"groupranking/internal/workload"
 )
 
-// Observer is the protocol observability registry: it collects
+// Observer is the one observability handle of a run: it collects
 // phase-scoped spans per party (wall time plus crypto and communication
-// counters) while a run is in flight. Create one with NewObserver, pass
+// counters) and, through its metric store (Metrics), the live counters,
+// gauges and latency histograms of the runtime under a distributed
+// party — transport traffic and round cadence, link redials and
+// retransmissions, heartbeat RTTs, journal durability latency — next
+// to the per-party operation counts. Create one with NewObserver, pass
 // it via Options.Observer or SortOptions.Observer, and export with
 // WriteJSONL (one span per line), WriteSummary (per-phase table) or
-// Spans. A nil Observer disables observability at zero cost.
+// Spans; the rankparty and rankd -admin endpoint serves Metrics live
+// over HTTP. A nil Observer disables observability at zero cost, and
+// enabling it never adds protocol messages or bytes.
 type Observer = obsv.Registry
 
 // NewObserver creates an empty observability registry.
 func NewObserver() *Observer { return obsv.NewRegistry() }
-
-// Telemetry is the runtime metrics registry: streaming counters,
-// gauges and latency histograms covering what the runtime under the
-// protocol does — transport traffic and round cadence, link redials
-// and retransmissions, heartbeat RTTs, journal durability latency.
-// Create one with NewTelemetry, pass it via Options.Telemetry, and
-// serve it live over HTTP with telemetry.AdminMux (the rankparty
-// -admin flag does both). A nil Telemetry disables collection at zero
-// cost, and enabling it never adds protocol messages or bytes.
-type Telemetry = telemetry.Registry
-
-// NewTelemetry creates an empty runtime metrics registry.
-func NewTelemetry() *Telemetry { return telemetry.NewRegistry() }
 
 // Attribute kinds (Section III-A of the paper).
 const (
@@ -155,15 +147,12 @@ type Options struct {
 	// Observer, when non-nil, records per-party phase spans and crypto/
 	// communication counters for the run (party 0 is the initiator,
 	// parties 1..n the participants). On abort the partially filled
-	// Observer still holds every span up to the failure.
+	// Observer still holds every span up to the failure. The
+	// distributed party entry points also stream their runtime health
+	// metrics (transport round cadence, redials, retransmissions,
+	// heartbeat RTT, journal latency) into its metric store, which can
+	// be scraped live while the run is in flight.
 	Observer *Observer
-	// Telemetry, when non-nil, streams runtime health metrics (transport
-	// round cadence, redials, retransmissions, heartbeat RTT, journal
-	// latency) into a registry that can be scraped live while the run is
-	// in flight. Only the distributed party entry points feed it; the
-	// in-process Rank has no runtime underneath to measure and refuses
-	// it.
-	Telemetry *Telemetry
 }
 
 // RecoveryOptions configures the crash-recovery runtime of a
@@ -240,14 +229,10 @@ type Result struct {
 // needs pass context.Background(). Options.Timeout, when set, composes
 // with ctx — whichever deadline expires first wins.
 func Rank(ctx context.Context, q *Questionnaire, criterion Criterion, profiles []Profile, opts Options) (*Result, error) {
-	// The in-process run has no journal and no runtime underneath to
-	// measure: a knob it would ignore is refused rather than silently
-	// dropped.
-	switch {
-	case opts.Recovery != nil:
+	// The in-process run has no journal: the knob it would ignore is
+	// refused rather than silently dropped.
+	if opts.Recovery != nil {
 		return nil, fmt.Errorf("groupranking: Recovery applies to the framework's party entry points only, not to Rank")
-	case opts.Telemetry != nil:
-		return nil, fmt.Errorf("groupranking: Telemetry applies to the framework's party entry points only, not to Rank")
 	}
 	params, err := opts.params(q, len(profiles))
 	if err != nil {

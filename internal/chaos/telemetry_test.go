@@ -80,10 +80,10 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Party 0 runs with live telemetry and an observer, exactly as
-	// `rankparty -admin -trace` wires them.
+	// Party 0 runs with an observer whose metric store feeds its mux,
+	// exactly as `rankparty -admin -trace` wires them.
 	obs := obsv.NewRegistry()
-	tel := telemetry.NewRegistry()
+	tel := obs.Metrics()
 
 	fabrics := make([]*transport.TCPFabric, nParties)
 	ferrs := make([]error, nParties)
@@ -112,7 +112,7 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 		}
 	}()
 	tel.SetHealthSource(fabrics[0])
-	srv := httptest.NewServer(telemetry.AdminMux(tel, obs.WritePrometheus))
+	srv := httptest.NewServer(telemetry.AdminMux(tel))
 	defer srv.Close()
 
 	if code, body := httpGet(t, srv.URL+"/healthz"); code != 200 {
@@ -249,10 +249,90 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 		t.Errorf("abort names phase %q but the final trace only has %v", abort.Phase, phases)
 	}
 
-	// The metrics endpoint serves both registries' counters to the end.
+	// The metrics endpoint serves the transport's and the protocol's
+	// counters, from the one store, to the end.
 	code, body = httpGet(t, srv.URL+"/metrics")
 	if code != 200 || !strings.Contains(body, "mux_session_msgs_total") ||
 		!strings.Contains(body, "grouprank_ops_total") {
 		t.Errorf("metrics after the abort = %d; missing transport or protocol counters", code)
+	}
+}
+
+// TestAdminServesObserverCounts is the one-store contract after a
+// seeded in-process run with an observer (core.RunCtx, what Rank runs):
+// the grouprank_ops_total sample /metrics serves over the observer's
+// store equals PartyTotal for every party and op, and each party's
+// spans plus its catch-all add up to that total in the JSONL trace,
+// with no span counting below zero.
+func TestAdminServesObserverCounts(t *testing.T) {
+	params := core.Params{N: 3, M: 2, T: 1, D1: 4, D2: 3, H: 4, K: 2, Group: chaosGroup(t)}
+	q, err := workload.Uniform(params.M, params.T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := fixedbig.NewDRBG("chaos-admin-counts")
+	crit, err := workload.RandomCriterion(q, params.D1, params.D2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiles, err := workload.RandomProfiles(q, params.N, params.D1, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := obsv.NewRegistry()
+	in := core.Inputs{Questionnaire: q, Criterion: crit, Profiles: profiles}
+	if _, _, err := core.RunCtx(obsv.WithRegistry(context.Background(), obs), params, in, "chaos-admin-counts", nil); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(telemetry.AdminMux(obs.Metrics()))
+	defer srv.Close()
+	code, body := httpGet(t, srv.URL+"/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics = %d", code)
+	}
+	served := make(map[string]string)
+	for _, line := range strings.Split(body, "\n") {
+		if series, value, ok := strings.Cut(line, " "); ok && strings.HasPrefix(series, "grouprank_ops_total{") {
+			served[series] = value
+		}
+	}
+
+	var trace bytes.Buffer
+	if err := obs.WriteJSONL(&trace); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := tracemerge.Load(&trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spanned := make(map[string]int64) // "party op" -> sum over the party's spans and catch-all
+	for _, s := range spans {
+		for op, c := range s.Counts {
+			if c < 0 {
+				t.Errorf("party %d span %q counts %d %s", s.Party, s.Phase, c, op)
+			}
+			spanned[fmt.Sprintf("%d %s", s.Party, op)] += c
+		}
+	}
+
+	series := 0
+	for party := 0; party <= params.N; party++ {
+		for op := obsv.Op(0); op.String() != "unknown"; op++ {
+			series++
+			want := obs.PartyTotal(party, op)
+			key := fmt.Sprintf("grouprank_ops_total{party=\"%d\",op=%q}", party, op)
+			if got := served[key]; got != fmt.Sprint(want) {
+				t.Errorf("/metrics serves %s %q, PartyTotal is %d", key, got, want)
+			}
+			if got := spanned[fmt.Sprintf("%d %s", party, op)]; got != want {
+				t.Errorf("party %d's spans count %d %s, PartyTotal is %d", party, got, op, want)
+			}
+		}
+	}
+	if len(served) != series {
+		t.Errorf("/metrics serves %d grouprank_ops_total series, want %d", len(served), series)
+	}
+	if obs.PartyTotal(1, obsv.OpGroupExp) == 0 || obs.PartyTotal(0, obsv.OpMsgSent) == 0 {
+		t.Error("the run counted no exponentiations or messages")
 	}
 }

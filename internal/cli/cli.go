@@ -32,7 +32,7 @@ type Flags struct {
 	metrics                              bool
 	crashParty, crashRound, me           int
 	grace                                time.Duration
-	observability, faults, deployment    bool
+	faults, deployment                   bool
 }
 
 // Protocol registers -group -k -d1 -d2 -h -sorter -seed -timeout and
@@ -59,7 +59,6 @@ func (f *Flags) Workers(fs *flag.FlagSet) {
 
 // Observability registers -trace and -metrics; Report writes them.
 func (f *Flags) Observability(fs *flag.FlagSet) {
-	f.observability = true
 	fs.StringVar(&f.trace, "trace", "", "write a JSONL span trace to this file (- for stderr); written even on abort")
 	fs.BoolVar(&f.metrics, "metrics", false, "print the per-phase observability summary table after the run")
 }
@@ -91,8 +90,7 @@ func (f *Flags) Deployment(fs *flag.FlagSet) {
 
 // Settings is what the registered flags resolve to.
 type Settings struct {
-	// Options has an Observer with -trace, -metrics or -admin and a
-	// Telemetry registry with -admin.
+	// Options has an Observer with -trace, -metrics or -admin.
 	Options groupranking.Options
 	// Addrs and Me are the mesh and this process's slot in it.
 	Addrs []string
@@ -130,12 +128,8 @@ func (f *Flags) Resolve() (Settings, error) {
 	if err := s.Options.Recovery.Validate(); err != nil {
 		return Settings{}, err
 	}
-	if f.admin != "" {
-		s.Options.Telemetry = groupranking.NewTelemetry()
-	}
-	// The admin endpoint serves the Observer's phase counters too, so a
-	// binary with the observability flags gets one under -admin.
-	if f.trace != "" || f.metrics || (f.observability && f.admin != "") {
+	// The admin endpoint serves the Observer's metric store.
+	if f.trace != "" || f.metrics || f.admin != "" {
 		s.Options.Observer = groupranking.NewObserver()
 	}
 	return s, nil
@@ -156,10 +150,10 @@ func (f *Flags) FaultPlan(extra ...groupranking.FaultRule) *groupranking.FaultPl
 	return &plan
 }
 
-// ServeAdmin starts the -admin endpoint over tel (the registry Resolve
-// created) and the extra collectors, appended to /metrics; without
-// -admin it does nothing. The returned stop closes the server.
-func (f *Flags) ServeAdmin(tel *groupranking.Telemetry, collect ...func(io.Writer) error) (stop func(), err error) {
+// ServeAdmin starts the -admin endpoint over obs's metric store (obs is
+// the Observer Resolve created); without -admin it does nothing. The
+// returned stop closes the server.
+func (f *Flags) ServeAdmin(obs *groupranking.Observer) (stop func(), err error) {
 	if f.admin == "" {
 		return func() {}, nil
 	}
@@ -167,7 +161,7 @@ func (f *Flags) ServeAdmin(tel *groupranking.Telemetry, collect ...func(io.Write
 	if err != nil {
 		return nil, fmt.Errorf("-admin: %w", err)
 	}
-	srv := &http.Server{Handler: telemetry.AdminMux(tel, collect...)}
+	srv := &http.Server{Handler: telemetry.AdminMux(obs.Metrics())}
 	go srv.Serve(ln)
 	log.Printf("admin endpoint on http://%s (/metrics, /healthz, /debug/pprof)", ln.Addr())
 	return func() { srv.Close() }, nil

@@ -48,8 +48,8 @@ func TestResolve(t *testing.T) {
 			if o.Sorter != core.SorterUnlinkable || o.Timeout != 0 || o.Workers != 0 || o.Seed != "" {
 				t.Errorf("sorter %v timeout %v workers %d seed %q, want the zero settings", o.Sorter, o.Timeout, o.Workers, o.Seed)
 			}
-			if o.Recovery != nil || o.Observer != nil || o.Telemetry != nil {
-				t.Error("an unasked-for Recovery, Observer or Telemetry")
+			if o.Recovery != nil || o.Observer != nil {
+				t.Error("an unasked-for Recovery or Observer")
 			}
 			if len(s.Addrs) != 3 || s.Me != 1 {
 				t.Errorf("mesh %v me %d", s.Addrs, s.Me)
@@ -88,8 +88,8 @@ func TestResolve(t *testing.T) {
 			}
 		}},
 		{name: "admin brings telemetry and an observer", args: []string{"-admin", "127.0.0.1:0"}, check: func(t *testing.T, s Settings) {
-			if s.Options.Telemetry == nil || s.Options.Observer == nil {
-				t.Error("-admin without a Telemetry registry or Observer")
+			if s.Options.Observer.Metrics() == nil {
+				t.Error("-admin without an Observer and its metric store")
 			}
 		}},
 		{name: "grace without journal", args: []string{"-grace", "5s"}, want: "-grace needs -journal"},

@@ -28,8 +28,8 @@ func TestEveryPhaseObserved(t *testing.T) {
 			t.Fatal(err)
 		}
 		seen := make(map[string]bool)
-		for _, phase := range reg.Phases() {
-			seen[phase] = true
+		for _, s := range reg.Spans() {
+			seen[s.Phase] = true
 		}
 		return seen
 	}

@@ -80,19 +80,16 @@ func (r *Registry) WriteSummary(w io.Writer) error {
 	for _, p := range r.partyList() {
 		var wall int64
 		p.mu.Lock()
-		done := make([]*Span, len(p.done))
-		copy(done, p.done)
-		p.mu.Unlock()
-		for _, s := range done {
-			if end, closed := s.endTime(); closed {
-				wall += end.Sub(s.start).Microseconds()
-			}
+		for _, s := range p.done {
+			wall += s.end.Sub(s.start).Microseconds()
 		}
+		p.mu.Unlock()
+		t := p.read()
 		fmt.Fprintf(tw, "%d\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%d\n",
 			p.idx, fmtWall(wall),
-			p.Total(OpGroupExp), p.Total(OpEncrypt), p.Total(OpDecrypt),
-			p.Total(OpProofMade), p.Total(OpProofChecked), p.Total(OpSSMul),
-			p.Total(OpFieldMul), p.Total(OpMsgSent), p.Total(OpByteSent))
+			t[OpGroupExp], t[OpEncrypt], t[OpDecrypt],
+			t[OpProofMade], t[OpProofChecked], t[OpSSMul],
+			t[OpFieldMul], t[OpMsgSent], t[OpByteSent])
 	}
 	return tw.Flush()
 }

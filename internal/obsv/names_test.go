@@ -8,9 +8,9 @@ import (
 
 // TestOpNamesExhaustive pins the exported name of every operation
 // counter. The names are a wire format: traces, summaries and the
-// Prometheus bridge all key on them, so adding an Op without a name —
-// or renaming one — must fail loudly here, not silently export
-// "unknown" or break downstream dashboards.
+// grouprank_ops_total exposition all key on them, so adding an Op
+// without a name — or renaming one — must fail loudly here, not
+// silently export "unknown" or break downstream dashboards.
 func TestOpNamesExhaustive(t *testing.T) {
 	want := []string{
 		"group_exp", "group_op", "group_inv",
@@ -22,11 +22,11 @@ func TestOpNamesExhaustive(t *testing.T) {
 		"echo_msgs_sent", "echo_bytes_sent",
 		"recv_wait_us",
 	}
-	if got := NumOps(); got != len(want) {
-		t.Fatalf("NumOps() = %d but %d names are pinned — name the new Op here and in every exporter", got, len(want))
+	if got := int(numOps); got != len(want) {
+		t.Fatalf("numOps = %d but %d names are pinned — name the new Op here and in every exporter", got, len(want))
 	}
 	seen := make(map[string]bool)
-	for op := Op(0); op < Op(NumOps()); op++ {
+	for op := Op(0); op < numOps; op++ {
 		name := op.String()
 		if name != want[op] {
 			t.Errorf("Op(%d).String() = %q, want %q", op, name, want[op])
@@ -42,7 +42,7 @@ func TestOpNamesExhaustive(t *testing.T) {
 		}
 		seen[name] = true
 	}
-	if got := Op(NumOps()).String(); got != "unknown" {
+	if got := numOps.String(); got != "unknown" {
 		t.Errorf("out-of-range Op stringifies to %q, want \"unknown\"", got)
 	}
 	if got := Op(-1).String(); got != "unknown" {

@@ -1,15 +1,22 @@
 // Package obsv is the protocol-wide observability layer: a per-party,
-// phase-scoped span tracer plus a lock-cheap metrics registry counting
-// crypto operations (group exponentiations/additions, ElGamal
-// encryptions/decryptions, proofs made and checked) and communication
-// (messages and bytes per phase per party).
+// phase-scoped span tracer over counters of crypto operations (group
+// exponentiations/additions, ElGamal encryptions/decryptions, proofs
+// made and checked) and communication (messages and bytes per phase per
+// party), with the JSONL trace and summary-table exporters.
+//
+// The counters themselves live in internal/telemetry, the one counter,
+// gauge and histogram store: a Registry owns a *telemetry.Registry
+// (Metrics) in which each party's ops are the counter family
+// grouprank_ops_total{party,op}, one cell per quantity. The transport,
+// journal and daemon metrics of a run feed the same store, so the admin
+// endpoint's /metrics serves them all from one exposition writer.
 //
 // The design centres on a nil-registry fast path: every method on a nil
-// *Registry, *Party or *Span is a no-op, so protocol code calls the
+// *Registry or *Party is a no-op, so protocol code calls the
 // observability hooks unconditionally and a disabled run pays only a
-// nil check. Counters are plain atomic adds on a fixed-size array — no
-// maps, no locks on the hot path — so enabling observability perturbs
-// the measured protocol as little as possible.
+// nil check. An enabled Add is one atomic add on a cell the party
+// resolved at creation — no maps, no locks on the hot path — so enabling
+// observability perturbs the measured protocol as little as possible.
 //
 // Attribution flows through two mechanisms:
 //
@@ -22,17 +29,20 @@
 //     the party from a wrapped group with PartyOf, which keeps their
 //     signatures unchanged.
 //
-// Counts land on the party's current span, so per-phase breakdowns fall
-// out of the same counters; operations outside any span accumulate on a
-// catch-all span with phase "(unattributed)".
+// A span records the party's cells when it begins and ends, and counts
+// the difference, so per-phase breakdowns fall out of the same cells;
+// what a party counts outside any span is its catch-all span, phase
+// "(unattributed)": the total minus the spans.
 package obsv
 
 import (
 	"context"
 	"sort"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"groupranking/internal/telemetry"
 )
 
 // Op enumerates the counted operation kinds.
@@ -74,10 +84,6 @@ var opNames = [numOps]string{
 	"recv_wait_us",
 }
 
-// NumOps returns the number of counted operation kinds; Op values
-// [0, NumOps) are valid. Exporters use it to iterate the taxonomy.
-func NumOps() int { return int(numOps) }
-
 // String returns the stable snake_case name used in exports.
 func (o Op) String() string {
 	if o < 0 || o >= numOps {
@@ -86,74 +92,51 @@ func (o Op) String() string {
 	return opNames[o]
 }
 
-// Span is one phase-scoped measurement interval of one party. Its
-// counters are updated with atomic adds; identity fields are immutable
-// after creation. The end timestamp is atomic because a still-open span
-// can be snapshotted (mid-run trace export, the admin endpoint) at the
-// same moment the party's own goroutine closes it.
-type Span struct {
-	party  int
-	phase  string
-	seq    int // per-party span ordinal (1-based; 0 = catch-all)
-	start  time.Time
-	endNS  atomic.Int64 // UnixNano; 0 while open
-	counts [numOps]int64
+// span is one phase-scoped measurement interval of one party: its
+// identity, its timing, and the party's counter cells as Begin and End
+// read them. Its counts are the difference, or "now minus Begin" while
+// it is open. Every field after creation is guarded by the party's mu.
+type span struct {
+	phase   string
+	seq     int // per-party span ordinal (1-based)
+	start   time.Time
+	end     time.Time     // zero while open
+	atBegin [numOps]int64 // the party's cells at Begin
+	atEnd   [numOps]int64 // the party's cells at End
 }
 
-// end returns the close time and whether the span is closed.
-func (s *Span) endTime() (time.Time, bool) {
-	ns := s.endNS.Load()
-	if ns == 0 {
-		return time.Time{}, false
-	}
-	return time.Unix(0, ns), true
-}
-
-func (s *Span) add(op Op, n int64) {
-	atomic.AddInt64(&s.counts[op], n)
-}
-
-// Count reads one counter (atomically, so it is safe on open spans).
-func (s *Span) Count(op Op) int64 {
-	if s == nil || op < 0 || op >= numOps {
-		return 0
-	}
-	return atomic.LoadInt64(&s.counts[op])
-}
-
-// Party is one party's handle into the registry. Begin/End must be
-// called from the party's own goroutine; Add may be called from any
-// goroutine. All methods are no-ops on a nil receiver.
+// Party is one party's handle into the registry. Its operation counts
+// live in the registry's metric store, one grouprank_ops_total{party,op}
+// counter per op, resolved once at creation; spans only read them. Add
+// may be called from any goroutine, Begin/End from the party's own.
+// All methods are no-ops on a nil receiver.
 type Party struct {
-	idx     int
-	reg     *Registry
-	cur     atomic.Pointer[Span]
-	nextSeq int // only touched from the party's goroutine (Begin)
+	idx   int
+	reg   *Registry
+	cells [numOps]*telemetry.Counter
 
-	mu     sync.Mutex
-	done   []*Span
-	orphan Span // operations outside any span
+	mu      sync.Mutex
+	nextSeq int
+	cur     *span
+	done    []*span
 }
 
-// Index returns the party's index in the registry.
-func (p *Party) Index() int {
-	if p == nil {
-		return -1
-	}
-	return p.idx
-}
-
-// Add charges n operations of the given kind to the party's current
-// span (or to the catch-all span when none is open).
+// Add charges n operations of the given kind to the party: one atomic
+// add on that op's cell. Which span the operations belong to follows
+// from when they happen.
 func (p *Party) Add(op Op, n int64) {
-	if p == nil || op < 0 || op >= numOps {
+	if p == nil {
 		return
 	}
-	if s := p.cur.Load(); s != nil {
-		s.add(op, n)
-		return
+	p.cells[op].Add(n)
+}
+
+// read loads every cell of the party, one atomic read each.
+func (p *Party) read() (now [numOps]int64) {
+	for op, c := range p.cells {
+		now[op] = c.Value()
 	}
-	p.orphan.add(op, n)
+	return now
 }
 
 // Begin closes the current span (if any) and opens a new one with the
@@ -162,10 +145,11 @@ func (p *Party) Begin(phase string) {
 	if p == nil {
 		return
 	}
-	p.End()
+	p.mu.Lock()
+	p.endLocked()
 	p.nextSeq++
-	s := &Span{party: p.idx, phase: phase, seq: p.nextSeq, start: time.Now()}
-	p.cur.Store(s)
+	p.cur = &span{phase: phase, seq: p.nextSeq, start: time.Now(), atBegin: p.read()}
+	p.mu.Unlock()
 	// The hook runs after the span opens, so time it spends (fault
 	// injection, straggler delays) is attributed to the span as compute.
 	if hook := p.reg.beginHook(); hook != nil {
@@ -179,37 +163,28 @@ func (p *Party) End() {
 	if p == nil {
 		return
 	}
-	s := p.cur.Swap(nil)
+	p.mu.Lock()
+	p.endLocked()
+	p.mu.Unlock()
+}
+
+func (p *Party) endLocked() {
+	s := p.cur
 	if s == nil {
 		return
 	}
-	s.endNS.Store(time.Now().UnixNano())
-	p.mu.Lock()
+	s.atEnd, s.end = p.read(), time.Now()
 	p.done = append(p.done, s)
-	p.mu.Unlock()
+	p.cur = nil
 }
 
-// Total sums one counter over all of the party's spans, including the
-// open one and the catch-all.
-func (p *Party) Total(op Op) int64 {
-	if p == nil {
-		return 0
-	}
-	var t int64
-	p.mu.Lock()
-	for _, s := range p.done {
-		t += s.Count(op)
-	}
-	p.mu.Unlock()
-	t += p.orphan.Count(op)
-	t += p.cur.Load().Count(op)
-	return t
-}
-
-// Registry collects spans and counters for all parties of one run.
-// A nil *Registry is the disabled state; every method is nil-safe.
+// Registry collects the spans of all parties of one run over the
+// counters in its metric store. A nil *Registry is the disabled state;
+// every method is nil-safe.
 type Registry struct {
-	start time.Time
+	start   time.Time
+	metrics *telemetry.Registry
+	ops     *telemetry.CounterVec
 
 	mu      sync.Mutex
 	parties map[int]*Party
@@ -228,16 +203,6 @@ func (r *Registry) SetTraceID(id string) {
 	r.mu.Lock()
 	r.traceID = id
 	r.mu.Unlock()
-}
-
-// TraceID returns the pinned trace identifier ("" until set).
-func (r *Registry) TraceID() string {
-	if r == nil {
-		return ""
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.traceID
 }
 
 // SetBeginHook installs fn to run inside every Party.Begin, after the
@@ -262,10 +227,27 @@ func (r *Registry) beginHook() func(party int, phase string) {
 	return r.onBegin
 }
 
-// NewRegistry creates an empty registry; party handles are created on
-// first use.
+// NewRegistry creates an empty registry with a metric store of its own;
+// party handles are created on first use.
 func NewRegistry() *Registry {
-	return &Registry{start: time.Now(), parties: make(map[int]*Party)}
+	m := telemetry.NewRegistry()
+	return &Registry{
+		start:   time.Now(),
+		metrics: m,
+		ops:     m.CounterVec("grouprank_ops_total", "Protocol operations by party and kind.", "party", "op"),
+		parties: make(map[int]*Party),
+	}
+}
+
+// Metrics returns the registry's metric store: the protocol's
+// grouprank_ops_total family, and whatever the runtime under the
+// parties (transport, journal, daemon) registers in it. The admin
+// endpoint serves it. Nil on a nil registry, the disabled store.
+func (r *Registry) Metrics() *telemetry.Registry {
+	if r == nil {
+		return nil
+	}
+	return r.metrics
 }
 
 // Party returns (creating if needed) the handle for party idx. It
@@ -279,28 +261,17 @@ func (r *Registry) Party(idx int) *Party {
 	p, ok := r.parties[idx]
 	if !ok {
 		p = &Party{idx: idx, reg: r}
-		p.orphan.party = idx
-		p.orphan.phase = "(unattributed)"
-		p.orphan.start = r.start
+		party := strconv.Itoa(idx)
+		for op := range p.cells {
+			p.cells[op] = r.ops.With(party, Op(op).String())
+		}
 		r.parties[idx] = p
 	}
 	return p
 }
 
-// Total sums one counter over every party.
-func (r *Registry) Total(op Op) int64 {
-	if r == nil {
-		return 0
-	}
-	var t int64
-	for _, p := range r.partyList() {
-		t += p.Total(op)
-	}
-	return t
-}
-
-// PartyTotal sums one counter for one party (0 if the party never
-// reported).
+// PartyTotal reads one counter of one party: its cell, which every span
+// and the catch-all share (0 if the party never reported).
 func (r *Registry) PartyTotal(idx int, op Op) int64 {
 	if r == nil {
 		return 0
@@ -308,7 +279,10 @@ func (r *Registry) PartyTotal(idx int, op Op) int64 {
 	r.mu.Lock()
 	p := r.parties[idx]
 	r.mu.Unlock()
-	return p.Total(op)
+	if p == nil {
+		return 0
+	}
+	return p.cells[op].Value()
 }
 
 // partyList snapshots the party handles sorted by index.
@@ -336,80 +310,87 @@ type SpanSnapshot struct {
 	Counts  map[string]int64 `json:"counts,omitempty"`
 }
 
-func (r *Registry) snapshotSpan(s *Span, open bool) SpanSnapshot {
-	// A span grabbed from p.cur may be closed by the party's goroutine
-	// between the load and this snapshot; trust the span's own state over
-	// the caller's view so the race resolves to the closed duration.
-	end, closed := s.endTime()
-	if !closed {
-		end = time.Now()
-	} else {
-		open = false
+// counts is what the span counted: the cells at End minus the cells
+// at Begin, or now minus Begin while it is open.
+func (s *span) counts(now *[numOps]int64) (c [numOps]int64) {
+	atEnd := &s.atEnd
+	if s.end.IsZero() {
+		atEnd = now
 	}
-	snap := SpanSnapshot{
-		TraceID: r.TraceID(),
-		Party:   s.party,
+	for op := range c {
+		c[op] = atEnd[op] - s.atBegin[op]
+	}
+	return c
+}
+
+// snapshot exports one span of party with its counts; a span still
+// open ends now.
+func (r *Registry) snapshot(traceID string, party int, s *span, counts *[numOps]int64) SpanSnapshot {
+	end, open := s.end, s.end.IsZero()
+	if open {
+		end = time.Now()
+	}
+	return SpanSnapshot{
+		TraceID: traceID,
+		Party:   party,
 		Phase:   s.phase,
 		Seq:     s.seq,
 		StartUS: s.start.Sub(r.start).Microseconds(),
 		DurUS:   end.Sub(s.start).Microseconds(),
 		Open:    open,
+		Counts:  countMap(counts),
 	}
-	for op := Op(0); op < numOps; op++ {
-		if c := s.Count(op); c != 0 {
-			if snap.Counts == nil {
-				snap.Counts = make(map[string]int64)
+}
+
+// countMap names the non-zero counts, nil when there are none.
+func countMap(counts *[numOps]int64) map[string]int64 {
+	var m map[string]int64
+	for op, c := range counts {
+		if c != 0 {
+			if m == nil {
+				m = make(map[string]int64)
 			}
-			snap.Counts[op.String()] = c
+			m[Op(op).String()] = c
 		}
 	}
-	return snap
+	return m
 }
 
 // Spans snapshots every span of every party — closed spans, still-open
-// spans (marked Open, with duration up to now) and non-empty catch-all
-// spans — ordered by start time. It is safe to call while the run is in
-// flight, which is what makes partial traces on abort possible.
+// spans (marked Open, with duration up to now) and a non-empty
+// catch-all span per party, phase "(unattributed)", holding what the
+// party's cells counted outside its spans — ordered by start time. It
+// is safe to call while the run is in flight, which is what makes
+// partial traces on abort possible.
 func (r *Registry) Spans() []SpanSnapshot {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	traceID := r.traceID
+	r.mu.Unlock()
 	var out []SpanSnapshot
 	for _, p := range r.partyList() {
 		p.mu.Lock()
-		done := make([]*Span, len(p.done))
-		copy(done, p.done)
+		now := p.read()
+		orphan := now
+		spans := p.done
+		if p.cur != nil {
+			spans = append(spans[:len(spans):len(spans)], p.cur)
+		}
+		for _, s := range spans {
+			counts := s.counts(&now)
+			for op, c := range counts {
+				orphan[op] -= c
+			}
+			out = append(out, r.snapshot(traceID, p.idx, s, &counts))
+		}
 		p.mu.Unlock()
-		for _, s := range done {
-			out = append(out, r.snapshotSpan(s, false))
-		}
-		if s := p.cur.Load(); s != nil {
-			out = append(out, r.snapshotSpan(s, true))
-		}
-		orphan := r.snapshotSpan(&p.orphan, false)
-		if len(orphan.Counts) > 0 {
-			orphan.DurUS = 0
-			out = append(out, orphan)
+		if counts := countMap(&orphan); counts != nil {
+			out = append(out, SpanSnapshot{TraceID: traceID, Party: p.idx, Phase: "(unattributed)", Counts: counts})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].StartUS < out[j].StartUS })
-	return out
-}
-
-// Phases returns the distinct phase names seen across all spans, in
-// order of first appearance.
-func (r *Registry) Phases() []string {
-	if r == nil {
-		return nil
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, s := range r.Spans() {
-		if !seen[s.Phase] {
-			seen[s.Phase] = true
-			out = append(out, s.Phase)
-		}
-	}
 	return out
 }
 

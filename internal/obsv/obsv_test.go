@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -23,14 +25,11 @@ func TestNilFastPath(t *testing.T) {
 	p.Add(OpGroupExp, 1)
 	p.Begin("x")
 	p.End()
-	if p.Total(OpGroupExp) != 0 || p.Index() != -1 {
-		t.Error("nil party reported state")
-	}
-	if r.Total(OpGroupExp) != 0 || r.PartyTotal(0, OpGroupExp) != 0 {
+	if r.PartyTotal(0, OpGroupExp) != 0 {
 		t.Error("nil registry reported totals")
 	}
-	if r.Spans() != nil || r.Phases() != nil {
-		t.Error("nil registry reported spans")
+	if r.Spans() != nil || r.Metrics() != nil {
+		t.Error("nil registry reported spans or a metric store")
 	}
 	ctx := WithRegistry(context.Background(), nil)
 	if RegistryFrom(ctx) != nil || PartyFrom(ctx) != nil {
@@ -91,13 +90,13 @@ func TestCountingGroup(t *testing.T) {
 	e = w.Op(e, e)
 	_ = w.Inv(e)
 	p.End()
-	if got := p.Total(OpGroupExp); got != 1 {
+	if got := reg.PartyTotal(1, OpGroupExp); got != 1 {
 		t.Errorf("exp count %d, want 1", got)
 	}
-	if got := p.Total(OpGroupOp); got != 1 {
+	if got := reg.PartyTotal(1, OpGroupOp); got != 1 {
 		t.Errorf("op count %d, want 1", got)
 	}
-	if got := p.Total(OpGroupInv); got != 1 {
+	if got := reg.PartyTotal(1, OpGroupInv); got != 1 {
 		t.Errorf("inv count %d, want 1", got)
 	}
 }
@@ -116,10 +115,10 @@ func TestObservedNetCounts(t *testing.T) {
 	if err := net.Broadcast(2, 0, 7, "y"); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Total(OpMsgSent); got != 3 { // 1 send + 2 broadcast legs
+	if got := reg.PartyTotal(0, OpMsgSent); got != 3 { // 1 send + 2 broadcast legs
 		t.Errorf("msgs %d, want 3", got)
 	}
-	if got := p.Total(OpByteSent); got != 24 { // 10 + 2·7
+	if got := reg.PartyTotal(0, OpByteSent); got != 24 { // 10 + 2·7
 		t.Errorf("bytes %d, want 24", got)
 	}
 	s := fab.Stats()
@@ -136,7 +135,7 @@ func TestOrphanSpan(t *testing.T) {
 	if len(spans) != 1 || spans[0].Phase != "(unattributed)" || spans[0].Counts["elgamal_enc"] != 5 {
 		t.Errorf("orphan span missing or wrong: %+v", spans)
 	}
-	if p.Total(OpEncrypt) != 5 {
+	if reg.PartyTotal(2, OpEncrypt) != 5 {
 		t.Errorf("orphan counts not in totals")
 	}
 }
@@ -175,7 +174,7 @@ func TestRegistryConcurrent(t *testing.T) {
 		defer close(done)
 		for j := 0; j < 50; j++ {
 			reg.Spans()
-			reg.Total(OpGroupExp)
+			reg.PartyTotal(j%parties, OpGroupExp)
 		}
 	}()
 	wg.Wait()
@@ -186,36 +185,80 @@ func TestRegistryConcurrent(t *testing.T) {
 			perParty++
 		}
 	}
-	want := int64(parties * perParty)
-	if got := reg.Total(OpGroupExp); got != want {
-		t.Errorf("total exps %d, want %d", got, want)
+	for i := 0; i < parties; i++ {
+		if got := reg.PartyTotal(i, OpGroupExp); got != int64(perParty) {
+			t.Errorf("party %d exps %d, want %d", i, got, perParty)
+		}
 	}
 }
 
+// TestExporters pins what each exporter reads off the one set of cells:
+// every JSONL span its own counts (a span open at export counts up to
+// now, the catch-all what fell outside every span), and the exposition
+// the party's totals.
 func TestExporters(t *testing.T) {
 	reg := NewRegistry()
 	p := reg.Party(0)
+	p.Add(OpEncrypt, 1) // before any span
 	p.Begin("keygen")
 	p.Add(OpGroupExp, 4)
 	p.Begin("chain")
 	p.Add(OpMsgSent, 2)
 	p.Add(OpByteSent, 100)
 	p.End()
+	p.Add(OpEncrypt, 2) // after the last span
+	q := reg.Party(1)
+	q.Begin("keygen")
+	q.Add(OpGroupExp, 3) // still open at export
 
 	var jsonl bytes.Buffer
 	if err := reg.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(jsonl.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 JSONL spans, got %d: %q", len(lines), jsonl.String())
+	if len(lines) != 4 {
+		t.Fatalf("want 4 JSONL spans, got %d: %q", len(lines), jsonl.String())
 	}
-	var snap SpanSnapshot
-	if err := json.Unmarshal([]byte(lines[0]), &snap); err != nil {
-		t.Fatalf("line not valid JSON: %v", err)
+	got := make(map[string]SpanSnapshot)
+	for _, line := range lines {
+		var snap SpanSnapshot
+		if err := json.Unmarshal([]byte(line), &snap); err != nil {
+			t.Fatalf("line not valid JSON: %v", err)
+		}
+		got[fmt.Sprintf("%d %s", snap.Party, snap.Phase)] = snap
 	}
-	if snap.Phase != "keygen" || snap.Counts["group_exp"] != 4 {
-		t.Errorf("first span wrong: %+v", snap)
+	for key, want := range map[string]map[string]int64{
+		"0 keygen":         {"group_exp": 4},
+		"0 chain":          {"msgs_sent": 2, "bytes_sent": 100},
+		"0 (unattributed)": {"elgamal_enc": 3},
+		"1 keygen":         {"group_exp": 3},
+	} {
+		if snap := got[key]; !maps.Equal(snap.Counts, want) {
+			t.Errorf("span %q counts %v, want %v", key, snap.Counts, want)
+		}
+	}
+	if !got["1 keygen"].Open || got["0 chain"].Open {
+		t.Errorf("open flags wrong: %+v", got)
+	}
+
+	var expo strings.Builder
+	if err := reg.Metrics().WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# HELP grouprank_ops_total Protocol operations by party and kind.\n# TYPE grouprank_ops_total counter\n",
+		`grouprank_ops_total{party="0",op="group_exp"} 4` + "\n",
+		`grouprank_ops_total{party="0",op="elgamal_enc"} 3` + "\n",
+		`grouprank_ops_total{party="0",op="bytes_sent"} 100` + "\n",
+		`grouprank_ops_total{party="1",op="group_exp"} 3` + "\n",
+		`grouprank_ops_total{party="1",op="recv_wait_us"} 0` + "\n",
+	} {
+		if !strings.Contains(expo.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, expo.String())
+		}
+	}
+	if n := strings.Count(expo.String(), "grouprank_ops_total{"); n != 2*int(numOps) {
+		t.Errorf("exposition has %d grouprank_ops_total series, want every op of both parties (%d)", n, 2*int(numOps))
 	}
 
 	var sum bytes.Buffer

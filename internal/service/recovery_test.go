@@ -37,7 +37,7 @@ type durableMesh struct {
 	servers []*httptest.Server
 	clients []*groupranking.Client
 	hc      *http.Client
-	tel     *groupranking.Telemetry // daemon 0's registry
+	tel     *telemetry.Registry // daemon 0's registry, as rankd resolves it
 }
 
 // startDurable boots a recovery-mode mesh, one journal dir per daemon.
@@ -53,7 +53,7 @@ func startDurable(t *testing.T, size int, mutate func(i int, cfg *service.Config
 		servers: make([]*httptest.Server, size),
 		clients: make([]*groupranking.Client, size),
 		hc:      &http.Client{},
-		tel:     groupranking.NewTelemetry(),
+		tel:     groupranking.NewObserver().Metrics(),
 	}
 	t.Cleanup(m.hc.CloseIdleConnections)
 	for i := 0; i < size; i++ {

@@ -74,8 +74,8 @@ type Config struct {
 	// interrupted sessions resume byte-identically.
 	Recovery *groupranking.RecoveryOptions
 	// Telemetry, when set, collects the mux link and service session
-	// metrics.
-	Telemetry *groupranking.Telemetry
+	// metrics (rankd: its Observer's metric store, which -admin serves).
+	Telemetry *telemetry.Registry
 }
 
 // ErrBadConfig is the typed startup failure for a Config the daemon

@@ -15,6 +15,7 @@ import (
 	"groupranking/internal/api"
 	"groupranking/internal/leakcheck"
 	"groupranking/internal/service"
+	"groupranking/internal/telemetry"
 	"groupranking/internal/transport"
 )
 
@@ -31,7 +32,7 @@ type testMesh struct {
 	daemons []*service.Daemon
 	servers []*httptest.Server
 	clients []*groupranking.Client
-	tel     *groupranking.Telemetry // daemon 0's registry
+	tel     *telemetry.Registry // daemon 0's registry, as rankd resolves it
 }
 
 // startMesh boots a daemon mesh with the given config tweak applied
@@ -47,7 +48,7 @@ func startMesh(t *testing.T, size int, mutate func(i int, cfg *service.Config)) 
 		daemons: make([]*service.Daemon, size),
 		servers: make([]*httptest.Server, size),
 		clients: make([]*groupranking.Client, size),
-		tel:     groupranking.NewTelemetry(),
+		tel:     groupranking.NewObserver().Metrics(),
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, size)

@@ -70,13 +70,6 @@ func (c Config) field() (*shamir.Field, error) {
 	return f, nil
 }
 
-// Counters tallies the cost quantities of Section VI-B.
-type Counters struct {
-	Mults  int64 // invocations of the multiplication protocol
-	Opens  int64 // opening phases (batched openings count once per value)
-	Rounds int64 // synchronous communication rounds
-}
-
 // Share is this party's share of a secret (abscissa = party index + 1).
 type Share struct {
 	y field.Elem
@@ -90,8 +83,7 @@ type Engine struct {
 	rng   io.Reader
 	ctx   context.Context
 	round int
-	ctr   Counters
-	obs   *obsv.Party
+	obs   *obsv.Party // counts the cost quantities of Section VI-B
 
 	f   *shamir.Field
 	sch *shamir.Scheme // degree-d sharing at abscissae 1..N, with the Lagrange coefficients at 0
@@ -155,9 +147,6 @@ func (e *Engine) gather(round int) ([]any, error) {
 // Party returns this engine's party index.
 func (e *Engine) Party() int { return e.me }
 
-// Counters returns a snapshot of this party's cost counters.
-func (e *Engine) Counters() Counters { return e.ctr }
-
 // Config returns the session configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
@@ -167,7 +156,6 @@ func (e *Engine) fieldBytes() int { return wirecodec.WidthOf(e.cfg.P) }
 // nextRound advances the synchronous round counter.
 func (e *Engine) nextRound() int {
 	e.round++
-	e.ctr.Rounds++
 	e.obs.Add(obsv.OpSSRound, 1)
 	return e.round
 }
@@ -336,7 +324,6 @@ func (e *Engine) OpenBatch(shares []Share) ([]*big.Int, error) {
 // open is OpenBatch before the conversion to integers.
 func (e *Engine) open(shares []Share) ([]field.Elem, error) {
 	round := e.nextRound()
-	e.ctr.Opens += int64(len(shares))
 	e.obs.Add(obsv.OpSSOpen, int64(len(shares)))
 	mine := make([]field.Elem, len(shares))
 	for i, s := range shares {
@@ -395,7 +382,6 @@ func (e *Engine) MulBatch(as, bs []Share) ([]Share, error) {
 		return nil, nil
 	}
 	round := e.nextRound()
-	e.ctr.Mults += int64(k)
 	e.obs.Add(obsv.OpSSMul, int64(k))
 
 	// My degree-2d product shares, reshared piece by piece.

@@ -10,9 +10,8 @@ import (
 
 // Result carries one party's program output.
 type Result[T any] struct {
-	Party    int
-	Value    T
-	Counters Counters
+	Party int
+	Value T
 }
 
 // RunProgram executes the same SPMD program on all cfg.N parties, one
@@ -36,7 +35,7 @@ func RunProgram[T any](cfg Config, seed string, opts []transport.Option, prog fu
 		if err != nil {
 			return fmt.Errorf("party %d: %w", me, err)
 		}
-		results[me] = Result[T]{Party: me, Value: v, Counters: eng.Counters()}
+		results[me] = Result[T]{Party: me, Value: v}
 		return nil
 	}, opts...)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"groupranking/internal/fixedbig"
+	"groupranking/internal/obsv"
 	"groupranking/internal/transport"
 )
 
@@ -312,36 +313,45 @@ func TestGTEAndLT(t *testing.T) {
 	}
 }
 
+// TestCountersAdvance reads the engine's cost quantities (Section VI-B)
+// from the obsv registry a party's context carries, where the engine
+// counts them.
 func TestCountersAdvance(t *testing.T) {
 	cfg := testConfig(t, 5, 2)
-	results, fab, err := RunProgram(cfg, "counters", nil, func(e *Engine) (*big.Int, error) {
+	reg := obsv.NewRegistry()
+	fab, _, err := transport.RunMesh(context.Background(), cfg.N, nil, func(ctx context.Context, me int, net transport.Net) error {
+		e, err := NewEngineCtx(obsv.WithParty(ctx, reg.Party(me)), cfg, me, net, fixedbig.PartyDRBG("counters", me))
+		if err != nil {
+			return err
+		}
 		var v *big.Int
-		if e.Party() == 0 {
+		if me == 0 {
 			v = big.NewInt(50)
 		}
 		a, err := e.ShareBatch(0, []*big.Int{v}, 1)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		gte, err := e.GTEBatch(a, a, 8)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return openOne(e, gte)
+		_, err = openOne(e, gte)
+		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := results[0].Counters
-	if c.Mults == 0 || c.Rounds == 0 || c.Opens == 0 {
-		t.Errorf("counters did not advance: %+v", c)
+	mults, opens, rounds := reg.PartyTotal(0, obsv.OpSSMul), reg.PartyTotal(0, obsv.OpSSOpen), reg.PartyTotal(0, obsv.OpSSRound)
+	if mults == 0 || rounds == 0 || opens == 0 {
+		t.Errorf("counters did not advance: %d mults, %d opens, %d rounds", mults, opens, rounds)
 	}
 	if fab.Stats().TotalBytes() == 0 {
 		t.Error("no bytes recorded on the fabric")
 	}
 	// A single comparison should cost on the order of 3l+κ multiplications.
-	if c.Mults > 1000 {
-		t.Errorf("comparison cost implausibly high: %d mults", c.Mults)
+	if mults > 1000 {
+		t.Errorf("comparison cost implausibly high: %d mults", mults)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -36,10 +37,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 func (f *family) write(w io.Writer) error {
 	f.mu.Lock()
-	children := make([]*metric, 0, len(f.order))
-	for _, lv := range f.order {
-		children = append(children, f.children[lv])
-	}
+	children := slices.Clone(f.order)
 	f.mu.Unlock()
 	if len(children) == 0 {
 		return nil
@@ -60,17 +58,26 @@ func (f *family) write(w io.Writer) error {
 	return nil
 }
 
-func (f *family) writeChild(w io.Writer, m *metric) error {
-	labels := ""
-	if f.label != "" {
-		labels = fmt.Sprintf("{%s=%q}", f.label, m.labelValue)
+// renderLabels renders one child's label set as the exposition writes
+// it after the metric name: {k1="v1",k2="v2"}, or "" without labels.
+func renderLabels(keys, values []string) string {
+	if len(keys) == 0 {
+		return ""
 	}
+	pairs := make([]string, len(keys))
+	for i, k := range keys {
+		pairs[i] = fmt.Sprintf("%s=%q", k, values[i])
+	}
+	return "{" + strings.Join(pairs, ",") + "}"
+}
+
+func (f *family) writeChild(w io.Writer, m *metric) error {
 	switch f.kind {
 	case kindCounter:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, labels, atomic.LoadInt64(&m.val))
+		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, m.labels, atomic.LoadInt64(&m.val))
 		return err
 	case kindGauge:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, labels,
+		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, m.labels,
 			fmtFloat(math.Float64frombits(atomic.LoadUint64(&m.bits))))
 		return err
 	case kindHistogram:

@@ -48,8 +48,8 @@ func (r *Registry) SetHealthSource(h HealthSource) {
 	r.mu.Unlock()
 }
 
-// HealthSource returns the installed source, or nil.
-func (r *Registry) HealthSource() HealthSource {
+// healthSource returns the installed source, or nil.
+func (r *Registry) healthSource() HealthSource {
 	if r == nil {
 		return nil
 	}
@@ -85,8 +85,8 @@ func (r *Registry) SetServiceStatus(f func() ServiceStatus) {
 	r.mu.Unlock()
 }
 
-// ServiceStatusSource returns the installed callback, or nil.
-func (r *Registry) ServiceStatusSource() func() ServiceStatus {
+// serviceStatus returns the installed callback, or nil.
+func (r *Registry) serviceStatus() func() ServiceStatus {
 	if r == nil {
 		return nil
 	}

@@ -1,18 +1,17 @@
 package telemetry
 
 import (
-	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/pprof"
 )
 
 // The admin endpoint contract (DESIGN.md §3.7):
 //
-//	GET /metrics      Prometheus text exposition of the registry plus
-//	                  any extra collectors (e.g. obsv's per-party op
-//	                  totals). Always 200; scrape-safe mid-run.
+//	GET /metrics      Prometheus text exposition of every family in the
+//	                  registry: the runtime's and, in an obsv registry's
+//	                  store, the protocol's per-party op counts. Always
+//	                  200; scrape-safe mid-run.
 //	GET /healthz      JSON per-peer link state. 200 when every link is
 //	                  connected, 503 while starting, degraded or dead —
 //	                  so a load balancer or supervisor can act on it.
@@ -25,36 +24,19 @@ type healthReport struct {
 	Service *ServiceStatus `json:"service,omitempty"`
 }
 
-// AdminMux builds the admin HTTP handler over a registry. Extra
-// collectors are appended to the /metrics output after the registry's
-// own families; a failing collector aborts the scrape with a 500 so
-// partial exposition is never served as complete.
-func AdminMux(reg *Registry, collect ...func(io.Writer) error) *http.ServeMux {
+// AdminMux builds the admin HTTP handler over a registry.
+func AdminMux(reg *Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
-		// Render into a buffer first: an error mid-stream must become a
-		// clean 500, not a truncated 200.
-		var buf bytes.Buffer
-		if err := reg.WritePrometheus(&buf); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		for _, c := range collect {
-			if c == nil {
-				continue
-			}
-			if err := c(&buf); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
+		// The registry is the only writer, so the one error left is the
+		// client's connection going away mid-scrape.
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(buf.Bytes())
+		reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		report := healthReport{Status: "starting"}
 		code := http.StatusServiceUnavailable
-		if src := reg.HealthSource(); src != nil {
+		if src := reg.healthSource(); src != nil {
 			report.Status = "ok"
 			report.Peers = src.Health()
 			code = http.StatusOK
@@ -66,7 +48,7 @@ func AdminMux(reg *Registry, collect ...func(io.Writer) error) *http.ServeMux {
 				}
 			}
 		}
-		if src := reg.ServiceStatusSource(); src != nil {
+		if src := reg.serviceStatus(); src != nil {
 			st := src()
 			report.Service = &st
 			// A draining daemon is deliberately non-200: load balancers

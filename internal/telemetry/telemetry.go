@@ -1,23 +1,23 @@
-// Package telemetry is the runtime's live metrics layer: a streaming
-// registry of counters, gauges and fixed-bucket latency histograms that
-// the transport, journal and deployment layers feed while a session is
-// in flight, and that the admin HTTP endpoint exports in Prometheus
-// text exposition format for scraping mid-run.
+// Package telemetry is the one metrics store: a streaming registry of
+// counters, gauges and fixed-bucket latency histograms, and the one
+// writer of the Prometheus text exposition format, which the admin HTTP
+// endpoint serves for scraping mid-run.
 //
-// It deliberately mirrors internal/obsv's design contract: a nil
-// *Registry is the disabled state and every handle obtained from it is
-// nil too, so instrumented code calls its metric hooks unconditionally
-// and a disabled run pays exactly one nil check per hook. The hot path
-// is lock-free — counters and gauges are single atomic words, histogram
-// observations are an atomic bucket increment plus a CAS-looped sum —
-// so enabling telemetry does not perturb the protocol it measures.
+// Everything a run counts lives here. The transport, journal and
+// deployment layers feed their families directly (per-round wall time,
+// redials, retransmissions, heartbeat RTT, journal append and fsync
+// latency); internal/obsv keeps the protocol's per-party operation
+// counts in the same store, as the counter family
+// grouprank_ops_total{party,op}, and adds spans, traces and summaries
+// on top. A family takes any number of label keys.
 //
-// Where obsv answers "what did the protocol compute and send, per phase,
-// per party", telemetry answers "how is the runtime underneath it
-// doing": per-round wall time, redials, retransmissions, heartbeat
-// RTT, journal append and fsync latency. obsv traces are
-// per-run artifacts merged offline by cmd/ranktrace; telemetry is the
-// live surface /metrics and /healthz are built on.
+// A nil *Registry is the disabled state and every handle obtained from
+// it is nil too, so instrumented code calls its metric hooks
+// unconditionally and a disabled run pays exactly one nil check per
+// hook. The hot path is lock-free — counters and gauges are single
+// atomic words, histogram observations are an atomic bucket increment
+// plus a CAS-looped sum — so enabling telemetry does not perturb the
+// protocol it measures.
 //
 // The package is a stdlib-only leaf: transport, journal and obsv all
 // import it, never the reverse.
@@ -27,7 +27,9 @@ import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -66,25 +68,29 @@ func (k kind) String() string {
 }
 
 // family is one named metric family: all children share the name, help
-// text, kind, label key and (for histograms) bucket layout.
+// text, kind, label keys and (for histograms) bucket layout.
 type family struct {
 	name    string
 	help    string
 	kind    kind
-	label   string    // label key, "" for unlabelled families
+	labels  []string  // label keys, none for unlabelled families
 	buckets []float64 // histogram upper bounds, ascending; +Inf implicit
 
 	mu       sync.Mutex
-	order    []string // label values in first-use order, for stable export
-	children map[string]*metric
+	order    []*metric          // children in first-use order, for stable export
+	children map[string]*metric // keyed by the label values joined with labelSep
 }
+
+// labelSep joins a child's label values into its map key; it cannot
+// occur in valid UTF-8, so distinct value lists never share a key.
+const labelSep = "\xff"
 
 // metric is one concrete series. Exactly one of the field groups is
 // live, selected by the family kind; keeping them in one struct lets
 // the typed handles stay single-pointer wrappers.
 type metric struct {
-	fam        *family
-	labelValue string
+	fam    *family
+	labels string // the rendered label set, e.g. {peer="1"}; "" when unlabelled
 
 	val  int64  // counter value / histogram observation count
 	bits uint64 // gauge float64 bits / unused
@@ -93,17 +99,24 @@ type metric struct {
 	hsum    uint64  // histogram sum, float64 bits, CAS-updated
 }
 
-func (f *family) child(labelValue string) *metric {
+// child returns (creating on first use) the series for one value per
+// label key, panicking on a wrong value count — a programmer error like
+// a bad name.
+func (f *family) child(values ...string) *metric {
+	if len(values) != len(f.labels) {
+		panic(fmt.Sprintf("telemetry: metric %q takes %d label values, got %d", f.name, len(f.labels), len(values)))
+	}
+	key := strings.Join(values, labelSep)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m, ok := f.children[labelValue]
+	m, ok := f.children[key]
 	if !ok {
-		m = &metric{fam: f, labelValue: labelValue}
+		m = &metric{fam: f, labels: renderLabels(f.labels, values)}
 		if f.kind == kindHistogram {
 			m.hcounts = make([]int64, len(f.buckets)+1)
 		}
-		f.children[labelValue] = m
-		f.order = append(f.order, labelValue)
+		f.children[key] = m
+		f.order = append(f.order, m)
 	}
 	return m
 }
@@ -128,12 +141,14 @@ func NewRegistry() *Registry {
 // family registers (or retrieves) a family, panicking on an invalid
 // name or a redefinition with a different shape — both are programmer
 // errors that would otherwise corrupt the exposition output silently.
-func (r *Registry) family(name, help string, k kind, label string, buckets []float64) *family {
+func (r *Registry) family(name, help string, k kind, labels []string, buckets []float64) *family {
 	if !ValidName(name) {
 		panic(fmt.Sprintf("telemetry: metric name %q does not match %s", name, metricNamePattern))
 	}
-	if label != "" && !ValidName(label) {
-		panic(fmt.Sprintf("telemetry: label name %q does not match %s", label, metricNamePattern))
+	for _, label := range labels {
+		if !ValidName(label) {
+			panic(fmt.Sprintf("telemetry: label name %q does not match %s", label, metricNamePattern))
+		}
 	}
 	for i := 1; i < len(buckets); i++ {
 		if buckets[i] <= buckets[i-1] {
@@ -143,13 +158,13 @@ func (r *Registry) family(name, help string, k kind, label string, buckets []flo
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.byName[name]; ok {
-		if f.kind != k || f.label != label || len(f.buckets) != len(buckets) {
+		if f.kind != k || !slices.Equal(f.labels, labels) || len(f.buckets) != len(buckets) {
 			panic(fmt.Sprintf("telemetry: metric %q redefined as a different %s", name, k))
 		}
 		return f
 	}
 	f := &family{
-		name: name, help: help, kind: k, label: label,
+		name: name, help: help, kind: k, labels: slices.Clone(labels),
 		buckets:  append([]float64(nil), buckets...),
 		children: make(map[string]*metric),
 	}
@@ -185,26 +200,28 @@ func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return &Counter{m: r.family(name, help, kindCounter, "", nil).child("")}
+	return &Counter{m: r.family(name, help, kindCounter, nil, nil).child()}
 }
 
-// CounterVec is a counter family with one label dimension.
+// CounterVec is a counter family keyed by one or more labels.
 type CounterVec struct{ fam *family }
 
-// CounterVec registers (or retrieves) a counter family keyed by label.
-func (r *Registry) CounterVec(name, help, label string) *CounterVec {
+// CounterVec registers (or retrieves) a counter family keyed by the
+// given label keys.
+func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	return &CounterVec{fam: r.family(name, help, kindCounter, label, nil)}
+	return &CounterVec{fam: r.family(name, help, kindCounter, labels, nil)}
 }
 
-// With returns the child counter for one label value.
-func (v *CounterVec) With(labelValue string) *Counter {
+// With returns the child counter for one value per label key, in the
+// order the keys were registered.
+func (v *CounterVec) With(values ...string) *Counter {
 	if v == nil {
 		return nil
 	}
-	return &Counter{m: v.fam.child(labelValue)}
+	return &Counter{m: v.fam.child(values...)}
 }
 
 // Inc adds one.
@@ -237,26 +254,28 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return &Gauge{m: r.family(name, help, kindGauge, "", nil).child("")}
+	return &Gauge{m: r.family(name, help, kindGauge, nil, nil).child()}
 }
 
-// GaugeVec is a gauge family with one label dimension.
+// GaugeVec is a gauge family keyed by one or more labels.
 type GaugeVec struct{ fam *family }
 
-// GaugeVec registers (or retrieves) a gauge family keyed by label.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
+// GaugeVec registers (or retrieves) a gauge family keyed by the given
+// label keys.
+func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	return &GaugeVec{fam: r.family(name, help, kindGauge, label, nil)}
+	return &GaugeVec{fam: r.family(name, help, kindGauge, labels, nil)}
 }
 
-// With returns the child gauge for one label value.
-func (v *GaugeVec) With(labelValue string) *Gauge {
+// With returns the child gauge for one value per label key, in the
+// order the keys were registered.
+func (v *GaugeVec) With(values ...string) *Gauge {
 	if v == nil {
 		return nil
 	}
-	return &Gauge{m: v.fam.child(labelValue)}
+	return &Gauge{m: v.fam.child(values...)}
 }
 
 // Set stores the value.
@@ -265,14 +284,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	atomic.StoreUint64(&g.m.bits, math.Float64bits(v))
-}
-
-// Value reads the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(atomic.LoadUint64(&g.m.bits))
 }
 
 // ---- histograms ----
@@ -287,7 +298,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return &Histogram{m: r.family(name, help, kindHistogram, "", buckets).child("")}
+	return &Histogram{m: r.family(name, help, kindHistogram, nil, buckets).child()}
 }
 
 // Observe records one sample.
@@ -306,22 +317,6 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
-}
-
-// Count reads the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&h.m.val)
-}
-
-// Sum reads the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(atomic.LoadUint64(&h.m.hsum))
 }
 
 // ExpBuckets builds n exponentially growing bucket bounds starting at

@@ -1,8 +1,7 @@
 package telemetry
 
 import (
-	"io"
-	"math"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -20,16 +19,8 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatal("nil counter holds a value")
 	}
-	g := r.Gauge("g", "")
-	g.Set(3)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge holds a value")
-	}
-	h := r.Histogram("h", "", ExpBuckets(0.001, 10, 3))
-	h.Observe(0.5)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatal("nil histogram holds observations")
-	}
+	r.Gauge("g", "").Set(3)
+	r.Histogram("h", "", ExpBuckets(0.001, 10, 3)).Observe(0.5)
 	if cv := r.CounterVec("cv", "", "peer"); cv.With("1") != nil {
 		t.Fatal("nil CounterVec.With returned a live counter")
 	}
@@ -45,8 +36,18 @@ func TestNilRegistryIsDisabled(t *testing.T) {
 	}
 }
 
+// exposition renders r and fails the test on a write error.
+func exposition(t *testing.T, r *Registry) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
+}
+
 // TestCountersGaugesHistograms exercises the value semantics of each
-// metric kind.
+// metric kind; gauges and histograms are read back from the exposition.
 func TestCountersGaugesHistograms(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("reqs_total", "requests")
@@ -63,19 +64,16 @@ func TestCountersGaugesHistograms(t *testing.T) {
 	g := r.Gauge("depth", "queue depth")
 	g.Set(7)
 	g.Set(2.5)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", got)
-	}
 
 	h := r.Histogram("lat_seconds", "latency", []float64{0.01, 0.1, 1})
 	for _, v := range []float64{0.005, 0.01, 0.02, 0.5, 5} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 5 {
-		t.Fatalf("histogram count = %d, want 5", got)
-	}
-	if got := h.Sum(); math.Abs(got-5.535) > 1e-9 {
-		t.Fatalf("histogram sum = %v, want 5.535", got)
+	out := exposition(t, r)
+	for _, want := range []string{"depth 2.5\n", "lat_seconds_count 5\n", "lat_seconds_sum 5.535\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q:\n%s", want, out)
+		}
 	}
 
 	cv := r.CounterVec("sends_total", "sends", "peer")
@@ -107,7 +105,24 @@ func TestInvalidNamesPanic(t *testing.T) {
 				t.Error("registering a bad label name did not panic")
 			}
 		}()
-		r.CounterVec("ok_name", "", "Bad-Label")
+		r.CounterVec("ok_name", "", "party", "Bad-Label")
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a child with fewer values than label keys did not panic")
+			}
+		}()
+		r.CounterVec("two_keys", "", "party", "op").With("0")
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("redefining a family with other label keys did not panic")
+			}
+		}()
+		r.CounterVec("keyed", "", "party", "op")
+		r.CounterVec("keyed", "", "op", "party")
 	}()
 	func() {
 		defer func() {
@@ -126,6 +141,9 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("msgs_total", "Messages sent.").Add(42)
 	r.GaugeVec("link_up", "Link state.", "peer").With("2").Set(1)
+	ops := r.CounterVec("ops_total", "Operations.", "party", "op")
+	ops.With("0", "group_exp").Add(3)
+	ops.With("1", "group_exp").Inc()
 	h := r.Histogram("rtt_seconds", "Heartbeat RTT.", []float64{0.001, 0.01})
 	h.Observe(0.0005)
 	h.Observe(0.005)
@@ -142,6 +160,8 @@ func TestWritePrometheus(t *testing.T) {
 		"msgs_total 42\n",
 		"# TYPE link_up gauge\n",
 		`link_up{peer="2"} 1` + "\n",
+		`ops_total{party="0",op="group_exp"} 3` + "\n",
+		`ops_total{party="1",op="group_exp"} 1` + "\n",
 		"# TYPE rtt_seconds histogram\n",
 		`rtt_seconds_bucket{le="0.001"} 1` + "\n",
 		`rtt_seconds_bucket{le="0.01"} 2` + "\n",
@@ -198,8 +218,8 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	if got := c.Value(); got != workers*iters {
 		t.Fatalf("counter = %d, want %d", got, workers*iters)
 	}
-	if got := h.Count(); got != workers*iters {
-		t.Fatalf("histogram count = %d, want %d", got, workers*iters)
+	if want := fmt.Sprintf("lat_seconds_count %d\n", workers*iters); !strings.Contains(exposition(t, r), want) {
+		t.Fatalf("exposition missing %q", want)
 	}
 }
 
@@ -215,16 +235,14 @@ func (f *fakeHealth) Health() []PeerHealth {
 	return append([]PeerHealth(nil), f.peers...)
 }
 
-// TestAdminMux pins the endpoint contract: /metrics serves the
-// exposition plus extra collectors, /healthz is 503 while starting,
-// 200 with every peer connected, and 503 naming the degraded peer.
+// TestAdminMux pins the endpoint contract: /metrics serves every
+// family of the registry, /healthz is 503 while starting, 200 with
+// every peer connected, and 503 naming the degraded peer.
 func TestAdminMux(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("msgs_total", "").Add(7)
-	mux := AdminMux(r, func(w io.Writer) error {
-		_, err := w.Write([]byte("extra_metric 1\n"))
-		return err
-	})
+	r.CounterVec("ops_total", "", "party", "op").With("1", "exp").Inc()
+	mux := AdminMux(r)
 
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
@@ -248,7 +266,7 @@ func TestAdminMux(t *testing.T) {
 	}
 
 	if code, body := get("/metrics"); code != 200 ||
-		!strings.Contains(body, "msgs_total 7") || !strings.Contains(body, "extra_metric 1") {
+		!strings.Contains(body, "msgs_total 7") || !strings.Contains(body, `ops_total{party="1",op="exp"} 1`) {
 		t.Fatalf("/metrics = %d:\n%s", code, body)
 	}
 	if code, body := get("/healthz"); code != 503 || !strings.Contains(body, "starting") {

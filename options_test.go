@@ -153,8 +153,8 @@ func TestRecoveryOptionsValidation(t *testing.T) {
 	})
 }
 
-// TestRankRefusesPartyKnobs: the in-process Rank has no journal and no
-// runtime to measure, so the party-only knobs are refused, not dropped.
+// TestRankRefusesPartyKnobs: the in-process Rank has no journal, so the
+// party-only knob is refused, not dropped.
 func TestRankRefusesPartyKnobs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -162,7 +162,6 @@ func TestRankRefusesPartyKnobs(t *testing.T) {
 		want string
 	}{
 		{"recovery set", func(o *Options) { o.Recovery = &RecoveryOptions{Dir: "d"} }, "Recovery"},
-		{"telemetry set", func(o *Options) { o.Telemetry = NewTelemetry() }, "Telemetry"},
 	}
 	q := demoQuestionnaire(t)
 	crit, profiles := demoData(t)

@@ -151,17 +151,20 @@ func runRankParty(ctx context.Context, q *Questionnaire, addrs []string, o Optio
 // cross-process rule (journal.OpenSession, which with o.Recovery also
 // opens the journal of session sid), the mesh endpoint me, fail-fast or
 // recovering, and run under the run context (o.Timeout defaults to 2
-// minutes) over the fault-wrapped endpoint; then drain and stats.
+// minutes) over the fault-wrapped endpoint; then drain and stats. The
+// Observer's metric store, when there is one, takes the mux's, the
+// journal's and /healthz's metrics.
 func runTCPParty(ctx context.Context, addrs []string, me int, o Options, sid string, run func(ctx context.Context, net transport.Net, seed string) error) (transport.Stats, error) {
 	o.Timeout = cmp.Or(o.Timeout, core.DefaultTimeout)
-	mo := transport.MuxOptions{Telemetry: o.Telemetry}
+	metrics := o.Observer.Metrics()
+	mo := transport.MuxOptions{Telemetry: metrics}
 	var dir string
 	if o.Recovery != nil {
 		if dir = o.Recovery.Dir; dir == "" {
 			return transport.Stats{}, fmt.Errorf("groupranking: Recovery.Dir must name a journal directory")
 		}
 	}
-	sj, seed, err := journal.OpenSession(dir, sid, me, o.Seed, o.Telemetry)
+	sj, seed, err := journal.OpenSession(dir, sid, me, o.Seed, metrics)
 	if err != nil {
 		return transport.Stats{}, err
 	}
@@ -175,7 +178,7 @@ func runTCPParty(ctx context.Context, addrs []string, me int, o Options, sid str
 	if err != nil {
 		return transport.Stats{}, err
 	}
-	o.Telemetry.SetHealthSource(fab)
+	metrics.SetHealthSource(fab)
 	defer fab.Close()
 	ctx, cancel := runContext(ctx, o.Observer, o.Timeout)
 	defer cancel()

@@ -11,8 +11,8 @@ import (
 // SortOptions directly). Options, SortOptions and the rankd service
 // config (internal/service.Config) embed it, so the fields read the
 // same everywhere (opts.Timeout, opts.Workers). The knobs only some
-// entry points honour (Recovery, Faults, Observer, Telemetry) sit on
-// the types of those entry points alone.
+// entry points honour (Recovery, Faults, Observer) sit on the types of
+// those entry points alone.
 type Runtime struct {
 	// Timeout bounds the whole run; 0 means the entry point's default
 	// (no deadline in-process, 2 minutes for the distributed parties,
