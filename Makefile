@@ -127,7 +127,13 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # (internal/group/fold.go, whose Fold values are named f) must be inlined
 # there, as the compiler's -m report of that file says, since their gain
 # over the generic formulas rests on it. Fold.Add's cost is the inlining
-# budget itself, so a change that grows it fails here first.
+# budget itself, so a change that grows it fails here first. P-256's body
+# (internal/field/p256.go) gets the same check one level down: its
+# P256.Add and P256.Sub cost more than the budget, so the P-256 formulas
+# call them, but the final subtraction p256Reduce must be called by
+# P256.Add, P256.Mul and P256.Sqr and inlined at every call, and so must
+# the reduction row p256Row in Mul and Sqr (P256.Sub adds p back under a
+# mask and has no final subtraction to share).
 # The exposition check keeps internal/telemetry the one metrics store
 # and its expo.go the one Prometheus writer: outside internal/telemetry
 # no non-test Go may write exposition comment lines ("# HELP " or
@@ -219,6 +225,14 @@ vet:
 	inlined=$$($(GO) build -gcflags=-m ./internal/group/ 2>&1 | grep -cE '^internal/group/fold\.go:[0-9]+:[0-9]+: inlining call to field\.Fold\.(Add|Sub)$$'); \
 	if [ "$$calls" -eq 0 ] || [ "$$calls" -ne "$$inlined" ]; then \
 		echo "internal/group/fold.go calls field.Fold's Add/Sub $$calls times and the compiler inlines $$inlined (go build -gcflags=-m ./internal/group/): keep both within the inlining budget"; exit 1; fi
+	@for fn in Add Mul Sqr; do \
+		awk "/^func \\(P256\\) $$fn\\(/,/^}/" internal/field/p256.go | grep -q 'p256Reduce(' || { \
+			echo "P256.$$fn in internal/field/p256.go no longer ends in p256Reduce, the final subtraction make vet checks for inlining"; exit 1; }; \
+	done
+	@calls=$$(grep -nE '^[[:space:]]+[^/[:space:]].*\bp256(Reduce|Row)\(' internal/field/p256.go | cut -d: -f1 | sort -n | tr '\n' ' '); \
+	inlined=$$($(GO) build -gcflags=-m ./internal/field/ 2>&1 | sed -nE 's/^internal\/field\/p256\.go:([0-9]+):[0-9]+: inlining call to p256(Reduce|Row)$$/\1/p' | sort -n | tr '\n' ' '); \
+	if [ -z "$$calls" ] || [ "$$calls" != "$$inlined" ]; then \
+		echo "internal/field/p256.go calls p256Reduce/p256Row on lines $$calls and the compiler inlines the calls on lines $$inlined (go build -gcflags=-m ./internal/field/): keep both within the inlining budget"; exit 1; fi
 	@expo=$$(find *.go bench cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/telemetry/*' | xargs grep -lE '# (HELP|TYPE) ' | tr '\n' ' '); \
 	if [ -n "$$expo" ]; then \
 		echo "Prometheus exposition is written by internal/telemetry alone (register a family in the store, e.g. obsv.Registry.Metrics()), found # HELP/# TYPE in: $$expo"; exit 1; fi

@@ -10,32 +10,35 @@
 // it a shape, both read from the modulus's limbs. The width is 2 limbs
 // with R = 2^128 at or below 128 bits, 3 limbs with R = 2^192 at or
 // below 192, 4 limbs with R = 2^256 at or below 256; R follows the width
-// because a Montgomery pass costs one row per limb of R. Two shapes take
-// their own bodies:
+// because a Montgomery pass costs one row per limb of R. Two moduli
+// take their own bodies:
 //
-//	width  shape                          body     Mul  Sqr
-//	2      any                            mul2     10   Mul
-//	3      2^160 − c, 0 < c < 2^32        the fold 13   10
-//	3      any other                      mul3     21   Mul
-//	4      p₀ = 2^64 − 1 and p₂ = 0       mulP256  24   18
-//	4      any other                      mul4     36   Mul
+//	width  modulus                        body      Mul  Sqr
+//	2      any                            mul2      10   Mul
+//	3      2^160 − c, 0 < c < 2^32        the fold  13   10
+//	3      any other                      mul3      21   Mul
+//	4      P-256's prime                  P256      16   10
+//	4      any other                      mul4      36   Mul
 //
 // (word products per operation, each Montgomery row's m = t₀·n₀
 // included). The fold (secp160r1) takes R = 1 and needs no Montgomery
 // reduction, since 2^160 ≡ c folds the product's top half down.
-// P-256's shape has n₀ = −p₀⁻¹ = 1, so a row's m is t₀ itself and
-// t₀ + m·p₀ = m·2^64: its reduction row pays m·p₁ and m·p₃ alone. Every body is written
+// P-256's prime has n₀ = −p₀⁻¹ = 1, so a row's m is t₀ itself, and
+// limbs whose products with m are shifts: its reduction rows pay no word
+// product (p256.go). Every body is written
 // products-first, the idiom of fiat-crypto's generated fields (Erbsen et
 // al., IEEE S&P 2019; Go's own crypto/internal/fips140/nistec/fiat): a
 // row issues its bits.Mul64s, then sums them in unbroken bits.Add64
-// carry chains, and the final subtraction is chosen by a mask, not a
-// branch. Add and Sub take the fold's own on the fold and the three-limb
-// bodies elsewhere below 2^192. The fold's four bodies are written once,
-// on three-limb values (fold.go); Field.Fold hands them to the curve
-// kernel, whose secp160r1 point formulas call them without the switch.
+// carry chains, and the final subtraction is chosen by a mask or a
+// conditional move, not a branch. Add and Sub take the shaped body's
+// own on the fold and on P-256, and the three-limb bodies elsewhere
+// below 2^192. The two shaped bodies are written once each, on values
+// of their width passed by value (fold.go, p256.go); Field.Fold and
+// Field.P256 hand them to the curve kernel, whose point formulas for
+// secp160r1 and P-256 call them without the switch.
 // FuzzFieldAgainstBig holds every operation to math/big, every narrow
 // body to the four-limb one of the same modulus, the fold to the
-// three-limb Montgomery body and P-256's shape to the four-limb one.
+// three-limb Montgomery body and P-256's body to the four-limb one.
 package field
 
 import (
@@ -46,7 +49,7 @@ import (
 )
 
 // Elem is a field element in little-endian limbs, in the field's form
-// x·R mod p (R = 2^(64·width) on the Montgomery bodies, P-256's shape
+// x·R mod p (R = 2^(64·width) on the Montgomery bodies, P-256's
 // among them, 1 on the fold), always fully reduced. The zero value is
 // the field's zero. Limbs above the field's width are always zero.
 type Elem [4]uint64
@@ -81,7 +84,7 @@ const (
 	mont3                // mul3; Sqr is Mul
 	mont4                // mul4; Sqr is Mul
 	foldBody             // Fold.Mul and Fold.Sqr (fold.go), R = 1
-	p256Body             // mulP256 and sqrP256
+	p256Body             // P256.Mul and P256.Sqr (p256.go)
 )
 
 // New returns the field of the odd modulus p, at most MaxBits wide, with
@@ -98,7 +101,7 @@ func New(p *big.Int) (Field, error) {
 		// with R = 1, so 1 is its own form and R² mod p is 1 too.
 		f.body, f.fold = foldBody, -l[0]
 		f.one, f.r2 = Elem{1}, Elem{1}
-	case f.width == 4 && l[0] == ^uint64(0) && l[2] == 0:
+	case l == Elem{p256P0, p256P1, 0, p256P3}:
 		f.body = p256Body // n₀ = 1: withWidth's constants stand
 	}
 	f.sqrtConsts()
@@ -110,8 +113,8 @@ func New(p *big.Int) (Field, error) {
 // Montgomery body of that width. Tests build through it the four-limb
 // field of a narrower modulus, to hold the narrow bodies against the
 // wide one, the three-limb Montgomery field of a modulus New folds, to
-// hold the fold against mul3, and the four-limb field of a modulus of
-// P-256's shape, to hold mulP256 against mul4.
+// hold the fold against mul3, and P-256's four-limb Montgomery field, to
+// hold its body against mul4.
 func withWidth(p *big.Int, width int) Field {
 	f := Field{p: p, pl: Limbs(p), width: width, body: mont2 + body(width-2)}
 	// Newton iteration doubles the correct low bits of p⁻¹ each step;
@@ -231,9 +234,9 @@ func (x *Elem) Less(y *Elem) bool {
 
 // Mul sets z = x·y/R mod p, with the body and R the body table gave the
 // modulus: Fold.Mul (R = 1, 13 word products) for p = 2^160 − c with
-// 0 < c < 2^32, mulP256 (24) for four limbs with p₀ = 2^64 − 1 and
-// p₂ = 0, else the Montgomery body of the width, mul2 (10), mul3 (21)
-// or mul4 (36). z may alias x or y.
+// 0 < c < 2^32, P256.Mul (16) for P-256's prime, else the Montgomery
+// body of the width, mul2 (10), mul3 (21) or mul4 (36). z may alias x
+// or y.
 func (f *Field) Mul(z, x, y *Elem) {
 	switch f.body {
 	case mont2:
@@ -244,15 +247,16 @@ func (f *Field) Mul(z, x, y *Elem) {
 	case mont3:
 		f.mul3(z, x, y)
 	case p256Body:
-		f.mulP256(z, x, y)
+		var pd P256
+		*z = pd.Mul(pd.Load(x), pd.Load(y)).Elem()
 	default:
 		f.mul4(z, x, y)
 	}
 }
 
 // Sqr sets z = x·x/R mod p, the result of Mul(z, x, x): Fold.Sqr (10 word
-// products where Fold.Mul pays 13) on the fold, sqrP256 (18 where mulP256
-// pays 24) on P-256's shape, and Mul itself on the Montgomery bodies of
+// products where Fold.Mul pays 13) on the fold, P256.Sqr (10 where
+// P256.Mul pays 16) on P-256, and Mul itself on the Montgomery bodies of
 // the plain widths. z may alias x.
 func (f *Field) Sqr(z, x *Elem) {
 	switch f.body {
@@ -260,7 +264,8 @@ func (f *Field) Sqr(z, x *Elem) {
 		fd := Fold{f.fold}
 		*z = fd.Sqr(fd.Load(x)).Elem()
 	case p256Body:
-		f.sqrP256(z, x)
+		var pd P256
+		*z = pd.Sqr(pd.Load(x)).Elem()
 	default:
 		f.Mul(z, x, x)
 	}
@@ -445,101 +450,6 @@ func (f *Field) mul4(z, x, y *Elem) {
 	f.reduce(z, t0, t1, t2, t3, t4)
 }
 
-// mulP256 is Mul for a four-limb p with p₀ = 2^64 − 1 and p₂ = 0
-// (P-256): mul4's loop, whose reduction row takes n₀ = 1, so m = t₀ and
-// t₀ + m·p₀ = m·2^64, and pays m·p₁ and m·p₃ alone: 4 + 2 word products
-// a row, 24 a multiply where mul4 pays 36.
-func (f *Field) mulP256(z, x, y *Elem) {
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-	p1, p3 := f.pl[1], f.pl[3]
-	var t0, t1, t2, t3, t4 uint64 // t4 is below 2 between rows
-	for _, yi := range y {
-		h0, l0 := bits.Mul64(x0, yi)
-		h1, l1 := bits.Mul64(x1, yi)
-		h2, l2 := bits.Mul64(x2, yi)
-		h3, l3 := bits.Mul64(x3, yi)
-		u1, c := bits.Add64(h0, l1, 0)
-		u2, c := bits.Add64(h1, l2, c)
-		u3, c := bits.Add64(h2, l3, c)
-		u4 := h3 + c
-		t0, c = bits.Add64(t0, l0, 0)
-		t1, c = bits.Add64(t1, u1, c)
-		t2, c = bits.Add64(t2, u2, c)
-		t3, c = bits.Add64(t3, u3, c)
-		var t5 uint64
-		t4, t5 = bits.Add64(t4, u4, c)
-		t0, t1, t2, t3, t4 = p256Row(t0, t1, t2, t3, t4, p1, p3)
-		t4 += t5
-	}
-	f.reduce(z, t0, t1, t2, t3, t4)
-}
-
-// sqrP256 is Sqr on P-256's shape: the six products x_i·x_j with i < j,
-// doubled by a shift, plus the four squares x_i², give the 512-bit
-// square t = T_H·2^256 + T_L; four p256Rows take T_L to
-// (T_L + M·p)/2^256 ≤ p, and T_H added to it gives t/2^256 mod p
-// below 2p, as a Montgomery product must. 10 + 8 word products.
-func (f *Field) sqrP256(z, x *Elem) {
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-	p1, p3 := f.pl[1], f.pl[3]
-
-	// a = Σ x_i·x_j·2^(64(i+j)) over i < j, at limbs 1 to 6.
-	h01, a1 := bits.Mul64(x0, x1)
-	h02, l02 := bits.Mul64(x0, x2)
-	h03, l03 := bits.Mul64(x0, x3)
-	h12, l12 := bits.Mul64(x1, x2)
-	h13, l13 := bits.Mul64(x1, x3)
-	h23, l23 := bits.Mul64(x2, x3)
-	a2, c := bits.Add64(h01, l02, 0)
-	a3, c := bits.Add64(h02, l03, c)
-	a4 := h03 + c
-	u4, c := bits.Add64(h12, l13, 0)
-	u5 := h13 + c
-	a3, c = bits.Add64(a3, l12, 0)
-	a4, c = bits.Add64(a4, u4, c)
-	a5, c := bits.Add64(u5, l23, c)
-	a6 := h23 + c
-
-	// t = 2a + Σ x_i²·2^(128i).
-	h0, t0 := bits.Mul64(x0, x0)
-	h1, l1 := bits.Mul64(x1, x1)
-	h2, l2 := bits.Mul64(x2, x2)
-	h3, l3 := bits.Mul64(x3, x3)
-	t1, c := bits.Add64(a1<<1, h0, 0)
-	t2, c := bits.Add64(a2<<1|a1>>63, l1, c)
-	t3, c := bits.Add64(a3<<1|a2>>63, h1, c)
-	t4, c := bits.Add64(a4<<1|a3>>63, l2, c)
-	t5, c := bits.Add64(a5<<1|a4>>63, h2, c)
-	t6, c := bits.Add64(a6<<1|a5>>63, l3, c)
-	t7 := a6>>63 + h3 + c
-
-	var top uint64
-	t0, t1, t2, t3, top = p256Row(t0, t1, t2, t3, 0, p1, p3)
-	t0, t1, t2, t3, top = p256Row(t0, t1, t2, t3, top, p1, p3)
-	t0, t1, t2, t3, top = p256Row(t0, t1, t2, t3, top, p1, p3)
-	t0, t1, t2, t3, _ = p256Row(t0, t1, t2, t3, top, p1, p3) // ≤ p: no top
-	t0, c = bits.Add64(t0, t4, 0)
-	t1, c = bits.Add64(t1, t5, c)
-	t2, c = bits.Add64(t2, t6, c)
-	t3, c = bits.Add64(t3, t7, c)
-	f.reduce(z, t0, t1, t2, t3, c)
-}
-
-// p256Row is one Montgomery reduction row on P-256's shape: it returns
-// (t + m·p)/2^64 for the 257-bit t = (t4, …, t0) with m = t0, whose
-// t0 + m·p₀ = m·2^64 enters limb 1 as m. p₂ = 0 leaves m·p₁ and m·p₃.
-func p256Row(t0, t1, t2, t3, t4, p1, p3 uint64) (r0, r1, r2, r3, r4 uint64) {
-	h1, l1 := bits.Mul64(t0, p1)
-	h3, l3 := bits.Mul64(t0, p3)
-	u1, c := bits.Add64(t0, l1, 0)
-	u2 := h1 + c
-	r0, c = bits.Add64(t1, u1, 0)
-	r1, c = bits.Add64(t2, u2, c)
-	r2, c = bits.Add64(t3, l3, c)
-	r3, r4 = bits.Add64(t4, h3, c)
-	return r0, r1, r2, r3, r4
-}
-
 // reduce sets z to the 257-bit value (top, t3, …, t0) minus p if that
 // value is at least p; the value must be below 2p.
 func (f *Field) reduce(z *Elem, t0, t1, t2, t3, top uint64) {
@@ -557,9 +467,14 @@ func (f *Field) reduce(z *Elem, t0, t1, t2, t3, top uint64) {
 
 // Add sets z = x + y mod p.
 func (f *Field) Add(z, x, y *Elem) {
-	if f.body == foldBody {
+	switch f.body {
+	case foldBody:
 		fd := Fold{f.fold}
 		*z = fd.Add(fd.Load(x), fd.Load(y)).Elem()
+		return
+	case p256Body:
+		var pd P256
+		*z = pd.Add(pd.Load(x), pd.Load(y)).Elem()
 		return
 	}
 	if f.width < 4 {
@@ -586,9 +501,14 @@ func (f *Field) Add(z, x, y *Elem) {
 
 // Sub sets z = x − y mod p, adding p back (under a mask) on a borrow.
 func (f *Field) Sub(z, x, y *Elem) {
-	if f.body == foldBody {
+	switch f.body {
+	case foldBody:
 		fd := Fold{f.fold}
 		*z = fd.Sub(fd.Load(x), fd.Load(y)).Elem()
+		return
+	case p256Body:
+		var pd P256
+		*z = pd.Sub(pd.Load(x), pd.Load(y)).Elem()
 		return
 	}
 	if f.width < 4 {

@@ -351,23 +351,37 @@ func FuzzMultiExpAgainstGeneric(f *testing.F) {
 
 // FuzzFoldAgainstGeneric holds secp160r1's fold formulas (fold.go) to the
 // generic formulas of kernel.go on the same field, coordinate for
+// coordinate (fuzzFormulasAgainstGeneric).
+func FuzzFoldAgainstGeneric(f *testing.F) {
+	fuzzFormulasAgainstGeneric(f, secp160r1, func(k *curveKernel) bool { return k.fold != nil })
+}
+
+// FuzzP256AgainstGeneric holds P-256's formulas (p256.go) to the generic
+// formulas of kernel.go on the same field, coordinate for coordinate
+// (fuzzFormulasAgainstGeneric).
+func FuzzP256AgainstGeneric(f *testing.F) {
+	fuzzFormulasAgainstGeneric(f, secp256r1, func(k *curveKernel) bool { return k.p256 })
+}
+
+// fuzzFormulasAgainstGeneric holds the point formulas newCurveKernel
+// picks for curve d's field body, which shaped reports it picked, to the
+// generic formulas of kernel.go on the same field, coordinate for
 // coordinate: double, addJac and addAffine of a point p and a point q
 // chosen among a second point, p itself in another Jacobian
 // representation (P + P through the addition tail), −p (P + (−P)) and the
 // identity on either side or both. Both arrive with a random Z, and the
 // tail's two special cases are also held to what they must give: 2P and
 // the identity. The kernel is built from the curve's constants, not
-// through Secp160r1, whose validation (n·G = ∞) would run the formulas
-// under test before they could be compared.
-func FuzzFoldAgainstGeneric(f *testing.F) {
-	d := secp160r1
+// through the curve's constructor, whose validation (n·G = ∞) would run
+// the formulas under test before they could be compared.
+func fuzzFormulasAgainstGeneric(f *testing.F, d curveDef, shaped func(*curveKernel) bool) {
 	prime, n := mustHex(d.name, "p", d.p), mustHex(d.name, "n", d.n)
-	fold, err := newCurveKernel(prime, new(big.Int).Sub(prime, big.NewInt(3)), mustHex(d.name, "b", d.b), n)
-	if err != nil || fold.fold == nil {
-		f.Fatalf("secp160r1's kernel does not run the fold formulas (%v)", err)
+	fast, err := newCurveKernel(prime, new(big.Int).Sub(prime, big.NewInt(3)), mustHex(d.name, "b", d.b), n)
+	if err != nil || !shaped(fast) {
+		f.Fatalf("%s's kernel does not run the formulas of its field's body (%v)", d.name, err)
 	}
-	generic := *fold
-	generic.fold = nil
+	generic := *fast
+	generic.fold, generic.p256 = nil, false
 	n1 := new(big.Int).Sub(n, big.NewInt(1)).Bytes()
 	for sel := uint8(0); sel < 6; sel++ {
 		f.Add(sel, []byte{1}, []byte{2}, uint64(1), uint64(1))
@@ -409,18 +423,18 @@ func FuzzFoldAgainstGeneric(f *testing.F) {
 		}
 		qa := generic.normalise([]jacPt{q})[0]
 		var got, want jacPt
-		fold.double(&got, &p)
+		fast.double(&got, &p)
 		if generic.double(&want, &p); got != want {
-			t.Fatalf("sel %d: double(%v) = %v on the fold, %v generic", sel, p, got, want)
+			t.Fatalf("sel %d: double(%v) = %v on %s's body, %v generic", sel, p, got, d.name, want)
 		}
-		fold.addJac(&got, &p, &q)
+		fast.addJac(&got, &p, &q)
 		if generic.addJac(&want, &p, &q); got != want {
-			t.Fatalf("sel %d: addJac(%v, %v) = %v on the fold, %v generic", sel, p, q, got, want)
+			t.Fatalf("sel %d: addJac(%v, %v) = %v on %s's body, %v generic", sel, p, q, got, d.name, want)
 		}
 		var sum jacPt
-		fold.addAffine(&sum, &p, &qa)
+		fast.addAffine(&sum, &p, &qa)
 		if generic.addAffine(&want, &p, &qa); sum != want {
-			t.Fatalf("sel %d: addAffine(%v, %v) = %v on the fold, %v generic", sel, p, qa, sum, want)
+			t.Fatalf("sel %d: addAffine(%v, %v) = %v on %s's body, %v generic", sel, p, qa, sum, d.name, want)
 		}
 		if p.z.IsZero() {
 			return
@@ -428,8 +442,8 @@ func FuzzFoldAgainstGeneric(f *testing.F) {
 		switch sel % 6 {
 		case 1:
 			var twice jacPt
-			fold.double(&twice, &p)
-			if a, b := fold.lower(&got), fold.lower(&twice); a.x.Cmp(b.x) != 0 || a.y.Cmp(b.y) != 0 {
+			fast.double(&twice, &p)
+			if a, b := fast.lower(&got), fast.lower(&twice); a.x.Cmp(b.x) != 0 || a.y.Cmp(b.y) != 0 {
 				t.Fatalf("P + P = %v, 2P = %v", a, b)
 			}
 		case 2:

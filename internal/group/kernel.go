@@ -16,15 +16,19 @@ import (
 // protocol transcripts do not depend on the limb representation;
 // FuzzExpAgainstGeneric and FuzzMultiExpAgainstGeneric hold the kernel
 // to a math/big reference curve that only the tests carry. The point
-// formulas below are generic over the field's body; on secp160r1's fold
-// newCurveKernel picks their fold versions (fold.go) once, which run
-// the same operations on field.Fold's three-limb values, and
-// FuzzFoldAgainstGeneric holds the two to the same coordinates.
+// formulas below are generic over the field's body, and they are
+// P-224's. On the two shaped bodies newCurveKernel picks their versions
+// once: on secp160r1's fold the fold formulas (fold.go), on field.Fold's
+// three-limb values, and on P-256 the P-256 formulas (p256.go), on
+// field.P256's four-limb values. Each runs the same operations as the
+// generic formula, and FuzzFoldAgainstGeneric and FuzzP256AgainstGeneric
+// hold them to the same coordinates.
 
 // curveKernel is the arithmetic engine of one curve.
 type curveKernel struct {
 	field.Field
 	fold *field.Fold // the field's fold arithmetic (fold.go), nil unless it folds
+	p256 bool        // the field has P-256's body (p256.go)
 	b    field.Elem  // the curve's constant term, for onCurve
 	g    *ECGroup    // the group whose elements leave the kernel
 }
@@ -54,6 +58,7 @@ func newCurveKernel(p, a, b, n *big.Int) (*curveKernel, error) {
 	if fold, ok := f.Fold(); ok {
 		k.fold = &fold
 	}
+	_, k.p256 = f.P256()
 	return k, nil
 }
 
@@ -185,6 +190,10 @@ func (k *curveKernel) double(r, p *jacPt) {
 		k.doubleFold(r, p)
 		return
 	}
+	if k.p256 {
+		k.doubleP256(r, p)
+		return
+	}
 	var z2, m, t, s, x3, y3, z3 field.Elem
 	k.Sqr(&z2, &p.z)
 	k.Sub(&m, &p.x, &z2)
@@ -223,6 +232,10 @@ func (k *curveKernel) addJac(r, p, q *jacPt) {
 		k.addJacFold(r, p, q)
 		return
 	}
+	if k.p256 {
+		k.addJacP256(r, p, q)
+		return
+	}
 	var z1z1, z2z2, u1, u2, s1, s2, zz field.Elem
 	k.Sqr(&z1z1, &p.z)
 	k.Sqr(&z2z2, &q.z)
@@ -250,6 +263,10 @@ func (k *curveKernel) addAffine(r, p *jacPt, q *affPt) {
 	}
 	if k.fold != nil {
 		k.addAffineFold(r, p, q)
+		return
+	}
+	if k.p256 {
+		k.addAffineP256(r, p, q)
 		return
 	}
 	var z1z1, u2, s2 field.Elem

@@ -2,9 +2,13 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -158,4 +162,35 @@ func TestLinkAcceptSurvivesTransientError(t *testing.T) {
 			t.Fatalf("receive over the link accepted after the error: %#v, %v", got, err)
 		}
 	})
+}
+
+// TestForgedHelloCostsWhatArrived: the acceptor reads a hello from a
+// connection that has not yet said who it is. A 9-byte hello header
+// claiming wirecodec.MaxPayload (64 MiB) bytes, then three payload bytes
+// and EOF, must cost what arrived, not what was claimed: readHello still
+// fails on the EOF, and moves runtime.MemStats.TotalAlloc by under
+// 64 KiB. The least of three tries is taken, so that an allocation of
+// another goroutine cannot fail the test.
+func TestForgedHelloCostsWhatArrived(t *testing.T) {
+	frame, err := wirecodec.AppendValue(nil, hello{Party: 1, Mesh: "m"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.BigEndian.PutUint32(frame[5:9], wirecodec.MaxPayload)
+	frame = frame[:9+3]
+	least := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		rd := bufio.NewReader(bytes.NewReader(frame))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := readHello(rd)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("readHello on a forged header = %v, want io.ErrUnexpectedEOF", err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Fatalf("a forged hello header of 12 bytes allocated %d bytes", least)
+	}
 }

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"sync"
 
 	"groupranking/internal/group"
@@ -323,6 +324,13 @@ func WriteValue(w io.Writer, v any) error {
 	return err
 }
 
+// sizedPayload is the longest payload ReadValue sizes its buffer for
+// from the header alone. A longer one grows its buffer only as bytes
+// arrive, so that a header claiming up to MaxPayload bytes, which anyone
+// who can reach a listener can send, costs what was sent and not the
+// claim.
+const sizedPayload = 64 << 10
+
 // ReadValue reads one frame from r and decodes it. Short reads and
 // malformed headers surface as errors; the payload passes through a
 // pooled buffer, which is safe because decoders copy what they keep.
@@ -348,11 +356,9 @@ func ReadValue(r io.Reader) (any, error) {
 	}
 	b := getBuf()
 	defer putBuf(b)
-	if cap(*b) < n {
-		*b = make([]byte, n)
-	}
-	payload := (*b)[:n]
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, (*b)[:0], n)
+	*b = payload
+	if err != nil {
 		return nil, fmt.Errorf("wirecodec: reading %s payload: %w", c.name, err)
 	}
 	v, err := c.dec(payload)
@@ -360,6 +366,31 @@ func ReadValue(r io.Reader) (any, error) {
 		return nil, fmt.Errorf("wirecodec: decoding %s: %w", c.name, err)
 	}
 	return v, nil
+}
+
+// readPayload reads n bytes from r into buf and returns buf grown as
+// needed: to n at once when n is at most sizedPayload, else doubling
+// each time the bytes that arrived fill it.
+func readPayload(r io.Reader, buf []byte, n int) ([]byte, error) {
+	if n <= sizedPayload {
+		buf = slices.Grow(buf, n)[:n]
+		_, err := io.ReadFull(r, buf)
+		return buf, err
+	}
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(len(buf)+1, n-len(buf)))
+		}
+		got, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF // as io.ReadFull reports a part-read whole
+		}
+		buf = buf[:len(buf)+got]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // Builtin codecs: nil, group elements, integer runs, and the scalar

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"errors"
+	"io"
 	"math/big"
 	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"groupranking/internal/group"
 )
@@ -364,6 +366,38 @@ func TestUintsRun(t *testing.T) {
 		r.Uints()
 		if r.Finish() == nil {
 			t.Errorf("run payload %x accepted", payload)
+		}
+	}
+}
+
+// TestReadValueLongPayload reads frames on both sides of sizedPayload,
+// the longest payload sized from its header, in one piece and as a
+// dribble of short reads: each decodes to what was written, and each cut
+// short fails as io.ReadFull reports it, io.ErrUnexpectedEOF after some
+// payload bytes and io.EOF before any.
+func TestReadValueLongPayload(t *testing.T) {
+	for _, size := range []int{sizedPayload - 6, sizedPayload + 1, 3*sizedPayload + 5} {
+		u := Uints{Width: 1, Data: make([]byte, size-6)} // u16 width ‖ u32 count
+		for i := range u.Data {
+			u.Data[i] = byte(i * 7)
+		}
+		frame, err := Marshal(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, r := range map[string]io.Reader{
+			"whole":   bytes.NewReader(frame),
+			"dribble": iotest.HalfReader(bytes.NewReader(frame)),
+		} {
+			v, err := ReadValue(r)
+			if err != nil || !reflect.DeepEqual(v, u) {
+				t.Fatalf("%d-byte payload, %s: ReadValue = %v", size, name, err)
+			}
+		}
+		for cut, want := range map[int]error{headerLen: io.EOF, headerLen + 1: io.ErrUnexpectedEOF, len(frame) - 1: io.ErrUnexpectedEOF} {
+			if _, err := ReadValue(bytes.NewReader(frame[:cut])); !errors.Is(err, want) {
+				t.Fatalf("%d-byte payload cut to %d bytes: ReadValue = %v, want %v", size, cut, err, want)
+			}
 		}
 	}
 }
