@@ -428,7 +428,7 @@ func BenchmarkMultiExp(b *testing.B) {
 // BenchmarkPointOps prices the kernel's two hot formulas one operation
 // at a time, each result fed to the next: a doubling and a mixed
 // addition of an affine point, on secp160r1 (the fold formulas) and P-256
-// (the generic ones). The Jacobian operand starts with Z ≠ 1.
+// (the P-256 formulas). The Jacobian operand starts with Z ≠ 1.
 func BenchmarkPointOps(b *testing.B) {
 	for _, g := range []*ECGroup{Secp160r1(), Secp256r1()} {
 		k := g.kern
