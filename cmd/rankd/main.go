@@ -68,7 +68,6 @@ func run() int {
 		maxSessions    = flag.Int("max-sessions", 64, "admission cap: most concurrent non-terminal sessions this daemon hosts")
 		resultTTL      = flag.Duration("result-ttl", 5*time.Minute, "how long a finished session's result stays pollable")
 		sessionTimeout = flag.Duration("session-timeout", core.DefaultTimeout, "default (and ceiling) per-session budget")
-		queueCap       = flag.Int("queue-cap", 0, "per-session receive budget in frames per peer link (0 = the transport default)")
 		drainBudget    = flag.Duration("drain", 20*time.Second, "graceful-drain budget on SIGINT/SIGTERM: how long running sessions may finish before the rest is parked (or aborted without -journal)")
 	)
 	flag.Parse()
@@ -87,7 +86,6 @@ func run() int {
 		Me:          settings.Me,
 		MaxSessions: *maxSessions,
 		ResultTTL:   *resultTTL,
-		QueueCap:    *queueCap,
 		Runtime:     settings.Options.Runtime,
 		Recovery:    settings.Options.Recovery,
 		Telemetry:   settings.Options.Observer.Metrics(),

@@ -69,7 +69,6 @@ func run() int {
 		straggle   = flag.Duration("straggle", 0, "testing: sleep this long at the start of every phase, making this party the run's straggler in the merged trace")
 		blameOut   = flag.String("blame-out", "", "on abort, write the blame certificate as JSON to this file (- for stderr) for offline verification")
 		equivocate = flag.Bool("fault-equivocate", false, "Byzantine demo: THIS party equivocates on its broadcasts (honest peers must abort and blame it)")
-		wireCodec  = flag.Int("wire-codec", 0, "testing: announce this wire-codec version in session establishment (0 = this build's version); mismatched parties refuse the session")
 	)
 	flag.Parse()
 
@@ -104,7 +103,6 @@ func run() int {
 		return 2
 	}
 
-	opts.WireCodec = *wireCodec
 	if *equivocate {
 		// The fault net sits at this party's own endpoint: its outgoing
 		// broadcast legs equivocate, and the honest peers' echo

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,7 +16,6 @@ import (
 	"time"
 
 	"groupranking/internal/blame"
-	"groupranking/internal/core"
 	"groupranking/internal/leakcheck"
 	"groupranking/internal/tracemerge"
 	"groupranking/internal/transport"
@@ -109,13 +110,14 @@ func TestFourProcessesComplete(t *testing.T) {
 	}
 }
 
-// TestCodecVersionRefused starts a real four-process mesh where one
-// participant announces a different wire-codec version. Session
-// establishment must refuse the session on every endpoint — exit
-// non-zero with a diagnostic naming the codec field, before any crypto
-// phase runs. This is the process-level proof that a cross-build codec
-// skew cannot reach the protocol as undecodable frames.
-func TestCodecVersionRefused(t *testing.T) {
+// TestSessionSkewRefused starts a real four-process mesh where one
+// participant is configured with a different attribute width (-d1).
+// Session establishment must refuse the session on every endpoint —
+// exit non-zero with a diagnostic naming the d1 field, before any
+// crypto phase runs. This is the process-level proof that a skewed
+// deployment, a codec skew between builds included (core's
+// TestEstablishSessionCodecMismatch), cannot reach the protocol.
+func TestSessionSkewRefused(t *testing.T) {
 	if testing.Short() {
 		t.Skip("process test skipped in short mode")
 	}
@@ -135,7 +137,7 @@ func TestCodecVersionRefused(t *testing.T) {
 			defer wg.Done()
 			var extra []string
 			if me == skewed {
-				extra = []string{"-wire-codec", "99"}
+				extra = []string{"-d1", "8"} // the later -d1 wins
 			}
 			cmd, buf := startParty(bin, addrs, me, 30*time.Second, extra...)
 			err := cmd.Run()
@@ -145,10 +147,10 @@ func TestCodecVersionRefused(t *testing.T) {
 	wg.Wait()
 	for me, r := range results {
 		if r.code == 0 {
-			t.Fatalf("party %d completed despite the codec skew: %s", me, r.out)
+			t.Fatalf("party %d completed despite the d1 skew: %s", me, r.out)
 		}
-		if me != skewed && !strings.Contains(string(r.out), "codec version") {
-			t.Errorf("party %d diagnostic %q does not name the codec field", me, r.out)
+		if !strings.Contains(string(r.out), "attribute bits d1") {
+			t.Errorf("party %d diagnostic %q does not name the d1 field", me, r.out)
 		}
 	}
 }
@@ -421,7 +423,9 @@ func TestAdminEndpointsAndMergedTrace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("merging the four per-party traces: %v", err)
 	}
-	if want := core.DeriveTraceID("rankparty-test"); tl.TraceID != want {
+	// The trace ID core proposes is derived from the seed alone.
+	sum := sha256.Sum256([]byte("groupranking-trace-v1|rankparty-test"))
+	if want := hex.EncodeToString(sum[:8]); tl.TraceID != want {
 		t.Errorf("merged trace ID = %q, want the seed-derived %q", tl.TraceID, want)
 	}
 	if tl.Straggler != straggler {

@@ -120,12 +120,6 @@ type Options struct {
 	// roughly quintuples comparison-phase traffic and catches wrong-key
 	// decryption, a step beyond the paper's honest-but-curious model.
 	ProveDecryption bool
-	// WireCodec overrides the wire-codec version this party announces in
-	// session establishment (0 = the build's own version). It exists to
-	// TEST the cross-version refusal path — two parties announcing
-	// different codec versions abort the handshake with a named
-	// mismatch; it does not change how frames are encoded.
-	WireCodec int
 
 	// Runtime holds Timeout and Workers, the execution knobs shared
 	// with SortOptions and the rankd service config. The fields are
@@ -193,8 +187,7 @@ func CrashAt(party, round int) FaultRule {
 }
 
 // AbortError is the typed failure every aborted run surfaces: the first
-// failing party, protocol phase and round. Test with transport.IsAbort
-// or errors.As.
+// failing party, protocol phase and round. Test with errors.As.
 type AbortError = transport.AbortError
 
 // ErrSessionMismatch is the abort cause the distributed entry points

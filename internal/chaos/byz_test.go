@@ -90,8 +90,8 @@ func assertBlamed(t *testing.T, results []unlinksort.Result, errs []error, adver
 			}
 			continue
 		}
-		ae, ok := transport.IsAbort(err)
-		if !ok {
+		var ae *transport.AbortError
+		if !errors.As(err, &ae) {
 			if errors.Is(err, context.Canceled) {
 				continue
 			}

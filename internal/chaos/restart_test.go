@@ -120,30 +120,23 @@ func runRestartSession(t *testing.T, params core.Params, q *workload.Questionnai
 	return res
 }
 
-// runRestartParty runs one party, dying and restarting per kill.
+// runRestartParty runs one party, dying and restarting per kill. Every
+// party journals its session the way a deployment does, through
+// journal.OpenSession; a restart reopens the same journal, which begins
+// the next epoch.
 func runRestartParty(params core.Params, q *workload.Questionnaire, crit workload.Criterion,
 	profiles []workload.Profile, seed, sid string, addrs []string, me int,
 	jdir string, timeout time.Duration, kill *killSpec, res *restartResult) error {
 	victim := kill != nil && kill.party == me
-	var j *journal.Journal
-	epoch := 1
-	if victim {
-		var err error
-		if j, err = journal.Open(journal.SessionPath(jdir, sid, me)); err != nil {
-			return err
-		}
-		if epoch, err = j.BeginEpoch(); err != nil {
-			return err
-		}
-	}
 	for life := 0; ; life++ {
-		var jnl transport.Journaler
-		if j != nil {
-			jnl = j
+		j, _, err := journal.OpenSession(jdir, sid, me, seed, nil)
+		if err != nil {
+			return fmt.Errorf("life %d: %w", life, err)
 		}
 		fab, err := transport.OpenTCPFabric(addrs, me, timeout,
-			transport.MuxOptions{Recovery: &transport.MuxRecovery{Epoch: epoch, Grace: 20 * time.Second}}, sid, jnl)
+			transport.MuxOptions{Recovery: &transport.MuxRecovery{Epoch: j.Epoch(), Grace: 20 * time.Second}}, sid, j)
 		if err != nil {
+			j.Close()
 			return fmt.Errorf("life %d: %w", life, err)
 		}
 		var net transport.Net = fab
@@ -156,29 +149,36 @@ func runRestartParty(params core.Params, q *workload.Questionnaire, crit workloa
 			// deployment harness does, so a crashed peer's replacement can
 			// still collect what it missed.
 			fab.Drain(0)
-			fab.Close()
-			if j != nil {
-				j.Close()
-			}
-			return nil
 		}
 		fab.Close()
+		j.Close()
+		if err == nil {
+			return nil
+		}
 		if !errors.Is(err, errKilled) {
-			if j != nil {
-				j.Close()
-			}
 			return fmt.Errorf("life %d: %w", life, err)
 		}
-		// The "restarted process": reopen the journal, advance the epoch,
-		// and rerun the whole deterministic computation from scratch.
-		j.Close()
-		if j, err = journal.Open(journal.SessionPath(jdir, sid, me)); err != nil {
-			return err
-		}
-		if epoch, err = j.BeginEpoch(); err != nil {
-			return err
-		}
+		// The "restarted process" reopens the journal at the next epoch
+		// and reruns the whole deterministic computation from scratch.
 	}
+}
+
+// sessionJournals opens every party's journal of session sid under a
+// fresh temporary directory, closed at test cleanup: a recovering TCP
+// fabric always runs on one.
+func sessionJournals(t *testing.T, sid string, nParties int) []*journal.Journal {
+	t.Helper()
+	dir := t.TempDir()
+	js := make([]*journal.Journal, nParties)
+	for me := range js {
+		j, err := journal.Open(journal.SessionPath(dir, sid, me))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { j.Close() })
+		js[me] = j
+	}
+	return js
 }
 
 // runRestartRole is one life of one party's role through the

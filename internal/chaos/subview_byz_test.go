@@ -35,8 +35,8 @@ func assertSubViewBlame(t *testing.T, errs []error, cheater int) {
 		if p == cheater || err == nil {
 			continue
 		}
-		ae, ok := transport.IsAbort(err)
-		if !ok {
+		var ae *transport.AbortError
+		if !errors.As(err, &ae) {
 			if errors.Is(err, context.Canceled) {
 				continue
 			}
@@ -136,6 +136,7 @@ func TestSubViewOverRecoveringMeshTamper(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	errs := make([]error, n)
+	journals := sessionJournals(t, "sv-byz-mesh", n)
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
 		p := p
@@ -143,7 +144,7 @@ func TestSubViewOverRecoveringMeshTamper(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			fab, err := transport.OpenTCPFabric(addrs, p, byzRecvWindow,
-				transport.MuxOptions{Recovery: &transport.MuxRecovery{Grace: 2 * time.Second}}, "sv-byz-mesh", nil)
+				transport.MuxOptions{Recovery: &transport.MuxRecovery{Grace: 2 * time.Second}}, "sv-byz-mesh", journals[p])
 			if err != nil {
 				errs[p] = err
 				cancel()

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -36,6 +38,25 @@ func httpGet(t *testing.T, url string) (int, string) {
 		t.Fatal(err)
 	}
 	return resp.StatusCode, string(body)
+}
+
+// loadTrace writes obs's JSONL trace to a file and reads it back the way
+// ranktrace does.
+func loadTrace(t *testing.T, obs *obsv.Registry) ([]tracemerge.Span, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := obs.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	traces, err := tracemerge.LoadFiles([]string{path})
+	if err != nil {
+		return nil, err
+	}
+	return traces[0], nil
 }
 
 // TestAbortHealthzAndPartialTrace is the abort-path observability
@@ -87,6 +108,7 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 
 	fabrics := make([]*transport.TCPFabric, nParties)
 	ferrs := make([]error, nParties)
+	journals := sessionJournals(t, "telemetry-abort", nParties)
 	var fwg sync.WaitGroup
 	for me := 0; me < nParties; me++ {
 		me := me
@@ -97,7 +119,7 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 			if me == 0 {
 				opts.Telemetry = tel
 			}
-			fabrics[me], ferrs[me] = transport.OpenTCPFabric(addrs, me, timeout, opts, "telemetry-abort", nil)
+			fabrics[me], ferrs[me] = transport.OpenTCPFabric(addrs, me, timeout, opts, "telemetry-abort", journals[me])
 		}()
 	}
 	fwg.Wait()
@@ -132,10 +154,13 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 			if me == victim {
 				net = &killNet{Net: net, after: 5} // dies in the gain phase
 			}
+			role := core.Role{Me: me, Questionnaire: q}
 			if me == 0 {
 				defer close(p0done)
 				ctx = obsv.WithRegistry(ctx, obs)
-				ctx = obsv.WithParty(ctx, obs.Party(0))
+				role.Criterion = crit
+			} else {
+				role.Profile = profiles[me-1]
 			}
 			// A party whose role fails behaves like the real deployment: the
 			// process exits and its sockets die with it, so the abort
@@ -146,19 +171,11 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 					fabrics[me].Close()
 				}
 			}()
-			traceID, err := core.EstablishSessionCtx(ctx, params, me, net, core.DeriveTraceID(seed))
-			if err != nil {
-				roleErrs[me] = err
-				return
-			}
-			if me == 0 {
-				obs.SetTraceID(traceID)
-				_, _, roleErrs[me] = core.RunInitiatorCtx(ctx, params, q, crit, net,
-					fixedbig.NewDRBG(core.InitiatorSeed(seed)))
-				return
-			}
-			_, roleErrs[me] = core.RunParticipantCtx(ctx, params, me, q, profiles[me-1], net,
-				fixedbig.NewDRBG(core.ParticipantSeed(seed, me)))
+			_, roleErrs[me] = core.RunParty(ctx, params, role, seed, net, func(traceID string) {
+				if me == 0 {
+					obs.SetTraceID(traceID)
+				}
+			})
 		}()
 	}
 
@@ -186,11 +203,7 @@ func TestAbortHealthzAndPartialTrace(t *testing.T) {
 
 	// The mid-run trace must already carry the failure point: party 0 is
 	// blocked in a phase right now, so its current span exports open.
-	var mid bytes.Buffer
-	if err := obs.WriteJSONL(&mid); err != nil {
-		t.Fatal(err)
-	}
-	midSpans, err := tracemerge.Load(bytes.NewReader(mid.Bytes()))
+	midSpans, err := loadTrace(t, obs)
 	if err != nil {
 		t.Fatalf("mid-run trace is not valid JSONL: %v", err)
 	}
@@ -297,11 +310,7 @@ func TestAdminServesObserverCounts(t *testing.T) {
 		}
 	}
 
-	var trace bytes.Buffer
-	if err := obs.WriteJSONL(&trace); err != nil {
-		t.Fatal(err)
-	}
-	spans, err := tracemerge.Load(&trace)
+	spans, err := loadTrace(t, obs)
 	if err != nil {
 		t.Fatal(err)
 	}

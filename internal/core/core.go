@@ -12,14 +12,13 @@
 //     information vectors; the initiator recomputes their gains and
 //     flags inconsistent rank claims (the paper's over-claim defence).
 //
-// Each role is a standalone state machine callable against any
-// transport.Net (RunInitiatorCtx, RunParticipantCtx). RunParty is the
-// one runner above them: the deployment entry points and rankd call it
-// once per party over a TCP mesh, with the EstablishSessionCtx
-// parameter handshake first, while the RunCtx harness calls it once per
-// goroutine over one shared in-memory fabric, so the recorded trace
-// covers the whole framework and can be replayed over the simulated
-// network of Fig. 3(b).
+// Each role is a state machine over any transport.Net (runInitiator,
+// runParticipant), reached only through RunParty, the one runner above
+// them: the deployment entry points and rankd call it once per party
+// over a TCP mesh, with the establishSession parameter handshake first,
+// while the RunCtx harness calls it once per goroutine over one shared
+// in-memory fabric, so the recorded trace covers the whole framework
+// and can be replayed over the simulated network of Fig. 3(b).
 package core
 
 import (
@@ -100,13 +99,6 @@ type Params struct {
 	// out on (0 = NumCPU, 1 = serial). Results are bit-identical at
 	// every worker count: randomness is always drawn serially.
 	Workers int
-	// WireCodec overrides the wire-codec version this party announces
-	// during session establishment (0 = wirecodec.Version, the build's
-	// native format). Parties announcing different codec versions
-	// refuse each other with ErrSessionMismatch naming the codec field
-	// before any crypto is spent. The override exists for exactly that
-	// refusal path — deployments have no reason to set it.
-	WireCodec int
 }
 
 // The defaults every tier applies to a setting its caller leaves zero:

@@ -348,7 +348,7 @@ func TestOverClaimDetection(t *testing.T) {
 	}, 1)
 	go func() {
 		rng := fixedbig.NewDRBG("overclaim-initiator")
-		_, flagged, err := RunInitiatorCtx(context.Background(), params, q, crit, fab, rng)
+		_, flagged, err := runInitiator(context.Background(), params, q, crit, fab, rng)
 		initDone <- struct {
 			flagged []int
 			err     error
@@ -516,7 +516,7 @@ func TestFrameworkOverRealTCP(t *testing.T) {
 		}
 		defer fab.Close()
 		rng := fixedbig.NewDRBG("tcp-framework-initiator")
-		subs, _, err := RunInitiatorCtx(context.Background(), params, in.Questionnaire, in.Criterion, fab, rng)
+		subs, _, err := runInitiator(context.Background(), params, in.Questionnaire, in.Criterion, fab, rng)
 		initCh <- initOut{subs: subs, err: err}
 	}()
 	for j := 1; j <= params.N; j++ {
@@ -531,7 +531,7 @@ func TestFrameworkOverRealTCP(t *testing.T) {
 			}
 			defer fab.Close()
 			rng := fixedbig.NewDRBG(fmt.Sprintf("tcp-framework-participant-%d", j))
-			out, err := RunParticipantCtx(context.Background(), params, j, in.Questionnaire, in.Profiles[j-1], fab, rng)
+			out, err := runParticipant(context.Background(), params, j, in.Questionnaire, in.Profiles[j-1], fab, rng)
 			if err != nil {
 				errs[j-1] = err
 				return

@@ -45,13 +45,13 @@ type Outcome struct {
 // per process and rankd once per hosted session. It attaches the
 // party's handle from the context's observability registry and labels
 // its profile samples, derives the role's DRBG from seed
-// (InitiatorSeed or ParticipantSeed), runs the role over net and turns
+// (initiatorSeed or participantSeed), runs the role over net and turns
 // a role failure into a typed *transport.AbortError.
 //
 // With established nil the session-establishment round is skipped —
 // the in-process harness's goroutines share one Params by construction,
 // which keeps in-process message and operation counts unchanged.
-// Otherwise EstablishSessionCtx runs first, proposing DeriveTraceID of
+// Otherwise establishSession runs first, proposing deriveTraceID of
 // seed, and established receives the agreed trace ID before the role
 // starts.
 //
@@ -67,17 +67,17 @@ func RunParty(ctx context.Context, params Params, role Role, seed string, net tr
 	ctx = obsv.WithParty(ctx, obsv.RegistryFrom(ctx).Party(role.Me))
 	obsv.Do(ctx, role.Me, func(ctx context.Context) {
 		if established != nil {
-			if out.TraceID, err = EstablishSessionCtx(ctx, params, role.Me, net, DeriveTraceID(seed)); err != nil {
+			if out.TraceID, err = establishSession(ctx, params, role.Me, net, deriveTraceID(seed)); err != nil {
 				return
 			}
 			established(out.TraceID)
 		}
 		if role.Me == 0 {
-			rng := fixedbig.NewDRBG(InitiatorSeed(seed))
-			out.Submissions, out.Suspicious, err = RunInitiatorCtx(ctx, params, role.Questionnaire, role.Criterion, net, rng)
+			rng := fixedbig.NewDRBG(initiatorSeed(seed))
+			out.Submissions, out.Suspicious, err = runInitiator(ctx, params, role.Questionnaire, role.Criterion, net, rng)
 		} else {
-			rng := fixedbig.NewDRBG(ParticipantSeed(seed, role.Me))
-			out.Participant, err = RunParticipantCtx(ctx, params, role.Me, role.Questionnaire, role.Profile, net, rng)
+			rng := fixedbig.NewDRBG(participantSeed(seed, role.Me))
+			out.Participant, err = runParticipant(ctx, params, role.Me, role.Questionnaire, role.Profile, net, rng)
 		}
 		err = transport.EnsureAbort(err, -1, "framework")
 	})
@@ -136,14 +136,14 @@ func RunCtx(ctx context.Context, params Params, in Inputs, seed string, wrap fun
 	return result, fab, nil
 }
 
-// InitiatorSeed derives the initiator's deterministic RNG label from a
+// initiatorSeed derives the initiator's deterministic RNG label from a
 // run seed; RunParty keys the initiator's DRBG with it on every tier,
 // so a seed-fixed distributed run is transcript-identical to the
 // in-process harness.
-func InitiatorSeed(seed string) string { return seed + "-initiator" }
+func initiatorSeed(seed string) string { return seed + "-initiator" }
 
-// ParticipantSeed derives participant j's deterministic RNG label
+// participantSeed derives participant j's deterministic RNG label
 // (1 ≤ j ≤ n), the same on every tier.
-func ParticipantSeed(seed string, j int) string {
+func participantSeed(seed string, j int) string {
 	return fmt.Sprintf("%s-participant-%d", seed, j)
 }

@@ -20,12 +20,12 @@ type initiatorState struct {
 	rhoJ []*big.Int // per participant
 }
 
-// RunInitiatorCtx executes the initiator's side over the fabric (party
+// runInitiator executes the initiator's side over the fabric (party
 // index 0 of n+1). It returns the received submissions and the flagged
 // participants. Every blocking receive honours ctx, and failures surface
 // as typed *AbortError values naming the peer, phase and round being
 // waited on.
-func RunInitiatorCtx(ctx context.Context, params Params, q *workload.Questionnaire, crit workload.Criterion, fab transport.Net, rng io.Reader) ([]Submission, []int, error) {
+func runInitiator(ctx context.Context, params Params, q *workload.Questionnaire, crit workload.Criterion, fab transport.Net, rng io.Reader) ([]Submission, []int, error) {
 	if err := params.Validate(); err != nil {
 		return nil, nil, err
 	}

@@ -28,7 +28,7 @@ func TestInitiatorRejectsMalformedGainFlow(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		rng := fixedbig.NewDRBG("mal-flow-init")
-		_, _, err := RunInitiatorCtx(context.Background(), params, q, crit, fab, rng)
+		_, _, err := runInitiator(context.Background(), params, q, crit, fab, rng)
 		done <- err
 	}()
 	// Participant 1 sends garbage instead of a dot-product flow;
@@ -54,7 +54,7 @@ func TestParticipantRejectsMalformedGainReply(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		rng := fixedbig.NewDRBG("mal-reply-part")
-		_, err := RunParticipantCtx(context.Background(), params, 1, in.Questionnaire, in.Profiles[0], fab, rng)
+		_, err := runParticipant(context.Background(), params, 1, in.Questionnaire, in.Profiles[0], fab, rng)
 		done <- err
 	}()
 	// Play a fake initiator: absorb the flow, answer with garbage.
@@ -80,7 +80,7 @@ func TestInitiatorRejectsMalformedSubmission(t *testing.T) {
 	fab, errs, err := transport.RunMesh(context.Background(), params.N+1, nil, func(ctx context.Context, j int, fab transport.Net) error {
 		if j == 0 {
 			rng := fixedbig.NewDRBG("mal-sub-init")
-			_, _, err := RunInitiatorCtx(ctx, params, in.Questionnaire, in.Criterion, fab, rng)
+			_, _, err := runInitiator(ctx, params, in.Questionnaire, in.Criterion, fab, rng)
 			return err
 		}
 		rng := fixedbig.NewDRBG(fmt.Sprintf("mal-sub-%d", j))
@@ -131,7 +131,7 @@ func TestInitiatorRejectsSubmissionWithWrongDimensions(t *testing.T) {
 	fab, errs, err := transport.RunMesh(context.Background(), params.N+1, nil, func(ctx context.Context, j int, fab transport.Net) error {
 		if j == 0 {
 			rng := fixedbig.NewDRBG("mal-dim-init")
-			_, _, err := RunInitiatorCtx(ctx, params, in.Questionnaire, in.Criterion, fab, rng)
+			_, _, err := runInitiator(ctx, params, in.Questionnaire, in.Criterion, fab, rng)
 			return err
 		}
 		rng := fixedbig.NewDRBG(fmt.Sprintf("mal-dim-%d", j))
@@ -182,10 +182,10 @@ func TestRunParticipantIndexValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := fixedbig.NewDRBG("idx")
-	if _, err := RunParticipantCtx(context.Background(), params, 0, in.Questionnaire, in.Profiles[0], fab, rng); err == nil {
+	if _, err := runParticipant(context.Background(), params, 0, in.Questionnaire, in.Profiles[0], fab, rng); err == nil {
 		t.Error("participant index 0 (the initiator) accepted")
 	}
-	if _, err := RunParticipantCtx(context.Background(), params, params.N+1, in.Questionnaire, in.Profiles[0], fab, rng); err == nil {
+	if _, err := runParticipant(context.Background(), params, params.N+1, in.Questionnaire, in.Profiles[0], fab, rng); err == nil {
 		t.Error("out-of-range participant index accepted")
 	}
 }

@@ -16,7 +16,7 @@ import (
 	"groupranking/internal/workload"
 )
 
-// ParticipantOutput is what RunParticipantCtx reports to the harness.
+// ParticipantOutput is what runParticipant reports to the harness.
 type ParticipantOutput struct {
 	// Rank is the participant's self-computed rank (1 = best).
 	Rank int
@@ -24,10 +24,10 @@ type ParticipantOutput struct {
 	Beta *big.Int
 }
 
-// RunParticipantCtx executes participant j's side (fabric index j with
+// runParticipant executes participant j's side (fabric index j with
 // 1 ≤ j ≤ n; index 0 is the initiator), with cancellation threaded
 // through every phase, including the phase-2 sorting subprotocol.
-func RunParticipantCtx(ctx context.Context, params Params, j int, q *workload.Questionnaire, profile workload.Profile, fab transport.Net, rng io.Reader) (ParticipantOutput, error) {
+func runParticipant(ctx context.Context, params Params, j int, q *workload.Questionnaire, profile workload.Profile, fab transport.Net, rng io.Reader) (ParticipantOutput, error) {
 	var out ParticipantOutput
 	if err := params.Validate(); err != nil {
 		return out, err

@@ -33,10 +33,10 @@ const sessionVersion = 3
 // undecodable group elements, diverging rankings) rather than an error.
 type sessionMsg struct {
 	Version int
-	// Codec is the wire-codec version (wirecodec.Version unless the
-	// deployment overrides it). Pinning it here turns a cross-build
-	// codec skew into a named session abort during establishment
-	// instead of an undecodable frame mid-protocol.
+	// Codec is the build's wire-codec version (wirecodec.Version).
+	// Pinning it here turns a cross-build codec skew into a named
+	// session abort during establishment instead of an undecodable
+	// frame mid-protocol.
 	Codec           int
 	N, M, T         int
 	D1, D2, H, K    int
@@ -57,13 +57,9 @@ type sessionMsg struct {
 // normalising defaulted fields so equivalent configurations compare
 // equal.
 func sessionFromParams(p Params) sessionMsg {
-	codec := p.WireCodec
-	if codec == 0 {
-		codec = wirecodec.Version
-	}
 	return sessionMsg{
 		Version: sessionVersion,
-		Codec:   codec,
+		Codec:   wirecodec.Version,
 		N:       p.N, M: p.M, T: p.T,
 		D1: p.D1, D2: p.D2, H: p.H, K: p.K,
 		L:               p.BetaBits(),
@@ -116,16 +112,16 @@ func (m sessionMsg) diff(o sessionMsg) string {
 // wireBytes is the nominal announcement size for the transport stats.
 func (m sessionMsg) wireBytes() int { return 64 + len(m.Group) }
 
-// DeriveTraceID maps a party's resolved seed to the trace identifier
+// deriveTraceID maps a party's resolved seed to the trace identifier
 // it proposes in the session round. The derivation is deterministic so
 // a crash-recovered party (same journaled seed) proposes the same ID
 // and the merged trace stays coherent across restarts.
-func DeriveTraceID(seed string) string {
+func deriveTraceID(seed string) string {
 	sum := sha256.Sum256([]byte("groupranking-trace-v1|" + seed))
 	return hex.EncodeToString(sum[:8])
 }
 
-// EstablishSessionCtx runs the session-establishment round: every party
+// establishSession runs the session-establishment round: every party
 // broadcasts its view of the protocol parameters and checks everyone
 // else's against it, so a misconfigured deployment aborts with a typed
 // *transport.AbortError (cause ErrSessionMismatch, naming the
@@ -137,10 +133,10 @@ func DeriveTraceID(seed string) string {
 // distributed entry points always run it.
 //
 // The round doubles as trace-ID agreement: each party's announcement
-// carries its proposal (usually DeriveTraceID of its seed), party 0's
+// carries its proposal (usually deriveTraceID of its seed), party 0's
 // proposal wins, and the agreed ID is returned so the caller can stamp
 // its telemetry. No extra message or byte is spent on it.
-func EstablishSessionCtx(ctx context.Context, params Params, me int, fab transport.Net, propose string) (string, error) {
+func establishSession(ctx context.Context, params Params, me int, fab transport.Net, propose string) (string, error) {
 	if err := params.Validate(); err != nil {
 		return "", err
 	}

@@ -3,22 +3,31 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 )
 
 // establishAll runs the session round for every party whose params are
 // given (indexed by party) and returns each party's error.
 func establishAll(t *testing.T, params []Params) []error {
 	t.Helper()
+	return establishAllOver(t, params, func(net transport.Net) transport.Net { return net })
+}
+
+// establishAllOver is establishAll with every party's endpoint wrapped.
+func establishAllOver(t *testing.T, params []Params, wrap func(transport.Net) transport.Net) []error {
+	t.Helper()
 	fab, err := transport.New(len(params), transport.WithRecvTimeout(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
+	net := wrap(fab)
 	errs := make([]error, len(params))
 	var wg sync.WaitGroup
 	for i := range params {
@@ -26,7 +35,7 @@ func establishAll(t *testing.T, params []Params) []error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = EstablishSessionCtx(context.Background(), params[i], i, fab, "")
+			_, errs[i] = establishSession(context.Background(), params[i], i, net, "")
 		}()
 	}
 	wg.Wait()
@@ -83,26 +92,42 @@ func TestEstablishSessionMismatch(t *testing.T) {
 	}
 }
 
+// futureCodecNet is party 1's endpoint in a build with another wire
+// codec: its outgoing session announcement names codec version 99.
+type futureCodecNet struct{ transport.Net }
+
+func (n futureCodecNet) Broadcast(round, from, bytes int, payload any) error {
+	if m, ok := payload.(sessionMsg); ok && from == 1 {
+		m.Codec = 99
+		payload = m
+	}
+	return n.Net.Broadcast(round, from, bytes, payload)
+}
+
 // TestEstablishSessionCodecMismatch: a party built with a different
 // wire-codec version is refused during establishment with an abort
 // naming the codec field — not left to fail on an undecodable frame
-// deep inside a crypto phase.
+// deep inside a crypto phase. Party 1's announcement is rewritten on
+// the wire alone, so party 1 itself still sees matching peers; the
+// refusal under test is everyone else's.
 func TestEstablishSessionCodecMismatch(t *testing.T) {
 	params := smallParams(t, 3)
 	all := make([]Params, params.N+1)
 	for i := range all {
 		all[i] = params
 	}
-	all[1].WireCodec = 99 // party 1 speaks a future codec
-	errs := establishAll(t, all)
+	errs := establishAllOver(t, all, func(net transport.Net) transport.Net { return futureCodecNet{net} })
 	for i, err := range errs {
+		if i == 1 {
+			continue
+		}
 		if err == nil {
 			t.Fatalf("party %d accepted the session despite the codec skew", i)
 		}
 		if !errors.Is(err, ErrSessionMismatch) {
 			t.Errorf("party %d: error %v does not carry ErrSessionMismatch", i, err)
 		}
-		if i != 1 && !strings.Contains(err.Error(), "codec version") {
+		if want := fmt.Sprintf("codec version (mine %d, theirs 99)", wirecodec.Version); !strings.Contains(err.Error(), want) {
 			t.Errorf("party %d: diagnosis %q does not name the codec field", i, err)
 		}
 	}
@@ -127,7 +152,7 @@ func TestEstablishSessionMalformed(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = EstablishSessionCtx(context.Background(), params, i, fab, "")
+			_, errs[i] = establishSession(context.Background(), params, i, fab, "")
 		}()
 	}
 	wg.Wait()
@@ -153,7 +178,7 @@ func TestEstablishSessionRejectsInvalidParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EstablishSessionCtx(context.Background(), Params{}, 0, fab, ""); err == nil {
+	if _, err := establishSession(context.Background(), Params{}, 0, fab, ""); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 }

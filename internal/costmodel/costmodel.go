@@ -94,18 +94,18 @@ func OursRounds(n int) int64 { return int64(n) + 9 }
 
 // ---- Operation counts: SS baseline (per party) ----
 
-// SSComparators is the exact Batcher comparator count for n wires.
-func SSComparators(n int) int64 { return int64(sssort.Comparators(n)) }
+// ssComparators is the exact Batcher comparator count for n wires.
+func ssComparators(n int) int64 { return int64(sssort.Comparators(n)) }
 
-// SSMultsPerComparison is the paper's Nishide–Ohta constant: 279·l+5
+// ssMultsPerComparison is the paper's Nishide–Ohta constant: 279·l+5
 // multiplication-protocol invocations per l-bit comparison, plus one for
 // the oblivious swap.
-func SSMultsPerComparison(l int) int64 { return 279*int64(l) + 5 + 1 }
+func ssMultsPerComparison(l int) int64 { return 279*int64(l) + 5 + 1 }
 
-// SSMultInvocations is the total multiplication-protocol invocations of
+// ssMultInvocations is the total multiplication-protocol invocations of
 // one baseline sort.
-func SSMultInvocations(n, l int) int64 {
-	return SSComparators(n) * SSMultsPerComparison(l)
+func ssMultInvocations(n, l int) int64 {
+	return ssComparators(n) * ssMultsPerComparison(l)
 }
 
 // SSFieldMultsPerParty converts invocations to per-party field
@@ -118,27 +118,18 @@ func SSMultInvocations(n, l int) int64 {
 // (Fig. 2(a)): comparators ~ n·log²n times per-invocation work ~ n².
 func SSFieldMultsPerParty(n, l int) int64 {
 	d := int64((n - 1) / 2)
-	return SSMultInvocations(n, l) * int64(n) * (d + 1)
+	return ssMultInvocations(n, l) * int64(n) * (d + 1)
 }
 
 // SSBytesPerParty is the per-party traffic: each invocation reshares to
 // n−1 peers, one field element each.
 func SSBytesPerParty(n, l, fieldBytes int) int64 {
-	return SSMultInvocations(n, l) * int64(n-1) * int64(fieldBytes)
+	return ssMultInvocations(n, l) * int64(n-1) * int64(fieldBytes)
 }
 
 // SSRoundsSerial is the paper's round bound: one round per
 // multiplication-protocol invocation.
-func SSRoundsSerial(n, l int) int64 { return SSMultInvocations(n, l) }
-
-// SSRoundsLayered is the round count of our batched implementation:
-// every network layer costs one comparison's rounds (≈ l + 8) because
-// all comparators in a layer are vectorised. (Our comparison uses an
-// O(l)-round prefix circuit; the paper's Nishide–Ohta primitive is
-// constant round, see SSRoundsNishideOhta.)
-func SSRoundsLayered(n, l int) int64 {
-	return int64(sssort.Depth(n))*int64(l+8) + int64(n)
-}
+func SSRoundsSerial(n, l int) int64 { return ssMultInvocations(n, l) }
 
 // SSRoundsNishideOhta is the round count of the paper's actual baseline
 // configuration: the Nishide–Ohta comparison is constant round
@@ -335,7 +326,7 @@ func OursMessageCounts(s Setting) []int64 {
 // SSRoundTrace builds one representative all-to-all resharing round of
 // the SS baseline: every party sends elemsPerMsg field elements to every
 // other party. Total baseline network time ≈ per-round time × the round
-// count (SSRoundsLayered or SSRoundsSerial); all rounds are structurally
+// count (SSRoundsNishideOhta or SSRoundsSerial); all rounds are structurally
 // identical, so simulating one and scaling is exact under the
 // round-barrier model.
 func SSRoundTrace(n, fieldBytes, elemsPerMsg int) []netsim.Event {
@@ -369,7 +360,7 @@ const SSWireFraction = 1.0 / 3
 // count: the per-peer total traffic (one field element per
 // multiplication invocation) spread over the rounds.
 func SSElemsPerRound(n, l int, rounds int64) int {
-	total := SSMultInvocations(n, l) // field elements to each peer overall
+	total := ssMultInvocations(n, l) // field elements to each peer overall
 	per := total / rounds
 	if per < 1 {
 		per = 1

@@ -63,16 +63,8 @@ func TestRoundCounts(t *testing.T) {
 	if SSRoundsSerial(25, 56) <= 100*OursRounds(25) {
 		t.Error("serial SS rounds should dwarf ours")
 	}
-	// The layered implementation is far better than serial but still
-	// grows with l and depth.
-	if SSRoundsLayered(25, 56) >= SSRoundsSerial(25, 56) {
-		t.Error("layered rounds must beat serial rounds")
-	}
-	if SSRoundsLayered(25, 56) <= OursRounds(25) {
-		t.Error("even layered SS uses more rounds than the chain")
-	}
-	if SSRoundsNishideOhta(25) >= SSRoundsLayered(25, 56) {
-		t.Error("constant-round comparisons must beat the O(l)-round circuit")
+	if SSRoundsNishideOhta(25) >= SSRoundsSerial(25, 56) {
+		t.Error("constant-round comparisons must beat serial rounds")
 	}
 	if SSRoundsNishideOhta(25) <= OursRounds(25) {
 		t.Error("the baseline still uses more rounds than the chain")
@@ -213,7 +205,7 @@ func TestSSRoundTraceShape(t *testing.T) {
 			t.Errorf("event bytes %d, want 48", ev.Bytes)
 		}
 	}
-	if SSElemsPerRound(6, 20, SSRoundsLayered(6, 20)) < 1 {
+	if SSElemsPerRound(6, 20, SSRoundsNishideOhta(6)) < 1 {
 		t.Error("batch size must be at least 1")
 	}
 }

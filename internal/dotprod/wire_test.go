@@ -2,6 +2,7 @@ package dotprod
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/big"
 	"testing"
 
@@ -80,11 +81,11 @@ func FuzzBobMessageUnmarshal(f *testing.F) {
 		f.Add(frame)
 	}
 	frame := func(id uint16, payload []byte) []byte {
-		b := wirecodec.AppendU16([]byte{'G', 'W', wirecodec.Version}, id)
+		b := binary.BigEndian.AppendUint16([]byte{'G', 'W', wirecodec.Version}, id)
 		return append(wirecodec.AppendU32(b, uint32(len(payload))), payload...)
 	}
 	run := func(width, count int, data ...byte) []byte {
-		return append(wirecodec.AppendU32(wirecodec.AppendU16(nil, uint16(width)), uint32(count)), data...)
+		return append(wirecodec.AppendU32(binary.BigEndian.AppendUint16(nil, uint16(width)), uint32(count)), data...)
 	}
 	bob, alice := wirecodec.IDRangeProtocol, wirecodec.IDRangeProtocol+1
 	f.Add(frame(alice, run(0, 2)))                                       // width 0

@@ -32,17 +32,6 @@ func Bits(x *big.Int, width int) ([]uint8, error) {
 	return bits, nil
 }
 
-// FromBits reassembles a little-endian bit slice into an integer.
-func FromBits(bits []uint8) *big.Int {
-	x := new(big.Int)
-	for i, b := range bits {
-		if b != 0 {
-			x.SetBit(x, i, 1)
-		}
-	}
-	return x
-}
-
 // ToUnsigned maps a signed integer in [-2^(width-1), 2^(width-1)) to an
 // unsigned integer in [0, 2^width) by adding 2^(width-1). The mapping is
 // strictly order preserving, which is the property the framework relies on
@@ -54,15 +43,6 @@ func ToUnsigned(x *big.Int, width int) (*big.Int, error) {
 		return nil, fmt.Errorf("fixedbig: signed value %s out of range for width %d", x, width)
 	}
 	return u, nil
-}
-
-// ToSigned inverts ToUnsigned.
-func ToSigned(u *big.Int, width int) (*big.Int, error) {
-	if u.Sign() < 0 || u.BitLen() > width {
-		return nil, fmt.Errorf("fixedbig: unsigned value %s out of range for width %d", u, width)
-	}
-	half := new(big.Int).Lsh(big.NewInt(1), uint(width-1))
-	return new(big.Int).Sub(u, half), nil
 }
 
 // RandInt returns a uniform integer in [0, max). It is a thin wrapper over

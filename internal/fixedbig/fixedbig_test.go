@@ -2,6 +2,7 @@ package fixedbig
 
 import (
 	"bytes"
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -29,7 +30,7 @@ func TestBitsRoundTrip(t *testing.T) {
 			if len(bits) != tc.width {
 				t.Fatalf("got %d bits, want %d", len(bits), tc.width)
 			}
-			if got := FromBits(bits); got.Cmp(x) != 0 {
+			if got := fromBits(bits); got.Cmp(x) != 0 {
 				t.Fatalf("round trip: got %s, want %s", got, x)
 			}
 		})
@@ -72,9 +73,9 @@ func TestToUnsignedOrderPreserving(t *testing.T) {
 		}
 		prev.Set(u)
 		first = false
-		s, err := ToSigned(u, width)
+		s, err := toSigned(u, width)
 		if err != nil {
-			t.Fatalf("ToSigned: %v", err)
+			t.Fatalf("toSigned: %v", err)
 		}
 		if s.Int64() != v {
 			t.Fatalf("round trip: got %d, want %d", s.Int64(), v)
@@ -229,4 +230,26 @@ func TestPrimeDeterministicAndValid(t *testing.T) {
 	if _, err := Prime(NewDRBG("x"), 1); err == nil {
 		t.Error("1-bit prime accepted")
 	}
+}
+
+// fromBits reassembles a little-endian bit slice into an integer: the
+// reference Bits round-trips against.
+func fromBits(bits []uint8) *big.Int {
+	x := new(big.Int)
+	for i, b := range bits {
+		if b != 0 {
+			x.SetBit(x, i, 1)
+		}
+	}
+	return x
+}
+
+// toSigned inverts ToUnsigned: the reference ToUnsigned round-trips
+// against.
+func toSigned(u *big.Int, width int) (*big.Int, error) {
+	if u.Sign() < 0 || u.BitLen() > width {
+		return nil, fmt.Errorf("unsigned value %s out of range for width %d", u, width)
+	}
+	half := new(big.Int).Lsh(big.NewInt(1), uint(width-1))
+	return new(big.Int).Sub(u, half), nil
 }

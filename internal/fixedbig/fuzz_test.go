@@ -22,7 +22,7 @@ func FuzzBitsRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		if got := FromBits(bits); got.Cmp(x) != 0 {
+		if got := fromBits(bits); got.Cmp(x) != 0 {
 			t.Fatalf("round trip %d/%d: got %s", v, width, got)
 		}
 	})
@@ -41,9 +41,9 @@ func FuzzToUnsignedRoundTrip(f *testing.F) {
 		if err != nil {
 			return // out of range, fine
 		}
-		s, err := ToSigned(u, int(width))
+		s, err := toSigned(u, int(width))
 		if err != nil {
-			t.Fatalf("ToSigned rejected ToUnsigned output: %v", err)
+			t.Fatalf("toSigned rejected ToUnsigned output: %v", err)
 		}
 		if s.Cmp(x) != 0 {
 			t.Fatalf("round trip %d/%d: got %s", v, width, s)

@@ -90,9 +90,6 @@ func mustCurve(d curveDef) *ECGroup {
 // framework (80-bit security).
 func Secp160r1() *ECGroup { return _secp160r1() }
 
-// Secp224r1 returns NIST P-224 (112-bit security).
-func Secp224r1() *ECGroup { return _secp224r1() }
-
 // Secp256r1 returns NIST P-256 (128-bit security).
 func Secp256r1() *ECGroup { return _secp256r1() }
 
@@ -119,10 +116,10 @@ func curveEntry(d curveDef, get func() *ECGroup) namedGroup {
 // so a group that leaves ByName leaves a gap; 0 names no group.
 var namedGroups = [...]namedGroup{
 	1: dlEntry(modp1024, MODP1024),
-	2: dlEntry(modp2048, MODP2048),
-	3: dlEntry(modp3072, MODP3072),
+	2: dlEntry(modp2048, _modp2048),
+	3: dlEntry(modp3072, _modp3072),
 	4: curveEntry(secp160r1, Secp160r1),
-	5: curveEntry(secp224r1, Secp224r1),
+	5: curveEntry(secp224r1, _secp224r1),
 	6: curveEntry(secp256r1, Secp256r1),
 	7: dlEntry(toyDL256, ToyDL256),
 }

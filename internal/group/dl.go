@@ -32,11 +32,11 @@ func (dlElement) groupElement() {}
 
 var _ Group = (*DLGroup)(nil)
 
-// NewDLGroup builds a DL group from a safe prime p, verifying that p and
+// newDLGroup builds a DL group from a safe prime p, verifying that p and
 // q=(p-1)/2 are (probable) primes and that the generator has order q. The
 // generator is 2 when 2 is a quadratic residue mod p (true for p ≡ 7 mod 8,
 // which holds for all the RFC MODP primes) and 4 otherwise.
-func NewDLGroup(name string, p *big.Int, secLevel int) (*DLGroup, error) {
+func newDLGroup(name string, p *big.Int, secLevel int) (*DLGroup, error) {
 	if !p.ProbablyPrime(32) {
 		return nil, fmt.Errorf("group: %s modulus is not prime", name)
 	}
@@ -75,7 +75,7 @@ func GenerateDLGroup(bits int, rng io.Reader) (*DLGroup, error) {
 		p := new(big.Int).Lsh(q, 1)
 		p.Add(p, big.NewInt(1))
 		if p.ProbablyPrime(32) {
-			return NewDLGroup(fmt.Sprintf("dl-%d-generated", bits), p, bits/12)
+			return newDLGroup(fmt.Sprintf("dl-%d-generated", bits), p, bits/12)
 		}
 	}
 }
@@ -85,9 +85,6 @@ func (d *DLGroup) Name() string { return d.name }
 
 // Order implements Group.
 func (d *DLGroup) Order() *big.Int { return d.q }
-
-// Modulus returns the safe prime p.
-func (d *DLGroup) Modulus() *big.Int { return d.p }
 
 // Generator implements Group.
 func (d *DLGroup) Generator() Element { return dlElement{d, d.g} }
@@ -189,7 +186,7 @@ var (
 )
 
 // ToyDL256 returns a 256-bit safe-prime group built alone, from its
-// constant, on first use (NewDLGroup checks that p and q are prime). It
+// constant, on first use (newDLGroup checks that p and q are prime). It
 // is far below any real security level and exists so examples and demos
 // run in seconds; production configurations use the fixed MODP or SEC2
 // groups.

@@ -17,7 +17,7 @@ func testGroups(t *testing.T) []Group {
 	if err != nil {
 		t.Fatalf("GenerateDLGroup: %v", err)
 	}
-	return []Group{dl, MODP1024(), Secp160r1(), Secp224r1(), Secp256r1()}
+	return []Group{dl, MODP1024(), Secp160r1(), _secp224r1(), Secp256r1()}
 }
 
 func TestGroupAxioms(t *testing.T) {
@@ -160,7 +160,7 @@ func TestDLDecodeRejectsNonResidue(t *testing.T) {
 	g := MODP1024()
 	// Find a quadratic non-residue and check Decode rejects it.
 	v := big.NewInt(2)
-	for big.Jacobi(v, g.Modulus()) == 1 {
+	for big.Jacobi(v, g.p) == 1 {
 		v.Add(v, big.NewInt(1))
 	}
 	data := v.FillBytes(make([]byte, g.ElementLen()))
@@ -210,11 +210,11 @@ func TestRandomScalarRange(t *testing.T) {
 }
 
 // TestMODPGroupsAreSafePrimes checks every named DL group's pinned
-// constant, the toy's included, beyond what NewDLGroup checks on first
+// constant, the toy's included, beyond what newDLGroup checks on first
 // use: the exact bit length and a quadratic-residue generator.
 func TestMODPGroupsAreSafePrimes(t *testing.T) {
-	for _, g := range []*DLGroup{MODP1024(), MODP2048(), MODP3072(), ToyDL256()} {
-		p := g.Modulus()
+	for _, g := range []*DLGroup{MODP1024(), _modp2048(), _modp3072(), ToyDL256()} {
+		p := g.p
 		if !p.ProbablyPrime(32) {
 			t.Errorf("%s: p not prime", g.Name())
 		}
@@ -293,9 +293,9 @@ func TestGenerateDLGroupDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want == nil {
-			want = g.Modulus()
-		} else if g.Modulus().Cmp(want) != 0 {
-			t.Fatalf("draw %d from a fresh DRBG gave modulus %x, the first gave %x", i, g.Modulus(), want)
+			want = g.p
+		} else if g.p.Cmp(want) != 0 {
+			t.Fatalf("draw %d from a fresh DRBG gave modulus %x, the first gave %x", i, g.p, want)
 		}
 	}
 }
@@ -326,8 +326,8 @@ func mustScalar(t testing.TB, g Group, rng *fixedbig.DRBG) *big.Int {
 
 func TestToyDL256(t *testing.T) {
 	g := ToyDL256()
-	if g.Name() != "toy-dl-256" || g.Modulus().BitLen() != 256 {
-		t.Errorf("toy group malformed: %s, %d bits", g.Name(), g.Modulus().BitLen())
+	if g.Name() != "toy-dl-256" || g.p.BitLen() != 256 {
+		t.Errorf("toy group malformed: %s, %d bits", g.Name(), g.p.BitLen())
 	}
 	// Deterministic across calls and reachable via ByName.
 	g2, err := ByName("toy-dl-256")
@@ -364,8 +364,8 @@ func TestToyDL256Derivation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Cmp(ToyDL256().Modulus()) != 0 {
-		t.Fatalf("the search derives %x, toy-dl-256 pins %x", p, ToyDL256().Modulus())
+	if p.Cmp(ToyDL256().p) != 0 {
+		t.Fatalf("the search derives %x, toy-dl-256 pins %x", p, ToyDL256().p)
 	}
 }
 

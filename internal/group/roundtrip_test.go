@@ -66,7 +66,7 @@ func TestEncodeDecodeRoundTripAllGroups(t *testing.T) {
 // element has one fixed-width canonical form), and the legacy one-byte
 // {0x00} form must be rejected rather than silently widened.
 func TestECIdentityEncodingRegression(t *testing.T) {
-	for _, gg := range []Group{Secp160r1(), oracleOf(Secp160r1()), Secp224r1(), Secp256r1()} {
+	for _, gg := range []Group{Secp160r1(), oracleOf(Secp160r1()), _secp224r1(), Secp256r1()} {
 		enc := gg.AppendElement(nil, gg.Identity())
 		if len(enc) != gg.ElementLen() {
 			t.Errorf("%s: identity encodes to %d bytes, want ElementLen %d",
@@ -91,7 +91,7 @@ func TestECIdentityEncodingRegression(t *testing.T) {
 // at the group layer: a structurally well-formed point that is not on
 // the curve must fail Validate.
 func TestValidateRejectsOffCurvePoint(t *testing.T) {
-	for _, g := range []Group{Secp160r1(), Secp224r1()} {
+	for _, g := range []Group{Secp160r1(), _secp224r1()} {
 		evil, err := UnsafeElementFromCoords(g, big.NewInt(1), big.NewInt(1))
 		if err != nil {
 			t.Fatal(err)

@@ -238,10 +238,10 @@ func (j *Journal) appendLocked(rec Record) error {
 	return nil
 }
 
-// PinSession records the session fingerprint on first open and verifies
+// pinSession records the session fingerprint on first open and verifies
 // it on every reopen, so a journal cannot be resumed with different
 // flags, addresses or parameters than the session it belongs to.
-func (j *Journal) PinSession(fingerprint []byte) error {
+func (j *Journal) pinSession(fingerprint []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.fingerprint == nil {
@@ -270,15 +270,15 @@ func OpenSession(dir, sessionID string, party int, seed string, reg *telemetry.R
 		return nil, "", err
 	}
 	j.SetTelemetry(reg)
-	err = j.PinSession([]byte(fmt.Sprintf("%s|party=%d", sessionID, party)))
+	err = j.pinSession([]byte(fmt.Sprintf("%s|party=%d", sessionID, party)))
 	if err == nil && j.seed == "" {
 		seed, err = fixedbig.DrawSeed(seed)
 	}
 	if err == nil {
-		seed, err = j.SessionSeed(seed)
+		seed, err = j.sessionSeed(seed)
 	}
 	if err == nil {
-		_, err = j.BeginEpoch()
+		_, err = j.beginEpoch()
 	}
 	if err != nil {
 		j.Close()
@@ -287,11 +287,11 @@ func OpenSession(dir, sessionID string, party int, seed string, reg *telemetry.R
 	return j, seed, nil
 }
 
-// SessionSeed resolves the party's seed against the journal: the first
+// sessionSeed resolves the party's seed against the journal: the first
 // run records the given (drawn or explicit) seed; a restart returns the
 // journaled one, so recovery works even when the operator never chose a
 // seed. An explicit seed that contradicts the journal is an error.
-func (j *Journal) SessionSeed(seed string) (string, error) {
+func (j *Journal) sessionSeed(seed string) (string, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.seed != "" {
@@ -306,10 +306,10 @@ func (j *Journal) SessionSeed(seed string) (string, error) {
 	return seed, j.appendLocked(Record{Kind: KindSeed, Data: []byte(seed)})
 }
 
-// BeginEpoch marks one process start and returns the new epoch number
+// beginEpoch marks one process start and returns the new epoch number
 // (1 on the first run). The reconnect handshake carries it so peers can
 // tell a restarted party from a stale connection.
-func (j *Journal) BeginEpoch() (int, error) {
+func (j *Journal) beginEpoch() (int, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	next := j.epoch + 1
@@ -319,7 +319,7 @@ func (j *Journal) BeginEpoch() (int, error) {
 	return next, nil
 }
 
-// Epoch returns the current epoch (0 before any BeginEpoch).
+// Epoch returns the current epoch (0 before any beginEpoch).
 func (j *Journal) Epoch() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -29,14 +29,14 @@ func open(t *testing.T, path string) *Journal {
 func TestRoundTrip(t *testing.T) {
 	path := SessionPath(t.TempDir(), "sess", 1)
 	j := open(t, path)
-	if err := j.PinSession([]byte("fingerprint-1")); err != nil {
+	if err := j.pinSession([]byte("fingerprint-1")); err != nil {
 		t.Fatalf("PinSession: %v", err)
 	}
-	seed, err := j.SessionSeed("demo-seed")
+	seed, err := j.sessionSeed("demo-seed")
 	if err != nil || seed != "demo-seed" {
 		t.Fatalf("SessionSeed: %q, %v", seed, err)
 	}
-	if ep, err := j.BeginEpoch(); err != nil || ep != 1 {
+	if ep, err := j.beginEpoch(); err != nil || ep != 1 {
 		t.Fatalf("BeginEpoch: %d, %v", ep, err)
 	}
 	if err := j.LogSend(0, 3, 40, 0, "hello"); err != nil {
@@ -58,17 +58,17 @@ func TestRoundTrip(t *testing.T) {
 	// The restarted process sees everything back.
 	j2 := open(t, path)
 	defer j2.Close()
-	if err := j2.PinSession([]byte("fingerprint-1")); err != nil {
+	if err := j2.pinSession([]byte("fingerprint-1")); err != nil {
 		t.Fatalf("PinSession on reopen: %v", err)
 	}
 	// Empty seed on restart resolves to the journaled one.
-	if seed, err := j2.SessionSeed(""); err != nil || seed != "demo-seed" {
+	if seed, err := j2.sessionSeed(""); err != nil || seed != "demo-seed" {
 		t.Fatalf("SessionSeed on reopen: %q, %v", seed, err)
 	}
 	if ep := j2.Epoch(); ep != 1 {
 		t.Fatalf("Epoch on reopen: %d, want 1", ep)
 	}
-	if ep, err := j2.BeginEpoch(); err != nil || ep != 2 {
+	if ep, err := j2.beginEpoch(); err != nil || ep != 2 {
 		t.Fatalf("BeginEpoch on reopen: %d, %v", ep, err)
 	}
 	sent, err := j2.SentTo(0)
@@ -110,7 +110,7 @@ func TestTornTail(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			path := SessionPath(t.TempDir(), "torn", 0)
 			j := open(t, path)
-			if err := j.PinSession([]byte("fp")); err != nil {
+			if err := j.pinSession([]byte("fp")); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 3; i++ {
@@ -203,7 +203,7 @@ func TestMidFileCorruptionRefused(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			path := SessionPath(t.TempDir(), "mid", 0)
 			j := open(t, path)
-			if _, err := j.BeginEpoch(); err != nil {
+			if _, err := j.beginEpoch(); err != nil {
 				t.Fatal(err)
 			}
 			info, err := os.Stat(path)
@@ -216,7 +216,7 @@ func TestMidFileCorruptionRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := j.BeginEpoch(); err != nil {
+			if _, err := j.beginEpoch(); err != nil {
 				t.Fatal(err)
 			}
 			j.Close()
@@ -247,13 +247,13 @@ func TestMidFileCorruptionRefused(t *testing.T) {
 func TestPinSessionMismatch(t *testing.T) {
 	path := SessionPath(t.TempDir(), "pin", 0)
 	j := open(t, path)
-	if err := j.PinSession([]byte("original")); err != nil {
+	if err := j.pinSession([]byte("original")); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
 	j2 := open(t, path)
 	defer j2.Close()
-	if err := j2.PinSession([]byte("different")); err == nil {
+	if err := j2.pinSession([]byte("different")); err == nil {
 		t.Fatal("PinSession accepted a different fingerprint")
 	}
 }
@@ -263,17 +263,17 @@ func TestPinSessionMismatch(t *testing.T) {
 func TestSessionSeed(t *testing.T) {
 	path := SessionPath(t.TempDir(), "seed", 0)
 	j := open(t, path)
-	if _, err := j.SessionSeed(""); err == nil {
+	if _, err := j.sessionSeed(""); err == nil {
 		t.Fatal("empty seed on a fresh journal must fail")
 	}
-	if _, err := j.SessionSeed("alpha"); err != nil {
+	if _, err := j.sessionSeed("alpha"); err != nil {
 		t.Fatal(err)
 	}
 	// Same explicit seed is fine; a different one is not.
-	if s, err := j.SessionSeed("alpha"); err != nil || s != "alpha" {
+	if s, err := j.sessionSeed("alpha"); err != nil || s != "alpha" {
 		t.Fatalf("re-resolving same seed: %q, %v", s, err)
 	}
-	if _, err := j.SessionSeed("beta"); err == nil {
+	if _, err := j.sessionSeed("beta"); err == nil {
 		t.Fatal("conflicting explicit seed must fail")
 	}
 	j.Close()
@@ -376,8 +376,8 @@ func TestOpenRejectsForeignFile(t *testing.T) {
 func TestScan(t *testing.T) {
 	path := SessionPath(t.TempDir(), "scan", 2)
 	j := open(t, path)
-	j.PinSession([]byte("fp"))
-	j.BeginEpoch()
+	j.pinSession([]byte("fp"))
+	j.beginEpoch()
 	j.LogSend(0, 7, 10, 0, "x")
 	j.Close()
 	f, _ := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
@@ -532,7 +532,7 @@ func TestParentBuildJournalResumes(t *testing.T) {
 	firstLife := func(me int, records func(j *Journal) error) {
 		j := open(t, SessionPath(dir, "parent", me))
 		defer j.Close()
-		if _, err := j.BeginEpoch(); err != nil {
+		if _, err := j.beginEpoch(); err != nil {
 			t.Fatal(err)
 		}
 		if err := records(j); err != nil {
@@ -550,7 +550,7 @@ func TestParentBuildJournalResumes(t *testing.T) {
 	for me := range fabrics {
 		j := open(t, SessionPath(dir, "parent", me))
 		defer j.Close()
-		epoch, err := j.BeginEpoch()
+		epoch, err := j.beginEpoch()
 		if err != nil || epoch != 2 {
 			t.Fatalf("party %d restart epoch %d, %v", me, epoch, err)
 		}
@@ -601,7 +601,7 @@ func TestOtherWireVersionJournalRefused(t *testing.T) {
 	path := SessionPath(t.TempDir(), "v3", 1)
 	j := open(t, path)
 	payload := []byte{0, 0, 0, 1, 0, 0, 0, 0, 1, 7} // one integer, 7
-	frame := wirecodec.AppendU32(wirecodec.AppendU16([]byte{'G', 'W', 3}, 5), uint32(len(payload)))
+	frame := wirecodec.AppendU32(binary.BigEndian.AppendUint16([]byte{'G', 'W', 3}, 5), uint32(len(payload)))
 	frame = append(frame, payload...)
 	j.mu.Lock()
 	err := j.appendLocked(Record{Kind: KindRecv, Peer: 0, Round: 1, Seq: 1, Bytes: 8, Data: frame})

@@ -93,14 +93,6 @@ func NewRandomTopology(nodes, targetEdges int, rng io.Reader) (*Topology, error)
 // Nodes returns the vertex count.
 func (t *Topology) Nodes() int { return t.nodes }
 
-// Edges returns the current undirected edge count.
-func (t *Topology) Edges() int { return t.edges }
-
-// HasEdge reports whether a and b are directly linked.
-func (t *Topology) HasEdge(a, b int) bool {
-	return a >= 0 && b >= 0 && a < t.nodes && b < t.nodes && t.adj[a][b]
-}
-
 // connected reports whether the graph is connected (BFS from node 0).
 func (t *Topology) connected() bool {
 	seen := make([]bool, t.nodes)
@@ -120,9 +112,6 @@ func (t *Topology) connected() bool {
 	}
 	return count == t.nodes
 }
-
-// Connected reports whether the topology is connected.
-func (t *Topology) Connected() bool { return t.connected() }
 
 // Paths returns, for every ordered node pair, the minimum-hop path as a
 // node sequence (inclusive of both endpoints), computed by BFS.

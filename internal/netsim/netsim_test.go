@@ -17,17 +17,17 @@ func TestRandomTopologyInvariants(t *testing.T) {
 		if err != nil {
 			t.Fatalf("nodes=%d edges=%d: %v", tc.nodes, tc.edges, err)
 		}
-		if topo.Edges() != tc.edges {
-			t.Errorf("got %d edges, want %d", topo.Edges(), tc.edges)
+		if topo.edges != tc.edges {
+			t.Errorf("got %d edges, want %d", topo.edges, tc.edges)
 		}
-		if !topo.Connected() {
+		if !topo.connected() {
 			t.Errorf("nodes=%d edges=%d: graph disconnected", tc.nodes, tc.edges)
 		}
 		// Edge count by direct inspection must match.
 		count := 0
 		for a := 0; a < tc.nodes; a++ {
 			for b := a + 1; b < tc.nodes; b++ {
-				if topo.HasEdge(a, b) {
+				if topo.adj[a][b] {
 					count++
 				}
 			}
@@ -58,7 +58,7 @@ func TestSpanningTreeEdgeCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !topo.Connected() || topo.Edges() != 7 {
+	if !topo.connected() || topo.edges != 7 {
 		t.Error("spanning tree construction failed")
 	}
 }
@@ -80,7 +80,7 @@ func TestPathsAreShortest(t *testing.T) {
 				t.Fatalf("path %d→%d has wrong endpoints: %v", a, b, p)
 			}
 			for h := 0; h+1 < len(p); h++ {
-				if !topo.HasEdge(p[h], p[h+1]) {
+				if !topo.adj[p[h]][p[h+1]] {
 					t.Fatalf("path %d→%d uses missing edge %d-%d", a, b, p[h], p[h+1])
 				}
 			}
@@ -89,7 +89,7 @@ func TestPathsAreShortest(t *testing.T) {
 				t.Fatalf("asymmetric distances %d→%d", a, b)
 			}
 			// Direct neighbours must use the single-hop path.
-			if topo.HasEdge(a, b) && len(p) != 2 {
+			if topo.adj[a][b] && len(p) != 2 {
 				t.Fatalf("neighbours %d,%d routed over %d hops", a, b, len(p)-1)
 			}
 		}
@@ -207,7 +207,7 @@ func TestReplayMultiHopLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Want the path topology with node 1 in the middle.
-		if candidate.HasEdge(0, 1) && candidate.HasEdge(1, 2) && !candidate.HasEdge(0, 2) {
+		if candidate.adj[0][1] && candidate.adj[1][2] && !candidate.adj[0][2] {
 			topo = candidate
 			break
 		}
@@ -285,7 +285,7 @@ func TestPaperTopologyScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.Edges() != 320 || !topo.Connected() {
+	if topo.edges != 320 || !topo.connected() {
 		t.Error("paper topology invariants violated")
 	}
 }

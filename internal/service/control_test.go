@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"reflect"
@@ -49,7 +50,7 @@ func TestControlOpenSpecIsStrict(t *testing.T) {
 	frame := func(spec string) []byte {
 		payload := wirecodec.AppendBytes(wirecodec.AppendString(nil, "s-1"), []byte(spec))
 		b := []byte{'G', 'W', wirecodec.Version}
-		b = wirecodec.AppendU16(b, wirecodec.IDRangeService)
+		b = binary.BigEndian.AppendUint16(b, wirecodec.IDRangeService)
 		return append(wirecodec.AppendU32(b, uint32(len(payload))), payload...)
 	}
 	if _, err := wirecodec.Unmarshal(frame(`{"attributes":[],"criterion":{"values":null,"weights":null},"k":2}`)); err != nil {
@@ -79,7 +80,7 @@ func FuzzCtlDecode(f *testing.F) {
 	if err := gob.NewEncoder(&legacy).Encode(&old); err != nil {
 		f.Fatal(err)
 	}
-	legacyFrame := wirecodec.AppendU16([]byte{'G', 'W', wirecodec.Version}, 1)
+	legacyFrame := binary.BigEndian.AppendUint16([]byte{'G', 'W', wirecodec.Version}, 1)
 	legacyFrame = wirecodec.AppendBytes(legacyFrame, legacy.Bytes())
 	var unknown *wirecodec.UnknownTypeError
 	if _, err := wirecodec.Unmarshal(legacyFrame); !errors.As(err, &unknown) {

@@ -55,11 +55,6 @@ type Config struct {
 	// ResultTTL is how long a finished session's result stays pollable
 	// before the janitor purges it (default 5 minutes).
 	ResultTTL time.Duration
-	// QueueCap is the per-session memory budget, in frames per peer
-	// link, enforced by the session mux: a session whose receive queue
-	// overflows is aborted alone, its siblings and the shared links
-	// untouched (default transport's 1024).
-	QueueCap int
 
 	// Runtime is the public API's execution-knob block, embedded
 	// verbatim: Timeout is the default (and ceiling) for each
@@ -230,10 +225,7 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 		}
 	}
 
-	muxOpts := transport.MuxOptions{
-		Telemetry: cfg.Telemetry,
-		QueueCap:  cfg.QueueCap,
-	}
+	muxOpts := transport.MuxOptions{Telemetry: cfg.Telemetry}
 	if cfg.Recovery != nil {
 		muxOpts.Recovery = &transport.MuxRecovery{Epoch: epoch, Grace: cfg.Recovery.Grace}
 	}

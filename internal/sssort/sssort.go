@@ -22,11 +22,11 @@ type Comparator struct {
 	Lo, Hi int
 }
 
-// Network returns the comparator layers of Batcher's odd-even merge sort
+// network returns the comparator layers of Batcher's odd-even merge sort
 // for n wires. Comparators within a layer touch disjoint wires and may
 // fire concurrently. The construction handles arbitrary n (not just
 // powers of two).
-func Network(n int) [][]Comparator {
+func network(n int) [][]Comparator {
 	var layers [][]Comparator
 	for p := 1; p < n; p <<= 1 {
 		for k := p; k >= 1; k >>= 1 {
@@ -51,25 +51,25 @@ func Network(n int) [][]Comparator {
 // per-comparison cost.
 func Comparators(n int) int {
 	total := 0
-	for _, layer := range Network(n) {
+	for _, layer := range network(n) {
 		total += len(layer)
 	}
 	return total
 }
 
 // Depth returns the number of parallel layers for n wires (O(log²n)).
-func Depth(n int) int { return len(Network(n)) }
+func Depth(n int) int { return len(network(n)) }
 
-// Sort obliviously sorts shared l-bit values in ascending order. Every
-// party calls it in lockstep with its own shares. The returned shares
-// are a sorted permutation of the inputs; nothing is opened.
-func Sort(e *ssmpc.Engine, values []ssmpc.Share, l int) ([]ssmpc.Share, error) {
+// sortShares obliviously sorts shared l-bit values in ascending order.
+// Every party calls it in lockstep with its own shares. The returned
+// shares are a sorted permutation of the inputs; nothing is opened.
+func sortShares(e *ssmpc.Engine, values []ssmpc.Share, l int) ([]ssmpc.Share, error) {
 	if l <= 0 {
 		return nil, fmt.Errorf("sssort: bit width must be positive, got %d", l)
 	}
 	out := make([]ssmpc.Share, len(values))
 	copy(out, values)
-	for _, layer := range Network(len(values)) {
+	for _, layer := range network(len(values)) {
 		k := len(layer)
 		as := make([]ssmpc.Share, k)
 		bs := make([]ssmpc.Share, k)
@@ -107,7 +107,7 @@ func Sort(e *ssmpc.Engine, values []ssmpc.Share, l int) ([]ssmpc.Share, error) {
 // public and each participant locates her own β to learn her rank
 // (Section VII feeds the β values to the baseline sorter the same way).
 func SortOpen(e *ssmpc.Engine, values []ssmpc.Share, l int) ([]*big.Int, error) {
-	sorted, err := Sort(e, values, l)
+	sorted, err := sortShares(e, values, l)
 	if err != nil {
 		return nil, err
 	}

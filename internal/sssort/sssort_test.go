@@ -28,7 +28,7 @@ func applyPlain(layers [][]Comparator, vals []int) []int {
 func TestNetworkSortsEveryN(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(7))
 	for n := 1; n <= 40; n++ {
-		layers := Network(n)
+		layers := network(n)
 		for trial := 0; trial < 25; trial++ {
 			vals := make([]int, n)
 			for i := range vals {
@@ -49,7 +49,7 @@ func TestNetworkSortsEveryN(t *testing.T) {
 
 func TestNetworkLayersAreDisjoint(t *testing.T) {
 	for n := 2; n <= 64; n++ {
-		for li, layer := range Network(n) {
+		for li, layer := range network(n) {
 			seen := make(map[int]bool)
 			for _, c := range layer {
 				if c.Lo >= c.Hi {
@@ -88,11 +88,11 @@ func TestNetworkComplexity(t *testing.T) {
 }
 
 func TestNetworkTrivialSizes(t *testing.T) {
-	if layers := Network(0); len(layers) != 0 {
-		t.Error("Network(0) not empty")
+	if layers := network(0); len(layers) != 0 {
+		t.Error("network(0) not empty")
 	}
-	if layers := Network(1); len(layers) != 0 {
-		t.Error("Network(1) not empty")
+	if layers := network(1); len(layers) != 0 {
+		t.Error("network(1) not empty")
 	}
 }
 
@@ -193,7 +193,7 @@ func TestSortRejectsBadWidth(t *testing.T) {
 		if err != nil && e.Party() != 0 {
 			return 0, err
 		}
-		if _, err := Sort(e, sh, 0); err != nil {
+		if _, err := sortShares(e, sh, 0); err != nil {
 			return 0, err
 		}
 		return 0, nil

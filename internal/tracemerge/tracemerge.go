@@ -46,9 +46,9 @@ const recvWaitKey = "recv_wait_us"
 // not imported to keep the analyzer dependency-free of the protocol).
 const sessionPhase = "session"
 
-// Load reads one JSONL trace. Blank lines are skipped; a malformed
+// load reads one JSONL trace. Blank lines are skipped; a malformed
 // line is an error naming its number.
-func Load(r io.Reader) ([]Span, error) {
+func load(r io.Reader) ([]Span, error) {
 	var spans []Span
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 1<<20)
@@ -79,13 +79,13 @@ func LoadFiles(paths []string) ([][]Span, error) {
 			err   error
 		)
 		if path == "-" {
-			spans, err = Load(os.Stdin)
+			spans, err = load(os.Stdin)
 		} else {
 			f, oerr := os.Open(path)
 			if oerr != nil {
 				return nil, oerr
 			}
-			spans, err = Load(f)
+			spans, err = load(f)
 			f.Close()
 		}
 		if err != nil {

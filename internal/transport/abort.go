@@ -129,8 +129,8 @@ func EnsureAbort(err error, party int, phase string) error {
 	return &AbortError{Party: party, Phase: phase, Round: -1, Cause: err}
 }
 
-// IsAbort reports whether err is or wraps an AbortError, returning it.
-func IsAbort(err error) (*AbortError, bool) {
+// isAbort reports whether err is or wraps an AbortError, returning it.
+func isAbort(err error) (*AbortError, bool) {
 	var ae *AbortError
 	if errors.As(err, &ae) {
 		return ae, true

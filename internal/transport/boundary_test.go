@@ -37,7 +37,7 @@ func TestEncodeFaultBlamesNobody(t *testing.T) {
 		if !errors.Is(err, wirecodec.ErrUnregisteredType) {
 			t.Fatalf("send of an unregistered type = %v, want ErrUnregisteredType", err)
 		}
-		if ae, accused := IsAbort(err); accused || errors.Is(err, ErrPeerDown) {
+		if ae, accused := isAbort(err); accused || errors.Is(err, ErrPeerDown) {
 			t.Fatalf("local encode failure blamed the peer: %v (abort %+v)", err, ae)
 		}
 		if !up() {
@@ -98,7 +98,7 @@ func withLegacyPayload(t testing.TB, outer any) []byte {
 	}
 	frame = frame[:len(frame)-len(nilFrame)]
 	frame = append(frame, 'G', 'W', wirecodec.Version)
-	frame = wirecodec.AppendU16(frame, 1)
+	frame = binary.BigEndian.AppendUint16(frame, 1)
 	frame = wirecodec.AppendBytes(frame, stream.Bytes()) // u32 length ‖ payload
 	binary.BigEndian.PutUint32(frame[5:9], uint32(len(frame)-9))
 	return frame
@@ -117,7 +117,7 @@ func TestLegacyGobFrameAbortsNamingSender(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		got, err := ends[1].RecvCtx(ctx, 1, 0, 1)
-		ae, ok := IsAbort(err)
+		ae, ok := isAbort(err)
 		var unknown *wirecodec.UnknownTypeError
 		if !ok || ae.Party != 0 || !errors.As(err, &unknown) || unknown.ID != 1 {
 			t.Fatalf("receive of a type-ID-1 payload = %#v, %v; want an abort naming party 0 with UnknownTypeError{1}", got, err)
@@ -143,14 +143,14 @@ func TestRetiredRecoveryEnvelopeBlamedAtOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := wirecodec.AppendU16([]byte{'G', 'W', wirecodec.Version}, wirecodec.IDRangeTransport+3)
+	frame := binary.BigEndian.AppendUint16([]byte{'G', 'W', wirecodec.Version}, wirecodec.IDRangeTransport+3)
 	frame = wirecodec.AppendBytes(frame, body) // u32 length ‖ payload
 	if err := fabrics[0].m.link.write(1, 1, time.Second, frame); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
 	_, err = fabrics[1].RecvCtx(context.Background(), 1, 0, 1)
-	ae, ok := IsAbort(err)
+	ae, ok := isAbort(err)
 	var unknown *wirecodec.UnknownTypeError
 	if !ok || ae.Party != 0 || !errors.Is(err, ErrPeerDown) || !errors.As(err, &unknown) || unknown.ID != wirecodec.IDRangeTransport+3 {
 		t.Fatalf("receive after a recovery-envelope frame = %v; want an abort naming party 0 with UnknownTypeError{83}", err)

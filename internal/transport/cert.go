@@ -139,7 +139,7 @@ func DecodeBlameCert(data []byte) (*BlameCert, error) {
 // chain, or nil when the abort carries no machine-verifiable evidence
 // (timeouts, crashes and cancellations identify no cheater).
 func CertOf(err error) *BlameCert {
-	if ae, ok := IsAbort(err); ok {
+	if ae, ok := isAbort(err); ok {
 		return ae.Cert
 	}
 	return nil

@@ -103,7 +103,7 @@ var tcpStacks = []tcpStack{
 		build: func(t *testing.T, n int, timeout time.Duration, regs ...*telemetry.Registry) []stackEnd {
 			return formMesh(t, n, func(addrs []string, me int) (stackEnd, error) {
 				return OpenTCPFabric(addrs, me, timeout,
-					MuxOptions{Telemetry: regAt(regs, me), Recovery: &MuxRecovery{Grace: stackGrace}}, "s", nil)
+					MuxOptions{Telemetry: regAt(regs, me), Recovery: &MuxRecovery{Grace: stackGrace}}, "s", newMemJournal())
 			})
 		},
 		frame:    muxEnv{SID: "s", Kind: muxKindData, Round: 1, Bytes: 8, Seq: 1},
@@ -114,7 +114,7 @@ var tcpStacks = []tcpStack{
 		build: func(t *testing.T, n int, timeout time.Duration, regs ...*telemetry.Registry) []stackEnd {
 			return formMesh(t, n, func(addrs []string, me int) (stackEnd, error) {
 				return OpenTCPFabric(addrs, me, timeout,
-					MuxOptions{Telemetry: regAt(regs, me), Recovery: &MuxRecovery{Grace: stackGrace}}, "s", newMemJournal())
+					MuxOptions{Telemetry: regAt(regs, me), Recovery: &MuxRecovery{Grace: stackGrace}}, "s", newEncodedJournal())
 			})
 		},
 		frame:    muxEnv{SID: "s", Kind: muxKindData, Round: 1, Bytes: 8, Seq: 1},
@@ -285,7 +285,7 @@ func TestTCPTimeout(t *testing.T) {
 	eachStack(t, func(t *testing.T, s tcpStack) {
 		ends := s.build(t, 2, 30*time.Millisecond)
 		_, err := ends[0].RecvCtx(context.Background(), 0, 1, -1)
-		if ae, ok := IsAbort(err); !ok || ae.Party != 1 || !errors.Is(err, ErrTimeout) {
+		if ae, ok := isAbort(err); !ok || ae.Party != 1 || !errors.Is(err, ErrTimeout) {
 			t.Errorf("receive from a silent peer = %v, want an abort naming party 1 with ErrTimeout", err)
 		}
 	})
@@ -300,7 +300,7 @@ func TestTCPStats(t *testing.T) {
 		if err := ends[0].Send(7, 0, 1, 100, wirePayload{}); err != nil {
 			t.Fatal(err)
 		}
-		if err := ends[0].Send(EchoRound(7), 0, 1, 32, wirePayload{}); err != nil {
+		if err := ends[0].Send(echoRound(7), 0, 1, 32, wirePayload{}); err != nil {
 			t.Fatal(err)
 		}
 		st := ends[0].Stats()
@@ -338,7 +338,7 @@ func statsScript(net Net, me int) error {
 	if _, err := net.RecvCtx(ctx, me, prev, 1); err != nil {
 		return err
 	}
-	for _, round := range []int{4, EchoRound(4)} {
+	for _, round := range []int{4, echoRound(4)} {
 		if err := net.Broadcast(round, me, 8*(me+1), wirePayload{From: me}); err != nil {
 			return err
 		}
@@ -493,7 +493,7 @@ func TestTCPClosedPeerSurfacesError(t *testing.T) {
 		ends := s.build(t, 2, stackTimeout)
 		ends[1].Close()
 		_, err := ends[0].RecvCtx(context.Background(), 0, 1, -1)
-		if ae, ok := IsAbort(err); !ok || ae.Party != 1 || !errors.Is(err, ErrPeerDown) {
+		if ae, ok := isAbort(err); !ok || ae.Party != 1 || !errors.Is(err, ErrPeerDown) {
 			t.Fatalf("receive from a closed peer = %v, want an abort naming party 1 with ErrPeerDown", err)
 		}
 	})

@@ -22,7 +22,7 @@ import (
 // EchoBroadcastCtx implements one such round on top of any Net:
 //
 //	round           every party broadcasts its payload
-//	EchoRound(round) every party broadcasts the digest vector of what
+//	echoRound(round) every party broadcasts the digest vector of what
 //	                 it received (own slot: what it claims it sent)
 //
 // and every party cross-checks all digest vectors. A mismatch on
@@ -57,8 +57,8 @@ import (
 // per-round protocol statistics.
 const echoRoundBand = 1 << 24
 
-// EchoRound maps a broadcast round tag to its paired echo sub-round.
-func EchoRound(round int) int { return round + echoRoundBand }
+// echoRound maps a broadcast round tag to its paired echo sub-round.
+func echoRound(round int) int { return round + echoRoundBand }
 
 // IsEchoRound reports whether a round tag lies in the reserved echo
 // band. Fabrics use it to keep echo traffic out of the protocol
@@ -165,9 +165,9 @@ func EchoBroadcastCtx(ctx context.Context, net Net, me, round, size int, payload
 			return nil, err
 		}
 	}
-	echoRound := EchoRound(round)
+	echoTag := echoRound(round)
 	echoBytes := n * sha256.Size
-	echoes, err := broadcastGather(ctx, net, me, echoRound, echoBytes, echoMsg{Digests: digests})
+	echoes, err := broadcastGather(ctx, net, me, echoTag, echoBytes, echoMsg{Digests: digests})
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func EchoBroadcastCtx(ctx context.Context, net Net, me, round, size int, payload
 		em, ok := echoes[w].(echoMsg)
 		if !ok || len(em.Digests) != n {
 			got := fmt.Sprintf("%T", echoes[w])
-			return nil, Abort(w, echoRound, "",
+			return nil, Abort(w, echoTag, "",
 				fmt.Errorf("party %d sent a malformed echo (%s)", w, got)).
 				WithCert(&BlameCert{
 					Version: BlameCertVersion, Accused: w, Reporter: me,
@@ -197,7 +197,7 @@ func EchoBroadcastCtx(ctx context.Context, net Net, me, round, size int, payload
 		// outgoing link to us, the party responsible for it).
 		for s := 0; s < n; s++ {
 			if len(em.Digests[s]) != sha256.Size {
-				return nil, Abort(w, echoRound, "",
+				return nil, Abort(w, echoTag, "",
 					fmt.Errorf("party %d sent a malformed echo digest for party %d", w, s)).
 					WithCert(&BlameCert{
 						Version: BlameCertVersion, Accused: w, Reporter: me,

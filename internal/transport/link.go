@@ -45,6 +45,11 @@ const (
 	dialBackoffMax    = 250 * time.Millisecond
 	handshakeDeadline = 5 * time.Second
 	acceptRetryDelay  = 10 * time.Millisecond
+	// handshakesPerParty bounds the connections an endpoint holds inside
+	// a hello exchange, per party of its mesh: beyond it an accepted
+	// connection is closed at once, so idle or hostile clients cannot
+	// pin a goroutine and a reader each for handshakeDeadline.
+	handshakesPerParty = 4
 )
 
 // listen opens the mesh listener. It is a variable so a test can wrap
@@ -236,7 +241,7 @@ func (m *mesh) acceptLoop() {
 // a reply.
 func (m *mesh) handleAccept(conn net.Conn) {
 	defer m.wg.Done()
-	if !m.track(conn) {
+	if !m.track(conn, true) {
 		return
 	}
 	defer m.untrack(conn)
@@ -268,11 +273,12 @@ func readHello(rd *bufio.Reader) (hello, error) {
 }
 
 // track registers a connection entering its handshake; false (and the
-// connection closed) when the mesh is already shut.
-func (m *mesh) track(conn net.Conn) bool {
+// connection closed) when the mesh is already shut, or when an accepted
+// connection finds handshakesPerParty·n handshakes already in flight.
+func (m *mesh) track(conn net.Conn, accepted bool) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed() {
+	if m.closed() || accepted && len(m.handshakes) >= handshakesPerParty*len(m.addrs) {
 		conn.Close()
 		return false
 	}
@@ -353,7 +359,7 @@ func (m *mesh) dial(peer int) (<-chan bool, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dialing party %d: %w", peer, err)
 	}
-	if !m.track(conn) {
+	if !m.track(conn, false) {
 		return nil, ErrClosed
 	}
 	defer m.untrack(conn)

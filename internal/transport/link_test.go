@@ -37,7 +37,7 @@ func TestLinkRejectedDialerBacksOff(t *testing.T) {
 			return NewSessionMux(addrs, 1, time.Second, MuxOptions{Recovery: &MuxRecovery{Epoch: 1}})
 		},
 		"recovering": func(addrs []string) (interface{ Close() }, error) {
-			return OpenTCPFabric(addrs, 1, time.Second, MuxOptions{Recovery: &MuxRecovery{}}, "s", nil)
+			return OpenTCPFabric(addrs, 1, time.Second, MuxOptions{Recovery: &MuxRecovery{}}, "s", newMemJournal())
 		},
 	}
 	// The rows run side by side: each constructor takes the full
@@ -192,5 +192,69 @@ func TestForgedHelloCostsWhatArrived(t *testing.T) {
 	}
 	if least >= 64<<10 {
 		t.Fatalf("a forged hello header of 12 bytes allocated %d bytes", least)
+	}
+}
+
+// TestLinkHandshakeCap: an endpoint holds at most handshakesPerParty
+// connections per mesh party inside a hello exchange. With the cap
+// filled by idle raw clients, one more is closed at once instead of
+// pinning a goroutine and a reader for handshakeDeadline; once the idle
+// clients leave, the genuine peer redials in and the link carries
+// traffic again.
+func TestLinkHandshakeCap(t *testing.T) {
+	defer leakcheck.Check(t)
+	_, fabrics := buildRecoveryMesh(t, 2, 0)
+	link := fabrics[0].m.link
+	limit := handshakesPerParty * len(link.addrs)
+	inFlight := func() int {
+		link.mu.Lock()
+		defer link.mu.Unlock()
+		return len(link.handshakes)
+	}
+	awaitInFlight := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); inFlight() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d connections in the handshake, want %d", inFlight(), want)
+			}
+		}
+	}
+	dial := func() net.Conn {
+		t.Helper()
+		c, err := net.Dial("tcp", link.ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	idle := make([]net.Conn, limit)
+	for i := range idle {
+		idle[i] = dial()
+	}
+	awaitInFlight(limit)
+
+	extra := dial()
+	extra.SetReadDeadline(time.Now().Add(handshakeDeadline / 5))
+	start := time.Now()
+	_, err := extra.Read(make([]byte, 1))
+	var ne net.Error
+	if err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection %d beyond the cap of %d: read %v after %v, want it closed at once", limit+1, limit, err, time.Since(start))
+	}
+	if inFlight() != limit {
+		t.Fatalf("%d connections in the handshake after the refusal, want %d", inFlight(), limit)
+	}
+
+	for _, c := range idle {
+		c.Close()
+	}
+	awaitInFlight(0)
+	link.conn(1).Close()
+	if err := fabrics[1].Send(1, 1, 0, 16, wirePayload{Text: "redialed"}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fabrics[0].RecvCtx(context.Background(), 0, 1, 1); err != nil || got != (wirePayload{Text: "redialed"}) {
+		t.Fatalf("receive after the genuine peer redialed: %#v, %v", got, err)
 	}
 }

@@ -32,8 +32,7 @@ type SessionMux struct {
 	n  int
 	me int
 
-	timeout  time.Duration
-	queueCap int
+	timeout time.Duration
 
 	// link is the TCP mesh under the mux (link.go): it owns every
 	// connection, and the mux sees it through onFrame, onUp and onBlame.
@@ -68,11 +67,6 @@ type MuxOptions struct {
 	// open/close counts and pending-buffer drops; and the send ledger's
 	// live view, shared by every session (metrics.go).
 	Telemetry *telemetry.Registry
-	// QueueCap bounds each session's per-peer receive queue in frames
-	// (default 1024). A session whose consumer falls this far behind one
-	// peer is failed — that is its memory budget — without touching the
-	// link or any other session.
-	QueueCap int
 	// Recovery, when non-nil, switches the mux into recovering mode:
 	// lost links are re-dialed and re-accepted instead of failing every
 	// session at once, and journal-backed sessions opened with
@@ -134,7 +128,11 @@ const (
 	// retransmission) or a heartbeat's echo.
 	muxNoReply = 1
 
-	defaultMuxQueueCap = 1024
+	// muxQueueCap bounds each session's per-peer receive queue in
+	// frames. A session whose consumer falls this far behind one peer
+	// is failed — that is its memory budget — without touching the
+	// link or any other session.
+	muxQueueCap = 1024
 
 	// muxTombstones bounds the closed-session set that absorbs late
 	// frames; beyond it the oldest tombstones are forgotten (a frame for
@@ -180,15 +178,11 @@ func NewSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOption
 // await it returns once every link has come up; without, links come up
 // as peers accept or redial.
 func newSessionMux(addrs []string, me int, timeout time.Duration, opts MuxOptions, tag string, await bool) (*SessionMux, error) {
-	if opts.QueueCap <= 0 {
-		opts.QueueCap = defaultMuxQueueCap
-	}
 	n := len(addrs)
 	m := &SessionMux{
 		n:        n,
 		me:       me,
 		timeout:  timeout,
-		queueCap: opts.QueueCap,
 		sessions: make(map[string]*MuxSession),
 		pending:  make(map[string]*pendingSession),
 		closed:   make(map[string]bool),
@@ -381,7 +375,7 @@ func (m *SessionMux) open(sid string, timeout time.Duration, j Journaler) (*MuxS
 	s.sendStats.init(m.n, m.tm)
 	for i := 0; i < m.n; i++ {
 		if i != m.me {
-			s.inbox[i] = make(chan muxEnv, m.queueCap)
+			s.inbox[i] = make(chan muxEnv, muxQueueCap)
 		}
 	}
 	if j != nil {

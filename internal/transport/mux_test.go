@@ -210,7 +210,7 @@ func TestMuxPeerFailureDrainsQueue(t *testing.T) {
 		t.Fatalf("frame queued before the failure: got %v, %v", v, err)
 	}
 	_, err := s[1].RecvCtx(context.Background(), 1, 0, 2)
-	if ae, ok := IsAbort(err); !ok || ae.Party != 0 || !errors.Is(err, ErrPeerDown) {
+	if ae, ok := isAbort(err); !ok || ae.Party != 0 || !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("receive after the drained queue = %v, want an abort naming party 0 with ErrPeerDown", err)
 	}
 }
@@ -258,7 +258,7 @@ func TestMuxPendingReplayBeforeBlame(t *testing.T) {
 		t.Fatalf("frame buffered before the blame: got %v, %v", v, err)
 	}
 	_, err = s1.RecvCtx(context.Background(), 1, 0, 2)
-	if ae, ok := IsAbort(err); !ok || ae.Party != 0 || !errors.Is(err, ErrPeerDown) {
+	if ae, ok := isAbort(err); !ok || ae.Party != 0 || !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("receive after the replay = %v, want an abort naming party 0 with ErrPeerDown", err)
 	}
 }
@@ -267,11 +267,12 @@ func TestMuxPendingReplayBeforeBlame(t *testing.T) {
 // failed alone; the link and its sibling session keep working.
 func TestMuxOverflowBudgetIsolation(t *testing.T) {
 	defer leakcheck.Check(t)
-	muxes := muxMesh(t, 2, func(int) MuxOptions { return MuxOptions{QueueCap: 4} })
+	muxes := muxMesh(t, 2, func(int) MuxOptions { return MuxOptions{} })
 	slow := openAll(t, muxes, "slow")
 	ok := openAll(t, muxes, "ok")
-	// Flood the slow session far past its 4-frame budget; nobody reads.
-	for i := 0; i < 32; i++ {
+	// Flood the slow session past its muxQueueCap-frame budget; nobody
+	// reads.
+	for i := 0; i < muxQueueCap+32; i++ {
 		if err := slow[0].Send(1, 0, 1, 4, i); err != nil {
 			t.Fatalf("flood send %d: %v", i, err)
 		}
@@ -358,7 +359,7 @@ func TestMeshAddrCollision(t *testing.T) {
 	if _, err := NewSessionMux(addrs, 1, time.Second, MuxOptions{}); !errors.As(err, &collision) {
 		t.Fatalf("NewSessionMux: got %v, want AddrCollisionError", err)
 	}
-	if _, err := OpenTCPFabric(addrs, 0, time.Second, MuxOptions{Recovery: &MuxRecovery{}}, "x", nil); !errors.As(err, &collision) {
+	if _, err := OpenTCPFabric(addrs, 0, time.Second, MuxOptions{Recovery: &MuxRecovery{}}, "x", newMemJournal()); !errors.As(err, &collision) {
 		t.Fatalf("OpenTCPFabric: got %v, want AddrCollisionError", err)
 	}
 	// Equivalent spellings collide too: wildcard vs explicit zero host,

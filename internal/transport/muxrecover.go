@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"groupranking/internal/wirecodec"
 )
 
 // Recovering mode for the SessionMux: the one recovery discipline, under
@@ -23,9 +21,7 @@ import (
 // replays its journal from that cursor. Resume requests fire on every
 // link re-attach and when a restarted endpoint re-adopts a session, so
 // both directions of every interrupted conversation self-heal without
-// per-frame acknowledgements. A session without a durable journal runs
-// on an in-memory one (memJournal): it rides out link outages, not a
-// restart of its own process.
+// per-frame acknowledgements.
 //
 // Because retransmitted frames interleave with live sends on the shared
 // link, recovering receivers order frames by per-(session,peer)
@@ -85,48 +81,6 @@ type Journaler interface {
 	LogRecv(peer, round, bytes int, seq uint64, payload any) error
 	SentTo(peer int) ([]JournalMsg, error)
 	RecvFrom(peer int) ([]JournalMsg, error)
-}
-
-// memJournal is the in-memory Journaler of a recovering session that was
-// given none (reconnect-only recovery). Like the durable one it refuses a
-// send whose payload has no wire form.
-type memJournal struct {
-	mu   sync.Mutex
-	sent map[int][]JournalMsg
-	recv map[int][]JournalMsg
-}
-
-func newMemJournal() *memJournal {
-	return &memJournal{sent: make(map[int][]JournalMsg), recv: make(map[int][]JournalMsg)}
-}
-
-func (m *memJournal) LogSend(peer, round, bytes int, seq uint64, payload any) error {
-	if _, err := wirecodec.Marshal(payload); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sent[peer] = append(m.sent[peer], JournalMsg{Round: round, Seq: seq, Bytes: bytes, Payload: payload})
-	return nil
-}
-
-func (m *memJournal) LogRecv(peer, round, bytes int, seq uint64, payload any) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recv[peer] = append(m.recv[peer], JournalMsg{Round: round, Seq: seq, Bytes: bytes, Payload: payload})
-	return nil
-}
-
-func (m *memJournal) SentTo(peer int) ([]JournalMsg, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]JournalMsg(nil), m.sent[peer]...), nil
-}
-
-func (m *memJournal) RecvFrom(peer int) ([]JournalMsg, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]JournalMsg(nil), m.recv[peer]...), nil
 }
 
 // muxRecovery is the recovering-mode state hanging off a SessionMux;

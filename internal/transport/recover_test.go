@@ -23,7 +23,7 @@ func buildRecoveryMesh(t *testing.T, n int, grace time.Duration) ([]string, []*T
 		t.Fatal(err)
 	}
 	return addrs, formMeshOn(t, addrs, func(addrs []string, me int) (*TCPFabric, error) {
-		return OpenTCPFabric(addrs, me, 5*time.Second, MuxOptions{Recovery: &MuxRecovery{Epoch: 1, Grace: grace}}, "test-session", nil)
+		return OpenTCPFabric(addrs, me, 5*time.Second, MuxOptions{Recovery: &MuxRecovery{Epoch: 1, Grace: grace}}, "test-session", newMemJournal())
 	})
 }
 
@@ -206,7 +206,7 @@ func TestRecoveringBlameAfterGrace(t *testing.T) {
 	fabrics[1].Close()
 	time.Sleep(50 * time.Millisecond)
 	replacement, err := OpenTCPFabric(addrs, 1, 5*time.Second,
-		MuxOptions{Recovery: &MuxRecovery{Epoch: 2, Grace: 300 * time.Millisecond}}, "test-session", nil)
+		MuxOptions{Recovery: &MuxRecovery{Epoch: 2, Grace: 300 * time.Millisecond}}, "test-session", newMemJournal())
 	if err != nil {
 		t.Fatalf("replacement endpoint: %v", err)
 	}
@@ -251,7 +251,7 @@ func TestRecoveringSlowIsNotDead(t *testing.T) {
 	const grace = 100 * time.Millisecond // shorter than the timeout: blame would win if mis-assigned
 	rows := map[string]func(addrs []string, me int) (stackEnd, error){
 		"recovering": func(addrs []string, me int) (stackEnd, error) {
-			return OpenTCPFabric(addrs, me, timeout, MuxOptions{Recovery: &MuxRecovery{Epoch: 1, Grace: grace}}, "slow", nil)
+			return OpenTCPFabric(addrs, me, timeout, MuxOptions{Recovery: &MuxRecovery{Epoch: 1, Grace: grace}}, "slow", newMemJournal())
 		},
 		"mux recovering": func(addrs []string, me int) (stackEnd, error) {
 			m, err := NewSessionMux(addrs, me, timeout, MuxOptions{Recovery: &MuxRecovery{Epoch: 1, Grace: grace}})
@@ -306,7 +306,7 @@ func TestRecoveringJournalReplay(t *testing.T) {
 	var serr, verr error
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); survivor, serr = mk(0, 1, nil) }()
+	go func() { defer wg.Done(); survivor, serr = mk(0, 1, newMemJournal()) }()
 	go func() { defer wg.Done(); victim, verr = mk(1, 1, journal) }()
 	wg.Wait()
 	if serr != nil || verr != nil {

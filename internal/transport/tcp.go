@@ -64,10 +64,9 @@ func NewTCPFabric(addrs []string, me int, timeout time.Duration) (*TCPFabric, er
 // Without opts.Recovery the fabric is fail-fast; sid and j must be
 // empty. With it, sid names the protocol session (all parties must
 // agree; connections announcing another session are rejected) and j is
-// its journal, as for SessionMux.OpenRecovering; a nil j keeps the
-// session in memory: transient disconnects heal, a restart of this
-// process does not. The endpoint keeps listening and dialling for its
-// lifetime, so severed links heal and restarted peers rejoin.
+// its journal, as for SessionMux.OpenRecovering; both are required. The
+// endpoint keeps listening and dialling for its lifetime, so severed
+// links heal and restarted peers rejoin.
 func OpenTCPFabric(addrs []string, me int, timeout time.Duration, opts MuxOptions, sid string, j Journaler) (*TCPFabric, error) {
 	tag, await := tcpFabricSID, true
 	if opts.Recovery == nil {
@@ -76,11 +75,8 @@ func OpenTCPFabric(addrs []string, me int, timeout time.Duration, opts MuxOption
 		}
 		sid = tcpFabricSID
 	} else {
-		if sid == "" {
-			return nil, fmt.Errorf("transport: recovery mesh needs a session ID")
-		}
-		if j == nil {
-			j = newMemJournal()
+		if sid == "" || j == nil {
+			return nil, fmt.Errorf("transport: recovery mesh needs a session ID and a journal")
 		}
 		// A first run (epoch 1) requires every link up before the
 		// protocol starts. A restarted process must not wait: peers that

@@ -44,8 +44,11 @@ func TestTCPConstructorValidation(t *testing.T) {
 	if _, err := OpenTCPFabric(addrs, 0, time.Second, MuxOptions{}, "", newMemJournal()); err == nil {
 		t.Error("journal on a fail-fast fabric accepted")
 	}
-	if _, err := OpenTCPFabric(addrs, 0, time.Second, MuxOptions{Recovery: &MuxRecovery{}}, "", nil); err == nil {
+	if _, err := OpenTCPFabric(addrs, 0, time.Second, MuxOptions{Recovery: &MuxRecovery{}}, "", newMemJournal()); err == nil {
 		t.Error("recovering fabric without a session ID accepted")
+	}
+	if _, err := OpenTCPFabric(addrs, 0, time.Second, MuxOptions{Recovery: &MuxRecovery{}}, "s", nil); err == nil {
+		t.Error("recovering fabric without a journal accepted")
 	}
 }
 

@@ -140,7 +140,7 @@ func TestEchoBroadcastNamesMissingSender(t *testing.T) {
 			f.MarkDown(1)
 			f.MarkDown(2)
 			_, err = EchoBroadcastCtx(context.Background(), goneNet{f, map[int]bool{1: true, 2: true}}, 0, 5, 4, 0)
-			if ae, ok := IsAbort(err); !ok || ae.Party != tc.want || !errors.Is(err, ErrPeerDown) {
+			if ae, ok := isAbort(err); !ok || ae.Party != tc.want || !errors.Is(err, ErrPeerDown) {
 				t.Fatalf("got %v, want a peer-down abort naming party %d", err, tc.want)
 			}
 		})

@@ -76,7 +76,7 @@ func reencode(t *testing.T, frame []byte, v any) {
 func FuzzConsumeValue(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		v, n, err := ConsumeValue(data)
+		v, n, err := consumeValue(data)
 		if err != nil {
 			return
 		}

@@ -237,7 +237,7 @@ func (r *Reader) Value() any {
 	if r.err != nil {
 		return nil
 	}
-	v, n, err := ConsumeValue(r.data[r.off:])
+	v, n, err := consumeValue(r.data[r.off:])
 	if err != nil {
 		r.fail("nested value: %w", err) // keep UnknownTypeError et al. matchable
 		return nil
@@ -271,8 +271,8 @@ func (r *Reader) Finish() error {
 // AppendU8 appends one byte.
 func AppendU8(dst []byte, v uint8) []byte { return append(dst, v) }
 
-// AppendU16 appends a big-endian uint16.
-func AppendU16(dst []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(dst, v) }
+// appendU16 appends a big-endian uint16.
+func appendU16(dst []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(dst, v) }
 
 // AppendU32 appends a big-endian uint32.
 func AppendU32(dst []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(dst, v) }

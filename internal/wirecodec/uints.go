@@ -37,7 +37,7 @@ func AppendInts(dst []byte, width int, xs ...*big.Int) ([]byte, error) {
 	if width < 1 || width > maxWidth {
 		return nil, fmt.Errorf("wirecodec: integer run width %d outside [1, %d]", width, maxWidth)
 	}
-	dst = AppendU32(AppendU16(dst, uint16(width)), uint32(len(xs)))
+	dst = AppendU32(appendU16(dst, uint16(width)), uint32(len(xs)))
 	for i, x := range xs {
 		if x == nil || x.Sign() < 0 || WidthOf(x) > width {
 			return nil, fmt.Errorf("wirecodec: integer %d of the run has no %d-byte form", i, width)
@@ -54,7 +54,7 @@ func AppendUints(dst []byte, u Uints) ([]byte, error) {
 	if u.Width < 1 || u.Width > maxWidth || len(u.Data)%u.Width != 0 {
 		return nil, fmt.Errorf("wirecodec: malformed integer run (%d bytes at width %d)", len(u.Data), u.Width)
 	}
-	dst = AppendU32(AppendU16(dst, uint16(u.Width)), uint32(u.Len()))
+	dst = AppendU32(appendU16(dst, uint16(u.Width)), uint32(u.Len()))
 	return append(dst, u.Data...), nil
 }
 

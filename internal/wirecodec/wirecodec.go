@@ -227,7 +227,7 @@ func AppendValue(dst []byte, v any) ([]byte, error) {
 	}
 	start := len(dst)
 	dst = append(dst, frameMagic[0], frameMagic[1], Version)
-	dst = AppendU16(dst, c.id)
+	dst = appendU16(dst, c.id)
 	dst = AppendU32(dst, 0) // length backfilled below
 	out, err := c.enc(dst, v)
 	if err != nil {
@@ -246,9 +246,9 @@ func Marshal(v any) ([]byte, error) {
 	return AppendValue(nil, v)
 }
 
-// ConsumeValue parses one frame from the front of data, returning the
+// consumeValue parses one frame from the front of data, returning the
 // value and the bytes consumed.
-func ConsumeValue(data []byte) (any, int, error) {
+func consumeValue(data []byte) (any, int, error) {
 	if len(data) < headerLen {
 		return nil, 0, ErrTruncatedFrame
 	}
@@ -279,7 +279,7 @@ func ConsumeValue(data []byte) (any, int, error) {
 
 // Unmarshal parses exactly one frame spanning all of data.
 func Unmarshal(data []byte) (any, error) {
-	v, n, err := ConsumeValue(data)
+	v, n, err := consumeValue(data)
 	if err != nil {
 		return nil, err
 	}

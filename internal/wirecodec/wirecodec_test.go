@@ -140,7 +140,7 @@ func legacyGobFrame(t testing.TB, v any) []byte {
 		t.Fatal(err)
 	}
 	b := []byte{'G', 'W', Version}
-	b = AppendU16(b, 1)
+	b = appendU16(b, 1)
 	b = AppendU32(b, uint32(payload.Len()))
 	return append(b, payload.Bytes()...)
 }
@@ -148,8 +148,8 @@ func legacyGobFrame(t testing.TB, v any) []byte {
 func TestRetiredGobFrameRefused(t *testing.T) {
 	frame := legacyGobFrame(t, "hostile")
 	var ue *UnknownTypeError
-	if _, _, err := ConsumeValue(frame); !errors.As(err, &ue) || ue.ID != 1 {
-		t.Fatalf("ConsumeValue(type-ID-1 frame) = %v, want UnknownTypeError{1}", err)
+	if _, _, err := consumeValue(frame); !errors.As(err, &ue) || ue.ID != 1 {
+		t.Fatalf("consumeValue(type-ID-1 frame) = %v, want UnknownTypeError{1}", err)
 	}
 	if _, err := ReadValue(bytes.NewReader(frame)); !errors.As(err, &ue) || ue.ID != 1 {
 		t.Fatalf("ReadValue(type-ID-1 frame) = %v, want UnknownTypeError{1}", err)
@@ -164,9 +164,9 @@ func TestRetiredGobFrameRefused(t *testing.T) {
 	// the four transport frames the one link layer and the recovering mux
 	// replaced — is refused by Register and unknown to a receiver.
 	for _, id := range []uint16{1, 4, 5, 17, 82, 83, 84, 85} {
-		hdr := AppendU32(AppendU16([]byte{'G', 'W', Version}, id), 0)
-		if _, _, err := ConsumeValue(hdr); !errors.As(err, &ue) || ue.ID != id {
-			t.Errorf("ConsumeValue(type-ID-%d frame) = %v, want UnknownTypeError{%d}", id, err, id)
+		hdr := AppendU32(appendU16([]byte{'G', 'W', Version}, id), 0)
+		if _, _, err := consumeValue(hdr); !errors.As(err, &ue) || ue.ID != id {
+			t.Errorf("consumeValue(type-ID-%d frame) = %v, want UnknownTypeError{%d}", id, err, id)
 		}
 		func() {
 			defer func() {
@@ -205,7 +205,7 @@ func TestFrameErrors(t *testing.T) {
 
 	t.Run("truncated", func(t *testing.T) {
 		for i := 0; i < len(good); i++ {
-			if _, _, err := ConsumeValue(good[:i]); err == nil {
+			if _, _, err := consumeValue(good[:i]); err == nil {
 				t.Fatalf("accepted %d-byte prefix of a %d-byte frame", i, len(good))
 			}
 		}
@@ -213,14 +213,14 @@ func TestFrameErrors(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[0] = 'X'
-		if _, _, err := ConsumeValue(b); !errors.Is(err, ErrBadMagic) {
+		if _, _, err := consumeValue(b); !errors.Is(err, ErrBadMagic) {
 			t.Fatalf("got %v, want ErrBadMagic", err)
 		}
 	})
 	t.Run("wrong version", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[2] = Version + 1
-		_, _, err := ConsumeValue(b)
+		_, _, err := consumeValue(b)
 		var ve *VersionError
 		if !errors.As(err, &ve) {
 			t.Fatalf("got %v, want VersionError", err)
@@ -232,7 +232,7 @@ func TestFrameErrors(t *testing.T) {
 	t.Run("unknown type", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[3], b[4] = 0xFF, 0xFF
-		_, _, err := ConsumeValue(b)
+		_, _, err := consumeValue(b)
 		var ue *UnknownTypeError
 		if !errors.As(err, &ue) {
 			t.Fatalf("got %v, want UnknownTypeError", err)
@@ -241,7 +241,7 @@ func TestFrameErrors(t *testing.T) {
 	t.Run("oversized", func(t *testing.T) {
 		b := append([]byte(nil), good...)
 		b[5], b[6], b[7], b[8] = 0xFF, 0xFF, 0xFF, 0xFF
-		if _, _, err := ConsumeValue(b); !errors.Is(err, ErrOversizedFrame) {
+		if _, _, err := consumeValue(b); !errors.Is(err, ErrOversizedFrame) {
 			t.Fatalf("got %v, want ErrOversizedFrame", err)
 		}
 	})
@@ -250,7 +250,7 @@ func TestFrameErrors(t *testing.T) {
 		// frame parses but the int codec sees 9 payload bytes.
 		b := append(append([]byte(nil), good...), 0)
 		b[8]++
-		if _, _, err := ConsumeValue(b); err == nil {
+		if _, _, err := consumeValue(b); err == nil {
 			t.Fatal("accepted payload with trailing bytes")
 		}
 	})
@@ -291,7 +291,7 @@ func TestReaderHostileCounts(t *testing.T) {
 	if got := r.Count(5); got != 0 || r.Err() == nil {
 		t.Fatalf("Count accepted implausible header: n=%d err=%v", got, r.Err())
 	}
-	r2 := NewReader(AppendU32(AppendU16(nil, 1), 1<<30))
+	r2 := NewReader(AppendU32(appendU16(nil, 1), 1<<30))
 	if u := r2.Uints(); u.Data != nil || r2.Err() == nil {
 		t.Fatal("Uints accepted implausible count")
 	}

@@ -8,11 +8,11 @@ import (
 
 // Preset is a named, self-contained scenario: a questionnaire with
 // domain semantics, realistic value ranges per attribute, and a
-// plausible initiator criterion. Presets back the examples, the
+// plausible initiator criterion. presets back the examples, the
 // grouprank CLI and scenario-driven benchmarks with workloads that look
 // like the paper's motivating applications instead of uniform noise.
 type Preset struct {
-	// Name identifies the preset (see Presets for the registry).
+	// Name identifies the preset (see presets for the registry).
 	Name string
 	// Description says what the scenario models.
 	Description string
@@ -75,8 +75,8 @@ func mustPreset(name, desc string, attrs []Attribute, crit Criterion, ranges [][
 	}
 }
 
-// Presets returns the registry of built-in scenarios, keyed by name.
-func Presets() map[string]*Preset {
+// presets returns the registry of built-in scenarios, keyed by name.
+func presets() map[string]*Preset {
 	return map[string]*Preset{
 		"marketing": mustPreset(
 			"marketing",
@@ -120,9 +120,9 @@ func Presets() map[string]*Preset {
 	}
 }
 
-// PresetNames lists the registry keys in stable order.
-func PresetNames() []string {
-	m := Presets()
+// presetNames lists the registry keys in stable order.
+func presetNames() []string {
+	m := presets()
 	names := make([]string, 0, len(m))
 	for name := range m {
 		names = append(names, name)
@@ -133,9 +133,9 @@ func PresetNames() []string {
 
 // PresetByName resolves a preset or reports the available names.
 func PresetByName(name string) (*Preset, error) {
-	p, ok := Presets()[name]
+	p, ok := presets()[name]
 	if !ok {
-		return nil, fmt.Errorf("workload: unknown preset %q (available: %v)", name, PresetNames())
+		return nil, fmt.Errorf("workload: unknown preset %q (available: %v)", name, presetNames())
 	}
 	return p, nil
 }

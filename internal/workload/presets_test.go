@@ -7,7 +7,7 @@ import (
 )
 
 func TestPresetRegistry(t *testing.T) {
-	names := PresetNames()
+	names := presetNames()
 	if len(names) != 3 {
 		t.Fatalf("expected 3 presets, got %v", names)
 	}
@@ -29,7 +29,7 @@ func TestPresetRegistry(t *testing.T) {
 }
 
 func TestPresetCriterionConsistent(t *testing.T) {
-	for _, name := range PresetNames() {
+	for _, name := range presetNames() {
 		p, err := PresetByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -60,7 +60,7 @@ func TestPresetCriterionConsistent(t *testing.T) {
 
 func TestPresetSampling(t *testing.T) {
 	rng := fixedbig.NewDRBG("presets")
-	for _, name := range PresetNames() {
+	for _, name := range presetNames() {
 		p, err := PresetByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -191,30 +191,6 @@ func (q *Questionnaire) PartialGain(c Criterion, p Profile) (*big.Int, error) {
 	return out, nil
 }
 
-// GainConstant returns Gain − PartialGain, the profile-independent
-// constant Σ_{k>t} w_k·v⁰_k + Σ_{k≤t} w_k·(v⁰_k)² (with the sign such
-// that Gain = PartialGain − GainConstant).
-func (q *Questionnaire) GainConstant(c Criterion) (*big.Int, error) {
-	if err := q.checkDim("criterion values", len(c.Values)); err != nil {
-		return nil, err
-	}
-	if err := q.checkDim("criterion weights", len(c.Weights)); err != nil {
-		return nil, err
-	}
-	out := new(big.Int)
-	for k := 0; k < q.M(); k++ {
-		w := big.NewInt(c.Weights[k])
-		v0 := big.NewInt(c.Values[k])
-		if k < q.t {
-			term := new(big.Int).Mul(v0, v0)
-			out.Add(out, term.Mul(term, w))
-		} else {
-			out.Add(out, new(big.Int).Mul(w, v0))
-		}
-	}
-	return out, nil
-}
-
 // ParticipantVector builds the participant's dot-product input
 // [vg, ve*ve, ve] (Section V, step 2). The paper's w'_j carries a
 // trailing 1 that pairs with the initiator's ρ_j; in our dot-product
@@ -264,20 +240,20 @@ func (q *Questionnaire) InitiatorVector(c Criterion, rho *big.Int) ([]*big.Int, 
 	return out, nil
 }
 
-// PartialGainBits returns a provably sufficient signed bit width for any
+// partialGainBits returns a provably sufficient signed bit width for any
 // partial gain under the given dimensions: |p| ≤ m·2^{d2}·(2^{2·d1}+2^{d1+1}·2^{d1})
 // < m·2^{2·d1+d2+2}, so ⌈log m⌉ + 2·d1 + d2 + 3 bits (sign included)
 // always suffice. The paper states (⌈log m⌉ + d1 + 2·d2 + 2); we use the
 // conservative bound for protocol correctness and keep the paper's
 // formula in the analytic cost model (see EXPERIMENTS.md).
-func PartialGainBits(m, d1, d2 int) int {
+func partialGainBits(m, d1, d2 int) int {
 	return ceilLog2(m) + 2*d1 + d2 + 3
 }
 
 // BetaBits returns the bit width l of the masked partial gain
 // β = ρ·p + ρ_j for an h-bit ρ.
 func BetaBits(m, d1, d2, h int) int {
-	return h + PartialGainBits(m, d1, d2)
+	return h + partialGainBits(m, d1, d2)
 }
 
 // PaperBetaBits is the paper's published formula

@@ -105,14 +105,6 @@ func TestPartialGainDiffersByConstant(t *testing.T) {
 			t.Fatalf("partial gain offset is profile dependent: %s vs %s", diff, prevDiff)
 		}
 		prevDiff = diff
-		// The constant must match GainConstant.
-		k, err := q.GainConstant(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if diff.Cmp(k) != 0 {
-			t.Fatalf("GainConstant %s, observed offset %s", k, diff)
-		}
 	}
 }
 
@@ -195,12 +187,12 @@ func TestVectorsReproducePartialGainViaDotProduct(t *testing.T) {
 }
 
 func TestBitWidthBounds(t *testing.T) {
-	// PartialGainBits must bound every partial gain reachable with the
+	// partialGainBits must bound every partial gain reachable with the
 	// given widths.
 	q := testQuestionnaire(t, 8, 4)
 	rng := fixedbig.NewDRBG("widths")
 	const d1, d2 = 6, 4
-	bits := PartialGainBits(8, d1, d2)
+	bits := partialGainBits(8, d1, d2)
 	for trial := 0; trial < 50; trial++ {
 		c, err := RandomCriterion(q, d1, d2, rng)
 		if err != nil {
@@ -219,7 +211,7 @@ func TestBitWidthBounds(t *testing.T) {
 		}
 	}
 	if BetaBits(8, d1, d2, 10) != 10+bits {
-		t.Error("BetaBits must be h + PartialGainBits")
+		t.Error("BetaBits must be h + partialGainBits")
 	}
 	// The paper's formula for the defaults of Section VII.
 	if got := PaperBetaBits(10, 15, 10, 15); got != 15+4+15+20+2 {
@@ -243,9 +235,6 @@ func TestDimensionMismatches(t *testing.T) {
 	badC := Criterion{Values: []int64{1}, Weights: []int64{1, 1, 1}}
 	if _, err := q.InitiatorVector(badC, big.NewInt(1)); err == nil {
 		t.Error("short criterion accepted by InitiatorVector")
-	}
-	if _, err := q.GainConstant(badC); err == nil {
-		t.Error("short criterion accepted by GainConstant")
 	}
 }
 

@@ -49,14 +49,14 @@ func ProveEquality(g group.Group, x *big.Int, st EqualityStatement, rng io.Reade
 	if err != nil {
 		return EqualityTranscript{}, err
 	}
-	return ProveEqualityR(g, x, st, r, c), nil
+	return proveEqualityR(g, x, st, r, c), nil
 }
 
-// ProveEqualityR is ProveEquality with caller-supplied commit randomness
+// proveEqualityR is ProveEquality with caller-supplied commit randomness
 // r and challenge c (drawn in that order by ProveEquality). The parallel
 // chain kernels pre-draw both serially and fan the transcript arithmetic
 // out across workers.
-func ProveEqualityR(g group.Group, x *big.Int, st EqualityStatement, r, c *big.Int) EqualityTranscript {
+func proveEqualityR(g group.Group, x *big.Int, st EqualityStatement, r, c *big.Int) EqualityTranscript {
 	obsv.PartyOf(g).Add(obsv.OpProofMade, 1)
 	q := g.Order()
 	s := new(big.Int).Mul(c, x)
@@ -96,20 +96,14 @@ func doubleExps(g group.Group, s, c *big.Int, pairs [][2]group.Element) []group.
 	return group.MultiExp(g, bases, products)
 }
 
-// ProvePartialDecryption proves that stripped = c / c1^x was derived
-// from ciphertext component c1 with the key share behind public key y:
-// the statement is log_g(y) = log_{c1}(c1^x), where c1^x is recomputed
-// by the verifier as original/stripped.
-func ProvePartialDecryption(g group.Group, x *big.Int, y, c1, originalC, strippedC group.Element, rng io.Reader) (EqualityTranscript, error) {
-	z := g.Op(originalC, g.Inv(strippedC)) // c1^x
-	return ProveEquality(g, x, EqualityStatement{Y: y, H: c1, Z: z}, rng)
-}
-
-// ProvePartialDecryptionR is ProvePartialDecryption with caller-supplied
-// commit randomness and challenge.
+// ProvePartialDecryptionR proves that stripped = c / c1^x was derived
+// from ciphertext component c1 with the key share behind public key y,
+// with caller-supplied commit randomness r and challenge c: the
+// statement is log_g(y) = log_{c1}(c1^x), where c1^x is recomputed by
+// the verifier as original/stripped.
 func ProvePartialDecryptionR(g group.Group, x *big.Int, y, c1, originalC, strippedC group.Element, r, c *big.Int) EqualityTranscript {
 	z := g.Op(originalC, g.Inv(strippedC)) // c1^x
-	return ProveEqualityR(g, x, EqualityStatement{Y: y, H: c1, Z: z}, r, c)
+	return proveEqualityR(g, x, EqualityStatement{Y: y, H: c1, Z: z}, r, c)
 }
 
 // VerifyPartialDecryption checks a partial-decryption proof.

@@ -1,6 +1,7 @@
 package zkp
 
 import (
+	"io"
 	"math/big"
 	"testing"
 
@@ -104,7 +105,7 @@ func TestPartialDecryptionProof(t *testing.T) {
 	}
 
 	stripped := scheme.PartialDecrypt(k1.X, ct)
-	proof, err := ProvePartialDecryption(g, k1.X, k1.Y, ct.C1, ct.C, stripped.C, rng)
+	proof, err := provePartialDecryption(g, k1.X, k1.Y, ct.C1, ct.C, stripped.C, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestPartialDecryptionProof(t *testing.T) {
 	// A cheating processor that replaces the ciphertext (e.g. swapping
 	// someone's zero for garbage) cannot produce an accepting proof.
 	garbage := scheme.PartialDecrypt(k2.X, ct) // wrong share
-	forged, err := ProvePartialDecryption(g, k1.X, k1.Y, ct.C1, ct.C, garbage.C, rng)
+	forged, err := provePartialDecryption(g, k1.X, k1.Y, ct.C1, ct.C, garbage.C, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +147,18 @@ func TestPartialDecryptionProofOverEC(t *testing.T) {
 		t.Fatal(err)
 	}
 	stripped := scheme.PartialDecrypt(kp.X, ct)
-	proof, err := ProvePartialDecryption(g, kp.X, kp.Y, ct.C1, ct.C, stripped.C, rng)
+	proof, err := provePartialDecryption(g, kp.X, kp.Y, ct.C1, ct.C, stripped.C, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !VerifyPartialDecryption(g, kp.Y, ct.C1, ct.C, stripped.C, proof) {
 		t.Error("EC partial decryption proof rejected")
 	}
+}
+
+// provePartialDecryption is ProvePartialDecryptionR with the commit
+// randomness and challenge drawn from rng, in ProveEquality's order.
+func provePartialDecryption(g group.Group, x *big.Int, y, c1, originalC, strippedC group.Element, rng io.Reader) (EqualityTranscript, error) {
+	z := g.Op(originalC, g.Inv(strippedC)) // c1^x
+	return ProveEquality(g, x, EqualityStatement{Y: y, H: c1, Z: z}, rng)
 }

@@ -42,7 +42,6 @@ func (o Options) params(q *Questionnaire, n int) (core.Params, error) {
 		D1: o.D1, D2: o.D2, H: o.H, K: o.K,
 		Group: g, Sorter: o.Sorter,
 		ProveDecryption: o.ProveDecryption, Workers: o.Workers,
-		WireCodec: o.WireCodec,
 	}.WithDefaults()
 	return params, params.Validate()
 }
