@@ -103,7 +103,9 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # bring back the second fabric type or its option struct
 # (RecoveringTCPFabric, RecoverOptions), and nothing in
 # internal/transport may attach telemetry after the mesh forms
-# (SetTelemetry), so a one-shot party serves the families a daemon does.
+# (SetTelemetry), so a one-shot party serves the families a daemon does;
+# nor may internal/journal after a journal opens (journal.OpenSession
+# takes the registry).
 # The element-method check keeps Group.AppendElement the one element
 # encoder: the group package may not grow an Encode( method back beside
 # it, on the Group interface or on a group.
@@ -198,9 +200,9 @@ vet:
 	@fabtypes=$$(find *.go bench cmd examples internal -name '*.go' | xargs grep -lE 'RecoveringTCPFabric|RecoverOptions' | tr '\n' ' '); \
 	if [ -n "$$fabtypes" ]; then \
 		echo "a party joins a TCP mesh through transport.TCPFabric alone (use OpenTCPFabric with MuxOptions.Recovery), found RecoveringTCPFabric/RecoverOptions in: $$fabtypes"; exit 1; fi
-	@setter=$$(grep -lF 'SetTelemetry' internal/transport/*.go | tr '\n' ' '); \
+	@setter=$$(grep -lF 'SetTelemetry' internal/transport/*.go internal/journal/*.go | tr '\n' ' '); \
 	if [ -n "$$setter" ]; then \
-		echo "transport endpoints take telemetry at construction (MuxOptions.Telemetry), found SetTelemetry in: $$setter"; exit 1; fi
+		echo "transport endpoints and session journals take telemetry at construction (MuxOptions.Telemetry, journal.OpenSession), found SetTelemetry in: $$setter"; exit 1; fi
 	@encode=$$(grep -lE '^[[:space:]]+Encode\(|^func \([^)]*\) Encode\(' internal/group/*.go | tr '\n' ' '); \
 	if [ -n "$$encode" ]; then \
 		echo "group elements have one encoder, Group.AppendElement (use AppendElement(nil, e)), found an Encode( method in: $$encode"; exit 1; fi
@@ -294,11 +296,13 @@ bench-json:
 	BENCH_JSON=$(CURDIR)/BENCH_groupranking.json $(GO) test -run TestBenchSnapshot -count=1 .
 
 # Drift gate: re-run the snapshot configurations and fail if any
-# exponentiation or message count moved against the committed file.
-# The per-configuration entries carry counts only; wall-clock numbers
-# come from bench/ (bash bench/run.sh).
+# measured or model exponentiation count, message count, byte count or
+# round count moved against the committed file. `go test ./...` (and so
+# `make test`) runs the same gate; this target runs it alone. The
+# per-configuration entries carry counts only; wall-clock numbers come
+# from bench/ (bash bench/run.sh).
 bench-compare:
-	BENCH_COMPARE=$(CURDIR)/BENCH_groupranking.json $(GO) test -run TestBenchSnapshot -count=1 .
+	$(GO) test -run TestBenchSnapshot -count=1 .
 
 # bench/ is a nested module (the BENCHMARK.json yardstick) that imports
 # internal/group, elgamal, zkp and kernel directly, and a PR claiming a

@@ -32,7 +32,6 @@ var reachAllow = map[string]bool{"chaos": true, "leakcheck": true, "blame": true
 // non-test caller, each with its reason.
 var exportAllow = map[string]string{
 	"benchtab.CollectSnapshot":      "the root package's snapshot test runs it (make bench-json, make bench-compare)",
-	"costmodel.OursMessageCounts":   "per-round message counts; the round table of ROADMAP item 30 replaces it",
 	"group.GenerateDLGroup":         "test fixture: other packages' tests build small DL groups with it",
 	"group.MODP1024":                "test fixture: other packages' tests build this named group directly",
 	"group.Secp256r1":               "test fixture: other packages' tests build this named group directly",

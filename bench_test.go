@@ -191,7 +191,7 @@ func BenchmarkFig3b_NetworkReplay_n25(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	trace := costmodel.OursTrace(s, 2*g.ElementLen(), g.ElementLen(), 21, 16)
+	trace := costmodel.OursTrace(s, s.L(), g, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := rep.Run(trace, nil); err != nil {
@@ -295,9 +295,11 @@ func BenchmarkAblation_Secp160Fast(b *testing.B) { benchExp(b, byName(b, "secp16
 // TestBenchSnapshot regenerates the committed perf snapshot in memory
 // and checks its invariants: the registry-measured exponentiation
 // counts must equal the cost model's closed forms (the counts never
-// vary by machine, which is why the entries carry nothing else). Set
-// BENCH_JSON=<path> to rewrite the committed file — `make bench-json`
-// does this.
+// vary by machine, which is why the entries carry nothing else). It is
+// also the drift gate (`make bench-compare` runs it alone): the
+// snapshot must equal the committed BENCH_groupranking.json. Set
+// BENCH_JSON=<path> to rewrite the committed file instead — `make
+// bench-json` does this.
 func TestBenchSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("instrumented framework runs are slow in -short mode")
@@ -346,14 +348,12 @@ func TestBenchSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("wrote %s", path)
-	}
-	// BENCH_COMPARE=<committed snapshot> turns this test into the drift
-	// gate `make bench-compare` runs: the operation, message, byte and
-	// round counts of a seeded run are deterministic, so ANY
-	// drift against the committed file means the protocol's cost
-	// changed and the snapshot (plus the cost model) must be updated
-	// deliberately.
-	if path := os.Getenv("BENCH_COMPARE"); path != "" {
+	} else {
+		// The drift gate: the operation, message, byte and round counts
+		// of a seeded run are deterministic, so ANY drift against the
+		// committed file means the protocol's cost changed and the
+		// snapshot (plus the cost model) must be updated deliberately.
+		const path = "BENCH_groupranking.json"
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"groupranking/internal/core"
@@ -217,15 +218,13 @@ func (r *Runner) oursNetworked(topo *netsim.Topology, s costmodel.Setting, g gro
 	if err != nil {
 		return 0, err
 	}
-	ctBytes := 2 * g.ElementLen()
-	scalarBytes := (g.Order().BitLen() + 7) / 8
-	trace := costmodel.OursTrace(s, ctBytes, g.ElementLen(), scalarBytes, 16)
+	trace := costmodel.OursTrace(s, s.L(), g, 16)
 	sec, err := r.tm.OursParticipantSec(g, s)
 	if err != nil {
 		return 0, err
 	}
 	perRound := make([]float64, s.N+1)
-	rounds := float64(costmodel.OursRounds(s.N))
+	rounds := float64(netsim.Rounds(trace))
 	for p := 1; p <= s.N; p++ {
 		perRound[p] = sec / rounds
 	}
@@ -271,14 +270,20 @@ func (r *Runner) complexityTable() error {
 	l := s.L()
 	fmt.Fprintln(r.w, "# Section VI-B complexity comparison at n=25, m=10, d1=15, d2=10, h=15 (l=56)")
 	fmt.Fprintln(r.w, "framework\tper_party_ops\tops_kind\trounds\tbytes_per_party\tmax_colluders")
-	ctBytes := 2 * r.levels[0].ec.ElementLen()
-	fmt.Fprintf(r.w, "ours-ecc\t%d\texponentiations\t%d\t%d\tn-2 = %d\n",
-		costmodel.ParticipantExps(s.N, l), costmodel.OursRounds(s.N),
-		costmodel.ParticipantCiphertexts(s.N, l)*int64(ctBytes), s.N-2)
-	ctBytes = 2 * r.levels[0].dl.ElementLen()
-	fmt.Fprintf(r.w, "ours-dl\t%d\texponentiations\t%d\t%d\tn-2 = %d\n",
-		costmodel.ParticipantExps(s.N, l), costmodel.OursRounds(s.N),
-		costmodel.ParticipantCiphertexts(s.N, l)*int64(ctBytes), s.N-2)
+	// Ours: rounds and the busiest participant's sent bytes, from the
+	// synthetic trace.
+	for _, row := range []struct {
+		name string
+		g    group.Group
+	}{{"ours-ecc", r.levels[0].ec}, {"ours-dl", r.levels[0].dl}} {
+		trace := costmodel.OursTrace(s, l, row.g, 16)
+		sent := make([]int64, s.N+1)
+		for _, ev := range trace {
+			sent[ev.From] += int64(ev.Bytes)
+		}
+		fmt.Fprintf(r.w, "%s\t%d\texponentiations\t%d\t%d\tn-2 = %d\n",
+			row.name, costmodel.ParticipantExps(s.N, l), netsim.Rounds(trace), slices.Max(sent[1:]), s.N-2)
+	}
 	fieldBytes := (s.SSFieldBits() + 7) / 8
 	fmt.Fprintf(r.w, "ss-sort\t%d\tfield multiplications\t%d\t%d\t(n-1)/2 = %d\n",
 		costmodel.SSFieldMultsPerParty(s.N, l), costmodel.SSRoundsSerial(s.N, l),

@@ -31,6 +31,8 @@ import (
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
 	"groupranking/internal/ssmpc"
+	"groupranking/internal/transport"
+	"groupranking/internal/unlinksort"
 	"groupranking/internal/workload"
 )
 
@@ -209,6 +211,65 @@ const (
 	roundSubmission = 1 << 20
 )
 
+// schedule is the framework's own rounds for one run; the sorter's run
+// between gain and submission. A top-k participant sends the submit
+// row, any other the decline row, whose senders are the first k and the
+// rest: the order of a run whose ranks follow the participant index.
+type schedule struct {
+	gainRequest, gainReply, submit, decline transport.Round
+}
+
+// newSchedule builds the schedule under p, with fieldBytes the
+// dot-product field's element size: the flow is s rows and two vectors
+// of d = m + t + 1 entries, the reply two entries, a submission its
+// rank and profile at 8 bytes each, a decline one byte.
+func newSchedule(p Params, fieldBytes int) schedule {
+	all, initiator := [2]int{1, p.N + 1}, [2]int{0, 1}
+	d := p.M + p.T + 1
+	return schedule{
+		gainRequest: transport.Round{Tag: roundGainRequest, Phase: PhaseGain, Pattern: transport.PointToPoint,
+			From: all, To: initiator, Bytes: 2 * d * fieldBytes, PerS: d * fieldBytes},
+		gainReply: transport.Round{Tag: roundGainReply, Phase: PhaseGain, Pattern: transport.PointToPoint,
+			From: initiator, To: all, Bytes: 2 * fieldBytes},
+		submit: transport.Round{Tag: roundSubmission, Phase: PhaseSubmission, Pattern: transport.PointToPoint,
+			From: [2]int{1, p.K + 1}, To: initiator, Bytes: 8 * (1 + p.M)},
+		decline: transport.Round{Tag: roundSubmission, Phase: PhaseSubmission, Pattern: transport.PointToPoint,
+			From: [2]int{p.K + 1, p.N + 1}, To: initiator, Bytes: 1},
+	}
+}
+
+// sessionRound is the session round a distributed run opens with: every
+// party's announcement to every other, its size nominal.
+func sessionRound(p Params) transport.Round {
+	every := [2]int{0, p.N + 1}
+	return transport.Round{Tag: roundSession, Phase: PhaseSession, Pattern: transport.EchoBroadcast,
+		From: every, To: every, Bytes: 64 + len(p.Group.Name())}
+}
+
+// Schedule is the framework's rounds as the in-process harness runs
+// them: gain, the unlinkable sorter's rounds placed among participants
+// 1..n at phase2RoundOffset (as a run's SubView places them), and
+// submission; a distributed run opens with the session round. l and the
+// dot-product field's element size are given, so that a cost model can
+// price the paper's settings.
+func Schedule(p Params, l, fieldBytes int) []transport.Round {
+	s := newSchedule(p, fieldBytes)
+	rows := []transport.Round{s.gainRequest, s.gainReply}
+	for _, r := range unlinksort.Schedule(p.sortConfig(l), p.N) {
+		r.Tag += phase2RoundOffset
+		r.From = [2]int{r.From[0] + 1, r.From[1] + 1}
+		r.To = [2]int{r.To[0] + 1, r.To[1] + 1}
+		rows = append(rows, r)
+	}
+	return append(rows, s.submit, s.decline)
+}
+
+// sortConfig is the unlinkable sorter's configuration under p for
+// l-bit values.
+func (p Params) sortConfig(l int) unlinksort.Config {
+	return unlinksort.Config{Group: p.Group, L: l, SkipProofs: p.SkipProofs, ProveDecryption: p.ProveDecryption, Workers: p.Workers}
+}
+
 // Span names of the framework's own phases. Phase 2 spans come from
 // the sorting subprotocol (unlinksort.Phases, or PhaseSSSort for the
 // secret-sharing baseline). PhaseSession appears only in distributed
@@ -306,15 +367,4 @@ func ExpectedRanks(q *workload.Questionnaire, crit workload.Criterion, profiles 
 		ranks[i] = rank
 	}
 	return ranks, nil
-}
-
-func compareInt(a, b int) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
 }

@@ -368,7 +368,7 @@ func TestOverClaimDetection(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := fab.Send(roundGainRequest, j, 0, flow.WireBytes(dp), flow); err != nil {
+			if err := fab.Send(roundGainRequest, j, 0, newSchedule(params, dp.FieldBytes()).gainRequest.Size(len(flow.QX)), flow); err != nil {
 				t.Error(err)
 				return
 			}

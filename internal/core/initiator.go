@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sort"
 
 	"groupranking/internal/dotprod"
@@ -13,12 +15,6 @@ import (
 	"groupranking/internal/transport"
 	"groupranking/internal/workload"
 )
-
-// initiatorState carries what the initiator remembers between phases.
-type initiatorState struct {
-	rho  *big.Int
-	rhoJ []*big.Int // per participant
-}
 
 // runInitiator executes the initiator's side over the fabric (party
 // index 0 of n+1). It returns the received submissions and the flagged
@@ -36,9 +32,8 @@ func runInitiator(ctx context.Context, params Params, q *workload.Questionnaire,
 	if err != nil {
 		return nil, nil, err
 	}
-	dp := dotprod.DefaultSRange(prime)
-	dp.Obs = obs
-	dp.Workers = params.Workers
+	dp := dotprod.Params{P: prime, Obs: obs, Workers: params.Workers}
+	sched := newSchedule(params, dp.FieldBytes())
 
 	obs.Begin(PhaseGain)
 	// Step 1: pick the h-bit masking factor ρ ≥ 1 (top bit set so every
@@ -55,51 +50,51 @@ func runInitiator(ctx context.Context, params Params, q *workload.Questionnaire,
 	}
 
 	// Steps 3-4: answer each participant's dot-product flow with her own
-	// random offset ρ_j.
-	st := initiatorState{rho: rho, rhoJ: make([]*big.Int, params.N)}
-	flows, err := transport.GatherAll(ctx, fab, 0, roundGainRequest)
+	// random offset ρ_j, which the over-claim check needs again.
+	rhoJs := make([]*big.Int, params.N)
+	flows, err := transport.GatherAll(ctx, fab, 0, sched.gainRequest.Tag)
 	if err != nil {
-		return nil, nil, transport.AnnotatePhase(err, "gain")
+		return nil, nil, transport.AnnotatePhase(err, PhaseGain)
 	}
 	for j := 1; j <= params.N; j++ {
 		msg, ok := flows[j].(*dotprod.BobMessage)
 		if !ok {
-			return nil, nil, transport.Abort(j, roundGainRequest, PhaseGain,
+			return nil, nil, transport.Abort(j, sched.gainRequest.Tag, PhaseGain,
 				fmt.Errorf("core: participant %d sent a malformed gain flow", j))
 		}
 		if err := msg.Validate(dp); err != nil {
-			return nil, nil, transport.Abort(j, roundGainRequest, PhaseGain,
+			return nil, nil, transport.Abort(j, sched.gainRequest.Tag, PhaseGain,
 				fmt.Errorf("core: participant %d sent an invalid gain flow: %w", j, err))
 		}
 		rhoJ, err := fixedbig.RandInt(rng, rho)
 		if err != nil {
 			return nil, nil, err
 		}
-		st.rhoJ[j-1] = rhoJ
+		rhoJs[j-1] = rhoJ
 		reply, err := dotprod.AliceRespond(dp, msg, vPrime, rhoJ)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: answering participant %d: %w", j, err)
 		}
-		if err := fab.Send(roundGainReply, 0, j, reply.WireBytes(dp), reply); err != nil {
-			return nil, nil, transport.AnnotatePhase(err, "gain")
+		if err := fab.Send(sched.gainReply.Tag, 0, j, sched.gainReply.Bytes, reply); err != nil {
+			return nil, nil, transport.AnnotatePhase(err, PhaseGain)
 		}
 	}
 
 	// Phase 3: collect one submission or decline from every participant.
 	obs.Begin(PhaseSubmission)
-	subs, err := transport.GatherAll(ctx, fab, 0, roundSubmission)
+	subs, err := transport.GatherAll(ctx, fab, 0, sched.submit.Tag)
 	if err != nil {
-		return nil, nil, transport.AnnotatePhase(err, "submission")
+		return nil, nil, transport.AnnotatePhase(err, PhaseSubmission)
 	}
 	var submissions []Submission
 	for j := 1; j <= params.N; j++ {
 		msg, ok := subs[j].(submissionMsg)
 		if !ok {
-			return nil, nil, transport.Abort(j, roundSubmission, PhaseSubmission,
+			return nil, nil, transport.Abort(j, sched.submit.Tag, PhaseSubmission,
 				fmt.Errorf("core: participant %d sent a malformed submission", j))
 		}
 		if err := msg.validate(params); err != nil {
-			return nil, nil, transport.Abort(j, roundSubmission, PhaseSubmission,
+			return nil, nil, transport.Abort(j, sched.submit.Tag, PhaseSubmission,
 				fmt.Errorf("core: participant %d sent an invalid submission: %w", j, err))
 		}
 		if msg.Declined {
@@ -117,11 +112,8 @@ func runInitiator(ctx context.Context, params Params, q *workload.Questionnaire,
 			Gain:        gain,
 		})
 	}
-	sort.Slice(submissions, func(a, b int) bool {
-		if submissions[a].ClaimedRank != submissions[b].ClaimedRank {
-			return submissions[a].ClaimedRank < submissions[b].ClaimedRank
-		}
-		return submissions[a].Participant < submissions[b].Participant
+	slices.SortFunc(submissions, func(a, b Submission) int {
+		return cmp.Or(cmp.Compare(a.ClaimedRank, b.ClaimedRank), cmp.Compare(a.Participant, b.Participant))
 	})
 
 	// Over-claim detection: recompute β̂ = ρ·p̂ + ρ_j from each submitted
@@ -135,11 +127,11 @@ func runInitiator(ctx context.Context, params Params, q *workload.Questionnaire,
 			return nil, nil, err
 		}
 		betaHat[i] = new(big.Int).Mul(rho, pg)
-		betaHat[i].Add(betaHat[i], st.rhoJ[s.Participant])
+		betaHat[i].Add(betaHat[i], rhoJs[s.Participant])
 	}
 	for a := range submissions {
 		for b := a + 1; b < len(submissions); b++ {
-			rankCmp := compareInt(submissions[a].ClaimedRank, submissions[b].ClaimedRank)
+			rankCmp := cmp.Compare(submissions[a].ClaimedRank, submissions[b].ClaimedRank)
 			betaCmp := betaHat[b].Cmp(betaHat[a]) // descending: higher β ⇒ lower rank
 			// Inconsistent when the claimed order contradicts the
 			// recomputed order, or when two distinct β values claim the

@@ -46,10 +46,9 @@ func runParticipant(ctx context.Context, params Params, j int, q *workload.Quest
 	if err != nil {
 		return out, err
 	}
-	dp := dotprod.DefaultSRange(prime)
-	dp.Obs = obs
-	dp.Workers = params.Workers
+	dp := dotprod.Params{P: prime, Obs: obs, Workers: params.Workers}
 	l := params.BetaBits()
+	sched := newSchedule(params, dp.FieldBytes())
 
 	// Phase 1: dot product with the initiator, recover β.
 	obs.Begin(PhaseGain)
@@ -61,16 +60,16 @@ func runParticipant(ctx context.Context, params Params, j int, q *workload.Quest
 	if err != nil {
 		return out, err
 	}
-	if err := ofab.Send(roundGainRequest, j, 0, flow.WireBytes(dp), flow); err != nil {
-		return out, transport.AnnotatePhase(err, "gain")
+	if err := ofab.Send(sched.gainRequest.Tag, j, 0, sched.gainRequest.Size(len(flow.QX)), flow); err != nil {
+		return out, transport.AnnotatePhase(err, PhaseGain)
 	}
-	payload, err := ofab.RecvCtx(ctx, j, 0, roundGainReply)
+	payload, err := ofab.RecvCtx(ctx, j, 0, sched.gainReply.Tag)
 	if err != nil {
-		return out, transport.AnnotatePhase(err, "gain")
+		return out, transport.AnnotatePhase(err, PhaseGain)
 	}
 	reply, ok := payload.(*dotprod.AliceReply)
 	if !ok {
-		return out, transport.Abort(0, roundGainReply, PhaseGain,
+		return out, transport.Abort(0, sched.gainReply.Tag, PhaseGain,
 			fmt.Errorf("core: initiator sent a malformed gain reply"))
 	}
 	betaField, err := bob.Finish(reply)
@@ -95,13 +94,7 @@ func runParticipant(ctx context.Context, params Params, j int, q *workload.Quest
 	}
 	switch params.Sorter {
 	case SorterUnlinkable:
-		res, err := unlinksort.PartyCtx(ctx, unlinksort.Config{
-			Group:           params.Group,
-			L:               l,
-			SkipProofs:      params.SkipProofs,
-			ProveDecryption: params.ProveDecryption,
-			Workers:         params.Workers,
-		}, j-1, sub, betaU, rng)
+		res, err := unlinksort.PartyCtx(ctx, params.sortConfig(l), j-1, sub, betaU, rng)
 		if err != nil {
 			return out, err
 		}
@@ -118,14 +111,12 @@ func runParticipant(ctx context.Context, params Params, j int, q *workload.Quest
 
 	// Phase 3: submit if ranked in the top k, decline otherwise.
 	obs.Begin(PhaseSubmission)
-	msg := submissionMsg{Declined: true}
-	bytes := 1
+	msg, row := submissionMsg{Declined: true}, sched.decline
 	if out.Rank <= params.K {
-		msg = submissionMsg{Rank: out.Rank, Values: append([]int64(nil), profile.Values...)}
-		bytes = 8 * (1 + len(msg.Values))
+		msg, row = submissionMsg{Rank: out.Rank, Values: append([]int64(nil), profile.Values...)}, sched.submit
 	}
-	if err := ofab.Send(roundSubmission, j, 0, bytes, msg); err != nil {
-		return out, transport.AnnotatePhase(err, "submission")
+	if err := ofab.Send(row.Tag, j, 0, row.Bytes, msg); err != nil {
+		return out, transport.AnnotatePhase(err, PhaseSubmission)
 	}
 	return out, nil
 }

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 
+	"groupranking/internal/dotprod"
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 )
 
 // TestRoundTagBandsDisjoint is the SubView round-offset collision
@@ -62,5 +65,72 @@ func TestRoundTagBandsDisjoint(t *testing.T) {
 				t.Errorf("max round %d reaches into the reserved echo band", stats.MaxRound)
 			}
 		})
+	}
+}
+
+// frameTap checks every framework-round payload a party sends against
+// the bytes its schedule row charges: the frame must be the charged
+// bytes plus framing, a closed form in the payload's counts alone. It
+// counts the payloads it checked per kind and passes the sorter's on.
+type frameTap struct {
+	transport.Net
+	t    *testing.T
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+// framing returns a payload's kind and its frame length beyond the
+// charged bytes: the 9-byte frame header, then for a gain request the
+// u32 s and the 6-byte header (u16 width, u32 count) of each of its
+// s + 2 integer runs, for a reply one run header, and for a submission
+// its declined flag, its rank and its u32 value count, which a
+// decline's one charged byte stands for.
+func framing(payload any) (string, int, bool) {
+	switch m := payload.(type) {
+	case *dotprod.BobMessage:
+		return "gain request", 9 + 4 + 6*(len(m.QX)+2), true
+	case *dotprod.AliceReply:
+		return "gain reply", 9 + 6, true
+	case submissionMsg:
+		if m.Declined {
+			return "decline", 9 + 1 + 8 + 4 - 1, true
+		}
+		return "submission", 9 + 1 + 8 + 4 - 8, true
+	}
+	return "", 0, false
+}
+
+func (f *frameTap) Send(round, from, to, bytes int, payload any) error {
+	if kind, extra, ok := framing(payload); ok {
+		frame, err := wirecodec.Marshal(payload)
+		f.mu.Lock()
+		if err != nil {
+			f.t.Errorf("%s: %v", kind, err)
+		} else if len(frame) != bytes+extra {
+			f.t.Errorf("%s: %d-byte frame for %d charged bytes, want %d + %d", kind, len(frame), bytes, bytes, extra)
+		}
+		f.seen[kind]++
+		f.mu.Unlock()
+	}
+	return f.Net.Send(round, from, to, bytes, payload)
+}
+
+// TestFrameWidthsPinned: every gain request, gain reply, submission and
+// decline of a seeded run encodes to exactly the bytes its row of the
+// framework's schedule charges plus framing, so the schedule's sizes are
+// the wire's. The session announcement's size is nominal and is not
+// pinned; the sorter's rows are pinned by internal/unlinksort's test of
+// the same name.
+func TestFrameWidthsPinned(t *testing.T) {
+	params := smallParams(t, 4)
+	tap := &frameTap{t: t, seen: map[string]int{}}
+	wrap := func(n transport.Net) transport.Net { tap.Net = n; return tap }
+	if _, _, err := RunCtx(context.Background(), params, testInputs(t, params, "frame-widths"), "frame-widths-run", wrap); err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"gain request", "gain reply", "submission", "decline"} {
+		if tap.seen[kind] == 0 {
+			t.Errorf("no %s was sent", kind)
+		}
 	}
 }

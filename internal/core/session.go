@@ -74,43 +74,32 @@ func sessionFromParams(p Params) sessionMsg {
 // diff returns "" when the announcements agree, otherwise a description
 // of the first disagreeing parameter.
 func (m sessionMsg) diff(o sessionMsg) string {
-	switch {
-	case m.Version != o.Version:
-		return fmt.Sprintf("wire version (mine %d, theirs %d)", m.Version, o.Version)
-	case m.Codec != o.Codec:
-		return fmt.Sprintf("codec version (mine %d, theirs %d)", m.Codec, o.Codec)
-	case m.N != o.N:
-		return fmt.Sprintf("party count n (mine %d, theirs %d)", m.N, o.N)
-	case m.M != o.M:
-		return fmt.Sprintf("attribute dimension m (mine %d, theirs %d)", m.M, o.M)
-	case m.T != o.T:
-		return fmt.Sprintf("equal-to count t (mine %d, theirs %d)", m.T, o.T)
-	case m.D1 != o.D1:
-		return fmt.Sprintf("attribute bits d1 (mine %d, theirs %d)", m.D1, o.D1)
-	case m.D2 != o.D2:
-		return fmt.Sprintf("weight bits d2 (mine %d, theirs %d)", m.D2, o.D2)
-	case m.H != o.H:
-		return fmt.Sprintf("mask bits h (mine %d, theirs %d)", m.H, o.H)
-	case m.K != o.K:
-		return fmt.Sprintf("top-k cut (mine %d, theirs %d)", m.K, o.K)
-	case m.L != o.L:
-		return fmt.Sprintf("masked-gain width l (mine %d, theirs %d)", m.L, o.L)
-	case m.Group != o.Group:
-		return fmt.Sprintf("group (mine %s, theirs %s)", m.Group, o.Group)
-	case m.Sorter != o.Sorter:
-		return fmt.Sprintf("sorter (mine %s, theirs %s)", Sorter(m.Sorter), Sorter(o.Sorter))
-	case m.SkipProofs != o.SkipProofs:
-		return fmt.Sprintf("SkipProofs (mine %t, theirs %t)", m.SkipProofs, o.SkipProofs)
-	case m.ProveDecryption != o.ProveDecryption:
-		return fmt.Sprintf("ProveDecryption (mine %t, theirs %t)", m.ProveDecryption, o.ProveDecryption)
-	case m.Kappa != o.Kappa:
-		return fmt.Sprintf("statistical parameter kappa (mine %d, theirs %d)", m.Kappa, o.Kappa)
+	for _, f := range []struct {
+		name         string
+		mine, theirs any
+	}{
+		{"wire version", m.Version, o.Version},
+		{"codec version", m.Codec, o.Codec},
+		{"party count n", m.N, o.N},
+		{"attribute dimension m", m.M, o.M},
+		{"equal-to count t", m.T, o.T},
+		{"attribute bits d1", m.D1, o.D1},
+		{"weight bits d2", m.D2, o.D2},
+		{"mask bits h", m.H, o.H},
+		{"top-k cut", m.K, o.K},
+		{"masked-gain width l", m.L, o.L},
+		{"group", m.Group, o.Group},
+		{"sorter", Sorter(m.Sorter), Sorter(o.Sorter)},
+		{"SkipProofs", m.SkipProofs, o.SkipProofs},
+		{"ProveDecryption", m.ProveDecryption, o.ProveDecryption},
+		{"statistical parameter kappa", m.Kappa, o.Kappa},
+	} {
+		if f.mine != f.theirs {
+			return fmt.Sprintf("%s (mine %v, theirs %v)", f.name, f.mine, f.theirs)
+		}
 	}
 	return ""
 }
-
-// wireBytes is the nominal announcement size for the transport stats.
-func (m sessionMsg) wireBytes() int { return 64 + len(m.Group) }
 
 // deriveTraceID maps a party's resolved seed to the trace identifier
 // it proposes in the session round. The derivation is deterministic so
@@ -150,7 +139,8 @@ func establishSession(ctx context.Context, params Params, me int, fab transport.
 	// run different protocols is identified instead of producing n
 	// mutually confusing mismatch aborts. In-process nets skip the echo
 	// entirely (one memory space cannot equivocate).
-	all, err := transport.EchoBroadcastCtx(ctx, net, me, roundSession, mine.wireBytes(), mine)
+	round := sessionRound(params)
+	all, err := transport.EchoBroadcastCtx(ctx, net, me, round.Tag, round.Bytes, mine)
 	if err != nil {
 		return "", transport.AnnotatePhase(err, PhaseSession)
 	}
@@ -160,11 +150,11 @@ func establishSession(ctx context.Context, params Params, me int, fab transport.
 		}
 		theirs, ok := payload.(sessionMsg)
 		if !ok {
-			return "", transport.Abort(j, roundSession, PhaseSession,
+			return "", transport.Abort(j, round.Tag, PhaseSession,
 				fmt.Errorf("%w: party %d sent a malformed session announcement", ErrSessionMismatch, j))
 		}
 		if d := mine.diff(theirs); d != "" {
-			return "", transport.Abort(j, roundSession, PhaseSession,
+			return "", transport.Abort(j, round.Tag, PhaseSession,
 				fmt.Errorf("%w: party %d disagrees on %s", ErrSessionMismatch, j, d))
 		}
 	}

@@ -20,11 +20,13 @@ import (
 	"math/big"
 	"time"
 
+	"groupranking/internal/core"
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/group"
 	"groupranking/internal/netsim"
 	"groupranking/internal/ssmpc"
 	"groupranking/internal/sssort"
+	"groupranking/internal/transport"
 	"groupranking/internal/workload"
 )
 
@@ -35,12 +37,6 @@ type Setting struct {
 	D1 int // attribute bits
 	D2 int // weight bits
 	H  int // ρ bits
-
-	// LOverride, when positive, replaces the paper's l formula in L().
-	// The implementation derives l from t (core.Params.BetaBits), which
-	// differs slightly from the paper's ⌈log m⌉ bound; cross-validation
-	// against real runs sets this to the implementation's value.
-	LOverride int
 }
 
 // PaperDefaults returns the Section VII baseline setting
@@ -49,13 +45,12 @@ func PaperDefaults() Setting {
 	return Setting{N: 25, M: 10, D1: 15, D2: 10, H: 15}
 }
 
-// L returns the β bit width: LOverride when set, otherwise the paper's
-// formula l = h + ⌈log m⌉ + d1 + 2·d2 + 2 (Section III-A), which the
-// analytic curves use to match the paper's parameter sensitivity.
+// L returns the β bit width of the paper's formula l = h + ⌈log m⌉ +
+// d1 + 2·d2 + 2 (Section III-A), which the analytic curves use to match
+// the paper's parameter sensitivity. The implementation derives l from t
+// (core.Params.BetaBits), which differs slightly from the paper's ⌈log m⌉
+// bound, so the closed forms and the trace take l as an argument.
 func (s Setting) L() int {
-	if s.LOverride > 0 {
-		return s.LOverride
-	}
 	return workload.PaperBetaBits(s.M, s.D1, s.D2, s.H)
 }
 
@@ -79,23 +74,7 @@ func ParticipantExps(n, l int) int64 {
 	return 2*nn + 2*ll + (nn-1)*(5*ll+1) + 3*ll*(nn-1)*(nn-1) + ll*(nn-1)
 }
 
-// ParticipantCiphertexts counts ciphertexts a participant sends:
-// the step-6 broadcast (l to each of n−1 peers), the step-7 hand-off to
-// P₁ ((n−1)·l), and one full chain vector (n(n−1)·l).
-func ParticipantCiphertexts(n, l int) int64 {
-	nn, ll := int64(n), int64(l)
-	return ll*(nn-1) + ll*(nn-1) + nn*(nn-1)*ll
-}
-
-// OursRounds is the framework's communication rounds: two for the gain
-// phase, six for keys/proofs/bits/collection, n−1 chain hops, one final
-// distribution and one submission round — O(n) as claimed.
-func OursRounds(n int) int64 { return int64(n) + 9 }
-
 // ---- Operation counts: SS baseline (per party) ----
-
-// ssComparators is the exact Batcher comparator count for n wires.
-func ssComparators(n int) int64 { return int64(sssort.Comparators(n)) }
 
 // ssMultsPerComparison is the paper's Nishide–Ohta constant: 279·l+5
 // multiplication-protocol invocations per l-bit comparison, plus one for
@@ -103,9 +82,10 @@ func ssComparators(n int) int64 { return int64(sssort.Comparators(n)) }
 func ssMultsPerComparison(l int) int64 { return 279*int64(l) + 5 + 1 }
 
 // ssMultInvocations is the total multiplication-protocol invocations of
-// one baseline sort.
+// one baseline sort: the exact Batcher comparator count for n wires
+// times the invocations per comparison.
 func ssMultInvocations(n, l int) int64 {
-	return ssComparators(n) * ssMultsPerComparison(l)
+	return int64(sssort.Comparators(n)) * ssMultsPerComparison(l)
 }
 
 // SSFieldMultsPerParty converts invocations to per-party field
@@ -148,7 +128,7 @@ type Timings struct {
 	// ExpSec maps group name to the wall time of one exponentiation
 	// with a random full-size scalar.
 	ExpSec map[string]float64
-	// FieldMulSecPerBit maps a field bit size to one modular
+	// FieldMulSec maps a field bit size to one modular
 	// multiplication's wall time.
 	FieldMulSec map[int]float64
 }
@@ -251,76 +231,31 @@ func (s Setting) SSFieldBits() int { return s.L() + ssmpc.Kappa + 8 }
 
 // ---- Synthetic communication traces (Fig. 3(b)) ----
 
-// OursTrace builds the framework's message trace analytically for n+1
-// parties (party 0 = initiator): the same rounds, endpoints and byte
-// sizes the real implementation produces, usable at paper scale without
-// running the cryptography. ctBytes is the ciphertext size
-// (2·ElementLen), elemBytes the group element size, scalarBytes the
-// group scalar size, fieldBytes the dot-product field element size.
-func OursTrace(s Setting, ctBytes, elemBytes, scalarBytes, fieldBytes int) []netsim.Event {
-	n := s.N
-	l := s.L()
+// OursTrace is the framework's message trace for n+1 parties (party 0 =
+// initiator), usable at paper scale without running the cryptography:
+// core.Schedule for l-bit gains over g, with fieldBytes-wide dot-product
+// entries, expanded at the model's settings — key proofs on,
+// ProveDecryption off, t = m/2, the top k = core.DefaultK submitting and
+// the dot-product matrix at s = 8 rows (the protocol draws s in [5, 10]).
+func OursTrace(s Setting, l int, g group.Group, fieldBytes int) []netsim.Event {
+	p := core.Params{N: s.N, M: s.M, T: s.M / 2, K: min(core.DefaultK, s.N), Group: g}
+	return expand(core.Schedule(p, l, fieldBytes), 8)
+}
+
+// expand lists every message of the rows, one event per sender and
+// receiver, with a dot-product flow at dim matrix rows.
+func expand(rows []transport.Round, dim int) []netsim.Event {
 	var tr []netsim.Event
-	// Phase 1: dot-product request (s×d matrix + 2 vectors, s≈8,
-	// d = m+t+1 with t = m/2) and reply.
-	d := s.M + s.M/2 + 1
-	flowBytes := (8*d + 2*d) * fieldBytes
-	for j := 1; j <= n; j++ {
-		tr = append(tr, netsim.Event{Round: 1, From: j, To: 0, Bytes: flowBytes})
-	}
-	for j := 1; j <= n; j++ {
-		tr = append(tr, netsim.Event{Round: 2, From: 0, To: j, Bytes: 2 * fieldBytes})
-	}
-	// Phase 2 (offset 10), participants are parties 1..n. The helper
-	// emits each broadcast as n−1 unicasts, matching the fabric.
-	broadcast := func(round, bytes int) {
-		for from := 1; from <= n; from++ {
-			for to := 1; to <= n; to++ {
-				if to == from {
-					continue
+	for _, r := range rows {
+		for from := r.From[0]; from < r.From[1]; from++ {
+			for to := r.To[0]; to < r.To[1]; to++ {
+				if to != from {
+					tr = append(tr, netsim.Event{Round: r.Tag, From: from, To: to, Bytes: r.Size(dim)})
 				}
-				tr = append(tr, netsim.Event{Round: round, From: from, To: to, Bytes: bytes})
 			}
 		}
 	}
-	broadcast(11, elemBytes)         // key shares
-	broadcast(12, elemBytes)         // proof commitments
-	broadcast(13, (n-1)*scalarBytes) // challenge vectors
-	broadcast(14, scalarBytes)       // responses
-	broadcast(15, l*ctBytes)         // bitwise encryptions
-	for j := 2; j <= n; j++ {        // τ sets to P₁
-		tr = append(tr, netsim.Event{Round: 16, From: j, To: 1, Bytes: (n - 1) * l * ctBytes})
-	}
-	vectorBytes := n * (n - 1) * l * ctBytes
-	for hop := 1; hop < n; hop++ { // chain P₁→…→P_n
-		tr = append(tr, netsim.Event{Round: 16 + hop, From: hop, To: hop + 1, Bytes: vectorBytes})
-	}
-	for owner := 1; owner < n; owner++ { // final distribution by P_n
-		tr = append(tr, netsim.Event{Round: 16 + n, From: n, To: owner, Bytes: (n - 1) * l * ctBytes})
-	}
-	// Phase 3: submissions (everyone sends; top-k bodies, others 1 byte).
-	for j := 1; j <= n; j++ {
-		bytes := 1
-		if j <= 3 {
-			bytes = 8 * (1 + s.M)
-		}
-		tr = append(tr, netsim.Event{Round: 1 << 20, From: j, To: 0, Bytes: bytes})
-	}
 	return tr
-}
-
-// OursMessageCounts predicts each party's sent-message count for a full
-// framework run with proofs enabled (party 0 = initiator): the number
-// of OursTrace events per sender. The synthetic trace mirrors the real
-// implementation's message structure event for event, so these counts
-// are exact and the cross-validation test asserts them against the
-// fabric's per-party counters.
-func OursMessageCounts(s Setting) []int64 {
-	counts := make([]int64, s.N+1)
-	for _, ev := range OursTrace(s, 1, 1, 1, 1) {
-		counts[ev.From]++
-	}
-	return counts
 }
 
 // SSRoundTrace builds one representative all-to-all resharing round of

@@ -4,11 +4,11 @@ package costmodel_test
 // protocol runs: the observability registry counts every group
 // exponentiation and every message a party actually performs, and this
 // test asserts those measurements match the model's closed forms
-// exactly — ParticipantExps per participant, OursMessageCounts per
-// party — for several (n, m) configurations on both a DL and an EC
-// group. Byte totals are checked against the synthetic trace within a
-// documented tolerance (below), because the phase-1 dot product draws
-// its matrix dimension s uniformly from [5, 10] while the synthetic
+// exactly — ParticipantExps per participant, the synthetic trace's
+// messages per party — for several (n, m) configurations on both a DL
+// and an EC group. Byte totals are checked against the synthetic trace
+// within a documented tolerance (below), because the phase-1 dot product
+// draws its matrix dimension s uniformly from [5, 10] while the synthetic
 // trace fixes s = 8: each participant's request can differ by at most
 // |s−8|·d ≤ 3d field elements, everything else is byte-exact.
 
@@ -92,10 +92,9 @@ func crossValidate(t *testing.T, g group.Group, n, m, d1, d2, h, workers int) {
 	}
 
 	l := params.BetaBits()
-	setting := costmodel.Setting{N: n, M: m, D1: d1, D2: d2, H: h, LOverride: l}
-	if setting.L() != l {
-		t.Fatalf("LOverride not honoured: %d != %d", setting.L(), l)
-	}
+	setting := costmodel.Setting{N: n, M: m, D1: d1, D2: d2, H: h}
+	fieldBytes := (l + 33 + 7) / 8
+	trace := costmodel.OursTrace(setting, l, g, fieldBytes)
 
 	// Exponentiations: exact, per participant. The initiator touches no
 	// group at all.
@@ -112,7 +111,10 @@ func crossValidate(t *testing.T, g group.Group, n, m, d1, d2, h, workers int) {
 	// Messages: exact, per party, from the synthetic trace's event
 	// counts — and the registry must agree with the fabric's counters.
 	stats := fab.Stats()
-	wantMsgs := costmodel.OursMessageCounts(setting)
+	wantMsgs := make([]int64, n+1)
+	for _, ev := range trace {
+		wantMsgs[ev.From]++
+	}
 	for p := 0; p <= n; p++ {
 		if stats.MessagesSent[p] != wantMsgs[p] {
 			t.Errorf("party %d sent %d messages, model says %d", p, stats.MessagesSent[p], wantMsgs[p])
@@ -127,12 +129,8 @@ func crossValidate(t *testing.T, g group.Group, n, m, d1, d2, h, workers int) {
 
 	// Bytes: total within the documented phase-1 tolerance of
 	// n · 3d · fieldBytes (s ∈ [5,10] vs the synthetic s = 8).
-	ctBytes := 2 * g.ElementLen()
-	elemBytes := g.ElementLen()
-	scalarBytes := (g.Order().BitLen() + 7) / 8
-	fieldBytes := (l + 33 + 7) / 8
 	var predicted int64
-	for _, ev := range costmodel.OursTrace(setting, ctBytes, elemBytes, scalarBytes, fieldBytes) {
+	for _, ev := range trace {
 		predicted += int64(ev.Bytes)
 	}
 	measured := stats.TotalBytes()

@@ -135,20 +135,6 @@ type Bob struct {
 // runs, which the cost model charges too.
 func (p Params) FieldBytes() int { return wirecodec.WidthOf(p.P) }
 
-// WireBytes returns the byte size of the Bob→Alice flow for a message
-// with the given matrix dimensions.
-func (m *BobMessage) WireBytes(p Params) int {
-	s := len(m.QX)
-	d := 0
-	if s > 0 {
-		d = m.QX[0].Len()
-	}
-	return (s*d + 2*m.CPrime.Len()) * p.FieldBytes()
-}
-
-// WireBytes returns the byte size of the Alice→Bob flow.
-func (r *AliceReply) WireBytes(p Params) int { return 2 * p.FieldBytes() }
-
 // NewBob starts the protocol for Bob's vector w, returning his retained
 // state and the message for Alice.
 func NewBob(params Params, w []*big.Int, rng io.Reader) (*Bob, *BobMessage, error) {

@@ -12,8 +12,9 @@ import (
 //	BobMessage: u32 s ‖ s × run(QX row) ‖ run(c') ‖ run(g)
 //	AliceReply: run(a, h)
 //
-// so a frame is its declared WireBytes plus the count and the run
-// headers. Decoding is structural only: Validate, which both receive
+// so a frame is its s·d + 2d (Bob) or 2 (Alice) field elements plus the
+// count and the run headers; the framework charges the elements (its
+// gain rounds in internal/core). Decoding is structural only: Validate, which both receive
 // paths already run, checks every run's width, length and entries
 // against the field.
 

@@ -10,8 +10,9 @@ import (
 	"groupranking/internal/wirecodec"
 )
 
-// TestFrameWidthsPinned: both flows encode to exactly their declared
-// WireBytes plus framing, whatever the values, at a one-limb-wide and a
+// TestFrameWidthsPinned: both flows encode to exactly their field
+// elements (s·d + 2d for a Bob message, 2 for a reply) at the field's
+// width plus framing, whatever the values, at a one-limb-wide and a
 // three-limb-wide prime: the 9-byte frame header, and 6 bytes (u16
 // width, u32 count) per integer run — s + 2 runs and the u32 s for a
 // Bob message, one run for a reply.
@@ -33,15 +34,15 @@ func TestFrameWidthsPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := len(msg.QX)
+			s, d, fb := len(msg.QX), len(w)+1, params.FieldBytes()
 			for _, c := range []struct {
 				name     string
 				v        any
 				declared int
 				framing  int
 			}{
-				{"bob message", msg, msg.WireBytes(params), 9 + 4 + 6*(s+2)},
-				{"alice reply", reply, reply.WireBytes(params), 9 + 6},
+				{"bob message", msg, (s*d + 2*d) * fb, 9 + 4 + 6*(s+2)},
+				{"alice reply", reply, 2 * fb, 9 + 6},
 			} {
 				frame, err := wirecodec.Marshal(c.v)
 				if err != nil {

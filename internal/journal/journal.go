@@ -150,16 +150,13 @@ type journalMetrics struct {
 	fsyncSeconds  *telemetry.Histogram
 }
 
-// SetTelemetry connects the journal to a live metrics registry. Call
-// before the session starts; a nil registry disables instrumentation.
-func (j *Journal) SetTelemetry(reg *telemetry.Registry) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+// newJournalMetrics registers the journal's families in reg; a nil
+// registry disables instrumentation.
+func newJournalMetrics(reg *telemetry.Registry) *journalMetrics {
 	if reg == nil {
-		j.tm = nil
-		return
+		return nil
 	}
-	j.tm = &journalMetrics{
+	return &journalMetrics{
 		appends: reg.Counter("journal_appends_total", "Records appended to the session journal."),
 		bytes:   reg.Counter("journal_bytes_total", "Bytes appended to the session journal (frame headers included)."),
 		appendSeconds: reg.Histogram("journal_append_seconds",
@@ -269,7 +266,7 @@ func OpenSession(dir, sessionID string, party int, seed string, reg *telemetry.R
 	if err != nil {
 		return nil, "", err
 	}
-	j.SetTelemetry(reg)
+	j.tm = newJournalMetrics(reg)
 	err = j.pinSession([]byte(fmt.Sprintf("%s|party=%d", sessionID, party)))
 	if err == nil && j.seed == "" {
 		seed, err = fixedbig.DrawSeed(seed)

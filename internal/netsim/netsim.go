@@ -32,6 +32,15 @@ type Event struct {
 	Bytes int
 }
 
+// Rounds counts a trace's distinct rounds.
+func Rounds(trace []Event) int {
+	seen := make(map[int]bool)
+	for _, ev := range trace {
+		seen[ev.Round] = true
+	}
+	return len(seen)
+}
+
 // Topology is an undirected connected graph.
 type Topology struct {
 	nodes int

@@ -289,6 +289,7 @@ func TestProveDecryptionCatchesWrongKeyStrip(t *testing.T) {
 	cfg := Config{Group: g, L: 4, ProveDecryption: true, SkipProofs: true}
 	vals := bigs(11, 6, 14)
 	scheme := elgamal.NewScheme(g)
+	sched := newSchedule(cfg, len(vals))
 	fab, errs, err := transport.RunMesh(context.Background(), len(vals), nil, func(ctx context.Context, me int, fab transport.Net) error {
 		rng := fixedbig.NewDRBG(fmt.Sprintf("pd-cheat-%d", me))
 		if me != 1 {
@@ -298,11 +299,11 @@ func TestProveDecryptionCatchesWrongKeyStrip(t *testing.T) {
 		// The cheater: honest key phase and comparison circuit, but
 		// the chain uses a swapped private key, so its strip proofs
 		// cannot verify against its registered share.
-		key, joint, ys, err := keyPhase(ctx, cfg, scheme, me, fab, rng)
+		key, joint, ys, err := keyPhase(ctx, cfg, sched, scheme, me, fab, rng)
 		if err != nil {
 			return err
 		}
-		myBits, theirCts, err := publishBits(ctx, cfg, scheme, me, fab, joint, vals[me], rng)
+		myBits, theirCts, err := publishBits(ctx, cfg, sched, scheme, me, fab, joint, vals[me], rng)
 		if err != nil {
 			return err
 		}
@@ -315,7 +316,7 @@ func TestProveDecryptionCatchesWrongKeyStrip(t *testing.T) {
 			return err
 		}
 		forged := &elgamal.KeyPair{X: wrongX, Y: key.Y}
-		_, err = chainPhase(ctx, cfg, scheme, me, fab, forged, ys, mySet, rng)
+		_, err = chainPhase(ctx, cfg, sched, scheme, me, fab, forged, ys, mySet, rng)
 		return err
 	}, transport.WithRecvTimeout(5*time.Second))
 	if fab == nil {

@@ -141,6 +141,62 @@ const (
 	roundChainBase // chain hop j uses roundChainBase + j
 )
 
+// schedule is the sorting protocol's rounds for one run: the rows the
+// call sites send with, and all of them in execution order (a step the
+// Config leaves out has no row).
+type schedule struct {
+	keys, commit, challenge, response, bits, anchors, taus, final transport.Round
+
+	hops    []transport.Round // party h to h + 1, for h < n − 1
+	commits []transport.Round // ProveDecryption: party h's output commitments, h < n
+	all     []transport.Round
+}
+
+// newSchedule builds the schedule of a run of n parties under cfg, its
+// sizes in the group's element, ciphertext and scalar widths.
+func newSchedule(cfg Config, n int) *schedule {
+	s := &schedule{}
+	row := func(tag int, phase string, pattern transport.Pattern, from, to [2]int, bytes int) transport.Round {
+		r := transport.Round{Tag: tag, Phase: phase, Pattern: pattern, From: from, To: to, Bytes: bytes}
+		s.all = append(s.all, r)
+		return r
+	}
+	every, one := [2]int{0, n}, func(p int) [2]int { return [2]int{p, p + 1} }
+	elem, scalar := cfg.Group.ElementLen(), wirecodec.WidthOf(cfg.Group.Order())
+	ct := elgamal.NewScheme(cfg.Group).EncodedLen()
+	set := (n - 1) * cfg.L * ct // one owner's τ set
+	vector := n * set
+	s.keys = row(roundPublishKeys, PhaseKeygen, transport.EchoBroadcast, every, every, elem)
+	if !cfg.SkipProofs {
+		s.commit = row(roundProofCommit, PhaseKeyProof, transport.EchoBroadcast, every, every, elem)
+		// The challenge run also carries the self slot's unread zero,
+		// which is not charged.
+		s.challenge = row(roundProofChallenge, PhaseKeyProof, transport.EchoBroadcast, every, every, (n-1)*scalar)
+		s.response = row(roundProofResponse, PhaseKeyProof, transport.EchoBroadcast, every, every, scalar)
+	}
+	s.bits = row(roundPublishBits, PhasePublishBits, transport.EchoBroadcast, every, every, cfg.L*ct)
+	collect := "collect-taus" // the τ collection's phase in aborts, inside the chain span
+	if cfg.ProveDecryption {
+		s.anchors = row(roundCollectTaus, collect, transport.EchoBroadcast, every, every, sha256.Size)
+		vector *= 5 // Input + Stripped + 4 proof values per ciphertext ≈ 5× payload.
+	}
+	s.taus = row(roundCollectTaus, collect, transport.PointToPoint, [2]int{1, n}, one(0), set)
+	for h := 0; h < n; h++ {
+		if cfg.ProveDecryption {
+			s.commits = append(s.commits, row(roundChainBase+h, PhaseChain, transport.PlainBroadcast, one(h), every, n*sha256.Size))
+		}
+		if h < n-1 {
+			s.hops = append(s.hops, row(roundChainBase+h, PhaseChain, transport.ChainHop, one(h), one(h+1), vector))
+		}
+	}
+	// The last hop returns every other owner's set.
+	s.final = row(roundChainBase+n-1, PhaseFinalSet, transport.PointToPoint, one(n-1), [2]int{0, n - 1}, set)
+	return s
+}
+
+// Schedule is the protocol's rounds for n parties under cfg, in order.
+func Schedule(cfg Config, n int) []transport.Round { return newSchedule(cfg, n).all }
+
 // Payload types exchanged over the fabric. The types stay
 // package-private; wire.go registers a codec for each from init.
 type (
@@ -206,10 +262,11 @@ func PartyCtx(ctx context.Context, cfg Config, me int, fab transport.Net, beta *
 	fab = obsv.ObservedNet(fab, obs)
 	defer obs.End()
 	scheme := elgamal.NewScheme(cfg.Group)
+	sched := newSchedule(cfg, n)
 
 	// Step 5: key generation and knowledge proofs.
 	obs.Begin(PhaseKeygen)
-	key, joint, ys, err := keyPhase(ctx, cfg, scheme, me, fab, rng)
+	key, joint, ys, err := keyPhase(ctx, cfg, sched, scheme, me, fab, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -221,7 +278,7 @@ func PartyCtx(ctx context.Context, cfg Config, me int, fab transport.Net, beta *
 
 	// Step 6: publish the bitwise encryption of beta.
 	obs.Begin(PhasePublishBits)
-	myBits, theirCts, err := publishBits(ctx, cfg, scheme, me, fab, joint, beta, rng)
+	myBits, theirCts, err := publishBits(ctx, cfg, sched, scheme, me, fab, joint, beta, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -235,7 +292,7 @@ func PartyCtx(ctx context.Context, cfg Config, me int, fab transport.Net, beta *
 
 	// Step 8: decrypt-and-shuffle chain.
 	obs.Begin(PhaseChain)
-	finalSet, err := chainPhase(ctx, cfg, scheme, me, fab, key, ys, mySet, rng)
+	finalSet, err := chainPhase(ctx, cfg, sched, scheme, me, fab, key, ys, mySet, rng)
 	if err != nil {
 		return Result{}, err
 	}
@@ -263,7 +320,7 @@ func PartyCtx(ctx context.Context, cfg Config, me int, fab transport.Net, beta *
 // keyPhase publishes key shares, runs the n-verifier knowledge proofs,
 // and returns this party's key pair, the joint public key and every
 // party's key share (needed to verify chain decryption proofs).
-func keyPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int, fab transport.Net, rng io.Reader) (*elgamal.KeyPair, group.Element, []group.Element, error) {
+func keyPhase(ctx context.Context, cfg Config, sched *schedule, scheme *elgamal.Scheme, me int, fab transport.Net, rng io.Reader) (*elgamal.KeyPair, group.Element, []group.Element, error) {
 	g := cfg.Group
 	n := fab.N()
 	key, err := scheme.GenerateKey(rng)
@@ -274,9 +331,9 @@ func keyPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int, f
 	// echo sub-round catches an initiator announcing different shares to
 	// different parties (which would give each victim a different joint
 	// key); in-process fabrics skip the echo entirely.
-	received, err := transport.EchoBroadcastCtx(ctx, fab, me, roundPublishKeys, g.ElementLen(), key.Y)
+	received, err := transport.EchoBroadcastCtx(ctx, fab, me, sched.keys.Tag, sched.keys.Bytes, key.Y)
 	if err != nil {
-		return nil, nil, nil, transport.AnnotatePhase(err, PhaseKeygen)
+		return nil, nil, nil, transport.AnnotatePhase(err, sched.keys.Phase)
 	}
 	ys := make([]group.Element, n)
 	for j := 0; j < n; j++ {
@@ -286,7 +343,7 @@ func keyPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int, f
 		}
 		y, ok := received[j].(group.Element)
 		if !ok {
-			return nil, nil, nil, malformedAbort(j, me, roundPublishKeys, PhaseKeygen,
+			return nil, nil, nil, malformedAbort(j, me, sched.keys.Tag, sched.keys.Phase,
 				fmt.Sprintf("a malformed key share (%T)", received[j]), "group element")
 		}
 		// Wire decoding puts the share on the curve its payload named,
@@ -294,16 +351,16 @@ func keyPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int, f
 		// MUST be checked here, or a foreign or off-curve key share
 		// mounts an invalid-curve attack through the joint key.
 		if err := group.Validate(g, y); err != nil {
-			return nil, nil, nil, transport.Abort(j, roundPublishKeys, PhaseKeygen,
+			return nil, nil, nil, transport.Abort(j, sched.keys.Tag, sched.keys.Phase,
 				fmt.Errorf("unlinksort: party %d sent an invalid key share: %w", j, err)).
-				WithCert(certInvalidElement(g, j, me, roundPublishKeys, PhaseKeygen, y))
+				WithCert(certInvalidElement(g, j, me, sched.keys.Tag, sched.keys.Phase, y))
 		}
 		ys[j] = y
 	}
 
 	if !cfg.SkipProofs {
 		obsv.PartyOf(cfg.Group).Begin(PhaseKeyProof)
-		if err := proofPhase(ctx, cfg, me, fab, key, ys, rng); err != nil {
+		if err := proofPhase(ctx, cfg, sched, me, fab, key, ys, rng); err != nil {
 			return nil, nil, nil, err
 		}
 	}
@@ -313,7 +370,7 @@ func keyPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int, f
 // proofPhase interleaves all n multi-verifier Schnorr proofs: every
 // party is simultaneously the prover of its own key share and a verifier
 // of everyone else's, in three broadcast rounds.
-func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key *elgamal.KeyPair, ys []group.Element, rng io.Reader) error {
+func proofPhase(ctx context.Context, cfg Config, sched *schedule, me int, fab transport.Net, key *elgamal.KeyPair, ys []group.Element, rng io.Reader) error {
 	g := cfg.Group
 	n := fab.N()
 	q := g.Order()
@@ -327,9 +384,9 @@ func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key 
 	if err != nil {
 		return err
 	}
-	commits, err := transport.EchoBroadcastCtx(ctx, fab, me, roundProofCommit, g.ElementLen(), h)
+	commits, err := transport.EchoBroadcastCtx(ctx, fab, me, sched.commit.Tag, sched.commit.Bytes, h)
 	if err != nil {
-		return transport.AnnotatePhase(err, PhaseKeyProof)
+		return transport.AnnotatePhase(err, sched.commit.Phase)
 	}
 
 	// One challenge share per foreign prover, broadcast as one run of n
@@ -349,9 +406,9 @@ func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key 
 	if err != nil {
 		return err
 	}
-	challengeMsgs, err := transport.EchoBroadcastCtx(ctx, fab, me, roundProofChallenge, (n-1)*scalarBytes, myRun)
+	challengeMsgs, err := transport.EchoBroadcastCtx(ctx, fab, me, sched.challenge.Tag, sched.challenge.Bytes, myRun)
 	if err != nil {
-		return transport.AnnotatePhase(err, PhaseKeyProof)
+		return transport.AnnotatePhase(err, sched.challenge.Phase)
 	}
 	// Every verifier's vector, checked once: n scalars at the order's
 	// width, each below the order.
@@ -363,7 +420,7 @@ func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key 
 			continue
 		}
 		if challenges[j], err = wirecodec.IntsOf(challengeMsgs[j], q, n); err != nil {
-			return malformedAbort(j, me, roundProofChallenge, PhaseKeyProof,
+			return malformedAbort(j, me, sched.challenge.Tag, sched.challenge.Phase,
 				"a challenge vector: "+err.Error(), fmt.Sprintf("%d %d-byte scalars below the group order", n, scalarBytes))
 		}
 		toMe = append(toMe, challenges[j][me])
@@ -381,9 +438,9 @@ func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key 
 	if err != nil {
 		return err
 	}
-	responses, err := transport.EchoBroadcastCtx(ctx, fab, me, roundProofResponse, scalarBytes, zRun)
+	responses, err := transport.EchoBroadcastCtx(ctx, fab, me, sched.response.Tag, sched.response.Bytes, zRun)
 	if err != nil {
-		return transport.AnnotatePhase(err, PhaseKeyProof)
+		return transport.AnnotatePhase(err, sched.response.Phase)
 	}
 
 	// Verify every foreign proof against the challenge shares all
@@ -394,17 +451,17 @@ func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key 
 		}
 		hj, ok := commits[j].(group.Element)
 		if !ok {
-			return malformedAbort(j, me, roundProofCommit, PhaseKeyProof,
+			return malformedAbort(j, me, sched.commit.Tag, sched.commit.Phase,
 				fmt.Sprintf("a malformed proof commitment (%T)", commits[j]), "group element")
 		}
 		if err := group.Validate(g, hj); err != nil {
-			return transport.Abort(j, roundProofCommit, PhaseKeyProof,
+			return transport.Abort(j, sched.commit.Tag, sched.commit.Phase,
 				fmt.Errorf("unlinksort: party %d sent an invalid proof commitment: %w", j, err)).
-				WithCert(certInvalidElement(g, j, me, roundProofCommit, PhaseKeyProof, hj))
+				WithCert(certInvalidElement(g, j, me, sched.commit.Tag, sched.commit.Phase, hj))
 		}
 		zj, err := wirecodec.IntsOf(responses[j], q, 1)
 		if err != nil {
-			return malformedAbort(j, me, roundProofResponse, PhaseKeyProof,
+			return malformedAbort(j, me, sched.response.Tag, sched.response.Phase,
 				"a proof response: "+err.Error(), fmt.Sprintf("1 %d-byte scalar below the group order", scalarBytes))
 		}
 		chalForJ := make([]*big.Int, 0, n-1)
@@ -414,7 +471,7 @@ func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key 
 			}
 		}
 		if !zkp.Verify(cfg.Group, ys[j], hj, chalForJ, zj[0]) {
-			return transport.Abort(j, roundProofResponse, PhaseKeyProof,
+			return transport.Abort(j, sched.response.Tag, sched.response.Phase,
 				fmt.Errorf("unlinksort: party %d failed the key-knowledge proof", j)).
 				WithCert(certKeyProof(g, j, me, ys[j], hj, chalForJ, zj[0]))
 		}
@@ -425,7 +482,7 @@ func proofPhase(ctx context.Context, cfg Config, me int, fab transport.Net, key 
 // publishBits broadcasts E(β)_B and gathers everyone else's, returning
 // this party's plaintext bits and the foreign ciphertext vectors indexed
 // by party.
-func publishBits(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int, fab transport.Net, joint group.Element, beta *big.Int, rng io.Reader) ([]uint8, [][]elgamal.Ciphertext, error) {
+func publishBits(ctx context.Context, cfg Config, sched *schedule, scheme *elgamal.Scheme, me int, fab transport.Net, joint group.Element, beta *big.Int, rng io.Reader) ([]uint8, [][]elgamal.Ciphertext, error) {
 	n := fab.N()
 	bits, err := fixedbig.Bits(beta, cfg.L)
 	if err != nil {
@@ -450,9 +507,9 @@ func publishBits(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int
 	// broadcast stops a cheater from giving different parties different
 	// encryptions of its value (which would let it occupy a different
 	// rank in each victim's view).
-	gathered, err := transport.EchoBroadcastCtx(ctx, fab, me, roundPublishBits, cfg.L*scheme.EncodedLen(), bitsMsg{Cts: mine})
+	gathered, err := transport.EchoBroadcastCtx(ctx, fab, me, sched.bits.Tag, sched.bits.Bytes, bitsMsg{Cts: mine})
 	if err != nil {
-		return nil, nil, transport.AnnotatePhase(err, PhasePublishBits)
+		return nil, nil, transport.AnnotatePhase(err, sched.bits.Phase)
 	}
 	theirs := make([][]elgamal.Ciphertext, n)
 	for j := 0; j < n; j++ {
@@ -461,7 +518,7 @@ func publishBits(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int
 		}
 		msg, ok := gathered[j].(bitsMsg)
 		if !ok || len(msg.Cts) != cfg.L {
-			return nil, nil, malformedAbort(j, me, roundPublishBits, PhasePublishBits,
+			return nil, nil, malformedAbort(j, me, sched.bits.Tag, sched.bits.Phase,
 				"a malformed bit vector", fmt.Sprintf("%d ciphertexts", cfg.L))
 		}
 		if err := validateSet(cfg.Group, j, msg.Cts); err != nil {
@@ -477,11 +534,11 @@ func publishBits(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int
 // typed abort.
 func validateSet(g group.Group, from int, set []elgamal.Ciphertext) error {
 	for _, ct := range set {
-		if err := group.Validate(g, ct.C); err != nil {
-			return transport.EnsureAbort(
-				fmt.Errorf("unlinksort: party %d sent an invalid ciphertext: %w", from, err), from, "unlinksort")
+		err := group.Validate(g, ct.C)
+		if err == nil {
+			err = group.Validate(g, ct.C1)
 		}
-		if err := group.Validate(g, ct.C1); err != nil {
+		if err != nil {
 			return transport.EnsureAbort(
 				fmt.Errorf("unlinksort: party %d sent an invalid ciphertext: %w", from, err), from, "unlinksort")
 		}
@@ -563,9 +620,8 @@ func compareAll(ctx context.Context, cfg Config, scheme *elgamal.Scheme, joint g
 // to the previous commitment) together with Chaum–Pedersen proofs that
 // each key layer was stripped with the registered share. Each hop
 // verifies its predecessor before processing.
-func chainPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int, fab transport.Net, key *elgamal.KeyPair, ys []group.Element, mySet []elgamal.Ciphertext, rng io.Reader) ([]elgamal.Ciphertext, error) {
+func chainPhase(ctx context.Context, cfg Config, sched *schedule, scheme *elgamal.Scheme, me int, fab transport.Net, key *elgamal.KeyPair, ys []group.Element, mySet []elgamal.Ciphertext, rng io.Reader) ([]elgamal.Ciphertext, error) {
 	n := fab.N()
-	ctBytes := scheme.EncodedLen()
 
 	// Owners anchor their sets (ProveDecryption) and hand them to P_0.
 	// The anchor exchange is a consistent broadcast — the anchors are the
@@ -575,9 +631,9 @@ func chainPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int,
 	// out, preserving per-channel round order.
 	anchors := make([][]byte, n)
 	if cfg.ProveDecryption {
-		all, err := transport.EchoBroadcastCtx(ctx, fab, me, roundCollectTaus, 32, anchorMsg{Hash: hashSet(scheme, mySet)})
+		all, err := transport.EchoBroadcastCtx(ctx, fab, me, sched.anchors.Tag, sched.anchors.Bytes, anchorMsg{Hash: hashSet(scheme, mySet)})
 		if err != nil {
-			return nil, transport.AnnotatePhase(err, "collect-taus")
+			return nil, transport.AnnotatePhase(err, sched.anchors.Phase)
 		}
 		for j := 0; j < n; j++ {
 			if j == me {
@@ -586,7 +642,7 @@ func chainPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int,
 			}
 			msg, ok := all[j].(anchorMsg)
 			if !ok || len(msg.Hash) != sha256.Size {
-				return nil, malformedAbort(j, me, roundCollectTaus, "collect-taus",
+				return nil, malformedAbort(j, me, sched.anchors.Tag, sched.anchors.Phase,
 					"a malformed set anchor", "32-byte digest")
 			}
 			anchors[j] = msg.Hash
@@ -597,19 +653,19 @@ func chainPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int,
 		v = make([][]elgamal.Ciphertext, n)
 		v[0] = mySet
 		for j := 1; j < n; j++ {
-			payload, err := fab.RecvCtx(ctx, 0, j, roundCollectTaus)
+			payload, err := fab.RecvCtx(ctx, 0, j, sched.taus.Tag)
 			if err != nil {
-				return nil, transport.AnnotatePhase(err, "collect-taus")
+				return nil, transport.AnnotatePhase(err, sched.taus.Phase)
 			}
 			msg, ok := payload.(tauSetMsg)
 			if !ok || len(msg.Set) != (n-1)*cfg.L {
-				return nil, malformedAbort(j, 0, roundCollectTaus, "collect-taus",
+				return nil, malformedAbort(j, 0, sched.taus.Tag, sched.taus.Phase,
 					"a malformed τ set", fmt.Sprintf("%d ciphertexts", (n-1)*cfg.L))
 			}
 			if cfg.ProveDecryption && !bytes.Equal(hashSet(scheme, msg.Set), anchors[j]) {
-				return nil, transport.Abort(j, roundCollectTaus, "collect-taus",
+				return nil, transport.Abort(j, sched.taus.Tag, sched.taus.Phase,
 					fmt.Errorf("unlinksort: party %d's τ set does not match its anchor", j)).
-					WithCert(certSetAnchor(j, 0, roundCollectTaus,
+					WithCert(certSetAnchor(j, 0, sched.taus.Tag,
 						fmt.Sprintf("party %d's τ set does not hash to the anchor it broadcast", j),
 						anchors[j], encodeSetBytes(scheme, msg.Set)))
 			}
@@ -618,53 +674,53 @@ func chainPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int,
 			}
 			v[j] = msg.Set
 		}
-	} else {
-		if err := fab.Send(roundCollectTaus, me, 0, len(mySet)*ctBytes, tauSetMsg{Set: mySet}); err != nil {
-			return nil, transport.AnnotatePhase(err, "collect-taus")
+	} else if err := fab.Send(sched.taus.Tag, me, 0, sched.taus.Bytes, tauSetMsg{Set: mySet}); err != nil {
+		return nil, transport.AnnotatePhase(err, sched.taus.Phase)
+	}
+
+	// recvCommit receives the output commitment party from broadcast in
+	// row r (ProveDecryption mode).
+	recvCommit := func(r transport.Round, from int, what string) ([][]byte, error) {
+		payload, err := fab.RecvCtx(ctx, me, from, r.Tag)
+		if err != nil {
+			return nil, transport.AnnotatePhase(err, r.Phase)
 		}
+		msg, ok := payload.(commitMsg)
+		if !ok || len(msg.Hashes) != n {
+			return nil, malformedAbort(from, me, r.Tag, r.Phase, "a malformed "+what, fmt.Sprintf("%d digests", n))
+		}
+		return msg.Hashes, nil
 	}
 
 	// The chain. Party me receives V from me−1 (except P_0 who starts),
 	// verifies its predecessor in ProveDecryption mode, processes every
 	// set it does not own, and forwards.
 	if me > 0 {
+		hop := sched.hops[me-1]
 		var prevCommit [][]byte
 		if cfg.ProveDecryption {
 			// The binding for the predecessor's claimed input: owners'
 			// anchors at the first hop, the hop-before-last's broadcast
-			// commitment afterwards.
-			if me == 1 {
-				prevCommit = anchors
-			} else {
-				payload, err := fab.RecvCtx(ctx, me, me-2, roundChainBase+me-2)
-				if err != nil {
-					return nil, transport.AnnotatePhase(err, "chain")
+			// commitment afterwards. The predecessor's own commitment
+			// precedes its vector on the same channel.
+			prevCommit = anchors
+			var err error
+			if me > 1 {
+				if prevCommit, err = recvCommit(sched.commits[me-2], me-2, "output commitment"); err != nil {
+					return nil, err
 				}
-				msg, ok := payload.(commitMsg)
-				if !ok || len(msg.Hashes) != n {
-					return nil, malformedAbort(me-2, me, roundChainBase+me-2, PhaseChain,
-						"a malformed output commitment", fmt.Sprintf("%d digests", n))
-				}
-				prevCommit = msg.Hashes
 			}
-			// The predecessor's own commitment precedes its vector on
-			// the same channel.
-			payload, err := fab.RecvCtx(ctx, me, me-1, roundChainBase+me-1)
-			if err != nil {
-				return nil, transport.AnnotatePhase(err, "chain")
-			}
-			if msg, ok := payload.(commitMsg); !ok || len(msg.Hashes) != n {
-				return nil, malformedAbort(me-1, me, roundChainBase+me-1, PhaseChain,
-					"a malformed output commitment", fmt.Sprintf("%d digests", n))
+			if _, err = recvCommit(sched.commits[me-1], me-1, "output commitment"); err != nil {
+				return nil, err
 			}
 		}
-		payload, err := fab.RecvCtx(ctx, me, me-1, roundChainBase+me-1)
+		payload, err := fab.RecvCtx(ctx, me, me-1, hop.Tag)
 		if err != nil {
-			return nil, transport.AnnotatePhase(err, "chain")
+			return nil, transport.AnnotatePhase(err, hop.Phase)
 		}
 		msg, ok := payload.(vectorMsg)
 		if !ok || len(msg.V) != n {
-			return nil, malformedAbort(me-1, me, roundChainBase+me-1, PhaseChain,
+			return nil, malformedAbort(me-1, me, hop.Tag, hop.Phase,
 				fmt.Sprintf("a malformed chain vector (%T)", payload), fmt.Sprintf("vector of %d owner sets", n))
 		}
 		for owner := range msg.V {
@@ -678,7 +734,7 @@ func chainPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int,
 					return nil, err
 				}
 			}
-			if err := verifyChainHop(cfg, scheme, me, me-1, roundChainBase+me-1, ys[me-1], prevCommit, msg); err != nil {
+			if err := verifyChainHop(cfg, scheme, me, me-1, hop.Tag, ys[me-1], prevCommit, msg); err != nil {
 				return nil, err
 			}
 		}
@@ -734,81 +790,62 @@ func chainPhase(ctx context.Context, cfg Config, scheme *elgamal.Scheme, me int,
 		out.V[me] = tampered
 	}
 
-	vectorBytes := n * (n - 1) * cfg.L * ctBytes
 	if cfg.ProveDecryption {
-		// Input + Stripped + 4 proof values per ciphertext ≈ 5× payload.
-		vectorBytes *= 5
 		hashes := make([][]byte, n)
 		for owner := range out.V {
 			hashes[owner] = hashSet(scheme, out.V[owner])
 		}
-		if err := fab.Broadcast(roundChainBase+me, me, n*32, commitMsg{Hashes: hashes}); err != nil {
-			return nil, transport.AnnotatePhase(err, "chain")
+		if err := fab.Broadcast(sched.commits[me].Tag, me, sched.commits[me].Bytes, commitMsg{Hashes: hashes}); err != nil {
+			return nil, transport.AnnotatePhase(err, sched.commits[me].Phase)
 		}
 	}
 	if me < n-1 {
-		if err := fab.Send(roundChainBase+me, me, me+1, vectorBytes, out); err != nil {
-			return nil, transport.AnnotatePhase(err, "chain")
+		if err := fab.Send(sched.hops[me].Tag, me, me+1, sched.hops[me].Bytes, out); err != nil {
+			return nil, transport.AnnotatePhase(err, sched.hops[me].Phase)
 		}
 	} else {
 		// Last hop: return each set to its owner.
 		for owner := 0; owner < n-1; owner++ {
-			if err := fab.Send(roundChainBase+me, me, owner, len(out.V[owner])*ctBytes, finalMsg{Set: out.V[owner]}); err != nil {
-				return nil, transport.AnnotatePhase(err, "chain")
+			if err := fab.Send(sched.final.Tag, me, owner, sched.final.Bytes, finalMsg{Set: out.V[owner]}); err != nil {
+				return nil, transport.AnnotatePhase(err, PhaseChain)
 			}
 		}
 	}
 
-	// Receive my fully processed set.
+	// Receive my fully processed set. Under ProveDecryption the last
+	// hop's commitment broadcast precedes it on the same channel: consume
+	// it and verify the final set against it. Other hops' commitment
+	// broadcasts to non-successors stay queued unread, which is harmless
+	// on per-pair channels.
 	obsv.PartyOf(cfg.Group).Begin(PhaseFinalSet)
-	if me == n-1 {
+	last, round := n-1, sched.final.Tag
+	if me == last {
 		return out.V[me], nil
 	}
+	var commit [][]byte
+	var err error
 	if cfg.ProveDecryption {
-		// The last hop's commitment broadcast precedes the final set on
-		// the same channel: consume it and verify the final set against
-		// it. Other hops' commitment broadcasts to non-successors stay
-		// queued unread, which is harmless on per-pair channels.
-		payload, err := fab.RecvCtx(ctx, me, n-1, roundChainBase+n-1)
-		if err != nil {
-			return nil, transport.AnnotatePhase(err, "final-set")
-		}
-		commit, ok := payload.(commitMsg)
-		if !ok || len(commit.Hashes) != n {
-			return nil, malformedAbort(n-1, me, roundChainBase+n-1, PhaseFinalSet,
-				"a malformed final commitment", fmt.Sprintf("%d digests", n))
-		}
-		payload, err = fab.RecvCtx(ctx, me, n-1, roundChainBase+n-1)
-		if err != nil {
-			return nil, transport.AnnotatePhase(err, "final-set")
-		}
-		msg, ok := payload.(finalMsg)
-		if !ok || len(msg.Set) != len(mySet) {
-			return nil, malformedAbort(n-1, me, roundChainBase+n-1, PhaseFinalSet,
-				"a malformed final set", fmt.Sprintf("%d ciphertexts", len(mySet)))
-		}
-		if !bytes.Equal(hashSet(scheme, msg.Set), commit.Hashes[me]) {
-			return nil, transport.Abort(n-1, roundChainBase+n-1, PhaseFinalSet,
-				fmt.Errorf("unlinksort: final set does not match party %d's commitment", n-1)).
-				WithCert(certSetAnchor(n-1, me, roundChainBase+n-1,
-					fmt.Sprintf("party %d delivered a final set that does not hash to its own broadcast commitment", n-1),
-					commit.Hashes[me], encodeSetBytes(scheme, msg.Set)))
-		}
-		if err := validateSet(cfg.Group, n-1, msg.Set); err != nil {
+		if commit, err = recvCommit(sched.final, last, "final commitment"); err != nil {
 			return nil, err
 		}
-		return msg.Set, nil
 	}
-	payload, err := fab.RecvCtx(ctx, me, n-1, roundChainBase+n-1)
+	payload, err := fab.RecvCtx(ctx, me, last, round)
 	if err != nil {
-		return nil, transport.AnnotatePhase(err, "final-set")
+		return nil, transport.AnnotatePhase(err, sched.final.Phase)
 	}
 	msg, ok := payload.(finalMsg)
 	if !ok || len(msg.Set) != len(mySet) {
-		return nil, malformedAbort(n-1, me, roundChainBase+n-1, PhaseFinalSet,
+		return nil, malformedAbort(last, me, round, sched.final.Phase,
 			"a malformed final set", fmt.Sprintf("%d ciphertexts", len(mySet)))
 	}
-	if err := validateSet(cfg.Group, n-1, msg.Set); err != nil {
+	if cfg.ProveDecryption && !bytes.Equal(hashSet(scheme, msg.Set), commit[me]) {
+		return nil, transport.Abort(last, round, PhaseFinalSet,
+			fmt.Errorf("unlinksort: final set does not match party %d's commitment", last)).
+			WithCert(certSetAnchor(last, me, round,
+				fmt.Sprintf("party %d delivered a final set that does not hash to its own broadcast commitment", last),
+				commit[me], encodeSetBytes(scheme, msg.Set)))
+	}
+	if err := validateSet(cfg.Group, last, msg.Set); err != nil {
 		return nil, err
 	}
 	return msg.Set, nil
