@@ -79,6 +79,9 @@ var snapshotConfigs = []struct {
 	{name: "ours-ecc-n6", groupName: "secp160r1", sorter: core.SorterUnlinkable, n: 6},
 	{name: "ours-dl-n4", groupName: "toy-dl-256", sorter: core.SorterUnlinkable, n: 4},
 	{name: "ss-ecc-n5", groupName: "secp160r1", sorter: core.SorterSecretSharing, n: 5},
+	// The shape of bench/'s rankd_durable_ss: three participants, a
+	// sorting network three layers deep.
+	{name: "ss-dl-n3", groupName: "toy-dl-256", sorter: core.SorterSecretSharing, n: 3},
 }
 
 // CollectSnapshot runs every snapshot configuration and returns the

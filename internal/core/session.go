@@ -24,8 +24,11 @@ var ErrSessionMismatch = errors.New("core: session parameters disagree")
 // incompatible builds abort in the handshake instead of failing with
 // a decode error deep inside a crypto phase. Version 2 added the
 // TraceID field to the announcement; version 3 added the pinned codec
-// version when the binary wire codecs replaced gob.
-const sessionVersion = 3
+// version when the binary wire codecs replaced gob; version 4 marks the
+// secret-sharing sorter's new round structure (the comparison's carry
+// tree and one mask-bit batch per sort), so a mixed mesh aborts here by
+// name rather than mid-sort.
+const sessionVersion = 4
 
 // sessionMsg is the session-establishment announcement every party
 // broadcasts before any crypto is spent. It pins every parameter whose

@@ -92,44 +92,60 @@ func TestEstablishSessionMismatch(t *testing.T) {
 	}
 }
 
-// futureCodecNet is party 1's endpoint in a build with another wire
-// codec: its outgoing session announcement names codec version 99.
-type futureCodecNet struct{ transport.Net }
+// otherBuildNet is party 1's endpoint in another build: edit rewrites
+// its outgoing session announcement.
+type otherBuildNet struct {
+	transport.Net
+	edit func(*sessionMsg)
+}
 
-func (n futureCodecNet) Broadcast(round, from, bytes int, payload any) error {
+func (n otherBuildNet) Broadcast(round, from, bytes int, payload any) error {
 	if m, ok := payload.(sessionMsg); ok && from == 1 {
-		m.Codec = 99
+		n.edit(&m)
 		payload = m
 	}
 	return n.Net.Broadcast(round, from, bytes, payload)
 }
 
 // TestEstablishSessionCodecMismatch: a party built with a different
-// wire-codec version is refused during establishment with an abort
-// naming the codec field — not left to fail on an undecodable frame
-// deep inside a crypto phase. Party 1's announcement is rewritten on
-// the wire alone, so party 1 itself still sees matching peers; the
-// refusal under test is everyone else's.
+// wire-codec version, or with session version 3 (the secret-sharing
+// sorter's rounds before the comparison became a carry tree), is
+// refused during establishment with an abort naming the field — not
+// left to fail on an undecodable frame or a mismatched round deep
+// inside a crypto phase. Party 1's announcement is rewritten on the
+// wire alone, so party 1 itself still sees matching peers; the refusal
+// under test is everyone else's.
 func TestEstablishSessionCodecMismatch(t *testing.T) {
 	params := smallParams(t, 3)
 	all := make([]Params, params.N+1)
 	for i := range all {
 		all[i] = params
 	}
-	errs := establishAllOver(t, all, func(net transport.Net) transport.Net { return futureCodecNet{net} })
-	for i, err := range errs {
-		if i == 1 {
-			continue
-		}
-		if err == nil {
-			t.Fatalf("party %d accepted the session despite the codec skew", i)
-		}
-		if !errors.Is(err, ErrSessionMismatch) {
-			t.Errorf("party %d: error %v does not carry ErrSessionMismatch", i, err)
-		}
-		if want := fmt.Sprintf("codec version (mine %d, theirs 99)", wirecodec.Version); !strings.Contains(err.Error(), want) {
-			t.Errorf("party %d: diagnosis %q does not name the codec field", i, err)
-		}
+	for _, tc := range []struct {
+		name string
+		edit func(*sessionMsg)
+		want string
+	}{
+		{"codec", func(m *sessionMsg) { m.Codec = 99 }, fmt.Sprintf("codec version (mine %d, theirs 99)", wirecodec.Version)},
+		{"session", func(m *sessionMsg) { m.Version = 3 }, fmt.Sprintf("wire version (mine %d, theirs 3)", sessionVersion)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			errs := establishAllOver(t, all, func(net transport.Net) transport.Net { return otherBuildNet{net, tc.edit} })
+			for i, err := range errs {
+				if i == 1 {
+					continue
+				}
+				if err == nil {
+					t.Fatalf("party %d accepted the session despite the skew", i)
+				}
+				if !errors.Is(err, ErrSessionMismatch) {
+					t.Errorf("party %d: error %v does not carry ErrSessionMismatch", i, err)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("party %d: diagnosis %q does not name the field (%q)", i, err, tc.want)
+				}
+			}
+		})
 	}
 }
 

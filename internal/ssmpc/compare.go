@@ -9,11 +9,22 @@ import (
 
 // BitLTPublicBatch computes shares of the bits [c_k < r_k] for a batch of
 // instances: each c_k is public and each r_k is given by shared bits (all
-// little-endian, same width). It is the bitwise less-than circuit at the
-// heart of the statistically masked comparison: locate the most
-// significant differing bit with a prefix-OR and return r's bit there.
-// The prefix-OR is sequential in the bit index but batched across
-// instances, so a batch of any size costs the same m rounds.
+// little-endian, same width m). It is the bitwise less-than circuit at
+// the heart of the statistically masked comparison.
+//
+// Read from the least significant bit up, bit i turns "c < r on the bits
+// below i" into "c < r on the bits up to i" by the carry map
+// lt ↦ a_i + b_i·lt: (r_i, 1 − r_i) where c_i = 0 and (0, r_i) where
+// c_i = 1, both linear in r_i because c is public. Bit 0 has no carry
+// in, so its map is the constant (1 − c_0)·r_0. The answer is the
+// composition of all m maps, (a, b)∘(a', b') = (a + b·a', b·b'), which
+// is associative: composing neighbours pairwise, level by level, takes
+// ⌈log₂ m⌉ rounds, each one MulBatch across every instance. The
+// products depend on m alone, never on the public c, so the traffic
+// shows nothing of the opened value: ⌊m/2⌋ at the leaves (one product
+// b_hi·r_lo gives both halves of a pair of bit maps), then two per pair
+// above them, one where the inner map is the constant (only its a is
+// needed). At m = 27 that is 5 rounds and 35 multiplications.
 func (e *Engine) BitLTPublicBatch(cBitsList [][]uint8, rBitsList [][]Share) ([]Share, error) {
 	k := len(cBitsList)
 	if k != len(rBitsList) {
@@ -26,81 +37,94 @@ func (e *Engine) BitLTPublicBatch(cBitsList [][]uint8, rBitsList [][]Share) ([]S
 	if m == 0 {
 		return nil, fmt.Errorf("ssmpc: BitLT on empty inputs")
 	}
-	// d[k][i] = c_i XOR r_i, local because c is public.
-	d := make([][]Share, k)
-	for j := 0; j < k; j++ {
+	// maps[j][t] is the map of instance j's t-th run of bits at the
+	// current level. Run 0 starts at bit 0, so only its a is the
+	// constant; its b is never read.
+	maps := make([][]carry, k)
+	for j := range maps {
 		if len(cBitsList[j]) != m || len(rBitsList[j]) != m {
 			return nil, fmt.Errorf("ssmpc: BitLT width mismatch in instance %d", j)
 		}
-		d[j] = make([]Share, m)
-		for i := 0; i < m; i++ {
+		maps[j] = make([]carry, m)
+		for i, r := range rBitsList[j] {
 			if cBitsList[j][i] == 0 {
-				d[j][i] = rBitsList[j][i]
+				maps[j][i] = carry{a: r, b: e.Sub(e.one, r)}
 			} else {
-				d[j][i] = e.Sub(e.one, rBitsList[j][i])
+				maps[j][i] = carry{b: r}
 			}
 		}
 	}
-	// Prefix OR from the most significant bit: f_i = OR(d_{m-1} .. d_i).
-	// One MulBatch per bit position, all instances in parallel.
-	f := make([][]Share, k)
-	for j := range f {
-		f[j] = make([]Share, m)
-		f[j][m-1] = d[j][m-1]
-	}
-	for i := m - 2; i >= 0; i-- {
-		as := make([]Share, k)
-		bs := make([]Share, k)
-		for j := 0; j < k; j++ {
-			as[j] = f[j][i+1]
-			bs[j] = d[j][i]
+	for w, leaves := m, true; w > 1; w, leaves = (w+1)/2, false {
+		// One product list for the level: instance by instance, pair
+		// (lo, hi) = runs (t, t+1) by pair.
+		var xs, ys []Share
+		for j := range maps {
+			for t := 0; t+1 < w; t += 2 {
+				lo, hi := maps[j][t], maps[j][t+1]
+				switch {
+				case leaves:
+					xs, ys = append(xs, hi.b), append(ys, rBitsList[j][t])
+				case t == 0:
+					xs, ys = append(xs, hi.b), append(ys, lo.a)
+				default:
+					xs, ys = append(xs, hi.b, hi.b), append(ys, lo.a, lo.b)
+				}
+			}
 		}
-		prods, err := e.MulBatch(as, bs)
+		prods, err := e.MulBatch(xs, ys)
 		if err != nil {
 			return nil, err
 		}
-		for j := 0; j < k; j++ {
-			f[j][i] = e.Sub(e.Add(f[j][i+1], d[j][i]), prods[j])
-		}
-	}
-	// ind_i = f_i − f_{i+1} marks the most significant differing bit;
-	// [c < r] = Σ ind_i · r_i (r holds the 1 at the deciding position).
-	flatInd := make([]Share, 0, k*m)
-	flatR := make([]Share, 0, k*m)
-	for j := 0; j < k; j++ {
-		for i := 0; i < m; i++ {
-			var ind Share
-			if i == m-1 {
-				ind = f[j][m-1]
-			} else {
-				ind = e.Sub(f[j][i], f[j][i+1])
+		q := 0
+		for j := range maps {
+			for t := 0; t < w; t += 2 {
+				if t+1 == w { // unpaired: carried up as it is
+					maps[j][t/2] = maps[j][t]
+					continue
+				}
+				hi := maps[j][t+1]
+				var c carry
+				switch {
+				case leaves:
+					// p = b_hi·r_lo is b_hi·a_lo and b_hi·b_lo at once:
+					// (p, b_hi − p) where c_lo = 0, (0, p) where c_lo = 1.
+					p := prods[q]
+					q++
+					if cBitsList[j][t] == 0 {
+						c = carry{a: e.Add(hi.a, p), b: e.Sub(hi.b, p)}
+					} else {
+						c = carry{a: hi.a, b: p}
+					}
+				case t == 0:
+					c = carry{a: e.Add(hi.a, prods[q])}
+					q++
+				default:
+					c = carry{a: e.Add(hi.a, prods[q]), b: prods[q+1]}
+					q += 2
+				}
+				maps[j][t/2] = c
 			}
-			flatInd = append(flatInd, ind)
-			flatR = append(flatR, rBitsList[j][i])
 		}
-	}
-	prods, err := e.MulBatch(flatInd, flatR)
-	if err != nil {
-		return nil, err
 	}
 	out := make([]Share, k)
-	for j := 0; j < k; j++ {
-		var acc Share
-		for i := 0; i < m; i++ {
-			acc = e.Add(acc, prods[j*m+i])
-		}
-		out[j] = acc
+	for j := range out {
+		out[j] = maps[j][0].a
 	}
 	return out, nil
 }
+
+// carry is the shared map lt ↦ a + b·lt of a run of bits.
+type carry struct{ a, b Share }
 
 // Mod2mBatch computes shares of x_k mod 2^m for shared values known to
 // lie in [0, 2^lPrime). It is the statistically masked truncation
 // protocol: open y = x + r' + 2^m·r” for jointly random bit-composed
 // masks, reduce the public y, and correct the underflow with the bitwise
-// less-than circuit. The field prime must exceed 2^(lPrime+Kappa+2) so
-// the opened values never wrap modulo p.
-func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int) ([]Share, error) {
+// less-than circuit. bits holds Kappa+lPrime shared random bits per
+// instance (RandomBits), drawn by the caller so that a sort draws the
+// masks of all its layers in one batch. The field prime must exceed
+// 2^(lPrime+Kappa+2) so the opened values never wrap modulo p.
+func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int, bits []Share) ([]Share, error) {
 	k := len(xs)
 	if k == 0 {
 		return nil, nil
@@ -111,26 +135,24 @@ func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int) ([]Share, error) {
 	if err := e.checkWidth(lPrime); err != nil {
 		return nil, err
 	}
-	// Low mask r' from m shared bits and high mask r'' from
-	// kappa+lPrime−m shared bits, for every instance, in one batch.
-	highBits := Kappa + lPrime - m
-	per := m + highBits
-	allBits, err := e.RandomBits(k * per)
-	if err != nil {
-		return nil, err
+	// Per instance, the low mask r' from m bits and the high mask r''
+	// from the other kappa+lPrime−m.
+	per := Kappa + lPrime
+	if len(bits) != k*per {
+		return nil, fmt.Errorf("ssmpc: Mod2m needs %d mask bits, got %d", k*per, len(bits))
 	}
 	rLowBits := make([][]Share, k)
 	ySh := make([]Share, k)
 	rLow := make([]Share, k)
 	for j := 0; j < k; j++ {
-		bits := allBits[j*per : (j+1)*per]
-		rLowBits[j] = bits[:m]
+		mine := bits[j*per : (j+1)*per]
+		rLowBits[j] = mine[:m]
 		var rl, rh Share
-		for i, b := range bits[:m] {
+		for i, b := range mine[:m] {
 			rl = e.Add(rl, e.scale(b, &e.pow2[i]))
 		}
 		rLow[j] = rl
-		for i, b := range bits[m:] {
+		for i, b := range mine[m:] {
 			rh = e.Add(rh, e.scale(b, &e.pow2[i]))
 		}
 		// y = x + r' + 2^m·r''.
@@ -165,12 +187,18 @@ func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int) ([]Share, error) {
 	return out, nil
 }
 
+// MaskBits is the number of shared random bits GTEBatch consumes per
+// comparison of l-bit values: the κ + l + 1 bits of its Mod2m mask.
+func MaskBits(l int) int { return Kappa + l + 1 }
+
 // GTEBatch computes shares of the bits [a_k ≥ b_k] for shared l-bit
 // values: c = a − b + 2^l lies in (0, 2^(l+1)) and its l-th bit is the
-// answer, extracted with Mod2mBatch. The whole batch costs the same
-// number of rounds as a single comparison, which is what makes the
-// layer-parallel sorting network of the baseline meaningful.
-func (e *Engine) GTEBatch(as, bs []Share, l int) ([]Share, error) {
+// answer, extracted with Mod2mBatch from MaskBits(l) of bits per
+// comparison. The whole batch costs the same number of rounds as a
+// single comparison, which is what makes the layer-parallel sorting
+// network of the baseline meaningful: one opening and ⌈log₂ l⌉
+// multiplication rounds, after the three of the mask bits' RandomBits.
+func (e *Engine) GTEBatch(as, bs []Share, l int, bits []Share) ([]Share, error) {
 	if len(as) != len(bs) {
 		return nil, fmt.Errorf("ssmpc: GTE batch size mismatch %d vs %d", len(as), len(bs))
 	}
@@ -188,7 +216,7 @@ func (e *Engine) GTEBatch(as, bs []Share, l int) ([]Share, error) {
 	for j := 0; j < k; j++ {
 		cs[j] = e.Add(e.Sub(as[j], bs[j]), Share{y: e.pow2[l]})
 	}
-	lows, err := e.Mod2mBatch(cs, l+1, l)
+	lows, err := e.Mod2mBatch(cs, l+1, l, bits)
 	if err != nil {
 		return nil, err
 	}

@@ -63,13 +63,24 @@ func Depth(n int) int { return len(network(n)) }
 // sortShares obliviously sorts shared l-bit values in ascending order.
 // Every party calls it in lockstep with its own shares. The returned
 // shares are a sorted permutation of the inputs; nothing is opened.
+// The comparisons' mask bits are drawn for every layer at once, before
+// the first, so their three rounds are paid once per sort.
 func sortShares(e *ssmpc.Engine, values []ssmpc.Share, l int) ([]ssmpc.Share, error) {
 	if l <= 0 {
 		return nil, fmt.Errorf("sssort: bit width must be positive, got %d", l)
 	}
 	out := make([]ssmpc.Share, len(values))
 	copy(out, values)
-	for _, layer := range network(len(values)) {
+	layers := network(len(values))
+	if len(layers) == 0 {
+		return out, nil
+	}
+	per := ssmpc.MaskBits(l)
+	bits, err := e.RandomBits(Comparators(len(values)) * per)
+	if err != nil {
+		return nil, fmt.Errorf("sssort: mask bits: %w", err)
+	}
+	for _, layer := range layers {
 		k := len(layer)
 		as := make([]ssmpc.Share, k)
 		bs := make([]ssmpc.Share, k)
@@ -78,7 +89,8 @@ func sortShares(e *ssmpc.Engine, values []ssmpc.Share, l int) ([]ssmpc.Share, er
 			bs[i] = out[c.Hi]
 		}
 		// c = [a ≥ b] for each comparator.
-		cs, err := e.GTEBatch(as, bs, l)
+		cs, err := e.GTEBatch(as, bs, l, bits[:k*per])
+		bits = bits[k*per:]
 		if err != nil {
 			return nil, fmt.Errorf("sssort: layer comparison: %w", err)
 		}

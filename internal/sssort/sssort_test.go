@@ -1,14 +1,19 @@
 package sssort
 
 import (
+	"context"
 	"crypto/rand"
+	"fmt"
 	"math/big"
+	"math/bits"
 	mrand "math/rand"
 	"sort"
 	"testing"
 
 	"groupranking/internal/fixedbig"
+	"groupranking/internal/obsv"
 	"groupranking/internal/ssmpc"
+	"groupranking/internal/transport"
 )
 
 // applyPlain runs the comparator network on plaintext values.
@@ -214,6 +219,119 @@ func TestRankDescending(t *testing.T) {
 	for _, tc := range cases {
 		if got := RankDescending(asc, big.NewInt(tc.mine)); got != tc.want {
 			t.Errorf("RankDescending(%d) = %d, want %d", tc.mine, got, tc.want)
+		}
+	}
+}
+
+// charges runs prog among cfg.N parties over the in-memory fabric and
+// returns the multiplications, openings and rounds the engine charged
+// each party, failing unless every party was charged alike.
+func charges(t *testing.T, cfg ssmpc.Config, seed string, prog func(e *ssmpc.Engine) error) [3]int64 {
+	t.Helper()
+	reg := obsv.NewRegistry()
+	_, _, err := transport.RunMesh(context.Background(), cfg.N, nil, func(ctx context.Context, me int, net transport.Net) error {
+		e, err := ssmpc.NewEngineCtx(obsv.WithParty(ctx, reg.Party(me)), cfg, me, net, fixedbig.PartyDRBG(seed, me))
+		if err != nil {
+			return err
+		}
+		return prog(e)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [3]int64
+	for me := 0; me < cfg.N; me++ {
+		c := [3]int64{reg.PartyTotal(me, obsv.OpSSMul), reg.PartyTotal(me, obsv.OpSSOpen), reg.PartyTotal(me, obsv.OpSSRound)}
+		if me == 0 {
+			got = c
+		} else if c != got {
+			t.Fatalf("party %d charged %v, party 0 %v", me, c, got)
+		}
+	}
+	return got
+}
+
+// treeMuls is BitLTPublicBatch's multiplications per instance at width
+// m: ⌊m/2⌋ at the leaves, then at a level of w runs two per pair, but
+// one for the pair that holds bit 0.
+func treeMuls(m int) int64 {
+	total := m / 2
+	for w := (m + 1) / 2; w > 1; w = (w + 1) / 2 {
+		total += 2*(w/2) - 1
+	}
+	return int64(total)
+}
+
+// TestTrafficShape pins what a comparison and a sort charge as closed
+// forms in the width l, the comparator count C and the network depth D,
+// over two input sets each: the traffic may depend on the shape of the
+// sort, never on the values compared or on anything opened. A
+// comparison draws MaskBits(l) = κ + l + 1 bits (one square each, all
+// opened), opens its masked value and runs the ⌈log₂ l⌉-round tree; a
+// sort draws every comparator's bits in one batch (three rounds), then
+// spends per layer that opening, the tree and the swap's product.
+func TestTrafficShape(t *testing.T) {
+	const l = 27
+	mask, tree, depth := int64(ssmpc.MaskBits(l)), treeMuls(l), int64(bits.Len(l-1))
+	if mask+tree+1 != 104 || tree != 35 || depth != 5 {
+		t.Fatalf("closed forms at l = 27: %d + %d + 1 multiplications, %d tree rounds; want 68 + 35 + 1, 5", mask, tree, depth)
+	}
+	cfg := testConfig(t, 5, 2)
+	for i, pairs := range [][][2]int64{{{50, 3}, {7, 7}, {0, 1}}, {{0, 1<<l - 1}, {1<<l - 1, 0}, {12345, 12344}}} {
+		k := int64(len(pairs))
+		got := charges(t, cfg, fmt.Sprintf("gte-%d", i), func(e *ssmpc.Engine) error {
+			var secrets []*big.Int
+			if e.Party() == 0 {
+				for _, p := range pairs {
+					secrets = append(secrets, big.NewInt(p[0]), big.NewInt(p[1]))
+				}
+			}
+			sh, err := e.ShareBatch(0, secrets, 2*len(pairs))
+			if err != nil {
+				return err
+			}
+			as, bs := make([]ssmpc.Share, len(pairs)), make([]ssmpc.Share, len(pairs))
+			for j := range pairs {
+				as[j], bs[j] = sh[2*j], sh[2*j+1]
+			}
+			r, err := e.RandomBits(len(pairs) * ssmpc.MaskBits(l))
+			if err != nil {
+				return err
+			}
+			_, err = e.GTEBatch(as, bs, l, r)
+			return err
+		})
+		// The sharing is one round; the rest is the comparison.
+		if want := [3]int64{k * (mask + tree), k * (mask + 1), 1 + 3 + 1 + depth}; got != want {
+			t.Errorf("GTEBatch of %d at l = %d, input set %d: charged (muls, opens, rounds) %v, want %v", k, l, i, got, want)
+		}
+	}
+	for _, n := range []int{3, 5} {
+		cfg := testConfig(t, n, (n-1)/2)
+		c, d := int64(Comparators(n)), int64(Depth(n))
+		// n sharing rounds, the mask bits, D layers, the final opening.
+		want := [3]int64{c * (mask + tree + 1), c*(mask+1) + int64(n), int64(n) + 3 + d*(1+depth+1) + 1}
+		for i, vals := range [][]int64{{1<<l - 1, 0, 5, 5, 1}, {3, 1 << 20, 7, 0, 1<<l - 2}} {
+			vals := vals[:n]
+			got := charges(t, cfg, fmt.Sprintf("sort-%d-%d", n, i), func(e *ssmpc.Engine) error {
+				shares := make([]ssmpc.Share, n)
+				for j, v := range vals {
+					var s *big.Int
+					if e.Party() == 0 {
+						s = big.NewInt(v)
+					}
+					sh, err := e.ShareBatch(0, []*big.Int{s}, 1)
+					if err != nil {
+						return err
+					}
+					shares[j] = sh[0]
+				}
+				_, err := SortOpen(e, shares, l)
+				return err
+			})
+			if got != want {
+				t.Errorf("SortOpen at n = %d, input set %d: charged (muls, opens, rounds) %v, want %v", n, i, got, want)
+			}
 		}
 	}
 }
