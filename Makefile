@@ -12,12 +12,14 @@ RACE_PKGS := . ./internal/transport/ ./internal/core/ ./internal/unlinksort/ ./i
 # Packages with fuzz targets guarding the untrusted decode boundaries
 # (group element parsing, wirecodec frames and integer runs, the
 # dot-product flows, transport pumps, the rankd
-# control codecs, the durable log's replay of whatever is on disk), and
-# the one limb field and what the curve kernel and the secret-sharing
-# stack build on it, against math/big. `make fuzz` runs each target
-# briefly — a smoke pass over the corpora plus a little fresh
-# exploration, fast enough for check.
-FUZZ_PKGS := ./internal/field/ ./internal/group/ ./internal/shamir/ ./internal/wirecodec/ ./internal/elgamal/ ./internal/dotprod/ ./internal/transport/ ./internal/service/ ./internal/journal/
+# control codecs, the durable log's replay of whatever is on disk,
+# grouprank's scenario files), and the one limb field and what the
+# curve kernel and the secret-sharing stack build on it, against
+# math/big. The list is every package with a test file that declares a
+# Fuzz function, so a new target cannot be left out. `make fuzz` runs
+# each target briefly — a smoke pass over the corpora plus a little
+# fresh exploration, fast enough for check.
+FUZZ_PKGS := $(sort $(dir $(shell grep -l '^func Fuzz' $$(find . -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path './.build/*'))))
 FUZZ_TIME ?= 2s
 
 # The demo targets build their binaries (and telemetry-demo its traces)
@@ -97,6 +99,12 @@ check: vet build bench-smoke test test-386 race fuzz chaos-rankd serve-demo load
 # and outside internal/core (and the API constants in internal/api) no
 # non-test Go may spell "unlinkable" or "secret-sharing" as a literal
 # or switch on the API's sorter names.
+# The kind-spelling check keeps workload.Kind's MarshalText and
+# UnmarshalText the one spelling of an attribute kind: outside
+# internal/workload no non-test Go line other than a comment may spell
+# "eq", "gt", "equal-to" or "greater-than" as a literal, so rankd's API,
+# rankparty's -attrs and grouprank's scenario files cannot grow their
+# own parser, constants or spelling again.
 # The one-fabric check keeps transport.TCPFabric the one endpoint of a
 # party that joins a TCP mesh alone, built by OpenTCPFabric from the
 # MuxOptions a daemon gives its mux: no Go file (tests included) may
@@ -197,6 +205,9 @@ vet:
 	@sorters=$$(find *.go cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/core/*' ! -path 'internal/api/api.go' | xargs grep -lE '"(unlinkable|secret-sharing)"|case .*api\.Sorter' | tr '\n' ' '); \
 	if [ -n "$$sorters" ]; then \
 		echo "sorter names are parsed by core.ParseSorter and spelled by Sorter.String alone, found a sorter name in: $$sorters"; exit 1; fi
+	@kinds=$$(find *.go cmd examples internal -name '*.go' ! -name '*_test.go' ! -path 'internal/workload/*' | xargs grep -nE '"(eq|gt|equal-to|greater-than)"' | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' | tr '\n' ' '); \
+	if [ -n "$$kinds" ]; then \
+		echo "attribute kinds are spelled by workload.Kind's MarshalText/UnmarshalText alone (decode into workload.Attribute or call Kind.UnmarshalText), found: $$kinds"; exit 1; fi
 	@fabtypes=$$(find *.go bench cmd examples internal -name '*.go' | xargs grep -lE 'RecoveringTCPFabric|RecoverOptions' | tr '\n' ' '); \
 	if [ -n "$$fabtypes" ]; then \
 		echo "a party joins a TCP mesh through transport.TCPFabric alone (use OpenTCPFabric with MuxOptions.Recovery), found RecoveringTCPFabric/RecoverOptions in: $$fabtypes"; exit 1; fi
@@ -288,7 +299,7 @@ chaos-rankd:
 	$(GO) test -race -v -run 'TestChaosRankd' ./cmd/rankd/
 
 bench:
-	$(GO) test -bench . -benchtime 1x -run '^$$' .
+	$(GO) test -bench . -benchtime 1x -run '^$$' . ./internal/unlinksort/
 
 # Regenerate the committed machine-readable perf snapshot from
 # instrumented real runs (same emitter as `benchtab -json`).

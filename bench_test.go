@@ -246,44 +246,8 @@ func BenchmarkTableVIB_SSFieldMul104(b *testing.B) {
 }
 
 // --- Ablation benchmarks for the design choices DESIGN.md calls out ---
-
-// benchSortAblation runs the standalone sorting protocol with a given
-// configuration tweak.
-func benchSortAblation(b *testing.B, mutate func(*unlinksort.Config)) {
-	b.Helper()
-	g, err := group.GenerateDLGroup(256, fixedbig.NewDRBG("ablation-bench-group"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := unlinksort.Config{Group: g, L: 12}
-	mutate(&cfg)
-	betas := []*big.Int{big.NewInt(100), big.NewInt(7), big.NewInt(4000), big.NewInt(255), big.NewInt(90)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := unlinksort.RunCtx(context.Background(), cfg, betas, fmt.Sprintf("ablate-%d", i), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Cost of the τ re-randomisation that defeats the linkage attack
-// (TestMissingReRandomizationLeaksBits): compare On vs Off.
-func BenchmarkAblation_ReRandomize_On(b *testing.B) {
-	benchSortAblation(b, func(c *unlinksort.Config) {})
-}
-
-func BenchmarkAblation_ReRandomize_Off(b *testing.B) {
-	benchSortAblation(b, func(c *unlinksort.Config) { c.UnsafeNoReRandomize = true })
-}
-
-// Cost of the n-verifier key-knowledge proofs.
-func BenchmarkAblation_Proofs_On(b *testing.B) {
-	benchSortAblation(b, func(c *unlinksort.Config) {})
-}
-
-func BenchmarkAblation_Proofs_Off(b *testing.B) {
-	benchSortAblation(b, func(c *unlinksort.Config) { c.SkipProofs = true })
-}
+// (the sorting protocol's, BenchmarkAblation_ReRandomize_* and
+// BenchmarkAblation_Proofs_*, live in internal/unlinksort)
 
 // The limb curve kernel on secp160r1, the optimisation that restores the
 // paper's ECC-beats-DL ordering; EXPERIMENTS.md records its ratio to

@@ -23,28 +23,24 @@ import (
 // never leaves that daemon), each participant posts its private
 // profile to its own daemon, and everyone polls the result.
 
-// SessionSpec describes a service session: the questionnaire, the
-// initiator's criterion, and the protocol knobs. See internal/api for
+// SessionSpec describes a service session: the questionnaire (Attribute),
+// the initiator's Criterion, and the protocol knobs. See internal/api for
 // field semantics; zero-value knobs take the framework defaults.
 type SessionSpec = api.SessionSpec
 
-// ClientAttribute names one questionnaire dimension in a SessionSpec
-// (kinds AttrEqualTo / AttrGreaterThan).
-type ClientAttribute = api.Attribute
-
-// Attribute kind names for SessionSpec.Attributes.
-const (
-	// AttrEqualTo marks an attribute that scores best near the
-	// criterion value.
-	AttrEqualTo = api.KindEqualTo
-	// AttrGreaterThan marks an attribute that scores best above the
-	// criterion value.
-	AttrGreaterThan = api.KindGreaterThan
+// Deprecated: the benchmark module in bench/ still spells the
+// questionnaire types by these names; use Attribute, Criterion, EqualTo
+// and GreaterThan.
+type (
+	ClientAttribute = Attribute
+	ClientCriterion = Criterion
 )
 
-// ClientCriterion is the initiator's private criterion in a
-// SessionSpec.
-type ClientCriterion = api.Criterion
+// Deprecated: use EqualTo and GreaterThan.
+const (
+	AttrEqualTo     = EqualTo
+	AttrGreaterThan = GreaterThan
+)
 
 // SessionInfo is a session's identity and lifecycle state.
 type SessionInfo = api.SessionInfo
@@ -264,7 +260,7 @@ func (c *Client) CreateSession(ctx context.Context, spec SessionSpec) (string, e
 // Submit posts one participant's private profile to its own daemon,
 // starting that daemon's half of the session.
 func (c *Client) Submit(ctx context.Context, id string, values []int64) error {
-	return c.do(ctx, http.MethodPost, api.SubmitPath(id), api.SubmitRequest{Values: values}, nil)
+	return c.do(ctx, http.MethodPost, api.SubmitPath(id), Profile{Values: values}, nil)
 }
 
 // Result polls a session's outcome once. The returned State says how

@@ -14,7 +14,7 @@ func FuzzLoadScenario(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"attributes": []}`))
-	f.Add([]byte(`{"attributes": [{"name":"x","kind":"equal-to"}], "profiles": [[1],[2]], "criterion": {"values":[1],"weights":[1]}}`))
+	f.Add([]byte(`{"attributes": [{"name":"x","kind":"eq"}], "profiles": [[1],[2]], "criterion": {"values":[1],"weights":[1]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "s.json")
 		if err := os.WriteFile(path, data, 0o600); err != nil {

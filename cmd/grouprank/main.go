@@ -10,12 +10,15 @@
 // Scenario file format:
 //
 //	{
-//	  "attributes": [{"name": "age", "kind": "equal-to"},
-//	                 {"name": "friends", "kind": "greater-than"}],
+//	  "attributes": [{"name": "age", "kind": "eq"},
+//	                 {"name": "friends", "kind": "gt"}],
 //	  "criterion": {"values": [30, 0], "weights": [2, 1]},
 //	  "profiles": [[31, 40], [25, 90]],
 //	  "k": 1
 //	}
+//
+// A kind is "eq" (equal-to) or "gt" (greater-than), spelled as in
+// rankd's API and rankparty's -attrs.
 package main
 
 import (
@@ -35,16 +38,10 @@ import (
 )
 
 type scenarioFile struct {
-	Attributes []struct {
-		Name string `json:"name"`
-		Kind string `json:"kind"`
-	} `json:"attributes"`
-	Criterion struct {
-		Values  []int64 `json:"values"`
-		Weights []int64 `json:"weights"`
-	} `json:"criterion"`
-	Profiles [][]int64 `json:"profiles"`
-	K        int       `json:"k"`
+	Attributes []groupranking.Attribute `json:"attributes"`
+	Criterion  groupranking.Criterion   `json:"criterion"`
+	Profiles   [][]int64                `json:"profiles"`
+	K          int                      `json:"k"`
 }
 
 func main() {
@@ -129,19 +126,7 @@ func loadScenario(path string, k *int) (*groupranking.Questionnaire, grouprankin
 	if err := json.Unmarshal(data, &sf); err != nil {
 		return nil, empty, nil, fmt.Errorf("parsing %s: %w", path, err)
 	}
-	attrs := make([]groupranking.Attribute, len(sf.Attributes))
-	for i, a := range sf.Attributes {
-		attrs[i].Name = a.Name
-		switch a.Kind {
-		case "equal-to":
-			attrs[i].Kind = groupranking.EqualTo
-		case "greater-than":
-			attrs[i].Kind = groupranking.GreaterThan
-		default:
-			return nil, empty, nil, fmt.Errorf("attribute %q: unknown kind %q", a.Name, a.Kind)
-		}
-	}
-	q, err := groupranking.NewQuestionnaire(attrs)
+	q, err := groupranking.NewQuestionnaire(sf.Attributes)
 	if err != nil {
 		return nil, empty, nil, err
 	}
@@ -159,7 +144,7 @@ func loadScenario(path string, k *int) (*groupranking.Questionnaire, grouprankin
 	if sf.K > 0 {
 		*k = sf.K
 	}
-	return q, groupranking.Criterion{Values: sf.Criterion.Values, Weights: sf.Criterion.Weights}, profiles, nil
+	return q, sf.Criterion, profiles, nil
 }
 
 func generate(n, m, t, d1, d2 int, seed string) (*groupranking.Questionnaire, groupranking.Criterion, []groupranking.Profile, error) {

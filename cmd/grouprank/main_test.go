@@ -51,12 +51,17 @@ func TestLoadScenarioErrors(t *testing.T) {
 	if _, _, _, err := loadScenario(bad, &k); err == nil {
 		t.Error("malformed JSON accepted")
 	}
-	badKind := filepath.Join(t.TempDir(), "kind.json")
-	if err := os.WriteFile(badKind, []byte(`{"attributes":[{"name":"x","kind":"weird"}]}`), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := loadScenario(badKind, &k); err == nil {
-		t.Error("unknown attribute kind accepted")
+	// An unknown kind, the long spelling of earlier scenario files and a
+	// missing kind are all refused.
+	for _, attr := range []string{`{"name":"x","kind":"weird"}`, `{"name":"x","kind":"equal-to"}`, `{"name":"x"}`} {
+		badKind := filepath.Join(t.TempDir(), "kind.json")
+		scenario := `{"attributes":[` + attr + `],"criterion":{"values":[1],"weights":[1]},"profiles":[[1],[2]]}`
+		if err := os.WriteFile(badKind, []byte(scenario), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := loadScenario(badKind, &k); err == nil {
+			t.Errorf("attribute %s accepted", attr)
+		}
 	}
 }
 

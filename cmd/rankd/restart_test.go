@@ -158,11 +158,11 @@ func (m *chaosMesh) linkConnects(t *testing.T, me int) map[string]string {
 // frames) cannot produce a passing result.
 func chaosSpec(i int) groupranking.SessionSpec {
 	return groupranking.SessionSpec{
-		Attributes: []groupranking.ClientAttribute{
-			{Name: "age", Kind: groupranking.AttrEqualTo},
-			{Name: "activity", Kind: groupranking.AttrGreaterThan},
+		Attributes: []groupranking.Attribute{
+			{Name: "age", Kind: groupranking.EqualTo},
+			{Name: "activity", Kind: groupranking.GreaterThan},
 		},
-		Criterion: groupranking.ClientCriterion{Values: []int64{30, 0}, Weights: []int64{2, 1}},
+		Criterion: groupranking.Criterion{Values: []int64{30, 0}, Weights: []int64{2, 1}},
 		K:         2, D1: 7, D2: 3, H: 5,
 		GroupName: "toy-dl-256",
 		Seed:      fmt.Sprintf("chaos-%d", i),

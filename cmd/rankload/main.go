@@ -158,12 +158,9 @@ func driveSession(ctx context.Context, clients []*groupranking.Client, q *groupr
 		}}
 	}
 	spec := groupranking.SessionSpec{
-		Attributes: []groupranking.ClientAttribute{
-			{Name: "age", Kind: groupranking.AttrEqualTo},
-			{Name: "activity", Kind: groupranking.AttrGreaterThan},
-		},
-		Criterion: groupranking.ClientCriterion{Values: criterion.Values, Weights: criterion.Weights},
-		K:         k, D1: 7, D2: 3, H: 5,
+		Attributes: q.Attributes(),
+		Criterion:  criterion,
+		K:          k, D1: 7, D2: 3, H: 5,
 		GroupName: groupName,
 		Seed:      fmt.Sprintf("load-%d", i),
 	}

@@ -225,20 +225,16 @@ func parseAttrs(s string) (*groupranking.Questionnaire, error) {
 	if s == "" {
 		return nil, fmt.Errorf("need -attrs (e.g. -attrs age:eq,income:gt)")
 	}
-	var attrs []groupranking.Attribute
-	for i, entry := range strings.Split(s, ",") {
-		name := fmt.Sprintf("a%d", i)
+	entries := strings.Split(s, ",")
+	attrs := make([]groupranking.Attribute, len(entries))
+	for i, entry := range entries {
+		attrs[i].Name = fmt.Sprintf("a%d", i)
 		kind := entry
 		if c := strings.SplitN(entry, ":", 2); len(c) == 2 {
-			name, kind = c[0], c[1]
+			attrs[i].Name, kind = c[0], c[1]
 		}
-		switch kind {
-		case "eq":
-			attrs = append(attrs, groupranking.Attribute{Name: name, Kind: groupranking.EqualTo})
-		case "gt":
-			attrs = append(attrs, groupranking.Attribute{Name: name, Kind: groupranking.GreaterThan})
-		default:
-			return nil, fmt.Errorf("attribute %q: kind %q is not eq or gt", entry, kind)
+		if err := attrs[i].Kind.UnmarshalText([]byte(kind)); err != nil {
+			return nil, fmt.Errorf("attribute %q: %w", entry, err)
 		}
 	}
 	return groupranking.NewQuestionnaire(attrs)

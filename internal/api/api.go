@@ -1,10 +1,14 @@
 // Package api defines the JSON wire contract of the rankd
 // ranking-as-a-service HTTP API: the session spec a client posts to the
 // initiator daemon, the profile submission it posts to each participant
-// daemon, and the poll-able result either side serves. It is a leaf
-// package — both the root groupranking.Client and internal/service
-// import it, so neither has to import the other.
+// daemon, and the poll-able result either side serves. The
+// questionnaire, criterion and profile are internal/workload's own
+// types, whose JSON this contract is. Both the root groupranking.Client
+// and internal/service import this package, so neither has to import
+// the other.
 package api
+
+import "groupranking/internal/workload"
 
 // API paths. Session-scoped endpoints use Go 1.22 ServeMux patterns
 // with an {id} segment; SubmitPath/ResultPath build the concrete URLs.
@@ -18,33 +22,11 @@ const (
 func SessionPath(id string) string { return PathSessions + "/" + id }
 
 // SubmitPath returns the profile-submission URL for one session
-// (participant daemons only).
+// (participant daemons only); the body is one workload.Profile.
 func SubmitPath(id string) string { return SessionPath(id) + "/submit" }
 
 // ResultPath returns the poll URL for one session's outcome.
 func ResultPath(id string) string { return SessionPath(id) + "/result" }
-
-// Attribute kinds, matching the framework's questionnaire model.
-const (
-	// KindEqualTo attributes score best near the criterion value.
-	KindEqualTo = "eq"
-	// KindGreaterThan attributes score best above the criterion value.
-	KindGreaterThan = "gt"
-)
-
-// Attribute names one questionnaire dimension.
-type Attribute struct {
-	Name string `json:"name"`
-	Kind string `json:"kind"`
-}
-
-// Criterion is the initiator's private criterion/weight vectors. It
-// travels only from the client to the initiator daemon; the control
-// plane scrubs it before announcing a session to participant daemons.
-type Criterion struct {
-	Values  []int64 `json:"values"`
-	Weights []int64 `json:"weights"`
-}
 
 // Sorter names for SessionSpec.Sorter: core.Sorter's String spellings,
 // the same names the command line, traces and the bench snapshot use.
@@ -57,16 +39,17 @@ const (
 )
 
 // SessionSpec is the body of POST /v1/sessions: everything a ranking
-// session needs beyond the participants' private profiles (those arrive
-// at each participant daemon separately via SubmitRequest). Zero-value
-// knobs take the framework defaults (k=3, d1=15, d2=10, h=15,
-// secp160r1, unlinkable sorter).
+// session needs beyond the participants' private profiles (each arrives
+// at its participant's daemon separately, a workload.Profile posted to
+// SubmitPath). Zero-value knobs take the framework defaults (k=3, d1=15,
+// d2=10, h=15, secp160r1, unlinkable sorter).
 type SessionSpec struct {
 	// Attributes is the published questionnaire (eq attributes first).
-	Attributes []Attribute `json:"attributes"`
-	// Criterion is the initiator's private input. Initiator-daemon only;
-	// never forwarded to participants.
-	Criterion Criterion `json:"criterion"`
+	Attributes []workload.Attribute `json:"attributes"`
+	// Criterion is the initiator's private input. It travels only from
+	// the client to the initiator daemon; the control plane scrubs it
+	// before announcing a session to participant daemons.
+	Criterion workload.Criterion `json:"criterion"`
 	// K is the top-k cut.
 	K int `json:"k,omitempty"`
 	// D1, D2, H are the attribute/weight/mask bit widths.
@@ -124,13 +107,6 @@ type SessionInfo struct {
 	State string `json:"state"`
 	// Parties is the mesh size (initiator + participants).
 	Parties int `json:"parties"`
-}
-
-// SubmitRequest is the body of POST /v1/sessions/{id}/submit: one
-// participant's private information vector, posted to that
-// participant's own daemon (it never crosses the mesh in the clear).
-type SubmitRequest struct {
-	Values []int64 `json:"values"`
 }
 
 // Submission is one top-k disclosure as the initiator daemon reports it.

@@ -68,7 +68,7 @@ func TestGoldenTranscript(t *testing.T) {
 		want            string
 	}{
 		{false, "4116402fa1cfd021d80a5a92a0fc98346d3139a16b04ec7020ac676dcd72b848"},
-		{true, "66af1e0b0005cb980f50271555db3e84b78aeb7fcef7aef059fe115adc5f56ad"},
+		{true, "aecd02effcf46a5641f3c4eadf9753d98b02d4985802d616e00eba31c82a9fb8"},
 	} {
 		for _, workers := range []int{1, 0} {
 			t.Run(fmt.Sprintf("prove-decryption=%t/workers=%d", tc.proveDecryption, workers), func(t *testing.T) {

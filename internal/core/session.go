@@ -27,8 +27,10 @@ var ErrSessionMismatch = errors.New("core: session parameters disagree")
 // version when the binary wire codecs replaced gob; version 4 marks the
 // secret-sharing sorter's new round structure (the comparison's carry
 // tree and one mask-bit batch per sort), so a mixed mesh aborts here by
-// name rather than mid-sort.
-const sessionVersion = 4
+// name rather than mid-sort; version 5 sends each chain hop's output
+// commitment (ProveDecryption) only to the parties that read it, where
+// version 4 sent it to every party.
+const sessionVersion = 5
 
 // sessionMsg is the session-establishment announcement every party
 // broadcasts before any crypto is spent. It pins every parameter whose

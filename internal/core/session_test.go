@@ -108,8 +108,8 @@ func (n otherBuildNet) Broadcast(round, from, bytes int, payload any) error {
 }
 
 // TestEstablishSessionCodecMismatch: a party built with a different
-// wire-codec version, or with session version 3 (the secret-sharing
-// sorter's rounds before the comparison became a carry tree), is
+// wire-codec version, or with session version 4 (chain commitments to
+// every party, before each went only to the parties that read it), is
 // refused during establishment with an abort naming the field — not
 // left to fail on an undecodable frame or a mismatched round deep
 // inside a crypto phase. Party 1's announcement is rewritten on the
@@ -127,7 +127,7 @@ func TestEstablishSessionCodecMismatch(t *testing.T) {
 		want string
 	}{
 		{"codec", func(m *sessionMsg) { m.Codec = 99 }, fmt.Sprintf("codec version (mine %d, theirs 99)", wirecodec.Version)},
-		{"session", func(m *sessionMsg) { m.Version = 3 }, fmt.Sprintf("wire version (mine %d, theirs 3)", sessionVersion)},
+		{"session", func(m *sessionMsg) { m.Version = 4 }, fmt.Sprintf("wire version (mine %d, theirs 4)", sessionVersion)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			errs := establishAllOver(t, all, func(net transport.Net) transport.Net { return otherBuildNet{net, tc.edit} })

@@ -224,8 +224,7 @@ func checkTraceAgainstRun(t *testing.T, p core.Params) {
 
 // checkPattern holds a row's sender and receiver ranges to its
 // pattern: an echo broadcast is every party of its range to every
-// other, a plain broadcast one sender to a range, a chain hop one party
-// to the next.
+// other, a chain hop one party to the next.
 func checkPattern(t *testing.T, r transport.Round) {
 	t.Helper()
 	one := func(x [2]int) bool { return x[1]-x[0] == 1 }
@@ -233,8 +232,6 @@ func checkPattern(t *testing.T, r transport.Round) {
 	switch r.Pattern {
 	case transport.EchoBroadcast:
 		ok = r.From == r.To && r.From[1]-r.From[0] > 1
-	case transport.PlainBroadcast:
-		ok = one(r.From) && r.To[1]-r.To[0] > 1
 	case transport.ChainHop:
 		ok = one(r.From) && one(r.To) && r.To[0] == r.From[0]+1
 	}

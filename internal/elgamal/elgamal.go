@@ -273,8 +273,8 @@ func (s *Scheme) StripBlind(x *big.Int, cts []Ciphertext, rs []*big.Int) []Ciphe
 // caller-supplied randomness. cts are the peer's bit ciphertexts E(β_i^t)
 // under joint, least significant bit first, and bits the caller's own
 // bits β_j^t; z is the suffix sums' zero-encryption scalar and rs[t] the
-// re-randomiser of τ_t, or rs nil for none (the UnsafeNoReRandomize
-// ablation). With weight w = l − t, out[t] is
+// re-randomiser of τ_t, or rs nil for none (unlinksort's
+// unsafeNoReRandomize ablation). With weight w = l − t, out[t] is
 //
 //	τ_t = w·(1 − γ_t) + Σ_{v>t} γ_v + β_j^t,   γ_t = β_i^t ⊕ β_j^t,
 //

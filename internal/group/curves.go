@@ -14,10 +14,9 @@ import (
 // base point on curve, n·G = ∞); the test suite checks it again.
 
 type curveDef struct {
-	name         string
-	p, b         string // hex; a = p − 3 on every named curve
-	gx, gy, n    string
-	securityBits int
+	name      string
+	p, b      string // hex; a = p − 3 on every named curve
+	gx, gy, n string
 }
 
 // lazyCurve builds and validates a curve on first use, on its own:
@@ -28,31 +27,28 @@ func lazyCurve(d curveDef) func() *ECGroup {
 
 var (
 	secp160r1 = curveDef{
-		name:         "secp160r1",
-		p:            "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF7FFFFFFF",
-		b:            "1C97BEFC54BD7A8B65ACF89F81D4D4ADC565FA45",
-		gx:           "4A96B5688EF573284664698968C38BB913CBFC82",
-		gy:           "23A628553168947D59DCC912042351377AC5FB32",
-		n:            "0100000000000000000001F4C8F927AED3CA752257",
-		securityBits: 80,
+		name: "secp160r1",
+		p:    "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF7FFFFFFF",
+		b:    "1C97BEFC54BD7A8B65ACF89F81D4D4ADC565FA45",
+		gx:   "4A96B5688EF573284664698968C38BB913CBFC82",
+		gy:   "23A628553168947D59DCC912042351377AC5FB32",
+		n:    "0100000000000000000001F4C8F927AED3CA752257",
 	}
 	secp224r1 = curveDef{
-		name:         "secp224r1",
-		p:            "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF000000000000000000000001",
-		b:            "B4050A850C04B3ABF54132565044B0B7D7BFD8BA270B39432355FFB4",
-		gx:           "B70E0CBD6BB4BF7F321390B94A03C1D356C21122343280D6115C1D21",
-		gy:           "BD376388B5F723FB4C22DFE6CD4375A05A07476444D5819985007E34",
-		n:            "FFFFFFFFFFFFFFFFFFFFFFFFFFFF16A2E0B8F03E13DD29455C5C2A3D",
-		securityBits: 112,
+		name: "secp224r1",
+		p:    "FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF000000000000000000000001",
+		b:    "B4050A850C04B3ABF54132565044B0B7D7BFD8BA270B39432355FFB4",
+		gx:   "B70E0CBD6BB4BF7F321390B94A03C1D356C21122343280D6115C1D21",
+		gy:   "BD376388B5F723FB4C22DFE6CD4375A05A07476444D5819985007E34",
+		n:    "FFFFFFFFFFFFFFFFFFFFFFFFFFFF16A2E0B8F03E13DD29455C5C2A3D",
 	}
 	secp256r1 = curveDef{
-		name:         "secp256r1",
-		p:            "FFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF",
-		b:            "5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B",
-		gx:           "6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296",
-		gy:           "4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5",
-		n:            "FFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551",
-		securityBits: 128,
+		name: "secp256r1",
+		p:    "FFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF",
+		b:    "5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B",
+		gx:   "6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296",
+		gy:   "4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5",
+		n:    "FFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551",
 	}
 
 	_secp160r1 = lazyCurve(secp160r1)
@@ -71,14 +67,13 @@ func mustHex(name, field, s string) *big.Int {
 func mustCurve(d curveDef) *ECGroup {
 	p := mustHex(d.name, "p", d.p)
 	g, err := newECGroup(curveSpec{
-		name:         d.name,
-		p:            p,
-		a:            new(big.Int).Sub(p, big.NewInt(3)),
-		b:            mustHex(d.name, "b", d.b),
-		gx:           mustHex(d.name, "gx", d.gx),
-		gy:           mustHex(d.name, "gy", d.gy),
-		n:            mustHex(d.name, "n", d.n),
-		securityBits: d.securityBits,
+		name: d.name,
+		p:    p,
+		a:    new(big.Int).Sub(p, big.NewInt(3)),
+		b:    mustHex(d.name, "b", d.b),
+		gx:   mustHex(d.name, "gx", d.gx),
+		gy:   mustHex(d.name, "gy", d.gy),
+		n:    mustHex(d.name, "n", d.n),
 	})
 	if err != nil {
 		panic(fmt.Sprintf("group: invalid curve %s: %v", d.name, err))

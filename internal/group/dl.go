@@ -13,12 +13,11 @@ import (
 // subgroup of quadratic residues has prime order q, and DDH is believed
 // hard in it.
 type DLGroup struct {
-	name     string
-	p        *big.Int // safe prime modulus
-	q        *big.Int // (p-1)/2, prime group order
-	g        *big.Int // generator of the order-q subgroup
-	elemLen  int      // byte length of p
-	secLevel int
+	name    string
+	p       *big.Int // safe prime modulus
+	q       *big.Int // (p-1)/2, prime group order
+	g       *big.Int // generator of the order-q subgroup
+	elemLen int      // byte length of p
 }
 
 // dlElement wraps a residue in [1, p) and records the group that made
@@ -36,7 +35,7 @@ var _ Group = (*DLGroup)(nil)
 // q=(p-1)/2 are (probable) primes and that the generator has order q. The
 // generator is 2 when 2 is a quadratic residue mod p (true for p ≡ 7 mod 8,
 // which holds for all the RFC MODP primes) and 4 otherwise.
-func newDLGroup(name string, p *big.Int, secLevel int) (*DLGroup, error) {
+func newDLGroup(name string, p *big.Int) (*DLGroup, error) {
 	if !p.ProbablyPrime(32) {
 		return nil, fmt.Errorf("group: %s modulus is not prime", name)
 	}
@@ -49,12 +48,11 @@ func newDLGroup(name string, p *big.Int, secLevel int) (*DLGroup, error) {
 		g = big.NewInt(4) // 4 = 2² is always a quadratic residue
 	}
 	return &DLGroup{
-		name:     name,
-		p:        p,
-		q:        q,
-		g:        g,
-		elemLen:  (p.BitLen() + 7) / 8,
-		secLevel: secLevel,
+		name:    name,
+		p:       p,
+		q:       q,
+		g:       g,
+		elemLen: (p.BitLen() + 7) / 8,
 	}, nil
 }
 
@@ -75,7 +73,7 @@ func GenerateDLGroup(bits int, rng io.Reader) (*DLGroup, error) {
 		p := new(big.Int).Lsh(q, 1)
 		p.Add(p, big.NewInt(1))
 		if p.ProbablyPrime(32) {
-			return newDLGroup(fmt.Sprintf("dl-%d-generated", bits), p, bits/12)
+			return newDLGroup(fmt.Sprintf("dl-%d-generated", bits), p)
 		}
 	}
 }
@@ -172,16 +170,13 @@ func (d *DLGroup) RandomScalar(rng io.Reader) (*big.Int, error) {
 	return randomScalar(rng, d.q)
 }
 
-// SecurityBits implements Group.
-func (d *DLGroup) SecurityBits() int { return d.secLevel }
-
 // _toyDL256Hex is the 256-bit safe prime of toy-dl-256: the output of a
 // seeded DRBG search, pinned so that no process pays for the search.
 // TestToyDL256Derivation runs the search and must re-derive it.
 const _toyDL256Hex = "fa0f747ac883fbf17269eb7f1f3d97ac15877826d6d06028bbae891e3f8af0db"
 
 var (
-	toyDL256  = dlDef{name: "toy-dl-256", hex: _toyDL256Hex, securityBits: 40}
+	toyDL256  = dlDef{name: "toy-dl-256", hex: _toyDL256Hex}
 	_toyDL256 = lazyDL(toyDL256)
 )
 

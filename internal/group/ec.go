@@ -17,14 +17,13 @@ import (
 // (point decompression) and validation run on the kernel's field too;
 // elements stay affine big.Int pairs.
 type ECGroup struct {
-	name     string
-	p        *big.Int // field prime
-	a, b     *big.Int // curve coefficients
-	gx, gy   *big.Int // base point
-	n        *big.Int // (prime) order of the base point
-	elemLen  int      // compressed point encoding length
-	secLevel int
-	kern     *curveKernel
+	name    string
+	p       *big.Int // field prime
+	a, b    *big.Int // curve coefficients
+	gx, gy  *big.Int // base point
+	n       *big.Int // (prime) order of the base point
+	elemLen int      // compressed point encoding length
+	kern    *curveKernel
 }
 
 // ecPoint is an affine point of the curve g that made it; inf marks the
@@ -41,11 +40,10 @@ var _ Group = (*ECGroup)(nil)
 
 // curveSpec carries the domain parameters for newECGroup.
 type curveSpec struct {
-	name         string
-	p, a, b      *big.Int
-	gx, gy       *big.Int
-	n            *big.Int
-	securityBits int
+	name    string
+	p, a, b *big.Int
+	gx, gy  *big.Int
+	n       *big.Int
 }
 
 // newECGroup validates a curve specification (prime field, prime order,
@@ -59,15 +57,14 @@ func newECGroup(spec curveSpec) (*ECGroup, error) {
 		return nil, fmt.Errorf("group: %s order is not prime", spec.name)
 	}
 	g := &ECGroup{
-		name:     spec.name,
-		p:        spec.p,
-		a:        new(big.Int).Mod(spec.a, spec.p),
-		b:        new(big.Int).Mod(spec.b, spec.p),
-		gx:       spec.gx,
-		gy:       spec.gy,
-		n:        spec.n,
-		elemLen:  1 + (spec.p.BitLen()+7)/8,
-		secLevel: spec.securityBits,
+		name:    spec.name,
+		p:       spec.p,
+		a:       new(big.Int).Mod(spec.a, spec.p),
+		b:       new(big.Int).Mod(spec.b, spec.p),
+		gx:      spec.gx,
+		gy:      spec.gy,
+		n:       spec.n,
+		elemLen: 1 + (spec.p.BitLen()+7)/8,
 	}
 	var err error
 	if g.kern, err = newCurveKernel(g.p, g.a, g.b, g.n); err != nil {
@@ -235,6 +232,3 @@ func (g *ECGroup) ElementLen() int { return g.elemLen }
 func (g *ECGroup) RandomScalar(rng io.Reader) (*big.Int, error) {
 	return randomScalar(rng, g.n)
 }
-
-// SecurityBits implements Group.
-func (g *ECGroup) SecurityBits() int { return g.secLevel }

@@ -90,10 +90,6 @@ type Group interface {
 	ElementLen() int
 	// RandomScalar returns a uniform scalar in [1, q).
 	RandomScalar(rng io.Reader) (*big.Int, error)
-	// SecurityBits is the symmetric-equivalent security level following
-	// the NIST FIPS 140-2 implementation guidance cited by the paper
-	// (e.g. modp-1024 and secp160r1 are both 80-bit).
-	SecurityBits() int
 }
 
 // ExpGen returns g^k in the given group. It is a convenience wrapper used

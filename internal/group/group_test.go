@@ -249,22 +249,6 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestSecurityLevelsMatchGroups(t *testing.T) {
-	for _, lvl := range SecurityLevels() {
-		dl, err := ByName(lvl.DL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ec, err := ByName(lvl.EC)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dl.SecurityBits() != lvl.Bits || ec.SecurityBits() != lvl.Bits {
-			t.Errorf("level %d: groups report %d and %d", lvl.Bits, dl.SecurityBits(), ec.SecurityBits())
-		}
-	}
-}
-
 func TestECAddDoubleConsistency(t *testing.T) {
 	g := Secp160r1()
 	p1 := g.Generator()

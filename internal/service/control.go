@@ -12,6 +12,7 @@ import (
 	"groupranking/internal/api"
 	"groupranking/internal/transport"
 	"groupranking/internal/wirecodec"
+	"groupranking/internal/workload"
 )
 
 // peerRejectError carries a participant daemon's typed nack back to
@@ -93,6 +94,13 @@ func init() {
 			}
 			if _, err := dec.Token(); err != io.EOF {
 				return nil, fmt.Errorf("service: session open: trailing data after spec")
+			}
+			// A kind left out or null decodes as the zero Kind, which no
+			// sender can encode: refuse it here, as an unknown kind is.
+			for _, a := range open.Spec.Attributes {
+				if _, err := a.Kind.MarshalText(); err != nil {
+					return nil, fmt.Errorf("service: session open: spec: attribute %q: %w", a.Name, err)
+				}
 			}
 			return open, nil
 		})
@@ -258,7 +266,7 @@ func (d *Daemon) broadcastAbort(id string, cause error) {
 // admitted are told to drop it.
 func (d *Daemon) announceSession(ctx context.Context, s *session) error {
 	scrubbed := s.spec
-	scrubbed.Criterion = api.Criterion{}
+	scrubbed.Criterion = workload.Criterion{}
 	peers := len(d.cfg.Addrs) - 1
 	ackCh := make(chan ctlOpenAck, peers)
 	d.mu.Lock()

@@ -4,18 +4,22 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"groupranking/internal/api"
 	"groupranking/internal/wirecodec"
+	"groupranking/internal/workload"
 )
 
 func sampleControl() []any {
 	return []any{
 		ctlOpen{ID: "s-1", Spec: api.SessionSpec{
-			Attributes: []api.Attribute{{Name: "age", Kind: api.KindEqualTo}, {Name: "pay", Kind: api.KindGreaterThan}},
+			Attributes: []workload.Attribute{{Name: "age", Kind: workload.EqualTo}, {Name: "pay", Kind: workload.GreaterThan}},
 			K:          2, D1: 7, D2: 4, H: 6, GroupName: "toy-dl-256",
 			Sorter: api.SorterSecretSharing, Seed: "seed", TimeoutMS: 1500, IdempotencyKey: "key",
 		}},
@@ -44,8 +48,69 @@ func TestControlCodecsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpecBytesPinned: a spec with both kinds, a criterion and every
+// optional field set crosses the HTTP API, the ctlOpen frame and the
+// session table as the bytes recorded when the API had kind and
+// criterion types of its own, and decodes back to the same spec, so
+// clients, peer daemons and session tables of those builds still
+// interoperate.
+func TestSpecBytesPinned(t *testing.T) {
+	spec := api.SessionSpec{
+		Attributes: []workload.Attribute{{Name: "age", Kind: workload.EqualTo}, {Name: "pay", Kind: workload.GreaterThan}},
+		Criterion:  workload.Criterion{Values: []int64{30, 0}, Weights: []int64{2, 1}},
+		K:          2, D1: 7, D2: 4, H: 6, GroupName: "toy-dl-256", Sorter: api.SorterSecretSharing,
+		Seed: "seed", ProveDecryption: true, TimeoutMS: 1500, IdempotencyKey: "key",
+	}
+	const (
+		body = `{"attributes":[{"name":"age","kind":"eq"},{"name":"pay","kind":"gt"}],` +
+			`"criterion":{"values":[30,0],"weights":[2,1]},"k":2,"d1":7,"d2":4,"h":6,` +
+			`"group":"toy-dl-256","sorter":"secret-sharing","seed":"seed","prove_decryption":true,` +
+			`"timeout_ms":1500,"idempotency_key":"key"}`
+		record = `{"t":"open","id":"s-1","spec":` + body + `,"created_ms":1700000000000}`
+	)
+	got, err := json.Marshal(spec)
+	if err != nil || string(got) != body {
+		t.Errorf("spec encodes as\n %s (%v), want\n %s", got, err, body)
+	}
+	var back api.SessionSpec
+	if err := json.Unmarshal([]byte(body), &back); err != nil || !reflect.DeepEqual(back, spec) {
+		t.Errorf("pinned body decodes as %+v (%v)", back, err)
+	}
+
+	// The announcement carries the spec with its criterion scrubbed, as
+	// announceSession sends it: the frame header (magic "GW", codec
+	// version 4, type ID 0x0060, payload length 277), the session ID and
+	// the spec's JSON, each length-prefixed.
+	frame := "47570400600000011500000003732d310000010a" + hex.EncodeToString([]byte(
+		strings.Replace(body, `"values":[30,0],"weights":[2,1]`, `"values":null,"weights":null`, 1)))
+	scrubbed := spec
+	scrubbed.Criterion = workload.Criterion{}
+	open := ctlOpen{ID: "s-1", Spec: scrubbed}
+	if got, err := wirecodec.Marshal(open); err != nil || hex.EncodeToString(got) != frame {
+		t.Errorf("ctlOpen frame is\n %x (%v), want\n %s", got, err, frame)
+	}
+	raw, _ := hex.DecodeString(frame)
+	if v, err := wirecodec.Unmarshal(raw); err != nil || !reflect.DeepEqual(v, open) {
+		t.Errorf("pinned frame decodes as %#v (%v)", v, err)
+	}
+
+	rec := storeRec{T: "open", ID: "s-1", Spec: &spec, CreatedMS: 1700000000000}
+	if got := rec.body(); string(got) != record {
+		t.Errorf("open record is\n %s, want\n %s", got, record)
+	}
+	sessions := map[string]*storedSession{}
+	var stored storeRec
+	if err := json.Unmarshal([]byte(record), &stored); err != nil {
+		t.Fatal(err)
+	}
+	if err := foldRec(sessions, new(int), stored); err != nil || sessions["s-1"] == nil || !reflect.DeepEqual(sessions["s-1"].Spec, spec) {
+		t.Errorf("pinned record folds to %+v (%v)", sessions["s-1"], err)
+	}
+}
+
 // The announced spec is decoded as strictly as an HTTP body: unknown
-// fields and trailing data are refused at the codec, before admission.
+// fields, trailing data and an attribute kind that is unknown, missing
+// or null are refused at the codec, before admission.
 func TestControlOpenSpecIsStrict(t *testing.T) {
 	frame := func(spec string) []byte {
 		payload := wirecodec.AppendBytes(wirecodec.AppendString(nil, "s-1"), []byte(spec))
@@ -56,7 +121,8 @@ func TestControlOpenSpecIsStrict(t *testing.T) {
 	if _, err := wirecodec.Unmarshal(frame(`{"attributes":[],"criterion":{"values":null,"weights":null},"k":2}`)); err != nil {
 		t.Fatalf("well-formed spec refused: %v", err)
 	}
-	for _, spec := range []string{``, `{"k":2,"surprise":1}`, `{"k":2}{"k":3}`, `{"k":2} x`, `[1]`} {
+	for _, spec := range []string{``, `{"k":2,"surprise":1}`, `{"k":2}{"k":3}`, `{"k":2} x`, `[1]`,
+		`{"attributes":[{"name":"x","kind":"between"}]}`, `{"attributes":[{"name":"x"}]}`, `{"attributes":[{"name":"x","kind":null}]}`} {
 		if v, err := wirecodec.Unmarshal(frame(spec)); err == nil {
 			t.Errorf("spec %q accepted as %#v", spec, v)
 		}

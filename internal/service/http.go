@@ -131,14 +131,13 @@ func (d *Daemon) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s := &session{
-		id:        id,
-		spec:      spec,
-		params:    params,
-		q:         q,
-		timeout:   timeout,
-		created:   time.Now(),
-		state:     api.StatePending,
-		criterion: workload.Criterion{Values: spec.Criterion.Values, Weights: spec.Criterion.Weights},
+		id:      id,
+		spec:    spec,
+		params:  params,
+		q:       q,
+		timeout: timeout,
+		created: time.Now(),
+		state:   api.StatePending,
 	}
 	if err := d.register(s); err != nil {
 		writeAdmissionErr(w, err, http.StatusTooManyRequests, api.CodeAdmissionFull)
@@ -190,14 +189,14 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, api.CodeNotFound, "unknown session %q", r.PathValue("id"))
 		return
 	}
-	var req api.SubmitRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	var profile workload.Profile
+	if err := decodeBody(w, r, &profile); err != nil {
 		writeErr(w, http.StatusBadRequest, api.CodeBadRequest, "decoding submission: %v", err)
 		return
 	}
-	if len(req.Values) != s.q.M() {
+	if len(profile.Values) != s.q.M() {
 		writeErr(w, http.StatusBadRequest, api.CodeBadRequest,
-			"profile needs %d values, got %d", s.q.M(), len(req.Values))
+			"profile needs %d values, got %d", s.q.M(), len(profile.Values))
 		return
 	}
 	draining := d.Draining() // before s.mu: lock order is d.mu -> s.mu
@@ -211,7 +210,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.started {
 		// A byte-identical resubmission is a client retry, not a
 		// conflict: acknowledge it again (idempotent submit).
-		same := slices.Equal(s.profile.Values, req.Values)
+		same := slices.Equal(s.profile.Values, profile.Values)
 		s.mu.Unlock()
 		if same {
 			writeJSON(w, http.StatusAccepted, s.info(len(d.cfg.Addrs)))
@@ -228,14 +227,14 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			"service: daemon %d is draining and starts no new session runners", d.cfg.Me)
 		return
 	}
-	s.profile = workload.Profile{Values: req.Values}
+	s.profile = profile
 	s.started = true
 	s.state = api.StateEstablishing
 	s.mu.Unlock()
 	// Durable mode: the profile must survive a crash before the runner
 	// depends on it — a restarted daemon cannot re-ask the client.
 	if d.store != nil {
-		if err := d.store.logSubmit(s.id, req.Values); err != nil {
+		if err := d.store.logSubmit(s.id, profile.Values); err != nil {
 			s.mu.Lock()
 			s.profile = workload.Profile{}
 			s.started = false

@@ -96,9 +96,7 @@ func (d *Daemon) readopt(stored map[string]*storedSession) {
 			created: st.Created,
 			state:   api.StatePending,
 		}
-		if d.cfg.Me == 0 {
-			s.criterion = workload.Criterion{Values: st.Spec.Criterion.Values, Weights: st.Spec.Criterion.Weights}
-		} else if st.HasProfile {
+		if st.HasProfile {
 			s.profile = workload.Profile{Values: st.Values}
 		}
 		if key := st.Spec.IdempotencyKey; key != "" {

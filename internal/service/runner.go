@@ -62,7 +62,7 @@ func (d *Daemon) runSession(s *session) {
 			net = transport.NewFaultNet(net, *plan)
 		}
 	}
-	role := core.Role{Me: d.cfg.Me, Questionnaire: s.q, Criterion: s.criterion, Profile: s.profile}
+	role := core.Role{Me: d.cfg.Me, Questionnaire: s.q, Criterion: s.spec.Criterion, Profile: s.profile}
 	out, err := core.RunParty(ctx, s.params, role, seed, net, func(string) {
 		s.mu.Lock()
 		if !api.Terminal(s.state) {

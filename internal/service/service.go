@@ -158,10 +158,9 @@ type session struct {
 	timeout time.Duration
 	created time.Time
 
-	// Role inputs: criterion at daemon 0, profile at daemon j (set on
-	// submit).
-	criterion workload.Criterion
-	profile   workload.Profile
+	// profile is participant j's private input at daemon j, set on
+	// submit; the initiator's criterion is spec.Criterion.
+	profile workload.Profile
 
 	mu          sync.Mutex
 	state       string
@@ -265,9 +264,6 @@ func NewDaemon(cfg Config) (*Daemon, error) {
 // Me returns this daemon's mesh slot (0 = initiator daemon).
 func (d *Daemon) Me() int { return d.cfg.Me }
 
-// Parties returns the mesh size (initiator + participants).
-func (d *Daemon) Parties() int { return len(d.cfg.Addrs) }
-
 // Close shuts the daemon down: every in-flight session aborts (in
 // durable mode their terminal state is NOT recorded — a restart
 // re-adopts and resumes them instead), the mesh connections close,
@@ -366,18 +362,7 @@ func (d *Daemon) resolveSpec(spec api.SessionSpec) (core.Params, *workload.Quest
 	fail := func(err error) (core.Params, *workload.Questionnaire, time.Duration, error) {
 		return core.Params{}, nil, 0, err
 	}
-	attrs := make([]workload.Attribute, len(spec.Attributes))
-	for i, a := range spec.Attributes {
-		switch a.Kind {
-		case api.KindEqualTo:
-			attrs[i] = workload.Attribute{Name: a.Name, Kind: workload.EqualTo}
-		case api.KindGreaterThan:
-			attrs[i] = workload.Attribute{Name: a.Name, Kind: workload.GreaterThan}
-		default:
-			return fail(fmt.Errorf("service: attribute %q has unknown kind %q (want %q or %q)", a.Name, a.Kind, api.KindEqualTo, api.KindGreaterThan))
-		}
-	}
-	q, err := workload.NewQuestionnaire(attrs)
+	q, err := workload.NewQuestionnaire(spec.Attributes)
 	if err != nil {
 		return fail(err)
 	}

@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -105,11 +106,11 @@ func (m *testMesh) close() {
 // testSpec is the suite's standard 3-participant session.
 func testSpec(seed string) groupranking.SessionSpec {
 	return groupranking.SessionSpec{
-		Attributes: []groupranking.ClientAttribute{
-			{Name: "age", Kind: groupranking.AttrEqualTo},
-			{Name: "activity", Kind: groupranking.AttrGreaterThan},
+		Attributes: []groupranking.Attribute{
+			{Name: "age", Kind: groupranking.EqualTo},
+			{Name: "activity", Kind: groupranking.GreaterThan},
 		},
-		Criterion: groupranking.ClientCriterion{Values: []int64{30, 0}, Weights: []int64{2, 1}},
+		Criterion: groupranking.Criterion{Values: []int64{30, 0}, Weights: []int64{2, 1}},
 		K:         2, D1: 7, D2: 3, H: 5,
 		GroupName: "toy-dl-256",
 		Seed:      seed,
@@ -427,10 +428,21 @@ func TestServiceWrongRoleAndValidation(t *testing.T) {
 	if err := m.clients[0].Submit(ctx, "whatever", []int64{1, 2}); !errors.As(err, &apiErr) || apiErr.Code != api.CodeWrongRole {
 		t.Errorf("submit at the initiator daemon returned %v, want %s", err, api.CodeWrongRole)
 	}
-	bad := testSpec("bad-attr")
-	bad.Attributes[1].Kind = "between"
-	if _, err := m.clients[0].CreateSession(ctx, bad); !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest {
-		t.Errorf("unknown attribute kind returned %v, want %s", err, api.CodeBadRequest)
+	// A Go client cannot encode a bad kind, so an unknown or missing
+	// one is posted raw: both are refused as a bad request.
+	for _, attr := range []string{`{"name":"activity","kind":"between"}`, `{"name":"activity"}`} {
+		resp, err := http.Post(m.servers[0].URL+api.PathSessions, "application/json", strings.NewReader(
+			`{"attributes":[{"name":"age","kind":"eq"},`+attr+`],`+
+				`"criterion":{"values":[30,0],"weights":[2,1]},"group":"toy-dl-256"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body api.Error
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || body.Code != api.CodeBadRequest {
+			t.Errorf("attribute %s answered %d %+v (%v), want %d %s", attr, resp.StatusCode, body, err, http.StatusBadRequest, api.CodeBadRequest)
+		}
 	}
 	short := testSpec("bad-criterion")
 	short.Criterion.Values = []int64{30}

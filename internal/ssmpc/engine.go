@@ -147,9 +147,6 @@ func (e *Engine) gather(round int) ([]any, error) {
 // Party returns this engine's party index.
 func (e *Engine) Party() int { return e.me }
 
-// Config returns the session configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // fieldBytes is the wire size of one field element, its run's width.
 func (e *Engine) fieldBytes() int { return wirecodec.WidthOf(e.cfg.P) }
 

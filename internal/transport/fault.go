@@ -139,12 +139,6 @@ type FaultCounts struct {
 	Equivocations, Replays int64
 }
 
-// Total sums all injected faults.
-func (c FaultCounts) Total() int64 {
-	return c.Drops + c.Delays + c.Duplicates + c.Reorders + c.Corrupts + c.Severs + c.Crashes +
-		c.Equivocations + c.Replays
-}
-
 type linkKey struct{ from, to int }
 
 type heldMsg struct {

@@ -336,9 +336,6 @@ func (m *SessionMux) onBlame(peer int, err error) {
 	}
 }
 
-// Parties reports the mesh size (initiator + participants).
-func (m *SessionMux) Parties() int { return m.n }
-
 // Me reports this endpoint's party index.
 func (m *SessionMux) Me() int { return m.me }
 

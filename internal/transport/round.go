@@ -2,14 +2,12 @@ package transport
 
 // Pattern is how the messages of a round travel: an echo broadcast
 // (every party to every other, digest-checked on a real mesh by
-// EchoBroadcastCtx), a plain broadcast (one party to every other,
-// Net.Broadcast), point to point (Net.Send), or a chain hop (one party
-// to the next).
+// EchoBroadcastCtx), point to point (Net.Send), or a chain hop (one
+// party to the next).
 type Pattern int
 
 const (
 	EchoBroadcast Pattern = iota
-	PlainBroadcast
 	PointToPoint
 	ChainHop
 )

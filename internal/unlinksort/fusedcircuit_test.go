@@ -31,7 +31,7 @@ func composedCircuit(t *testing.T, cfg Config, scheme *elgamal.Scheme, joint gro
 			t.Fatal(err)
 		}
 		var rr []*big.Int
-		if !cfg.UnsafeNoReRandomize {
+		if !cfg.unsafeNoReRandomize {
 			if rr, err = drawScalars(scheme, l, rng); err != nil {
 				t.Fatal(err)
 			}
@@ -55,7 +55,7 @@ func composedCircuit(t *testing.T, cfg Config, scheme *elgamal.Scheme, joint gro
 			om = scheme.Add(om, suffix[i+1])
 			om = scheme.AddPlain(om, weight)
 			tau := scheme.AddPlain(om, big.NewInt(int64(myBits[i])))
-			if !cfg.UnsafeNoReRandomize {
+			if !cfg.unsafeNoReRandomize {
 				tau = scheme.ReRandomizeR(joint, tau, rr[i])
 			}
 			set = append(set, tau)
@@ -128,7 +128,7 @@ func TestFusedCircuitMatchesComposition(t *testing.T) {
 					reg := obsv.NewRegistry()
 					fused := elgamal.NewScheme(obsv.Group(g, reg.Party(0))).WithPrecomp(key.Y)
 					composed := elgamal.NewScheme(obsv.Group(g, reg.Party(1))).WithPrecomp(key.Y)
-					cfg := Config{Group: g, L: l, UnsafeNoReRandomize: unsafe}
+					cfg := Config{Group: g, L: l, unsafeNoReRandomize: unsafe}
 					want := composedCircuit(t, cfg, composed, key.Y, bits, peers, fixedbig.NewDRBG("circuit-draws"))
 					for _, workers := range []int{1, 2, 7} {
 						cfg.Workers = workers

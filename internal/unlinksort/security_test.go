@@ -104,7 +104,7 @@ func TestMissingReRandomizationLeaksBits(t *testing.T) {
 
 	// Ablation: no re-randomisation ⇒ full recovery. Note compareAll
 	// indexes τ by bit position from the LSB, matching the candidates.
-	unsafeCfg := Config{Group: g, L: l, UnsafeNoReRandomize: true}
+	unsafeCfg := Config{Group: g, L: l, unsafeNoReRandomize: true}
 	leakySet, err := compareAll(context.Background(), unsafeCfg, scheme, joint, victimBits, theirCts, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestUnsafeAblationStillRanksCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Group: g, L: 5, UnsafeNoReRandomize: true, SkipProofs: true}
+	cfg := Config{Group: g, L: 5, unsafeNoReRandomize: true, SkipProofs: true}
 	results, _, err := RunCtx(context.Background(), cfg, bigs(9, 22, 4), "ablation", nil)
 	if err != nil {
 		t.Fatal(err)

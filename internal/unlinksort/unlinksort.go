@@ -69,18 +69,18 @@ type Config struct {
 	// L is the bit width of the compared values.
 	L int
 	// SkipProofs disables the key-knowledge proofs. No entry point sets
-	// it: the security tests and the root package's ablation benchmark
-	// (BenchmarkAblation_Proofs_Off) do, and core.Params.SkipProofs passes the
-	// chaos suites' setting through.
+	// it: the security tests and the ablation benchmark
+	// (BenchmarkAblation_Proofs_Off) do, and core.Params.SkipProofs passes
+	// the chaos suites' setting through.
 	SkipProofs bool
-	// UnsafeNoReRandomize skips the re-randomisation of the τ
-	// ciphertexts in step 7. It exists ONLY for the ablation benchmark
-	// and the regression test that demonstrates the linkage attack this
+	// unsafeNoReRandomize skips the re-randomisation of the τ
+	// ciphertexts in step 7. Only this package's tests set it: the
+	// ablation benchmark (BenchmarkAblation_ReRandomize_Off) and the
+	// regression test that demonstrates the linkage attack this
 	// re-randomisation prevents (an adversary can otherwise recover an
 	// honest party's bits by comparing ciphertext components; see
-	// TestMissingReRandomizationLeaksBits). Never enable it in a
-	// deployment.
-	UnsafeNoReRandomize bool
+	// TestMissingReRandomizationLeaksBits).
+	unsafeNoReRandomize bool
 	// ProveDecryption makes every chain processor attach Chaum–Pedersen
 	// proofs that each key layer it strips uses its registered key
 	// share, verified by the next hop. This is an extension beyond the
@@ -148,7 +148,7 @@ type schedule struct {
 	keys, commit, challenge, response, bits, anchors, taus, final transport.Round
 
 	hops    []transport.Round // party h to h + 1, for h < n − 1
-	commits []transport.Round // ProveDecryption: party h's output commitments, h < n
+	commits []transport.Round // ProveDecryption: party h's output commitment, to the parties that read it
 	all     []transport.Round
 }
 
@@ -183,7 +183,14 @@ func newSchedule(cfg Config, n int) *schedule {
 	s.taus = row(roundCollectTaus, collect, transport.PointToPoint, [2]int{1, n}, one(0), set)
 	for h := 0; h < n; h++ {
 		if cfg.ProveDecryption {
-			s.commits = append(s.commits, row(roundChainBase+h, PhaseChain, transport.PlainBroadcast, one(h), every, n*sha256.Size))
+			// Hops h + 1 and h + 2 check a commitment (the successor the
+			// vector it receives, the one after it the successor's claimed
+			// input); the last hop's goes to every owner it returns a set to.
+			readers := [2]int{h + 1, min(h+3, n)}
+			if h == n-1 {
+				readers = [2]int{0, n - 1}
+			}
+			s.commits = append(s.commits, row(roundChainBase+h, PhaseChain, transport.PointToPoint, one(h), readers, n*sha256.Size))
 		}
 		if h < n-1 {
 			s.hops = append(s.hops, row(roundChainBase+h, PhaseChain, transport.ChainHop, one(h), one(h+1), vector))
@@ -210,7 +217,7 @@ type (
 		V [][]elgamal.Ciphertext // indexed by owner
 		// The fields below are present only under Config.ProveDecryption.
 		// Input is the vector the sender received (bound to the
-		// hop-before-last's broadcast commitment, so the sender cannot
+		// hop-before-last's output commitment, so the sender cannot
 		// fabricate it); Stripped is Input with the sender's key layer
 		// removed, in Input order (already known to the previous hop, so
 		// no permutation information leaks); Proofs[owner][i] is the
@@ -559,7 +566,7 @@ func validateSet(g group.Group, from int, set []elgamal.Ciphertext) error {
 // Every τ is re-randomised, so that it is not a deterministic function of
 // the published E(β_i) bits (which would leak β_j's bits by ciphertext
 // comparison; TestMissingReRandomizationLeaksBits carries out that attack
-// against the UnsafeNoReRandomize ablation, which leaves rr nil).
+// against the unsafeNoReRandomize ablation, which leaves rr nil).
 func compareAll(ctx context.Context, cfg Config, scheme *elgamal.Scheme, joint group.Element, myBits []uint8, theirCts [][]elgamal.Ciphertext, rng io.Reader) ([]elgamal.Ciphertext, error) {
 	l := cfg.L
 	// Pre-draw each peer circuit's randomness serially in the reference
@@ -581,7 +588,7 @@ func compareAll(ctx context.Context, cfg Config, scheme *elgamal.Scheme, joint g
 		if w.zero, err = scheme.Group().RandomScalar(rng); err != nil {
 			return nil, err
 		}
-		if !cfg.UnsafeNoReRandomize {
+		if !cfg.unsafeNoReRandomize {
 			w.rr = make([]*big.Int, l)
 			for t := range w.rr {
 				if w.rr[t], err = scheme.Group().RandomScalar(rng); err != nil {
@@ -678,8 +685,8 @@ func chainPhase(ctx context.Context, cfg Config, sched *schedule, scheme *elgama
 		return nil, transport.AnnotatePhase(err, sched.taus.Phase)
 	}
 
-	// recvCommit receives the output commitment party from broadcast in
-	// row r (ProveDecryption mode).
+	// recvCommit receives the output commitment party from sent in row r
+	// (ProveDecryption mode).
 	recvCommit := func(r transport.Round, from int, what string) ([][]byte, error) {
 		payload, err := fab.RecvCtx(ctx, me, from, r.Tag)
 		if err != nil {
@@ -700,7 +707,7 @@ func chainPhase(ctx context.Context, cfg Config, sched *schedule, scheme *elgama
 		var prevCommit [][]byte
 		if cfg.ProveDecryption {
 			// The binding for the predecessor's claimed input: owners'
-			// anchors at the first hop, the hop-before-last's broadcast
+			// anchors at the first hop, the hop-before-last's output
 			// commitment afterwards. The predecessor's own commitment
 			// precedes its vector on the same channel.
 			prevCommit = anchors
@@ -795,8 +802,11 @@ func chainPhase(ctx context.Context, cfg Config, sched *schedule, scheme *elgama
 		for owner := range out.V {
 			hashes[owner] = hashSet(scheme, out.V[owner])
 		}
-		if err := fab.Broadcast(sched.commits[me].Tag, me, sched.commits[me].Bytes, commitMsg{Hashes: hashes}); err != nil {
-			return nil, transport.AnnotatePhase(err, sched.commits[me].Phase)
+		r := sched.commits[me]
+		for to := r.To[0]; to < r.To[1]; to++ {
+			if err := fab.Send(r.Tag, me, to, r.Bytes, commitMsg{Hashes: hashes}); err != nil {
+				return nil, transport.AnnotatePhase(err, r.Phase)
+			}
 		}
 	}
 	if me < n-1 {
@@ -813,10 +823,8 @@ func chainPhase(ctx context.Context, cfg Config, sched *schedule, scheme *elgama
 	}
 
 	// Receive my fully processed set. Under ProveDecryption the last
-	// hop's commitment broadcast precedes it on the same channel: consume
-	// it and verify the final set against it. Other hops' commitment
-	// broadcasts to non-successors stay queued unread, which is harmless
-	// on per-pair channels.
+	// hop's commitment precedes it on the same channel: consume it and
+	// verify the final set against it.
 	obsv.PartyOf(cfg.Group).Begin(PhaseFinalSet)
 	last, round := n-1, sched.final.Tag
 	if me == last {
@@ -842,7 +850,7 @@ func chainPhase(ctx context.Context, cfg Config, sched *schedule, scheme *elgama
 		return nil, transport.Abort(last, round, PhaseFinalSet,
 			fmt.Errorf("unlinksort: final set does not match party %d's commitment", last)).
 			WithCert(certSetAnchor(last, me, round,
-				fmt.Sprintf("party %d delivered a final set that does not hash to its own broadcast commitment", last),
+				fmt.Sprintf("party %d delivered a final set that does not hash to its own commitment", last),
 				commit[me], encodeSetBytes(scheme, msg.Set)))
 	}
 	if err := validateSet(cfg.Group, last, msg.Set); err != nil {

@@ -28,22 +28,46 @@ const (
 	GreaterThan
 )
 
-// String implements fmt.Stringer.
+// String returns the kind's text, "eq" or "gt" (Kind(n) for any other
+// value).
 func (k Kind) String() string {
-	switch k {
-	case EqualTo:
-		return "equal-to"
-	case GreaterThan:
-		return "greater-than"
-	default:
+	b, err := k.MarshalText()
+	if err != nil {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return string(b)
+}
+
+// MarshalText spells the kind as rankd's API, rankparty's -attrs and
+// grouprank's scenario files do: "eq" or "gt". Any other value, the
+// zero Kind included, is an error, so a bad kind is never sent.
+func (k Kind) MarshalText() ([]byte, error) {
+	switch k {
+	case EqualTo:
+		return []byte("eq"), nil
+	case GreaterThan:
+		return []byte("gt"), nil
+	}
+	return nil, fmt.Errorf("workload: invalid attribute kind %d", int(k))
+}
+
+// UnmarshalText parses "eq" or "gt" and refuses anything else.
+func (k *Kind) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "eq":
+		*k = EqualTo
+	case "gt":
+		*k = GreaterThan
+	default:
+		return fmt.Errorf("workload: unknown attribute kind %q (want \"eq\" or \"gt\")", text)
+	}
+	return nil
 }
 
 // Attribute names one questionnaire dimension.
 type Attribute struct {
-	Name string
-	Kind Kind
+	Name string `json:"name"`
+	Kind Kind   `json:"kind"`
 }
 
 // Questionnaire is the published attribute-name vector. The paper's
@@ -112,13 +136,13 @@ func (q *Questionnaire) Attributes() []Attribute {
 
 // Criterion is the initiator's private pair (v₀, w).
 type Criterion struct {
-	Values  []int64 // v₀, d1-bit unsigned attribute values
-	Weights []int64 // w, d2-bit unsigned weights
+	Values  []int64 `json:"values"`  // v₀, d1-bit unsigned attribute values
+	Weights []int64 `json:"weights"` // w, d2-bit unsigned weights
 }
 
 // Profile is one participant's information vector v_j.
 type Profile struct {
-	Values []int64
+	Values []int64 `json:"values"`
 }
 
 func (q *Questionnaire) checkDim(name string, n int) error {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"crypto/rand"
+	"encoding/json"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -271,10 +272,51 @@ func TestRandomGenerators(t *testing.T) {
 }
 
 func TestKindString(t *testing.T) {
-	if EqualTo.String() != "equal-to" || GreaterThan.String() != "greater-than" {
+	if EqualTo.String() != "eq" || GreaterThan.String() != "gt" {
 		t.Error("Kind.String labels wrong")
 	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind must still print")
+	}
+}
+
+// TestKindText: the two kinds round-trip through their text, and every
+// other value is refused both ways, the zero Kind included.
+func TestKindText(t *testing.T) {
+	for _, k := range []Kind{EqualTo, GreaterThan} {
+		text, err := k.MarshalText()
+		if err != nil {
+			t.Fatalf("%d: %v", int(k), err)
+		}
+		var back Kind
+		if err := back.UnmarshalText(text); err != nil || back != k {
+			t.Errorf("%q came back as %d (%v), want %d", text, int(back), err, int(k))
+		}
+	}
+	for _, k := range []Kind{0, 3, -1} {
+		if text, err := k.MarshalText(); err == nil {
+			t.Errorf("Kind(%d) marshalled to %q", int(k), text)
+		}
+	}
+	for _, text := range []string{"", "between", "EQ", "equal-to", "greater-than", " eq"} {
+		k := Kind(7)
+		if err := k.UnmarshalText([]byte(text)); err == nil {
+			t.Errorf("%q accepted as %d", text, int(k))
+		} else if k != 7 {
+			t.Errorf("refused %q but still set the kind to %d", text, int(k))
+		}
+	}
+	b, err := json.Marshal([]Attribute{{Name: "age", Kind: EqualTo}, {Name: "pay", Kind: GreaterThan}})
+	if err != nil || string(b) != `[{"name":"age","kind":"eq"},{"name":"pay","kind":"gt"}]` {
+		t.Errorf("attributes encode as %s (%v)", b, err)
+	}
+	if _, err := json.Marshal(Attribute{Name: "x"}); err == nil {
+		t.Error("an attribute of the zero kind encoded")
+	}
+	var attrs []Attribute
+	for _, doc := range []string{`[{"name":"x","kind":"between"}]`, `[{"name":"x","kind":1}]`} {
+		if err := json.Unmarshal([]byte(doc), &attrs); err == nil {
+			t.Errorf("%s decoded as %+v", doc, attrs)
+		}
 	}
 }
