@@ -29,8 +29,11 @@ var ErrSessionMismatch = errors.New("core: session parameters disagree")
 // tree and one mask-bit batch per sort), so a mixed mesh aborts here by
 // name rather than mid-sort; version 5 sends each chain hop's output
 // commitment (ProveDecryption) only to the parties that read it, where
-// version 4 sent it to every party.
-const sessionVersion = 5
+// version 4 sent it to every party; version 6 deals each secret-sharing
+// comparison's high mask as one integer per party in the first frame of
+// the mask-bit batch, where version 5 drew it as κ + 1 more shared bits,
+// so the frames of a mixed mesh's sort would not line up.
+const sessionVersion = 6
 
 // sessionMsg is the session-establishment announcement every party
 // broadcasts before any crypto is spent. It pins every parameter whose

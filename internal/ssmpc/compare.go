@@ -118,13 +118,16 @@ type carry struct{ a, b Share }
 
 // Mod2mBatch computes shares of x_k mod 2^m for shared values known to
 // lie in [0, 2^lPrime). It is the statistically masked truncation
-// protocol: open y = x + r' + 2^m·r” for jointly random bit-composed
-// masks, reduce the public y, and correct the underflow with the bitwise
-// less-than circuit. bits holds Kappa+lPrime shared random bits per
-// instance (RandomBits), drawn by the caller so that a sort draws the
-// masks of all its layers in one batch. The field prime must exceed
-// 2^(lPrime+Kappa+2) so the opened values never wrap modulo p.
-func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int, bits []Share) ([]Share, error) {
+// protocol of Catrina and de Hoogh: open y = x + r' + 2^m·r” for joint
+// random masks, reduce the public y, and correct the underflow with the
+// bitwise less-than circuit. The low mask r' is composed from m shared
+// random bits per instance (bits, k·m of them), because the less-than
+// reads its bits; the high mask r” is one shared integer per instance
+// (highs), the sum of one uniform integer of highWidth(lPrime, m) bits
+// from every party. Both come from RandomBits, drawn by the caller so
+// that a sort draws the masks of all its layers in one batch, and the
+// field must pass checkWidth.
+func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int, bits, highs []Share) ([]Share, error) {
 	k := len(xs)
 	if k == 0 {
 		return nil, nil
@@ -132,31 +135,25 @@ func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int, bits []Share) ([]Share, e
 	if m <= 0 || lPrime < m {
 		return nil, fmt.Errorf("ssmpc: Mod2m invalid widths l'=%d m=%d", lPrime, m)
 	}
-	if err := e.checkWidth(lPrime); err != nil {
+	if err := e.checkWidth(lPrime, m); err != nil {
 		return nil, err
 	}
-	// Per instance, the low mask r' from m bits and the high mask r''
-	// from the other kappa+lPrime−m.
-	per := Kappa + lPrime
-	if len(bits) != k*per {
-		return nil, fmt.Errorf("ssmpc: Mod2m needs %d mask bits, got %d", k*per, len(bits))
+	if len(bits) != k*m || len(highs) != k {
+		return nil, fmt.Errorf("ssmpc: Mod2m of %d needs %d mask bits and %d high masks, got %d and %d",
+			k, k*m, k, len(bits), len(highs))
 	}
 	rLowBits := make([][]Share, k)
 	ySh := make([]Share, k)
 	rLow := make([]Share, k)
 	for j := 0; j < k; j++ {
-		mine := bits[j*per : (j+1)*per]
-		rLowBits[j] = mine[:m]
-		var rl, rh Share
-		for i, b := range mine[:m] {
+		rLowBits[j] = bits[j*m : (j+1)*m]
+		var rl Share
+		for i, b := range rLowBits[j] {
 			rl = e.Add(rl, e.scale(b, &e.pow2[i]))
 		}
 		rLow[j] = rl
-		for i, b := range mine[m:] {
-			rh = e.Add(rh, e.scale(b, &e.pow2[i]))
-		}
 		// y = x + r' + 2^m·r''.
-		ySh[j] = e.Add(xs[j], e.Add(rl, e.scale(rh, &e.pow2[m])))
+		ySh[j] = e.Add(xs[j], e.Add(rl, e.scale(highs[j], &e.pow2[m])))
 	}
 	ys, err := e.OpenBatch(ySh)
 	if err != nil {
@@ -188,17 +185,33 @@ func (e *Engine) Mod2mBatch(xs []Share, lPrime, m int, bits []Share) ([]Share, e
 }
 
 // MaskBits is the number of shared random bits GTEBatch consumes per
-// comparison of l-bit values: the κ + l + 1 bits of its Mod2m mask.
-func MaskBits(l int) int { return Kappa + l + 1 }
+// comparison of l-bit values: the l bits of its Mod2m low mask r'. The
+// high mask r” is not drawn bit by bit: it is one shared integer per
+// comparison, dealt at MaskWidth(l) bits by every party in the first
+// round of the same RandomBits call (the package doc says why that
+// still hides the compared values to 2^−κ).
+func MaskBits(l int) int { return l }
+
+// MaskWidth is the width w of the integer each party deals towards a
+// comparison's high mask: highWidth(l+1, l) = κ + 1, since GTEBatch
+// reduces an (l+1)-bit value mod 2^l.
+func MaskWidth(l int) int { return highWidth(l+1, l) }
+
+// highWidth is the width w = κ + l' − m of the integer each party deals
+// towards Mod2m's high mask r” when it reduces an l'-bit value mod 2^m:
+// the κ bits of statistical hiding above the l' − m bits of x that r”
+// covers.
+func highWidth(lPrime, m int) int { return Kappa + lPrime - m }
 
 // GTEBatch computes shares of the bits [a_k ≥ b_k] for shared l-bit
 // values: c = a − b + 2^l lies in (0, 2^(l+1)) and its l-th bit is the
-// answer, extracted with Mod2mBatch from MaskBits(l) of bits per
-// comparison. The whole batch costs the same number of rounds as a
-// single comparison, which is what makes the layer-parallel sorting
-// network of the baseline meaningful: one opening and ⌈log₂ l⌉
-// multiplication rounds, after the three of the mask bits' RandomBits.
-func (e *Engine) GTEBatch(as, bs []Share, l int, bits []Share) ([]Share, error) {
+// answer, extracted with Mod2mBatch from MaskBits(l) bits and one high
+// mask of width MaskWidth(l) per comparison. The whole batch costs the
+// same number of rounds as a single comparison, which is what makes the
+// layer-parallel sorting network of the baseline meaningful: one
+// opening and ⌈log₂ l⌉ multiplication rounds, after the three of the
+// masks' RandomBits.
+func (e *Engine) GTEBatch(as, bs []Share, l int, bits, highs []Share) ([]Share, error) {
 	if len(as) != len(bs) {
 		return nil, fmt.Errorf("ssmpc: GTE batch size mismatch %d vs %d", len(as), len(bs))
 	}
@@ -209,14 +222,14 @@ func (e *Engine) GTEBatch(as, bs []Share, l int, bits []Share) ([]Share, error) 
 	if k == 0 {
 		return nil, nil
 	}
-	if err := e.checkWidth(l + 1); err != nil {
+	if err := e.checkWidth(l+1, l); err != nil {
 		return nil, err
 	}
 	cs := make([]Share, k)
 	for j := 0; j < k; j++ {
 		cs[j] = e.Add(e.Sub(as[j], bs[j]), Share{y: e.pow2[l]})
 	}
-	lows, err := e.Mod2mBatch(cs, l+1, l, bits)
+	lows, err := e.Mod2mBatch(cs, l+1, l, bits, highs)
 	if err != nil {
 		return nil, err
 	}
@@ -228,14 +241,33 @@ func (e *Engine) GTEBatch(as, bs []Share, l int, bits []Share) ([]Share, error) 
 	return out, nil
 }
 
-// checkWidth reports whether the field can carry the masked opening of
-// an lPrime-bit value: the prime must exceed 2^(lPrime+Kappa+2) so the
-// opened values never wrap modulo p. It also keeps every index into the
-// pow2 tables below the field width.
-func (e *Engine) checkWidth(lPrime int) error {
-	if e.cfg.P.BitLen() < lPrime+Kappa+3 {
-		return fmt.Errorf("ssmpc: field too small for Mod2m (need > %d bits, have %d)",
-			lPrime+Kappa+2, e.cfg.P.BitLen())
+// checkWidth reports whether the field can carry Mod2m's opening of an
+// lPrime-bit value reduced mod 2^m without wrapping modulo p. The
+// largest value that opening can take is
+//
+//	(2^l' − 1) + (2^m − 1) + 2^m·n·(2^w − 1),  w = highWidth(l', m):
+//
+// x, r' and the n dealt integers of r” all at their maxima. The prime
+// must exceed it, which also keeps every index into the pow2 tables
+// below the field width.
+func (e *Engine) checkWidth(lPrime, m int) error {
+	if max := maxOpening(e.cfg.N, lPrime, m); e.cfg.P.Cmp(max) <= 0 {
+		return fmt.Errorf("ssmpc: field too small for Mod2m among n = %d parties: "+
+			"a %d-bit value masked for mod 2^%d opens up to %d bits, the prime has %d",
+			e.cfg.N, lPrime, m, max.BitLen(), e.cfg.P.BitLen())
 	}
 	return nil
+}
+
+// maxOpening is the largest y = x + r' + 2^m·r” Mod2m can open among n
+// parties, each dealing at most 2^w − 1 towards r”.
+func maxOpening(n, lPrime, m int) *big.Int {
+	one := big.NewInt(1)
+	pow := func(i int) *big.Int { return new(big.Int).Lsh(one, uint(i)) }
+	high := new(big.Int).Sub(pow(highWidth(lPrime, m)), one)
+	high.Mul(high, big.NewInt(int64(n)))
+	high.Lsh(high, uint(m))
+	y := new(big.Int).Add(pow(lPrime), pow(m))
+	y.Sub(y, big.NewInt(2))
+	return y.Add(y, high)
 }

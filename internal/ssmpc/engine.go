@@ -10,6 +10,38 @@
 // invocations, openings and communication rounds — the quantities the
 // paper's Section VI-B efficiency analysis is stated in.
 //
+// The comparison's masks. Mod2mBatch opens y = x + r' + 2^m·r” for an
+// l'-bit x. The low mask r' is m shared random bits, which the bitwise
+// less-than needs one by one. The high mask r” is only ever added, so
+// it is not drawn bit by bit, as in Catrina and de Hoogh's Mod2m: each
+// party j deals a uniform integer u_j in [0, 2^w), w = κ + l' − m, and
+// r” = Σ_j u_j. This is safe in the semi-honest model the engine
+// assumes throughout, where a dealer of u_j follows the protocol as
+// every dealer of a share or a product already does:
+//
+//   - Hiding. Write x + r' = 2^m·q + ρ. Since r' is uniform mod 2^m, ρ
+//     is uniform and independent of x, and given ρ, q ∈ [0, 2^(l'−m)]
+//     is fixed by x. What a coalition sees of y is then ρ and q + S + c,
+//     where c is the sum of its own u_j and S the sum of the honest
+//     ones, independent of everything else. S contains at least one
+//     uniform u_j, so every value of it has probability at most 2^−w,
+//     and shifting it by q rather than by another q' moves its
+//     distribution by at most |q − q'|/2^w ≤ 2^(l'−m)/2^w = 2^−κ in
+//     statistical distance: y is within 2^−κ of independent of x,
+//     whatever the coalition.
+//   - No wrap. y is at most 2^l' + 2^m + n·(2^w − 1)·2^m − 2, so the
+//     opening is the integer y as long as p exceeds that maximum, n
+//     included; checkWidth refuses a narrower field, naming n. The
+//     framework's field (core's ssFieldPrime, l + κ + 8 bits for l-bit
+//     comparisons, where w = κ + 1) carries it for every n ≤ 64: the
+//     bound is then n·2^(l+κ+1) + (3 − n)·2^l − 2 < 2^(l+κ+7), below
+//     any prime of that width. A larger n is refused by checkWidth
+//     unless the drawn prime happens to exceed the bound.
+//
+// The integers ride the first round of the RandomBits call that draws
+// the bits, in the same frame: a comparison deals l + 1 elements there,
+// squares and opens l, and no round is added.
+//
 // Shares are field.Elem values (limbs in Montgomery form on the shared
 // limb field, internal/field), so every local operation is
 // allocation-free. A message is one integer run (wirecodec.Uints) at
@@ -40,7 +72,8 @@ type Config struct {
 	// Degree is the sharing polynomial degree d (max colluders).
 	Degree int
 	// P is the field prime, at most field.MaxBits wide. For
-	// comparisons on l-bit values it must exceed 2^(l+Kappa+3).
+	// comparisons it must exceed the largest masked opening, which
+	// grows with N (see the package doc; checkWidth).
 	P *big.Int
 }
 
@@ -192,18 +225,19 @@ func (e *Engine) fromWire(dst []field.Elem, payload any, from int, kind string) 
 	return nil
 }
 
-// deal splits k secrets and returns the pieces as one slab indexed
-// [party·k + secret]: party j's message is the contiguous run j·k..j·k+k.
-// A nil secrets deals fresh random elements instead, each drawn right
-// before its polynomial — the order RandomElements has always consumed
-// the party RNG in.
-func (e *Engine) deal(secrets []field.Elem, k int) ([]field.Elem, error) {
+// deal splits fresh random elements, each drawn right before its
+// polynomial (the order RandomElements has always consumed the party
+// RNG in), followed by the given secrets, and returns the pieces as one
+// slab indexed [party·k + secret], k = fresh + len(secrets): party j's
+// message is the contiguous run j·k..j·k+k.
+func (e *Engine) deal(fresh int, secrets []field.Elem) ([]field.Elem, error) {
+	k := fresh + len(secrets)
 	slab := make([]field.Elem, e.cfg.N*k)
 	pieces := make([]field.Elem, e.cfg.N)
 	for i := 0; i < k; i++ {
 		var secret field.Elem
-		if secrets != nil {
-			secret = secrets[i]
+		if i >= fresh {
+			secret = secrets[i-fresh]
 		} else {
 			var err error
 			if secret, err = e.sch.Rand(e.rng); err != nil {
@@ -285,7 +319,7 @@ func (e *Engine) ShareBatch(dealer int, secrets []*big.Int, count int) ([]Share,
 		for i, s := range secrets {
 			mine[i] = e.f.Reduce(s)
 		}
-		slab, err := e.deal(mine, count)
+		slab, err := e.deal(0, mine)
 		if err != nil {
 			return nil, err
 		}
@@ -386,7 +420,7 @@ func (e *Engine) MulBatch(as, bs []Share) ([]Share, error) {
 	for i := range prods {
 		e.f.Mul(&prods[i], &as[i].y, &bs[i].y)
 	}
-	slab, err := e.deal(prods, k)
+	slab, err := e.deal(0, prods)
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"strings"
 	"sync"
 	"testing"
 
@@ -169,7 +170,7 @@ func TestRandomBitsAreBits(t *testing.T) {
 	cfg := testConfig(t, 5, 2)
 	const k = 24
 	results, _, err := RunProgram(cfg, "rand-bits", nil, func(e *Engine) ([]*big.Int, error) {
-		bits, err := e.RandomBits(k)
+		bits, _, err := e.RandomBits(k, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -189,6 +190,45 @@ func TestRandomBitsAreBits(t *testing.T) {
 	}
 	if ones == 0 || ones == k {
 		t.Errorf("all %d random bits identical (%d ones); distribution broken", k, ones)
+	}
+}
+
+// TestRandomBitsDealsIntegers: the integers RandomBits deals beside its
+// bits open, at every party alike, to sums of n values below 2^w, and
+// they cost no round of their own: bits and integers together take the
+// three rounds the bits alone take.
+func TestRandomBitsDealsIntegers(t *testing.T) {
+	const n, k, ints, w = 5, 3, 16, 10
+	cfg := testConfig(t, n, 2)
+	results, _, err := RunProgram(cfg, "rand-ints", nil, func(e *Engine) ([]*big.Int, error) {
+		before := e.round
+		bits, sums, err := e.RandomBits(k, ints, w)
+		if err != nil {
+			return nil, err
+		}
+		if rounds := e.round - before; rounds != 3 || len(bits) != k || len(sums) != ints {
+			return nil, fmt.Errorf("%d bits and %d integers in %d rounds, want %d, %d, 3", len(bits), len(sums), rounds, k, ints)
+		}
+		return e.OpenBatch(sums)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	max := big.NewInt(n * (1<<w - 1))
+	distinct := map[string]bool{}
+	for i, v := range results[0].Value {
+		for _, r := range results[1:] {
+			if r.Value[i].Cmp(v) != 0 {
+				t.Fatalf("parties disagree on integer %d", i)
+			}
+		}
+		if v.Sign() < 0 || v.Cmp(max) > 0 {
+			t.Errorf("integer %d opened to %s, outside [0, %s]", i, v, max)
+		}
+		distinct[v.String()] = true
+	}
+	if len(distinct) < ints/2 {
+		t.Errorf("%d integers took only %d distinct values; distribution broken", ints, len(distinct))
 	}
 }
 
@@ -296,14 +336,17 @@ func TestMod2m(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			mask, err := e.RandomBits(Kappa + tc.lPrime)
+			bits, highs, err := e.RandomBits(tc.m, 1, highWidth(tc.lPrime, tc.m))
 			if err != nil {
 				return nil, err
 			}
-			if _, err := e.Mod2mBatch(x, tc.lPrime, tc.m, mask[1:]); err == nil {
-				return nil, fmt.Errorf("Mod2m accepted %d mask bits for %d", len(mask)-1, len(mask))
+			if _, err := e.Mod2mBatch(x, tc.lPrime, tc.m, bits[1:], highs); err == nil {
+				return nil, fmt.Errorf("Mod2m accepted %d mask bits for %d", len(bits)-1, len(bits))
 			}
-			low, err := e.Mod2mBatch(x, tc.lPrime, tc.m, mask)
+			if _, err := e.Mod2mBatch(x, tc.lPrime, tc.m, bits, nil); err == nil {
+				return nil, fmt.Errorf("Mod2m accepted no high mask")
+			}
+			low, err := e.Mod2mBatch(x, tc.lPrime, tc.m, bits, highs)
 			if err != nil {
 				return nil, err
 			}
@@ -339,11 +382,11 @@ func TestGTEAndLT(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			mask, err := e.RandomBits(MaskBits(l))
+			bits, highs, err := e.RandomBits(MaskBits(l), 1, MaskWidth(l))
 			if err != nil {
 				return nil, err
 			}
-			gte, err := e.GTEBatch(a, b, l, mask)
+			gte, err := e.GTEBatch(a, b, l, bits, highs)
 			if err != nil {
 				return nil, err
 			}
@@ -384,11 +427,11 @@ func TestCountersAdvance(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		mask, err := e.RandomBits(MaskBits(8))
+		bits, highs, err := e.RandomBits(MaskBits(8), 1, MaskWidth(8))
 		if err != nil {
 			return err
 		}
-		gte, err := e.GTEBatch(a, a, 8, mask)
+		gte, err := e.GTEBatch(a, a, 8, bits, highs)
 		if err != nil {
 			return err
 		}
@@ -405,11 +448,11 @@ func TestCountersAdvance(t *testing.T) {
 	if fab.Stats().TotalBytes() == 0 {
 		t.Error("no bytes recorded on the fabric")
 	}
-	// One comparison at l = 8: κ + l + 1 = 49 squarings for the mask
-	// bits and 4 + 3 + 1 = 8 in the tree (sssort's traffic test pins
-	// the closed forms).
-	if mults != 57 {
-		t.Errorf("one comparison at l = 8 made %d multiplications, want 57", mults)
+	// One comparison at l = 8: l = 8 squarings for the low mask's bits
+	// (the high mask is dealt, not squared) and 4 + 3 + 1 = 8 in the
+	// tree (sssort's traffic test pins the closed forms).
+	if mults != 16 {
+		t.Errorf("one comparison at l = 8 made %d multiplications, want 16", mults)
 	}
 }
 
@@ -436,33 +479,81 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestGTEFieldTooSmall holds checkWidth to the exact no-wrap bound at
+// n = 3 and 5: at the smallest prime above the largest opening
+// maxOpening(n, l', m), Mod2m with every mask at its maximum (all m
+// bits of r' set and r” the public constant n·(2^w − 1)) and
+// x = 2^l' − 1 opens exactly that largest value and still returns
+// x mod 2^m, and GTE with a = 2^l − 1, b = 0 (its largest c) still
+// returns 1. The largest prime not above the bound, and one a bit
+// narrower than the accepted one, are refused by name.
 func TestGTEFieldTooSmall(t *testing.T) {
-	p, err := rand.Prime(fixedbig.NewDRBG("small-prime"), 32)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ n, lPrime, m int }{
+		{3, 9, 8}, {5, 9, 8}, {3, 17, 5}, {5, 17, 5},
+	} {
+		tc := tc
+		t.Run(fmt.Sprintf("n%d_l%d_m%d", tc.n, tc.lPrime, tc.m), func(t *testing.T) {
+			max := maxOpening(tc.n, tc.lPrime, tc.m)
+			p := nextPrime(max, 1)
+			below := nextPrime(max, -1)
+			narrower := nextPrime(new(big.Int).Lsh(big.NewInt(1), uint(p.BitLen()-1)), -1)
+			cfg := Config{N: tc.n, Degree: (tc.n - 1) / 2, P: p}
+			results, _, err := RunProgram(cfg, "width-edge", nil, func(e *Engine) ([]*big.Int, error) {
+				top := new(big.Int).Lsh(big.NewInt(1), uint(tc.lPrime))
+				x := e.ConstShare(top.Sub(top, big.NewInt(1)))
+				bits := make([]Share, tc.m)
+				for i := range bits {
+					bits[i] = e.one
+				}
+				high := e.ConstShare(big.NewInt(int64(tc.n) * (1<<highWidth(tc.lPrime, tc.m) - 1)))
+				out, err := e.Mod2mBatch([]Share{x}, tc.lPrime, tc.m, bits, []Share{high})
+				if err != nil {
+					return nil, err
+				}
+				if l := tc.m; tc.lPrime == l+1 {
+					// GTE's c = a − b + 2^l is 2^l' − 1 at a = 2^l − 1, b = 0.
+					a := e.ConstShare(new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(l)), big.NewInt(1)))
+					gte, err := e.GTEBatch([]Share{a}, []Share{{}}, l, bits, []Share{high})
+					if err != nil {
+						return nil, err
+					}
+					out = append(out, gte...)
+				}
+				return e.OpenBatch(out)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := results[0].Value
+			if want := int64(1<<tc.m - 1); got[0].Int64() != want {
+				t.Errorf("at the smallest accepted prime (%d bits), Mod2m of 2^%d − 1 returned %s, want %d",
+					p.BitLen(), tc.lPrime, got[0], want)
+			}
+			if len(got) > 1 && got[1].Int64() != 1 {
+				t.Errorf("at the smallest accepted prime, GTE(2^%d − 1, 0) returned %s, want 1", tc.m, got[1])
+			}
+			for _, q := range []*big.Int{below, narrower} {
+				e := &Engine{cfg: Config{N: tc.n, P: q}}
+				err := e.checkWidth(tc.lPrime, tc.m)
+				if err == nil {
+					t.Errorf("a %d-bit prime %s not above the bound %s accepted", q.BitLen(), q, max)
+				} else if name := fmt.Sprintf("n = %d", tc.n); !strings.Contains(err.Error(), name) {
+					t.Errorf("refusal %q does not name %q", err, name)
+				}
+			}
+		})
 	}
-	cfg := Config{N: 3, Degree: 1, P: p}
-	_, _, err = RunProgram(cfg, "too-small", nil, func(e *Engine) (*big.Int, error) {
-		var v *big.Int
-		if e.Party() == 0 {
-			v = big.NewInt(1)
-		}
-		a, err := e.ShareBatch(0, []*big.Int{v}, 1)
-		if err != nil {
-			return nil, err
-		}
-		mask, err := e.RandomBits(MaskBits(16))
-		if err != nil {
-			return nil, err
-		}
-		if _, err := e.GTEBatch(a, a, 16, mask); err != nil {
-			return nil, err
-		}
-		return big.NewInt(0), nil
-	})
-	if err == nil {
-		t.Error("GTE with an undersized field should fail")
+}
+
+// nextPrime returns the nearest prime strictly above x (dir = 1) or
+// strictly below it (dir = −1).
+func nextPrime(x *big.Int, dir int64) *big.Int {
+	step := big.NewInt(dir)
+	q := new(big.Int).Add(x, step)
+	for !q.ProbablyPrime(20) {
+		q.Add(q, step)
 	}
+	return q
 }
 
 func TestMinimumPartyCountForDegree(t *testing.T) {
@@ -540,4 +631,59 @@ func TestMulBatchAllocatesPerBatchNotPerElement(t *testing.T) {
 	if large > 40*n {
 		t.Errorf("MulBatch of 64 makes %.0f allocations among %d parties; want a few per message", large, n)
 	}
+}
+
+// FuzzGTEAgainstPlaintext checks GTEBatch against the plaintext
+// comparison: n = 3 or 5 parties (odd and even sel), l ∈ [1, 32] and
+// a, b reduced below 2^l, each dealt by party 0 and compared with its
+// masks drawn as a sort draws them.
+func FuzzGTEAgainstPlaintext(f *testing.F) {
+	p, err := rand.Prime(fixedbig.NewDRBG("ssmpc-prime"), 128)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, l := range []uint8{1, 2, 27, 32} {
+		top := uint64(1)<<l - 1
+		f.Add(uint8(0), l, uint64(0), uint64(0))
+		f.Add(uint8(1), l, top, uint64(0))
+		f.Add(uint8(0), l, uint64(0), top)
+		f.Add(uint8(1), l, top, top)
+		f.Add(uint8(0), l, top/2, top/2)
+	}
+	f.Fuzz(func(t *testing.T, sel, lIn uint8, a, b uint64) {
+		n, l := 3+2*int(sel&1), 1+int(lIn%32)
+		a, b = a&(1<<l-1), b&(1<<l-1)
+		cfg := Config{N: n, Degree: (n - 1) / 2, P: p}
+		results, _, err := RunProgram(cfg, fmt.Sprintf("gte-fuzz-%d-%d-%d-%d", n, l, a, b), nil, func(e *Engine) (*big.Int, error) {
+			var secrets []*big.Int
+			if e.Party() == 0 {
+				secrets = []*big.Int{new(big.Int).SetUint64(a), new(big.Int).SetUint64(b)}
+			}
+			sh, err := e.ShareBatch(0, secrets, 2)
+			if err != nil {
+				return nil, err
+			}
+			bits, highs, err := e.RandomBits(MaskBits(l), 1, MaskWidth(l))
+			if err != nil {
+				return nil, err
+			}
+			gte, err := e.GTEBatch(sh[:1], sh[1:], l, bits, highs)
+			if err != nil {
+				return nil, err
+			}
+			return openOne(e, gte)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(0)
+		if a >= b {
+			want = 1
+		}
+		for _, r := range results {
+			if r.Value.Int64() != want || !r.Value.IsInt64() {
+				t.Fatalf("n = %d, l = %d: party %d opened [%d ≥ %d] as %s, want %d", n, l, r.Party, a, b, r.Value, want)
+			}
+		}
+	})
 }

@@ -80,7 +80,7 @@ func TestFrameWidthsPinned(t *testing.T) {
 					_, err = e.OpenBatch(shares)
 				}
 				if err == nil {
-					_, err = e.RandomBits(2)
+					_, _, err = e.RandomBits(2, 1, 8)
 				}
 				return err
 			})

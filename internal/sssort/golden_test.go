@@ -87,17 +87,20 @@ func goldenTranscript(t *testing.T, n, degree, primeBits, l int) string {
 // unchanged. Re-recorded once more when the comparison's sequential
 // prefix-OR became a tree of carry maps and a sort came to draw all its
 // mask bits in one batch: the frames and rounds changed then, the
-// opened sequence did not. A change to the order or width of any RNG
-// draw, to which root RandomBits picks, or to any frame's encoding
-// moves it.
+// opened sequence did not. Re-recorded when the comparison's high mask
+// became one integer dealt by every party beside the mask bits' random
+// elements instead of κ + 1 more shared bits: the frames changed, the
+// rounds and the opened sequence did not. A change to the order or
+// width of any RNG draw, to which root RandomBits picks, or to any
+// frame's encoding moves it.
 func TestGoldenTranscript(t *testing.T) {
 	cases := []struct {
 		n, degree, primeBits, l int
 		want                    string
 	}{
-		{5, 2, 75, 27, "7f799afbb627a61c3cfcdb7f6fe7f8d768f9371698b30961990b9b1031a1abe1"},
-		{3, 1, 110, 62, "92e969f705e1c5170a43cb4979216d3737fb551901041bca1d0d7ee8429d6375"},
-		{3, 1, 140, 62, "d67c635e7dc6b0d29928a9c693bfdbaa21fa858ce3e10bb70ba5fdb4d02e6d5e"}, // past 2^128: the three-limb multiply (recorded on the four-limb one)
+		{5, 2, 75, 27, "ca5f920891e3e28c01bead43b51096374ded411d370f0ead6eecb804fd15e401"},
+		{3, 1, 110, 62, "07adb61077a718fae2a88938e474a9f69f0a31782d54bc32d3fac1e9240f69ef"},
+		{3, 1, 140, 62, "b45da6a15e53a58f67c8a9d73b0b9adee8fe57ae9dc4799baa98e9819e447925"}, // past 2^128: the three-limb multiply (recorded on the four-limb one)
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -63,8 +63,9 @@ func Depth(n int) int { return len(network(n)) }
 // sortShares obliviously sorts shared l-bit values in ascending order.
 // Every party calls it in lockstep with its own shares. The returned
 // shares are a sorted permutation of the inputs; nothing is opened.
-// The comparisons' mask bits are drawn for every layer at once, before
-// the first, so their three rounds are paid once per sort.
+// The comparisons' masks (l bits and one dealt integer a comparator)
+// are drawn for every layer at once, before the first, so their three
+// rounds are paid once per sort.
 func sortShares(e *ssmpc.Engine, values []ssmpc.Share, l int) ([]ssmpc.Share, error) {
 	if l <= 0 {
 		return nil, fmt.Errorf("sssort: bit width must be positive, got %d", l)
@@ -75,10 +76,10 @@ func sortShares(e *ssmpc.Engine, values []ssmpc.Share, l int) ([]ssmpc.Share, er
 	if len(layers) == 0 {
 		return out, nil
 	}
-	per := ssmpc.MaskBits(l)
-	bits, err := e.RandomBits(Comparators(len(values)) * per)
+	per, c := ssmpc.MaskBits(l), Comparators(len(values))
+	bits, highs, err := e.RandomBits(c*per, c, ssmpc.MaskWidth(l))
 	if err != nil {
-		return nil, fmt.Errorf("sssort: mask bits: %w", err)
+		return nil, fmt.Errorf("sssort: comparison masks: %w", err)
 	}
 	for _, layer := range layers {
 		k := len(layer)
@@ -89,8 +90,8 @@ func sortShares(e *ssmpc.Engine, values []ssmpc.Share, l int) ([]ssmpc.Share, er
 			bs[i] = out[c.Hi]
 		}
 		// c = [a ≥ b] for each comparator.
-		cs, err := e.GTEBatch(as, bs, l, bits[:k*per])
-		bits = bits[k*per:]
+		cs, err := e.GTEBatch(as, bs, l, bits[:k*per], highs[:k])
+		bits, highs = bits[k*per:], highs[k:]
 		if err != nil {
 			return nil, fmt.Errorf("sssort: layer comparison: %w", err)
 		}

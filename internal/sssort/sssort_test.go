@@ -14,6 +14,7 @@ import (
 	"groupranking/internal/obsv"
 	"groupranking/internal/ssmpc"
 	"groupranking/internal/transport"
+	"groupranking/internal/wirecodec"
 )
 
 // applyPlain runs the comparator network on plaintext values.
@@ -225,11 +226,14 @@ func TestRankDescending(t *testing.T) {
 
 // charges runs prog among cfg.N parties over the in-memory fabric and
 // returns the multiplications, openings and rounds the engine charged
-// each party, failing unless every party was charged alike.
-func charges(t *testing.T, cfg ssmpc.Config, seed string, prog func(e *ssmpc.Engine) error) [3]int64 {
+// each party, failing unless every party was charged alike, and the
+// field elements each party sent each peer (every send of the engine
+// goes to all n − 1 peers alike, and in process an opening is sent
+// without its echo).
+func charges(t *testing.T, cfg ssmpc.Config, seed string, prog func(e *ssmpc.Engine) error) ([3]int64, []int64) {
 	t.Helper()
 	reg := obsv.NewRegistry()
-	_, _, err := transport.RunMesh(context.Background(), cfg.N, nil, func(ctx context.Context, me int, net transport.Net) error {
+	fab, _, err := transport.RunMesh(context.Background(), cfg.N, nil, func(ctx context.Context, me int, net transport.Net) error {
 		e, err := ssmpc.NewEngineCtx(obsv.WithParty(ctx, reg.Party(me)), cfg, me, net, fixedbig.PartyDRBG(seed, me))
 		if err != nil {
 			return err
@@ -248,7 +252,15 @@ func charges(t *testing.T, cfg ssmpc.Config, seed string, prog func(e *ssmpc.Eng
 			t.Fatalf("party %d charged %v, party 0 %v", me, c, got)
 		}
 	}
-	return got
+	perPeer := make([]int64, cfg.N)
+	unit := int64(cfg.N-1) * int64(wirecodec.WidthOf(cfg.P))
+	for me, b := range fab.Stats().BytesSent {
+		if b%unit != 0 {
+			t.Fatalf("party %d sent %d bytes, not a whole number of elements to each of %d peers", me, b, cfg.N-1)
+		}
+		perPeer[me] = b / unit
+	}
+	return got, perPeer
 }
 
 // treeMuls is BitLTPublicBatch's multiplications per instance at width
@@ -266,20 +278,24 @@ func treeMuls(m int) int64 {
 // forms in the width l, the comparator count C and the network depth D,
 // over two input sets each: the traffic may depend on the shape of the
 // sort, never on the values compared or on anything opened. A
-// comparison draws MaskBits(l) = κ + l + 1 bits (one square each, all
-// opened), opens its masked value and runs the ⌈log₂ l⌉-round tree; a
-// sort draws every comparator's bits in one batch (three rounds), then
-// spends per layer that opening, the tree and the swap's product.
+// comparison draws MaskBits(l) = l bits (one square each, all opened)
+// and deals one integer beside them for its high mask, opens its masked
+// value and runs the ⌈log₂ l⌉-round tree; a sort draws every
+// comparator's masks in one batch (three rounds), then spends per layer
+// that opening, the tree and the swap's product. Each party sends each
+// peer, per comparison, l + 1 dealt elements, l squares' pieces, l
+// square shares opened, the masked value opened, the tree's and the
+// swap's products' pieces: 3l + tree(l) + 3.
 func TestTrafficShape(t *testing.T) {
 	const l = 27
 	mask, tree, depth := int64(ssmpc.MaskBits(l)), treeMuls(l), int64(bits.Len(l-1))
-	if mask+tree+1 != 104 || tree != 35 || depth != 5 {
-		t.Fatalf("closed forms at l = 27: %d + %d + 1 multiplications, %d tree rounds; want 68 + 35 + 1, 5", mask, tree, depth)
+	if mask+tree+1 != 63 || tree != 35 || depth != 5 {
+		t.Fatalf("closed forms at l = 27: %d + %d + 1 multiplications, %d tree rounds; want 27 + 35 + 1, 5", mask, tree, depth)
 	}
 	cfg := testConfig(t, 5, 2)
 	for i, pairs := range [][][2]int64{{{50, 3}, {7, 7}, {0, 1}}, {{0, 1<<l - 1}, {1<<l - 1, 0}, {12345, 12344}}} {
 		k := int64(len(pairs))
-		got := charges(t, cfg, fmt.Sprintf("gte-%d", i), func(e *ssmpc.Engine) error {
+		got, _ := charges(t, cfg, fmt.Sprintf("gte-%d", i), func(e *ssmpc.Engine) error {
 			var secrets []*big.Int
 			if e.Party() == 0 {
 				for _, p := range pairs {
@@ -294,11 +310,11 @@ func TestTrafficShape(t *testing.T) {
 			for j := range pairs {
 				as[j], bs[j] = sh[2*j], sh[2*j+1]
 			}
-			r, err := e.RandomBits(len(pairs) * ssmpc.MaskBits(l))
+			r, highs, err := e.RandomBits(len(pairs)*ssmpc.MaskBits(l), len(pairs), ssmpc.MaskWidth(l))
 			if err != nil {
 				return err
 			}
-			_, err = e.GTEBatch(as, bs, l, r)
+			_, err = e.GTEBatch(as, bs, l, r, highs)
 			return err
 		})
 		// The sharing is one round; the rest is the comparison.
@@ -309,18 +325,22 @@ func TestTrafficShape(t *testing.T) {
 	for _, n := range []int{3, 5} {
 		cfg := testConfig(t, n, (n-1)/2)
 		c, d := int64(Comparators(n)), int64(Depth(n))
-		// n sharing rounds, the mask bits, D layers, the final opening.
+		// n sharing rounds, the masks, D layers, the final opening.
 		want := [3]int64{c * (mask + tree + 1), c*(mask+1) + int64(n), int64(n) + 3 + d*(1+depth+1) + 1}
+		// One share dealt, each comparison's, the n values opened.
+		wantPerPeer := 1 + c*(3*l+tree+3) + int64(n)
 		for i, vals := range [][]int64{{1<<l - 1, 0, 5, 5, 1}, {3, 1 << 20, 7, 0, 1<<l - 2}} {
 			vals := vals[:n]
-			got := charges(t, cfg, fmt.Sprintf("sort-%d-%d", n, i), func(e *ssmpc.Engine) error {
+			got, perPeer := charges(t, cfg, fmt.Sprintf("sort-%d-%d", n, i), func(e *ssmpc.Engine) error {
+				// Every party deals its own value, so every party sends
+				// each peer the same count.
 				shares := make([]ssmpc.Share, n)
 				for j, v := range vals {
 					var s *big.Int
-					if e.Party() == 0 {
+					if e.Party() == j {
 						s = big.NewInt(v)
 					}
-					sh, err := e.ShareBatch(0, []*big.Int{s}, 1)
+					sh, err := e.ShareBatch(j, []*big.Int{s}, 1)
 					if err != nil {
 						return err
 					}
@@ -331,6 +351,11 @@ func TestTrafficShape(t *testing.T) {
 			})
 			if got != want {
 				t.Errorf("SortOpen at n = %d, input set %d: charged (muls, opens, rounds) %v, want %v", n, i, got, want)
+			}
+			for me, e := range perPeer {
+				if e != wantPerPeer {
+					t.Errorf("SortOpen at n = %d, input set %d: party %d sent each peer %d elements, want %d", n, i, me, e, wantPerPeer)
+				}
 			}
 		}
 	}
