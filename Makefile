@@ -256,8 +256,12 @@ test:
 # two square bodies, the fold's and the shape's, whose doubling shifts
 # carry bit 63 across words), the curve kernel and the SS field on it,
 # and their big.Int conversions, where the native word is not 64 bits.
+# The SS engine and sort run there too, with the metric store and the
+# per-party counters they charge, whose 64-bit atomics must stay aligned
+# on a 32-bit word.
 test-386:
-	GOARCH=386 $(GO) test -short ./internal/field/ ./internal/group/ ./internal/shamir/
+	GOARCH=386 $(GO) test -short ./internal/field/ ./internal/group/ ./internal/shamir/ \
+		./internal/telemetry/ ./internal/obsv/ ./internal/ssmpc/ ./internal/sssort/
 
 # Short mode keeps the race pass fast; the full chaos sweep runs
 # race-free in `test` and under the detector via `make race-full`.

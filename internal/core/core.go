@@ -154,6 +154,16 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: k=%d outside [1, n=%d]", p.K, p.N)
 	case p.Group == nil:
 		return fmt.Errorf("core: missing group")
+	case p.Sorter == SorterSecretSharing:
+		// The sort's field must carry every comparison among n parties:
+		// refused here, before any round, rather than at the first one.
+		prime, err := p.ssFieldPrime()
+		if err != nil {
+			return err
+		}
+		if err := ssmpc.CheckWidth(p.N, prime, p.BetaBits()); err != nil {
+			return fmt.Errorf("core: a %d-bit secret-sharing field for %d-bit gains: %w", prime.BitLen(), p.BetaBits(), err)
+		}
 	}
 	return nil
 }

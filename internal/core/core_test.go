@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/big"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -287,6 +288,34 @@ func TestParamsValidation(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("mutation %d accepted: %+v", i, p)
 		}
+	}
+}
+
+// TestParamsRefuseTooManySSParties: at l = 27 the derived 75-bit
+// secret-sharing field carries the sort's comparisons among at most 75
+// participants. Validate accepts 75 and refuses 76 before any round
+// runs, naming n and the limit; the unlinkable sorter has no such limit.
+func TestParamsRefuseTooManySSParties(t *testing.T) {
+	p := Params{N: 75, M: 4, T: 2, D1: 5, D2: 4, H: 8, K: 1, Group: testGroup(t), Sorter: SorterSecretSharing}
+	if l := p.BetaBits(); l != 27 {
+		t.Fatalf("l = %d, want 27", l)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatalf("n = 75 refused: %v", err)
+	}
+	p.N = 76
+	err := p.Validate()
+	if err == nil {
+		t.Fatal("n = 76 accepted")
+	}
+	for _, name := range []string{"n = 76", "at most 75"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("refusal %q does not name %q", err, name)
+		}
+	}
+	p.Sorter = SorterUnlinkable
+	if err := p.Validate(); err != nil {
+		t.Errorf("n = 76 refused for the unlinkable sorter: %v", err)
 	}
 }
 

@@ -32,8 +32,11 @@ var ErrSessionMismatch = errors.New("core: session parameters disagree")
 // version 4 sent it to every party; version 6 deals each secret-sharing
 // comparison's high mask as one integer per party in the first frame of
 // the mask-bit batch, where version 5 drew it as κ + 1 more shared bits,
-// so the frames of a mixed mesh's sort would not line up.
-const sessionVersion = 6
+// so the frames of a mixed mesh's sort would not line up; version 7
+// opens the sort's mask squares and last-layer products from their
+// degree-2d shares and reduces a layer's products in the next layer's
+// first less-than round, so a sort has fewer rounds than at version 6.
+const sessionVersion = 7
 
 // sessionMsg is the session-establishment announcement every party
 // broadcasts before any crypto is spent. It pins every parameter whose

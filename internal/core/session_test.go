@@ -128,7 +128,7 @@ func TestEstablishSessionCodecMismatch(t *testing.T) {
 		want string
 	}{
 		{"codec", func(m *sessionMsg) { m.Codec = 99 }, fmt.Sprintf("codec version (mine %d, theirs 99)", wirecodec.Version)},
-		{"session", func(m *sessionMsg) { m.Version = 5 }, fmt.Sprintf("wire version (mine %d, theirs 5)", sessionVersion)},
+		{"session", func(m *sessionMsg) { m.Version = 6 }, fmt.Sprintf("wire version (mine %d, theirs 6)", sessionVersion)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			errs := establishAllOver(t, all, func(net transport.Net) transport.Net { return otherBuildNet{net, tc.edit} })

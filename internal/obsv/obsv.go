@@ -61,7 +61,7 @@ const (
 	OpDecrypt                // ElGamal (partial) decryptions
 	OpProofMade              // Schnorr / Chaum–Pedersen proofs produced
 	OpProofChecked           // proofs verified
-	OpSSMul                  // SS multiplication-protocol invocations
+	OpSSMul                  // SS multiplication-protocol invocations (degree reductions; a product opened unreduced is none)
 	OpSSOpen                 // SS openings
 	OpSSRound                // SS communication rounds
 	OpFieldMul               // dot-product field multiplications

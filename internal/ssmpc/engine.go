@@ -1,16 +1,18 @@
 // Package ssmpc is a synchronous n-party secret-sharing MPC engine over
 // Shamir shares: the substrate of the paper's secret-sharing baseline
 // (Section II). It provides linear operations locally, BGW/GRR98
-// multiplication with degree reduction, batched openings, joint random
-// elements and bits, and a statistically masked secure comparison in the
-// style of the SS comparison primitives the paper cites ([5, 6]).
+// multiplication with degree reduction, products opened without one,
+// batched openings, joint random elements and bits, and a statistically
+// masked secure comparison in the style of the SS comparison primitives
+// the paper cites ([5, 6]).
 //
 // Every party runs the same SPMD program against its own Engine; the
 // engines communicate over a transport.Fabric and count multiplication
-// invocations, openings and communication rounds — the quantities the
-// paper's Section VI-B efficiency analysis is stated in.
+// invocations (degree reductions), openings and communication rounds —
+// the quantities the paper's Section VI-B efficiency analysis is stated
+// in.
 //
-// The comparison's masks. Mod2mBatch opens y = x + r' + 2^m·r” for an
+// The comparison's masks. Mod2m opens y = x + r' + 2^m·r” for an
 // l'-bit x. The low mask r' is m shared random bits, which the bitwise
 // less-than needs one by one. The high mask r” is only ever added, so
 // it is not drawn bit by bit, as in Catrina and de Hoogh's Mod2m: each
@@ -31,7 +33,9 @@
 //     whatever the coalition.
 //   - No wrap. y is at most 2^l' + 2^m + n·(2^w − 1)·2^m − 2, so the
 //     opening is the integer y as long as p exceeds that maximum, n
-//     included; checkWidth refuses a narrower field, naming n. The
+//     included; checkWidth refuses a narrower field, naming n and the
+//     most parties the prime carries, and CheckWidth lets a caller
+//     refuse such a session before its first round. The
 //     framework's field (core's ssFieldPrime, l + κ + 8 bits for l-bit
 //     comparisons, where w = κ + 1) carries it for every n ≤ 64: the
 //     bound is then n·2^(l+κ+1) + (3 − n)·2^l − 2 < 2^(l+κ+7), below
@@ -39,8 +43,41 @@
 //     unless the drawn prime happens to exceed the bound.
 //
 // The integers ride the first round of the RandomBits call that draws
-// the bits, in the same frame: a comparison deals l + 1 elements there,
-// squares and opens l, and no round is added.
+// the bits, in the same frame, and no round is added.
+//
+// Products opened without a reduction. A product of two degree-d shares
+// is a degree-2d share (a Wide), and n ≥ 2d + 1 parties hold enough
+// points to interpolate it. Opening it as it is would show the whole
+// product polynomial, whose coefficients 1..2d depend on the factors'
+// polynomials and not on the product alone. So a Wide is opened only
+// after a degree-2d sharing with uniform coefficients 1..2d is added to
+// it, every party dealing a share of that sharing (Damgård and Nielsen,
+// CRYPTO 2007): a zero-sharing where the product itself is wanted (the
+// mask squares r² of RandomBits, the last layer of a sort), Mod2m's
+// high mask r” where the product is masked anyway. The argument, for a
+// coalition of at most d parties and one honest dealer h of the added
+// sharing Z (its constant term z is 0, or u_h for r”):
+//
+//   - The coalition's d points of Z_h are uniform and independent of
+//     z, as any d points of a degree-2d polynomial are.
+//   - Given z and those d points, Z_h has d free coefficients left, and
+//     they are uniform. The opened polynomial Y is fixed by its value
+//     y = Y(0) and the coalition's own d points of it up to the same d
+//     free coefficients, so Y is uniform among the polynomials that
+//     agree with what the coalition already holds and with y: the
+//     opening shows y and nothing else.
+//   - r” at degree 2d. Its value is still Σ_j u_j, a sum holding the
+//     uniform u_h, and its shares are independent of that value (the
+//     first point), so the hiding argument above goes through
+//     unchanged: y is within 2^−κ of independent of x. The degree costs
+//     nothing: a dealer sends one element per party at either degree,
+//     and r” is only ever added, never multiplied.
+//
+// The squares of RandomBits are opened this way, two rounds instead of
+// three. A sort's compare-and-swap products feed the next layer's Mod2m
+// opening unreduced, and their reduction rides in the first round of
+// that layer's less-than, which does not read them (GTEOpen's pending);
+// the last layer's products are opened with zero-sharings (OpenWide).
 //
 // Shares are field.Elem values (limbs in Montgomery form on the shared
 // limb field, internal/field), so every local operation is
@@ -66,8 +103,9 @@ import (
 // Config describes one MPC session.
 type Config struct {
 	// N is the number of parties; it must satisfy N ≥ 2·Degree+1 so
-	// multiplication degree reduction is possible — the constraint that
-	// caps the baseline at (n−1)/2 colluders (Section II).
+	// that a product's degree-2d shares can be reduced or opened — the
+	// constraint that caps the baseline at (n−1)/2 colluders
+	// (Section II).
 	N int
 	// Degree is the sharing polynomial degree d (max colluders).
 	Degree int
@@ -118,9 +156,11 @@ type Engine struct {
 	round int
 	obs   *obsv.Party // counts the cost quantities of Section VI-B
 
-	f   *shamir.Field
-	sch *shamir.Scheme // degree-d sharing at abscissae 1..N, with the Lagrange coefficients at 0
-	one Share
+	f      *shamir.Field
+	sch    *shamir.Scheme // degree-d sharing at abscissae 1..N, with the Lagrange coefficients at 0
+	wide   *shamir.Scheme // degree-2d sharing: masks and zero-sharings added to a Wide before it opens
+	pieces []field.Elem   // one polynomial's N pieces, as deal writes them out
+	one    Share
 	// Public constants the comparison protocols scale by, converted
 	// once: pow2[i] = 2^i and invPow2[i] = 2^−i for i < bitlen(P).
 	pow2, invPow2 []field.Elem
@@ -145,11 +185,16 @@ func NewEngineCtx(ctx context.Context, cfg Config, me int, fab transport.Net, rn
 	if err != nil {
 		return nil, fmt.Errorf("ssmpc: preparing the sharing scheme: %w", err)
 	}
+	wide, err := shamir.NewScheme(f, 2*cfg.Degree, cfg.N)
+	if err != nil {
+		return nil, fmt.Errorf("ssmpc: preparing the degree-2d sharing scheme: %w", err)
+	}
 	// Observability: the party handle rides in on the context; the net
 	// wrapper charges this engine's sends to the party's current span.
 	obs := obsv.PartyFrom(ctx)
 	fab = obsv.ObservedNet(fab, obs)
-	e := &Engine{cfg: cfg, me: me, fab: fab, rng: rng, ctx: ctx, obs: obs, f: f, sch: sch, one: Share{y: f.One()}}
+	e := &Engine{cfg: cfg, me: me, fab: fab, rng: rng, ctx: ctx, obs: obs,
+		f: f, sch: sch, wide: wide, pieces: make([]field.Elem, cfg.N), one: Share{y: f.One()}}
 
 	width := cfg.P.BitLen()
 	e.pow2 = make([]field.Elem, width)
@@ -225,33 +270,28 @@ func (e *Engine) fromWire(dst []field.Elem, payload any, from int, kind string) 
 	return nil
 }
 
-// deal splits fresh random elements, each drawn right before its
-// polynomial (the order RandomElements has always consumed the party
-// RNG in), followed by the given secrets, and returns the pieces as one
-// slab indexed [party·k + secret], k = fresh + len(secrets): party j's
-// message is the contiguous run j·k..j·k+k.
-func (e *Engine) deal(fresh int, secrets []field.Elem) ([]field.Elem, error) {
-	k := fresh + len(secrets)
-	slab := make([]field.Elem, e.cfg.N*k)
-	pieces := make([]field.Elem, e.cfg.N)
-	for i := 0; i < k; i++ {
-		var secret field.Elem
-		if i >= fresh {
-			secret = secrets[i-fresh]
-		} else {
-			var err error
-			if secret, err = e.sch.Rand(e.rng); err != nil {
-				return nil, err
-			}
-		}
-		if err := e.sch.Split(pieces, &secret, e.rng); err != nil {
+// deal splits each secret with sch and returns the pieces as one slab
+// indexed [party·k + secret], k = len(secrets): party j's message is
+// the contiguous run j·k..j·k+k.
+func (e *Engine) deal(sch *shamir.Scheme, secrets []field.Elem) ([]field.Elem, error) {
+	slab := make([]field.Elem, e.cfg.N*len(secrets))
+	for i := range secrets {
+		if err := e.split(slab, len(secrets), i, sch, &secrets[i]); err != nil {
 			return nil, err
-		}
-		for j := range pieces {
-			slab[j*k+i] = pieces[j]
 		}
 	}
 	return slab, nil
+}
+
+// split shares one secret with sch into column i of a slab of k columns.
+func (e *Engine) split(slab []field.Elem, k, i int, sch *shamir.Scheme, secret *field.Elem) error {
+	if err := sch.Split(e.pieces, secret, e.rng); err != nil {
+		return err
+	}
+	for j := range e.pieces {
+		slab[j*k+i] = e.pieces[j]
+	}
+	return nil
 }
 
 // sendPieces sends every other party its run of a dealt slab.
@@ -319,7 +359,7 @@ func (e *Engine) ShareBatch(dealer int, secrets []*big.Int, count int) ([]Share,
 		for i, s := range secrets {
 			mine[i] = e.f.Reduce(s)
 		}
-		slab, err := e.deal(0, mine)
+		slab, err := e.deal(e.sch, mine)
 		if err != nil {
 			return nil, err
 		}
@@ -341,7 +381,23 @@ func (e *Engine) ShareBatch(dealer int, secrets []*big.Int, count int) ([]Share,
 
 // OpenBatch reveals the given shared values to every party in one round.
 func (e *Engine) OpenBatch(shares []Share) ([]*big.Int, error) {
-	opened, err := e.open(shares)
+	return e.OpenWide(shares, nil, nil)
+}
+
+// OpenWide reveals shares and, after them, the values of ws in one
+// round. Each ws[i] opens from its degree-2d shares with zeros[i] added
+// first, a degree-2d sharing of zero that RandomBits dealt, so the
+// opening shows the value alone (see the package doc).
+func (e *Engine) OpenWide(shares []Share, ws, zeros []Wide) ([]*big.Int, error) {
+	masked, err := e.randomise(ws, zeros)
+	if err != nil {
+		return nil, err
+	}
+	mine := make([]field.Elem, 0, len(shares)+len(ws))
+	for _, s := range shares {
+		mine = append(mine, s.y)
+	}
+	opened, err := e.open(append(mine, masked...))
 	if err != nil {
 		return nil, err
 	}
@@ -352,21 +408,31 @@ func (e *Engine) OpenBatch(shares []Share) ([]*big.Int, error) {
 	return out, nil
 }
 
-// open is OpenBatch before the conversion to integers.
-func (e *Engine) open(shares []Share) ([]field.Elem, error) {
-	round := e.nextRound()
-	e.obs.Add(obsv.OpSSOpen, int64(len(shares)))
-	mine := make([]field.Elem, len(shares))
-	for i, s := range shares {
-		mine[i] = s.y
+// randomise returns this party's shares of ws[i] + zeros[i], the shares
+// a product opening sends.
+func (e *Engine) randomise(ws, zeros []Wide) ([]field.Elem, error) {
+	if len(zeros) != len(ws) {
+		return nil, fmt.Errorf("ssmpc: %d products to open need as many zero-sharings, got %d", len(ws), len(zeros))
 	}
+	out := make([]field.Elem, len(ws))
+	for i := range ws {
+		e.f.Add(&out[i], &ws[i].y, &zeros[i].y)
+	}
+	return out, nil
+}
+
+// open reveals the values of the given shares, of degree at most 2d,
+// in one round.
+func (e *Engine) open(mine []field.Elem) ([]field.Elem, error) {
+	round := e.nextRound()
+	e.obs.Add(obsv.OpSSOpen, int64(len(mine)))
 	// Openings are broadcasts of share vectors (the opened-histogram
 	// rounds of the top-k framework ride on this): on real fabrics they
 	// run as echo broadcasts so a party feeding different shares to
 	// different peers — splitting the group over what a histogram
 	// contains — is identified instead of silently skewing the
 	// reconstruction. In-process runs skip the echo.
-	all, err := transport.EchoBroadcastCtx(e.ctx, e.fab, e.me, round, len(shares)*e.fieldBytes(), e.toWire(mine))
+	all, err := transport.EchoBroadcastCtx(e.ctx, e.fab, e.me, round, len(mine)*e.fieldBytes(), e.toWire(mine))
 	if err != nil {
 		return nil, transport.AnnotatePhase(err, "ssmpc")
 	}
@@ -374,7 +440,7 @@ func (e *Engine) open(shares []Share) ([]field.Elem, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.recombine(cols, len(shares)), nil
+	return e.recombine(cols, len(mine)), nil
 }
 
 // Add returns a share of a+b (local).
@@ -400,48 +466,99 @@ func (e *Engine) ConstShare(k *big.Int) Share {
 	return Share{y: e.f.Reduce(k)}
 }
 
-// MulBatch multiplies element-wise with one degree-reduction round
-// (GRR98): each party reshares its degree-2d product share with a fresh
-// degree-d polynomial, and the new share is the Lagrange combination of
-// the received pieces.
+// Wide is this party's share of a value at degree 2d: the local product
+// of two shares, a mask dealt at degree 2d, or a sum of such and of
+// shares. It takes sums, but no product and no plain opening: it leaves
+// the party only through an opening that first adds a degree-2d mask
+// (OpenWide, GTEOpen) or through a degree reduction (GTEOpen's pending).
+type Wide struct {
+	y field.Elem
+}
+
+// Widen returns a as a degree-2d share (local).
+func (e *Engine) Widen(a Share) Wide { return Wide(a) }
+
+// AddWide returns a share of a+b at degree 2d (local).
+func (e *Engine) AddWide(a, b Wide) Wide {
+	e.f.Add(&a.y, &a.y, &b.y)
+	return a
+}
+
+// SubWide returns a share of a−b at degree 2d (local).
+func (e *Engine) SubWide(a, b Wide) Wide {
+	e.f.Sub(&a.y, &a.y, &b.y)
+	return a
+}
+
+// Products returns the element-wise products at degree 2d (local): no
+// round, and no multiplication is charged until a reduction takes them.
+func (e *Engine) Products(as, bs []Share) []Wide {
+	out := make([]Wide, len(as))
+	for i := range out {
+		e.f.Mul(&out[i].y, &as[i].y, &bs[i].y)
+	}
+	return out
+}
+
+// MulBatch multiplies element-wise with one degree-reduction round.
 func (e *Engine) MulBatch(as, bs []Share) ([]Share, error) {
 	if len(as) != len(bs) {
 		return nil, fmt.Errorf("ssmpc: MulBatch length mismatch %d vs %d", len(as), len(bs))
 	}
-	k := len(as)
+	prods, _, err := e.reduce(e.Products(as, bs), nil)
+	return prods, err
+}
+
+// reduce brings the degree-2d shares of prods and then of pending to
+// degree d in one round (GRR98): each party reshares its shares with
+// fresh degree-d polynomials, and the new share is the Lagrange
+// combination of the received pieces. Every reduced value is charged
+// as one multiplication; a batch of none costs no round.
+func (e *Engine) reduce(prods, pending []Wide) (products, reduced []Share, err error) {
+	k := len(prods) + len(pending)
 	if k == 0 {
-		return nil, nil
+		return nil, nil, nil
 	}
 	round := e.nextRound()
 	e.obs.Add(obsv.OpSSMul, int64(k))
-
-	// My degree-2d product shares, reshared piece by piece.
-	prods := make([]field.Elem, k)
-	for i := range prods {
-		e.f.Mul(&prods[i], &as[i].y, &bs[i].y)
+	mine := make([]field.Elem, 0, k)
+	for _, w := range prods {
+		mine = append(mine, w.y)
 	}
-	slab, err := e.deal(0, prods)
+	for _, w := range pending {
+		mine = append(mine, w.y)
+	}
+	slab, err := e.deal(e.sch, mine)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := e.sendPieces(round, slab, k); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	all, err := e.gather(round)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cols, err := e.columns(all, slab[e.me*k:(e.me+1)*k], "mul")
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return wrapAll(e.recombine(cols, k)), nil
+	out := wrapAll(e.recombine(cols, k))
+	return out[:len(prods)], out[len(prods):], nil
 }
 
 func wrapAll(ys []field.Elem) []Share {
 	out := make([]Share, len(ys))
 	for i, y := range ys {
 		out[i] = Share{y: y}
+	}
+	return out
+}
+
+func wrapWide(ys []field.Elem) []Wide {
+	out := make([]Wide, len(ys))
+	for i, y := range ys {
+		out[i] = Wide{y: y}
 	}
 	return out
 }

@@ -14,19 +14,36 @@ func (e *Engine) RandomElements(k int) ([]Share, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("ssmpc: RandomElements needs k > 0, got %d", k)
 	}
-	return e.dealSum(k, nil)
-}
-
-// dealSum is one round in which every party deals k fresh random
-// elements followed by its own secrets (as many at every party), and
-// returns the shares of each position's sum over the parties: k joint
-// random elements, then Σ_j secrets_j element by element.
-func (e *Engine) dealSum(k int, secrets []field.Elem) ([]Share, error) {
-	round := e.nextRound()
-	total := k + len(secrets)
-	slab, err := e.deal(k, secrets)
+	sums, err := e.dealSum(k, nil)
 	if err != nil {
 		return nil, err
+	}
+	return wrapAll(sums), nil
+}
+
+// dealSum is one round in which every party deals fresh random
+// elements at degree d, each drawn right before its polynomial,
+// followed by its own secrets at degree 2d (as many at every party),
+// and returns the shares of each position's sum over the parties: fresh
+// joint random elements at degree d, then Σ_j secrets_j element by
+// element at degree 2d.
+func (e *Engine) dealSum(fresh int, wide []field.Elem) ([]field.Elem, error) {
+	round := e.nextRound()
+	total := fresh + len(wide)
+	slab := make([]field.Elem, e.cfg.N*total)
+	for i := 0; i < fresh; i++ {
+		r, err := e.sch.Rand(e.rng)
+		if err != nil {
+			return nil, err
+		}
+		if err := e.split(slab, total, i, e.sch, &r); err != nil {
+			return nil, err
+		}
+	}
+	for i := range wide {
+		if err := e.split(slab, total, fresh+i, e.wide, &wide[i]); err != nil {
+			return nil, err
+		}
 	}
 	if err := e.sendPieces(round, slab, total); err != nil {
 		return nil, err
@@ -39,68 +56,86 @@ func (e *Engine) dealSum(k int, secrets []field.Elem) ([]Share, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Share, total)
+	out := make([]field.Elem, total)
 	for j := 0; j < e.cfg.N; j++ {
 		for i := range out {
-			e.f.Add(&out[i].y, &out[i].y, &cols[j*total+i])
+			e.f.Add(&out[i], &out[i], &cols[j*total+i])
 		}
 	}
 	return out, nil
 }
 
+// Masks is what one RandomBits call deals.
+type Masks struct {
+	// Bits are uniform shared bits at degree d.
+	Bits []Share
+	// Highs are Mod2m's high masks r” = Σ_j u_j, each party's u_j
+	// uniform in [0, 2^w), at degree 2d.
+	Highs []Wide
+	// Zeros are degree-2d sharings of zero, with every party's
+	// contribution in their coefficients, for OpenWide.
+	Zeros []Wide
+}
+
 // RandomBits produces k uniformly random shared bits via the classic
 // square-and-open construction: draw shared r, open r², reject zero,
 // and set b = (r/√(r²) + 1)/2, which is a uniform bit because r/√(r²)
-// is a uniform sign. Constant number of rounds per retry batch.
+// is a uniform sign. The square is opened from its degree-2d local
+// shares with a zero-sharing added (see the package doc), so a batch is
+// two rounds: the first deals r and the zero-sharing, the second opens.
 //
-// It also returns ints shared integers, the high masks of Mod2m: every
-// party draws a uniform u_j in [0, 2^w) per integer and deals it in the
-// first round, in the same frame as its contributions to the r values,
-// and the integer is Σ_j u_j < n·2^w. No round is added for them, and
-// they are never bit-decomposed.
-func (e *Engine) RandomBits(k, ints, w int) (bits, sums []Share, err error) {
+// The first round also deals ints high masks of w bits and zeros more
+// zero-sharings, in the same frame: every party draws a uniform u_j in
+// [0, 2^w) per integer, and the integer is Σ_j u_j < n·2^w. No round is
+// added for them, and the integers are never bit-decomposed.
+func (e *Engine) RandomBits(k, ints, w, zeros int) (Masks, error) {
 	if k <= 0 {
-		return nil, nil, fmt.Errorf("ssmpc: RandomBits needs k > 0, got %d", k)
+		return Masks{}, fmt.Errorf("ssmpc: RandomBits needs k > 0, got %d", k)
 	}
-	if ints < 0 || ints > 0 && (w < 1 || w >= e.cfg.P.BitLen()) {
-		return nil, nil, fmt.Errorf("ssmpc: RandomBits cannot deal %d integers of %d bits in a %d-bit field",
-			ints, w, e.cfg.P.BitLen())
+	if ints < 0 || zeros < 0 || ints > 0 && (w < 1 || w >= e.cfg.P.BitLen()) {
+		return Masks{}, fmt.Errorf("ssmpc: RandomBits cannot deal %d integers of %d bits in a %d-bit field and %d zero-sharings",
+			ints, w, e.cfg.P.BitLen(), zeros)
 	}
-	us := make([]field.Elem, ints)
-	for i := range us {
+	// After the squares' zero-sharings, the first round deals these.
+	extra := make([]field.Elem, ints+zeros)
+	for i := 0; i < ints; i++ {
 		u, err := fixedbig.RandBits(e.rng, w)
 		if err != nil {
-			return nil, nil, err
+			return Masks{}, err
 		}
-		us[i] = e.f.Reduce(u)
+		extra[i] = e.f.Reduce(u)
 	}
-	out := make([]Share, 0, k)
+	var m Masks
+	m.Bits = make([]Share, 0, k)
 	need := k
 	for attempts := 0; need > 0; attempts++ {
 		if attempts > 64 {
-			return nil, nil, fmt.Errorf("ssmpc: RandomBits failed to converge")
+			return Masks{}, fmt.Errorf("ssmpc: RandomBits failed to converge")
 		}
-		rs, err := e.dealSum(need, us)
+		dealt, err := e.dealSum(need, append(make([]field.Elem, need), extra...))
 		if err != nil {
-			return nil, nil, err
+			return Masks{}, err
 		}
+		rs := wrapAll(dealt[:need])
 		if attempts == 0 {
-			rs, sums, us = rs[:need], rs[need:], nil
+			m.Highs = wrapWide(dealt[2*need : 2*need+ints])
+			m.Zeros = wrapWide(dealt[2*need+ints:])
+			extra = nil
 		}
-		sqs, err := e.MulBatch(rs, rs)
+		sqs, err := e.randomise(e.Products(rs, rs), wrapWide(dealt[need:2*need]))
 		if err != nil {
-			return nil, nil, err
+			return Masks{}, err
 		}
 		roots, err := e.open(sqs)
 		if err != nil {
-			return nil, nil, err
+			return Masks{}, err
 		}
 		// The canonical root of every opened square (the smaller of the
 		// two, so every party picks the same sign); a zero stays zero
 		// through the batch inversion and marks a slot to retry.
 		for i := range roots {
 			if !e.f.Sqrt(&roots[i], &roots[i]) {
-				return nil, nil, fmt.Errorf("ssmpc: opened square %s has no root", e.f.ToBig(&roots[i]))
+				return Masks{}, fmt.Errorf("ssmpc: opened square %s has no root", e.f.ToBig(&roots[i]))
 			}
 		}
 		e.f.InvBatch(roots)
@@ -110,9 +145,9 @@ func (e *Engine) RandomBits(k, ints, w int) (bits, sums []Share, err error) {
 			}
 			// b = (r·w⁻¹ + 1)/2.
 			b := e.Add(e.scale(rs[i], &roots[i]), e.one)
-			out = append(out, e.scale(b, &e.invPow2[1]))
+			m.Bits = append(m.Bits, e.scale(b, &e.invPow2[1]))
 		}
-		need = k - len(out)
+		need = k - len(m.Bits)
 	}
-	return out, sums, nil
+	return m, nil
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"groupranking/internal/field"
 	"groupranking/internal/fixedbig"
 	"groupranking/internal/obsv"
 	"groupranking/internal/transport"
@@ -170,11 +171,11 @@ func TestRandomBitsAreBits(t *testing.T) {
 	cfg := testConfig(t, 5, 2)
 	const k = 24
 	results, _, err := RunProgram(cfg, "rand-bits", nil, func(e *Engine) ([]*big.Int, error) {
-		bits, _, err := e.RandomBits(k, 0, 0)
+		m, err := e.RandomBits(k, 0, 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		return e.OpenBatch(bits)
+		return e.OpenBatch(m.Bits)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,29 +195,48 @@ func TestRandomBitsAreBits(t *testing.T) {
 }
 
 // TestRandomBitsDealsIntegers: the integers RandomBits deals beside its
-// bits open, at every party alike, to sums of n values below 2^w, and
-// they cost no round of their own: bits and integers together take the
-// three rounds the bits alone take.
+// bits open, at every party alike, to sums of n values below 2^w, its
+// zero-sharings to zero, and neither costs a round of its own: bits,
+// integers and zero-sharings together take the two rounds the bits
+// alone take (the squares open from their degree-2d shares).
 func TestRandomBitsDealsIntegers(t *testing.T) {
-	const n, k, ints, w = 5, 3, 16, 10
+	const n, k, ints, zeros, w = 5, 3, 16, 4, 10
 	cfg := testConfig(t, n, 2)
 	results, _, err := RunProgram(cfg, "rand-ints", nil, func(e *Engine) ([]*big.Int, error) {
 		before := e.round
-		bits, sums, err := e.RandomBits(k, ints, w)
+		m, err := e.RandomBits(k, ints, w, zeros)
 		if err != nil {
 			return nil, err
 		}
-		if rounds := e.round - before; rounds != 3 || len(bits) != k || len(sums) != ints {
-			return nil, fmt.Errorf("%d bits and %d integers in %d rounds, want %d, %d, 3", len(bits), len(sums), rounds, k, ints)
+		if rounds := e.round - before; rounds != 2 || len(m.Bits) != k || len(m.Highs) != ints || len(m.Zeros) != zeros {
+			return nil, fmt.Errorf("%d bits, %d integers and %d zeros in %d rounds, want %d, %d, %d, 2",
+				len(m.Bits), len(m.Highs), len(m.Zeros), rounds, k, ints, zeros)
 		}
-		return e.OpenBatch(sums)
+		var ys []field.Elem
+		for _, h := range append(m.Highs, m.Zeros...) {
+			ys = append(ys, h.y)
+		}
+		opened, err := e.open(ys)
+		if err != nil {
+			return nil, err
+		}
+		out := make([]*big.Int, len(opened))
+		for i := range opened {
+			out[i] = e.f.ToBig(&opened[i])
+		}
+		return out, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	for i, v := range results[0].Value[ints:] {
+		if v.Sign() != 0 {
+			t.Errorf("zero-sharing %d opened to %s", i, v)
+		}
+	}
 	max := big.NewInt(n * (1<<w - 1))
 	distinct := map[string]bool{}
-	for i, v := range results[0].Value {
+	for i, v := range results[0].Value[:ints] {
 		for _, r := range results[1:] {
 			if r.Value[i].Cmp(v) != 0 {
 				t.Fatalf("parties disagree on integer %d", i)
@@ -266,9 +286,12 @@ func TestBitLTPublic(t *testing.T) {
 	checkBitLT(t, cfg, 27, cs, rs)
 }
 
-// checkBitLT runs one BitLTPublicBatch over the pairs (cs[j], rs[j]) at
-// the given width, with r's bits dealt by party 0, and checks every
-// opened bit and that the batch took ⌈log₂ width⌉ rounds.
+// checkBitLT runs one bitLT over the pairs (cs[j], rs[j]) at the given
+// width, with r's bits dealt by party 0, and checks every opened bit and
+// that the batch took ⌈log₂ width⌉ rounds. A run then repeats the batch
+// with the degree-2d square of the first r bit pending: its reduction
+// rides in the first round, or takes one of its own at width 1, and
+// opens to the bit.
 func checkBitLT(t *testing.T, cfg Config, width int, cs, rs []uint64) {
 	t.Helper()
 	results, _, err := RunProgram(cfg, fmt.Sprintf("bitlt-%d", width), nil, func(e *Engine) ([]*big.Int, error) {
@@ -293,25 +316,38 @@ func checkBitLT(t *testing.T, cfg Config, width int, cs, rs []uint64) {
 			rBits[j] = flat[j*width : (j+1)*width]
 		}
 		before := e.round
-		lt, err := e.BitLTPublicBatch(cBits, rBits)
+		lt, _, err := e.bitLT(cBits, rBits, nil)
 		if err != nil {
 			return nil, err
 		}
 		if rounds, want := e.round-before, bits.Len(uint(width-1)); rounds != want {
 			return nil, fmt.Errorf("width %d took %d rounds, want %d", width, rounds, want)
 		}
-		return e.OpenBatch(lt)
+		before = e.round
+		again, reduced, err := e.bitLT(cBits, rBits, e.Products(flat[:1], flat[:1]))
+		if err != nil {
+			return nil, err
+		}
+		if rounds, want := e.round-before, max(1, bits.Len(uint(width-1))); rounds != want || len(reduced) != 1 {
+			return nil, fmt.Errorf("width %d with one product pending took %d rounds and reduced %d, want %d and 1",
+				width, rounds, len(reduced), want)
+		}
+		return e.OpenBatch(append(append(lt, again...), reduced...))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for j, got := range results[0].Value {
+	got := results[0].Value
+	if want := int64(rs[0] & 1); got[2*len(cs)].Int64() != want {
+		t.Errorf("width %d: the pending square of r's bit 0 reduced to %s, want %d", width, got[2*len(cs)], want)
+	}
+	for j, got := range got[:2*len(cs)] {
 		want := int64(0)
-		if cs[j] < rs[j] {
+		if cs[j%len(cs)] < rs[j%len(cs)] {
 			want = 1
 		}
 		if got.Int64() != want {
-			t.Errorf("width %d: [%d < %d] opened %s, want %d", width, cs[j], rs[j], got, want)
+			t.Errorf("width %d: [%d < %d] opened %s, want %d", width, cs[j%len(cs)], rs[j%len(cs)], got, want)
 		}
 	}
 }
@@ -336,17 +372,18 @@ func TestMod2m(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			bits, highs, err := e.RandomBits(tc.m, 1, highWidth(tc.lPrime, tc.m))
+			m, err := e.RandomBits(tc.m, 1, highWidth(tc.lPrime, tc.m), 0)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := e.Mod2mBatch(x, tc.lPrime, tc.m, bits[1:], highs); err == nil {
-				return nil, fmt.Errorf("Mod2m accepted %d mask bits for %d", len(bits)-1, len(bits))
+			xw := []Wide{e.Widen(x[0])}
+			if _, _, err := e.mod2m(xw, tc.lPrime, tc.m, m.Bits[1:], m.Highs, nil); err == nil {
+				return nil, fmt.Errorf("Mod2m accepted %d mask bits for %d", len(m.Bits)-1, len(m.Bits))
 			}
-			if _, err := e.Mod2mBatch(x, tc.lPrime, tc.m, bits, nil); err == nil {
+			if _, _, err := e.mod2m(xw, tc.lPrime, tc.m, m.Bits, nil, nil); err == nil {
 				return nil, fmt.Errorf("Mod2m accepted no high mask")
 			}
-			low, err := e.Mod2mBatch(x, tc.lPrime, tc.m, bits, highs)
+			low, _, err := e.mod2m(xw, tc.lPrime, tc.m, m.Bits, m.Highs, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -382,11 +419,11 @@ func TestGTEAndLT(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			bits, highs, err := e.RandomBits(MaskBits(l), 1, MaskWidth(l))
+			m, err := e.RandomBits(MaskBits(l), 1, MaskWidth(l), 0)
 			if err != nil {
 				return nil, err
 			}
-			gte, err := e.GTEBatch(a, b, l, bits, highs)
+			gte, err := e.GTEBatch(a, b, l, m.Bits, m.Highs)
 			if err != nil {
 				return nil, err
 			}
@@ -427,11 +464,11 @@ func TestCountersAdvance(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		bits, highs, err := e.RandomBits(MaskBits(8), 1, MaskWidth(8))
+		m, err := e.RandomBits(MaskBits(8), 1, MaskWidth(8), 0)
 		if err != nil {
 			return err
 		}
-		gte, err := e.GTEBatch(a, a, 8, bits, highs)
+		gte, err := e.GTEBatch(a, a, 8, m.Bits, m.Highs)
 		if err != nil {
 			return err
 		}
@@ -448,11 +485,12 @@ func TestCountersAdvance(t *testing.T) {
 	if fab.Stats().TotalBytes() == 0 {
 		t.Error("no bytes recorded on the fabric")
 	}
-	// One comparison at l = 8: l = 8 squarings for the low mask's bits
-	// (the high mask is dealt, not squared) and 4 + 3 + 1 = 8 in the
-	// tree (sssort's traffic test pins the closed forms).
-	if mults != 16 {
-		t.Errorf("one comparison at l = 8 made %d multiplications, want 16", mults)
+	// One comparison at l = 8: 4 + 3 + 1 = 8 degree reductions in the
+	// tree; the low mask's 8 squares open unreduced and the high mask
+	// is dealt, not squared (sssort's traffic test pins the closed
+	// forms).
+	if mults != 8 {
+		t.Errorf("one comparison at l = 8 made %d multiplications, want 8", mults)
 	}
 }
 
@@ -505,15 +543,15 @@ func TestGTEFieldTooSmall(t *testing.T) {
 				for i := range bits {
 					bits[i] = e.one
 				}
-				high := e.ConstShare(big.NewInt(int64(tc.n) * (1<<highWidth(tc.lPrime, tc.m) - 1)))
-				out, err := e.Mod2mBatch([]Share{x}, tc.lPrime, tc.m, bits, []Share{high})
+				high := e.Widen(e.ConstShare(big.NewInt(int64(tc.n) * (1<<highWidth(tc.lPrime, tc.m) - 1))))
+				out, _, err := e.mod2m([]Wide{e.Widen(x)}, tc.lPrime, tc.m, bits, []Wide{high}, nil)
 				if err != nil {
 					return nil, err
 				}
 				if l := tc.m; tc.lPrime == l+1 {
 					// GTE's c = a − b + 2^l is 2^l' − 1 at a = 2^l − 1, b = 0.
 					a := e.ConstShare(new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(l)), big.NewInt(1)))
-					gte, err := e.GTEBatch([]Share{a}, []Share{{}}, l, bits, []Share{high})
+					gte, err := e.GTEBatch([]Share{a}, []Share{{}}, l, bits, []Wide{high})
 					if err != nil {
 						return nil, err
 					}
@@ -663,11 +701,11 @@ func FuzzGTEAgainstPlaintext(f *testing.F) {
 			if err != nil {
 				return nil, err
 			}
-			bits, highs, err := e.RandomBits(MaskBits(l), 1, MaskWidth(l))
+			m, err := e.RandomBits(MaskBits(l), 1, MaskWidth(l), 0)
 			if err != nil {
 				return nil, err
 			}
-			gte, err := e.GTEBatch(sh[:1], sh[1:], l, bits, highs)
+			gte, err := e.GTEBatch(sh[:1], sh[1:], l, m.Bits, m.Highs)
 			if err != nil {
 				return nil, err
 			}

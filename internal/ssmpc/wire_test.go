@@ -49,7 +49,8 @@ func (w *widthTap) Broadcast(round, from, bytes int, payload any) error {
 }
 
 // TestFrameWidthsPinned: share, multiplication and opening batches of
-// a seeded run — random bits included, whose squares open — encode to
+// a seeded run — random bits included, whose squares open, and a
+// product opened with a zero-sharing — encode to
 // exactly their declared bytes plus framing at a two-limb and a
 // three-limb prime.
 func TestFrameWidthsPinned(t *testing.T) {
@@ -79,8 +80,12 @@ func TestFrameWidthsPinned(t *testing.T) {
 				if err == nil {
 					_, err = e.OpenBatch(shares)
 				}
+				var m Masks
 				if err == nil {
-					_, _, err = e.RandomBits(2, 1, 8)
+					m, err = e.RandomBits(2, 1, 8, 1)
+				}
+				if err == nil {
+					_, err = e.OpenWide(m.Bits[:1], e.Products(m.Bits[1:], m.Bits[1:]), m.Zeros)
 				}
 				return err
 			})

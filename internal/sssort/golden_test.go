@@ -90,7 +90,11 @@ func goldenTranscript(t *testing.T, n, degree, primeBits, l int) string {
 // opened sequence did not. Re-recorded when the comparison's high mask
 // became one integer dealt by every party beside the mask bits' random
 // elements instead of κ + 1 more shared bits: the frames changed, the
-// rounds and the opened sequence did not. A change to the order or
+// rounds and the opened sequence did not. Re-recorded when products
+// came to open from their degree-2d shares, a degree-2d mask added,
+// instead of after a reduction round, and a layer's products to be
+// reduced in the next layer's first less-than round: the frames and
+// rounds changed, the opened sequence did not. A change to the order or
 // width of any RNG draw, to which root RandomBits picks, or to any
 // frame's encoding moves it.
 func TestGoldenTranscript(t *testing.T) {
@@ -98,9 +102,9 @@ func TestGoldenTranscript(t *testing.T) {
 		n, degree, primeBits, l int
 		want                    string
 	}{
-		{5, 2, 75, 27, "ca5f920891e3e28c01bead43b51096374ded411d370f0ead6eecb804fd15e401"},
-		{3, 1, 110, 62, "07adb61077a718fae2a88938e474a9f69f0a31782d54bc32d3fac1e9240f69ef"},
-		{3, 1, 140, 62, "b45da6a15e53a58f67c8a9d73b0b9adee8fe57ae9dc4799baa98e9819e447925"}, // past 2^128: the three-limb multiply (recorded on the four-limb one)
+		{5, 2, 75, 27, "bab07eb048689f067ec4f0820f9a6d7a0f059433339ef3d76a75963d544b3bbe"},
+		{3, 1, 110, 62, "8ed33ec24f1e13b4c1155ffdc3ca41cdaaf0ebbc790aa2a9e75b0b64297910be"},
+		{3, 1, 140, 62, "f5d8fe918fd7fc378eb898a6053d75bb6850e8988ccbb42546f3e087c0b6b200"}, // past 2^128: the three-limb multiply (recorded on the four-limb one)
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -275,22 +275,27 @@ func treeMuls(m int) int64 {
 }
 
 // TestTrafficShape pins what a comparison and a sort charge as closed
-// forms in the width l, the comparator count C and the network depth D,
-// over two input sets each: the traffic may depend on the shape of the
-// sort, never on the values compared or on anything opened. A
-// comparison draws MaskBits(l) = l bits (one square each, all opened)
-// and deals one integer beside them for its high mask, opens its masked
-// value and runs the ⌈log₂ l⌉-round tree; a sort draws every
-// comparator's masks in one batch (three rounds), then spends per layer
-// that opening, the tree and the swap's product. Each party sends each
-// peer, per comparison, l + 1 dealt elements, l squares' pieces, l
-// square shares opened, the masked value opened, the tree's and the
-// swap's products' pieces: 3l + tree(l) + 3.
+// forms in the width l, the comparator count C, the network depth D and
+// the last layer's comparator count k_last, over two input sets each:
+// the traffic may depend on the shape of the sort, never on the values
+// compared or on anything opened. A multiplication is a degree
+// reduction; a product opened from its degree-2d shares is not one. A
+// comparison draws MaskBits(l) = l bits (one square each, opened
+// unreduced) and deals one integer beside them for its high mask, opens
+// its masked value and runs the ⌈log₂ l⌉-round tree; a sort draws every
+// comparator's masks in one batch (two rounds), then spends per layer
+// that opening and the tree, whose first round also reduces the
+// products of the layer before, and opens the last layer's products
+// unreduced with two zero-sharings a comparator. Each party sends each
+// peer, per comparison, 2l + 1 dealt elements, l square shares opened,
+// the masked value opened, the tree's pieces and the swap product's
+// (reduced or, in the last layer, replaced by two zero-sharings):
+// 3l + tree(l) + 3, plus k_last a sort.
 func TestTrafficShape(t *testing.T) {
 	const l = 27
 	mask, tree, depth := int64(ssmpc.MaskBits(l)), treeMuls(l), int64(bits.Len(l-1))
-	if mask+tree+1 != 63 || tree != 35 || depth != 5 {
-		t.Fatalf("closed forms at l = 27: %d + %d + 1 multiplications, %d tree rounds; want 27 + 35 + 1, 5", mask, tree, depth)
+	if mask != 27 || tree != 35 || depth != 5 {
+		t.Fatalf("closed forms at l = 27: %d mask bits, %d tree multiplications in %d rounds; want 27, 35, 5", mask, tree, depth)
 	}
 	cfg := testConfig(t, 5, 2)
 	for i, pairs := range [][][2]int64{{{50, 3}, {7, 7}, {0, 1}}, {{0, 1<<l - 1}, {1<<l - 1, 0}, {12345, 12344}}} {
@@ -310,45 +315,30 @@ func TestTrafficShape(t *testing.T) {
 			for j := range pairs {
 				as[j], bs[j] = sh[2*j], sh[2*j+1]
 			}
-			r, highs, err := e.RandomBits(len(pairs)*ssmpc.MaskBits(l), len(pairs), ssmpc.MaskWidth(l))
+			m, err := e.RandomBits(len(pairs)*ssmpc.MaskBits(l), len(pairs), ssmpc.MaskWidth(l), 0)
 			if err != nil {
 				return err
 			}
-			_, err = e.GTEBatch(as, bs, l, r, highs)
+			_, err = e.GTEBatch(as, bs, l, m.Bits, m.Highs)
 			return err
 		})
 		// The sharing is one round; the rest is the comparison.
-		if want := [3]int64{k * (mask + tree), k * (mask + 1), 1 + 3 + 1 + depth}; got != want {
+		if want := [3]int64{k * tree, k * (mask + 1), 1 + 2 + 1 + depth}; got != want {
 			t.Errorf("GTEBatch of %d at l = %d, input set %d: charged (muls, opens, rounds) %v, want %v", k, l, i, got, want)
 		}
 	}
 	for _, n := range []int{3, 5} {
 		cfg := testConfig(t, n, (n-1)/2)
-		c, d := int64(Comparators(n)), int64(Depth(n))
+		c, d, last := int64(Comparators(n)), int64(Depth(n)), lastLayer(n)
+		if n == 5 && (c != 9 || d != 6 || last != 2) {
+			t.Fatalf("network at n = 5: C = %d, D = %d, k_last = %d; want 9, 6, 2", c, d, last)
+		}
 		// n sharing rounds, the masks, D layers, the final opening.
-		want := [3]int64{c * (mask + tree + 1), c*(mask+1) + int64(n), int64(n) + 3 + d*(1+depth+1) + 1}
+		want := [3]int64{c*(tree+1) - last, c*(mask+1) + int64(n), int64(n) + 2 + d*(1+depth) + 1}
 		// One share dealt, each comparison's, the n values opened.
-		wantPerPeer := 1 + c*(3*l+tree+3) + int64(n)
+		wantPerPeer := 1 + c*(3*l+tree+3) + int64(n) + last
 		for i, vals := range [][]int64{{1<<l - 1, 0, 5, 5, 1}, {3, 1 << 20, 7, 0, 1<<l - 2}} {
-			vals := vals[:n]
-			got, perPeer := charges(t, cfg, fmt.Sprintf("sort-%d-%d", n, i), func(e *ssmpc.Engine) error {
-				// Every party deals its own value, so every party sends
-				// each peer the same count.
-				shares := make([]ssmpc.Share, n)
-				for j, v := range vals {
-					var s *big.Int
-					if e.Party() == j {
-						s = big.NewInt(v)
-					}
-					sh, err := e.ShareBatch(j, []*big.Int{s}, 1)
-					if err != nil {
-						return err
-					}
-					shares[j] = sh[0]
-				}
-				_, err := SortOpen(e, shares, l)
-				return err
-			})
+			got, perPeer := sortCharges(t, cfg, fmt.Sprintf("sort-%d-%d", n, i), vals[:n], l)
 			if got != want {
 				t.Errorf("SortOpen at n = %d, input set %d: charged (muls, opens, rounds) %v, want %v", n, i, got, want)
 			}
@@ -359,4 +349,107 @@ func TestTrafficShape(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOneBitLayersReduceInTheirOwnRound: at l = 1 the less-than has no
+// round for a layer's products to ride in, so each layer after the
+// first takes one round of its own to reduce the products of the layer
+// before, and the sort still comes out right.
+func TestOneBitLayersReduceInTheirOwnRound(t *testing.T) {
+	const l = 1
+	for _, n := range []int{3, 5} {
+		cfg := testConfig(t, n, (n-1)/2)
+		c, d, last := int64(Comparators(n)), int64(Depth(n)), lastLayer(n)
+		// Per layer the opening, and a reduction round in every layer
+		// but the first.
+		want := [3]int64{c - last, 2*c + int64(n), int64(n) + 2 + d + (d - 1) + 1}
+		wantPerPeer := 1 + c*(3*l+3) + int64(n) + last
+		vals := []int64{1, 0, 1, 0, 0}[:n]
+		got, perPeer := sortCharges(t, cfg, fmt.Sprintf("sort-bit-%d", n), vals, l)
+		if got != want {
+			t.Errorf("SortOpen at n = %d, l = 1: charged (muls, opens, rounds) %v, want %v", n, got, want)
+		}
+		for me, e := range perPeer {
+			if e != wantPerPeer {
+				t.Errorf("SortOpen at n = %d, l = 1: party %d sent each peer %d elements, want %d", n, me, e, wantPerPeer)
+			}
+		}
+		opened := runSecureSort(t, cfg, vals, l, fmt.Sprintf("sort-bit-values-%d", n))
+		sorted := append([]int64(nil), vals...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+		for i, v := range opened {
+			if v.Int64() != sorted[i] {
+				t.Errorf("n = %d, l = 1: position %d opened %s, want %d", n, i, v, sorted[i])
+			}
+		}
+	}
+}
+
+// lastLayer is the comparator count k_last of the network's last layer.
+func lastLayer(n int) int64 {
+	layers := network(n)
+	return int64(len(layers[len(layers)-1]))
+}
+
+// sortCharges runs SortOpen of vals at width l, every party dealing its
+// own value so that every party sends each peer the same count, and
+// returns what charges does.
+func sortCharges(t *testing.T, cfg ssmpc.Config, seed string, vals []int64, l int) ([3]int64, []int64) {
+	t.Helper()
+	n := len(vals)
+	return charges(t, cfg, seed, func(e *ssmpc.Engine) error {
+		shares := make([]ssmpc.Share, n)
+		for j, v := range vals {
+			var s *big.Int
+			if e.Party() == j {
+				s = big.NewInt(v)
+			}
+			sh, err := e.ShareBatch(j, []*big.Int{s}, 1)
+			if err != nil {
+				return err
+			}
+			shares[j] = sh[0]
+		}
+		_, err := SortOpen(e, shares, l)
+		return err
+	})
+}
+
+// FuzzSortOpenAgainstPlaintext holds SortOpen to the plaintext sort:
+// n ∈ {3, 4, 5} parties (sel mod 3), l ∈ [1, 32] and the first n of the
+// values reduced below 2^l, every party opening the same sorted
+// sequence. The sort opens its comparison inputs from degree-2d shares
+// across layers, reduces each layer's products in the next layer's
+// less-than (in a round of its own at l = 1) and opens the last layer's
+// products unreduced, so every path of the sort is under it.
+func FuzzSortOpenAgainstPlaintext(f *testing.F) {
+	for _, l := range []uint8{1, 2, 27, 32} {
+		top := uint64(1)<<l - 1
+		for sel := uint8(0); sel < 3; sel++ {
+			f.Add(sel, l, uint64(0), uint64(0), uint64(0), uint64(0), uint64(0))
+			f.Add(sel, l, top, top, top, top, top)
+			f.Add(sel, l, top, uint64(0), top, uint64(0), top/2)
+			f.Add(sel, l, top/2, top, uint64(0), top/2, uint64(1))
+		}
+	}
+	p, err := rand.Prime(fixedbig.NewDRBG("sssort-prime"), 128)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, sel, lIn uint8, v0, v1, v2, v3, v4 uint64) {
+		n, l := 3+int(sel%3), 1+int(lIn%32)
+		cfg := ssmpc.Config{N: n, Degree: (n - 1) / 2, P: p}
+		vals := []int64{int64(v0), int64(v1), int64(v2), int64(v3), int64(v4)}[:n]
+		for i := range vals {
+			vals[i] &= 1<<l - 1
+		}
+		got := runSecureSort(t, cfg, vals, l, fmt.Sprintf("sort-fuzz-%d-%d-%v", n, l, vals))
+		want := append([]int64(nil), vals...)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		for i := range want {
+			if !got[i].IsInt64() || got[i].Int64() != want[i] {
+				t.Fatalf("n = %d, l = %d: position %d opened %s, want %d (input %v)", n, l, i, got[i], want[i], vals)
+			}
+		}
+	})
 }

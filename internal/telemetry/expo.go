@@ -74,11 +74,11 @@ func renderLabels(keys, values []string) string {
 func (f *family) writeChild(w io.Writer, m *metric) error {
 	switch f.kind {
 	case kindCounter:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, m.labels, atomic.LoadInt64(&m.val))
+		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, m.labels, m.val.Load())
 		return err
 	case kindGauge:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, m.labels,
-			fmtFloat(math.Float64frombits(atomic.LoadUint64(&m.bits))))
+			fmtFloat(math.Float64frombits(m.bits.Load())))
 		return err
 	case kindHistogram:
 		// Cumulative buckets: each le series counts everything at or
@@ -95,10 +95,10 @@ func (f *family) writeChild(w io.Writer, m *metric) error {
 			return err
 		}
 		if _, err := fmt.Fprintf(w, "%s_sum %s\n", f.name,
-			fmtFloat(math.Float64frombits(atomic.LoadUint64(&m.hsum)))); err != nil {
+			fmtFloat(math.Float64frombits(m.hsum.Load()))); err != nil {
 			return err
 		}
-		_, err := fmt.Fprintf(w, "%s_count %d\n", f.name, atomic.LoadInt64(&m.val))
+		_, err := fmt.Fprintf(w, "%s_count %d\n", f.name, m.val.Load())
 		return err
 	}
 	return fmt.Errorf("telemetry: family %q has unknown kind", f.name)

@@ -92,11 +92,14 @@ type metric struct {
 	fam    *family
 	labels string // the rendered label set, e.g. {peer="1"}; "" when unlabelled
 
-	val  int64  // counter value / histogram observation count
-	bits uint64 // gauge float64 bits / unused
+	// The atomic types keep their 64-bit words 8-byte aligned on 32-bit
+	// platforms too, where a plain int64 after a pointer and a string
+	// is not, and sync/atomic panics on it.
+	val  atomic.Int64  // counter value / histogram observation count
+	bits atomic.Uint64 // gauge float64 bits / unused
 
-	hcounts []int64 // histogram per-bucket counts, len(buckets)+1 (+Inf last)
-	hsum    uint64  // histogram sum, float64 bits, CAS-updated
+	hcounts []int64       // histogram per-bucket counts, len(buckets)+1 (+Inf last)
+	hsum    atomic.Uint64 // histogram sum, float64 bits, CAS-updated
 }
 
 // child returns (creating on first use) the series for one value per
@@ -232,7 +235,7 @@ func (c *Counter) Add(n int64) {
 	if c == nil || n <= 0 {
 		return
 	}
-	atomic.AddInt64(&c.m.val, n)
+	c.m.val.Add(n)
 }
 
 // Value reads the current count.
@@ -240,7 +243,7 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return atomic.LoadInt64(&c.m.val)
+	return c.m.val.Load()
 }
 
 // ---- gauges ----
@@ -283,7 +286,7 @@ func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	atomic.StoreUint64(&g.m.bits, math.Float64bits(v))
+	g.m.bits.Store(math.Float64bits(v))
 }
 
 // ---- histograms ----
@@ -309,11 +312,11 @@ func (h *Histogram) Observe(v float64) {
 	m := h.m
 	i := sort.SearchFloat64s(m.fam.buckets, v) // first bucket with bound >= v
 	atomic.AddInt64(&m.hcounts[i], 1)
-	atomic.AddInt64(&m.val, 1)
+	m.val.Add(1)
 	for {
-		old := atomic.LoadUint64(&m.hsum)
+		old := m.hsum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
-		if atomic.CompareAndSwapUint64(&m.hsum, old, next) {
+		if m.hsum.CompareAndSwap(old, next) {
 			return
 		}
 	}
